@@ -224,6 +224,10 @@ pub mod executor {
                         *slot = None;
                         *outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                         if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            // Notify under the queue lock: a peer that read
+                            // `remaining != 0` under it is then already
+                            // waiting, not about to wait and miss this.
+                            let _queue = state.queue.lock().unwrap_or_else(|e| e.into_inner());
                             state.cv.notify_all();
                         }
                     }
@@ -304,6 +308,32 @@ mod tests {
             assert_eq!(outputs, (0..n).collect::<Vec<_>>());
             assert_eq!(counter.load(Ordering::SeqCst), n * 5);
         }
+    }
+
+    /// The worker that finishes the last task must not lose the wakeup of a
+    /// peer about to sleep: two yielding tasks on two workers, many times,
+    /// under a watchdog (a lost wakeup hangs `run_all` forever).
+    #[test]
+    fn run_all_never_loses_the_final_wakeup() {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let tasks = (0..2u8)
+                    .map(|i| {
+                        let fut = async move {
+                            yield_now().await;
+                            i
+                        };
+                        Box::pin(fut) as Pin<Box<dyn Future<Output = u8> + Send>>
+                    })
+                    .collect();
+                assert_eq!(run_all(tasks, 2), vec![0, 1]);
+            }
+            let _ = done.send(());
+        });
+        watchdog
+            .recv_timeout(std::time::Duration::from_secs(300))
+            .expect("run_all hung: a worker slept through the final wakeup");
     }
 
     #[test]

@@ -65,6 +65,16 @@ impl<T: ?Sized> RwLock<T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Attempts to acquire shared read access without blocking, recovering
+    /// from poisoning. `None` means a writer holds the lock.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Acquires exclusive write access, recovering from poisoning.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())

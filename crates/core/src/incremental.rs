@@ -35,8 +35,8 @@
 //! committed transaction is hooked in with `begin-node(begin) → txn` and
 //! `txn → end-node(end)` edges, and a real-time-order violation latches the
 //! moment a dependency edge contradicts the chain. Use
-//! [`IncrementalSserChecker`] (or `IncrementalChecker::new_sser()` plus the
-//! `*_timed` push methods) for the sequential driver; the sharded checker
+//! [`IncrementalChecker::new_sser`] plus the `*_timed` push methods for the
+//! sequential driver; the sharded checker
 //! accepts [`IsolationLevel::StrictSerializability`] too and reuses the same
 //! worker pool — time-chain maintenance stays on the merge thread, so the
 //! workers are oblivious to timestamps.
@@ -2398,8 +2398,36 @@ impl IncrementalChecker {
         IncrementalChecker::new(IsolationLevel::SnapshotIsolation)
     }
 
-    /// A streaming `CHECKSSER` (online time-chain). See also the
-    /// timestamp-first wrapper [`IncrementalSserChecker`].
+    /// A streaming `CHECKSSER`: an online strict-serializability checker.
+    ///
+    /// Push each committed transaction together with its wall-clock begin
+    /// and commit-acknowledgement instants
+    /// ([`IncrementalChecker::push_committed_timed`]); the checker splices
+    /// the instants into an online time-chain ([`mtc_history::TimeChain`])
+    /// and latches a violation the moment a dependency edge contradicts the
+    /// real-time order — including commits whose instants arrive out of
+    /// order (clock skew, long-running transactions). Reads whose writer has
+    /// not appeared yet are the only thing deferred to
+    /// [`IncrementalChecker::finish`], exactly as for SER/SI, so final
+    /// verdicts agree with [`crate::check_sser`] and
+    /// [`crate::check_sser_naive`].
+    ///
+    /// ```
+    /// use mtc_core::{IncrementalChecker, StreamStatus};
+    /// use mtc_history::Op;
+    ///
+    /// let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    /// // T1 = [10, 20] installs x = 7 ...
+    /// checker
+    ///     .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 7u64)], 10, 20)
+    ///     .unwrap();
+    /// // ... and T2 = [30, 40] starts after T1 finished but misses its write.
+    /// let status = checker
+    ///     .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 30, 40)
+    ///     .unwrap();
+    /// assert_eq!(status, StreamStatus::Violated);
+    /// assert!(checker.finish().unwrap().is_violated());
+    /// ```
     pub fn new_sser() -> Self {
         IncrementalChecker::new(IsolationLevel::StrictSerializability)
     }
@@ -2721,144 +2749,6 @@ impl IncrementalChecker {
             }
         }
         Ok(Verdict::Satisfied)
-    }
-}
-
-// ───────────────────────── the SSER checker ─────────────────────────────────
-
-/// An online strict-serializability checker: an [`IncrementalChecker`] in
-/// SSER mode behind a timestamp-first API.
-///
-/// Each committed transaction is pushed together with its wall-clock begin
-/// and commit-acknowledgement instants; the checker splices the instants
-/// into an online time-chain ([`mtc_history::TimeChain`]) and latches a
-/// violation the moment a dependency edge contradicts the real-time order —
-/// including commits whose instants arrive out of order (clock skew,
-/// long-running transactions). Reads whose writer has not appeared yet are
-/// the only thing deferred to [`IncrementalSserChecker::finish`], exactly as
-/// for SER/SI, so final verdicts agree with [`crate::check_sser`] and
-/// [`crate::check_sser_naive`].
-///
-/// ```
-/// use mtc_core::{IncrementalSserChecker, StreamStatus};
-/// use mtc_history::Op;
-///
-/// let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
-/// // T1 = [10, 20] installs x = 7 ...
-/// checker
-///     .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 7u64)], 10, 20)
-///     .unwrap();
-/// // ... and T2 = [30, 40] starts after T1 finished but misses its write.
-/// let status = checker
-///     .push_committed(1, vec![Op::read(0u64, 0u64)], 30, 40)
-///     .unwrap();
-/// assert_eq!(status, StreamStatus::Violated);
-/// assert!(checker.finish().unwrap().is_violated());
-/// ```
-#[derive(Clone, Debug)]
-pub struct IncrementalSserChecker {
-    inner: IncrementalChecker,
-}
-
-impl Default for IncrementalSserChecker {
-    fn default() -> Self {
-        IncrementalSserChecker::new()
-    }
-}
-
-impl IncrementalSserChecker {
-    /// A streaming `CHECKSSER` with default [`CheckOptions`].
-    pub fn new() -> Self {
-        IncrementalSserChecker {
-            inner: IncrementalChecker::new_sser(),
-        }
-    }
-
-    /// Overrides the tuning options (shared with the batch checkers).
-    pub fn with_options(mut self, opts: CheckOptions) -> Self {
-        self.inner = self.inner.with_options(opts);
-        self
-    }
-
-    /// Seeds the stream with `⊥T` at instant 0 (see
-    /// [`IncrementalChecker::with_init_keys`]).
-    pub fn with_init_keys<K: Into<Key>, I: IntoIterator<Item = K>>(mut self, keys: I) -> Self {
-        self.inner = self.inner.with_init_keys(keys);
-        self
-    }
-
-    /// Feeds the next transaction of the stream. Transactions without any
-    /// recorded instant contribute no real-time constraints; a partially
-    /// timed one constrains the side it has.
-    pub fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
-        self.inner.push(txn)
-    }
-
-    /// Feeds a committed transaction with its begin/commit instants.
-    pub fn push_committed(
-        &mut self,
-        session: u32,
-        ops: Vec<Op>,
-        begin: u64,
-        end: u64,
-    ) -> Result<StreamStatus, CheckError> {
-        self.inner.push_committed_timed(session, ops, begin, end)
-    }
-
-    /// Feeds an aborted transaction (no time-chain hook: aborted
-    /// transactions never constrain the real-time order).
-    pub fn push_aborted(&mut self, session: u32, ops: Vec<Op>) -> Result<StreamStatus, CheckError> {
-        self.inner.push_aborted(session, ops)
-    }
-
-    /// Replays a complete [`mtc_history::History`] in transaction-id order
-    /// (see [`IncrementalChecker::push_history`]).
-    pub fn push_history(
-        &mut self,
-        history: &mtc_history::History,
-    ) -> Result<StreamStatus, CheckError> {
-        self.inner.push_history(history)
-    }
-
-    /// The latched violation, if any.
-    pub fn violation(&self) -> Option<&Violation> {
-        self.inner.violation()
-    }
-
-    /// True iff the consumed prefix already violates SSER.
-    pub fn is_violated(&self) -> bool {
-        self.inner.is_violated()
-    }
-
-    /// Id of the transaction whose consumption latched the violation.
-    pub fn first_violation_at(&self) -> Option<TxnId> {
-        self.inner.first_violation_at()
-    }
-
-    /// Number of transactions consumed (including `⊥T` and aborted ones).
-    pub fn txn_count(&self) -> usize {
-        self.inner.txn_count()
-    }
-
-    /// Number of labelled dependency edges derived so far.
-    pub fn edge_count(&self) -> usize {
-        self.inner.edge_count()
-    }
-
-    /// Number of distinct instants in the online time-chain.
-    pub fn time_instant_count(&self) -> usize {
-        self.inner.time_instant_count()
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &CheckOptions {
-        self.inner.options()
-    }
-
-    /// Ends the stream and returns the final verdict, which agrees with
-    /// [`crate::check_sser`] on the equivalent history.
-    pub fn finish(self) -> Result<Verdict, CheckError> {
-        self.inner.finish()
     }
 }
 
@@ -4081,12 +3971,12 @@ mod tests {
         // T1 writes x and finishes before T2 starts, but T2 still reads the
         // initial value: allowed by SER, forbidden by SSER — and the online
         // checker latches at T2, not at finish().
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         checker
-            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
             .unwrap();
         let status = checker
-            .push_committed(1, vec![Op::read(0u64, 0u64)], 30, 40)
+            .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 30, 40)
             .unwrap();
         assert_eq!(status, StreamStatus::Violated);
         assert_eq!(checker.first_violation_at(), Some(TxnId(2)));
@@ -4105,12 +3995,12 @@ mod tests {
         // Overlapping intervals are not real-time ordered: both serial
         // orders are admissible, so a "stale" read by a concurrent
         // transaction is fine.
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         checker
-            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 30)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 30)
             .unwrap();
         let status = checker
-            .push_committed(1, vec![Op::read(0u64, 0u64)], 20, 40)
+            .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 20, 40)
             .unwrap();
         assert_eq!(status, StreamStatus::ConsistentSoFar);
         assert!(checker.finish().unwrap().is_satisfied());
@@ -4120,12 +4010,12 @@ mod tests {
     fn sser_handles_equal_instants_as_overlap() {
         // end(T1) == begin(T2): the real-time order is strict, so no RT edge
         // and the stale read stays SSER-acceptable.
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         checker
-            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
             .unwrap();
         let status = checker
-            .push_committed(1, vec![Op::read(0u64, 0u64)], 20, 40)
+            .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 20, 40)
             .unwrap();
         assert_eq!(status, StreamStatus::ConsistentSoFar);
         assert!(checker.finish().unwrap().is_satisfied());
@@ -4135,12 +4025,12 @@ mod tests {
     fn sser_latches_on_out_of_order_instants() {
         // The violating commit *reports* instants in the past (clock skew):
         // T2 reads T1's write but claims to have finished before T1 began.
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         checker
-            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 50, 60)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 50, 60)
             .unwrap();
         let status = checker
-            .push_committed(1, vec![Op::read(0u64, 1u64)], 5, 9)
+            .push_committed_timed(1, vec![Op::read(0u64, 1u64)], 5, 9)
             .unwrap();
         assert_eq!(status, StreamStatus::Violated);
         assert_eq!(checker.first_violation_at(), Some(TxnId(2)));
@@ -4150,9 +4040,9 @@ mod tests {
     fn sser_self_inconsistent_interval_is_rejected() {
         // A commit whose reported end precedes its own begin contradicts the
         // time-chain by itself.
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         let status = checker
-            .push_committed(0, vec![Op::read(0u64, 0u64)], 30, 10)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64)], 30, 10)
             .unwrap();
         assert_eq!(status, StreamStatus::Violated);
     }
@@ -4237,13 +4127,13 @@ mod tests {
 
     #[test]
     fn sser_time_chain_grows_with_distinct_instants() {
-        let mut checker = IncrementalSserChecker::new().with_init_keys(0..1u64);
+        let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
         assert_eq!(checker.time_instant_count(), 1); // ⊥T at instant 0
         checker
-            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+            .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
             .unwrap();
         checker
-            .push_committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)], 25, 30)
+            .push_committed_timed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)], 25, 30)
             .unwrap();
         assert_eq!(checker.time_instant_count(), 5);
         // SER checkers never touch the chain.

@@ -13,8 +13,8 @@
 
 use mtc_core::{
     check_ser, check_si, check_sser, check_sser_naive, check_streaming, check_streaming_sharded,
-    tune, CheckerSnapshot, GcPolicy, IncrementalChecker, IncrementalSserChecker, IsolationLevel,
-    ShardedIncrementalChecker, StreamStatus,
+    tune, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker,
+    StreamStatus,
 };
 use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
 use proptest::prelude::*;
@@ -506,7 +506,7 @@ proptest! {
     ) {
         let valid = timed_serial_history(&shapes, 3, 2, 0, &intervals);
         let history = skewed(&valid, pick, delta, None, None);
-        let mut checker = IncrementalSserChecker::new()
+        let mut checker = IncrementalChecker::new_sser()
             .with_init_keys(history.txn(history.init_txn().unwrap()).write_set());
         for txn in history.txns() {
             if Some(txn.id) == history.init_txn() {
@@ -539,7 +539,7 @@ proptest! {
         let mut instant = 1_000_000u64;
         for i in 0..tail {
             let next = Value(10_000_000 + i as u64);
-            let _ = checker.push_committed(
+            let _ = checker.push_committed_timed(
                 0,
                 vec![Op::read(tail_key, last), Op::write(tail_key, next)],
                 instant,

@@ -1,22 +1,19 @@
-//! The async ingest driver: many sessions multiplexed over a small worker
-//! pool.
+//! The async scheduler: many sessions multiplexed over a small worker pool.
 //!
-//! [`crate::execute_workload`] spends one OS thread per session — fine for
-//! a handful of in-process sessions, untenable for thousands of sessions
-//! against a remote backend where most of a transaction's life is waiting
-//! on the wire. [`execute_workload_async`] runs every session as a future
-//! on the minimal scoped executor in the `futures_lite` compat crate
-//! ([`futures_lite::executor::run_all`]): `workers` threads poll all
-//! session tasks cooperatively, with a scheduling point
-//! ([`futures_lite::future::yield_now`]) after every operation, so
-//! sessions interleave at operation granularity no matter how few workers
-//! carry them.
+//! The threaded driver spends one OS thread per session — fine for a handful
+//! of in-process sessions, untenable for thousands of sessions against a
+//! remote backend where most of a transaction's life is waiting on the wire.
+//! Here every [`Session`] is a future on the minimal scoped executor in the
+//! `futures_lite` compat crate ([`futures_lite::executor::run_all`]):
+//! `workers` threads poll all session tasks cooperatively, with a scheduling
+//! point ([`futures_lite::future::yield_now`]) after every
+//! [`Session::step`] — after a begin, after each operation, after a settle
+//! (and the retry-begin that shares its step) — so sessions interleave at
+//! operation granularity no matter how few workers carry them.
 //!
-//! The retry/recording semantics are *identical* to the threaded driver —
-//! both flow through [`ClientOptions::should_retry`] /
-//! `ClientOptions::should_record_abort` (see the counting test pinned in
-//! `client.rs`) — so a history collected asynchronously is
-//! indistinguishable from a threaded one to the checkers.
+//! It is the same state machine the other drivers schedule, so a history
+//! collected asynchronously is indistinguishable from a threaded one to the
+//! checkers.
 //!
 //! One honest caveat, documented rather than hidden: [`crate::DbTxn`]
 //! operations are synchronous, so an operation that *blocks inside the
@@ -27,191 +24,33 @@
 //! transaction ([`crate::BackendSpec::blocking`] — the 2PL engine's
 //! wait-die "older waits" path) needs `workers >= sessions`, or all
 //! workers can end up parked on locks whose holders' tasks are queued
-//! behind them — the executor-level cousin of the restriction documented
-//! on [`crate::execute_workload_interleaved`]. Non-blocking engines (the
-//! simulator, weak MVCC, the remote client whose server wraps one of
-//! those) run fine with far fewer workers than sessions.
+//! behind them — the executor-level cousin of the restriction on
+//! [`crate::Driver::Interleaved`]. Non-blocking engines (the simulator, weak
+//! MVCC, the remote client whose server wraps one of those) run fine with
+//! far fewer workers than sessions.
 
-use crate::backend::DbBackend;
-use crate::client::{issue_ops, ClientOptions, ExecutionReport, SessionStats, TxnRecord};
-use crate::live::LiveVerifier;
+use crate::session::{IssueOp, Session};
+use futures_lite::executor::{run_all, BoxedTask};
 use futures_lite::future::yield_now;
-use mtc_history::{History, HistoryBuilder, TxnStatus, ValueAllocator};
-use mtc_workload::Workload;
-use std::time::Instant;
 
-/// Options of the async driver.
-#[derive(Clone, Copy, Debug)]
-pub struct AsyncOptions {
-    /// Retry/recording options, shared with every other driver.
-    pub client: ClientOptions,
-    /// Executor worker threads carrying all session tasks (clamped to at
-    /// least one; more than one session per worker is the point).
-    pub workers: usize,
-}
-
-impl Default for AsyncOptions {
-    fn default() -> Self {
-        AsyncOptions {
-            client: ClientOptions::default(),
-            workers: 4,
-        }
-    }
-}
-
-/// Executes `workload` against `db` with one *task* per session on a
-/// `workers`-thread executor, and returns the collected history plus
-/// statistics. Sessions yield to the scheduler after every operation.
-#[deprecated(
-    note = "use `ExecutionOptions::async_workers(n).client(opts.client).run(db, workload)`"
-)]
-pub fn execute_workload_async(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &AsyncOptions,
-) -> (History, ExecutionReport) {
-    execute_async(db, workload, &opts.client, opts.workers, None)
-}
-
-/// The async driver proper, with an optional live verifier fed at every
-/// settle point; dispatched to by [`crate::ExecutionOptions::run`] for
-/// [`crate::Driver::Async`].
-pub(crate) fn execute_async(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    client: &ClientOptions,
+/// Runs every session to completion as one task each on a `workers`-thread
+/// executor (clamped to at least one), yielding after every step.
+pub(crate) fn drive_async<'a, T: Sync, R: Send, F: IssueOp<T, R>>(
+    sessions: Vec<Session<'a, T, R, F>>,
     workers: usize,
-    verifier: Option<&LiveVerifier>,
-) -> (History, ExecutionReport) {
-    let start = Instant::now();
-    type SessionLog = (u32, Vec<TxnRecord>, SessionStats);
-    let tasks: Vec<futures_lite::executor::BoxedTask<'_, SessionLog>> = workload
-        .sessions
-        .iter()
-        .map(|s| {
-            let fut = run_session_async(db, s.session, &s.txns, client, verifier);
-            Box::pin(fut) as futures_lite::executor::BoxedTask<'_, SessionLog>
-        })
-        .collect();
-    let mut session_logs = futures_lite::executor::run_all(tasks, workers);
-    session_logs.sort_by_key(|(s, _, _)| *s);
-
-    let mut report = ExecutionReport {
-        wall_time: start.elapsed(),
-        ..ExecutionReport::default()
-    };
-    let mut builder = HistoryBuilder::new().with_init(workload.num_keys);
-    for (_session, records, stats) in session_logs {
-        report.committed += stats.committed;
-        report.failed += stats.failed;
-        report.attempts += stats.attempts;
-        report.aborted_attempts += stats.aborted_attempts;
-        for r in records {
-            builder.push_timed(r.session, r.ops, r.status, r.begin, r.end);
-        }
-    }
-    (builder.build(), report)
-}
-
-/// The async mirror of `client::run_session`: same retry accounting, same
-/// recording rules, plus a yield after every single operation so sessions
-/// sharing a worker interleave at operation granularity.
-async fn run_session_async(
-    db: &dyn DbBackend,
-    session: u32,
-    templates: &[mtc_workload::TxnTemplate],
-    opts: &ClientOptions,
-    verifier: Option<&LiveVerifier>,
-) -> (u32, Vec<TxnRecord>, SessionStats) {
-    let mut allocator = ValueAllocator::new(session);
-    let mut records = Vec::with_capacity(templates.len());
-    let mut stats = SessionStats::default();
-
-    for template in templates {
-        if verifier.is_some_and(|v| v.should_stop()) {
-            break;
-        }
-        let mut retries = 0u32;
-        let mut first_begin = None;
-        loop {
-            stats.attempts += 1;
-            let mut handle = match first_begin {
-                None => db.begin(),
-                Some(ts) => db.begin_retry(ts),
-            };
-            let begin = handle.begin_ts();
-            first_begin.get_or_insert(begin);
-            yield_now().await;
-
-            // Issue the template one operation at a time, yielding between
-            // operations (the threaded driver's `issue_ops` loop, unrolled
-            // around scheduling points).
-            let mut ops = Vec::with_capacity(template.ops.len());
-            let mut failed = None;
-            for i in 0..template.ops.len() {
-                let mut one = issue_ops(handle.as_mut(), &template.ops[i..i + 1], &mut allocator);
-                ops.append(&mut one.ops);
-                if let Some(reason) = one.failed {
-                    failed = Some(reason);
-                    break;
-                }
-                yield_now().await;
-            }
-
-            let result = match failed {
-                Some(reason) => {
-                    let _ = handle.abort();
-                    Err(reason)
-                }
-                None => handle.commit(),
-            };
-            match result {
-                Ok(info) => {
-                    stats.committed += 1;
-                    if let Some(v) = verifier {
-                        v.record_timed(
-                            session,
-                            ops.clone(),
-                            TxnStatus::Committed,
-                            begin,
-                            info.commit_ts,
-                        );
-                    }
-                    records.push(TxnRecord {
-                        session,
-                        ops,
-                        status: TxnStatus::Committed,
-                        begin,
-                        end: info.commit_ts,
-                    });
-                    break;
-                }
-                Err(reason) => {
-                    stats.aborted_attempts += 1;
-                    if opts.should_record_abort(&ops, reason) {
-                        let end = db.now();
-                        if let Some(v) = verifier {
-                            v.record_timed(session, ops.clone(), TxnStatus::Aborted, begin, end);
-                        }
-                        records.push(TxnRecord {
-                            session,
-                            ops,
-                            status: TxnStatus::Aborted,
-                            begin,
-                            end,
-                        });
-                    }
-                    if !opts.should_retry(retries, reason) {
-                        stats.failed += 1;
-                        break;
-                    }
-                    retries += 1;
+) -> Vec<Session<'a, T, R, F>> {
+    let tasks = sessions
+        .into_iter()
+        .map(|mut s| {
+            Box::pin(async move {
+                while s.step() {
                     yield_now().await;
                 }
-            }
-        }
-    }
-    (session, records, stats)
+                s
+            }) as BoxedTask<'_, _>
+        })
+        .collect();
+    run_all(tasks, workers)
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! the client-visible surface of that engine — begin, read, write, append,
 //! commit, abort, over register and list values, with begin/commit instants
 //! and abort reasons — so that the whole execution stack
-//! ([`crate::execute_workload`], [`crate::execute_workload_live`] and the
-//! `mtc-runner` harness on top) runs unchanged against *any* engine.
+//! ([`crate::ExecutionOptions::run`] and the `mtc-runner` harness on top)
+//! runs unchanged against *any* engine.
 //!
 //! Three families of backends ship in-tree:
 //!
@@ -39,7 +39,7 @@ use mtc_history::{Key, Value};
 /// return `Ok`.
 ///
 /// Handles must be [`Send`]: the async ingest driver
-/// ([`crate::execute_workload_async`]) multiplexes many sessions over a
+/// ([`crate::Driver::Async`]) multiplexes many sessions over a
 /// small worker pool, so an open transaction may be polled from a different
 /// thread after a yield point. (Every in-tree engine's handle is plain data
 /// over a `Sync` backend reference, so this costs nothing.)

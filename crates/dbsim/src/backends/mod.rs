@@ -54,8 +54,7 @@ impl BackendSpec {
 
     /// True iff the backend's operations can block on another in-flight
     /// transaction — such engines must not be driven by the single-thread
-    /// interleaved executor
-    /// ([`crate::client::execute_workload_interleaved`]).
+    /// interleaved executor ([`crate::Driver::Interleaved`]).
     pub fn blocking(&self) -> bool {
         matches!(self, BackendSpec::TwoPl)
     }

@@ -1,40 +1,31 @@
-//! The multi-threaded client driver: executes a register workload against a
-//! system under test and collects the unified execution history (steps ①–③
-//! of the black-box checking workflow, Figure 2 of the paper).
-//!
-//! The driver is **backend-generic**: it talks to any [`DbBackend`] — the
-//! OCC simulator, the strict-2PL engine, the weak MVCC engine, or anything
-//! a caller implements. Each session runs on its own thread, issues its
-//! transaction templates in order, assigns unique values to writes from its
-//! per-session allocator, records begin/commit timestamps, and retries
-//! aborted transactions up to a configurable bound. The per-session logs
-//! are then merged into a single [`History`] whose initial transaction `⊥T`
-//! covers the pre-initialized key space.
-//!
-//! A deterministic single-thread variant, [`execute_workload_interleaved`],
-//! interleaves the sessions op-by-op from a seeded schedule — the tool the
-//! conformance suite uses to make organic anomalies reproducible.
+//! The client side of a run: the retry/recording policy ([`ClientOptions`]),
+//! the statistics of an execution ([`ExecutionReport`]), the register
+//! workload's operation function, and the two thread-shaped schedulers of the
+//! [`Session`] state machine — one OS thread per session, and the
+//! deterministic single-thread interleaving the conformance suite uses to
+//! make organic anomalies reproducible. (The async scheduler lives in
+//! [`crate::async_exec`]; [`crate::ExecutionOptions::run`] picks one.)
 
-use crate::backend::{DbBackend, DbTxn};
-use crate::live::LiveVerifier;
+use crate::backend::DbTxn;
+use crate::session::{IssueOp, Session};
 use crate::txn::AbortReason;
-use mtc_history::{History, HistoryBuilder, Op, TxnStatus, ValueAllocator};
-use mtc_workload::{ReqOp, Workload};
+use mtc_history::{Op, ValueAllocator};
+use mtc_workload::ReqOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client-side execution options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientOptions {
     /// How many times an aborted transaction template is **retried** after
     /// its first attempt, so a template is attempted at most
-    /// `max_retries + 1` times (0 = a single attempt, no retries). Every
-    /// driver — threaded, interleaved, live and async — decides retries
-    /// through [`ClientOptions::should_retry`], so the bound cannot drift
-    /// between call sites again; `tests::max_retries_counts_retries_not_attempts`
-    /// pins the count on each driver.
+    /// `max_retries + 1` times (0 = a single attempt, no retries). The one
+    /// session machine ([`crate::session`]) decides retries through
+    /// [`ClientOptions::should_retry`] whatever driver schedules it;
+    /// `max_retries_counts_retries_not_attempts` in `mtc-runner`'s `exec`
+    /// tests pins the count on each driver and on both Elle runners.
     pub max_retries: u32,
     /// Record aborted attempts in the history (needed to detect
     /// `ABORTEDREAD`-style anomalies; the paper's checkers assume aborted
@@ -66,7 +57,7 @@ impl ClientOptions {
     /// (`ops` nonempty — empty attempts are not mini-transactions), and the
     /// abort is a *known* outcome ([`AbortReason::outcome_known`]; an
     /// ambiguous remote commit must not be recorded as aborted).
-    pub(crate) fn should_record_abort(&self, ops: &[Op], reason: AbortReason) -> bool {
+    pub(crate) fn should_record_abort<R>(&self, ops: &[R], reason: AbortReason) -> bool {
         self.record_aborted && !ops.is_empty() && reason.outcome_known()
     }
 }
@@ -97,430 +88,81 @@ impl ExecutionReport {
     }
 }
 
-/// A transaction record produced by one client thread.
-pub(crate) struct TxnRecord {
-    pub(crate) session: u32,
-    pub(crate) ops: Vec<Op>,
-    pub(crate) status: TxnStatus,
-    pub(crate) begin: u64,
-    pub(crate) end: u64,
-}
-
-/// Outcome of issuing one template's operations against an open handle:
-/// the recorded ops, and the abort reason if an operation failed (a
-/// pessimistic backend can die inside a read or write).
-pub(crate) struct AttemptOps {
-    pub(crate) ops: Vec<Op>,
-    pub(crate) failed: Option<AbortReason>,
-}
-
-/// Issues a template's operations, reading values and allocating unique
-/// write values. Shared by the batch, live and interleaved drivers.
-pub(crate) fn issue_ops(
+/// Issues one register-template operation: reads record the value returned,
+/// writes a fresh unique value from the session's allocator. The [`IssueOp`]
+/// of register workloads.
+pub(crate) fn issue_op(
     handle: &mut dyn DbTxn,
-    template_ops: &[ReqOp],
-    allocator: &mut ValueAllocator,
-) -> AttemptOps {
-    let mut ops = Vec::with_capacity(template_ops.len());
-    for op in template_ops {
-        match *op {
-            ReqOp::Read(key) => match handle.read_register(key) {
-                Ok(v) => ops.push(Op::Read { key, value: v }),
-                Err(reason) => {
-                    return AttemptOps {
-                        ops,
-                        failed: Some(reason),
-                    }
-                }
-            },
-            ReqOp::Write(key) => {
-                let v = allocator.next();
-                match handle.write_register(key, v) {
-                    Ok(()) => ops.push(Op::Write { key, value: v }),
-                    Err(reason) => {
-                        return AttemptOps {
-                            ops,
-                            failed: Some(reason),
-                        }
-                    }
-                }
-            }
+    op: &ReqOp,
+    values: &mut ValueAllocator,
+    ops: &mut Vec<Op>,
+) -> Result<(), AbortReason> {
+    match *op {
+        ReqOp::Read(key) => {
+            let value = handle.read_register(key)?;
+            ops.push(Op::Read { key, value });
+        }
+        ReqOp::Write(key) => {
+            let value = values.next();
+            handle.write_register(key, value)?;
+            ops.push(Op::Write { key, value });
         }
     }
-    AttemptOps { ops, failed: None }
+    Ok(())
 }
 
-/// Executes `workload` against `db` with one thread per session and returns
-/// the collected history together with execution statistics.
-#[deprecated(note = "use `ExecutionOptions::threaded().client(*opts).run(db, workload)`")]
-pub fn execute_workload(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &ClientOptions,
-) -> (History, ExecutionReport) {
-    execute_threaded(db, workload, opts, None)
-}
-
-/// The threaded driver proper: one OS thread per session, with an optional
-/// live verifier fed in commit order. The unified entry point
-/// [`crate::ExecutionOptions::run`] dispatches here for [`crate::Driver::Threaded`].
-pub(crate) fn execute_threaded(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &ClientOptions,
-    verifier: Option<&LiveVerifier>,
-) -> (History, ExecutionReport) {
-    let start = Instant::now();
-    let mut session_logs: Vec<(u32, Vec<TxnRecord>, SessionStats)> = Vec::new();
-
+/// The threaded scheduler: every session steps to completion on an OS thread
+/// of its own. Works with every backend, including blocking ones.
+pub(crate) fn drive_threaded<'a, T: Sync, R: Send, F: IssueOp<T, R>>(
+    sessions: Vec<Session<'a, T, R, F>>,
+) -> Vec<Session<'a, T, R, F>> {
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for session in &workload.sessions {
-            handles
-                .push(scope.spawn(move || {
-                    run_session(db, session.session, &session.txns, opts, verifier)
-                }));
-        }
-        for h in handles {
-            session_logs.push(h.join().expect("client thread panicked"));
-        }
-    });
-
-    // Deterministic assembly order: by session id.
-    session_logs.sort_by_key(|(s, _, _)| *s);
-
-    let mut report = ExecutionReport {
-        wall_time: start.elapsed(),
-        ..ExecutionReport::default()
-    };
-    let mut builder = HistoryBuilder::new().with_init(workload.num_keys);
-    for (_, records, stats) in session_logs {
-        report.committed += stats.committed;
-        report.failed += stats.failed;
-        report.attempts += stats.attempts;
-        report.aborted_attempts += stats.aborted_attempts;
-        for r in records {
-            builder.push_timed(r.session, r.ops, r.status, r.begin, r.end);
-        }
-    }
-    (builder.build(), report)
-}
-
-/// Executes `workload` against `db` on a **single thread**, interleaving
-/// the sessions operation-by-operation according to a seeded schedule. The
-/// run is fully deterministic for a given backend, workload and seed, which
-/// makes organically produced anomalies (lost updates of the weak MVCC
-/// engine, say) reproducible test vectors rather than race lottery wins.
-///
-/// **Blocking backends beware**: all sessions share one thread, so this
-/// driver must only be used with backends whose operations cannot block on
-/// another in-flight transaction. The weak MVCC engine and the simulator
-/// qualify; the 2PL engine does not (its wait-die "older waits" path would
-/// wait forever for a holder parked on the same thread) — drive it with
-/// [`execute_workload`] instead.
-#[deprecated(note = "use `ExecutionOptions::interleaved(seed).client(*opts).run(db, workload)`")]
-pub fn execute_workload_interleaved(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &ClientOptions,
-    schedule_seed: u64,
-) -> (History, ExecutionReport) {
-    execute_interleaved(db, workload, opts, schedule_seed, None)
-}
-
-/// The deterministic single-thread driver proper; dispatched to by
-/// [`crate::ExecutionOptions::run`] for [`crate::Driver::Interleaved`]. With a
-/// verifier attached, every settled attempt is recorded in schedule order and
-/// a latched `stop_on_violation` keeps sessions from *starting* further
-/// templates (open attempts still settle, mirroring the threaded driver).
-pub(crate) fn execute_interleaved(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &ClientOptions,
-    schedule_seed: u64,
-    verifier: Option<&LiveVerifier>,
-) -> (History, ExecutionReport) {
-    struct OpenTxn<'d> {
-        handle: Box<dyn DbTxn + 'd>,
-        begin: u64,
-        ops: Vec<Op>,
-        next_op: usize,
-        failed: Option<AbortReason>,
-        /// Retries spent on this template so far (0 on the first attempt).
-        retries: u32,
-    }
-    struct SessionState<'d> {
-        session: u32,
-        templates: &'d [mtc_workload::TxnTemplate],
-        next_template: usize,
-        open: Option<OpenTxn<'d>>,
-        allocator: ValueAllocator,
-        records: Vec<TxnRecord>,
-        stats: SessionStats,
-    }
-
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(schedule_seed);
-    let mut sessions: Vec<SessionState> = workload
-        .sessions
-        .iter()
-        .map(|s| SessionState {
-            session: s.session,
-            templates: &s.txns,
-            next_template: 0,
-            open: None,
-            allocator: ValueAllocator::new(s.session),
-            records: Vec::new(),
-            stats: SessionStats::default(),
-        })
-        .collect();
-
-    loop {
-        let stopped = verifier.is_some_and(|v| v.should_stop());
-        let live: Vec<usize> = sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.open.is_some() || (!stopped && s.next_template < s.templates.len()))
-            .map(|(i, _)| i)
+        let handles: Vec<_> = sessions
+            .into_iter()
+            .map(|mut s| {
+                scope.spawn(move || {
+                    while s.step() {}
+                    s
+                })
+            })
             .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    })
+}
+
+/// The deterministic scheduler: all sessions on the calling thread, one
+/// [`Session::step`] at a time, the session picked from the live ones by a
+/// seeded generator. For a given backend, workload and seed the run — and so
+/// the collected history — is fixed, which makes organically produced
+/// anomalies (lost updates of the weak MVCC engine, say) reproducible test
+/// vectors rather than race lottery wins.
+///
+/// **Blocking backends beware**: all sessions share one thread, so this must
+/// only drive backends whose operations cannot block on another in-flight
+/// transaction. The weak MVCC engine and the simulator qualify; the 2PL
+/// engine does not (its wait-die "older waits" path would wait forever for a
+/// holder parked on the same thread).
+pub(crate) fn drive_interleaved<'a, T, R, F: IssueOp<T, R>>(
+    mut sessions: Vec<Session<'a, T, R, F>>,
+    schedule_seed: u64,
+) -> Vec<Session<'a, T, R, F>> {
+    let mut rng = StdRng::seed_from_u64(schedule_seed);
+    let mut live = Vec::with_capacity(sessions.len());
+    loop {
+        live.clear();
+        live.extend((0..sessions.len()).filter(|&i| sessions[i].is_live()));
         if live.is_empty() {
-            break;
+            return sessions;
         }
-        let s = &mut sessions[live[rng.gen_range(0..live.len())]];
-        match s.open.take() {
-            None => {
-                // Begin the next template's attempt.
-                let handle = db.begin();
-                let begin = handle.begin_ts();
-                s.stats.attempts += 1;
-                s.open = Some(OpenTxn {
-                    handle,
-                    begin,
-                    ops: Vec::new(),
-                    next_op: 0,
-                    failed: None,
-                    retries: 0,
-                });
-            }
-            Some(mut open) => {
-                let template = &s.templates[s.next_template];
-                if open.failed.is_none() && open.next_op < template.ops.len() {
-                    // Issue exactly one operation, then yield to the schedule.
-                    let mut one = issue_ops(
-                        open.handle.as_mut(),
-                        &template.ops[open.next_op..open.next_op + 1],
-                        &mut s.allocator,
-                    );
-                    open.next_op += 1;
-                    open.ops.append(&mut one.ops);
-                    open.failed = one.failed;
-                    s.open = Some(open);
-                } else {
-                    // All ops issued (or the attempt is doomed): settle it.
-                    let result = match open.failed {
-                        Some(reason) => {
-                            let _ = open.handle.abort();
-                            Err(reason)
-                        }
-                        None => open.handle.commit(),
-                    };
-                    match result {
-                        Ok(info) => {
-                            s.stats.committed += 1;
-                            if let Some(v) = verifier {
-                                v.record_timed(
-                                    s.session,
-                                    open.ops.clone(),
-                                    TxnStatus::Committed,
-                                    open.begin,
-                                    info.commit_ts,
-                                );
-                            }
-                            s.records.push(TxnRecord {
-                                session: s.session,
-                                ops: open.ops,
-                                status: TxnStatus::Committed,
-                                begin: open.begin,
-                                end: info.commit_ts,
-                            });
-                            s.next_template += 1;
-                        }
-                        Err(reason) => {
-                            s.stats.aborted_attempts += 1;
-                            if opts.should_record_abort(&open.ops, reason) {
-                                let end = db.now();
-                                if let Some(v) = verifier {
-                                    v.record_timed(
-                                        s.session,
-                                        open.ops.clone(),
-                                        TxnStatus::Aborted,
-                                        open.begin,
-                                        end,
-                                    );
-                                }
-                                s.records.push(TxnRecord {
-                                    session: s.session,
-                                    ops: open.ops,
-                                    status: TxnStatus::Aborted,
-                                    begin: open.begin,
-                                    end,
-                                });
-                            }
-                            if opts.should_retry(open.retries, reason) {
-                                // Reuse the failed attempt's begin instant so
-                                // wait-die backends let the retry keep ageing
-                                // (see `DbBackend::begin_retry`).
-                                s.open = Some(OpenTxn {
-                                    handle: db.begin_retry(open.begin),
-                                    begin: 0, // replaced below
-                                    ops: Vec::new(),
-                                    next_op: 0,
-                                    failed: None,
-                                    retries: open.retries + 1,
-                                });
-                                let o = s.open.as_mut().expect("just set");
-                                o.begin = o.handle.begin_ts();
-                                s.stats.attempts += 1;
-                            } else {
-                                s.stats.failed += 1;
-                                s.next_template += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        sessions[live[rng.gen_range(0..live.len())]].step();
     }
-
-    let mut report = ExecutionReport {
-        wall_time: start.elapsed(),
-        ..ExecutionReport::default()
-    };
-    let mut builder = HistoryBuilder::new().with_init(workload.num_keys);
-    for s in sessions {
-        report.committed += s.stats.committed;
-        report.failed += s.stats.failed;
-        report.attempts += s.stats.attempts;
-        report.aborted_attempts += s.stats.aborted_attempts;
-        for r in s.records {
-            builder.push_timed(r.session, r.ops, r.status, r.begin, r.end);
-        }
-    }
-    (builder.build(), report)
-}
-
-// ───────────────────────── internal helpers ─────────────────────────────────
-
-#[derive(Default)]
-pub(crate) struct SessionStats {
-    pub(crate) committed: usize,
-    pub(crate) failed: usize,
-    pub(crate) attempts: usize,
-    pub(crate) aborted_attempts: usize,
-}
-
-fn run_session(
-    db: &dyn DbBackend,
-    session: u32,
-    templates: &[mtc_workload::TxnTemplate],
-    opts: &ClientOptions,
-    verifier: Option<&LiveVerifier>,
-) -> (u32, Vec<TxnRecord>, SessionStats) {
-    let mut allocator = ValueAllocator::new(session);
-    let mut records = Vec::with_capacity(templates.len());
-    let mut stats = SessionStats::default();
-
-    for template in templates {
-        // A latched stop_on_violation verifier truncates the run: no new
-        // templates once the violation is known.
-        if verifier.is_some_and(|v| v.should_stop()) {
-            break;
-        }
-        let mut retries = 0u32;
-        let mut first_begin = None;
-        loop {
-            stats.attempts += 1;
-            // Retries reuse the first attempt's begin instant so wait-die
-            // backends let the transaction keep ageing instead of rebirthing
-            // it youngest every attempt (see `DbBackend::begin_retry`).
-            let mut handle = match first_begin {
-                None => db.begin(),
-                Some(ts) => db.begin_retry(ts),
-            };
-            let begin = handle.begin_ts();
-            first_begin.get_or_insert(begin);
-            let issued = issue_ops(handle.as_mut(), &template.ops, &mut allocator);
-            let result = match issued.failed {
-                Some(reason) => {
-                    // An operation died inside the backend (e.g. a wait-die
-                    // victim): roll back and treat it like a commit abort.
-                    let _ = handle.abort();
-                    Err(reason)
-                }
-                None => handle.commit(),
-            };
-            match result {
-                Ok(info) => {
-                    stats.committed += 1;
-                    if let Some(v) = verifier {
-                        v.record_timed(
-                            session,
-                            issued.ops.clone(),
-                            TxnStatus::Committed,
-                            begin,
-                            info.commit_ts,
-                        );
-                    }
-                    records.push(TxnRecord {
-                        session,
-                        ops: issued.ops,
-                        status: TxnStatus::Committed,
-                        begin,
-                        end: info.commit_ts,
-                    });
-                    break;
-                }
-                Err(reason) => {
-                    stats.aborted_attempts += 1;
-                    // Empty attempts (the first operation died inside the
-                    // backend before reading anything) are not
-                    // mini-transactions, and ambiguous remote commits have
-                    // no known outcome; either way the attempt is counted
-                    // but not recorded.
-                    if opts.should_record_abort(&issued.ops, reason) {
-                        let end = db.now();
-                        if let Some(v) = verifier {
-                            v.record_timed(
-                                session,
-                                issued.ops.clone(),
-                                TxnStatus::Aborted,
-                                begin,
-                                end,
-                            );
-                        }
-                        records.push(TxnRecord {
-                            session,
-                            ops: issued.ops,
-                            status: TxnStatus::Aborted,
-                            begin,
-                            end,
-                        });
-                    }
-                    if !opts.should_retry(retries, reason) {
-                        stats.failed += 1;
-                        break;
-                    }
-                    retries += 1;
-                }
-            }
-        }
-    }
-    (session, records, stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::backends::{BackendSpec, WeakLevel};
     use crate::config::{DbConfig, IsolationMode};
     use crate::db::Database;
@@ -603,158 +245,6 @@ mod tests {
         // A different schedule is allowed to produce a different history.
         let (h3, _) = run(43);
         assert_eq!(h1.committed_count(), h3.committed_count());
-    }
-
-    /// A backend whose commits always fail with a configurable reason —
-    /// the instrument for pinning the retry budget exactly.
-    struct AlwaysAbort {
-        clock: std::sync::atomic::AtomicU64,
-        attempts: std::sync::atomic::AtomicU64,
-        reason: AbortReason,
-    }
-
-    impl AlwaysAbort {
-        fn new(reason: AbortReason) -> Self {
-            AlwaysAbort {
-                clock: std::sync::atomic::AtomicU64::new(1),
-                attempts: std::sync::atomic::AtomicU64::new(0),
-                reason,
-            }
-        }
-
-        fn attempts(&self) -> u64 {
-            self.attempts.load(std::sync::atomic::Ordering::SeqCst)
-        }
-    }
-
-    struct AlwaysAbortTxn<'a> {
-        db: &'a AlwaysAbort,
-        begin: u64,
-    }
-
-    impl DbTxn for AlwaysAbortTxn<'_> {
-        fn begin_ts(&self) -> u64 {
-            self.begin
-        }
-        fn read_register(
-            &mut self,
-            _key: mtc_history::Key,
-        ) -> Result<mtc_history::Value, AbortReason> {
-            Ok(mtc_history::INIT_VALUE)
-        }
-        fn write_register(
-            &mut self,
-            _key: mtc_history::Key,
-            _value: mtc_history::Value,
-        ) -> Result<(), AbortReason> {
-            Ok(())
-        }
-        fn read_list(
-            &mut self,
-            _key: mtc_history::Key,
-        ) -> Result<Vec<mtc_history::Value>, AbortReason> {
-            Ok(Vec::new())
-        }
-        fn append(
-            &mut self,
-            _key: mtc_history::Key,
-            _element: mtc_history::Value,
-        ) -> Result<(), AbortReason> {
-            Ok(())
-        }
-        fn commit(self: Box<Self>) -> Result<crate::txn::CommitInfo, AbortReason> {
-            Err(self.db.reason)
-        }
-        fn abort(self: Box<Self>) -> AbortReason {
-            self.db.reason
-        }
-    }
-
-    impl DbBackend for AlwaysAbort {
-        fn begin(&self) -> Box<dyn DbTxn + '_> {
-            self.attempts
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let begin = self.clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Box::new(AlwaysAbortTxn { db: self, begin })
-        }
-        fn now(&self) -> u64 {
-            self.clock.load(std::sync::atomic::Ordering::SeqCst)
-        }
-        fn label(&self) -> &'static str {
-            "always-abort"
-        }
-        fn promises(&self, _level: mtc_core::IsolationLevel) -> bool {
-            false
-        }
-    }
-
-    /// Pins the retry budget: `max_retries = N` means exactly `N + 1`
-    /// attempts per template, identically on the threaded and the
-    /// interleaved driver (the two sites used to encode the bound with
-    /// different comparisons — one counting attempts, one counting
-    /// retries — and only agreed by accident).
-    #[test]
-    fn max_retries_counts_retries_not_attempts() {
-        let workload = generate_mt_workload(&spec(1, 3, 4)); // 3 templates
-        for max_retries in [0u32, 1, 3] {
-            let opts = ClientOptions {
-                max_retries,
-                record_aborted: true,
-            };
-            let expected = 3 * u64::from(max_retries + 1);
-
-            let db = AlwaysAbort::new(AbortReason::WriteConflict);
-            let (_, report) = crate::ExecutionOptions::threaded()
-                .client(opts)
-                .run(&db, &workload);
-            assert_eq!(
-                db.attempts(),
-                expected,
-                "threaded, max_retries={max_retries}"
-            );
-            assert_eq!(report.attempts as u64, expected);
-            assert_eq!(report.failed, 3);
-            assert_eq!(report.committed, 0);
-
-            let db = AlwaysAbort::new(AbortReason::WriteConflict);
-            let (_, report) = crate::ExecutionOptions::interleaved(9)
-                .client(opts)
-                .run(&db, &workload);
-            assert_eq!(
-                db.attempts(),
-                expected,
-                "interleaved, max_retries={max_retries}"
-            );
-            assert_eq!(report.attempts as u64, expected);
-            assert_eq!(report.failed, 3);
-        }
-    }
-
-    /// Non-retryable reasons are final after one attempt, and an ambiguous
-    /// remote commit (`CommitStatusUnknown`) is additionally kept out of
-    /// the collected history even with `record_aborted` on.
-    #[test]
-    fn final_abort_reasons_stop_after_one_attempt() {
-        let workload = generate_mt_workload(&spec(1, 2, 4));
-        let opts = ClientOptions {
-            max_retries: 5,
-            record_aborted: true,
-        };
-        for reason in [AbortReason::InjectedAbort, AbortReason::CommitStatusUnknown] {
-            let db = AlwaysAbort::new(reason);
-            let (history, report) = crate::ExecutionOptions::threaded()
-                .client(opts)
-                .run(&db, &workload);
-            assert_eq!(db.attempts(), 2, "{reason:?}: one attempt per template");
-            assert_eq!(report.failed, 2);
-            if reason == AbortReason::CommitStatusUnknown {
-                assert_eq!(
-                    history.len(),
-                    1, // ⊥T only
-                    "ambiguous commits must not be recorded as aborted"
-                );
-            }
-        }
     }
 
     #[test]

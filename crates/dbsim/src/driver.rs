@@ -1,18 +1,13 @@
-//! The unified execution API: one entry point for every client driver.
+//! The execution API: one entry point for every client driver.
 //!
-//! Historically each driver was its own free function — `execute_workload`
-//! (threaded), `execute_workload_interleaved` (deterministic single-thread),
-//! `execute_workload_async` (executor-multiplexed) and
-//! `execute_workload_live` (threaded + streaming verification) — and callers
-//! picked semantics by picking a symbol. The four signatures drifted apart
-//! (the live driver took a verifier, the async one its own options struct,
-//! the interleaved one a bare seed) even though the retry/recording policy
-//! underneath is the single [`ClientOptions`] contract.
-//!
-//! [`ExecutionOptions`] collapses that surface: choose a [`Driver`], set the
-//! client policy, optionally attach a [`LiveVerifier`] — on *any* driver —
-//! and call [`ExecutionOptions::run`]. The old free functions survive as
-//! thin deprecated wrappers.
+//! Choose a [`Driver`], set the client policy, optionally attach a
+//! [`LiveVerifier`] — on *any* driver — and call [`ExecutionOptions::run`].
+//! Every driver schedules the same per-session state machine
+//! ([`crate::session`]), so retry, recording and verification behave the
+//! same under all three; they differ only in *who steps a session when*.
+//! [`run_sessions`] is that scheduling step on its own, generic over the
+//! operation types, for workloads that are not register workloads (the Elle
+//! list-append runner in `mtc-runner`).
 //!
 //! ```
 //! use mtc_dbsim::{Database, DbConfig, ExecutionOptions, IsolationMode};
@@ -34,17 +29,18 @@
 //! assert!(history.has_init());
 //! ```
 //!
-//! Driver caveats carry over unchanged and are enforced by nothing but the
-//! operator's judgement, exactly as before: [`Driver::Interleaved`] must only
-//! drive non-blocking backends, and [`Driver::Async`] needs
-//! `workers >= sessions` on a blocking backend (see
+//! Driver caveats are enforced by nothing but the operator's judgement:
+//! [`Driver::Interleaved`] must only drive non-blocking backends, and
+//! [`Driver::Async`] needs `workers >= sessions` on a blocking backend (see
 //! [`crate::BackendSpec::blocking`]).
 
 use crate::backend::DbBackend;
-use crate::client::{execute_interleaved, execute_threaded, ClientOptions, ExecutionReport};
+use crate::client::{drive_interleaved, drive_threaded, issue_op, ClientOptions, ExecutionReport};
 use crate::live::LiveVerifier;
-use mtc_history::History;
+use crate::session::{IssueOp, Observer, Session, TxnRecord};
+use mtc_history::{History, HistoryBuilder};
 use mtc_workload::Workload;
+use std::time::Instant;
 
 /// Which client driver carries the sessions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -167,16 +163,51 @@ impl<'v> ExecutionOptions<'v> {
         if let Some(v) = self.verifier {
             v.mark_started();
         }
-        match self.driver {
-            Driver::Threaded => execute_threaded(db, workload, &self.client, self.verifier),
-            Driver::Interleaved { schedule_seed } => {
-                execute_interleaved(db, workload, &self.client, schedule_seed, self.verifier)
-            }
-            Driver::Async { workers } => {
-                crate::async_exec::execute_async(db, workload, &self.client, workers, self.verifier)
-            }
+        let observer = self.verifier.map(|v| v as &dyn Observer<_>);
+        let sessions = workload
+            .sessions
+            .iter()
+            .map(|s| {
+                let templates = s.txns.iter().map(|t| t.ops.as_slice()).collect();
+                Session::new(db, &self.client, observer, s.session, templates, issue_op)
+            })
+            .collect();
+        let (records, report) = run_sessions(self.driver, sessions);
+        let mut builder = HistoryBuilder::new().with_init(workload.num_keys);
+        for r in records.into_iter().flatten() {
+            builder.push_timed(r.session, r.ops, r.status, r.begin, r.end);
         }
+        (builder.build(), report)
     }
+}
+
+/// Steps every session to completion under `driver` and returns what each
+/// recorded, in the order the sessions were given, with their counters
+/// summed and the scheduling wall time.
+pub fn run_sessions<'a, T: Sync, R: Send, F: IssueOp<T, R>>(
+    driver: Driver,
+    sessions: Vec<Session<'a, T, R, F>>,
+) -> (Vec<Vec<TxnRecord<R>>>, ExecutionReport) {
+    let start = Instant::now();
+    let sessions = match driver {
+        Driver::Threaded => drive_threaded(sessions),
+        Driver::Interleaved { schedule_seed } => drive_interleaved(sessions, schedule_seed),
+        Driver::Async { workers } => crate::async_exec::drive_async(sessions, workers),
+    };
+    let mut report = ExecutionReport {
+        wall_time: start.elapsed(),
+        ..ExecutionReport::default()
+    };
+    let mut records = Vec::with_capacity(sessions.len());
+    for s in sessions {
+        let (session_records, stats) = s.finish();
+        report.committed += stats.committed;
+        report.failed += stats.failed;
+        report.attempts += stats.attempts;
+        report.aborted_attempts += stats.aborted_attempts;
+        records.push(session_records);
+    }
+    (records, report)
 }
 
 #[cfg(test)]
@@ -292,23 +323,70 @@ mod tests {
         );
     }
 
-    /// The deprecated wrappers stay behaviourally identical to the unified
-    /// entry point (they are the compatibility contract of this redesign).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_unified_api() {
-        let s = spec(3, 15, 6, 23);
-        let workload = generate_mt_workload(&s);
-        let opts = ClientOptions::default();
-
-        let db = crate::backends::WeakMvccDatabase::new(crate::backends::WeakLevel::ReadCommitted);
-        let (h_old, r_old) = crate::execute_workload_interleaved(&db, &workload, &opts, 42);
-        let db = crate::backends::WeakMvccDatabase::new(crate::backends::WeakLevel::ReadCommitted);
-        let (h_new, r_new) = ExecutionOptions::interleaved(42).run(&db, &workload);
-        assert_eq!(r_old.committed, r_new.committed);
-        assert_eq!(h_old.len(), h_new.len());
-        for (a, b) in h_old.txns().iter().zip(h_new.txns()) {
-            assert_eq!(a.ops, b.ops);
+    /// FNV-1a over every transaction's `(session, ops, status, begin, end)`.
+    fn digest(history: &History) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in history.txns() {
+            eat(u64::from(t.session.0));
+            eat(t.ops.len() as u64);
+            for op in &t.ops {
+                match *op {
+                    mtc_history::Op::Read { key, value } => [0, key.0, value.0].map(&mut eat),
+                    mtc_history::Op::Write { key, value } => [1, key.0, value.0].map(&mut eat),
+                };
+            }
+            eat(u64::from(t.is_committed()));
+            eat(t.begin.unwrap_or(u64::MAX));
+            eat(t.end.unwrap_or(u64::MAX));
         }
+        h
+    }
+
+    /// The interleaved driver is a determinism contract: for a backend,
+    /// workload and seed, the history is fixed. The digests come from commit
+    /// c8f121d, where each driver still had its own hand-written loop, so
+    /// they hold the session machine to the behaviour it replaced.
+    #[test]
+    fn interleaved_histories_match_their_golden_digests() {
+        let workload = generate_mt_workload(&spec(3, 25, 4, 5));
+        let db = crate::backends::WeakMvccDatabase::new(crate::backends::WeakLevel::ReadCommitted);
+        let (history, _) = ExecutionOptions::interleaved(42).run(&db, &workload);
+        assert_eq!(digest(&history), 15_591_034_701_480_829_865, "weak-rc");
+
+        let s = spec(4, 150, 4, 7);
+        let config = DbConfig::correct(IsolationMode::Snapshot, s.num_keys)
+            .with_faults(vec![FaultSpec::new(FaultKind::SkipWriteValidation, 0.6)], 7);
+        let verifier = LiveVerifier::builder(IsolationLevel::SnapshotIsolation, s.num_keys)
+            .stop_on_violation(true)
+            .build();
+        let (history, report) = ExecutionOptions::interleaved(3)
+            .verifier(&verifier)
+            .run(&Database::new(config), &generate_mt_workload(&s));
+        assert_eq!(report.committed, 5, "sim-si, truncated");
+        assert_eq!(
+            digest(&history),
+            3_015_629_475_123_084_451,
+            "sim-si, truncated"
+        );
+
+        let s = MtWorkloadSpec {
+            distribution: Distribution::Zipf { theta: 1.0 },
+            ..spec(4, 40, 4, 13)
+        };
+        let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
+        let (history, report) = ExecutionOptions::interleaved(11)
+            .max_retries(1000)
+            .run(&db, &generate_mt_workload(&s));
+        assert!(report.aborted_attempts > 0, "must exercise retry-begin");
+        assert_eq!(
+            digest(&history),
+            2_972_436_695_325_046_922,
+            "sim-ser, retries"
+        );
     }
 }

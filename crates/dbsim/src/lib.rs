@@ -29,14 +29,12 @@
 //! [`DbBackend`]/[`DbTxn`] traits every engine implements, and [`backends`]
 //! ships a pessimistic strict-2PL engine (wait-die) plus a weak MVCC engine
 //! whose ReadCommitted/ReadUncommitted anomalies arise from the concurrency
-//! control itself rather than from fault injection. The client drivers are
-//! backend-generic and unified behind one entry point: pick a [`Driver`]
-//! (threaded, deterministic-interleaved, or async-multiplexed), configure an
-//! [`ExecutionOptions`] builder — optionally attaching a streaming
-//! [`LiveVerifier`] — and call [`ExecutionOptions::run`]. The historical
-//! per-driver free functions (`execute_workload`,
-//! `execute_workload_interleaved`, `execute_workload_async`,
-//! `execute_workload_live`) survive as thin deprecated wrappers.
+//! control itself rather than from fault injection. The client side is
+//! backend-generic: one per-session state machine ([`session`]) executes
+//! the workload, and the [`Driver`] you pick (threaded,
+//! deterministic-interleaved, or async-multiplexed) only schedules its
+//! steps. Configure an [`ExecutionOptions`] builder — optionally attaching a
+//! streaming [`LiveVerifier`] — and call [`ExecutionOptions::run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,26 +48,20 @@ pub mod db;
 pub mod driver;
 pub mod faults;
 pub mod live;
+pub mod session;
 pub mod store;
 pub mod txn;
 
-#[allow(deprecated)]
-pub use async_exec::execute_workload_async;
-pub use async_exec::AsyncOptions;
 pub use backend::{DbBackend, DbTxn};
 pub use backends::{BackendSpec, TwoPlDatabase, WeakLevel, WeakMvccDatabase};
-#[allow(deprecated)]
-pub use client::{execute_workload, execute_workload_interleaved};
 pub use client::{ClientOptions, ExecutionReport};
 pub use config::{DbConfig, IsolationMode};
 pub use db::Database;
-pub use driver::{Driver, ExecutionOptions};
+pub use driver::{run_sessions, Driver, ExecutionOptions};
 pub use faults::{FaultKind, FaultSpec};
-#[allow(deprecated)]
-pub use live::execute_workload_live;
 pub use live::{
-    ExecutionReportLive, IngestEvent, LiveOutcome, LiveVerifier, LiveVerifierBuilder,
-    LiveViolation, SinkStats,
+    IngestEvent, LiveOutcome, LiveVerifier, LiveVerifierBuilder, LiveViolation, SinkStats,
 };
+pub use session::{IssueOp, Observer, Session, TxnRecord};
 pub use store::StoredValue;
 pub use txn::{AbortReason, CommitInfo, TxnHandle};

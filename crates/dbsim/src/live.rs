@@ -17,15 +17,13 @@
 //! collected history, even though transaction ids differ from the
 //! per-session renumbering of the final [`History`](mtc_history::History).
 
-use crate::backend::DbBackend;
-use crate::client::ClientOptions;
+use crate::session::{Observer, TxnRecord};
 use mtc_core::{
     CheckError, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, ShardTuning,
     ShardedIncrementalChecker, StreamStatus, Verdict, Violation,
 };
-use mtc_history::{History, Op, SessionId, Transaction, TxnId, TxnStatus};
+use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::MtcStore;
-use mtc_workload::Workload;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -258,8 +256,8 @@ struct LiveInner {
     first_violation: Option<LiveViolation>,
     /// Optional durable write-ahead sink.
     sink: Option<StoreSink>,
-    /// Start of the run: set when [`execute_workload_live`] begins (or at
-    /// construction, for hand-driven use), so `LiveViolation::elapsed` is
+    /// Start of the run: set when [`crate::ExecutionOptions::run`] begins (or
+    /// at construction, for hand-driven use), so `LiveViolation::elapsed` is
     /// comparable with the run's wall time.
     started: Instant,
 }
@@ -290,13 +288,9 @@ pub struct LiveOutcome {
 }
 
 /// Chained-setter construction of a [`LiveVerifier`] — the one way the
-/// daemon (and everything else) builds one.
-///
-/// Replaces the historical constructor sprawl (`new` / `new_tuned` /
-/// `with_tuning` / `with_store` / `with_gc` / `from_resumed`, all now
-/// deprecated wrappers over this type): tuning, GC policy, durable store and
-/// resume source are orthogonal knobs, so they compose as setters instead of
-/// multiplying constructors.
+/// daemon (and everything else) builds one: tuning, GC policy, durable store
+/// and resume source are orthogonal knobs, so they compose as setters
+/// instead of multiplying constructors.
 ///
 /// ```
 /// use mtc_core::{GcPolicy, IsolationLevel};
@@ -459,37 +453,6 @@ impl LiveVerifier {
         }
     }
 
-    /// A live verifier backed by the sequential incremental checker.
-    #[deprecated(note = "use `LiveVerifier::builder(level, num_keys).stop_on_violation(..)`")]
-    pub fn new(level: IsolationLevel, num_keys: u64, stop_on_violation: bool) -> Self {
-        LiveVerifier::builder(level, num_keys)
-            .stop_on_violation(stop_on_violation)
-            .build()
-    }
-
-    /// A live verifier with the shard geometry picked by the autotuner.
-    #[deprecated(note = "use `LiveVerifier::builder(level, num_keys).autotuned()`")]
-    pub fn new_tuned(level: IsolationLevel, num_keys: u64, stop_on_violation: bool) -> Self {
-        LiveVerifier::builder(level, num_keys)
-            .stop_on_violation(stop_on_violation)
-            .autotuned()
-            .build()
-    }
-
-    /// A live verifier with an explicit shard geometry.
-    #[deprecated(note = "use `LiveVerifier::builder(level, num_keys).tuning(tuning)`")]
-    pub fn with_tuning(
-        level: IsolationLevel,
-        num_keys: u64,
-        stop_on_violation: bool,
-        tuning: ShardTuning,
-    ) -> Self {
-        LiveVerifier::builder(level, num_keys)
-            .stop_on_violation(stop_on_violation)
-            .tuning(tuning)
-            .build()
-    }
-
     fn from_checker(checker: LiveChecker, stop_on_violation: bool) -> Self {
         LiveVerifier {
             inner: Mutex::new(LiveInner {
@@ -513,26 +476,6 @@ impl LiveVerifier {
             v.note_latch(&mut inner);
         }
         v
-    }
-
-    /// Wraps an already-populated checker — the resume path.
-    #[deprecated(note = "use `LiveVerifier::builder(..).resume_from(checker)`")]
-    pub fn from_resumed(checker: IncrementalChecker, stop_on_violation: bool) -> Self {
-        LiveVerifier::resume_checker(checker, stop_on_violation)
-    }
-
-    /// Attaches a durable write-ahead sink.
-    #[deprecated(note = "use `LiveVerifier::builder(..).store(store, checkpoint_every)`")]
-    pub fn with_store(self, store: MtcStore, checkpoint_every: usize) -> Self {
-        self.inner.lock().sink = Some(StoreSink::new(store, checkpoint_every));
-        self
-    }
-
-    /// Enables settled-prefix garbage collection on the backing checker.
-    #[deprecated(note = "use `LiveVerifier::builder(..).gc(policy)`")]
-    pub fn with_gc(self, policy: GcPolicy) -> Self {
-        self.inner.lock().checker.set_gc(policy);
-        self
     }
 
     /// Number of transactions currently resident in the checker — bounded
@@ -570,7 +513,7 @@ impl LiveVerifier {
     }
 
     /// Restarts the time-to-first-violation clock. Called by
-    /// [`execute_workload_live`] when the run actually begins, so that
+    /// [`crate::ExecutionOptions::run`] when the run actually begins, so that
     /// verifier construction and other setup do not count towards
     /// [`LiveViolation::elapsed`].
     pub fn mark_started(&self) {
@@ -737,74 +680,32 @@ impl LiveVerifier {
     }
 }
 
-/// Executes `workload` against `db` — any [`DbBackend`] — with one thread
-/// per session, like the threaded driver, while feeding every finished
-/// attempt to `verifier`. Returns the collected history and execution
-/// statistics; call [`LiveVerifier::finish`] afterwards for the
-/// verification outcome.
-#[deprecated(
-    note = "use `ExecutionOptions::threaded().client(*opts).verifier(verifier).run(db, \
-                     workload)`"
-)]
-pub fn execute_workload_live(
-    db: &dyn DbBackend,
-    workload: &Workload,
-    opts: &ClientOptions,
-    verifier: &LiveVerifier,
-) -> (History, ExecutionReportLive) {
-    let (history, report) = crate::ExecutionOptions::threaded()
-        .client(*opts)
-        .verifier(verifier)
-        .run(db, workload);
-    (history, report.into())
-}
-
-/// Statistics of one live-verified execution. (A separate type from
-/// [`crate::ExecutionReport`] because a live run may stop early, making the
-/// "failed templates" notion meaningless.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecutionReportLive {
-    /// Committed transactions.
-    pub committed: usize,
-    /// Aborted attempts.
-    pub aborted_attempts: usize,
-    /// Total attempts.
-    pub attempts: usize,
-    /// Wall-clock duration of the (possibly truncated) run.
-    pub wall_time: Duration,
-}
-
-impl ExecutionReportLive {
-    /// Fraction of attempts that aborted.
-    pub fn abort_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.aborted_attempts as f64 / self.attempts as f64
-        }
+impl Observer<Op> for LiveVerifier {
+    fn should_stop(&self) -> bool {
+        LiveVerifier::should_stop(self)
     }
-}
 
-impl From<crate::ExecutionReport> for ExecutionReportLive {
-    /// Drops the "failed templates" count, which a truncated live run
-    /// cannot interpret.
-    fn from(r: crate::ExecutionReport) -> Self {
-        ExecutionReportLive {
-            committed: r.committed,
-            aborted_attempts: r.aborted_attempts,
-            attempts: r.attempts,
-            wall_time: r.wall_time,
-        }
+    fn observe(&self, record: &TxnRecord<Op>) {
+        self.record_timed(
+            record.session,
+            record.ops.clone(),
+            record.status,
+            record.begin,
+            record.end,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::DbBackend;
+    use crate::client::ClientOptions;
     use crate::config::{DbConfig, IsolationMode};
     use crate::db::Database;
     use crate::faults::{FaultKind, FaultSpec};
-    use mtc_workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
+    use mtc_history::History;
+    use mtc_workload::{generate_mt_workload, Distribution, MtWorkloadSpec, Workload};
 
     fn spec(seed: u64, keys: u64, txns: u32) -> MtWorkloadSpec {
         MtWorkloadSpec {
@@ -818,8 +719,7 @@ mod tests {
         }
     }
 
-    /// The unified threaded-driver call the old `execute_workload_live`
-    /// free function used to be.
+    /// A threaded run with `verifier` attached.
     fn run_live(
         db: &dyn DbBackend,
         workload: &Workload,

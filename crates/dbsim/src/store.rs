@@ -171,20 +171,29 @@ impl Store {
             .push(Version { commit_ts, value });
     }
 
-    /// Installs a whole write set atomically (the caller must hold the commit
-    /// mutex so that timestamps stay monotone per chain).
+    /// Installs a whole write set atomically at the timestamp `tick` draws,
+    /// and returns that timestamp (the caller must hold the commit mutex so
+    /// that timestamps stay monotone per chain).
+    ///
+    /// `tick` runs *while the map's write lock is held*: a transaction whose
+    /// begin timestamp is later than the one drawn here cannot read before
+    /// the install, so validating against its begin timestamp
+    /// ([`Store::has_newer_than`]) never passes over a version it did not
+    /// see — with the draw outside the lock, that was a lost update.
     pub fn install_all<'a>(
         &self,
-        commit_ts: u64,
+        tick: impl FnOnce() -> u64,
         writes: impl IntoIterator<Item = (Key, &'a StoredValue)>,
-    ) {
+    ) -> u64 {
         let mut map = self.map.write();
+        let commit_ts = tick();
         for (key, value) in writes {
             map.entry(key).or_default().push(Version {
                 commit_ts,
                 value: value.clone(),
             });
         }
+        commit_ts
     }
 
     /// Number of keys with at least one version.
@@ -277,9 +286,27 @@ mod tests {
         let store = Store::with_register_keys(2);
         let w0 = StoredValue::Register(Value(10));
         let w1 = StoredValue::Register(Value(11));
-        store.install_all(4, vec![(Key(0), &w0), (Key(1), &w1)]);
+        assert_eq!(
+            store.install_all(|| 4, vec![(Key(0), &w0), (Key(1), &w1)]),
+            4
+        );
         assert_eq!(store.read(Key(0), 4, 0).unwrap().commit_ts, 4);
         assert_eq!(store.read(Key(1), 4, 0).unwrap().commit_ts, 4);
+    }
+
+    #[test]
+    fn install_all_draws_the_timestamp_under_the_write_lock() {
+        let store = Store::with_register_keys(1);
+        let w = StoredValue::Register(Value(10));
+        let tick = || {
+            assert!(
+                store.map.try_read().is_none(),
+                "a reader could run between the tick and the install"
+            );
+            4
+        };
+        store.install_all(tick, vec![(Key(0), &w)]);
+        assert_eq!(store.current_register(Key(0)), Value(10));
     }
 
     #[test]

@@ -204,9 +204,8 @@ impl<'db> TxnHandle<'db> {
 
         // Injected dirty release: publish, then abort.
         if self.faults.dirty_release && !self.write_buffer.is_empty() {
-            let commit_ts = db.tick();
             db.store.install_all(
-                commit_ts,
+                || db.tick(),
                 self.write_order
                     .iter()
                     .map(|k| (*k, self.write_buffer.get(k).expect("buffered"))),
@@ -233,15 +232,16 @@ impl<'db> TxnHandle<'db> {
             }
         }
 
-        let commit_ts = db.tick();
-        if !self.write_buffer.is_empty() {
+        let commit_ts = if self.write_buffer.is_empty() {
+            db.tick()
+        } else {
             db.store.install_all(
-                commit_ts,
+                || db.tick(),
                 self.write_order
                     .iter()
                     .map(|k| (*k, self.write_buffer.get(k).expect("buffered"))),
-            );
-        }
+            )
+        };
         if !commit_latency.is_zero() {
             std::thread::sleep(commit_latency);
         }

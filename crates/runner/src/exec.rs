@@ -14,9 +14,12 @@ use mtc_core::{
     build_dependency, check_ser, check_si, check_sser, check_sser_naive, tune, IncrementalChecker,
     IsolationLevel, ShardedIncrementalChecker,
 };
-use mtc_dbsim::{ClientOptions, DbBackend, ExecutionOptions, ExecutionReport, LiveVerifier};
-use mtc_history::{History, HistoryBuilder, Op, SessionId, TxnStatus, ValueAllocator};
-use mtc_workload::{ElleOpTemplate, ElleWorkload, Workload};
+use mtc_dbsim::{
+    run_sessions, AbortReason, ClientOptions, DbBackend, DbTxn, Driver, ExecutionOptions,
+    ExecutionReport, LiveVerifier, Session,
+};
+use mtc_history::{History, SessionId, TxnStatus, ValueAllocator};
+use mtc_workload::{ElleOpTemplate, ElleWorkload, ReqOp, SessionWorkload, TxnTemplate, Workload};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -350,198 +353,94 @@ pub fn end_to_end_streaming(
     }
 }
 
-/// Executes an Elle list-append workload against `db` (a fresh backend),
-/// returning the committed list history and the execution report.
+/// Issues one list-append template operation (register templates do not
+/// belong in an append execution and are skipped) — the
+/// [`mtc_dbsim::IssueOp`] of list-append workloads.
+fn issue_list_op(
+    handle: &mut dyn DbTxn,
+    op: &ElleOpTemplate,
+    values: &mut ValueAllocator,
+    ops: &mut Vec<ListOp>,
+) -> Result<(), AbortReason> {
+    match *op {
+        ElleOpTemplate::Append(key) => {
+            let element = values.next();
+            handle.append(key, element)?;
+            ops.push(ListOp::Append { key, element });
+        }
+        ElleOpTemplate::ReadList(key) => {
+            let elements = handle.read_list(key)?;
+            ops.push(ListOp::Read { key, elements });
+        }
+        ElleOpTemplate::WriteRegister(_) | ElleOpTemplate::ReadRegister(_) => {}
+    }
+    Ok(())
+}
+
+/// Executes an Elle list-append workload against `db` (a fresh backend) on
+/// the threaded driver, returning the committed list history and the
+/// execution report.
 pub fn run_elle_append_workload(
     db: &dyn DbBackend,
     workload: &ElleWorkload,
     opts: &ClientOptions,
 ) -> (ListHistory, ExecutionReport) {
-    let start = Instant::now();
-    let mut per_session: Vec<(u32, Vec<ListTxn>, usize, usize)> = Vec::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (sid, templates) in workload.sessions.iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut allocator = ValueAllocator::new(sid as u32);
-                let mut txns = Vec::new();
-                let mut attempts = 0usize;
-                let mut aborted = 0usize;
-                for template in templates {
-                    for _attempt in 0..=opts.max_retries {
-                        attempts += 1;
-                        let mut handle = db.begin();
-                        let mut ops = Vec::with_capacity(template.ops.len());
-                        let mut failed = false;
-                        for op in &template.ops {
-                            match op {
-                                ElleOpTemplate::Append(key) => {
-                                    let element = allocator.next();
-                                    if handle.append(*key, element).is_err() {
-                                        failed = true;
-                                        break;
-                                    }
-                                    ops.push(ListOp::Append { key: *key, element });
-                                }
-                                ElleOpTemplate::ReadList(key) => {
-                                    let Ok(elements) = handle.read_list(*key) else {
-                                        failed = true;
-                                        break;
-                                    };
-                                    ops.push(ListOp::Read {
-                                        key: *key,
-                                        elements,
-                                    });
-                                }
-                                ElleOpTemplate::WriteRegister(_)
-                                | ElleOpTemplate::ReadRegister(_) => {
-                                    // Register templates do not belong in an
-                                    // append execution; skip them.
-                                }
-                            }
-                        }
-                        let committed = if failed {
-                            let _ = handle.abort();
-                            false
-                        } else {
-                            handle.commit().is_ok()
-                        };
-                        if committed {
-                            txns.push(ListTxn {
-                                session: SessionId(sid as u32),
-                                ops,
-                            });
-                            break;
-                        }
-                        aborted += 1;
-                    }
-                }
-                (sid as u32, txns, attempts, aborted)
-            }));
-        }
-        for h in handles {
-            per_session.push(h.join().expect("elle client thread panicked"));
-        }
-    });
-
-    per_session.sort_by_key(|(s, ..)| *s);
-    let mut history = ListHistory::default();
-    let mut report = ExecutionReport {
-        wall_time: start.elapsed(),
-        ..ExecutionReport::default()
-    };
-    for (_, txns, attempts, aborted) in per_session {
-        report.committed += txns.len();
-        report.attempts += attempts;
-        report.aborted_attempts += aborted;
-        history.txns.extend(txns);
-    }
-    (history, report)
+    let sessions = workload
+        .sessions
+        .iter()
+        .enumerate()
+        .map(|(sid, templates)| {
+            let templates = templates.iter().map(|t| t.ops.as_slice()).collect();
+            Session::new(db, opts, None, sid as u32, templates, issue_list_op)
+        })
+        .collect();
+    let (records, report) = run_sessions(Driver::Threaded, sessions);
+    let txns = records
+        .into_iter()
+        .flatten()
+        .filter(|r| r.status == TxnStatus::Committed)
+        .map(|r| ListTxn {
+            session: SessionId(r.session),
+            ops: r.ops,
+        })
+        .collect();
+    (ListHistory { txns }, report)
 }
 
 /// Executes an Elle read-write-register workload (blind writes permitted)
-/// against `db` (a fresh backend), returning the collected register history.
+/// against `db` (a fresh backend), returning the collected register history:
+/// the templates' register operations become a [`Workload`] for the threaded
+/// driver (list templates do not belong in a register execution and are
+/// dropped).
 pub fn run_elle_register_workload(
     db: &dyn DbBackend,
     workload: &ElleWorkload,
     opts: &ClientOptions,
 ) -> (History, ExecutionReport) {
-    let start = Instant::now();
-    type SessionRecords = Vec<(Vec<Op>, TxnStatus, u64, u64)>;
-    let mut per_session: Vec<(u32, SessionRecords, usize, usize)> = Vec::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (sid, templates) in workload.sessions.iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut allocator = ValueAllocator::new(sid as u32);
-                let mut records = Vec::new();
-                let mut attempts = 0usize;
-                let mut aborted = 0usize;
-                for template in templates {
-                    for _attempt in 0..=opts.max_retries {
-                        attempts += 1;
-                        let mut handle = db.begin();
-                        let begin = handle.begin_ts();
-                        let mut ops = Vec::with_capacity(template.ops.len());
-                        let mut failed = None;
-                        for op in &template.ops {
-                            match op {
-                                ElleOpTemplate::WriteRegister(key) => {
-                                    let v = allocator.next();
-                                    match handle.write_register(*key, v) {
-                                        Ok(()) => ops.push(Op::Write {
-                                            key: *key,
-                                            value: v,
-                                        }),
-                                        Err(r) => {
-                                            failed = Some(r);
-                                            break;
-                                        }
-                                    }
-                                }
-                                ElleOpTemplate::ReadRegister(key) => {
-                                    match handle.read_register(*key) {
-                                        Ok(v) => ops.push(Op::Read {
-                                            key: *key,
-                                            value: v,
-                                        }),
-                                        Err(r) => {
-                                            failed = Some(r);
-                                            break;
-                                        }
-                                    }
-                                }
-                                ElleOpTemplate::Append(_) | ElleOpTemplate::ReadList(_) => {}
-                            }
-                        }
-                        let result = match failed {
-                            Some(reason) => {
-                                let _ = handle.abort();
-                                Err(reason)
-                            }
-                            None => handle.commit(),
-                        };
-                        match result {
-                            Ok(info) => {
-                                records.push((ops, TxnStatus::Committed, begin, info.commit_ts));
-                                break;
-                            }
-                            Err(_) => {
-                                aborted += 1;
-                                if opts.record_aborted && !ops.is_empty() {
-                                    records.push((ops, TxnStatus::Aborted, begin, db.now()));
-                                }
-                            }
-                        }
-                    }
-                }
-                (sid as u32, records, attempts, aborted)
-            }));
-        }
-        for h in handles {
-            per_session.push(h.join().expect("elle client thread panicked"));
-        }
-    });
-
-    per_session.sort_by_key(|(s, ..)| *s);
-    let mut builder = HistoryBuilder::new().with_init(workload.num_keys);
-    let mut report = ExecutionReport {
-        wall_time: start.elapsed(),
-        ..ExecutionReport::default()
+    let to_req = |op: &ElleOpTemplate| match *op {
+        ElleOpTemplate::WriteRegister(key) => Some(ReqOp::Write(key)),
+        ElleOpTemplate::ReadRegister(key) => Some(ReqOp::Read(key)),
+        ElleOpTemplate::Append(_) | ElleOpTemplate::ReadList(_) => None,
     };
-    for (sid, records, attempts, aborted) in per_session {
-        report.attempts += attempts;
-        report.aborted_attempts += aborted;
-        for (ops, status, begin, end) in records {
-            if status == TxnStatus::Committed {
-                report.committed += 1;
-            }
-            builder.push_timed(sid, ops, status, begin, end);
-        }
-    }
-    (builder.build(), report)
+    let sessions = workload
+        .sessions
+        .iter()
+        .enumerate()
+        .map(|(sid, templates)| SessionWorkload {
+            session: sid as u32,
+            txns: templates
+                .iter()
+                .map(|t| TxnTemplate {
+                    ops: t.ops.iter().filter_map(to_req).collect(),
+                })
+                .collect(),
+        })
+        .collect();
+    let registers = Workload {
+        sessions,
+        num_keys: workload.num_keys,
+    };
+    run_register_workload(db, &registers, opts)
 }
 
 #[cfg(test)]
@@ -653,6 +552,197 @@ mod tests {
         assert!(report.committed > 0);
         let out = verify(Checker::ElleRwSer, &history);
         assert!(!out.violated, "{}", out.detail);
+    }
+
+    /// A backend whose commits always fail with a configurable reason —
+    /// the instrument for pinning the retry budget exactly.
+    struct AlwaysAbort {
+        clock: std::sync::atomic::AtomicU64,
+        attempts: std::sync::atomic::AtomicU64,
+        reason: AbortReason,
+    }
+
+    impl AlwaysAbort {
+        fn new(reason: AbortReason) -> Self {
+            AlwaysAbort {
+                clock: std::sync::atomic::AtomicU64::new(1),
+                attempts: std::sync::atomic::AtomicU64::new(0),
+                reason,
+            }
+        }
+
+        fn attempts(&self) -> u64 {
+            self.attempts.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    struct AlwaysAbortTxn<'a> {
+        db: &'a AlwaysAbort,
+        begin: u64,
+    }
+
+    impl DbTxn for AlwaysAbortTxn<'_> {
+        fn begin_ts(&self) -> u64 {
+            self.begin
+        }
+        fn read_register(
+            &mut self,
+            _key: mtc_history::Key,
+        ) -> Result<mtc_history::Value, AbortReason> {
+            Ok(mtc_history::INIT_VALUE)
+        }
+        fn write_register(
+            &mut self,
+            _key: mtc_history::Key,
+            _value: mtc_history::Value,
+        ) -> Result<(), AbortReason> {
+            Ok(())
+        }
+        fn read_list(
+            &mut self,
+            _key: mtc_history::Key,
+        ) -> Result<Vec<mtc_history::Value>, AbortReason> {
+            Ok(Vec::new())
+        }
+        fn append(
+            &mut self,
+            _key: mtc_history::Key,
+            _element: mtc_history::Value,
+        ) -> Result<(), AbortReason> {
+            Ok(())
+        }
+        fn commit(self: Box<Self>) -> Result<mtc_dbsim::CommitInfo, AbortReason> {
+            Err(self.db.reason)
+        }
+        fn abort(self: Box<Self>) -> AbortReason {
+            self.db.reason
+        }
+    }
+
+    impl DbBackend for AlwaysAbort {
+        fn begin(&self) -> Box<dyn DbTxn + '_> {
+            self.attempts
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let begin = self.clock.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Box::new(AlwaysAbortTxn { db: self, begin })
+        }
+        fn now(&self) -> u64 {
+            self.clock.load(std::sync::atomic::Ordering::SeqCst)
+        }
+        fn label(&self) -> &'static str {
+            "always-abort"
+        }
+        fn promises(&self, _level: mtc_core::IsolationLevel) -> bool {
+            false
+        }
+    }
+
+    /// Executes a fixed workload, returning how many transactions were
+    /// recorded (without `⊥T`) and the report.
+    type Runner = Box<dyn Fn(&AlwaysAbort, &ClientOptions) -> (usize, ExecutionReport)>;
+
+    /// Every way this workspace executes a workload — the three drivers on
+    /// a register workload and both Elle runners — each over one session of
+    /// `templates` templates.
+    fn every_runner(templates: u32) -> Vec<(&'static str, Runner)> {
+        let registers = generate_mt_workload(&MtWorkloadSpec {
+            sessions: 1,
+            txns_per_session: templates,
+            ..small_mt_spec()
+        });
+        let elle = |kind| {
+            generate_elle_workload(&ElleWorkloadSpec {
+                kind,
+                sessions: 1,
+                txns_per_session: templates,
+                ..ElleWorkloadSpec::default()
+            })
+        };
+        let (appends, wr) = (
+            elle(ElleWorkloadKind::ListAppend),
+            elle(ElleWorkloadKind::ReadWriteRegister),
+        );
+        let driver = |driver: Driver| {
+            let workload = registers.clone();
+            move |db: &AlwaysAbort, opts: &ClientOptions| {
+                let (history, report) = ExecutionOptions::new()
+                    .driver(driver)
+                    .client(*opts)
+                    .run(db, &workload);
+                (history.len() - 1, report)
+            }
+        };
+        vec![
+            ("threaded", Box::new(driver(Driver::Threaded))),
+            (
+                "interleaved",
+                Box::new(driver(Driver::Interleaved { schedule_seed: 9 })),
+            ),
+            ("async", Box::new(driver(Driver::Async { workers: 2 }))),
+            (
+                "elle-append",
+                Box::new(move |db, opts| {
+                    let (history, report) = run_elle_append_workload(db, &appends, opts);
+                    (history.len(), report)
+                }),
+            ),
+            (
+                "elle-register",
+                Box::new(move |db, opts| {
+                    let (history, report) = run_elle_register_workload(db, &wr, opts);
+                    (history.len() - 1, report)
+                }),
+            ),
+        ]
+    }
+
+    /// Pins the retry budget: `max_retries = N` means exactly `N + 1`
+    /// attempts per template, identically on every driver and Elle runner.
+    #[test]
+    fn max_retries_counts_retries_not_attempts() {
+        for (name, run) in every_runner(3) {
+            for max_retries in [0u32, 1, 3] {
+                let opts = ClientOptions {
+                    max_retries,
+                    record_aborted: true,
+                };
+                let expected = 3 * (max_retries as usize + 1);
+                let db = AlwaysAbort::new(AbortReason::WriteConflict);
+                let (_, report) = run(&db, &opts);
+                let case = format!("{name}, max_retries={max_retries}");
+                assert_eq!(db.attempts(), expected as u64, "{case}");
+                assert_eq!(report.attempts, expected, "{case}");
+                assert_eq!(report.aborted_attempts, expected, "{case}");
+                assert_eq!(report.failed, 3, "{case}");
+                assert_eq!(report.committed, 0, "{case}");
+            }
+        }
+    }
+
+    /// Non-retryable reasons are final after one attempt, and an ambiguous
+    /// remote commit (`CommitStatusUnknown`) is additionally kept out of
+    /// the collected history even with `record_aborted` on.
+    #[test]
+    fn final_abort_reasons_stop_after_one_attempt() {
+        let opts = ClientOptions {
+            max_retries: 5,
+            record_aborted: true,
+        };
+        for (name, run) in every_runner(2) {
+            for reason in [AbortReason::InjectedAbort, AbortReason::CommitStatusUnknown] {
+                let db = AlwaysAbort::new(reason);
+                let (recorded, report) = run(&db, &opts);
+                let case = format!("{name}, {reason:?}");
+                assert_eq!(db.attempts(), 2, "{case}: one attempt per template");
+                assert_eq!(report.failed, 2, "{case}");
+                if reason == AbortReason::CommitStatusUnknown {
+                    assert_eq!(
+                        recorded, 0,
+                        "{case}: ambiguous commits must not be recorded as aborted"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Online checking: verify the simulated database *while* it executes.
 //!
-//! Two ways to use the streaming engine are shown:
+//! Three ways to use the streaming engine are shown:
 //!
-//! 1. the high-level path — [`LiveVerifier`] plugged into
-//!    `execute_workload_live`, with `stop_on_violation` so a buggy database
+//! 1. the high-level path — a [`LiveVerifier`] attached to an
+//!    [`ExecutionOptions`] run, with `stop_on_violation` so a buggy database
 //!    run ends at the first violation instead of at the end of the workload;
 //! 2. the low-level path — driving an [`IncrementalChecker`] by hand,
 //!    transaction by transaction, and watching it latch;
-//! 3. the strict-serializability path — an [`IncrementalSserChecker`]
+//! 3. the strict-serializability path — `IncrementalChecker::new_sser()`
 //!    catching a commit-timestamp-skew bug that SER cannot see.
 //!
 //! Run with `cargo run --release --example streaming_check`.
 
-use mtc::core::{IncrementalChecker, IncrementalSserChecker, IsolationLevel, StreamStatus};
+use mtc::core::{IncrementalChecker, IsolationLevel, StreamStatus};
 use mtc::dbsim::{
     Database, DbConfig, ExecutionOptions, FaultKind, FaultSpec, IsolationMode, LiveVerifier,
 };
@@ -121,11 +121,11 @@ fn main() {
     // was acknowledged yet still reads the initial value. SER admits the
     // serial order T2, T1 — real time does not.
     println!("\n── hand-fed SSER checker (stale read after commit) ──");
-    let mut sser = IncrementalSserChecker::new().with_init_keys(0..1u64);
-    sser.push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+    let mut sser = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    sser.push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
         .unwrap();
     let status = sser
-        .push_committed(1, vec![Op::read(0u64, 0u64)], 30, 40)
+        .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 30, 40)
         .unwrap();
     println!(
         "after the stale read: {}",

@@ -29,8 +29,7 @@ pub use mtc_workload as workload;
 // online checkers share `CheckOptions`/`IsolationLevel` with the batch path.
 pub use mtc_core::{
     check_streaming, check_streaming_sharded, CheckOptions, CheckerSnapshot, GcPolicy,
-    IncrementalChecker, IncrementalSserChecker, IsolationLevel, ShardedIncrementalChecker,
-    StreamStatus,
+    IncrementalChecker, IsolationLevel, ShardedIncrementalChecker, StreamStatus,
 };
 // The unified execution/verification API: one `execute` entry point
 // parameterized by `Driver`, and one `LiveVerifier::builder` constructor.

@@ -13,7 +13,7 @@ use mtc::runner::{end_to_end_streaming, verify, Checker};
 use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 // The streaming types are re-exported at the facade root.
 use mtc::{
-    check_streaming, check_streaming_sharded, CheckOptions, IncrementalSserChecker, IsolationLevel,
+    check_streaming, check_streaming_sharded, CheckOptions, IncrementalChecker, IsolationLevel,
     LiveVerifier, StreamStatus,
 };
 
@@ -245,7 +245,7 @@ fn sser_first_violation_is_no_later_than_batch_prefix_detection() {
     assert_eq!(batch_first, 4, "the stale read is the fourth transaction");
 
     // The streaming checker must latch at exactly that prefix.
-    let mut checker = IncrementalSserChecker::new().with_init_keys(0..2u64);
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..2u64);
     let mut streaming_first = None;
     for (i, t) in user.iter().enumerate() {
         let status = checker.push((*t).clone()).unwrap();
