@@ -43,7 +43,8 @@
 //! the baseline's. A `<level>/sharded-allcores` series (one shard per
 //! available core, tuned hand-off batch) quantifies the fan-out win as an
 //! artifact-only trail — core counts differ across runners, so it is never
-//! gated.
+//! gated. Its ratio to the sequential series of the same run is printed as
+//! one `earn-or-delete:` line (appended to `$GITHUB_STEP_SUMMARY` in CI).
 //!
 //! Raw throughput is machine-dependent, so the gate normalizes by machine
 //! speed before comparing: for each isolation level, the batch checker's
@@ -242,6 +243,29 @@ fn main() {
             check_streaming_sharded(level, &history, cores, tuning.batch).unwrap()
         });
         record("sharded-allcores", millis, 0);
+    }
+
+    // The number ROADMAP's sharding verdict waits for: all-cores pool ÷
+    // sequential, same run. Printed (and surfaced on the CI run page), never
+    // gated — it only means something on a ≥ 4-core runner.
+    let tps = |name: String| {
+        series
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.txns_per_sec)
+    };
+    let ratio = |tag: &str| {
+        let pool = tps(format!("{tag}/sharded-allcores")).expect("measured above");
+        pool / tps(format!("{tag}/incremental")).expect("measured above")
+    };
+    let (ser, si, sser) = (ratio("ser"), ratio("si"), ratio("sser"));
+    let verdict = format!("earn-or-delete: cores={cores} ser={ser:.2} si={si:.2} sser={sser:.2}");
+    println!("{verdict}");
+    if let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY") {
+        let file = std::fs::OpenOptions::new().append(true).open(path);
+        let _ = file.and_then(|mut f| {
+            std::io::Write::write_all(&mut f, format!("`{verdict}`\n").as_bytes())
+        });
     }
 
     // Observability overhead (schema 5, gated in-run): the streaming SER

@@ -1,0 +1,449 @@
+//! Settled-prefix garbage collection: the policy, the eviction markers, the
+//! epoch clock, and the graph-side collection ([`Engine::collect`]). The
+//! per-key half of a sweep is [`super::keystate`]'s.
+
+use super::engine::Engine;
+use crate::check::IsolationLevel;
+use mtc_history::{FastHashSet, Key, TimeSlot, TxnId};
+use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+
+/// Settled-prefix garbage collection policy for the streaming checkers.
+///
+/// Every `every` consumed transactions, state older than the most recent
+/// `window` transactions is examined: transactions that nothing can touch
+/// any more — not the last of their session, not referenced by any live
+/// version, reader list or pending read, and (for SSER) not hooked into the
+/// retained part of the time-chain — are retired from every index, and
+/// their node ids are recycled. Steady-state memory is then proportional to
+/// the *active window*, not to the whole history.
+///
+/// The collector's contract is a **staleness window**: verdicts (including
+/// certificates and `first_violation_at`) are identical to the unbounded
+/// checker's as long as every transaction only interacts — by data (reading
+/// a version) or by time (real-time-ordered instants) — with transactions
+/// at most `window` positions older. A read of a version retired by the GC
+/// surfaces as the read of an unknown value (the conservative direction)
+/// instead of the unbounded run's classification.
+///
+/// # Reader-list caps
+///
+/// The sweep trims the reader/overwriter lists of *live* (latest) versions
+/// to the window, but a hot key whose version never changes still
+/// accumulates up to `window` reader entries between sweeps — with many hot
+/// keys, `window × keys` register state. Setting `reader_cap > 0` bounds
+/// each live version's resident reader list to the `reader_cap` newest
+/// readers; the evicted older readers can no longer contribute RW
+/// anti-dependency edges if the version is later overwritten, so a clean
+/// verdict obtained under a cap is a **qualified certificate**: violations
+/// that are found remain sound (eviction only removes potential edges), but
+/// completeness now additionally requires that no more than `reader_cap`
+/// in-window readers of any single version conflict with a later writer.
+/// Every eviction is recorded as an explicit marker
+/// ([`super::IncrementalChecker::reader_evictions`]) and rides along in
+/// [`super::CheckerSnapshot`]s, so a consumer of the verdict can see exactly which
+/// versions the certificate is qualified on. `reader_cap = 0` (the default)
+/// disables capping and keeps the unqualified staleness-window contract.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct GcPolicy {
+    /// Keep at least the most recent `window` transactions resident.
+    pub window: usize,
+    /// Run a collection every `every` consumed transactions.
+    pub every: usize,
+    /// Cap each live version's resident reader list to this many newest
+    /// readers at every sweep (0 = unlimited, the default).
+    pub reader_cap: usize,
+}
+
+impl Default for GcPolicy {
+    fn default() -> Self {
+        GcPolicy {
+            window: 8192,
+            every: 2048,
+            reader_cap: 0,
+        }
+    }
+}
+
+impl GcPolicy {
+    /// A window/cadence policy with both knobs clamped to at least 1 and no
+    /// reader cap.
+    pub fn clamped(window: usize, every: usize) -> Self {
+        GcPolicy {
+            window: window.max(1),
+            every: every.max(1),
+            reader_cap: 0,
+        }
+    }
+
+    /// Adds a per-key reader-list cap (builder style; see the type docs for
+    /// the qualified-certificate contract).
+    pub fn with_reader_cap(mut self, cap: usize) -> Self {
+        self.reader_cap = cap;
+        self
+    }
+
+    /// The policy with window and cadence clamped to at least 1, the reader
+    /// cap preserved.
+    pub(super) fn normalized(self) -> Self {
+        GcPolicy {
+            window: self.window.max(1),
+            every: self.every.max(1),
+            reader_cap: self.reader_cap,
+        }
+    }
+}
+
+/// An explicit eviction marker: the settled-prefix GC capped the reader
+/// list of a live version. Clean verdicts produced after evictions are
+/// qualified certificates (see [`GcPolicy`]'s reader-cap documentation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Eviction {
+    /// The transaction whose version had readers evicted (`⊥T`'s id for the
+    /// initial version).
+    pub writer: TxnId,
+    /// The key concerned.
+    pub key: Key,
+    /// How many reader entries have been dropped from this version's list
+    /// so far.
+    pub dropped: u64,
+}
+
+/// Number of sweep epochs per collection commit. Epoch boundaries fire
+/// every [`GcPolicy::every`] transactions and always sweep the per-key
+/// state (keeping the staleness-window and reader-cap contracts on their
+/// original cadence); the graph-side collection — candidate identification,
+/// predecessor-closure fixpoint and prune — runs only on every
+/// `GC_COMMIT_EPOCHS`-th boundary, so its cost is amortized off the ingest
+/// path. Deferring a commit only keeps *more* state resident, which is
+/// conservative: verdicts stay bit-identical to an un-collected run, and
+/// the resident-set bound grows by at most `GC_COMMIT_EPOCHS · every`
+/// transactions over the configured window.
+const GC_COMMIT_EPOCHS: u32 = 4;
+
+impl Engine {
+    /// True iff an epoch boundary (per-key sweep, possibly a collection
+    /// commit) is due under the configured policy.
+    pub(super) fn gc_due(&self) -> bool {
+        match self.gc {
+            Some(policy) => !self.done() && self.txn_count - self.last_gc >= policy.every,
+            None => false,
+        }
+    }
+
+    /// Advances the epoch clock at a due boundary; true iff this boundary
+    /// is a collection commit, i.e. the caller should materialize the
+    /// key-state refs and run [`Engine::collect`]. Every boundary sweeps the
+    /// per-key state (so the reader-cap contract keeps its original
+    /// cadence); only every [`GC_COMMIT_EPOCHS`]-th runs the graph-side
+    /// candidate closure and prune.
+    pub(super) fn begin_epoch(&mut self) -> bool {
+        self.last_gc = self.txn_count;
+        self.gc_epochs += 1;
+        if self.gc_epochs >= GC_COMMIT_EPOCHS {
+            self.gc_epochs = 0;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// True iff the next due epoch boundary will be a collection commit —
+    /// the sharded checker asks *before* sweeping so the workers only
+    /// materialize their refs when a commit will consume them.
+    pub(super) fn commit_epoch_next(&self) -> bool {
+        self.gc_epochs + 1 >= GC_COMMIT_EPOCHS
+    }
+
+    /// The transaction-id watermark of the next collection: everything at or
+    /// above it is inside the protected window.
+    pub(super) fn gc_watermark(&self) -> TxnId {
+        let window = self.gc.map(|p| p.window).unwrap_or(usize::MAX);
+        TxnId(self.txn_count.saturating_sub(window) as u32)
+    }
+
+    /// Retires the settled prefix below `watermark`: every resident
+    /// transaction that is not referenced by the key-state (`refs`), is not
+    /// the last of its session, and whose node has no retained predecessor
+    /// — plus, in SSER mode, the time-chain prefix hooking only retired
+    /// transactions. The retained structure answers every future insertion
+    /// exactly as the unretired one would (see [`GcPolicy`] for the
+    /// staleness-window contract).
+    ///
+    /// Callers must have flushed the deferred queue first.
+    pub(super) fn collect(&mut self, watermark: TxnId, refs: &HashSet<TxnId>) {
+        if self.done() {
+            return;
+        }
+        debug_assert!(self.pending.is_empty(), "collect() with a deferred queue");
+
+        // ── candidate transactions ──
+        // Membership is a bitmap over transaction ids below the watermark
+        // (plus the ordered list for iteration): the closure loop below
+        // tests and clears membership per predecessor walk, and bitmaps
+        // make those index arithmetic instead of hash probes.
+        let keep_sessions: FastHashSet<TxnId> =
+            self.sessions.iter().flatten().map(|&(t, _)| t).collect();
+        let mut cand_list: Vec<TxnId> = self
+            .live_txns
+            .range(..watermark)
+            .map(|(&t, _)| t)
+            .filter(|t| !(self.has_init && t.0 == 0)) // ⊥T anchors new sessions
+            .filter(|t| !refs.contains(t))
+            .filter(|t| !keep_sessions.contains(t))
+            .collect();
+        let mut cand = vec![false; watermark.0 as usize];
+        for &t in &cand_list {
+            cand[t.index()] = true;
+        }
+
+        // ── candidate time-chain prefix (SSER) ──
+        // `cut`: the smallest instant any retained transaction (other than
+        // ⊥T) is hooked at; slots strictly below it hook candidates only.
+        // ⊥T's own slot is never pruned — it anchors the chain, and the
+        // deliberate cut edge out of it is deleted and replaced by a
+        // shortcut to the first retained slot.
+        let mut pruned_slots: Vec<(u64, TimeSlot)> = Vec::new();
+        let mut chain_low = 0u64;
+        if self.level == IsolationLevel::StrictSerializability && !self.chain.is_empty() {
+            let bot = self
+                .has_init
+                .then(|| self.live_txns.get(&TxnId(0)))
+                .flatten();
+            chain_low = bot
+                .map(|m| {
+                    m.begin
+                        .into_iter()
+                        .chain(m.end)
+                        .max()
+                        .map_or(0, |t| t.saturating_add(1))
+                })
+                .unwrap_or(0);
+            let cut = self
+                .live_txns
+                .iter()
+                .filter(|(t, _)| {
+                    !(cand.get(t.index()).copied().unwrap_or(false) || self.has_init && t.0 == 0)
+                })
+                .filter_map(|(_, m)| m.begin.into_iter().chain(m.end).min())
+                .min()
+                .unwrap_or(u64::MAX);
+            if cut > chain_low {
+                pruned_slots = self.chain.slots_in(chain_low, cut);
+            }
+        }
+        // Deliberate cut sources: nodes that are provably unreachable from
+        // every transaction node, so their edges *into* the pruned set can
+        // be deleted without losing any constraint a future counterexample
+        // path could use. That is ⊥T itself — nothing ever points into it
+        // (its begin-time hook comes from the equally unreachable first
+        // chain slot) — and the end nodes of the permanently retained chain
+        // slots below the pruned range (⊥T's instants).
+        let mut cut_sources: Vec<usize> = self
+            .chain
+            .slots_in(0, chain_low)
+            .iter()
+            .map(|&(_, s)| s.end_node)
+            .collect();
+        let si = self.level == IsolationLevel::SnapshotIsolation;
+        let bot_cnode = if self.has_init {
+            cut_sources.push(self.node_of(TxnId(0)));
+            si.then(|| self.cnode_of(TxnId(0)))
+        } else {
+            None
+        };
+
+        // ── closure: drop candidates that anything retained still points at ──
+        // `in_nodes` / `in_cnodes` mirror the candidate set as bitmaps over
+        // (composed-)order node ids; dropped members are unmarked in place,
+        // so each round's predecessor walks are pure index arithmetic.
+        let nb = self.topo.node_count();
+        let mut in_nodes = vec![false; nb];
+        let mut cut_mask = vec![false; nb];
+        for &s in &cut_sources {
+            cut_mask[s] = true;
+        }
+        for &t in &cand_list {
+            in_nodes[self.node_of(t)] = true;
+        }
+        for &(_, s) in &pruned_slots {
+            for n in s.nodes() {
+                in_nodes[n] = true;
+            }
+        }
+        // Chain-exit anchors of candidate slots that the closure retains.
+        // A retained slot's exit only ever points *forward* along the chain
+        // (splice, split and shortcut edges all follow instant order), so it
+        // is an acceptable predecessor of a later candidate: the collection
+        // commit deletes its edges into the pruned set and re-establishes
+        // the chain order with one shortcut per pruned run. Without this, a
+        // single straggler-pinned slot would cascade-retain every slot (and
+        // transaction) behind it.
+        let mut slot_out_mask = vec![false; nb];
+        let mut slot_dead = vec![false; pruned_slots.len()];
+        let mut in_cnodes = vec![false; if si { self.composed.node_count() } else { 0 }];
+        if si {
+            for &t in &cand_list {
+                in_cnodes[self.cnode_of(t)] = true;
+            }
+        }
+        loop {
+            let mut drop_txns: Vec<TxnId> = Vec::new();
+            let mut drop_slots: Vec<usize> = Vec::new();
+            for &t in &cand_list {
+                if !cand[t.index()] {
+                    continue;
+                }
+                let n = self.node_of(t);
+                if self
+                    .topo
+                    .predecessors(n)
+                    .any(|p| !in_nodes[p] && !cut_mask[p] && !slot_out_mask[p])
+                {
+                    drop_txns.push(t);
+                }
+            }
+            for (i, &(_, s)) in pruned_slots.iter().enumerate() {
+                if slot_dead[i] {
+                    continue;
+                }
+                let bad = s.nodes().any(|n| {
+                    self.topo
+                        .predecessors(n)
+                        .any(|p| !in_nodes[p] && !cut_mask[p] && !slot_out_mask[p])
+                });
+                if bad {
+                    drop_slots.push(i);
+                }
+            }
+            if si {
+                for &t in &cand_list {
+                    if !cand[t.index()] {
+                        continue;
+                    }
+                    let n = self.cnode_of(t);
+                    if self
+                        .composed
+                        .predecessors(n)
+                        .any(|p| !in_cnodes[p] && Some(p) != bot_cnode)
+                    {
+                        drop_txns.push(t);
+                    }
+                }
+                // A retained composition index must never compose a new
+                // edge that touches a pruned endpoint. Only *active* owners
+                // can still compose: `base_in[b]` fires on a new RW edge
+                // out of `b`, which needs `b` in a live readers list
+                // (trimmed to ≥ watermark); `rw_out[b]` fires on a new base
+                // edge into `b`, which makes `b` a reader of a fresh
+                // resolution — a new transaction or one with a pending read
+                // (pinned via `refs`). Entries of settled owners are inert
+                // and must not disqualify their endpoints.
+                let is_cand = |t: TxnId| cand.get(t.index()).copied().unwrap_or(false);
+                let active = |owner: TxnId| owner >= watermark || refs.contains(&owner);
+                for (owner, edges) in self.base_in.iter() {
+                    if active(owner) {
+                        drop_txns.extend(edges.iter().map(|e| e.from).filter(|&t| is_cand(t)));
+                    }
+                }
+                for (owner, edges) in self.rw_out.iter() {
+                    if active(owner) {
+                        drop_txns.extend(edges.iter().map(|e| e.to).filter(|&t| is_cand(t)));
+                    }
+                }
+            }
+            if drop_txns.is_empty() && drop_slots.is_empty() {
+                break;
+            }
+            for t in drop_txns {
+                if cand[t.index()] {
+                    cand[t.index()] = false;
+                    in_nodes[self.node_of(t)] = false;
+                    if si {
+                        in_cnodes[self.cnode_of(t)] = false;
+                    }
+                }
+            }
+            for i in drop_slots {
+                slot_dead[i] = true;
+                let (_, s) = pruned_slots[i];
+                for n in s.nodes() {
+                    in_nodes[n] = false;
+                }
+                slot_out_mask[s.end_node] = true;
+            }
+        }
+        cand_list.retain(|&t| cand[t.index()]);
+        let mut dead = slot_dead.iter();
+        pruned_slots.retain(|_| !*dead.next().expect("one flag per slot"));
+        if cand_list.is_empty() && pruned_slots.is_empty() {
+            return;
+        }
+
+        // ── commit the collection ──
+        let mut nodes: Vec<usize> = cand_list.iter().map(|&t| self.node_of(t)).collect();
+        for &(_, s) in &pruned_slots {
+            nodes.extend(s.nodes());
+        }
+        // Closure-retained slots keep their chain exits as deliberate cut
+        // sources: their forward edges into the pruned runs are deleted and
+        // replaced by one shortcut per run below.
+        for (s, _) in slot_out_mask.iter().enumerate().filter(|&(_, &m)| m) {
+            cut_sources.push(s);
+        }
+        // Group the surviving slots into maximal chain-adjacent runs; each
+        // run is bridged by a single shortcut from the retained slot just
+        // below it to the retained slot just above it (when both exist), so
+        // the retained chain order survives mid-chain compaction, not just
+        // prefix pruning.
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for &(t, _) in &pruned_slots {
+            match runs.last_mut() {
+                Some(run) if self.chain.succ(run.1).map(|(n, _)| n) == Some(t) => run.1 = t,
+                _ => runs.push((t, t)),
+            }
+        }
+        for &(first, last) in &runs {
+            if let (Some((_, a)), Some((_, s))) = (self.chain.pred(first), self.chain.succ(last)) {
+                if !self.topo.has_edge(a.end_node, s.begin_node) {
+                    self.topo
+                        .try_add_edge(a.end_node, s.begin_node)
+                        .expect("chain shortcut follows the existing order");
+                }
+            }
+        }
+        for &(first, last) in &runs {
+            self.chain.remove_range(first, last + 1);
+        }
+        for &src in &cut_sources {
+            self.topo.remove_edges_into(src, &nodes);
+        }
+        self.topo.prune(&nodes);
+        if si {
+            let cand_cnodes: Vec<usize> = cand_list.iter().map(|&t| self.cnode_of(t)).collect();
+            if let Some(bc) = bot_cnode {
+                self.composed.remove_edges_into(bc, &cand_cnodes);
+            }
+            self.composed.prune(&cand_cnodes);
+            // `in_cnodes` now flags exactly the surviving candidates.
+            self.composed_prov.prune(&in_cnodes);
+        }
+        self.graph
+            .prune_nodes(|t| cand.get(t.index()).copied().unwrap_or(false));
+        for &t in &cand_list {
+            self.txn_node.remove(t);
+            self.txn_cnode.remove(t);
+            self.base_in.remove(t);
+            self.rw_out.remove(t);
+            self.live_txns.remove(&t);
+        }
+        self.pruned_txns += cand_list.len();
+        // Re-base the windowed maps: the dense blocks track the live window
+        // and the (bounded) set of pinned stragglers spills into the low
+        // maps, so resident memory stays proportional to the window.
+        self.txn_node.rebase(watermark.0);
+        self.txn_cnode.rebase(watermark.0);
+        self.base_in.rebase(watermark.0);
+        self.rw_out.rebase(watermark.0);
+    }
+}

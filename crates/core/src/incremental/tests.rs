@@ -1,0 +1,815 @@
+use super::checker::Keys;
+use super::*;
+use crate::check::{check_ser, check_si, CheckOptions, IsolationLevel};
+use crate::mini::MtViolation;
+use crate::verdict::{Verdict, Violation};
+use mtc_history::{anomalies, Edge, History, HistoryBuilder, Op, SessionId, Transaction};
+
+fn stream_verdict(level: IsolationLevel, h: &History) -> Verdict {
+    check_streaming(level, h).unwrap()
+}
+
+/// The witness of a cycle verdict must be a closed walk over real edges
+/// of the history's (batch-built) dependency graph.
+fn assert_cycle_is_certified(h: &History, edges: &[Edge]) {
+    assert!(!edges.is_empty(), "empty cycle witness");
+    let g = crate::build_dependency(h, false).unwrap();
+    for (i, e) in edges.iter().enumerate() {
+        assert!(
+            g.contains_edge(e.from, e.to, e.kind),
+            "witness edge {e:?} does not exist"
+        );
+        let next = &edges[(i + 1) % edges.len()];
+        assert_eq!(e.to, next.from, "witness walk is not closed: {edges:?}");
+    }
+}
+
+#[test]
+fn serial_histories_are_accepted_online() {
+    let mut b = HistoryBuilder::new().with_init(2);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+    b.committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)]);
+    b.committed(0, vec![Op::read(1u64, 0u64), Op::read(0u64, 2u64)]);
+    let h = b.build();
+    assert!(stream_verdict(IsolationLevel::Serializability, &h).is_satisfied());
+    assert!(stream_verdict(IsolationLevel::SnapshotIsolation, &h).is_satisfied());
+}
+
+#[test]
+fn catalogue_agrees_with_batch_checkers_on_ser() {
+    for (kind, h) in anomalies::catalogue() {
+        let batch = check_ser(&h).unwrap();
+        let streaming = stream_verdict(IsolationLevel::Serializability, &h);
+        assert_eq!(
+            batch.is_violated(),
+            streaming.is_violated(),
+            "SER mismatch on {kind}: batch={batch:?} streaming={streaming:?}"
+        );
+        if let Some(Violation::Cycle { edges }) = streaming.violation() {
+            assert_cycle_is_certified(&h, edges);
+        }
+    }
+}
+
+#[test]
+fn catalogue_agrees_with_batch_checkers_on_si() {
+    for (kind, h) in anomalies::catalogue() {
+        let batch = check_si(&h).unwrap();
+        let streaming = stream_verdict(IsolationLevel::SnapshotIsolation, &h);
+        assert_eq!(
+            batch.is_violated(),
+            streaming.is_violated(),
+            "SI mismatch on {kind}: batch={batch:?} streaming={streaming:?}"
+        );
+    }
+}
+
+#[test]
+fn divergence_payload_matches_batch() {
+    let h = anomalies::lost_update();
+    let batch = check_si(&h).unwrap();
+    let streaming = stream_verdict(IsolationLevel::SnapshotIsolation, &h);
+    assert_eq!(batch, streaming, "lost update must be the same DIVERGENCE");
+}
+
+#[test]
+fn intra_anomalies_match_batch_payloads() {
+    // A thin-air read is only settled at finish(), like the batch
+    // pre-scan that needs the whole history.
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed(0, vec![Op::read(0u64, 777u64)]);
+    let h = b.build();
+    let batch = check_ser(&h).unwrap();
+    let streaming = stream_verdict(IsolationLevel::Serializability, &h);
+    assert_eq!(batch, streaming);
+}
+
+#[test]
+fn aborted_read_is_settled_at_finish() {
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.aborted(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+    b.committed(1, vec![Op::read(0u64, 5u64)]);
+    let h = b.build();
+    let batch = check_ser(&h).unwrap();
+    let streaming = stream_verdict(IsolationLevel::Serializability, &h);
+    assert_eq!(batch, streaming);
+}
+
+#[test]
+fn early_exit_reports_violation_mid_stream() {
+    // A long stream with a lost-update corruption planted early: the
+    // checker must latch at the corrupted transaction, long before the
+    // tail is consumed.
+    let n = 400u64;
+    let mut checker = IncrementalChecker::new_si().with_init_keys(0..1u64);
+    // T1 installs 1; T2 and T3 both read 1 and overwrite: DIVERGENCE.
+    checker
+        .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)])
+        .unwrap();
+    checker
+        .push_committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)])
+        .unwrap();
+    let status = checker
+        .push_committed(2, vec![Op::read(0u64, 1u64), Op::write(0u64, 3u64)])
+        .unwrap();
+    assert_eq!(status, StreamStatus::Violated);
+    let latched_at = checker.first_violation_at().unwrap();
+    assert_eq!(latched_at, TxnId(3));
+    // Feed a long consistent tail; the verdict must stay latched and the
+    // trigger index must not move.
+    let mut last = 3u64;
+    for i in 0..n {
+        checker
+            .push_committed(0, vec![Op::read(0u64, last), Op::write(0u64, 100 + i)])
+            .unwrap();
+        last = 100 + i;
+    }
+    assert_eq!(checker.first_violation_at(), Some(TxnId(3)));
+    assert!(
+        (latched_at.index() as u64) < n,
+        "violation latched before the tail"
+    );
+    let verdict = checker.finish().unwrap();
+    assert!(matches!(
+        verdict,
+        Verdict::Violated(Violation::Divergence { .. })
+    ));
+}
+
+#[test]
+fn ser_cycle_latches_when_closing_edge_arrives() {
+    // Write skew: T1 and T2 read both keys, then write one each.
+    let mut checker = IncrementalChecker::new_ser().with_init_keys(0..2u64);
+    checker
+        .push_committed(
+            0,
+            vec![
+                Op::read(0u64, 0u64),
+                Op::read(1u64, 0u64),
+                Op::write(0u64, 1u64),
+            ],
+        )
+        .unwrap();
+    let status = checker
+        .push_committed(
+            1,
+            vec![
+                Op::read(0u64, 0u64),
+                Op::read(1u64, 0u64),
+                Op::write(1u64, 2u64),
+            ],
+        )
+        .unwrap();
+    assert_eq!(
+        status,
+        StreamStatus::Violated,
+        "write skew must latch at T2"
+    );
+    assert_eq!(checker.first_violation_at(), Some(TxnId(2)));
+}
+
+#[test]
+fn sharded_checker_agrees_with_sequential_on_the_catalogue() {
+    for (kind, h) in anomalies::catalogue() {
+        for level in [
+            IsolationLevel::Serializability,
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::StrictSerializability,
+        ] {
+            let sequential = check_streaming(level, &h).unwrap();
+            // One shard *is* the sequential loop: fed a batch per
+            // transaction it answers like `push`, transaction by transaction.
+            let mut seq = IncrementalChecker::new(level);
+            let mut one = ShardedIncrementalChecker::new(level, 1);
+            for t in h.txns() {
+                if Some(t.id) == h.init_txn() {
+                    seq.ingest(std::slice::from_ref(t), true);
+                    one.ingest(std::slice::from_ref(t), true);
+                } else {
+                    assert_eq!(
+                        seq.push(t.clone()),
+                        one.push_batch(vec![t.clone()]),
+                        "{level} status mismatch on {kind} at {}",
+                        t.id
+                    );
+                }
+            }
+            assert_eq!(seq.first_violation_at(), one.first_violation_at());
+            assert_eq!(seq.finish().unwrap(), sequential, "{level} on {kind}");
+            assert_eq!(one.finish().unwrap(), sequential, "{level} on {kind}");
+            for shards in [1usize, 2, 4] {
+                for batch in [1usize, 3, 64] {
+                    let sharded = check_streaming_sharded(level, &h, shards, batch).unwrap();
+                    assert_eq!(
+                        sequential, sharded,
+                        "{level} mismatch on {kind} with {shards} shards, batch {batch}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
+fn sharded_checker_matches_on_larger_streams() {
+    // A serial multi-key history plus one corrupted read near the end.
+    for corrupt in [false, true] {
+        let keys = 16u64;
+        let mut b = HistoryBuilder::new().with_init(keys);
+        let mut last = vec![0u64; keys as usize];
+        let mut value = 1u64;
+        for i in 0..600u64 {
+            let k = (i * 7) % keys;
+            let read = if corrupt && i == 500 {
+                0
+            } else {
+                last[k as usize]
+            };
+            b.committed((i % 6) as u32, vec![Op::read(k, read), Op::write(k, value)]);
+            last[k as usize] = value;
+            value += 1;
+        }
+        let h = b.build();
+        for level in [
+            IsolationLevel::Serializability,
+            IsolationLevel::SnapshotIsolation,
+        ] {
+            let batch_verdict = match level {
+                IsolationLevel::Serializability => check_ser(&h).unwrap(),
+                _ => check_si(&h).unwrap(),
+            };
+            let sequential = check_streaming(level, &h).unwrap();
+            let sharded = check_streaming_sharded(level, &h, 4, 128).unwrap();
+            assert_eq!(batch_verdict.is_violated(), sequential.is_violated());
+            assert_eq!(sequential, sharded);
+        }
+    }
+}
+
+#[test]
+fn options_default_is_shared_with_batch_checkers() {
+    let checker = IncrementalChecker::new_ser();
+    assert_eq!(*checker.options(), CheckOptions::default());
+    let sharded = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, 2);
+    assert_eq!(*sharded.options(), CheckOptions::default());
+}
+
+#[test]
+fn divergence_ablation_option_still_rejects() {
+    // A DIVERGENCE can be invisible in the composed graph, so the late
+    // scan must run even with the early exit disabled — in the
+    // sequential AND the sharded checker.
+    let h = anomalies::lost_update();
+    let opts = CheckOptions {
+        skip_divergence_early_exit: true,
+        ..CheckOptions::default()
+    };
+    let v = check_streaming_with(IsolationLevel::SnapshotIsolation, &h, &opts).unwrap();
+    assert!(v.is_violated());
+    for shards in [1usize, 3] {
+        let mut c = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, shards)
+            .with_options(opts);
+        let _ = c.push_history(&h, 2);
+        let sharded = c.finish().unwrap();
+        assert_eq!(v, sharded, "ablation mismatch with {shards} shards");
+    }
+}
+
+#[test]
+fn non_mt_transaction_is_rejected_online() {
+    let mut checker = IncrementalChecker::new_ser().with_init_keys(0..1u64);
+    let err = checker
+        .push_committed(0, vec![Op::write(0u64, 1u64)])
+        .unwrap_err();
+    assert!(matches!(err, CheckError::NotMiniTransaction(_)));
+    // The error latches.
+    let again = checker.push_committed(1, vec![Op::read(0u64, 0u64)]);
+    assert!(again.is_err());
+    assert!(checker.finish().is_err());
+}
+
+#[test]
+fn duplicate_values_are_rejected_online() {
+    let mut checker = IncrementalChecker::new_ser().with_init_keys(0..1u64);
+    checker
+        .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)])
+        .unwrap();
+    let err = checker
+        .push_committed(1, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)])
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        CheckError::NotMiniTransaction(MtViolation::DuplicateValue { .. })
+    ));
+}
+
+#[test]
+fn unreadable_value_without_prescan_is_a_domain_error() {
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed(0, vec![Op::read(0u64, 77u64)]);
+    let h = b.build();
+    let opts = CheckOptions {
+        prescan_intra: false,
+        ..CheckOptions::default()
+    };
+    let batch = crate::check_ser_with(&h, &opts);
+    let streaming = check_streaming_with(IsolationLevel::Serializability, &h, &opts);
+    assert!(matches!(batch, Err(CheckError::UnreadableValue { .. })));
+    assert!(matches!(streaming, Err(CheckError::UnreadableValue { .. })));
+}
+
+#[test]
+fn sser_catches_a_real_time_violation_online() {
+    // T1 writes x and finishes before T2 starts, but T2 still reads the
+    // initial value: allowed by SER, forbidden by SSER — and the online
+    // checker latches at T2, not at finish().
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+        .unwrap();
+    let status = checker
+        .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 30, 40)
+        .unwrap();
+    assert_eq!(status, StreamStatus::Violated);
+    assert_eq!(checker.first_violation_at(), Some(TxnId(2)));
+    let verdict = checker.finish().unwrap();
+    let Verdict::Violated(Violation::Cycle { edges }) = verdict else {
+        panic!("expected a cycle, got {verdict:?}");
+    };
+    assert!(
+        edges.iter().any(|e| e.kind == EdgeKind::Rt),
+        "counterexample should mention real time: {edges:?}"
+    );
+}
+
+#[test]
+fn sser_accepts_overlapping_transactions() {
+    // Overlapping intervals are not real-time ordered: both serial
+    // orders are admissible, so a "stale" read by a concurrent
+    // transaction is fine.
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 30)
+        .unwrap();
+    let status = checker
+        .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 20, 40)
+        .unwrap();
+    assert_eq!(status, StreamStatus::ConsistentSoFar);
+    assert!(checker.finish().unwrap().is_satisfied());
+}
+
+#[test]
+fn sser_handles_equal_instants_as_overlap() {
+    // end(T1) == begin(T2): the real-time order is strict, so no RT edge
+    // and the stale read stays SSER-acceptable.
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+        .unwrap();
+    let status = checker
+        .push_committed_timed(1, vec![Op::read(0u64, 0u64)], 20, 40)
+        .unwrap();
+    assert_eq!(status, StreamStatus::ConsistentSoFar);
+    assert!(checker.finish().unwrap().is_satisfied());
+}
+
+#[test]
+fn sser_latches_on_out_of_order_instants() {
+    // The violating commit *reports* instants in the past (clock skew):
+    // T2 reads T1's write but claims to have finished before T1 began.
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 50, 60)
+        .unwrap();
+    let status = checker
+        .push_committed_timed(1, vec![Op::read(0u64, 1u64)], 5, 9)
+        .unwrap();
+    assert_eq!(status, StreamStatus::Violated);
+    assert_eq!(checker.first_violation_at(), Some(TxnId(2)));
+}
+
+#[test]
+fn sser_self_inconsistent_interval_is_rejected() {
+    // A commit whose reported end precedes its own begin contradicts the
+    // time-chain by itself.
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    let status = checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64)], 30, 10)
+        .unwrap();
+    assert_eq!(status, StreamStatus::Violated);
+}
+
+#[test]
+fn streaming_sser_agrees_with_batch_on_the_catalogue() {
+    use crate::check::check_sser;
+    for (kind, h) in anomalies::catalogue() {
+        let batch = check_sser(&h).unwrap();
+        let streaming = check_streaming(IsolationLevel::StrictSerializability, &h).unwrap();
+        assert_eq!(
+            batch.is_violated(),
+            streaming.is_violated(),
+            "SSER mismatch on {kind}: batch={batch:?} streaming={streaming:?}"
+        );
+    }
+}
+
+#[test]
+fn sser_untimed_transactions_degrade_to_ser() {
+    // Without instants there are no real-time constraints: SSER accepts
+    // exactly what SER accepts, matching the batch checkers.
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+    b.committed(1, vec![Op::read(0u64, 0u64)]);
+    let h = b.build();
+    assert!(crate::check::check_sser(&h).unwrap().is_satisfied());
+    let streaming = check_streaming(IsolationLevel::StrictSerializability, &h).unwrap();
+    assert!(streaming.is_satisfied());
+}
+
+#[test]
+fn partially_timed_transactions_still_constrain_real_time() {
+    use crate::check::{check_sser, check_sser_naive};
+    // T1 records only its commit instant, T2 only its begin — the RT
+    // edge T1 → T2 needs exactly those two, so all three SSER flavours
+    // must reject the stale read (the time-chain flavours used to skip
+    // any transaction missing one instant).
+    for (t1_times, t2_times) in [
+        ((None, Some(20)), (Some(30), Some(40))),
+        ((Some(10), Some(20)), (Some(30), None)),
+        ((None, Some(20)), (Some(30), None)),
+    ] {
+        let mut b = HistoryBuilder::new().with_init(1);
+        let mut t1 = Transaction::committed(
+            TxnId(0),
+            SessionId(0),
+            vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)],
+        );
+        (t1.begin, t1.end) = t1_times;
+        b.push_cloned(t1);
+        let mut t2 = Transaction::committed(TxnId(0), SessionId(1), vec![Op::read(0u64, 0u64)]);
+        (t2.begin, t2.end) = t2_times;
+        b.push_cloned(t2);
+        let h = b.build();
+        let naive = check_sser_naive(&h).unwrap();
+        let chain = check_sser(&h).unwrap();
+        let streaming = check_streaming(IsolationLevel::StrictSerializability, &h).unwrap();
+        assert!(naive.is_violated(), "{t1_times:?}/{t2_times:?}: naive");
+        assert!(chain.is_violated(), "{t1_times:?}/{t2_times:?}: time-chain");
+        assert!(
+            streaming.is_violated(),
+            "{t1_times:?}/{t2_times:?}: streaming"
+        );
+    }
+}
+
+#[test]
+fn sser_time_chain_grows_with_distinct_instants() {
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(0..1u64);
+    assert_eq!(checker.time_instant_count(), 1); // ⊥T at instant 0
+    checker
+        .push_committed_timed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)], 10, 20)
+        .unwrap();
+    checker
+        .push_committed_timed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)], 25, 30)
+        .unwrap();
+    assert_eq!(checker.time_instant_count(), 5);
+    // SER checkers never touch the chain.
+    let ser = IncrementalChecker::new_ser().with_init_keys(0..1u64);
+    assert_eq!(ser.time_instant_count(), 0);
+}
+
+/// The alive-token of the pool's worker threads, for shutdown tests.
+fn pool_canary(checker: &ShardedIncrementalChecker) -> Option<std::sync::Arc<()>> {
+    match &checker.keys {
+        Keys::Local(_) => None,
+        Keys::Pool(pool) => Some(pool.alive.clone()),
+    }
+}
+
+#[test]
+fn dropping_a_sharded_checker_mid_stream_joins_its_workers() {
+    // Abandon the checker after a violation latched but before finish()
+    // — the stop_on_violation shape. Drop must join every worker thread.
+    let h = anomalies::lost_update();
+    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, 3);
+    assert_eq!(checker.live_worker_threads(), 3);
+    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
+    let status = checker.push_history(&h, 2).unwrap();
+    assert_eq!(status, StreamStatus::Violated, "lost update must latch");
+    assert_eq!(
+        std::sync::Arc::strong_count(&canary),
+        1 + 3 + 1,
+        "pool + one token per live worker + test clone"
+    );
+    drop(checker);
+    assert_eq!(
+        std::sync::Arc::strong_count(&canary),
+        1,
+        "every worker thread must have exited and been joined"
+    );
+}
+
+#[test]
+fn dropping_a_clean_sharded_checker_joins_its_workers() {
+    let mut b = HistoryBuilder::new().with_init(4);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+    let h = b.build();
+    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::Serializability, 2);
+    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
+    let _ = checker.push_history(&h, 8);
+    drop(checker); // mid-stream: no finish(), workers idle in recv
+    assert_eq!(std::sync::Arc::strong_count(&canary), 1);
+}
+
+#[test]
+fn finish_consumes_the_pool_and_joins_its_workers() {
+    let mut b = HistoryBuilder::new().with_init(2);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+    let h = b.build();
+    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::Serializability, 2);
+    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
+    let _ = checker.push_history(&h, 8);
+    assert!(checker.finish().unwrap().is_satisfied());
+    assert_eq!(std::sync::Arc::strong_count(&canary), 1);
+}
+
+/// A serial multi-key MT history: session `i % 6`, key round-robin over
+/// `keys - 2` keys. With `corrupt_at = Some(c)`, a write-skew gadget —
+/// two overlapping transactions reading the (never overwritten, hence
+/// GC-retained) initial versions of the two reserved keys and each
+/// writing one — is planted at position `c`: an *in-window* violation
+/// of SER/SSER (and none of SI), so the GC'd verdict must match the
+/// unbounded one.
+#[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
+fn serial_history(n: u64, keys: u64, corrupt_at: Option<u64>) -> History {
+    assert!(keys >= 3);
+    let (ka, kb) = (keys - 2, keys - 1);
+    let mut b = HistoryBuilder::new().with_init(keys);
+    let mut last = vec![0u64; keys as usize];
+    let mut value = 1u64;
+    for i in 0..n {
+        if corrupt_at == Some(i) {
+            b.committed_timed(
+                6,
+                vec![
+                    Op::read(ka, 0u64),
+                    Op::read(kb, 0u64),
+                    Op::write(ka, 900_000_001u64),
+                ],
+                10 * i + 1,
+                10 * i + 6,
+            );
+            b.committed_timed(
+                7,
+                vec![
+                    Op::read(ka, 0u64),
+                    Op::read(kb, 0u64),
+                    Op::write(kb, 900_000_002u64),
+                ],
+                10 * i + 2,
+                10 * i + 7,
+            );
+        }
+        let k = (i * 5) % (keys - 2); // stride coprime to every tested key count
+        b.committed_timed(
+            (i % 6) as u32,
+            vec![Op::read(k, last[k as usize]), Op::write(k, value)],
+            10 * i + 1,
+            10 * i + 5,
+        );
+        last[k as usize] = value;
+        value += 1;
+    }
+    b.build()
+}
+
+/// Pushes `h`'s transactions `[0, cut)` into `checker` (excluding `⊥T`,
+/// which must be seeded separately), returning the remaining tail.
+fn push_prefix(checker: &mut IncrementalChecker, h: &History, cut: usize) -> Vec<Transaction> {
+    let mut fed = 0usize;
+    let mut tail = Vec::new();
+    for t in h.txns() {
+        if Some(t.id) == h.init_txn() {
+            continue;
+        }
+        if fed < cut {
+            let _ = checker.push(t.clone());
+            fed += 1;
+        } else {
+            tail.push(t.clone());
+        }
+    }
+    tail
+}
+
+#[test]
+fn checkpoint_resume_matches_uninterrupted_run() {
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        for corrupt in [None, Some(150u64)] {
+            let h = serial_history(200, 8, corrupt);
+            let clean = check_streaming(level, &h).unwrap();
+
+            let mut first = IncrementalChecker::new(level);
+            if let Some(init) = h.init_txn() {
+                first.ingest(std::slice::from_ref(h.txn(init)), true);
+            }
+            let tail = push_prefix(&mut first, &h, 100);
+            let snapshot = first.checkpoint();
+            drop(first);
+            // Serialize through the workspace serde stack, like a
+            // checkpoint file would.
+            let json = serde_json::to_string(&snapshot).unwrap();
+            let snapshot: CheckerSnapshot = serde_json::from_str(&json).unwrap();
+            let mut resumed = IncrementalChecker::resume(snapshot);
+            for t in tail {
+                let _ = resumed.push(t);
+            }
+            let resumed_first = resumed.first_violation_at();
+            let verdict = resumed.finish().unwrap();
+            assert_eq!(verdict, clean, "{level} corrupt={corrupt:?}");
+            if clean.is_violated() {
+                assert!(resumed_first.is_some(), "{level}: must latch mid-stream");
+            }
+        }
+    }
+}
+
+#[test]
+fn snapshots_cross_between_sequential_and_sharded_checkers() {
+    let h = serial_history(300, 8, Some(250));
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        let clean = check_streaming(level, &h).unwrap();
+
+        // Sharded checkpoint → sequential resume.
+        let mut sharded = ShardedIncrementalChecker::new(level, 3);
+        let txns: Vec<Transaction> = h
+            .txns()
+            .iter()
+            .filter(|t| Some(t.id) != h.init_txn())
+            .cloned()
+            .collect();
+        sharded.ingest(std::slice::from_ref(h.txn(TxnId(0))), true);
+        let (head, tail) = txns.split_at(140);
+        let _ = sharded.push_batch(head.to_vec());
+        let snapshot = sharded.checkpoint();
+        drop(sharded);
+        let mut seq = IncrementalChecker::resume(snapshot.clone());
+        for t in tail.iter().cloned() {
+            let _ = seq.push(t);
+        }
+        assert_eq!(seq.finish().unwrap(), clean, "{level} sharded→sequential");
+
+        // Same snapshot → sharded resume under a different geometry.
+        let mut resharded = ShardedIncrementalChecker::resume(snapshot, 5);
+        let _ = resharded.push_batch(tail.to_vec());
+        assert_eq!(
+            resharded.finish().unwrap(),
+            clean,
+            "{level} sharded→resharded"
+        );
+    }
+}
+
+#[test]
+fn gc_bounds_resident_state_and_preserves_verdicts() {
+    let n = 6000u64;
+    for (level, corrupt) in [
+        (IsolationLevel::Serializability, None),
+        (IsolationLevel::Serializability, Some(5500u64)),
+        (IsolationLevel::SnapshotIsolation, None),
+        (IsolationLevel::StrictSerializability, None),
+        (IsolationLevel::StrictSerializability, Some(5500u64)),
+    ] {
+        let h = serial_history(n, 16, corrupt);
+        let clean = check_streaming(level, &h).unwrap();
+        let mut unbounded = IncrementalChecker::new(level);
+        let _ = unbounded.push_history(&h);
+        let unbounded_first = unbounded.first_violation_at();
+
+        let mut gc = IncrementalChecker::new(level).with_gc(GcPolicy {
+            window: 512,
+            every: 128,
+            reader_cap: 0,
+        });
+        let _ = gc.push_history(&h);
+        assert!(
+            gc.pruned_txn_count() > 0,
+            "{level}: the GC must actually retire transactions"
+        );
+        let cap = 3 * 512;
+        assert!(
+            gc.live_txn_count() <= cap,
+            "{level}: {} resident transactions exceed the cap {cap}",
+            gc.live_txn_count()
+        );
+        // SSER keeps up to five nodes per resident transaction: its own
+        // plus two chain nodes for each of its two instants.
+        assert!(
+            gc.live_node_count() <= 5 * gc.live_txn_count() + 16,
+            "{level}: {} live nodes for {} live transactions",
+            gc.live_node_count(),
+            gc.live_txn_count()
+        );
+        assert_eq!(gc.first_violation_at(), unbounded_first, "{level}");
+        assert_eq!(gc.finish().unwrap(), clean, "{level} corrupt={corrupt:?}");
+    }
+}
+
+#[test]
+fn sharded_gc_matches_sequential_gc_verdicts() {
+    let h = serial_history(3000, 8, Some(2800));
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        let policy = GcPolicy {
+            window: 256,
+            every: 64,
+            reader_cap: 0,
+        };
+        let mut seq = IncrementalChecker::new(level).with_gc(policy);
+        let _ = seq.push_history(&h);
+        let mut sharded = ShardedIncrementalChecker::new(level, 3).with_gc(policy);
+        let _ = sharded.push_history(&h, 50);
+        assert!(sharded.pruned_txn_count() > 0);
+        assert!(sharded.live_txn_count() <= 3 * 256);
+        assert_eq!(
+            seq.first_violation_at(),
+            sharded.first_violation_at(),
+            "{level}"
+        );
+        assert_eq!(seq.finish().unwrap(), sharded.finish().unwrap(), "{level}");
+    }
+}
+
+#[test]
+fn gc_keeps_session_frontier_and_init_resident() {
+    let h = serial_history(1000, 4, None);
+    let mut gc = IncrementalChecker::new(IsolationLevel::Serializability).with_gc(GcPolicy {
+        window: 64,
+        every: 32,
+        reader_cap: 0,
+    });
+    let _ = gc.push_history(&h);
+    // ⊥T and the last transaction of each of the 6 sessions must be
+    // resident: both can still source edges.
+    assert!(gc.engine.live_txns.contains_key(&TxnId(0)));
+    for last in gc.engine.sessions.iter().flatten() {
+        assert!(gc.engine.live_txns.contains_key(&last.0));
+    }
+    assert!(gc.finish().unwrap().is_satisfied());
+}
+
+#[test]
+fn checkpoint_after_gc_resumes_exactly() {
+    let h = serial_history(2000, 8, Some(1900));
+    let level = IsolationLevel::StrictSerializability;
+    let clean = check_streaming(level, &h).unwrap();
+    let mut c = IncrementalChecker::new(level).with_gc(GcPolicy {
+        window: 256,
+        every: 64,
+        reader_cap: 0,
+    });
+    if let Some(init) = h.init_txn() {
+        c.ingest(std::slice::from_ref(h.txn(init)), true);
+    }
+    let tail = push_prefix(&mut c, &h, 1000);
+    assert!(c.pruned_txn_count() > 0, "GC ran before the checkpoint");
+    let json = serde_json::to_string(&c.checkpoint()).unwrap();
+    let mut resumed = IncrementalChecker::resume(serde_json::from_str(&json).unwrap());
+    assert_eq!(
+        resumed.gc_policy(),
+        Some(GcPolicy {
+            window: 256,
+            every: 64,
+            reader_cap: 0,
+        }),
+        "the GC policy must survive the snapshot"
+    );
+    for t in tail {
+        let _ = resumed.push(t);
+    }
+    assert_eq!(resumed.finish().unwrap(), clean);
+}
+
+#[test]
+fn sser_pending_reads_settle_at_finish() {
+    // A read of a never-written value stays pending and settles as a
+    // THINAIRREAD at finish(), matching the batch pre-scan.
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed_timed(0, vec![Op::read(0u64, 777u64)], 10, 20);
+    let h = b.build();
+    let batch = crate::check::check_sser(&h).unwrap();
+    let streaming = check_streaming(IsolationLevel::StrictSerializability, &h).unwrap();
+    assert_eq!(batch, streaming);
+}

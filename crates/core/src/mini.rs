@@ -6,7 +6,7 @@
 //! consists solely of mini-transactions (besides the initial transaction
 //! `⊥T`) in which every committed write installs a unique value per object.
 //!
-//! The verifiers of [`crate::check`] call [`validate_history`] before doing
+//! The verifiers of [`mod@crate::check`] call [`validate_history`] before doing
 //! any graph work: the linear-time guarantees only hold on valid MT
 //! histories.
 

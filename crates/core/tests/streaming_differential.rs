@@ -16,7 +16,7 @@ use mtc_core::{
     tune, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker,
     StreamStatus,
 };
-use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
+use mtc_history::{History, HistoryBuilder, Op, SessionId, Transaction, TxnId, Value};
 use proptest::prelude::*;
 
 /// Mini-transaction shapes, as in the top-level differential suite.
@@ -517,7 +517,10 @@ proptest! {
         // The completed-stream verdict agrees with batch on accept/reject.
         let batch_verdict = check_sser(&history).unwrap();
         prop_assert_eq!(
-            checker.clone().finish().unwrap().is_violated(),
+            IncrementalChecker::resume(checker.checkpoint())
+                .finish()
+                .unwrap()
+                .is_violated(),
             batch_verdict.is_violated()
         );
         // A clean tail far in the future must not disturb the latch. The
@@ -956,4 +959,60 @@ proptest! {
             prop_assert_eq!(format!("{:?}", resumed.finish()), expected, "{}", level);
         }
     }
+}
+
+/// The accessors a pooled checker answers from its workers' key states —
+/// eviction markers, reader-list lengths — and from the shared engine must
+/// agree with the sequential checker's when both sweep at the same points.
+#[test]
+fn pooled_accessors_agree_with_sequential_under_a_reader_cap() {
+    // Every transaction also reads the never-overwritten key 0, so its
+    // reader list outgrows the cap at every sweep.
+    let keys = 5u64;
+    let mut last = vec![0u64; keys as usize];
+    let txns: Vec<Transaction> = (0..400u64)
+        .map(|i| {
+            let k = 1 + i % (keys - 1);
+            let ops = vec![
+                Op::read(0u64, 0u64),
+                Op::read(k, last[k as usize]),
+                Op::write(k, i + 1),
+            ];
+            last[k as usize] = i + 1;
+            Transaction::committed(TxnId(0), SessionId((i % 3) as u32), ops)
+                .with_times(10 * i + 1, 10 * i + 5)
+        })
+        .collect();
+    let policy = GcPolicy {
+        window: 64,
+        every: 16,
+        reader_cap: 4,
+    };
+    let level = IsolationLevel::StrictSerializability;
+    let mut seq = IncrementalChecker::new(level)
+        .with_init_keys(0..keys)
+        .with_gc(policy);
+    let mut pooled = ShardedIncrementalChecker::new(level, 3)
+        .with_init_keys(0..keys)
+        .with_gc(policy);
+    // `⊥T` plus three single pushes put both on a multiple of the batch
+    // size, which divides `every`: the sweeps fall on the same transactions.
+    let (head, tail) = txns.split_at(3);
+    for t in head {
+        assert_eq!(seq.push(t.clone()), pooled.push(t.clone()));
+    }
+    for batch in tail.chunks(4) {
+        for t in batch {
+            let _ = seq.push(t.clone());
+        }
+        let _ = pooled.push_batch(batch.to_vec());
+        assert_eq!(seq.reader_eviction_count(), pooled.reader_eviction_count());
+    }
+    assert!(seq.reader_eviction_count() > 0, "the cap must have fired");
+    assert_eq!(seq.reader_evictions(), pooled.reader_evictions());
+    assert_eq!(seq.max_reader_list_len(), pooled.max_reader_list_len());
+    assert_eq!(seq.time_instant_count(), pooled.time_instant_count());
+    assert_eq!(seq.graph().edge_count(), pooled.graph().edge_count());
+    assert_eq!(seq.live_node_count(), pooled.live_node_count());
+    assert_eq!(seq.finish().unwrap(), pooled.finish().unwrap());
 }

@@ -7,7 +7,7 @@
 //! which feeds an [`IncrementalChecker`] in commit order. The first
 //! isolation violation is latched the moment the offending transaction
 //! commits — typically long before the workload ends — and can optionally
-//! stop the run ([`LiveVerifier::stop_on_violation`]), which is what turns
+//! stop the run ([`LiveVerifierBuilder::stop_on_violation`]), which is what turns
 //! "verify a million transactions, then learn the bug happened at #1302"
 //! into "stop at #1302".
 //!
@@ -40,116 +40,6 @@ pub struct LiveVerifier {
     inner: Mutex<LiveInner>,
     stop_on_violation: bool,
     violated: AtomicBool,
-}
-
-/// The verification backend of a live run: the sequential incremental
-/// checker, or — when the autotuner reports spare cores — the key-sharded
-/// checker behind a small hand-off buffer.
-enum LiveChecker {
-    Sequential(IncrementalChecker),
-    Sharded {
-        checker: ShardedIncrementalChecker,
-        buf: Vec<Transaction>,
-        batch: usize,
-    },
-}
-
-impl LiveChecker {
-    /// Feeds one transaction; the sharded backend may buffer it until a
-    /// batch is full.
-    fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
-        match self {
-            LiveChecker::Sequential(c) => c.push(txn),
-            LiveChecker::Sharded {
-                checker,
-                buf,
-                batch,
-            } => {
-                buf.push(txn);
-                if buf.len() >= *batch {
-                    let full = std::mem::replace(buf, Vec::with_capacity(*batch));
-                    checker.push_batch(full)
-                } else if checker.is_violated() {
-                    Ok(StreamStatus::Violated)
-                } else {
-                    Ok(StreamStatus::ConsistentSoFar)
-                }
-            }
-        }
-    }
-
-    /// Flushes any buffered transactions into the checker.
-    fn flush(&mut self) {
-        if let LiveChecker::Sharded { checker, buf, .. } = self {
-            if !buf.is_empty() {
-                let _ = checker.push_batch(std::mem::take(buf));
-            }
-        }
-    }
-
-    fn violation(&self) -> Option<&Violation> {
-        match self {
-            LiveChecker::Sequential(c) => c.violation(),
-            LiveChecker::Sharded { checker, .. } => checker.violation(),
-        }
-    }
-
-    /// Index of the offending transaction (excluding `⊥T`), once latched.
-    fn first_violation_index(&self) -> Option<usize> {
-        match self {
-            LiveChecker::Sequential(c) => c.first_violation_at(),
-            LiveChecker::Sharded { checker, .. } => checker.first_violation_at(),
-        }
-        .map(|id| id.index())
-    }
-
-    /// Transactions consumed by the checker (excluding `⊥T`, excluding any
-    /// still-buffered ones).
-    fn consumed(&self) -> usize {
-        match self {
-            LiveChecker::Sequential(c) => c.txn_count(),
-            LiveChecker::Sharded { checker, .. } => checker.txn_count(),
-        }
-        .saturating_sub(1)
-    }
-
-    fn finish(mut self) -> Result<Verdict, CheckError> {
-        self.flush();
-        match self {
-            LiveChecker::Sequential(c) => c.finish(),
-            LiveChecker::Sharded { checker, .. } => checker.finish(),
-        }
-    }
-
-    /// Enables settled-prefix GC on the backing checker.
-    fn set_gc(&mut self, policy: GcPolicy) {
-        match self {
-            LiveChecker::Sequential(c) => c.set_gc(policy),
-            LiveChecker::Sharded { checker, .. } => checker.set_gc(policy),
-        }
-    }
-
-    /// Number of live (non-retired) transactions resident in the checker.
-    fn live_txn_count(&self) -> usize {
-        match self {
-            LiveChecker::Sequential(c) => c.live_txn_count(),
-            LiveChecker::Sharded { checker, .. } => checker.live_txn_count(),
-        }
-    }
-
-    /// Flushes any buffered transactions, then snapshots the checker.
-    /// Returns the snapshot plus how many recorded transactions it covers
-    /// (excluding `⊥T`).
-    fn checkpoint(&mut self) -> (u64, CheckerSnapshot) {
-        self.flush();
-        match self {
-            LiveChecker::Sequential(c) => (c.txn_count().saturating_sub(1) as u64, c.checkpoint()),
-            LiveChecker::Sharded { checker, .. } => (
-                checker.txn_count().saturating_sub(1) as u64,
-                checker.checkpoint(),
-            ),
-        }
-    }
 }
 
 /// The write-ahead persistence sink of a live verifier: every recorded
@@ -252,7 +142,12 @@ pub struct SinkStats {
 }
 
 struct LiveInner {
-    checker: LiveChecker,
+    checker: IncrementalChecker,
+    /// Hand-off buffer in front of a pooled checker: flushed every `batch`
+    /// transactions. A sequential checker consumes each transaction at once
+    /// (`batch == 1`, the buffer stays empty).
+    buf: Vec<Transaction>,
+    batch: usize,
     first_violation: Option<LiveViolation>,
     /// Optional durable write-ahead sink.
     sink: Option<StoreSink>,
@@ -260,6 +155,43 @@ struct LiveInner {
     /// at construction, for hand-driven use), so `LiveViolation::elapsed` is
     /// comparable with the run's wall time.
     started: Instant,
+}
+
+impl LiveInner {
+    /// Feeds one transaction; a pooled checker may buffer it until a batch
+    /// is full.
+    fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
+        if self.batch == 1 {
+            return self.checker.push(txn);
+        }
+        self.buf.push(txn);
+        if self.buf.len() >= self.batch {
+            let full = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch));
+            self.checker.push_batch(full)
+        } else if self.checker.is_violated() {
+            Ok(StreamStatus::Violated)
+        } else {
+            Ok(StreamStatus::ConsistentSoFar)
+        }
+    }
+
+    /// Flushes any buffered transactions into the checker.
+    fn flush(&mut self) {
+        if !self.buf.is_empty() {
+            let _ = self.checker.push_batch(std::mem::take(&mut self.buf));
+        }
+    }
+
+    /// Index of the offending transaction (excluding `⊥T`), once latched.
+    fn first_violation_index(&self) -> Option<usize> {
+        self.checker.first_violation_at().map(|id| id.index())
+    }
+
+    /// Transactions consumed by the checker (excluding `⊥T`, excluding any
+    /// still-buffered ones).
+    fn consumed(&self) -> usize {
+        self.checker.txn_count().saturating_sub(1)
+    }
 }
 
 /// Metadata about the first violation observed during a live run.
@@ -373,35 +305,36 @@ impl LiveVerifierBuilder {
 
     /// Builds the verifier.
     pub fn build(self) -> LiveVerifier {
-        let v = match self.resume {
-            Some(checker) => LiveVerifier::resume_checker(checker, self.stop_on_violation),
+        let (mut checker, batch) = match self.resume {
+            Some(checker) => (checker, 1),
             None => {
-                let checker = match self.tuning {
-                    Some(tuning) if tuning.shards > 1 => {
-                        let batch = tuning.batch.clamp(1, LIVE_BATCH_CAP);
-                        LiveChecker::Sharded {
-                            checker: ShardedIncrementalChecker::new(self.level, tuning.shards)
-                                .with_init_keys(0..self.num_keys),
-                            buf: Vec::with_capacity(batch),
-                            batch,
-                        }
-                    }
-                    _ => LiveChecker::Sequential(
-                        IncrementalChecker::new(self.level).with_init_keys(0..self.num_keys),
-                    ),
+                let (shards, batch) = match self.tuning {
+                    Some(t) if t.shards > 1 => (t.shards, t.batch.clamp(1, LIVE_BATCH_CAP)),
+                    _ => (1, 1),
                 };
-                LiveVerifier::from_checker(checker, self.stop_on_violation)
+                let fresh = ShardedIncrementalChecker::new(self.level, shards);
+                (fresh.with_init_keys(0..self.num_keys).into(), batch)
             }
         };
-        {
-            let mut inner = v.inner.lock();
-            if let Some(policy) = self.gc {
-                inner.checker.set_gc(policy);
-            }
-            if let Some((store, checkpoint_every)) = self.store {
-                inner.sink = Some(StoreSink::new(store, checkpoint_every));
-            }
+        if let Some(policy) = self.gc {
+            checker.set_gc(policy);
         }
+        let v = LiveVerifier {
+            inner: Mutex::new(LiveInner {
+                checker,
+                buf: Vec::new(),
+                batch,
+                first_violation: None,
+                sink: self
+                    .store
+                    .map(|(store, every)| StoreSink::new(store, every)),
+                started: Instant::now(),
+            }),
+            stop_on_violation: self.stop_on_violation,
+            violated: AtomicBool::new(false),
+        };
+        // A resumed checker may already be latched: inherit its state.
+        v.note_latch(&mut v.inner.lock());
         v
     }
 }
@@ -453,31 +386,6 @@ impl LiveVerifier {
         }
     }
 
-    fn from_checker(checker: LiveChecker, stop_on_violation: bool) -> Self {
-        LiveVerifier {
-            inner: Mutex::new(LiveInner {
-                checker,
-                first_violation: None,
-                sink: None,
-                started: Instant::now(),
-            }),
-            stop_on_violation,
-            violated: AtomicBool::new(false),
-        }
-    }
-
-    /// Wraps an already-populated checker, inheriting its latch state — the
-    /// implementation behind [`LiveVerifierBuilder::resume_from`].
-    fn resume_checker(checker: IncrementalChecker, stop_on_violation: bool) -> Self {
-        let violated = checker.is_violated();
-        let v = LiveVerifier::from_checker(LiveChecker::Sequential(checker), stop_on_violation);
-        if violated {
-            let mut inner = v.inner.lock();
-            v.note_latch(&mut inner);
-        }
-        v
-    }
-
     /// Number of transactions currently resident in the checker — bounded
     /// (once steady state is reached) when a GC policy is set.
     pub fn live_txn_count(&self) -> usize {
@@ -488,7 +396,7 @@ impl LiveVerifier {
     /// transactions still buffered by the sharded backend) — the "checked"
     /// half of a tenant's ingest lag.
     pub fn consumed(&self) -> usize {
-        self.inner.lock().checker.consumed()
+        self.inner.lock().consumed()
     }
 
     /// The latched first-violation metadata (stream index plus wall-clock
@@ -509,7 +417,7 @@ impl LiveVerifier {
             .first_violation
             .as_ref()
             .map(|v| v.at_txn)
-            .or_else(|| inner.checker.first_violation_index())
+            .or_else(|| inner.first_violation_index())
     }
 
     /// Restarts the time-to-first-violation clock. Called by
@@ -531,7 +439,7 @@ impl LiveVerifier {
     }
 
     /// Feeds one finished transaction attempt. Called by the session threads
-    /// in commit order; also usable directly when driving [`Database`] by
+    /// in commit order; also usable directly when driving [`crate::Database`] by
     /// hand (see `examples/streaming_check.rs`). Without begin/commit
     /// instants the SSER mode degenerates to SER — prefer
     /// [`LiveVerifier::record_timed`] when the instants are known.
@@ -595,14 +503,16 @@ impl LiveVerifier {
             // Write-ahead: the log sees the transaction before the checker.
             sink.append(&txn);
         }
-        let result = guts.checker.push(txn);
+        let result = guts.push(txn);
         if result.is_err() {
             // Domain errors latch inside the checker; surfaced by finish().
             self.violated.store(true, Ordering::Relaxed);
         }
-        if let Some(sink) = guts.sink.as_mut() {
-            if sink.note_recorded() {
-                let (consumed, snapshot) = guts.checker.checkpoint();
+        if guts.sink.as_mut().is_some_and(StoreSink::note_recorded) {
+            // Flush first, so the snapshot covers everything recorded.
+            guts.flush();
+            let (consumed, snapshot) = (guts.consumed() as u64, guts.checker.checkpoint());
+            if let Some(sink) = guts.sink.as_mut() {
                 sink.write_checkpoint(consumed, &snapshot);
             }
         }
@@ -619,9 +529,8 @@ impl LiveVerifier {
             if inner.first_violation.is_none() {
                 inner.first_violation = Some(LiveViolation {
                     at_txn: inner
-                        .checker
                         .first_violation_index()
-                        .unwrap_or_else(|| inner.checker.consumed()),
+                        .unwrap_or_else(|| inner.consumed()),
                     elapsed: inner.started.elapsed(),
                 });
             }
@@ -641,7 +550,7 @@ impl LiveVerifier {
     /// flush surfaced a violation).
     pub fn violation(&self) -> Option<Violation> {
         let mut inner = self.inner.lock();
-        inner.checker.flush();
+        inner.flush();
         self.note_latch(&mut inner);
         inner.checker.violation().cloned()
     }
@@ -650,7 +559,7 @@ impl LiveVerifier {
     /// persistence sink (if any) so the log survives the process.
     pub fn finish(self) -> LiveOutcome {
         let mut inner = self.inner.into_inner();
-        inner.checker.flush();
+        inner.flush();
         let sink_error = inner.sink.as_mut().and_then(|sink| {
             if sink.error.is_none() {
                 if let Err(e) = sink.store.sync() {
@@ -659,17 +568,14 @@ impl LiveVerifier {
             }
             sink.error.clone()
         });
-        let checked = inner.checker.consumed();
-        let first_violation = inner.first_violation.or_else(|| {
+        let checked = inner.consumed();
+        let first_violation = inner.first_violation.clone().or_else(|| {
             // A violation that only surfaced on the final flush of the
             // sharded backend still gets its latch metadata.
-            inner
-                .checker
-                .first_violation_index()
-                .map(|at_txn| LiveViolation {
-                    at_txn,
-                    elapsed: inner.started.elapsed(),
-                })
+            inner.first_violation_index().map(|at_txn| LiveViolation {
+                at_txn,
+                elapsed: inner.started.elapsed(),
+            })
         });
         LiveOutcome {
             verdict: inner.checker.finish(),

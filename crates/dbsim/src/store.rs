@@ -402,6 +402,16 @@ mod tests {
             chain.latest().unwrap().value,
             StoredValue::Register(Value(72))
         );
+        // The equal-timestamp pair right at the snapshot boundary, with a
+        // newer version behind it: the cut falls after the pair.
+        chain.push(Version {
+            commit_ts: 9,
+            value: StoredValue::Register(Value(90)),
+        });
+        for (ts, skip, expected) in [(6, 0, 0), (7, 0, 72), (8, 0, 72), (8, 1, 71), (9, 0, 90)] {
+            let seen = chain.visible_at(ts, skip).unwrap().value.clone();
+            assert_eq!(seen, StoredValue::Register(Value(expected)), "ts={ts}");
+        }
     }
 
     #[test]

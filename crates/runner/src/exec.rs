@@ -11,8 +11,8 @@ use mtc_baselines::cobra::{cobra_check_ser, BaselineOutcome};
 use mtc_baselines::elle::{ListHistory, ListOp, ListTxn};
 use mtc_baselines::polysi::polysi_check_si;
 use mtc_core::{
-    build_dependency, check_ser, check_si, check_sser, check_sser_naive, tune, IncrementalChecker,
-    IsolationLevel, ShardedIncrementalChecker,
+    build_dependency, check_ser, check_si, check_sser, check_sser_naive, tune, IsolationLevel,
+    ShardTuning, ShardedIncrementalChecker,
 };
 use mtc_dbsim::{
     run_sessions, AbortReason, ClientOptions, DbBackend, DbTxn, Driver, ExecutionOptions,
@@ -115,40 +115,19 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
     // tune() call in a process runs a calibration burst, which must not
     // pollute the first sharded measurement.
     let tuning = match checker {
-        Checker::MtcSerSharded | Checker::MtcSiSharded | Checker::MtcSserSharded => Some(tune()),
-        _ => None,
+        Checker::MtcSerSharded | Checker::MtcSiSharded | Checker::MtcSserSharded => tune(),
+        _ => ShardTuning::clamped(1, 1),
     };
     let start = Instant::now();
     let (violated, memory, detail) = match checker {
-        Checker::MtcSerIncremental | Checker::MtcSiIncremental | Checker::MtcSserIncremental => {
-            let level = match checker {
-                Checker::MtcSerIncremental => IsolationLevel::Serializability,
-                Checker::MtcSiIncremental => IsolationLevel::SnapshotIsolation,
-                _ => IsolationLevel::StrictSerializability,
-            };
-            verify_streaming(level, history)
+        Checker::MtcSerIncremental | Checker::MtcSerSharded => {
+            verify_streaming(IsolationLevel::Serializability, history, tuning)
         }
-        Checker::MtcSerSharded | Checker::MtcSiSharded | Checker::MtcSserSharded => {
-            let level = match checker {
-                Checker::MtcSerSharded => IsolationLevel::Serializability,
-                Checker::MtcSiSharded => IsolationLevel::SnapshotIsolation,
-                _ => IsolationLevel::StrictSerializability,
-            };
-            let tuning = tuning.expect("geometry resolved before the timer");
-            let mut c = ShardedIncrementalChecker::new(level, tuning.shards);
-            let _ = c.push_history(history, tuning.batch);
-            let edges = c.edge_count();
-            let mem = history_memory_bytes(history) + edges * 24;
-            match c.finish() {
-                Ok(verdict) => {
-                    let detail = match verdict.violation() {
-                        Some(v) => format!("{v}"),
-                        None => "ok".to_string(),
-                    };
-                    (verdict.is_violated(), mem, detail)
-                }
-                Err(e) => (false, mem, format!("checker not applicable: {e}")),
-            }
+        Checker::MtcSiIncremental | Checker::MtcSiSharded => {
+            verify_streaming(IsolationLevel::SnapshotIsolation, history, tuning)
+        }
+        Checker::MtcSserIncremental | Checker::MtcSserSharded => {
+            verify_streaming(IsolationLevel::StrictSerializability, history, tuning)
         }
         Checker::MtcSer | Checker::MtcSi | Checker::MtcSser | Checker::MtcSserNaive => {
             let verdict = match checker {
@@ -195,11 +174,16 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
     }
 }
 
-/// Feeds `history` transaction-by-transaction into an [`IncrementalChecker`]
-/// and summarizes the outcome, including how early the violation latched.
-fn verify_streaming(level: IsolationLevel, history: &History) -> (bool, usize, String) {
-    let mut checker = IncrementalChecker::new(level);
-    let _ = checker.push_history(history);
+/// Feeds `history` into the streaming checker — one transaction at a time
+/// on this thread, or `tuning.batch` at a time over `tuning.shards` workers
+/// — and summarizes the outcome, including how early the violation latched.
+fn verify_streaming(
+    level: IsolationLevel,
+    history: &History,
+    tuning: ShardTuning,
+) -> (bool, usize, String) {
+    let mut checker = ShardedIncrementalChecker::new(level, tuning.shards);
+    let _ = checker.push_history(history, tuning.batch);
     let first = checker.first_violation_at();
     let edges = checker.edge_count();
     let total = checker.txn_count();

@@ -8,7 +8,7 @@
 //! ...
 //! ```
 //!
-//! Every segment starts with a [`SegmentHeader`] frame binding it to the
+//! Every segment starts with a `SegmentHeader` frame binding it to the
 //! stream (magic, format version, segment index, index of its first
 //! transaction) followed by one frame per [`LogRecord`]. The first segment
 //! carries the stream's [`StreamMeta`] as its first record. Frames are

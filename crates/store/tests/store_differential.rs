@@ -6,9 +6,11 @@
 //! bit-identical to the uninterrupted in-memory run, at every isolation
 //! level and under sequential *and* sharded resumption.
 
-use mtc_core::{IncrementalChecker, IsolationLevel, ShardedIncrementalChecker};
+use mtc_core::{
+    GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker, SNAPSHOT_VERSION,
+};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
-use mtc_store::{recover, MtcStore, StreamMeta};
+use mtc_store::{read_checkpoint, recover, write_checkpoint, MtcStore, StreamMeta};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -161,5 +163,113 @@ proptest! {
             prop_assert_eq!(format!("{:?}", sharded.finish()), expected, "{}", level);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+// ───────────────────── snapshot wire-format fixtures ────────────────────────
+
+/// Prefix length of the committed fixtures: 143 recorded transactions plus
+/// `⊥T` puts the snapshot on a GC epoch boundary (`144 = 9 · every`), so a
+/// tail replayed in batches that divide `every` sweeps at the very same
+/// points as a one-by-one replay.
+const FIXTURE_CUT: usize = 143;
+const FIXTURE_KEYS: u64 = 4;
+const FIXTURE_GC: GcPolicy = GcPolicy {
+    window: 96,
+    every: 16,
+    reader_cap: 2,
+};
+
+/// The deterministic 200-transaction stream the fixtures were cut from: an
+/// aborted and a partially timed transaction inside the prefix, a skewed
+/// commit (SSER-only violation) and an in-window stale read in the tail.
+fn fixture_stream() -> Vec<Transaction> {
+    let picks: Vec<(u64, u64, u64)> = (0..200u64)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 7, i / 3 + i, i))
+        .collect();
+    build_stream(
+        &picks,
+        FIXTURE_KEYS,
+        4,
+        Some(185),
+        Some(170),
+        Some(100),
+        Some(60),
+    )
+}
+
+fn fixture_path(level: IsolationLevel) -> PathBuf {
+    let name = match level {
+        IsolationLevel::Serializability => "snapshot-v4-ser.mtcck",
+        IsolationLevel::SnapshotIsolation => "snapshot-v4-si.mtcck",
+        IsolationLevel::StrictSerializability => "snapshot-v4-sser.mtcck",
+    };
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(name)
+}
+
+/// The files under `tests/data/` were written by the build *before* the
+/// streaming engine was split into modules. Decoding them pins the
+/// `CheckerSnapshot` wire format: a refactor that renames, reorders or
+/// drops a serialized field fails here instead of on somebody's disk.
+#[test]
+fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
+    let txns = fixture_stream();
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        let mut whole = IncrementalChecker::new(level)
+            .with_init_keys(0..FIXTURE_KEYS)
+            .with_gc(FIXTURE_GC);
+        for t in &txns {
+            let _ = whole.push(t.clone());
+        }
+        let expected_first = whole.first_violation_at();
+        let expected = format!("{:?}", whole.finish());
+
+        let (consumed, snapshot) = read_checkpoint(fixture_path(level)).unwrap();
+        assert_eq!(consumed, FIXTURE_CUT as u64);
+        assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
+        assert_eq!(snapshot.level(), level);
+        assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
+        assert!(
+            !snapshot.reader_evictions().is_empty(),
+            "{level}: the fixture must carry eviction markers"
+        );
+        // The encoder side of the format: this build writes, for the same
+        // prefix, the very bytes the parent build wrote.
+        let mut prefix = IncrementalChecker::new(level)
+            .with_init_keys(0..FIXTURE_KEYS)
+            .with_gc(FIXTURE_GC);
+        for t in &txns[..FIXTURE_CUT] {
+            let _ = prefix.push(t.clone());
+        }
+        let dir = tmpdir(level as u64);
+        let rewritten = write_checkpoint(&dir, consumed, &prefix.checkpoint()).unwrap();
+        assert_eq!(
+            std::fs::read(rewritten).unwrap(),
+            std::fs::read(fixture_path(level)).unwrap(),
+            "{level}: snapshot bytes changed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let tail = &txns[FIXTURE_CUT..];
+
+        let mut resumed = IncrementalChecker::resume(snapshot.clone());
+        assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
+        for t in tail {
+            let _ = resumed.push(t.clone());
+        }
+        assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
+        assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
+
+        let mut sharded = ShardedIncrementalChecker::resume(snapshot, 3);
+        for chunk in tail.chunks(8) {
+            let _ = sharded.push_batch(chunk.to_vec());
+        }
+        assert_eq!(sharded.first_violation_at(), expected_first, "{level}");
+        assert_eq!(format!("{:?}", sharded.finish()), expected, "{level}");
     }
 }

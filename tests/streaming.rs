@@ -279,8 +279,12 @@ fn sser_runner_checkers_are_wired() {
         let out = verify(checker, &history);
         assert!(!out.violated, "{}: {}", checker.label(), out.detail);
     }
-    // And with an injected skew the runner's streaming SSER mode reports
-    // time-to-first-violation while stopping early.
+    // And with an injected skew the live SSER verifier latches mid-run and
+    // stops the sessions early. The interleaved driver makes the schedule
+    // (and with it which commits get skewed) a function of the two seeds;
+    // under the threaded driver some schedules see no real-time violation.
+    // The operation latency keeps the run long against the few microseconds
+    // between the verifier's clock start and the report's.
     let config = DbConfig::correct(IsolationMode::Serializable, spec.num_keys)
         .with_latency(
             std::time::Duration::from_micros(200),
@@ -290,15 +294,16 @@ fn sser_runner_checkers_are_wired() {
             vec![FaultSpec::new(FaultKind::CommitTimestampSkew, 0.4)],
             29,
         );
-    let out = end_to_end_streaming(
-        &Database::new(config),
-        &workload,
-        &ClientOptions::default(),
-        IsolationLevel::StrictSerializability,
-        true,
-    );
-    assert!(out.violated, "{}", out.detail);
-    assert!(out.time_to_first_violation.unwrap() <= out.wall_time);
+    let verifier = LiveVerifier::builder(IsolationLevel::StrictSerializability, spec.num_keys)
+        .stop_on_violation(true)
+        .build();
+    let (_, report) = ExecutionOptions::interleaved(7)
+        .verifier(&verifier)
+        .run(&Database::new(config), &workload);
+    let outcome = verifier.finish();
+    let verdict = outcome.verdict.unwrap();
+    assert!(verdict.is_violated(), "{verdict:?}");
+    assert!(outcome.first_violation.unwrap().elapsed <= report.wall_time);
 }
 
 #[test]
