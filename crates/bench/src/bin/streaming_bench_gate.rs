@@ -28,11 +28,17 @@
 //! bounded when enabled" contract of the metrics layer, enforced on every
 //! run even without `--check`.
 //!
-//! Schema 6 gates the online-SSER fast path **in-run**, baseline-free:
-//! since the time-chain append fast path (pre-materialized anchors, batched
-//! chain+hook edges, sorted-vec slot store) the streaming SSER checker must
-//! reach at least 95% of the batch SSER checker measured seconds earlier in
-//! the same process. Like the observability gate, the comparison is
+//! Schema 6 gated the online-SSER fast path **in-run**, baseline-free,
+//! against the batch SSER checker of the same run (floor 95%). Schema 7
+//! re-anchors that gate on a series the batch checkers cannot move:
+//! `sser/incremental ÷ ser/incremental` of the same run, floor 0.50. The
+//! batch checkers share one write index per verdict now and got faster with
+//! no streaming change at all, so "streaming ≥ 95% of batch" stopped saying
+//! anything about streaming; the old ratio is still printed, as information.
+//! The floor sits between what the time-chain fast path reads (0.58–0.67 on
+//! a quiet 2-vCPU box, before and after the re-anchoring alike; 0.77 in the
+//! schema-6 baseline) and what the splice slow path it replaced read
+//! (0.43). Like the observability gate, the comparison is
 //! machine-independent by construction, so it holds on every run even
 //! without `--check`.
 //!
@@ -312,11 +318,13 @@ fn main() {
         });
     }
 
-    // Online-SSER fast path (schema 6, gated in-run): streaming SSER
-    // ingest must keep pace with the batch SSER checker it replaced on the
-    // hot path. Both sides were measured minutes apart in this process, so
-    // the ratio is machine-independent; no baseline involved.
+    // Online-SSER fast path (schema 7, gated in-run): what the time chain
+    // costs on top of streaming SER. Both sides are streaming series of this
+    // process, so neither the machine nor the batch checkers can move the
+    // ratio; no baseline involved. The ratio to the batch SSER checker
+    // (gated until schema 6) is printed for the trail only.
     {
+        const MIN_SSER_OVER_SER: f64 = 0.50;
         let tps = |name: &str| {
             series
                 .iter()
@@ -324,17 +332,27 @@ fn main() {
                 .map(|s| s.txns_per_sec)
                 .expect("measured above")
         };
-        let ratio = tps("sser/incremental") / tps("sser/batch");
         println!(
-            "gate sser/incremental: {:.1}% of sser/batch (floor 95%)   [{}]",
-            ratio * 1e2,
-            if ratio >= 0.95 { "ok" } else { "REGRESSED" }
+            "info sser/incremental: {:.1}% of sser/batch (not gated)",
+            tps("sser/incremental") / tps("sser/batch") * 1e2
         );
-        if ratio < 0.95 {
+        let ratio = tps("sser/incremental") / tps("ser/incremental");
+        println!(
+            "gate sser/incremental: {:.1}% of ser/incremental (floor {:.0}%)   [{}]",
+            ratio * 1e2,
+            MIN_SSER_OVER_SER * 1e2,
+            if ratio >= MIN_SSER_OVER_SER {
+                "ok"
+            } else {
+                "REGRESSED"
+            }
+        );
+        if ratio < MIN_SSER_OVER_SER {
             inrun_failures.push(format!(
-                "sser/incremental: streaming SSER reaches only {:.1}% of the batch \
-                 checker measured in this run (floor 95%)",
-                ratio * 1e2
+                "sser/incremental: streaming SSER reaches only {:.1}% of streaming SER \
+                 measured in this run (floor {:.0}%)",
+                ratio * 1e2,
+                MIN_SSER_OVER_SER * 1e2
             ));
         }
     }
@@ -476,7 +494,7 @@ fn main() {
     }
 
     let report = BenchReport {
-        schema: 6,
+        schema: 7,
         txns,
         shards: tuning.shards as u64,
         batch: tuning.batch as u64,

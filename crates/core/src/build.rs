@@ -43,11 +43,12 @@ pub fn build_dependency_reference(
     build_impl(history, with_rt, true)
 }
 
-fn build_impl(
+pub(crate) fn build_impl(
     history: &History,
     with_rt: bool,
     transitive_ww: bool,
 ) -> Result<DependencyGraph, BuildError> {
+    mtc_obs::counter!("core.dependency_builds").add(1);
     let n = history.len();
     let mut g = DependencyGraph::new(n);
     let write_index = history.write_index();

@@ -1,11 +1,17 @@
 //! The verifiers `CHECKSSER`, `CHECKSER` and `CHECKSI` (Algorithm 1).
 //!
-//! All three share the same structure:
+//! All three share the same structure ([`check_batch`]):
 //!
+//! 0. index every write of the history once ([`mtc_history::WriteIndex`]);
+//!    steps 1 and 2 and DIVERGENCE all read that one index instead of
+//!    walking the history into maps of their own (step 3's writer lookup
+//!    still builds `History::write_index`; sharing it is the next change);
 //! 1. validate that the input is a mini-transaction history (Definition 9);
 //! 2. pre-scan for intra-transactional / read-provenance anomalies
 //!    (Figures 5a–5g) — any hit refutes every strong level immediately;
-//! 3. build the (unique) dependency graph with [`crate::build_dependency`];
+//! 3. build the (unique) dependency graph (`BUILDDEPENDENCY`,
+//!    [`crate::build_dependency`]) — once: the verdict comes back with that
+//!    graph's edge count, so a caller reporting it need not build again;
 //! 4. decide acyclicity of the appropriate edge combination and, on a cycle,
 //!    return a labelled counterexample.
 //!
@@ -18,11 +24,13 @@
 //! encodes the real-time order through a sorted chain of *time nodes*,
 //! bringing the complexity down to `O(n log n)` without changing verdicts.
 
-use crate::build::{build_dependency, build_dependency_reference};
-use crate::divergence::find_divergence;
-use crate::mini::validate_history;
+use crate::build::build_impl;
+use crate::divergence::{find_divergence_with, Divergence};
+use crate::mini::{unique_values, validate_shapes};
 use crate::verdict::{CheckError, Verdict, Violation};
-use mtc_history::{find_intra_anomalies, DependencyGraph, DiGraph, Edge, EdgeKind, History, TxnId};
+use mtc_history::{
+    find_intra_anomalies_with, DependencyGraph, DiGraph, Edge, EdgeKind, History, TxnId, WriteIndex,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -105,71 +113,122 @@ pub fn check_sser_naive(history: &History) -> Result<Verdict, CheckError> {
     check_sser_naive_with(history, &CheckOptions::default())
 }
 
-fn preflight(history: &History, opts: &CheckOptions) -> Result<Option<Verdict>, CheckError> {
+/// The four batch verifiers [`check_batch`] runs.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum BatchCheck {
+    /// `CHECKSER`.
+    Ser,
+    /// `CHECKSI`.
+    Si,
+    /// `CHECKSSER`, time-chain encoding of the real-time order.
+    Sser,
+    /// `CHECKSSER` materializing all `RT` edges (`Θ(n²)`).
+    SserNaive,
+}
+
+/// A batch verdict and what the check built on the way to it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Checked {
+    /// The verdict.
+    pub verdict: Verdict,
+    /// Edges of the dependency graph the check built, `RT` edges aside — the
+    /// edge count of `build_dependency(history, false)`. `None` when the
+    /// verdict was reached before any graph was built (intra-transactional
+    /// anomalies, `CHECKSI`'s early DIVERGENCE exit).
+    pub dep_edges: Option<usize>,
+}
+
+/// Steps 1 and 2, and `CHECKSI`'s early DIVERGENCE test: everything that can
+/// settle the verdict before a graph exists.
+fn preflight(
+    check: BatchCheck,
+    history: &History,
+    index: &WriteIndex,
+    opts: &CheckOptions,
+) -> Result<Option<Violation>, CheckError> {
     if opts.validate_mt {
-        if let Err(v) = validate_history(history) {
-            return Err(CheckError::NotMiniTransaction(v));
-        }
+        validate_shapes(history)
+            .and_then(|()| unique_values(index))
+            .map_err(CheckError::NotMiniTransaction)?;
     }
     if opts.prescan_intra {
-        let violations = find_intra_anomalies(history);
+        let violations = find_intra_anomalies_with(history, index);
         if !violations.is_empty() {
-            return Ok(Some(Verdict::Violated(Violation::Intra(violations))));
+            return Ok(Some(Violation::Intra(violations)));
+        }
+    }
+    if check == BatchCheck::Si && !opts.skip_divergence_early_exit {
+        if let Some(d) = find_divergence_with(history, index) {
+            return Ok(Some(d.into_violation()));
         }
     }
     Ok(None)
 }
 
-fn build(
+/// Runs one batch verifier with explicit options: one walk of the history
+/// into a [`WriteIndex`], one dependency graph, and the verdict together with
+/// that graph's edge count. The `check_*_with` functions are this, verdict
+/// only.
+pub fn check_batch(
+    check: BatchCheck,
     history: &History,
-    with_rt: bool,
     opts: &CheckOptions,
-) -> Result<DependencyGraph, CheckError> {
-    if opts.reference_build {
-        build_dependency_reference(history, with_rt)
-    } else {
-        build_dependency(history, with_rt)
+) -> Result<Checked, CheckError> {
+    let index = {
+        let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.index"));
+        WriteIndex::new(history)
+    };
+    let early = {
+        let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.preflight"));
+        preflight(check, history, &index, opts)?
+    };
+    if let Some(violation) = early {
+        return Ok(Checked {
+            verdict: Verdict::Violated(violation),
+            dep_edges: None,
+        });
     }
+    let with_rt = check == BatchCheck::SserNaive;
+    let g = {
+        let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
+        build_impl(history, with_rt, opts.reference_build)?
+    };
+    let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.cycle"));
+    let dep_edges = if with_rt {
+        g.edges().iter().filter(|e| e.kind != EdgeKind::Rt).count()
+    } else {
+        g.edge_count()
+    };
+    let cycle = |edges| Violation::Cycle { edges };
+    let violation = match check {
+        BatchCheck::Ser | BatchCheck::SserNaive => g.find_labelled_cycle(|_| true).map(cycle),
+        BatchCheck::Sser => time_chain_cycle(history, &g).map(cycle),
+        // Even without the early exit, a DIVERGENCE manifests as a WW
+        // "fork": when present, the graph is not a legal dependency graph
+        // (Lemma 3) and the two derived RW edges already form a cycle in the
+        // plain union, which the composed-graph construction would mask.
+        // Catch it here.
+        BatchCheck::Si => opts
+            .skip_divergence_early_exit
+            .then(|| find_divergence_with(history, &index))
+            .flatten()
+            .map(Divergence::into_violation)
+            .or_else(|| composed_si_cycle(&g).map(cycle)),
+    };
+    Ok(Checked {
+        verdict: violation.map_or(Verdict::Satisfied, Verdict::Violated),
+        dep_edges: Some(dep_edges),
+    })
 }
 
 /// `CHECKSER` with explicit options.
 pub fn check_ser_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    if let Some(verdict) = preflight(history, opts)? {
-        return Ok(verdict);
-    }
-    let g = build(history, false, opts)?;
-    Ok(match g.find_labelled_cycle(|_| true) {
-        Some(edges) => Verdict::Violated(Violation::Cycle { edges }),
-        None => Verdict::Satisfied,
-    })
+    check_batch(BatchCheck::Ser, history, opts).map(|c| c.verdict)
 }
 
 /// `CHECKSI` with explicit options.
 pub fn check_si_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    if let Some(verdict) = preflight(history, opts)? {
-        return Ok(verdict);
-    }
-    if !opts.skip_divergence_early_exit {
-        if let Some(d) = find_divergence(history) {
-            return Ok(Verdict::Violated(d.into_violation()));
-        }
-    }
-    let g = build(history, false, opts)?;
-
-    // Even without the early exit, a DIVERGENCE manifests as a WW "fork":
-    // when present, the graph is not a legal dependency graph (Lemma 3) and
-    // the two derived RW edges already form a cycle in the plain union, which
-    // the composed-graph construction below would mask. Catch it here.
-    if opts.skip_divergence_early_exit {
-        if let Some(d) = find_divergence(history) {
-            return Ok(Verdict::Violated(d.into_violation()));
-        }
-    }
-
-    match composed_si_cycle(&g) {
-        Some(edges) => Ok(Verdict::Violated(Violation::Cycle { edges })),
-        None => Ok(Verdict::Satisfied),
-    }
+    check_batch(BatchCheck::Si, history, opts).map(|c| c.verdict)
 }
 
 /// Finds a cycle in `(SO ∪ WR ∪ WW) ; RW?` and expands it back to labelled
@@ -234,14 +293,7 @@ pub fn check_sser_naive_with(
     history: &History,
     opts: &CheckOptions,
 ) -> Result<Verdict, CheckError> {
-    if let Some(verdict) = preflight(history, opts)? {
-        return Ok(verdict);
-    }
-    let g = build(history, true, opts)?;
-    Ok(match g.find_labelled_cycle(|_| true) {
-        Some(edges) => Verdict::Violated(Violation::Cycle { edges }),
-        None => Verdict::Satisfied,
-    })
+    check_batch(BatchCheck::SserNaive, history, opts).map(|c| c.verdict)
 }
 
 /// `CHECKSSER` using the time-chain encoding of the real-time order, with
@@ -255,10 +307,12 @@ pub fn check_sser_naive_with(
 /// cycle, so verdicts coincide with [`check_sser_naive`] while the
 /// construction stays `O(n log n)`.
 pub fn check_sser_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    if let Some(verdict) = preflight(history, opts)? {
-        return Ok(verdict);
-    }
-    let g = build(history, false, opts)?;
+    check_batch(BatchCheck::Sser, history, opts).map(|c| c.verdict)
+}
+
+/// Finds a cycle of `g` plus the time chain of `history`'s instants, with the
+/// time nodes spliced back out into `RT` edges.
+fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>> {
     let n = g.node_count();
 
     // Collect the distinct instants of committed transactions. A partially
@@ -315,9 +369,7 @@ pub fn check_sser_with(history: &History, opts: &CheckOptions) -> Result<Verdict
         }
     }
 
-    let Some(cycle) = aug.find_cycle() else {
-        return Ok(Verdict::Satisfied);
-    };
+    let cycle = aug.find_cycle()?;
 
     // Splice time nodes out of the cycle: consecutive real transactions with
     // time nodes in between are connected by an RT edge.
@@ -349,7 +401,7 @@ pub fn check_sser_with(history: &History, opts: &CheckOptions) -> Result<Verdict
             kind: EdgeKind::Rt,
         });
     }
-    Ok(Verdict::Violated(Violation::Cycle { edges }))
+    Some(edges)
 }
 
 #[cfg(test)]
@@ -478,6 +530,50 @@ mod tests {
             ..CheckOptions::default()
         };
         assert!(check_ser_with(&h, &opts).is_ok());
+    }
+
+    #[test]
+    fn long_transactions_are_scanned_like_short_ones_once_validation_is_off() {
+        // Twelve keys in one transaction: read each, write each, read each
+        // back. Not a mini-transaction, so only `validate_mt: false` lets it
+        // through to the pre-scan, which keeps no per-transaction table that
+        // a wide transaction could outgrow.
+        let opts = CheckOptions {
+            validate_mt: false,
+            ..CheckOptions::default()
+        };
+        let wide = |stale: Option<u64>| {
+            let mut ops: Vec<Op> = (0..12u64).map(|k| Op::read(k, 0u64)).collect();
+            ops.extend((0..12u64).map(|k| Op::write(k, 100 + k)));
+            ops.extend((0..12u64).map(|k| {
+                let back = if stale == Some(k) { 0 } else { 100 + k };
+                Op::read(k, back)
+            }));
+            let mut b = HistoryBuilder::new().with_init(12);
+            let t = b.committed(0, ops);
+            (b.build(), t)
+        };
+        let (clean, _) = wide(None);
+        assert!(matches!(
+            check_ser(&clean),
+            Err(CheckError::NotMiniTransaction(_))
+        ));
+        for check in [BatchCheck::Ser, BatchCheck::Si, BatchCheck::Sser] {
+            let checked = check_batch(check, &clean, &opts).unwrap();
+            assert_eq!(checked.verdict, Verdict::Satisfied);
+            // ⊥T → T: SO, and WR + WW on each of the twelve keys.
+            assert_eq!(checked.dep_edges, Some(25));
+        }
+        // The eleventh key read back stale: its own write is not what it saw.
+        let (stale, t) = wide(Some(10));
+        let checked = check_batch(BatchCheck::Ser, &stale, &opts).unwrap();
+        assert_eq!(checked.dep_edges, None, "no graph before an intra verdict");
+        let Some(Violation::Intra(found)) = checked.verdict.violation() else {
+            panic!("expected an intra verdict, got {checked:?}");
+        };
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].anomaly, mtc_history::IntraAnomaly::NotMyOwnWrite);
+        assert_eq!((found[0].txn, found[0].op_index), (t, 34));
     }
 
     #[test]

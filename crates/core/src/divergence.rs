@@ -8,9 +8,9 @@
 //! which is why `CHECKSI` looks for it before any graph construction.
 
 use crate::verdict::Violation;
-use mtc_history::{History, Key, TxnId, Value};
+use mtc_history::{FastHashMap, History, Key, Transaction, TxnId, Value, WriteIndex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// A concrete DIVERGENCE occurrence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,41 +41,51 @@ impl Divergence {
     }
 }
 
+/// The `(key, value)` pairs a transaction reads externally and then
+/// overwrites, in first-write order: what DIVERGENCE buckets readers by.
+fn overwritten_reads(txn: &Transaction) -> impl Iterator<Item = (Key, Value)> + '_ {
+    txn.ops.iter().enumerate().filter_map(move |(i, op)| {
+        let key = op.key();
+        let rewrite = txn.ops[..i].iter().any(|w| w.is_write() && w.key() == key);
+        if op.is_read() || rewrite {
+            return None;
+        }
+        txn.external_read(key).map(|value| (key, value))
+    })
+}
+
 /// Scans a history for the DIVERGENCE pattern.
 ///
 /// Runs in `O(total number of operations)`: committed transactions are
 /// bucketed by the `(key, value)` they read externally and also write.
 pub fn find_divergence(history: &History) -> Option<Divergence> {
-    let write_index = history.write_index();
+    find_divergence_with(history, &WriteIndex::new(history))
+}
+
+/// [`find_divergence`] over an index of `history` the caller already has.
+pub(crate) fn find_divergence_with(history: &History, index: &WriteIndex) -> Option<Divergence> {
     // (key, value read) -> first transaction seen that read it and writes key
-    let mut first_reader_writer: HashMap<(Key, Value), TxnId> = HashMap::new();
+    let mut first_reader_writer: FastHashMap<(Key, Value), TxnId> = FastHashMap::default();
 
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {
             continue;
         }
-        for key in txn.write_set() {
-            let Some(read_value) = txn.external_read(key) else {
-                continue;
-            };
-            match first_reader_writer.get(&(key, read_value)) {
-                None => {
-                    first_reader_writer.insert((key, read_value), txn.id);
+        for (key, value) in overwritten_reads(txn) {
+            match first_reader_writer.entry((key, value)) {
+                Entry::Vacant(first) => {
+                    first.insert(txn.id);
                 }
-                Some(&other) if other != txn.id => {
-                    let writer = write_index
-                        .get(&(key, read_value))
-                        .and_then(|ws| ws.first())
-                        .copied();
+                Entry::Occupied(first) if *first.get() != txn.id => {
                     return Some(Divergence {
                         key,
-                        value: read_value,
-                        writer,
-                        reader1: other,
+                        value,
+                        writer: index.final_writer(key, value),
+                        reader1: *first.get(),
                         reader2: txn.id,
                     });
                 }
-                Some(_) => {}
+                Entry::Occupied(_) => {}
             }
         }
     }
@@ -86,34 +96,27 @@ pub fn find_divergence(history: &History) -> Option<Divergence> {
 /// or more diverging readers). Useful for reporting and for the workload
 /// effectiveness experiments that count distinct anomalies.
 pub fn find_all_divergences(history: &History) -> Vec<Divergence> {
-    let write_index = history.write_index();
-    let mut groups: HashMap<(Key, Value), Vec<TxnId>> = HashMap::new();
+    let index = WriteIndex::new(history);
+    let mut groups: FastHashMap<(Key, Value), Vec<TxnId>> = FastHashMap::default();
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {
             continue;
         }
-        for key in txn.write_set() {
-            if let Some(read_value) = txn.external_read(key) {
-                groups.entry((key, read_value)).or_default().push(txn.id);
-            }
+        for read in overwritten_reads(txn) {
+            groups.entry(read).or_default().push(txn.id);
         }
     }
-    let mut out = Vec::new();
-    for ((key, value), readers) in groups {
-        if readers.len() >= 2 {
-            let writer = write_index
-                .get(&(key, value))
-                .and_then(|ws| ws.first())
-                .copied();
-            out.push(Divergence {
-                key,
-                value,
-                writer,
-                reader1: readers[0],
-                reader2: readers[1],
-            });
-        }
-    }
+    let mut out: Vec<Divergence> = groups
+        .into_iter()
+        .filter(|(_, readers)| readers.len() >= 2)
+        .map(|((key, value), readers)| Divergence {
+            key,
+            value,
+            writer: index.final_writer(key, value),
+            reader1: readers[0],
+            reader2: readers[1],
+        })
+        .collect();
     out.sort_by_key(|d| (d.key, d.value));
     out
 }

@@ -19,8 +19,7 @@ use std::collections::HashSet;
 // ───────────────────────── per-key state ────────────────────────────────────
 
 /// Everything ever written as `(key, value)`, as far as the stream has been
-/// consumed. Mirrors the roles of `History::write_index` /
-/// `History::any_write_index` in batch mode.
+/// consumed. Mirrors the role of `mtc_history::WriteIndex` in batch mode.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub(super) struct WriteReg {
     /// First committed transaction whose *last* write of the key installed

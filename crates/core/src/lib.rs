@@ -40,8 +40,9 @@ pub mod verdict;
 
 pub use build::{build_dependency, build_dependency_reference, BuildError};
 pub use check::{
-    check, check_ser, check_ser_with, check_si, check_si_with, check_sser, check_sser_naive,
-    check_sser_naive_with, check_sser_with, CheckOptions, IsolationLevel,
+    check, check_batch, check_ser, check_ser_with, check_si, check_si_with, check_sser,
+    check_sser_naive, check_sser_naive_with, check_sser_with, BatchCheck, CheckOptions, Checked,
+    IsolationLevel,
 };
 pub use divergence::{find_divergence, Divergence};
 pub use incremental::tune::{tune, tune_for, ShardTuning};

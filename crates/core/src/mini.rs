@@ -10,9 +10,8 @@
 //! any graph work: the linear-time guarantees only hold on valid MT
 //! histories.
 
-use mtc_history::{History, Key, Transaction, TxnId, Value};
+use mtc_history::{History, Key, Transaction, TxnId, Value, WriteIndex};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum number of read operations in a mini-transaction.
@@ -135,38 +134,38 @@ pub fn is_mini_transaction(txn: &Transaction) -> bool {
 /// Aborted transactions are validated for shape as well (they were issued as
 /// mini-transactions) but do not participate in the uniqueness check.
 pub fn validate_history(history: &History) -> Result<(), MtViolation> {
+    validate_shapes(history)?;
+    check_unique_values(history)
+}
+
+/// The per-transaction half of [`validate_history`] (Definition 8).
+pub(crate) fn validate_shapes(history: &History) -> Result<(), MtViolation> {
     for txn in history.txns() {
         if Some(txn.id) == history.init_txn() {
             continue;
         }
         validate_transaction(txn)?;
     }
-    check_unique_values(history)
+    Ok(())
 }
 
 /// Checks only the unique-value condition of Definition 9.
 pub fn check_unique_values(history: &History) -> Result<(), MtViolation> {
-    let mut seen: HashMap<(Key, Value), TxnId> = HashMap::new();
-    for txn in history.committed() {
-        for op in &txn.ops {
-            if op.is_write() {
-                let entry = (op.key(), op.value());
-                if let Some(&first) = seen.get(&entry) {
-                    if first != txn.id {
-                        return Err(MtViolation::DuplicateValue {
-                            key: entry.0,
-                            value: entry.1,
-                            first,
-                            second: txn.id,
-                        });
-                    }
-                } else {
-                    seen.insert(entry, txn.id);
-                }
-            }
-        }
+    unique_values(&WriteIndex::new(history))
+}
+
+/// [`check_unique_values`] over an index of the history the caller already
+/// has: the index notices duplicates while it is built.
+pub(crate) fn unique_values(index: &WriteIndex) -> Result<(), MtViolation> {
+    match index.duplicate() {
+        None => Ok(()),
+        Some(d) => Err(MtViolation::DuplicateValue {
+            key: d.key,
+            value: d.value,
+            first: d.first,
+            second: d.second,
+        }),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -275,6 +274,24 @@ mod tests {
             validate_history(&h),
             Err(MtViolation::DuplicateValue { .. })
         ));
+    }
+
+    #[test]
+    fn duplicate_value_names_the_first_two_committed_writers() {
+        let mut b = HistoryBuilder::new().with_init(1);
+        b.aborted(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+        let first = b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+        let second = b.committed(1, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+        b.committed(2, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+        let expected = MtViolation::DuplicateValue {
+            key: Key(0),
+            value: Value(5),
+            first,
+            second,
+        };
+        let h = b.build();
+        assert_eq!(validate_history(&h), Err(expected.clone()));
+        assert_eq!(check_unique_values(&h), Err(expected));
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Observability must never change a verdict: the exact same stream fed
 //! through the sequential and sharded streaming checkers with metric
 //! recording *disabled* and then *enabled* must produce bit-identical
-//! results — same verdict payload, same `first_violation_at`. The
+//! results — same verdict payload, same `first_violation_at` — and so must
+//! the four batch checkers, whose stages are spanned (`core.batch.*`). The
 //! instrumentation only ever times and counts; this suite is the proof
 //! that it stays off the decision path.
 
-use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker};
+use mtc_core::{
+    check_batch, BatchCheck, CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel,
+    ShardedIncrementalChecker,
+};
 use mtc_history::{History, HistoryBuilder, Op, Value};
 
 /// A serial read-modify-write history over `keys` keys: clean at SER and
@@ -124,5 +128,65 @@ fn violating_streams_identical_with_metrics_on_and_off() {
         ] {
             assert_identical_on_off(level, &history);
         }
+    }
+}
+
+const BATCH: [BatchCheck; 4] = [
+    BatchCheck::Ser,
+    BatchCheck::Si,
+    BatchCheck::Sser,
+    BatchCheck::SserNaive,
+];
+
+/// Everything the four batch checkers return on `history`, rendered.
+fn run_batch(history: &History) -> Vec<String> {
+    BATCH
+        .iter()
+        .map(|&check| {
+            format!(
+                "{:?}",
+                check_batch(check, history, &CheckOptions::default())
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn batch_checkers_identical_with_metrics_on_and_off_and_spanned_when_on() {
+    const STAGES: [&str; 4] = [
+        "core.batch.index",
+        "core.batch.preflight",
+        "core.batch.build",
+        "core.batch.cycle",
+    ];
+    // Histories with at most one cycle: which of several a violated history
+    // reports varies from call to call, recording or not (`BUILDDEPENDENCY`
+    // derives RW edges in `RandomState` order).
+    let mut histories = vec![serial_history(8, 200, 4), serial_history(3, 33, 1)];
+    histories.push(mtc_history::anomalies::thin_air_read());
+    histories.push(mtc_history::anomalies::lost_update());
+    for history in &histories {
+        let off = {
+            let _off = mtc_obs::test_support::with_enabled(false);
+            run_batch(history)
+        };
+        let _on = mtc_obs::test_support::with_enabled(true);
+        let count = |stage: &str| mtc_obs::registry().histogram(stage).count();
+        let before = STAGES.map(count);
+        let on = run_batch(history);
+        mtc_obs::flush_spans();
+        let recorded: Vec<u64> = STAGES
+            .iter()
+            .zip(before)
+            .map(|(s, b)| count(s) - b)
+            .collect();
+        if off[0].contains("Satisfied") {
+            assert_eq!(recorded, [4, 4, 4, 4], "one span per stage per check");
+        } else {
+            // Verdicts reached in the preflight build and search nothing.
+            assert_eq!(recorded[..2], [4, 4]);
+            assert!(recorded[2] < 4 && recorded[2] == recorded[3]);
+        }
+        assert_eq!(off, on, "batch verdicts differ with metrics on");
     }
 }

@@ -14,6 +14,7 @@ use crate::op::Op;
 use crate::session::SessionId;
 use crate::txn::{Transaction, TxnId, TxnStatus};
 use crate::value::{Key, Value, INIT_VALUE};
+use crate::write_index::WriteIndex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
@@ -197,24 +198,6 @@ impl History {
         index
     }
 
-    /// Map from `(key, value)` to *any* transaction (committed or not) that
-    /// contains a write of `value` to `key`, even an intermediate one. Used
-    /// for detecting `ABORTEDREAD` and `INTERMEDIATEREAD`.
-    pub fn any_write_index(&self) -> HashMap<(Key, Value), Vec<TxnId>> {
-        let mut index: HashMap<(Key, Value), Vec<TxnId>> = HashMap::new();
-        for t in &self.txns {
-            for op in &t.ops {
-                if let Op::Write { key, value } = *op {
-                    let entry = index.entry((key, value)).or_default();
-                    if !entry.contains(&t.id) {
-                        entry.push(t.id);
-                    }
-                }
-            }
-        }
-        index
-    }
-
     /// The committed transactions that write to `key` (the set `WriteTxₓ`).
     pub fn writers_of(&self, key: Key) -> Vec<TxnId> {
         self.committed()
@@ -226,21 +209,7 @@ impl History {
     /// True iff every committed write in the history installs a unique value
     /// per object (the unique-value convention of Section II-A).
     pub fn has_unique_values(&self) -> bool {
-        let mut seen: HashMap<(Key, Value), TxnId> = HashMap::new();
-        for t in self.committed() {
-            for op in &t.ops {
-                if let Op::Write { key, value } = *op {
-                    if let Some(&prev) = seen.get(&(key, value)) {
-                        if prev != t.id {
-                            return false;
-                        }
-                    } else {
-                        seen.insert((key, value), t.id);
-                    }
-                }
-            }
-        }
-        true
+        WriteIndex::new(self).duplicate().is_none()
     }
 
     /// Restricts the history to committed transactions whose ids satisfy
@@ -502,10 +471,8 @@ mod tests {
         assert_eq!(idx[&(Key(0), Value(10))], vec![TxnId(1)]);
         assert_eq!(idx[&(Key(0), Value(11))], vec![TxnId(2)]);
         assert_eq!(idx[&(Key(1), Value(20))], vec![TxnId(4)]);
-        // The aborted write is not in the committed index...
+        // The aborted write is not in the committed index.
         assert!(!idx.contains_key(&(Key(1), Value(99))));
-        // ...but is in the any-write index.
-        assert!(h.any_write_index().contains_key(&(Key(1), Value(99))));
     }
 
     #[test]

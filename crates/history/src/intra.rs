@@ -10,8 +10,9 @@
 
 use crate::history::History;
 use crate::op::Op;
-use crate::txn::{Transaction, TxnId, TxnStatus};
+use crate::txn::{Transaction, TxnId};
 use crate::value::{Key, Value, INIT_VALUE};
+use crate::write_index::WriteIndex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -115,11 +116,14 @@ pub fn check_int_history(history: &History) -> bool {
 /// reads (aborted transactions never make it into dependency graphs), but
 /// aborted transactions do count as potential writers for [`IntraAnomaly::AbortedRead`].
 pub fn find_intra_anomalies(history: &History) -> Vec<IntraViolation> {
-    let any_writes = history.any_write_index();
-    let mut violations = Vec::new();
+    find_intra_anomalies_with(history, &WriteIndex::new(history))
+}
 
+/// [`find_intra_anomalies`] over an index of `history` the caller already has.
+pub fn find_intra_anomalies_with(history: &History, index: &WriteIndex) -> Vec<IntraViolation> {
+    let mut violations = Vec::new();
     for txn in history.committed() {
-        scan_transaction(history, txn, &any_writes, &mut violations);
+        scan_transaction(history, txn, index, &mut violations);
     }
     violations
 }
@@ -127,73 +131,43 @@ pub fn find_intra_anomalies(history: &History) -> Vec<IntraViolation> {
 fn scan_transaction(
     history: &History,
     txn: &Transaction,
-    any_writes: &HashMap<(Key, Value), Vec<TxnId>>,
+    index: &WriteIndex,
     out: &mut Vec<IntraViolation>,
 ) {
-    // Last access (read or write) per key, with the op index and whether it
-    // was a write, plus the set of values this transaction has written so far.
-    struct Access {
-        value: Value,
-        was_write: bool,
-    }
-    let mut last_access: HashMap<Key, Access> = HashMap::new();
-    let mut own_writes: HashMap<Key, Vec<Value>> = HashMap::new();
-
     for (i, op) in txn.ops.iter().enumerate() {
-        match *op {
-            Op::Write { key, value } => {
-                own_writes.entry(key).or_default().push(value);
-                last_access.insert(
-                    key,
-                    Access {
-                        value,
-                        was_write: true,
-                    },
-                );
+        let Op::Read { key, value } = *op else {
+            continue;
+        };
+        // The transaction's latest earlier access of the object, read or
+        // write. Transactions are a handful of operations long, so looking
+        // back over them needs no per-transaction state.
+        let earlier = &txn.ops[..i];
+        let anomaly = match earlier.iter().rev().find(|prev| prev.key() == key) {
+            // Internally consistent read.
+            Some(prev) if prev.value() == value => None,
+            // INT violation: classify it.
+            Some(prev) if prev.is_write() => {
+                let own = earlier
+                    .iter()
+                    .any(|w| w.is_write() && w.key() == key && w.value() == value);
+                Some(if own {
+                    IntraAnomaly::NotMyLastWrite
+                } else {
+                    IntraAnomaly::NotMyOwnWrite
+                })
             }
-            Op::Read { key, value } => {
-                let report = |anomaly| IntraViolation {
-                    anomaly,
-                    txn: txn.id,
-                    op_index: i,
-                    key,
-                    value,
-                };
-                match last_access.get(&key) {
-                    Some(prev) if prev.value == value => {
-                        // Internally consistent read.
-                    }
-                    Some(prev) => {
-                        // INT violation: classify it.
-                        let anomaly = if prev.was_write {
-                            let earlier = own_writes.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-                            if earlier.contains(&value) {
-                                IntraAnomaly::NotMyLastWrite
-                            } else {
-                                IntraAnomaly::NotMyOwnWrite
-                            }
-                        } else {
-                            IntraAnomaly::NonRepeatableReads
-                        };
-                        out.push(report(anomaly));
-                    }
-                    None => {
-                        // External read: check where the value came from.
-                        if let Some(v) =
-                            classify_external_read(history, txn, i, key, value, any_writes)
-                        {
-                            out.push(report(v));
-                        }
-                    }
-                }
-                last_access.insert(
-                    key,
-                    Access {
-                        value,
-                        was_write: false,
-                    },
-                );
-            }
+            Some(_) => Some(IntraAnomaly::NonRepeatableReads),
+            // External read: check where the value came from.
+            None => classify_external_read(history, txn.id, key, value, index),
+        };
+        if let Some(anomaly) = anomaly {
+            out.push(IntraViolation {
+                anomaly,
+                txn: txn.id,
+                op_index: i,
+                key,
+                value,
+            });
         }
     }
 }
@@ -201,67 +175,40 @@ fn scan_transaction(
 /// Classifies an *external* read (no preceding own access of the object).
 fn classify_external_read(
     history: &History,
-    reader: &Transaction,
-    read_index: usize,
+    reader: TxnId,
     key: Key,
     value: Value,
-    any_writes: &HashMap<(Key, Value), Vec<TxnId>>,
+    index: &WriteIndex,
 ) -> Option<IntraAnomaly> {
-    let writers = any_writes.get(&(key, value));
-    match writers {
-        None => {
-            // Nobody ever wrote this value. Reading the conventional initial
-            // value is acceptable only when the history has no ⊥T (otherwise
-            // ⊥T would appear as a writer).
-            if value == INIT_VALUE && !history.has_init() {
-                None
-            } else {
-                Some(IntraAnomaly::ThinAirRead)
-            }
-        }
-        Some(writers) => {
-            // A future read: the only writes of this value live later in the
-            // reading transaction itself.
-            if writers.len() == 1 && writers[0] == reader.id {
-                let own_later = reader.ops[read_index + 1..].iter().any(
-                    |op| matches!(*op, Op::Write { key: k, value: v } if k == key && v == value),
-                );
-                if own_later {
-                    return Some(IntraAnomaly::FutureRead);
-                }
-                return Some(IntraAnomaly::ThinAirRead);
-            }
-            let external: Vec<TxnId> = writers
-                .iter()
-                .copied()
-                .filter(|&w| w != reader.id)
-                .collect();
-            if external.is_empty() {
-                return Some(IntraAnomaly::ThinAirRead);
-            }
-            // Aborted read: every external writer of the value aborted (or is
-            // of unknown status).
-            if external
-                .iter()
-                .all(|&w| history.txn(w).status != TxnStatus::Committed)
-            {
-                return Some(IntraAnomaly::AbortedRead);
-            }
-            // Intermediate read: the committed writer overwrote the value
-            // before committing.
-            let committed_writers: Vec<TxnId> = external
-                .iter()
-                .copied()
-                .filter(|&w| history.txn(w).status == TxnStatus::Committed)
-                .collect();
-            if committed_writers
-                .iter()
-                .all(|&w| history.txn(w).last_write(key) != Some(value))
-            {
-                return Some(IntraAnomaly::IntermediateRead);
-            }
-            None
-        }
+    let writers = index.writers(key, value);
+    if writers.is_empty() {
+        // Nobody ever wrote this value. Reading the conventional initial
+        // value is acceptable only when the history has no ⊥T (otherwise
+        // ⊥T would appear as a writer).
+        let implicit_init = value == INIT_VALUE && !history.has_init();
+        return (!implicit_init).then_some(IntraAnomaly::ThinAirRead);
+    }
+    // What the writers other than the reader itself did with the value.
+    let (mut foreign, mut committed, mut installed) = (false, false, false);
+    for w in writers.iter().filter(|w| w.txn != reader) {
+        foreign = true;
+        committed |= w.committed;
+        installed |= w.committed && w.is_final;
+    }
+    if !foreign {
+        // A future read: the only writes of this value live in the reading
+        // transaction itself — later in it, the read being external.
+        Some(IntraAnomaly::FutureRead)
+    } else if !committed {
+        // Aborted read: every external writer of the value aborted (or is
+        // of unknown status).
+        Some(IntraAnomaly::AbortedRead)
+    } else if !installed {
+        // Intermediate read: every committed writer overwrote the value
+        // before committing.
+        Some(IntraAnomaly::IntermediateRead)
+    } else {
+        None
     }
 }
 

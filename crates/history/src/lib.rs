@@ -37,6 +37,7 @@ pub mod synthetic;
 pub mod timechain;
 pub mod txn;
 pub mod value;
+pub mod write_index;
 
 pub use anomalies::{AnomalyKind, ExpectedVerdicts};
 pub use depgraph::{DependencyGraph, Edge, EdgeKind};
@@ -44,9 +45,13 @@ pub use fasthash::{FastHashMap, FastHashSet};
 pub use graph::DiGraph;
 pub use history::{History, HistoryBuilder};
 pub use incremental::IncrementalTopo;
-pub use intra::{check_int, check_int_history, find_intra_anomalies, IntraAnomaly, IntraViolation};
+pub use intra::{
+    check_int, check_int_history, find_intra_anomalies, find_intra_anomalies_with, IntraAnomaly,
+    IntraViolation,
+};
 pub use op::{LwtKind, Op, TimedOp};
 pub use session::SessionId;
 pub use timechain::{Role, TimeChain, TimeSlot};
 pub use txn::{Transaction, TxnId, TxnStatus};
 pub use value::{Key, Value, ValueAllocator, INIT_VALUE};
+pub use write_index::{DuplicateWrite, WriteIndex, Writer};

@@ -11,8 +11,8 @@ use mtc_baselines::cobra::{cobra_check_ser, BaselineOutcome};
 use mtc_baselines::elle::{ListHistory, ListOp, ListTxn};
 use mtc_baselines::polysi::polysi_check_si;
 use mtc_core::{
-    build_dependency, check_ser, check_si, check_sser, check_sser_naive, tune, IsolationLevel,
-    ShardTuning, ShardedIncrementalChecker,
+    build_dependency, check_batch, tune, BatchCheck, CheckOptions, IsolationLevel, ShardTuning,
+    ShardedIncrementalChecker,
 };
 use mtc_dbsim::{
     run_sessions, AbortReason, ClientOptions, DbBackend, DbTxn, Driver, ExecutionOptions,
@@ -129,33 +129,10 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
         Checker::MtcSserIncremental | Checker::MtcSserSharded => {
             verify_streaming(IsolationLevel::StrictSerializability, history, tuning)
         }
-        Checker::MtcSer | Checker::MtcSi | Checker::MtcSser | Checker::MtcSserNaive => {
-            let verdict = match checker {
-                Checker::MtcSer => check_ser(history),
-                Checker::MtcSi => check_si(history),
-                Checker::MtcSser => check_sser(history),
-                Checker::MtcSserNaive => check_sser_naive(history),
-                _ => unreachable!(),
-            };
-            match verdict {
-                Ok(verdict) => {
-                    let edges = build_dependency(history, false)
-                        .map(|g| g.edge_count())
-                        .unwrap_or(0);
-                    let mem = history_memory_bytes(history) + edges * 24;
-                    let detail = match verdict.violation() {
-                        Some(v) => format!("{v}"),
-                        None => "ok".to_string(),
-                    };
-                    (verdict.is_violated(), mem, detail)
-                }
-                Err(e) => (
-                    false,
-                    history_memory_bytes(history),
-                    format!("checker not applicable: {e}"),
-                ),
-            }
-        }
+        Checker::MtcSer => verify_batch(BatchCheck::Ser, history),
+        Checker::MtcSi => verify_batch(BatchCheck::Si, history),
+        Checker::MtcSser => verify_batch(BatchCheck::Sser, history),
+        Checker::MtcSserNaive => verify_batch(BatchCheck::SserNaive, history),
         Checker::CobraSer | Checker::ElleRwSer => {
             let out: BaselineOutcome = cobra_check_ser(history);
             summarize_baseline(history, &out)
@@ -171,6 +148,33 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
         duration: start.elapsed(),
         memory_bytes: memory,
         detail,
+    }
+}
+
+/// Runs one batch verifier and summarizes the outcome. The memory estimate
+/// counts the dependency graph the check itself built; only a check that
+/// left before building one (intra-transactional anomalies, DIVERGENCE) has
+/// the graph built here, for the estimate alone.
+fn verify_batch(check: BatchCheck, history: &History) -> (bool, usize, String) {
+    match check_batch(check, history, &CheckOptions::default()) {
+        Ok(checked) => {
+            let edges = checked.dep_edges.unwrap_or_else(|| {
+                build_dependency(history, false)
+                    .map(|g| g.edge_count())
+                    .unwrap_or(0)
+            });
+            let mem = history_memory_bytes(history) + edges * 24;
+            let detail = match checked.verdict.violation() {
+                Some(v) => format!("{v}"),
+                None => "ok".to_string(),
+            };
+            (checked.verdict.is_violated(), mem, detail)
+        }
+        Err(e) => (
+            false,
+            history_memory_bytes(history),
+            format!("checker not applicable: {e}"),
+        ),
     }
 }
 

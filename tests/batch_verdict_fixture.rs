@@ -1,0 +1,255 @@
+//! The batch checkers against a fixture written by the build *before* the
+//! shared write index (PR 13): `tests/data/batch-verdicts-v13.txt` holds, for
+//! the 14-anomaly catalogue, two malformed histories and 34 seeded
+//! executions, the SER / SI / SSER outcome of `check_ser` / `check_si` /
+//! `check_sser` as that build gave it, and this build must reproduce the file
+//! byte for byte.
+//!
+//! Everything but a cycle's edges is compared literally: errors, `Satisfied`,
+//! the full intra-anomaly list, the DIVERGENCE payload. A cycle is compared
+//! by class only — the fixture says `Cycle` — plus a check made here that the
+//! reported edges are real: each one is an edge of `build_dependency`'s graph
+//! (or, for `RT`, holds between the two transactions' instants) and together
+//! they close. Edge for edge would be the wrong test: `BUILDDEPENDENCY`
+//! inserts its `RW` edges in the iteration order of a `RandomState` map, so
+//! which of several cycles is found differs from process to process, and the
+//! PR 13 build cannot reproduce its own cycle either.
+
+use mtc::core::{
+    build_dependency, check_ser, check_ser_with, check_si, check_si_with, check_sser,
+    check_sser_naive, check_sser_with, CheckError, CheckOptions, Verdict, Violation,
+};
+use mtc::dbsim::{
+    BackendSpec, ClientOptions, DbConfig, ExecutionOptions, FaultKind, FaultSpec, IsolationMode,
+    WeakLevel,
+};
+use mtc::history::anomalies::AnomalyKind;
+use mtc::history::{Edge, EdgeKind, History, HistoryBuilder, Op};
+use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
+use std::fmt::Write;
+
+const FIXTURE: &str = include_str!("data/batch-verdicts-v13.txt");
+
+/// Aborted attempts are recorded, as in the benchmark: they are what the
+/// index's any-status side is for.
+const CLIENT: ClientOptions = ClientOptions {
+    max_retries: 1_000,
+    record_aborted: true,
+};
+
+fn execute(
+    backend: &BackendSpec,
+    seed: u64,
+    keys: u64,
+    distribution: Distribution,
+    txns: u32,
+) -> History {
+    let spec = MtWorkloadSpec {
+        sessions: 2,
+        txns_per_session: txns,
+        num_keys: keys,
+        distribution,
+        read_only_fraction: 0.2,
+        two_key_fraction: 0.5,
+        seed,
+    };
+    let db = backend.build();
+    ExecutionOptions::interleaved(seed)
+        .client(CLIENT)
+        .run(db.as_ref(), &generate_mt_workload(&spec))
+        .0
+}
+
+/// The named histories of the fixture, in file order.
+fn histories() -> Vec<(String, History)> {
+    let mut out: Vec<(String, History)> = AnomalyKind::ALL
+        .iter()
+        .map(|kind| (format!("catalogue/{kind}"), kind.history()))
+        .collect();
+    // Not mini-transaction histories: the checkers answer with an error.
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+    b.aborted(1, vec![Op::read(0u64, 0u64), Op::write(0u64, 5u64)]);
+    b.committed(1, vec![Op::read(0u64, 5u64), Op::write(0u64, 6u64)]);
+    b.committed(2, vec![Op::read(0u64, 6u64), Op::write(0u64, 5u64)]);
+    out.push(("handmade/duplicate-value".to_string(), b.build()));
+    let mut b = HistoryBuilder::new().with_init(2);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(1u64, 1u64)]);
+    out.push(("handmade/blind-write".to_string(), b.build()));
+    let sim_ser = |keys| DbConfig::correct(IsolationMode::Serializable, keys);
+    for seed in 1..=10 {
+        let clean = BackendSpec::Sim(sim_ser(40));
+        out.push((
+            format!("sim-ser/{seed}"),
+            execute(&clean, seed, 40, Distribution::Uniform, 300),
+        ));
+        // The benchmark's fault probe: Zipf(1.0) over 1 000 keys, both
+        // commit-time validations skipped half of the time.
+        let faulty = BackendSpec::Sim(sim_ser(1_000).with_faults(
+            vec![
+                FaultSpec::new(FaultKind::SkipWriteValidation, 0.5),
+                FaultSpec::new(FaultKind::SkipReadValidation, 0.5),
+            ],
+            seed,
+        ));
+        out.push((
+            format!("sim-ser-faulty/{seed}"),
+            execute(
+                &faulty,
+                seed,
+                1_000,
+                Distribution::Zipf { theta: 1.0 },
+                1_000,
+            ),
+        ));
+    }
+    for seed in 1..=8 {
+        let weak = BackendSpec::WeakMvcc(WeakLevel::ReadCommitted);
+        out.push((
+            format!("weak-rc/{seed}"),
+            execute(&weak, seed, 40, Distribution::Uniform, 300),
+        ));
+    }
+    // Aborted reads and real-time-only violations, from the engine itself.
+    for (label, kind) in [
+        ("dirty-release", FaultKind::DirtyRelease),
+        ("commit-ts-skew", FaultKind::CommitTimestampSkew),
+    ] {
+        for seed in 1..=3 {
+            let faults = vec![FaultSpec::new(kind, 0.2)];
+            let faulty = BackendSpec::Sim(sim_ser(40).with_faults(faults, seed));
+            out.push((
+                format!("sim-ser-{label}/{seed}"),
+                execute(&faulty, seed, 40, Distribution::Uniform, 300),
+            ));
+        }
+    }
+    out
+}
+
+/// Panics unless `edges` is a closed walk of real dependencies of `history`.
+fn assert_cycle_is_real(name: &str, history: &History, edges: &[Edge]) {
+    assert!(!edges.is_empty(), "{name}: empty cycle");
+    let graph = build_dependency(history, false).expect("the checker built this graph");
+    for (i, e) in edges.iter().enumerate() {
+        let real = match e.kind {
+            EdgeKind::Rt => history.txn(e.from).precedes_in_real_time(history.txn(e.to)),
+            kind => graph.contains_edge(e.from, e.to, kind),
+        };
+        assert!(real, "{name}: {e:?} is not a dependency of the history");
+        let next = &edges[(i + 1) % edges.len()];
+        assert_eq!(e.to, next.from, "{name}: the cycle does not close at {e:?}");
+    }
+}
+
+fn render(name: &str, history: &History, outcome: Result<Verdict, CheckError>) -> String {
+    match outcome {
+        Err(e) => format!("Err({e:?})"),
+        Ok(Verdict::Satisfied) => "Satisfied".to_string(),
+        Ok(Verdict::Violated(Violation::Intra(list))) => format!("Intra({list:?})"),
+        Ok(Verdict::Violated(Violation::Divergence {
+            key,
+            value,
+            writer,
+            reader1,
+            reader2,
+        })) => format!(
+            "Divergence{{key:{key:?},value:{value:?},writer:{writer:?},\
+             reader1:{reader1:?},reader2:{reader2:?}}}"
+        ),
+        Ok(Verdict::Violated(Violation::Cycle { edges })) => {
+            assert_cycle_is_real(name, history, &edges);
+            "Cycle".to_string()
+        }
+        Ok(Verdict::Violated(other)) => panic!("{name}: unexpected violation {other:?}"),
+    }
+}
+
+fn render_all() -> String {
+    let mut out = String::new();
+    for (name, h) in histories() {
+        writeln!(
+            out,
+            "{name} txns={} committed={} ops={}",
+            h.len(),
+            h.committed_count(),
+            h.op_count()
+        )
+        .unwrap();
+        writeln!(out, "  SER  {}", render(&name, &h, check_ser(&h))).unwrap();
+        writeln!(out, "  SI   {}", render(&name, &h, check_si(&h))).unwrap();
+        writeln!(out, "  SSER {}", render(&name, &h, check_sser(&h))).unwrap();
+        if name.starts_with("catalogue/") {
+            // Θ(n²): only on the hand-written histories.
+            writeln!(
+                out,
+                "  SSER-naive {}",
+                render(&name, &h, check_sser_naive(&h))
+            )
+            .unwrap();
+        }
+        if !name.contains("sim-ser") && !name.contains("weak") {
+            // Each preflight stage switched off: whatever it would have
+            // caught surfaces later, or not at all, exactly as it used to.
+            for (label, opts) in [
+                (
+                    "-validate",
+                    CheckOptions {
+                        validate_mt: false,
+                        ..CheckOptions::default()
+                    },
+                ),
+                (
+                    "-prescan",
+                    CheckOptions {
+                        prescan_intra: false,
+                        ..CheckOptions::default()
+                    },
+                ),
+            ] {
+                let ser = render(&name, &h, check_ser_with(&h, &opts));
+                let si = render(&name, &h, check_si_with(&h, &opts));
+                let sser = render(&name, &h, check_sser_with(&h, &opts));
+                writeln!(out, "  {label} SER {ser} | SI {si} | SSER {sser}").unwrap();
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn batch_verdicts_match_the_parent_written_fixture() {
+    let actual = render_all();
+    if actual == FIXTURE {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("batch-verdicts.actual.txt");
+    std::fs::write(&path, &actual).expect("write the actual rendering");
+    let line = actual
+        .lines()
+        .zip(FIXTURE.lines())
+        .position(|(a, f)| a != f)
+        .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
+    panic!(
+        "verdicts differ from tests/data/batch-verdicts-v13.txt at line {}; \
+         this build's rendering is in {}",
+        line + 1,
+        path.display()
+    );
+}
+
+#[test]
+fn the_fixture_exercises_every_outcome_class() {
+    for class in [
+        " Err(NotMiniTransaction(DuplicateValue",
+        " Err(NotMiniTransaction(WriteWithoutRead",
+        " Satisfied",
+        " Intra(",
+        " Divergence{",
+        " Cycle",
+        "AbortedRead",
+        "IntermediateRead",
+    ] {
+        assert!(FIXTURE.contains(class), "no `{class}` in the fixture");
+    }
+}
