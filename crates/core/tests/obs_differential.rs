@@ -4,7 +4,8 @@
 //! results — same verdict payload, same `first_violation_at` — and so must
 //! the four batch checkers, whose stages are spanned (`core.batch.*`). The
 //! instrumentation only ever times and counts; this suite is the proof
-//! that it stays off the decision path.
+//! that it stays off the decision path. (`mtc-store`'s spanned checkpoint
+//! stages have their twin of this check in `crates/store/tests/write_path.rs`.)
 
 use mtc_core::{
     check_batch, BatchCheck, CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel,

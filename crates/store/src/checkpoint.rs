@@ -21,15 +21,24 @@
 //! or orphaned newest checkpoint degrades to an older one instead of
 //! failing recovery. [`prune_checkpoints`] is chain-aware: a retained delta
 //! pins its bases, however old.
+//!
+//! Pruning never reads a payload. What it needs of a file — its `consumed`
+//! and, for a delta, its base — is one entry of a `Chain`, which is either
+//! scanned from a directory's *header frames* ([`prune_checkpoints`]) or
+//! kept in memory by the one writer that produced the files
+//! ([`crate::MtcStore`], which so reads nothing back on its write path).
+//! Every byte read from a checkpoint file is counted in
+//! `store.checkpoint_read_bytes`.
 
 use crate::binval;
 use crate::delta;
-use crate::frame::{crc32, read_frame, write_frame};
+use crate::frame::{crc32, read_frame, write_frame, FrameError, FRAME_HEADER};
 use crate::StoreError;
 use mtc_core::CheckerSnapshot;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Magic tag of full checkpoint files.
@@ -41,6 +50,9 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// Longest tolerated base chain under a delta (defense against a buggy or
 /// hostile directory; the store's rebase cadence keeps real chains short).
 const MAX_CHAIN: usize = 64;
+/// Longest header frame payload the header-only reader accepts (real
+/// headers are ~150 bytes; anything longer is not a checkpoint header).
+const MAX_HEADER_LEN: usize = 1024;
 
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 struct CheckpointHeader {
@@ -113,28 +125,14 @@ pub fn write_checkpoint(
     write_checkpoint_bytes(dir, consumed, &binval::to_bytes(snapshot))
 }
 
-/// [`write_checkpoint`] over an already-encoded snapshot payload (the store
-/// facade encodes once and shares the bytes with the delta writer).
+/// [`write_checkpoint`] over an already-encoded snapshot payload.
 pub fn write_checkpoint_bytes(
     dir: impl AsRef<Path>,
     consumed: u64,
     payload: &[u8],
 ) -> Result<PathBuf, StoreError> {
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    let mut bytes = Vec::new();
-    let header = CheckpointHeader {
-        magic: CHECKPOINT_MAGIC.to_string(),
-        version: CHECKPOINT_VERSION,
-        consumed,
-    };
-    write_frame(&mut bytes, &binval::to_bytes(&header));
-    write_frame(&mut bytes, payload);
-    let finals = checkpoint_path(dir, consumed);
-    let tmp = finals.with_extension("mtcck.tmp");
-    fs::write(&tmp, &bytes)?;
-    fs::rename(&tmp, &finals)?;
-    Ok(finals)
+    fs::create_dir_all(dir.as_ref())?;
+    Ok(write_full(dir.as_ref(), consumed, payload)?.0)
 }
 
 /// Writes a delta checkpoint: `payload` (the binval-encoded snapshot at
@@ -153,14 +151,49 @@ pub fn write_checkpoint_delta(
         base_consumed < consumed,
         "a delta base must be strictly older than the checkpoint"
     );
-    let ops = delta::compute(base_payload, payload);
-    let encoded = delta::encode_ops(&ops);
-    if encoded.len() >= payload.len() {
+    let Some(encoded) = encode_delta(base_payload, payload) else {
         return Ok(None);
-    }
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    let mut bytes = Vec::new();
+    };
+    fs::create_dir_all(dir.as_ref())?;
+    let (path, _) = write_delta(dir.as_ref(), consumed, base_consumed, payload, &encoded)?;
+    Ok(Some(path))
+}
+
+/// `payload` as encoded delta ops against `base_payload`, or `None` when
+/// they would not undercut the payload itself.
+pub(crate) fn encode_delta(base_payload: &[u8], payload: &[u8]) -> Option<Vec<u8>> {
+    let encoded = delta::encode_ops(&delta::compute(base_payload, payload));
+    (encoded.len() < payload.len()).then_some(encoded)
+}
+
+/// Writes the full checkpoint file of `payload` into the existing `dir`,
+/// returning its path and length in bytes.
+pub(crate) fn write_full(
+    dir: &Path,
+    consumed: u64,
+    payload: &[u8],
+) -> Result<(PathBuf, u64), StoreError> {
+    let header = CheckpointHeader {
+        magic: CHECKPOINT_MAGIC.to_string(),
+        version: CHECKPOINT_VERSION,
+        consumed,
+    };
+    let finals = checkpoint_path(dir, consumed);
+    let len = write_two_frames(&finals, &binval::to_bytes(&header), payload)?;
+    Ok((finals, len))
+}
+
+/// Writes the delta checkpoint file holding `encoded` ([`encode_delta`] of
+/// `payload` against the checkpoint at `base_consumed`) into the existing
+/// `dir` (`base_consumed < consumed`), returning its path and length in
+/// bytes. The one pass over `payload` here is its CRC.
+pub(crate) fn write_delta(
+    dir: &Path,
+    consumed: u64,
+    base_consumed: u64,
+    payload: &[u8],
+    encoded: &[u8],
+) -> Result<(PathBuf, u64), StoreError> {
     let header = DeltaHeader {
         magic: CHECKPOINT_DELTA_MAGIC.to_string(),
         version: CHECKPOINT_VERSION,
@@ -168,38 +201,107 @@ pub fn write_checkpoint_delta(
         base_consumed,
         snapshot_crc: crc32(payload),
     };
-    write_frame(&mut bytes, &binval::to_bytes(&header));
-    write_frame(&mut bytes, &encoded);
     let finals = delta_checkpoint_path(dir, consumed);
-    let tmp = finals.with_extension("mtcckd.tmp");
+    let len = write_two_frames(&finals, &binval::to_bytes(&header), encoded)?;
+    Ok((finals, len))
+}
+
+/// Name a checkpoint file is written under before it is renamed into place.
+fn tmp_path(finals: &Path) -> PathBuf {
+    let mut name = finals.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Writes `header` and `body` as the two frames of a checkpoint file at
+/// `finals`, atomically (write-then-rename). Returns the file's length.
+fn write_two_frames(finals: &Path, header: &[u8], body: &[u8]) -> Result<u64, StoreError> {
+    let mut bytes = Vec::with_capacity(2 * FRAME_HEADER + header.len() + body.len());
+    write_frame(&mut bytes, header);
+    write_frame(&mut bytes, body);
+    let tmp = tmp_path(finals);
     fs::write(&tmp, &bytes)?;
-    fs::rename(&tmp, &finals)?;
-    Ok(Some(finals))
+    fs::rename(&tmp, finals)?;
+    Ok(bytes.len() as u64)
+}
+
+/// Deletes the `checkpoint-*.tmp` files a crash between write and rename
+/// left in `dir`; returns how many. Only the directory's one writer may
+/// call this (a live writer's temporary file looks the same).
+pub(crate) fn remove_stale_tmp_files(dir: &Path) -> Result<usize, StoreError> {
+    let mut removed = 0usize;
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("checkpoint-")
+            && (name.ends_with(".mtcck.tmp") || name.ends_with(".mtcckd.tmp"))
+        {
+            fs::remove_file(entry.path())?;
+            removed += 1;
+        }
+    }
+    Ok(removed)
+}
+
+fn corrupt_frame(path: &Path, e: FrameError) -> StoreError {
+    StoreError::Corrupt(format!("{}: {e}", path.display()))
 }
 
 /// The two validated frames of a checkpoint file: its parsed header (full
 /// or delta) and the payload frame.
 fn read_frames(path: &Path) -> Result<(CkHeader, Vec<u8>), StoreError> {
     let bytes = fs::read(path)?;
+    mtc_obs::counter!("store.checkpoint_read_bytes").add(bytes.len() as u64);
     let mut pos = 0usize;
-    let corrupt =
-        |e: crate::frame::FrameError| StoreError::Corrupt(format!("{}: {e}", path.display()));
-    let header_bytes = read_frame(&bytes, &mut pos).map_err(corrupt)?;
+    let corrupt = |e| corrupt_frame(path, e);
+    let header = parse_header(read_frame(&bytes, &mut pos).map_err(corrupt)?, path)?;
+    let payload = read_frame(&bytes, &mut pos).map_err(corrupt)?.to_vec();
+    Ok((header, payload))
+}
+
+/// The parsed header of a checkpoint file, reading its header frame and
+/// nothing after it.
+fn read_header(path: &Path) -> Result<CkHeader, StoreError> {
+    let corrupt = |e| corrupt_frame(path, e);
+    let mut file = fs::File::open(path)?;
+    let mut frame = vec![0u8; FRAME_HEADER];
+    let mut fill = |frame: &mut [u8]| match file.read_exact(frame) {
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            Err(corrupt(FrameError::Truncated))
+        }
+        other => other.map_err(StoreError::from),
+    };
+    fill(&mut frame)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+    if len > MAX_HEADER_LEN {
+        return Err(corrupt(FrameError::Corrupt));
+    }
+    frame.resize(FRAME_HEADER + len, 0);
+    fill(&mut frame[FRAME_HEADER..])?;
+    mtc_obs::counter!("store.checkpoint_read_bytes").add(frame.len() as u64);
+    parse_header(read_frame(&frame, &mut 0).map_err(corrupt)?, path)
+}
+
+/// Parses the payload of a checkpoint file's header frame.
+fn parse_header(header_bytes: &[u8], path: &Path) -> Result<CkHeader, StoreError> {
+    let unsupported = |version: u32| {
+        StoreError::Format(format!(
+            "{}: unsupported checkpoint version {version}",
+            path.display()
+        ))
+    };
     // The magic discriminates the kinds. Both headers start with the magic
     // string, so a full-header parse that yields the full magic settles it;
     // anything else must decode as a delta header.
-    let header = match binval::from_bytes::<CheckpointHeader>(header_bytes) {
+    match binval::from_bytes::<CheckpointHeader>(header_bytes) {
         Ok(h) if h.magic == CHECKPOINT_MAGIC => {
             if h.version != CHECKPOINT_VERSION {
-                return Err(StoreError::Format(format!(
-                    "{}: unsupported checkpoint version {}",
-                    path.display(),
-                    h.version
-                )));
+                return Err(unsupported(h.version));
             }
-            CkHeader::Full {
+            Ok(CkHeader::Full {
                 consumed: h.consumed,
-            }
+            })
         }
         _ => {
             let h: DeltaHeader = binval::from_bytes(header_bytes)?;
@@ -210,21 +312,15 @@ fn read_frames(path: &Path) -> Result<(CkHeader, Vec<u8>), StoreError> {
                 )));
             }
             if h.version != CHECKPOINT_VERSION {
-                return Err(StoreError::Format(format!(
-                    "{}: unsupported checkpoint version {}",
-                    path.display(),
-                    h.version
-                )));
+                return Err(unsupported(h.version));
             }
-            CkHeader::Delta {
+            Ok(CkHeader::Delta {
                 consumed: h.consumed,
                 base_consumed: h.base_consumed,
                 snapshot_crc: h.snapshot_crc,
-            }
+            })
         }
-    };
-    let payload = read_frame(&bytes, &mut pos).map_err(corrupt)?.to_vec();
-    Ok((header, payload))
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -337,43 +433,134 @@ pub fn latest_checkpoint(
     Ok(None)
 }
 
-/// Deletes all but the newest `keep` checkpoints — chain-aware: a retained
-/// delta also retains every base its chain needs, however old.
-pub fn prune_checkpoints(dir: impl AsRef<Path>, keep: usize) -> Result<usize, StoreError> {
-    let files = checkpoint_files(dir.as_ref())?;
-    // Newest `keep` distinct consumed counts survive directly.
-    let mut kept: Vec<u64> = files.iter().map(|&(c, _, _)| c).collect();
-    kept.dedup();
-    let kept: HashSet<u64> = kept.into_iter().rev().take(keep).collect();
-    // Pin the base chains of every retained delta.
-    let by_consumed = files_by_consumed(&files);
-    let mut pinned: HashSet<u64> = kept.clone();
-    for &(consumed, kind, ref path) in &files {
-        if kind != CkKind::Delta || !kept.contains(&consumed) {
-            continue;
+/// One checkpoint file as pruning sees it.
+#[derive(Debug)]
+struct ChainEntry {
+    /// From the file name.
+    consumed: u64,
+    /// From the file name.
+    kind: CkKind,
+    /// `base_consumed` of its delta header; `None` for a full checkpoint
+    /// (and for a file whose header frame does not read).
+    base_consumed: Option<u64>,
+    path: PathBuf,
+}
+
+impl ChainEntry {
+    /// Directory order: oldest first, full before delta at one `consumed`.
+    fn order(&self) -> (u64, bool) {
+        (self.consumed, self.kind == CkKind::Delta)
+    }
+}
+
+/// The checkpoint files of one directory, in directory order, with what
+/// [`Chain::prune`] needs of each — and no payload.
+#[derive(Debug, Default)]
+pub(crate) struct Chain {
+    entries: Vec<ChainEntry>,
+}
+
+impl Chain {
+    /// Reads the chain of `dir` from its file names and header frames.
+    pub(crate) fn scan(dir: &Path) -> Result<Self, StoreError> {
+        let entries = checkpoint_files(dir)?
+            .into_iter()
+            .map(|(consumed, kind, path)| ChainEntry {
+                consumed,
+                kind,
+                base_consumed: match read_header(&path) {
+                    Ok(CkHeader::Delta { base_consumed, .. }) => Some(base_consumed),
+                    _ => None,
+                },
+                path,
+            })
+            .collect();
+        Ok(Chain { entries })
+    }
+
+    /// Notes the checkpoint file just written at `path`: a delta against
+    /// `base_consumed`, or a full. A file written over an older one of the
+    /// same name replaces its entry.
+    pub(crate) fn record(&mut self, consumed: u64, base_consumed: Option<u64>, path: PathBuf) {
+        let entry = ChainEntry {
+            consumed,
+            kind: match base_consumed {
+                Some(_) => CkKind::Delta,
+                None => CkKind::Full,
+            },
+            base_consumed,
+            path,
+        };
+        match self
+            .entries
+            .binary_search_by_key(&entry.order(), ChainEntry::order)
+        {
+            Ok(at) => self.entries[at] = entry,
+            Err(at) => self.entries.insert(at, entry),
         }
-        let mut cur = path.clone();
-        for _ in 0..MAX_CHAIN {
-            match read_frames(&cur) {
-                Ok((CkHeader::Delta { base_consumed, .. }, _)) => {
-                    pinned.insert(base_consumed);
-                    match by_consumed.get(&base_consumed).and_then(|p| p.first()) {
-                        Some(next) => cur = next.clone(),
-                        None => break,
-                    }
+    }
+
+    /// The entry a delta against `consumed` resolves through: the full
+    /// file there if there is one, else the delta.
+    fn base_at(&self, consumed: u64) -> Option<&ChainEntry> {
+        let at = self.entries.partition_point(|e| e.consumed < consumed);
+        self.entries.get(at).filter(|e| e.consumed == consumed)
+    }
+
+    /// Deletes the files of all but the newest `keep` checkpoints —
+    /// chain-aware: a retained delta also retains every base its chain
+    /// needs, however old. Returns how many files went.
+    pub(crate) fn prune(&mut self, keep: usize) -> Result<usize, StoreError> {
+        // Newest `keep` distinct consumed counts survive directly.
+        let mut pinned: Vec<u64> = self.entries.iter().map(|e| e.consumed).collect();
+        pinned.dedup();
+        pinned.drain(..pinned.len().saturating_sub(keep));
+        // Pin the base chains of every retained delta.
+        let kept = pinned.len();
+        for entry in &self.entries {
+            if !pinned[..kept].contains(&entry.consumed) {
+                continue;
+            }
+            let mut cur = entry;
+            for _ in 0..MAX_CHAIN {
+                let Some(base) = cur.base_consumed else { break };
+                pinned.push(base);
+                match self.base_at(base) {
+                    Some(next) => cur = next,
+                    None => break,
                 }
-                _ => break,
             }
         }
-    }
-    let mut doomed = 0usize;
-    for (consumed, _, path) in files {
-        if !pinned.contains(&consumed) {
-            fs::remove_file(path)?;
-            doomed += 1;
+        let mut removed = 0usize;
+        let mut failed = None;
+        self.entries.retain(|entry| {
+            if failed.is_some() || pinned.contains(&entry.consumed) {
+                return true;
+            }
+            match fs::remove_file(&entry.path) {
+                // Somebody else already deleted it: the same outcome.
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    failed = Some(e);
+                    return true;
+                }
+                _ => {}
+            }
+            removed += 1;
+            false
+        });
+        match failed {
+            Some(e) => Err(e.into()),
+            None => Ok(removed),
         }
     }
-    Ok(doomed)
+}
+
+/// Deletes all but the newest `keep` checkpoints — chain-aware: a retained
+/// delta also retains every base its chain needs, however old. Reads the
+/// header frame of each checkpoint file and no payload; a delta whose
+/// payload is damaged therefore still pins its bases.
+pub fn prune_checkpoints(dir: impl AsRef<Path>, keep: usize) -> Result<usize, StoreError> {
+    Chain::scan(dir.as_ref())?.prune(keep)
 }
 
 #[cfg(test)]

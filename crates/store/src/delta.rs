@@ -18,7 +18,7 @@
 //! op stream surfaces as an error instead of a bogus snapshot (the
 //! checkpoint layer additionally CRCs the reconstructed payload).
 
-use std::collections::HashMap;
+use mtc_history::FastHashMap;
 
 /// Width of the match windows the base is indexed by. Runs shorter than
 /// this are emitted as literals; larger blocks shrink the index, smaller
@@ -73,15 +73,29 @@ pub fn compute(base: &[u8], target: &[u8]) -> Vec<DeltaOp> {
         }
     };
 
-    // Index the base by non-overlapping blocks. Colliding hashes chain;
-    // candidates are confirmed byte-for-byte before use.
-    let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
-    for off in (0..base.len().saturating_sub(BLOCK - 1)).step_by(BLOCK) {
-        index
-            .entry(window_hash(&base[off..off + BLOCK]))
-            .or_default()
-            .push(off as u32);
+    // Index the base by non-overlapping blocks: `head` maps a window hash to
+    // the lowest-offset block carrying it, `next[b]` to the following block
+    // with the same hash. Filling back to front keeps every chain in
+    // ascending offset order; candidates are confirmed byte-for-byte. The
+    // keys are polynomial hashes of this process's own previous payload, so
+    // the fast (unkeyed) hasher gives up nothing a keyed one protected.
+    const END: u32 = u32::MAX;
+    let blocks = base.len() / BLOCK;
+    let mut head: FastHashMap<u64, u32> =
+        FastHashMap::with_capacity_and_hasher(blocks, Default::default());
+    let mut next = vec![END; blocks];
+    for b in (0..blocks).rev() {
+        let off = b * BLOCK;
+        if let Some(later) = head.insert(window_hash(&base[off..off + BLOCK]), b as u32) {
+            next[b] = later;
+        }
     }
+    let candidates = |h: u64| {
+        std::iter::successors(head.get(&h).copied(), |&b| {
+            Some(next[b as usize]).filter(|&n| n != END)
+        })
+        .map(|b| b as usize * BLOCK)
+    };
 
     let hw = high_weight();
     let mut i = 0usize;
@@ -92,19 +106,16 @@ pub fn compute(base: &[u8], target: &[u8]) -> Vec<DeltaOp> {
         0
     };
     while i + BLOCK <= target.len() {
-        let matched = index.get(&h).and_then(|cands| {
-            cands.iter().find_map(|&off| {
-                let off = off as usize;
-                (base[off..off + BLOCK] == target[i..i + BLOCK]).then(|| {
-                    let mut len = BLOCK;
-                    while off + len < base.len()
-                        && i + len < target.len()
-                        && base[off + len] == target[i + len]
-                    {
-                        len += 1;
-                    }
-                    (off, len)
-                })
+        let matched = candidates(h).find_map(|off| {
+            (base[off..off + BLOCK] == target[i..i + BLOCK]).then(|| {
+                let mut len = BLOCK;
+                while off + len < base.len()
+                    && i + len < target.len()
+                    && base[off + len] == target[i + len]
+                {
+                    len += 1;
+                }
+                (off, len)
             })
         });
         match matched {
@@ -219,8 +230,84 @@ pub fn apply(base: &[u8], ops: &[DeltaOp]) -> Result<Vec<u8>, String> {
 mod tests {
     use super::*;
 
+    /// [`compute`] as the store shipped it before the flat index: a SipHash
+    /// map from window hash to a heap `Vec` of candidate offsets.
+    fn compute_reference(base: &[u8], target: &[u8]) -> Vec<DeltaOp> {
+        let mut ops: Vec<DeltaOp> = Vec::new();
+        let mut literal: Vec<u8> = Vec::new();
+        let flush = |ops: &mut Vec<DeltaOp>, literal: &mut Vec<u8>| {
+            if !literal.is_empty() {
+                ops.push(DeltaOp::Insert {
+                    bytes: std::mem::take(literal),
+                });
+            }
+        };
+        let mut index: std::collections::HashMap<u64, Vec<u32>> = Default::default();
+        for off in (0..base.len().saturating_sub(BLOCK - 1)).step_by(BLOCK) {
+            index
+                .entry(window_hash(&base[off..off + BLOCK]))
+                .or_default()
+                .push(off as u32);
+        }
+        let hw = high_weight();
+        let mut i = 0usize;
+        let mut h = if target.len() >= BLOCK {
+            window_hash(&target[..BLOCK])
+        } else {
+            0
+        };
+        while i + BLOCK <= target.len() {
+            let matched = index.get(&h).and_then(|cands| {
+                cands.iter().find_map(|&off| {
+                    let off = off as usize;
+                    (base[off..off + BLOCK] == target[i..i + BLOCK]).then(|| {
+                        let mut len = BLOCK;
+                        while off + len < base.len()
+                            && i + len < target.len()
+                            && base[off + len] == target[i + len]
+                        {
+                            len += 1;
+                        }
+                        (off, len)
+                    })
+                })
+            });
+            match matched {
+                Some((off, len)) => {
+                    flush(&mut ops, &mut literal);
+                    ops.push(DeltaOp::Copy {
+                        off: off as u64,
+                        len: len as u64,
+                    });
+                    i += len;
+                    if i + BLOCK <= target.len() {
+                        h = window_hash(&target[i..i + BLOCK]);
+                    }
+                }
+                None => {
+                    literal.push(target[i]);
+                    i += 1;
+                    if i + BLOCK <= target.len() {
+                        h = h
+                            .wrapping_sub(u64::from(target[i - 1]).wrapping_mul(hw))
+                            .wrapping_mul(R)
+                            .wrapping_add(u64::from(target[i + BLOCK - 1]));
+                    }
+                }
+            }
+        }
+        literal.extend_from_slice(&target[i..]);
+        flush(&mut ops, &mut literal);
+        ops
+    }
+
     fn round_trip(base: &[u8], target: &[u8]) -> Vec<DeltaOp> {
         let ops = compute(base, target);
+        assert_eq!(
+            ops,
+            compute_reference(base, target),
+            "the flat index must pick the candidates the map of vectors picked"
+        );
         assert_eq!(apply(base, &ops).unwrap(), target, "delta must invert");
         assert_eq!(
             decode_ops(&encode_ops(&ops)).unwrap(),
@@ -322,5 +409,51 @@ mod tests {
             inserted < 4 * BLOCK,
             "a small edit must stay a small delta (inserted {inserted})"
         );
+    }
+
+    #[test]
+    fn repeated_blocks_chain_in_ascending_offset_order() {
+        // Every block of the base hashes alike, so one chain holds them all;
+        // the first candidate tried must be the lowest offset, as before.
+        let base = vec![7u8; 10 * BLOCK];
+        let mut target = vec![1u8, 2, 3];
+        target.extend_from_slice(&base[..3 * BLOCK]);
+        let ops = round_trip(&base, &target);
+        assert!(matches!(ops[1], DeltaOp::Copy { off: 0, .. }), "{ops:?}");
+    }
+
+    #[test]
+    fn consecutive_snapshot_payloads_delta_as_the_reference_does() {
+        use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel};
+        use mtc_history::Op;
+        // A 2 000-transaction read-modify-write stream over 16 keys and 4
+        // sessions, snapshotted every 250 transactions: with and without GC,
+        // so both a growing and a window-bounded payload are covered.
+        for gc in [None, Some(GcPolicy::clamped(256, 64))] {
+            let mut checker =
+                IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..16u64);
+            if let Some(policy) = gc {
+                checker = checker.with_gc(policy);
+            }
+            let mut state = [0u64; 16];
+            let mut payloads: Vec<Vec<u8>> = Vec::new();
+            for i in 0..2_000u64 {
+                let k = (i.wrapping_mul(2_654_435_761) >> 9) % 16;
+                let ops = vec![Op::read(k, state[k as usize]), Op::write(k, i + 1)];
+                state[k as usize] = i + 1;
+                checker.push_committed((i % 4) as u32, ops).unwrap();
+                if (i + 1) % 250 == 0 {
+                    payloads.push(crate::binval::to_bytes(&checker.checkpoint()));
+                }
+            }
+            assert_eq!(payloads.len(), 8);
+            for pair in payloads.windows(2) {
+                let ops = round_trip(&pair[0], &pair[1]);
+                assert!(
+                    encode_ops(&ops).len() < pair[1].len(),
+                    "consecutive snapshots must delta below full size"
+                );
+            }
+        }
     }
 }

@@ -40,28 +40,60 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), byte-at-a-time with a
-/// lazily built table.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial
+/// `0xEDB88320`: `TABLES[0]` is the classic byte-at-a-time table, and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), slicing-by-8: eight
+/// table lookups fold eight input bytes per step, the tail goes byte at a
+/// time. Same values as the byte-at-a-time form on every input.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -100,11 +132,75 @@ pub fn read_frame<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a [u8], Fram
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC-32 the store shipped before slicing-by-8,
+    /// computing its table entry per byte so it shares nothing with
+    /// [`TABLES`].
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            let mut c = (crc ^ u32::from(b)) & 0xff;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            crc = c ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
+        // Standard IEEE test vectors.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        // One buffer, every start offset 0..8 within it, every length
+        // 0..=64: the 8-byte fold, its tail and their hand-over all run.
+        let buf: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[align..align + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "align {align}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_the_snapshot_fixtures() {
+        let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+        for name in [
+            "snapshot-v4-ser.mtcck",
+            "snapshot-v4-si.mtcck",
+            "snapshot-v4-sser.mtcck",
+        ] {
+            let bytes = std::fs::read(data.join(name)).unwrap();
+            assert!(bytes.len() > 1024, "{name}: fixture went missing");
+            assert_eq!(crc32(&bytes), crc32_reference(&bytes), "{name}");
+            // And the frames inside still verify against the stored CRCs.
+            let mut pos = 0;
+            while pos < bytes.len() {
+                read_frame(&bytes, &mut pos).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,40 @@
 //!
 //! The point of this layer: a verification session is no longer a purely
 //! in-memory affair. Every recorded transaction hits the log before the
-//! checker sees it, snapshots of the checker land next to the log, and any
-//! crash — process kill, power loss mid-frame — resumes from the newest
-//! intact checkpoint with a verdict bit-identical to the uninterrupted
-//! run's. A logged session is also re-checkable offline, against any
-//! checker, long after the database under test is gone.
+//! checker sees it, snapshots of the checker land next to the log, and a
+//! crashed session resumes from the newest intact checkpoint with a verdict
+//! bit-identical to the uninterrupted run's. A logged session is also
+//! re-checkable offline, against any checker, long after the database under
+//! test is gone.
+//!
+//! ## Crash model
+//!
+//! What "crashed" covers depends on what died.
+//!
+//! * **The process** (panic, `kill -9`, OOM kill): nothing admitted is lost.
+//!   Every append is a `write` the kernel has accepted before
+//!   [`MtcStore::append_txn`] returns, and the kernel outlives the process;
+//!   at worst the last frame is torn, and recovery truncates it. A
+//!   checkpoint is written under a temporary name and renamed into place, so
+//!   a kill mid-checkpoint leaves the older checkpoints intact and a stray
+//!   `*.tmp` file that [`MtcStore::open_append`] deletes.
+//! * **The machine** (power loss, kernel panic): the log is only as durable
+//!   as its last `fsync`, and appends do not fsync. [`MtcStore::sync`],
+//!   segment rotation and the log sync at the head of
+//!   [`MtcStore::checkpoint`] do; everything appended since the last of
+//!   those may be gone, whole frames of it, and the recovered log is then a
+//!   clean *prefix* of what was admitted (same verdict on that prefix, and
+//!   `torn_tail` may well be false). Checkpoint files are not fsynced
+//!   either, nor is the directory after the rename: the newest checkpoint
+//!   may come back torn, empty or absent. The frame CRCs catch the first two,
+//!   and [`latest_checkpoint`] then degrades to the previous one, or to
+//!   replaying the log from the start — slower, same answer. A checkpoint
+//!   that survives ahead of its log (the log tail lost, the snapshot not)
+//!   is ignored for the same reason.
+//!
+//! A caller that needs power-loss durability at a finer grain than the
+//! checkpoint cadence calls [`MtcStore::sync`] at that grain and pays one
+//! `fsync` each time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

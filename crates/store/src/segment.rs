@@ -12,8 +12,9 @@
 //! stream (magic, format version, segment index, index of its first
 //! transaction) followed by one frame per [`LogRecord`]. The first segment
 //! carries the stream's [`StreamMeta`] as its first record. Frames are
-//! CRC-checked ([`crate::frame`]); appends go through a buffered writer and
-//! [`LogWriter::sync`] flushes down to the OS.
+//! CRC-checked ([`crate::frame`]); every append is one `write` handed to the
+//! OS, and only [`LogWriter::sync`] and segment rotation `fsync` (the crate
+//! docs spell out what that means for a process crash and for power loss).
 //!
 //! ## Crash tolerance
 //!
@@ -29,7 +30,7 @@ use crate::frame::{read_frame, write_frame, FrameError};
 use crate::StoreError;
 use mtc_core::IsolationLevel;
 use mtc_history::Transaction;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonValue, Serialize};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -80,6 +81,13 @@ pub enum LogRecord {
     Meta(StreamMeta),
     /// One recorded transaction attempt, in stream (commit) order.
     Txn(Transaction),
+}
+
+/// What `LogRecord::Txn(txn.clone())` serializes to (an externally tagged
+/// newtype variant), built from a borrow: the writer's hot path has no use
+/// for an owned copy of the transaction.
+fn txn_record_value(txn: &Transaction) -> JsonValue {
+    JsonValue::Object(vec![("Txn".to_string(), txn.to_json_value())])
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -163,7 +171,7 @@ impl LogWriter {
             segment_version: LOG_VERSION,
             dict: binval::KeyDict::default(),
         };
-        w.append_record(&LogRecord::Meta(meta.clone()))?;
+        w.append_value(&LogRecord::Meta(meta.clone()).to_json_value())?;
         Ok(w)
     }
 
@@ -223,21 +231,24 @@ impl LogWriter {
     }
 
     /// Appends one transaction, returning its stream index. The record is
-    /// buffered by the OS; call [`LogWriter::sync`] to force it down.
+    /// with the OS when this returns (safe against a process crash); call
+    /// [`LogWriter::sync`] to force it down to the device.
     pub fn append(&mut self, txn: &Transaction) -> Result<u64, StoreError> {
         let index = self.next_txn;
-        self.append_record(&LogRecord::Txn(txn.clone()))?;
+        self.append_value(&txn_record_value(txn))?;
         self.next_txn = index + 1;
         Ok(index)
     }
 
-    /// Flushes appended records to the OS (fsync).
+    /// Forces appended records down to the device (`fsync`).
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.file.sync_all()?;
         Ok(())
     }
 
-    fn append_record(&mut self, record: &LogRecord) -> Result<(), StoreError> {
+    /// Appends one record, given as the value tree [`LogRecord`] serializes
+    /// to.
+    fn append_value(&mut self, record: &JsonValue) -> Result<(), StoreError> {
         if self.written_in_segment >= self.segment_bytes {
             self.file.sync_all()?;
             self.segment += 1;
@@ -252,7 +263,7 @@ impl LogWriter {
         let payload = if self.segment_version >= 2 {
             encode_record_v2(record, &mut self.dict)
         } else {
-            binval::to_bytes(record)
+            binval::encode_value(record)
         };
         let mut framed = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut framed, &payload);
@@ -265,10 +276,10 @@ impl LogWriter {
 /// Encodes one record in the v2 schema-table form: the keys this record
 /// introduces to the segment's table (shipped as length-prefixed strings)
 /// followed by the value with indexed object keys.
-fn encode_record_v2(record: &LogRecord, dict: &mut binval::KeyDict) -> Vec<u8> {
+fn encode_record_v2(record: &JsonValue, dict: &mut binval::KeyDict) -> Vec<u8> {
     let start = dict.len();
     let mut body = Vec::new();
-    binval::encode_value_indexed(&record.to_json_value(), dict, &mut body);
+    binval::encode_value_indexed(record, dict, &mut body);
     let new = &dict.keys()[start..];
     let mut payload = Vec::new();
     binval::put_varint(&mut payload, new.len() as u64);
@@ -519,6 +530,21 @@ mod tests {
             vec![Op::read(0u64, 0u64), Op::write(0u64, 100 + u64::from(i))],
         )
         .with_times(u64::from(i) * 10, u64::from(i) * 10 + 5)
+    }
+
+    #[test]
+    fn a_borrowed_txn_encodes_as_the_owned_record_does() {
+        let aborted = Transaction {
+            status: mtc_history::TxnStatus::Aborted,
+            end: None,
+            ..txn(3)
+        };
+        for t in [txn(0), txn(7), aborted] {
+            assert_eq!(
+                txn_record_value(&t),
+                LogRecord::Txn(t.clone()).to_json_value()
+            );
+        }
     }
 
     #[test]

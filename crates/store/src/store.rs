@@ -14,10 +14,16 @@
 //! and the logged suffix after it; replaying that suffix into the resumed
 //! checker reproduces the uninterrupted verdict. With no usable checkpoint
 //! the whole log replays from scratch — slower, same answer.
+//!
+//! An open [`MtcStore`] is the directory's one writer. It knows which
+//! checkpoint files are there — it wrote them, or read their header frames
+//! when it opened — so writing a checkpoint reads nothing back: the previous
+//! payload (the delta base) and the file chain (what pruning needs) both
+//! live in memory.
 
 use crate::binval;
 use crate::checkpoint::{
-    latest_checkpoint, prune_checkpoints, write_checkpoint_bytes, write_checkpoint_delta,
+    encode_delta, latest_checkpoint, remove_stale_tmp_files, write_delta, write_full, Chain,
 };
 use crate::segment::{read_log, LogWriter, StreamMeta};
 use crate::StoreError;
@@ -53,6 +59,9 @@ pub struct MtcStore {
     checkpoint_keep: usize,
     rebase_interval: u32,
     last_checkpoint: Option<LastCheckpoint>,
+    /// The checkpoint files in `dir`, so pruning is bookkeeping plus
+    /// `remove_file`.
+    chain: Chain,
 }
 
 impl MtcStore {
@@ -64,13 +73,16 @@ impl MtcStore {
             checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
             rebase_interval: CHECKPOINT_REBASE_INTERVAL,
             last_checkpoint: None,
+            chain: Chain::default(),
         })
     }
 
     /// Re-opens an existing store for appending, recovering its contents
-    /// (torn tail truncated, newest intact checkpoint loaded).
+    /// (torn tail truncated, newest intact checkpoint loaded) and deleting
+    /// the temporary file of a checkpoint the previous writer died writing.
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, Recovery), StoreError> {
         let (writer, log) = LogWriter::open_append(&dir)?;
+        remove_stale_tmp_files(dir.as_ref())?;
         let recovery = assemble(dir.as_ref(), log.meta, log.txns, log.torn_tail)?;
         Ok((
             MtcStore {
@@ -79,6 +91,7 @@ impl MtcStore {
                 checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
                 rebase_interval: CHECKPOINT_REBASE_INTERVAL,
                 last_checkpoint: None,
+                chain: Chain::scan(dir.as_ref())?,
             },
             recovery,
         ))
@@ -118,7 +131,7 @@ impl MtcStore {
         self.writer.next_txn_index()
     }
 
-    /// Forces appended records down to the OS.
+    /// Forces appended records down to the device (`fsync`).
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.writer.sync()
     }
@@ -137,31 +150,36 @@ impl MtcStore {
         snapshot: &CheckerSnapshot,
     ) -> Result<PathBuf, StoreError> {
         let timer = mtc_obs::enabled().then(std::time::Instant::now);
-        self.writer.sync()?;
-        let payload = binval::to_bytes(snapshot);
-        let delta_base = self
-            .last_checkpoint
-            .as_ref()
-            .filter(|prev| prev.consumed < consumed && prev.chain + 1 < self.rebase_interval);
-        let mut written = None;
-        let mut chain = 0u32;
-        if let Some(prev) = delta_base {
-            if let Some(path) =
-                write_checkpoint_delta(&self.dir, consumed, prev.consumed, &payload, &prev.bytes)?
-            {
-                mtc_obs::counter!("store.checkpoint_delta_bytes")
-                    .add(std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
-                chain = prev.chain + 1;
-                written = Some(path);
-            }
+        {
+            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.sync"));
+            self.writer.sync()?;
         }
-        let path = match written {
-            Some(path) => path,
-            None => {
-                let path = write_checkpoint_bytes(&self.dir, consumed, &payload)?;
-                mtc_obs::counter!("store.checkpoint_full_bytes")
-                    .add(std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0));
-                path
+        let payload = {
+            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.encode"));
+            binval::to_bytes(snapshot)
+        };
+        // The delta stage is empty on a rebase (and on the first checkpoint).
+        let delta = {
+            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.delta"));
+            self.last_checkpoint
+                .as_ref()
+                .filter(|prev| prev.consumed < consumed && prev.chain + 1 < self.rebase_interval)
+                .and_then(|prev| Some((prev, encode_delta(&prev.bytes, &payload)?)))
+        };
+        let (path, base_consumed, chain) = {
+            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.write"));
+            match delta {
+                Some((prev, encoded)) => {
+                    let (path, len) =
+                        write_delta(&self.dir, consumed, prev.consumed, &payload, &encoded)?;
+                    mtc_obs::counter!("store.checkpoint_delta_bytes").add(len);
+                    (path, Some(prev.consumed), prev.chain + 1)
+                }
+                None => {
+                    let (path, len) = write_full(&self.dir, consumed, &payload)?;
+                    mtc_obs::counter!("store.checkpoint_full_bytes").add(len);
+                    (path, None, 0)
+                }
             }
         };
         self.last_checkpoint = Some(LastCheckpoint {
@@ -169,7 +187,11 @@ impl MtcStore {
             bytes: payload,
             chain,
         });
-        prune_checkpoints(&self.dir, self.checkpoint_keep)?;
+        {
+            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.prune"));
+            self.chain.record(consumed, base_consumed, path.clone());
+            self.chain.prune(self.checkpoint_keep)?;
+        }
         if let Some(t0) = timer {
             mtc_obs::histogram!("store.checkpoint_micros").record(t0.elapsed().as_micros() as u64);
         }
@@ -401,6 +423,61 @@ mod tests {
         let recovery = recover(&dir).unwrap();
         assert_eq!(recovery.txns.len(), 9);
         assert!(!recovery.torn_tail);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_append_removes_the_temporary_file_of_a_checkpoint_that_never_landed() {
+        let dir = tmpdir("stale_tmp");
+        let mut store = MtcStore::create(&dir, &meta()).unwrap();
+        let mut checker =
+            IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
+        for i in 0..20u64 {
+            let t = txn(i, i, i + 1);
+            store.append_txn(&t).unwrap();
+            let _ = checker.push(t);
+            if (i + 1) % 5 == 0 {
+                store.checkpoint(i + 1, &checker.checkpoint()).unwrap();
+            }
+        }
+        drop(store);
+        let names = |dir: &Path| {
+            let mut names: Vec<String> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let chain = names(&dir);
+        assert!(chain.iter().any(|n| n.ends_with(".mtcckd")), "{chain:?}");
+        // The crash: a full and a delta written under their temporary names
+        // and never renamed, newer than anything that landed.
+        let stale = [
+            "checkpoint-000000000025.mtcck.tmp",
+            "checkpoint-000000000030.mtcckd.tmp",
+        ];
+        for name in stale {
+            fs::write(dir.join(name), b"half a checkpoint").unwrap();
+        }
+        // Read-only recovery leaves them alone (it is not the writer).
+        assert_eq!(recover(&dir).unwrap().resume_from, 20);
+        assert_eq!(names(&dir).len(), chain.len() + stale.len());
+
+        let (mut store, recovery) = MtcStore::open_append(&dir).unwrap();
+        assert_eq!(
+            names(&dir),
+            chain,
+            "stale temporaries gone, the chain intact"
+        );
+        assert_eq!(recovery.resume_from, 20);
+        // And the reopened store carries on over the chain it found.
+        let t = txn(20, 20, 21);
+        store.append_txn(&t).unwrap();
+        let _ = checker.push(t);
+        store.checkpoint(21, &checker.checkpoint()).unwrap();
+        drop(store);
+        assert_eq!(recover(&dir).unwrap().resume_from, 21);
         let _ = fs::remove_dir_all(&dir);
     }
 
