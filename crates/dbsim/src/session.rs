@@ -23,7 +23,9 @@
 //!   template; an open attempt always settles.
 //! * The first attempt of a template uses [`DbBackend::begin`], every retry
 //!   [`DbBackend::begin_retry`] with the *first* attempt's begin instant;
-//!   attempts are counted at begin.
+//!   attempts are counted at begin. An attempt's begin instant
+//!   ([`DbTxn::begin_ts`]) is read when it *settles*, not when it begins: a
+//!   remote handle learns it with its first reply.
 //! * A failed operation aborts the attempt with the operation's reason.
 //! * A commit is counted, recorded and observed. An abort is counted,
 //!   recorded and observed iff `ClientOptions::should_record_abort`, and
@@ -40,11 +42,15 @@ use mtc_history::{TxnStatus, ValueAllocator};
 pub struct TxnRecord<R> {
     /// The session that ran the attempt.
     pub session: u32,
-    /// The operations that succeeded, in issue order.
+    /// The operations issued without error, in issue order. On an aborted
+    /// attempt against a backend that queues writes (`mtc-net`) the last
+    /// writes listed may be ones the server went on to refuse — harmless:
+    /// their unique values were never readable.
     pub ops: Vec<R>,
     /// Whether the attempt committed or aborted.
     pub status: TxnStatus,
-    /// Begin instant on the backend's logical clock.
+    /// Begin instant on the backend's logical clock, read from the handle
+    /// when the attempt settles.
     pub begin: u64,
     /// Commit instant, or the clock reading when the abort was recorded.
     pub end: u64,
@@ -77,9 +83,9 @@ impl<T, R, F> IssueOp<T, R> for F where
 /// An open attempt at the session's current template.
 struct Attempt<'a, R> {
     handle: Box<dyn DbTxn + 'a>,
-    begin: u64,
-    /// Begin instant of the template's first attempt (`begin` until a retry).
-    first_begin: u64,
+    /// Begin instant of the template's first attempt; `None` on the first
+    /// attempt itself, whose own instant is read when it settles.
+    first_begin: Option<u64>,
     /// Retries spent on this template so far (0 on the first attempt).
     retries: u32,
     next_op: usize,
@@ -158,7 +164,10 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
             return true;
         }
         // Every operation is issued, or one failed inside the backend (a
-        // wait-die victim, a lost connection): settle the attempt.
+        // wait-die victim, a lost connection): settle the attempt. Its begin
+        // instant is asked for only now — a remote handle learns it with its
+        // first reply, and asking at begin would cost a round trip of its own.
+        let begin = open.handle.begin_ts();
         let result = match open.failed {
             Some(reason) => {
                 let _ = open.handle.abort();
@@ -169,17 +178,18 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
         match result {
             Ok(info) => {
                 self.stats.committed += 1;
-                self.record(open.ops, TxnStatus::Committed, open.begin, info.commit_ts);
+                self.record(open.ops, TxnStatus::Committed, begin, info.commit_ts);
                 self.next_template += 1;
             }
             Err(reason) => {
                 self.stats.aborted_attempts += 1;
                 if self.opts.should_record_abort(&open.ops, reason) {
                     let end = self.db.now();
-                    self.record(open.ops, TxnStatus::Aborted, open.begin, end);
+                    self.record(open.ops, TxnStatus::Aborted, begin, end);
                 }
                 if self.opts.should_retry(open.retries, reason) {
-                    self.open = Some(self.begin_attempt(Some(open.first_begin), open.retries + 1));
+                    let first_begin = open.first_begin.unwrap_or(begin);
+                    self.open = Some(self.begin_attempt(Some(first_begin), open.retries + 1));
                 } else {
                     self.stats.failed += 1;
                     self.next_template += 1;
@@ -200,11 +210,9 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
             None => db.begin(),
             Some(ts) => db.begin_retry(ts),
         };
-        let begin = handle.begin_ts();
         Attempt {
             handle,
-            begin,
-            first_begin: first_begin.unwrap_or(begin),
+            first_begin,
             retries,
             next_op: 0,
             ops: Vec::with_capacity(self.templates[self.next_template].len()),

@@ -5,29 +5,44 @@
 //! like an in-process engine to the drivers — except that every failure of
 //! the wire maps to a typed [`AbortReason`] instead of a panic:
 //!
-//! * an I/O failure (timeout, reset, refused, corrupt frame) **before** the
-//!   commit request is sent aborts the transaction with
-//!   [`AbortReason::ConnectionLost`] — nothing can have been applied, so
+//! * an I/O failure (timeout, reset, refused, corrupt frame) of a round
+//!   trip that carries no commit request aborts the transaction with
+//!   [`AbortReason::ConnectionLost`] — nothing can have been committed, so
 //!   the attempt is safe to record and retry;
-//! * an I/O failure **after** the commit request is sent surfaces as
+//! * an I/O failure from the moment a round trip that carries the commit
+//!   request starts to be written surfaces as
 //!   [`AbortReason::CommitStatusUnknown`] — the commit may have happened
 //!   server-side, so the drivers neither record nor retry the attempt (see
 //!   `AbortReason::outcome_known`).
 //!
+//! Requests are **sent ahead**: `begin`, `write_register` and `append` only
+//! encode their request into the connection's out-buffer, and the next call
+//! that needs an answer (`read_register`, `read_list`, `commit`, `abort`, or
+//! `begin_ts()` asked before any of those) sends everything queued plus
+//! itself in one `write` and reads the replies in sequence order. A
+//! mini-transaction `B·R·W·C` is therefore two round trips, `[B R]·[W C]`,
+//! and `B·R·W·R·W·C` three, `[B R]·[W R]·[W C]`, instead of four and six
+//! (counters `net.requests` and `net.round_trips`; `net.call_micros.<label>`
+//! times each round trip under the request that could not wait). See
+//! [`NetTxn`] for what `Ok` from a queued write promises.
+//!
 //! Connections are pooled: a transaction checks one out for its lifetime
 //! (the protocol has at most one open transaction per connection from this
 //! client) and returns it on a clean commit/abort; a connection that saw
-//! any I/O error is discarded, never reused. Sequence numbers survive pool
-//! reuse, so a delayed reply to a request that timed out earlier is
-//! recognized as stale and skipped rather than misattributed to the next
-//! transaction on that connection.
+//! any I/O error, or that still owes a reply, is discarded, never reused.
+//! Sequence numbers survive pool reuse, so a duplicated reply is recognized
+//! as stale and skipped rather than misattributed to the next transaction on
+//! that connection.
 
-use crate::proto::{self, Reply, ReplyEnvelope, Request, RequestEnvelope, PROTOCOL_VERSION};
+use crate::proto::{
+    self, FrameBuf, Reply, ReplyEnvelope, Request, RequestEnvelope, PROTOCOL_VERSION,
+};
 use mtc_core::IsolationLevel;
 use mtc_dbsim::{AbortReason, CommitInfo, DbBackend, DbTxn};
 use mtc_history::{Key, Value};
 use parking_lot::Mutex;
-use std::io;
+use std::cell::RefCell;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -57,10 +72,23 @@ impl Default for NetOptions {
     }
 }
 
-/// One pooled connection with its sequence counter.
+/// Requests a connection holds back at most before a write flushes itself:
+/// bounds the out-buffer, and keeps a burst (and the replies the server owes
+/// for it) far below what the socket buffers take, so neither side can be
+/// left writing at a peer that is not reading.
+const MAX_IN_FLIGHT: u64 = 64;
+
+/// One pooled connection: the socket, its sequence counter, and what is
+/// queued on it or awaiting a reply.
 struct Conn {
     stream: TcpStream,
+    /// Requests `awaiting..next_seq` are in flight: queued or sent, their
+    /// replies not yet read.
     next_seq: u64,
+    awaiting: u64,
+    /// Encoded requests not yet written.
+    out: Vec<u8>,
+    frames: FrameBuf,
 }
 
 impl Conn {
@@ -72,21 +100,38 @@ impl Conn {
         Ok(Conn {
             stream,
             next_seq: 0,
+            awaiting: 0,
+            out: Vec::new(),
+            frames: FrameBuf::default(),
         })
     }
 
-    /// One request/reply round trip. Replies with a stale sequence number
-    /// (duplicates, or answers to requests that already timed out on our
-    /// side) are skipped; a reply from the future is a protocol violation.
-    fn call(&mut self, request: Request) -> io::Result<(u64, Reply)> {
-        let timer = mtc_obs::enabled().then(|| (request.label(), std::time::Instant::now()));
-        let result = self.call_inner(request);
-        if let Some((label, t0)) = timer {
-            // Dynamic lookup, not the cached-site macro: the name varies
-            // per op. Amortized fine — round trips are ≥ tens of µs.
-            mtc_obs::registry()
-                .histogram(&format!("net.call_micros.{label}"))
-                .record(t0.elapsed().as_micros() as u64);
+    /// Encodes `request` behind whatever is already queued; nothing is sent.
+    fn queue(&mut self, request: Request) {
+        mtc_obs::counter!("net.requests").inc();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        proto::encode(&mut self.out, &RequestEnvelope { seq, request });
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.next_seq - self.awaiting
+    }
+
+    /// One round trip: sends everything queued in one write, then hands
+    /// `on_reply` the server clock and reply of every request in flight, in
+    /// order. Timed under `micros`, the histogram of the request that could
+    /// not wait.
+    fn flush(
+        &mut self,
+        micros: &mtc_obs::Histogram,
+        on_reply: impl FnMut(u64, Reply),
+    ) -> io::Result<()> {
+        mtc_obs::counter!("net.round_trips").inc();
+        let timer = mtc_obs::enabled().then(std::time::Instant::now);
+        let result = self.flush_inner(on_reply);
+        if let Some(t0) = timer {
+            micros.record(t0.elapsed().as_micros() as u64);
             if result.is_err() {
                 mtc_obs::counter!("net.call_io_errors").inc();
             }
@@ -94,23 +139,49 @@ impl Conn {
         result
     }
 
-    fn call_inner(&mut self, request: Request) -> io::Result<(u64, Reply)> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        proto::send(&mut self.stream, &RequestEnvelope { seq, request })?;
-        loop {
-            let env: ReplyEnvelope = proto::recv(&mut self.stream)?;
-            match env.seq.cmp(&seq) {
-                std::cmp::Ordering::Less => continue, // stale or duplicate
-                std::cmp::Ordering::Equal => return Ok((env.now, env.reply)),
+    /// Replies with a stale sequence number (duplicates) are skipped; a
+    /// reply from the future is a protocol violation.
+    fn flush_inner(&mut self, mut on_reply: impl FnMut(u64, Reply)) -> io::Result<()> {
+        self.stream.write_all(&self.out)?;
+        self.out.clear();
+        while self.awaiting < self.next_seq {
+            let Some(env) = self.frames.pop::<ReplyEnvelope>()? else {
+                if self.frames.fill(&mut self.stream)? == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                continue;
+            };
+            match env.seq.cmp(&self.awaiting) {
+                std::cmp::Ordering::Less => {} // stale or duplicate
+                std::cmp::Ordering::Equal => {
+                    self.awaiting += 1;
+                    on_reply(env.now, env.reply);
+                }
                 std::cmp::Ordering::Greater => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("reply sequence {} ahead of request {seq}", env.seq),
+                        format!("reply {} ahead of request {}", env.seq, self.awaiting),
                     ));
                 }
             }
         }
+        Ok(())
+    }
+}
+
+/// The `net.call_micros.<label>` histogram of `request`'s kind, resolved
+/// once per kind rather than formatted and looked up per round trip.
+fn call_micros(request: &Request) -> &'static mtc_obs::Histogram {
+    match request {
+        Request::Hello { .. } => mtc_obs::histogram!("net.call_micros.hello"),
+        Request::Begin { .. } => mtc_obs::histogram!("net.call_micros.begin"),
+        Request::Read { .. } => mtc_obs::histogram!("net.call_micros.read"),
+        Request::Write { .. } => mtc_obs::histogram!("net.call_micros.write"),
+        Request::ReadList { .. } => mtc_obs::histogram!("net.call_micros.read_list"),
+        Request::Append { .. } => mtc_obs::histogram!("net.call_micros.append"),
+        Request::Commit { .. } => mtc_obs::histogram!("net.call_micros.commit"),
+        Request::Abort { .. } => mtc_obs::histogram!("net.call_micros.abort"),
+        _ => mtc_obs::histogram!("net.call_micros.other"),
     }
 }
 
@@ -165,9 +236,14 @@ impl NetBackend {
     /// promised isolation levels.
     pub fn connect_with(addr: SocketAddr, opts: NetOptions) -> io::Result<NetBackend> {
         let mut conn = Conn::dial(addr, &opts)?;
-        let (now, reply) = conn.call(Request::Hello {
+        let hello = Request::Hello {
             version: PROTOCOL_VERSION,
-        })?;
+        };
+        let micros = call_micros(&hello);
+        conn.queue(hello);
+        let mut answer = None;
+        conn.flush(micros, |now, reply| answer = Some((now, reply)))?;
+        let (now, reply) = answer.expect("a clean flush answers every request in flight");
         let (label, promised) = match reply {
             Reply::Hello {
                 version,
@@ -198,6 +274,12 @@ impl NetBackend {
         })
     }
 
+    /// Idle connections in the pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        self.pool.lock().len()
+    }
+
     fn observe(&self, now: u64) {
         self.clock.fetch_max(now, Ordering::AcqRel);
     }
@@ -209,9 +291,12 @@ impl NetBackend {
         Conn::dial(self.addr, &self.opts)
     }
 
+    /// Pools `conn` for the next transaction — only with nothing in flight:
+    /// a connection that still owes replies belongs to a transaction that
+    /// did not settle, and closing it is what makes the server abort it.
     fn check_in(&self, conn: Conn) {
         let mut pool = self.pool.lock();
-        if pool.len() < self.opts.pool_size {
+        if conn.in_flight() == 0 && pool.len() < self.opts.pool_size {
             pool.push(conn);
         }
     }
@@ -241,188 +326,213 @@ impl DbBackend for NetBackend {
 }
 
 impl NetBackend {
-    /// Opens a transaction. `begin` cannot fail by signature, so wire
-    /// trouble yields a *doomed* handle: every operation on it returns
-    /// [`AbortReason::ConnectionLost`], the driver aborts and retries, and
-    /// since such an attempt records no operations it never enters the
-    /// history.
+    /// Opens a transaction: checks a connection out and *queues* the begin
+    /// request on it — the round trip is the first read's (or commit's, or
+    /// [`DbTxn::begin_ts`]'s). `begin` cannot fail by signature, so a
+    /// connection that cannot be had yields a *doomed* handle: every
+    /// operation on it returns [`AbortReason::ConnectionLost`], the driver
+    /// aborts and retries.
     fn begin_inner(&self, retry_of: Option<u64>) -> NetTxn<'_> {
-        let mut conn = match self.checkout() {
-            Ok(conn) => conn,
-            Err(_) => return NetTxn::doomed(self),
+        let mut state = TxnState {
+            conn: self.checkout().map_err(|_| AbortReason::ConnectionLost),
+            begin_ts: None,
         };
-        match conn.call(Request::Begin { retry_of }) {
-            Ok((now, Reply::Begun { txn, begin_ts })) => {
-                self.observe(now);
-                NetTxn {
-                    backend: self,
-                    conn: Some(conn),
-                    txn,
-                    begin_ts,
-                    doomed: None,
-                }
-            }
-            // Anything else — I/O failure, protocol error — kills the
-            // connection (it may be desynchronized) and dooms the handle.
-            _ => NetTxn::doomed(self),
+        match &mut state.conn {
+            Ok(conn) => conn.queue(Request::Begin { retry_of }),
+            Err(reason) => count_doom(*reason),
+        }
+        NetTxn {
+            backend: self,
+            state: RefCell::new(state),
         }
     }
 }
 
 /// An open transaction on a checked-out connection.
+///
+/// **Contract of the queued calls.** [`DbBackend::begin`],
+/// [`DbTxn::write_register`] and [`DbTxn::append`] only queue their request:
+/// `Ok(())` from a write means *accepted — applied at the server no later
+/// than this transaction's next reply-bearing call* (`read_register`,
+/// `read_list`, `commit`, `abort`, or the first `begin_ts`), which sends
+/// everything queued plus itself in one write. If the engine refuses a
+/// queued write, that call returns the write's [`AbortReason`], and the
+/// server has rolled the transaction back: nothing sent after a refused
+/// operation runs, a commit least of all. Another connection cannot see a
+/// write that is still queued — a hand-driven test that needs it visible
+/// reads it back first.
 pub struct NetTxn<'b> {
     backend: &'b NetBackend,
-    conn: Option<Conn>,
-    txn: u64,
-    begin_ts: u64,
-    /// Set once the wire failed; every subsequent operation fails fast
-    /// with this reason.
-    doomed: Option<AbortReason>,
+    /// Behind a `RefCell` because [`DbTxn::begin_ts`] takes `&self` and may
+    /// have to pay the begin's round trip.
+    state: RefCell<TxnState>,
 }
 
-impl<'b> NetTxn<'b> {
-    fn doomed(backend: &'b NetBackend) -> NetTxn<'b> {
-        count_doom(AbortReason::ConnectionLost);
-        NetTxn {
-            backend,
-            conn: None,
-            txn: 0,
-            begin_ts: backend.now(),
-            doomed: Some(AbortReason::ConnectionLost),
+struct TxnState {
+    /// The checked-out connection — or, once the wire failed, the reason
+    /// every subsequent operation fails fast with (the transaction is
+    /// *doomed*).
+    conn: Result<Conn, AbortReason>,
+    /// The server's begin instant, once a flush has brought `Begun` back.
+    begin_ts: Option<u64>,
+}
+
+impl TxnState {
+    /// The connection cannot be trusted any more (I/O failure, protocol
+    /// error, a reply of the wrong shape): drop it, never to be pooled, and
+    /// fail every further operation with `reason`.
+    fn doom(&mut self, reason: AbortReason) -> AbortReason {
+        self.conn = Err(reason);
+        count_doom(reason);
+        reason
+    }
+
+    /// One round trip for everything queued. `Ok` is the last reply; the
+    /// first [`Reply::Aborted`] among them is the error — the server answers
+    /// everything after a refused operation with the same reason. A wire or
+    /// protocol failure dooms the transaction with `on_io_failure`:
+    /// [`AbortReason::ConnectionLost`], or
+    /// [`AbortReason::CommitStatusUnknown`] when a commit request is part
+    /// of what may have reached the server.
+    fn flush(
+        &mut self,
+        backend: &NetBackend,
+        micros: &mtc_obs::Histogram,
+        on_io_failure: AbortReason,
+    ) -> Result<Reply, AbortReason> {
+        let conn = match &mut self.conn {
+            Ok(conn) => conn,
+            Err(reason) => return Err(*reason),
+        };
+        let (mut refused, mut unknown, mut last) = (None, false, None);
+        let sent = conn.flush(micros, |now, reply| {
+            backend.observe(now);
+            match reply {
+                Reply::Begun { begin_ts, .. } => self.begin_ts = Some(begin_ts),
+                Reply::Aborted(reason) => _ = refused.get_or_insert(reason),
+                // The server no longer knows this transaction.
+                Reply::Error(_) => unknown = true,
+                _ => {}
+            }
+            last = Some(reply);
+        });
+        match (sent, unknown, refused, last) {
+            (Ok(()), false, Some(reason), _) => Err(reason),
+            (Ok(()), false, None, Some(reply)) => Ok(reply),
+            _ => Err(self.doom(on_io_failure)),
         }
     }
 
-    /// One operation round trip; on wire failure the connection is dropped
-    /// (never re-pooled) and the transaction is doomed with `on_io_failure`
-    /// — [`AbortReason::ConnectionLost`] for reads/writes,
-    /// [`AbortReason::CommitStatusUnknown`] once a commit request may have
-    /// reached the server.
-    fn call(&mut self, request: Request, on_io_failure: AbortReason) -> Result<Reply, AbortReason> {
-        if let Some(reason) = self.doomed {
-            return Err(reason);
+    /// Queues `request` and pays the round trip for it and everything
+    /// queued before it.
+    fn call(
+        &mut self,
+        backend: &NetBackend,
+        request: Request,
+        on_io_failure: AbortReason,
+    ) -> Result<Reply, AbortReason> {
+        let micros = call_micros(&request);
+        if let Ok(conn) = &mut self.conn {
+            conn.queue(request);
         }
-        let conn = self.conn.as_mut().expect("un-doomed txn holds a conn");
-        match conn.call(request) {
-            Ok((now, reply)) => {
-                self.backend.observe(now);
-                match reply {
-                    Reply::Aborted(reason) => Err(reason),
-                    Reply::Error(_) => {
-                        // Protocol-level failure: the server no longer
-                        // knows this transaction. Drop the connection.
-                        self.conn = None;
-                        self.doomed = Some(on_io_failure);
-                        count_doom(on_io_failure);
-                        Err(on_io_failure)
-                    }
-                    other => Ok(other),
-                }
+        self.flush(backend, micros, on_io_failure)
+    }
+
+    /// Queues a write. It waits for the next reply-bearing call unless the
+    /// connection already holds [`MAX_IN_FLIGHT`] requests back.
+    fn write(&mut self, backend: &NetBackend, request: Request) -> Result<(), AbortReason> {
+        if let Ok(conn) = &mut self.conn {
+            if conn.in_flight() < MAX_IN_FLIGHT {
+                conn.queue(request);
+                return Ok(());
             }
-            Err(_) => {
-                self.conn = None;
-                self.doomed = Some(on_io_failure);
-                count_doom(on_io_failure);
-                Err(on_io_failure)
-            }
+        }
+        match self.call(backend, request, AbortReason::ConnectionLost)? {
+            Reply::Done => Ok(()),
+            _ => Err(self.doom(AbortReason::ConnectionLost)),
         }
     }
 }
 
 impl DbTxn for NetTxn<'_> {
+    /// The server's begin instant. Costs the begin's round trip if no call
+    /// has paid it yet; on a doomed handle that never heard from the server
+    /// it is the newest clock reading this client has seen.
     fn begin_ts(&self) -> u64 {
-        self.begin_ts
+        let mut state = self.state.borrow_mut();
+        if state.begin_ts.is_none() {
+            // A refusal of a write that rode along is not lost: the server
+            // repeats it to the next call.
+            let micros = mtc_obs::histogram!("net.call_micros.begin");
+            let _ = state.flush(self.backend, micros, AbortReason::ConnectionLost);
+        }
+        state.begin_ts.unwrap_or_else(|| self.backend.now())
     }
 
     fn read_register(&mut self, key: Key) -> Result<Value, AbortReason> {
-        let txn = self.txn;
-        match self.call(Request::Read { txn, key }, AbortReason::ConnectionLost)? {
+        let state = self.state.get_mut();
+        let request = Request::Read { txn: 0, key };
+        match state.call(self.backend, request, AbortReason::ConnectionLost)? {
             Reply::Value(value) => Ok(value),
-            _ => Err(self.desync()),
+            _ => Err(state.doom(AbortReason::ConnectionLost)),
         }
     }
 
     fn write_register(&mut self, key: Key, value: Value) -> Result<(), AbortReason> {
-        let txn = self.txn;
-        match self.call(
-            Request::Write { txn, key, value },
-            AbortReason::ConnectionLost,
-        )? {
-            Reply::Done => Ok(()),
-            _ => Err(self.desync()),
-        }
+        let request = Request::Write { txn: 0, key, value };
+        self.state.get_mut().write(self.backend, request)
     }
 
     fn read_list(&mut self, key: Key) -> Result<Vec<Value>, AbortReason> {
-        let txn = self.txn;
-        match self.call(Request::ReadList { txn, key }, AbortReason::ConnectionLost)? {
+        let state = self.state.get_mut();
+        let request = Request::ReadList { txn: 0, key };
+        match state.call(self.backend, request, AbortReason::ConnectionLost)? {
             Reply::Values(values) => Ok(values),
-            _ => Err(self.desync()),
+            _ => Err(state.doom(AbortReason::ConnectionLost)),
         }
     }
 
     fn append(&mut self, key: Key, element: Value) -> Result<(), AbortReason> {
-        let txn = self.txn;
-        match self.call(
-            Request::Append { txn, key, element },
-            AbortReason::ConnectionLost,
-        )? {
-            Reply::Done => Ok(()),
-            _ => Err(self.desync()),
-        }
+        let request = Request::Append {
+            txn: 0,
+            key,
+            element,
+        };
+        self.state.get_mut().write(self.backend, request)
     }
 
-    fn commit(mut self: Box<Self>) -> Result<CommitInfo, AbortReason> {
-        let txn = self.txn;
-        // From here on the request may reach the server even if the reply
-        // never reaches us, so failures are ambiguous.
-        match self.call(Request::Commit { txn }, AbortReason::CommitStatusUnknown) {
-            Ok(Reply::Committed { commit_ts }) => {
-                if let Some(conn) = self.conn.take() {
-                    self.backend.check_in(conn);
-                }
-                Ok(CommitInfo { commit_ts })
-            }
-            Ok(_) => Err(self.desync()),
-            Err(reason) => {
-                // A *known* server-side abort (e.g. a write conflict) is a
-                // clean round trip; `call` only leaves the connection in
-                // place on that path, so reclaim it for the pool.
-                if let Some(conn) = self.conn.take() {
-                    self.backend.check_in(conn);
-                }
-                Err(reason)
-            }
+    fn commit(self: Box<Self>) -> Result<CommitInfo, AbortReason> {
+        let mut state = self.state.into_inner();
+        // From the moment this flush starts to be written the commit may
+        // reach the server even if no reply reaches us, so failures are
+        // ambiguous.
+        let request = Request::Commit { txn: 0 };
+        let result = state
+            .call(self.backend, request, AbortReason::CommitStatusUnknown)
+            .and_then(|reply| match reply {
+                Reply::Committed { commit_ts } => Ok(CommitInfo { commit_ts }),
+                _ => Err(state.doom(AbortReason::CommitStatusUnknown)),
+            });
+        // A *known* server-side abort (a write conflict, a refused write) is
+        // a clean round trip too: the connection is reusable.
+        if let Ok(conn) = state.conn {
+            self.backend.check_in(conn);
         }
+        result
     }
 
-    fn abort(mut self: Box<Self>) -> AbortReason {
-        if let Some(reason) = self.doomed {
-            return reason;
+    fn abort(self: Box<Self>) -> AbortReason {
+        let mut state = self.state.into_inner();
+        let request = Request::Abort { txn: 0 };
+        let reason = match state.call(self.backend, request, AbortReason::ConnectionLost) {
+            Ok(Reply::Done) => AbortReason::UserAbort,
+            Ok(_) => state.doom(AbortReason::ConnectionLost),
+            // The server had already rolled it back, for this reason.
+            Err(reason) => reason,
+        };
+        if let Ok(conn) = state.conn {
+            self.backend.check_in(conn);
         }
-        let txn = self.txn;
-        match self.call(Request::Abort { txn }, AbortReason::ConnectionLost) {
-            Ok(Reply::Done) => {
-                if let Some(conn) = self.conn.take() {
-                    self.backend.check_in(conn);
-                }
-                AbortReason::UserAbort
-            }
-            // `call` already dropped the connection on failure paths.
-            _ => AbortReason::ConnectionLost,
-        }
-    }
-}
-
-impl NetTxn<'_> {
-    /// An in-protocol reply of the wrong shape: the connection cannot be
-    /// trusted any more. Doom the transaction and drop the connection.
-    fn desync(&mut self) -> AbortReason {
-        self.conn = None;
-        let reason = self.doomed.unwrap_or(AbortReason::ConnectionLost);
-        if self.doomed.is_none() {
-            count_doom(reason);
-        }
-        self.doomed = Some(reason);
         reason
     }
 }

@@ -14,10 +14,16 @@
 //! durable history log already uses, so corrupt or truncated traffic is
 //! rejected by the same code paths recovery trusts (see [`proto`]).
 //!
-//! * [`proto`] — envelopes, request/reply enums, framed send/recv;
-//! * [`server`] — [`serve`] accept loop, [`NetServer`] in-process harness,
-//!   and the `mtc_net_server` binary's engine table;
+//! * [`proto`] — envelopes, request/reply enums, framed send/recv and the
+//!   receive buffer of a pipelined connection;
+//! * [`server`] — [`serve`] accept loop, the burst-answering connection loop
+//!   both server roles run, [`NetServer`] in-process harness, and the
+//!   `mtc_net_server` binary's engine table;
 //! * [`client`] — [`NetBackend`]/[`NetTxn`] with connection pooling,
+//!   requests sent ahead (`begin` and writes ride with the next read or
+//!   commit: a mini-transaction is two or three round trips, and `Ok` from
+//!   a write means *accepted, applied no later than the transaction's next
+//!   reply-bearing call* — the contract is on [`NetTxn`]),
 //!   per-op timeouts and typed I/O failure mapping
 //!   ([`AbortReason::ConnectionLost`] before commit,
 //!   [`AbortReason::CommitStatusUnknown`] after — see
@@ -39,82 +45,4 @@ pub use proto::TenantStatus;
 pub use server::{serve, spec_for_label, NetServer};
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use mtc_core::IsolationLevel;
-    use mtc_dbsim::{BackendSpec, DbBackend};
-    use mtc_history::{Key, Value};
-
-    #[test]
-    fn loopback_round_trip_commits_and_reads_back() {
-        let server = NetServer::spawn(spec_for_label("sim-ser", 4).unwrap()).unwrap();
-        let backend = NetBackend::connect(server.addr()).unwrap();
-        assert_eq!(backend.label(), "net/sim-ser");
-        assert!(backend.promises(IsolationLevel::StrictSerializability));
-
-        let mut t = backend.begin();
-        t.write_register(Key(0), Value(7)).unwrap();
-        let info = t.commit().unwrap();
-        assert!(info.commit_ts > 0);
-        assert!(backend.now() >= info.commit_ts);
-
-        let mut t = backend.begin();
-        assert_eq!(t.read_register(Key(0)).unwrap(), Value(7));
-        t.append(Key(1), Value(1)).unwrap();
-        t.append(Key(1), Value(2)).unwrap();
-        assert_eq!(t.read_list(Key(1)).unwrap(), vec![Value(1), Value(2)]);
-        assert_eq!(t.abort(), mtc_dbsim::AbortReason::UserAbort);
-
-        // The abort rolled the appends back.
-        let mut t = backend.begin();
-        assert_eq!(t.read_list(Key(1)).unwrap(), Vec::<Value>::new());
-        t.commit().unwrap();
-        server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn a_dead_server_dooms_transactions_instead_of_panicking() {
-        let server = NetServer::spawn(BackendSpec::TwoPl).unwrap();
-        let addr = server.addr();
-        let backend = NetBackend::connect(addr).unwrap();
-        server.shutdown().unwrap();
-
-        let mut t = backend.begin();
-        let err = t.read_register(Key(0)).unwrap_err();
-        assert_eq!(err, mtc_dbsim::AbortReason::ConnectionLost);
-        assert_eq!(t.abort(), mtc_dbsim::AbortReason::ConnectionLost);
-    }
-
-    #[test]
-    fn dropped_connections_leave_no_server_side_locks() {
-        // A client that vanishes mid-transaction (handle dropped, socket
-        // closed) must not wedge a lock-holding engine: the handler aborts
-        // leftovers, so a second client can lock the same key.
-        let server = NetServer::spawn(BackendSpec::TwoPl).unwrap();
-        let backend = NetBackend::connect(server.addr()).unwrap();
-        {
-            let mut t = backend.begin();
-            t.write_register(Key(5), Value(1)).unwrap();
-            drop(t); // no abort: simulates a crashed client
-        }
-        drop(backend); // closes the pooled connection under the server
-        let fresh = NetBackend::connect(server.addr()).unwrap();
-        let mut t = fresh.begin();
-        // May need a moment for the server to notice the closed socket.
-        let mut attempts = 0;
-        loop {
-            match t.write_register(Key(5), Value(2)) {
-                Ok(()) => break,
-                Err(e) => {
-                    assert!(attempts < 100, "lock never released: {e}");
-                    attempts += 1;
-                    let _ = t.abort();
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    t = fresh.begin();
-                }
-            }
-        }
-        t.commit().unwrap();
-        server.shutdown().unwrap();
-    }
-}
+mod tests;

@@ -17,6 +17,16 @@
 //! conformance tests). Every reply also carries the server's logical clock,
 //! which the client caches to answer [`DbBackend::now`] locally.
 //!
+//! The protocol is **pipelined**: a peer may send any number of requests
+//! before reading a reply; the server executes them in order and answers
+//! each, in order (see `server::serve_connection`). A client that sends
+//! ahead cannot know the id a queued `Begin` will be given, so transaction
+//! id `0` names *the transaction this connection began most recently*
+//! (server ids start at 1). What makes sending ahead safe is the server's
+//! refusal rule: the first operation the engine aborts rolls the
+//! transaction back and every later request naming it — `Commit` included —
+//! is answered [`Reply::Aborted`] with that same reason.
+//!
 //! [`DbBackend::now`]: mtc_dbsim::DbBackend::now
 
 use mtc_core::IsolationLevel;
@@ -29,8 +39,9 @@ use std::io::{Read, Write};
 /// Protocol version; bumped on any incompatible message change. The
 /// `Hello` exchange rejects mismatched peers instead of misdecoding them.
 /// Version 2 added the verification-service role (`OpenTenant` / `Ingest` /
-/// `TenantStatus` / `CloseTenant` and their replies).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// `TenantStatus` / `CloseTenant` and their replies); version 3 transaction
+/// id `0` and the refusal rule (see the [module docs](self)).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// A client request, wrapped in a [`RequestEnvelope`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -48,7 +59,9 @@ pub enum Request {
     },
     /// Read the register at `key` in transaction `txn`.
     Read {
-        /// Transaction id from [`Reply::Begun`].
+        /// Transaction id from [`Reply::Begun`], or `0` for the transaction
+        /// this connection began most recently — here and in every request
+        /// below that names a transaction.
         txn: u64,
         /// Register to read.
         key: Key,
@@ -126,33 +139,10 @@ pub enum Request {
     /// Scrape the server's metric registry ([`Reply::Metrics`]). Answered
     /// by both execution servers and service daemons; all-zero metrics
     /// with `enabled: false` mean the server never turned observability
-    /// on. Still protocol version 2: the externally-tagged envelope
+    /// on. Added without a version bump: the externally-tagged envelope
     /// encoding makes added variants wire-compatible — an old server
     /// answers an unknown tag with [`Reply::Error`], not a misdecode.
     MetricsSnapshot,
-}
-
-impl Request {
-    /// Short stable label of the request kind, used as the per-op metric
-    /// name suffix in `net.call_micros.<label>`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::Begin { .. } => "begin",
-            Request::Read { .. } => "read",
-            Request::Write { .. } => "write",
-            Request::ReadList { .. } => "read_list",
-            Request::Append { .. } => "append",
-            Request::Commit { .. } => "commit",
-            Request::Abort { .. } => "abort",
-            Request::Now => "now",
-            Request::OpenTenant { .. } => "open_tenant",
-            Request::Ingest { .. } => "ingest",
-            Request::TenantStatus { .. } => "tenant_status",
-            Request::CloseTenant { .. } => "close_tenant",
-            Request::MetricsSnapshot => "metrics_snapshot",
-        }
-    }
 }
 
 /// A server reply, wrapped in a [`ReplyEnvelope`].
@@ -187,7 +177,8 @@ pub enum Reply {
         /// Commit timestamp on the engine's logical clock.
         commit_ts: u64,
     },
-    /// The operation (or commit) aborted the transaction.
+    /// The operation (or commit) aborted the transaction — or an earlier
+    /// operation of the same transaction did, with this reason.
     Aborted(AbortReason),
     /// Protocol-level failure (unknown transaction id, bad handshake).
     /// The connection is not usable for the affected transaction.
@@ -300,16 +291,35 @@ pub struct ReplyEnvelope {
     pub reply: Reply,
 }
 
+/// Appends `msg` to `out` as one frame.
+pub fn encode<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
+    let payload = mtc_store::binval::to_bytes(msg);
+    out.reserve(FRAME_HEADER + payload.len());
+    write_frame(out, &payload);
+}
+
+/// Decodes the frame at `*pos` of `buf`, advancing `*pos` past it; `None`
+/// (and `*pos` unchanged) if it has not all arrived. The store's own frame
+/// reader does the CRC and length checks, exactly as for the durable log.
+fn decode<T: Deserialize>(buf: &[u8], pos: &mut usize) -> std::io::Result<Option<T>> {
+    match read_frame(buf, pos) {
+        Ok(payload) => mtc_store::binval::from_bytes(payload)
+            .map(Some)
+            .map_err(invalid_data),
+        Err(FrameError::Truncated) => Ok(None),
+        Err(e @ FrameError::Corrupt) => Err(invalid_data(e)),
+    }
+}
+
 /// Encodes `msg` as one frame and writes it to `w`.
 pub fn send<T: Serialize, W: Write>(w: &mut W, msg: &T) -> std::io::Result<()> {
-    let payload = mtc_store::binval::to_bytes(msg);
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    write_frame(&mut buf, &payload);
+    let mut buf = Vec::new();
+    encode(&mut buf, msg);
     w.write_all(&buf)?;
     w.flush()
 }
 
-/// Reads one frame from `r` and decodes it.
+/// Reads exactly one frame from `r` and decodes it.
 ///
 /// Corrupt frames (checksum mismatch, absurd length) and undecodable
 /// payloads map to [`std::io::ErrorKind::InvalidData`]; a cleanly closed
@@ -323,11 +333,55 @@ pub fn recv<T: Deserialize, R: Read>(r: &mut R) -> std::io::Result<T> {
     }
     buf.resize(FRAME_HEADER + len, 0);
     r.read_exact(&mut buf[FRAME_HEADER..])?;
-    // Re-run the store's own frame reader over the reassembled bytes so
-    // the CRC check is the exact one the durable log uses.
-    let mut pos = 0;
-    let payload = read_frame(&buf, &mut pos).map_err(invalid_data)?;
-    mtc_store::binval::from_bytes(payload).map_err(invalid_data)
+    decode(&buf, &mut 0)?.ok_or_else(|| std::io::ErrorKind::UnexpectedEof.into())
+}
+
+/// How much a [`FrameBuf`] asks its stream for at a time.
+const READ_CHUNK: usize = 64 << 10;
+
+/// The receive side of a pipelined connection: bytes as they arrive, frames
+/// as they complete. A frame that arrives in pieces simply stays here
+/// between reads, so a read timeout loses nothing. Holds at most one
+/// maximal frame plus one read: [`FrameBuf::pop`] refuses a length over
+/// [`MAX_FRAME_LEN`] as soon as the header is whole, so call it after every
+/// [`FrameBuf::fill`].
+#[derive(Default)]
+pub struct FrameBuf {
+    /// Storage; `buf[start..end]` is received and not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    /// Decodes the next whole frame, `None` if it has not all arrived.
+    /// Errors as [`recv`] does, except that a missing tail is `None`.
+    pub fn pop<T: Deserialize>(&mut self) -> std::io::Result<Option<T>> {
+        decode(&self.buf[..self.end], &mut self.start)
+    }
+
+    /// True iff part of a frame is waiting for the rest of it.
+    pub fn has_partial(&self) -> bool {
+        self.start < self.end
+    }
+
+    /// One `read` from `r` — whatever it has, up to a chunk — appended to
+    /// the buffer; returns what `read` returned (`Ok(0)`: the peer closed).
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
+        if self.start == self.end {
+            // The usual case: every frame of the last read was whole.
+            (self.start, self.end) = (0, 0);
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
 fn invalid_data<E: std::error::Error + Send + Sync + 'static>(e: E) -> std::io::Error {

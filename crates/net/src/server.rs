@@ -8,21 +8,35 @@
 //! store do not clean up on `Drop`, and a crashed client must never leave
 //! locks or uncommitted versions behind on the server.
 //!
+//! A handler answers **bursts**: [`serve_connection`] (the loop the
+//! verification daemon's handlers run too) reads whatever the socket has,
+//! executes every whole request frame in order and sends all their replies
+//! in one write — two syscalls per burst. Clients send ahead of replies
+//! (see [`crate::client`]), which is safe because of one rule kept here:
+//! the first operation the engine aborts rolls its transaction back and
+//! records the reason, and every later request naming that transaction —
+//! those already in the same burst included — is answered
+//! `Aborted(same reason)` until its `Commit`/`Abort` retires the record.
+//! A commit never runs on a transaction one of whose operations the server
+//! refused, whatever the engine's own doomed-handle behaviour.
+//!
 //! [`NetServer`] is the in-process convenience wrapper the tests and
 //! benches use: it binds an ephemeral loopback port, builds a fresh engine
 //! from a [`BackendSpec`] on its own thread, and shuts the loop down on
 //! drop.
 
-use crate::proto::{self, Reply, Request, RequestEnvelope, PROTOCOL_VERSION};
+use crate::proto::{
+    self, FrameBuf, Reply, ReplyEnvelope, Request, RequestEnvelope, PROTOCOL_VERSION,
+};
 use mtc_core::IsolationLevel;
-use mtc_dbsim::{BackendSpec, DbBackend, DbTxn};
+use mtc_dbsim::{AbortReason, BackendSpec, DbBackend, DbTxn};
 use mtc_obs::events::JsonValue;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The three levels a `Hello` reply may promise.
 const LEVELS: [IsolationLevel; 3] = [
@@ -60,10 +74,10 @@ pub fn serve(
                         mtc_obs::gauge!("net.connections_open").sub(1);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -71,72 +85,150 @@ pub fn serve(
     })
 }
 
-/// One connection: decode requests, run them against `backend`, reply.
-/// Exits on any I/O or decode error (the client will re-dial) or when the
-/// server shuts down, aborting whatever transactions the connection still
-/// holds.
-fn handle_connection(backend: &dyn DbBackend, mut stream: TcpStream, shutdown: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    // Connection-local transaction table. Ids are connection-local counters
-    // rather than begin timestamps so a retry (which *reuses* its first
-    // attempt's timestamp) can never collide with a live transaction.
-    let mut txns: HashMap<u64, Box<dyn DbTxn + '_>> = HashMap::new();
-    let mut next_txn_id: u64 = 1;
+/// How often an idle connection handler looks at its stop condition.
+const IDLE_POLL: Duration = Duration::from_millis(20);
 
-    while !shutdown.load(Ordering::Acquire) {
-        // Idle phase: `peek` with a short timeout so the handler notices
-        // server shutdown without consuming (and on timeout, losing) any
-        // frame bytes.
-        if stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .is_err()
-        {
-            break;
-        }
-        match stream.peek(&mut [0u8; 1]) {
-            Ok(0) => break, // peer closed cleanly
+/// How long a peer may leave a frame half sent, or replies unread, before it
+/// is treated as gone (it will surface a `ConnectionLost` on its side).
+const STALL_LIMIT: Duration = Duration::from_millis(if cfg!(test) { 200 } else { 5000 });
+
+/// The connection loop of both server roles: read whatever the socket has,
+/// run every whole request frame through `execute` in order (it returns the
+/// reply and the clock reading to stamp on it), send all their replies in
+/// one write. Returns when `stop()` turns true, the peer closes, a frame is
+/// corrupt (the whole frames before it are answered first), or the peer
+/// stalls mid-frame for five seconds.
+pub fn serve_connection(
+    mut stream: TcpStream,
+    stop: impl Fn() -> bool,
+    mut execute: impl FnMut(Request) -> (u64, Reply),
+) {
+    if stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(IDLE_POLL)).is_err()
+        || stream.set_write_timeout(Some(STALL_LIMIT)).is_err()
+    {
+        return;
+    }
+    let mut frames = FrameBuf::default();
+    let mut replies = Vec::new();
+    let mut last_byte_at = Instant::now(); // read only while a frame is partial
+    while !stop() {
+        match frames.fill(&mut stream) {
+            Ok(0) => break, // peer closed
             Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if frames.has_partial() && last_byte_at.elapsed() >= STALL_LIMIT {
+                    break;
+                }
                 continue;
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
-        // A frame has started: read it whole, allowing the peer a bounded
-        // stall (a client dribbling a frame slower than this is treated as
-        // gone — it will surface a `ConnectionLost` on its side).
-        if stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .is_err()
-        {
+        let clean = loop {
+            match frames.pop::<RequestEnvelope>() {
+                Ok(Some(env)) => {
+                    let (now, reply) = execute(env.request);
+                    let seq = env.seq;
+                    proto::encode(&mut replies, &ReplyEnvelope { seq, now, reply });
+                }
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        let sent = replies.is_empty() || stream.write_all(&replies).is_ok();
+        replies.clear();
+        if !(clean && sent) {
             break;
         }
-        let env: RequestEnvelope = match proto::recv(&mut stream) {
-            Ok(env) => env,
-            Err(_) => break,
-        };
-        let reply = execute(backend, &mut txns, &mut next_txn_id, env.request);
-        let reply_env = proto::ReplyEnvelope {
-            seq: env.seq,
-            now: backend.now(),
-            reply,
-        };
-        if proto::send(&mut stream, &reply_env).is_err() {
-            break;
+        if frames.has_partial() {
+            last_byte_at = Instant::now();
         }
-    }
-    for (_, txn) in txns.drain() {
-        let _ = txn.abort();
     }
 }
 
-fn execute<'b>(
-    backend: &'b dyn DbBackend,
-    txns: &mut HashMap<u64, Box<dyn DbTxn + 'b>>,
-    next_txn_id: &mut u64,
-    request: Request,
-) -> Reply {
+/// A connection's slot for one transaction id.
+enum Slot<'b> {
+    Open(Box<dyn DbTxn + 'b>),
+    /// An operation was refused: the engine handle is already rolled back,
+    /// and every later request naming the id gets this reason until its
+    /// `Commit`/`Abort` retires the slot.
+    Refused(AbortReason),
+}
+
+/// Connection-local transaction table. Ids are connection-local counters
+/// rather than begin timestamps so a retry (which *reuses* its first
+/// attempt's timestamp) can never collide with a live transaction; they
+/// start at 1, and a request's id 0 means the last one handed out.
+struct Txns<'b> {
+    slots: HashMap<u64, Slot<'b>>,
+    last_id: u64,
+}
+
+impl<'b> Txns<'b> {
+    /// The id a request means by `txn`.
+    fn id(&self, txn: u64) -> u64 {
+        if txn == 0 {
+            self.last_id
+        } else {
+            txn
+        }
+    }
+
+    /// Runs one operation on transaction `txn`. The first one the engine
+    /// aborts rolls the transaction back here and now — a client that sent
+    /// a commit ahead of this operation's reply must not have it executed.
+    fn op(
+        &mut self,
+        txn: u64,
+        op: impl FnOnce(&mut (dyn DbTxn + 'b)) -> Result<Reply, AbortReason>,
+    ) -> Reply {
+        let txn = self.id(txn);
+        let Some(slot) = self.slots.get_mut(&txn) else {
+            return unknown_txn(txn);
+        };
+        let reason = match slot {
+            Slot::Refused(reason) => *reason,
+            Slot::Open(handle) => match op(handle.as_mut()) {
+                Ok(reply) => return reply,
+                Err(reason) => reason,
+            },
+        };
+        if let Slot::Open(handle) = std::mem::replace(slot, Slot::Refused(reason)) {
+            let _ = handle.abort();
+        }
+        Reply::Aborted(reason)
+    }
+
+    /// Retires transaction `txn`'s slot for its `Commit` or `Abort`.
+    fn settle(&mut self, txn: u64) -> Option<Slot<'b>> {
+        self.slots.remove(&self.id(txn))
+    }
+}
+
+/// One execution-role connection; whatever transactions it still holds
+/// when it ends are aborted.
+fn handle_connection(backend: &dyn DbBackend, stream: TcpStream, shutdown: &AtomicBool) {
+    let mut txns = Txns {
+        slots: HashMap::new(),
+        last_id: 0,
+    };
+    serve_connection(
+        stream,
+        || shutdown.load(Ordering::Acquire),
+        |request| {
+            let reply = execute(backend, &mut txns, request);
+            (backend.now(), reply)
+        },
+    );
+    for (_, slot) in txns.slots.drain() {
+        if let Slot::Open(handle) = slot {
+            let _ = handle.abort();
+        }
+    }
+}
+
+fn execute<'b>(backend: &'b dyn DbBackend, txns: &mut Txns<'b>, request: Request) -> Reply {
     match request {
         Request::Hello { version } => {
             if version != PROTOCOL_VERSION {
@@ -159,51 +251,38 @@ fn execute<'b>(
                 Some(ts) => backend.begin_retry(ts),
             };
             let begin_ts = handle.begin_ts();
-            let txn = *next_txn_id;
-            *next_txn_id += 1;
-            txns.insert(txn, handle);
-            Reply::Begun { txn, begin_ts }
+            txns.last_id += 1;
+            txns.slots.insert(txns.last_id, Slot::Open(handle));
+            Reply::Begun {
+                txn: txns.last_id,
+                begin_ts,
+            }
         }
-        Request::Read { txn, key } => match txns.get_mut(&txn) {
+        Request::Read { txn, key } => txns.op(txn, |t| t.read_register(key).map(Reply::Value)),
+        Request::Write { txn, key, value } => {
+            txns.op(txn, |t| t.write_register(key, value).map(|()| Reply::Done))
+        }
+        Request::ReadList { txn, key } => txns.op(txn, |t| t.read_list(key).map(Reply::Values)),
+        Request::Append { txn, key, element } => {
+            txns.op(txn, |t| t.append(key, element).map(|()| Reply::Done))
+        }
+        // The invariant sending ahead rests on: `commit()` is reached only
+        // from `Slot::Open`, i.e. for a transaction no operation of which
+        // was refused.
+        Request::Commit { txn } => match txns.settle(txn) {
             None => unknown_txn(txn),
-            Some(handle) => match handle.read_register(key) {
-                Ok(value) => Reply::Value(value),
-                Err(reason) => Reply::Aborted(reason),
-            },
-        },
-        Request::Write { txn, key, value } => match txns.get_mut(&txn) {
-            None => unknown_txn(txn),
-            Some(handle) => match handle.write_register(key, value) {
-                Ok(()) => Reply::Done,
-                Err(reason) => Reply::Aborted(reason),
-            },
-        },
-        Request::ReadList { txn, key } => match txns.get_mut(&txn) {
-            None => unknown_txn(txn),
-            Some(handle) => match handle.read_list(key) {
-                Ok(values) => Reply::Values(values),
-                Err(reason) => Reply::Aborted(reason),
-            },
-        },
-        Request::Append { txn, key, element } => match txns.get_mut(&txn) {
-            None => unknown_txn(txn),
-            Some(handle) => match handle.append(key, element) {
-                Ok(()) => Reply::Done,
-                Err(reason) => Reply::Aborted(reason),
-            },
-        },
-        Request::Commit { txn } => match txns.remove(&txn) {
-            None => unknown_txn(txn),
-            Some(handle) => match handle.commit() {
+            Some(Slot::Refused(reason)) => Reply::Aborted(reason),
+            Some(Slot::Open(handle)) => match handle.commit() {
                 Ok(info) => Reply::Committed {
                     commit_ts: info.commit_ts,
                 },
                 Err(reason) => Reply::Aborted(reason),
             },
         },
-        Request::Abort { txn } => match txns.remove(&txn) {
+        Request::Abort { txn } => match txns.settle(txn) {
             None => unknown_txn(txn),
-            Some(handle) => {
+            Some(Slot::Refused(reason)) => Reply::Aborted(reason),
+            Some(Slot::Open(handle)) => {
                 let _ = handle.abort();
                 Reply::Done
             }

@@ -1,0 +1,77 @@
+//! What a mini-transaction costs on the wire, read off the client's own
+//! counters: `net.requests` (frames sent) and `net.round_trips` (flushes).
+//! The counters are process-wide, so this is a test binary of its own and
+//! every test holds the `with_enabled` lock.
+
+use mtc_dbsim::{AbortReason, DbBackend, DbTxn};
+use mtc_history::{Key, Value};
+use mtc_net::{spec_for_label, NetBackend, NetServer};
+use mtc_obs::test_support::with_enabled;
+
+/// `(net.requests, net.round_trips)` spent by `f`.
+fn cost(f: impl FnOnce()) -> (u64, u64) {
+    let read = || {
+        let snapshot = mtc_obs::registry().snapshot();
+        let counter = |name| snapshot.counter(name).unwrap_or(0);
+        (counter("net.requests"), counter("net.round_trips"))
+    };
+    let before = read();
+    f();
+    let after = read();
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn a_mini_transaction_is_two_or_three_round_trips() {
+    let _on = with_enabled(true);
+    let spec = spec_for_label("sim-ser", 4).unwrap();
+    let server = NetServer::spawn(spec.clone()).unwrap();
+    let backend = NetBackend::connect(server.addr()).unwrap();
+
+    // B·R·W·C is [B R]·[W C]; begin and write alone cost nothing.
+    let mut t = backend.begin();
+    assert_eq!(cost(|| t.write_register(Key(0), Value(1)).unwrap()), (1, 0));
+    assert_eq!(
+        cost(|| assert_eq!(t.read_register(Key(0)), Ok(Value(1)))),
+        (1, 1)
+    );
+    assert_eq!(cost(|| assert!(t.commit().is_ok())), (1, 1));
+    let rmw = |t: &mut Box<dyn DbTxn + '_>, key, value| {
+        t.read_register(Key(key)).unwrap();
+        t.write_register(Key(key), Value(value)).unwrap();
+    };
+    let one_key = || {
+        let mut t = backend.begin();
+        rmw(&mut t, 1, 2);
+        t.commit().unwrap();
+    };
+    assert_eq!(cost(one_key), (4, 2));
+    // B·R·W·R·W·C is [B R]·[W R]·[W C].
+    let two_keys = || {
+        let mut t = backend.begin();
+        rmw(&mut t, 2, 3);
+        rmw(&mut t, 3, 4);
+        t.commit().unwrap();
+    };
+    assert_eq!(cost(two_keys), (6, 3));
+
+    // `begin_ts()` before anything else pays the begin's round trip, once,
+    // and reads the instant the engine gave: a fresh in-process engine
+    // brought to the same point hands out the same one.
+    let local = spec.build();
+    for _ in 0..3 {
+        let mut t = local.begin();
+        t.write_register(Key(0), Value(0)).unwrap();
+        t.commit().unwrap();
+    }
+    let t = backend.begin();
+    let mut begin_ts = 0;
+    assert_eq!(cost(|| begin_ts = t.begin_ts()), (0, 1));
+    assert_eq!(cost(|| assert_eq!(t.begin_ts(), begin_ts)), (0, 0));
+    assert_eq!(begin_ts, local.begin().begin_ts());
+    assert_eq!(
+        cost(|| assert_eq!(t.abort(), AbortReason::UserAbort)),
+        (1, 1)
+    );
+    server.shutdown().unwrap();
+}

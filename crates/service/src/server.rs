@@ -14,7 +14,7 @@
 //! its own accept *and* drain threads, shutdown on drop.
 
 use crate::core::{Admission, ServiceConfig, ServiceCore};
-use mtc_net::proto::{self, Reply, Request, RequestEnvelope, PROTOCOL_VERSION};
+use mtc_net::proto::{Reply, Request, PROTOCOL_VERSION};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,7 +25,8 @@ use std::time::Duration;
 pub const SERVICE_LABEL: &str = "mtc-service";
 
 /// Serves `core` on `listener` until `shutdown` becomes true: one handler
-/// thread per connection, same idle-peek loop as the execution server.
+/// thread per connection, the execution server's connection loop
+/// ([`mtc_net::server::serve_connection`]).
 pub fn serve(core: &ServiceCore, listener: TcpListener, shutdown: &AtomicBool) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     std::thread::scope(|scope| {
@@ -57,51 +58,17 @@ pub fn serve(core: &ServiceCore, listener: TcpListener, shutdown: &AtomicBool) -
     })
 }
 
-fn handle_connection(core: &ServiceCore, mut stream: TcpStream, shutdown: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    while !shutdown.load(Ordering::Acquire) && !core.is_shutdown() {
-        // Idle phase: peek with a short timeout so the handler notices
-        // shutdown without consuming frame bytes.
-        if stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .is_err()
-        {
-            break;
-        }
-        match stream.peek(&mut [0u8; 1]) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-        if stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .is_err()
-        {
-            break;
-        }
-        let env: RequestEnvelope = match proto::recv(&mut stream) {
-            Ok(env) => env,
-            Err(_) => break,
-        };
-        let reply = execute(core, env.request);
-        let reply_env = proto::ReplyEnvelope {
-            seq: env.seq,
-            // The service has no transactional clock to share; 0 keeps the
-            // field honest ("no later than anything").
-            now: 0,
-            reply,
-        };
-        if proto::send(&mut stream, &reply_env).is_err() {
-            break;
-        }
-    }
-    // Unlike the execution server there is nothing connection-scoped to
-    // clean up: tenants outlive their connections by design.
+/// One service-role connection. Unlike the execution server there is
+/// nothing connection-scoped to clean up afterwards: tenants outlive their
+/// connections by design.
+fn handle_connection(core: &ServiceCore, stream: TcpStream, shutdown: &AtomicBool) {
+    mtc_net::server::serve_connection(
+        stream,
+        || shutdown.load(Ordering::Acquire) || core.is_shutdown(),
+        // The service has no transactional clock to share; 0 keeps the
+        // reply's `now` field honest ("no later than anything").
+        |request| (0, execute(core, request)),
+    );
 }
 
 fn execute(core: &ServiceCore, request: Request) -> Reply {

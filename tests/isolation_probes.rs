@@ -39,12 +39,16 @@ fn with_remote<T>(label: &str, probe: impl FnOnce(&NetBackend) -> T) -> T {
 }
 
 /// Writer publishes (or buffers) a write, a concurrent reader looks, writer
-/// rolls back. Returns what the reader saw.
+/// rolls back. Returns what the reader saw. A remote write is only *queued*
+/// until its transaction's next reply-bearing call (see `mtc::net::NetTxn`),
+/// so the writer reads its own write back before the reader looks — which
+/// also probes read-your-writes through the wire.
 fn dirty_read_probe(db: &NetBackend) -> Value {
     let mut writer = db.begin();
     writer
         .write_register(Key(0), Value(5))
         .expect("uncontended write");
+    assert_eq!(writer.read_register(Key(0)), Ok(Value(5)));
     let mut reader = db.begin();
     let seen = reader.read_register(Key(0)).expect("uncontended read");
     writer.abort();

@@ -351,3 +351,68 @@ fn server_death_mid_stream_keeps_the_recorded_history_verifiable() {
         "a partial history of a strict-serializable engine must stay clean"
     );
 }
+
+/// Bug-finding power survives the wire: the weak engines' anomalies arise
+/// from real contention between the session threads, and sending writes
+/// ahead (a shorter life on the server per transaction) must not make that
+/// contention too rare to catch.
+#[test]
+fn weak_engines_organic_anomalies_survive_the_wire() {
+    let spec = mt_spec(3, 200, 4, 74);
+    let workload = generate_mt_workload(&spec);
+    for label in ["weak-rc", "weak-ru"] {
+        let server = NetServer::spawn(spec_for_label(label, spec.num_keys).unwrap()).unwrap();
+        let remote = NetBackend::connect(server.addr()).unwrap();
+        let (history, report) = ExecutionOptions::threaded().run(&remote, &workload);
+        assert!(report.committed > 0, "{label}: nothing committed");
+        assert_conformant(remote.label(), &remote, &history);
+        for level in [
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::Serializability,
+        ] {
+            assert!(
+                batch_check(level, &history).is_violated(),
+                "{label}: 600 contended MTs through the wire show no {level} violation"
+            );
+        }
+        drop(remote);
+        server.shutdown().unwrap();
+    }
+}
+
+/// The cuts pipelining adds — between a flushed burst and its replies —
+/// are typed by what the burst carried: `ConnectionLost` without a commit
+/// in it, `CommitStatusUnknown` with one (and that commit did happen).
+#[test]
+fn a_cut_between_a_burst_and_its_replies_is_typed_by_what_it_carried() {
+    use mtc::history::{Key, Value};
+    let server = NetServer::spawn(spec_for_label("sim-ser", 8).unwrap()).unwrap();
+    let connect_cut_after = |replies: usize| {
+        let proxy = FaultProxy::spawn(server.addr(), ReplyFault::CutAfter(replies));
+        let opts = NetOptions {
+            op_timeout: Duration::from_millis(500),
+            ..NetOptions::default()
+        };
+        NetBackend::connect_with(proxy.addr, opts).unwrap()
+    };
+
+    // `[Begin Read]` is sent, and only the handshake's reply ever passed.
+    let remote = connect_cut_after(1);
+    let mut t = remote.begin();
+    assert_eq!(t.read_register(Key(0)), Err(AbortReason::ConnectionLost));
+    assert_eq!(t.abort(), AbortReason::ConnectionLost);
+
+    // Hello, `Begun` and the read's value pass; `[Write Commit]` is sent
+    // and executed, its replies are cut.
+    let remote = connect_cut_after(3);
+    let mut t = remote.begin();
+    t.read_register(Key(0)).unwrap();
+    t.write_register(Key(0), Value(9)).unwrap();
+    assert_eq!(t.commit().unwrap_err(), AbortReason::CommitStatusUnknown);
+    let direct = NetBackend::connect(server.addr()).unwrap();
+    let mut t = direct.begin();
+    assert_eq!(t.read_register(Key(0)), Ok(Value(9)));
+    t.commit().unwrap();
+    drop((remote, direct));
+    server.shutdown().unwrap();
+}
