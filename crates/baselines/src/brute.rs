@@ -49,9 +49,7 @@ fn brute_check(history: &History, level: Level) -> bool {
     // Fixed edges: SO (and RT for SSER), WR.
     let mut base: Vec<(usize, usize)> = Vec::new();
     for (a, b) in history.session_order_edges() {
-        if history.txn(a).is_committed() && history.txn(b).is_committed() {
-            base.push((a.index(), b.index()));
-        }
+        base.push((a.index(), b.index()));
     }
     if level == Level::Sser {
         for &a in &committed {
@@ -122,35 +120,27 @@ fn brute_check(history: &History, level: Level) -> bool {
             }
             match level {
                 Level::Ser | Level::Sser => {
-                    let mut g = DiGraph::new(n);
-                    for &(a, b) in base
-                        .iter()
-                        .chain(wr.iter())
-                        .chain(ww.iter())
-                        .chain(rw.iter())
-                    {
-                        g.add_edge(a, b);
-                    }
-                    g.is_acyclic()
+                    let all = base.iter().chain(&wr).chain(&ww).chain(&rw);
+                    DiGraph::from_edges(n, all.copied()).is_acyclic()
                 }
                 Level::Si => {
                     let mut rw_out: Vec<Vec<usize>> = vec![Vec::new(); n];
                     for &(a, b) in &rw {
                         rw_out[a].push(b);
                     }
-                    let mut g = DiGraph::new(n);
+                    let mut composed: Vec<(usize, usize)> = Vec::new();
                     let mut self_loop = false;
                     for &(a, b) in base.iter().chain(wr.iter()).chain(ww.iter()) {
-                        g.add_edge(a, b);
+                        composed.push((a, b));
                         for &c in &rw_out[b] {
                             if a == c {
                                 self_loop = true;
                             } else {
-                                g.add_edge(a, c);
+                                composed.push((a, c));
                             }
                         }
                     }
-                    !self_loop && g.is_acyclic()
+                    !self_loop && DiGraph::from_edges(n, composed.iter().copied()).is_acyclic()
                 }
             }
         },

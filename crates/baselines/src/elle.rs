@@ -246,25 +246,19 @@ pub fn elle_check_list_append(history: &ListHistory, level: ElleLevel) -> ElleOu
     // ── Cycle detection. ─────────────────────────────────────────────────────
     let cyclic = match level {
         ElleLevel::Serializability => {
-            let mut g = DiGraph::new(n);
-            for &(a, b) in so_wr_ww.iter().chain(rw.iter()) {
-                g.add_edge(a, b);
-            }
-            g.find_cycle()
+            DiGraph::from_edges(n, so_wr_ww.iter().chain(rw.iter()).copied()).find_cycle()
         }
         ElleLevel::SnapshotIsolation => {
             let mut rw_out: Vec<Vec<usize>> = vec![Vec::new(); n];
             for &(a, b) in &rw {
                 rw_out[a].push(b);
             }
-            let mut g = DiGraph::new(n);
+            let mut composed: Vec<(usize, usize)> = Vec::new();
             for &(a, b) in &so_wr_ww {
-                g.add_edge(a, b);
-                for &c in &rw_out[b] {
-                    g.add_edge(a, c);
-                }
+                composed.push((a, b));
+                composed.extend(rw_out[b].iter().map(|&c| (a, c)));
             }
-            g.find_cycle()
+            DiGraph::from_edges(n, composed.iter().copied()).find_cycle()
         }
     };
     if let Some(cycle) = cyclic {

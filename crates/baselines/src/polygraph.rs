@@ -100,9 +100,7 @@ impl Polygraph {
 
         // Session order.
         for (a, b) in history.session_order_edges() {
-            if history.txn(a).is_committed() && history.txn(b).is_committed() {
-                known.push((a.index(), b.index()));
-            }
+            known.push((a.index(), b.index()));
         }
 
         // Write-read edges and per-key reader maps.
@@ -218,11 +216,8 @@ impl Polygraph {
 
     /// The known-edge graph (dependencies and anti-dependencies together).
     pub fn known_graph(&self) -> DiGraph {
-        let mut g = DiGraph::new(self.node_count);
-        for &(a, b) in self.known.iter().chain(self.known_rw.iter()) {
-            g.add_edge(a, b);
-        }
-        g
+        let edges = self.known.iter().chain(self.known_rw.iter());
+        DiGraph::from_edges(self.node_count, edges.copied())
     }
 
     /// Cobra-style pruning: if one orientation of a constraint is

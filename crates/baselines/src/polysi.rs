@@ -87,19 +87,19 @@ impl SiSearch<'_> {
         for &(a, b) in self.pg.known_rw.iter().chain(self.chosen_rw.iter()) {
             rw_out[a].push(b);
         }
-        let mut composed = DiGraph::new(n);
+        let mut composed: Vec<(usize, usize)> = Vec::new();
         for &(a, b) in self.pg.known.iter().chain(self.chosen_ww.iter()) {
-            composed.add_edge(a, b);
+            composed.push((a, b));
             for &c in &rw_out[b] {
                 if a != c {
-                    composed.add_edge(a, c);
+                    composed.push((a, c));
                 } else {
                     // base ; rw closes a two-edge loop: immediately cyclic.
                     return false;
                 }
             }
         }
-        composed.is_acyclic()
+        DiGraph::from_edges(n, composed.iter().copied()).is_acyclic()
     }
 
     fn solve(&mut self, index: usize) -> SiResult {

@@ -10,6 +10,10 @@
 //!   order of `x`;
 //! * the `RW` edges are derived from `WR` and `WW`.
 //!
+//! "The values read" are resolved against a [`WriteIndex`]: a batch check
+//! hands in the one its validation and pre-scan already read
+//! ([`crate::check_batch`]), the public entry points below build their own.
+//!
 //! Two variants are provided: [`build_dependency_reference`] mirrors the
 //! paper's Algorithm 1 literally, including the per-object transitive closure
 //! of the `WW` edges (convenient for the correctness proof), while
@@ -17,7 +21,7 @@
 //! the closure; Theorems 1 and 2 show both yield the same verdicts.
 
 use crate::verdict::CheckError;
-use mtc_history::{DependencyGraph, EdgeKind, History, Key, TxnId, INIT_VALUE};
+use mtc_history::{DependencyGraph, EdgeKind, History, Key, TxnId, WriteIndex, INIT_VALUE};
 use std::collections::HashMap;
 
 /// Errors preventing the construction of a dependency graph.
@@ -31,7 +35,7 @@ pub type BuildError = CheckError;
 /// materialized (`Θ(n²)` of them); this is only needed by the naive
 /// `CHECKSSER`.
 pub fn build_dependency(history: &History, with_rt: bool) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, with_rt, false)
+    build_impl(history, &WriteIndex::new(history), with_rt, false)
 }
 
 /// Builds the dependency graph exactly as in Algorithm 1, including the
@@ -40,37 +44,33 @@ pub fn build_dependency_reference(
     history: &History,
     with_rt: bool,
 ) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, with_rt, true)
+    build_impl(history, &WriteIndex::new(history), with_rt, true)
 }
 
+/// `BUILDDEPENDENCY` over `history`, whose writes `index` holds: a batch
+/// check hands in the index its earlier stages already read.
 pub(crate) fn build_impl(
     history: &History,
+    index: &WriteIndex,
     with_rt: bool,
     transitive_ww: bool,
 ) -> Result<DependencyGraph, BuildError> {
     mtc_obs::counter!("core.dependency_builds").add(1);
     let n = history.len();
     let mut g = DependencyGraph::new(n);
-    let write_index = history.write_index();
 
     // RT edges (CHECKSSER only): all committed pairs ordered by wall clock.
     if with_rt {
         add_rt_edges(history, &mut g)?;
     }
 
-    // SO edges: adjacent transactions of each session, plus ⊥T → first.
+    // SO edges: adjacent committed transactions of each session, plus
+    // ⊥T → first.
     for (a, b) in history.session_order_edges() {
-        if history.txn(a).is_committed() && history.txn(b).is_committed() {
-            g.add_edge(a, b, EdgeKind::So);
-        }
+        g.add_edge(a, b, EdgeKind::So);
     }
 
     // WR and (direct) WW edges, inferred from the values read.
-    // Per (writer, key): the transactions that read this version, and the
-    // transactions that read this version and overwrote it.
-    #[allow(clippy::type_complexity)]
-    let mut readers_of: HashMap<(TxnId, Key), (Vec<TxnId>, Vec<TxnId>)> = HashMap::new();
-
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {
             continue;
@@ -79,8 +79,8 @@ pub(crate) fn build_impl(
             let Some(value) = txn.external_read(key) else {
                 continue;
             };
-            let writer = match write_index.get(&(key, value)) {
-                Some(ws) => ws[0],
+            let writer = match index.final_writer(key, value) {
+                Some(writer) => writer,
                 None => {
                     if value == INIT_VALUE && !history.has_init() {
                         // Read of the implicit initial state: no dependency.
@@ -99,11 +99,8 @@ pub(crate) fn build_impl(
                 continue;
             }
             g.add_edge(writer, txn.id, EdgeKind::Wr(key));
-            let entry = readers_of.entry((writer, key)).or_default();
-            entry.0.push(txn.id);
             if txn.writes(key) {
                 g.add_edge(writer, txn.id, EdgeKind::Ww(key));
-                entry.1.push(txn.id);
             }
         }
     }
@@ -196,10 +193,7 @@ fn add_ww_closure(history: &History, g: &mut DependencyGraph) {
             let ib = local_index(b, &mut nodes, &mut index_of);
             local.push((ia, ib));
         }
-        let mut lg = mtc_history::DiGraph::new(nodes.len());
-        for (a, b) in local {
-            lg.add_edge(a, b);
-        }
+        let lg = mtc_history::DiGraph::from_edges(nodes.len(), local.iter().copied());
         let all: Vec<usize> = (0..nodes.len()).collect();
         for (u, reach) in lg.closure_within(&all) {
             for v in reach {

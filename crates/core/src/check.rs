@@ -3,21 +3,23 @@
 //! All three share the same structure ([`check_batch`]):
 //!
 //! 0. index every write of the history once ([`mtc_history::WriteIndex`]);
-//!    steps 1 and 2 and DIVERGENCE all read that one index instead of
-//!    walking the history into maps of their own (step 3's writer lookup
-//!    still builds `History::write_index`; sharing it is the next change);
+//!    steps 1 to 3 and DIVERGENCE all read that one index instead of
+//!    walking the history into maps of their own;
 //! 1. validate that the input is a mini-transaction history (Definition 9);
 //! 2. pre-scan for intra-transactional / read-provenance anomalies
 //!    (Figures 5a–5g) — any hit refutes every strong level immediately;
 //! 3. build the (unique) dependency graph (`BUILDDEPENDENCY`,
 //!    [`crate::build_dependency`]) — once: the verdict comes back with that
 //!    graph's edge count, so a caller reporting it need not build again;
-//! 4. decide acyclicity of the appropriate edge combination and, on a cycle,
+//! 4. decide acyclicity of the appropriate edge combination — collected as
+//!    one flat pair list and frozen into one [`DiGraph`] — and, on a cycle,
 //!    return a labelled counterexample.
 //!
 //! `CHECKSI` additionally rejects the DIVERGENCE pattern before any graph
 //! work (Lemma 1), and checks acyclicity of the *composed* graph
-//! `(SO ∪ WR ∪ WW) ; RW?` rather than of the plain union.
+//! `(SO ∪ WR ∪ WW) ; RW?` rather than of the plain union. Where a composed
+//! edge came from is not recorded: only the hops of a cycle that is found
+//! are expanded back into dependency edges.
 //!
 //! `CHECKSSER` comes in two flavours: [`check_sser_naive`] materializes all
 //! `Θ(n²)` real-time edges exactly as in the paper, while [`check_sser`]
@@ -32,7 +34,6 @@ use mtc_history::{
     find_intra_anomalies_with, DependencyGraph, DiGraph, Edge, EdgeKind, History, TxnId, WriteIndex,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The three strong isolation levels handled by MTC.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -191,7 +192,7 @@ pub fn check_batch(
     let with_rt = check == BatchCheck::SserNaive;
     let g = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
-        build_impl(history, with_rt, opts.reference_build)?
+        build_impl(history, &index, with_rt, opts.reference_build)?
     };
     let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.cycle"));
     let dep_edges = if with_rt {
@@ -234,56 +235,50 @@ pub fn check_si_with(history: &History, opts: &CheckOptions) -> Result<Verdict, 
 /// Finds a cycle in `(SO ∪ WR ∪ WW) ; RW?` and expands it back to labelled
 /// dependency edges; returns `None` if the composed graph is acyclic.
 fn composed_si_cycle(g: &DependencyGraph) -> Option<Vec<Edge>> {
-    let n = g.node_count();
-    let mut composed = DiGraph::new(n);
-    // Provenance of each composed edge: the one or two original edges it
-    // expands to. Keep the first (shortest) expansion per (from, to).
-    let mut provenance: HashMap<(usize, usize), Vec<Edge>> = HashMap::new();
-
-    // Per-node RW successors for the `; RW?` part.
-    let mut rw_out: Vec<Vec<Edge>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        if e.kind.is_rw() {
-            rw_out[e.from.index()].push(*e);
-        }
-    }
-
-    let mut push = |composed: &mut DiGraph, from: usize, to: usize, path: Vec<Edge>| {
-        let key = (from, to);
-        if let std::collections::hash_map::Entry::Vacant(entry) = provenance.entry(key) {
-            entry.insert(path);
-            composed.add_edge(from, to);
-        }
+    let is_base = |e: &&Edge| matches!(e.kind, EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_));
+    // The first RW edge `b → c`, if any.
+    let rw_hop = |b: TxnId, c: usize| {
+        g.out_edges(b)
+            .find(|rw| rw.kind.is_rw() && rw.to.index() == c)
     };
 
-    for e in g.edges() {
-        let base = matches!(e.kind, EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_));
-        if !base {
-            continue;
-        }
+    // Per-node RW successors for the `; RW?` part.
+    let rw_out = g.project(EdgeKind::is_rw);
+    // Parallel composed edges do not affect cycle questions, so the pairs
+    // are neither deduplicated nor remembered: only the hops of a cycle that
+    // is actually found are expanded again, below.
+    let mut composed: Vec<(usize, usize)> = Vec::with_capacity(2 * g.live_edge_count());
+    for e in g.edges().iter().filter(is_base) {
         let (a, b) = (e.from.index(), e.to.index());
         // base edge alone (the `?` of `RW?`)
-        push(&mut composed, a, b, vec![*e]);
+        composed.push((a, b));
         // base ; RW
-        for rw in &rw_out[b] {
-            let c = rw.to.index();
-            if a != c {
-                push(&mut composed, a, c, vec![*e, *rw]);
-            } else {
+        for c in rw_out.successors(b) {
+            if a == c {
                 // A two-edge cycle a → b → a: report it directly.
-                return Some(vec![*e, *rw]);
+                let rw = rw_hop(e.to, a);
+                debug_assert!(rw.is_some(), "no RW edge for the hop {b}->{a}");
+                return Some(std::iter::once(e).chain(rw).copied().collect());
             }
+            composed.push((a, c));
         }
     }
 
+    let composed = DiGraph::from_edges(g.node_count(), composed.iter().copied());
     let cycle = composed.find_cycle()?;
-    let mut edges = Vec::new();
+    // Each hop `u → v` is a base edge, or else the first base edge `u → b`
+    // whose target has an RW edge `b → v`.
+    let mut edges = Vec::with_capacity(2 * cycle.len());
     for i in 0..cycle.len() {
-        let u = cycle[i];
-        let v = cycle[(i + 1) % cycle.len()];
-        if let Some(path) = provenance.get(&(u, v)) {
-            edges.extend(path.iter().copied());
+        let (u, v) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+        let base = || g.out_edges(TxnId(u as u32)).filter(is_base);
+        if let Some(e) = base().find(|e| e.to.index() == v) {
+            edges.push(*e);
+            continue;
         }
+        let through = base().find_map(|e| rw_hop(e.to, v).map(|rw| [*e, *rw]));
+        debug_assert!(through.is_some(), "no expansion of the hop {u}->{v}");
+        edges.extend(through.into_iter().flatten());
     }
     Some(edges)
 }
@@ -349,26 +344,21 @@ fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>>
         }
     };
 
-    let mut aug = DiGraph::new(n + instants.len());
-    for e in g.edges() {
-        aug.add_edge(e.from.index(), e.to.index());
-    }
-    for w in 0..instants.len().saturating_sub(1) {
-        aug.add_edge(n + w, n + w + 1);
-    }
+    // Dependencies, then the chain, then each transaction's two hooks.
+    let mut aug: Vec<(usize, usize)> = (g.edges().iter())
+        .map(|e| (e.from.index(), e.to.index()))
+        .collect();
+    aug.extend((1..instants.len()).map(|w| (n + w - 1, n + w)));
     for t in history.committed() {
-        if let Some(b) = t.begin {
-            if let Some(tn) = time_node(b) {
-                aug.add_edge(tn, t.id.index());
-            }
+        if let Some(tn) = t.begin.and_then(time_node) {
+            aug.push((tn, t.id.index()));
         }
-        if let Some(e) = t.end {
-            if let Some(tn) = first_after(e) {
-                aug.add_edge(t.id.index(), tn);
-            }
+        if let Some(tn) = t.end.and_then(first_after) {
+            aug.push((t.id.index(), tn));
         }
     }
 
+    let aug = DiGraph::from_edges(n + instants.len(), aug.iter().copied());
     let cycle = aug.find_cycle()?;
 
     // Splice time nodes out of the cycle: consecutive real transactions with
@@ -387,19 +377,19 @@ fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>>
         let next_pos = real_positions[(idx + 1) % real_positions.len()];
         let u = cycle[pos];
         let v = cycle[next_pos];
+        // A hop straight to the next real node is a dependency; one through
+        // time nodes is real time.
         let direct_hop = (pos + 1) % len == next_pos;
-        if direct_hop {
-            let labelled = g.label_node_cycle(&[u, v], |_| true);
-            if let Some(e) = labelled.into_iter().find(|e| e.from.index() == u) {
-                edges.push(e);
-                continue;
-            }
-        }
-        edges.push(Edge {
+        let dependency = direct_hop.then(|| g.label_hop(u, v, |_| true)).flatten();
+        debug_assert!(
+            dependency.is_some() == direct_hop,
+            "no labelled edge for the hop {u}->{v}"
+        );
+        edges.push(dependency.unwrap_or(Edge {
             from: TxnId(u as u32),
             to: TxnId(v as u32),
             kind: EdgeKind::Rt,
-        });
+        }));
     }
     Some(edges)
 }

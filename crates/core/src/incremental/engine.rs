@@ -296,7 +296,12 @@ pub(super) struct Engine {
     pub(super) txn_cnode: TxnMap<usize>,
     /// Owner of each topological-order node, for cycle splicing.
     pub(super) node_owner: Vec<NodeOwner>,
-    /// Last transaction of each session, with its commit status.
+    /// Last *committed* transaction of each session: the source of the
+    /// session's next `SO` edge, which skips aborted attempts. The flag is
+    /// always `true` now and stays only because snapshots carry it: one
+    /// written before aborted attempts were skipped may hold `(_, false)`,
+    /// and the first commit of that session after a resume then gets no
+    /// `SO` edge, as it did in the build that wrote the snapshot.
     pub(super) sessions: Vec<Option<(TxnId, bool)>>,
     /// Stream metadata of every resident (unpruned) transaction.
     pub(super) live_txns: BTreeMap<TxnId, TxnMeta>,
@@ -506,14 +511,14 @@ impl Engine {
             if self.opts.prescan_intra {
                 self.local_intra_scan(txn, &mut push, &mut out);
             }
-            // SO edge: predecessor in the session (or ⊥T for the first).
+            // SO edge: the session's previous committed transaction (or ⊥T
+            // for the first).
             if txn.session != SessionId::INIT {
                 let s = txn.session.index();
                 while self.sessions.len() <= s {
                     self.sessions.push(None);
                 }
-                let prev = self.sessions[s];
-                let source = match prev {
+                let source = match self.sessions[s].replace((id, true)) {
                     Some((p, committed)) => committed.then_some(p),
                     None => self.has_init.then_some(TxnId(0)),
                 };
@@ -533,13 +538,6 @@ impl Engine {
             if let Some((begin, end)) = time_bounds {
                 push(&mut out, PASS_EDGES, Event::TimeBounds { begin, end });
             }
-        }
-        if txn.session != SessionId::INIT {
-            let s = txn.session.index();
-            while self.sessions.len() <= s {
-                self.sessions.push(None);
-            }
-            self.sessions[s] = Some((id, txn.status == TxnStatus::Committed));
         }
         out
     }
@@ -755,20 +753,14 @@ impl Engine {
                 unreachable!("filtered to transaction nodes");
             };
             let direct_hop = (pos + 1) % len == next_pos;
-            if direct_hop {
-                let labelled = self
-                    .graph
-                    .label_node_cycle(&[u.index(), v.index()], |_| true);
-                if let Some(e) = labelled.into_iter().find(|e| e.from == u) {
-                    edges.push(e);
-                    continue;
-                }
-            }
-            edges.push(Edge {
+            let dependency = direct_hop
+                .then(|| self.graph.label_hop(u.index(), v.index(), |_| true))
+                .flatten();
+            edges.push(dependency.unwrap_or(Edge {
                 from: u,
                 to: v,
                 kind: EdgeKind::Rt,
-            });
+            }));
         }
         edges
     }

@@ -9,9 +9,10 @@
 //! * `WW(x)` — a version order among the transactions writing `x`,
 //! * `RW(x)` — the anti-dependency derived from `WR` and `WW`.
 //!
-//! [`DependencyGraph`] stores the labelled edges and offers projections onto
-//! the unlabelled [`DiGraph`] used for cycle detection, plus helpers to label
-//! a node cycle back into a readable counterexample.
+//! [`DependencyGraph`] stores the labelled edges — it can grow edge by edge,
+//! which the streaming engine needs — and offers projections onto the
+//! unlabelled, frozen [`DiGraph`] used for cycle detection, plus helpers to
+//! label a node cycle back into a readable counterexample.
 
 use crate::fasthash::FastHashMap;
 use crate::graph::DiGraph;
@@ -249,18 +250,17 @@ impl DependencyGraph {
     }
 
     /// Projects the edges whose kind satisfies `pred` onto an unlabelled
-    /// [`DiGraph`] for cycle analysis.
+    /// [`DiGraph`] for cycle analysis; a node's successors come in the order
+    /// its edges were added.
     pub fn project<F>(&self, pred: F) -> DiGraph
     where
         F: Fn(EdgeKind) -> bool,
     {
-        let mut g = DiGraph::new(self.node_count);
-        for e in &self.edges {
-            if pred(e.kind) {
-                g.add_edge(e.from.index(), e.to.index());
-            }
-        }
-        g
+        let matching = self.edges.iter().filter(|e| pred(e.kind));
+        DiGraph::from_edges(
+            self.node_count,
+            matching.map(|e| (e.from.index(), e.to.index())),
+        )
     }
 
     /// Projects *all* edges onto a [`DiGraph`].
@@ -289,9 +289,30 @@ impl DependencyGraph {
         Some(self.label_node_cycle(&cycle, pred))
     }
 
-    /// Labels a node cycle obtained from a projection. For each consecutive
-    /// pair of nodes, picks a labelled edge of the allowed kinds.
+    /// Labels a node cycle obtained from a projection: one [`label_hop`]
+    /// per consecutive pair of nodes. Every hop of such a cycle is an edge of
+    /// the projection, so a hop without a label is a bug (asserted in debug
+    /// builds), never a silently shorter counterexample.
+    ///
+    /// [`label_hop`]: DependencyGraph::label_hop
     pub fn label_node_cycle<F>(&self, cycle: &[usize], pred: F) -> Vec<Edge>
+    where
+        F: Fn(EdgeKind) -> bool,
+    {
+        let mut labelled = Vec::with_capacity(cycle.len());
+        for i in 0..cycle.len() {
+            let (u, v) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+            let hop = self.label_hop(u, v, &pred);
+            debug_assert!(hop.is_some(), "no labelled edge for the hop {u}->{v}");
+            labelled.extend(hop);
+        }
+        labelled
+    }
+
+    /// The labelled edge `u → v` of an allowed kind to report for that hop
+    /// of a counterexample, if there is one (kinds ranked as in
+    /// [`DependencyGraph::find_labelled_cycle`]).
+    pub fn label_hop<F>(&self, u: usize, v: usize, pred: F) -> Option<Edge>
     where
         F: Fn(EdgeKind) -> bool,
     {
@@ -302,21 +323,10 @@ impl DependencyGraph {
             EdgeKind::So => 3,
             EdgeKind::Rt => 4,
         };
-        let mut labelled = Vec::with_capacity(cycle.len());
-        for i in 0..cycle.len() {
-            let u = cycle[i];
-            let v = cycle[(i + 1) % cycle.len()];
-            let best = self
-                .row(u as u32)
-                .iter()
-                .map(|&idx| &self.edges[idx as usize])
-                .filter(|e| e.to.index() == v && pred(e.kind))
-                .min_by_key(|e| rank(e.kind));
-            if let Some(e) = best {
-                labelled.push(*e);
-            }
-        }
-        labelled
+        self.out_edges(TxnId(u as u32))
+            .filter(|e| e.to.index() == v && pred(e.kind))
+            .min_by_key(|e| rank(e.kind))
+            .copied()
     }
 
     /// The `WW(key)` successors of `from` (direct edges only).

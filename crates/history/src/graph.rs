@@ -3,84 +3,98 @@
 //! The verification algorithms of `mtc-core` and the baselines in
 //! `mtc-baselines` all reduce to questions about directed graphs whose nodes
 //! are transactions: *is the graph acyclic?*, *extract one cycle as a
-//! counterexample*, *compute strongly connected components*. This module
-//! provides those primitives on a compact adjacency-list representation with
-//! `usize` node identifiers.
+//! counterexample*, *compute strongly connected components*. Every one of
+//! them collects its whole edge set first and only then asks, so the graph is
+//! *frozen*: [`DiGraph::from_edges`] lays the edges out once in compressed
+//! sparse rows — one offset per node, one flat array of targets — and nothing
+//! grows afterwards. (A graph that must grow edge by edge is an
+//! [`crate::IncrementalTopo`].)
 //!
 //! All traversals are iterative (explicit stacks) so that histories with
 //! hundreds of thousands of transactions do not overflow the call stack.
 
 use std::collections::VecDeque;
 
-/// A directed graph over nodes `0..n` with unlabelled edges.
+/// A frozen directed graph over nodes `0..n` with unlabelled edges.
 ///
-/// Parallel edges are tolerated (they do not affect cycle questions) but can
-/// be avoided by callers via [`DiGraph::add_edge_dedup`].
-#[derive(Clone, Debug, Default)]
+/// Parallel edges and self-loops are kept as given: they do not affect cycle
+/// questions, and [`DiGraph::edge_count`] counts them.
+#[derive(Clone, Debug)]
 pub struct DiGraph {
-    adj: Vec<Vec<usize>>,
-    edge_count: usize,
+    /// `offsets[u]..offsets[u + 1]` is `u`'s row of `targets`; `n + 1`
+    /// entries.
+    offsets: Vec<u32>,
+    /// Edge targets, grouped by source, each row in input order.
+    targets: Vec<u32>,
 }
 
 impl DiGraph {
-    /// Creates a graph with `n` nodes and no edges.
-    pub fn new(n: usize) -> Self {
-        DiGraph {
-            adj: vec![Vec::new(); n],
-            edge_count: 0,
+    /// Builds the graph over nodes `0..n` with the given `(from, to)` edges.
+    /// A node's successors keep the order its edges have in `edges`, so a
+    /// traversal visits them in that order. `edges` is walked twice: once to
+    /// size the rows, once to fill them.
+    ///
+    /// # Panics
+    ///
+    /// If `n` or the number of edges does not fit in a `u32`; in debug
+    /// builds, if an edge names a node `>= n`.
+    pub fn from_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        assert!(u32::try_from(n).is_ok(), "{n} nodes do not fit in a u32");
+        let edges = edges.into_iter();
+        let mut offsets = vec![0u32; n + 1];
+        let mut total = 0usize;
+        for (u, v) in edges.clone() {
+            debug_assert!(u < n && v < n, "edge {u}->{v} outside 0..{n}");
+            offsets[u + 1] += 1;
+            total += 1;
         }
+        assert!(
+            u32::try_from(total).is_ok(),
+            "{total} edges do not fit in a u32"
+        );
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![0u32; total];
+        for (u, v) in edges {
+            targets[next[u] as usize] = v as u32;
+            next[u] += 1;
+        }
+        DiGraph { offsets, targets }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Appends a fresh node with no edges, returning its id. Supports the
-    /// streaming checkers, whose graphs grow one transaction at a time.
-    #[inline]
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.offsets.len() - 1
     }
 
     /// Number of edges (counting duplicates).
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.targets.len()
     }
 
-    /// Adds the edge `from → to`.
+    /// `node`'s row of `targets`.
     #[inline]
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        debug_assert!(from < self.adj.len() && to < self.adj.len());
-        self.adj[from].push(to);
-        self.edge_count += 1;
+    fn row(&self, node: usize) -> &[u32] {
+        &self.targets[self.offsets[node] as usize..self.offsets[node + 1] as usize]
     }
 
-    /// Adds `from → to` unless an identical edge is already present.
-    ///
-    /// This is a linear scan of `from`'s adjacency list; callers with dense
-    /// out-degrees should deduplicate externally instead.
-    pub fn add_edge_dedup(&mut self, from: usize, to: usize) {
-        if !self.adj[from].contains(&to) {
-            self.add_edge(from, to);
-        }
-    }
-
-    /// Successors of `node`.
+    /// Successors of `node`, in the order its edges were given.
     #[inline]
-    pub fn successors(&self, node: usize) -> &[usize] {
-        &self.adj[node]
+    pub fn successors(&self, node: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.row(node).iter().map(|&v| v as usize)
     }
 
-    /// Iterator over all edges.
+    /// Iterator over all edges, grouped by source.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        (0..self.node_count()).flat_map(move |u| self.successors(u).map(move |v| (u, v)))
     }
 
     /// True iff the graph contains no directed cycle.
@@ -93,14 +107,14 @@ impl DiGraph {
     pub fn topological_order(&self) -> Option<Vec<usize>> {
         let n = self.node_count();
         let mut indeg = vec![0usize; n];
-        for (_, v) in self.edges() {
-            indeg[v] += 1;
+        for &v in &self.targets {
+            indeg[v as usize] += 1;
         }
         let mut queue: VecDeque<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            for &v in &self.adj[u] {
+            for v in self.successors(u) {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push_back(v);
@@ -128,18 +142,19 @@ impl DiGraph {
             if color[start] != WHITE {
                 continue;
             }
-            // Iterative DFS: stack of (node, next-successor-index).
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            // Iterative DFS: stack of (node, position of its next successor
+            // in `targets`).
+            let mut stack: Vec<(usize, usize)> = vec![(start, self.offsets[start] as usize)];
             color[start] = GRAY;
             while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-                if *i < self.adj[u].len() {
-                    let v = self.adj[u][*i];
+                if *i < self.offsets[u + 1] as usize {
+                    let v = self.targets[*i] as usize;
                     *i += 1;
                     match color[v] {
                         WHITE => {
                             color[v] = GRAY;
                             parent[v] = u;
-                            stack.push((v, 0));
+                            stack.push((v, self.offsets[v] as usize));
                         }
                         GRAY => {
                             // Back edge u → v closes a cycle v → … → u → v.
@@ -177,14 +192,14 @@ impl DiGraph {
         let mut result: Vec<Vec<usize>> = Vec::new();
         let mut next_index = 0usize;
 
-        // call stack of (node, next child index)
+        // call stack of (node, position of its next child in `targets`)
         let mut call: Vec<(usize, usize)> = Vec::new();
 
         for start in 0..n {
             if index[start] != usize::MAX {
                 continue;
             }
-            call.push((start, 0));
+            call.push((start, self.offsets[start] as usize));
             index[start] = next_index;
             low[start] = next_index;
             next_index += 1;
@@ -192,8 +207,8 @@ impl DiGraph {
             on_stack[start] = true;
 
             while let Some(&mut (u, ref mut i)) = call.last_mut() {
-                if *i < self.adj[u].len() {
-                    let v = self.adj[u][*i];
+                if *i < self.offsets[u + 1] as usize {
+                    let v = self.targets[*i] as usize;
                     *i += 1;
                     if index[v] == usize::MAX {
                         index[v] = next_index;
@@ -201,7 +216,7 @@ impl DiGraph {
                         next_index += 1;
                         stack.push(v);
                         on_stack[v] = true;
-                        call.push((v, 0));
+                        call.push((v, self.offsets[v] as usize));
                     } else if on_stack[v] {
                         low[u] = low[u].min(index[v]);
                     }
@@ -234,7 +249,7 @@ impl DiGraph {
         let mut stack = vec![start];
         seen[start] = true;
         while let Some(u) = stack.pop() {
-            for &v in &self.adj[u] {
+            for v in self.successors(u) {
                 if !seen[v] {
                     seen[v] = true;
                     stack.push(v);
@@ -265,7 +280,7 @@ impl DiGraph {
                 path.reverse();
                 return Some(path);
             }
-            for &v in &self.adj[u] {
+            for v in self.successors(u) {
                 if !seen[v] {
                     seen[v] = true;
                     parent[v] = u;
@@ -302,16 +317,13 @@ mod tests {
     use super::*;
 
     fn graph(n: usize, edges: &[(usize, usize)]) -> DiGraph {
-        let mut g = DiGraph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
+        DiGraph::from_edges(n, edges.iter().copied())
     }
 
     #[test]
     fn empty_graph_is_acyclic() {
-        let g = DiGraph::new(0);
+        let g = graph(0, &[]);
+        assert_eq!((g.node_count(), g.edge_count()), (0, 0));
         assert!(g.is_acyclic());
         assert_eq!(g.find_cycle(), None);
         assert_eq!(g.topological_order(), Some(vec![]));
@@ -351,7 +363,7 @@ mod tests {
         for i in 0..cycle.len() {
             let u = cycle[i];
             let v = cycle[(i + 1) % cycle.len()];
-            assert!(g.successors(u).contains(&v), "missing edge {u}->{v}");
+            assert!(g.successors(u).any(|w| w == v), "missing edge {u}->{v}");
         }
     }
 
@@ -382,13 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn dedup_edges() {
-        let mut g = DiGraph::new(2);
-        g.add_edge_dedup(0, 1);
-        g.add_edge_dedup(0, 1);
-        assert_eq!(g.edge_count(), 1);
-        g.add_edge(0, 1);
-        assert_eq!(g.edge_count(), 2);
+    fn rows_keep_input_order_parallel_edges_and_self_loops() {
+        let g = graph(4, &[(2, 1), (0, 3), (2, 2), (0, 1), (2, 1), (0, 3)]);
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), 6);
+        assert_eq!(g.successors(0).collect::<Vec<_>>(), [3, 1, 3]);
+        assert_eq!(g.successors(1).len(), 0);
+        assert_eq!(g.successors(2).collect::<Vec<_>>(), [1, 2, 1]);
+        assert_eq!(g.successors(3).len(), 0);
+        let grouped = [(0, 3), (0, 1), (0, 3), (2, 1), (2, 2), (2, 1)];
+        assert_eq!(g.edges().collect::<Vec<_>>(), grouped);
     }
 
     #[test]
@@ -411,13 +426,11 @@ mod tests {
     fn large_path_graph_does_not_overflow_stack() {
         // 200k-node path exercises the iterative DFS/Tarjan implementations.
         let n = 200_000;
-        let mut g = DiGraph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1);
-        }
+        let path = (0..n - 1).map(|i| (i, i + 1));
+        let g = DiGraph::from_edges(n, path.clone());
         assert!(g.is_acyclic());
         assert_eq!(g.sccs().len(), n);
-        g.add_edge(n - 1, 0);
+        let g = DiGraph::from_edges(n, path.chain([(n - 1, 0)]));
         assert!(!g.is_acyclic());
         assert_eq!(g.find_cycle().unwrap().len(), n);
     }

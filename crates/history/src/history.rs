@@ -165,19 +165,22 @@ impl History {
         self.txn(a).precedes_in_real_time(self.txn(b))
     }
 
-    /// All session-order pairs `(pred, succ)` between *adjacent* transactions
-    /// of each session, plus `⊥T → first transaction of each session`.
+    /// The session-order pairs `(pred, succ)` that generate `SO` over the
+    /// committed transactions: each committed transaction of a session with
+    /// the previous *committed* one of that session, or with `⊥T` when there
+    /// is none before it. Aborted (and unknown-outcome) attempts are skipped,
+    /// not cut at: a retry does not detach what follows it from what came
+    /// before.
     ///
     /// The full `SO` relation is the transitive closure of these edges; the
     /// adjacent pairs suffice for acyclicity checking (Section IV-D).
     pub fn session_order_edges(&self) -> Vec<(TxnId, TxnId)> {
         let mut edges = Vec::new();
         for sess in &self.sessions {
-            if let (Some(&first), Some(init)) = (sess.first(), self.init_txn()) {
-                edges.push((init, first));
-            }
-            for w in sess.windows(2) {
-                edges.push((w[0], w[1]));
+            let mut prev = self.init_txn();
+            for &t in sess.iter().filter(|&&t| self.txn(t).is_committed()) {
+                edges.extend(prev.map(|p| (p, t)));
+                prev = Some(t);
             }
         }
         edges
@@ -186,6 +189,9 @@ impl History {
     /// Map from `(key, value)` to the transactions whose *last* write on
     /// `key` installed `value`. With the unique-value convention every entry
     /// has exactly one writer; the `Vec` accommodates malformed histories.
+    ///
+    /// This is the reference definition, kept for the oracles (the baselines
+    /// and the [`WriteIndex`] tests); the checkers read [`WriteIndex`].
     pub fn write_index(&self) -> HashMap<(Key, Value), Vec<TxnId>> {
         let mut index: HashMap<(Key, Value), Vec<TxnId>> = HashMap::new();
         for t in self.committed() {
@@ -442,13 +448,22 @@ mod tests {
 
     #[test]
     fn session_order_edges_are_adjacent_pairs_plus_init() {
+        // Adjacent among the *committed* transactions: session 1's first
+        // attempt T3 aborted, so ⊥T → T4, and nothing touches T3.
         let h = sample();
         let edges = h.session_order_edges();
-        assert!(edges.contains(&(TxnId(0), TxnId(1))));
-        assert!(edges.contains(&(TxnId(1), TxnId(2))));
-        assert!(edges.contains(&(TxnId(0), TxnId(3))));
-        assert!(edges.contains(&(TxnId(3), TxnId(4))));
-        assert_eq!(edges.len(), 4);
+        let (init, t1, t2, t4) = (TxnId(0), TxnId(1), TxnId(2), TxnId(4));
+        assert_eq!(edges, vec![(init, t1), (t1, t2), (init, t4)]);
+
+        // An aborted attempt between two committed transactions is skipped,
+        // with or without ⊥T; an unknown outcome counts as not committed.
+        let mut b = HistoryBuilder::new();
+        let a = b.committed(0, vec![Op::write(0u64, 1u64)]);
+        b.aborted(0, vec![Op::write(0u64, 2u64)]);
+        b.push(0, vec![Op::write(0u64, 3u64)], TxnStatus::Unknown);
+        let c = b.committed(0, vec![Op::read(0u64, 1u64)]);
+        b.aborted(0, vec![Op::write(0u64, 4u64)]);
+        assert_eq!(b.build().session_order_edges(), vec![(a, c)]);
     }
 
     #[test]

@@ -9,6 +9,10 @@ fn arb_edges(nodes: usize, max_edges: usize) -> impl Strategy<Value = Vec<(usize
     prop::collection::vec((0..nodes, 0..nodes), 0..max_edges)
 }
 
+fn graph(nodes: usize, edges: &[(usize, usize)]) -> DiGraph {
+    DiGraph::from_edges(nodes, edges.iter().copied())
+}
+
 /// Feeds `edges` one at a time, collecting each edge's outcome. A rejected
 /// edge is skipped and insertion continues — the reference semantics the
 /// batched driver below must reproduce.
@@ -57,6 +61,20 @@ fn batched_outcomes(
     outcomes
 }
 
+/// A pair naming a node outside `0..n` is rejected where `add_edge`'s
+/// `debug_assert!` used to reject it: in debug builds, at construction.
+#[test]
+#[cfg(debug_assertions)]
+fn from_edges_rejects_a_node_outside_the_graph() {
+    for bad in [(0, 5), (5, 0), (7, 7)] {
+        let built = std::panic::catch_unwind(|| graph(5, &[(0, 1), bad, (1, 2)]));
+        assert!(built.is_err(), "{bad:?} was accepted into a 5-node graph");
+    }
+    // No nodes, no edges: fine; no nodes, one edge: not.
+    assert_eq!(graph(0, &[]).node_count(), 0);
+    assert!(std::panic::catch_unwind(|| graph(0, &[(0, 0)])).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -64,10 +82,7 @@ proptest! {
     /// is consistent with every edge.
     #[test]
     fn topological_order_and_cycle_detection_agree(edges in arb_edges(24, 80)) {
-        let mut g = DiGraph::new(24);
-        for &(a, b) in &edges {
-            g.add_edge(a, b);
-        }
+        let g = graph(24, &edges);
         match (g.topological_order(), g.find_cycle()) {
             (Some(order), None) => {
                 let pos: Vec<usize> = {
@@ -87,13 +102,32 @@ proptest! {
                 for i in 0..cycle.len() {
                     let u = cycle[i];
                     let v = cycle[(i + 1) % cycle.len()];
-                    prop_assert!(g.successors(u).contains(&v), "missing edge {u}->{v}");
+                    prop_assert!(g.successors(u).any(|w| w == v), "missing edge {u}->{v}");
                 }
             }
             (topo, cycle) => {
                 prop_assert!(false, "inconsistent answers: topo={topo:?} cycle={cycle:?}");
             }
         }
+    }
+
+    /// `from_edges` keeps exactly what it was given: each node's successors
+    /// are the targets of its pairs in input order — parallel edges and
+    /// self-loops included, and counted — whatever the number of isolated
+    /// nodes after the last one named (`extra`), down to no nodes at all.
+    #[test]
+    fn from_edges_keeps_every_pair_in_input_order(edges in arb_edges(10, 40), extra in 0usize..4) {
+        let n = edges.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0) + extra;
+        let g = graph(n, &edges);
+        prop_assert_eq!(g.node_count(), n);
+        prop_assert_eq!(g.edge_count(), edges.len());
+        for u in 0..n {
+            let given: Vec<usize> = edges.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
+            prop_assert_eq!(g.successors(u).collect::<Vec<_>>(), given, "row {}", u);
+        }
+        let mut by_source = edges.clone();
+        by_source.sort_by_key(|e| e.0); // stable: input order within a row
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), by_source);
     }
 
     /// Batched insertion is indistinguishable from edge-at-a-time insertion:
@@ -131,10 +165,7 @@ proptest! {
     /// a common cycle end up in the same component.
     #[test]
     fn sccs_partition_nodes(edges in arb_edges(16, 48)) {
-        let mut g = DiGraph::new(16);
-        for &(a, b) in &edges {
-            g.add_edge(a, b);
-        }
+        let g = graph(16, &edges);
         let sccs = g.sccs();
         let mut seen = HashSet::new();
         for comp in &sccs {
@@ -160,10 +191,7 @@ proptest! {
     /// Reachability is consistent with shortest paths.
     #[test]
     fn shortest_paths_exist_iff_reachable(edges in arb_edges(12, 36), from in 0usize..12, to in 0usize..12) {
-        let mut g = DiGraph::new(12);
-        for &(a, b) in &edges {
-            g.add_edge(a, b);
-        }
+        let g = graph(12, &edges);
         let reachable = g.reachable_from(from)[to];
         let path = g.shortest_path(from, to);
         prop_assert_eq!(reachable, path.is_some());
@@ -171,7 +199,7 @@ proptest! {
             prop_assert_eq!(*p.first().unwrap(), from);
             prop_assert_eq!(*p.last().unwrap(), to);
             for w in p.windows(2) {
-                prop_assert!(w[0] == w[1] || g.successors(w[0]).contains(&w[1]));
+                prop_assert!(w[0] == w[1] || g.successors(w[0]).any(|v| v == w[1]));
             }
         }
     }

@@ -2,9 +2,15 @@
 //! its memory estimate from the graph the check built, so `BUILDDEPENDENCY`
 //! (the `core.dependency_builds` counter) runs exactly once per call — and
 //! the estimate is still the formula it always was: the edges of
-//! `build_dependency(history, false)` × 24 plus `history_memory_bytes`.
+//! `build_dependency(history, false)` × 24 plus `history_memory_bytes`. The
+//! reference build and the naive `CHECKSSER` go through the same
+//! `BUILDDEPENDENCY` on the same shared write index: one graph each too, with
+//! the closure `WW` and the `RT` edges they always had.
 
-use mtc_core::build_dependency;
+use mtc_core::{
+    build_dependency, build_dependency_reference, check_batch, check_ser_with, check_si_with,
+    BatchCheck, CheckOptions, Verdict,
+};
 use mtc_history::{History, HistoryBuilder, Op};
 use mtc_runner::exec::history_memory_bytes;
 use mtc_runner::{verify, Checker, VerifyOutcome};
@@ -70,4 +76,48 @@ fn a_verdict_reached_before_the_graph_builds_it_for_the_estimate_only() {
             "{checker:?}"
         );
     }
+}
+
+#[test]
+fn the_reference_and_naive_paths_build_one_graph_with_the_edges_they_always_had() {
+    let _on = mtc_obs::test_support::with_enabled(true);
+    let history = satisfied_history();
+    // Edge counts of this history as the PR 16 build gave them: the plain
+    // graph, with the per-object `WW` closure (and the `RW` edges derived
+    // from it), and with every `RT` edge materialized.
+    const PLAIN: usize = 180;
+    const CLOSED: usize = 1_020;
+    const WITH_RT: usize = 2_010;
+    let edges = |g: Result<mtc_history::DependencyGraph, _>| g.map(|g| g.edge_count());
+    assert_eq!(edges(build_dependency(&history, false)), Ok(PLAIN));
+    assert_eq!(
+        edges(build_dependency_reference(&history, false)),
+        Ok(CLOSED)
+    );
+    assert_eq!(edges(build_dependency(&history, true)), Ok(WITH_RT));
+
+    let builds = mtc_obs::registry().counter("core.dependency_builds");
+    let reference = CheckOptions {
+        reference_build: true,
+        ..CheckOptions::default()
+    };
+    for (check, opts, expected) in [
+        (BatchCheck::Ser, reference, CLOSED),
+        (BatchCheck::Si, reference, CLOSED),
+        (BatchCheck::Sser, reference, CLOSED),
+        // `dep_edges` leaves the `RT` edges of the naive graph out.
+        (BatchCheck::SserNaive, CheckOptions::default(), PLAIN),
+        (BatchCheck::SserNaive, reference, CLOSED),
+    ] {
+        let before = builds.get();
+        let checked = check_batch(check, &history, &opts).unwrap();
+        assert_eq!(builds.get() - before, 1, "{check:?} {opts:?}");
+        assert_eq!(checked.verdict, Verdict::Satisfied, "{check:?} {opts:?}");
+        assert_eq!(checked.dep_edges, Some(expected), "{check:?} {opts:?}");
+    }
+    // The verdict-only fronts are the same call.
+    let before = builds.get();
+    assert_eq!(check_ser_with(&history, &reference), Ok(Verdict::Satisfied));
+    assert_eq!(check_si_with(&history, &reference), Ok(Verdict::Satisfied));
+    assert_eq!(builds.get() - before, 2);
 }

@@ -198,21 +198,32 @@ fn fixture_stream() -> Vec<Transaction> {
     )
 }
 
-fn fixture_path(level: IsolationLevel) -> PathBuf {
-    let name = match level {
-        IsolationLevel::Serializability => "snapshot-v4-ser.mtcck",
-        IsolationLevel::SnapshotIsolation => "snapshot-v4-si.mtcck",
-        IsolationLevel::StrictSerializability => "snapshot-v4-sser.mtcck",
+/// The committed snapshot of the fixture prefix at `level`: the one the
+/// PR 13 build wrote (`-pr13`), or the one this build writes.
+fn fixture_path(level: IsolationLevel, pr13: bool) -> PathBuf {
+    let level = match level {
+        IsolationLevel::Serializability => "ser",
+        IsolationLevel::SnapshotIsolation => "si",
+        IsolationLevel::StrictSerializability => "sser",
     };
+    let writer = if pr13 { "-pr13" } else { "" };
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(name)
+        .join(format!("snapshot-v4-{level}{writer}.mtcck"))
 }
 
-/// The files under `tests/data/` were written by the build *before* the
-/// streaming engine was split into modules. Decoding them pins the
+/// The `-pr13` files under `tests/data/` were written by the build *before*
+/// the streaming engine was split into modules. Decoding them pins the
 /// `CheckerSnapshot` wire format: a refactor that renames, reorders or
 /// drops a serialized field fails here instead of on somebody's disk.
+///
+/// Their *content* is one `SO` edge short of what this build holds for the
+/// same prefix: transaction 60 of the stream is an aborted attempt, and until
+/// PR 17 an aborted attempt cut its session's order instead of being skipped.
+/// The verdicts they resume to are the uninterrupted run's all the same. The
+/// encoder side is therefore pinned on a second set of files, written by the
+/// PR 17 build from the same prefix (`write_checkpoint` of
+/// `prefix.checkpoint()` below, copied into `tests/data/`).
 #[test]
 fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
@@ -230,17 +241,8 @@ fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
         let expected_first = whole.first_violation_at();
         let expected = format!("{:?}", whole.finish());
 
-        let (consumed, snapshot) = read_checkpoint(fixture_path(level)).unwrap();
-        assert_eq!(consumed, FIXTURE_CUT as u64);
-        assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
-        assert_eq!(snapshot.level(), level);
-        assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
-        assert!(
-            !snapshot.reader_evictions().is_empty(),
-            "{level}: the fixture must carry eviction markers"
-        );
         // The encoder side of the format: this build writes, for the same
-        // prefix, the very bytes the parent build wrote.
+        // prefix, the very bytes the PR 17 build wrote.
         let mut prefix = IncrementalChecker::new(level)
             .with_init_keys(0..FIXTURE_KEYS)
             .with_gc(FIXTURE_GC);
@@ -248,28 +250,40 @@ fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
             let _ = prefix.push(t.clone());
         }
         let dir = tmpdir(level as u64);
-        let rewritten = write_checkpoint(&dir, consumed, &prefix.checkpoint()).unwrap();
+        let rewritten = write_checkpoint(&dir, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert_eq!(
             std::fs::read(rewritten).unwrap(),
-            std::fs::read(fixture_path(level)).unwrap(),
+            std::fs::read(fixture_path(level, false)).unwrap(),
             "{level}: snapshot bytes changed"
         );
         let _ = std::fs::remove_dir_all(&dir);
         let tail = &txns[FIXTURE_CUT..];
 
-        let mut resumed = IncrementalChecker::resume(snapshot.clone());
-        assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
-        for t in tail {
-            let _ = resumed.push(t.clone());
-        }
-        assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
-        assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
+        for pr13 in [true, false] {
+            let (consumed, snapshot) = read_checkpoint(fixture_path(level, pr13)).unwrap();
+            assert_eq!(consumed, FIXTURE_CUT as u64);
+            assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
+            assert_eq!(snapshot.level(), level);
+            assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
+            assert!(
+                !snapshot.reader_evictions().is_empty(),
+                "{level}: the fixture must carry eviction markers"
+            );
 
-        let mut sharded = ShardedIncrementalChecker::resume(snapshot, 3);
-        for chunk in tail.chunks(8) {
-            let _ = sharded.push_batch(chunk.to_vec());
+            let mut resumed = IncrementalChecker::resume(snapshot.clone());
+            assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
+            for t in tail {
+                let _ = resumed.push(t.clone());
+            }
+            assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
+            assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
+
+            let mut sharded = ShardedIncrementalChecker::resume(snapshot, 3);
+            for chunk in tail.chunks(8) {
+                let _ = sharded.push_batch(chunk.to_vec());
+            }
+            assert_eq!(sharded.first_violation_at(), expected_first, "{level}");
+            assert_eq!(format!("{:?}", sharded.finish()), expected, "{level}");
         }
-        assert_eq!(sharded.first_violation_at(), expected_first, "{level}");
-        assert_eq!(format!("{:?}", sharded.finish()), expected, "{level}");
     }
 }

@@ -142,6 +142,22 @@ fn assert_cycle_is_real(name: &str, history: &History, edges: &[Edge]) {
     }
 }
 
+/// Panics unless `edges` is, besides real and closed, a cycle of the graph
+/// `CHECKSI` searches: `(SO ∪ WR ∪ WW) ; RW?` has at most one `RW` edge per
+/// hop and each hop starts with a base edge, so no two `RW` edges are ever
+/// adjacent — the last and the first included.
+fn assert_si_cycle_is_well_formed(name: &str, history: &History, edges: &[Edge]) {
+    assert_cycle_is_real(name, history, edges);
+    for (i, e) in edges.iter().enumerate() {
+        let next = &edges[(i + 1) % edges.len()];
+        assert!(
+            !(e.kind.is_rw() && next.kind.is_rw()),
+            "{name}: {e:?} then {next:?} is no path of (SO ∪ WR ∪ WW) ; RW?"
+        );
+        assert_ne!(e.kind, EdgeKind::Rt, "{name}: CHECKSI knows no real time");
+    }
+}
+
 fn render(name: &str, history: &History, outcome: Result<Verdict, CheckError>) -> String {
     match outcome {
         Err(e) => format!("Err({e:?})"),
@@ -236,6 +252,31 @@ fn batch_verdicts_match_the_parent_written_fixture() {
         line + 1,
         path.display()
     );
+}
+
+/// `CHECKSI` rebuilds the hops of the cycle it found from the dependency
+/// graph instead of remembering where every composed edge came from; every
+/// cycle it reports — with the early DIVERGENCE exit and without — must still
+/// be a well-formed counterexample.
+#[test]
+fn si_counterexamples_are_cycles_of_the_composed_graph() {
+    let general = CheckOptions {
+        skip_divergence_early_exit: true,
+        ..CheckOptions::default()
+    };
+    let mut cycles = 0;
+    for (name, h) in histories() {
+        for opts in [CheckOptions::default(), general] {
+            let outcome = check_si_with(&h, &opts);
+            if let Ok(Verdict::Violated(Violation::Cycle { edges })) = outcome {
+                assert_si_cycle_is_well_formed(&name, &h, &edges);
+                cycles += 1;
+            }
+        }
+    }
+    // The catalogue alone has five (`SI   Cycle` in the fixture), each
+    // reached under both options.
+    assert!(cycles >= 10, "only {cycles} SI cycles were looked at");
 }
 
 #[test]

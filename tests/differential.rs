@@ -4,8 +4,10 @@
 //! (sampled from a random serial execution) and corrupted ones.
 
 use mtc::baselines::{brute_check_ser, brute_check_si, cobra_check_ser, polysi_check_si};
-use mtc::core::{check_ser, check_si, CheckOptions};
-use mtc::history::{History, HistoryBuilder, Op};
+use mtc::core::{build_dependency, check_ser, check_si, check_si_with, check_sser};
+use mtc::core::{CheckOptions, Verdict, Violation};
+use mtc::history::{EdgeKind, History, HistoryBuilder, Op, TxnStatus};
+use mtc::{check_streaming, check_streaming_sharded, IsolationLevel};
 use proptest::prelude::*;
 
 /// A randomly chosen mini-transaction "shape" over up to `keys` objects.
@@ -30,7 +32,11 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
 
 /// Builds a *valid* history by executing randomly shaped mini-transactions
 /// serially (each sees the latest committed state), assigned round-robin to
-/// sessions. Such histories satisfy SSER, SER and SI by construction.
+/// sessions. Such histories satisfy SSER, SER and SI by construction. About
+/// a third of the transactions are followed, in their session, by an aborted
+/// attempt whose write nobody reads — so sessions have aborted attempts
+/// *between* committed transactions, which the session order must skip, not
+/// stop at.
 fn serial_history(shapes: &[(Shape, u64, u64)], keys: u64, sessions: u32) -> History {
     let keys = keys.max(2);
     let mut state = vec![0u64; keys as usize];
@@ -73,6 +79,15 @@ fn serial_history(shapes: &[(Shape, u64, u64)], keys: u64, sessions: u32) -> His
             }
         }
         builder.committed_timed(session, ops, 10 * i as u64 + 1, 10 * i as u64 + 5);
+        if (i as u64 + k1).is_multiple_of(3) {
+            let ops = vec![
+                Op::read(a as u64, state[a]),
+                Op::write(a as u64, next_value),
+            ];
+            next_value += 1;
+            let (begin, end) = (10 * i as u64 + 6, 10 * i as u64 + 8);
+            builder.push_timed(session, ops, TxnStatus::Aborted, begin, end);
+        }
     }
     builder.build()
 }
@@ -97,9 +112,92 @@ fn corrupt(history: &History, txn_pick: usize, stale: u64) -> History {
                 *value = mtc::history::Value(stale % value.raw().max(1));
             }
         }
-        builder.committed_timed(t.session.0, ops, t.begin.unwrap_or(1), t.end.unwrap_or(2));
+        let (begin, end) = (t.begin.unwrap_or(1), t.end.unwrap_or(2));
+        builder.push_timed(t.session.0, ops, t.status, begin, end);
     }
     builder.build()
+}
+
+/// If `CHECKSI` answers `history` with a cycle — with the early DIVERGENCE
+/// exit or without — that cycle is a well-formed counterexample: every edge a
+/// dependency of the history, closed, and a path of `(SO ∪ WR ∪ WW) ; RW?`,
+/// which never has two `RW` edges in a row (cyclically).
+fn assert_si_cycles_are_well_formed(history: &History) {
+    let general = CheckOptions {
+        skip_divergence_early_exit: true,
+        ..CheckOptions::default()
+    };
+    for opts in [CheckOptions::default(), general] {
+        let Ok(Verdict::Violated(Violation::Cycle { edges })) = check_si_with(history, &opts)
+        else {
+            continue;
+        };
+        assert!(!edges.is_empty(), "empty cycle");
+        let graph = build_dependency(history, false).expect("the checker built this graph");
+        for (i, e) in edges.iter().enumerate() {
+            let next = &edges[(i + 1) % edges.len()];
+            assert!(
+                graph.contains_edge(e.from, e.to, e.kind),
+                "{e:?} is no dependency"
+            );
+            assert_eq!(e.to, next.from, "the cycle does not close at {e:?}");
+            assert!(
+                !(e.kind.is_rw() && next.kind.is_rw()),
+                "{e:?} then {next:?}: two RW edges in a row"
+            );
+        }
+    }
+}
+
+/// `SO` skips aborted attempts instead of stopping at them. `T1` and `T3`
+/// are committed transactions of one session with an aborted attempt between
+/// them, and `T3` reads the value `T1` overwrote: a stale read inside a
+/// session, which every level forbids and which only the `SO` edge
+/// `T1 → T3` exposes. In the twin the session's *first* attempt aborted, so
+/// `⊥T → T1` has to skip it as well.
+#[test]
+fn an_aborted_attempt_does_not_cut_the_session_order() {
+    let stale_read_after = |first_attempt_aborts: bool| {
+        let mut b = HistoryBuilder::new().with_init(2);
+        if first_attempt_aborts {
+            b.aborted(0, vec![Op::read(1u64, 0u64), Op::write(1u64, 6u64)]);
+        }
+        let t1 = b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+        b.aborted(0, vec![Op::read(1u64, 0u64), Op::write(1u64, 7u64)]);
+        let t3 = b.committed(0, vec![Op::read(0u64, 0u64)]);
+        (b.build(), t1, t3)
+    };
+    for first_attempt_aborts in [false, true] {
+        let (h, t1, t3) = stale_read_after(first_attempt_aborts);
+        let name = format!("first attempt aborts: {first_attempt_aborts}");
+        let init = h.init_txn().unwrap();
+        let graph = build_dependency(&h, false).unwrap();
+        assert!(graph.contains_edge(init, t1, EdgeKind::So), "{name}");
+        assert!(graph.contains_edge(t1, t3, EdgeKind::So), "{name}");
+
+        assert!(check_ser(&h).unwrap().is_violated(), "{name}");
+        assert!(check_si(&h).unwrap().is_violated(), "{name}");
+        assert!(check_sser(&h).unwrap().is_violated(), "{name}");
+        for level in [
+            IsolationLevel::Serializability,
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::StrictSerializability,
+        ] {
+            let streamed = check_streaming(level, &h).unwrap();
+            assert!(streamed.is_violated(), "{name}: streaming {level}");
+            let sharded = check_streaming_sharded(level, &h, 2, 2).unwrap();
+            assert!(sharded.is_violated(), "{name}: sharded {level}");
+        }
+        assert!(!brute_check_ser(&h), "{name}");
+        assert!(!brute_check_si(&h), "{name}");
+        assert!(!cobra_check_ser(&h).satisfied, "{name}");
+        assert!(!polysi_check_si(&h).satisfied, "{name}");
+
+        // Without the aborted attempts nothing changes: they were never what
+        // held the verdict.
+        let committed_only = h.filter_committed();
+        assert!(check_ser(&committed_only).unwrap().is_violated(), "{name}");
+    }
 }
 
 proptest! {
@@ -138,6 +236,7 @@ proptest! {
         let mtc_si = check_si(&corrupted).unwrap().is_satisfied();
         prop_assert_eq!(mtc_ser, brute_check_ser(&corrupted), "SER mismatch");
         prop_assert_eq!(mtc_si, brute_check_si(&corrupted), "SI mismatch");
+        assert_si_cycles_are_well_formed(&corrupted);
         let cobra = cobra_check_ser(&corrupted);
         if !cobra.timed_out {
             prop_assert_eq!(mtc_ser, cobra.satisfied, "Cobra mismatch");
