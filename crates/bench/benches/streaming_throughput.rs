@@ -1,14 +1,10 @@
 //! Streaming verification throughput: batch `CHECKSER`/`CHECKSI`/`CHECKSSER`
-//! versus the incremental checker versus the key-sharded incremental
-//! checker.
+//! versus the incremental checker.
 //!
-//! The batch checkers see the whole history at once; the streaming checkers
-//! consume it transaction-by-transaction (the incremental one) or in batches
-//! fanned out across the autotuned shard geometry (the sharded one — see
-//! `mtc_core::tune`). On multi-core machines
-//! the sharded variant should meet or beat the sequential incremental
-//! checker, while both stay within a small factor of the batch verifier —
-//! the price of an online answer. The SSER group additionally pits the
+//! The batch checkers see the whole history at once; the streaming checker
+//! consumes it transaction by transaction and should stay within a small
+//! factor of the batch verifier — the price of an online answer. The SSER
+//! group additionally pits the
 //! `Θ(n²)` naive RT materialization against the `O(n log n)` batch
 //! time-chain and the online time-chain (naive runs on the small size only —
 //! it would dominate the wall-clock budget at the large one).
@@ -18,17 +14,11 @@ mod common;
 use common::{serial_mt_history, two_key_mt_history};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtc_core::{
-    check_ser, check_si, check_sser, check_sser_naive, check_streaming, check_streaming_sharded,
-    tune, IsolationLevel,
+    check_ser, check_si, check_sser, check_sser_naive, check_streaming, IsolationLevel,
 };
 
 fn bench_streaming_throughput(c: &mut Criterion) {
     let sizes = [1000u64, 8000];
-    // Shard geometry comes from the autotuner, so the bench measures what a
-    // caller on this machine would actually get.
-    let tuning = tune();
-    let (shards, batch) = (tuning.shards, tuning.batch);
-    eprintln!("streaming_throughput: autotuned geometry = {shards} shards, batch {batch}");
 
     let mut group = c.benchmark_group("streaming_throughput_ser");
     group.sample_size(10);
@@ -41,11 +31,6 @@ fn bench_streaming_throughput(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("incremental", n), &history, |b, h| {
             b.iter(|| check_streaming(IsolationLevel::Serializability, h).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("sharded", n), &history, |b, h| {
-            b.iter(|| {
-                check_streaming_sharded(IsolationLevel::Serializability, h, shards, batch).unwrap()
-            })
         });
     }
     group.finish();
@@ -61,12 +46,6 @@ fn bench_streaming_throughput(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("incremental", n), &history, |b, h| {
             b.iter(|| check_streaming(IsolationLevel::SnapshotIsolation, h).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("sharded", n), &history, |b, h| {
-            b.iter(|| {
-                check_streaming_sharded(IsolationLevel::SnapshotIsolation, h, shards, batch)
-                    .unwrap()
-            })
         });
     }
     group.finish();
@@ -87,12 +66,6 @@ fn bench_streaming_throughput(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("incremental", n), &history, |b, h| {
             b.iter(|| check_streaming(IsolationLevel::StrictSerializability, h).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("sharded", n), &history, |b, h| {
-            b.iter(|| {
-                check_streaming_sharded(IsolationLevel::StrictSerializability, h, shards, batch)
-                    .unwrap()
-            })
         });
     }
     group.finish();

@@ -1,7 +1,6 @@
 //! CI perf-regression gate for the streaming checkers.
 //!
-//! Times the batch, incremental and autotuned-sharded checkers at every
-//! isolation level over synthetic serial histories, writes the measurements
+//! Times the batch and incremental checkers at every isolation level over synthetic serial histories, writes the measurements
 //! as `BENCH_streaming.json` (uploaded as a CI artifact so every PR leaves a
 //! throughput trail), and — with `--check <baseline.json>` — fails when a
 //! streaming checker regressed more than 30% against the committed baseline.
@@ -54,26 +53,20 @@
 //! without `--check`.
 //!
 //! Since the epoch-GC work the `<level>/incremental-gc` series are **gated**
-//! alongside `incremental` and `sharded` (collection is expected to cost at
-//! most a modest constant factor now that commits are amortized off the
-//! ingest path), and the run's peak-RSS high-water mark is gated against
-//! the baseline's. A `<level>/sharded-allcores` series (one shard per
-//! available core, tuned hand-off batch) quantifies the fan-out win as an
-//! artifact-only trail — core counts differ across runners, so it is never
-//! gated. Its ratio to the sequential series of the same run is printed as
-//! one `earn-or-delete:` line (appended to `$GITHUB_STEP_SUMMARY` in CI).
+//! alongside `incremental` (collection is expected to cost at most a modest
+//! constant factor now that commits are amortized off the ingest path), and
+//! the run's peak-RSS high-water mark is gated against the baseline's.
+//!
+//! Schema 8 drops the two worker-pool series of each level and the
+//! `shards` / `batch` report fields: the pool lost to the sequential checker
+//! on every run and was deleted (README, "Why there is no worker pool").
 //!
 //! Raw throughput is machine-dependent, so the gate normalizes by machine
 //! speed before comparing: for each isolation level, the batch checker's
 //! current/baseline throughput ratio is the machine scale, and each
 //! streaming series must reach at least 70% of `baseline × scale`. That
 //! turns the gate into a test of *streaming overhead relative to batch
-//! checking* — exactly the quantity the merge-path work optimizes — and
-//! keeps it stable across CI runner generations. The sharded series are
-//! gated like-for-like: when this box's autotuned geometry differs from the
-//! baseline's recorded one, the gate re-measures the sharded checkers at
-//! the baseline geometry for the comparison (the autotuned numbers stay in
-//! the artifact as this machine's trail).
+//! checking* and keeps it stable across CI runner generations.
 //!
 //! ```text
 //! cargo run --release -p mtc-bench --bin streaming_bench_gate -- \
@@ -86,8 +79,8 @@
 
 use mtc_bench::histories::serial_mt_history;
 use mtc_core::{
-    check_ser, check_si, check_sser, check_streaming, check_streaming_sharded, tune, GcPolicy,
-    IncrementalChecker, IsolationLevel, Verdict,
+    check_ser, check_si, check_sser, check_streaming, GcPolicy, IncrementalChecker, IsolationLevel,
+    Verdict,
 };
 use mtc_dbsim::{BackendSpec, ExecutionOptions};
 use mtc_history::History;
@@ -121,7 +114,7 @@ const GATE_ROUNDS: usize = 21;
 /// One measured checker configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Series {
-    /// `<level>/<flavour>`, e.g. `ser/sharded`.
+    /// `<level>/<flavour>`, e.g. `ser/incremental`.
     name: String,
     /// Best-of-[`REPS`] wall time for one pass, in milliseconds.
     millis: f64,
@@ -144,10 +137,6 @@ struct BenchReport {
     schema: u32,
     /// Transactions per measured history (excluding `⊥T`).
     txns: u64,
-    /// Autotuned shard count used by the sharded series.
-    shards: u64,
-    /// Autotuned hand-off batch size used by the sharded series.
-    batch: u64,
     /// All measured series.
     series: Vec<Series>,
 }
@@ -256,8 +245,6 @@ fn main() {
     let out = flag("--out").unwrap_or_else(|| "BENCH_streaming.json".to_string());
     let baseline_path = flag("--check");
 
-    let tuning = tune();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let history = serial_mt_history(txns, 64, 8);
     let per_level: [(&str, IsolationLevel); 3] = [
         ("ser", IsolationLevel::Serializability),
@@ -315,41 +302,6 @@ fn main() {
         record("incremental", millis, 0);
         let millis = measure(&format!("{tag}/incremental-gc"), run_gc);
         record("incremental-gc", millis, gc_retained.get());
-        let millis = measure(&format!("{tag}/sharded"), || {
-            check_streaming_sharded(level, &history, tuning.shards, tuning.batch).unwrap()
-        });
-        record("sharded", millis, 0);
-        // Multi-core fan-out series (artifact-only): the sharded checker at
-        // one shard per available core with the tuned hand-off batch — the
-        // throughput a caller on this machine gets by throwing every core
-        // at the stream. Not gated: core counts differ across CI runners.
-        let millis = measure(&format!("{tag}/sharded-allcores"), || {
-            check_streaming_sharded(level, &history, cores, tuning.batch).unwrap()
-        });
-        record("sharded-allcores", millis, 0);
-    }
-
-    // The number ROADMAP's sharding verdict waits for: all-cores pool ÷
-    // sequential, same run. Printed (and surfaced on the CI run page), never
-    // gated — it only means something on a ≥ 4-core runner.
-    let tps = |name: String| {
-        series
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.txns_per_sec)
-    };
-    let ratio = |tag: &str| {
-        let pool = tps(format!("{tag}/sharded-allcores")).expect("measured above");
-        pool / tps(format!("{tag}/incremental")).expect("measured above")
-    };
-    let (ser, si, sser) = (ratio("ser"), ratio("si"), ratio("sser"));
-    let verdict = format!("earn-or-delete: cores={cores} ser={ser:.2} si={si:.2} sser={sser:.2}");
-    println!("{verdict}");
-    if let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY") {
-        let file = std::fs::OpenOptions::new().append(true).open(path);
-        let _ = file.and_then(|mut f| {
-            std::io::Write::write_all(&mut f, format!("`{verdict}`\n").as_bytes())
-        });
     }
 
     // Observability overhead (schema 5): the streaming SER pass with metric
@@ -516,18 +468,13 @@ fn main() {
     }
 
     let report = BenchReport {
-        schema: 7,
+        schema: 8,
         txns,
-        shards: tuning.shards as u64,
-        batch: tuning.batch as u64,
         series,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    println!(
-        "wrote {out} (autotuned: {} shards, batch {})",
-        report.shards, report.batch
-    );
+    println!("wrote {out}");
 
     // The in-run ratio gates, baseline-free and machine-independent, so they
     // hold on every run even without `--check`. Measured last: their larger
@@ -622,57 +569,14 @@ fn main() {
         1.0
     };
     println!("gate machine scale vs baseline: {scale:.3}");
-    // The sharded series are only comparable like-for-like: the baseline's
-    // sharded numbers were measured at the geometry recorded in its JSON.
-    // When this box's autotuned geometry differs (e.g. a multi-core CI
-    // runner vs a single-core baseline box), re-measure the sharded
-    // checkers at the *baseline's* geometry for gating — deterministic and
-    // like-for-like — while the autotuned series above remain the artifact
-    // trail of what a caller on this machine actually gets.
-    let same_geometry = report.shards == baseline.shards && report.batch == baseline.batch;
-    let gate_geom =
-        mtc_core::ShardTuning::clamped(baseline.shards as usize, baseline.batch as usize);
-    if !same_geometry {
-        println!(
-            "gate note: autotuned geometry ({}x{}) differs from the baseline's \
-             ({}x{}); gating sharded series re-measured at the baseline geometry",
-            report.shards, report.batch, baseline.shards, baseline.batch
-        );
-    }
-    let mut sharded_gate_tps: Vec<(String, f64)> = Vec::new();
-    for (tag, level) in per_level {
-        let name = format!("{tag}/sharded");
-        if same_geometry {
-            if let Some(s) = report.series(&name) {
-                sharded_gate_tps.push((name, s.txns_per_sec));
-            }
-            continue;
-        }
-        let millis = measure(&name, || {
-            check_streaming_sharded(level, &history, gate_geom.shards, gate_geom.batch).unwrap()
-        });
-        let tps = txns as f64 / (millis / 1e3);
-        println!(
-            "{name:<18} {millis:>9.3} ms   {tps:>12.0} txns/s   (baseline geometry {}x{})",
-            gate_geom.shards, gate_geom.batch
-        );
-        sharded_gate_tps.push((name, tps));
-    }
     for (tag, _) in per_level {
-        for flavour in ["incremental", "incremental-gc", "sharded"] {
+        for flavour in ["incremental", "incremental-gc"] {
             let name = format!("{tag}/{flavour}");
-            let cur_tps = if flavour == "sharded" {
-                sharded_gate_tps
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|&(_, tps)| tps)
-            } else {
-                report.series(&name).map(|s| s.txns_per_sec)
-            };
-            let (Some(cur_tps), Some(base)) = (cur_tps, baseline.series(&name)) else {
+            let (Some(cur), Some(base)) = (report.series(&name), baseline.series(&name)) else {
                 failures.push(format!("missing series {name}"));
                 continue;
             };
+            let cur_tps = cur.txns_per_sec;
             let expected = base.txns_per_sec * scale;
             let ratio = cur_tps / expected;
             let verdict = if ratio >= MIN_RELATIVE_THROUGHPUT {

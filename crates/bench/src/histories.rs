@@ -1,7 +1,6 @@
 //! Synthetic history generators shared by the Criterion benches and the CI
-//! perf-regression gate. The definitions live in `mtc_history::synthetic`
-//! (one canonical shape, also used by the shard autotuner's calibration
-//! burst); these wrappers pin the timed flavours the benches report on.
+//! perf-regression gate, under the names the benches use. The definitions
+//! live in `mtc_history::synthetic` (one canonical shape).
 
 use mtc_history::History;
 
@@ -10,7 +9,7 @@ use mtc_history::History;
 /// sessions: each transaction reads the current value of one key and writes
 /// the next value, with strictly increasing begin/end instants.
 pub fn serial_mt_history(n: u64, keys: u64, sessions: u32) -> History {
-    mtc_history::synthetic::serial_rmw_history(n, keys, sessions, true)
+    mtc_history::synthetic::serial_rmw_history(n, keys, sessions)
 }
 
 /// Builds a valid history where pairs of transactions touch two keys each

@@ -1,20 +1,15 @@
 //! The one streaming front: [`IncrementalChecker`] owns the [`Engine`] and
-//! runs the one ingest loop. Its per-key state is either local or spread
-//! over the worker pool of [`super::sharded`] — the `Keys::Pool` arms below
-//! are the only places that know the pool exists.
+//! the [`KeyState`] and runs the one ingest loop, on the caller's thread.
 
 use super::engine::{divergence_pass, Engine};
 use super::gc::{Eviction, GcPolicy};
 use super::keystate::{decompose, KeyState};
-use super::sharded::ShardPool;
 use super::snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
-use super::{Event, TaggedEvent};
 use crate::check::{CheckOptions, IsolationLevel};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
     DependencyGraph, IntraViolation, Key, Op, SessionId, Transaction, TxnId, TxnStatus, INIT_VALUE,
 };
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Starts a sampled per-transaction ingest span: times every 16th push.
@@ -60,18 +55,7 @@ pub enum StreamStatus {
 #[derive(Debug)]
 pub struct IncrementalChecker {
     pub(super) engine: Engine,
-    pub(super) keys: Keys,
-}
-
-/// Where the per-key state lives.
-#[derive(Debug)]
-pub(super) enum Keys {
-    /// On the caller thread: each transaction is derived and applied at
-    /// once.
-    Local(KeyState),
-    /// Partitioned by key over worker threads: a batch is derived on the
-    /// pool, then merged through the engine's deferred queue.
-    Pool(ShardPool),
+    keys: KeyState,
 }
 
 impl IncrementalChecker {
@@ -86,7 +70,7 @@ impl IncrementalChecker {
     pub fn new(level: IsolationLevel) -> Self {
         IncrementalChecker {
             engine: Engine::new(level, CheckOptions::default()),
-            keys: Keys::Local(KeyState::default()),
+            keys: KeyState::default(),
         }
     }
 
@@ -174,30 +158,19 @@ impl IncrementalChecker {
     /// clean verdict with a non-empty marker set is a qualified
     /// certificate (see [`GcPolicy`]).
     pub fn reader_evictions(&self) -> Vec<Eviction> {
-        match &self.keys {
-            Keys::Local(keys) => keys.evictions(),
-            Keys::Pool(_) => self.checkpoint().reader_evictions(),
-        }
+        self.keys.evictions()
     }
 
-    /// Total reader entries dropped by the GC's reader-list cap so far (with
-    /// a worker pool: as of the most recent sweep).
+    /// Total reader entries dropped by the GC's reader-list cap so far.
     pub fn reader_eviction_count(&self) -> u64 {
-        match &self.keys {
-            Keys::Local(keys) => keys.evicted.values().sum(),
-            Keys::Pool(pool) => pool.evicted,
-        }
+        self.keys.evicted.values().sum()
     }
 
     /// Longest resident reader list across all live versions — the register
     /// state a hot, never-overwritten key accumulates; the quantity
     /// [`GcPolicy::reader_cap`] bounds.
     pub fn max_reader_list_len(&self) -> usize {
-        let longest = |states: &[KeyState]| states.iter().map(KeyState::max_reader_list_len).max();
-        match &self.keys {
-            Keys::Local(keys) => keys.max_reader_list_len(),
-            Keys::Pool(pool) => longest(&pool.snapshot()).unwrap_or(0),
-        }
+        self.keys.max_reader_list_len()
     }
 
     /// Transactions retired by the GC so far.
@@ -206,27 +179,21 @@ impl IncrementalChecker {
     }
 
     /// Captures a complete [`CheckerSnapshot`] of the current state: the
-    /// engine plus the key state — one per worker when the state is spread
-    /// over a pool (collected from the workers; the deferred queue is empty
-    /// between pushes, so the snapshot is exact).
+    /// engine plus the key state.
     pub fn checkpoint(&self) -> CheckerSnapshot {
-        let keys = match &self.keys {
-            Keys::Local(keys) => vec![keys.clone()],
-            Keys::Pool(pool) => pool.snapshot(),
-        };
         CheckerSnapshot {
             version: SNAPSHOT_VERSION,
-            shards: keys.len(),
+            shards: 1,
             engine: self.engine.clone(),
-            keys,
+            keys: vec![self.keys.clone()],
         }
     }
 
-    /// Reconstructs a sequential checker from a snapshot (taken from a
-    /// sequential *or* sharded checker — shard key states are merged). The
-    /// resumed checker continues exactly where the snapshot stopped:
-    /// feeding it the remaining stream yields a verdict bit-identical to
-    /// the uninterrupted run's.
+    /// Reconstructs a checker from a snapshot. A snapshot written by a
+    /// build that still had a worker pool holds one key-disjoint key state
+    /// per worker; they are merged. The resumed checker continues exactly
+    /// where the snapshot stopped: feeding it the remaining stream yields a
+    /// verdict bit-identical to the uninterrupted run's.
     pub fn resume(snapshot: CheckerSnapshot) -> Self {
         let CheckerSnapshot {
             mut engine, keys, ..
@@ -234,7 +201,7 @@ impl IncrementalChecker {
         engine.graph.rebuild_index();
         IncrementalChecker {
             engine,
-            keys: Keys::Local(KeyState::merge(keys)),
+            keys: KeyState::merge(keys),
         }
     }
 
@@ -252,7 +219,7 @@ impl IncrementalChecker {
             begin: Some(0),
             end: Some(0),
         };
-        self.ingest(&[init], true);
+        self.ingest(&init, true);
         self
     }
 
@@ -263,28 +230,24 @@ impl IncrementalChecker {
     /// Returns the streaming status for the consumed prefix, or the error
     /// that took the input outside the checker's domain. Both violations and
     /// errors latch: later pushes are cheap no-ops returning the same answer.
-    pub fn push(&mut self, mut txn: Transaction) -> Result<StreamStatus, CheckError> {
-        self.push_slice(std::slice::from_mut(&mut txn));
+    pub fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
+        self.feed(txn);
         self.status_result()
     }
 
     /// Feeds a batch of transactions, in stream order, and returns the
-    /// status after the whole batch. With a worker pool the per-key edge
-    /// derivation of the batch runs key-sharded across the workers (larger
-    /// batches amortize the hand-off) and the merge into the topological
-    /// order happens on the calling thread; without one this is a loop of
-    /// [`IncrementalChecker::push`]es.
-    pub fn push_batch(&mut self, mut txns: Vec<Transaction>) -> Result<StreamStatus, CheckError> {
-        self.push_slice(&mut txns);
+    /// status after the whole batch: a loop of [`IncrementalChecker::push`]es.
+    pub fn push_batch(&mut self, txns: Vec<Transaction>) -> Result<StreamStatus, CheckError> {
+        for txn in txns {
+            self.feed(txn);
+        }
         self.status_result()
     }
 
-    /// Numbers `txns` with the next dense ids and consumes them.
-    fn push_slice(&mut self, txns: &mut [Transaction]) {
-        for (txn, id) in txns.iter_mut().zip(self.engine.txn_count as u32..) {
-            txn.id = TxnId(id);
-        }
-        self.ingest(txns, false);
+    /// Numbers `txn` with the next dense id and consumes it.
+    fn feed(&mut self, mut txn: Transaction) {
+        txn.id = TxnId(self.engine.txn_count as u32);
+        self.ingest(&txn, false);
     }
 
     /// Convenience: feeds a committed transaction.
@@ -326,144 +289,53 @@ impl IncrementalChecker {
         &mut self,
         history: &mtc_history::History,
     ) -> Result<StreamStatus, CheckError> {
-        self.replay(history, 1)
-    }
-
-    /// [`IncrementalChecker::push_history`] in batches of `batch`
-    /// transactions — the hand-off granularity of a worker pool.
-    pub(super) fn replay(
-        &mut self,
-        history: &mtc_history::History,
-        batch: usize,
-    ) -> Result<StreamStatus, CheckError> {
         if let Some(init) = history.init_txn() {
             assert_eq!(
                 self.engine.txn_count, 0,
                 "a history with ⊥T can only be replayed into an empty checker"
             );
-            self.ingest(std::slice::from_ref(history.txn(init)), true);
+            self.ingest(history.txn(init), true);
         }
-        let batch = batch.max(1);
-        let mut buf = Vec::with_capacity(batch);
         for txn in history.txns() {
-            if Some(txn.id) == history.init_txn() {
-                continue;
-            }
-            buf.push(txn.clone());
-            if buf.len() == batch {
-                self.push_slice(&mut buf);
-                buf.clear();
+            if Some(txn.id) != history.init_txn() {
+                self.feed(txn.clone());
             }
         }
-        self.push_slice(&mut buf);
         self.status_result()
     }
 
-    /// The one ingest loop: consumes `batch` (ids already assigned; `⊥T`
-    /// arrives alone with `is_init`). Per transaction: admit it, add the
-    /// events its keys derive, apply the lot in canonical order
-    /// ([`merge_txn`]); at a due epoch boundary, sweep the key state and
-    /// maybe collect ([`close_epoch`]). A local key state does all of that
-    /// transaction by transaction. A pool derives the whole batch on its
-    /// workers first, lets them sweep while the merge runs, queues the
-    /// edges and inserts them batched — unobservable in the verdicts (see
-    /// [`Engine::apply_deferred`]).
-    pub(super) fn ingest(&mut self, batch: &[Transaction], is_init: bool) {
-        let engine = &mut self.engine;
-        match &mut self.keys {
-            Keys::Local(keys) => {
-                let opts = engine.opts;
-                let div_pass = divergence_pass(engine.level, &opts);
-                let has_init = engine.has_init || is_init;
-                for txn in batch {
-                    let ingest_timer = obs_ingest_timer();
-                    let derive = |events: &mut Vec<TaggedEvent>| {
-                        keys.derive(
-                            &decompose(txn, is_init),
-                            |_| true,
-                            div_pass,
-                            has_init,
-                            opts.validate_mt,
-                            opts.prescan_intra,
-                            events,
-                        )
-                    };
-                    merge_txn(engine, txn, is_init, derive, Engine::apply);
-                    if engine.gc_due() {
-                        let gc_timer = mtc_obs::enabled().then(Instant::now);
-                        let watermark = engine.gc_watermark();
-                        keys.sweep(watermark, engine.gc.map_or(0, |g| g.reader_cap));
-                        let refs = if engine.commit_epoch_next() {
-                            keys.refs()
-                        } else {
-                            HashSet::new()
-                        };
-                        close_epoch(engine, watermark, &refs, gc_timer);
-                    }
-                    if let Some(t0) = ingest_timer {
-                        mtc_obs::histogram!("checker.ingest_txn_micros")
-                            .record(t0.elapsed().as_micros() as u64);
-                    }
-                }
-            }
-            Keys::Pool(pool) => {
-                if engine.done() || batch.is_empty() {
-                    engine.txn_count += batch.len();
-                    return;
-                }
-                let batch_timer = mtc_obs::enabled().then(Instant::now);
-                // Decide the epoch boundary up front: `txn_count` always
-                // advances by the whole batch (a mid-merge latch still
-                // counts the tail as consumed), so the post-batch watermark
-                // is known before the merge starts — which lets the workers
-                // sweep *concurrently with* the merge instead of after it.
-                let total = engine.txn_count + batch.len();
-                let epoch = engine
-                    .gc
-                    .filter(|p| total - engine.last_gc >= p.every)
-                    .map(|p| (TxnId(total.saturating_sub(p.window) as u32), p.reader_cap));
-                let (mut shard_events, hint) = pool.derive(engine, batch, is_init);
-                if let Some((watermark, cap)) = epoch {
-                    pool.start_sweep(watermark, cap, engine.commit_epoch_next());
-                }
-                // A worker hint forces the flush right after the hinted
-                // transaction — its local cycle guarantees the latch, so
-                // the rest of the batch is skipped.
-                let mut merged_events = 0u64;
-                for (i, txn) in batch.iter().enumerate() {
-                    let derive = |events: &mut Vec<TaggedEvent>| {
-                        for shard in shard_events.iter_mut() {
-                            events.append(&mut shard[i]);
-                        }
-                    };
-                    merged_events +=
-                        merge_txn(engine, txn, is_init, derive, Engine::apply_deferred);
-                    if hint == Some(i) {
-                        engine.flush_deferred();
-                        debug_assert!(
-                            engine.done(),
-                            "a worker-local cycle must latch at the hinted transaction"
-                        );
-                    }
-                }
-                engine.flush_deferred();
-                if let Some((watermark, _)) = epoch {
-                    // The merge-side view of the epoch: waiting for the
-                    // workers' (concurrent) sweeps plus the graph collection
-                    // — the GC time the ingest path actually pays. The
-                    // replies are received unconditionally, to keep the
-                    // channel protocol in lock-step even after a latch.
-                    let gc_timer = mtc_obs::enabled().then(Instant::now);
-                    let refs = pool.finish_sweep();
-                    close_epoch(engine, watermark, &refs, gc_timer);
-                }
-                if let Some(t0) = batch_timer {
-                    mtc_obs::histogram!("checker.ingest_batch_micros")
-                        .record(t0.elapsed().as_micros() as u64);
-                    mtc_obs::histogram!("checker.ingest_batch_txns").record(batch.len() as u64);
-                    mtc_obs::histogram!("checker.merge_queue_depth").record(merged_events);
-                }
-            }
+    /// The one ingest step, from `push` to latch: admits `txn` (id already
+    /// assigned; `⊥T` arrives with `is_init`), adds the events its keys
+    /// derive, applies the lot in canonical `(pass, key_rank, seq)` order,
+    /// and closes a GC epoch when one is due. Once a verdict is latched,
+    /// transactions are only counted.
+    pub(super) fn ingest(&mut self, txn: &Transaction, is_init: bool) {
+        let IncrementalChecker { engine, keys } = self;
+        if engine.done() {
+            engine.txn_count += 1;
+            return;
+        }
+        let ingest_timer = obs_ingest_timer();
+        let opts = engine.opts;
+        let mut events = engine.admit(txn, is_init);
+        keys.derive(
+            &decompose(txn, is_init),
+            divergence_pass(engine.level, &opts),
+            engine.has_init,
+            opts.validate_mt,
+            opts.prescan_intra,
+            &mut events,
+        );
+        events.sort_by_key(|e| (e.pass, e.key_rank, e.seq));
+        for e in events {
+            engine.apply(txn.id, e.event);
+        }
+        if engine.gc_due() {
+            close_epoch(engine, keys);
+        }
+        if let Some(t0) = ingest_timer {
+            mtc_obs::histogram!("checker.ingest_txn_micros")
+                .record(t0.elapsed().as_micros() as u64);
         }
     }
 
@@ -526,21 +398,17 @@ impl IncrementalChecker {
     /// no longer be satisfied) and returns the final verdict, which agrees
     /// with the batch checkers on the equivalent [`mtc_history::History`].
     pub fn finish(self) -> Result<Verdict, CheckError> {
-        let IncrementalChecker { engine, keys } = self;
+        let IncrementalChecker { engine, mut keys } = self;
         if let Some(e) = engine.error {
             return Err(e);
         }
         if let Some(v) = engine.violation {
             return Ok(Verdict::Violated(v));
         }
-        let mut settled: Vec<IntraViolation> = match keys {
-            Keys::Local(mut keys) => {
-                let pending = keys.drain_pending();
-                pending.iter().map(|p| keys.classify_settled(p)).collect()
-            }
-            Keys::Pool(pool) => pool.settle(),
-        };
-        settled.sort_by_key(|v| (v.txn, v.op_index));
+        // Drained in `(txn, op_index)` order.
+        let pending = keys.drain_pending();
+        let settled: Vec<IntraViolation> =
+            pending.iter().map(|p| keys.classify_settled(p)).collect();
         match settled.first() {
             None => Ok(Verdict::Satisfied),
             Some(_) if engine.opts.prescan_intra => {
@@ -562,44 +430,16 @@ fn live_nodes(engine: &Engine) -> usize {
     topo.live_node_count().max(composed.live_node_count())
 }
 
-/// The step both key-state placements share: admits `txn`, lets `derive`
-/// add the events of its keys, and hands everything to `apply` in canonical
-/// `(pass, key_rank, seq)` order. Returns the number of events. Once a
-/// verdict is latched, transactions are only counted.
-fn merge_txn(
-    engine: &mut Engine,
-    txn: &Transaction,
-    is_init: bool,
-    derive: impl FnOnce(&mut Vec<TaggedEvent>),
-    apply: impl Fn(&mut Engine, TxnId, Event),
-) -> u64 {
-    if engine.done() {
-        engine.txn_count += 1;
-        return 0;
-    }
-    let mut events = engine.admit(txn, is_init);
-    derive(&mut events);
-    events.sort_by_key(|e| (e.pass, e.key_rank, e.seq));
-    let merged = events.len() as u64;
-    for e in events {
-        apply(engine, txn.id, e.event);
-    }
-    merged
-}
-
-/// The engine side of a due epoch boundary, once the key state has been
-/// swept at `watermark`: advances the epoch clock and, on a collection
-/// commit, retires everything `refs` (what the swept key state still
-/// references) does not pin.
-fn close_epoch(
-    engine: &mut Engine,
-    watermark: TxnId,
-    refs: &HashSet<TxnId>,
-    gc_timer: Option<Instant>,
-) {
-    if engine.begin_epoch() && !engine.done() {
+/// A due epoch boundary: sweeps the key state at the GC watermark, advances
+/// the epoch clock and, on a collection commit, retires everything the swept
+/// key state no longer references.
+fn close_epoch(engine: &mut Engine, keys: &mut KeyState) {
+    let gc_timer = mtc_obs::enabled().then(Instant::now);
+    let watermark = engine.gc_watermark();
+    keys.sweep(watermark, engine.gc.map_or(0, |g| g.reader_cap));
+    if engine.begin_epoch() {
         let before = gc_timer.is_some().then(|| live_nodes(engine));
-        engine.collect(watermark, refs);
+        engine.collect(watermark, &keys.refs());
         if let Some(before) = before {
             mtc_obs::histogram!("checker.gc_reclaimed_nodes")
                 .record(before.saturating_sub(live_nodes(engine)) as u64);

@@ -4,7 +4,6 @@
 //! transaction, [`Engine::apply`] consumes one derived event.
 
 use super::gc::GcPolicy;
-use super::sharded::PendingInsert;
 use super::{
     Event, TaggedEvent, PASS_DIVERGENCE, PASS_EDGES, PASS_ERROR, PASS_INTRA, PASS_LATE_DIVERGENCE,
 };
@@ -12,8 +11,8 @@ use crate::check::{CheckOptions, IsolationLevel};
 use crate::mini::validate_transaction;
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
-    DependencyGraph, Edge, EdgeKind, FastHashMap, FastHashSet, IncrementalTopo, IntraAnomaly,
-    IntraViolation, Key, Op, Role, SessionId, TimeChain, Transaction, TxnId, TxnStatus, Value,
+    DependencyGraph, Edge, EdgeKind, FastHashMap, IncrementalTopo, IntraAnomaly, IntraViolation,
+    Key, Op, Role, SessionId, TimeChain, Transaction, TxnId, TxnStatus, Value,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -269,8 +268,8 @@ impl Deserialize for ProvMap {
     }
 }
 
-/// Shared core: labelled graph, topological order(s), verdict latch and
-/// session bookkeeping. Both checker flavours feed it the same event stream.
+/// The key-independent state: labelled graph, topological order(s), verdict
+/// latch and session bookkeeping.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct Engine {
     pub(super) level: IsolationLevel,
@@ -319,15 +318,6 @@ pub(super) struct Engine {
     pub(super) gc_epochs: u32,
     /// Transactions retired by the GC so far.
     pub(super) pruned_txns: usize,
-    /// Merge-path queue of deferred insertions (empty on the sequential
-    /// per-edge path, which applies immediately).
-    #[serde(skip)]
-    pub(super) pending: Vec<PendingInsert>,
-    /// Dedup membership of the queued-but-uncommitted labelled edges, so
-    /// add-if-absent semantics see the queue exactly as the sequential
-    /// checker sees its graph.
-    #[serde(skip)]
-    pub(super) pending_set: FastHashSet<(TxnId, TxnId, EdgeKind)>,
     /// Reusable buffer for a transaction's chain + hook edge pairs (SSER
     /// ingest fast path) — pure scratch, never holds data across calls.
     #[serde(skip)]
@@ -371,8 +361,6 @@ impl Engine {
             last_gc: 0,
             gc_epochs: 0,
             pruned_txns: 0,
-            pending: Vec::new(),
-            pending_set: FastHashSet::default(),
             time_scratch: Vec::new(),
             time_prepairs: Vec::new(),
             time_preanchors: (None, None),
@@ -415,7 +403,7 @@ impl Engine {
         self.violation.is_some() || self.error.is_some()
     }
 
-    pub(super) fn latch_violation(&mut self, v: Violation, at: TxnId) {
+    fn latch_violation(&mut self, v: Violation, at: TxnId) {
         if !self.done() {
             self.violation = Some(v);
             self.violated_at = Some(at);
@@ -445,7 +433,7 @@ impl Engine {
         // hook edge already agrees with the maintained order and inserts in
         // O(1), with no reorder pass. The splice edges are stashed in
         // `time_prepairs` and submitted together with the hook edges when
-        // this transaction's `TimeBounds` event is applied (or deferred).
+        // this transaction's `TimeBounds` event is applied.
         self.time_prepairs.clear();
         self.time_preanchors = (None, None);
         let mut pre_pairs = std::mem::take(&mut self.time_prepairs);
@@ -652,7 +640,7 @@ impl Engine {
     /// Maps a cycle over topological-order nodes back to transaction
     /// indices (SER: every node is a transaction) and labels it from the
     /// dependency graph.
-    pub(super) fn ser_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
+    fn ser_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
         let txn_cycle: Vec<usize> = cycle
             .iter()
             .map(|&n| match self.node_owner[n] {
@@ -719,12 +707,7 @@ impl Engine {
     /// are pushed onto `pairs`, not yet inserted) and keeps the node-owner
     /// map aligned: at most one node is allocated per call — possibly
     /// recycling a pruned id — and when one is, it is the returned anchor.
-    pub(super) fn time_anchor(
-        &mut self,
-        instant: u64,
-        role: Role,
-        pairs: &mut Vec<(usize, usize)>,
-    ) -> usize {
+    fn time_anchor(&mut self, instant: u64, role: Role, pairs: &mut Vec<(usize, usize)>) -> usize {
         let anchor = self.chain.anchor(instant, role, &mut self.topo, pairs);
         self.set_owner(anchor, NodeOwner::Time);
         anchor
@@ -734,7 +717,7 @@ impl Engine {
     /// to labelled edges, mirroring the splice of [`crate::check_sser`]:
     /// direct transaction-to-transaction hops are labelled from the
     /// dependency graph, hops through time nodes become RT edges.
-    pub(super) fn sser_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
+    fn sser_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
         let len = cycle.len();
         let real_positions: Vec<usize> = (0..len)
             .filter(|&i| matches!(self.node_owner[cycle[i]], NodeOwner::Txn(_)))
@@ -805,7 +788,7 @@ impl Engine {
     /// which the maintained order rejects as a one-node cycle labelled from
     /// its own provenance — no special casing needed.
     fn add_composed(&mut self, at: TxnId, a: usize, c: usize, prov: (Edge, Option<Edge>)) {
-        if !self.record_composed(a, c, prov) {
+        if !self.composed_prov.record(a, c, prov) {
             return;
         }
         if let Err(cycle) = self.composed.try_add_edge(a, c) {
@@ -814,20 +797,9 @@ impl Engine {
         }
     }
 
-    /// Records the provenance of a composed pair; false iff the pair is
-    /// already present (first provenance wins, like the batch construction).
-    pub(super) fn record_composed(
-        &mut self,
-        a: usize,
-        c: usize,
-        prov: (Edge, Option<Edge>),
-    ) -> bool {
-        self.composed_prov.record(a, c, prov)
-    }
-
     /// Expands a composed-graph node cycle into labelled edges via the
     /// recorded provenance.
-    pub(super) fn composed_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
+    fn composed_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
         let mut edges = Vec::new();
         for i in 0..cycle.len() {
             let u = cycle[i];

@@ -148,13 +148,6 @@ impl Engine {
         }
     }
 
-    /// True iff the next due epoch boundary will be a collection commit —
-    /// the sharded checker asks *before* sweeping so the workers only
-    /// materialize their refs when a commit will consume them.
-    pub(super) fn commit_epoch_next(&self) -> bool {
-        self.gc_epochs + 1 >= GC_COMMIT_EPOCHS
-    }
-
     /// The transaction-id watermark of the next collection: everything at or
     /// above it is inside the protected window.
     pub(super) fn gc_watermark(&self) -> TxnId {
@@ -169,13 +162,10 @@ impl Engine {
     /// transactions. The retained structure answers every future insertion
     /// exactly as the unretired one would (see [`GcPolicy`] for the
     /// staleness-window contract).
-    ///
-    /// Callers must have flushed the deferred queue first.
     pub(super) fn collect(&mut self, watermark: TxnId, refs: &HashSet<TxnId>) {
         if self.done() {
             return;
         }
-        debug_assert!(self.pending.is_empty(), "collect() with a deferred queue");
 
         // ── candidate transactions ──
         // Membership is a bitmap over transaction ids below the watermark

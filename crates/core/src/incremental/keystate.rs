@@ -1,8 +1,8 @@
 //! Per-key state of the streaming checker: the provenance indexes every
 //! dependency edge is derived from, the decomposition of a transaction into
-//! per-key work, and the settled-prefix sweep. Key-partitionable by
-//! construction — the sequential checker owns one [`KeyState`], a worker
-//! pool one per shard.
+//! per-key work, and the settled-prefix sweep. Every index is keyed by key,
+//! so key-disjoint states merge by union ([`KeyState::merge`]) — which is
+//! how a snapshot written by a build that spread them over workers loads.
 
 use super::gc::Eviction;
 use super::{Event, TaggedEvent, PASS_EDGES, PASS_ERROR, PASS_INTRA};
@@ -53,8 +53,7 @@ pub(super) struct PendingRead {
     writes_key: bool,
 }
 
-/// The key-partitioned indexes of the streaming checker. A sharded checker
-/// owns one `KeyState` per shard; the sequential checker owns exactly one.
+/// The per-key indexes of the streaming checker.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub(super) struct KeyState {
     /// Provenance of every value seen so far, per key.
@@ -80,8 +79,8 @@ pub(super) struct KeyState {
     pub(super) evicted: FastHashMap<(TxnId, Key), u64>,
 }
 
-/// The per-key slice of one transaction, precomputed once by the coordinator
-/// so shard workers never touch the full op list.
+/// The per-key slice of one transaction, precomputed once so the derivation
+/// never re-walks the full op list.
 #[derive(Clone, Debug)]
 struct KeyWork {
     key: Key,
@@ -101,7 +100,7 @@ struct KeyWork {
     future_candidate: bool,
 }
 
-/// A transaction decomposed for shard processing.
+/// A transaction decomposed into its per-key slices.
 #[derive(Clone, Debug)]
 pub(super) struct TxnWork {
     id: TxnId,
@@ -165,15 +164,13 @@ pub(super) fn decompose(txn: &Transaction, is_init: bool) -> TxnWork {
 }
 
 impl KeyState {
-    /// Processes the slice of `txn` whose keys this state owns, appending
-    /// tagged events. `divergence_pass` enables the SI-only DIVERGENCE scan
-    /// and fixes where its events sort ([`PASS_DIVERGENCE`] normally,
+    /// Processes `txn` key by key, appending tagged events.
+    /// `divergence_pass` enables the SI-only DIVERGENCE scan and fixes where
+    /// its events sort ([`PASS_DIVERGENCE`] normally,
     /// [`PASS_LATE_DIVERGENCE`] in ablation mode).
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn derive(
         &mut self,
         txn: &TxnWork,
-        owned: impl Fn(Key) -> bool,
         divergence_pass: Option<u8>,
         has_init: bool,
         validate_mt: bool,
@@ -193,7 +190,7 @@ impl KeyState {
         };
 
         // ── register writes (duplicate detection + pending resolution) ──
-        for work in txn.per_key.iter().filter(|w| owned(w.key)) {
+        for work in &txn.per_key {
             for &(value, is_last) in &work.writes {
                 let reg = self.writes.entry((work.key, value)).or_default();
                 reg.last_touch = reg.last_touch.max(txn.id);
@@ -237,7 +234,7 @@ impl KeyState {
 
         // ── resolve reads that were waiting for these writes ──
         if committed {
-            for work in txn.per_key.iter().filter(|w| owned(w.key)) {
+            for work in &txn.per_key {
                 for &(value, is_last) in &work.writes {
                     let Some(waiters) = self.pending.remove(&(work.key, value)) else {
                         continue;
@@ -286,7 +283,7 @@ impl KeyState {
             let mut write_keys: Vec<&KeyWork> = txn
                 .per_key
                 .iter()
-                .filter(|w| owned(w.key) && w.writes_key && w.external_read.is_some())
+                .filter(|w| w.writes_key && w.external_read.is_some())
                 .collect();
             write_keys.sort_unstable_by_key(|w| w.write_rank);
             for work in write_keys {
@@ -319,7 +316,7 @@ impl KeyState {
         }
 
         // ── resolve this transaction's own external reads ──
-        for work in txn.per_key.iter().filter(|w| owned(w.key)) {
+        for work in &txn.per_key {
             let Some((value, op_index)) = work.external_read else {
                 continue;
             };
@@ -592,7 +589,8 @@ impl KeyState {
         refs
     }
 
-    /// Merges disjoint per-shard states back into one (resume path).
+    /// Merges key-disjoint states into one: the resume path of a snapshot
+    /// that carries more than one (see the module docs).
     pub(super) fn merge(states: Vec<KeyState>) -> KeyState {
         let mut out = KeyState::default();
         for s in states {

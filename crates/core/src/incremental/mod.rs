@@ -12,29 +12,23 @@
 //! after the run ends, and the amortized cost per transaction is `O(1)` for
 //! histories fed in commit order.
 //!
-//! There is one checker, [`IncrementalChecker`]: it owns the engine and
-//! consumes transactions on the caller thread. Where its per-key state
-//! lives is the only thing that varies — on the caller thread too (the
-//! default), or, behind [`ShardedIncrementalChecker`]'s constructors,
-//! partitioned by key (`hash(key) mod shards`) over a pool of worker
-//! threads whose edge events merge into the shared topological order in a
-//! canonical deterministic order, so verdicts are identical by construction.
+//! There is one checker, [`IncrementalChecker`]: it owns the engine and the
+//! per-key state and consumes transactions on the caller thread, one loop
+//! from `push` to the verdict latch. It spawns no thread.
 //!
 //! ## Map
 //!
 //! | file | holds | called by |
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, the `Event` vocabulary | every file below |
-//! | `keystate.rs` | `KeyState`: per-key provenance indexes, `decompose`, edge derivation, the per-key sweep | `checker`, `sharded` (one state per worker) |
+//! | `keystate.rs` | `KeyState`: per-key provenance indexes, `decompose`, edge derivation, the per-key sweep | `checker` only |
 //! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`apply` | `checker` only |
 //! | `gc.rs` | `GcPolicy`, `Eviction`, the epoch clock and `Engine::collect` | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
-//! | `sharded.rs` | the worker pool, the deferred (batched) `impl Engine` block, `ShardedIncrementalChecker`'s constructors | `checker`'s `Keys::Pool` arm only |
-//! | `tune.rs` | shard-count / batch-size autotuner | callers that build a pool |
 //!
-//! Deleting sharding is deleting `sharded.rs`, `tune.rs` and the
-//! `Keys::Pool` arm.
+//! (`benchmark_leftovers.rs` holds two names the standalone `benchmark/`
+//! package still links; see its header.)
 //!
 //! ## Strict serializability and the online time-chain
 //!
@@ -49,11 +43,7 @@
 //! committed transaction is hooked in with `begin-node(begin) → txn` and
 //! `txn → end-node(end)` edges, and a real-time-order violation latches the
 //! moment a dependency edge contradicts the chain. Use
-//! [`IncrementalChecker::new_sser`] plus the `*_timed` push methods for the
-//! sequential driver; the sharded checker accepts
-//! [`crate::IsolationLevel::StrictSerializability`] too and reuses the same
-//! worker pool — time-chain maintenance stays on the merge thread, so the
-//! workers are oblivious to timestamps.
+//! [`IncrementalChecker::new_sser`] plus the `*_timed` push methods.
 //!
 //! ## Equivalence with the batch checkers
 //!
@@ -82,19 +72,18 @@ use crate::divergence::Divergence;
 use crate::verdict::CheckError;
 use mtc_history::{EdgeKind, IntraViolation, TxnId};
 
+mod benchmark_leftovers;
 mod checker;
 mod engine;
 mod gc;
 mod keystate;
-mod sharded;
 mod snapshot;
 #[cfg(test)]
 mod tests;
-pub mod tune;
 
+pub use benchmark_leftovers::{tune, ShardedIncrementalChecker};
 pub use checker::{check_streaming, check_streaming_with, IncrementalChecker, StreamStatus};
 pub use gc::{Eviction, GcPolicy};
-pub use sharded::{check_streaming_sharded, ShardedIncrementalChecker};
 pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 
 // ───────────────────────── events ───────────────────────────────────────────

@@ -11,21 +11,22 @@ use serde::{Deserialize, Serialize};
 /// (graphs, maintained orders, time-chain, verdict latch) plus the per-key
 /// provenance indexes.
 ///
-/// Snapshots are geometry-independent: a snapshot taken from the sequential
-/// checker resumes into a sharded one and vice versa (the key state is
-/// re-partitioned along the same `hash(key) mod shards` split the workers
-/// use). They serialize through the workspace serde stack, so `mtc-store`
-/// can frame them into checkpoint files; a resumed checker finishes with a
-/// verdict — violation payload and `first_violation_at` included —
-/// bit-identical to the uninterrupted run's.
+/// The key state is a list because builds up to PR 17 could spread it over
+/// a pool of workers and wrote one key-disjoint state per worker; this build
+/// always writes one, and [`super::IncrementalChecker::resume`] merges
+/// however many it finds. Snapshots serialize through the workspace serde
+/// stack, so `mtc-store` can frame them into checkpoint files; a resumed
+/// checker finishes with a verdict — violation payload and
+/// `first_violation_at` included — bit-identical to the uninterrupted run's.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CheckerSnapshot {
     /// Snapshot format version.
     pub(super) version: u32,
-    /// Shard count of the checkpointing checker (1 for the sequential one).
+    /// Number of key states below: 1, or the worker count of the pooled
+    /// checker of an older build that wrote the snapshot.
     pub(super) shards: usize,
     pub(super) engine: Engine,
-    /// One key state per shard of the checkpointing checker.
+    /// Key-disjoint key states (see the type docs).
     pub(super) keys: Vec<KeyState>,
 }
 
@@ -48,7 +49,8 @@ impl CheckerSnapshot {
         self.engine.txn_count
     }
 
-    /// Shard count of the checker that took the snapshot.
+    /// Number of key states the snapshot carries: 1, unless a pooled checker
+    /// of an older build wrote it.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -59,7 +61,7 @@ impl CheckerSnapshot {
     }
 
     /// The reader-eviction markers carried by the snapshot, across all of
-    /// its shards (sorted; see [`super::GcPolicy`]'s reader-cap contract).
+    /// its key states (sorted; see [`super::GcPolicy`]'s reader-cap contract).
     pub fn reader_evictions(&self) -> Vec<Eviction> {
         let mut out: Vec<Eviction> = self.keys.iter().flat_map(KeyState::evictions).collect();
         out.sort_by_key(|e| (e.writer, e.key));

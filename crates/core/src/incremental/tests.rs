@@ -1,4 +1,3 @@
-use super::checker::Keys;
 use super::*;
 use crate::check::{check_ser, check_si, CheckOptions, IsolationLevel};
 use crate::mini::MtViolation;
@@ -169,50 +168,41 @@ fn ser_cycle_latches_when_closing_edge_arrives() {
 }
 
 #[test]
-fn sharded_checker_agrees_with_sequential_on_the_catalogue() {
+fn push_batch_answers_like_push_status_by_status_on_the_catalogue() {
     for (kind, h) in anomalies::catalogue() {
         for level in [
             IsolationLevel::Serializability,
             IsolationLevel::SnapshotIsolation,
             IsolationLevel::StrictSerializability,
         ] {
-            let sequential = check_streaming(level, &h).unwrap();
-            // One shard *is* the sequential loop: fed a batch per
-            // transaction it answers like `push`, transaction by transaction.
-            let mut seq = IncrementalChecker::new(level);
-            let mut one = ShardedIncrementalChecker::new(level, 1);
+            let whole = check_streaming(level, &h).unwrap();
+            // Fed a batch per transaction, `push_batch` answers like `push`,
+            // transaction by transaction.
+            let mut pushed = IncrementalChecker::new(level);
+            let mut batched = IncrementalChecker::new(level);
             for t in h.txns() {
                 if Some(t.id) == h.init_txn() {
-                    seq.ingest(std::slice::from_ref(t), true);
-                    one.ingest(std::slice::from_ref(t), true);
+                    pushed.ingest(t, true);
+                    batched.ingest(t, true);
                 } else {
                     assert_eq!(
-                        seq.push(t.clone()),
-                        one.push_batch(vec![t.clone()]),
+                        pushed.push(t.clone()),
+                        batched.push_batch(vec![t.clone()]),
                         "{level} status mismatch on {kind} at {}",
                         t.id
                     );
                 }
             }
-            assert_eq!(seq.first_violation_at(), one.first_violation_at());
-            assert_eq!(seq.finish().unwrap(), sequential, "{level} on {kind}");
-            assert_eq!(one.finish().unwrap(), sequential, "{level} on {kind}");
-            for shards in [1usize, 2, 4] {
-                for batch in [1usize, 3, 64] {
-                    let sharded = check_streaming_sharded(level, &h, shards, batch).unwrap();
-                    assert_eq!(
-                        sequential, sharded,
-                        "{level} mismatch on {kind} with {shards} shards, batch {batch}"
-                    );
-                }
-            }
+            assert_eq!(pushed.first_violation_at(), batched.first_violation_at());
+            assert_eq!(pushed.finish().unwrap(), whole, "{level} on {kind}");
+            assert_eq!(batched.finish().unwrap(), whole, "{level} on {kind}");
         }
     }
 }
 
 #[test]
 #[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
-fn sharded_checker_matches_on_larger_streams() {
+fn streaming_matches_batch_on_larger_streams() {
     // A serial multi-key history plus one corrupted read near the end.
     for corrupt in [false, true] {
         let keys = 16u64;
@@ -239,10 +229,9 @@ fn sharded_checker_matches_on_larger_streams() {
                 IsolationLevel::Serializability => check_ser(&h).unwrap(),
                 _ => check_si(&h).unwrap(),
             };
-            let sequential = check_streaming(level, &h).unwrap();
-            let sharded = check_streaming_sharded(level, &h, 4, 128).unwrap();
-            assert_eq!(batch_verdict.is_violated(), sequential.is_violated());
-            assert_eq!(sequential, sharded);
+            let streaming = check_streaming(level, &h).unwrap();
+            assert_eq!(batch_verdict.is_violated(), streaming.is_violated());
+            assert_eq!(streaming.is_violated(), corrupt, "{level}");
         }
     }
 }
@@ -251,15 +240,12 @@ fn sharded_checker_matches_on_larger_streams() {
 fn options_default_is_shared_with_batch_checkers() {
     let checker = IncrementalChecker::new_ser();
     assert_eq!(*checker.options(), CheckOptions::default());
-    let sharded = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, 2);
-    assert_eq!(*sharded.options(), CheckOptions::default());
 }
 
 #[test]
 fn divergence_ablation_option_still_rejects() {
     // A DIVERGENCE can be invisible in the composed graph, so the late
-    // scan must run even with the early exit disabled — in the
-    // sequential AND the sharded checker.
+    // scan must run even with the early exit disabled.
     let h = anomalies::lost_update();
     let opts = CheckOptions {
         skip_divergence_early_exit: true,
@@ -267,13 +253,6 @@ fn divergence_ablation_option_still_rejects() {
     };
     let v = check_streaming_with(IsolationLevel::SnapshotIsolation, &h, &opts).unwrap();
     assert!(v.is_violated());
-    for shards in [1usize, 3] {
-        let mut c = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, shards)
-            .with_options(opts);
-        let _ = c.push_history(&h, 2);
-        let sharded = c.finish().unwrap();
-        assert_eq!(v, sharded, "ablation mismatch with {shards} shards");
-    }
 }
 
 #[test]
@@ -479,61 +458,6 @@ fn sser_time_chain_grows_with_distinct_instants() {
     assert_eq!(ser.time_instant_count(), 0);
 }
 
-/// The alive-token of the pool's worker threads, for shutdown tests.
-fn pool_canary(checker: &ShardedIncrementalChecker) -> Option<std::sync::Arc<()>> {
-    match &checker.keys {
-        Keys::Local(_) => None,
-        Keys::Pool(pool) => Some(pool.alive.clone()),
-    }
-}
-
-#[test]
-fn dropping_a_sharded_checker_mid_stream_joins_its_workers() {
-    // Abandon the checker after a violation latched but before finish()
-    // — the stop_on_violation shape. Drop must join every worker thread.
-    let h = anomalies::lost_update();
-    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, 3);
-    assert_eq!(checker.live_worker_threads(), 3);
-    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
-    let status = checker.push_history(&h, 2).unwrap();
-    assert_eq!(status, StreamStatus::Violated, "lost update must latch");
-    assert_eq!(
-        std::sync::Arc::strong_count(&canary),
-        1 + 3 + 1,
-        "pool + one token per live worker + test clone"
-    );
-    drop(checker);
-    assert_eq!(
-        std::sync::Arc::strong_count(&canary),
-        1,
-        "every worker thread must have exited and been joined"
-    );
-}
-
-#[test]
-fn dropping_a_clean_sharded_checker_joins_its_workers() {
-    let mut b = HistoryBuilder::new().with_init(4);
-    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
-    let h = b.build();
-    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::Serializability, 2);
-    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
-    let _ = checker.push_history(&h, 8);
-    drop(checker); // mid-stream: no finish(), workers idle in recv
-    assert_eq!(std::sync::Arc::strong_count(&canary), 1);
-}
-
-#[test]
-fn finish_consumes_the_pool_and_joins_its_workers() {
-    let mut b = HistoryBuilder::new().with_init(2);
-    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
-    let h = b.build();
-    let mut checker = ShardedIncrementalChecker::new(IsolationLevel::Serializability, 2);
-    let canary = pool_canary(&checker).expect("multi-shard pool must spawn workers");
-    let _ = checker.push_history(&h, 8);
-    assert!(checker.finish().unwrap().is_satisfied());
-    assert_eq!(std::sync::Arc::strong_count(&canary), 1);
-}
-
 /// A serial multi-key MT history: session `i % 6`, key round-robin over
 /// `keys - 2` keys. With `corrupt_at = Some(c)`, a write-skew gadget —
 /// two overlapping transactions reading the (never overwritten, hence
@@ -616,7 +540,7 @@ fn checkpoint_resume_matches_uninterrupted_run() {
 
             let mut first = IncrementalChecker::new(level);
             if let Some(init) = h.init_txn() {
-                first.ingest(std::slice::from_ref(h.txn(init)), true);
+                first.ingest(h.txn(init), true);
             }
             let tail = push_prefix(&mut first, &h, 100);
             let snapshot = first.checkpoint();
@@ -636,46 +560,6 @@ fn checkpoint_resume_matches_uninterrupted_run() {
                 assert!(resumed_first.is_some(), "{level}: must latch mid-stream");
             }
         }
-    }
-}
-
-#[test]
-fn snapshots_cross_between_sequential_and_sharded_checkers() {
-    let h = serial_history(300, 8, Some(250));
-    for level in [
-        IsolationLevel::Serializability,
-        IsolationLevel::SnapshotIsolation,
-        IsolationLevel::StrictSerializability,
-    ] {
-        let clean = check_streaming(level, &h).unwrap();
-
-        // Sharded checkpoint → sequential resume.
-        let mut sharded = ShardedIncrementalChecker::new(level, 3);
-        let txns: Vec<Transaction> = h
-            .txns()
-            .iter()
-            .filter(|t| Some(t.id) != h.init_txn())
-            .cloned()
-            .collect();
-        sharded.ingest(std::slice::from_ref(h.txn(TxnId(0))), true);
-        let (head, tail) = txns.split_at(140);
-        let _ = sharded.push_batch(head.to_vec());
-        let snapshot = sharded.checkpoint();
-        drop(sharded);
-        let mut seq = IncrementalChecker::resume(snapshot.clone());
-        for t in tail.iter().cloned() {
-            let _ = seq.push(t);
-        }
-        assert_eq!(seq.finish().unwrap(), clean, "{level} sharded→sequential");
-
-        // Same snapshot → sharded resume under a different geometry.
-        let mut resharded = ShardedIncrementalChecker::resume(snapshot, 5);
-        let _ = resharded.push_batch(tail.to_vec());
-        assert_eq!(
-            resharded.finish().unwrap(),
-            clean,
-            "{level} sharded→resharded"
-        );
     }
 }
 
@@ -725,34 +609,6 @@ fn gc_bounds_resident_state_and_preserves_verdicts() {
 }
 
 #[test]
-fn sharded_gc_matches_sequential_gc_verdicts() {
-    let h = serial_history(3000, 8, Some(2800));
-    for level in [
-        IsolationLevel::Serializability,
-        IsolationLevel::SnapshotIsolation,
-        IsolationLevel::StrictSerializability,
-    ] {
-        let policy = GcPolicy {
-            window: 256,
-            every: 64,
-            reader_cap: 0,
-        };
-        let mut seq = IncrementalChecker::new(level).with_gc(policy);
-        let _ = seq.push_history(&h);
-        let mut sharded = ShardedIncrementalChecker::new(level, 3).with_gc(policy);
-        let _ = sharded.push_history(&h, 50);
-        assert!(sharded.pruned_txn_count() > 0);
-        assert!(sharded.live_txn_count() <= 3 * 256);
-        assert_eq!(
-            seq.first_violation_at(),
-            sharded.first_violation_at(),
-            "{level}"
-        );
-        assert_eq!(seq.finish().unwrap(), sharded.finish().unwrap(), "{level}");
-    }
-}
-
-#[test]
 fn gc_keeps_session_frontier_and_init_resident() {
     let h = serial_history(1000, 4, None);
     let mut gc = IncrementalChecker::new(IsolationLevel::Serializability).with_gc(GcPolicy {
@@ -781,7 +637,7 @@ fn checkpoint_after_gc_resumes_exactly() {
         reader_cap: 0,
     });
     if let Some(init) = h.init_txn() {
-        c.ingest(std::slice::from_ref(h.txn(init)), true);
+        c.ingest(h.txn(init), true);
     }
     let tail = push_prefix(&mut c, &h, 1000);
     assert!(c.pruned_txn_count() > 0, "GC ran before the checkpoint");

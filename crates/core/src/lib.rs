@@ -45,11 +45,11 @@ pub use check::{
     IsolationLevel,
 };
 pub use divergence::{find_divergence, Divergence};
-pub use incremental::tune::{tune, tune_for, ShardTuning};
 pub use incremental::{
-    check_streaming, check_streaming_sharded, check_streaming_with, CheckerSnapshot, Eviction,
-    GcPolicy, IncrementalChecker, ShardedIncrementalChecker, StreamStatus, SNAPSHOT_VERSION,
+    check_streaming, check_streaming_with, CheckerSnapshot, Eviction, GcPolicy, IncrementalChecker,
+    StreamStatus, SNAPSHOT_VERSION,
 };
+pub use incremental::{tune, ShardedIncrementalChecker};
 pub use lwt::{check_linearizability, check_linearizability_single_key, LwtError};
 pub use mini::{validate_history, validate_transaction, MtViolation};
 pub use verdict::{CheckError, Verdict, Violation};

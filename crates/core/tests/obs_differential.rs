@@ -1,6 +1,6 @@
 //! Observability must never change a verdict: the exact same stream fed
-//! through the sequential and sharded streaming checkers with metric
-//! recording *disabled* and then *enabled* must produce bit-identical
+//! through the streaming checker with metric recording *disabled* and then
+//! *enabled* must produce bit-identical
 //! results — same verdict payload, same `first_violation_at` — and so must
 //! the four batch checkers, whose stages are spanned (`core.batch.*`). The
 //! instrumentation only ever times and counts; this suite is the proof
@@ -9,7 +9,6 @@
 
 use mtc_core::{
     check_batch, BatchCheck, CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel,
-    ShardedIncrementalChecker,
 };
 use mtc_history::{History, HistoryBuilder, Op, Value};
 
@@ -49,13 +48,10 @@ fn corrupted(history: &History, target: usize) -> History {
     builder.build()
 }
 
-/// One full run of the sequential checker (GC'd) over `history`, returning
+/// One full run of the streaming checker (GC'd) over `history`, returning
 /// everything a caller could observe: the debug-rendered final verdict and
 /// the latched first-violation index.
-fn run_sequential(
-    level: IsolationLevel,
-    history: &History,
-) -> (String, Option<mtc_history::TxnId>) {
+fn run_streaming(level: IsolationLevel, history: &History) -> (String, Option<mtc_history::TxnId>) {
     let mut checker = IncrementalChecker::new(level)
         .with_init_keys(0..history.keys().len() as u64)
         .with_gc(GcPolicy::clamped(16, 3));
@@ -69,41 +65,16 @@ fn run_sequential(
     (format!("{:?}", checker.finish()), first)
 }
 
-/// The same, through the sharded checker fed in batches.
-fn run_sharded(level: IsolationLevel, history: &History) -> (String, Option<mtc_history::TxnId>) {
-    let mut checker = ShardedIncrementalChecker::new(level, 4)
-        .with_init_keys(0..history.keys().len() as u64)
-        .with_gc(GcPolicy::clamped(16, 3));
-    let txns: Vec<_> = history
-        .txns()
-        .iter()
-        .filter(|t| Some(t.id) != history.init_txn())
-        .cloned()
-        .collect();
-    for batch in txns.chunks(7) {
-        let _ = checker.push_batch(batch.to_vec());
-    }
-    let first = checker.first_violation_at();
-    (format!("{:?}", checker.finish()), first)
-}
-
 fn assert_identical_on_off(level: IsolationLevel, history: &History) {
-    let (seq_off, sharded_off) = {
+    let off = {
         let _off = mtc_obs::test_support::with_enabled(false);
-        (run_sequential(level, history), run_sharded(level, history))
+        run_streaming(level, history)
     };
-    let (seq_on, sharded_on) = {
+    let on = {
         let _on = mtc_obs::test_support::with_enabled(true);
-        (run_sequential(level, history), run_sharded(level, history))
+        run_streaming(level, history)
     };
-    assert_eq!(
-        seq_off, seq_on,
-        "sequential verdict differs with metrics on at {level}"
-    );
-    assert_eq!(
-        sharded_off, sharded_on,
-        "sharded verdict differs with metrics on at {level}"
-    );
+    assert_eq!(off, on, "verdict differs with metrics on at {level}");
 }
 
 #[test]

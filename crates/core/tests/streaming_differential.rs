@@ -1,22 +1,19 @@
 //! Property-based differential testing of the streaming engine: for random
 //! mini-transaction histories — valid serial ones and corrupted ones — the
-//! [`IncrementalChecker`] fed transaction-by-transaction and the
-//! [`ShardedIncrementalChecker`] fed in batches must agree with the batch
-//! `CHECKSER`/`CHECKSI` on accept/reject, and with each other exactly.
+//! [`IncrementalChecker`] fed transaction-by-transaction must agree with the
+//! batch `CHECKSER`/`CHECKSI` on accept/reject, and latch at exactly the
+//! shortest prefix they reject.
 //!
 //! The SSER section additionally generates *timed* histories — overlapping
-//! commit intervals, shuffled key spaces (which shuffle the shard ownership
-//! and therefore the per-shard delivery order) and clock-skewed instants —
-//! and asserts that the online time-chain checker agrees with both batch
-//! `CHECKSSER` flavours on accept/reject, and that sequential and sharded
-//! streaming verdicts are identical bit for bit.
+//! commit intervals, shifted key spaces and clock-skewed instants — and
+//! asserts that the online time-chain checker agrees with both batch
+//! `CHECKSSER` flavours on accept/reject.
 
 use mtc_core::{
-    check_ser, check_si, check_sser, check_sser_naive, check_streaming, check_streaming_sharded,
-    tune, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker,
-    StreamStatus,
+    check_ser, check_si, check_sser, check_sser_naive, check_streaming, CheckerSnapshot, GcPolicy,
+    IncrementalChecker, IsolationLevel, StreamStatus, Verdict,
 };
-use mtc_history::{History, HistoryBuilder, Op, SessionId, Transaction, TxnId, Value};
+use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
 use proptest::prelude::*;
 
 /// Mini-transaction shapes, as in the top-level differential suite.
@@ -112,9 +109,7 @@ fn corrupt(history: &History, txn_pick: usize, stale: u64) -> History {
 /// begins are non-decreasing (`gap` apart) and each transaction stays open
 /// for `duration` ticks, so large durations produce intervals overlapping
 /// many successors — which must *not* constrain the real-time order. The key
-/// space is shifted by `key_offset`, which shuffles `hash(key) mod shards`
-/// ownership and therefore the per-shard delivery order of the sharded
-/// checker.
+/// space is shifted by `key_offset`.
 fn timed_serial_history(
     shapes: &[(Shape, u64, u64)],
     keys: u64,
@@ -231,11 +226,46 @@ fn skewed(
     builder.build()
 }
 
+/// A single-key RMW chain of `n` transactions in which transaction
+/// `pick % n` (when it is not the first) reads the initial value instead of
+/// its predecessor's.
+fn single_key_chain(n: u64, pick: usize) -> History {
+    let mut b = HistoryBuilder::new().with_init(1);
+    let mut last = 0u64;
+    for i in 0..n {
+        let stale = i as usize == pick % (n as usize) && i > 0;
+        let read = if stale { 0 } else { last };
+        b.committed(
+            (i % 3) as u32,
+            vec![Op::read(0u64, read), Op::write(0u64, i + 1)],
+        );
+        last = i + 1;
+    }
+    b.build()
+}
+
+/// The last transaction of the shortest prefix of `history` that `batch`
+/// rejects — where an online checker has to latch — or `None` when it
+/// accepts them all.
+fn shortest_rejected_prefix(
+    history: &History,
+    batch: impl Fn(&History) -> Verdict,
+) -> Option<TxnId> {
+    let init_keys = history.txn(history.init_txn()?).write_set();
+    let mut prefix = HistoryBuilder::new().with_init_keys(init_keys);
+    for t in history.txns().iter().skip(1) {
+        let id = prefix.push_cloned(t.clone());
+        if batch(&prefix.clone().build()).is_violated() {
+            return Some(id);
+        }
+    }
+    None
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Valid serial histories are accepted online, and the sharded checker
-    /// produces the exact same verdict as the sequential one.
+    /// Valid serial histories are accepted online.
     #[test]
     fn valid_histories_accepted_by_all_streaming_variants(
         shapes in prop::collection::vec((shape_strategy(), 0u64..6, 0u64..6), 1..24),
@@ -246,20 +276,16 @@ proptest! {
         for level in [IsolationLevel::Serializability, IsolationLevel::SnapshotIsolation] {
             let streaming = check_streaming(level, &history).unwrap();
             prop_assert!(streaming.is_satisfied(), "{level}: {streaming:?}");
-            let sharded = check_streaming_sharded(level, &history, 3, 7).unwrap();
-            prop_assert_eq!(streaming, sharded);
         }
     }
 
-    /// On corrupted histories, the streaming checkers agree with the batch
-    /// verdicts on accept/reject, and sequential == sharded exactly.
+    /// On corrupted histories, the streaming checker agrees with the batch
+    /// verdicts on accept/reject.
     #[test]
     fn streaming_agrees_with_batch_on_corrupted_histories(
         shapes in prop::collection::vec((shape_strategy(), 0u64..4, 0u64..4), 2..16),
         pick in 0usize..16,
         stale in 0u64..3,
-        shards in 1usize..5,
-        batch in 1usize..9,
     ) {
         let valid = serial_history(&shapes, 3, 2);
         let corrupted = corrupt(&valid, pick, stale);
@@ -275,101 +301,39 @@ proptest! {
                 "{} accept/reject mismatch: batch={:?} streaming={:?}",
                 level, batch_verdict, streaming
             );
-            let sharded = check_streaming_sharded(level, &corrupted, shards, batch).unwrap();
-            prop_assert_eq!(&streaming, &sharded, "sequential and sharded diverge at {}", level);
         }
     }
 
-    /// The batched merge path accumulates a whole hand-off batch of edges
-    /// before they reach the topological order. Batches far larger than the
-    /// history (one flush for everything) and the autotuned geometry must
-    /// still produce verdicts identical to the sequential checker — at every
-    /// isolation level (untimed SSER degrades to SER, exercising the
-    /// augmented order's deferred path too).
+    /// Latch position against an independent oracle: on a single-key RMW
+    /// chain with one stale read, `first_violation_at` is exactly the
+    /// shortest prefix `check_ser` rejects.
     #[test]
-    fn large_batches_and_tuned_geometry_match_sequential(
-        shapes in prop::collection::vec((shape_strategy(), 0u64..4, 0u64..4), 8..32),
-        pick in 0usize..32,
-        stale in 0u64..3,
-    ) {
-        let valid = serial_history(&shapes, 4, 3);
-        let corrupted = corrupt(&valid, pick, stale);
-        for level in [
-            IsolationLevel::Serializability,
-            IsolationLevel::SnapshotIsolation,
-            IsolationLevel::StrictSerializability,
-        ] {
-            let sequential = check_streaming(level, &corrupted).unwrap();
-            for (shards, batch) in [(2usize, 1024usize), (4, 4096), (3, 64)] {
-                let sharded =
-                    check_streaming_sharded(level, &corrupted, shards, batch).unwrap();
-                prop_assert_eq!(
-                    &sequential, &sharded,
-                    "{} mismatch with {} shards, batch {}", level, shards, batch
-                );
-            }
-            let tuning = tune();
-            let mut tuned = ShardedIncrementalChecker::new_tuned(level);
-            let _ = tuned.push_history(&corrupted, tuning.batch);
-            prop_assert_eq!(&sequential, &tuned.finish().unwrap(), "autotuned {}", level);
-        }
-    }
-
-    /// Intra-shard cycles: a single-key history funnels every dependency
-    /// edge into one shard, so the worker's local order latches first and
-    /// hints the merge thread. The verdict, its certificate and the latching
-    /// transaction must be exactly the sequential ones.
-    #[test]
-    fn single_key_cycles_latch_identically_under_worker_hints(
+    fn single_key_cycles_latch_at_the_shortest_prefix_check_ser_rejects(
         n in 4u64..24,
         pick in 1usize..24,
-        shards in 2usize..5,
     ) {
-        let mut b = HistoryBuilder::new().with_init(1);
-        let mut last = 0u64;
-        for i in 0..n {
-            // One stale read mid-chain corrupts the single-key RMW chain.
-            let read = if i as usize == pick % (n as usize) && i > 0 { 0 } else { last };
-            b.committed((i % 3) as u32, vec![Op::read(0u64, read), Op::write(0u64, i + 1)]);
-            last = i + 1;
-        }
-        let h = b.build();
-        let mut sequential = IncrementalChecker::new_ser();
-        let _ = sequential.push_history(&h);
-        let mut sharded = ShardedIncrementalChecker::new(IsolationLevel::Serializability, shards);
-        let _ = sharded.push_history(&h, 1024);
-        prop_assert_eq!(sequential.first_violation_at(), sharded.first_violation_at());
-        prop_assert_eq!(sequential.finish().unwrap(), sharded.finish().unwrap());
+        let h = single_key_chain(n, pick);
+        let oracle = shortest_rejected_prefix(&h, |p| check_ser(p).unwrap());
+        let mut streaming = IncrementalChecker::new_ser();
+        let _ = streaming.push_history(&h);
+        prop_assert_eq!(streaming.first_violation_at(), oracle);
+        prop_assert_eq!(streaming.finish().unwrap().is_violated(), oracle.is_some());
     }
 
-    /// SI analogue of the worker-hint test: a single-key lost update funnels
-    /// the WW and RW edges into one shard, whose local composed fragment
-    /// `(WR ∪ WW) ; RW?` closes the cycle and hints the merge thread. The
-    /// verdict, certificate and latching transaction must be exactly the
-    /// sequential checker's.
+    /// The SI analogue: the stale read makes two transactions update from
+    /// the same version — a lost update — and the checker latches at the
+    /// shortest prefix `check_si` rejects.
     #[test]
-    fn single_key_si_composed_cycles_latch_identically_under_worker_hints(
+    fn single_key_lost_updates_latch_at_the_shortest_prefix_check_si_rejects(
         n in 3u64..16,
         pick in 1usize..16,
-        shards in 2usize..5,
     ) {
-        let mut b = HistoryBuilder::new().with_init(1);
-        let mut last = 0u64;
-        for i in 0..n {
-            // One stale read mid-chain: two transactions update from the
-            // same version — a lost update, forbidden at SI.
-            let read = if i as usize == pick % (n as usize) && i > 0 { 0 } else { last };
-            b.committed((i % 3) as u32, vec![Op::read(0u64, read), Op::write(0u64, i + 1)]);
-            last = i + 1;
-        }
-        let h = b.build();
-        let mut sequential = IncrementalChecker::new(IsolationLevel::SnapshotIsolation);
-        let _ = sequential.push_history(&h);
-        let mut sharded =
-            ShardedIncrementalChecker::new(IsolationLevel::SnapshotIsolation, shards);
-        let _ = sharded.push_history(&h, 1024);
-        prop_assert_eq!(sequential.first_violation_at(), sharded.first_violation_at());
-        prop_assert_eq!(sequential.finish().unwrap(), sharded.finish().unwrap());
+        let h = single_key_chain(n, pick);
+        let oracle = shortest_rejected_prefix(&h, |p| check_si(p).unwrap());
+        let mut streaming = IncrementalChecker::new_si();
+        let _ = streaming.push_history(&h);
+        prop_assert_eq!(streaming.first_violation_at(), oracle);
+        prop_assert_eq!(streaming.finish().unwrap().is_violated(), oracle.is_some());
     }
 
     /// Early exit: when a violating prefix exists, the checker latches no
@@ -416,8 +380,7 @@ proptest! {
     }
 
     /// Valid timed histories — overlapping commit intervals included — are
-    /// accepted by both batch SSER flavours and by the streaming checker,
-    /// and sequential == sharded exactly for every shard/batch geometry.
+    /// accepted by both batch SSER flavours and by the streaming checker.
     #[test]
     fn timed_valid_histories_accepted_by_all_sser_variants(
         shapes in prop::collection::vec((shape_strategy(), 0u64..6, 0u64..6), 1..20),
@@ -432,25 +395,11 @@ proptest! {
         let streaming =
             check_streaming(IsolationLevel::StrictSerializability, &history).unwrap();
         prop_assert!(streaming.is_satisfied(), "streaming SSER: {streaming:?}");
-        for shards in [1usize, 2, 4] {
-            for batch in [1usize, 5, 64] {
-                let sharded = check_streaming_sharded(
-                    IsolationLevel::StrictSerializability,
-                    &history,
-                    shards,
-                    batch,
-                )
-                .unwrap();
-                prop_assert_eq!(&streaming, &sharded);
-            }
-        }
     }
 
     /// Under injected commit-timestamp skew and/or a corrupted read, the
     /// streaming SSER verdict agrees with `check_sser` *and*
-    /// `check_sser_naive` on accept/reject, and the sharded checker — fed in
-    /// shuffled shard orders via varying shard counts, batch sizes and key
-    /// spaces — returns a verdict identical to the sequential one.
+    /// `check_sser_naive` on accept/reject.
     #[test]
     fn sser_streaming_agrees_with_batch_on_skewed_histories(
         shapes in prop::collection::vec((shape_strategy(), 0u64..4, 0u64..4), 2..16),
@@ -460,8 +409,6 @@ proptest! {
         corrupt_read in prop::option::of((0usize..16, 0u64..3)),
         strip in prop::option::of((0usize..16, any::<bool>())),
         key_offset in prop::sample::select(vec![0u64, 23, 999_983]),
-        shards in 1usize..5,
-        batch in 1usize..9,
     ) {
         let valid = timed_serial_history(&shapes, 3, 2, key_offset, &intervals);
         let history = skewed(&valid, pick, delta, corrupt_read, strip);
@@ -483,14 +430,6 @@ proptest! {
             batch_verdict,
             streaming
         );
-        let sharded = check_streaming_sharded(
-            IsolationLevel::StrictSerializability,
-            &history,
-            shards,
-            batch,
-        )
-        .unwrap();
-        prop_assert_eq!(&streaming, &sharded, "sequential and sharded SSER diverge");
     }
 
     /// Feeding one transaction at a time, an SSER violation latches at some
@@ -558,7 +497,7 @@ proptest! {
 
 // ───────────────── checkpoint / resume differential ─────────────────────────
 
-/// Seeds a sequential checker with `history`'s `⊥T` (if any) and returns the
+/// Seeds a checker with `history`'s `⊥T` (if any) and returns the
 /// non-initial transactions in stream order.
 fn seeded(level: IsolationLevel, history: &History) -> (IncrementalChecker, Vec<Transaction>) {
     let checker = match history.init_txn() {
@@ -599,50 +538,6 @@ fn assert_checkpoint_equivalence(level: IsolationLevel, history: &History, cut: 
     let mut resumed = IncrementalChecker::resume(snapshot);
     for t in &txns[cut..] {
         let _ = resumed.push(t.clone());
-    }
-    assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
-    let resumed_verdict = resumed.finish();
-    assert_eq!(
-        format!("{resumed_verdict:?}"),
-        format!("{expected:?}"),
-        "{level}"
-    );
-}
-
-/// Same pipeline through the sharded checker: checkpoint at a batch
-/// boundary, resume under a *different* shard geometry, finish.
-fn assert_sharded_checkpoint_equivalence(
-    level: IsolationLevel,
-    history: &History,
-    cut: usize,
-    batch: usize,
-    shards_before: usize,
-    shards_after: usize,
-) {
-    let (mut reference, txns) = seeded(level, history);
-    for t in &txns {
-        let _ = reference.push(t.clone());
-    }
-    let expected_first = reference.first_violation_at();
-    let expected = reference.finish();
-
-    let mut sharded = match history.init_txn() {
-        Some(init) => ShardedIncrementalChecker::new(level, shards_before)
-            .with_init_keys(history.txn(init).write_set()),
-        None => ShardedIncrementalChecker::new(level, shards_before),
-    };
-    let cut = cut % (txns.len() + 1);
-    let batch = batch.max(1);
-    for chunk in txns[..cut].chunks(batch) {
-        let _ = sharded.push_batch(chunk.to_vec());
-    }
-    let snapshot = sharded.checkpoint();
-    drop(sharded);
-    let bytes = serde_json::to_string(&snapshot).expect("snapshot serializes");
-    let snapshot: CheckerSnapshot = serde_json::from_str(&bytes).expect("snapshot parses");
-    let mut resumed = ShardedIncrementalChecker::resume(snapshot, shards_after);
-    for chunk in txns[cut..].chunks(batch) {
-        let _ = resumed.push_batch(chunk.to_vec());
     }
     assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
     let resumed_verdict = resumed.finish();
@@ -698,34 +593,6 @@ proptest! {
             history = skewed(&history, pick, delta, corruption, strip);
         }
         assert_checkpoint_equivalence(IsolationLevel::StrictSerializability, &history, cut);
-    }
-
-    /// Sharded checkpoints resume into different geometries (including the
-    /// sequential checker) with bit-identical outcomes.
-    #[test]
-    fn sharded_checkpoint_resume_is_bit_identical(
-        shapes in prop::collection::vec((shape_strategy(), 0u64..6, 0u64..6), 1..20),
-        keys in 2u64..6,
-        sessions in 1u32..4,
-        cut in 0usize..20,
-        batch in 1usize..9,
-        shards_before in 1usize..4,
-        shards_after in 1usize..5,
-        corruption in prop::option::of((0usize..20, 1u64..50)),
-    ) {
-        let mut history = serial_history(&shapes, keys, sessions);
-        if let Some((pick, stale)) = corruption {
-            history = corrupt(&history, pick, stale);
-        }
-        for level in [
-            IsolationLevel::Serializability,
-            IsolationLevel::SnapshotIsolation,
-            IsolationLevel::StrictSerializability,
-        ] {
-            assert_sharded_checkpoint_equivalence(
-                level, &history, cut, batch, shards_before, shards_after,
-            );
-        }
     }
 }
 
@@ -813,7 +680,7 @@ fn corrupt_fresh(history: &History, pick: usize, max_age: usize) -> History {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The epoch-GC'd sequential checker is bit-identical to the from-scratch
+    /// The epoch-GC'd checker is bit-identical to the from-scratch
     /// un-GC'd one — verdict payload and `first_violation_at` — on valid
     /// histories and histories with an in-window stale read, across SER, SI
     /// and (untimed) SSER, for GC windows straddling commit-epoch boundaries.
@@ -870,44 +737,6 @@ proptest! {
         prop_assert_eq!(format!("{:?}", gced.finish()), expected);
     }
 
-    /// The GC'd *sharded* checker — whose sweeps overlap the merge — returns
-    /// outcomes bit-identical to the un-GC'd sequential reference for every
-    /// geometry, including batch sizes that are not multiples of the GC
-    /// cadence (collections fire mid-batch relative to epoch boundaries).
-    #[test]
-    fn epoch_gc_sharded_matches_ungced_sequential(
-        shapes in prop::collection::vec((shape_strategy(), 0u64..4, 0u64..4), 8..40),
-        pick in 0usize..40,
-        shards in 1usize..5,
-        batch in 1usize..11,
-        policy in gc_geometry_strategy(),
-    ) {
-        let valid = serial_history(&shapes, 3, 2);
-        // Half the sweep margin of the sequential tests: the sharded
-        // checker's sweeps fire at batch boundaries, up to a batch later
-        // than the sequential cadence.
-        let history = corrupt_fresh(&valid, pick, policy.window / 4);
-        for level in [
-            IsolationLevel::Serializability,
-            IsolationLevel::SnapshotIsolation,
-            IsolationLevel::StrictSerializability,
-        ] {
-            let (expected_first, expected) = ungced_reference(level, &history);
-            let (_, txns) = seeded(level, &history);
-            let mut sharded = match history.init_txn() {
-                Some(init) => ShardedIncrementalChecker::new(level, shards)
-                    .with_init_keys(history.txn(init).write_set()),
-                None => ShardedIncrementalChecker::new(level, shards),
-            }
-            .with_gc(policy);
-            for chunk in txns.chunks(batch) {
-                let _ = sharded.push_batch(chunk.to_vec());
-            }
-            prop_assert_eq!(sharded.first_violation_at(), expected_first, "{}", level);
-            prop_assert_eq!(format!("{:?}", sharded.finish()), expected, "{}", level);
-        }
-    }
-
     /// Checkpointing a GC'd checker mid-stream — including between a sweep
     /// epoch and its deferred graph-side collection — and resuming must be
     /// bit-identical to the *uninterrupted GC'd* run on any history (even
@@ -959,60 +788,4 @@ proptest! {
             prop_assert_eq!(format!("{:?}", resumed.finish()), expected, "{}", level);
         }
     }
-}
-
-/// The accessors a pooled checker answers from its workers' key states —
-/// eviction markers, reader-list lengths — and from the shared engine must
-/// agree with the sequential checker's when both sweep at the same points.
-#[test]
-fn pooled_accessors_agree_with_sequential_under_a_reader_cap() {
-    // Every transaction also reads the never-overwritten key 0, so its
-    // reader list outgrows the cap at every sweep.
-    let keys = 5u64;
-    let mut last = vec![0u64; keys as usize];
-    let txns: Vec<Transaction> = (0..400u64)
-        .map(|i| {
-            let k = 1 + i % (keys - 1);
-            let ops = vec![
-                Op::read(0u64, 0u64),
-                Op::read(k, last[k as usize]),
-                Op::write(k, i + 1),
-            ];
-            last[k as usize] = i + 1;
-            Transaction::committed(TxnId(0), SessionId((i % 3) as u32), ops)
-                .with_times(10 * i + 1, 10 * i + 5)
-        })
-        .collect();
-    let policy = GcPolicy {
-        window: 64,
-        every: 16,
-        reader_cap: 4,
-    };
-    let level = IsolationLevel::StrictSerializability;
-    let mut seq = IncrementalChecker::new(level)
-        .with_init_keys(0..keys)
-        .with_gc(policy);
-    let mut pooled = ShardedIncrementalChecker::new(level, 3)
-        .with_init_keys(0..keys)
-        .with_gc(policy);
-    // `⊥T` plus three single pushes put both on a multiple of the batch
-    // size, which divides `every`: the sweeps fall on the same transactions.
-    let (head, tail) = txns.split_at(3);
-    for t in head {
-        assert_eq!(seq.push(t.clone()), pooled.push(t.clone()));
-    }
-    for batch in tail.chunks(4) {
-        for t in batch {
-            let _ = seq.push(t.clone());
-        }
-        let _ = pooled.push_batch(batch.to_vec());
-        assert_eq!(seq.reader_eviction_count(), pooled.reader_eviction_count());
-    }
-    assert!(seq.reader_eviction_count() > 0, "the cap must have fired");
-    assert_eq!(seq.reader_evictions(), pooled.reader_evictions());
-    assert_eq!(seq.max_reader_list_len(), pooled.max_reader_list_len());
-    assert_eq!(seq.time_instant_count(), pooled.time_instant_count());
-    assert_eq!(seq.graph().edge_count(), pooled.graph().edge_count());
-    assert_eq!(seq.live_node_count(), pooled.live_node_count());
-    assert_eq!(seq.finish().unwrap(), pooled.finish().unwrap());
 }

@@ -19,8 +19,7 @@
 
 use crate::session::{Observer, TxnRecord};
 use mtc_core::{
-    CheckError, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, ShardTuning,
-    ShardedIncrementalChecker, StreamStatus, Verdict, Violation,
+    CheckError, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, Verdict, Violation,
 };
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::MtcStore;
@@ -28,12 +27,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Upper bound on the live hand-off batch: the sharded backend buffers at
-/// most this many transactions before flushing to the worker pool, keeping
-/// the latch delay of `stop_on_violation` bounded even when the autotuner
-/// picks large throughput-oriented batches.
-pub const LIVE_BATCH_CAP: usize = 64;
 
 /// A thread-safe streaming verifier shared by the client sessions.
 pub struct LiveVerifier {
@@ -143,11 +136,6 @@ pub struct SinkStats {
 
 struct LiveInner {
     checker: IncrementalChecker,
-    /// Hand-off buffer in front of a pooled checker: flushed every `batch`
-    /// transactions. A sequential checker consumes each transaction at once
-    /// (`batch == 1`, the buffer stays empty).
-    buf: Vec<Transaction>,
-    batch: usize,
     first_violation: Option<LiveViolation>,
     /// Optional durable write-ahead sink.
     sink: Option<StoreSink>,
@@ -158,37 +146,7 @@ struct LiveInner {
 }
 
 impl LiveInner {
-    /// Feeds one transaction; a pooled checker may buffer it until a batch
-    /// is full.
-    fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
-        if self.batch == 1 {
-            return self.checker.push(txn);
-        }
-        self.buf.push(txn);
-        if self.buf.len() >= self.batch {
-            let full = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch));
-            self.checker.push_batch(full)
-        } else if self.checker.is_violated() {
-            Ok(StreamStatus::Violated)
-        } else {
-            Ok(StreamStatus::ConsistentSoFar)
-        }
-    }
-
-    /// Flushes any buffered transactions into the checker.
-    fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            let _ = self.checker.push_batch(std::mem::take(&mut self.buf));
-        }
-    }
-
-    /// Index of the offending transaction (excluding `⊥T`), once latched.
-    fn first_violation_index(&self) -> Option<usize> {
-        self.checker.first_violation_at().map(|id| id.index())
-    }
-
-    /// Transactions consumed by the checker (excluding `⊥T`, excluding any
-    /// still-buffered ones).
+    /// Transactions consumed by the checker (excluding `⊥T`).
     fn consumed(&self) -> usize {
         self.checker.txn_count().saturating_sub(1)
     }
@@ -220,9 +178,9 @@ pub struct LiveOutcome {
 }
 
 /// Chained-setter construction of a [`LiveVerifier`] — the one way the
-/// daemon (and everything else) builds one: tuning, GC policy, durable store
-/// and resume source are orthogonal knobs, so they compose as setters
-/// instead of multiplying constructors.
+/// daemon (and everything else) builds one: GC policy, durable store and
+/// resume source are orthogonal knobs, so they compose as setters instead of
+/// multiplying constructors.
 ///
 /// ```
 /// use mtc_core::{GcPolicy, IsolationLevel};
@@ -238,7 +196,6 @@ pub struct LiveVerifierBuilder {
     level: IsolationLevel,
     num_keys: u64,
     stop_on_violation: bool,
-    tuning: Option<ShardTuning>,
     gc: Option<GcPolicy>,
     store: Option<(MtcStore, usize)>,
     resume: Option<IncrementalChecker>,
@@ -253,23 +210,10 @@ impl LiveVerifierBuilder {
         self
     }
 
-    /// Shard geometry picked by the autotuner ([`mtc_core::tune`]): on a
-    /// single-core box this is the sequential backend; with spare cores the
-    /// per-key edge derivation fans out across the sharded checker's worker
-    /// pool.
+    /// Does nothing: there is no worker pool left to size. Called by
+    /// `benchmark/src/{workloads,probes}.rs` only (CI keeps the product off
+    /// it); ROADMAP item 1(f) drops those two calls, then this method.
     pub fn autotuned(self) -> Self {
-        self.tuning(mtc_core::tune())
-    }
-
-    /// Explicit shard geometry. `tuning.shards <= 1` selects the sequential
-    /// backend; otherwise transactions are buffered (at most `tuning.batch`,
-    /// capped at [`LIVE_BATCH_CAP`] to bound the `stop_on_violation` latch
-    /// delay) and fed to a [`ShardedIncrementalChecker`] batch by batch.
-    /// Verdicts are identical to the sequential backend's in every case.
-    /// Ignored when a [`LiveVerifierBuilder::resume_from`] source is set (a
-    /// recovered snapshot is sequential checker state).
-    pub fn tuning(mut self, tuning: ShardTuning) -> Self {
-        self.tuning = Some(tuning);
         self
     }
 
@@ -296,8 +240,8 @@ impl LiveVerifierBuilder {
     /// recover a store, replay the logged tail into
     /// [`IncrementalChecker::resume`]'s result, then hand it here to keep
     /// verifying live. The latch state is inherited from the checker; the
-    /// builder's `level`/`num_keys` and any [`LiveVerifierBuilder::tuning`]
-    /// are ignored (the snapshot already fixes them).
+    /// builder's `level`/`num_keys` are ignored (the snapshot already fixes
+    /// them).
     pub fn resume_from(mut self, checker: IncrementalChecker) -> Self {
         self.resume = Some(checker);
         self
@@ -305,25 +249,15 @@ impl LiveVerifierBuilder {
 
     /// Builds the verifier.
     pub fn build(self) -> LiveVerifier {
-        let (mut checker, batch) = match self.resume {
-            Some(checker) => (checker, 1),
-            None => {
-                let (shards, batch) = match self.tuning {
-                    Some(t) if t.shards > 1 => (t.shards, t.batch.clamp(1, LIVE_BATCH_CAP)),
-                    _ => (1, 1),
-                };
-                let fresh = ShardedIncrementalChecker::new(self.level, shards);
-                (fresh.with_init_keys(0..self.num_keys).into(), batch)
-            }
-        };
+        let mut checker = self.resume.unwrap_or_else(|| {
+            IncrementalChecker::new(self.level).with_init_keys(0..self.num_keys)
+        });
         if let Some(policy) = self.gc {
             checker.set_gc(policy);
         }
         let v = LiveVerifier {
             inner: Mutex::new(LiveInner {
                 checker,
-                buf: Vec::new(),
-                batch,
                 first_violation: None,
                 sink: self
                     .store
@@ -379,7 +313,6 @@ impl LiveVerifier {
             level,
             num_keys,
             stop_on_violation: false,
-            tuning: None,
             gc: None,
             store: None,
             resume: None,
@@ -392,19 +325,14 @@ impl LiveVerifier {
         self.inner.lock().checker.live_txn_count()
     }
 
-    /// Transactions consumed by the checker so far (excluding `⊥T` and any
-    /// transactions still buffered by the sharded backend) — the "checked"
-    /// half of a tenant's ingest lag.
+    /// Transactions consumed by the checker so far (excluding `⊥T`) — the
+    /// "checked" half of a tenant's ingest lag.
     pub fn consumed(&self) -> usize {
         self.inner.lock().consumed()
     }
 
     /// The latched first-violation metadata (stream index plus wall-clock
-    /// detection latency), once a violation has latched via the record
-    /// path. Unlike [`LiveVerifier::first_violation_at`] this does not
-    /// consult the checker directly, so a violation still sitting in the
-    /// sharded hand-off buffer is invisible until the next record or
-    /// [`LiveVerifier::violation`] call flushes it.
+    /// detection latency), once a violation has latched.
     pub fn first_violation(&self) -> Option<LiveViolation> {
         self.inner.lock().first_violation.clone()
     }
@@ -412,12 +340,7 @@ impl LiveVerifier {
     /// Index of the first violating transaction (excluding `⊥T`), once a
     /// violation has latched.
     pub fn first_violation_at(&self) -> Option<usize> {
-        let inner = self.inner.lock();
-        inner
-            .first_violation
-            .as_ref()
-            .map(|v| v.at_txn)
-            .or_else(|| inner.first_violation_index())
+        self.inner.lock().first_violation.as_ref().map(|v| v.at_txn)
     }
 
     /// Restarts the time-to-first-violation clock. Called by
@@ -503,14 +426,11 @@ impl LiveVerifier {
             // Write-ahead: the log sees the transaction before the checker.
             sink.append(&txn);
         }
-        let result = guts.push(txn);
-        if result.is_err() {
+        if guts.checker.push(txn).is_err() {
             // Domain errors latch inside the checker; surfaced by finish().
             self.violated.store(true, Ordering::Relaxed);
         }
         if guts.sink.as_mut().is_some_and(StoreSink::note_recorded) {
-            // Flush first, so the snapshot covers everything recorded.
-            guts.flush();
             let (consumed, snapshot) = (guts.consumed() as u64, guts.checker.checkpoint());
             if let Some(sink) = guts.sink.as_mut() {
                 sink.write_checkpoint(consumed, &snapshot);
@@ -521,16 +441,15 @@ impl LiveVerifier {
 
     /// Records latch metadata (the `violated` flag feeding `should_stop`,
     /// plus the first-violation snapshot) whenever the backing checker has a
-    /// violation. Called after every push *and* after every internal flush —
-    /// a violating transaction may only latch when the sharded backend's
-    /// buffer drains, whichever code path drains it.
+    /// violation. Called after every push, and once at build time for a
+    /// resumed checker.
     fn note_latch(&self, inner: &mut LiveInner) {
         if inner.checker.violation().is_some() {
             if inner.first_violation.is_none() {
+                // `⊥T` is transaction 0, so the id is the index without it.
+                let at = inner.checker.first_violation_at();
                 inner.first_violation = Some(LiveViolation {
-                    at_txn: inner
-                        .first_violation_index()
-                        .unwrap_or_else(|| inner.consumed()),
+                    at_txn: at.map_or_else(|| inner.consumed(), |id| id.index()),
                     elapsed: inner.started.elapsed(),
                 });
             }
@@ -544,22 +463,16 @@ impl LiveVerifier {
         self.inner.lock().sink.as_ref().map(StoreSink::stats)
     }
 
-    /// A snapshot of the currently latched violation, if any. Flushes the
-    /// sharded backend's hand-off buffer first, so the answer reflects
-    /// everything recorded so far (and latches `stop_on_violation` if the
-    /// flush surfaced a violation).
+    /// A snapshot of the currently latched violation, if any: a recorded
+    /// transaction is checked by the time `record` returns.
     pub fn violation(&self) -> Option<Violation> {
-        let mut inner = self.inner.lock();
-        inner.flush();
-        self.note_latch(&mut inner);
-        inner.checker.violation().cloned()
+        self.inner.lock().checker.violation().cloned()
     }
 
     /// Ends the stream and returns the final outcome, syncing the
     /// persistence sink (if any) so the log survives the process.
     pub fn finish(self) -> LiveOutcome {
         let mut inner = self.inner.into_inner();
-        inner.flush();
         let sink_error = inner.sink.as_mut().and_then(|sink| {
             if sink.error.is_none() {
                 if let Err(e) = sink.store.sync() {
@@ -569,17 +482,9 @@ impl LiveVerifier {
             sink.error.clone()
         });
         let checked = inner.consumed();
-        let first_violation = inner.first_violation.clone().or_else(|| {
-            // A violation that only surfaced on the final flush of the
-            // sharded backend still gets its latch metadata.
-            inner.first_violation_index().map(|at_txn| LiveViolation {
-                at_txn,
-                elapsed: inner.started.elapsed(),
-            })
-        });
         LiveOutcome {
             verdict: inner.checker.finish(),
-            first_violation,
+            first_violation: inner.first_violation,
             checked_txns: checked,
             sink_error,
         }
@@ -719,63 +624,6 @@ mod tests {
         );
         let first = outcome.first_violation.expect("must latch mid-run");
         assert!(first.at_txn <= outcome.checked_txns);
-    }
-
-    #[test]
-    fn sharded_live_verifier_passes_clean_runs_and_catches_faults() {
-        use mtc_core::ShardTuning;
-        // Force the sharded backend regardless of this machine's core count.
-        let tuning = ShardTuning::clamped(3, 16);
-
-        let s = spec(3, 16, 50);
-        let workload = generate_mt_workload(&s);
-        let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
-        let verifier = LiveVerifier::builder(IsolationLevel::Serializability, s.num_keys)
-            .tuning(tuning)
-            .build();
-        let (history, _) = run_live(&db, &workload, &ClientOptions::default(), &verifier);
-        let outcome = verifier.finish();
-        assert!(outcome.verdict.unwrap().is_satisfied());
-        assert!(outcome.first_violation.is_none());
-        assert_eq!(
-            outcome.checked_txns,
-            history.len() - 1,
-            "the final flush must consume the whole hand-off buffer"
-        );
-
-        let s = spec(7, 4, 150);
-        let workload = generate_mt_workload(&s);
-        let config = DbConfig::correct(IsolationMode::Snapshot, s.num_keys)
-            .with_latency(Duration::from_micros(200), Duration::from_micros(100))
-            .with_faults(vec![FaultSpec::new(FaultKind::SkipWriteValidation, 0.6)], 7);
-        let db = Database::new(config);
-        let verifier = LiveVerifier::builder(IsolationLevel::SnapshotIsolation, s.num_keys)
-            .stop_on_violation(true)
-            .tuning(tuning)
-            .build();
-        let (_, _) = run_live(&db, &workload, &ClientOptions::default(), &verifier);
-        let outcome = verifier.finish();
-        assert!(
-            outcome.verdict.unwrap().is_violated(),
-            "the injected lost update must be caught by the sharded backend"
-        );
-        let first = outcome.first_violation.expect("latch metadata must be set");
-        assert!(first.at_txn <= outcome.checked_txns);
-    }
-
-    #[test]
-    fn tuned_live_verifier_matches_this_machines_geometry() {
-        // Whatever the autotuner picks here, a clean run must verify clean.
-        let s = spec(11, 8, 40);
-        let workload = generate_mt_workload(&s);
-        let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
-        let verifier = LiveVerifier::builder(IsolationLevel::Serializability, s.num_keys)
-            .autotuned()
-            .build();
-        let (history, _) = run_live(&db, &workload, &ClientOptions::default(), &verifier);
-        let outcome = verifier.finish();
-        assert!(outcome.verdict.unwrap().is_satisfied());
-        assert_eq!(outcome.checked_txns, history.len() - 1);
     }
 
     fn store_dir(tag: &str) -> std::path::PathBuf {

@@ -19,8 +19,8 @@
 //!
 //! ## Batched insertion
 //!
-//! The merge thread of `mtc-core`'s sharded checker receives edges in bursts
-//! (one batch of transactions per hand-off). [`IncrementalTopo::try_add_edges`]
+//! `mtc-core`'s SSER path submits a transaction's time-chain splice edges and
+//! its begin/end hook edges together. [`IncrementalTopo::try_add_edges`]
 //! inserts such a burst with **one** affected-region recomputation instead of
 //! one per edge: edges that agree with the maintained order are accepted in
 //! `O(1)` each, the backward edges are resolved together by re-sorting the

@@ -1,9 +1,8 @@
 //! Synthetic serial mini-transaction histories.
 //!
 //! One canonical definition of the serial read-modify-write workloads used
-//! by the Criterion benches, the CI perf-regression gate and the shard
-//! autotuner's calibration burst — so all three always measure the same
-//! history shape and cannot drift apart.
+//! by the Criterion benches and the CI perf-regression gate — so both always
+//! measure the same history shape and cannot drift apart.
 
 use crate::history::{History, HistoryBuilder};
 use crate::op::Op;
@@ -11,11 +10,10 @@ use crate::op::Op;
 /// A valid (serializable and strictly serializable) history of `n`
 /// transactions over `keys` objects issued round-robin by `sessions`
 /// sessions: each transaction reads the current value of one key and
-/// installs the next value. With `timed`, transactions carry strictly
-/// increasing begin/commit instants (for SSER benchmarking); without, they
-/// carry none (cheapest shape for calibration).
+/// installs the next value, with strictly increasing begin/commit instants
+/// (so the same history serves the SSER series).
 #[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
-pub fn serial_rmw_history(n: u64, keys: u64, sessions: u32, timed: bool) -> History {
+pub fn serial_rmw_history(n: u64, keys: u64, sessions: u32) -> History {
     let keys = keys.max(1);
     let sessions = sessions.max(1);
     let mut builder = HistoryBuilder::new().with_init(keys);
@@ -25,18 +23,14 @@ pub fn serial_rmw_history(n: u64, keys: u64, sessions: u32, timed: bool) -> Hist
         let key = i % keys;
         let session = (i % sessions as u64) as u32;
         let ops = vec![Op::read(key, last[key as usize]), Op::write(key, value)];
-        if timed {
-            builder.committed_timed(session, ops, 10 * i + 1, 10 * i + 5);
-        } else {
-            builder.committed(session, ops);
-        }
+        builder.committed_timed(session, ops, 10 * i + 1, 10 * i + 5);
         last[key as usize] = value;
         value += 1;
     }
     builder.build()
 }
 
-/// Like [`serial_rmw_history`] (timed), but every transaction touches two
+/// Like [`serial_rmw_history`], but every transaction touches two
 /// keys — the write-skew-shaped MT flavour — while staying serial.
 #[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
 pub fn two_key_rmw_history(n: u64, keys: u64, sessions: u32) -> History {
@@ -69,17 +63,15 @@ mod tests {
 
     #[test]
     fn serial_histories_are_well_formed() {
-        let timed = serial_rmw_history(50, 4, 3, true);
+        let timed = serial_rmw_history(50, 4, 3);
         assert_eq!(timed.len(), 51); // + ⊥T
         assert!(timed
             .txns()
             .iter()
             .filter(|t| Some(t.id) != timed.init_txn())
             .all(|t| t.begin.is_some() && t.end.is_some()));
-        let untimed = serial_rmw_history(50, 4, 3, false);
-        assert_eq!(untimed.len(), 51);
         // Degenerate parameters are clamped rather than panicking.
-        let tiny = serial_rmw_history(3, 0, 0, false);
+        let tiny = serial_rmw_history(3, 0, 0);
         assert_eq!(tiny.len(), 4);
     }
 

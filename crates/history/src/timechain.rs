@@ -58,15 +58,14 @@
 //!
 //! Anchor calls do **not** insert chain edges into the topology themselves;
 //! they push the required `(from, to)` pairs into a caller-supplied buffer.
-//! The sequential SSER path submits a transaction's chain edges and hook
-//! edges as a single [`IncrementalTopo::try_add_edges`] batch; the sharded
-//! merge path routes both through its deferred-insert queue. Chain edges can
-//! never be rejected by the host topology: a fresh node has no other
+//! The SSER path submits a transaction's chain edges and hook edges as a
+//! single [`IncrementalTopo::try_add_edges`] batch. Chain edges can never be
+//! rejected by the host topology: a fresh node has no other
 //! incident edges, the direct edge between the current neighbours already
 //! orders them, and the host graph is acyclic whenever the checker is still
 //! running (violations latch before a cycle is ever committed into the
-//! structure). Deferring them is therefore safe — they cannot be the first
-//! offender of a batch.
+//! structure). Batching them with the hooks is therefore safe — they cannot
+//! be the first offender of a batch.
 //!
 //! ## Append fast path
 //!

@@ -13,9 +13,9 @@
 //!   (payload and all) is the one the uninterrupted run would have
 //!   produced over the logged prefix.
 //! * [`replay_verify`] — ignore checkpoints, rebuild the complete logged
-//!   history and hand it to *any* [`Checker`] (batch, streaming, sharded or
-//!   a baseline): logged sessions stay re-checkable offline, long after
-//!   the database under test is gone.
+//!   history and hand it to *any* [`Checker`] (batch, streaming or a
+//!   baseline): logged sessions stay re-checkable offline, long after the
+//!   database under test is gone.
 
 use crate::exec::{verify, Checker, VerifyOutcome};
 use mtc_core::{CheckError, GcPolicy, IncrementalChecker, IsolationLevel, Verdict};
@@ -138,7 +138,7 @@ pub fn resume_verification(dir: impl AsRef<Path>) -> Result<ResumeOutcome, Store
 
 /// Rebuilds the complete logged history from the store at `dir` and runs
 /// `checker` on it — the offline replay-from-log path, usable with every
-/// checker of the harness (MTC batch/streaming/sharded and the baselines).
+/// checker of the harness (MTC batch/streaming and the baselines).
 pub fn replay_verify(dir: impl AsRef<Path>, checker: Checker) -> Result<VerifyOutcome, StoreError> {
     let recovery = recover(&dir)?;
     Ok(verify(checker, &recovery.to_history()))
@@ -195,11 +195,7 @@ mod tests {
         assert!(resumed.resumed_from > 0);
         assert!(resumed.verdict.unwrap().is_satisfied());
 
-        for checker in [
-            Checker::MtcSer,
-            Checker::MtcSerIncremental,
-            Checker::MtcSerSharded,
-        ] {
+        for checker in [Checker::MtcSer, Checker::MtcSerIncremental] {
             let replayed = replay_verify(&dir, checker).unwrap();
             assert!(
                 !replayed.violated,

@@ -11,8 +11,7 @@ use mtc_baselines::cobra::{cobra_check_ser, BaselineOutcome};
 use mtc_baselines::elle::{ListHistory, ListOp, ListTxn};
 use mtc_baselines::polysi::polysi_check_si;
 use mtc_core::{
-    build_dependency, check_batch, tune, BatchCheck, CheckOptions, IsolationLevel, ShardTuning,
-    ShardedIncrementalChecker,
+    build_dependency, check_batch, BatchCheck, CheckOptions, IncrementalChecker, IsolationLevel,
 };
 use mtc_dbsim::{
     run_sessions, AbortReason, ClientOptions, DbBackend, DbTxn, Driver, ExecutionOptions,
@@ -42,15 +41,6 @@ pub enum Checker {
     /// Streaming strict-serializability verifier (online time-chain,
     /// transaction-by-transaction).
     MtcSserIncremental,
-    /// Streaming serializability verifier with key-sharded parallel edge
-    /// derivation; shard count and batch size come from the autotuner
-    /// (`mtc_core::tune`), so the geometry matches the machine running it.
-    MtcSerSharded,
-    /// Streaming snapshot-isolation verifier, key-sharded (autotuned).
-    MtcSiSharded,
-    /// Streaming strict-serializability verifier, key-sharded and autotuned
-    /// (the time-chain stays on the merge thread).
-    MtcSserSharded,
     /// Cobra-style serializability baseline (polygraph + constraint search).
     CobraSer,
     /// PolySI-style snapshot-isolation baseline.
@@ -72,9 +62,6 @@ impl Checker {
             Checker::MtcSerIncremental => "MTC-SER-inc",
             Checker::MtcSiIncremental => "MTC-SI-inc",
             Checker::MtcSserIncremental => "MTC-SSER-inc",
-            Checker::MtcSerSharded => "MTC-SER-shard",
-            Checker::MtcSiSharded => "MTC-SI-shard",
-            Checker::MtcSserSharded => "MTC-SSER-shard",
             Checker::CobraSer => "Cobra",
             Checker::PolySiSi => "PolySI",
             Checker::ElleRwSer => "Elle-wr(SER)",
@@ -111,23 +98,12 @@ fn baseline_memory(stats: &mtc_baselines::cobra::SolverStats) -> usize {
 
 /// Runs `checker` on `history`, timing it.
 pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
-    // Resolve the autotuned geometry before starting the clock: the first
-    // tune() call in a process runs a calibration burst, which must not
-    // pollute the first sharded measurement.
-    let tuning = match checker {
-        Checker::MtcSerSharded | Checker::MtcSiSharded | Checker::MtcSserSharded => tune(),
-        _ => ShardTuning::clamped(1, 1),
-    };
     let start = Instant::now();
     let (violated, memory, detail) = match checker {
-        Checker::MtcSerIncremental | Checker::MtcSerSharded => {
-            verify_streaming(IsolationLevel::Serializability, history, tuning)
-        }
-        Checker::MtcSiIncremental | Checker::MtcSiSharded => {
-            verify_streaming(IsolationLevel::SnapshotIsolation, history, tuning)
-        }
-        Checker::MtcSserIncremental | Checker::MtcSserSharded => {
-            verify_streaming(IsolationLevel::StrictSerializability, history, tuning)
+        Checker::MtcSerIncremental => verify_streaming(IsolationLevel::Serializability, history),
+        Checker::MtcSiIncremental => verify_streaming(IsolationLevel::SnapshotIsolation, history),
+        Checker::MtcSserIncremental => {
+            verify_streaming(IsolationLevel::StrictSerializability, history)
         }
         Checker::MtcSer => verify_batch(BatchCheck::Ser, history),
         Checker::MtcSi => verify_batch(BatchCheck::Si, history),
@@ -178,16 +154,11 @@ fn verify_batch(check: BatchCheck, history: &History) -> (bool, usize, String) {
     }
 }
 
-/// Feeds `history` into the streaming checker — one transaction at a time
-/// on this thread, or `tuning.batch` at a time over `tuning.shards` workers
-/// — and summarizes the outcome, including how early the violation latched.
-fn verify_streaming(
-    level: IsolationLevel,
-    history: &History,
-    tuning: ShardTuning,
-) -> (bool, usize, String) {
-    let mut checker = ShardedIncrementalChecker::new(level, tuning.shards);
-    let _ = checker.push_history(history, tuning.batch);
+/// Feeds `history` into the streaming checker, one transaction at a time,
+/// and summarizes the outcome, including how early the violation latched.
+fn verify_streaming(level: IsolationLevel, history: &History) -> (bool, usize, String) {
+    let mut checker = IncrementalChecker::new(level);
+    let _ = checker.push_history(history);
     let first = checker.first_violation_at();
     let edges = checker.edge_count();
     let total = checker.txn_count();
@@ -300,10 +271,7 @@ pub struct StreamingEndToEnd {
 /// consumes transactions as they commit, concurrently with execution. With
 /// `stop_on_violation`, sessions cease issuing transactions once a violation
 /// is latched, so the run's cost is proportional to the time-to-first-
-/// violation rather than to the workload size. The verifier backend is
-/// picked by the autotuner: sequential on a single core, key-sharded with
-/// a bounded hand-off buffer when spare cores exist (verdicts identical
-/// either way).
+/// violation rather than to the workload size.
 pub fn end_to_end_streaming(
     db: &dyn DbBackend,
     workload: &Workload,
@@ -313,7 +281,6 @@ pub fn end_to_end_streaming(
 ) -> StreamingEndToEnd {
     let verifier = LiveVerifier::builder(level, workload.num_keys)
         .stop_on_violation(stop_on_violation)
-        .autotuned()
         .build();
     let (_history, report) = ExecutionOptions::threaded()
         .client(*opts)
@@ -744,9 +711,6 @@ mod tests {
             Checker::MtcSerIncremental,
             Checker::MtcSiIncremental,
             Checker::MtcSserIncremental,
-            Checker::MtcSerSharded,
-            Checker::MtcSiSharded,
-            Checker::MtcSserSharded,
             Checker::CobraSer,
             Checker::PolySiSi,
             Checker::ElleRwSer,
@@ -755,7 +719,7 @@ mod tests {
         .iter()
         .map(|c| c.label())
         .collect();
-        assert_eq!(labels.len(), 14);
+        assert_eq!(labels.len(), 11);
     }
 
     #[test]
@@ -767,9 +731,6 @@ mod tests {
             (Checker::MtcSer, Checker::MtcSerIncremental),
             (Checker::MtcSi, Checker::MtcSiIncremental),
             (Checker::MtcSser, Checker::MtcSserIncremental),
-            (Checker::MtcSer, Checker::MtcSerSharded),
-            (Checker::MtcSi, Checker::MtcSiSharded),
-            (Checker::MtcSser, Checker::MtcSserSharded),
         ] {
             let a = verify(batch, &history);
             let b = verify(streaming, &history);

@@ -4,11 +4,9 @@
 //! dropped, recovered from disk, resumed and finished. Verdict,
 //! counterexample certificate and `first_violation_at` must be
 //! bit-identical to the uninterrupted in-memory run, at every isolation
-//! level and under sequential *and* sharded resumption.
+//! level.
 
-use mtc_core::{
-    GcPolicy, IncrementalChecker, IsolationLevel, ShardedIncrementalChecker, SNAPSHOT_VERSION,
-};
+use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::{read_checkpoint, recover, write_checkpoint, MtcStore, StreamMeta};
 use proptest::prelude::*;
@@ -146,21 +144,12 @@ proptest! {
             let recovery = recover(&dir).unwrap();
             prop_assert_eq!(recovery.resume_from, cut as u64);
             prop_assert_eq!(recovery.txns.len(), txns.len());
-            // Sequential resume.
             let mut resumed = IncrementalChecker::resume(recovery.snapshot.clone().unwrap());
             for t in recovery.tail() {
                 let _ = resumed.push(t.clone());
             }
             prop_assert_eq!(resumed.first_violation_at(), expected_first, "{}", level);
-            prop_assert_eq!(format!("{:?}", resumed.finish()), expected.clone(), "{}", level);
-            // Sharded resume from the very same on-disk snapshot.
-            let mut sharded =
-                ShardedIncrementalChecker::resume(recovery.snapshot.clone().unwrap(), 3);
-            for chunk in recovery.tail().chunks(5) {
-                let _ = sharded.push_batch(chunk.to_vec());
-            }
-            prop_assert_eq!(sharded.first_violation_at(), expected_first, "{}", level);
-            prop_assert_eq!(format!("{:?}", sharded.finish()), expected, "{}", level);
+            prop_assert_eq!(format!("{:?}", resumed.finish()), expected, "{}", level);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -169,9 +158,7 @@ proptest! {
 // ───────────────────── snapshot wire-format fixtures ────────────────────────
 
 /// Prefix length of the committed fixtures: 143 recorded transactions plus
-/// `⊥T` puts the snapshot on a GC epoch boundary (`144 = 9 · every`), so a
-/// tail replayed in batches that divide `every` sweeps at the very same
-/// points as a one-by-one replay.
+/// `⊥T` puts the snapshot on a GC epoch boundary (`144 = 9 · every`).
 const FIXTURE_CUT: usize = 143;
 const FIXTURE_KEYS: u64 = 4;
 const FIXTURE_GC: GcPolicy = GcPolicy {
@@ -198,15 +185,15 @@ fn fixture_stream() -> Vec<Transaction> {
     )
 }
 
-/// The committed snapshot of the fixture prefix at `level`: the one the
-/// PR 13 build wrote (`-pr13`), or the one this build writes.
-fn fixture_path(level: IsolationLevel, pr13: bool) -> PathBuf {
+/// The committed snapshot of the fixture prefix at `level`, by writer: `""`
+/// is the one this build writes, `"-pr13"` the one the PR 13 build wrote,
+/// `"-3shards"` the one the PR 17 build's 3-worker pool wrote.
+fn fixture_path(level: IsolationLevel, writer: &str) -> PathBuf {
     let level = match level {
         IsolationLevel::Serializability => "ser",
         IsolationLevel::SnapshotIsolation => "si",
         IsolationLevel::StrictSerializability => "sser",
     };
-    let writer = if pr13 { "-pr13" } else { "" };
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
         .join(format!("snapshot-v4-{level}{writer}.mtcck"))
@@ -224,6 +211,14 @@ fn fixture_path(level: IsolationLevel, pr13: bool) -> PathBuf {
 /// encoder side is therefore pinned on a second set of files, written by the
 /// PR 17 build from the same prefix (`write_checkpoint` of
 /// `prefix.checkpoint()` below, copied into `tests/data/`).
+///
+/// The `-3shards` files are the last thing the worker pool wrote before it
+/// was deleted: the PR 17 build's pooled checker with three workers, fed
+/// the same prefix as a chunk of 7 and then chunks of 8 (`⊥T` is
+/// transaction 0, so every chunk ends on a multiple of 8 and the pool, which
+/// swept at chunk ends, swept where `push` does). Each carries three
+/// key-disjoint key states: the only real pool output `KeyState::merge` is
+/// held to.
 #[test]
 fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
@@ -253,37 +248,41 @@ fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
         let rewritten = write_checkpoint(&dir, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert_eq!(
             std::fs::read(rewritten).unwrap(),
-            std::fs::read(fixture_path(level, false)).unwrap(),
+            std::fs::read(fixture_path(level, "")).unwrap(),
             "{level}: snapshot bytes changed"
         );
         let _ = std::fs::remove_dir_all(&dir);
         let tail = &txns[FIXTURE_CUT..];
 
-        for pr13 in [true, false] {
-            let (consumed, snapshot) = read_checkpoint(fixture_path(level, pr13)).unwrap();
+        for (writer, key_states) in [("-pr13", 1), ("", 1), ("-3shards", 3)] {
+            let (consumed, snapshot) = read_checkpoint(fixture_path(level, writer)).unwrap();
             assert_eq!(consumed, FIXTURE_CUT as u64);
             assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
             assert_eq!(snapshot.level(), level);
             assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
+            assert_eq!(snapshot.shards(), key_states, "{level}{writer}");
+            let evictions = snapshot.reader_evictions();
             assert!(
-                !snapshot.reader_evictions().is_empty(),
-                "{level}: the fixture must carry eviction markers"
+                !evictions.is_empty(),
+                "{level}{writer}: the fixture must carry eviction markers"
             );
 
-            let mut resumed = IncrementalChecker::resume(snapshot.clone());
+            let mut resumed = IncrementalChecker::resume(snapshot);
             assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
+            assert_eq!(resumed.reader_evictions(), evictions, "{level}{writer}");
             for t in tail {
                 let _ = resumed.push(t.clone());
             }
-            assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
-            assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
-
-            let mut sharded = ShardedIncrementalChecker::resume(snapshot, 3);
-            for chunk in tail.chunks(8) {
-                let _ = sharded.push_batch(chunk.to_vec());
-            }
-            assert_eq!(sharded.first_violation_at(), expected_first, "{level}");
-            assert_eq!(format!("{:?}", sharded.finish()), expected, "{level}");
+            assert_eq!(
+                resumed.first_violation_at(),
+                expected_first,
+                "{level}{writer}"
+            );
+            assert_eq!(
+                format!("{:?}", resumed.finish()),
+                expected,
+                "{level}{writer}"
+            );
         }
     }
 }

@@ -21,13 +21,6 @@ use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 use std::time::Duration;
 
 fn main() {
-    // ── 0. What geometry did the autotuner pick for this machine? ──
-    let tuning = mtc::core::tune();
-    println!(
-        "autotuned sharded-checker geometry: {} shard(s), hand-off batches of {}",
-        tuning.shards, tuning.batch
-    );
-
     // ── 1. Live verification of a buggy snapshot-isolation database. ──
     let spec = MtWorkloadSpec {
         sessions: 4,

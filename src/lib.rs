@@ -28,8 +28,8 @@ pub use mtc_workload as workload;
 // The streaming verification engine, re-exported at the facade root: the
 // online checkers share `CheckOptions`/`IsolationLevel` with the batch path.
 pub use mtc_core::{
-    check_streaming, check_streaming_sharded, CheckOptions, CheckerSnapshot, GcPolicy,
-    IncrementalChecker, IsolationLevel, ShardedIncrementalChecker, StreamStatus,
+    check_streaming, CheckOptions, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel,
+    StreamStatus,
 };
 // The unified execution/verification API: one `execute` entry point
 // parameterized by `Driver`, and one `LiveVerifier::builder` constructor.

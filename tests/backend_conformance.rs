@@ -4,8 +4,8 @@
 //! * Backends that promise an isolation level must produce histories the
 //!   matching checker accepts, under arbitrary concurrent workloads
 //!   (proptest). The strict-2PL engine promises everything up to SSER and
-//!   must therefore be organically clean under every checker, batch,
-//!   incremental and sharded alike.
+//!   must therefore be organically clean under every checker, batch and
+//!   incremental alike.
 //! * The weak MVCC engine promises none of the checkable levels, and its
 //!   anomalies must arise from its concurrency control alone: deterministic
 //!   interleavings reproduce a lost update, a read skew, a write skew and an
@@ -13,13 +13,9 @@
 //!   not promise — the write skew in particular passes SI and fails SER,
 //!   nailing the boundary.
 //! * Streaming verdicts must agree with batch verdicts on every collected
-//!   history, and the sequential and sharded streaming checkers must be
-//!   bit-identical (full [`Verdict`] equality, certificates included).
+//!   history.
 
-use mtc::core::{
-    check_ser, check_si, check_sser, check_streaming, check_streaming_sharded, IsolationLevel,
-    Verdict,
-};
+use mtc::core::{check_ser, check_si, check_sser, check_streaming, IsolationLevel, Verdict};
 use mtc::dbsim::{
     BackendSpec, DbBackend, DbTxn, ExecutionOptions, TwoPlDatabase, WeakLevel, WeakMvccDatabase,
 };
@@ -43,17 +39,12 @@ fn batch_check(level: IsolationLevel, history: &History) -> Verdict {
 }
 
 /// The conformance core: per level, the backend's promise must hold under
-/// the batch checker, the sequential and sharded streaming verdicts must be
-/// bit-identical, and streaming must agree with batch on the violation bit.
+/// the batch checker, and streaming must agree with batch on the violation
+/// bit.
 fn assert_conformant(label: &str, backend: &dyn DbBackend, history: &History) {
     for level in LEVELS {
         let batch = batch_check(level, history);
         let streaming = check_streaming(level, history).unwrap();
-        let sharded = check_streaming_sharded(level, history, 3, 16).unwrap();
-        assert_eq!(
-            streaming, sharded,
-            "{label}/{level}: sequential and sharded streaming verdicts must be bit-identical"
-        );
         assert_eq!(
             batch.is_violated(),
             streaming.is_violated(),
@@ -85,7 +76,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary concurrent workloads against the whole fleet: promises
-    /// hold, streaming == batch, sequential streaming == sharded streaming.
+    /// hold, streaming == batch.
     #[test]
     fn fleet_conformance_under_concurrent_workloads(
         sessions in 2u32..5,
@@ -125,8 +116,6 @@ proptest! {
                 verdict.violation().unwrap()
             );
             let streaming = check_streaming(level, &history).unwrap();
-            let sharded = check_streaming_sharded(level, &history, 4, 8).unwrap();
-            prop_assert_eq!(&streaming, &sharded);
             prop_assert!(streaming.is_satisfied());
         }
     }
@@ -212,11 +201,6 @@ fn weak_rc_produces_an_organic_lost_update() {
         );
         let streaming = check_streaming(level, &history).unwrap();
         assert!(streaming.is_violated(), "{level}: streaming must agree");
-        assert_eq!(
-            streaming,
-            check_streaming_sharded(level, &history, 2, 4).unwrap(),
-            "{level}: sequential and sharded streaming must be bit-identical"
-        );
     }
 }
 
@@ -257,10 +241,6 @@ fn weak_rc_produces_an_organic_write_skew_caught_exactly_above_si() {
         assert!(batch.is_violated(), "write skew must be caught at {level}");
         let streaming = check_streaming(level, &history).unwrap();
         assert!(streaming.is_violated(), "{level}: streaming must agree");
-        assert_eq!(
-            streaming,
-            check_streaming_sharded(level, &history, 2, 4).unwrap()
-        );
     }
 }
 
@@ -296,10 +276,6 @@ fn weak_rc_produces_an_organic_read_skew() {
         assert!(batch.is_violated(), "read skew must be caught at {level}");
         let streaming = check_streaming(level, &history).unwrap();
         assert!(streaming.is_violated(), "{level}: streaming must agree");
-        assert_eq!(
-            streaming,
-            check_streaming_sharded(level, &history, 2, 4).unwrap()
-        );
     }
 }
 
@@ -342,10 +318,6 @@ fn weak_ru_produces_an_organic_aborted_read() {
         );
         let streaming = check_streaming(level, &history).unwrap();
         assert!(streaming.is_violated(), "{level}: streaming must agree");
-        assert_eq!(
-            streaming,
-            check_streaming_sharded(level, &history, 2, 4).unwrap()
-        );
     }
 }
 

@@ -7,7 +7,7 @@ use mtc::baselines::{brute_check_ser, brute_check_si, cobra_check_ser, polysi_ch
 use mtc::core::{build_dependency, check_ser, check_si, check_si_with, check_sser};
 use mtc::core::{CheckOptions, Verdict, Violation};
 use mtc::history::{EdgeKind, History, HistoryBuilder, Op, TxnStatus};
-use mtc::{check_streaming, check_streaming_sharded, IsolationLevel};
+use mtc::{check_streaming, IsolationLevel};
 use proptest::prelude::*;
 
 /// A randomly chosen mini-transaction "shape" over up to `keys` objects.
@@ -185,8 +185,6 @@ fn an_aborted_attempt_does_not_cut_the_session_order() {
         ] {
             let streamed = check_streaming(level, &h).unwrap();
             assert!(streamed.is_violated(), "{name}: streaming {level}");
-            let sharded = check_streaming_sharded(level, &h, 2, 2).unwrap();
-            assert!(sharded.is_violated(), "{name}: sharded {level}");
         }
         assert!(!brute_check_ser(&h), "{name}");
         assert!(!brute_check_si(&h), "{name}");

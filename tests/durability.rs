@@ -7,10 +7,7 @@
 //! * A kill/resume round trip — record, checkpoint, "crash", recover,
 //!   resume, finish — reproduces the clean run's verdict and certificate.
 
-use mtc::core::{
-    check_streaming, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel,
-    ShardedIncrementalChecker,
-};
+use mtc::core::{check_streaming, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel};
 use mtc::history::{History, HistoryBuilder, Op, Transaction};
 use mtc::store::{recover, MtcStore, StreamMeta};
 
@@ -18,7 +15,7 @@ use mtc::store::{recover, MtcStore, StreamMeta};
 /// SER/SSER violation) planted at `corrupt_at`, mirroring the core GC test
 /// generator but at acceptance scale. (Kept as a copy: the core tests
 /// cannot depend on a shared crate without a dependency cycle, so changes
-/// here must be applied to `crates/core/src/incremental.rs` tests too.)
+/// here must be applied to `crates/core/src/incremental/tests.rs` too.)
 #[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
 fn long_stream(n: u64, keys: u64, corrupt_at: Option<u64>) -> History {
     assert!(keys >= 3);
@@ -214,24 +211,22 @@ fn kill_resume_round_trip_reproduces_the_clean_verdict_and_certificate() {
 }
 
 #[test]
-fn sharded_checker_resumes_a_sequential_checkpoint_at_scale() {
+fn checkpoint_resumes_at_scale_at_si() {
     let n = 10_000u64;
     let level = IsolationLevel::SnapshotIsolation;
     let h = long_stream(n, 12, None);
     let clean = check_streaming(level, &h).unwrap();
     let (init_keys, txns) = split(&h);
-    let mut seq = IncrementalChecker::new(level).with_init_keys(init_keys);
+    let mut first = IncrementalChecker::new(level).with_init_keys(init_keys);
     let cut = 6_000usize;
     for t in &txns[..cut] {
-        let _ = seq.push(t.clone());
+        let _ = first.push(t.clone());
     }
-    let snapshot = seq.checkpoint();
-    drop(seq);
-    let mut sharded = ShardedIncrementalChecker::resume(snapshot, 4);
-    for chunk in txns[cut..].chunks(256) {
-        let _ = sharded.push_batch(chunk.to_vec());
-    }
-    assert_eq!(sharded.finish().unwrap(), clean);
+    let snapshot = first.checkpoint();
+    drop(first);
+    let mut resumed = IncrementalChecker::resume(snapshot);
+    let _ = resumed.push_batch(txns[cut..].to_vec());
+    assert_eq!(resumed.finish().unwrap(), clean);
 }
 
 // ───────────────── reader-list caps (GC follow-up) ──────────────────────────
@@ -344,33 +339,16 @@ fn reader_eviction_markers_survive_checkpoint_and_resume() {
     );
     assert_eq!(in_snapshot, c.reader_evictions());
 
+    // The restored state carries the markers: markers and count are
+    // visible at once, not only after the next sweep.
     let mut resumed = IncrementalChecker::resume(snapshot);
     assert_eq!(resumed.reader_evictions(), c.reader_evictions());
+    assert_eq!(resumed.reader_eviction_count(), c.reader_eviction_count());
     for t in &stream[cut..] {
         let _ = resumed.push(t.clone());
     }
     assert!(resumed.reader_eviction_count() >= c.reader_eviction_count());
     assert!(resumed.finish().unwrap().is_satisfied());
-}
-
-/// The sharded checker sweeps per worker; its aggregate eviction count must
-/// surface through the same policy knob.
-#[test]
-fn sharded_checker_reports_reader_evictions() {
-    let mut c = ShardedIncrementalChecker::new(IsolationLevel::Serializability, 3)
-        .with_init_keys(0..9u64)
-        .with_gc(GcPolicy {
-            window: 128,
-            every: 32,
-            reader_cap: 8,
-        });
-    for chunk in hot_key_stream(2_000, 8).chunks(64) {
-        let _ = c.push_batch(chunk.to_vec());
-    }
-    assert!(c.reader_eviction_count() > 0);
-    let snapshot = c.checkpoint();
-    assert!(!snapshot.reader_evictions().is_empty());
-    assert!(c.finish().unwrap().is_satisfied());
 }
 
 /// Markers must outlive the capped version: once readers are evicted, the
@@ -429,31 +407,4 @@ fn reader_eviction_markers_outlive_the_capped_version() {
         "the marker must survive the retirement of the version it qualifies"
     );
     assert!(c.finish().unwrap().is_satisfied());
-}
-
-/// A resumed sharded checker must report the restored eviction counts
-/// immediately, not only after its next collect.
-#[test]
-fn resumed_sharded_checker_reports_restored_evictions() {
-    let mut seq = IncrementalChecker::new(IsolationLevel::Serializability)
-        .with_init_keys(0..9u64)
-        .with_gc(GcPolicy {
-            window: 128,
-            every: 32,
-            reader_cap: 8,
-        });
-    for t in hot_key_stream(1_000, 8) {
-        let _ = seq.push(t);
-    }
-    let count = seq.reader_eviction_count();
-    assert!(count > 0);
-    let snapshot = seq.checkpoint();
-    let resumed = ShardedIncrementalChecker::resume(snapshot, 3);
-    assert_eq!(
-        resumed.reader_eviction_count(),
-        count,
-        "restored shard states carry the markers; the count must be \
-         visible before the next collect"
-    );
-    assert!(resumed.finish().unwrap().is_satisfied());
 }

@@ -4,17 +4,14 @@
 //! * Every fleet engine behind the loopback server must hold exactly the
 //!   promises it holds in-process: the promising engines stay clean through
 //!   the wire, the weak engines' organic anomalies survive the round trip,
-//!   and streaming verdicts (sequential and sharded) agree with batch.
+//!   and streaming verdicts agree with batch.
 //! * Wire faults must be *boring*: delayed and duplicated replies change
 //!   nothing (the sequence-number discipline absorbs them); a server
 //!   dropped mid-stream surfaces typed `AbortReason`s — never a panic —
 //!   and the recorded history's streaming verdict is bit-identical to a
 //!   fault-free replay of the same history.
 
-use mtc::core::{
-    check_ser, check_si, check_sser, check_streaming, check_streaming_sharded, IsolationLevel,
-    Verdict,
-};
+use mtc::core::{check_ser, check_si, check_sser, check_streaming, IsolationLevel, Verdict};
 use mtc::dbsim::{AbortReason, BackendSpec, DbBackend, ExecutionOptions};
 use mtc::history::History;
 use mtc::net::{spec_for_label, NetBackend, NetOptions, NetServer};
@@ -39,16 +36,11 @@ fn batch_check(level: IsolationLevel, history: &History) -> Verdict {
 }
 
 /// The same conformance core the in-process suite applies: promises hold,
-/// streaming (sequential == sharded) agrees with batch, at every level.
+/// streaming agrees with batch, at every level.
 fn assert_conformant(label: &str, backend: &dyn DbBackend, history: &History) {
     for level in LEVELS {
         let batch = batch_check(level, history);
         let streaming = check_streaming(level, history).unwrap();
-        let sharded = check_streaming_sharded(level, history, 3, 16).unwrap();
-        assert_eq!(
-            streaming, sharded,
-            "{label}/{level}: sequential and sharded streaming verdicts must be bit-identical"
-        );
         assert_eq!(
             batch.is_violated(),
             streaming.is_violated(),
@@ -336,9 +328,7 @@ fn server_death_mid_stream_keeps_the_recorded_history_verifiable() {
     for level in LEVELS {
         let first = check_streaming(level, &history).unwrap();
         let replay = check_streaming(level, &history).unwrap();
-        let sharded = check_streaming_sharded(level, &history, 3, 16).unwrap();
         assert_eq!(first, replay, "{level}: replay verdict diverged");
-        assert_eq!(first, sharded, "{level}: sharded verdict diverged");
         assert_eq!(
             batch_check(level, &history).is_violated(),
             first.is_violated(),

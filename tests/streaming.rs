@@ -13,8 +13,7 @@ use mtc::runner::{end_to_end_streaming, verify, Checker};
 use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 // The streaming types are re-exported at the facade root.
 use mtc::{
-    check_streaming, check_streaming_sharded, CheckOptions, IncrementalChecker, IsolationLevel,
-    LiveVerifier, StreamStatus,
+    check_streaming, CheckOptions, IncrementalChecker, IsolationLevel, LiveVerifier, StreamStatus,
 };
 
 fn mt_spec(seed: u64, num_keys: u64) -> MtWorkloadSpec {
@@ -44,15 +43,12 @@ fn streaming_checkers_agree_with_batch_on_executed_histories() {
         let batch_si = check_si(&history).unwrap();
         let inc_ser = check_streaming(IsolationLevel::Serializability, &history).unwrap();
         let inc_si = check_streaming(IsolationLevel::SnapshotIsolation, &history).unwrap();
-        let shard_ser =
-            check_streaming_sharded(IsolationLevel::Serializability, &history, 4, 64).unwrap();
         assert_eq!(
             batch_ser.is_violated(),
             inc_ser.is_violated(),
             "seed {seed}"
         );
         assert_eq!(batch_si.is_violated(), inc_si.is_violated(), "seed {seed}");
-        assert_eq!(inc_ser, shard_ser, "seed {seed}");
     }
 }
 
@@ -121,12 +117,7 @@ fn incremental_runner_checkers_are_wired() {
         spec.num_keys,
     ));
     let (history, _) = ExecutionOptions::threaded().run(&db, &workload);
-    for checker in [
-        Checker::MtcSerIncremental,
-        Checker::MtcSiIncremental,
-        Checker::MtcSerSharded,
-        Checker::MtcSiSharded,
-    ] {
+    for checker in [Checker::MtcSerIncremental, Checker::MtcSiIncremental] {
         let out = verify(checker, &history);
         assert!(!out.violated, "{}: {}", checker.label(), out.detail);
     }
@@ -135,8 +126,7 @@ fn incremental_runner_checkers_are_wired() {
 #[test]
 fn streaming_sser_agrees_with_batch_on_executed_histories() {
     // Clean serializable executions carry honest commit timestamps: batch
-    // CHECKSSER and the streaming time-chain checker must both accept, and
-    // the sharded verdict must equal the sequential one exactly.
+    // CHECKSSER and the streaming time-chain checker must both accept.
     for seed in 0..3u64 {
         let spec = mt_spec(seed, 12);
         let workload = generate_mt_workload(&spec);
@@ -149,10 +139,6 @@ fn streaming_sser_agrees_with_batch_on_executed_histories() {
         let streaming = check_streaming(IsolationLevel::StrictSerializability, &history).unwrap();
         assert_eq!(batch.is_violated(), streaming.is_violated(), "seed {seed}");
         assert!(batch.is_satisfied(), "seed {seed}: {batch:?}");
-        let sharded =
-            check_streaming_sharded(IsolationLevel::StrictSerializability, &history, 4, 64)
-                .unwrap();
-        assert_eq!(streaming, sharded, "seed {seed}");
     }
 }
 
@@ -275,10 +261,8 @@ fn sser_runner_checkers_are_wired() {
         spec.num_keys,
     ));
     let (history, _) = ExecutionOptions::threaded().run(&db, &workload);
-    for checker in [Checker::MtcSserIncremental, Checker::MtcSserSharded] {
-        let out = verify(checker, &history);
-        assert!(!out.violated, "{}: {}", checker.label(), out.detail);
-    }
+    let out = verify(Checker::MtcSserIncremental, &history);
+    assert!(!out.violated, "{}", out.detail);
     // And with an injected skew the live SSER verifier latches mid-run and
     // stops the sessions early. The interleaved driver makes the schedule
     // (and with it which commits get skewed) a function of the two seeds;
