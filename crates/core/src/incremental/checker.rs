@@ -1,10 +1,11 @@
 //! The one streaming front: [`IncrementalChecker`] owns the [`Engine`] and
 //! the [`KeyState`] and runs the one ingest loop, on the caller's thread.
 
-use super::engine::{divergence_pass, Engine};
+use super::engine::Engine;
 use super::gc::{Eviction, GcPolicy};
-use super::keystate::{decompose, KeyState};
+use super::keystate::KeyState;
 use super::snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
+use super::Findings;
 use crate::check::{CheckOptions, IsolationLevel};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
@@ -227,6 +228,10 @@ impl IncrementalChecker {
     /// transaction is assigned the next dense id, mirroring
     /// [`mtc_history::HistoryBuilder`] numbering.
     ///
+    /// Session ids index a dense table that every snapshot carries: a caller
+    /// feeding untrusted ids bounds them first (as `mtc-service` does at
+    /// admission).
+    ///
     /// Returns the streaming status for the consumed prefix, or the error
     /// that took the input outside the checker's domain. Both violations and
     /// errors latch: later pushes are cheap no-ops returning the same answer.
@@ -305,10 +310,9 @@ impl IncrementalChecker {
     }
 
     /// The one ingest step, from `push` to latch: admits `txn` (id already
-    /// assigned; `⊥T` arrives with `is_init`), adds the events its keys
-    /// derive, applies the lot in canonical `(pass, key_rank, seq)` order,
-    /// and closes a GC epoch when one is due. Once a verdict is latched,
-    /// transactions are only counted.
+    /// assigned; `⊥T` arrives with `is_init`), derives what its keys entail,
+    /// settles the findings stage by stage, and closes a GC epoch when one
+    /// is due. Once a verdict is latched, transactions are only counted.
     pub(super) fn ingest(&mut self, txn: &Transaction, is_init: bool) {
         let IncrementalChecker { engine, keys } = self;
         if engine.done() {
@@ -317,19 +321,19 @@ impl IncrementalChecker {
         }
         let ingest_timer = obs_ingest_timer();
         let opts = engine.opts;
-        let mut events = engine.admit(txn, is_init);
+        let mut found = Findings::default();
+        let admitted = engine.admit(txn, is_init, &mut found);
+        // Only SI scans for DIVERGENCE; `settle` decides when it counts.
+        let scan_divergence = engine.level == IsolationLevel::SnapshotIsolation;
         keys.derive(
-            &decompose(txn, is_init),
-            divergence_pass(engine.level, &opts),
+            txn,
+            is_init,
+            scan_divergence,
             engine.has_init,
-            opts.validate_mt,
-            opts.prescan_intra,
-            &mut events,
+            &opts,
+            &mut found,
         );
-        events.sort_by_key(|e| (e.pass, e.key_rank, e.seq));
-        for e in events {
-            engine.apply(txn.id, e.event);
-        }
+        engine.settle(txn.id, admitted, found);
         if engine.gc_due() {
             close_epoch(engine, keys);
         }

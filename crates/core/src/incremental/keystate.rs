@@ -5,13 +5,14 @@
 //! how a snapshot written by a build that spread them over workers loads.
 
 use super::gc::Eviction;
-use super::{Event, TaggedEvent, PASS_EDGES, PASS_ERROR, PASS_INTRA};
+use super::{keep_lowest, Findings};
+use crate::check::CheckOptions;
 use crate::divergence::Divergence;
 use crate::mini::MtViolation;
 use crate::verdict::CheckError;
 use mtc_history::{
-    EdgeKind, FastHashMap, IntraAnomaly, IntraViolation, Key, Op, Transaction, TxnId, TxnStatus,
-    Value, INIT_VALUE,
+    Edge, EdgeKind, FastHashMap, IntraAnomaly, IntraViolation, Key, Op, Transaction, TxnId,
+    TxnStatus, Value, INIT_VALUE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -100,19 +101,10 @@ struct KeyWork {
     future_candidate: bool,
 }
 
-/// A transaction decomposed into its per-key slices.
-#[derive(Clone, Debug)]
-pub(super) struct TxnWork {
-    id: TxnId,
-    status: TxnStatus,
-    is_init: bool,
-    per_key: Vec<KeyWork>,
-}
-
-pub(super) fn decompose(txn: &Transaction, is_init: bool) -> TxnWork {
-    let key_set = txn.key_set();
+/// A transaction decomposed into its per-key slices, in `key_set` order.
+fn decompose(txn: &Transaction) -> Vec<KeyWork> {
     let write_set = txn.write_set();
-    let per_key = key_set
+    txn.key_set()
         .iter()
         .enumerate()
         .map(|(rank, &key)| {
@@ -154,65 +146,41 @@ pub(super) fn decompose(txn: &Transaction, is_init: bool) -> TxnWork {
                 future_candidate,
             }
         })
-        .collect();
-    TxnWork {
-        id: txn.id,
-        status: txn.status,
-        is_init,
-        per_key,
-    }
+        .collect()
 }
 
 impl KeyState {
-    /// Processes `txn` key by key, appending tagged events.
-    /// `divergence_pass` enables the SI-only DIVERGENCE scan and fixes where
-    /// its events sort ([`PASS_DIVERGENCE`] normally,
-    /// [`PASS_LATE_DIVERGENCE`] in ablation mode).
+    /// Processes `txn` key by key: updates the indexes — completely, whatever
+    /// is found — and records in `found` what the transaction entails.
+    /// `scan_divergence` enables the SI-only DIVERGENCE scan.
     pub(super) fn derive(
         &mut self,
-        txn: &TxnWork,
-        divergence_pass: Option<u8>,
+        txn: &Transaction,
+        is_init: bool,
+        scan_divergence: bool,
         has_init: bool,
-        validate_mt: bool,
-        prescan: bool,
-        out: &mut Vec<TaggedEvent>,
+        opts: &CheckOptions,
+        found: &mut Findings,
     ) {
         let committed = txn.status == TxnStatus::Committed;
-        let mut seq = 0u32;
-        let mut push = |out: &mut Vec<TaggedEvent>, pass: u8, key_rank: u32, event: Event| {
-            out.push(TaggedEvent {
-                pass,
-                key_rank,
-                seq,
-                event,
-            });
-            seq += 1;
-        };
+        let per_key = decompose(txn);
 
         // ── register writes (duplicate detection + pending resolution) ──
-        for work in &txn.per_key {
+        for work in &per_key {
             for &(value, is_last) in &work.writes {
                 let reg = self.writes.entry((work.key, value)).or_default();
                 reg.last_touch = reg.last_touch.max(txn.id);
                 if committed {
-                    if validate_mt {
-                        if let Some(first) = reg.first_committed_any {
-                            if first != txn.id {
-                                push(
-                                    out,
-                                    PASS_ERROR,
-                                    work.key_rank,
-                                    Event::Error(CheckError::NotMiniTransaction(
-                                        MtViolation::DuplicateValue {
-                                            key: work.key,
-                                            value,
-                                            first,
-                                            second: txn.id,
-                                        },
-                                    )),
-                                );
-                            }
-                        }
+                    let is_duplicate = |&first: &TxnId| opts.validate_mt && first != txn.id;
+                    if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
+                        let duplicate = MtViolation::DuplicateValue {
+                            key: work.key,
+                            value,
+                            first,
+                            second: txn.id,
+                        };
+                        let error = CheckError::NotMiniTransaction(duplicate);
+                        keep_lowest(&mut found.error, work.key_rank, error);
                     }
                     if reg.first_committed_any.is_none() {
                         reg.first_committed_any = Some(txn.id);
@@ -234,89 +202,75 @@ impl KeyState {
 
         // ── resolve reads that were waiting for these writes ──
         if committed {
-            for work in &txn.per_key {
+            for work in &per_key {
                 for &(value, is_last) in &work.writes {
                     let Some(waiters) = self.pending.remove(&(work.key, value)) else {
                         continue;
                     };
-                    if is_last {
-                        // The version now exists: emit the deferred WR/WW/RW
-                        // edges for every waiting reader, in arrival order.
-                        for waiter in waiters {
+                    for waiter in waiters {
+                        if is_last {
+                            // The version now exists: the deferred WR/WW/RW
+                            // edges of every waiting reader, in arrival order.
                             self.emit_reads_from(
                                 txn.id,
                                 waiter.txn,
                                 work.key,
                                 waiter.writes_key,
                                 work.key_rank,
-                                &mut push,
-                                out,
+                                &mut found.edges,
                             );
-                        }
-                    } else if prescan {
-                        // The value only ever existed mid-transaction.
-                        for waiter in waiters {
-                            push(
-                                out,
-                                PASS_INTRA,
-                                work.key_rank,
-                                Event::Intra(IntraViolation {
-                                    anomaly: IntraAnomaly::IntermediateRead,
-                                    txn: waiter.txn,
-                                    op_index: waiter.op_index,
-                                    key: waiter.key,
-                                    value: waiter.value,
-                                }),
-                            );
+                        } else if opts.prescan_intra {
+                            // The value only ever existed mid-transaction.
+                            let read = IntraViolation {
+                                anomaly: IntraAnomaly::IntermediateRead,
+                                txn: waiter.txn,
+                                op_index: waiter.op_index,
+                                key: waiter.key,
+                                value: waiter.value,
+                            };
+                            keep_lowest(&mut found.intra, work.key_rank, read);
                         }
                     }
                 }
             }
         }
 
-        if !committed || txn.is_init {
+        if !committed || is_init {
             return;
         }
 
         // ── DIVERGENCE scan (write_set order, like `find_divergence`) ──
-        if let Some(pass) = divergence_pass {
-            let mut write_keys: Vec<&KeyWork> = txn
-                .per_key
+        if scan_divergence {
+            let mut rmw: Vec<(&KeyWork, Value)> = per_key
                 .iter()
-                .filter(|w| w.writes_key && w.external_read.is_some())
+                .filter(|w| w.writes_key)
+                .filter_map(|w| Some((w, w.external_read?.0)))
                 .collect();
-            write_keys.sort_unstable_by_key(|w| w.write_rank);
-            for work in write_keys {
-                let (value, _) = work.external_read.expect("filtered above");
-                match self.first_reader_writer.get(&(work.key, value)) {
-                    None => {
-                        self.first_reader_writer.insert((work.key, value), txn.id);
-                    }
-                    Some(&other) if other != txn.id => {
-                        let writer = self
-                            .writes
-                            .get(&(work.key, value))
-                            .and_then(|r| r.committed_last);
-                        push(
-                            out,
-                            pass,
-                            work.write_rank,
-                            Event::Divergence(Divergence {
-                                key: work.key,
-                                value,
-                                writer,
-                                reader1: other,
-                                reader2: txn.id,
-                            }),
-                        );
-                    }
-                    Some(_) => {}
+            rmw.sort_unstable_by_key(|(w, _)| w.write_rank);
+            for (work, value) in rmw {
+                let first = *self
+                    .first_reader_writer
+                    .entry((work.key, value))
+                    .or_insert(txn.id);
+                if first != txn.id {
+                    let writer = self
+                        .writes
+                        .get(&(work.key, value))
+                        .and_then(|r| r.committed_last);
+                    let divergence = Divergence {
+                        key: work.key,
+                        value,
+                        writer,
+                        reader1: first,
+                        reader2: txn.id,
+                    };
+                    keep_lowest(&mut found.divergence, work.write_rank, divergence);
                 }
             }
         }
 
         // ── resolve this transaction's own external reads ──
-        for work in &txn.per_key {
+        for work in &per_key {
             let Some((value, op_index)) = work.external_read else {
                 continue;
             };
@@ -341,8 +295,7 @@ impl KeyState {
                         work.key,
                         work.writes_key,
                         work.key_rank,
-                        &mut push,
-                        out,
+                        &mut found.edges,
                     );
                 }
                 _ => {
@@ -351,19 +304,15 @@ impl KeyState {
                     // is the FUTUREREAD case, settled at finish()).
                     let foreign_intermediate =
                         reg.committed_intermediate.is_some_and(|w| w != txn.id);
-                    if foreign_intermediate && prescan {
-                        push(
-                            out,
-                            PASS_INTRA,
-                            work.key_rank,
-                            Event::Intra(IntraViolation {
-                                anomaly: IntraAnomaly::IntermediateRead,
-                                txn: txn.id,
-                                op_index,
-                                key: work.key,
-                                value,
-                            }),
-                        );
+                    if foreign_intermediate && opts.prescan_intra {
+                        let read = IntraViolation {
+                            anomaly: IntraAnomaly::IntermediateRead,
+                            txn: txn.id,
+                            op_index,
+                            key: work.key,
+                            value,
+                        };
+                        keep_lowest(&mut found.intra, work.key_rank, read);
                         continue;
                     }
                     // Nobody (valid) has installed the value yet: defer.
@@ -383,9 +332,8 @@ impl KeyState {
         }
     }
 
-    /// Emits the WR / WW edges of "`reader` reads `key` from `writer`" plus
+    /// Records the WR / WW edges of "`reader` reads `key` from `writer`" plus
     /// the RW anti-dependencies derivable from the updated indexes.
-    #[allow(clippy::too_many_arguments)]
     fn emit_reads_from(
         &mut self,
         writer: TxnId,
@@ -393,68 +341,25 @@ impl KeyState {
         key: Key,
         reader_writes_key: bool,
         key_rank: u32,
-        push: &mut impl FnMut(&mut Vec<TaggedEvent>, u8, u32, Event),
-        out: &mut Vec<TaggedEvent>,
+        edges: &mut Vec<(u32, Edge)>,
     ) {
-        push(
-            out,
-            PASS_EDGES,
-            key_rank,
-            Event::Edge {
-                from: writer,
-                to: reader,
-                kind: EdgeKind::Wr(key),
-                dedup: false,
-            },
-        );
-        let entry = self.readers_of.entry((writer, key)).or_default();
-        entry.0.push(reader);
+        let mut edge = |from, to, kind| edges.push((key_rank, Edge { from, to, kind }));
+        edge(writer, reader, EdgeKind::Wr(key));
+        let (readers, overwriters) = self.readers_of.entry((writer, key)).or_default();
         // New reader anti-depends on every known overwriter of the version.
-        for &overwriter in entry.1.iter() {
-            if overwriter != reader {
-                push(
-                    out,
-                    PASS_EDGES,
-                    key_rank,
-                    Event::Edge {
-                        from: reader,
-                        to: overwriter,
-                        kind: EdgeKind::Rw(key),
-                        dedup: true,
-                    },
-                );
-            }
+        for &overwriter in overwriters.iter().filter(|&&o| o != reader) {
+            edge(reader, overwriter, EdgeKind::Rw(key));
         }
         if reader_writes_key {
-            push(
-                out,
-                PASS_EDGES,
-                key_rank,
-                Event::Edge {
-                    from: writer,
-                    to: reader,
-                    kind: EdgeKind::Ww(key),
-                    dedup: false,
-                },
-            );
+            edge(writer, reader, EdgeKind::Ww(key));
             // Every known reader of the version anti-depends on the new
             // overwriter.
-            let readers: Vec<TxnId> = entry.0.iter().copied().filter(|&r| r != reader).collect();
-            entry.1.push(reader);
-            for other in readers {
-                push(
-                    out,
-                    PASS_EDGES,
-                    key_rank,
-                    Event::Edge {
-                        from: other,
-                        to: reader,
-                        kind: EdgeKind::Rw(key),
-                        dedup: true,
-                    },
-                );
+            for &other in readers.iter().filter(|&&r| r != reader) {
+                edge(other, reader, EdgeKind::Rw(key));
             }
+            overwriters.push(reader);
         }
+        readers.push(reader);
     }
 
     /// Drains the still-unresolved reads for end-of-stream classification.

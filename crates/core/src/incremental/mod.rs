@@ -20,15 +20,47 @@
 //!
 //! | file | holds | called by |
 //! |------|-------|-----------|
-//! | `mod.rs` | this essay, the `Event` vocabulary | every file below |
+//! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
 //! | `keystate.rs` | `KeyState`: per-key provenance indexes, `decompose`, edge derivation, the per-key sweep | `checker` only |
-//! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`apply` | `checker` only |
+//! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
+//! | `arena.rs` | `TxnMap`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, `Eviction`, the epoch clock and `Engine::collect` | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
 //!
 //! (`benchmark_leftovers.rs` holds two names the standalone `benchmark/`
 //! package still links; see its header.)
+//!
+//! ## One transaction, stage by stage
+//!
+//! `ingest` is `admit` → `derive` → `settle`. The first two only *find*
+//! (and update the indexes, completely, whatever they find); `settle`
+//! applies, in the batch pipeline's order, and stops at the first stage
+//! that latches:
+//!
+//! 1. the shape error of `validate_transaction`, else the first
+//!    `DuplicateValue` by (key rank, program order): an error, nothing else;
+//! 2. the first `INT` violation in program order, else the provenance
+//!    anomaly of lowest key rank (a resolved waiter's before the
+//!    transaction's own read);
+//! 3. at SI, the DIVERGENCE of lowest `write_set` rank — `CHECKSI`'s early
+//!    exit;
+//! 4. the edges, until one closes a cycle: `SO`, SSER's time hooks (anchor
+//!    splices plus the begin/end hook edges, one batch), then the key edges
+//!    key by key in `key_set` order, within a key in discovery order —
+//!    waiters this transaction's writes resolve, then its own read: `WR`,
+//!    `RW` to known overwriters, `WW`, `RW` from known readers;
+//! 5. at SI with `skip_divergence_early_exit`, the DIVERGENCE of step 3 only
+//!    now, if nothing latched.
+//!
+//! One exception in step 4 is pinned: when there is an `SO` edge and the
+//! first edge `derive` discovered (waiter resolutions of all keys precede
+//! own reads of all keys) belongs to key rank 0, that one edge goes before
+//! the hooks. It is what the `(pass, key_rank, seq)` sort of the former
+//! event list happened to do on a tie, almost every transaction of a live
+//! run hits it, and the order decides adjacency order — hence every later
+//! certificate and every snapshot byte (`tests/streaming_verdict_fixture.rs`
+//! and `mtc-store`'s `store_differential.rs` hold it).
 //!
 //! ## Strict serializability and the online time-chain
 //!
@@ -70,8 +102,9 @@
 
 use crate::divergence::Divergence;
 use crate::verdict::CheckError;
-use mtc_history::{EdgeKind, IntraViolation, TxnId};
+use mtc_history::{Edge, IntraViolation};
 
+mod arena;
 mod benchmark_leftovers;
 mod checker;
 mod engine;
@@ -86,52 +119,27 @@ pub use checker::{check_streaming, check_streaming_with, IncrementalChecker, Str
 pub use gc::{Eviction, GcPolicy};
 pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 
-// ───────────────────────── events ───────────────────────────────────────────
-
-/// Sub-pass indices fixing the canonical order of events within one
-/// transaction (mirroring the batch pipeline: validation, pre-scan,
-/// divergence, graph construction).
-const PASS_ERROR: u8 = 0;
-const PASS_INTRA: u8 = 1;
-const PASS_DIVERGENCE: u8 = 2;
-const PASS_EDGES: u8 = 3;
-/// Ablation mode (`skip_divergence_early_exit`): the divergence scan still
-/// runs, but its events sort *after* the transaction's edges — mirroring the
-/// batch `CHECKSI`, which always re-checks divergence because the composed
-/// graph can mask the RW 2-cycle a DIVERGENCE induces.
-const PASS_LATE_DIVERGENCE: u8 = 4;
-
-/// One derived consequence of consuming a transaction.
-#[derive(Clone, Debug)]
-enum Event {
+/// What consuming one transaction turned up, before any of it is applied:
+/// filled by `Engine::admit`'s local scans and `KeyState::derive`, consumed
+/// by `Engine::settle`. Every entry carries the rank of its key in the
+/// transaction's `key_set` (`write_set` for a DIVERGENCE; 0 for the
+/// key-less findings of `admit`). Only the lowest-ranked error, anomaly and
+/// DIVERGENCE can ever be reported, so only those are kept.
+#[derive(Default)]
+struct Findings {
     /// The input left the checker's domain (malformed MT, duplicate value).
-    Error(CheckError),
+    error: Option<(u32, CheckError)>,
     /// An intra-transactional / read-provenance anomaly became provable.
-    Intra(IntraViolation),
+    intra: Option<(u32, IntraViolation)>,
     /// The DIVERGENCE pattern completed (SI only).
-    Divergence(Divergence),
-    /// A dependency edge; `dedup` requests add-if-absent semantics (RW).
-    Edge {
-        from: TxnId,
-        to: TxnId,
-        kind: EdgeKind,
-        dedup: bool,
-    },
-    /// The transaction's begin/commit instants (SSER only): hooks the
-    /// transaction into the online time-chain. Either side may be absent —
-    /// a partially timed transaction still constrains the real-time order
-    /// on the side it has, matching the naive RT materialization.
-    TimeBounds {
-        begin: Option<u64>,
-        end: Option<u64>,
-    },
+    divergence: Option<(u32, Divergence)>,
+    /// The key-derived dependency edges, in discovery order.
+    edges: Vec<(u32, Edge)>,
 }
 
-/// An event tagged with its canonical position within the transaction.
-#[derive(Clone, Debug)]
-struct TaggedEvent {
-    pass: u8,
-    key_rank: u32,
-    seq: u32,
-    event: Event,
+/// Keeps in `slot` the finding of lowest rank, the earlier one on a tie.
+fn keep_lowest<T>(slot: &mut Option<(u32, T)>, rank: u32, finding: T) {
+    if slot.as_ref().is_none_or(|&(best, _)| rank < best) {
+        *slot = Some((rank, finding));
+    }
 }

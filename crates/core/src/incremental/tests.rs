@@ -2,7 +2,9 @@ use super::*;
 use crate::check::{check_ser, check_si, CheckOptions, IsolationLevel};
 use crate::mini::MtViolation;
 use crate::verdict::{Verdict, Violation};
-use mtc_history::{anomalies, Edge, History, HistoryBuilder, Op, SessionId, Transaction};
+use mtc_history::{
+    anomalies, EdgeKind, History, HistoryBuilder, Op, SessionId, Transaction, TxnId,
+};
 
 fn stream_verdict(level: IsolationLevel, h: &History) -> Verdict {
     check_streaming(level, h).unwrap()
@@ -668,4 +670,119 @@ fn sser_pending_reads_settle_at_finish() {
     let batch = crate::check::check_sser(&h).unwrap();
     let streaming = check_streaming(IsolationLevel::StrictSerializability, &h).unwrap();
     assert_eq!(batch, streaming);
+}
+
+/// What kind of answer a checker gave.
+fn class(outcome: &Result<Verdict, CheckError>) -> &'static str {
+    match outcome {
+        Err(_) => "error",
+        Ok(Verdict::Satisfied) => "satisfied",
+        Ok(Verdict::Violated(Violation::Intra(_))) => "intra",
+        Ok(Verdict::Violated(Violation::Divergence { .. })) => "divergence",
+        Ok(Verdict::Violated(Violation::Cycle { .. })) => "cycle",
+        Ok(Verdict::Violated(_)) => "other",
+    }
+}
+
+#[test]
+fn stages_settle_in_the_order_of_the_batch_pipeline() {
+    // T3 is wrong in four ways at once: it installs x = 2 a second time,
+    // reads back something it never wrote, overwrites the x = 1 that T2
+    // overwrote already, and its stale read closes T2 -SO-> T3 -RW-> T2.
+    // Each stage switched off hands the transaction to the next one, as in
+    // the batch pipeline. Without the early exit both reject still, but the
+    // batch checker asks for the DIVERGENCE before it looks for a cycle and
+    // the stream only once the edges are in.
+    let mut b = HistoryBuilder::new().with_init(1);
+    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+    b.committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)]);
+    b.committed(
+        1,
+        vec![
+            Op::read(0u64, 1u64),
+            Op::write(0u64, 2u64),
+            Op::read(0u64, 5u64),
+        ],
+    );
+    let h = b.build();
+    let mut opts = CheckOptions::default();
+    for (stage_off, expected_batch, expected) in [
+        ("none", "error", "error"),
+        ("validate_mt", "intra", "intra"),
+        ("prescan_intra", "divergence", "divergence"),
+        ("divergence early exit", "divergence", "cycle"),
+    ] {
+        match stage_off {
+            "validate_mt" => opts.validate_mt = false,
+            "prescan_intra" => opts.prescan_intra = false,
+            "divergence early exit" => opts.skip_divergence_early_exit = true,
+            _ => {}
+        }
+        let batch = crate::check_si_with(&h, &opts);
+        let streaming = check_streaming_with(IsolationLevel::SnapshotIsolation, &h, &opts);
+        assert_eq!(class(&batch), expected_batch, "batch, off: {stage_off}");
+        assert_eq!(class(&streaming), expected, "streaming, off: {stage_off}");
+        // ... and it is T3 that latches, not the end of the stream.
+        let mut checker = IncrementalChecker::new_si().with_options(opts);
+        checker.ingest(h.txn(TxnId(0)), true);
+        for t in &h.txns()[1..3] {
+            assert_eq!(
+                checker.push(t.clone()),
+                Ok(StreamStatus::ConsistentSoFar),
+                "off: {stage_off}"
+            );
+        }
+        match checker.push(h.txn(TxnId(3)).clone()) {
+            Err(_) => assert_eq!(expected, "error"),
+            Ok(status) => {
+                assert_eq!(status, StreamStatus::Violated, "off: {stage_off}");
+                assert_eq!(checker.first_violation_at(), Some(TxnId(3)));
+            }
+        }
+    }
+}
+
+/// Two commits on `x`, then `third` with an interval that ends before it
+/// begins: its time hooks close `third -RT-> third` on their own, so the
+/// edges the graph holds afterwards are the ones settled before the hooks.
+fn hooked_after(third_session: u32) -> IncrementalChecker {
+    let mut checker = IncrementalChecker::new_sser();
+    let rmw = |read: u64| vec![Op::read(0u64, read), Op::write(0u64, read + 1)];
+    checker.push_committed_timed(0, rmw(0), 10, 20).unwrap();
+    checker.push_committed_timed(1, rmw(1), 30, 40).unwrap();
+    let status = checker.push_committed_timed(third_session, rmw(2), 60, 50);
+    assert_eq!(status, Ok(StreamStatus::Violated));
+    let Some(Violation::Cycle { edges }) = checker.violation() else {
+        panic!("expected a cycle, got {:?}", checker.violation());
+    };
+    let rt = Edge {
+        from: TxnId(2),
+        to: TxnId(2),
+        kind: EdgeKind::Rt,
+    };
+    assert_eq!(edges, &[rt], "the hooks themselves are the offender");
+    checker
+}
+
+#[test]
+fn time_hooks_of_a_commit_without_so_come_first() {
+    // No `⊥T` and a fresh session: no `SO` edge, so nothing precedes the
+    // hooks and none of the commit's key edges reaches the graph.
+    let checker = hooked_after(2);
+    assert_eq!(checker.graph().out_edges(TxnId(1)).count(), 0);
+    assert_eq!(checker.edge_count(), 2, "WR and WW of the second commit");
+}
+
+#[test]
+fn time_hooks_wait_for_so_and_the_first_edge_of_key_zero() {
+    // Same session as the second commit: `SO`, then the `WR` its key-0 read
+    // resolves to — the pinned position — then the hooks; `WW` comes late.
+    let checker = hooked_after(1);
+    let (from, to) = (TxnId(1), TxnId(2));
+    let settled: Vec<Edge> = checker.graph().out_edges(from).copied().collect();
+    let edge = |kind| Edge { from, to, kind };
+    assert_eq!(
+        settled,
+        [edge(EdgeKind::So), edge(EdgeKind::Wr(0u64.into()))]
+    );
 }

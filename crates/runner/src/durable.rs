@@ -18,7 +18,7 @@
 //!   database under test is gone.
 
 use crate::exec::{verify, Checker, VerifyOutcome};
-use mtc_core::{CheckError, GcPolicy, IncrementalChecker, IsolationLevel, Verdict};
+use mtc_core::{CheckError, GcPolicy, IsolationLevel, Verdict};
 use mtc_dbsim::{ClientOptions, DbBackend, ExecutionOptions, LiveVerifier};
 use mtc_store::{recover, MtcStore, StoreError, StreamMeta};
 use mtc_workload::Workload;
@@ -117,21 +117,11 @@ pub struct ResumeOutcome {
 /// have reported over the logged prefix.
 pub fn resume_verification(dir: impl AsRef<Path>) -> Result<ResumeOutcome, StoreError> {
     let recovery = recover(&dir)?;
-    let from_checkpoint = recovery.snapshot.is_some();
-    let mut checker = match recovery.snapshot.clone() {
-        Some(snapshot) => IncrementalChecker::resume(snapshot),
-        None => {
-            IncrementalChecker::new(recovery.meta.level).with_init_keys(0..recovery.meta.num_keys)
-        }
-    };
-    for txn in recovery.tail() {
-        let _ = checker.push(txn.clone());
-    }
     Ok(ResumeOutcome {
-        verdict: checker.finish(),
+        verdict: recovery.resume().finish(),
         logged_txns: recovery.txns.len(),
         resumed_from: recovery.resume_from,
-        from_checkpoint,
+        from_checkpoint: recovery.snapshot.is_some(),
         torn_tail: recovery.torn_tail,
     })
 }

@@ -20,7 +20,7 @@
 //!
 //! Exit code 0 on success; nonzero with a diagnostic otherwise.
 
-use mtc_core::{check_streaming, IncrementalChecker, IsolationLevel};
+use mtc_core::{check_streaming, IsolationLevel};
 use mtc_service::loadgen::{drive, synthetic_events, LoadSpec};
 use mtc_service::{ServiceClient, ServiceConfig, ServiceServer};
 use serde::Serialize;
@@ -286,15 +286,10 @@ fn smoke() {
         let dir = root.join(format!("kr-{t}"));
         let recovery = mtc_store::recover(&dir)
             .unwrap_or_else(|e| fail(&format!("tenant kr-{t}: recover: {e}")));
-        let snapshot = recovery
-            .snapshot
-            .clone()
-            .unwrap_or_else(|| fail(&format!("tenant kr-{t}: no checkpoint despite waiting")));
-        let mut resumed = IncrementalChecker::resume(snapshot);
-        for txn in recovery.tail() {
-            let _ = resumed.push(txn.clone());
+        if recovery.snapshot.is_none() {
+            fail(&format!("tenant kr-{t}: no checkpoint despite waiting"));
         }
-        let resumed_verdict = resumed.finish().expect("resumed stream checks");
+        let resumed_verdict = recovery.resume().finish().expect("resumed stream checks");
         let scratch_verdict =
             check_streaming(LEVEL, &recovery.to_history()).expect("scratch stream checks");
         if resumed_verdict != scratch_verdict {

@@ -25,7 +25,7 @@
 //! tenants), drains one bounded batch per tenant, and yields between
 //! tenants.
 
-use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel};
+use mtc_core::{GcPolicy, IsolationLevel};
 use mtc_dbsim::{IngestEvent, LiveVerifier};
 use mtc_net::proto::TenantStatus;
 use mtc_store::{MtcStore, StreamMeta};
@@ -35,6 +35,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Largest key space a tenant may be opened over. `num_keys` is a `u64`
+/// straight off the socket and `⊥T` is materialized over all of it, so an
+/// unchecked one is an allocation of the client's choosing.
+pub const MAX_TENANT_KEYS: u64 = 1 << 20;
+
+/// Session ids an event may name are below this: the checker indexes a
+/// dense per-session table by them and every snapshot carries it.
+pub const MAX_SESSIONS: u32 = 1 << 16;
 
 /// Tuning of a [`ServiceCore`]; every knob has a serviceable default.
 #[derive(Clone, Debug)]
@@ -422,6 +431,11 @@ impl ServiceCore {
         if name.is_empty() {
             return Err("tenant name must be non-empty".to_string());
         }
+        if num_keys > MAX_TENANT_KEYS {
+            return Err(format!(
+                "tenant \"{name}\": {num_keys} keys requested, at most {MAX_TENANT_KEYS} allowed"
+            ));
+        }
         let mut reg = self.tenants.lock();
         if let Some(&id) = reg.by_name.get(name) {
             // Re-attach: the stream's level/keyspace were fixed at first
@@ -452,15 +466,8 @@ impl ServiceCore {
                     recovery.meta.level, recovery.meta.num_keys
                 ));
             }
-            let mut checker = match recovery.snapshot.clone() {
-                Some(snapshot) => IncrementalChecker::resume(snapshot),
-                None => IncrementalChecker::new(level).with_init_keys(0..num_keys),
-            };
-            for txn in recovery.tail() {
-                let _ = checker.push(txn.clone());
-            }
             let mut builder = LiveVerifier::builder(level, num_keys)
-                .resume_from(checker)
+                .resume_from(recovery.resume())
                 .store(store, self.config.checkpoint_every);
             if let Some(gc) = self.config.gc {
                 builder = builder.gc(gc);
@@ -534,8 +541,15 @@ impl ServiceCore {
             .ok_or_else(|| format!("unknown tenant id {id}"))
     }
 
-    /// Admits one `Ingest` batch, all-or-nothing.
+    /// Admits one `Ingest` batch, all-or-nothing; a batch naming a session
+    /// id of [`MAX_SESSIONS`] or more is refused whole.
     pub fn ingest(&self, id: u64, events: Vec<IngestEvent>) -> Result<Admission, String> {
+        if let Some(e) = events.iter().find(|e| e.session >= MAX_SESSIONS) {
+            return Err(format!(
+                "session id {} out of range: ids are below {MAX_SESSIONS}",
+                e.session
+            ));
+        }
         self.tenant(id)?.ingest(events)
     }
 

@@ -1,7 +1,8 @@
 //! Daemon lifecycle tests: open/ingest/status/close round trips, reattach
 //! and mismatch handling, deterministic backpressure with zero loss, role
-//! separation, and SIGKILL + checkpoint resume bit-identical to a clean
-//! replay (against the real `mtc_service_server` binary).
+//! separation, hostile scalars refused at admission, and SIGKILL + checkpoint
+//! resume bit-identical to a clean replay (against the real
+//! `mtc_service_server` binary).
 
 use mtc_core::IsolationLevel;
 use mtc_service::loadgen::{synthetic_events, LoadSpec};
@@ -261,6 +262,103 @@ fn a_violating_tenant_is_isolated_from_clean_neighbours() {
         "a neighbour's violation must not leak"
     );
     assert_eq!(clean_summary.checked, spec.events_per_tenant());
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `num_keys` is a `u64` straight off the socket and `⊥T` is built over all
+/// of it: 2^40 keys must be refused at the door — a typed error, nothing on
+/// disk — instead of aborting the daemon and every tenant in it on a 26 TB
+/// allocation.
+#[test]
+fn hostile_scalar_num_keys_is_refused_at_the_door() {
+    let root = temp_root("hostile_keys");
+    let server = ServiceServer::spawn(ServiceConfig::new(&root)).expect("spawns");
+    let spec = small_spec();
+    let backoff = Duration::from_micros(200);
+    let mut neighbour = ServiceClient::connect(server.addr()).expect("connect");
+    let next_door = neighbour
+        .open_tenant("next-door", spec.level, spec.num_keys)
+        .expect("open");
+    let events = synthetic_events(&spec, 0);
+    let (before, after) = events.split_at(events.len() / 2);
+    neighbour
+        .ingest_all(next_door.tenant, before.to_vec(), backoff)
+        .expect("ingest");
+
+    let mut hostile = ServiceClient::connect(server.addr()).expect("connect");
+    for num_keys in [1 << 40, mtc_service::core::MAX_TENANT_KEYS + 1] {
+        let refusal = hostile
+            .open_tenant("greedy", spec.level, num_keys)
+            .expect_err("an absurd key space must be refused");
+        assert!(refusal.to_string().contains("keys"), "{refusal}");
+        assert!(!root.join("greedy").exists(), "nothing may reach the disk");
+    }
+    // The refused connection is still served ...
+    let modest = hostile
+        .open_tenant("greedy", spec.level, spec.num_keys)
+        .expect("a sane key space opens");
+    hostile.close_tenant(modest.tenant).expect("close");
+    // ... and the tenant next door never noticed.
+    neighbour
+        .ingest_all(next_door.tenant, after.to_vec(), backoff)
+        .expect("ingest");
+    let summary = neighbour.close_tenant(next_door.tenant).expect("close");
+    assert_eq!(summary.checked, spec.events_per_tenant());
+    assert!(!summary.violated);
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The checker indexes a dense table by session id, and every snapshot
+/// carries it: one event naming session 20 000 000 would cost the tenant
+/// 150 MB of memory and 20 MB per checkpoint for good. The batch holding it
+/// is refused whole.
+#[test]
+fn hostile_scalar_session_id_refuses_the_whole_batch() {
+    let root = temp_root("hostile_session");
+    let server = ServiceServer::spawn(ServiceConfig::new(&root)).expect("spawns");
+    let spec = small_spec();
+    let backoff = Duration::from_micros(200);
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    let victim = client
+        .open_tenant("victim", spec.level, spec.num_keys)
+        .expect("open");
+    let next_door = client
+        .open_tenant("next-door", spec.level, spec.num_keys)
+        .expect("open");
+    let events = synthetic_events(&spec, 0);
+    let (before, after) = events.split_at(events.len() / 2);
+    for tenant in [victim.tenant, next_door.tenant] {
+        client
+            .ingest_all(tenant, before.to_vec(), backoff)
+            .expect("ingest");
+    }
+
+    for session in [20_000_000, u32::MAX - 1, mtc_service::core::MAX_SESSIONS] {
+        let mut poisoned = after.to_vec();
+        poisoned[1].session = session;
+        let refusal = client
+            .ingest(victim.tenant, poisoned)
+            .expect_err("an absurd session id must be refused");
+        assert!(refusal.to_string().contains("session"), "{refusal}");
+        let status = client.status(victim.tenant).expect("status");
+        assert_eq!(
+            status.ingested,
+            before.len() as u64,
+            "a refused batch queues nothing"
+        );
+    }
+    // The same batch without the poison is admitted, and both tenants close
+    // clean over the whole stream.
+    for tenant in [victim.tenant, next_door.tenant] {
+        client
+            .ingest_all(tenant, after.to_vec(), backoff)
+            .expect("ingest");
+        let summary = client.close_tenant(tenant).expect("close");
+        assert_eq!(summary.checked, spec.events_per_tenant());
+        assert!(!summary.violated);
+    }
     server.shutdown().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -27,7 +27,7 @@ use crate::checkpoint::{
 };
 use crate::segment::{read_log, LogWriter, StreamMeta};
 use crate::StoreError;
-use mtc_core::CheckerSnapshot;
+use mtc_core::{CheckerSnapshot, IncrementalChecker};
 use mtc_history::{History, HistoryBuilder, Transaction};
 use std::path::{Path, PathBuf};
 
@@ -218,6 +218,20 @@ impl Recovery {
     /// The logged transactions the resumed checker still has to replay.
     pub fn tail(&self) -> &[Transaction] {
         &self.txns[self.resume_from as usize..]
+    }
+
+    /// The checker as it stood after the last logged transaction: the
+    /// newest snapshot — or, without one, a fresh checker over `meta` — with
+    /// the tail replayed into it.
+    pub fn resume(&self) -> IncrementalChecker {
+        let mut checker = match self.snapshot.clone() {
+            Some(snapshot) => IncrementalChecker::resume(snapshot),
+            None => IncrementalChecker::new(self.meta.level).with_init_keys(0..self.meta.num_keys),
+        };
+        for txn in self.tail() {
+            let _ = checker.push(txn.clone());
+        }
+        checker
     }
 
     /// Rebuilds the complete logged history (`⊥T` over the recorded key

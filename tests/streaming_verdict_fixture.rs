@@ -1,0 +1,412 @@
+//! The streaming checker against a fixture written by the build *before* its
+//! event vocabulary went (PR 18, commit 890a952):
+//! `tests/data/streaming-verdicts-pr18.txt` holds, for the 14-anomaly
+//! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
+//! at SER / SI / SSER under every combination of `validate_mt`,
+//! `prescan_intra`, `skip_divergence_early_exit`, GC and `⊥T`, and this build
+//! must reproduce the file byte for byte.
+//!
+//! One line per (stream, level): a CRC over the records of all 32 variants —
+//! a fold of every `push` status, `first_violation_at`, `edge_count`, the
+//! CRC-32 of the encoded `checkpoint()` every 16th push and at the end, and
+//! `{:?}` of `finish()` — then the default variant's record in clear, so a
+//! failing line can be read. Unlike the batch fixture, cycles are compared
+//! **edge for edge**: the order in which a transaction's consequences are
+//! applied decides which edge closes which cycle and every adjacency list a
+//! snapshot carries, and it is deterministic across processes.
+//!
+//! To regenerate after an *intentional* change of that order: run this test
+//! in a clone of the parent commit with an empty fixture file, and copy
+//! `streaming-verdicts.actual.txt` from the path the failure prints.
+
+use mtc::core::CheckError;
+use mtc::history::anomalies::AnomalyKind;
+use mtc::history::{History, Op, SessionId, Transaction, TxnId};
+use mtc::store::{crc32, to_bytes};
+use mtc::{CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
+
+const FIXTURE: &str = include_str!("data/streaming-verdicts-pr18.txt");
+const STREAMS: u64 = 220;
+const LEVELS: [(&str, IsolationLevel); 3] = [
+    ("SER", IsolationLevel::Serializability),
+    ("SI", IsolationLevel::SnapshotIsolation),
+    ("SSER", IsolationLevel::StrictSerializability),
+];
+const GC: GcPolicy = GcPolicy {
+    window: 24,
+    every: 8,
+    reader_cap: 2,
+};
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// True `percent` times out of a hundred.
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// What the generator remembers of one key.
+#[derive(Default)]
+struct KeyModel {
+    /// Committed last writes, oldest first (`⊥T`'s 0 is implicit).
+    installed: Vec<u64>,
+    /// Values some earlier reader already returned that nobody has written
+    /// yet: a later writer of the key picks them up, resolving the wait.
+    promised: Vec<u64>,
+    /// Values that only aborted or overwritten-before-commit writes carried.
+    never_visible: Vec<u64>,
+}
+
+/// One seeded stream: `keys`, then the transactions in push order (ids are
+/// assigned by the checker). A third of the streams are nearly clean, so the
+/// default options reach the tail with a large state; a third are hostile,
+/// and only the variants with a stage switched off get far into them.
+fn stream(seed: u64) -> (u64, Vec<Transaction>) {
+    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15 ^ (seed + 1).wrapping_mul(0xD134_2543_DE82_EF95));
+    let keys = 2 + rng.below(4);
+    let sessions = 1 + rng.below(5);
+    let len = 24 + rng.below(25);
+    let class = (seed % 3) as usize;
+    // Per-transaction (shape) and per-key (the rest) rates, in percent.
+    let bad_shape = [0, 2, 6][class];
+    let stale = [1, 3, 8][class];
+    let early = [2, 4, 8][class];
+    let invisible = [0, 2, 5][class];
+    let thin_air = [0, 1, 3][class];
+    let duplicate = [0, 1, 4][class];
+    let wrong_reread = [0, 20, 50][class];
+    let backwards = [0, 1, 4][class];
+    let clock = rng.below(4);
+    let mut model: Vec<KeyModel> = (0..keys).map(|_| KeyModel::default()).collect();
+    let mut fresh = 1u64;
+    let mut txns = Vec::new();
+    for i in 0..len {
+        // A mini-transaction has at most two reads and two writes.
+        let break_shape = rng.chance(bad_shape);
+        let nkeys = match rng.below(10) {
+            _ if break_shape && rng.chance(50) => 3,
+            0..=4 => 1,
+            _ => 2,
+        };
+        let mut picked: Vec<u64> = Vec::new();
+        while picked.len() < nkeys.min(keys as usize) {
+            let k = rng.below(keys);
+            if !picked.contains(&k) {
+                picked.push(k);
+            }
+        }
+        let spare = if break_shape { 9 } else { 2 };
+        let mut spare_reads = spare - picked.len().min(spare);
+        let mut spare_writes = spare;
+        let committed = !rng.chance(8);
+        let interleave = rng.chance(50);
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        for &k in &picked {
+            let m = &mut model[k as usize];
+            let latest = m.installed.last().copied().unwrap_or(0);
+            let any =
+                |list: &[u64], rng: &mut XorShift| list[rng.below(list.len() as u64) as usize];
+            let read = if rng.chance(stale) {
+                if m.installed.is_empty() || rng.chance(30) {
+                    0
+                } else {
+                    any(&m.installed, &mut rng)
+                }
+            } else if rng.chance(early) {
+                // Not written yet: the read waits for a later writer.
+                fresh += 1;
+                m.promised.push(fresh);
+                fresh
+            } else if rng.chance(invisible) && !m.never_visible.is_empty() {
+                any(&m.never_visible, &mut rng)
+            } else if rng.chance(thin_air) {
+                1_000_000 + i
+            } else {
+                latest
+            };
+            let mut ops = vec![Op::read(k, read)];
+            if spare_reads > 0 && rng.chance(15) {
+                spare_reads -= 1;
+                let again = if rng.chance(wrong_reread) {
+                    latest + 1
+                } else {
+                    read
+                };
+                ops.push(Op::read(k, again));
+            }
+            let mut mine = Vec::new();
+            if spare_writes > 0 && rng.chance(60) {
+                if spare_writes > 1 && rng.chance(12) {
+                    // Overwritten before the commit.
+                    fresh += 1;
+                    mine.push(fresh);
+                    m.never_visible.push(fresh);
+                }
+                let last = if rng.chance(duplicate) && !m.installed.is_empty() {
+                    any(&m.installed, &mut rng)
+                } else if m.promised.first().is_some_and(|&p| p != read || class == 2)
+                    && rng.chance(70)
+                {
+                    m.promised.remove(0)
+                } else {
+                    fresh += 1;
+                    fresh
+                };
+                mine.push(last);
+                spare_writes -= mine.len().min(spare_writes);
+                if committed {
+                    m.installed.push(last);
+                } else {
+                    m.never_visible.push(last);
+                }
+            }
+            let mut wops: Vec<Op> = mine.iter().map(|&v| Op::write(k, v)).collect();
+            if !mine.is_empty() && spare_reads > 0 && rng.chance(25) {
+                spare_reads -= 1;
+                // Read after own write: the last write, or not.
+                let v = if !rng.chance(wrong_reread) {
+                    mine[mine.len() - 1]
+                } else if rng.chance(50) {
+                    mine[0]
+                } else {
+                    latest
+                };
+                wops.push(Op::read(k, v));
+            }
+            if interleave {
+                ops.append(&mut wops);
+            }
+            reads.push(ops);
+            writes.push(wops);
+        }
+        if rng.chance(30) {
+            // First-write order against first-touch order.
+            writes.reverse();
+        }
+        let ops: Vec<Op> = reads.into_iter().chain(writes).flatten().collect();
+        let session = SessionId(rng.below(sessions) as u32);
+        let mut t = if committed {
+            Transaction::committed(TxnId(0), session, ops)
+        } else {
+            Transaction::aborted(TxnId(0), session, ops)
+        };
+        // Instants: in stream order, overlapping, skewed into the past (now
+        // and then ending before they begin), or partly missing.
+        let now = 10 * (i + 1);
+        let (begin, end) = match clock {
+            0 => (now, now + 5),
+            1 => (now - rng.below(10), now + rng.below(30)),
+            _ if rng.chance(backwards) => (now + 40, now.saturating_sub(60)),
+            _ => (now.saturating_sub(rng.below(40)), now + rng.below(8)),
+        };
+        t.begin = (clock != 3 || rng.chance(60)).then_some(begin);
+        t.end = (clock != 3 || rng.chance(60)).then_some(end);
+        if clock == 2 && rng.chance(25) {
+            if rng.chance(50) {
+                t.begin = None;
+            } else {
+                t.end = None;
+            }
+        }
+        txns.push(t);
+    }
+    (keys, txns)
+}
+
+/// The eight option sets, default first.
+fn option_sets() -> Vec<CheckOptions> {
+    (0..8u32)
+        .map(|bits| CheckOptions {
+            validate_mt: bits & 1 == 0,
+            prescan_intra: bits & 2 == 0,
+            skip_divergence_early_exit: bits & 4 != 0,
+            ..CheckOptions::default()
+        })
+        .collect()
+}
+
+/// One run of a checker and everything observable of it.
+struct Run {
+    checker: IncrementalChecker,
+    statuses: String,
+    snapshots: Vec<u32>,
+}
+
+impl Run {
+    fn new(level: IsolationLevel, opts: CheckOptions, gc: bool, init_keys: Option<u64>) -> Run {
+        let mut checker = IncrementalChecker::new(level).with_options(opts);
+        if gc {
+            checker.set_gc(GC);
+        }
+        if let Some(keys) = init_keys {
+            checker = checker.with_init_keys(0..keys);
+        }
+        Run {
+            checker,
+            statuses: String::new(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    fn snapshot(&mut self) {
+        let bytes = to_bytes(&self.checker.checkpoint());
+        self.snapshots.push(crc32(&bytes));
+    }
+
+    /// Notes the status a push returned; every 16th, the snapshot too.
+    fn saw(&mut self, status: Result<StreamStatus, CheckError>) {
+        self.statuses.push(match status {
+            Ok(StreamStatus::ConsistentSoFar) => 'c',
+            Ok(StreamStatus::Violated) => 'v',
+            Err(_) => 'e',
+        });
+        if self.statuses.len().is_multiple_of(16) {
+            self.snapshot();
+        }
+    }
+
+    fn push_all<'a>(mut self, txns: impl IntoIterator<Item = &'a Transaction>) -> String {
+        for t in txns {
+            let status = self.checker.push(t.clone());
+            self.saw(status);
+        }
+        self.record()
+    }
+
+    /// The run as text.
+    fn record(mut self) -> String {
+        self.snapshot();
+        let Run {
+            checker,
+            statuses,
+            snapshots,
+        } = self;
+        let at = checker.first_violation_at();
+        let edges = checker.edge_count();
+        format!(
+            "pushes={statuses} at={at:?} edges={edges} snapshots={snapshots:x?} verdict={:?}",
+            checker.finish()
+        )
+    }
+}
+
+/// The fixture line of one (stream, level): every variant's record folded
+/// into a CRC, the first variant's (default options, no GC, `⊥T` as given)
+/// in clear.
+fn line(name: &str, label: &str, records: &[String]) -> String {
+    let all = crc32(records.join("\n").as_bytes());
+    format!(
+        "{name} {label} variants={all:08x} default: {}\n",
+        records[0]
+    )
+}
+
+fn render_all() -> String {
+    let mut out = String::new();
+    let mut count = 0;
+    let options = option_sets();
+    for kind in AnomalyKind::ALL {
+        let h: History = kind.history();
+        for (label, level) in LEVELS {
+            let mut records = Vec::new();
+            for &opts in &options {
+                for gc in [false, true] {
+                    // As the history has it, through `push_history` ...
+                    let mut run = Run::new(level, opts, gc, None);
+                    let status = run.checker.push_history(&h);
+                    run.saw(status);
+                    records.push(run.record());
+                    // ... and transaction by transaction without `⊥T`.
+                    let rest = h.txns().iter().filter(|t| Some(t.id) != h.init_txn());
+                    records.push(Run::new(level, opts, gc, None).push_all(rest));
+                }
+            }
+            count += records.len();
+            out.push_str(&line(&format!("catalogue/{kind}"), label, &records));
+        }
+    }
+    for seed in 0..STREAMS {
+        let (keys, txns) = stream(seed);
+        for (label, level) in LEVELS {
+            let mut records = Vec::new();
+            for &opts in &options {
+                for gc in [false, true] {
+                    for init in [Some(keys), None] {
+                        records.push(Run::new(level, opts, gc, init).push_all(&txns));
+                    }
+                }
+            }
+            count += records.len();
+            out.push_str(&line(&format!("stream/{seed:03}"), label, &records));
+        }
+    }
+    format!("# {count} records\n{out}")
+}
+
+#[test]
+fn streaming_verdicts_match_the_parent_written_fixture() {
+    let actual = render_all();
+    if actual == FIXTURE {
+        return;
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("streaming-verdicts.actual.txt");
+    std::fs::write(&path, &actual).expect("write the actual rendering");
+    let line = actual
+        .lines()
+        .zip(FIXTURE.lines())
+        .position(|(a, f)| a != f)
+        .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
+    panic!(
+        "verdicts differ from tests/data/streaming-verdicts-pr18.txt at line {}; \
+         this build's rendering is in {}",
+        line + 1,
+        path.display()
+    );
+}
+
+#[test]
+fn the_fixture_exercises_every_outcome_class() {
+    assert!(
+        FIXTURE.lines().count() <= 800,
+        "the fixture outgrew its cap"
+    );
+    for class in [
+        "verdict=Ok(Satisfied)",
+        "verdict=Ok(Violated(Cycle",
+        "verdict=Ok(Violated(Intra(",
+        "verdict=Ok(Violated(Divergence",
+        "verdict=Err(NotMiniTransaction(DuplicateValue",
+        "verdict=Err(NotMiniTransaction(TooManyReads",
+        "-RT->",
+        "IntermediateRead",
+        "AbortedRead",
+        "ThinAirRead",
+        "FutureRead",
+        "NotMyLastWrite",
+        "NonRepeatableReads",
+    ] {
+        assert!(FIXTURE.contains(class), "no `{class}` in the fixture");
+    }
+    // Late latches: some default-variant stream is still consistent after
+    // its 32nd push and violated before its last.
+    let late = FIXTURE.lines().any(|l| {
+        l.split("pushes=")
+            .nth(1)
+            .is_some_and(|p| p.starts_with(&"c".repeat(32)) && p.contains('v'))
+    });
+    assert!(late, "no stream latches after its 32nd transaction");
+}
