@@ -19,10 +19,38 @@
 //! of the `WW` edges (convenient for the correctness proof), while
 //! [`build_dependency`] is the optimized version of Section IV-C that skips
 //! the closure; Theorems 1 and 2 show both yield the same verdicts.
+//!
+//! # How `RW` is derived
+//!
+//! `T' -WR(x)-> T` and `T' -WW(x)-> S` with `T ≠ S` give `T -RW(x)-> S`: the
+//! readers and the overwriters of one version meet at its writer. Both edge
+//! kinds are therefore read off the graph into flat `(writer, key, target)`
+//! lists, each is sorted, and one merge over the runs of equal
+//! `(writer, key)` pairs every reader of a version with every overwriter of
+//! it. The lists are read after the optional closure, so in the reference
+//! variant the closure `WW` edges take part as well (the derived `R̂W` edges
+//! of Figure 6).
+//!
+//! No `RW` edge can come out twice, so none is looked up before it is added.
+//! A transaction has one external read per key and so one `WR(x)` in-edge: a
+//! `(reader, x)` sits in exactly one run. And the overwriters of a run are
+//! distinct: a transaction has at most one direct `WW(x)` in-edge (it comes
+//! with that same external read), and the closure adds an edge only where
+//! there is none yet.
+//!
+//! # Edge order
+//!
+//! The order of [`DependencyGraph::edges`] — which decides the order of every
+//! adjacency row, hence which of several cycles a checker reports — is a
+//! function of the history alone: `RT` (if asked for), `SO`, then `WR` / `WW`
+//! transaction by transaction with the keys in first-touch order, then the
+//! closure's `WW` edges key by key (reference variant), then `RW` sorted by
+//! `(writer, key, reader, overwriter)`. Checking one history twice reports
+//! the same counterexample twice, in this process or another.
 
 use crate::verdict::CheckError;
-use mtc_history::{DependencyGraph, EdgeKind, History, Key, TxnId, WriteIndex, INIT_VALUE};
-use std::collections::HashMap;
+use mtc_history::{DependencyGraph, EdgeKind, History, Key, Op, TxnId, WriteIndex, INIT_VALUE};
+use std::collections::{BTreeMap, HashMap};
 
 /// Errors preventing the construction of a dependency graph.
 pub type BuildError = CheckError;
@@ -61,7 +89,7 @@ pub(crate) fn build_impl(
 
     // RT edges (CHECKSSER only): all committed pairs ordered by wall clock.
     if with_rt {
-        add_rt_edges(history, &mut g)?;
+        add_rt_edges(history, &mut g);
     }
 
     // SO edges: adjacent committed transactions of each session, plus
@@ -70,15 +98,20 @@ pub(crate) fn build_impl(
         g.add_edge(a, b, EdgeKind::So);
     }
 
-    // WR and (direct) WW edges, inferred from the values read.
+    // WR and (direct) WW edges, inferred from the values read. The external
+    // read of a key is a read that is the transaction's first operation on
+    // it; the transaction writes the key iff a later operation does.
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {
             continue;
         }
-        for key in txn.key_set() {
-            let Some(value) = txn.external_read(key) else {
+        for (i, op) in txn.ops.iter().enumerate() {
+            let Op::Read { key, value } = *op else {
                 continue;
             };
+            if txn.ops[..i].iter().any(|earlier| earlier.key() == key) {
+                continue;
+            }
             let writer = match index.final_writer(key, value) {
                 Some(writer) => writer,
                 None => {
@@ -99,7 +132,8 @@ pub(crate) fn build_impl(
                 continue;
             }
             g.add_edge(writer, txn.id, EdgeKind::Wr(key));
-            if txn.writes(key) {
+            let later = &txn.ops[i + 1..];
+            if later.iter().any(|op| op.is_write() && op.key() == key) {
                 g.add_edge(writer, txn.id, EdgeKind::Ww(key));
             }
         }
@@ -108,37 +142,48 @@ pub(crate) fn build_impl(
     // Optional per-object transitive closure of the WW edges (Algorithm 1
     // lines 12–13).
     if transitive_ww {
-        add_ww_closure(history, &mut g);
+        add_ww_closure(&mut g);
     }
 
-    // RW edges: T' -WR(x)-> T and T' -WW(x)-> S with T ≠ S give T -RW(x)-> S.
-    // We iterate over the edge list snapshot so that, in the reference
-    // variant, closure WW edges participate as well (yielding the
-    // "derived" R̂W edges of Figure 6).
-    let snapshot: Vec<(TxnId, TxnId, EdgeKind)> =
-        g.edges().iter().map(|e| (e.from, e.to, e.kind)).collect();
-    let mut wr_by_source: HashMap<(TxnId, Key), Vec<TxnId>> = HashMap::new();
-    let mut ww_by_source: HashMap<(TxnId, Key), Vec<TxnId>> = HashMap::new();
-    for &(from, to, kind) in &snapshot {
-        match kind {
-            EdgeKind::Wr(k) => wr_by_source.entry((from, k)).or_default().push(to),
-            EdgeKind::Ww(k) => ww_by_source.entry((from, k)).or_default().push(to),
+    add_rw_edges(&mut g);
+    Ok(g)
+}
+
+/// Derives the `RW` edges from the `WR` and `WW` edges `g` holds (module
+/// docs, "How `RW` is derived").
+fn add_rw_edges(g: &mut DependencyGraph) {
+    let mut readers: Vec<(TxnId, Key, TxnId)> = Vec::new();
+    let mut overwriters: Vec<(TxnId, Key, TxnId)> = Vec::new();
+    for e in g.edges() {
+        match e.kind {
+            EdgeKind::Wr(key) => readers.push((e.from, key, e.to)),
+            EdgeKind::Ww(key) => overwriters.push((e.from, key, e.to)),
             _ => {}
         }
     }
-    for ((source, key), readers) in &wr_by_source {
-        if let Some(overwriters) = ww_by_source.get(&(*source, *key)) {
-            for &reader in readers {
-                for &overwriter in overwriters {
-                    if reader != overwriter {
-                        g.add_edge_dedup(reader, overwriter, EdgeKind::Rw(*key));
-                    }
+    readers.sort_unstable();
+    overwriters.sort_unstable();
+
+    // Two pointers: `o` never moves back, so the merge is linear.
+    let version = |e: &(TxnId, Key, TxnId)| (e.0, e.1);
+    let mut o = 0;
+    for run in readers.chunk_by(|a, b| version(a) == version(b)) {
+        let read = version(&run[0]);
+        while o < overwriters.len() && version(&overwriters[o]) < read {
+            o += 1;
+        }
+        let start = o;
+        while o < overwriters.len() && version(&overwriters[o]) == read {
+            o += 1;
+        }
+        for &(_, key, reader) in run {
+            for &(_, _, overwriter) in &overwriters[start..o] {
+                if reader != overwriter {
+                    g.add_edge(reader, overwriter, EdgeKind::Rw(key));
                 }
             }
         }
     }
-
-    Ok(g)
 }
 
 /// Materializes every RT edge between committed transactions (`Θ(n²)`).
@@ -146,7 +191,7 @@ pub(crate) fn build_impl(
 /// Transactions without recorded begin/end instants simply contribute no RT
 /// edges: for them the real-time order degenerates to the session order, as
 /// permitted by Definition 2 (`SO ⊆ RT`).
-fn add_rt_edges(history: &History, g: &mut DependencyGraph) -> Result<(), BuildError> {
+fn add_rt_edges(history: &History, g: &mut DependencyGraph) {
     let committed: Vec<TxnId> = history.committed_ids().collect();
     for &a in &committed {
         let ta = history.txn(a);
@@ -165,13 +210,12 @@ fn add_rt_edges(history: &History, g: &mut DependencyGraph) -> Result<(), BuildE
             }
         }
     }
-    Ok(())
 }
 
 /// Adds, for every object, the transitive closure of its direct WW edges.
-fn add_ww_closure(history: &History, g: &mut DependencyGraph) {
-    // Group direct WW edges by key.
-    let mut per_key: HashMap<Key, Vec<(TxnId, TxnId)>> = HashMap::new();
+fn add_ww_closure(g: &mut DependencyGraph) {
+    // Group direct WW edges by key; keys are visited in sorted order.
+    let mut per_key: BTreeMap<Key, Vec<(TxnId, TxnId)>> = BTreeMap::new();
     for e in g.edges() {
         if let EdgeKind::Ww(k) = e.kind {
             per_key.entry(k).or_default().push((e.from, e.to));
@@ -201,7 +245,6 @@ fn add_ww_closure(history: &History, g: &mut DependencyGraph) {
             }
         }
     }
-    let _ = history; // the closure only needs the edges already in `g`
 }
 
 #[cfg(test)]

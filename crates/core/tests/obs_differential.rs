@@ -103,6 +103,20 @@ fn violating_streams_identical_with_metrics_on_and_off() {
     }
 }
 
+/// `txns` concurrent transactions over `keys` keys, each reading two keys at
+/// their initial value and overwriting the first: every version is forked
+/// and every transaction anti-depends on others through two keys, so the
+/// graph has many cycles and the checkers a choice of certificate.
+fn forked(keys: u64, txns: u64) -> History {
+    let mut builder = HistoryBuilder::new().with_init(keys);
+    for i in 0..txns {
+        let (a, b) = (i % keys, (i + 1) % keys);
+        let ops = vec![Op::read(a, 0u64), Op::read(b, 0u64), Op::write(a, i + 1)];
+        builder.committed(i as u32 % 2, ops);
+    }
+    builder.build()
+}
+
 const BATCH: [BatchCheck; 4] = [
     BatchCheck::Ser,
     BatchCheck::Si,
@@ -131,12 +145,11 @@ fn batch_checkers_identical_with_metrics_on_and_off_and_spanned_when_on() {
         "core.batch.build",
         "core.batch.cycle",
     ];
-    // Histories with at most one cycle: which of several a violated history
-    // reports varies from call to call, recording or not (`BUILDDEPENDENCY`
-    // derives RW edges in `RandomState` order).
     let mut histories = vec![serial_history(8, 200, 4), serial_history(3, 33, 1)];
     histories.push(mtc_history::anomalies::thin_air_read());
     histories.push(mtc_history::anomalies::lost_update());
+    histories.push(forked(2, 6));
+    histories.push(forked(3, 9));
     for history in &histories {
         let off = {
             let _off = mtc_obs::test_support::with_enabled(false);

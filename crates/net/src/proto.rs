@@ -254,8 +254,9 @@ pub struct TenantStatus {
     pub live_txns: u64,
     /// Checkpoints written to the tenant's WAL so far.
     pub checkpoints: u64,
-    /// The daemon process's peak resident set (`VmHWM`), in KiB — process
-    /// wide, reported identically for every tenant.
+    /// The daemon process's current resident set (`VmRSS`, not the peak
+    /// `VmHWM`), in KiB — process wide, reported identically for every
+    /// tenant.
     pub rss_kb: u64,
     /// 99th-percentile WAL append latency for this tenant, in
     /// microseconds. Zero until the daemon enables observability (the

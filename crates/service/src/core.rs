@@ -249,8 +249,8 @@ impl Tenant {
         }
         use mtc_obs::events::JsonValue;
         use serde::Serialize as _;
-        // `violation()` flushes the hand-off buffer and latches the
-        // metadata, so take the certificate *before* reading it.
+        // Certificate and metadata were both latched by the `record` call
+        // that made `is_violated` true; the order they are read in is free.
         let certificate = v
             .violation()
             .map(|c| c.to_json_value())

@@ -1,23 +1,35 @@
-//! The batch checkers against a fixture written by the build *before* the
-//! shared write index (PR 13): `tests/data/batch-verdicts-v13.txt` holds, for
-//! the 14-anomaly catalogue, two malformed histories and 34 seeded
-//! executions, the SER / SI / SSER outcome of `check_ser` / `check_si` /
-//! `check_sser` as that build gave it, and this build must reproduce the file
-//! byte for byte.
+//! The batch checkers against two fixtures.
 //!
-//! Everything but a cycle's edges is compared literally: errors, `Satisfied`,
-//! the full intra-anomaly list, the DIVERGENCE payload. A cycle is compared
-//! by class only — the fixture says `Cycle` — plus a check made here that the
-//! reported edges are real: each one is an edge of `build_dependency`'s graph
-//! (or, for `RT`, holds between the two transactions' instants) and together
-//! they close. Edge for edge would be the wrong test: `BUILDDEPENDENCY`
-//! inserts its `RW` edges in the iteration order of a `RandomState` map, so
-//! which of several cycles is found differs from process to process, and the
-//! PR 13 build cannot reproduce its own cycle either.
+//! `tests/data/batch-verdicts-v13.txt` was written by the build *before* the
+//! shared write index (PR 13): for the 14-anomaly catalogue, two malformed
+//! histories and 34 seeded executions, the SER / SI / SSER outcome of
+//! `check_ser` / `check_si` / `check_sser` as that build gave it, and this
+//! build must reproduce the file byte for byte. Everything but a cycle's
+//! edges is in it literally: errors, `Satisfied`, the full intra-anomaly
+//! list, the DIVERGENCE payload. A cycle is there by class only — the file
+//! says `Cycle` — because the builds up to PR 19 inserted their `RW` edges in
+//! the iteration order of a `RandomState` map: which of several cycles they
+//! found differed from process to process, and the PR 13 build cannot
+//! reproduce its own. What is checked here instead is that the reported edges
+//! are real: each one is an edge of `build_dependency`'s graph (or, for `RT`,
+//! holds between the two transactions' instants) and together they close.
+//!
+//! `tests/data/batch-cycles-pr20.txt` holds the edges: for every history of
+//! the same corpus and each of SER / SI / SSER whose verdict is a `Cycle`,
+//! the certificate as the PR 20 build reported it — the first build whose
+//! edge order is a function of the history alone (`mtc_core::build`, "Edge
+//! order"). A change to `BUILDDEPENDENCY` or to a cycle search that keeps
+//! every verdict but reports another counterexample fails here, edge for
+//! edge. To regenerate after such a change made on purpose: empty the file,
+//! run `cargo test --release --offline --test batch_verdict_fixture` in two
+//! separate processes, keeping `<target>/tmp/batch-cycles.actual.txt` of
+//! each, and copy it over the fixture only if the two runs wrote the same
+//! bytes; say in CHANGES.md why the certificates moved.
 
 use mtc::core::{
-    build_dependency, check_ser, check_ser_with, check_si, check_si_with, check_sser,
-    check_sser_naive, check_sser_with, CheckError, CheckOptions, Verdict, Violation,
+    build_dependency, build_dependency_reference, check_ser, check_ser_with, check_si,
+    check_si_with, check_sser, check_sser_naive, check_sser_with, CheckError, CheckOptions,
+    Verdict, Violation,
 };
 use mtc::dbsim::{
     BackendSpec, ClientOptions, DbConfig, ExecutionOptions, FaultKind, FaultSpec, IsolationMode,
@@ -29,6 +41,7 @@ use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 use std::fmt::Write;
 
 const FIXTURE: &str = include_str!("data/batch-verdicts-v13.txt");
+const CYCLES: &str = include_str!("data/batch-cycles-pr20.txt");
 
 /// Aborted attempts are recorded, as in the benchmark: they are what the
 /// index's any-status side is for.
@@ -60,6 +73,30 @@ fn execute(
         .0
 }
 
+fn sim_ser(keys: u64) -> DbConfig {
+    DbConfig::correct(IsolationMode::Serializable, keys)
+}
+
+/// The benchmark's fault probe: Zipf(1.0) over 1 000 keys, both commit-time
+/// validations skipped half of the time: some two thousand transactions
+/// whose graph is cyclic in many places.
+fn sim_ser_faulty(seed: u64) -> History {
+    let faulty = BackendSpec::Sim(sim_ser(1_000).with_faults(
+        vec![
+            FaultSpec::new(FaultKind::SkipWriteValidation, 0.5),
+            FaultSpec::new(FaultKind::SkipReadValidation, 0.5),
+        ],
+        seed,
+    ));
+    execute(
+        &faulty,
+        seed,
+        1_000,
+        Distribution::Zipf { theta: 1.0 },
+        1_000,
+    )
+}
+
 /// The named histories of the fixture, in file order.
 fn histories() -> Vec<(String, History)> {
     let mut out: Vec<(String, History)> = AnomalyKind::ALL
@@ -76,32 +113,13 @@ fn histories() -> Vec<(String, History)> {
     let mut b = HistoryBuilder::new().with_init(2);
     b.committed(0, vec![Op::read(0u64, 0u64), Op::write(1u64, 1u64)]);
     out.push(("handmade/blind-write".to_string(), b.build()));
-    let sim_ser = |keys| DbConfig::correct(IsolationMode::Serializable, keys);
     for seed in 1..=10 {
         let clean = BackendSpec::Sim(sim_ser(40));
         out.push((
             format!("sim-ser/{seed}"),
             execute(&clean, seed, 40, Distribution::Uniform, 300),
         ));
-        // The benchmark's fault probe: Zipf(1.0) over 1 000 keys, both
-        // commit-time validations skipped half of the time.
-        let faulty = BackendSpec::Sim(sim_ser(1_000).with_faults(
-            vec![
-                FaultSpec::new(FaultKind::SkipWriteValidation, 0.5),
-                FaultSpec::new(FaultKind::SkipReadValidation, 0.5),
-            ],
-            seed,
-        ));
-        out.push((
-            format!("sim-ser-faulty/{seed}"),
-            execute(
-                &faulty,
-                seed,
-                1_000,
-                Distribution::Zipf { theta: 1.0 },
-                1_000,
-            ),
-        ));
+        out.push((format!("sim-ser-faulty/{seed}"), sim_ser_faulty(seed)));
     }
     for seed in 1..=8 {
         let weak = BackendSpec::WeakMvcc(WeakLevel::ReadCommitted);
@@ -252,6 +270,95 @@ fn batch_verdicts_match_the_parent_written_fixture() {
         line + 1,
         path.display()
     );
+}
+
+/// Every `Cycle` verdict of SER / SI / SSER over the corpus, edges in clear.
+fn render_cycles() -> String {
+    let mut out = String::new();
+    for (name, h) in histories() {
+        let outcomes = [
+            ("SER", check_ser(&h)),
+            ("SI", check_si(&h)),
+            ("SSER", check_sser(&h)),
+        ];
+        for (level, outcome) in outcomes {
+            if let Ok(Verdict::Violated(Violation::Cycle { edges })) = outcome {
+                writeln!(out, "{name} {level} {edges:?}").unwrap();
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn batch_cycles_match_the_pr20_fixture_edge_for_edge() {
+    let actual = render_cycles();
+    if actual == CYCLES {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("batch-cycles.actual.txt");
+    std::fs::write(&path, &actual).expect("write the actual rendering");
+    let line = (actual.lines().zip(CYCLES.lines())).take_while(|(a, f)| a == f);
+    panic!(
+        "certificates differ from tests/data/batch-cycles-pr20.txt at line {}; \
+         this build's rendering is in {}",
+        line.count() + 1,
+        path.display()
+    );
+}
+
+/// A history checked twice gives the same graph and the same counterexample.
+///
+/// Up to PR 19 this failed with near certainty: `build_impl` grouped its
+/// `WR` / `WW` edges in `HashMap`s, every `HashMap::new()` draws fresh
+/// `RandomState` keys, and the `RW` edges went into the graph in the
+/// iteration order of one of those maps — another edge list on every call,
+/// and on a history with several cycles another certificate.
+#[test]
+fn certificates_are_reproducible() {
+    const CALLS: usize = 16;
+    let faulty = sim_ser_faulty(1);
+    for build in [build_dependency, build_dependency_reference] {
+        let first = build(&faulty, false).unwrap();
+        for _ in 1..CALLS {
+            assert_eq!(build(&faulty, false).unwrap().edges(), first.edges());
+        }
+    }
+    // `CHECKSI` answers the faulty execution with a DIVERGENCE before it
+    // builds anything. Its cycle comes from five long forks in a ring: every
+    // writer is followed, in its session, by a reader of the next two keys
+    // at their initial value, so every writer reaches two others through
+    // `SO ; RW`.
+    let mut ring = HistoryBuilder::new().with_init(5);
+    for i in 0..5u64 {
+        let (next, after) = ((i + 1) % 5, (i + 2) % 5);
+        ring.committed(i as u32, vec![Op::read(i, 0u64), Op::write(i, i + 1)]);
+        ring.committed(i as u32, vec![Op::read(next, 0u64), Op::read(after, 0u64)]);
+    }
+    let ring = ring.build();
+    let checks = [
+        ("SER", &faulty, check_ser_with as fn(&_, &_) -> _),
+        ("SSER", &faulty, check_sser_with),
+        ("SI", &ring, check_si_with),
+        ("SER", &ring, check_ser_with),
+    ];
+    for reference_build in [false, true] {
+        let opts = CheckOptions {
+            reference_build,
+            ..CheckOptions::default()
+        };
+        for (level, history, check) in checks {
+            let first = check(history, &opts).unwrap();
+            let name = format!("{level}, reference_build: {reference_build}");
+            assert!(
+                matches!(first.violation(), Some(Violation::Cycle { .. })),
+                "{name}: {first:?}"
+            );
+            for _ in 1..CALLS {
+                assert_eq!(check(history, &opts).unwrap(), first, "{name}");
+            }
+        }
+    }
 }
 
 /// `CHECKSI` rebuilds the hops of the cycle it found from the dependency
