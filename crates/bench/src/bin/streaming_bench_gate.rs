@@ -1,101 +1,69 @@
-//! CI perf-regression gate for the streaming checkers.
+//! CI perf gate for the streaming checkers: a throughput trail, and four
+//! kinds of in-run ratio that fail the run when they regress.
 //!
-//! Times the batch and incremental checkers at every isolation level over synthetic serial histories, writes the measurements
-//! as `BENCH_streaming.json` (uploaded as a CI artifact so every PR leaves a
-//! throughput trail), and — with `--check <baseline.json>` — fails when a
-//! streaming checker regressed more than 30% against the committed baseline.
+//! The trail is `BENCH_streaming.json` (uploaded as a CI artifact): for every
+//! isolation level the batch checker, the streaming checker and the streaming
+//! checker under settled-prefix GC over one synthetic serial history, best of
+//! [`REPS`], plus series nothing gates — `ser/incremental-obs` (streaming SER
+//! with `mtc-obs` recording on), `backend/<label>` (one MT workload executed
+//! against each engine of the fleet, in process and behind loopback TCP) and
+//! `service/tenants-N` (the daemon in process, N tenants over loopback;
+//! `millis` is the p99 per-batch ingest latency there).
 //!
-//! Schema 3 adds per-backend execution-throughput series
-//! (`backend/<label>`): the same MT workload executed end-to-end against
-//! each engine of the backend fleet (OCC simulator, strict-2PL wait-die,
-//! weak MVCC). These are **artifact-only** — the gate ignores them until a
-//! baseline with recorded backend series exists, so heterogeneous engines
-//! leave a throughput trail without destabilizing CI.
+//! The gates compare two passes of *this* run, so they need no baseline file
+//! and no machine scale, and no speed-up elsewhere in the tree can move them:
 //!
-//! Schema 4 adds the verification-as-a-service scaling curve
-//! (`service/tenants-N` for N ∈ {1, 2, 4, 8}): the `mtc-service` daemon
-//! in-process, N concurrent tenants streaming clean histories over loopback
-//! TCP; `millis` is the p99 per-batch ingest latency and `txns_per_sec` the
-//! sustained end-to-end verification rate. Artifact-only — the curve
-//! depends on core count and loopback scheduling, so it is never gated.
+//! | gate | ratio | bound | reads |
+//! |---|---|---|---|
+//! | `ser/incremental-obs` | recording on ÷ off, streaming SER | ≥ 0.95 | 0.96–1.02 |
+//! | `sser/incremental` | streaming SSER ÷ streaming SER | ≥ 0.50 | 0.65–0.80 (the splice slow path the time chain replaced: 0.43) |
+//! | `<level>/incremental-gc` | GC'd ÷ un-GC'd, same level | ≥ 0.85 | SER 1.03–1.12, SI 1.24–1.39, SSER 1.05–1.17 |
+//! | `<level>/peak-rss-gc` | peak RSS GC'd ÷ un-GC'd, same level | ≤ 0.45 | SER 0.31, SI 0.21, SSER 0.26 |
 //!
-//! Schema 5 adds the observability-overhead series (`ser/incremental-obs`):
-//! the streaming SER pass re-measured with `mtc-obs` metric recording
-//! switched on. It is gated **in-run**, baseline-free: the instrumented
-//! pass must reach at least 95% of the uninstrumented pass of the same
-//! process — the "zero-overhead when disabled, bounded when enabled"
-//! contract of the metrics layer, enforced on every run even without
-//! `--check`.
-//!
-//! The two in-run gates (this one and schema 7's, below) compare a *pair*
-//! of passes, and a pass over the default 4 000 transactions lasts ~5 ms: on
-//! a 2-vCPU box two such timings taken seconds apart differ by more than
-//! either floor allows, so the gates failed two runs in three with nothing
-//! changed. They are therefore measured on their own: each pair on a history
-//! of at least [`GATE_TXNS`] transactions, the two sides interleaved round
-//! by round (alternating which goes first), and the gated number the median
-//! of the [`GATE_ROUNDS`] per-round ratios. The `ser/incremental-obs`
-//! series in the artifact stays what it was (best of 5 at `--txns`).
-//!
-//! Schema 6 gated the online-SSER fast path **in-run**, baseline-free,
-//! against the batch SSER checker of the same run (floor 95%). Schema 7
-//! re-anchors that gate on a series the batch checkers cannot move:
-//! `sser/incremental ÷ ser/incremental` of the same run, floor 0.50. The
-//! batch checkers share one write index per verdict now and got faster with
-//! no streaming change at all, so "streaming ≥ 95% of batch" stopped saying
-//! anything about streaming; the old ratio is still printed, as information.
-//! The floor sits between what the time-chain fast path reads (0.58–0.67 on
-//! a quiet 2-vCPU box at 4 000 transactions, before and after the
-//! re-anchoring alike, 0.65–0.75 at the 40 000 the gate times now; 0.77 in
-//! the schema-6 baseline) and what the splice slow path it replaced read
-//! (0.43). Like the observability gate, the comparison is
-//! machine-independent by construction, so it holds on every run even
-//! without `--check`.
-//!
-//! Since the epoch-GC work the `<level>/incremental-gc` series are **gated**
-//! alongside `incremental` (collection is expected to cost at most a modest
-//! constant factor now that commits are amortized off the ingest path), and
-//! the run's peak-RSS high-water mark is gated against the baseline's.
-//!
-//! Schema 8 drops the two worker-pool series of each level and the
-//! `shards` / `batch` report fields: the pool lost to the sequential checker
-//! on every run and was deleted (README, "Why there is no worker pool").
-//!
-//! Raw throughput is machine-dependent, so the gate normalizes by machine
-//! speed before comparing: for each isolation level, the batch checker's
-//! current/baseline throughput ratio is the machine scale, and each
-//! streaming series must reach at least 70% of `baseline × scale`. That
-//! turns the gate into a test of *streaming overhead relative to batch
-//! checking* and keeps it stable across CI runner generations.
+//! A pass over the default 4 000 transactions lasts a few milliseconds, and
+//! on a 2-vCPU box two such timings taken seconds apart differ by more than
+//! any of these bounds allows. The throughput gates are therefore measured on
+//! their own at the end of the run: each pair on a history of at least
+//! [`GATE_TXNS`] transactions, the two sides interleaved round by round
+//! (alternating which goes first), the gated number the median of the
+//! [`GATE_ROUNDS`] per-round ratios, measured once more if it reads under its
+//! floor. Peak RSS (`VmHWM`) only ever rises within a process, so each side of
+//! a memory gate is a child of this binary that streams the gate history once
+//! and prints its own high-water mark (it repeats to half a percent: 31, 53
+//! and 39 MB un-GC'd, 9.7–11 MB GC'd, most of that the history both sides
+//! hold). At 40 000 transactions the collected pass is the faster one — it
+//! touches less memory — so its floor sits under 1.0 by what a round's noise
+//! allows, not by a toll collection is expected to take.
 //!
 //! ```text
-//! cargo run --release -p mtc-bench --bin streaming_bench_gate -- \
-//!     --out BENCH_streaming.json --check ci/BENCH_streaming_baseline.json
+//! cargo run --release -p mtc-bench --bin streaming_bench_gate -- --out BENCH_streaming.json
 //! ```
 //!
-//! Flags: `--txns N` sets the history size (default 4000; the in-run ratio
-//! gates use at least [`GATE_TXNS`]), `--out PATH` the report path,
-//! `--check PATH` enables the regression comparison.
+//! Flags: `--txns N` sets the history size of the trail (default 4000; the
+//! gates use at least [`GATE_TXNS`]), `--out PATH` the report path.
 
 use mtc_bench::histories::serial_mt_history;
 use mtc_core::{
-    check_ser, check_si, check_sser, check_streaming, GcPolicy, IncrementalChecker, IsolationLevel,
-    Verdict,
+    check_ser, check_si, check_sser, GcPolicy, IncrementalChecker, IsolationLevel, Verdict,
 };
 use mtc_dbsim::{BackendSpec, ExecutionOptions};
 use mtc_history::History;
 use mtc_workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
-/// Throughput must stay above this fraction of the machine-scaled baseline.
-const MIN_RELATIVE_THROUGHPUT: f64 = 0.70;
+/// Floor of `<level>/incremental-gc ÷ <level>/incremental`.
+const MIN_GC_THROUGHPUT: f64 = 0.85;
 
-/// The run's peak-RSS high-water mark must stay below this multiple of the
-/// baseline's. Memory is workload-dominated (graph + history footprint), so
-/// unlike throughput it is gated without machine scaling — but with a
-/// generous allowance for allocator and platform variance.
-const MAX_RSS_GROWTH: f64 = 1.5;
+/// Ceiling of a GC'd pass's peak RSS over the un-GC'd pass's.
+const MAX_GC_RSS: f64 = 0.45;
+
+/// The collection policy of every `*-gc` series and gate.
+const GC_POLICY: GcPolicy = GcPolicy {
+    window: 1024,
+    every: 256,
+    reader_cap: 0,
+};
 
 /// Timing repetitions per series; the best run is reported (CI noise floor).
 const REPS: usize = 5;
@@ -112,7 +80,7 @@ const GATE_TXNS: u64 = 40_000;
 const GATE_ROUNDS: usize = 21;
 
 /// One measured checker configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct Series {
     /// `<level>/<flavour>`, e.g. `ser/incremental`.
     name: String,
@@ -131,7 +99,7 @@ struct Series {
 }
 
 /// The `BENCH_streaming.json` document.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 struct BenchReport {
     /// Format version.
     schema: u32,
@@ -232,6 +200,32 @@ fn gated_ratio(
     first.max(interleaved_ratio(label, reference, candidate))
 }
 
+/// One streaming pass over `history` at `level`, collected under
+/// [`GC_POLICY`] or not at all; returns the live nodes it ended with.
+fn stream(level: IsolationLevel, history: &History, gc: bool) -> (Verdict, u64) {
+    let mut c = IncrementalChecker::new(level);
+    if gc {
+        c.set_gc(GC_POLICY);
+    }
+    let _ = c.push_history(history);
+    let retained = c.live_node_count() as u64;
+    (c.finish().unwrap(), retained)
+}
+
+/// Peak RSS in kB of a child of this binary that streams the gate history
+/// once at `level`; 0 where the platform has no `/proc`.
+fn child_peak_rss_kb(level: &str, gc: bool) -> u64 {
+    let exe = std::env::current_exe().expect("own path");
+    let side = if gc { "gc" } else { "plain" };
+    let out = std::process::Command::new(exe)
+        .args(["--peak-rss-of", level, side])
+        .output()
+        .expect("the gate re-runs itself");
+    assert!(out.status.success(), "peak-RSS child of {level} failed");
+    let text = String::from_utf8_lossy(&out.stdout);
+    text.trim().parse().expect("the child prints one number")
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str| -> Option<String> {
@@ -243,14 +237,28 @@ fn main() {
         .map(|v| v.parse().expect("--txns takes a number"))
         .unwrap_or(4000);
     let out = flag("--out").unwrap_or_else(|| "BENCH_streaming.json".to_string());
-    let baseline_path = flag("--check");
-
-    let history = serial_mt_history(txns, 64, 8);
     let per_level: [(&str, IsolationLevel); 3] = [
         ("ser", IsolationLevel::Serializability),
         ("si", IsolationLevel::SnapshotIsolation),
         ("sser", IsolationLevel::StrictSerializability),
     ];
+    let gate_txns = txns.max(GATE_TXNS);
+
+    // Child mode of the memory gates: `--peak-rss-of <level> <gc|plain>`.
+    if let Some(at) = args.iter().position(|a| a == "--peak-rss-of") {
+        let level = per_level.iter().find(|(tag, _)| *tag == args[at + 1]);
+        let (_, level) = level.expect("a level tag");
+        let (verdict, _) = stream(
+            *level,
+            &serial_mt_history(gate_txns, 64, 8),
+            args[at + 2] == "gc",
+        );
+        assert!(verdict.is_satisfied());
+        println!("{}", peak_rss_kb());
+        return;
+    }
+
+    let history = serial_mt_history(txns, 64, 8);
 
     let mut series = Vec::new();
     for (tag, level) in per_level {
@@ -260,23 +268,15 @@ fn main() {
             IsolationLevel::StrictSerializability => |h| check_sser(h).unwrap(),
         };
         // Settled-prefix GC series: same stream, bounded resident state.
-        // The perf trail records its throughput, peak RSS and how many
-        // graph nodes stayed resident (the quantity the GC bounds).
-        // Settled-prefix GC series share the measurement loop; the retained
-        // node count is captured from the measured reps themselves (no
-        // extra pass), and the RSS high-water mark is sampled right after
-        // each series so consecutive deltas attribute footprint per series.
-        let gc_policy = GcPolicy {
-            window: 1024,
-            every: 256,
-            reader_cap: 0,
-        };
+        // The retained node count (the quantity the GC bounds) comes from
+        // the measured reps themselves, and the RSS high-water mark is
+        // sampled right after each series so consecutive deltas attribute
+        // footprint per series.
         let gc_retained = std::cell::Cell::new(0u64);
         let run_gc = || {
-            let mut c = IncrementalChecker::new(level).with_gc(gc_policy);
-            let _ = c.push_history(&history);
-            gc_retained.set(c.live_node_count() as u64);
-            c.finish().unwrap()
+            let (verdict, retained) = stream(level, &history, true);
+            gc_retained.set(retained);
+            verdict
         };
         let mut record = |flavour: &str, millis: f64, retained: u64| {
             let name = format!("{tag}/{flavour}");
@@ -297,7 +297,7 @@ fn main() {
         let millis = measure(&format!("{tag}/batch"), || batch_fn(&history));
         record("batch", millis, 0);
         let millis = measure(&format!("{tag}/incremental"), || {
-            check_streaming(level, &history).unwrap()
+            stream(level, &history, false).0
         });
         record("incremental", millis, 0);
         let millis = measure(&format!("{tag}/incremental-gc"), run_gc);
@@ -311,9 +311,7 @@ fn main() {
         let level = IsolationLevel::Serializability;
         mtc_obs::set_enabled(true);
         mtc_obs::registry().reset();
-        let millis = measure("ser/incremental-obs", || {
-            check_streaming(level, &history).unwrap()
-        });
+        let millis = measure("ser/incremental-obs", || stream(level, &history, false).0);
         mtc_obs::set_enabled(false);
         let name = "ser/incremental-obs".to_string();
         let txns_per_sec = txns as f64 / (millis / 1e3);
@@ -476,16 +474,8 @@ fn main() {
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("wrote {out}");
 
-    // The in-run ratio gates, baseline-free and machine-independent, so they
-    // hold on every run even without `--check`. Measured last: their larger
+    // The in-run gates (see the module docs). Measured last: their larger
     // history must not count towards the `peak_rss_kb` of any series above.
-    //
-    // * Observability overhead (schema 5): streaming SER with metric
-    //   recording on must reach 95% of the same pass with recording off.
-    // * Online-SSER fast path (schema 7): what the time chain costs on top
-    //   of streaming SER. Both sides are streaming passes, so the batch
-    //   checkers cannot move the ratio (the ratio to the batch SSER checker,
-    //   gated until schema 6, is printed for the trail only).
     let tps = |name: &str| {
         report
             .series(name)
@@ -496,154 +486,71 @@ fn main() {
         "info sser/incremental: {:.1}% of sser/batch (not gated)",
         tps("sser/incremental") / tps("sser/batch") * 1e2
     );
-    let gate_history = (txns < GATE_TXNS).then(|| serial_mt_history(GATE_TXNS, 64, 8));
+    let gate_history = (gate_txns > txns).then(|| serial_mt_history(gate_txns, 64, 8));
     let gate_history = gate_history.as_ref().unwrap_or(&history);
-    let ser = || check_streaming(IsolationLevel::Serializability, gate_history).unwrap();
+    let plain = |level| move || stream(level, gate_history, false).0;
+    let collected = |level| move || stream(level, gate_history, true).0;
+    let ser = plain(IsolationLevel::Serializability);
     let ser_recorded = || {
         mtc_obs::set_enabled(true);
         let verdict = ser();
         mtc_obs::set_enabled(false);
         verdict
     };
-    let sser = || check_streaming(IsolationLevel::StrictSerializability, gate_history).unwrap();
-    let gates = [
-        (
-            "ser/incremental-obs",
-            0.95,
-            &ser_recorded as &dyn Fn() -> Verdict,
-        ),
-        ("sser/incremental", 0.50, &sser),
-    ]
-    .map(|(name, floor, candidate)| (name, floor, gated_ratio(name, floor, &ser, candidate)));
-    let mut inrun_failures: Vec<String> = Vec::new();
-    for (name, floor, ratio) in gates {
-        println!(
-            "gate {name}: {:.1}% of ser/incremental (floor {:.0}%)   [{}]",
-            ratio * 1e2,
-            floor * 1e2,
-            if ratio >= floor { "ok" } else { "REGRESSED" }
-        );
-        if ratio < floor {
-            inrun_failures.push(format!(
-                "{name} reaches only {:.1}% of ser/incremental measured beside it \
-                 (floor {:.0}%)",
-                ratio * 1e2,
-                floor * 1e2
-            ));
+    let mut failures: Vec<String> = Vec::new();
+    let mut report_gate = |line: String, ok: bool| {
+        println!("gate {line}   [{}]", if ok { "ok" } else { "REGRESSED" });
+        if !ok {
+            failures.push(line);
         }
-    }
-    if !inrun_failures.is_empty() {
-        eprintln!("in-run gate regression:");
-        for f in &inrun_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-
-    let Some(baseline_path) = baseline_path else {
-        return;
     };
-    let baseline_text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let baseline: BenchReport =
-        serde_json::from_str(&baseline_text).expect("baseline parses as a BenchReport");
-
-    let mut failures = Vec::new();
-    // Machine scale: how much faster/slower this box runs the batch
-    // checkers than the baseline box did — the geometric mean over all
-    // three levels, so single-series noise cannot skew the expectation.
-    let mut log_scale_sum = 0.0f64;
-    let mut refs = 0usize;
-    for (tag, _) in per_level {
-        let reference = format!("{tag}/batch");
-        if let (Some(cur), Some(base)) = (report.series(&reference), baseline.series(&reference)) {
-            log_scale_sum += (cur.txns_per_sec / base.txns_per_sec).ln();
-            refs += 1;
-        } else {
-            failures.push(format!("missing reference series {reference}"));
-        }
-    }
-    let scale = if refs > 0 {
-        (log_scale_sum / refs as f64).exp()
-    } else {
-        1.0
-    };
-    println!("gate machine scale vs baseline: {scale:.3}");
-    for (tag, _) in per_level {
-        for flavour in ["incremental", "incremental-gc"] {
-            let name = format!("{tag}/{flavour}");
-            let (Some(cur), Some(base)) = (report.series(&name), baseline.series(&name)) else {
-                failures.push(format!("missing series {name}"));
-                continue;
-            };
-            let cur_tps = cur.txns_per_sec;
-            let expected = base.txns_per_sec * scale;
-            let ratio = cur_tps / expected;
-            let verdict = if ratio >= MIN_RELATIVE_THROUGHPUT {
-                "ok"
-            } else {
-                failures.push(format!(
-                    "{name}: {cur_tps:.0} txns/s is {:.0}% of the machine-scaled baseline \
-                     ({expected:.0} txns/s expected)",
-                    ratio * 100.0,
-                ));
-                "REGRESSED"
-            };
-            println!(
-                "gate {name:<18} {:>6.1}% of scaled baseline   [{verdict}]",
-                ratio * 100.0
-            );
-        }
-    }
-    // Peak-RSS gate: the run's memory high-water mark (`VmHWM` is monotone,
-    // so the max over the series is the whole run's footprint) must stay
-    // within [`MAX_RSS_GROWTH`] of the baseline's. Skipped when either side
-    // recorded 0 (no `/proc` on that platform). The `service/*` series are
-    // excluded from the gate on both sides: the in-process daemon carries N
-    // tenants' checkers plus the load threads, so its footprint measures
-    // the *service* (artifact-only, like its latency), not the checkers
-    // this gate protects — and `VmHWM`'s monotony would otherwise leak that
-    // footprint into the checker gate forever after.
-    let gated_peak = |r: &BenchReport| {
-        r.series
-            .iter()
-            .filter(|s| !s.name.starts_with("service/"))
-            .map(|s| s.peak_rss_kb)
-            .max()
-            .unwrap_or(0)
-    };
-    let cur_peak = gated_peak(&report);
-    let base_peak = gated_peak(&baseline);
-    if cur_peak > 0 && base_peak > 0 {
-        let ratio = cur_peak as f64 / base_peak as f64;
-        let verdict = if ratio <= MAX_RSS_GROWTH {
-            "ok"
-        } else {
-            failures.push(format!(
-                "peak_rss_kb: {cur_peak} kB is {:.0}% of the baseline's {base_peak} kB \
-                 (limit {:.0}%)",
-                ratio * 100.0,
-                MAX_RSS_GROWTH * 100.0
-            ));
-            "REGRESSED"
+    type Pass<'a> = &'a dyn Fn() -> Verdict;
+    let mut throughput_gate =
+        |name: &str, of: &str, floor: f64, reference: Pass, candidate: Pass| {
+            let ratio = gated_ratio(name, floor, reference, candidate);
+            let (ratio_pc, floor_pc) = (ratio * 1e2, floor * 1e2);
+            let line = format!("{name}: {ratio_pc:.1}% of {of} (floor {floor_pc:.0}%)");
+            report_gate(line, ratio >= floor);
         };
-        println!(
-            "gate peak_rss_kb       {:>6.1}% of baseline          [{verdict}]",
-            ratio * 100.0
+    let sser = plain(IsolationLevel::StrictSerializability);
+    throughput_gate(
+        "ser/incremental-obs",
+        "ser/incremental",
+        0.95,
+        &ser,
+        &ser_recorded,
+    );
+    throughput_gate("sser/incremental", "ser/incremental", 0.50, &ser, &sser);
+    for (tag, level) in per_level {
+        let (name, of) = (
+            format!("{tag}/incremental-gc"),
+            format!("{tag}/incremental"),
         );
+        throughput_gate(
+            &name,
+            &of,
+            MIN_GC_THROUGHPUT,
+            &plain(level),
+            &collected(level),
+        );
+    }
+    for (tag, _) in per_level {
+        let (gc, plain) = (child_peak_rss_kb(tag, true), child_peak_rss_kb(tag, false));
+        if gc > 0 && plain > 0 {
+            let ratio = gc as f64 / plain as f64;
+            let (ratio_pc, ceiling_pc) = (ratio * 1e2, MAX_GC_RSS * 1e2);
+            let line = format!(
+                "{tag}/peak-rss-gc: {ratio_pc:.1}% of the un-GC'd pass's {plain} kB \
+                 (ceiling {ceiling_pc:.0}%)"
+            );
+            report_gate(line, ratio <= MAX_GC_RSS);
+        }
     }
     if !failures.is_empty() {
-        eprintln!(
-            "streaming throughput regression (> {:.0}% drop):",
-            (1.0 - MIN_RELATIVE_THROUGHPUT) * 100.0
-        );
+        eprintln!("in-run gate regression:");
         for f in &failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
     }
-    println!(
-        "gate passed: no streaming series regressed more than {:.0}%",
-        (1.0 - MIN_RELATIVE_THROUGHPUT) * 100.0
-    );
 }

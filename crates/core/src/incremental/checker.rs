@@ -9,7 +9,8 @@ use super::Findings;
 use crate::check::{CheckOptions, IsolationLevel};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
-    DependencyGraph, IntraViolation, Key, Op, SessionId, Transaction, TxnId, TxnStatus, INIT_VALUE,
+    DependencyGraph, IntraViolation, Key, Op, OrderStats, SessionId, Transaction, TxnId, TxnStatus,
+    INIT_VALUE,
 };
 use std::time::Instant;
 
@@ -57,6 +58,11 @@ pub enum StreamStatus {
 pub struct IncrementalChecker {
     pub(super) engine: Engine,
     keys: KeyState,
+    /// What the transaction being ingested turned up — pure scratch, empty
+    /// between two calls of `ingest`, kept for its edge buffer.
+    found: Findings,
+    /// [`IncrementalChecker::order_stats`] as last published to `mtc-obs`.
+    published: OrderStats,
 }
 
 impl IncrementalChecker {
@@ -72,6 +78,8 @@ impl IncrementalChecker {
         IncrementalChecker {
             engine: Engine::new(level, CheckOptions::default()),
             keys: KeyState::default(),
+            found: Findings::default(),
+            published: OrderStats::default(),
         }
     }
 
@@ -179,6 +187,17 @@ impl IncrementalChecker {
         self.engine.pruned_txns
     }
 
+    /// What the maintained topological order has cost this checker (since
+    /// it was created or resumed): edges that agreed with the order on
+    /// arrival, affected-region passes, and nodes those passes re-ranked —
+    /// whether Pearce–Kelly maintenance is earning its cost on the stream.
+    /// With `mtc-obs` enabled the same readings are published as
+    /// `checker.topo_forward`, `checker.topo_reorders` and
+    /// `checker.topo_moved`.
+    pub fn order_stats(&self) -> OrderStats {
+        order_stats(&self.engine)
+    }
+
     /// Captures a complete [`CheckerSnapshot`] of the current state: the
     /// engine plus the key state.
     pub fn checkpoint(&self) -> CheckerSnapshot {
@@ -203,6 +222,8 @@ impl IncrementalChecker {
         IncrementalChecker {
             engine,
             keys: KeyState::merge(keys),
+            found: Findings::default(),
+            published: OrderStats::default(),
         }
     }
 
@@ -220,7 +241,7 @@ impl IncrementalChecker {
             begin: Some(0),
             end: Some(0),
         };
-        self.ingest(&init, true);
+        self.ingest(TxnId(0), &init, true);
         self
     }
 
@@ -236,23 +257,22 @@ impl IncrementalChecker {
     /// that took the input outside the checker's domain. Both violations and
     /// errors latch: later pushes are cheap no-ops returning the same answer.
     pub fn push(&mut self, txn: Transaction) -> Result<StreamStatus, CheckError> {
-        self.feed(txn);
+        self.feed(&txn);
         self.status_result()
     }
 
     /// Feeds a batch of transactions, in stream order, and returns the
     /// status after the whole batch: a loop of [`IncrementalChecker::push`]es.
     pub fn push_batch(&mut self, txns: Vec<Transaction>) -> Result<StreamStatus, CheckError> {
-        for txn in txns {
+        for txn in &txns {
             self.feed(txn);
         }
         self.status_result()
     }
 
-    /// Numbers `txn` with the next dense id and consumes it.
-    fn feed(&mut self, mut txn: Transaction) {
-        txn.id = TxnId(self.engine.txn_count as u32);
-        self.ingest(&txn, false);
+    /// Consumes `txn` under the next dense id, whatever id it carries.
+    fn feed(&mut self, txn: &Transaction) {
+        self.ingest(TxnId(self.engine.txn_count as u32), txn, false);
     }
 
     /// Convenience: feeds a committed transaction.
@@ -299,47 +319,54 @@ impl IncrementalChecker {
                 self.engine.txn_count, 0,
                 "a history with ⊥T can only be replayed into an empty checker"
             );
-            self.ingest(history.txn(init), true);
+            self.ingest(init, history.txn(init), true);
         }
         for txn in history.txns() {
             if Some(txn.id) != history.init_txn() {
-                self.feed(txn.clone());
+                self.feed(txn);
             }
         }
         self.status_result()
     }
 
-    /// The one ingest step, from `push` to latch: admits `txn` (id already
-    /// assigned; `⊥T` arrives with `is_init`), derives what its keys entail,
-    /// settles the findings stage by stage, and closes a GC epoch when one
-    /// is due. Once a verdict is latched, transactions are only counted.
-    pub(super) fn ingest(&mut self, txn: &Transaction, is_init: bool) {
-        let IncrementalChecker { engine, keys } = self;
+    /// The one ingest step, from `push` to latch: admits `txn` as
+    /// transaction `id` (the id it carries is not read; `⊥T` arrives with
+    /// `is_init`), derives what its keys entail, settles the findings stage
+    /// by stage, and closes a GC epoch when one is due. Once a verdict is
+    /// latched, transactions are only counted.
+    pub(super) fn ingest(&mut self, id: TxnId, txn: &Transaction, is_init: bool) {
+        let IncrementalChecker {
+            engine,
+            keys,
+            found,
+            published,
+        } = self;
         if engine.done() {
             engine.txn_count += 1;
             return;
         }
         let ingest_timer = obs_ingest_timer();
         let opts = engine.opts;
-        let mut found = Findings::default();
-        let admitted = engine.admit(txn, is_init, &mut found);
+        let admitted = engine.admit(id, txn, is_init, found);
         // Only SI scans for DIVERGENCE; `settle` decides when it counts.
         let scan_divergence = engine.level == IsolationLevel::SnapshotIsolation;
         keys.derive(
+            id,
             txn,
             is_init,
             scan_divergence,
             engine.has_init,
             &opts,
-            &mut found,
+            found,
         );
-        engine.settle(txn.id, admitted, found);
+        engine.settle(id, admitted, found);
         if engine.gc_due() {
             close_epoch(engine, keys);
         }
         if let Some(t0) = ingest_timer {
             mtc_obs::histogram!("checker.ingest_txn_micros")
                 .record(t0.elapsed().as_micros() as u64);
+            publish_order_stats(engine, published);
         }
     }
 
@@ -402,7 +429,13 @@ impl IncrementalChecker {
     /// no longer be satisfied) and returns the final verdict, which agrees
     /// with the batch checkers on the equivalent [`mtc_history::History`].
     pub fn finish(self) -> Result<Verdict, CheckError> {
-        let IncrementalChecker { engine, mut keys } = self;
+        let IncrementalChecker {
+            engine,
+            mut keys,
+            mut published,
+            ..
+        } = self;
+        publish_order_stats(&engine, &mut published);
         if let Some(e) = engine.error {
             return Err(e);
         }
@@ -427,6 +460,30 @@ impl IncrementalChecker {
             }),
         }
     }
+}
+
+/// The level's maintained order is the one that has any readings.
+fn order_stats(engine: &Engine) -> OrderStats {
+    let (topo, composed) = (engine.topo.order_stats(), engine.composed.order_stats());
+    OrderStats {
+        forward: topo.forward + composed.forward,
+        reorders: topo.reorders + composed.reorders,
+        moved: topo.moved + composed.moved,
+    }
+}
+
+/// Publishes what the orders did since the last call: on the sampled pushes
+/// and at `finish`, so a scrape of a running checker trails it by at most
+/// sixteen transactions and the hot path pays nothing for it.
+fn publish_order_stats(engine: &Engine, published: &mut OrderStats) {
+    if !mtc_obs::enabled() {
+        return;
+    }
+    let now = order_stats(engine);
+    let was = std::mem::replace(published, now);
+    mtc_obs::counter!("checker.topo_forward").add(now.forward - was.forward);
+    mtc_obs::counter!("checker.topo_reorders").add(now.reorders - was.reorders);
+    mtc_obs::counter!("checker.topo_moved").add(now.moved - was.moved);
 }
 
 fn live_nodes(engine: &Engine) -> usize {

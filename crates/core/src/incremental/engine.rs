@@ -7,14 +7,14 @@ use super::arena::{ProvMap, TxnMap};
 use super::gc::GcPolicy;
 use super::{keep_lowest, Findings};
 use crate::check::{CheckOptions, IsolationLevel};
-use crate::mini::validate_transaction;
+use crate::mini::validate_shape;
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
-    DependencyGraph, Edge, EdgeKind, IncrementalTopo, IntraAnomaly, IntraViolation, Key, Op, Role,
-    SessionId, TimeChain, Transaction, TxnId, TxnStatus, Value,
+    DependencyGraph, Edge, EdgeKind, IncrementalTopo, IntraAnomaly, IntraViolation, Op, Role,
+    SessionId, TimeChain, Transaction, TxnId, TxnStatus,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 // ───────────────────────── the engine ───────────────────────────────────────
 
@@ -165,16 +165,16 @@ impl Engine {
         }
     }
 
-    /// Registers the next transaction: assigns its node, validates its
-    /// shape, runs the local intra scan (both into `found`) and looks up the
-    /// source of its `SO` edge.
+    /// Registers the next transaction as `id`: assigns its node, validates
+    /// its shape, runs the local intra scan (both into `found`) and looks up
+    /// the source of its `SO` edge.
     pub(super) fn admit(
         &mut self,
+        id: TxnId,
         txn: &Transaction,
         is_init: bool,
         found: &mut Findings,
     ) -> Admitted {
-        let id = txn.id;
         debug_assert_eq!(id.index(), self.txn_count);
         self.txn_count += 1;
         self.graph.add_node();
@@ -227,14 +227,14 @@ impl Engine {
             return admitted;
         }
         if self.opts.validate_mt {
-            if let Err(v) = validate_transaction(txn) {
+            if let Err(v) = validate_shape(id, &txn.ops) {
                 keep_lowest(&mut found.error, 0, CheckError::NotMiniTransaction(v));
             }
         }
         if txn.status == TxnStatus::Committed {
             self.committed_count += 1;
             if self.opts.prescan_intra {
-                if let Some(v) = local_intra_scan(txn) {
+                if let Some(v) = local_intra_scan(id, txn) {
                     keep_lowest(&mut found.intra, 0, v);
                 }
             }
@@ -258,28 +258,31 @@ impl Engine {
     /// the other like `preflight` + `check_batch`; the first stage that
     /// latches ends it. The order is the module docs' "One transaction,
     /// stage by stage": certificates and snapshot bytes depend on it.
-    pub(super) fn settle(&mut self, at: TxnId, admitted: Admitted, mut found: Findings) {
-        if let Some((_, e)) = found.error {
-            self.error = Some(e);
-            return;
-        }
-        if let Some((_, v)) = found.intra {
-            return self.latch_violation(Violation::Intra(vec![v]), at);
-        }
-        // `CHECKSI`'s early exit; in ablation mode the pattern is reported
-        // after the edges instead, because the composed graph can mask the
-        // RW 2-cycle a DIVERGENCE induces.
-        let late = self.opts.skip_divergence_early_exit;
-        if let Some((_, d)) = found.divergence.take_if(|_| !late) {
-            return self.latch_violation(d.into_violation(), at);
-        }
+    /// `found` is left empty, its edge buffer allocated.
+    pub(super) fn settle(&mut self, at: TxnId, admitted: Admitted, found: &mut Findings) {
+        let (error, intra) = (found.error.take(), found.intra.take());
+        let mut divergence = found.divergence.take();
         // Pinned accident: while edges were sorted as tagged events, the
         // first edge `derive` discovered tied with `SO` and sorted before
         // the time hooks if its key had rank 0 — and only then. Snapshot
         // bytes (adjacency order) and SSER certificates depend on it.
         let hooks_wait = admitted.so.is_some() && found.edges.first().is_some_and(|e| e.0 == 0);
         found.edges.sort_by_key(|e| e.0); // stable: discovery order within a key
-        let mut edges = found.edges.into_iter().map(|(_, e)| e);
+        let mut edges = found.edges.drain(..).map(|(_, e)| e);
+        if let Some((_, e)) = error {
+            self.error = Some(e);
+            return;
+        }
+        if let Some((_, v)) = intra {
+            return self.latch_violation(Violation::Intra(vec![v]), at);
+        }
+        // `CHECKSI`'s early exit; in ablation mode the pattern is reported
+        // after the edges instead, because the composed graph can mask the
+        // RW 2-cycle a DIVERGENCE induces.
+        let late = self.opts.skip_divergence_early_exit;
+        if let Some((_, d)) = divergence.take_if(|_| !late) {
+            return self.latch_violation(d.into_violation(), at);
+        }
         if let Some(from) = admitted.so {
             let kind = EdgeKind::So;
             self.insert(at, Edge { from, to: at, kind });
@@ -294,7 +297,7 @@ impl Engine {
             self.insert(at, edge);
         }
         // Still here only in ablation mode.
-        if let Some((_, d)) = found.divergence {
+        if let Some((_, d)) = divergence {
             self.latch_violation(d.into_violation(), at);
         }
     }
@@ -405,23 +408,25 @@ impl Engine {
             EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_) => {
                 let (a, b) = (self.cnode_of(edge.from), self.cnode_of(edge.to));
                 self.add_composed(at, a, b, (edge, None));
-                if self.done() {
-                    return;
-                }
-                let suffixes: Vec<Edge> = self.rw_out.get(edge.to).cloned().unwrap_or_default();
-                for rw in suffixes {
-                    let c = self.cnode_of(rw.to);
-                    self.add_composed(at, a, c, (edge, Some(rw)));
+                // By index: composing touches neither `rw_out` nor `base_in`.
+                let suffixes = self.rw_out.get(edge.to).map_or(0, Vec::len);
+                for i in 0..suffixes {
                     if self.done() {
                         return;
                     }
+                    let rw = self.rw_out.get(edge.to).expect("counted above")[i];
+                    let c = self.cnode_of(rw.to);
+                    self.add_composed(at, a, c, (edge, Some(rw)));
                 }
-                self.base_in.get_or_default(edge.to).push(edge);
+                if !self.done() {
+                    self.base_in.get_or_default(edge.to).push(edge);
+                }
             }
             EdgeKind::Rw(_) => {
                 let c = self.cnode_of(edge.to);
-                let bases: Vec<Edge> = self.base_in.get(edge.from).cloned().unwrap_or_default();
-                for base in bases {
+                let bases = self.base_in.get(edge.from).map_or(0, Vec::len);
+                for i in 0..bases {
+                    let base = self.base_in.get(edge.from).expect("counted above")[i];
                     let a = self.cnode_of(base.from);
                     self.add_composed(at, a, c, (base, Some(edge)));
                     if self.done() {
@@ -477,38 +482,36 @@ pub(super) struct Admitted {
 
 /// The purely intra-transactional half of the pre-scan: the first `INT`
 /// axiom violation in program order, mirroring `mtc_history::intra`'s
-/// classification.
-fn local_intra_scan(txn: &Transaction) -> Option<IntraViolation> {
-    struct Access {
-        value: Value,
-        was_write: bool,
-    }
-    let mut last_access: HashMap<Key, Access> = HashMap::new();
-    let mut own_writes: HashMap<Key, Vec<Value>> = HashMap::new();
+/// classification — and its look-back: a transaction is a handful of
+/// operations long, so the latest earlier access of a read's key is found by
+/// scanning back over them, with no per-transaction state.
+fn local_intra_scan(id: TxnId, txn: &Transaction) -> Option<IntraViolation> {
     for (i, op) in txn.ops.iter().enumerate() {
-        let (key, value, was_write) = match *op {
-            Op::Write { key, value } => (key, value, true),
-            Op::Read { key, value } => (key, value, false),
+        let Op::Read { key, value } = *op else {
+            continue;
         };
-        if was_write {
-            own_writes.entry(key).or_default().push(value);
-        } else if let Some(prev) = last_access.get(&key).filter(|p| p.value != value) {
-            let anomaly = if !prev.was_write {
-                IntraAnomaly::NonRepeatableReads
-            } else if own_writes.get(&key).is_some_and(|w| w.contains(&value)) {
-                IntraAnomaly::NotMyLastWrite
-            } else {
-                IntraAnomaly::NotMyOwnWrite
-            };
-            return Some(IntraViolation {
-                anomaly,
-                txn: txn.id,
-                op_index: i,
-                key,
-                value,
-            });
+        let earlier = &txn.ops[..i];
+        let Some(prev) = earlier.iter().rev().find(|prev| prev.key() == key) else {
+            continue;
+        };
+        if prev.value() == value {
+            continue;
         }
-        last_access.insert(key, Access { value, was_write });
+        let own_write = |w: &Op| w.is_write() && w.key() == key && w.value() == value;
+        let anomaly = if prev.is_read() {
+            IntraAnomaly::NonRepeatableReads
+        } else if earlier.iter().any(own_write) {
+            IntraAnomaly::NotMyLastWrite
+        } else {
+            IntraAnomaly::NotMyOwnWrite
+        };
+        return Some(IntraViolation {
+            anomaly,
+            txn: id,
+            op_index: i,
+            key,
+            value,
+        });
     }
     None
 }

@@ -78,83 +78,126 @@ pub(super) struct KeyState {
     /// reader entries the GC's reader-list cap has dropped (see
     /// [`GcPolicy`]'s reader-cap contract). Empty unless a cap is set.
     pub(super) evicted: FastHashMap<(TxnId, Key), u64>,
+    /// The transaction being derived, per key — pure scratch, refilled by
+    /// every [`KeyState::derive`], kept for its capacity.
+    #[serde(skip)]
+    scratch: Decomposed,
 }
 
-/// The per-key slice of one transaction, precomputed once so the derivation
-/// never re-walks the full op list.
+/// The per-key slice of one transaction. The slot's index is the rank of
+/// the key in the transaction's `key_set` order.
 #[derive(Clone, Debug)]
 struct KeyWork {
     key: Key,
-    /// Rank of the key in the transaction's `key_set` order.
-    key_rank: u32,
     /// Rank of the key in the transaction's `write_set` order (`u32::MAX`
     /// when the key is not written) — fixes the divergence-check order.
     write_rank: u32,
     /// The external read of the key, with its op index.
     external_read: Option<(Value, usize)>,
-    /// Every write of the key, in program order, with "is last write" flags.
-    writes: Vec<(Value, bool)>,
-    /// True iff the transaction writes the key.
-    writes_key: bool,
+    /// Value of the last write of the key; only read when the key is written.
+    last_write: Value,
     /// True iff the external read returns a value the transaction itself
     /// installs later (FUTUREREAD candidate).
     future_candidate: bool,
 }
 
-/// A transaction decomposed into its per-key slices, in `key_set` order.
-fn decompose(txn: &Transaction) -> Vec<KeyWork> {
-    let write_set = txn.write_set();
-    txn.key_set()
-        .iter()
-        .enumerate()
-        .map(|(rank, &key)| {
-            let external_read = txn.ops.iter().enumerate().find_map(|(i, op)| match *op {
-                Op::Write { key: k, .. } if k == key => Some(None),
-                Op::Read { key: k, value } if k == key => Some(Some((value, i))),
-                _ => None,
-            });
-            let external_read = external_read.flatten();
-            let writes: Vec<(Value, bool)> = {
-                let last = txn.last_write(key);
-                txn.ops
-                    .iter()
-                    .filter_map(|op| match *op {
-                        Op::Write { key: k, value } if k == key => {
-                            Some((value, Some(value) == last))
-                        }
-                        _ => None,
-                    })
-                    .collect()
+impl KeyWork {
+    /// True iff the transaction writes the key.
+    fn writes_key(&self) -> bool {
+        self.write_rank != u32::MAX
+    }
+}
+
+/// One write operation, filed under its key's slot.
+#[derive(Clone, Copy, Debug)]
+struct KeyWrite {
+    /// Index of the key's [`KeyWork`] (its `key_set` rank).
+    slot: u32,
+    /// Position of the write in the transaction's program order.
+    op_index: u32,
+    value: Value,
+}
+
+/// A transaction decomposed into its per-key slices by one pass over its
+/// operations, into buffers that outlive it: a mini-transaction (≤ 2 keys,
+/// ≤ 4 operations) costs no allocation, and a wide one — the 1 000-write
+/// `⊥T` — one slot lookup per operation, as `Transaction::key_set` does.
+#[derive(Clone, Debug, Default)]
+struct Decomposed {
+    /// The keys in `key_set` order.
+    keys: Vec<KeyWork>,
+    /// Every write, grouped by key in `key_set` order, program order within
+    /// a key.
+    writes: Vec<KeyWrite>,
+    /// Slots of the written keys in `write_set` order.
+    written: Vec<u32>,
+}
+
+impl Decomposed {
+    fn fill(&mut self, ops: &[Op]) {
+        self.keys.clear();
+        self.writes.clear();
+        self.written.clear();
+        let mut grouped = true;
+        for (i, op) in ops.iter().enumerate() {
+            let key = op.key();
+            let slot = match self.keys.iter().position(|w| w.key == key) {
+                Some(slot) => slot,
+                None => {
+                    self.keys.push(KeyWork {
+                        key,
+                        write_rank: u32::MAX,
+                        // Only the first operation on a key can be its
+                        // external read.
+                        external_read: op.is_read().then_some((op.value(), i)),
+                        last_write: op.value(),
+                        future_candidate: false,
+                    });
+                    self.keys.len() - 1
+                }
             };
-            let future_candidate = match external_read {
-                Some((v, i)) => txn.ops[i + 1..]
-                    .iter()
-                    .any(|op| matches!(*op, Op::Write { key: k, value } if k == key && value == v)),
-                None => false,
-            };
-            KeyWork {
-                key,
-                key_rank: rank as u32,
-                write_rank: write_set
-                    .iter()
-                    .position(|&k| k == key)
-                    .map(|p| p as u32)
-                    .unwrap_or(u32::MAX),
-                external_read,
-                writes_key: !writes.is_empty(),
-                writes,
-                future_candidate,
+            if op.is_read() {
+                continue;
             }
+            let work = &mut self.keys[slot];
+            if !work.writes_key() {
+                work.write_rank = self.written.len() as u32;
+                self.written.push(slot as u32);
+            }
+            work.last_write = op.value();
+            work.future_candidate |= work.external_read.is_some_and(|(v, _)| v == op.value());
+            grouped &= self.writes.last().is_none_or(|w| w.slot <= slot as u32);
+            self.writes.push(KeyWrite {
+                slot: slot as u32,
+                op_index: i as u32,
+                value: op.value(),
+            });
+        }
+        if !grouped {
+            self.writes.sort_unstable_by_key(|w| (w.slot, w.op_index));
+        }
+    }
+
+    /// Every write as `(key rank, key, value, is_last)`, key by key in
+    /// `key_set` order, program order within a key. `is_last` holds for
+    /// every write whose value equals the key's last write's.
+    fn writes(&self) -> impl Iterator<Item = (u32, Key, Value, bool)> + '_ {
+        self.writes.iter().map(|w| {
+            let work = &self.keys[w.slot as usize];
+            (w.slot, work.key, w.value, w.value == work.last_write)
         })
-        .collect()
+    }
 }
 
 impl KeyState {
-    /// Processes `txn` key by key: updates the indexes — completely, whatever
-    /// is found — and records in `found` what the transaction entails.
-    /// `scan_divergence` enables the SI-only DIVERGENCE scan.
+    /// Processes transaction `id` key by key: updates the indexes —
+    /// completely, whatever is found — and records in `found` what the
+    /// transaction entails. `scan_divergence` enables the SI-only DIVERGENCE
+    /// scan.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn derive(
         &mut self,
+        id: TxnId,
         txn: &Transaction,
         is_init: bool,
         scan_divergence: bool,
@@ -162,115 +205,130 @@ impl KeyState {
         opts: &CheckOptions,
         found: &mut Findings,
     ) {
+        let mut per_key = std::mem::take(&mut self.scratch);
+        per_key.fill(&txn.ops);
         let committed = txn.status == TxnStatus::Committed;
-        let per_key = decompose(txn);
-
-        // ── register writes (duplicate detection + pending resolution) ──
-        for work in &per_key {
-            for &(value, is_last) in &work.writes {
-                let reg = self.writes.entry((work.key, value)).or_default();
-                reg.last_touch = reg.last_touch.max(txn.id);
-                if committed {
-                    let is_duplicate = |&first: &TxnId| opts.validate_mt && first != txn.id;
-                    if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
-                        let duplicate = MtViolation::DuplicateValue {
-                            key: work.key,
-                            value,
-                            first,
-                            second: txn.id,
-                        };
-                        let error = CheckError::NotMiniTransaction(duplicate);
-                        keep_lowest(&mut found.error, work.key_rank, error);
-                    }
-                    if reg.first_committed_any.is_none() {
-                        reg.first_committed_any = Some(txn.id);
-                    }
-                    if is_last {
-                        if reg.committed_last.is_none() {
-                            reg.committed_last = Some(txn.id);
-                            self.version_of.insert((txn.id, work.key), value);
-                        }
-                        self.latest.insert(work.key, value);
-                    } else if reg.committed_intermediate.is_none() {
-                        reg.committed_intermediate = Some(txn.id);
-                    }
-                } else if reg.non_committed.is_none() {
-                    reg.non_committed = Some(txn.id);
-                }
+        self.register_writes(id, committed, &per_key, opts, found);
+        if committed && !is_init {
+            if scan_divergence {
+                self.scan_divergence(id, &per_key, found);
             }
+            self.resolve_own_reads(id, &per_key, has_init, opts, found);
         }
+        // `⊥T` is as wide as the key space: its buffers are not worth keeping.
+        if !is_init {
+            self.scratch = per_key;
+        }
+    }
 
-        // ── resolve reads that were waiting for these writes ──
-        if committed {
-            for work in &per_key {
-                for &(value, is_last) in &work.writes {
-                    let Some(waiters) = self.pending.remove(&(work.key, value)) else {
-                        continue;
+    /// Registers the transaction's writes (duplicate detection) and, for a
+    /// committed one, resolves the reads that were waiting for them.
+    fn register_writes(
+        &mut self,
+        id: TxnId,
+        committed: bool,
+        per_key: &Decomposed,
+        opts: &CheckOptions,
+        found: &mut Findings,
+    ) {
+        for (key_rank, key, value, is_last) in per_key.writes() {
+            let reg = self.writes.entry((key, value)).or_default();
+            reg.last_touch = reg.last_touch.max(id);
+            if committed {
+                let is_duplicate = |&first: &TxnId| opts.validate_mt && first != id;
+                if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
+                    let duplicate = MtViolation::DuplicateValue {
+                        key,
+                        value,
+                        first,
+                        second: id,
                     };
-                    for waiter in waiters {
-                        if is_last {
-                            // The version now exists: the deferred WR/WW/RW
-                            // edges of every waiting reader, in arrival order.
-                            self.emit_reads_from(
-                                txn.id,
-                                waiter.txn,
-                                work.key,
-                                waiter.writes_key,
-                                work.key_rank,
-                                &mut found.edges,
-                            );
-                        } else if opts.prescan_intra {
-                            // The value only ever existed mid-transaction.
-                            let read = IntraViolation {
-                                anomaly: IntraAnomaly::IntermediateRead,
-                                txn: waiter.txn,
-                                op_index: waiter.op_index,
-                                key: waiter.key,
-                                value: waiter.value,
-                            };
-                            keep_lowest(&mut found.intra, work.key_rank, read);
-                        }
-                    }
+                    let error = CheckError::NotMiniTransaction(duplicate);
+                    keep_lowest(&mut found.error, key_rank, error);
                 }
+                if reg.first_committed_any.is_none() {
+                    reg.first_committed_any = Some(id);
+                }
+                if is_last {
+                    if reg.committed_last.is_none() {
+                        reg.committed_last = Some(id);
+                        self.version_of.insert((id, key), value);
+                    }
+                    self.latest.insert(key, value);
+                } else if reg.committed_intermediate.is_none() {
+                    reg.committed_intermediate = Some(id);
+                }
+            } else if reg.non_committed.is_none() {
+                reg.non_committed = Some(id);
             }
         }
-
-        if !committed || is_init {
+        if !committed {
             return;
         }
-
-        // ── DIVERGENCE scan (write_set order, like `find_divergence`) ──
-        if scan_divergence {
-            let mut rmw: Vec<(&KeyWork, Value)> = per_key
-                .iter()
-                .filter(|w| w.writes_key)
-                .filter_map(|w| Some((w, w.external_read?.0)))
-                .collect();
-            rmw.sort_unstable_by_key(|(w, _)| w.write_rank);
-            for (work, value) in rmw {
-                let first = *self
-                    .first_reader_writer
-                    .entry((work.key, value))
-                    .or_insert(txn.id);
-                if first != txn.id {
-                    let writer = self
-                        .writes
-                        .get(&(work.key, value))
-                        .and_then(|r| r.committed_last);
-                    let divergence = Divergence {
-                        key: work.key,
-                        value,
-                        writer,
-                        reader1: first,
-                        reader2: txn.id,
+        for (key_rank, key, value, is_last) in per_key.writes() {
+            let Some(waiters) = self.pending.remove(&(key, value)) else {
+                continue;
+            };
+            for waiter in waiters {
+                if is_last {
+                    // The version now exists: the deferred WR/WW/RW edges of
+                    // every waiting reader, in arrival order.
+                    let (reader, writes_key) = (waiter.txn, waiter.writes_key);
+                    self.emit_reads_from(id, reader, key, writes_key, key_rank, &mut found.edges);
+                } else if opts.prescan_intra {
+                    // The value only ever existed mid-transaction.
+                    let read = IntraViolation {
+                        anomaly: IntraAnomaly::IntermediateRead,
+                        txn: waiter.txn,
+                        op_index: waiter.op_index,
+                        key: waiter.key,
+                        value: waiter.value,
                     };
-                    keep_lowest(&mut found.divergence, work.write_rank, divergence);
+                    keep_lowest(&mut found.intra, key_rank, read);
                 }
             }
         }
+    }
 
-        // ── resolve this transaction's own external reads ──
-        for work in &per_key {
+    /// The DIVERGENCE scan, in `write_set` order like `find_divergence`.
+    fn scan_divergence(&mut self, id: TxnId, per_key: &Decomposed, found: &mut Findings) {
+        for &slot in &per_key.written {
+            let work = &per_key.keys[slot as usize];
+            let Some((value, _)) = work.external_read else {
+                continue;
+            };
+            let first = *self
+                .first_reader_writer
+                .entry((work.key, value))
+                .or_insert(id);
+            if first != id {
+                let writer = self
+                    .writes
+                    .get(&(work.key, value))
+                    .and_then(|r| r.committed_last);
+                let divergence = Divergence {
+                    key: work.key,
+                    value,
+                    writer,
+                    reader1: first,
+                    reader2: id,
+                };
+                keep_lowest(&mut found.divergence, work.write_rank, divergence);
+            }
+        }
+    }
+
+    /// Resolves the transaction's own external reads, in `key_set` order.
+    fn resolve_own_reads(
+        &mut self,
+        id: TxnId,
+        per_key: &Decomposed,
+        has_init: bool,
+        opts: &CheckOptions,
+        found: &mut Findings,
+    ) {
+        for (key_rank, work) in per_key.keys.iter().enumerate() {
+            let key_rank = key_rank as u32;
             let Some((value, op_index)) = work.external_read else {
                 continue;
             };
@@ -278,23 +336,24 @@ impl KeyState {
                 // Read of the implicit initial state: no dependency.
                 continue;
             }
-            if let Some(reg) = self.writes.get_mut(&(work.key, value)) {
-                // Reads refresh the GC staleness clock of the version.
-                reg.last_touch = reg.last_touch.max(txn.id);
-            }
-            let reg = self
-                .writes
-                .get(&(work.key, value))
-                .cloned()
-                .unwrap_or_default();
-            match reg.committed_last {
-                Some(writer) if writer != txn.id => {
+            let (committed_last, committed_intermediate) =
+                match self.writes.get_mut(&(work.key, value)) {
+                    Some(reg) => {
+                        // Reads refresh the GC staleness clock of the version.
+                        reg.last_touch = reg.last_touch.max(id);
+                        (reg.committed_last, reg.committed_intermediate)
+                    }
+                    None => (None, None),
+                };
+            match committed_last {
+                Some(writer) if writer != id => {
+                    let writes_key = work.writes_key();
                     self.emit_reads_from(
                         writer,
-                        txn.id,
+                        id,
                         work.key,
-                        work.writes_key,
-                        work.key_rank,
+                        writes_key,
+                        key_rank,
                         &mut found.edges,
                     );
                 }
@@ -302,17 +361,16 @@ impl KeyState {
                     // A *foreign* committed transaction overwrote the value
                     // before committing (the reader's own intermediate write
                     // is the FUTUREREAD case, settled at finish()).
-                    let foreign_intermediate =
-                        reg.committed_intermediate.is_some_and(|w| w != txn.id);
+                    let foreign_intermediate = committed_intermediate.is_some_and(|w| w != id);
                     if foreign_intermediate && opts.prescan_intra {
                         let read = IntraViolation {
                             anomaly: IntraAnomaly::IntermediateRead,
-                            txn: txn.id,
+                            txn: id,
                             op_index,
                             key: work.key,
                             value,
                         };
-                        keep_lowest(&mut found.intra, work.key_rank, read);
+                        keep_lowest(&mut found.intra, key_rank, read);
                         continue;
                     }
                     // Nobody (valid) has installed the value yet: defer.
@@ -320,12 +378,12 @@ impl KeyState {
                         .entry((work.key, value))
                         .or_default()
                         .push(PendingRead {
-                            txn: txn.id,
+                            txn: id,
                             op_index,
                             key: work.key,
                             value,
                             future_candidate: work.future_candidate,
-                            writes_key: work.writes_key,
+                            writes_key: work.writes_key(),
                         });
                 }
             }
@@ -533,5 +591,114 @@ impl KeyState {
             .map(|(readers, _)| readers.len())
             .max()
             .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtc_history::{SessionId, Transaction};
+    use proptest::prelude::*;
+
+    /// The per-key slice as it was built before the one-pass decomposition:
+    /// straight from `Transaction`'s own accessors, one walk per question.
+    #[derive(Debug, PartialEq)]
+    struct ReferenceWork {
+        key: Key,
+        write_rank: u32,
+        external_read: Option<(Value, usize)>,
+        writes: Vec<(Value, bool)>,
+        writes_key: bool,
+        future_candidate: bool,
+    }
+
+    /// The reference decomposition, in `key_set` order.
+    fn reference(txn: &Transaction) -> Vec<ReferenceWork> {
+        let write_set = txn.write_set();
+        txn.key_set()
+            .iter()
+            .map(|&key| {
+                let external_read = txn.external_read(key).map(|value| {
+                    let at = txn.ops.iter().position(|op| op.key() == key);
+                    (value, at.expect("the key is in the key set"))
+                });
+                let last = txn.last_write(key);
+                let writes: Vec<(Value, bool)> = txn
+                    .ops
+                    .iter()
+                    .filter(|op| op.is_write() && op.key() == key)
+                    .map(|op| (op.value(), Some(op.value()) == last))
+                    .collect();
+                let future_candidate = external_read.is_some_and(|(v, i)| {
+                    txn.ops[i + 1..]
+                        .iter()
+                        .any(|op| op.is_write() && op.key() == key && op.value() == v)
+                });
+                ReferenceWork {
+                    key,
+                    write_rank: write_set
+                        .iter()
+                        .position(|&k| k == key)
+                        .map_or(u32::MAX, |p| p as u32),
+                    external_read,
+                    writes_key: !writes.is_empty(),
+                    writes,
+                    future_candidate,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Write-first keys, repeated values, more than two writes per key,
+        /// interleaved keys (the writes need regrouping), the empty list.
+        #[test]
+        fn one_pass_decomposition_equals_the_accessor_built_slices(
+            ops in prop::collection::vec((any::<bool>(), 0u64..4, 0u64..3), 0..13),
+        ) {
+            let ops: Vec<Op> = ops
+                .into_iter()
+                .map(|(write, k, v)| if write { Op::write(k, v) } else { Op::read(k, v) })
+                .collect();
+            let txn = Transaction::committed(TxnId(1), SessionId(0), ops);
+            let mut per_key = Decomposed::default();
+            // A used buffer: whatever the previous transaction left is gone.
+            per_key.fill(&[Op::write(9u64, 9u64), Op::write(8u64, 8u64), Op::write(9u64, 7u64)]);
+            per_key.fill(&txn.ops);
+            let reference = reference(&txn);
+            let rebuilt: Vec<ReferenceWork> = per_key
+                .keys
+                .iter()
+                .enumerate()
+                .map(|(rank, work)| ReferenceWork {
+                    key: work.key,
+                    write_rank: work.write_rank,
+                    external_read: work.external_read,
+                    writes: per_key
+                        .writes()
+                        .filter(|&(key_rank, ..)| key_rank as usize == rank)
+                        .map(|(_, key, value, is_last)| {
+                            assert_eq!(key, work.key);
+                            (value, is_last)
+                        })
+                        .collect(),
+                    writes_key: work.writes_key(),
+                    future_candidate: work.future_candidate,
+                })
+                .collect();
+            prop_assert_eq!(&rebuilt, &reference);
+            // The flat write list is grouped by key rank, and `written` is
+            // the write set in first-write order.
+            let ranks: Vec<u32> = per_key.writes().map(|(rank, ..)| rank).collect();
+            prop_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "{:?}", ranks);
+            let written: Vec<Key> = per_key
+                .written
+                .iter()
+                .map(|&slot| per_key.keys[slot as usize].key)
+                .collect();
+            prop_assert_eq!(written, txn.write_set());
+        }
     }
 }

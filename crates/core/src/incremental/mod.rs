@@ -21,7 +21,7 @@
 //! | file | holds | called by |
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
-//! | `keystate.rs` | `KeyState`: per-key provenance indexes, `decompose`, edge derivation, the per-key sweep | `checker` only |
+//! | `keystate.rs` | `KeyState`: per-key provenance indexes, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
 //! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
 //! | `arena.rs` | `TxnMap`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, `Eviction`, the epoch clock and `Engine::collect` | `checker` only |
@@ -61,6 +61,24 @@
 //! run hits it, and the order decides adjacency order — hence every later
 //! certificate and every snapshot byte (`tests/streaming_verdict_fixture.rs`
 //! and `mtc-store`'s `store_differential.rs` hold it).
+//!
+//! ## What allocates
+//!
+//! In steady state a mini-transaction's trip through `ingest` allocates
+//! nothing of its own: the per-key decomposition, the findings' edge list,
+//! the time-chain splice pairs and the window re-sort of the maintained
+//! order are buffers that outlive the transaction; the local `INT` scan
+//! looks back over the operations instead of indexing them; a node's
+//! adjacency rows hold their first five neighbours in place and the
+//! dependency graph threads a source's out-edges through one flat `next`
+//! array. What is left is the growth of the long-lived containers
+//! (amortized), `live_txns`' B-tree nodes, a spilled adjacency row for one
+//! node in seven, and `readers_of`' two lists per version read — two heap
+//! blocks per read-modify-write, the bulk of what remains and ROADMAP item
+//! 11(c)'s to remove with the per-key record. SI adds a provenance row per
+//! composed node and the `base_in` / `rw_out` lists. On `live_uniform`'s
+//! stream `tests/ingest_allocations.rs` reads 2.9 (SER), 3.6 (SSER) and 5.5
+//! (SI) allocations per pushed transaction and holds budgets of 4, 5 and 8.
 //!
 //! ## Strict serializability and the online time-chain
 //!
@@ -125,7 +143,7 @@ pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 /// transaction's `key_set` (`write_set` for a DIVERGENCE; 0 for the
 /// key-less findings of `admit`). Only the lowest-ranked error, anomaly and
 /// DIVERGENCE can ever be reported, so only those are kept.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Findings {
     /// The input left the checker's domain (malformed MT, duplicate value).
     error: Option<(u32, CheckError)>,

@@ -184,8 +184,8 @@ fn push_batch_answers_like_push_status_by_status_on_the_catalogue() {
             let mut batched = IncrementalChecker::new(level);
             for t in h.txns() {
                 if Some(t.id) == h.init_txn() {
-                    pushed.ingest(t, true);
-                    batched.ingest(t, true);
+                    pushed.ingest(t.id, t, true);
+                    batched.ingest(t.id, t, true);
                 } else {
                     assert_eq!(
                         pushed.push(t.clone()),
@@ -542,7 +542,7 @@ fn checkpoint_resume_matches_uninterrupted_run() {
 
             let mut first = IncrementalChecker::new(level);
             if let Some(init) = h.init_txn() {
-                first.ingest(h.txn(init), true);
+                first.ingest(init, h.txn(init), true);
             }
             let tail = push_prefix(&mut first, &h, 100);
             let snapshot = first.checkpoint();
@@ -639,7 +639,7 @@ fn checkpoint_after_gc_resumes_exactly() {
         reader_cap: 0,
     });
     if let Some(init) = h.init_txn() {
-        c.ingest(h.txn(init), true);
+        c.ingest(init, h.txn(init), true);
     }
     let tail = push_prefix(&mut c, &h, 1000);
     assert!(c.pruned_txn_count() > 0, "GC ran before the checkpoint");
@@ -658,6 +658,68 @@ fn checkpoint_after_gc_resumes_exactly() {
         let _ = resumed.push(t);
     }
     assert_eq!(resumed.finish().unwrap(), clean);
+}
+
+/// A snapshot carries the maintained orders' adjacency as plain arrays,
+/// whatever holds the rows in memory: `engine.{topo,composed}.{fwd,back}` of
+/// an encoded checkpoint are the `Vec<Vec<u32>>` the accessors rebuild —
+/// rows past the inline capacity (`⊥T` precedes every first reader), rows a
+/// collection emptied, and recycled rows included.
+#[test]
+fn checkpointed_adjacency_rows_are_plain_arrays() {
+    use serde::Serialize;
+    let h = serial_history(600, 8, None);
+    let gc = GcPolicy {
+        window: 128,
+        every: 32,
+        reader_cap: 0,
+    };
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        for policy in [None, Some(gc)] {
+            let mut c = IncrementalChecker::new(level);
+            if let Some(policy) = policy {
+                c.set_gc(policy);
+            }
+            let _ = c.push_history(&h);
+            assert_eq!(policy.is_some(), c.pruned_txn_count() > 0);
+            let snapshot = c.checkpoint().to_json_value();
+            let engine = snapshot.get("engine").expect("engine");
+            let orders = [("topo", &c.engine.topo), ("composed", &c.engine.composed)];
+            let mut longest = 0;
+            for (name, order) in orders {
+                let encoded = engine.get(name).expect("order");
+                let nodes = 0..order.node_count();
+                let fwd: Vec<Vec<u32>> = nodes
+                    .clone()
+                    .map(|n| order.successors(n).map(|v| v as u32).collect())
+                    .collect();
+                let back: Vec<Vec<u32>> = nodes
+                    .map(|n| order.predecessors(n).map(|v| v as u32).collect())
+                    .collect();
+                longest = longest.max(fwd.iter().map(Vec::len).max().unwrap_or(0));
+                assert_eq!(
+                    encoded.get("fwd"),
+                    Some(&fwd.to_json_value()),
+                    "{level} {name}"
+                );
+                assert_eq!(
+                    encoded.get("back"),
+                    Some(&back.to_json_value()),
+                    "{level} {name}"
+                );
+            }
+            // `⊥T`'s row holds more than the five ids a row keeps in place;
+            // collected streams cut it back.
+            assert!(
+                policy.is_some() || longest > 5,
+                "{level}: every row fits in place"
+            );
+        }
+    }
 }
 
 #[test]
@@ -724,7 +786,7 @@ fn stages_settle_in_the_order_of_the_batch_pipeline() {
         assert_eq!(class(&streaming), expected, "streaming, off: {stage_off}");
         // ... and it is T3 that latches, not the end of the stream.
         let mut checker = IncrementalChecker::new_si().with_options(opts);
-        checker.ingest(h.txn(TxnId(0)), true);
+        checker.ingest(TxnId(0), h.txn(TxnId(0)), true);
         for t in &h.txns()[1..3] {
             assert_eq!(
                 checker.push(t.clone()),

@@ -10,7 +10,7 @@
 //! any graph work: the linear-time guarantees only hold on valid MT
 //! histories.
 
-use mtc_history::{History, Key, Transaction, TxnId, Value, WriteIndex};
+use mtc_history::{History, Key, Op, Transaction, TxnId, Value, WriteIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -94,28 +94,31 @@ impl std::error::Error for MtViolation {}
 
 /// Checks that a single transaction is a mini-transaction (Definition 8).
 pub fn validate_transaction(txn: &Transaction) -> Result<(), MtViolation> {
-    let reads = txn.read_count();
-    let writes = txn.write_count();
+    validate_shape(txn.id, &txn.ops)
+}
+
+/// [`validate_transaction`] for the operations of transaction `txn`: the
+/// streaming engine numbers a transaction itself, whatever id it carries.
+pub(crate) fn validate_shape(txn: TxnId, ops: &[Op]) -> Result<(), MtViolation> {
+    let reads = ops.iter().filter(|o| o.is_read()).count();
+    let writes = ops.len() - reads;
     if reads == 0 {
-        return Err(MtViolation::NoRead { txn: txn.id });
+        return Err(MtViolation::NoRead { txn });
     }
     if reads > MAX_READS {
-        return Err(MtViolation::TooManyReads { txn: txn.id, reads });
+        return Err(MtViolation::TooManyReads { txn, reads });
     }
     if writes > MAX_WRITES {
-        return Err(MtViolation::TooManyWrites {
-            txn: txn.id,
-            writes,
-        });
+        return Err(MtViolation::TooManyWrites { txn, writes });
     }
     // RMW pattern: the first write of each key must be preceded by a read of
     // that key.
-    for (i, op) in txn.ops.iter().enumerate() {
+    for (i, op) in ops.iter().enumerate() {
         if op.is_write() {
             let key = op.key();
-            let read_before = txn.ops[..i].iter().any(|o| o.is_read() && o.key() == key);
+            let read_before = ops[..i].iter().any(|o| o.is_read() && o.key() == key);
             if !read_before {
-                return Err(MtViolation::WriteWithoutRead { txn: txn.id, key });
+                return Err(MtViolation::WriteWithoutRead { txn, key });
             }
         }
     }

@@ -406,9 +406,10 @@ impl LiveVerifier {
         times: Option<(u64, u64)>,
     ) {
         let mut inner = self.inner.lock();
-        if inner.checker.violation().is_some() {
-            return;
-        }
+        // A latched verdict does not end the stream: the log still takes
+        // every record, and the checker counts it (see
+        // `IncrementalChecker::push`), so `checked_txns` stays the number of
+        // records admitted.
         let mut txn = Transaction {
             id: TxnId(0), // renumbered by the checker
             session: SessionId(session),
@@ -720,6 +721,33 @@ mod tests {
             let _ = resumed.push(t.clone());
         }
         assert_eq!(resumed.finish().unwrap(), live_verdict);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_after_a_latch_are_logged_and_counted() {
+        use mtc_store::StreamMeta;
+        let dir = store_dir("wal_past_latch");
+        let level = IsolationLevel::Serializability;
+        let meta = StreamMeta { level, num_keys: 1 };
+        let store = MtcStore::create(&dir, &meta).unwrap();
+        let verifier = LiveVerifier::builder(level, 1).store(store, 3).build();
+        let rmw = |read: u64, write: u64| vec![Op::read(0u64, read), Op::write(0u64, write)];
+        // The second record loses the first one's update; five more follow.
+        verifier.record(0, rmw(0, 1), TxnStatus::Committed);
+        verifier.record(1, rmw(0, 2), TxnStatus::Committed);
+        assert_eq!(verifier.first_violation_at(), Some(2));
+        for i in 2..7u64 {
+            verifier.record(0, rmw(i, i + 1), TxnStatus::Committed);
+        }
+        assert_eq!(verifier.consumed(), 7);
+        let outcome = verifier.finish();
+        assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
+        assert!(outcome.verdict.unwrap().is_violated());
+        assert_eq!(outcome.checked_txns, 7, "a latch does not end the stream");
+        assert_eq!(outcome.first_violation.unwrap().at_txn, 2);
+        let recovery = mtc_store::recover(&dir).unwrap();
+        assert_eq!(recovery.txns.len(), 7, "every admitted record is logged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

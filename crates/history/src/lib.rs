@@ -29,6 +29,7 @@ pub mod fasthash;
 pub mod graph;
 pub mod history;
 pub mod incremental;
+mod inline_seq;
 pub mod intra;
 pub mod op;
 pub mod serde_io;
@@ -44,7 +45,7 @@ pub use depgraph::{DependencyGraph, Edge, EdgeKind};
 pub use fasthash::{FastHashMap, FastHashSet};
 pub use graph::DiGraph;
 pub use history::{History, HistoryBuilder};
-pub use incremental::IncrementalTopo;
+pub use incremental::{IncrementalTopo, OrderStats};
 pub use intra::{
     check_int, check_int_history, find_intra_anomalies, find_intra_anomalies_with, IntraAnomaly,
     IntraViolation,
@@ -55,3 +56,14 @@ pub use timechain::{Role, TimeChain, TimeSlot};
 pub use txn::{Transaction, TxnId, TxnStatus};
 pub use value::{Key, Value, ValueAllocator, INIT_VALUE};
 pub use write_index::{DuplicateWrite, WriteIndex, Writer};
+
+/// SplitMix64: the deterministic stream the seeded tests of this crate draw
+/// from.
+#[cfg(test)]
+pub(crate) fn split_mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

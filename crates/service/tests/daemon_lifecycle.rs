@@ -230,32 +230,43 @@ fn a_violating_tenant_is_isolated_from_clean_neighbours() {
             Duration::from_micros(200),
         )
         .expect("clean ingest");
-    // The dirty stream is a lost update: both transactions read the initial
-    // version of key 0, then both overwrite it.
+    // The dirty stream is a lost update — both transactions read the initial
+    // version of key 0, then both overwrite it — and carries on after it.
     use mtc_dbsim::IngestEvent;
     use mtc_history::{Op, TxnStatus};
-    let lost_update = vec![
-        IngestEvent::timed(
-            0,
-            vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)],
-            TxnStatus::Committed,
-            1,
-            4,
-        ),
-        IngestEvent::timed(
-            1,
-            vec![Op::read(0u64, 0u64), Op::write(0u64, 2u64)],
-            TxnStatus::Committed,
-            2,
-            6,
-        ),
-    ];
+    let rmw = |session: u32, read: u64, write: u64, begin: u64| {
+        let ops = vec![Op::read(0u64, read), Op::write(0u64, write)];
+        IngestEvent::timed(session, ops, TxnStatus::Committed, begin, begin + 3)
+    };
+    let mut dirty_events = vec![rmw(0, 0, 1, 1), rmw(1, 0, 2, 2)];
+    dirty_events.extend((2..7u64).map(|i| rmw(0, i, i + 1, 10 * i)));
+    let sent = dirty_events.len() as u64;
     client
-        .ingest_all(dirty.tenant, lost_update, Duration::from_micros(200))
+        .ingest_all(
+            dirty.tenant,
+            dirty_events.clone(),
+            Duration::from_micros(200),
+        )
         .expect("dirty ingest");
 
     let dirty_summary = client.close_tenant(dirty.tenant).expect("close dirty");
     assert!(dirty_summary.violated, "the lost update must be caught");
+    // Every batch was answered `Accepted`: none of it may be missing from the
+    // count or from the log because a verdict had latched by then.
+    assert_eq!(dirty_summary.checked, sent);
+    let logged = mtc_store::recover(root.join("dirty")).expect("recover");
+    let logged: Vec<IngestEvent> = logged
+        .txns
+        .iter()
+        .map(|t| IngestEvent {
+            session: t.session.0,
+            ops: t.ops.clone(),
+            status: t.status,
+            begin: t.begin,
+            end: t.end,
+        })
+        .collect();
+    assert_eq!(logged, dirty_events, "an admitted event is never lost");
     let clean_summary = client.close_tenant(clean.tenant).expect("close clean");
     assert!(
         !clean_summary.violated,
