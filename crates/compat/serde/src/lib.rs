@@ -2,11 +2,35 @@
 //!
 //! The real `serde` cannot be fetched in this build environment, so this
 //! crate provides the small surface the workspace actually uses: a
-//! [`Serialize`]/[`Deserialize`] trait pair over an owned JSON value tree
-//! ([`JsonValue`]), derive macros for both traits (re-exported from the
-//! sibling `serde_derive` proc-macro crate), and implementations for the
-//! primitive types, `String`, `Option`, `Vec`, tuples, maps and
-//! `std::time::Duration`.
+//! [`Serialize`]/[`Deserialize`] trait pair, derive macros for both traits
+//! (re-exported from the sibling `serde_derive` proc-macro crate), and
+//! implementations for the primitive types, `String`, `Option`, `Vec`,
+//! tuples, maps and `std::time::Duration`.
+//!
+//! The two halves are not symmetric. **Reading** goes through an owned JSON
+//! value tree ([`JsonValue`]): a decoder parses into one and
+//! [`Deserialize::from_json_value`] picks it apart. **Writing** builds no
+//! tree: [`Serialize::emit`] describes the value to a sink as a sequence of
+//! events, and the sink — the binary writer of `mtc_store::binval`, or the
+//! tree builder behind [`Serialize::to_json_value`] for the callers that
+//! want a tree (JSON text, event logs, tests) — does what it likes with
+//! them. One description of each type's shape, any number of outputs.
+//!
+//! ## The sink contract
+//!
+//! A [`Serialize`] impl owes its [`Emitter`] exactly this, and a sink may
+//! rely on all of it without checking:
+//!
+//! * **One value per `emit`.** A call sends one scalar event, or one
+//!   `begin_array` … `end_array` / `begin_object` … `end_object` bracket
+//!   with everything inside it — never nothing, never two values.
+//! * **Lengths are exact and trusted.** `begin_array(len)` is followed by
+//!   exactly `len` values and `begin_object(len)` by exactly `len`
+//!   key-then-value pairs. The binary form writes the length as a prefix and
+//!   cannot go back, so an impl that does not know its length up front
+//!   counts first. (The tree builder checks the count in debug builds.)
+//! * **Keys before values.** Inside an object every value is preceded by one
+//!   `key` call; `key` is called nowhere else.
 //!
 //! Unsigned 64-bit integers are preserved exactly (not routed through `f64`),
 //! which matters because unique write values pack session ids into the high
@@ -142,10 +166,162 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can be converted into a [`JsonValue`].
+/// What a value is described to, one event at a time (see the
+/// [module docs](self) for what a sink may assume about their order).
+pub trait Emitter {
+    /// `null`
+    fn null(&mut self);
+    /// `true` / `false`
+    fn bool(&mut self, v: bool);
+    /// A non-negative integer.
+    fn u64(&mut self, v: u64);
+    /// A negative integer (a non-negative one goes to [`Emitter::u64`]).
+    fn i64(&mut self, v: i64);
+    /// Any other number.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens an array of exactly `len` values.
+    fn begin_array(&mut self, len: usize);
+    /// Closes the innermost array.
+    fn end_array(&mut self);
+    /// Opens an object of exactly `len` key-value pairs.
+    fn begin_object(&mut self, len: usize);
+    /// The key of the next value of the innermost object.
+    fn key(&mut self, k: &str);
+    /// Closes the innermost object.
+    fn end_object(&mut self);
+}
+
+/// Types that can describe themselves to an [`Emitter`].
 pub trait Serialize {
-    /// Converts `self` into a JSON value tree.
-    fn to_json_value(&self) -> JsonValue;
+    /// Sends `self` to `out` as exactly one value.
+    ///
+    /// Generic over the sink, not `&mut dyn`: a checker snapshot is some
+    /// 300 000 events of a byte or two each, and the byte writer's `push`
+    /// inlines into the derived code only when the sink's type is known
+    /// (1.25 ms against 1.68 ms for a 1.2 MB snapshot, measured when this
+    /// was written). `E: ?Sized` keeps `&mut dyn Emitter` a legal argument
+    /// all the same.
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E);
+
+    /// Converts `self` into a JSON value tree, built from the events of
+    /// [`Serialize::emit`].
+    fn to_json_value(&self) -> JsonValue {
+        let mut tree = TreeBuilder::default();
+        self.emit(&mut tree);
+        tree.root.expect("emit sends one value")
+    }
+}
+
+/// The sink behind [`Serialize::to_json_value`]: the containers being
+/// filled, innermost last.
+#[derive(Default)]
+struct TreeBuilder {
+    open: Vec<Open>,
+    root: Option<JsonValue>,
+}
+
+/// A container being filled: the length it was opened with and, for an
+/// object, the key its next value goes under.
+struct Open {
+    container: JsonValue,
+    len: usize,
+    key: Option<String>,
+}
+
+impl TreeBuilder {
+    fn value(&mut self, v: JsonValue) {
+        match self.open.last_mut() {
+            None => self.root = Some(v),
+            Some(open) => match &mut open.container {
+                JsonValue::Array(items) => items.push(v),
+                JsonValue::Object(entries) => {
+                    entries.push((open.key.take().expect("a key before every value"), v))
+                }
+                _ => unreachable!("only containers are opened"),
+            },
+        }
+    }
+
+    fn begin(&mut self, container: JsonValue, len: usize) {
+        self.open.push(Open {
+            container,
+            len,
+            key: None,
+        });
+    }
+
+    fn end(&mut self) {
+        let Open { container, len, .. } = self.open.pop().expect("an open container");
+        let filled = match &container {
+            JsonValue::Array(items) => items.len(),
+            JsonValue::Object(entries) => entries.len(),
+            _ => unreachable!("only containers are opened"),
+        };
+        debug_assert_eq!(filled, len, "container length announced up front");
+        self.value(container);
+    }
+}
+
+impl Emitter for TreeBuilder {
+    fn null(&mut self) {
+        self.value(JsonValue::Null);
+    }
+    fn bool(&mut self, v: bool) {
+        self.value(JsonValue::Bool(v));
+    }
+    fn u64(&mut self, v: u64) {
+        self.value(JsonValue::U64(v));
+    }
+    fn i64(&mut self, v: i64) {
+        self.value(JsonValue::I64(v));
+    }
+    fn f64(&mut self, v: f64) {
+        self.value(JsonValue::F64(v));
+    }
+    fn str(&mut self, v: &str) {
+        self.value(JsonValue::Str(v.to_string()));
+    }
+    fn begin_array(&mut self, len: usize) {
+        self.begin(JsonValue::Array(Vec::with_capacity(len)), len);
+    }
+    fn end_array(&mut self) {
+        self.end();
+    }
+    fn begin_object(&mut self, len: usize) {
+        self.begin(JsonValue::Object(Vec::with_capacity(len)), len);
+    }
+    fn key(&mut self, k: &str) {
+        self.open.last_mut().expect("a key inside an object").key = Some(k.to_string());
+    }
+    fn end_object(&mut self) {
+        self.end();
+    }
+}
+
+/// A tree that already exists goes through the same sinks as everything
+/// else: it emits itself.
+impl Serialize for JsonValue {
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        match self {
+            JsonValue::Null => out.null(),
+            JsonValue::Bool(b) => out.bool(*b),
+            JsonValue::U64(n) => out.u64(*n),
+            JsonValue::I64(n) => out.i64(*n),
+            JsonValue::F64(x) => out.f64(*x),
+            JsonValue::Str(s) => out.str(s),
+            JsonValue::Array(items) => items.emit(out),
+            JsonValue::Object(entries) => {
+                out.begin_object(entries.len());
+                for (k, v) in entries {
+                    out.key(k);
+                    v.emit(out);
+                }
+                out.end_object();
+            }
+        }
+    }
 }
 
 /// Types that can be reconstructed from a [`JsonValue`].
@@ -159,8 +335,8 @@ pub trait Deserialize: Sized {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> JsonValue {
-                JsonValue::U64(*self as u64)
+            fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+                out.u64(*self as u64);
             }
         }
         impl Deserialize for $t {
@@ -181,12 +357,12 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> JsonValue {
+            fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
                 let n = *self as i64;
                 if n >= 0 {
-                    JsonValue::U64(n as u64)
+                    out.u64(n as u64);
                 } else {
-                    JsonValue::I64(n)
+                    out.i64(n);
                 }
             }
         }
@@ -208,8 +384,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_json_value(&self) -> JsonValue {
-                JsonValue::F64(*self as f64)
+            fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+                out.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -227,8 +403,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Bool(*self)
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.bool(*self);
     }
 }
 
@@ -242,8 +418,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Str(self.clone())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.str(self);
     }
 }
 
@@ -257,14 +433,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.str(self.encode_utf8(&mut [0u8; 4]));
     }
 }
 
@@ -278,16 +454,16 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json_value(&self) -> JsonValue {
-        (**self).to_json_value()
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        (**self).emit(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_json_value(&self) -> JsonValue {
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
         match self {
-            Some(x) => x.to_json_value(),
-            None => JsonValue::Null,
+            Some(x) => x.emit(out),
+            None => out.null(),
         }
     }
 }
@@ -302,8 +478,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        self.as_slice().emit(out);
     }
 }
 
@@ -317,22 +493,28 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.begin_array(self.len());
+        for item in self {
+            item.emit(out);
+        }
+        out.end_array();
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Serialize::to_json_value).collect())
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        self.as_slice().emit(out);
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_json_value(&self) -> JsonValue {
-                JsonValue::Array(vec![$(self.$n.to_json_value()),+])
+            fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+                out.begin_array([$($n),+].len());
+                $(self.$n.emit(out);)+
+                out.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -356,13 +538,24 @@ impl_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
+/// A map is an array of `[key, value]` pairs in iteration order — and that
+/// order is the order on disk.
+fn emit_pairs<'a, K, V, E>(len: usize, pairs: impl Iterator<Item = (&'a K, &'a V)>, out: &mut E)
+where
+    K: Serialize + 'a,
+    V: Serialize + 'a,
+    E: Emitter + ?Sized,
+{
+    out.begin_array(len);
+    for pair in pairs {
+        pair.emit(out);
+    }
+    out.end_array();
+}
+
 impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(
-            self.iter()
-                .map(|(k, v)| JsonValue::Array(vec![k.to_json_value(), v.to_json_value()]))
-                .collect(),
-        )
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        emit_pairs(self.len(), self.iter(), out);
     }
 }
 
@@ -388,12 +581,8 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Array(
-            self.iter()
-                .map(|(k, v)| JsonValue::Array(vec![k.to_json_value(), v.to_json_value()]))
-                .collect(),
-        )
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        emit_pairs(self.len(), self.iter(), out);
     }
 }
 
@@ -414,14 +603,13 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl Serialize for std::time::Duration {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("secs".to_string(), JsonValue::U64(self.as_secs())),
-            (
-                "nanos".to_string(),
-                JsonValue::U64(self.subsec_nanos() as u64),
-            ),
-        ])
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.begin_object(2);
+        out.key("secs");
+        out.u64(self.as_secs());
+        out.key("nanos");
+        out.u64(u64::from(self.subsec_nanos()));
+        out.end_object();
     }
 }
 

@@ -5,7 +5,8 @@
 //! the `proc_macro` token stream. The supported shapes are exactly the ones
 //! this workspace uses:
 //!
-//! * structs with named fields (honouring `#[serde(skip)]` on a field),
+//! * structs with named fields (honouring `#[serde(skip)]` on a field, in a
+//!   struct and in a struct variant alike: not written, defaulted on read),
 //! * tuple structs (newtypes serialize transparently, wider tuples as
 //!   arrays),
 //! * unit structs,
@@ -276,90 +277,82 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 // ── code generation ─────────────────────────────────────────────────────────
 
+/// `emit` of the expression `value`, into the sink the generated method
+/// names `__out` (no field can be called that).
+fn emit_of(value: &str) -> String {
+    format!("::serde::Serialize::emit({value}, __out);\n")
+}
+
+/// An object of the non-skipped `fs`, in declaration order; `access` turns a
+/// field name into the expression borrowing it. Field names are literals
+/// handed to `key`, never allocated.
+fn emit_named(fs: &[NamedField], access: impl Fn(&str) -> String) -> String {
+    let kept: Vec<&NamedField> = fs.iter().filter(|f| !f.skip).collect();
+    let mut body = format!("__out.begin_object({});\n", kept.len());
+    for f in kept {
+        body.push_str(&format!("__out.key({:?});\n", f.name));
+        body.push_str(&emit_of(&access(&f.name)));
+    }
+    body + "__out.end_object();\n"
+}
+
+/// One value transparently, several as an array.
+fn emit_tuple(n: usize, access: impl Fn(usize) -> String) -> String {
+    if n == 1 {
+        return emit_of(&access(0));
+    }
+    let items: String = (0..n).map(|i| emit_of(&access(i))).collect();
+    format!("__out.begin_array({n});\n{items}__out.end_array();\n")
+}
+
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(fs) => {
-                    let mut pushes = String::new();
-                    for f in fs {
-                        if f.skip {
-                            continue;
-                        }
-                        pushes.push_str(&format!(
-                            "entries.push(({:?}.to_string(), ::serde::Serialize::to_json_value(&self.{})));\n",
-                            f.name, f.name
-                        ));
-                    }
-                    format!(
-                        "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::JsonValue)> = ::std::vec::Vec::new();\n{pushes}::serde::JsonValue::Object(entries)"
-                    )
-                }
-                Fields::Tuple(1) => "::serde::Serialize::to_json_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_json_value(&self.{i})"))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!("::serde::JsonValue::Array(vec![{items}])")
-                }
-                Fields::Unit => "::serde::JsonValue::Null".to_string(),
+                Fields::Named(fs) => emit_named(fs, |f| format!("&self.{f}")),
+                Fields::Tuple(n) => emit_tuple(*n, |i| format!("&self.{i}")),
+                Fields::Unit => "__out.null();\n".to_string(),
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_json_value(&self) -> ::serde::JsonValue {{ {body} }}\n}}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
+            // Externally tagged: `"V"` for a unit variant, `{"V": payload}`
+            // for the rest.
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vn} => ::serde::JsonValue::Str({vn:?}.to_string()),\n"
-                        ));
-                    }
+                let tagged = |pattern: String, payload: String| {
+                    format!(
+                        "{name}::{vn}{pattern} => {{\n__out.begin_object(1);\n__out.key({vn:?});\n{payload}__out.end_object();\n}}\n"
+                    )
+                };
+                arms.push_str(&match &v.fields {
+                    Fields::Unit => format!("{name}::{vn} => __out.str({vn:?}),\n"),
                     Fields::Tuple(n) => {
-                        let binds = (0..*n).map(|i| format!("x{i}")).collect::<Vec<_>>();
-                        let payload = if *n == 1 {
-                            "::serde::Serialize::to_json_value(x0)".to_string()
-                        } else {
-                            let items = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_json_value({b})"))
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            format!("::serde::JsonValue::Array(vec![{items}])")
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vn}({binds}) => ::serde::JsonValue::Object(vec![({vn:?}.to_string(), {payload})]),\n",
-                            binds = binds.join(", ")
-                        ));
+                        let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
+                        tagged(
+                            format!("({})", binds.join(", ")),
+                            emit_tuple(*n, |i| binds[i].clone()),
+                        )
                     }
                     Fields::Named(fs) => {
-                        let binds = fs.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
-                        let items = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "({:?}.to_string(), ::serde::Serialize::to_json_value({}))",
-                                    f.name, f.name
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::JsonValue::Object(vec![({vn:?}.to_string(), ::serde::JsonValue::Object(vec![{items}]))]),\n",
-                            binds = binds.join(", ")
-                        ));
+                        // Skipped fields are not bound: `..` covers them.
+                        let binds: String = (fs.iter().filter(|f| !f.skip))
+                            .map(|f| format!("{}, ", f.name))
+                            .collect();
+                        tagged(
+                            format!(" {{ {binds}.. }}"),
+                            emit_named(fs, |f| f.to_string()),
+                        )
                     }
-                }
+                });
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n fn to_json_value(&self) -> ::serde::JsonValue {{ match self {{ {arms} }} }}\n}}"
-            )
+            (name, format!("match self {{\n{arms}}}\n"))
         }
-    }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n fn emit<__E: ::serde::Emitter + ?::std::marker::Sized>(&self, __out: &mut __E) {{\n{body}}}\n}}"
+    )
 }
 
 fn named_fields_ctor(ty: &str, path: &str, fs: &[NamedField], src: &str) -> String {

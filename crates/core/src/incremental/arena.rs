@@ -105,17 +105,15 @@ impl<V> TxnMap<V> {
 }
 
 impl<V: Serialize> Serialize for TxnMap<V> {
-    fn to_json_value(&self) -> serde::JsonValue {
-        let mut items: Vec<(u32, &V)> = self.iter().map(|(t, v)| (t.0, v)).collect();
-        items.sort_unstable_by_key(|&(t, _)| t);
-        let entries = items
-            .into_iter()
-            .map(|(t, v)| serde::JsonValue::Array(vec![t.to_json_value(), v.to_json_value()]))
-            .collect();
-        serde::JsonValue::Object(vec![
-            ("base".to_string(), self.base.to_json_value()),
-            ("entries".to_string(), serde::JsonValue::Array(entries)),
-        ])
+    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
+        let mut entries: Vec<(u32, &V)> = self.iter().map(|(t, v)| (t.0, v)).collect();
+        entries.sort_unstable_by_key(|&(t, _)| t);
+        out.begin_object(2);
+        out.key("base");
+        self.base.emit(out);
+        out.key("entries");
+        entries.emit(out);
+        out.end_object();
     }
 }
 
@@ -194,19 +192,15 @@ impl ProvMap {
 }
 
 impl Serialize for ProvMap {
-    fn to_json_value(&self) -> serde::JsonValue {
-        let mut items = Vec::new();
+    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
+        // The array's length is written before its rows: count first.
+        out.begin_array(self.rows.iter().map(Vec::len).sum());
         for (a, row) in self.rows.iter().enumerate() {
             for &(c, base, rw) in row {
-                items.push(serde::JsonValue::Array(vec![
-                    (a as u32).to_json_value(),
-                    c.to_json_value(),
-                    base.to_json_value(),
-                    rw.to_json_value(),
-                ]));
+                (a as u32, c, base, rw).emit(out);
             }
         }
-        serde::JsonValue::Array(items)
+        out.end_array();
     }
 }
 

@@ -93,8 +93,8 @@ impl<const N: usize> InlineSeq<N> {
 }
 
 impl<const N: usize> Serialize for InlineSeq<N> {
-    fn to_json_value(&self) -> JsonValue {
-        self.as_slice().to_json_value()
+    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
+        self.as_slice().emit(out);
     }
 }
 

@@ -32,7 +32,7 @@
 use mtc_core::IsolationLevel;
 use mtc_dbsim::{AbortReason, IngestEvent};
 use mtc_history::{Key, Value};
-use mtc_store::frame::{read_frame, write_frame, FrameError, FRAME_HEADER, MAX_FRAME_LEN};
+use mtc_store::frame::{read_frame, write_frame_with, FrameError, FRAME_HEADER, MAX_FRAME_LEN};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
@@ -292,11 +292,10 @@ pub struct ReplyEnvelope {
     pub reply: Reply,
 }
 
-/// Appends `msg` to `out` as one frame.
+/// Appends `msg` to `out` as one frame, its payload streamed in place.
 pub fn encode<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
-    let payload = mtc_store::binval::to_bytes(msg);
-    out.reserve(FRAME_HEADER + payload.len());
-    write_frame(out, &payload);
+    let _span = mtc_obs::sampled_span!("net.call.encode");
+    write_frame_with(out, |out| mtc_store::binval::write_value(msg, out));
 }
 
 /// Decodes the frame at `*pos` of `buf`, advancing `*pos` past it; `None`

@@ -75,3 +75,31 @@ fn a_mini_transaction_is_two_or_three_round_trips() {
     );
     server.shutdown().unwrap();
 }
+
+/// `net.call.encode` is a sampled span: one envelope in sixteen pays for two
+/// clock reads, and timing them changes no byte.
+#[test]
+fn one_envelope_in_sixteen_has_its_encode_timed() {
+    use mtc_net::proto::{self, Request, RequestEnvelope};
+    let encode_160 = || {
+        let mut wire = Vec::new();
+        for seq in 0..160 {
+            let request = Request::Commit { txn: seq };
+            proto::encode(&mut wire, &RequestEnvelope { seq, request });
+        }
+        mtc_obs::flush_spans();
+        wire
+    };
+    let timed = || mtc_obs::registry().histogram("net.call.encode").count();
+    let unrecorded = {
+        let _off = with_enabled(false);
+        let before = timed();
+        let wire = encode_160();
+        assert_eq!(timed(), before);
+        wire
+    };
+    let _on = with_enabled(true);
+    let before = timed();
+    assert!(encode_160() == unrecorded, "recording changed the frames");
+    assert_eq!(timed() - before, 10);
+}

@@ -18,7 +18,9 @@
 //!   recording and p50/p90/p99 snapshots.
 //! * [`span`] / [`SpanTimer`] — scoped wall-clock timers that observe
 //!   their elapsed time into a histogram on drop, buffered thread-locally
-//!   so a burst of short spans costs one atomic flush per 64 samples.
+//!   so a burst of short spans costs one atomic flush per 64 samples;
+//!   [`sampled_span!`] is the 1-in-16, nanosecond form for work too short
+//!   to pay two clock reads every time.
 //! * [`registry`] — the global name → metric table. Handles are
 //!   `&'static` (metrics are leaked once and live forever), so call sites
 //!   resolve a name once and then touch pure atomics. The [`counter!`],
@@ -41,7 +43,7 @@ pub mod events;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{registry, MetricsSnapshot, Registry};
-pub use span::{flush_spans, span, SpanTimer};
+pub use span::{flush_spans, span, span_nanos, SpanTimer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -117,6 +119,26 @@ macro_rules! gauge {
     ($name:expr) => {{
         static SITE: std::sync::OnceLock<&'static $crate::Gauge> = std::sync::OnceLock::new();
         *SITE.get_or_init(|| $crate::registry().gauge($name))
+    }};
+}
+
+/// A [`span`] for work of a few hundred nanoseconds, where an unsampled
+/// pair of clock reads would cost as much as what they time: starts a span
+/// against the named histogram on every 16th call from this call site and
+/// thread (`None` otherwise, and always while observability is off), and
+/// that span records **nanoseconds**. Bind the result to keep it alive.
+#[macro_export]
+macro_rules! sampled_span {
+    ($name:expr) => {{
+        thread_local! {
+            static TICK: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+        }
+        let due = $crate::enabled()
+            && TICK.with(|t| {
+                t.set(t.get().wrapping_add(1));
+                t.get() % 16 == 0
+            });
+        due.then(|| $crate::span_nanos($crate::histogram!($name)))
     }};
 }
 

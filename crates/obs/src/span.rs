@@ -21,18 +21,18 @@ struct SpanBuf {
 }
 
 impl SpanBuf {
-    fn push(&mut self, hist: &'static Histogram, micros: u64) {
-        self.samples.push((hist, micros));
+    fn push(&mut self, hist: &'static Histogram, sample: u64) {
+        self.samples.push((hist, sample));
         if self.samples.len() >= FLUSH_EVERY {
             self.flush();
         }
     }
 
     fn flush(&mut self) {
-        for (hist, micros) in self.samples.drain(..) {
+        for (hist, sample) in self.samples.drain(..) {
             // `record_always`: the sample was admitted while the switch
             // was on; a concurrent disable must not drop it.
-            hist.record_always(micros);
+            hist.record_always(sample);
         }
     }
 }
@@ -49,17 +49,24 @@ thread_local! {
     });
 }
 
-/// A live span: observes its elapsed wall-clock microseconds into the
-/// target histogram when dropped.
+/// A live span: observes its elapsed wall-clock microseconds (nanoseconds
+/// for a [`sampled_span!`](crate::sampled_span)) into the target histogram
+/// when dropped.
 pub struct SpanTimer {
     hist: &'static Histogram,
     start: Instant,
+    nanos: bool,
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        let micros = self.start.elapsed().as_micros() as u64;
-        let _ = BUF.try_with(|b| b.borrow_mut().push(self.hist, micros));
+        let elapsed = self.start.elapsed();
+        let sample = if self.nanos {
+            elapsed.as_nanos()
+        } else {
+            elapsed.as_micros()
+        } as u64;
+        let _ = BUF.try_with(|b| b.borrow_mut().push(self.hist, sample));
     }
 }
 
@@ -79,7 +86,19 @@ pub fn span(hist: &'static Histogram) -> Option<SpanTimer> {
     Some(SpanTimer {
         hist,
         start: Instant::now(),
+        nanos: false,
     })
+}
+
+/// What [`sampled_span!`](crate::sampled_span) starts once its call site's
+/// turn has come: a span that records **nanoseconds**.
+#[doc(hidden)]
+pub fn span_nanos(hist: &'static Histogram) -> SpanTimer {
+    SpanTimer {
+        hist,
+        start: Instant::now(),
+        nanos: true,
+    }
 }
 
 /// Drains the calling thread's span buffer into its histograms. Snapshots
@@ -93,6 +112,29 @@ pub fn flush_spans() {
 mod tests {
     use super::*;
     use crate::test_support::with_enabled;
+
+    #[test]
+    fn a_sampled_span_times_every_sixteenth_call_of_its_site_in_nanoseconds() {
+        let _on = with_enabled(true);
+        let hist = crate::registry().histogram("test.span.sampled");
+        let before = hist.count();
+        for _ in 0..64 {
+            let _span = crate::sampled_span!("test.span.sampled");
+            std::hint::black_box(0u64);
+        }
+        // A second site keeps its own count: 15 calls never reach a turn.
+        for _ in 0..15 {
+            let _span = crate::sampled_span!("test.span.sampled");
+        }
+        flush_spans();
+        assert_eq!(hist.count() - before, 4);
+        {
+            let _span = span_nanos(hist);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        flush_spans();
+        assert!(hist.snapshot().max >= 2_000_000, "nanoseconds, not micros");
+    }
 
     #[test]
     fn spans_record_after_flush() {

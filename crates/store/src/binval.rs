@@ -1,18 +1,38 @@
-//! Compact binary encoding of the workspace serde value tree.
+//! Compact binary encoding of the workspace serde data model.
 //!
-//! Everything the checkers persist — transactions, stream metadata,
-//! checker snapshots — already serializes into [`serde::JsonValue`] through
-//! the workspace's offline serde stack. This module gives that tree a
-//! *binary* wire form: one tag byte per node, LEB128 varints for lengths
-//! and unsigned integers, zig-zag varints for signed ones, and raw IEEE-754
-//! bits for floats. Compared to JSON text it is both more compact (framing
-//! and numbers shrink; field names remain) and exact — no number formatting
+//! Everything the checkers persist or send — transactions, stream metadata,
+//! checker snapshots, wire envelopes — implements the workspace's offline
+//! [`serde::Serialize`]. This module gives those values a *binary* wire
+//! form: one tag byte per node, LEB128 varints for lengths and unsigned
+//! integers, zig-zag varints for signed ones, and raw IEEE-754 bits for
+//! floats. Compared to JSON text it is both more compact (framing and
+//! numbers shrink; field names remain) and exact — no number formatting
 //! round-trip concerns, no escaping.
 //!
 //! The encoding is self-delimiting: a value knows its own extent, so frames
 //! (see [`crate::frame`]) only add integrity, not structure.
+//!
+//! ## One writer, two key modes
+//!
+//! Writing builds no value tree: the one byte writer is a
+//! [`serde::Emitter`], [`Serialize::emit`] feeds it the value as events,
+//! and every event appends its bytes to the output buffer then and there —
+//! which is why the sink contract announces container lengths up front: they
+//! are prefixes here. ([`serde::JsonValue`] implements `Serialize` too, so a
+//! tree that already exists goes through the same writer.) What differs
+//! between outputs is only how an object's keys are spelt:
+//!
+//! * **inline** ([`write_value`], [`to_bytes`]): `TAG_OBJECT`, every key a
+//!   length-prefixed string — checkpoints, headers, wire envelopes, v1 log
+//!   segments;
+//! * **indexed** ([`write_value_indexed`]): `TAG_OBJECT_IDX`, every key a
+//!   varint index into a [`KeyDict`] that interns keys in first-seen order —
+//!   v2 log segments, which ship the table's new tail with each record.
+//!
+//! Reading still parses into a tree ([`decode_value`]) that
+//! [`Deserialize::from_json_value`] picks apart.
 
-use serde::{Deserialize, JsonValue, Serialize};
+use serde::{Deserialize, Emitter, JsonValue, Serialize};
 
 /// Errors produced while decoding a binary value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,6 +88,7 @@ const TAG_OBJECT: u8 = 0x08;
 /// (the schema-table form used by v2 log segments, see [`crate::segment`]).
 const TAG_OBJECT_IDX: u8 = 0x09;
 
+#[inline]
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -121,45 +142,73 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn encode_into(v: &JsonValue, out: &mut Vec<u8>) {
-    match v {
-        JsonValue::Null => out.push(TAG_NULL),
-        JsonValue::Bool(false) => out.push(TAG_FALSE),
-        JsonValue::Bool(true) => out.push(TAG_TRUE),
-        JsonValue::U64(n) => {
-            out.push(TAG_U64);
-            put_varint(out, *n);
-        }
-        JsonValue::I64(n) => {
-            out.push(TAG_I64);
-            put_varint(out, zigzag(*n));
-        }
-        JsonValue::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        JsonValue::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        JsonValue::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                encode_into(item, out);
-            }
-        }
-        JsonValue::Object(entries) => {
-            out.push(TAG_OBJECT);
-            put_varint(out, entries.len() as u64);
-            for (k, val) in entries {
-                put_varint(out, k.len() as u64);
-                out.extend_from_slice(k.as_bytes());
-                encode_into(val, out);
-            }
+/// The byte writer: every event appends its encoding to `out`. With a
+/// `dict`, object keys are interned and written as indices; without, inline.
+struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    dict: Option<&'a mut KeyDict>,
+}
+
+impl Emitter for Writer<'_> {
+    #[inline]
+    fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+    #[inline]
+    fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+    #[inline]
+    fn u64(&mut self, v: u64) {
+        self.out.push(TAG_U64);
+        put_varint(self.out, v);
+    }
+    #[inline]
+    fn i64(&mut self, v: i64) {
+        self.out.push(TAG_I64);
+        put_varint(self.out, zigzag(v));
+    }
+    #[inline]
+    fn f64(&mut self, v: f64) {
+        self.out.push(TAG_F64);
+        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    #[inline]
+    fn str(&mut self, v: &str) {
+        self.out.push(TAG_STR);
+        put_str(self.out, v);
+    }
+    #[inline]
+    fn begin_array(&mut self, len: usize) {
+        self.out.push(TAG_ARRAY);
+        put_varint(self.out, len as u64);
+    }
+    #[inline]
+    fn end_array(&mut self) {}
+    #[inline]
+    fn begin_object(&mut self, len: usize) {
+        self.out.push(match self.dict {
+            Some(_) => TAG_OBJECT_IDX,
+            None => TAG_OBJECT,
+        });
+        put_varint(self.out, len as u64);
+    }
+    #[inline]
+    fn key(&mut self, k: &str) {
+        match &mut self.dict {
+            Some(dict) => put_varint(self.out, dict.intern(k)),
+            None => put_str(self.out, k),
         }
     }
+    #[inline]
+    fn end_object(&mut self) {}
+}
+
+/// A length-prefixed string, as keys and string payloads are written.
+#[inline]
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Key tables an indexed decode resolves [`TAG_OBJECT_IDX`] keys against:
@@ -255,13 +304,6 @@ pub(crate) fn decode_str(input: &[u8], pos: &mut usize) -> Result<String, Decode
     String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
 }
 
-/// Encodes a value tree into its binary form.
-pub fn encode_value(v: &JsonValue) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(v, &mut out);
-    out
-}
-
 /// Decodes a binary value, requiring the input to be exactly one value.
 pub fn decode_value(input: &[u8]) -> Result<JsonValue, DecodeError> {
     let mut pos = 0usize;
@@ -315,29 +357,24 @@ impl KeyDict {
     }
 }
 
-/// Encodes a value like [`encode_value`], but writes every object in the
+/// Appends the binary form of `value` to `out`, object keys inline.
+pub fn write_value<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    value.emit(&mut Writer { out, dict: None });
+}
+
+/// Appends `value` like [`write_value`], but writes every object in the
 /// schema-table form: keys become varint indices into `dict`, and keys not
 /// yet interned are appended to it. The caller is responsible for shipping
 /// `dict`'s new tail alongside the payload so readers can rebuild the table.
-pub fn encode_value_indexed(v: &JsonValue, dict: &mut KeyDict, out: &mut Vec<u8>) {
-    match v {
-        JsonValue::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                encode_value_indexed(item, dict, out);
-            }
-        }
-        JsonValue::Object(entries) => {
-            out.push(TAG_OBJECT_IDX);
-            put_varint(out, entries.len() as u64);
-            for (k, val) in entries {
-                put_varint(out, dict.intern(k));
-                encode_value_indexed(val, dict, out);
-            }
-        }
-        scalar => encode_into(scalar, out),
-    }
+pub fn write_value_indexed<T: Serialize + ?Sized>(
+    value: &T,
+    dict: &mut KeyDict,
+    out: &mut Vec<u8>,
+) {
+    value.emit(&mut Writer {
+        out,
+        dict: Some(dict),
+    });
 }
 
 /// Decodes exactly one value whose indexed object keys resolve against
@@ -357,8 +394,10 @@ pub fn decode_value_indexed(
 }
 
 /// Serializes any workspace-serde type into the binary value form.
-pub fn to_bytes<T: Serialize>(value: &T) -> Vec<u8> {
-    encode_value(&value.to_json_value())
+pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_value(value, &mut out);
+    out
 }
 
 /// Deserializes a workspace-serde type from the binary value form.
@@ -371,8 +410,144 @@ pub fn from_bytes<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> 
 mod tests {
     use super::*;
 
+    // The two recursive tree encoders this module shipped up to PR 21, kept
+    // as the reference the streaming writer is held to.
+
+    fn encode_into(v: &JsonValue, out: &mut Vec<u8>) {
+        match v {
+            JsonValue::Null => out.push(TAG_NULL),
+            JsonValue::Bool(false) => out.push(TAG_FALSE),
+            JsonValue::Bool(true) => out.push(TAG_TRUE),
+            JsonValue::U64(n) => {
+                out.push(TAG_U64);
+                put_varint(out, *n);
+            }
+            JsonValue::I64(n) => {
+                out.push(TAG_I64);
+                put_varint(out, zigzag(*n));
+            }
+            JsonValue::F64(x) => {
+                out.push(TAG_F64);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            JsonValue::Str(s) => {
+                out.push(TAG_STR);
+                put_varint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            }
+            JsonValue::Array(items) => {
+                out.push(TAG_ARRAY);
+                put_varint(out, items.len() as u64);
+                for item in items {
+                    encode_into(item, out);
+                }
+            }
+            JsonValue::Object(entries) => {
+                out.push(TAG_OBJECT);
+                put_varint(out, entries.len() as u64);
+                for (k, val) in entries {
+                    put_varint(out, k.len() as u64);
+                    out.extend_from_slice(k.as_bytes());
+                    encode_into(val, out);
+                }
+            }
+        }
+    }
+
+    fn encode_value_indexed(v: &JsonValue, dict: &mut KeyDict, out: &mut Vec<u8>) {
+        match v {
+            JsonValue::Array(items) => {
+                out.push(TAG_ARRAY);
+                put_varint(out, items.len() as u64);
+                for item in items {
+                    encode_value_indexed(item, dict, out);
+                }
+            }
+            JsonValue::Object(entries) => {
+                out.push(TAG_OBJECT_IDX);
+                put_varint(out, entries.len() as u64);
+                for (k, val) in entries {
+                    put_varint(out, dict.intern(k));
+                    encode_value_indexed(val, dict, out);
+                }
+            }
+            scalar => encode_into(scalar, out),
+        }
+    }
+
+    /// Arbitrary value trees, depth ≤ 6: empty arrays and objects, repeated
+    /// and non-ASCII keys (a small pool, so the dictionary sees repeats),
+    /// `u64::MAX`, negative and non-finite numbers.
+    struct Trees;
+
+    impl Trees {
+        fn tree(rng: &mut proptest::test_runner::TestRng, depth: u32) -> JsonValue {
+            use rand::Rng;
+            const KEYS: [&str; 6] = ["id", "ops", "clé", "ключ", "", "a much longer field name"];
+            let scalars = if depth >= 6 { 7 } else { 9 };
+            match rng.gen_range(0..scalars) {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(rng.gen_range(0..2) == 1),
+                2 => JsonValue::U64([0, 127, 128, u64::MAX][rng.gen_range(0..4)]),
+                3 => JsonValue::U64(rng.gen_range(0..u64::MAX) >> rng.gen_range(0..64)),
+                4 => JsonValue::I64(-1 - (rng.gen_range(0..i64::MAX) >> rng.gen_range(0..63))),
+                5 => JsonValue::F64(
+                    [0.5, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300]
+                        [rng.gen_range(0..6)],
+                ),
+                6 => JsonValue::Str(KEYS[rng.gen_range(0..KEYS.len())].repeat(rng.gen_range(0..3))),
+                7 => JsonValue::Array(
+                    (0..rng.gen_range(0..5))
+                        .map(|_| Self::tree(rng, depth + 1))
+                        .collect(),
+                ),
+                _ => JsonValue::Object(
+                    (0..rng.gen_range(0..5))
+                        .map(|_| {
+                            let key = KEYS[rng.gen_range(0..KEYS.len())].to_string();
+                            (key, Self::tree(rng, depth + 1))
+                        })
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl proptest::strategy::Strategy for Trees {
+        type Value = JsonValue;
+        fn sample(&self, rng: &mut proptest::test_runner::TestRng) -> JsonValue {
+            Self::tree(rng, 0)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The streamed bytes are the reference encoders' bytes, and with a
+        /// dictionary the keys are interned in the reference's order — also
+        /// when the dictionary already holds keys from earlier records.
+        #[test]
+        fn streamed_bytes_equal_the_tree_encoders(first in Trees, second in Trees) {
+            let mut expected = Vec::new();
+            encode_into(&first, &mut expected);
+            proptest::prop_assert_eq!(to_bytes(&first), expected);
+
+            let (mut dict, mut reference_dict) = (KeyDict::default(), KeyDict::default());
+            let (mut indexed, mut expected) = (Vec::new(), Vec::new());
+            for tree in [&first, &second, &first] {
+                write_value_indexed(tree, &mut dict, &mut indexed);
+                encode_value_indexed(tree, &mut reference_dict, &mut expected);
+                proptest::prop_assert_eq!(&indexed, &expected);
+                proptest::prop_assert_eq!(dict.keys(), reference_dict.keys());
+            }
+            // Bit-exact floats keep `PartialEq` from seeing a NaN round trip.
+            let back = decode_value(&to_bytes(&first)).unwrap();
+            proptest::prop_assert_eq!(to_bytes(&back), to_bytes(&first));
+        }
+    }
+
     fn rt(v: JsonValue) {
-        let bytes = encode_value(&v);
+        let bytes = to_bytes(&v);
         assert_eq!(decode_value(&bytes).unwrap(), v, "round trip of {v:?}");
     }
 
@@ -412,7 +587,7 @@ mod tests {
 
     #[test]
     fn truncated_input_is_rejected() {
-        let bytes = encode_value(&JsonValue::Str("hello".to_string()));
+        let bytes = to_bytes(&JsonValue::Str("hello".to_string()));
         for cut in 0..bytes.len() {
             assert!(
                 decode_value(&bytes[..cut]).is_err(),
@@ -423,7 +598,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_value(&JsonValue::U64(7));
+        let mut bytes = to_bytes(&JsonValue::U64(7));
         bytes.push(0);
         assert_eq!(decode_value(&bytes), Err(DecodeError::TrailingBytes));
     }
@@ -476,7 +651,7 @@ mod tests {
         assert_eq!(decode_value(&bytes), Err(DecodeError::BadVarint));
         // u64::MAX itself is the canonical 10-byte edge and must decode.
         let mut pos = 0;
-        let max = encode_value(&JsonValue::U64(u64::MAX));
+        let max = to_bytes(&JsonValue::U64(u64::MAX));
         assert_eq!(get_varint(&max[1..], &mut pos), Ok(u64::MAX));
     }
 
@@ -499,7 +674,7 @@ mod tests {
         }
         // The canonical spellings of the same values still decode.
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let bytes = encode_value(&JsonValue::U64(v));
+            let bytes = to_bytes(&JsonValue::U64(v));
             assert_eq!(decode_value(&bytes).unwrap(), JsonValue::U64(v));
         }
     }
@@ -532,9 +707,9 @@ mod tests {
         ] {
             let txn = Transaction::committed(TxnId(id), SessionId(2), ops)
                 .with_times(u64::from(id) * 100, u64::from(id) * 100 + 7);
-            corpus.push(encode_value(&txn.to_json_value()));
+            corpus.push(to_bytes(&txn));
         }
-        corpus.push(encode_value(&JsonValue::Array(vec![
+        corpus.push(to_bytes(&JsonValue::Array(vec![
             JsonValue::Null,
             JsonValue::Bool(true),
             JsonValue::U64(u64::MAX),
@@ -551,7 +726,7 @@ mod tests {
         ]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
+        write_value_indexed(&obj, &mut dict, &mut indexed);
         for cut in 0..indexed.len() {
             assert!(
                 decode_value_indexed(&indexed[..cut], dict.keys(), &[]).is_err(),
@@ -589,14 +764,14 @@ mod tests {
         ]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
+        write_value_indexed(&obj, &mut dict, &mut indexed);
         assert_eq!(
             dict.keys(),
             ["first_field".to_string(), "nested".to_string()]
         );
         // The three "first_field" occurrences collapse to one dict entry,
         // so the indexed body is smaller than the inline-keyed form.
-        assert!(indexed.len() < encode_value(&obj).len() - 2 * "first_field".len());
+        assert!(indexed.len() < to_bytes(&obj).len() - 2 * "first_field".len());
         let decoded = decode_value_indexed(&indexed, dict.keys(), &[]).unwrap();
         assert_eq!(decoded, obj);
         // Split tables (base + pending) resolve identically.
@@ -609,7 +784,7 @@ mod tests {
         let obj = JsonValue::Object(vec![("k".to_string(), JsonValue::Null)]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
+        write_value_indexed(&obj, &mut dict, &mut indexed);
         assert_eq!(
             decode_value(&indexed),
             Err(DecodeError::BadTag(TAG_OBJECT_IDX))
@@ -633,10 +808,9 @@ mod tests {
             ],
         )
         .with_times(1_000_000, 1_000_050);
-        let v = txn.to_json_value();
-        let bin = encode_value(&v);
+        let bin = to_bytes(&txn);
         let mut json = String::new();
-        v.render(&mut json);
+        txn.to_json_value().render(&mut json);
         assert!(
             bin.len() < json.len() * 3 / 4,
             "binary {} vs json {}",

@@ -100,10 +100,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Appends one frame wrapping `payload` to `out`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() <= MAX_FRAME_LEN, "frame payload too large");
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    write_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload is whatever `payload` appends to `out`:
+/// the header's room is reserved first and its length and checksum patched
+/// in afterwards, so an encoder writes a frame's payload in place, once.
+pub fn write_frame_with(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let header = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    payload(out);
+    let body = header + FRAME_HEADER;
+    let len = out.len() - body;
+    assert!(len <= MAX_FRAME_LEN, "frame payload too large");
+    let crc = crc32(&out[body..]);
+    out[header..header + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[header + 4..body].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Reads the frame starting at `*pos`, advancing `*pos` past it on success.
@@ -215,6 +227,21 @@ mod tests {
         assert_eq!(read_frame(&buf, &mut pos).unwrap(), b"third record");
         assert_eq!(pos, buf.len());
         assert_eq!(read_frame(&buf, &mut pos), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn a_payload_written_in_place_is_framed_like_one_copied_in() {
+        for payload in [&b""[..], b"x", b"third record, behind two others"] {
+            let mut copied = b"earlier frames".to_vec();
+            let mut in_place = copied.clone();
+            write_frame(&mut copied, payload);
+            write_frame_with(&mut in_place, |out| {
+                for chunk in payload.chunks(3) {
+                    out.extend_from_slice(chunk);
+                }
+            });
+            assert_eq!(in_place, copied);
+        }
     }
 
     #[test]

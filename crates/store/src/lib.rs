@@ -53,13 +53,13 @@ pub mod frame;
 pub mod segment;
 pub mod store;
 
-pub use binval::{decode_value, encode_value, from_bytes, to_bytes, DecodeError};
+pub use binval::{decode_value, from_bytes, to_bytes, DecodeError};
 pub use checkpoint::{
     latest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint,
     write_checkpoint_delta, CHECKPOINT_VERSION,
 };
 pub use delta::DeltaOp;
-pub use frame::{crc32, read_frame, write_frame, FrameError};
+pub use frame::{crc32, read_frame, write_frame, write_frame_with, FrameError};
 pub use segment::{read_log, LogRecord, LogWriter, RecoveredLog, StreamMeta, LOG_VERSION};
 pub use store::{recover, MtcStore, Recovery, CHECKPOINT_REBASE_INTERVAL, DEFAULT_CHECKPOINT_KEEP};
 

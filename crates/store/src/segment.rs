@@ -12,8 +12,9 @@
 //! stream (magic, format version, segment index, index of its first
 //! transaction) followed by one frame per [`LogRecord`]. The first segment
 //! carries the stream's [`StreamMeta`] as its first record. Frames are
-//! CRC-checked ([`crate::frame`]); every append is one `write` handed to the
-//! OS, and only [`LogWriter::sync`] and segment rotation `fsync` (the crate
+//! CRC-checked ([`crate::frame`]); every append streams its record into one
+//! buffer the writer keeps — frame header, key-table prelude and value, no
+//! value tree and no second copy — and hands it to the OS as one `write`, and only [`LogWriter::sync`] and segment rotation `fsync` (the crate
 //! docs spell out what that means for a process crash and for power loss).
 //!
 //! ## Crash tolerance
@@ -26,11 +27,11 @@
 //! bytes before appending further records.
 
 use crate::binval;
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{read_frame, write_frame_with, FrameError};
 use crate::StoreError;
 use mtc_core::IsolationLevel;
 use mtc_history::Transaction;
-use serde::{Deserialize, JsonValue, Serialize};
+use serde::{Deserialize, Emitter, Serialize};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -83,11 +84,29 @@ pub enum LogRecord {
     Txn(Transaction),
 }
 
-/// What `LogRecord::Txn(txn.clone())` serializes to (an externally tagged
-/// newtype variant), built from a borrow: the writer's hot path has no use
-/// for an owned copy of the transaction.
-fn txn_record_value(txn: &Transaction) -> JsonValue {
-    JsonValue::Object(vec![("Txn".to_string(), txn.to_json_value())])
+/// A [`LogRecord`] by reference — the writer's hot path has no use for an
+/// owned copy of the transaction. Emits what the owned record does: an
+/// externally tagged newtype variant, `{"Txn": txn}` / `{"Meta": meta}`.
+enum RecordRef<'a> {
+    Meta(&'a StreamMeta),
+    Txn(&'a Transaction),
+}
+
+impl Serialize for RecordRef<'_> {
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.begin_object(1);
+        match self {
+            RecordRef::Meta(meta) => {
+                out.key("Meta");
+                meta.emit(out);
+            }
+            RecordRef::Txn(txn) => {
+                out.key("Txn");
+                txn.emit(out);
+            }
+        }
+        out.end_object();
+    }
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -127,6 +146,8 @@ pub struct LogWriter {
     segment_version: u32,
     /// Schema table of the current segment (v2 segments only).
     dict: binval::KeyDict,
+    /// The frame being appended, kept between appends for its capacity.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for LogWriter {
@@ -170,8 +191,9 @@ impl LogWriter {
             next_txn: 0,
             segment_version: LOG_VERSION,
             dict: binval::KeyDict::default(),
+            frame: Vec::new(),
         };
-        w.append_value(&LogRecord::Meta(meta.clone()).to_json_value())?;
+        w.append_record(RecordRef::Meta(meta))?;
         Ok(w)
     }
 
@@ -220,6 +242,7 @@ impl LogWriter {
                     dict.extend_known(&recovered.last_segment_dict);
                     dict
                 },
+                frame: Vec::new(),
             },
             recovered,
         ))
@@ -235,7 +258,7 @@ impl LogWriter {
     /// [`LogWriter::sync`] to force it down to the device.
     pub fn append(&mut self, txn: &Transaction) -> Result<u64, StoreError> {
         let index = self.next_txn;
-        self.append_value(&txn_record_value(txn))?;
+        self.append_record(RecordRef::Txn(txn))?;
         self.next_txn = index + 1;
         Ok(index)
     }
@@ -246,9 +269,8 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Appends one record, given as the value tree [`LogRecord`] serializes
-    /// to.
-    fn append_value(&mut self, record: &JsonValue) -> Result<(), StoreError> {
+    /// Appends one record as one frame, encoded in place.
+    fn append_record(&mut self, record: RecordRef<'_>) -> Result<(), StoreError> {
         if self.written_in_segment >= self.segment_bytes {
             self.file.sync_all()?;
             self.segment += 1;
@@ -260,35 +282,45 @@ impl LogWriter {
             self.dict = binval::KeyDict::default();
             mtc_obs::counter!("store.segment_rotations").inc();
         }
-        let payload = if self.segment_version >= 2 {
-            encode_record_v2(record, &mut self.dict)
-        } else {
-            binval::encode_value(record)
-        };
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        write_frame(&mut framed, &payload);
-        self.file.write_all(&framed)?;
-        self.written_in_segment += framed.len();
+        self.frame.clear();
+        {
+            let _span = mtc_obs::sampled_span!("store.append.encode");
+            let (v2, dict) = (self.segment_version >= 2, &mut self.dict);
+            write_frame_with(&mut self.frame, |out| {
+                if v2 {
+                    write_record_v2(&record, dict, out)
+                } else {
+                    binval::write_value(&record, out)
+                }
+            });
+        }
+        self.file.write_all(&self.frame)?;
+        self.written_in_segment += self.frame.len();
         Ok(())
     }
 }
 
-/// Encodes one record in the v2 schema-table form: the keys this record
+/// Appends one record in the v2 schema-table form: the keys this record
 /// introduces to the segment's table (shipped as length-prefixed strings)
 /// followed by the value with indexed object keys.
-fn encode_record_v2(record: &JsonValue, dict: &mut binval::KeyDict) -> Vec<u8> {
-    let start = dict.len();
-    let mut body = Vec::new();
-    binval::encode_value_indexed(record, dict, &mut body);
-    let new = &dict.keys()[start..];
-    let mut payload = Vec::new();
-    binval::put_varint(&mut payload, new.len() as u64);
-    for key in new {
-        binval::put_varint(&mut payload, key.len() as u64);
-        payload.extend_from_slice(key.as_bytes());
+fn write_record_v2(record: &RecordRef<'_>, dict: &mut binval::KeyDict, out: &mut Vec<u8>) {
+    let known = dict.len();
+    let prelude = out.len();
+    // Which keys are new is known once the value is written. All but a
+    // segment's first records bring none, so write that — a count of zero —
+    // and the value behind it; the rare record that does bring keys has
+    // its prelude spliced in over the zero.
+    out.push(0);
+    binval::write_value_indexed(record, dict, out);
+    let new = &dict.keys()[known..];
+    if !new.is_empty() {
+        let mut keys = Vec::new();
+        binval::put_varint(&mut keys, new.len() as u64);
+        for key in new {
+            binval::put_str(&mut keys, key);
+        }
+        out.splice(prelude..=prelude, keys);
     }
-    payload.extend_from_slice(&body);
-    payload
 }
 
 /// Decodes one v2 record payload against the segment's accumulated key
@@ -340,7 +372,7 @@ fn open_segment(
         segment_bytes: segment_bytes as u64,
     };
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, &binval::to_bytes(&header));
+    write_frame_with(&mut bytes, |out| binval::write_value(&header, out));
     let mut file = fs::OpenOptions::new()
         .create_new(true)
         .append(true)
@@ -508,6 +540,7 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use mtc_history::{Op, SessionId, TxnId};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -541,10 +574,18 @@ mod tests {
         };
         for t in [txn(0), txn(7), aborted] {
             assert_eq!(
-                txn_record_value(&t),
+                RecordRef::Txn(&t).to_json_value(),
                 LogRecord::Txn(t.clone()).to_json_value()
             );
+            assert_eq!(
+                binval::to_bytes(&RecordRef::Txn(&t)),
+                binval::to_bytes(&LogRecord::Txn(t))
+            );
         }
+        assert_eq!(
+            binval::to_bytes(&RecordRef::Meta(&meta())),
+            binval::to_bytes(&LogRecord::Meta(meta()))
+        );
     }
 
     #[test]

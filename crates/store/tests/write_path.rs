@@ -1,6 +1,7 @@
 //! The write side of a checkpoint, observed through `mtc-obs`: it reads no
-//! checkpoint byte back, every stage is spanned once per checkpoint, and
-//! recording changes nothing on disk. The counters and the switch are
+//! checkpoint byte back, every stage is spanned once per checkpoint, a
+//! sixteenth of the log appends have their encode timed, and recording
+//! changes nothing on disk. The counters and the switch are
 //! process-wide, so every test here holds the `with_enabled` lock (and
 //! flushes its thread's spans before letting go) and this file is its own
 //! test binary.
@@ -127,8 +128,12 @@ fn stages_are_spanned_once_per_checkpoint_and_files_do_not_depend_on_recording()
     let count = |name: &str| mtc_obs::registry().histogram(name).count();
     let before = STAGES.map(count);
     let total_before = count("store.checkpoint_micros");
+    let encodes_before = count("store.append.encode");
     drop(run_store(&on_dir));
     mtc_obs::flush_spans();
+    // One append in 16 has its encode timed: of the stream metadata and the
+    // 480 transactions, 30 — none of them while recording was off.
+    assert_eq!(count("store.append.encode") - encodes_before, 30);
     for (stage, before) in STAGES.iter().zip(before) {
         assert_eq!(count(stage) - before, CHECKPOINTS, "{stage}");
     }
