@@ -262,3 +262,206 @@ fn skip_holds_both_directions_inside_a_struct_variant() {
     );
     holds(&Skipping::Plain, s("Plain"));
 }
+
+// ── the read direction ──────────────────────────────────────────────────────
+//
+// One literal tree per reading rule that is easy to get wrong. Each is read
+// twice — from the tree, and from the bytes of the tree — and the two must
+// agree; the cases were written against the PR 22 build, where both paths
+// went through `from_json_value` over an owned tree, and pass there too.
+
+/// What `tree` reads as: the same from the tree and from its bytes, value
+/// or refusal (the message is the tree path's).
+fn reads<T: Deserialize + PartialEq + std::fmt::Debug>(tree: JsonValue) -> Result<T, String> {
+    let from_tree = T::from_json_value(&tree).map_err(|e| e.to_string());
+    let from_bytes = mtc_store::from_bytes::<T>(&mtc_store::to_bytes(&tree));
+    match (&from_tree, &from_bytes) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "tree against bytes of {tree:?}"),
+        (Err(_), Err(mtc_store::StoreError::Serde(_))) => {}
+        _ => panic!("{from_tree:?} from the tree, {from_bytes:?} from the bytes of {tree:?}"),
+    }
+    from_tree
+}
+
+#[test]
+fn a_struct_reads_its_keys_in_any_order_skips_strangers_and_keeps_the_first_duplicate() {
+    let named = Named {
+        id: 7,
+        scratch: Vec::new(),
+        label: "l".to_string(),
+        delta: -3,
+    };
+    let reordered = obj(vec![("delta", I64(-3)), ("label", s("l")), ("id", U64(7))]);
+    assert_eq!(reads::<Named>(reordered), Ok(named.clone()));
+    // An unknown key is skipped whatever it holds — and a skipped field's
+    // name is an unknown key like any other.
+    let strangers = obj(vec![
+        ("id", U64(7)),
+        (
+            "extra",
+            obj(vec![("deep", arr(vec![Null, obj(vec![("er", F64(0.5))])]))]),
+        ),
+        ("label", s("l")),
+        ("scratch", arr(vec![U64(1), U64(2)])),
+        ("delta", I64(-3)),
+    ]);
+    assert_eq!(reads::<Named>(strangers), Ok(named.clone()));
+    // The first of duplicate keys wins, as `JsonValue::get` finds it; the
+    // later one is not even held to the field's type.
+    let duplicated = obj(vec![
+        ("id", U64(7)),
+        ("label", s("l")),
+        ("id", s("not a number")),
+        ("delta", I64(-3)),
+        ("delta", I64(9)),
+    ]);
+    assert_eq!(reads::<Named>(duplicated), Ok(named));
+    let missing = obj(vec![("id", U64(7)), ("delta", I64(-3))]);
+    assert!(reads::<Named>(missing).unwrap_err().contains("`label`"));
+    assert!(reads::<Named>(arr(vec![U64(7), s("l"), I64(-3)])).is_err());
+    // Struct variants read by the same rules.
+    let held = obj(vec![(
+        "Held",
+        obj(vec![
+            ("also", JsonValue::Bool(true)),
+            ("new", Null),
+            ("kept", U64(1)),
+        ]),
+    )]);
+    assert_eq!(
+        reads::<Skipping>(held),
+        Ok(Skipping::Held {
+            kept: 1,
+            scratch: Vec::new(),
+            also: true
+        })
+    );
+}
+
+#[test]
+fn an_absent_option_field_is_missing_and_a_null_one_is_none() {
+    let without = obj(vec![
+        ("rows", arr(vec![])),
+        ("shapes", arr(vec![])),
+        ("signed", arr(vec![])),
+    ]);
+    assert!(reads::<Nested>(without).unwrap_err().contains("`none`"));
+    assert_eq!(reads::<Option<u8>>(Null), Ok(None));
+    assert_eq!(reads::<Option<u8>>(U64(3)), Ok(Some(3)));
+    assert_eq!(reads::<Option<Unit>>(Null), Ok(None));
+    assert_eq!(reads::<Option<Option<u8>>>(Null), Ok(None));
+    assert_eq!(
+        reads::<Vec<Option<String>>>(arr(vec![Null, s("x"), Null])),
+        Ok(vec![None, Some("x".to_string()), None])
+    );
+    assert!(reads::<Option<u8>>(s("3")).is_err());
+}
+
+#[test]
+fn tuples_take_their_first_elements_and_refuse_fewer() {
+    let three = arr(vec![U64(9), s("p"), obj(vec![("more", arr(vec![Null]))])]);
+    assert_eq!(
+        reads::<(u8, String)>(three.clone()),
+        Ok((9, "p".to_string()))
+    );
+    assert_eq!(reads::<Pair>(three.clone()), Ok(Pair(9, "p".to_string())));
+    assert_eq!(
+        reads::<Shape>(obj(vec![(
+            "Tuple",
+            arr(vec![U64(4), s("t"), Null, U64(1), U64(2)])
+        )])),
+        Ok(Shape::Tuple(4, "t".to_string(), Unit))
+    );
+    // What follows a tuple that ran long is still where it should be.
+    assert_eq!(
+        reads::<Vec<(u8, String)>>(arr(vec![three.clone(), arr(vec![U64(1), s("q")])])),
+        Ok(vec![(9, "p".to_string()), (1, "q".to_string())])
+    );
+    assert!(reads::<(u8, String)>(arr(vec![U64(9)])).is_err());
+    assert!(reads::<Pair>(arr(vec![U64(9)])).is_err());
+    assert!(reads::<Triple>(arr(vec![U64(1), U64(2)])).is_err());
+    assert!(reads::<(u8, String)>(obj(vec![("0", U64(9)), ("1", s("p"))])).is_err());
+    assert!(reads::<Shape>(obj(vec![("Tuple", arr(vec![U64(4), s("t")]))])).is_err());
+    // A newtype is its content; a unit struct reads back from anything.
+    assert_eq!(reads::<Newtype>(U64(5)), Ok(Newtype(5)));
+    assert_eq!(reads::<Unit>(three), Ok(Unit));
+    assert_eq!(reads::<Unit>(U64(0)), Ok(Unit));
+}
+
+#[test]
+fn enums_read_a_bare_tag_or_a_single_key_object() {
+    assert_eq!(reads::<Shape>(s("Unit")), Ok(Shape::Unit));
+    // A unit variant tolerates the tagged form, whatever it holds.
+    assert_eq!(reads::<Shape>(obj(vec![("Unit", Null)])), Ok(Shape::Unit));
+    assert_eq!(
+        reads::<Shape>(obj(vec![("Unit", arr(vec![U64(1), obj(vec![])]))])),
+        Ok(Shape::Unit)
+    );
+    assert!(reads::<Shape>(s("Newtype"))
+        .unwrap_err()
+        .contains("unknown variant"));
+    assert!(reads::<Shape>(s("Nope")).unwrap_err().contains("`Nope`"));
+    assert!(reads::<Shape>(obj(vec![("Nope", Null)]))
+        .unwrap_err()
+        .contains("`Nope`"));
+    assert!(reads::<Shape>(obj(vec![])).is_err());
+    assert!(reads::<Shape>(obj(vec![("Unit", Null), ("Unit", Null)])).is_err());
+    assert!(reads::<Shape>(U64(0)).is_err());
+    assert!(reads::<Shape>(arr(vec![s("Unit")])).is_err());
+}
+
+#[test]
+fn numbers_read_by_value_and_strings_by_scalar() {
+    // An integer reads from either integer head, if it fits.
+    assert_eq!(reads::<u8>(U64(255)), Ok(255));
+    assert!(reads::<u8>(U64(256)).unwrap_err().contains("out of range"));
+    assert!(reads::<u8>(I64(-1)).unwrap_err().contains("out of range"));
+    assert_eq!(reads::<i8>(I64(-128)), Ok(-128));
+    assert_eq!(reads::<i8>(U64(127)), Ok(127));
+    assert!(reads::<i8>(U64(128)).is_err());
+    assert_eq!(reads::<i64>(I64(i64::MIN)), Ok(i64::MIN));
+    assert!(reads::<i64>(U64(u64::MAX)).is_err());
+    assert_eq!(reads::<u64>(U64(u64::MAX)), Ok(u64::MAX));
+    assert_eq!(reads::<usize>(U64(7)), Ok(7));
+    assert!(reads::<u32>(F64(1.0)).is_err());
+    assert!(reads::<u32>(s("1")).is_err());
+    // A float reads from any number.
+    assert_eq!(reads::<f64>(U64(3)), Ok(3.0));
+    assert_eq!(reads::<f64>(I64(-3)), Ok(-3.0));
+    assert_eq!(reads::<f32>(F64(0.5)), Ok(0.5));
+    assert!(reads::<f64>(Null).is_err());
+    assert_eq!(reads::<bool>(JsonValue::Bool(true)), Ok(true));
+    assert!(reads::<bool>(U64(1)).is_err());
+    // A char is one scalar value, however many bytes.
+    assert_eq!(reads::<char>(s("é")), Ok('é'));
+    assert!(reads::<char>(s("")).is_err());
+    assert!(reads::<char>(s("ab")).is_err());
+    assert!(reads::<String>(U64(1)).is_err());
+    assert!(reads::<Vec<u8>>(obj(vec![])).is_err());
+}
+
+#[test]
+fn maps_read_pairs_and_a_later_duplicate_overwrites() {
+    let pairs = arr(vec![
+        arr(vec![U64(1), s("a")]),
+        arr(vec![U64(2), s("b")]),
+        arr(vec![U64(1), s("c"), Null]),
+    ]);
+    let expected = [(1u32, "c".to_string()), (2, "b".to_string())];
+    assert_eq!(
+        reads::<HashMap<u32, String>>(pairs.clone()),
+        Ok(HashMap::from(expected.clone()))
+    );
+    assert_eq!(
+        reads::<BTreeMap<u32, String>>(pairs),
+        Ok(BTreeMap::from(expected))
+    );
+    assert!(reads::<HashMap<u32, String>>(arr(vec![arr(vec![U64(1)])])).is_err());
+    assert!(reads::<BTreeMap<u32, String>>(obj(vec![("1", s("a"))])).is_err());
+    // A `Duration` is the struct `{secs, nanos}`.
+    let took = obj(vec![("nanos", U64(500)), ("pad", Null), ("secs", U64(2))]);
+    assert_eq!(reads::<Duration>(took), Ok(Duration::new(2, 500)));
+    assert!(reads::<Duration>(obj(vec![("secs", U64(2))]))
+        .unwrap_err()
+        .contains("`nanos`"));
+}

@@ -355,94 +355,87 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-fn named_fields_ctor(ty: &str, path: &str, fs: &[NamedField], src: &str) -> String {
+/// `pull` of one value from the source the generated method names `__src`.
+const PULL: &str = "::serde::Deserialize::pull(__src)?";
+
+/// Reads an object into `path { … }`, in one pass over its keys: fields in
+/// any order, the first of duplicate keys wins, unknown keys are skipped
+/// (and validated), a field that never came is `missing_field` and a
+/// `#[serde(skip)]` field is `Default`. Keys are compared as `&str`, never
+/// allocated.
+fn pull_named(ty: &str, path: &str, fs: &[NamedField]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
     let mut inits = String::new();
     for f in fs {
+        let field = &f.name;
         if f.skip {
-            inits.push_str(&format!(
-                "{}: ::std::default::Default::default(),\n",
-                f.name
-            ));
-        } else {
-            inits.push_str(&format!(
-                "{field}: ::serde::Deserialize::from_json_value({src}.get({field:?}).ok_or_else(|| ::serde::Error::missing_field({ty:?}, {field:?}))?)?,\n",
-                field = f.name,
-            ));
+            inits.push_str(&format!("{field}: ::std::default::Default::default(),\n"));
+            continue;
         }
+        slots.push_str(&format!(
+            "let mut __f_{field} = ::std::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "{field:?} if __f_{field}.is_none() => __f_{field} = ::std::option::Option::Some({PULL}),\n"
+        ));
+        inits.push_str(&format!(
+            "{field}: __f_{field}.ok_or_else(|| ::serde::Error::missing_field({ty:?}, {field:?}))?,\n"
+        ));
     }
-    format!("{path} {{ {inits} }}")
+    format!(
+        "match ::serde::Source::next(__src)? {{\n ::serde::Head::Object(__len) => {{\n{slots}for _ in 0..__len {{\n match ::serde::Source::key(__src)? {{\n{arms} _ => ::serde::Source::skip(__src)?,\n }}\n }}\n Ok({path} {{ {inits} }})\n }}\n _ => Err(::serde::Error::expected(\"object\", {ty:?})),\n}}"
+    )
+}
+
+/// Reads `n` values into `path(…)`: one transparently, several from an
+/// array that may run longer (the rest is skipped) but not shorter.
+fn pull_tuple(ty: &str, path: &str, n: usize) -> String {
+    if n == 1 {
+        return format!("Ok({path}({PULL}))");
+    }
+    let items = vec![PULL; n].join(", ");
+    format!(
+        "match ::serde::Source::next(__src)? {{\n ::serde::Head::Array(__len) if __len >= {n} => {{\n let __v = {path}({items});\n for _ in {n}..__len {{ ::serde::Source::skip(__src)?; }}\n Ok(__v)\n }}\n ::serde::Head::Array(_) => Err(::serde::Error::expected(\"longer array\", {ty:?})),\n _ => Err(::serde::Error::expected(\"array\", {ty:?})),\n}}"
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(fs) => {
-                    let ctor = named_fields_ctor(name, name, fs, "v");
-                    format!(
-                        "match v {{\n ::serde::JsonValue::Object(_) => Ok({ctor}),\n _ => Err(::serde::Error::expected(\"object\", {name:?})),\n}}"
-                    )
-                }
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::from_json_value(v)?))")
-                }
-                Fields::Tuple(n) => {
-                    let items = (0..*n)
-                        .map(|i| {
-                            format!(
-                                "::serde::Deserialize::from_json_value(items.get({i}).ok_or_else(|| ::serde::Error::expected(\"longer array\", {name:?}))?)?"
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!(
-                        "match v {{\n ::serde::JsonValue::Array(items) => Ok({name}({items})),\n _ => Err(::serde::Error::expected(\"array\", {name:?})),\n}}"
-                    )
-                }
-                Fields::Unit => format!("match v {{ _ => Ok({name}) }}"),
+                Fields::Named(fs) => pull_named(name, name, fs),
+                Fields::Tuple(n) => pull_tuple(name, name, *n),
+                // Whatever a unit struct was written as, it reads back.
+                Fields::Unit => format!("::serde::Source::skip(__src)?;\nOk({name})"),
             };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_json_value(v: &::serde::JsonValue) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n}}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
+            // Externally tagged: `"V"` for a unit variant — `{"V": anything}`
+            // is tolerated for one too — and `{"V": payload}` for the rest.
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.fields {
+                let path = format!("{name}::{vn}");
+                let payload = match &v.fields {
                     Fields::Unit => {
-                        unit_arms.push_str(&format!("{vn:?} => Ok({name}::{vn}),\n"));
-                        // Tolerate `{ "Variant": null }` in the tagged form too.
-                        tagged_arms.push_str(&format!("{vn:?} => Ok({name}::{vn}),\n"));
+                        unit_arms.push_str(&format!("{vn:?} => Ok({path}),\n"));
+                        format!("{{ ::serde::Source::skip(__src)?; Ok({path}) }}")
                     }
-                    Fields::Tuple(1) => {
-                        tagged_arms.push_str(&format!(
-                            "{vn:?} => Ok({name}::{vn}(::serde::Deserialize::from_json_value(payload)?)),\n"
-                        ));
-                    }
-                    Fields::Tuple(n) => {
-                        let items = (0..*n)
-                            .map(|i| {
-                                format!(
-                                    "::serde::Deserialize::from_json_value(items.get({i}).ok_or_else(|| ::serde::Error::expected(\"longer array\", {name:?}))?)?"
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        tagged_arms.push_str(&format!(
-                            "{vn:?} => match payload {{\n ::serde::JsonValue::Array(items) => Ok({name}::{vn}({items})),\n _ => Err(::serde::Error::expected(\"array\", {name:?})),\n}},\n"
-                        ));
-                    }
-                    Fields::Named(fs) => {
-                        let ctor = named_fields_ctor(name, &format!("{name}::{vn}"), fs, "payload");
-                        tagged_arms.push_str(&format!("{vn:?} => Ok({ctor}),\n"));
-                    }
-                }
+                    Fields::Tuple(n) => pull_tuple(name, &path, *n),
+                    Fields::Named(fs) => pull_named(name, &path, fs),
+                };
+                tagged_arms.push_str(&format!("{vn:?} => {payload},\n"));
             }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n fn from_json_value(v: &::serde::JsonValue) -> ::std::result::Result<Self, ::serde::Error> {{\n match v {{\n ::serde::JsonValue::Str(tag) => match tag.as_str() {{\n {unit_arms} other => Err(::serde::Error::unknown_variant({name:?}, other)),\n }},\n ::serde::JsonValue::Object(entries) if entries.len() == 1 => {{\n let (tag, payload) = &entries[0];\n match tag.as_str() {{\n {tagged_arms} other => Err(::serde::Error::unknown_variant({name:?}, other)),\n }}\n }},\n _ => Err(::serde::Error::expected(\"string or single-key object\", {name:?})),\n }}\n }}\n}}"
-            )
+            let body = format!(
+                "match ::serde::Source::next(__src)? {{\n ::serde::Head::Str(__tag) => match __tag {{\n{unit_arms} __other => Err(::serde::Error::unknown_variant({name:?}, __other)),\n }},\n ::serde::Head::Object(1) => {{\n let __tag = ::serde::Source::key(__src)?;\n match __tag {{\n{tagged_arms} __other => Err(::serde::Error::unknown_variant({name:?}, __other)),\n }}\n }}\n _ => Err(::serde::Error::expected(\"string or single-key object\", {name:?})),\n}}"
+            );
+            (name, body)
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n fn pull<__S: ::serde::Source + ?::std::marker::Sized>(__src: &mut __S) -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n}}"
+    )
 }

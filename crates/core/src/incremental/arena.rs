@@ -3,7 +3,7 @@
 //! the hand-written serde that fixes their snapshot layout.
 
 use mtc_history::{Edge, FastHashMap, TxnId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Head, Serialize, Source};
 
 /// A windowed, dense map keyed by [`TxnId`]: ids at or above `base` index
 /// straight into a vector — the hot path, covering every resident
@@ -118,30 +118,40 @@ impl<V: Serialize> Serialize for TxnMap<V> {
 }
 
 impl<V: Deserialize> Deserialize for TxnMap<V> {
-    fn from_json_value(v: &serde::JsonValue) -> Result<Self, serde::Error> {
-        let base = v
-            .get("base")
-            .ok_or_else(|| serde::Error::missing_field("TxnMap", "base"))?;
-        let entries = v
-            .get("entries")
-            .ok_or_else(|| serde::Error::missing_field("TxnMap", "entries"))?;
-        let serde::JsonValue::Array(entries) = entries else {
-            return Err(serde::Error::expected("TxnMap", "entries array"));
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let Head::Object(len) = src.next()? else {
+            return Err(serde::Error::expected("object", "TxnMap"));
         };
-        let mut out = TxnMap {
-            base: u32::from_json_value(base)?,
-            ..TxnMap::default()
-        };
-        for entry in entries {
-            let serde::JsonValue::Array(pair) = entry else {
-                return Err(serde::Error::expected("TxnMap", "[txn, value] pair"));
-            };
-            let [t, val] = pair.as_slice() else {
-                return Err(serde::Error::expected("TxnMap", "[txn, value] pair"));
-            };
-            out.insert(TxnId(u32::from_json_value(t)?), V::from_json_value(val)?);
+        let (mut base, mut entries) = (None, None);
+        for _ in 0..len {
+            match src.key()? {
+                "base" if base.is_none() => base = Some(u32::pull(src)?),
+                "entries" if entries.is_none() => {
+                    let Head::Array(pairs) = src.next()? else {
+                        return Err(serde::Error::expected("entries array", "TxnMap"));
+                    };
+                    // Straight into the map: there is no list of pairs to
+                    // build first. `base` is written ahead of them; had it
+                    // come behind, the `rebase` below moves the window.
+                    let mut map = TxnMap {
+                        base: base.unwrap_or(0),
+                        ..TxnMap::default()
+                    };
+                    for _ in 0..pairs {
+                        let Head::Array(2) = src.next()? else {
+                            return Err(serde::Error::expected("[txn, value] pair", "TxnMap"));
+                        };
+                        map.insert(TxnId(u32::pull(src)?), V::pull(src)?);
+                    }
+                    entries = Some(map);
+                }
+                _ => src.skip()?,
+            }
         }
-        Ok(out)
+        let base = base.ok_or_else(|| serde::Error::missing_field("TxnMap", "base"))?;
+        let mut map = entries.ok_or_else(|| serde::Error::missing_field("TxnMap", "entries"))?;
+        map.rebase(base);
+        Ok(map)
     }
 }
 
@@ -205,27 +215,95 @@ impl Serialize for ProvMap {
 }
 
 impl Deserialize for ProvMap {
-    fn from_json_value(v: &serde::JsonValue) -> Result<Self, serde::Error> {
-        let serde::JsonValue::Array(items) = v else {
-            return Err(serde::Error::expected("ProvMap", "array"));
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let Head::Array(len) = src.next()? else {
+            return Err(serde::Error::expected("array", "ProvMap"));
         };
         let mut out = ProvMap::default();
-        for item in items {
-            let serde::JsonValue::Array(quad) = item else {
-                return Err(serde::Error::expected("ProvMap", "[a, c, base, rw] entry"));
+        for _ in 0..len {
+            let Head::Array(4) = src.next()? else {
+                return Err(serde::Error::expected("[a, c, base, rw] entry", "ProvMap"));
             };
-            let [a, c, base, rw] = quad.as_slice() else {
-                return Err(serde::Error::expected("ProvMap", "[a, c, base, rw] entry"));
-            };
-            out.record(
-                u32::from_json_value(a)? as usize,
-                u32::from_json_value(c)? as usize,
-                (
-                    Edge::from_json_value(base)?,
-                    Option::<Edge>::from_json_value(rw)?,
-                ),
-            );
+            let (a, c) = (u32::pull(src)? as usize, u32::pull(src)? as usize);
+            out.record(a, c, (Edge::pull(src)?, Option::<Edge>::pull(src)?));
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::JsonValue::{self, Array, Null, Object, U64};
+
+    fn fields(entries: Vec<(&str, JsonValue)>) -> JsonValue {
+        Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// A map reads back the same whichever of its two fields comes first,
+    /// strangers between them or not, and an entry is a pair exactly.
+    #[test]
+    fn a_txn_map_reads_its_fields_in_either_order() {
+        let mut map = TxnMap::<usize>::default();
+        for t in [0u32, 3, 17, 18, 40] {
+            map.insert(TxnId(t), t as usize * 10);
+        }
+        map.rebase(17);
+        let written = map.to_json_value();
+        let (base, entries) = (
+            written.get("base").unwrap().clone(),
+            written.get("entries").unwrap().clone(),
+        );
+        assert_eq!(base, U64(17));
+        let swapped = fields(vec![
+            ("entries", entries.clone()),
+            ("stranger", Array(vec![Null])),
+            ("base", base.clone()),
+        ]);
+        for tree in [&written, &swapped] {
+            let back = TxnMap::<usize>::from_json_value(tree).unwrap();
+            assert_eq!(
+                (back.base, &back.dense, &back.low),
+                (17, &map.dense, &map.low)
+            );
+            assert_eq!(back.to_json_value(), written);
+        }
+        let long_pair = Array(vec![Array(vec![U64(18), U64(180), Null])]);
+        for broken in [
+            fields(vec![("base", base.clone())]),
+            fields(vec![("entries", entries)]),
+            fields(vec![("base", base), ("entries", long_pair)]),
+        ] {
+            assert!(TxnMap::<usize>::from_json_value(&broken).is_err());
+        }
+    }
+
+    #[test]
+    fn a_prov_map_reads_its_rows_back() {
+        let edge = |from, to| Edge {
+            from: TxnId(from),
+            to: TxnId(to),
+            kind: mtc_history::EdgeKind::So,
+        };
+        let mut map = ProvMap::default();
+        assert!(map.record(2, 5, (edge(1, 2), Some(edge(2, 3)))));
+        assert!(map.record(0, 1, (edge(4, 5), None)));
+        assert!(map.record(2, 1, (edge(6, 7), None)));
+        let written = map.to_json_value();
+        let back = ProvMap::from_json_value(&written).unwrap();
+        assert_eq!(back.rows, map.rows);
+        let Array(mut rows) = written else {
+            panic!("a prov map is an array")
+        };
+        let Array(row) = &mut rows[0] else {
+            panic!("of arrays")
+        };
+        row.pop();
+        assert!(ProvMap::from_json_value(&Array(rows)).is_err());
     }
 }

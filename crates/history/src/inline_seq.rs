@@ -7,7 +7,7 @@
 //! The sequence serializes exactly like a `Vec<u32>` — one plain array — so
 //! snapshots do not see the difference.
 
-use serde::{Deserialize, JsonValue, Serialize};
+use serde::{Deserialize, Head, Serialize, Source};
 
 /// Up to `N` ids in place, any number on the heap; element order is that
 /// of a `Vec` under the same calls.
@@ -99,13 +99,13 @@ impl<const N: usize> Serialize for InlineSeq<N> {
 }
 
 impl<const N: usize> Deserialize for InlineSeq<N> {
-    fn from_json_value(v: &JsonValue) -> Result<Self, serde::Error> {
-        let JsonValue::Array(ids) = v else {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let Head::Array(len) = src.next()? else {
             return Err(serde::Error::expected("array", "InlineSeq"));
         };
         let mut seq = InlineSeq::default();
-        for id in ids {
-            seq.push(u32::from_json_value(id)?);
+        for _ in 0..len {
+            seq.push(u32::pull(src)?);
         }
         Ok(seq)
     }

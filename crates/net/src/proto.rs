@@ -303,9 +303,12 @@ pub fn encode<T: Serialize>(out: &mut Vec<u8>, msg: &T) {
 /// reader does the CRC and length checks, exactly as for the durable log.
 fn decode<T: Deserialize>(buf: &[u8], pos: &mut usize) -> std::io::Result<Option<T>> {
     match read_frame(buf, pos) {
-        Ok(payload) => mtc_store::binval::from_bytes(payload)
-            .map(Some)
-            .map_err(invalid_data),
+        Ok(payload) => {
+            let _span = mtc_obs::sampled_span!("net.call.decode");
+            mtc_store::binval::from_bytes(payload)
+                .map(Some)
+                .map_err(invalid_data)
+        }
         Err(FrameError::Truncated) => Ok(None),
         Err(e @ FrameError::Corrupt) => Err(invalid_data(e)),
     }

@@ -12,27 +12,38 @@
 //! The encoding is self-delimiting: a value knows its own extent, so frames
 //! (see [`crate::frame`]) only add integrity, not structure.
 //!
-//! ## One writer, two key modes
+//! ## One writer, one reader, two key modes
 //!
-//! Writing builds no value tree: the one byte writer is a
-//! [`serde::Emitter`], [`Serialize::emit`] feeds it the value as events,
-//! and every event appends its bytes to the output buffer then and there —
-//! which is why the sink contract announces container lengths up front: they
-//! are prefixes here. ([`serde::JsonValue`] implements `Serialize` too, so a
-//! tree that already exists goes through the same writer.) What differs
-//! between outputs is only how an object's keys are spelt:
+//! Neither direction builds a value tree. The one byte writer is a
+//! [`serde::Emitter`]: [`Serialize::emit`] feeds it the value as events, and
+//! every event appends its bytes to the output buffer then and there — which
+//! is why the sink contract announces container lengths up front: they are
+//! prefixes here. The one byte reader is a [`serde::Source`]:
+//! [`Deserialize::pull`] asks it for one head after another, each is parsed
+//! off the input when it is asked for, and strings and keys are borrowed
+//! from the input (or from the key table), not copied. ([`serde::JsonValue`]
+//! implements both traits, so a caller that does want a tree writes one
+//! through the same writer and gets one from the same reader:
+//! `from_bytes::<JsonValue>`.) What differs between payloads is only how an
+//! object's keys are spelt:
 //!
-//! * **inline** ([`write_value`], [`to_bytes`]): `TAG_OBJECT`, every key a
-//!   length-prefixed string — checkpoints, headers, wire envelopes, v1 log
-//!   segments;
+//! * **inline** ([`write_value`], [`to_bytes`], [`from_bytes`]):
+//!   `TAG_OBJECT`, every key a length-prefixed string — checkpoints,
+//!   headers, wire envelopes, v1 log segments;
 //! * **indexed** ([`write_value_indexed`]): `TAG_OBJECT_IDX`, every key a
 //!   varint index into a [`KeyDict`] that interns keys in first-seen order —
-//!   v2 log segments, which ship the table's new tail with each record.
+//!   v2 log segments, which ship the table's new tail with each record and
+//!   read it back against the table so far.
 //!
-//! Reading still parses into a tree ([`decode_value`]) that
-//! [`Deserialize::from_json_value`] picks apart.
+//! What the reader checks, it checks where it stands: tags, canonical
+//! varints, UTF-8, [`MAX_DEPTH`] on the containers it is inside of, a key
+//! index against its tables, a length prefix against the input that is left
+//! (so a length that lies is refused before anything is reserved for it),
+//! and, once the value is read, that the input ended with it. Those failures
+//! are [`DecodeError`]s; a value that is well-formed but not of the shape
+//! the type reads is a [`crate::StoreError::Serde`].
 
-use serde::{Deserialize, Emitter, JsonValue, Serialize};
+use serde::{Deserialize, Emitter, Head, Serialize, Source};
 
 /// Errors produced while decoding a binary value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -221,8 +232,8 @@ struct KeyTables<'a> {
     pending: &'a [String],
 }
 
-impl KeyTables<'_> {
-    fn resolve(&self, idx: u64) -> Result<&str, DecodeError> {
+impl<'a> KeyTables<'a> {
+    fn resolve(&self, idx: u64) -> Result<&'a str, DecodeError> {
         let i = idx as usize;
         self.base
             .get(i)
@@ -232,86 +243,212 @@ impl KeyTables<'_> {
     }
 }
 
-fn decode_at(
-    input: &[u8],
-    pos: &mut usize,
+/// How many open containers a [`Reader`] tracks in place. Setting up room
+/// for all [`MAX_DEPTH`] of them cost a read of a 46-byte envelope a quarter
+/// of its time; a checker snapshot nests 8 deep.
+const SHALLOW: usize = 16;
+
+/// A container the reader is inside of.
+#[derive(Clone, Copy, Default)]
+struct Open {
+    /// Values of it not yet begun.
+    left: usize,
+    /// It is a [`TAG_OBJECT_IDX`] object: its keys are table indices.
+    indexed: bool,
+}
+
+/// The byte reader: every head is parsed off `input` when it is asked for,
+/// strings and inline keys are borrowed from it. With `keys`, indexed
+/// objects resolve against the tables; without, they are a bad tag.
+///
+/// A byte-level failure is kept in `failed` — [`serde::Error`] is a message,
+/// and callers tell a [`DecodeError`] from a value of the wrong shape — and
+/// surfaces from [`Reader::finish`].
+struct Reader<'a> {
+    input: &'a [u8],
+    pos: usize,
+    keys: Option<KeyTables<'a>>,
+    /// The containers being read, outermost first, `depth` of them: the
+    /// first [`SHALLOW`] here, the rest — the workspace writes nothing that
+    /// deep — in `deeper`. One whose last value has begun stays until the
+    /// next head is asked for: that value may be a container itself, and it
+    /// is one level further in.
+    open: [Open; SHALLOW],
+    deeper: Vec<Open>,
     depth: usize,
-    keys: Option<KeyTables<'_>>,
-) -> Result<JsonValue, DecodeError> {
-    if depth > MAX_DEPTH {
-        return Err(DecodeError::TooDeep);
+    failed: Option<DecodeError>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(input: &'a [u8], keys: Option<KeyTables<'a>>) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            keys,
+            open: [Open::default(); SHALLOW],
+            deeper: Vec::new(),
+            depth: 0,
+            failed: None,
+        }
     }
-    let &tag = input.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    match tag {
-        TAG_NULL => Ok(JsonValue::Null),
-        TAG_FALSE => Ok(JsonValue::Bool(false)),
-        TAG_TRUE => Ok(JsonValue::Bool(true)),
-        TAG_U64 => Ok(JsonValue::U64(get_varint(input, pos)?)),
-        TAG_I64 => Ok(JsonValue::I64(unzigzag(get_varint(input, pos)?))),
-        TAG_F64 => {
-            let end = pos.checked_add(8).ok_or(DecodeError::Truncated)?;
-            let bytes = input.get(*pos..end).ok_or(DecodeError::Truncated)?;
-            *pos = end;
-            Ok(JsonValue::F64(f64::from_bits(u64::from_le_bytes(
-                bytes.try_into().expect("8-byte slice"),
-            ))))
-        }
-        TAG_STR => {
-            let s = decode_str(input, pos)?;
-            Ok(JsonValue::Str(s))
-        }
-        TAG_ARRAY => {
-            let len = get_varint(input, pos)? as usize;
-            // Cap the pre-allocation: a corrupt length must not OOM.
-            let mut items = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                items.push(decode_at(input, pos, depth + 1, keys)?);
+
+    /// Records a byte-level failure; the error handed back only unwinds
+    /// `pull`.
+    #[cold]
+    fn fail(&mut self, e: DecodeError) -> serde::Error {
+        self.failed.get_or_insert(e);
+        serde::Error::msg(String::new())
+    }
+
+    /// Pops the containers that are done and returns the one the next value
+    /// (or key) belongs to, `None` at the root.
+    #[inline]
+    fn innermost(&mut self) -> Option<&mut Open> {
+        while self.depth > 0 && self.at(self.depth - 1).left == 0 {
+            self.depth -= 1;
+            if self.depth >= SHALLOW {
+                self.deeper.pop();
             }
-            Ok(JsonValue::Array(items))
         }
-        TAG_OBJECT => {
-            let len = get_varint(input, pos)? as usize;
-            let mut entries = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let key = decode_str(input, pos)?;
-                let val = decode_at(input, pos, depth + 1, keys)?;
-                entries.push((key, val));
+        self.depth.checked_sub(1).map(|top| self.at(top))
+    }
+
+    /// The `level`th open container, outermost first.
+    #[inline]
+    fn at(&mut self, level: usize) -> &mut Open {
+        match level.checked_sub(SHALLOW) {
+            None => &mut self.open[level],
+            Some(deep) => &mut self.deeper[deep],
+        }
+    }
+
+    /// Steps into the next value and returns its tag.
+    #[inline]
+    fn tag(&mut self) -> Result<u8, DecodeError> {
+        if let Some(parent) = self.innermost() {
+            parent.left -= 1;
+        }
+        if self.depth > MAX_DEPTH {
+            return Err(DecodeError::TooDeep);
+        }
+        let &tag = self.input.get(self.pos).ok_or(DecodeError::Truncated)?;
+        self.pos += 1;
+        Ok(tag)
+    }
+
+    /// A container's length prefix — a claim, refused here if the input
+    /// left could not hold that many values of a byte each — and the
+    /// container opened.
+    #[inline]
+    fn begin(&mut self, indexed: bool) -> Result<usize, DecodeError> {
+        let len = get_varint(self.input, &mut self.pos)?;
+        if len > (self.input.len() - self.pos) as u64 {
+            return Err(DecodeError::Truncated);
+        }
+        let left = len as usize;
+        let opened = Open { left, indexed };
+        if self.depth < SHALLOW {
+            self.open[self.depth] = opened;
+        } else {
+            self.deeper.push(opened);
+        }
+        self.depth += 1;
+        Ok(left)
+    }
+
+    fn head(&mut self) -> Result<Head<'a>, DecodeError> {
+        Ok(match self.tag()? {
+            TAG_NULL => Head::Null,
+            TAG_FALSE => Head::Bool(false),
+            TAG_TRUE => Head::Bool(true),
+            TAG_U64 => Head::U64(get_varint(self.input, &mut self.pos)?),
+            TAG_I64 => Head::I64(unzigzag(get_varint(self.input, &mut self.pos)?)),
+            TAG_F64 => {
+                let end = self.pos.checked_add(8).ok_or(DecodeError::Truncated)?;
+                let bytes = self
+                    .input
+                    .get(self.pos..end)
+                    .ok_or(DecodeError::Truncated)?;
+                self.pos = end;
+                Head::F64(f64::from_bits(u64::from_le_bytes(
+                    bytes.try_into().expect("8-byte slice"),
+                )))
             }
-            Ok(JsonValue::Object(entries))
-        }
-        TAG_OBJECT_IDX => {
+            TAG_STR => Head::Str(get_str(self.input, &mut self.pos)?),
+            TAG_ARRAY => Head::Array(self.begin(false)?),
+            TAG_OBJECT => Head::Object(self.begin(false)?),
             // Only valid in indexed payloads: a plain decode has no table.
-            let tables = keys.ok_or(DecodeError::BadTag(TAG_OBJECT_IDX))?;
-            let len = get_varint(input, pos)? as usize;
-            let mut entries = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let key = tables.resolve(get_varint(input, pos)?)?.to_string();
-                let val = decode_at(input, pos, depth + 1, keys)?;
-                entries.push((key, val));
-            }
-            Ok(JsonValue::Object(entries))
+            TAG_OBJECT_IDX if self.keys.is_some() => Head::Object(self.begin(true)?),
+            other => return Err(DecodeError::BadTag(other)),
+        })
+    }
+
+    /// What `from_bytes` makes of a finished `pull`: the byte-level failure
+    /// if there was one, else the shape failure, else the value — provided
+    /// it was all of the input.
+    fn finish<T>(&self, pulled: Result<T, serde::Error>) -> Result<T, crate::StoreError> {
+        if let Some(e) = &self.failed {
+            return Err(crate::StoreError::Decode(e.clone()));
         }
-        other => Err(DecodeError::BadTag(other)),
+        let value = pulled.map_err(|e| crate::StoreError::Serde(e.to_string()))?;
+        if self.pos != self.input.len() {
+            return Err(crate::StoreError::Decode(DecodeError::TrailingBytes));
+        }
+        Ok(value)
     }
 }
 
-pub(crate) fn decode_str(input: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
+impl Source for Reader<'_> {
+    #[inline]
+    fn next(&mut self) -> Result<Head<'_>, serde::Error> {
+        self.head().map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn key(&mut self) -> Result<&str, serde::Error> {
+        let indexed = match self.innermost() {
+            Some(object) => object.indexed,
+            None => return Err(serde::Error::msg("a key was read outside an object")),
+        };
+        let key = if indexed {
+            let tables = self
+                .keys
+                .expect("an indexed object opened only with tables");
+            get_varint(self.input, &mut self.pos).and_then(|idx| tables.resolve(idx))
+        } else {
+            get_str(self.input, &mut self.pos)
+        };
+        key.map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn bytes_left(&self) -> usize {
+        self.input.len() - self.pos
+    }
+
+    #[inline]
+    fn null(&mut self) -> Result<bool, serde::Error> {
+        match self.input.get(self.pos) {
+            Some(&TAG_NULL) => self.next().map(|_| true),
+            Some(_) => Ok(false),
+            None => Err(self.fail(DecodeError::Truncated)),
+        }
+    }
+}
+
+/// A length-prefixed string, borrowed from `input`.
+#[inline]
+fn get_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, DecodeError> {
     let len = get_varint(input, pos)? as usize;
     let end = pos.checked_add(len).ok_or(DecodeError::Truncated)?;
     let bytes = input.get(*pos..end).ok_or(DecodeError::Truncated)?;
     *pos = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
-/// Decodes a binary value, requiring the input to be exactly one value.
-pub fn decode_value(input: &[u8]) -> Result<JsonValue, DecodeError> {
-    let mut pos = 0usize;
-    let v = decode_at(input, &mut pos, 0, None)?;
-    if pos != input.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(v)
+/// A length-prefixed string, owned: a key a v2 log record introduces.
+pub(crate) fn decode_str(input: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
+    get_str(input, pos).map(str::to_string)
 }
 
 /// Writer-side key interner for schema-table (indexed) payloads: every
@@ -377,22 +514,6 @@ pub fn write_value_indexed<T: Serialize + ?Sized>(
     });
 }
 
-/// Decodes exactly one value whose indexed object keys resolve against
-/// `base` (the table carried over from earlier records) extended by
-/// `pending` (the keys the current record introduces).
-pub fn decode_value_indexed(
-    input: &[u8],
-    base: &[String],
-    pending: &[String],
-) -> Result<JsonValue, DecodeError> {
-    let mut pos = 0usize;
-    let v = decode_at(input, &mut pos, 0, Some(KeyTables { base, pending }))?;
-    if pos != input.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(v)
-}
-
 /// Serializes any workspace-serde type into the binary value form.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
@@ -400,15 +521,124 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     out
 }
 
-/// Deserializes a workspace-serde type from the binary value form.
+/// Deserializes a workspace-serde type from the binary value form,
+/// requiring the input to be exactly one value.
 pub fn from_bytes<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> {
-    let v = decode_value(input).map_err(crate::StoreError::Decode)?;
-    T::from_json_value(&v).map_err(|e| crate::StoreError::Serde(e.to_string()))
+    read(Reader::new(input, None))
+}
+
+/// [`from_bytes`] of a value whose indexed object keys resolve against
+/// `base` (the table carried over from earlier records) extended by
+/// `pending` (the keys the current record introduces).
+pub(crate) fn from_bytes_indexed<T: Deserialize>(
+    input: &[u8],
+    base: &[String],
+    pending: &[String],
+) -> Result<T, crate::StoreError> {
+    read(Reader::new(input, Some(KeyTables { base, pending })))
+}
+
+fn read<T: Deserialize>(mut reader: Reader<'_>) -> Result<T, crate::StoreError> {
+    let pulled = T::pull(&mut reader);
+    reader.finish(pulled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::JsonValue;
+
+    // The recursive tree decoder this module shipped up to PR 22, and its
+    // two entry points, kept as the reference the reader is held to.
+
+    fn decode_at(
+        input: &[u8],
+        pos: &mut usize,
+        depth: usize,
+        keys: Option<KeyTables<'_>>,
+    ) -> Result<JsonValue, DecodeError> {
+        if depth > MAX_DEPTH {
+            return Err(DecodeError::TooDeep);
+        }
+        let &tag = input.get(*pos).ok_or(DecodeError::Truncated)?;
+        *pos += 1;
+        match tag {
+            TAG_NULL => Ok(JsonValue::Null),
+            TAG_FALSE => Ok(JsonValue::Bool(false)),
+            TAG_TRUE => Ok(JsonValue::Bool(true)),
+            TAG_U64 => Ok(JsonValue::U64(get_varint(input, pos)?)),
+            TAG_I64 => Ok(JsonValue::I64(unzigzag(get_varint(input, pos)?))),
+            TAG_F64 => {
+                let end = pos.checked_add(8).ok_or(DecodeError::Truncated)?;
+                let bytes = input.get(*pos..end).ok_or(DecodeError::Truncated)?;
+                *pos = end;
+                Ok(JsonValue::F64(f64::from_bits(u64::from_le_bytes(
+                    bytes.try_into().expect("8-byte slice"),
+                ))))
+            }
+            TAG_STR => {
+                let s = decode_str(input, pos)?;
+                Ok(JsonValue::Str(s))
+            }
+            TAG_ARRAY => {
+                let len = get_varint(input, pos)? as usize;
+                // Cap the pre-allocation: a corrupt length must not OOM.
+                let mut items = Vec::with_capacity(len.min(4096));
+                for _ in 0..len {
+                    items.push(decode_at(input, pos, depth + 1, keys)?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            TAG_OBJECT => {
+                let len = get_varint(input, pos)? as usize;
+                let mut entries = Vec::with_capacity(len.min(4096));
+                for _ in 0..len {
+                    let key = decode_str(input, pos)?;
+                    let val = decode_at(input, pos, depth + 1, keys)?;
+                    entries.push((key, val));
+                }
+                Ok(JsonValue::Object(entries))
+            }
+            TAG_OBJECT_IDX => {
+                // Only valid in indexed payloads: a plain decode has no table.
+                let tables = keys.ok_or(DecodeError::BadTag(TAG_OBJECT_IDX))?;
+                let len = get_varint(input, pos)? as usize;
+                let mut entries = Vec::with_capacity(len.min(4096));
+                for _ in 0..len {
+                    let key = tables.resolve(get_varint(input, pos)?)?.to_string();
+                    let val = decode_at(input, pos, depth + 1, keys)?;
+                    entries.push((key, val));
+                }
+                Ok(JsonValue::Object(entries))
+            }
+            other => Err(DecodeError::BadTag(other)),
+        }
+    }
+
+    /// Decodes a binary value, requiring the input to be exactly one value.
+    fn decode_value(input: &[u8]) -> Result<JsonValue, DecodeError> {
+        let mut pos = 0usize;
+        let v = decode_at(input, &mut pos, 0, None)?;
+        if pos != input.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(v)
+    }
+
+    /// Decodes exactly one value whose indexed object keys resolve against
+    /// `base` extended by `pending`.
+    fn decode_value_indexed(
+        input: &[u8],
+        base: &[String],
+        pending: &[String],
+    ) -> Result<JsonValue, DecodeError> {
+        let mut pos = 0usize;
+        let v = decode_at(input, &mut pos, 0, Some(KeyTables { base, pending }))?;
+        if pos != input.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(v)
+    }
 
     // The two recursive tree encoders this module shipped up to PR 21, kept
     // as the reference the streaming writer is held to.
@@ -544,6 +774,186 @@ mod tests {
             let back = decode_value(&to_bytes(&first)).unwrap();
             proptest::prop_assert_eq!(to_bytes(&back), to_bytes(&first));
         }
+    }
+
+    /// What the reader makes of `input` as a tree, beside what the reference
+    /// does: the same tree (bit for bit: a NaN is not `==` itself) or a
+    /// refusal from both, for the same reason — except that the reader
+    /// refuses a length that is a lie where it stands, as `Truncated`, and
+    /// the reference wherever the input runs out under it or stops making
+    /// sense.
+    fn agree(input: &[u8], tables: Option<(&[String], &[String])>) {
+        let (pulled, reference) = match tables {
+            None => (from_bytes::<JsonValue>(input), decode_value(input)),
+            Some((base, pending)) => (
+                from_bytes_indexed::<JsonValue>(input, base, pending),
+                decode_value_indexed(input, base, pending),
+            ),
+        };
+        match (pulled, reference) {
+            (Ok(pulled), Ok(reference)) => assert_eq!(to_bytes(&pulled), to_bytes(&reference)),
+            (Err(crate::StoreError::Decode(pulled)), Err(reference)) => {
+                assert!(
+                    pulled == reference || pulled == DecodeError::Truncated,
+                    "{pulled:?} against the reference's {reference:?} for {input:02x?}"
+                );
+            }
+            (pulled, reference) => {
+                panic!("{pulled:?} against the reference's {reference:?} for {input:02x?}")
+            }
+        }
+    }
+
+    /// Where the length prefixes of `input` start — of its strings, inline
+    /// keys, arrays and objects — for a value the reference decodes.
+    fn length_offsets(input: &[u8]) -> Vec<usize> {
+        fn walk(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
+            let tag = input[*pos];
+            *pos += 1;
+            let mut length = |pos: &mut usize| {
+                found.push(*pos);
+                get_varint(input, pos).unwrap() as usize
+            };
+            match tag {
+                TAG_U64 | TAG_I64 => {
+                    get_varint(input, pos).unwrap();
+                }
+                TAG_F64 => *pos += 8,
+                TAG_STR => *pos += length(pos),
+                TAG_ARRAY => {
+                    for _ in 0..length(pos) {
+                        walk(input, pos, found);
+                    }
+                }
+                TAG_OBJECT | TAG_OBJECT_IDX => {
+                    for _ in 0..length(pos) {
+                        if tag == TAG_OBJECT {
+                            found.push(*pos);
+                            *pos += get_varint(input, pos).unwrap() as usize;
+                        } else {
+                            get_varint(input, pos).unwrap();
+                        }
+                        walk(input, pos, found);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut found = Vec::new();
+        walk(input, &mut 0, &mut found);
+        found
+    }
+
+    /// `input` with the varint at `at` replaced by that of `value`.
+    fn with_varint(input: &[u8], at: usize, value: u64) -> Vec<u8> {
+        let mut end = at;
+        get_varint(input, &mut end).unwrap();
+        let mut out = input[..at].to_vec();
+        put_varint(&mut out, value);
+        out.extend_from_slice(&input[end..]);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The reader is held to the reference decoder: on what the writer
+        /// wrote, inline and indexed (keys split over a carried-over and a
+        /// pending table), and on those bytes damaged the ways a disk or a
+        /// peer damages them.
+        #[test]
+        fn the_reader_pulls_what_the_reference_decodes(
+            first in Trees,
+            second in Trees,
+            damage in proptest::arbitrary::any::<u64>(),
+        ) {
+            let inline = to_bytes(&second);
+            let mut dict = KeyDict::default();
+            let mut indexed = Vec::new();
+            write_value_indexed(&first, &mut dict, &mut Vec::new());
+            let carried = dict.len();
+            write_value_indexed(&second, &mut dict, &mut indexed);
+            let (base, pending) = dict.keys().split_at(carried);
+            agree(&inline, None);
+            agree(&indexed, Some((base, pending)));
+
+            for (bytes, tables) in [(&inline, None), (&indexed, Some((base, pending)))] {
+                let at = (damage >> 8) as usize % bytes.len();
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << (damage % 8);
+                agree(&flipped, tables);
+                agree(&bytes[..at], tables);
+                let lengths = length_offsets(bytes);
+                if !lengths.is_empty() {
+                    let at = lengths[(damage >> 8) as usize % lengths.len()];
+                    for claim in [1 << 32, 1 << 60, (damage >> 40) % 64] {
+                        agree(&with_varint(bytes, at, claim), tables);
+                    }
+                }
+                // One container too many around it, and the most there may be
+                // (the tree itself is at most six deep).
+                for (wraps, fits) in [(MAX_DEPTH + 1, false), (MAX_DEPTH - 6, true)] {
+                    let mut deep = [TAG_ARRAY, 1].repeat(wraps);
+                    deep.extend_from_slice(bytes);
+                    agree(&deep, tables);
+                    proptest::prop_assert_eq!(
+                        from_bytes_indexed::<JsonValue>(&deep, base, pending).is_ok(),
+                        fits
+                    );
+                }
+            }
+            // A key index past the tables: the last key the record brought
+            // is withheld.
+            if let Some((_, fewer)) = pending.split_last() {
+                agree(&indexed, Some((base, fewer)));
+            }
+        }
+    }
+
+    /// The reader on the hand-picked inputs the tests below hold the
+    /// reference to: same verdict, same reason.
+    #[test]
+    fn the_reader_refuses_what_the_reference_refuses_and_says_why() {
+        let hello = to_bytes(&JsonValue::Str("hello".to_string()));
+        for cut in 0..=hello.len() {
+            agree(&hello[..cut], None);
+        }
+        let nested = |levels: usize| {
+            let mut bytes = [TAG_ARRAY, 1].repeat(levels);
+            bytes.push(TAG_NULL);
+            bytes
+        };
+        let varint = |tail: &[u8]| [&[TAG_U64], tail].concat();
+        for input in [
+            [to_bytes(&JsonValue::U64(7)), vec![0]].concat(),
+            vec![0xff],
+            nested(100_000),
+            nested(MAX_DEPTH + 1),
+            nested(MAX_DEPTH),
+            nested(MAX_DEPTH - 1),
+            [TAG_ARRAY, 1].repeat(MAX_DEPTH + 1),
+            [[TAG_ARRAY, 1].repeat(MAX_DEPTH), vec![TAG_ARRAY, 0]].concat(),
+            varint(&[0xff; 10]),
+            varint(&[[0x80; 10].as_slice(), &[0x01]].concat()),
+            varint(&[[0xff; 9].as_slice(), &[0x02]].concat()),
+            varint(&[0x80, 0x00]),
+            varint(&[0xff, 0x80, 0x00]),
+            vec![TAG_STR, 2, 0xc3, 0x28],
+            vec![TAG_OBJECT, 1, 2, 0xc3, 0x28, TAG_NULL],
+            vec![TAG_F64, 1, 2, 3],
+        ] {
+            agree(&input, None);
+        }
+        assert!(matches!(
+            from_bytes::<JsonValue>(&nested(100_000)),
+            Err(crate::StoreError::Decode(DecodeError::TooDeep))
+        ));
+        assert!(from_bytes::<JsonValue>(&nested(MAX_DEPTH)).is_ok());
+        // An indexed object without tables, and an index past them.
+        let keyed = [TAG_OBJECT_IDX, 1, 0, TAG_NULL];
+        agree(&keyed, None);
+        agree(&keyed, Some((&[], &[])));
+        agree(&keyed, Some((&[], &["k".to_string()])));
     }
 
     fn rt(v: JsonValue) {

@@ -19,7 +19,8 @@
 //! one that *fully resolves* (for a delta: every link of its base chain
 //! loads and the reconstructed payload matches the recorded CRC), so a torn
 //! or orphaned newest checkpoint degrades to an older one instead of
-//! failing recovery. [`prune_checkpoints`] is chain-aware: a retained delta
+//! failing recovery — and so does one whose snapshot is not of the
+//! [`SNAPSHOT_VERSION`] this build resumes. [`prune_checkpoints`] is chain-aware: a retained delta
 //! pins its bases, however old.
 //!
 //! Pruning never reads a payload. What it needs of a file — its `consumed`
@@ -34,7 +35,7 @@ use crate::binval;
 use crate::delta;
 use crate::frame::{crc32, read_frame, write_frame, FrameError, FRAME_HEADER};
 use crate::StoreError;
-use mtc_core::CheckerSnapshot;
+use mtc_core::{CheckerSnapshot, SNAPSHOT_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
@@ -249,15 +250,18 @@ fn corrupt_frame(path: &Path, e: FrameError) -> StoreError {
 }
 
 /// The two validated frames of a checkpoint file: its parsed header (full
-/// or delta) and the payload frame.
+/// or delta) and the payload frame — in the buffer the file was read into,
+/// shifted down over the header: a snapshot is copied once, off the disk.
 fn read_frames(path: &Path) -> Result<(CkHeader, Vec<u8>), StoreError> {
-    let bytes = fs::read(path)?;
+    let mut bytes = fs::read(path)?;
     mtc_obs::counter!("store.checkpoint_read_bytes").add(bytes.len() as u64);
     let mut pos = 0usize;
     let corrupt = |e| corrupt_frame(path, e);
     let header = parse_header(read_frame(&bytes, &mut pos).map_err(corrupt)?, path)?;
-    let payload = read_frame(&bytes, &mut pos).map_err(corrupt)?.to_vec();
-    Ok((header, payload))
+    let len = read_frame(&bytes, &mut pos).map_err(corrupt)?.len();
+    bytes.truncate(pos);
+    bytes.drain(..pos - len);
+    Ok((header, bytes))
 }
 
 /// The parsed header of a checkpoint file, reading its header frame and
@@ -404,33 +408,49 @@ fn files_by_consumed(files: &[(u64, CkKind, PathBuf)]) -> HashMap<u64, Vec<PathB
     map
 }
 
+/// The snapshot of the checkpoint at `path`, resolved through `by_consumed`
+/// and decoded — if it is of the [`SNAPSHOT_VERSION`] this build resumes.
+fn load(
+    path: &Path,
+    by_consumed: &HashMap<u64, Vec<PathBuf>>,
+) -> Result<(u64, CheckerSnapshot), StoreError> {
+    let (consumed, payload) = {
+        let _span = mtc_obs::span(mtc_obs::histogram!("store.recover.chain"));
+        resolve_payload(path, by_consumed)?
+    };
+    let _span = mtc_obs::span(mtc_obs::histogram!("store.recover.snapshot"));
+    let snapshot: CheckerSnapshot = binval::from_bytes(&payload)?;
+    if snapshot.version() != SNAPSHOT_VERSION {
+        return Err(StoreError::Format(format!(
+            "{}: unsupported snapshot version {}",
+            path.display(),
+            snapshot.version()
+        )));
+    }
+    Ok((consumed, snapshot))
+}
+
 /// Reads and validates one checkpoint file; a delta file resolves its base
 /// chain through its own directory.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<(u64, CheckerSnapshot), StoreError> {
     let path = path.as_ref();
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let by_consumed = files_by_consumed(&checkpoint_files(dir)?);
-    let (consumed, payload) = resolve_payload(path, &by_consumed)?;
-    Ok((consumed, binval::from_bytes(&payload)?))
+    load(path, &files_by_consumed(&checkpoint_files(dir)?))
 }
 
 /// The newest checkpoint in `dir` that fully resolves, if any. Damaged or
 /// orphaned newer checkpoints are skipped (a crash mid-write leaves only a
-/// `.tmp` file, but defense-in-depth costs one CRC pass).
+/// `.tmp` file, but defense-in-depth costs one CRC pass), and so is one whose
+/// snapshot another [`SNAPSHOT_VERSION`] wrote.
 pub fn latest_checkpoint(
     dir: impl AsRef<Path>,
 ) -> Result<Option<(u64, CheckerSnapshot)>, StoreError> {
     let mut files = checkpoint_files(dir.as_ref())?;
     let by_consumed = files_by_consumed(&files);
     files.reverse();
-    for (_, _, path) in files {
-        if let Ok((consumed, payload)) = resolve_payload(&path, &by_consumed) {
-            if let Ok(snapshot) = binval::from_bytes(&payload) {
-                return Ok(Some((consumed, snapshot)));
-            }
-        }
-    }
-    Ok(None)
+    Ok(files
+        .iter()
+        .find_map(|(_, _, path)| load(path, &by_consumed).ok()))
 }
 
 /// One checkpoint file as pruning sees it.

@@ -53,7 +53,7 @@ pub mod frame;
 pub mod segment;
 pub mod store;
 
-pub use binval::{decode_value, from_bytes, to_bytes, DecodeError};
+pub use binval::{from_bytes, to_bytes, DecodeError};
 pub use checkpoint::{
     latest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint,
     write_checkpoint_delta, CHECKPOINT_VERSION,

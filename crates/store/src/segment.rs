@@ -334,10 +334,7 @@ fn decode_record_v2(payload: &[u8], dict: &mut Vec<String>) -> Result<LogRecord,
     for _ in 0..n_new {
         pending.push(binval::decode_str(payload, &mut pos).map_err(StoreError::Decode)?);
     }
-    let value = binval::decode_value_indexed(&payload[pos..], dict, &pending)
-        .map_err(StoreError::Decode)?;
-    let record =
-        LogRecord::from_json_value(&value).map_err(|e| StoreError::Serde(e.to_string()))?;
+    let record = binval::from_bytes_indexed(&payload[pos..], dict, &pending)?;
     dict.extend(pending);
     Ok(record)
 }
@@ -407,6 +404,7 @@ pub struct RecoveredLog {
 /// the tail of the last segment is tolerated (see [`RecoveredLog`]); damage
 /// anywhere else is a [`StoreError::Corrupt`].
 pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
+    let _span = mtc_obs::span(mtc_obs::histogram!("store.recover.log"));
     let dir = dir.as_ref();
     let segments = segment_files(dir)?;
     if segments.is_empty() {
@@ -490,7 +488,11 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
                     )));
                 }
             };
-            let record: LogRecord = match decode_record(payload, header.version, &mut dict) {
+            let decoded = {
+                let _span = mtc_obs::sampled_span!("store.recover.decode");
+                decode_record(payload, header.version, &mut dict)
+            };
+            let record: LogRecord = match decoded {
                 Ok(r) => r,
                 Err(e) => {
                     if is_last {

@@ -1,0 +1,116 @@
+//! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
+//! resumed from: `latest_checkpoint` passes over it to the one before — or to
+//! a scratch replay of the log — and `read_checkpoint` says why. The verdict
+//! is the uninterrupted run's either way. (The committed `snapshot-v4-*`
+//! fixtures, version 4 all of them, keep resuming: `store_differential.rs`.)
+
+use mtc_core::{IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
+use mtc_history::{Op, SessionId, Transaction, TxnId};
+use mtc_store::frame::{read_frame, write_frame};
+use mtc_store::{from_bytes, read_checkpoint, recover, to_bytes, MtcStore, StoreError, StreamMeta};
+use serde::JsonValue;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "mtc_store_snapshot_version_{tag}_{}",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Records 90 read-modify-writes into a fresh store at `dir`, one full
+/// checkpoint after each of `checkpoints`; returns the checkpoint files and
+/// the verdict of the checker that saw it all.
+fn record(dir: &Path, checkpoints: &[u64]) -> (Vec<PathBuf>, String) {
+    let meta = StreamMeta {
+        level: IsolationLevel::Serializability,
+        num_keys: 2,
+    };
+    // A full file at every checkpoint: the one rewritten below is then
+    // nobody's delta base.
+    let mut store = MtcStore::create(dir, &meta)
+        .unwrap()
+        .with_rebase_interval(1);
+    let mut checker =
+        IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
+    let mut files = Vec::new();
+    for i in 0..90u64 {
+        // Transaction 70 reads what was overwritten long before it.
+        let seen = if i == 70 { 3 } else { i };
+        let t = Transaction::committed(
+            TxnId(0),
+            SessionId((i % 3) as u32),
+            vec![Op::read(0u64, seen), Op::write(0u64, i + 1)],
+        )
+        .with_times(10 * i + 1, 10 * i + 5);
+        store.append_txn(&t).unwrap();
+        let _ = checker.push(t);
+        if checkpoints.contains(&(i + 1)) {
+            files.push(store.checkpoint(i + 1, &checker.checkpoint()).unwrap());
+        }
+    }
+    store.sync().unwrap();
+    (files, format!("{:?}", checker.finish()))
+}
+
+/// Rewrites the checkpoint file at `path` with its snapshot's `version`
+/// field set to `version`, every other byte of the payload as it was and
+/// both frames' CRCs good.
+fn set_snapshot_version(path: &Path, version: u64) {
+    let bytes = fs::read(path).unwrap();
+    let mut pos = 0;
+    let header = read_frame(&bytes, &mut pos).unwrap();
+    let payload = read_frame(&bytes, &mut pos).unwrap();
+    let JsonValue::Object(mut fields) = from_bytes::<JsonValue>(payload).unwrap() else {
+        panic!("a snapshot is an object");
+    };
+    let field = fields
+        .iter_mut()
+        .find(|(name, _)| name == "version")
+        .expect("a snapshot carries its version");
+    field.1 = JsonValue::U64(version);
+    let mut rewritten = Vec::new();
+    write_frame(&mut rewritten, header);
+    write_frame(&mut rewritten, &to_bytes(&JsonValue::Object(fields)));
+    fs::write(path, rewritten).unwrap();
+}
+
+#[test]
+fn a_newer_snapshot_version_falls_back_to_the_checkpoint_before_it() {
+    let dir = tmpdir("fallback");
+    let (files, verdict) = record(&dir, &[30, 60]);
+    assert_eq!(recover(&dir).unwrap().resume_from, 60);
+
+    set_snapshot_version(&files[1], 99);
+    let recovery = recover(&dir).unwrap();
+    assert_eq!(recovery.resume_from, 30, "version 99 must be passed over");
+    assert!(recovery.snapshot.is_some());
+    assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
+    match read_checkpoint(&files[1]) {
+        Err(StoreError::Format(why)) => {
+            assert!(why.contains("unsupported snapshot version 99"), "{why}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+    // Rewriting the field is all that made the difference.
+    set_snapshot_version(&files[1], u64::from(SNAPSHOT_VERSION));
+    assert_eq!(recover(&dir).unwrap().resume_from, 60);
+    assert_eq!(read_checkpoint(&files[1]).unwrap().0, 60);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_newer_snapshot_version_alone_falls_back_to_a_scratch_replay() {
+    let dir = tmpdir("scratch");
+    let (files, verdict) = record(&dir, &[60]);
+    set_snapshot_version(&files[0], 99);
+    let recovery = recover(&dir).unwrap();
+    assert!(recovery.snapshot.is_none());
+    assert_eq!(recovery.resume_from, 0);
+    assert_eq!(recovery.tail().len(), 90);
+    assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
+    let _ = fs::remove_dir_all(&dir);
+}

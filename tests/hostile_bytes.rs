@@ -1,0 +1,340 @@
+//! Hostile bytes against every decoder that reads the binary value form:
+//! `binval::from_bytes` (checker snapshots, log records, wire envelopes),
+//! `read_log`, `latest_checkpoint` (snapshot payload and checkpoint header)
+//! and `FrameBuf::pop`. Each is fed the committed fixtures — and one
+//! megabyte-sized snapshot made here — cut short at every offset (strided
+//! where the input is long), with seeded bit flips, and with every length
+//! prefix inflated to 2^32 and to 2^60, **the frame re-made around the damage
+//! so that its CRC holds** and the payload decoder is what meets it.
+//!
+//! What is held: a call returns `Ok` or a typed `Err` — it does not panic —
+//! and it does not ask the allocator for more than eight times its input
+//! plus 64 KiB, however large the numbers in that input claim to be.
+//!
+//! One `#[test]` on purpose: the counter is per thread, and this file's
+//! allocator is the whole binary's. `delta` and `frame` keep the tests they
+//! have in `mtc-store`.
+
+mod common;
+
+use common::{allocations_of, tenant_stream, Counting, NUM_KEYS};
+use mtc::net::proto::{FrameBuf, ReplyEnvelope, RequestEnvelope};
+use mtc::store::frame::{read_frame, write_frame};
+use mtc::store::{from_bytes, latest_checkpoint, read_log, to_bytes, LogRecord};
+use mtc::{CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs one decoder call over `len` bytes of input and holds it to the two
+/// promises; `what` names the damage for the failure message.
+fn held<T, E: std::fmt::Debug>(
+    what: &dyn Fn() -> String,
+    len: usize,
+    call: impl FnOnce() -> Result<T, E>,
+) {
+    let (outcome, _, requested) = allocations_of(|| catch_unwind(AssertUnwindSafe(call)));
+    assert!(outcome.is_ok(), "{}: the decoder panicked", what());
+    let budget = 8 * len as u64 + (64 << 10);
+    assert!(
+        requested <= budget,
+        "{}: {requested} bytes requested for {len} bytes of input, budget {budget}",
+        what()
+    );
+}
+
+fn split_mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+// The binary value form, as `mtc_store::binval` documents it: one tag byte
+// per value, LEB128 lengths.
+const TAG_U64: u8 = 0x03;
+const TAG_I64: u8 = 0x04;
+const TAG_F64: u8 = 0x05;
+const TAG_STR: u8 = 0x06;
+const TAG_ARRAY: u8 = 0x07;
+const TAG_OBJECT: u8 = 0x08;
+const TAG_OBJECT_IDX: u8 = 0x09;
+
+fn varint(input: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    for shift in (0..).step_by(7) {
+        let byte = input[*pos];
+        *pos += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    v
+}
+
+/// Where the length prefixes of the valid value at `*pos` of `input` start:
+/// of its strings, inline keys, arrays and objects.
+fn length_offsets(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
+    let tag = input[*pos];
+    *pos += 1;
+    let mut length = |pos: &mut usize| {
+        found.push(*pos);
+        varint(input, pos) as usize
+    };
+    match tag {
+        TAG_U64 | TAG_I64 => {
+            varint(input, pos);
+        }
+        TAG_F64 => *pos += 8,
+        TAG_STR => *pos += length(pos),
+        TAG_ARRAY => {
+            for _ in 0..length(pos) {
+                length_offsets(input, pos, found);
+            }
+        }
+        TAG_OBJECT | TAG_OBJECT_IDX => {
+            for _ in 0..length(pos) {
+                if tag == TAG_OBJECT {
+                    found.push(*pos);
+                    *pos += varint(input, pos) as usize;
+                } else {
+                    varint(input, pos);
+                }
+                length_offsets(input, pos, found);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The length prefixes of a payload: of the one value it is, or — a v2 log
+/// record — of the key-table prelude and the value behind it.
+fn lengths_of(payload: &[u8], v2_record: bool) -> Vec<usize> {
+    let (mut pos, mut found) = (0, Vec::new());
+    if v2_record {
+        found.push(0);
+        for _ in 0..varint(payload, &mut pos) {
+            found.push(pos);
+            pos += varint(payload, &mut pos) as usize;
+        }
+    }
+    length_offsets(payload, &mut pos, &mut found);
+    found
+}
+
+/// `input` with the varint at `at` replaced by that of `value`.
+fn with_varint(input: &[u8], at: usize, mut value: u64) -> Vec<u8> {
+    let mut end = at;
+    varint(input, &mut end);
+    let mut out = input[..at].to_vec();
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+    out.extend_from_slice(&input[end..]);
+    out
+}
+
+/// Every damaged form of `payload` this harness makes, each with its name:
+/// cut at every offset (at most `cuts` of them, evenly spread), `flips`
+/// seeded bit flips, and each of `lengths` (at most `inflated` of them)
+/// claiming 2^32 and 2^60.
+fn damaged(
+    payload: &[u8],
+    lengths: &[usize],
+    (cuts, flips, inflated): (usize, usize, usize),
+    seed: u64,
+    mut each: impl FnMut(&dyn Fn() -> String, &[u8]),
+) {
+    let stride = payload.len().div_ceil(cuts).max(1);
+    for cut in (0..payload.len()).step_by(stride) {
+        each(&|| format!("cut at {cut}"), &payload[..cut]);
+    }
+    let mut state = seed;
+    for _ in 0..flips {
+        let (at, bit) = (
+            split_mix(&mut state) as usize % payload.len(),
+            split_mix(&mut state) % 8,
+        );
+        let mut flipped = payload.to_vec();
+        flipped[at] ^= 1 << bit;
+        each(&|| format!("bit {bit} of byte {at} flipped"), &flipped);
+    }
+    let stride = lengths.len().div_ceil(inflated).max(1);
+    for &at in lengths.iter().step_by(stride) {
+        for claim in [1u64 << 32, 1 << 60] {
+            let lied = with_varint(payload, at, claim);
+            each(&|| format!("length at {at} claiming {claim}"), &lied);
+        }
+    }
+}
+
+/// The payloads of the frames `bytes` is made of.
+fn frames_of(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut pos = 0;
+    std::iter::from_fn(|| read_frame(bytes, &mut pos).ok().map(<[u8]>::to_vec)).collect()
+}
+
+/// `frames` back to back with `damaged` in place of the one at `at`, every
+/// CRC good.
+fn reframed(frames: &[Vec<u8>], at: usize, damaged: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        write_frame(&mut out, if i == at { damaged } else { frame });
+    }
+    out
+}
+
+fn fixture(path: &str) -> Vec<u8> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The checkpoint of `encode_allocations.rs`: a 3 000-transaction SER
+/// checker's, a megabyte of it.
+fn large_snapshot() -> Vec<u8> {
+    let mut checker =
+        IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..NUM_KEYS);
+    checker.set_gc(GcPolicy::default());
+    for txn in tenant_stream() {
+        checker.push(txn).expect("an MT stream stays in the domain");
+    }
+    to_bytes(&checker.checkpoint())
+}
+
+fn scratch_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mtc_hostile_bytes_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    dir
+}
+
+#[test]
+fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
+    // Unoptimized, a decode is ten times slower: spread the damage thinner.
+    let thin = if cfg!(debug_assertions) { 8 } else { 1 };
+    let dir = scratch_dir();
+
+    // Checker snapshots: the payload frame of each committed checkpoint,
+    // through `from_bytes` and — in its file, behind its header — through
+    // `latest_checkpoint`; then the header frame itself.
+    for (n, name) in ["ser", "si", "sser", "ser-pr13", "si-3shards"]
+        .iter()
+        .enumerate()
+    {
+        let file = format!("checkpoint-{:012}.mtcck", 200);
+        let frames = frames_of(&fixture(&format!(
+            "crates/store/tests/data/snapshot-v4-{name}.mtcck"
+        )));
+        let [header, payload] = frames.as_slice() else {
+            panic!("{name}: a checkpoint file is two frames");
+        };
+        assert!(from_bytes::<CheckerSnapshot>(payload).is_ok(), "{name}");
+        let lengths = lengths_of(payload, false);
+        let amount = (2_048 / thin, 2_000 / thin / 5, 2_048 / thin);
+        damaged(payload, &lengths, amount, n as u64, |what, bytes| {
+            let what = || format!("snapshot {name}, {}", what());
+            held(&what, bytes.len(), || from_bytes::<CheckerSnapshot>(bytes));
+        });
+        let amount = (256 / thin, 400 / thin, 256 / thin);
+        damaged(payload, &lengths, amount, 7 + n as u64, |what, bytes| {
+            let what = || format!("checkpoint file {name}, payload {}", what());
+            let damaged = reframed(&frames, 1, bytes);
+            std::fs::write(dir.join(&file), &damaged).expect("write the checkpoint");
+            held(&what, damaged.len(), || latest_checkpoint(&dir));
+        });
+        let lengths = lengths_of(header, false);
+        damaged(
+            header,
+            &lengths,
+            (usize::MAX, 2_000 / thin / 5, usize::MAX),
+            n as u64,
+            |what, bytes| {
+                let what = || format!("checkpoint file {name}, header {}", what());
+                let damaged = reframed(&frames, 0, bytes);
+                std::fs::write(dir.join(&file), &damaged).expect("write the checkpoint");
+                held(&what, damaged.len(), || latest_checkpoint(&dir));
+            },
+        );
+        std::fs::remove_file(dir.join(&file)).expect("remove the checkpoint");
+    }
+    let large = large_snapshot();
+    assert!(large.len() > 1_000_000 && from_bytes::<CheckerSnapshot>(&large).is_ok());
+    let amount = (128 / thin, 200 / thin, 256 / thin);
+    damaged(
+        &large,
+        &lengths_of(&large, false),
+        amount,
+        99,
+        |what, bytes| {
+            let what = || format!("the large snapshot, {}", what());
+            held(&what, bytes.len(), || from_bytes::<CheckerSnapshot>(bytes));
+        },
+    );
+
+    // Log records: each record of the committed v2 segment damaged in its
+    // file, through `read_log`; and every transaction it holds in the inline
+    // form (v1 segments, `from_bytes`).
+    let segment = frames_of(&fixture("crates/store/tests/data/segment-v2-pr21.mtclog"));
+    let file = dir.join("segment-00000000.mtclog");
+    for (at, payload) in segment.iter().enumerate().skip(1) {
+        let lengths = lengths_of(payload, true);
+        let amount = (usize::MAX, 10, usize::MAX);
+        damaged(payload, &lengths, amount, at as u64, |what, bytes| {
+            let what = || format!("log record {at}, {}", what());
+            let damaged = reframed(&segment, at, bytes);
+            std::fs::write(&file, &damaged).expect("write the segment");
+            held(&what, damaged.len(), || read_log(&dir));
+        });
+    }
+    std::fs::write(&file, reframed(&segment, 0, &segment[0])).expect("write the segment");
+    let log = read_log(&dir).expect("the committed segment reads");
+    assert_eq!(log.txns.len(), 200);
+    for (at, txn) in log.txns.into_iter().enumerate() {
+        let payload = to_bytes(&LogRecord::Txn(txn));
+        let lengths = lengths_of(&payload, false);
+        damaged(
+            &payload,
+            &lengths,
+            (usize::MAX, 10, usize::MAX),
+            at as u64,
+            |what, bytes| {
+                let what = || format!("inline log record {at}, {}", what());
+                held(&what, bytes.len(), || from_bytes::<LogRecord>(bytes));
+            },
+        );
+    }
+
+    // Wire envelopes: every frame of the committed stream, as a payload
+    // through `from_bytes` and in its stream through `FrameBuf::pop`. The
+    // fixture holds the requests first, `MetricsSnapshot` the last of them.
+    let wire = frames_of(&fixture("crates/net/tests/data/frames-pr21.bin"));
+    let requests = 1 + wire
+        .iter()
+        .rposition(|payload| from_bytes::<RequestEnvelope>(payload).is_ok())
+        .expect("the stream holds requests");
+    assert!(requests > 10 && wire.len() - requests > 10);
+    for (at, payload) in wire.iter().enumerate() {
+        let lengths = lengths_of(payload, false);
+        let amount = (usize::MAX, 2_000 / wire.len() + 1, usize::MAX);
+        damaged(payload, &lengths, amount, at as u64, |what, bytes| {
+            let what = || format!("envelope {at}, {}", what());
+            let stream = reframed(&wire[at..=at], 0, bytes);
+            let mut buf = FrameBuf::default();
+            buf.fill(&mut stream.as_slice()).expect("a slice reads");
+            if at < requests {
+                held(&what, bytes.len(), || from_bytes::<RequestEnvelope>(bytes));
+                held(&what, stream.len(), || buf.pop::<RequestEnvelope>());
+            } else {
+                held(&what, bytes.len(), || from_bytes::<ReplyEnvelope>(bytes));
+                held(&what, stream.len(), || buf.pop::<ReplyEnvelope>());
+            }
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
