@@ -42,11 +42,11 @@
 //! Flags: `--txns N` sets the history size of the trail (default 4000; the
 //! gates use at least [`GATE_TXNS`]), `--out PATH` the report path.
 
-use mtc_bench::histories::serial_mt_history;
 use mtc_core::{
     check_ser, check_si, check_sser, GcPolicy, IncrementalChecker, IsolationLevel, Verdict,
 };
 use mtc_dbsim::{BackendSpec, ExecutionOptions};
+use mtc_history::synthetic::serial_rmw_history;
 use mtc_history::History;
 use mtc_workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 use serde::Serialize;
@@ -250,7 +250,7 @@ fn main() {
         let (_, level) = level.expect("a level tag");
         let (verdict, _) = stream(
             *level,
-            &serial_mt_history(gate_txns, 64, 8),
+            &serial_rmw_history(gate_txns, 64, 8),
             args[at + 2] == "gc",
         );
         assert!(verdict.is_satisfied());
@@ -258,7 +258,7 @@ fn main() {
         return;
     }
 
-    let history = serial_mt_history(txns, 64, 8);
+    let history = serial_rmw_history(txns, 64, 8);
 
     let mut series = Vec::new();
     for (tag, level) in per_level {
@@ -377,8 +377,8 @@ fn main() {
     // Remote execution throughput (artifact-only: `backend/net-*` is not in
     // the committed baseline, so these series inform without gating): the
     // same workload against representative engines behind the loopback TCP
-    // server, sessions multiplexed by the async ingest driver. The gap to
-    // the matching in-process series is the price of a real wire.
+    // server, one connection per session thread. The gap to the matching
+    // in-process series is the price of a real wire.
     for engine in ["sim-ser", "2pl"] {
         let spec = mtc_net::spec_for_label(engine, wl_spec.num_keys).expect("fleet label");
         let mut best = f64::MAX;
@@ -386,17 +386,8 @@ fn main() {
         for _ in 0..3 {
             let server = mtc_net::NetServer::spawn(spec.clone()).expect("loopback server");
             let db = mtc_net::NetBackend::connect(server.addr()).expect("loopback connect");
-            // A blocking engine needs one worker per session (see
-            // `Driver::Async`); non-blocking ones showcase the multiplexing
-            // with fewer.
-            let workers = if spec.blocking() {
-                wl_spec.sessions as usize
-            } else {
-                2
-            };
             let start = Instant::now();
-            let (_, report) =
-                mtc_dbsim::ExecutionOptions::async_workers(workers).run(&db, &workload);
+            let (_, report) = mtc_dbsim::ExecutionOptions::threaded().run(&db, &workload);
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
             if elapsed < best {
                 best = elapsed;
@@ -486,7 +477,7 @@ fn main() {
         "info sser/incremental: {:.1}% of sser/batch (not gated)",
         tps("sser/incremental") / tps("sser/batch") * 1e2
     );
-    let gate_history = (gate_txns > txns).then(|| serial_mt_history(gate_txns, 64, 8));
+    let gate_history = (gate_txns > txns).then(|| serial_rmw_history(gate_txns, 64, 8));
     let gate_history = gate_history.as_ref().unwrap_or(&history);
     let plain = |level| move || stream(level, gate_history, false).0;
     let collected = |level| move || stream(level, gate_history, true).0;

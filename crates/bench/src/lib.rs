@@ -1,21 +1,24 @@
 //! # mtc-bench
 //!
-//! The benchmark harness of the reproduction:
+//! The experiment harness of the reproduction, all of it binaries in
+//! `src/bin/`:
 //!
-//! * the `fig*` and `table*` binaries (in `src/bin/`) regenerate every table
-//!   and figure of the paper's evaluation by running the parameterized sweeps
-//!   of `mtc-runner::experiments` at full scale, printing them as aligned
-//!   text and TSV and writing CSV files under `target/experiments/`;
-//! * the Criterion benches (in `benches/`) measure the micro-level claims:
-//!   linear/quadratic verification scaling, the cost of the reference versus
-//!   optimized `BUILDDEPENDENCY`, MTC versus the baselines on identical
-//!   histories, workload-generation throughput and simulator throughput.
+//! * `run_all_experiments [NAME…] [--quick]` regenerates the tables and
+//!   figures of the paper's evaluation by running the parameterized sweeps of
+//!   `mtc-runner::experiments`, printing them as aligned text and TSV and
+//!   writing CSV files under `target/experiments/`;
+//! * `crash_resume_smoke` and `net_crash_smoke` kill a durable run (local, and
+//!   behind the wire) and hold the resumed verdict to the uninterrupted one;
+//! * `streaming_bench_gate` writes `BENCH_streaming.json` and fails on four
+//!   in-run ratios.
+//!
+//! Timings that gate a PR are `benchmark/`'s, not this crate's.
 //!
 //! Run a single figure with, e.g.:
 //!
 //! ```text
-//! cargo run --release -p mtc-bench --bin fig7_ser_verification
-//! cargo run --release -p mtc-bench --bin fig7_ser_verification -- --quick
+//! cargo run --release -p mtc-bench --bin run_all_experiments -- fig7_ser_verification
+//! cargo run --release -p mtc-bench --bin run_all_experiments -- fig7_ser_verification --quick
 //! ```
 
 #![forbid(unsafe_code)]
@@ -23,8 +26,6 @@
 
 use mtc_runner::Table;
 use std::path::PathBuf;
-
-pub mod histories;
 
 /// Where the figure binaries drop their CSV series.
 pub fn experiments_dir() -> PathBuf {

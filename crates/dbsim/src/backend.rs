@@ -38,11 +38,10 @@ use mtc_history::{Key, Value};
 /// the template. Engines that cannot fail mid-transaction simply always
 /// return `Ok`.
 ///
-/// Handles must be [`Send`]: the async ingest driver
-/// ([`crate::Driver::Async`]) multiplexes many sessions over a
-/// small worker pool, so an open transaction may be polled from a different
-/// thread after a yield point. (Every in-tree engine's handle is plain data
-/// over a `Sync` backend reference, so this costs nothing.)
+/// Handles must be [`Send`]: a [`crate::Session`] owns its open handle and
+/// is moved into the thread that steps it ([`crate::Driver::Threaded`]).
+/// (Every in-tree engine's handle is plain data over a `Sync` backend
+/// reference, so this costs nothing.)
 pub trait DbTxn: Send {
     /// The transaction's begin instant on the backend's logical clock.
     fn begin_ts(&self) -> u64;

@@ -1,10 +1,9 @@
 //! The client side of a run: the retry/recording policy ([`ClientOptions`]),
 //! the statistics of an execution ([`ExecutionReport`]), the register
-//! workload's operation function, and the two thread-shaped schedulers of the
-//! [`Session`] state machine — one OS thread per session, and the
-//! deterministic single-thread interleaving the conformance suite uses to
-//! make organic anomalies reproducible. (The async scheduler lives in
-//! [`crate::async_exec`]; [`crate::ExecutionOptions::run`] picks one.)
+//! workload's operation function, and the two schedulers of the [`Session`]
+//! state machine — one OS thread per session, and the deterministic
+//! single-thread interleaving the conformance suite uses to make organic
+//! anomalies reproducible. ([`crate::ExecutionOptions::run`] picks one.)
 
 use crate::backend::DbTxn;
 use crate::session::{IssueOp, Session};

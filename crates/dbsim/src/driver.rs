@@ -4,7 +4,7 @@
 //! [`LiveVerifier`] — on *any* driver — and call [`ExecutionOptions::run`].
 //! Every driver schedules the same per-session state machine
 //! ([`crate::session`]), so retry, recording and verification behave the
-//! same under all three; they differ only in *who steps a session when*.
+//! same under both; they differ only in *who steps a session when*.
 //! [`run_sessions`] is that scheduling step on its own, generic over the
 //! operation types, for workloads that are not register workloads (the Elle
 //! list-append runner in `mtc-runner`).
@@ -29,9 +29,8 @@
 //! assert!(history.has_init());
 //! ```
 //!
-//! Driver caveats are enforced by nothing but the operator's judgement:
-//! [`Driver::Interleaved`] must only drive non-blocking backends, and
-//! [`Driver::Async`] needs `workers >= sessions` on a blocking backend (see
+//! The one driver caveat is enforced by nothing but the operator's judgement:
+//! [`Driver::Interleaved`] must only drive non-blocking backends (see
 //! [`crate::BackendSpec::blocking`]).
 
 use crate::backend::DbBackend;
@@ -57,15 +56,6 @@ pub enum Driver {
     Interleaved {
         /// Seed of the interleaving schedule.
         schedule_seed: u64,
-    },
-    /// One future per session on the scoped `futures_lite` executor:
-    /// thousands of sessions overlapping on a few worker threads, the shape
-    /// remote backends want. A blocking backend needs
-    /// `workers >= sessions`.
-    Async {
-        /// Executor worker threads carrying all session tasks (clamped to
-        /// at least one).
-        workers: usize,
     },
 }
 
@@ -112,11 +102,6 @@ impl ExecutionOptions<'static> {
     /// The deterministic interleaved driver with `schedule_seed`.
     pub fn interleaved(schedule_seed: u64) -> Self {
         ExecutionOptions::new().driver(Driver::Interleaved { schedule_seed })
-    }
-
-    /// The async driver with `workers` executor threads.
-    pub fn async_workers(workers: usize) -> Self {
-        ExecutionOptions::new().driver(Driver::Async { workers })
     }
 }
 
@@ -192,7 +177,6 @@ pub fn run_sessions<'a, T: Sync, R: Send, F: IssueOp<T, R>>(
     let sessions = match driver {
         Driver::Threaded => drive_threaded(sessions),
         Driver::Interleaved { schedule_seed } => drive_interleaved(sessions, schedule_seed),
-        Driver::Async { workers } => crate::async_exec::drive_async(sessions, workers),
     };
     let mut report = ExecutionReport {
         wall_time: start.elapsed(),
@@ -233,20 +217,16 @@ mod tests {
     }
 
     /// Every driver satisfies the same accounting invariants on the same
-    /// workload; blocking engines skip the drivers documented as unsuited.
+    /// workload; blocking engines skip the driver documented as unsuited.
     #[test]
     fn all_drivers_agree_on_invariants_across_the_fleet() {
         let s = spec(4, 12, 8, 31);
         let workload = generate_mt_workload(&s);
         for backend_spec in BackendSpec::fleet(s.num_keys) {
             let drivers: &[Driver] = if backend_spec.blocking() {
-                &[Driver::Threaded, Driver::Async { workers: 4 }]
+                &[Driver::Threaded]
             } else {
-                &[
-                    Driver::Threaded,
-                    Driver::Interleaved { schedule_seed: 7 },
-                    Driver::Async { workers: 2 },
-                ]
+                &[Driver::Threaded, Driver::Interleaved { schedule_seed: 7 }]
             };
             for &driver in drivers {
                 let db = backend_spec.build();
@@ -270,11 +250,7 @@ mod tests {
     fn verifier_rides_every_driver() {
         let s = spec(3, 20, 8, 17);
         let workload = generate_mt_workload(&s);
-        for driver in [
-            Driver::Threaded,
-            Driver::Interleaved { schedule_seed: 5 },
-            Driver::Async { workers: 2 },
-        ] {
+        for driver in [Driver::Threaded, Driver::Interleaved { schedule_seed: 5 }] {
             let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
             let verifier =
                 LiveVerifier::builder(IsolationLevel::Serializability, s.num_keys).build();

@@ -31,15 +31,14 @@
 //! whose ReadCommitted/ReadUncommitted anomalies arise from the concurrency
 //! control itself rather than from fault injection. The client side is
 //! backend-generic: one per-session state machine ([`session`]) executes
-//! the workload, and the [`Driver`] you pick (threaded,
-//! deterministic-interleaved, or async-multiplexed) only schedules its
-//! steps. Configure an [`ExecutionOptions`] builder — optionally attaching a
-//! streaming [`LiveVerifier`] — and call [`ExecutionOptions::run`].
+//! the workload, and the [`Driver`] you pick (threaded or
+//! deterministic-interleaved) only schedules its steps. Configure an
+//! [`ExecutionOptions`] builder — optionally attaching a streaming
+//! [`LiveVerifier`] — and call [`ExecutionOptions::run`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_exec;
 pub mod backend;
 pub mod backends;
 pub mod client;

@@ -11,11 +11,10 @@
 //!   same step or advance to the next template.
 //!
 //! The drivers of [`crate::Driver`] only *schedule* steps: one OS thread per
-//! session, a seeded pick over the live sessions, or one task per session
-//! yielding between steps. The machine is generic over the template-operation
-//! type `T` and the recorded-operation type `R` through one [`IssueOp`]
-//! function, so register workloads (`ReqOp → Op`) and Elle list-append
-//! workloads (supplied by `mtc-runner`) share it.
+//! session, or a seeded pick over the live sessions. The machine is generic
+//! over the template-operation type `T` and the recorded-operation type `R`
+//! through one [`IssueOp`] function, so register workloads (`ReqOp → Op`) and
+//! Elle list-append workloads (supplied by `mtc-runner`) share it.
 //!
 //! The contract every driver therefore gets:
 //!

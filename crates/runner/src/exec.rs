@@ -596,7 +596,7 @@ mod tests {
     /// recorded (without `⊥T`) and the report.
     type Runner = Box<dyn Fn(&AlwaysAbort, &ClientOptions) -> (usize, ExecutionReport)>;
 
-    /// Every way this workspace executes a workload — the three drivers on
+    /// Every way this workspace executes a workload — the two drivers on
     /// a register workload and both Elle runners — each over one session of
     /// `templates` templates.
     fn every_runner(templates: u32) -> Vec<(&'static str, Runner)> {
@@ -633,7 +633,6 @@ mod tests {
                 "interleaved",
                 Box::new(driver(Driver::Interleaved { schedule_seed: 9 })),
             ),
-            ("async", Box::new(driver(Driver::Async { workers: 2 }))),
             (
                 "elle-append",
                 Box::new(move |db, opts| {

@@ -759,15 +759,14 @@ pub fn backend_matrix(sweep: &BackendSweep) -> Table {
     }
 
     // Remote rows: representative engines behind the loopback TCP server,
-    // driven by the async ingest driver so many sessions multiplex over a
-    // small worker pool. A promising engine must keep its promises *through
-    // the wire*, and a weak engine's organic anomalies must survive the
-    // round trip.
+    // one connection per session thread. A promising engine must keep its
+    // promises *through the wire*, and a weak engine's organic anomalies must
+    // survive the round trip.
     for engine in ["sim-ser", "weak-rc"] {
         let spec = mtc_net::spec_for_label(engine, sweep.num_keys).expect("fleet label resolves");
         let server = mtc_net::NetServer::spawn(spec).expect("loopback server spawns");
         let db = mtc_net::NetBackend::connect(server.addr()).expect("loopback connect");
-        let (history, report) = mtc_dbsim::ExecutionOptions::async_workers(2).run(&db, &workload);
+        let (history, report) = mtc_dbsim::ExecutionOptions::threaded().run(&db, &workload);
         let mut verdicts = Vec::new();
         let mut promises = Vec::new();
         let mut stream_agrees = true;

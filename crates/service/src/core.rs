@@ -1,6 +1,6 @@
 //! The protocol-independent heart of the daemon: the tenant registry, the
 //! per-tenant admission queue / checker / WAL assembly, and the drain loop
-//! that multiplexes ingestion over the `futures_lite` executor.
+//! a few plain threads run over them.
 //!
 //! A [`Tenant`] is three pieces glued by locks chosen for their contention
 //! profile:
@@ -19,11 +19,13 @@
 //!   — when the directory already holds a log — resumed from the newest
 //!   checkpoint plus tail replay.
 //!
-//! [`ServiceCore::run_drain`] runs the drain as a fixed set of cooperative
-//! futures on [`futures_lite::executor::run_all`]: each worker sweeps the
-//! registry round-robin (offset by its index so workers spread over
-//! tenants), drains one bounded batch per tenant, and yields between
-//! tenants.
+//! [`ServiceCore::run_drain`] runs the drain on a fixed set of scoped
+//! threads: each worker sweeps the registry round-robin (offset by its index
+//! so workers spread over tenants) and drains one bounded batch per tenant.
+//! More than one worker earns its place because recording blocks — a
+//! checkpoint is a `write` and a `sync_all` — and a second worker checks
+//! another tenant meanwhile (README, "Verification as a service", has the
+//! numbers).
 
 use mtc_core::{GcPolicy, IsolationLevel};
 use mtc_dbsim::{IngestEvent, LiveVerifier};
@@ -40,6 +42,11 @@ use std::time::Duration;
 /// straight off the socket and `⊥T` is materialized over all of it, so an
 /// unchecked one is an allocation of the client's choosing.
 pub const MAX_TENANT_KEYS: u64 = 1 << 20;
+
+/// Longest tenant name, in bytes. The name comes straight off the socket and
+/// becomes a directory under the WAL root and part of a metric name that
+/// lives as long as the process.
+const MAX_TENANT_NAME: usize = 64;
 
 /// Session ids an event may name are below this: the checker indexes a
 /// dense per-session table by them and every snapshot carries it.
@@ -61,7 +68,7 @@ pub struct ServiceConfig {
     /// Settled-prefix GC policy applied to every tenant's checker, or
     /// `None` to retain the full stream.
     pub gc: Option<GcPolicy>,
-    /// Worker futures (and executor threads) carrying the drain loop.
+    /// Threads carrying the drain loop.
     pub drain_workers: usize,
     /// Events a drain worker feeds a tenant's checker per sweep — the unit
     /// of fairness across tenants.
@@ -218,6 +225,12 @@ impl Tenant {
         if self.paused.load(Ordering::Acquire) {
             return 0;
         }
+        self.record_queued(cap)
+    }
+
+    /// Pops at most `cap` events off the queue and records them with the
+    /// checker; returns how many. The caller holds `drain`.
+    fn record_queued(&self, cap: usize) -> usize {
         let batch: Vec<IngestEvent> = {
             let mut q = self.queue.lock();
             let n = q.queue.len().min(cap);
@@ -294,28 +307,7 @@ impl Tenant {
         // we drain the remainder ourselves (close must not depend on the
         // drain loop even running).
         let _flight = self.drain.lock();
-        loop {
-            let batch: Vec<IngestEvent> = {
-                let mut q = self.queue.lock();
-                let n = q.queue.len();
-                q.queue.drain(..n).collect()
-            };
-            if batch.is_empty() {
-                break;
-            }
-            let n = batch.len() as u64;
-            let guard = self.verifier.lock();
-            let Some(v) = guard.as_ref() else {
-                return Err(format!("tenant \"{}\" is already closed", self.name));
-            };
-            for event in batch {
-                v.record_event(event);
-            }
-            self.maybe_log_violation(v);
-            drop(guard);
-            self.drained.fetch_add(n, Ordering::Relaxed);
-            mtc_obs::gauge!("service.queue_depth").sub(n);
-        }
+        while self.record_queued(usize::MAX) > 0 {}
         let verifier = self
             .verifier
             .lock()
@@ -428,8 +420,13 @@ impl ServiceCore {
         level: IsolationLevel,
         num_keys: u64,
     ) -> Result<TenantOpen, String> {
-        if name.is_empty() {
-            return Err("tenant name must be non-empty".to_string());
+        let conforms = |c: u8| c.is_ascii_alphanumeric() || c == b'-' || c == b'_';
+        if name.is_empty() || name.len() > MAX_TENANT_NAME || !name.bytes().all(conforms) {
+            return Err(format!(
+                "tenant name must be 1 to {MAX_TENANT_NAME} bytes of [A-Za-z0-9_-] \
+                 ({} bytes given)",
+                name.len()
+            ));
         }
         if num_keys > MAX_TENANT_KEYS {
             return Err(format!(
@@ -455,7 +452,7 @@ impl ServiceCore {
             });
         }
 
-        let dir = self.config.root.join(tenant_dir_name(name));
+        let dir = self.config.root.join(name);
         let (resumed_txns, from_checkpoint, verifier) = if dir.exists() {
             let (store, recovery) =
                 MtcStore::open_append(&dir).map_err(|e| format!("open tenant store: {e}"))?;
@@ -604,21 +601,18 @@ impl ServiceCore {
     }
 
     /// Runs the ingest drain until [`ServiceCore::stop`]: `drain_workers`
-    /// cooperative futures on the scoped `futures_lite` executor, each
-    /// sweeping the tenant registry round-robin (offset by worker index)
-    /// and yielding between tenants. Blocks the calling thread; the daemon
-    /// gives it a dedicated one.
+    /// scoped threads, each sweeping the tenant registry round-robin (offset
+    /// by worker index). Blocks the calling thread until every worker has
+    /// seen the stop; the daemon gives it a dedicated one.
     pub fn run_drain(&self) {
-        let workers = self.config.drain_workers.max(1);
-        let tasks: Vec<futures_lite::executor::BoxedTask<'_, ()>> = (0..workers)
-            .map(|offset| {
-                Box::pin(self.drain_task(offset)) as futures_lite::executor::BoxedTask<'_, ()>
-            })
-            .collect();
-        futures_lite::executor::run_all(tasks, workers);
+        std::thread::scope(|s| {
+            for offset in 0..self.config.drain_workers.max(1) {
+                s.spawn(move || self.drain_loop(offset));
+            }
+        });
     }
 
-    async fn drain_task(&self, offset: usize) {
+    fn drain_loop(&self, offset: usize) {
         while !self.is_shutdown() {
             let tenants: Vec<Arc<Tenant>> =
                 { self.tenants.lock().by_id.values().cloned().collect() };
@@ -626,32 +620,12 @@ impl ServiceCore {
             let n = tenants.len();
             for i in 0..n {
                 fed += tenants[(i + offset) % n].drain_batch(self.config.drain_batch);
-                futures_lite::future::yield_now().await;
             }
             if fed == 0 {
-                // Idle: this worker thread has nothing else to poll, so a
-                // short blocking nap is the right kind of cheap.
                 std::thread::sleep(Duration::from_micros(500));
-                futures_lite::future::yield_now().await;
             }
         }
     }
-}
-
-/// Maps a tenant name to its WAL directory name: ASCII alphanumerics,
-/// `-` and `_` pass through, everything else becomes `_` (names that
-/// collide after mapping share a directory — pick filesystem-friendly
-/// tenant names).
-fn tenant_dir_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Current resident set size of this process in KiB (Linux `/proc`; 0

@@ -21,9 +21,9 @@
 //!   checkpoint plus tail replay, to verdicts identical to never having
 //!   crashed;
 //! * **multiplexed verification** — connection handlers only enqueue;
-//!   a fixed pool of drain futures on the scoped `futures_lite` executor
-//!   sweeps tenants fairly and feeds their checkers, with a single-flight
-//!   per-tenant drain lock preserving admission order;
+//!   a fixed set of drain threads sweeps tenants fairly and feeds their
+//!   checkers, with a single-flight per-tenant drain lock preserving
+//!   admission order;
 //! * **observability** — `TenantStatus` answers live per-tenant verdict,
 //!   ingest/checked lag, queue depth, backpressure count, resident checker
 //!   size and process RSS.

@@ -1,6 +1,7 @@
 //! Daemon lifecycle tests: open/ingest/status/close round trips, reattach
 //! and mismatch handling, deterministic backpressure with zero loss, role
-//! separation, hostile scalars refused at admission, and SIGKILL + checkpoint
+//! separation, hostile scalars and names refused at admission, what the drain
+//! threads must hold (order per tenant, a prompt stop), and SIGKILL + checkpoint
 //! resume bit-identical to a clean replay (against the real
 //! `mtc_service_server` binary).
 
@@ -371,6 +372,163 @@ fn hostile_scalar_session_id_refuses_the_whole_batch() {
         assert!(!summary.violated);
     }
     server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A tenant name becomes a directory under the WAL root and part of a metric
+/// name, and arrives straight off the socket: anything but 1–64 bytes of
+/// `[A-Za-z0-9_-]` is refused before either exists. (Two names that differed
+/// only outside that alphabet used to open two stores over one directory.)
+#[test]
+fn hostile_tenant_names_are_refused_at_the_door() {
+    let root = temp_root("hostile_names");
+    let server = ServiceServer::spawn(ServiceConfig::new(&root)).expect("spawns");
+    let spec = small_spec();
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    let too_long = "n".repeat(65);
+    for name in ["", "a/b", "../x", ".", "a b", "é", too_long.as_str()] {
+        let refusal = client
+            .open_tenant(name, spec.level, spec.num_keys)
+            .expect_err("a name outside [A-Za-z0-9_-]{1,64} must be refused");
+        assert!(refusal.to_string().contains("tenant name"), "{refusal}");
+        assert_eq!(
+            std::fs::read_dir(&root).expect("root exists").count(),
+            0,
+            "{name:?}: nothing may reach the disk"
+        );
+    }
+    // The refused connection is still served, and the longest legal name is.
+    let open = client
+        .open_tenant("a_b", spec.level, spec.num_keys)
+        .expect("a conforming name opens");
+    assert!(root.join("a_b").is_dir());
+    client.close_tenant(open.tenant).expect("close");
+    let longest = client
+        .open_tenant(&too_long[1..], spec.level, spec.num_keys)
+        .expect("64 bytes open");
+    client.close_tenant(longest.tenant).expect("close");
+    server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+// ───────────────────────── what the drain threads hold ─────────────────────
+
+/// One key, every transaction reading what the one before it wrote — except
+/// transaction `stale_at`, which reads what its predecessor read (a lost
+/// update). Any two events recorded out of order change the verdict's index.
+fn chain_with_a_lost_update(len: u64, stale_at: u64) -> Vec<mtc_dbsim::IngestEvent> {
+    use mtc_history::{Op, TxnStatus};
+    (0..len)
+        .map(|i| {
+            let read = if i == stale_at { i - 1 } else { i };
+            let ops = vec![Op::read(0u64, read), Op::write(0u64, i + 1)];
+            let session = (i % 3) as u32;
+            mtc_dbsim::IngestEvent::timed(session, ops, TxnStatus::Committed, 10 * i, 10 * i + 3)
+        })
+        .collect()
+}
+
+/// More drain workers than tenants: the single-flight lock is all that keeps
+/// a tenant's batches in admission order. Every tenant's summary equals the
+/// streaming checker's over the same events.
+#[test]
+fn four_drain_workers_keep_every_tenant_in_admission_order() {
+    let level = IsolationLevel::Serializability;
+    for tenants in [1u64, 3] {
+        let root = temp_root(&format!("drain_workers_{tenants}"));
+        let server = ServiceServer::spawn(ServiceConfig::new(&root).drain_workers(4))
+            .expect("daemon spawns");
+        let addr = server.addr();
+        std::thread::scope(|scope| {
+            for t in 0..tenants {
+                scope.spawn(move || {
+                    let events = chain_with_a_lost_update(400, 350 + 7 * t);
+                    let mut builder = mtc_history::HistoryBuilder::new().with_init(1);
+                    for e in &events {
+                        let (begin, end) = (e.begin.unwrap(), e.end.unwrap());
+                        builder.push_timed(e.session, e.ops.clone(), e.status, begin, end);
+                    }
+                    let mut reference = mtc_core::IncrementalChecker::new(level);
+                    let _ = reference.push_history(&builder.build());
+                    let expected_at = reference.first_violation_at().map(|id| id.index() as u64);
+                    assert!(reference.finish().expect("in domain").is_violated());
+
+                    let mut client = ServiceClient::connect(addr).expect("connect");
+                    let open = client
+                        .open_tenant(&format!("chain-{t}"), level, 1)
+                        .expect("open");
+                    for batch in events.chunks(7) {
+                        client
+                            .ingest_all(open.tenant, batch.to_vec(), Duration::from_micros(200))
+                            .expect("ingest");
+                    }
+                    let summary = client.close_tenant(open.tenant).expect("close");
+                    assert_eq!(summary.checked, events.len() as u64, "tenant {t}");
+                    assert!(summary.violated, "tenant {t}");
+                    assert_eq!(summary.first_violation_at, expected_at, "tenant {t}");
+                });
+            }
+        });
+        server.shutdown().expect("clean shutdown");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// Stopping a daemon whose drain has just been handed work never hangs: 200
+/// times over, `shutdown()` joins the drain threads within two seconds. (The
+/// cycles run on a thread of their own so that a hang fails the test instead
+/// of hanging it.)
+#[test]
+fn shutdown_joins_the_drain_every_time() {
+    let root = temp_root("shutdown_cycles");
+    let (done, cycles) = std::sync::mpsc::channel();
+    let cycle_root = root.clone();
+    std::thread::spawn(move || {
+        let spec = small_spec();
+        let batch: Vec<_> = synthetic_events(&spec, 0).into_iter().take(64).collect();
+        for i in 0..200 {
+            let server = ServiceServer::spawn(ServiceConfig::new(cycle_root.join(format!("{i}"))))
+                .expect("daemon spawns");
+            let mut client = ServiceClient::connect(server.addr()).expect("connect");
+            let open = client
+                .open_tenant("cycle", spec.level, spec.num_keys)
+                .expect("open");
+            client.ingest(open.tenant, batch.clone()).expect("ingest");
+            drop(client);
+            let asked = Instant::now();
+            server.shutdown().expect("clean shutdown");
+            if done.send(asked.elapsed()).is_err() {
+                return;
+            }
+        }
+    });
+    for i in 0..200 {
+        let took = cycles
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("cycle {i} never came back"));
+        assert!(
+            took < Duration::from_secs(2),
+            "cycle {i}: shutdown took {took:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// With no tenant to sweep, the drain is asleep most of the time; it still
+/// sees a stop within its nap.
+#[test]
+fn an_idle_drain_returns_promptly_on_stop() {
+    let root = temp_root("idle_drain");
+    let core = mtc_service::ServiceCore::new(ServiceConfig::new(&root)).expect("core");
+    std::thread::scope(|scope| {
+        let drain = scope.spawn(|| core.run_drain());
+        std::thread::sleep(Duration::from_millis(20));
+        let asked = Instant::now();
+        core.stop();
+        drain.join().expect("drain returns");
+        let took = asked.elapsed();
+        assert!(took < Duration::from_millis(50), "run_drain took {took:?}");
+    });
     let _ = std::fs::remove_dir_all(&root);
 }
 

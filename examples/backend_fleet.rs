@@ -24,9 +24,9 @@ use std::sync::Mutex;
 // The recipe: (1) an engine type implementing `DbBackend` (must be `Sync`;
 // `begin` hands out boxed transaction handles, `promises` declares which
 // isolation levels fault-free runs guarantee), and (2) a handle type
-// implementing `DbTxn` (handles must be `Send` — the async driver may poll
-// them from different worker threads; reads/writes may fail with an
-// `AbortReason`; `commit` returns the commit instant). This one holds a
+// implementing `DbTxn` (handles must be `Send` — the threaded driver moves
+// each session, open handle included, into a thread of its own; reads/writes
+// may fail with an `AbortReason`; `commit` returns the commit instant). This one holds a
 // single global lock for the whole transaction — fully serial execution,
 // so it promises everything, at the cost of zero concurrency. The lock is
 // an atomic flag rather than a held `MutexGuard` precisely because guards

@@ -69,7 +69,7 @@ fn mt_spec(sessions: u32, txns: u32, keys: u64, seed: u64) -> MtWorkloadSpec {
 }
 
 /// The whole fleet behind loopback TCP: in-process promises must survive
-/// the wire, under both the threaded and the async ingest driver.
+/// the wire.
 #[test]
 fn remote_fleet_passes_conformance_over_loopback() {
     let spec = mt_spec(3, 25, 8, 71);
@@ -90,24 +90,6 @@ fn remote_fleet_passes_conformance_over_loopback() {
             remote.label()
         );
         assert_conformant(remote.label(), &remote, &history);
-        drop(remote);
-        server.shutdown().unwrap();
-
-        // The async driver, against a *fresh* server (engine state from the
-        // first run would read as thin-air values): same invariants, with
-        // sessions multiplexed over fewer workers than sessions (blocking
-        // engines need one worker per session — see `Driver::Async`).
-        let server = NetServer::spawn(backend_spec.clone()).unwrap();
-        let remote = NetBackend::connect(server.addr()).unwrap();
-        let workers = if backend_spec.blocking() {
-            spec.sessions as usize
-        } else {
-            2
-        };
-        let (history, report) = ExecutionOptions::async_workers(workers).run(&remote, &workload);
-        assert!(report.committed > 0, "{}: async run idle", remote.label());
-        assert_conformant(remote.label(), &remote, &history);
-
         drop(remote);
         server.shutdown().unwrap();
     }
