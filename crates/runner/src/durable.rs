@@ -117,12 +117,14 @@ pub struct ResumeOutcome {
 /// have reported over the logged prefix.
 pub fn resume_verification(dir: impl AsRef<Path>) -> Result<ResumeOutcome, StoreError> {
     let recovery = recover(&dir)?;
+    let (logged_txns, resumed_from) = (recovery.txns.len(), recovery.resume_from);
+    let (from_checkpoint, torn_tail) = (recovery.snapshot.is_some(), recovery.torn_tail);
     Ok(ResumeOutcome {
         verdict: recovery.resume().finish(),
-        logged_txns: recovery.txns.len(),
-        resumed_from: recovery.resume_from,
-        from_checkpoint: recovery.snapshot.is_some(),
-        torn_tail: recovery.torn_tail,
+        logged_txns,
+        resumed_from,
+        from_checkpoint,
+        torn_tail,
     })
 }
 

@@ -289,27 +289,26 @@ fn smoke() {
         if recovery.snapshot.is_none() {
             fail(&format!("tenant kr-{t}: no checkpoint despite waiting"));
         }
-        let resumed_verdict = recovery.resume().finish().expect("resumed stream checks");
+        let (events, resume_from) = (recovery.txns.len(), recovery.resume_from);
         let scratch_verdict =
             check_streaming(LEVEL, &recovery.to_history()).expect("scratch stream checks");
+        let resumed_verdict = recovery.resume().finish().expect("resumed stream checks");
         if resumed_verdict != scratch_verdict {
             fail(&format!(
                 "tenant kr-{t}: checkpoint-resumed verdict {resumed_verdict:?} differs from \
                  clean replay {scratch_verdict:?}"
             ));
         }
-        if recovery.txns.len() > half {
+        if events > half {
             fail(&format!(
-                "tenant kr-{t}: log holds {} events but only {half} were ever sent",
-                recovery.txns.len()
+                "tenant kr-{t}: log holds {events} events but only {half} were ever sent"
             ));
         }
         println!(
-            "  kr-{t}: {} events logged (resume from {}), resumed verdict == clean replay",
-            recovery.txns.len(),
-            recovery.resume_from
+            "  kr-{t}: {events} events logged (resume from {resume_from}), resumed verdict == \
+             clean replay"
         );
-        logged.push(recovery.txns.len());
+        logged.push(events);
     }
 
     // End-to-end proof: restart the daemon on the same root; every tenant

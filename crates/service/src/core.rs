@@ -28,14 +28,14 @@
 //! numbers).
 
 use mtc_core::{GcPolicy, IsolationLevel};
-use mtc_dbsim::{IngestEvent, LiveVerifier};
+use mtc_dbsim::{IngestEvent, LiveVerifier, SinkStats};
 use mtc_net::proto::TenantStatus;
 use mtc_store::{MtcStore, StreamMeta};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Largest key space a tenant may be opened over. `num_keys` is a `u64`
@@ -161,18 +161,26 @@ struct TenantQueue {
     closing: bool,
 }
 
+/// What a closed tenant's finished verifier knew, for `status` requests that
+/// reach the tenant between its close and its removal from the registry.
+struct Closed {
+    summary: TenantSummary,
+    sink: Option<SinkStats>,
+}
+
 /// One named verification stream: queue, drain lock, verifier, counters.
 pub struct Tenant {
     name: String,
     level: IsolationLevel,
     num_keys: u64,
     queue_cap: usize,
-    checkpoint_every: usize,
     queue: Mutex<TenantQueue>,
     /// Single-flight drain: held across pop-and-record so concurrent drain
     /// workers cannot reorder a tenant's events.
     drain: Mutex<()>,
     verifier: Mutex<Option<LiveVerifier>>,
+    /// Set by `close` before it lets go of `verifier`, which it empties.
+    closed: OnceLock<Closed>,
     /// Drain freeze — the deterministic-backpressure knob for tests and
     /// operations. Admission stays open until the queue fills.
     paused: AtomicBool,
@@ -308,24 +316,33 @@ impl Tenant {
         // drain loop even running).
         let _flight = self.drain.lock();
         while self.record_queued(usize::MAX) > 0 {}
-        let verifier = self
-            .verifier
-            .lock()
+        // Held until `closed` is set: a `status` meanwhile waits, and never
+        // sees an empty slot without what the verifier knew.
+        let mut slot = self.verifier.lock();
+        let verifier = slot
             .take()
             .ok_or_else(|| format!("tenant \"{}\" is already closed", self.name))?;
+        let sink = verifier.sink_stats();
         let outcome = verifier.finish();
         let violated = match &outcome.verdict {
             Ok(verdict) => verdict.is_violated(),
             // A checker domain error means the stream cannot be certified.
             Err(_) => true,
         };
-        Ok(TenantSummary {
+        let summary = TenantSummary {
             checked: outcome.checked_txns as u64,
             violated,
             // `finish()` already falls back to the checker's latched index
             // for violations that only surfaced on the final flush.
             first_violation_at: outcome.first_violation.map(|v| v.at_txn as u64),
-        })
+        };
+        // The slot was full, so `closed` is still empty.
+        let _ = self.closed.set(Closed {
+            summary: summary.clone(),
+            sink,
+        });
+        drop(slot);
+        Ok(summary)
     }
 
     /// A point-in-time stats snapshot; `rss_kb` is the daemon process RSS
@@ -337,15 +354,24 @@ impl Tenant {
         };
         let (checked, violated, first_violation_at, live_txns, sink) = {
             let guard = self.verifier.lock();
-            match guard.as_ref() {
-                Some(v) => (
+            match (guard.as_ref(), self.closed.get()) {
+                (Some(v), _) => (
                     v.consumed() as u64,
                     v.is_violated(),
                     v.first_violation_at().map(|i| i as u64),
                     v.live_txn_count() as u64,
                     v.sink_stats(),
                 ),
-                None => (self.drained.load(Ordering::Relaxed), false, None, 0, None),
+                (None, Some(closed)) => (
+                    closed.summary.checked,
+                    closed.summary.violated,
+                    closed.summary.first_violation_at,
+                    0,
+                    closed.sink,
+                ),
+                // `close` panicked between emptying the slot and filling
+                // `closed`: nothing is known past what was drained.
+                (None, None) => (self.drained.load(Ordering::Relaxed), false, None, 0, None),
             }
         };
         TenantStatus {
@@ -358,13 +384,7 @@ impl Tenant {
             violated,
             first_violation_at,
             live_txns,
-            // Sink-counted when a WAL sink is attached; otherwise
-            // cadence-derived (checkpoint every `checkpoint_every`
-            // recorded events).
-            checkpoints: match &sink {
-                Some(s) => s.checkpoints,
-                None => self.drained.load(Ordering::Relaxed) / self.checkpoint_every as u64,
-            },
+            checkpoints: sink.map(|s| s.checkpoints).unwrap_or(0),
             rss_kb,
             wal_append_p99_micros: sink.map(|s| s.wal_append_p99_micros).unwrap_or(0),
             last_checkpoint_age_micros: sink.and_then(|s| s.last_checkpoint_age_micros),
@@ -463,17 +483,15 @@ impl ServiceCore {
                     recovery.meta.level, recovery.meta.num_keys
                 ));
             }
+            let (resumed_txns, from_checkpoint) =
+                (recovery.txns.len() as u64, recovery.snapshot.is_some());
             let mut builder = LiveVerifier::builder(level, num_keys)
                 .resume_from(recovery.resume())
                 .store(store, self.config.checkpoint_every);
             if let Some(gc) = self.config.gc {
                 builder = builder.gc(gc);
             }
-            (
-                recovery.txns.len() as u64,
-                recovery.snapshot.is_some(),
-                builder.build(),
-            )
+            (resumed_txns, from_checkpoint, builder.build())
         } else {
             let store = MtcStore::create(&dir, &StreamMeta { level, num_keys })
                 .map_err(|e| format!("create tenant store: {e}"))?;
@@ -492,13 +510,13 @@ impl ServiceCore {
             level,
             num_keys,
             queue_cap: self.config.queue_cap,
-            checkpoint_every: self.config.checkpoint_every,
             queue: Mutex::new(TenantQueue {
                 queue: VecDeque::new(),
                 closing: false,
             }),
             drain: Mutex::new(()),
             verifier: Mutex::new(Some(verifier)),
+            closed: OnceLock::new(),
             paused: AtomicBool::new(false),
             ingested: AtomicU64::new(resumed_txns),
             drained: AtomicU64::new(resumed_txns),
@@ -645,4 +663,63 @@ pub fn rss_kb() -> u64 {
         }
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mtc_history::{Op, TxnStatus};
+
+    /// Events `range` of a chain of read-modify-writes of key 0, each reading
+    /// what the one before it wrote — except `stale_at`, which reads what its
+    /// predecessor read (a lost update).
+    fn chain(range: std::ops::Range<u64>, stale_at: Option<u64>) -> Vec<IngestEvent> {
+        range
+            .map(|i| {
+                let read = if Some(i) == stale_at { i - 1 } else { i };
+                let ops = vec![Op::read(0u64, read), Op::write(0u64, i + 1)];
+                IngestEvent::timed(
+                    (i % 3) as u32,
+                    ops,
+                    TxnStatus::Committed,
+                    10 * i,
+                    10 * i + 3,
+                )
+            })
+            .collect()
+    }
+
+    /// `status` can reach a tenant after `close` finished its verifier and
+    /// before `close_tenant` unregisters it; it must report what the
+    /// finished verifier knew, and the checkpoints its sink really wrote.
+    #[test]
+    fn a_closed_tenant_reports_what_its_finished_verifier_knew() {
+        let root = std::env::temp_dir().join(format!("mtc_service_core_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let core = ServiceCore::new(ServiceConfig::new(&root).checkpoint_every(4)).unwrap();
+        let level = IsolationLevel::Serializability;
+        // A first life of five clean events, so the second resumes with them
+        // drained and its sink counting checkpoints from zero.
+        let first = core.open_tenant("t", level, 1).unwrap();
+        core.ingest(first.tenant, chain(0..5, None)).unwrap();
+        assert!(!core.close_tenant(first.tenant).unwrap().violated);
+
+        let open = core.open_tenant("t", level, 1).unwrap();
+        assert_eq!(open.resumed_txns, 5);
+        let tenant = core.tenant(open.tenant).unwrap();
+        core.ingest(open.tenant, chain(5..11, Some(8))).unwrap();
+        let summary = tenant.close().unwrap();
+        assert!(summary.violated, "the lost update must be caught");
+
+        let status = tenant.status(0);
+        assert!(status.violated, "a closed tenant reported clean");
+        assert_eq!(status.first_violation_at, summary.first_violation_at);
+        assert!(status.first_violation_at.is_some());
+        assert_eq!(status.checked, summary.checked);
+        assert_eq!(status.checked, 11);
+        assert_eq!(status.live_txns, 0);
+        // Six events recorded, a checkpoint every four: one, not 11 / 4.
+        assert_eq!(status.checkpoints, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

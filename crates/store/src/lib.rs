@@ -48,20 +48,17 @@
 
 pub mod binval;
 pub mod checkpoint;
-pub mod delta;
 pub mod frame;
 pub mod segment;
 pub mod store;
 
 pub use binval::{from_bytes, to_bytes, DecodeError};
 pub use checkpoint::{
-    latest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint,
-    write_checkpoint_delta, CHECKPOINT_VERSION,
+    latest_checkpoint, prune_checkpoints, read_checkpoint, write_checkpoint, CHECKPOINT_VERSION,
 };
-pub use delta::DeltaOp;
 pub use frame::{crc32, read_frame, write_frame, write_frame_with, FrameError};
 pub use segment::{read_log, LogRecord, LogWriter, RecoveredLog, StreamMeta, LOG_VERSION};
-pub use store::{recover, MtcStore, Recovery, CHECKPOINT_REBASE_INTERVAL, DEFAULT_CHECKPOINT_KEEP};
+pub use store::{recover, MtcStore, Recovery, DEFAULT_CHECKPOINT_KEEP};
 
 use std::io;
 

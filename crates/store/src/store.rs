@@ -15,15 +15,13 @@
 //! checker reproduces the uninterrupted verdict. With no usable checkpoint
 //! the whole log replays from scratch — slower, same answer.
 //!
-//! An open [`MtcStore`] is the directory's one writer. It knows which
-//! checkpoint files are there — it wrote them, or read their header frames
-//! when it opened — so writing a checkpoint reads nothing back: the previous
-//! payload (the delta base) and the file chain (what pruning needs) both
-//! live in memory.
+//! An open [`MtcStore`] is the directory's one writer. Writing a checkpoint
+//! reads nothing back: every checkpoint is a full snapshot, and pruning goes
+//! by file names.
 
-use crate::binval;
 use crate::checkpoint::{
-    encode_delta, latest_checkpoint, remove_stale_tmp_files, write_delta, write_full, Chain,
+    encode_checkpoint, latest_checkpoint, prune_checkpoints, remove_stale_tmp_files,
+    write_checkpoint_file,
 };
 use crate::segment::{read_log, LogWriter, StreamMeta};
 use crate::StoreError;
@@ -34,34 +32,12 @@ use std::path::{Path, PathBuf};
 /// How many checkpoints [`MtcStore::checkpoint`] retains.
 pub const DEFAULT_CHECKPOINT_KEEP: usize = 3;
 
-/// Every how many checkpoints the store writes a fresh full snapshot
-/// instead of another delta (bounds recovery chain length and keeps pruning
-/// effective).
-pub const CHECKPOINT_REBASE_INTERVAL: u32 = 4;
-
-/// The previous checkpoint's identity, kept in memory so the next
-/// checkpoint can be expressed as a delta against it without re-reading it
-/// from disk.
-#[derive(Debug)]
-struct LastCheckpoint {
-    consumed: u64,
-    /// The encoded snapshot payload the checkpoint reconstructs.
-    bytes: Vec<u8>,
-    /// Number of delta links under that checkpoint (0 for a full).
-    chain: u32,
-}
-
 /// A writable store: history log plus checkpoints in one directory.
 #[derive(Debug)]
 pub struct MtcStore {
     dir: PathBuf,
     writer: LogWriter,
     checkpoint_keep: usize,
-    rebase_interval: u32,
-    last_checkpoint: Option<LastCheckpoint>,
-    /// The checkpoint files in `dir`, so pruning is bookkeeping plus
-    /// `remove_file`.
-    chain: Chain,
 }
 
 impl MtcStore {
@@ -71,9 +47,6 @@ impl MtcStore {
             dir: dir.as_ref().to_path_buf(),
             writer: LogWriter::create(&dir, meta)?,
             checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
-            rebase_interval: CHECKPOINT_REBASE_INTERVAL,
-            last_checkpoint: None,
-            chain: Chain::default(),
         })
     }
 
@@ -89,9 +62,6 @@ impl MtcStore {
                 dir: dir.as_ref().to_path_buf(),
                 writer,
                 checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
-                rebase_interval: CHECKPOINT_REBASE_INTERVAL,
-                last_checkpoint: None,
-                chain: Chain::scan(dir.as_ref())?,
             },
             recovery,
         ))
@@ -105,13 +75,6 @@ impl MtcStore {
     /// Overrides how many checkpoints are retained.
     pub fn with_checkpoint_keep(mut self, keep: usize) -> Self {
         self.checkpoint_keep = keep.max(1);
-        self
-    }
-
-    /// Overrides the full-checkpoint rebase cadence. `1` disables delta
-    /// checkpoints entirely (every checkpoint is a full snapshot).
-    pub fn with_rebase_interval(mut self, interval: u32) -> Self {
-        self.rebase_interval = interval.max(1);
         self
     }
 
@@ -139,11 +102,8 @@ impl MtcStore {
     /// Persists a checker snapshot taken after consuming `consumed` logged
     /// transactions, syncing the log first (a checkpoint must never be
     /// newer than the log it indexes into) and pruning old checkpoints.
-    ///
-    /// Between full snapshots the store writes *delta* checkpoints against
-    /// the previous one — usually a small fraction of the snapshot size —
-    /// and rebases to a full snapshot every [`CHECKPOINT_REBASE_INTERVAL`]
-    /// checkpoints (or whenever a delta would not actually be smaller).
+    /// Every checkpoint is a full snapshot, encoded straight into the frame
+    /// of its file.
     pub fn checkpoint(
         &mut self,
         consumed: u64,
@@ -154,43 +114,18 @@ impl MtcStore {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.sync"));
             self.writer.sync()?;
         }
-        let payload = {
+        let bytes = {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.encode"));
-            binval::to_bytes(snapshot)
+            encode_checkpoint(consumed, snapshot)
         };
-        // The delta stage is empty on a rebase (and on the first checkpoint).
-        let delta = {
-            let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.delta"));
-            self.last_checkpoint
-                .as_ref()
-                .filter(|prev| prev.consumed < consumed && prev.chain + 1 < self.rebase_interval)
-                .and_then(|prev| Some((prev, encode_delta(&prev.bytes, &payload)?)))
-        };
-        let (path, base_consumed, chain) = {
+        let path = {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.write"));
-            match delta {
-                Some((prev, encoded)) => {
-                    let (path, len) =
-                        write_delta(&self.dir, consumed, prev.consumed, &payload, &encoded)?;
-                    mtc_obs::counter!("store.checkpoint_delta_bytes").add(len);
-                    (path, Some(prev.consumed), prev.chain + 1)
-                }
-                None => {
-                    let (path, len) = write_full(&self.dir, consumed, &payload)?;
-                    mtc_obs::counter!("store.checkpoint_full_bytes").add(len);
-                    (path, None, 0)
-                }
-            }
+            write_checkpoint_file(&self.dir, consumed, &bytes)?
         };
-        self.last_checkpoint = Some(LastCheckpoint {
-            consumed,
-            bytes: payload,
-            chain,
-        });
+        mtc_obs::counter!("store.checkpoint_full_bytes").add(bytes.len() as u64);
         {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.prune"));
-            self.chain.record(consumed, base_consumed, path.clone());
-            self.chain.prune(self.checkpoint_keep)?;
+            prune_checkpoints(&self.dir, self.checkpoint_keep)?;
         }
         if let Some(t0) = timer {
             mtc_obs::histogram!("store.checkpoint_micros").record(t0.elapsed().as_micros() as u64);
@@ -222,14 +157,15 @@ impl Recovery {
 
     /// The checker as it stood after the last logged transaction: the
     /// newest snapshot — or, without one, a fresh checker over `meta` — with
-    /// the tail replayed into it.
-    pub fn resume(&self) -> IncrementalChecker {
-        let mut checker = match self.snapshot.clone() {
+    /// the tail replayed into it. Consumes the recovery: the snapshot and
+    /// the tail move into the checker, uncopied.
+    pub fn resume(self) -> IncrementalChecker {
+        let mut checker = match self.snapshot {
             Some(snapshot) => IncrementalChecker::resume(snapshot),
             None => IncrementalChecker::new(self.meta.level).with_init_keys(0..self.meta.num_keys),
         };
-        for txn in self.tail() {
-            let _ = checker.push(txn.clone());
+        for txn in self.txns.into_iter().skip(self.resume_from as usize) {
+            let _ = checker.push(txn);
         }
         checker
     }
@@ -345,69 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_checkpoint_cadence_resumes_bit_identically() {
-        let dir = tmpdir("delta_resume");
-        let mut store = MtcStore::create(&dir, &meta()).unwrap();
-        let mut checker =
-            IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
-        let mut last = 0u64;
-        // Checkpoint every 5 txns: full at 5, deltas at 10/15/20, rebase at
-        // 25, delta at 30 — recovery resumes from the delta at 30.
-        for i in 0..32u64 {
-            let t = txn(i, last, i + 1);
-            store.append_txn(&t).unwrap();
-            let _ = checker.push(t);
-            last = i + 1;
-            if (i + 1) % 5 == 0 {
-                store.checkpoint(i + 1, &checker.checkpoint()).unwrap();
-            }
-        }
-        let deltas = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".mtcckd"))
-            .count();
-        assert!(deltas >= 3, "cadence must actually produce deltas");
-        store.sync().unwrap();
-        drop(store);
-        drop(checker); // "crash"
-
-        let recovery = recover(&dir).unwrap();
-        assert_eq!(recovery.resume_from, 30);
-        let mut resumed = IncrementalChecker::resume(recovery.snapshot.clone().unwrap());
-        for t in recovery.tail() {
-            let _ = resumed.push(t.clone());
-        }
-        let clean =
-            check_streaming(IsolationLevel::Serializability, &recovery.to_history()).unwrap();
-        assert_eq!(resumed.finish().unwrap(), clean);
-        assert!(clean.is_satisfied());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rebase_interval_one_disables_deltas() {
-        let dir = tmpdir("no_deltas");
-        let mut store = MtcStore::create(&dir, &meta())
-            .unwrap()
-            .with_rebase_interval(1);
-        let mut checker =
-            IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
-        let mut last = 0u64;
-        for i in 0..10u64 {
-            let t = txn(i, last, i + 1);
-            store.append_txn(&t).unwrap();
-            let _ = checker.push(t);
-            last = i + 1;
-            if (i + 1) % 5 == 0 {
-                let path = store.checkpoint(i + 1, &checker.checkpoint()).unwrap();
-                assert_eq!(path.extension().unwrap(), "mtcck");
-            }
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn open_append_continues_the_stream_after_a_torn_tail() {
         let dir = tmpdir("continue");
         let mut store = MtcStore::create(&dir, &meta()).unwrap();
@@ -464,12 +337,21 @@ mod tests {
             names
         };
         let chain = names(&dir);
-        assert!(chain.iter().any(|n| n.ends_with(".mtcckd")), "{chain:?}");
-        // The crash: a full and a delta written under their temporary names
-        // and never renamed, newer than anything that landed.
+        assert_eq!(
+            chain
+                .iter()
+                .filter(|n| n.starts_with("checkpoint-"))
+                .count(),
+            DEFAULT_CHECKPOINT_KEEP,
+            "{chain:?}"
+        );
+        // The crash: checkpoints written under their temporary names and
+        // never renamed, newer than anything that landed. (A temporary file
+        // an older build left of a checkpoint of another kind goes too:
+        // `tests/parent_written_deltas.rs`.)
         let stale = [
             "checkpoint-000000000025.mtcck.tmp",
-            "checkpoint-000000000030.mtcckd.tmp",
+            "checkpoint-000000000030.mtcck.tmp",
         ];
         for name in stale {
             fs::write(dir.join(name), b"half a checkpoint").unwrap();

@@ -1,9 +1,9 @@
-//! `MtcStore` prunes from the checkpoint chain it keeps in memory; the
-//! directory-driven [`prune_checkpoints`] reads the same chain from header
-//! frames. This suite holds the two together: over random cadences of full,
-//! delta and rebased checkpoints, any `keep`, and a reopen at a random point,
-//! the store's directory holds exactly the files a mirror directory pruned
-//! by the oracle holds, and both recover the same checkpoint.
+//! The directory-driven [`prune_checkpoints`] is the oracle of what a store
+//! directory holds after each checkpoint. This suite holds `MtcStore` to it:
+//! over random cadences of checkpoints (the same `consumed` written again
+//! included), any `keep`, and a reopen at a random point, the store's
+//! directory holds exactly the files a mirror directory pruned by the oracle
+//! holds — the newest `keep` checkpoints — and both recover the same one.
 
 use mtc_core::{IncrementalChecker, IsolationLevel};
 use mtc_history::{Op, SessionId, Transaction, TxnId};
@@ -23,8 +23,7 @@ fn tmpdir(tag: &str, seed: u64) -> PathBuf {
     dir
 }
 
-/// Names of the checkpoint files (full, delta, and stray temporaries) in
-/// `dir`.
+/// Names of the checkpoint files (and stray temporaries) in `dir`.
 fn checkpoint_names(dir: &Path) -> BTreeSet<String> {
     fs::read_dir(dir)
         .unwrap()
@@ -47,10 +46,9 @@ proptest! {
     #[test]
     fn in_memory_prune_leaves_what_the_directory_oracle_leaves(
         // Transactions recorded before each checkpoint; 0 checkpoints the
-        // same `consumed` again (a full written over, or beside, the last).
+        // same `consumed` again (a checkpoint written over the last).
         steps in prop::collection::vec(0u64..6, 1..14),
         keep in 1usize..=4,
-        rebase in 1u32..=5,
         reopen_at in 0usize..14,
         seed in 0u64..1_000_000,
     ) {
@@ -58,9 +56,7 @@ proptest! {
         let mirror = tmpdir("mirror", seed);
         fs::create_dir_all(&mirror).unwrap();
         let meta = StreamMeta { level: IsolationLevel::Serializability, num_keys: 2 };
-        let configured = |store: MtcStore| {
-            store.with_checkpoint_keep(keep).with_rebase_interval(rebase)
-        };
+        let configured = |store: MtcStore| store.with_checkpoint_keep(keep);
         let mut store = configured(MtcStore::create(&dir, &meta).unwrap());
         let mut checker =
             IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
@@ -78,10 +74,8 @@ proptest! {
             }
             consumed
         };
-        // Enough state that a delta undercuts a full snapshot.
         record(&mut store, &mut checker, 30);
         let reopen_at = reopen_at % (steps.len() + 1);
-        let mut deltas = 0usize;
         for (i, &advance) in steps.iter().enumerate() {
             if i == reopen_at {
                 store.sync().unwrap();
@@ -90,23 +84,18 @@ proptest! {
             }
             let consumed = record(&mut store, &mut checker, advance);
             let written = store.checkpoint(consumed, &checker.checkpoint()).unwrap();
-            deltas += usize::from(written.extension().unwrap() == "mtcckd");
             fs::copy(&written, mirror.join(written.file_name().unwrap())).unwrap();
             prune_checkpoints(&mirror, keep).unwrap();
             prop_assert_eq!(
                 checkpoint_names(&dir), checkpoint_names(&mirror),
-                "step {} (keep {}, rebase {}, reopen at {})", i, keep, rebase, reopen_at
+                "step {} (keep {}, reopen at {})", i, keep, reopen_at
             );
+            prop_assert!(checkpoint_names(&dir).len() <= keep);
             prop_assert_eq!(resolved(&dir), resolved(&mirror));
             prop_assert_eq!(resolved(&dir).map(|(c, _)| c), Some(consumed));
         }
         // The oracle finds nothing left to delete in the store's directory.
         prop_assert_eq!(prune_checkpoints(&dir, keep).unwrap(), 0);
-        // Three advancing checkpoints give two chances of a delta, and the
-        // reopen (which forgets the base payload) takes at most one.
-        if rebase > 1 && steps.iter().filter(|&&n| n > 0).count() >= 3 {
-            prop_assert!(deltas > 0, "the cadence must actually write deltas");
-        }
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&mirror);
     }

@@ -1,6 +1,6 @@
 //! The read side of a store, observed through `mtc-obs`, as `write_path.rs`
 //! observes the write side: a recovery is spanned stage by stage — the log
-//! scan, the checkpoint chain, the snapshot's decode — once each, a sixteenth
+//! scan, the checkpoint file's read, the snapshot's decode — once each, a sixteenth
 //! of the log's records have their decode timed, and recording changes
 //! nothing that is recovered. The counters and the switch are process-wide,
 //! so every test here holds the `with_enabled` lock (and flushes its thread's
@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 const STAGES: [&str; 3] = [
     "store.recover.log",
-    "store.recover.chain",
+    "store.recover.read",
     "store.recover.snapshot",
 ];
 const TXNS: u64 = 479;

@@ -29,11 +29,7 @@ fn record(dir: &Path, checkpoints: &[u64]) -> (Vec<PathBuf>, String) {
         level: IsolationLevel::Serializability,
         num_keys: 2,
     };
-    // A full file at every checkpoint: the one rewritten below is then
-    // nobody's delta base.
-    let mut store = MtcStore::create(dir, &meta)
-        .unwrap()
-        .with_rebase_interval(1);
+    let mut store = MtcStore::create(dir, &meta).unwrap();
     let mut checker =
         IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
     let mut files = Vec::new();

@@ -15,10 +15,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const CHECKPOINTS: u64 = 12;
-const STAGES: [&str; 5] = [
+const STAGES: [&str; 4] = [
     "store.checkpoint.sync",
     "store.checkpoint.encode",
-    "store.checkpoint.delta",
     "store.checkpoint.write",
     "store.checkpoint.prune",
 ];
@@ -37,8 +36,8 @@ fn read_bytes() -> u64 {
 }
 
 /// Records 40 read-modify-write transactions before each of
-/// [`CHECKPOINTS`] checkpoints into a fresh store at `dir`, at the default
-/// cadence (keep 3, rebase every 4th).
+/// [`CHECKPOINTS`] checkpoints into a fresh store at `dir`, keeping the
+/// default 3.
 fn run_store(dir: &Path) -> MtcStore {
     let meta = StreamMeta {
         level: IsolationLevel::Serializability,
@@ -94,24 +93,20 @@ fn twelve_checkpoints_read_nothing_back() {
     );
     drop(store);
 
-    // The counter does count: the directory-driven prune reads header
-    // frames, and only those; recovery reads the payloads.
-    let on_disk: u64 = files(&dir)
-        .iter()
-        .filter(|(name, _)| name.starts_with("checkpoint-"))
-        .map(|(_, bytes)| bytes.len() as u64)
-        .sum();
+    // The directory-driven prune goes by names and reads nothing either;
+    // the counter does count: recovery reads the newest file, whole.
     let before = read_bytes();
     assert_eq!(prune_checkpoints(&dir, 3).unwrap(), 0);
-    let headers = read_bytes() - before;
-    assert!(
-        headers > 0 && headers < 1024 && headers < on_disk / 4,
-        "prune read {headers} of {on_disk} bytes"
+    assert_eq!(
+        read_bytes() - before,
+        0,
+        "prune must not read checkpoint files"
     );
+    let newest = files(&dir)[&format!("checkpoint-{:012}.mtcck", CHECKPOINTS * 40)].len();
     let before = read_bytes();
     let (consumed, _) = latest_checkpoint(&dir).unwrap().unwrap();
     assert_eq!(consumed, CHECKPOINTS * 40);
-    assert!(read_bytes() - before > headers);
+    assert_eq!(read_bytes() - before, newest as u64);
     mtc_obs::flush_spans();
     let _ = fs::remove_dir_all(&dir);
 }
@@ -143,11 +138,6 @@ fn stages_are_spanned_once_per_checkpoint_and_files_do_not_depend_on_recording()
         "the total keeps its own histogram"
     );
     let (off, on) = (files(&off_dir), files(&on_dir));
-    assert!(
-        off.keys().any(|name| name.ends_with(".mtcckd")),
-        "the cadence must write deltas: {:?}",
-        off.keys()
-    );
     assert!(off == on, "recording changed the files on disk");
     let _ = fs::remove_dir_all(&off_dir);
     let _ = fs::remove_dir_all(&on_dir);
