@@ -807,8 +807,9 @@ impl_tuple! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
-/// A map is an array of `[key, value]` pairs in iteration order — and that
-/// order is the order on disk.
+/// A map is an array of `[key, value]` pairs in key order: a `BTreeMap`
+/// iterates in it, a `HashMap` is sorted into it, so the bytes of a map
+/// depend on its entries alone, never on its capacity or insertion history.
 fn emit_pairs<'a, K, V, E>(len: usize, pairs: impl Iterator<Item = (&'a K, &'a V)>, out: &mut E)
 where
     K: Serialize + 'a,
@@ -822,9 +823,12 @@ where
     out.end_array();
 }
 
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
+impl<K: Serialize + Ord, V: Serialize, S> Serialize for HashMap<K, V, S> {
     fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
-        emit_pairs(self.len(), self.iter(), out);
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        // Keys are unique: an unstable sort is a total order here.
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        emit_pairs(pairs.len(), pairs.into_iter(), out);
     }
 }
 

@@ -2,7 +2,8 @@
 //! impls support. The literals were written against the tree-returning
 //! `Serialize` of PR 21 and have not moved: whatever a type's `emit` sends to
 //! a sink, the tree built from it is the tree the old derive built — and the
-//! bytes streamed straight out are the bytes of that tree.
+//! bytes streamed straight out are the bytes of that tree. One rule moved
+//! since: a `HashMap` is written in key order, not in its iteration order.
 
 use serde::{Deserialize, JsonValue, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -189,10 +190,9 @@ fn containers_nest() {
 }
 
 #[test]
-fn maps_are_arrays_of_pairs_in_iteration_order() {
+fn maps_are_arrays_of_pairs_in_key_order() {
     let maps = Maps {
-        // One entry: a `HashMap`'s iteration order is its own business.
-        hashed: HashMap::from([(3, Newtype(30))]),
+        hashed: HashMap::from([(3, Newtype(30)), (1, Newtype(10))]),
         ordered: BTreeMap::from([("b".to_string(), vec![2]), ("a".to_string(), vec![])]),
         took: Duration::new(2, 500),
         ratio: -0.25,
@@ -201,7 +201,10 @@ fn maps_are_arrays_of_pairs_in_iteration_order() {
     holds(
         &maps,
         obj(vec![
-            ("hashed", arr(vec![arr(vec![U64(3), U64(30)])])),
+            (
+                "hashed",
+                arr(vec![arr(vec![U64(1), U64(10)]), arr(vec![U64(3), U64(30)])]),
+            ),
             (
                 "ordered",
                 arr(vec![
@@ -214,14 +217,22 @@ fn maps_are_arrays_of_pairs_in_iteration_order() {
             ("initial", s("é")),
         ]),
     );
-    // Several entries: whatever order the map iterates in is the order
-    // written, streamed or not.
-    let many: HashMap<u32, String> = (0..40).map(|i| (i, format!("v{i}"))).collect();
-    let expected = arr(many
-        .iter()
-        .map(|(k, v)| arr(vec![U64(u64::from(*k)), s(v)]))
+    // Several entries: one byte string, whatever order they went in, however
+    // large the table, and the one a `BTreeMap` of them writes.
+    let entry = |i: u32| (i, format!("v{i}"));
+    let upward: HashMap<u32, String> = (0..40).map(entry).collect();
+    let mut downward: HashMap<u32, String> = HashMap::with_capacity(1_000);
+    downward.extend((0..40).rev().map(entry));
+    let ordered: BTreeMap<u32, String> = (0..40).map(entry).collect();
+    let expected = arr((0..40u64)
+        .map(|i| arr(vec![U64(i), s(&format!("v{i}"))]))
         .collect());
-    holds(&many, expected);
+    holds(&upward, expected.clone());
+    holds(&downward, expected.clone());
+    holds(&ordered, expected);
+    let bytes = mtc_store::to_bytes(&upward);
+    assert_eq!(mtc_store::to_bytes(&downward), bytes);
+    assert_eq!(mtc_store::to_bytes(&ordered), bytes);
 }
 
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

@@ -203,17 +203,16 @@ impl IncrementalChecker {
     pub fn checkpoint(&self) -> CheckerSnapshot {
         CheckerSnapshot {
             version: SNAPSHOT_VERSION,
-            shards: 1,
             engine: self.engine.clone(),
-            keys: vec![self.keys.clone()],
+            keys: self.keys.clone(),
         }
     }
 
-    /// Reconstructs a checker from a snapshot. A snapshot written by a
-    /// build that still had a worker pool holds one key-disjoint key state
-    /// per worker; they are merged. The resumed checker continues exactly
-    /// where the snapshot stopped: feeding it the remaining stream yields a
-    /// verdict bit-identical to the uninterrupted run's.
+    /// Reconstructs a checker from a snapshot. The resumed checker
+    /// continues exactly where the snapshot stopped: feeding it the
+    /// remaining stream yields a verdict bit-identical to the uninterrupted
+    /// run's, and its [`IncrementalChecker::checkpoint`] right away encodes
+    /// to the bytes it was resumed from.
     pub fn resume(snapshot: CheckerSnapshot) -> Self {
         let CheckerSnapshot {
             mut engine, keys, ..
@@ -221,7 +220,7 @@ impl IncrementalChecker {
         engine.graph.rebuild_index();
         IncrementalChecker {
             engine,
-            keys: KeyState::merge(keys),
+            keys,
             found: Findings::default(),
             published: OrderStats::default(),
         }

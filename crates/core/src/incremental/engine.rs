@@ -62,12 +62,8 @@ pub(super) struct Engine {
     /// Owner of each topological-order node, for cycle splicing.
     pub(super) node_owner: Vec<NodeOwner>,
     /// Last *committed* transaction of each session: the source of the
-    /// session's next `SO` edge, which skips aborted attempts. The flag is
-    /// always `true` now and stays only because snapshots carry it: one
-    /// written before aborted attempts were skipped may hold `(_, false)`,
-    /// and the first commit of that session after a resume then gets no
-    /// `SO` edge, as it did in the build that wrote the snapshot.
-    pub(super) sessions: Vec<Option<(TxnId, bool)>>,
+    /// session's next `SO` edge, which skips aborted attempts.
+    pub(super) sessions: Vec<Option<TxnId>>,
     /// Stream metadata of every resident (unpruned) transaction.
     pub(super) live_txns: BTreeMap<TxnId, TxnMeta>,
     /// Settled-prefix GC policy; `None` disables collection.
@@ -91,7 +87,6 @@ pub(super) struct Engine {
     pub(super) time_scratch: Vec<(usize, usize)>,
     pub(super) has_init: bool,
     pub(super) txn_count: usize,
-    pub(super) committed_count: usize,
     pub(super) violation: Option<Violation>,
     pub(super) error: Option<CheckError>,
     pub(super) violated_at: Option<TxnId>,
@@ -121,7 +116,6 @@ impl Engine {
             time_scratch: Vec::new(),
             has_init: false,
             txn_count: 0,
-            committed_count: 0,
             violation: None,
             error: None,
             violated_at: None,
@@ -223,7 +217,6 @@ impl Engine {
         };
         if is_init {
             self.has_init = true;
-            self.committed_count += 1;
             return admitted;
         }
         if self.opts.validate_mt {
@@ -232,7 +225,6 @@ impl Engine {
             }
         }
         if txn.status == TxnStatus::Committed {
-            self.committed_count += 1;
             if self.opts.prescan_intra {
                 if let Some(v) = local_intra_scan(id, txn) {
                     keep_lowest(&mut found.intra, 0, v);
@@ -245,10 +237,9 @@ impl Engine {
                 while self.sessions.len() <= s {
                     self.sessions.push(None);
                 }
-                admitted.so = match self.sessions[s].replace((id, true)) {
-                    Some((p, committed)) => committed.then_some(p),
-                    None => self.has_init.then_some(TxnId(0)),
-                };
+                admitted.so = self.sessions[s]
+                    .replace(id)
+                    .or(self.has_init.then_some(TxnId(0)));
             }
         }
         admitted
@@ -262,13 +253,8 @@ impl Engine {
     pub(super) fn settle(&mut self, at: TxnId, admitted: Admitted, found: &mut Findings) {
         let (error, intra) = (found.error.take(), found.intra.take());
         let mut divergence = found.divergence.take();
-        // Pinned accident: while edges were sorted as tagged events, the
-        // first edge `derive` discovered tied with `SO` and sorted before
-        // the time hooks if its key had rank 0 — and only then. Snapshot
-        // bytes (adjacency order) and SSER certificates depend on it.
-        let hooks_wait = admitted.so.is_some() && found.edges.first().is_some_and(|e| e.0 == 0);
         found.edges.sort_by_key(|e| e.0); // stable: discovery order within a key
-        let mut edges = found.edges.drain(..).map(|(_, e)| e);
+        let edges = found.edges.drain(..).map(|(_, e)| e);
         if let Some((_, e)) = error {
             self.error = Some(e);
             return;
@@ -286,9 +272,6 @@ impl Engine {
         if let Some(from) = admitted.so {
             let kind = EdgeKind::So;
             self.insert(at, Edge { from, to: at, kind });
-        }
-        for edge in edges.by_ref().take(usize::from(hooks_wait)) {
-            self.insert(at, edge);
         }
         if let Some(anchors) = admitted.hooks {
             self.hook(at, anchors);

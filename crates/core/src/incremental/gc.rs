@@ -172,8 +172,7 @@ impl Engine {
         // (plus the ordered list for iteration): the closure loop below
         // tests and clears membership per predecessor walk, and bitmaps
         // make those index arithmetic instead of hash probes.
-        let keep_sessions: FastHashSet<TxnId> =
-            self.sessions.iter().flatten().map(|&(t, _)| t).collect();
+        let keep_sessions: FastHashSet<TxnId> = self.sessions.iter().flatten().copied().collect();
         let mut cand_list: Vec<TxnId> = self
             .live_txns
             .range(..watermark)

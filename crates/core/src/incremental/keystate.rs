@@ -1,8 +1,8 @@
 //! Per-key state of the streaming checker: the provenance indexes every
 //! dependency edge is derived from, the decomposition of a transaction into
-//! per-key work, and the settled-prefix sweep. Every index is keyed by key,
-//! so key-disjoint states merge by union ([`KeyState::merge`]) — which is
-//! how a snapshot written by a build that spread them over workers loads.
+//! per-key work, and the settled-prefix sweep. A snapshot writes each index
+//! in key order, so how the maps lay their entries out in memory is never
+//! part of the format.
 
 use super::gc::Eviction;
 use super::{keep_lowest, Findings};
@@ -70,10 +70,6 @@ pub(super) struct KeyState {
     /// version a well-behaved new reader is expected to observe. Stale
     /// versions (anything else, once old enough) are GC candidates.
     pub(super) latest: FastHashMap<Key, Value>,
-    /// Value of the version `(writer, key)` points at in `readers_of` —
-    /// the reverse index the GC uses to retire `readers_of` entries
-    /// together with their version.
-    pub(super) version_of: FastHashMap<(TxnId, Key), Value>,
     /// Explicit eviction markers: per `(writer, key)` version, how many
     /// reader entries the GC's reader-list cap has dropped (see
     /// [`GcPolicy`]'s reader-cap contract). Empty unless a cap is set.
@@ -252,7 +248,6 @@ impl KeyState {
                 if is_last {
                     if reg.committed_last.is_none() {
                         reg.committed_last = Some(id);
-                        self.version_of.insert((id, key), value);
                     }
                     self.latest.insert(key, value);
                 } else if reg.committed_intermediate.is_none() {
@@ -468,7 +463,7 @@ impl KeyState {
     pub(super) fn sweep(&mut self, watermark: TxnId, reader_cap: usize) {
         let latest = &self.latest;
         let pending = &self.pending;
-        let mut dropped: Vec<(TxnId, Key)> = Vec::new();
+        let mut dropped: HashSet<(TxnId, Key)> = HashSet::new();
         self.writes.retain(|&(key, value), reg| {
             let is_latest = latest.get(&key) == Some(&value);
             let ids = [
@@ -482,14 +477,10 @@ impl KeyState {
                 return true;
             }
             if let Some(w) = reg.committed_last {
-                dropped.push((w, key));
+                dropped.insert((w, key));
             }
             false
         });
-        for wk in &dropped {
-            self.version_of.remove(wk);
-        }
-        let dropped: HashSet<(TxnId, Key)> = dropped.into_iter().collect();
         self.readers_of.retain(|wk, _| !dropped.contains(wk));
         // Eviction markers are deliberately *not* dropped with their
         // version: the RW edges lost to an eviction stay lost even after
@@ -550,22 +541,6 @@ impl KeyState {
             refs.extend(waiters.iter().map(|p| p.txn));
         }
         refs
-    }
-
-    /// Merges key-disjoint states into one: the resume path of a snapshot
-    /// that carries more than one (see the module docs).
-    pub(super) fn merge(states: Vec<KeyState>) -> KeyState {
-        let mut out = KeyState::default();
-        for s in states {
-            out.writes.extend(s.writes);
-            out.readers_of.extend(s.readers_of);
-            out.first_reader_writer.extend(s.first_reader_writer);
-            out.pending.extend(s.pending);
-            out.latest.extend(s.latest);
-            out.version_of.extend(s.version_of);
-            out.evicted.extend(s.evicted);
-        }
-        out
     }
 
     /// The eviction markers of this state, sorted for determinism.

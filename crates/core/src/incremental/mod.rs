@@ -53,14 +53,9 @@
 //! 5. at SI with `skip_divergence_early_exit`, the DIVERGENCE of step 3 only
 //!    now, if nothing latched.
 //!
-//! One exception in step 4 is pinned: when there is an `SO` edge and the
-//! first edge `derive` discovered (waiter resolutions of all keys precede
-//! own reads of all keys) belongs to key rank 0, that one edge goes before
-//! the hooks. It is what the `(pass, key_rank, seq)` sort of the former
-//! event list happened to do on a tie, almost every transaction of a live
-//! run hits it, and the order decides adjacency order — hence every later
-//! certificate and every snapshot byte (`tests/streaming_verdict_fixture.rs`
-//! and `mtc-store`'s `store_differential.rs` hold it).
+//! The order decides adjacency order — hence every later certificate and
+//! every snapshot byte (`tests/streaming_verdict_fixture.rs` and
+//! `mtc-store`'s `store_differential.rs` hold it).
 //!
 //! ## What allocates
 //!

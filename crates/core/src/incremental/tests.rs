@@ -623,7 +623,7 @@ fn gc_keeps_session_frontier_and_init_resident() {
     // resident: both can still source edges.
     assert!(gc.engine.live_txns.contains_key(&TxnId(0)));
     for last in gc.engine.sessions.iter().flatten() {
-        assert!(gc.engine.live_txns.contains_key(&last.0));
+        assert!(gc.engine.live_txns.contains_key(last));
     }
     assert!(gc.finish().unwrap().is_satisfied());
 }
@@ -836,15 +836,16 @@ fn time_hooks_of_a_commit_without_so_come_first() {
 }
 
 #[test]
-fn time_hooks_wait_for_so_and_the_first_edge_of_key_zero() {
-    // Same session as the second commit: `SO`, then the `WR` its key-0 read
-    // resolves to — the pinned position — then the hooks; `WW` comes late.
+fn time_hooks_come_right_after_so() {
+    // Same session as the second commit: `SO`, then the hooks, which latch
+    // before any of the commit's key edges reaches the graph.
     let checker = hooked_after(1);
     let (from, to) = (TxnId(1), TxnId(2));
     let settled: Vec<Edge> = checker.graph().out_edges(from).copied().collect();
-    let edge = |kind| Edge { from, to, kind };
-    assert_eq!(
-        settled,
-        [edge(EdgeKind::So), edge(EdgeKind::Wr(0u64.into()))]
-    );
+    let so = Edge {
+        from,
+        to,
+        kind: EdgeKind::So,
+    };
+    assert_eq!(settled, [so]);
 }

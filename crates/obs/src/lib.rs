@@ -79,6 +79,9 @@ pub mod test_support {
 
     impl Drop for EnabledGuard {
         fn drop(&mut self) {
+            // Spans this thread timed under the guard land now, not when the
+            // thread exits inside the next holder's window.
+            crate::flush_spans();
             crate::set_enabled(self.was);
         }
     }

@@ -1,8 +1,10 @@
 //! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
-//! is the uninterrupted run's either way. (The committed `snapshot-v4-*`
-//! fixtures, version 4 all of them, keep resuming: `store_differential.rs`.)
+//! is the uninterrupted run's either way. (The committed `snapshot-v5-*`
+//! fixtures, of this build's version, keep resuming: `store_differential.rs`;
+//! a store a version-4 build wrote recovers by replaying its whole log:
+//! `tests/parent_written_deltas.rs`.)
 
 use mtc_core::{IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId};

@@ -6,9 +6,11 @@
 //! bit-identical to the uninterrupted in-memory run, at every isolation
 //! level.
 
-use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
+use mtc_core::{CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
-use mtc_store::{read_checkpoint, recover, write_checkpoint, MtcStore, StreamMeta};
+use mtc_store::{
+    from_bytes, read_checkpoint, recover, to_bytes, write_checkpoint, MtcStore, StreamMeta,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -185,104 +187,125 @@ fn fixture_stream() -> Vec<Transaction> {
     )
 }
 
-/// The committed snapshot of the fixture prefix at `level`, by writer: `""`
-/// is the one this build writes, `"-pr13"` the one the PR 13 build wrote,
-/// `"-3shards"` the one the PR 17 build's 3-worker pool wrote.
-fn fixture_path(level: IsolationLevel, writer: &str) -> PathBuf {
-    let level = match level {
+/// The committed snapshot of the fixture prefix at `level`.
+fn fixture_path(level: IsolationLevel) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(format!("snapshot-v5-{}.mtcck", level_name(level)))
+}
+
+fn level_name(level: IsolationLevel) -> &'static str {
+    match level {
         IsolationLevel::Serializability => "ser",
         IsolationLevel::SnapshotIsolation => "si",
         IsolationLevel::StrictSerializability => "sser",
-    };
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data")
-        .join(format!("snapshot-v4-{level}{writer}.mtcck"))
+    }
 }
 
-/// The `-pr13` files under `tests/data/` were written by the build *before*
-/// the streaming engine was split into modules. Decoding them pins the
-/// `CheckerSnapshot` wire format: a refactor that renames, reorders or
-/// drops a serialized field fails here instead of on somebody's disk.
+/// The `snapshot-v5-*` files under `tests/data/` pin the `CheckerSnapshot`
+/// format from both sides: this build writes, for the fixture prefix, the
+/// very bytes committed there, and reads them back into a checker that
+/// finishes the stream with the uninterrupted run's verdict. A refactor that
+/// renames, reorders or drops a serialized field fails here instead of on
+/// somebody's disk.
 ///
-/// Their *content* is one `SO` edge short of what this build holds for the
-/// same prefix: transaction 60 of the stream is an aborted attempt, and until
-/// PR 17 an aborted attempt cut its session's order instead of being skipped.
-/// The verdicts they resume to are the uninterrupted run's all the same. The
-/// encoder side is therefore pinned on a second set of files, written by the
-/// PR 17 build from the same prefix (`write_checkpoint` of
-/// `prefix.checkpoint()` below, copied into `tests/data/`).
-///
-/// The `-3shards` files are the last thing the worker pool wrote before it
-/// was deleted: the PR 17 build's pooled checker with three workers, fed
-/// the same prefix as a chunk of 7 and then chunks of 8 (`⊥T` is
-/// transaction 0, so every chunk ends on a multiple of 8 and the pool, which
-/// swept at chunk ends, swept where `push` does). Each carries three
-/// key-disjoint key states: the only real pool output `KeyState::merge` is
-/// held to.
+/// A change that moves snapshot bytes on purpose bumps `SNAPSHOT_VERSION`
+/// and regenerates: the failing check writes this build's file under
+/// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture.
 #[test]
-fn parent_written_snapshots_resume_to_the_uninterrupted_verdict() {
+fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
     for level in [
         IsolationLevel::Serializability,
         IsolationLevel::SnapshotIsolation,
         IsolationLevel::StrictSerializability,
     ] {
-        let mut whole = IncrementalChecker::new(level)
-            .with_init_keys(0..FIXTURE_KEYS)
-            .with_gc(FIXTURE_GC);
+        let checker = || {
+            IncrementalChecker::new(level)
+                .with_init_keys(0..FIXTURE_KEYS)
+                .with_gc(FIXTURE_GC)
+        };
+        let mut whole = checker();
         for t in &txns {
             let _ = whole.push(t.clone());
         }
         let expected_first = whole.first_violation_at();
         let expected = format!("{:?}", whole.finish());
 
-        // The encoder side of the format: this build writes, for the same
-        // prefix, the very bytes the PR 17 build wrote.
-        let mut prefix = IncrementalChecker::new(level)
-            .with_init_keys(0..FIXTURE_KEYS)
-            .with_gc(FIXTURE_GC);
+        // The encoder side.
+        let mut prefix = checker();
         for t in &txns[..FIXTURE_CUT] {
             let _ = prefix.push(t.clone());
         }
-        let dir = tmpdir(level as u64);
-        let rewritten = write_checkpoint(&dir, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
-        assert_eq!(
-            std::fs::read(rewritten).unwrap(),
-            std::fs::read(fixture_path(level, "")).unwrap(),
-            "{level}: snapshot bytes changed"
+        let written = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("snapshot-v5-{}", level_name(level)));
+        let written = write_checkpoint(&written, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
+        assert!(
+            std::fs::read(fixture_path(level)).ok() == Some(std::fs::read(&written).unwrap()),
+            "{level}: snapshot bytes changed; this build wrote {}",
+            written.display()
         );
-        let _ = std::fs::remove_dir_all(&dir);
-        let tail = &txns[FIXTURE_CUT..];
 
-        for (writer, key_states) in [("-pr13", 1), ("", 1), ("-3shards", 3)] {
-            let (consumed, snapshot) = read_checkpoint(fixture_path(level, writer)).unwrap();
-            assert_eq!(consumed, FIXTURE_CUT as u64);
-            assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
-            assert_eq!(snapshot.level(), level);
-            assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
-            assert_eq!(snapshot.shards(), key_states, "{level}{writer}");
-            let evictions = snapshot.reader_evictions();
-            assert!(
-                !evictions.is_empty(),
-                "{level}{writer}: the fixture must carry eviction markers"
-            );
-
-            let mut resumed = IncrementalChecker::resume(snapshot);
-            assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
-            assert_eq!(resumed.reader_evictions(), evictions, "{level}{writer}");
-            for t in tail {
-                let _ = resumed.push(t.clone());
-            }
-            assert_eq!(
-                resumed.first_violation_at(),
-                expected_first,
-                "{level}{writer}"
-            );
-            assert_eq!(
-                format!("{:?}", resumed.finish()),
-                expected,
-                "{level}{writer}"
-            );
+        // The decoder side.
+        let (consumed, snapshot) = read_checkpoint(fixture_path(level)).unwrap();
+        assert_eq!(consumed, FIXTURE_CUT as u64);
+        assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
+        assert_eq!(snapshot.level(), level);
+        assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
+        let evictions = snapshot.reader_evictions();
+        assert!(
+            !evictions.is_empty(),
+            "{level}: the fixture must carry eviction markers"
+        );
+        let mut resumed = IncrementalChecker::resume(snapshot);
+        assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
+        assert_eq!(resumed.reader_evictions(), evictions, "{level}");
+        for t in &txns[FIXTURE_CUT..] {
+            let _ = resumed.push(t.clone());
         }
+        assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
+        assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
+    }
+}
+
+/// A snapshot's bytes are a function of the checker's state: a checker
+/// resumed from a checkpoint writes that checkpoint back byte for byte, at
+/// every point of a long, GC'd stream — however differently the decoded maps
+/// were filled from the ones that wrote them.
+#[test]
+fn resumed_checkpoints_reencode_to_their_own_bytes() {
+    const KEYS: u64 = 50;
+    let picks: Vec<(u64, u64, u64)> = (0..600u64)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 7, i, 1))
+        .collect();
+    let txns = build_stream(&picks, KEYS, 4, None, None, None, None);
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        let mut checker = IncrementalChecker::new(level)
+            .with_init_keys(0..KEYS)
+            .with_gc(GcPolicy::clamped(64, 16));
+        let mut differ = Vec::new();
+        let mut checkpoints = 0;
+        for (i, t) in (1..).zip(&txns) {
+            let _ = checker.push(t.clone());
+            if i % 50 != 0 {
+                continue;
+            }
+            checkpoints += 1;
+            let bytes = to_bytes(&checker.checkpoint());
+            let back: CheckerSnapshot = from_bytes(&bytes).unwrap();
+            if to_bytes(&IncrementalChecker::resume(back).checkpoint()) != bytes {
+                differ.push(i);
+            }
+        }
+        assert_eq!(checkpoints, 12);
+        assert!(checker.violation().is_none(), "{level}: a clean stream");
+        assert!(
+            differ.is_empty(),
+            "{level}: the checkpoints after pushes {differ:?} re-encode to other bytes"
+        );
     }
 }

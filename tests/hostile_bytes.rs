@@ -223,13 +223,10 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     // Checker snapshots: the payload frame of each committed checkpoint,
     // through `from_bytes` and — in its file, behind its header — through
     // `latest_checkpoint`; then the header frame itself.
-    for (n, name) in ["ser", "si", "sser", "ser-pr13", "si-3shards"]
-        .iter()
-        .enumerate()
-    {
+    for (n, name) in ["ser", "si", "sser"].iter().enumerate() {
         let file = format!("checkpoint-{:012}.mtcck", 200);
         let frames = frames_of(&fixture(&format!(
-            "crates/store/tests/data/snapshot-v4-{name}.mtcck"
+            "crates/store/tests/data/snapshot-v5-{name}.mtcck"
         )));
         let [header, payload] = frames.as_slice() else {
             panic!("{name}: a checkpoint file is two frames");

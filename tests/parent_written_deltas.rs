@@ -4,10 +4,12 @@
 //! 40 — a full snapshot at 40, deltas at 80, 120 and 160 — and, in
 //! `resumed.txt`, what that build's `resume_verification` returned for it.
 //!
-//! This build writes and reads full snapshots only. Over that directory it
-//! must never parse a delta file, resume from the full snapshot at 40 with a
-//! longer replay of the log, reach the verdict the old build reached, and —
-//! as the directory's writer — prune the delta files away.
+//! This build writes and reads full snapshots only, and of a newer
+//! `SNAPSHOT_VERSION` (5) than the full snapshot at 40 (4). Over that
+//! directory it must never parse a delta file, refuse the version-4 snapshot
+//! with an error (not a panic), replay the whole log instead, reach the
+//! verdict the old build reached, and — as the directory's writer — prune
+//! the delta files away. Segments are never pruned, so nothing is lost.
 //!
 //! To regenerate (only a build that still writes deltas can): check that
 //! build out, copy this file into its `tests/`, run
@@ -20,7 +22,7 @@
 use mtc::core::{IncrementalChecker, IsolationLevel};
 use mtc::history::{Op, SessionId, Transaction, TxnId};
 use mtc::runner::resume_verification;
-use mtc::store::{latest_checkpoint, recover, MtcStore, StreamMeta};
+use mtc::store::{latest_checkpoint, read_checkpoint, recover, MtcStore, StreamMeta};
 use mtc_obs::test_support::with_enabled;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -138,20 +140,17 @@ fn the_fixture_is_a_delta_chain_on_a_full_snapshot() {
 }
 
 #[test]
-fn recovery_passes_over_the_deltas_to_the_full_snapshot() {
+fn recovery_passes_over_the_deltas_and_the_v4_snapshot_to_a_full_replay() {
     let _off = with_enabled(false);
     let dir = copy_of_fixture("recover");
-    let (consumed, snapshot) = latest_checkpoint(&dir).unwrap().unwrap();
-    assert_eq!(consumed, 40);
-    assert_eq!(
-        snapshot.txn_count(),
-        41,
-        "40 transactions and the initial one"
-    );
+    let refused = read_checkpoint(dir.join("checkpoint-000000000040.mtcck"));
+    assert!(refused.is_err(), "a version-4 snapshot: {refused:?}");
+    assert!(latest_checkpoint(&dir).unwrap().is_none());
     let recovery = recover(&dir).unwrap();
-    assert_eq!(recovery.resume_from, 40);
+    assert!(recovery.snapshot.is_none());
+    assert_eq!(recovery.resume_from, 0);
     assert_eq!(recovery.txns, stream());
-    assert_eq!(recovery.tail().len(), 140);
+    assert_eq!(recovery.tail().len(), 180);
     assert!(!recovery.torn_tail);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -162,7 +161,7 @@ fn resuming_reaches_the_verdict_the_delta_build_reached() {
     let dir = copy_of_fixture("resume");
     let parent = fs::read_to_string(dir.join("resumed.txt")).unwrap();
     let this = resumed_as_text(&dir);
-    assert_eq!(line(&this, "resumed_from"), "resumed_from 40");
+    assert_eq!(line(&this, "resumed_from"), "resumed_from 0");
     assert_eq!(line(&this, "logged_txns"), line(&parent, "logged_txns"));
     assert_eq!(line(&this, "verdict"), line(&parent, "verdict"));
     assert!(
@@ -184,7 +183,7 @@ fn the_writer_prunes_the_deltas_away() {
         !stale.exists(),
         "open_append deletes every checkpoint-*.tmp"
     );
-    assert_eq!(recovery.resume_from, 40);
+    assert_eq!(recovery.resume_from, 0);
     let mut checker = recovery.resume();
     let t = Transaction::committed(TxnId(0), SessionId(0), vec![Op::read(0u64, TXNS - 3)])
         .with_times(10 * TXNS + 1, 10 * TXNS + 5);
@@ -227,11 +226,10 @@ fn a_garbage_delta_and_a_torn_full_file_are_passed_over_unread() {
             .get()
     };
     let before = read();
-    let (consumed, _) = latest_checkpoint(&dir).unwrap().unwrap();
-    assert_eq!(consumed, 40);
-    // The torn file and the full one, whole; not a byte of any delta.
+    assert!(latest_checkpoint(&dir).unwrap().is_none());
+    // The torn file and the version-4 one, whole; not a byte of any delta.
     assert_eq!(read() - before, (torn.len() + full.len()) as u64);
-    assert_eq!(recover(&dir).unwrap().resume_from, 40);
+    assert_eq!(recover(&dir).unwrap().resume_from, 0);
     mtc_obs::flush_spans();
     let _ = fs::remove_dir_all(&dir);
 }

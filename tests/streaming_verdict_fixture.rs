@@ -1,10 +1,11 @@
-//! The streaming checker against a fixture written by the build *before* its
-//! event vocabulary went (PR 18, commit 890a952):
-//! `tests/data/streaming-verdicts-pr18.txt` holds, for the 14-anomaly
+//! The streaming checker against a committed fixture:
+//! `tests/data/streaming-verdicts-v5.txt` holds, for the 14-anomaly
 //! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
 //! at SER / SI / SSER under every combination of `validate_mt`,
 //! `prescan_intra`, `skip_divergence_early_exit`, GC and `⊥T`, and this build
-//! must reproduce the file byte for byte.
+//! must reproduce the file byte for byte. The verdicts and first-violation
+//! indices in it go back to the build before the engine's event vocabulary
+//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 5.
 //!
 //! One line per (stream, level): a CRC over the records of all 32 variants —
 //! a fold of every `push` status, `first_violation_at`, `edge_count`, the
@@ -15,9 +16,18 @@
 //! applied decides which edge closes which cycle and every adjacency list a
 //! snapshot carries, and it is deterministic across processes.
 //!
-//! To regenerate after an *intentional* change of that order: run this test
-//! in a clone of the parent commit with an empty fixture file, and copy
-//! `streaming-verdicts.actual.txt` from the path the failure prints.
+//! To regenerate after an *intentional* change of that order — one that
+//! keeps the snapshot format — run this test in a clone of the parent commit
+//! with an empty fixture file, and copy `streaming-verdicts.actual.txt` from
+//! the path the failure prints.
+//!
+//! A change of the snapshot format (a `SNAPSHOT_VERSION` bump) moves every
+//! snapshot CRC, and a clone of the parent cannot write the new ones. Then
+//! regenerate on the change itself: run this test twice, in two processes,
+//! and check both wrote the same bytes; then diff the clear-text records
+//! against the old file, field by field. Every `pushes=` and `at=` must be
+//! unchanged, and every line whose clear text moved is listed, with why, in
+//! CHANGES.md before the new file replaces the old.
 
 use mtc::core::CheckError;
 use mtc::history::anomalies::AnomalyKind;
@@ -25,7 +35,7 @@ use mtc::history::{History, Op, SessionId, Transaction, TxnId};
 use mtc::store::{crc32, to_bytes};
 use mtc::{CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 
-const FIXTURE: &str = include_str!("data/streaming-verdicts-pr18.txt");
+const FIXTURE: &str = include_str!("data/streaming-verdicts-v5.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -371,7 +381,7 @@ fn streaming_verdicts_match_the_parent_written_fixture() {
         .position(|(a, f)| a != f)
         .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
     panic!(
-        "verdicts differ from tests/data/streaming-verdicts-pr18.txt at line {}; \
+        "verdicts differ from tests/data/streaming-verdicts-v5.txt at line {}; \
          this build's rendering is in {}",
         line + 1,
         path.display()
