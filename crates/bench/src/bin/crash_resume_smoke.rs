@@ -67,8 +67,10 @@ fn child(dir: &str) -> ! {
         &ClientOptions::default(),
         LEVEL,
         &RecordOptions {
-            // Tight cadence: even a slow child (cold page cache, loaded CI
-            // box) writes several checkpoints before the watchdog fires.
+            // A tight floor: the un-GC'd snapshots grow with the stream, so
+            // checkpoints fall further apart each time, but even a slow child
+            // (cold page cache, loaded CI box) writes several before the
+            // watchdog fires.
             checkpoint_every: 16,
             stop_on_violation: false,
             gc: None,
@@ -100,9 +102,9 @@ fn main() {
         .expect("spawn recorder child");
     println!("recorder child exited with {status} (kill expected)");
 
-    // The checkpoint cadence (every 16 txns over a multi-second workload)
-    // guarantees several checkpoints before the 500 ms watchdog fires, and
-    // the store keeps the newest three: recovery must choose among them.
+    // The checkpoint floor (16 txns over a multi-second workload) gives
+    // several checkpoints before the 500 ms watchdog fires, and the store
+    // keeps the newest three: recovery must choose among them.
     let checkpoints = std::fs::read_dir(&dir)
         .map(|entries| {
             entries

@@ -18,9 +18,7 @@
 //! per-session renumbering of the final [`History`](mtc_history::History).
 
 use crate::session::{Observer, TxnRecord};
-use mtc_core::{
-    CheckError, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, Verdict, Violation,
-};
+use mtc_core::{CheckError, GcPolicy, IncrementalChecker, IsolationLevel, Verdict, Violation};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::MtcStore;
 use parking_lot::Mutex;
@@ -37,12 +35,15 @@ pub struct LiveVerifier {
 
 /// The write-ahead persistence sink of a live verifier: every recorded
 /// transaction is appended to an [`MtcStore`] log *before* the checker
-/// consumes it, and the checker is snapshotted into a checkpoint file every
-/// `checkpoint_every` recorded transactions.
+/// consumes it. Every `checkpoint_every` recorded transactions — the floor —
+/// the sink snapshots the checker into a checkpoint file if the store says
+/// one is due ([`MtcStore::checkpoint_due`]: the log since the newest
+/// checkpoint has grown to its size), and otherwise fsyncs the log, so the
+/// log is fsynced at every floor either way.
 struct StoreSink {
     store: MtcStore,
     checkpoint_every: usize,
-    since_checkpoint: usize,
+    since_floor: usize,
     error: Option<String>,
     /// Per-sink WAL append latency, owned rather than registered — tenants
     /// come and go, and the daemon surfaces this through `TenantStatus`.
@@ -62,7 +63,7 @@ impl StoreSink {
         StoreSink {
             store,
             checkpoint_every: checkpoint_every.max(1),
-            since_checkpoint: 0,
+            since_floor: 0,
             error: None,
             append_hist: mtc_obs::Histogram::new(),
             errors: 0,
@@ -86,20 +87,29 @@ impl StoreSink {
         }
     }
 
-    fn note_recorded(&mut self) -> bool {
-        self.since_checkpoint += 1;
-        self.error.is_none() && self.since_checkpoint >= self.checkpoint_every
-    }
-
-    fn write_checkpoint(&mut self, consumed: u64, snapshot: &CheckerSnapshot) {
-        self.since_checkpoint = 0;
-        if let Err(e) = self.store.checkpoint(consumed, snapshot) {
-            self.error = Some(e.to_string());
-            self.errors += 1;
+    /// Called once `checker` has consumed a recorded transaction, its
+    /// `consumed`-th: at a floor, checkpoints `checker` if one is due and
+    /// fsyncs the log if not.
+    fn recorded(&mut self, consumed: u64, checker: &IncrementalChecker) {
+        self.since_floor += 1;
+        if self.error.is_some() || self.since_floor < self.checkpoint_every {
             return;
         }
-        self.last_checkpoint = Some(Instant::now());
-        self.checkpoints += 1;
+        self.since_floor = 0;
+        let done = if self.store.checkpoint_due() {
+            let written = self.store.checkpoint(consumed, &checker.checkpoint());
+            if written.is_ok() {
+                self.last_checkpoint = Some(Instant::now());
+                self.checkpoints += 1;
+            }
+            written.map(drop)
+        } else {
+            self.store.sync()
+        };
+        if let Err(e) = done {
+            self.error = Some(e.to_string());
+            self.errors += 1;
+        }
     }
 
     fn stats(&self) -> SinkStats {
@@ -110,6 +120,8 @@ impl StoreSink {
                 .last_checkpoint
                 .map(|t| t.elapsed().as_micros() as u64),
             checkpoints: self.checkpoints,
+            log_bytes: self.store.log_bytes(),
+            checkpoint_bytes: self.store.checkpoint_bytes(),
             sink_errors: self.errors,
         }
     }
@@ -130,6 +142,12 @@ pub struct SinkStats {
     pub last_checkpoint_age_micros: Option<u64>,
     /// Checkpoints actually written.
     pub checkpoints: u64,
+    /// Log bytes the sink's store appended (since it was created or opened).
+    pub log_bytes: u64,
+    /// Checkpoint bytes the sink's store wrote. A checkpoint is due once the
+    /// log since the newest one has grown to that one's size, so every
+    /// checkpoint but the newest is paid for by `log_bytes`.
+    pub checkpoint_bytes: u64,
     /// Failed sink operations.
     pub sink_errors: u64,
 }
@@ -226,9 +244,13 @@ impl LiveVerifierBuilder {
     }
 
     /// Attaches a durable write-ahead sink: every recorded transaction is
-    /// appended to `store` *before* the checker consumes it, and a
-    /// checkpoint (a complete [`CheckerSnapshot`]) is written every
-    /// `checkpoint_every` recorded transactions. After a crash,
+    /// appended to `store` *before* the checker consumes it.
+    /// `checkpoint_every` is a floor: every that many recorded transactions
+    /// the log is fsynced, and a checkpoint (a complete
+    /// [`mtc_core::CheckerSnapshot`], whose write fsyncs the log first) is
+    /// written instead if [`MtcStore::checkpoint_due`] — the first floor,
+    /// and then once the log appended since the newest checkpoint has grown
+    /// to that checkpoint's size. After a crash,
     /// [`mtc_store::recover`] + [`IncrementalChecker::resume`] + replay of
     /// the logged tail reproduce the uninterrupted verdict.
     pub fn store(mut self, store: MtcStore, checkpoint_every: usize) -> Self {
@@ -431,11 +453,9 @@ impl LiveVerifier {
             // Domain errors latch inside the checker; surfaced by finish().
             self.violated.store(true, Ordering::Relaxed);
         }
-        if guts.sink.as_mut().is_some_and(StoreSink::note_recorded) {
-            let (consumed, snapshot) = (guts.consumed() as u64, guts.checker.checkpoint());
-            if let Some(sink) = guts.sink.as_mut() {
-                sink.write_checkpoint(consumed, &snapshot);
-            }
+        let consumed = guts.consumed() as u64;
+        if let Some(sink) = guts.sink.as_mut() {
+            sink.recorded(consumed, &guts.checker);
         }
         self.note_latch(&mut inner);
     }

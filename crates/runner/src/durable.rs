@@ -27,7 +27,10 @@ use std::path::Path;
 /// Knobs of a recorded run.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordOptions {
-    /// Checkpoint the checker every this many recorded transactions.
+    /// The checkpoint floor: every this many recorded transactions the log
+    /// is fsynced, or the checker checkpointed instead once the log since the
+    /// newest checkpoint has grown to its size
+    /// ([`mtc_dbsim::LiveVerifierBuilder::store`]).
     pub checkpoint_every: usize,
     /// Stop issuing transactions once a violation latches.
     pub stop_on_violation: bool,

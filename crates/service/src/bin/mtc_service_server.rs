@@ -6,6 +6,10 @@
 //! mtc_service_server --metrics-json --addr HOST:PORT
 //! ```
 //!
+//! `--checkpoint-every N` (default 256) is a floor: every N recorded events
+//! of a tenant its WAL is fsynced, or a checkpoint is written instead once
+//! the log since the newest one has grown to that one's size.
+//!
 //! Prints `listening on <addr>` on stdout once bound (the line the smoke
 //! harnesses scrape), then serves until the process dies. There is no
 //! graceful-shutdown path on purpose: crash-resume from the per-tenant
@@ -31,7 +35,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: mtc_service_server --root DIR [--addr HOST:PORT] [--queue-cap N] \
          [--checkpoint-every N] [--drain-workers N]\n\
-         \u{20}      mtc_service_server --metrics-json --addr HOST:PORT"
+         \u{20}      mtc_service_server --metrics-json --addr HOST:PORT\n\
+         --checkpoint-every N: every N events a tenant's WAL is fsynced, or \
+         checkpointed once the log since the last checkpoint outweighs it (default 256)"
     );
     std::process::exit(2)
 }

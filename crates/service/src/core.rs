@@ -15,17 +15,18 @@
 //!   in either order, which would corrupt session order and the verdict);
 //! * the tenant's [`LiveVerifier`], built *exclusively* through
 //!   [`LiveVerifier::builder`]: settled-prefix GC on, write-ahead
-//!   [`MtcStore`] WAL under `root/<tenant>/` with periodic checkpoints, and
+//!   [`MtcStore`] WAL under `root/<tenant>/` with checkpoints as often as
+//!   the log pays for them, and
 //!   — when the directory already holds a log — resumed from the newest
 //!   checkpoint plus tail replay.
 //!
 //! [`ServiceCore::run_drain`] runs the drain on a fixed set of scoped
 //! threads: each worker sweeps the registry round-robin (offset by its index
 //! so workers spread over tenants) and drains one bounded batch per tenant.
-//! More than one worker earns its place because recording blocks — a
-//! checkpoint is a `write` and a `sync_all` — and a second worker checks
-//! another tenant meanwhile (README, "Verification as a service", has the
-//! numbers).
+//! More than one worker earns its place because recording blocks — every
+//! checkpoint floor is an `fsync` of the log, and now and then a checkpoint
+//! — and a second worker checks another tenant meanwhile, on another core
+//! (README, "Why there is more than one drain thread", has the numbers).
 
 use mtc_core::{GcPolicy, IsolationLevel};
 use mtc_dbsim::{IngestEvent, LiveVerifier, SinkStats};
@@ -62,8 +63,10 @@ pub struct ServiceConfig {
     /// `Backpressure` reply — events are never partially admitted and never
     /// dropped after admission.
     pub queue_cap: usize,
-    /// A checkpoint (full checker snapshot) is written to the tenant's WAL
-    /// every this many recorded events.
+    /// The checkpoint floor, in recorded events: every this many, the
+    /// tenant's WAL is fsynced, or a checkpoint (full checker snapshot) is
+    /// written instead once the log since the newest one has grown to that
+    /// one's size ([`MtcStore::checkpoint_due`]).
     pub checkpoint_every: usize,
     /// Settled-prefix GC policy applied to every tenant's checker, or
     /// `None` to retain the full stream.
@@ -76,8 +79,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults rooted at `root`: 1024-event queues, checkpoint every 256
-    /// events, default GC policy, 2 drain workers, 128-event drain batches.
+    /// Defaults rooted at `root`: 1024-event queues, a checkpoint floor of
+    /// 256 events, default GC policy, 2 drain workers, 128-event drain
+    /// batches.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             root: root.into(),
@@ -95,7 +99,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Replaces the checkpoint cadence.
+    /// Replaces the checkpoint floor (see
+    /// [`ServiceConfig::checkpoint_every`](#structfield.checkpoint_every)).
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.checkpoint_every = every.max(1);
         self
@@ -718,7 +723,8 @@ mod tests {
         assert_eq!(status.checked, summary.checked);
         assert_eq!(status.checked, 11);
         assert_eq!(status.live_txns, 0);
-        // Six events recorded, a checkpoint every four: one, not 11 / 4.
+        // Six events recorded at a floor of four: one checkpoint (a reopened
+        // store's first floor writes one), not 11 / 4.
         assert_eq!(status.checkpoints, 1);
         let _ = std::fs::remove_dir_all(&root);
     }

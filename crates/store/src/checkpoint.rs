@@ -192,11 +192,25 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<(u64, CheckerSnapshot),
 pub fn latest_checkpoint(
     dir: impl AsRef<Path>,
 ) -> Result<Option<(u64, CheckerSnapshot)>, StoreError> {
-    let (full, _) = checkpoint_files(dir.as_ref())?;
+    latest_checkpoint_within(dir.as_ref(), u64::MAX)
+}
+
+/// [`latest_checkpoint`] among the checkpoints that consumed at most `limit`
+/// transactions. A file whose name says it consumed more is not read.
+pub(crate) fn latest_checkpoint_within(
+    dir: &Path,
+    limit: u64,
+) -> Result<Option<(u64, CheckerSnapshot)>, StoreError> {
+    let (full, _) = checkpoint_files(dir)?;
     Ok(full
         .iter()
         .rev()
-        .find_map(|(_, path)| read_checkpoint(path).ok()))
+        .filter(|&&(named, _)| named <= limit)
+        .find_map(|(_, path)| {
+            read_checkpoint(path)
+                .ok()
+                .filter(|&(consumed, _)| consumed <= limit)
+        }))
 }
 
 /// Deletes all but the newest `keep` checkpoints, and every file of another

@@ -37,11 +37,11 @@
 //!   and [`latest_checkpoint`] then degrades to the previous one, or to
 //!   replaying the log from the start — slower, same answer. A checkpoint
 //!   that survives ahead of its log (the log tail lost, the snapshot not)
-//!   is ignored for the same reason.
+//!   is passed over for the same reason, unread, to the newest one the log
+//!   reaches.
 //!
-//! A caller that needs power-loss durability at a finer grain than the
-//! checkpoint cadence calls [`MtcStore::sync`] at that grain and pays one
-//! `fsync` each time.
+//! A caller that needs power-loss durability at a given grain calls
+//! [`MtcStore::sync`] at that grain and pays one `fsync` each time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

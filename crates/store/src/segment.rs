@@ -148,6 +148,8 @@ pub struct LogWriter {
     dict: binval::KeyDict,
     /// The frame being appended, kept between appends for its capacity.
     frame: Vec<u8>,
+    /// Bytes of the record frames this writer appended.
+    appended: u64,
 }
 
 impl std::fmt::Debug for LogWriter {
@@ -192,6 +194,7 @@ impl LogWriter {
             segment_version: LOG_VERSION,
             dict: binval::KeyDict::default(),
             frame: Vec::new(),
+            appended: 0,
         };
         w.append_record(RecordRef::Meta(meta))?;
         Ok(w)
@@ -243,6 +246,7 @@ impl LogWriter {
                     dict
                 },
                 frame: Vec::new(),
+                appended: 0,
             },
             recovered,
         ))
@@ -263,16 +267,24 @@ impl LogWriter {
         Ok(index)
     }
 
-    /// Forces appended records down to the device (`fsync`).
+    /// Bytes of the record frames this writer appended since it was created
+    /// or opened.
+    pub(crate) fn appended_bytes(&self) -> u64 {
+        self.appended
+    }
+
+    /// Forces appended records down to the device (`fsync`). Counted, with
+    /// the `fsync` of every segment rotation, in `store.log_syncs`.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.file.sync_all()?;
+        mtc_obs::counter!("store.log_syncs").inc();
         Ok(())
     }
 
     /// Appends one record as one frame, encoded in place.
     fn append_record(&mut self, record: RecordRef<'_>) -> Result<(), StoreError> {
         if self.written_in_segment >= self.segment_bytes {
-            self.file.sync_all()?;
+            self.sync()?;
             self.segment += 1;
             self.file = open_segment(&self.dir, self.segment, self.next_txn, self.segment_bytes)?;
             self.written_in_segment = 0;
@@ -296,6 +308,7 @@ impl LogWriter {
         }
         self.file.write_all(&self.frame)?;
         self.written_in_segment += self.frame.len();
+        self.appended += self.frame.len() as u64;
         Ok(())
     }
 }

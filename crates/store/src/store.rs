@@ -11,16 +11,18 @@
 //! synced) to the log *before* it is fed to the checker, and checkpoints
 //! record how many logged transactions the snapshotted checker had
 //! consumed. After a crash, [`recover`] loads the newest intact checkpoint
-//! and the logged suffix after it; replaying that suffix into the resumed
+//! the recovered log reaches and the logged suffix after it; replaying that
+//! suffix into the resumed
 //! checker reproduces the uninterrupted verdict. With no usable checkpoint
 //! the whole log replays from scratch — slower, same answer.
 //!
 //! An open [`MtcStore`] is the directory's one writer. Writing a checkpoint
 //! reads nothing back: every checkpoint is a full snapshot, and pruning goes
-//! by file names.
+//! by file names. The store counts the bytes it writes to both, and says
+//! when the next checkpoint is worth them ([`MtcStore::checkpoint_due`]).
 
 use crate::checkpoint::{
-    encode_checkpoint, latest_checkpoint, prune_checkpoints, remove_stale_tmp_files,
+    encode_checkpoint, latest_checkpoint_within, prune_checkpoints, remove_stale_tmp_files,
     write_checkpoint_file,
 };
 use crate::segment::{read_log, LogWriter, StreamMeta};
@@ -38,33 +40,40 @@ pub struct MtcStore {
     dir: PathBuf,
     writer: LogWriter,
     checkpoint_keep: usize,
+    /// Checkpoint bytes this store wrote.
+    checkpoint_bytes: u64,
+    /// The log's [`LogWriter::appended_bytes`] when this store wrote its
+    /// newest checkpoint, and that checkpoint's size; `None` before the
+    /// first.
+    last_checkpoint: Option<(u64, u64)>,
 }
 
 impl MtcStore {
+    fn new(dir: &Path, writer: LogWriter) -> Self {
+        MtcStore {
+            dir: dir.to_path_buf(),
+            writer,
+            checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
+            checkpoint_bytes: 0,
+            last_checkpoint: None,
+        }
+    }
+
     /// Creates a fresh store in `dir` (must not already contain a log).
     pub fn create(dir: impl AsRef<Path>, meta: &StreamMeta) -> Result<Self, StoreError> {
-        Ok(MtcStore {
-            dir: dir.as_ref().to_path_buf(),
-            writer: LogWriter::create(&dir, meta)?,
-            checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
-        })
+        Ok(Self::new(dir.as_ref(), LogWriter::create(&dir, meta)?))
     }
 
     /// Re-opens an existing store for appending, recovering its contents
     /// (torn tail truncated, newest intact checkpoint loaded) and deleting
     /// the temporary file of a checkpoint the previous writer died writing.
+    /// The reopened store has written no checkpoint of its own, so a
+    /// checkpoint is due at once ([`MtcStore::checkpoint_due`]).
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, Recovery), StoreError> {
         let (writer, log) = LogWriter::open_append(&dir)?;
         remove_stale_tmp_files(dir.as_ref())?;
         let recovery = assemble(dir.as_ref(), log.meta, log.txns, log.torn_tail)?;
-        Ok((
-            MtcStore {
-                dir: dir.as_ref().to_path_buf(),
-                writer,
-                checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
-            },
-            recovery,
-        ))
+        Ok((Self::new(dir.as_ref(), writer), recovery))
     }
 
     /// The store directory.
@@ -99,6 +108,33 @@ impl MtcStore {
         self.writer.sync()
     }
 
+    /// Log bytes this store appended since it was created or opened.
+    pub fn log_bytes(&self) -> u64 {
+        self.writer.appended_bytes()
+    }
+
+    /// Checkpoint bytes this store wrote since it was created or opened.
+    pub fn checkpoint_bytes(&self) -> u64 {
+        self.checkpoint_bytes
+    }
+
+    /// True when a checkpoint is worth its bytes: this store has written
+    /// none yet, or the log it appended since its newest one has grown to
+    /// that checkpoint's size.
+    ///
+    /// The ratio is 1 and not a knob. Each checkpoint is paid for by as many
+    /// log bytes as the one before it weighs, so the checkpoint bytes written
+    /// before the newest stay below the log bytes written — on a GC'd stream
+    /// (a snapshot of steady size) the cost per logged transaction is fixed,
+    /// on an un-GC'd one (a snapshot that grows with the stream) the number of
+    /// checkpoints grows with the logarithm of its length. A recovery replays
+    /// at most one checkpoint's worth of log, plus whatever the caller
+    /// appended between two asks.
+    pub fn checkpoint_due(&self) -> bool {
+        self.last_checkpoint
+            .is_none_or(|(log_at, size)| self.log_bytes() - log_at >= size)
+    }
+
     /// Persists a checker snapshot taken after consuming `consumed` logged
     /// transactions, syncing the log first (a checkpoint must never be
     /// newer than the log it indexes into) and pruning old checkpoints.
@@ -123,6 +159,8 @@ impl MtcStore {
             write_checkpoint_file(&self.dir, consumed, &bytes)?
         };
         mtc_obs::counter!("store.checkpoint_full_bytes").add(bytes.len() as u64);
+        self.checkpoint_bytes += bytes.len() as u64;
+        self.last_checkpoint = Some((self.log_bytes(), bytes.len() as u64));
         {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.prune"));
             prune_checkpoints(&self.dir, self.checkpoint_keep)?;
@@ -195,16 +233,13 @@ fn assemble(
     txns: Vec<Transaction>,
     torn_tail: bool,
 ) -> Result<Recovery, StoreError> {
-    let mut snapshot = None;
-    let mut resume_from = 0u64;
-    if let Some((consumed, snap)) = latest_checkpoint(dir)? {
-        if consumed <= txns.len() as u64 {
-            resume_from = consumed;
-            snapshot = Some(snap);
-        }
-        // A checkpoint ahead of the recovered log (log tail lost, snapshot
-        // survived) cannot be replayed into; fall back to scratch replay.
-    }
+    // A checkpoint ahead of the recovered log (log tail lost, snapshot
+    // survived) cannot be replayed into: the newest one within it serves,
+    // or, without one, a replay from scratch.
+    let (resume_from, snapshot) = match latest_checkpoint_within(dir, txns.len() as u64)? {
+        Some((consumed, snap)) => (consumed, Some(snap)),
+        None => (0, None),
+    };
     Ok(Recovery {
         meta,
         snapshot,

@@ -2,7 +2,8 @@
 //! observes the write side: a recovery is spanned stage by stage — the log
 //! scan, the checkpoint file's read, the snapshot's decode — once each, a sixteenth
 //! of the log's records have their decode timed, and recording changes
-//! nothing that is recovered. The counters and the switch are process-wide,
+//! nothing that is recovered; a checkpoint ahead of the log is passed over
+//! unread. The counters and the switch are process-wide,
 //! so every test here holds the `with_enabled` lock (and flushes its thread's
 //! spans before letting go) and this file is its own test binary.
 
@@ -79,5 +80,55 @@ fn a_recovery_is_spanned_stage_by_stage_and_reads_the_same_with_recording_off() 
     // One record in 16 has its decode timed: of the stream metadata and the
     // 479 transactions, 30.
     assert_eq!(count("store.recover.decode") - decodes_before, 30);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint ahead of the recovered log (its tail lost, the snapshot not)
+/// is passed over by its name, unread, to the newest one the log reaches —
+/// not to a replay from the start.
+#[test]
+fn a_checkpoint_ahead_of_the_log_falls_back_to_the_newest_one_within_it() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("mtc_store_read_path_ahead_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let level = IsolationLevel::Serializability;
+    let mut store = MtcStore::create(&dir, &StreamMeta { level, num_keys: 1 }).unwrap();
+    let mut checker = IncrementalChecker::new(level).with_init_keys(0..1u64);
+    let mut within = PathBuf::new();
+    for i in 0..5u64 {
+        let t = Transaction::committed(
+            TxnId(0),
+            SessionId((i % 2) as u32),
+            vec![Op::read(0u64, i), Op::write(0u64, i + 1)],
+        )
+        .with_times(10 * i + 1, 10 * i + 5);
+        store.append_txn(&t).unwrap();
+        let _ = checker.push(t);
+        if i == 2 {
+            within = store.checkpoint(3, &checker.checkpoint()).unwrap();
+        }
+    }
+    store.checkpoint(99, &checker.checkpoint()).unwrap();
+    drop(store);
+
+    let _on = with_enabled(true);
+    let read = || {
+        mtc_obs::registry()
+            .counter("store.checkpoint_read_bytes")
+            .get()
+    };
+    let before = read();
+    let recovery = recover(&dir).unwrap();
+    assert_eq!(
+        read() - before,
+        fs::metadata(&within).unwrap().len(),
+        "only the checkpoint at 3 is read"
+    );
+    assert_eq!(recovery.resume_from, 3);
+    assert_eq!(recovery.tail().len(), 2);
+    let clean = mtc_core::check_streaming(level, &recovery.to_history()).unwrap();
+    assert!(clean.is_satisfied());
+    assert_eq!(recovery.resume().finish().unwrap(), clean);
+    mtc_obs::flush_spans();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -54,7 +54,7 @@ fn main() {
     )
     .expect("fresh store");
     let verifier = LiveVerifier::builder(level, spec.num_keys)
-        .store(store, 128) // checkpoint every 128 recorded txns
+        .store(store, 128) // fsync or checkpoint every 128 recorded txns
         .gc(GcPolicy {
             window: 4096,
             every: 1024,
