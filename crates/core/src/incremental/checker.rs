@@ -189,8 +189,9 @@ impl IncrementalChecker {
 
     /// What the maintained topological order has cost this checker (since
     /// it was created or resumed): edges that agreed with the order on
-    /// arrival, affected-region passes, and nodes those passes re-ranked —
-    /// whether Pearce–Kelly maintenance is earning its cost on the stream.
+    /// arrival, affected-region passes (one per backward edge), and nodes
+    /// those passes re-ranked — whether Pearce–Kelly maintenance is earning
+    /// its cost on the stream.
     /// With `mtc-obs` enabled the same readings are published as
     /// `checker.topo_forward`, `checker.topo_reorders` and
     /// `checker.topo_moved`.

@@ -81,8 +81,9 @@ pub(super) struct Engine {
     /// Transactions retired by the GC so far.
     pub(super) pruned_txns: usize,
     /// The admitted transaction's chain splice edges, from [`Engine::admit`]
-    /// to the time-hook stage of [`Engine::settle`], which submits them with
-    /// the hook edges — pure scratch, never holds data across transactions.
+    /// to the time-hook stage of [`Engine::settle`], which inserts them ahead
+    /// of the hook edges — pure scratch, never holds data across
+    /// transactions.
     #[serde(skip)]
     pub(super) time_scratch: Vec<(usize, usize)>,
     pub(super) has_init: bool,
@@ -315,12 +316,10 @@ impl Engine {
     /// SSER: hooks transaction `at` into the time-chain at the anchors of
     /// its begin/commit instants (each side independently — a partially
     /// timed transaction still constrains one direction of the real-time
-    /// order). The chain splice edges [`Engine::admit`] left in the scratch
-    /// and the hook edges are submitted as **one**
-    /// [`IncrementalTopo::try_add_edges`] batch — sequence-equivalent to
-    /// edge-at-a-time insertion (same first offender, same canonical
-    /// certificate) but with a single affected-region pass per transaction.
-    /// A rejected hook edge (e.g. a commit whose reported instants
+    /// order). The chain splice edges [`Engine::admit`] left in the scratch,
+    /// then the hook edges, go into the order one by one in that sequence,
+    /// up to the first rejection, whose canonical certificate is the
+    /// verdict. A rejected hook edge (e.g. a commit whose reported instants
     /// contradict edges already derived) latches exactly like a
     /// dependency-edge rejection; chain edges can never be the offender
     /// (see the [`mtc_history::TimeChain`] module docs).
@@ -332,7 +331,10 @@ impl Engine {
         let mut pairs = std::mem::take(&mut self.time_scratch);
         pairs.extend(begin.map(|anchor| (anchor, tnode)));
         pairs.extend(end.map(|anchor| (tnode, anchor)));
-        if let Err((_, cycle)) = self.topo.try_add_edges(&pairs) {
+        let rejected = pairs
+            .iter()
+            .find_map(|&(from, to)| self.topo.try_add_edge(from, to).err());
+        if let Some(cycle) = rejected {
             let edges = self.order_cycle_edges(&cycle);
             self.latch_violation(Violation::Cycle { edges }, at);
         }

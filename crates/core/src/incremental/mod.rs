@@ -46,7 +46,7 @@
 //! 3. at SI, the DIVERGENCE of lowest `write_set` rank — `CHECKSI`'s early
 //!    exit;
 //! 4. the edges, until one closes a cycle: `SO`, SSER's time hooks (anchor
-//!    splices plus the begin/end hook edges, one batch), then the key edges
+//!    splices, then the begin/end hook edges), then the key edges
 //!    key by key in `key_set` order, within a key in discovery order —
 //!    waiters this transaction's writes resolve, then its own read: `WR`,
 //!    `RW` to known overwriters, `WW`, `RW` from known readers;
@@ -61,10 +61,10 @@
 //!
 //! In steady state a mini-transaction's trip through `ingest` allocates
 //! nothing of its own: the per-key decomposition, the findings' edge list,
-//! the time-chain splice pairs and the window re-sort of the maintained
-//! order are buffers that outlive the transaction; the local `INT` scan
-//! looks back over the operations instead of indexing them; a node's
-//! adjacency rows hold their first five neighbours in place and the
+//! the time-chain splice pairs and the stack and node sets of a reorder of
+//! the maintained order are buffers that outlive the transaction; the local
+//! `INT` scan looks back over the operations instead of indexing them; a
+//! node's adjacency rows hold their first five neighbours in place and the
 //! dependency graph threads a source's out-edges through one flat `next`
 //! array. What is left is the growth of the long-lived containers
 //! (amortized), `live_txns`' B-tree nodes, a spilled adjacency row for one

@@ -12,28 +12,12 @@
 //! amortized cost per edge is `O(1)` and a whole history is processed in
 //! `O(n)`.
 //!
-//! [`IncrementalTopo::try_add_edge`] either accepts the edge (adjusting the
-//! order if necessary) or rejects it and returns a directed cycle as the
-//! counterexample — exactly the certificate the online checkers hand back to
-//! the user.
-//!
-//! ## Batched insertion
-//!
-//! `mtc-core`'s SSER path submits a transaction's time-chain splice edges and
-//! its begin/end hook edges together. [`IncrementalTopo::try_add_edges`]
-//! inserts such a burst with **one** affected-region recomputation instead of
-//! one per edge: edges that agree with the maintained order are accepted in
-//! `O(1)` each, the backward edges are resolved together by re-sorting the
-//! single rank window they span, and only when that window turns out to
-//! contain a cycle does the implementation fall back to edge-at-a-time replay
-//! — which makes the batched path report the **exact same** first offending
-//! edge and cycle certificate as sequential insertion would.
-//!
-//! To keep that equivalence independent of the internal rank state (which the
-//! batched path maintains differently from the per-edge path), cycle
-//! certificates are *canonical*: a breadth-first shortest path over the
-//! accepted edges in insertion order, which depends only on the sequence of
-//! accepted edges, never on the maintained ranks.
+//! [`IncrementalTopo::try_add_edge`] is the one way in: it either accepts the
+//! edge (adjusting the order if necessary) or rejects it and returns a
+//! directed cycle as the counterexample — exactly the certificate the online
+//! checkers hand back to the user. `mtc-core`'s SSER path feeds a
+//! transaction's time-chain splice edges and its begin/end hook edges
+//! through it one by one, and stops at the first rejection.
 //!
 //! ## Rows, scratch and counters
 //!
@@ -41,12 +25,11 @@
 //! five ids in place and spill behind one pointer (`InlineSeq`), so adding a
 //! node allocates nothing and most nodes never do; a row serializes as the
 //! plain array a `Vec<u32>` would, which is all a snapshot sees of it. The
-//! window re-sort of a batch works in buffers the structure keeps between
-//! calls (its adjacency as compressed rows, Kahn's queue doubling as its
-//! output), so an order-respecting edge and a batch that reorders cost no
-//! allocation either; only the single-edge reorder and a cycle certificate
-//! still build their lists per call. [`IncrementalTopo::order_stats`] counts
-//! what the order has cost: edges that agreed with it on arrival,
+//! reorder of a backward edge works in buffers the structure keeps between
+//! calls (its DFS stack, the two node sets and their rank slots), so neither
+//! an order-respecting edge nor one that reorders allocates; only a cycle
+//! certificate builds its lists per call. [`IncrementalTopo::order_stats`]
+//! counts what the order has cost: edges that agreed with it on arrival,
 //! affected-region passes, and the nodes those re-ranked.
 
 use crate::inline_seq::InlineSeq;
@@ -73,29 +56,25 @@ pub struct OrderStats {
     /// Edges that agreed with the maintained order when they arrived: the
     /// `O(1)` case.
     pub forward: u64,
-    /// Affected-region passes: one per backward edge of
-    /// [`IncrementalTopo::try_add_edge`], one per
-    /// [`IncrementalTopo::try_add_edges`] batch holding any.
+    /// Affected-region passes: one per backward edge
+    /// [`IncrementalTopo::try_add_edge`] accepted.
     pub reorders: u64,
     /// Nodes those passes assigned a rank to.
     pub moved: u64,
 }
 
-/// Buffers of one [`IncrementalTopo::try_add_edges`] window re-sort, kept
-/// between calls: a live SSER stream re-sorts a window of three nodes for
-/// six transactions in ten.
+/// Buffers of one [`IncrementalTopo::try_add_edge`] reorder, kept between
+/// calls: a live SSER stream reorders on six transactions in ten.
 #[derive(Clone, Debug, Default)]
-struct WindowScratch {
-    /// The window's nodes by rank, as they stood before the re-sort.
-    region: Vec<u32>,
-    indeg: Vec<u32>,
-    /// The window's adjacency as compressed rows: the successors of local
-    /// index `i` are `targets[row_start[i]..row_start[i + 1]]`.
-    row_start: Vec<u32>,
-    targets: Vec<u32>,
-    /// Kahn's queue and its output at once: local indices in the order they
-    /// became ready, which is the order they are popped in.
-    order: Vec<u32>,
+struct ReorderScratch {
+    /// The DFS stack of either pass.
+    stack: Vec<usize>,
+    /// What the new edge's target reaches inside the affected region.
+    fwd_set: Vec<usize>,
+    /// What reaches the new edge's source inside it.
+    back_set: Vec<usize>,
+    /// The rank slots of both sets, ascending.
+    pool: Vec<u32>,
 }
 
 /// An online topological order over a growable directed graph.
@@ -148,7 +127,7 @@ pub struct IncrementalTopo {
     #[serde(skip)]
     mark_gen: u32,
     #[serde(skip)]
-    window: WindowScratch,
+    scratch: ReorderScratch,
     /// Since this value was created (a deserialized one starts at zero).
     #[serde(skip)]
     stats: OrderStats,
@@ -255,7 +234,7 @@ impl IncrementalTopo {
     /// must originate from another pruned node (callers first delete any
     /// deliberate cut edges with [`IncrementalTopo::remove_edges_into`]).
     /// Under that precondition no path between live nodes can traverse the
-    /// pruned set, so every future `try_add_edge`/`try_add_edges` verdict —
+    /// pruned set, so every future `try_add_edge` verdict —
     /// including the canonical cycle certificates — is exactly what it would
     /// have been without pruning, provided no future edge touches a pruned
     /// node (the caller's settledness contract).
@@ -375,11 +354,9 @@ impl IncrementalTopo {
     /// `[to, …, from]` such that each consecutive pair is an existing edge
     /// and `from → to` (the rejected edge) closes the walk. The certificate
     /// is canonical — the breadth-first shortest such path over the accepted
-    /// edges in insertion order — so it is identical no matter whether the
-    /// preceding edges arrived one at a time or through
-    /// [`IncrementalTopo::try_add_edges`]. The structure is left exactly as
-    /// before the call, so the caller may keep feeding edges after recording
-    /// the violation.
+    /// edges in insertion order — so it does not depend on the ranks the
+    /// order settled on. The structure is left exactly as before the call,
+    /// so the caller may keep feeding edges after recording the violation.
     pub fn try_add_edge(&mut self, from: usize, to: usize) -> Result<(), Vec<usize>> {
         assert!(
             from < self.node_count() && to < self.node_count(),
@@ -388,33 +365,46 @@ impl IncrementalTopo {
         if from == to {
             return Err(vec![from]);
         }
-        let ub = self.rank[from];
-        let lb = self.rank[to];
-        if lb > ub {
+        if self.rank[to] > self.rank[from] {
             // The edge already agrees with the maintained order.
             self.stats.forward += 1;
             self.insert_edge_unchecked(from, to);
             return Ok(());
         }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let closes_cycle = self.reorder(from, to, &mut scratch);
+        self.scratch = scratch;
+        if closes_cycle {
+            return Err(self.canonical_cycle(from, to));
+        }
+        self.insert_edge_unchecked(from, to);
+        Ok(())
+    }
 
+    /// Pearce–Kelly's pass for the backward edge `from → to`: re-ranks the
+    /// affected region so that `from` precedes `to`, or returns `true`,
+    /// having moved nothing, when `to` already reaches `from`.
+    fn reorder(&mut self, from: usize, to: usize, s: &mut ReorderScratch) -> bool {
+        let (lb, ub) = (self.rank[to], self.rank[from]);
         // Affected region: ranks in [lb, ub]. Forward DFS from `to`,
         // restricted to the region, looking for `from` (a cycle) and
         // collecting the nodes that must move after `from`. Visited checks
         // are generation-stamped array reads, not hash lookups.
         let gf = self.fresh_mark();
-        let mut fwd_set: Vec<usize> = Vec::new();
-        let mut stack = vec![to];
+        s.fwd_set.clear();
+        s.stack.clear();
+        s.stack.push(to);
         self.mark[to] = gf;
-        while let Some(u) = stack.pop() {
-            fwd_set.push(u);
+        while let Some(u) = s.stack.pop() {
+            s.fwd_set.push(u);
             for &v in self.fwd[u].as_slice() {
                 let v = v as usize;
                 if v == from {
-                    return Err(self.canonical_cycle(from, to));
+                    return true;
                 }
                 if self.rank[v] <= ub && self.mark[v] != gf {
                     self.mark[v] = gf;
-                    stack.push(v);
+                    s.stack.push(v);
                 }
             }
         }
@@ -422,16 +412,16 @@ impl IncrementalTopo {
         // No cycle: backward DFS from `from`, restricted to ranks >= lb,
         // collecting the nodes that must move before `to`'s region.
         let gb = self.fresh_mark();
-        let mut back_set: Vec<usize> = Vec::new();
+        s.back_set.clear();
         self.mark[from] = gb;
-        let mut stack = vec![from];
-        while let Some(u) = stack.pop() {
-            back_set.push(u);
+        s.stack.push(from);
+        while let Some(u) = s.stack.pop() {
+            s.back_set.push(u);
             for &v in self.back[u].as_slice() {
                 let v = v as usize;
                 if self.rank[v] >= lb && self.mark[v] != gb {
                     self.mark[v] = gb;
-                    stack.push(v);
+                    s.stack.push(v);
                 }
             }
         }
@@ -439,178 +429,19 @@ impl IncrementalTopo {
         // Reorder: everything reachable backward from `from` must precede
         // everything reachable forward from `to`. Reuse the union of their
         // current ranks, keeping each group's internal order.
-        back_set.sort_unstable_by_key(|&v| self.rank[v]);
-        fwd_set.sort_unstable_by_key(|&v| self.rank[v]);
-        let mut pool: Vec<u32> = back_set
-            .iter()
-            .chain(fwd_set.iter())
-            .map(|&v| self.rank[v])
-            .collect();
-        pool.sort_unstable();
-        for (&node, &slot) in back_set.iter().chain(fwd_set.iter()).zip(pool.iter()) {
+        s.back_set.sort_unstable_by_key(|&v| self.rank[v]);
+        s.fwd_set.sort_unstable_by_key(|&v| self.rank[v]);
+        let moving = || s.back_set.iter().chain(&s.fwd_set);
+        s.pool.clear();
+        s.pool.extend(moving().map(|&v| self.rank[v]));
+        s.pool.sort_unstable();
+        for (&node, &slot) in moving().zip(&s.pool) {
             self.rank[node] = slot;
             self.node_at[slot as usize] = node as u32;
         }
         self.stats.reorders += 1;
-        self.stats.moved += pool.len() as u64;
-
-        self.insert_edge_unchecked(from, to);
-        Ok(())
-    }
-
-    /// Inserts a batch of edges with at most **one** affected-region
-    /// recomputation, with semantics identical to inserting them one at a
-    /// time via [`IncrementalTopo::try_add_edge`] in slice order:
-    ///
-    /// * `Ok(())` — every edge was accepted (the set of accepted edges, the
-    ///   adjacency insertion order and every future cycle certificate are
-    ///   exactly as in sequential insertion; only the internal rank
-    ///   assignment may settle differently, which is unobservable through
-    ///   certificates);
-    /// * `Err((index, cycle))` — `edges[index]` is the first edge of the
-    ///   slice that closes a directed cycle given its predecessors.
-    ///   `edges[..index]` remain inserted, `edges[index..]` are **not**
-    ///   inserted (the streaming checkers latch on the first violation and
-    ///   discard the rest of the batch). The cycle is the same canonical
-    ///   certificate sequential insertion would report.
-    ///
-    /// Edges that agree with the maintained order cost `O(1)` each; the
-    /// backward edges of the batch are resolved together by re-sorting the
-    /// single rank window they span. Only a batch that actually contains a
-    /// cycle pays for an edge-at-a-time replay.
-    pub fn try_add_edges(&mut self, edges: &[(usize, usize)]) -> Result<(), (usize, Vec<usize>)> {
-        for &(from, to) in edges {
-            assert!(
-                from < self.node_count() && to < self.node_count(),
-                "node out of bounds"
-            );
-        }
-        // Classify against the current ranks. Nothing is inserted yet, so
-        // the ranks — and therefore the classification — are stable across
-        // this scan. Forward edges cannot close a cycle (any return path
-        // over already-present edges would have to descend in rank).
-        let (mut lb, mut ub) = (u32::MAX, 0u32);
-        let mut backward = 0usize;
-        for &(from, to) in edges {
-            if from == to || self.rank[from] >= self.rank[to] {
-                backward += 1;
-                lb = lb.min(self.rank[to]);
-                ub = ub.max(self.rank[from]);
-            }
-        }
-        if backward == 0 {
-            self.stats.forward += edges.len() as u64;
-            for &(from, to) in edges {
-                self.insert_edge_unchecked(from, to);
-            }
-            return Ok(());
-        }
-
-        // One affected region for the whole batch: the rank window [lb, ub]
-        // spanned by the backward edges. Every cycle a batch edge could
-        // close, and every node whose rank must move, lies inside it
-        // (paths over order-respecting edges ascend in rank, so a walk
-        // leaving the window can never return). Re-sort the window's nodes
-        // against existing + batch constraints in one pass, in buffers the
-        // structure keeps.
-        let size = (ub - lb + 1) as usize;
-        let idx_of = |rank: u32| (rank - lb) as usize;
-        let in_region = |rank: u32| rank >= lb && rank <= ub;
-        let mut w = std::mem::take(&mut self.window);
-        w.region.clear();
-        w.region
-            .extend_from_slice(&self.node_at[lb as usize..=ub as usize]);
-        // A row of the window's adjacency is the node's existing successors
-        // in insertion order, then its batch edges in slice order: count the
-        // rows, then fill them in that order.
-        w.indeg.clear();
-        w.indeg.resize(size, 0);
-        w.row_start.clear();
-        w.row_start.resize(size + 1, 0);
-        let batch_in_region = |&(from, to): &(usize, usize)| {
-            let (fr, tr) = (self.rank[from], self.rank[to]);
-            (in_region(fr) && in_region(tr)).then(|| (idx_of(fr), idx_of(tr)))
-        };
-        for (i, &u) in w.region.iter().enumerate() {
-            for &v in self.fwd[u as usize].as_slice() {
-                let vr = self.rank[v as usize];
-                if in_region(vr) {
-                    w.row_start[i + 1] += 1;
-                    w.indeg[idx_of(vr)] += 1;
-                }
-            }
-        }
-        for (from, to) in edges.iter().filter_map(batch_in_region) {
-            w.row_start[from + 1] += 1;
-            w.indeg[to] += 1;
-        }
-        for i in 0..size {
-            w.row_start[i + 1] += w.row_start[i];
-        }
-        w.targets.clear();
-        w.targets.resize(w.row_start[size] as usize, 0);
-        // `order` is not needed before the rows are filled: it holds each
-        // row's fill cursor until then.
-        w.order.clear();
-        w.order.extend_from_slice(&w.row_start[..size]);
-        for (i, &u) in w.region.iter().enumerate() {
-            for &v in self.fwd[u as usize].as_slice() {
-                let vr = self.rank[v as usize];
-                if in_region(vr) {
-                    w.targets[w.order[i] as usize] = idx_of(vr) as u32;
-                    w.order[i] += 1;
-                }
-            }
-        }
-        for (from, to) in edges.iter().filter_map(batch_in_region) {
-            w.targets[w.order[from] as usize] = to as u32;
-            w.order[from] += 1;
-        }
-        // Kahn's algorithm, first in first out: a node is popped in the
-        // position it was pushed in, so the queue is the output.
-        w.order.clear();
-        w.order
-            .extend((0..size as u32).filter(|&i| w.indeg[i as usize] == 0));
-        let mut head = 0;
-        while let Some(&u) = w.order.get(head) {
-            head += 1;
-            let row = w.row_start[u as usize] as usize..w.row_start[u as usize + 1] as usize;
-            for &v in &w.targets[row] {
-                w.indeg[v as usize] -= 1;
-                if w.indeg[v as usize] == 0 {
-                    w.order.push(v);
-                }
-            }
-        }
-        if w.order.len() < size {
-            // The batch closes a cycle somewhere in the window. Nothing has
-            // been inserted yet, so replay edge-at-a-time for the exact
-            // first offender and its canonical certificate.
-            self.window = w;
-            for (i, &(from, to)) in edges.iter().enumerate() {
-                if let Err(cycle) = self.try_add_edge(from, to) {
-                    return Err((i, cycle));
-                }
-            }
-            unreachable!("region contained a cycle but sequential replay accepted every edge");
-        }
-        // Acyclic: commit. Reassign the window's rank slots in the computed
-        // order, then append the batch to the adjacency in original slice
-        // order (witness canonicality depends on insertion order).
-        for (pos, &lidx) in w.order.iter().enumerate() {
-            let node = w.region[lidx as usize];
-            let slot = lb + pos as u32;
-            self.rank[node as usize] = slot;
-            self.node_at[slot as usize] = node;
-        }
-        self.window = w;
-        self.stats.forward += (edges.len() - backward) as u64;
-        self.stats.reorders += 1;
-        self.stats.moved += size as u64;
-        for &(from, to) in edges {
-            self.insert_edge_unchecked(from, to);
-        }
-        Ok(())
+        self.stats.moved += s.pool.len() as u64;
+        false
     }
 
     #[inline]
@@ -622,9 +453,14 @@ impl IncrementalTopo {
 
     /// The canonical certificate for the rejected edge `from → to`: the
     /// breadth-first shortest path `[to, …, from]` over the forward
-    /// adjacency, visiting neighbours in insertion order. Depends only on
-    /// the sequence of accepted edges — never on the maintained ranks — so
-    /// per-edge and batched insertion report identical cycles.
+    /// adjacency, visiting neighbours in insertion order. It depends only on
+    /// the sequence of accepted edges, never on the maintained ranks, and
+    /// that is what the reorder's own DFS could not give: a GC'd run
+    /// compacts its order at every prune and re-enters recycled ids at
+    /// their retired slots, and a resumed run continues from whatever ranks
+    /// the snapshot's writer settled on, so the same stream fed to a GC'd,
+    /// a resumed and an un-GC'd structure reaches one cycle through three
+    /// different rank states — and must report it the same way.
     fn canonical_cycle(&self, from: usize, to: usize) -> Vec<usize> {
         if from == to {
             return vec![from];
@@ -757,40 +593,36 @@ mod tests {
         check_order_invariant(&t);
     }
 
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut t = IncrementalTopo::with_nodes(3);
-        t.try_add_edges(&[]).unwrap();
-        assert_eq!(t.edge_count(), 0);
+    /// Inserts `edges` in slice order up to the first rejection, the way
+    /// `mtc-core`'s SSER hook feeds one transaction's chain and hook edges:
+    /// the edges before the offender stay inserted, those after it are not
+    /// tried.
+    fn add_in_order(
+        t: &mut IncrementalTopo,
+        edges: &[(usize, usize)],
+    ) -> Result<(), (usize, Vec<usize>)> {
+        for (i, &(from, to)) in edges.iter().enumerate() {
+            t.try_add_edge(from, to).map_err(|cycle| (i, cycle))?;
+        }
+        Ok(())
     }
 
     #[test]
     fn forward_batch_is_accepted_without_reordering() {
         let mut t = IncrementalTopo::with_nodes(5);
         let before: Vec<usize> = (0..5).map(|n| t.rank_of(n)).collect();
-        t.try_add_edges(&[(0, 1), (1, 2), (0, 4), (2, 3)]).unwrap();
+        add_in_order(&mut t, &[(0, 1), (1, 2), (0, 4), (2, 3)]).unwrap();
         let after: Vec<usize> = (0..5).map(|n| t.rank_of(n)).collect();
         assert_eq!(before, after, "agreeing edges must not move ranks");
         assert_eq!(t.edge_count(), 4);
+        assert_eq!(t.order_stats().reorders, 0);
         check_order_invariant(&t);
-    }
-
-    #[test]
-    fn backward_batch_reorders_in_one_pass() {
-        let mut t = IncrementalTopo::with_nodes(6);
-        // All edges contradict the initial id order.
-        t.try_add_edges(&[(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)])
-            .unwrap();
-        check_order_invariant(&t);
-        assert!(t.precedes(5, 0));
-        assert_eq!(t.edge_count(), 5);
     }
 
     #[test]
     fn mixed_batch_keeps_the_order_valid() {
         let mut t = IncrementalTopo::with_nodes(6);
-        t.try_add_edges(&[(0, 3), (4, 1), (5, 2), (1, 3), (2, 4)])
-            .unwrap();
+        add_in_order(&mut t, &[(0, 3), (4, 1), (5, 2), (1, 3), (2, 4)]).unwrap();
         check_order_invariant(&t);
         // 5 -> 2 -> 4 -> 1 -> 3 must all be ordered.
         assert!(t.precedes(5, 2) && t.precedes(2, 4) && t.precedes(4, 1) && t.precedes(1, 3));
@@ -805,9 +637,7 @@ mod tests {
         let expected = seq.try_add_edge(2, 0).unwrap_err();
 
         let mut bat = IncrementalTopo::with_nodes(4);
-        let (index, cycle) = bat
-            .try_add_edges(&[(0, 1), (1, 2), (2, 0), (2, 3)])
-            .unwrap_err();
+        let (index, cycle) = add_in_order(&mut bat, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap_err();
         assert_eq!(index, 2, "the closing edge is the first offender");
         assert_eq!(cycle, expected, "certificates must be canonical");
         // The prefix stays inserted; the suffix does not.
@@ -818,7 +648,7 @@ mod tests {
     #[test]
     fn batch_self_loop_is_rejected_at_its_index() {
         let mut t = IncrementalTopo::with_nodes(3);
-        let (index, cycle) = t.try_add_edges(&[(0, 1), (2, 2)]).unwrap_err();
+        let (index, cycle) = add_in_order(&mut t, &[(0, 1), (2, 2)]).unwrap_err();
         assert_eq!((index, cycle), (1, vec![2]));
         assert_eq!(t.edge_count(), 1);
     }
@@ -826,7 +656,7 @@ mod tests {
     #[test]
     fn batch_duplicates_are_tolerated_like_sequential_insertion() {
         let mut t = IncrementalTopo::with_nodes(2);
-        t.try_add_edges(&[(0, 1), (0, 1), (0, 1)]).unwrap();
+        add_in_order(&mut t, &[(0, 1), (0, 1), (0, 1)]).unwrap();
         assert_eq!(t.edge_count(), 3);
         check_order_invariant(&t);
     }
@@ -834,12 +664,12 @@ mod tests {
     #[test]
     fn batches_compose_across_calls() {
         let mut t = IncrementalTopo::with_nodes(5);
-        t.try_add_edges(&[(3, 1), (1, 4)]).unwrap();
-        t.try_add_edges(&[(4, 0), (0, 2)]).unwrap();
+        add_in_order(&mut t, &[(3, 1), (1, 4)]).unwrap();
+        add_in_order(&mut t, &[(4, 0), (0, 2)]).unwrap();
         check_order_invariant(&t);
         // Closing the chain 3 -> 1 -> 4 -> 0 -> 2 back to 3 must fail with
         // the full walk as the certificate.
-        let (index, cycle) = t.try_add_edges(&[(2, 3)]).unwrap_err();
+        let (index, cycle) = add_in_order(&mut t, &[(2, 3)]).unwrap_err();
         assert_eq!(index, 0);
         assert_eq!(cycle, vec![3, 1, 4, 0, 2]);
     }
@@ -930,98 +760,120 @@ mod tests {
         check_order_invariant(&back);
     }
 
-    /// The window re-sort as it was before it kept its buffers: a fresh
-    /// `Vec<Vec<u32>>` adjacency and a `VecDeque` per call. Commits the new
-    /// ranks and inserts the batch; the caller hands it acyclic batches only.
-    fn reference_window_resort(t: &mut IncrementalTopo, edges: &[(usize, usize)]) {
-        let (mut lb, mut ub) = (u32::MAX, 0u32);
-        for &(from, to) in edges {
-            if from == to || t.rank[from] >= t.rank[to] {
-                lb = lb.min(t.rank[to]);
-                ub = ub.max(t.rank[from]);
-            }
+    /// `try_add_edge` as it was before its reorder kept its buffers: two
+    /// DFS stacks, both node sets and the rank pool allocated per call.
+    fn reference_try_add_edge(
+        t: &mut IncrementalTopo,
+        from: usize,
+        to: usize,
+    ) -> Result<(), Vec<usize>> {
+        if from == to {
+            return Err(vec![from]);
         }
-        if lb <= ub {
-            let size = (ub - lb + 1) as usize;
-            let region: Vec<u32> = t.node_at[lb as usize..=ub as usize].to_vec();
-            let idx_of = |rank: u32| (rank - lb) as usize;
-            let in_region = |rank: u32| rank >= lb && rank <= ub;
-            let mut indeg = vec![0u32; size];
-            let mut adj: Vec<Vec<u32>> = vec![Vec::new(); size];
-            for (i, &u) in region.iter().enumerate() {
-                for &v in t.fwd[u as usize].as_slice() {
-                    let vr = t.rank[v as usize];
-                    if in_region(vr) {
-                        adj[i].push(idx_of(vr) as u32);
-                        indeg[idx_of(vr)] += 1;
-                    }
-                }
-            }
-            for &(from, to) in edges {
-                let (fr, tr) = (t.rank[from], t.rank[to]);
-                if in_region(fr) && in_region(tr) {
-                    adj[idx_of(fr)].push(idx_of(tr) as u32);
-                    indeg[idx_of(tr)] += 1;
-                }
-            }
-            let mut queue: VecDeque<u32> = (0..size as u32)
-                .filter(|&i| indeg[i as usize] == 0)
-                .collect();
-            let mut order: Vec<u32> = Vec::with_capacity(size);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &v in &adj[u as usize] {
-                    indeg[v as usize] -= 1;
-                    if indeg[v as usize] == 0 {
-                        queue.push_back(v);
-                    }
-                }
-            }
-            assert_eq!(order.len(), size, "the reference takes acyclic batches");
-            for (pos, &lidx) in order.iter().enumerate() {
-                let node = region[lidx as usize];
-                let slot = lb + pos as u32;
-                t.rank[node as usize] = slot;
-                t.node_at[slot as usize] = node;
-            }
-        }
-        for &(from, to) in edges {
+        let ub = t.rank[from];
+        let lb = t.rank[to];
+        if lb > ub {
             t.insert_edge_unchecked(from, to);
+            return Ok(());
+        }
+        let gf = t.fresh_mark();
+        let mut fwd_set: Vec<usize> = Vec::new();
+        let mut stack = vec![to];
+        t.mark[to] = gf;
+        while let Some(u) = stack.pop() {
+            fwd_set.push(u);
+            for &v in t.fwd[u].as_slice() {
+                let v = v as usize;
+                if v == from {
+                    return Err(t.canonical_cycle(from, to));
+                }
+                if t.rank[v] <= ub && t.mark[v] != gf {
+                    t.mark[v] = gf;
+                    stack.push(v);
+                }
+            }
+        }
+        let gb = t.fresh_mark();
+        let mut back_set: Vec<usize> = Vec::new();
+        t.mark[from] = gb;
+        let mut stack = vec![from];
+        while let Some(u) = stack.pop() {
+            back_set.push(u);
+            for &v in t.back[u].as_slice() {
+                let v = v as usize;
+                if t.rank[v] >= lb && t.mark[v] != gb {
+                    t.mark[v] = gb;
+                    stack.push(v);
+                }
+            }
+        }
+        back_set.sort_unstable_by_key(|&v| t.rank[v]);
+        fwd_set.sort_unstable_by_key(|&v| t.rank[v]);
+        let mut pool: Vec<u32> = back_set
+            .iter()
+            .chain(fwd_set.iter())
+            .map(|&v| t.rank[v])
+            .collect();
+        pool.sort_unstable();
+        for (&node, &slot) in back_set.iter().chain(fwd_set.iter()).zip(pool.iter()) {
+            t.rank[node] = slot;
+            t.node_at[slot as usize] = node as u32;
+        }
+        t.insert_edge_unchecked(from, to);
+        Ok(())
+    }
+
+    fn assert_same_state(t: &IncrementalTopo, reference: &IncrementalTopo) {
+        assert_eq!(t.rank, reference.rank);
+        assert_eq!(t.node_at, reference.node_at);
+        assert_eq!(t.free, reference.free);
+        assert_eq!(t.edge_count, reference.edge_count);
+        for u in 0..t.node_count() {
+            assert_eq!(t.fwd[u].as_slice(), reference.fwd[u].as_slice());
+            assert_eq!(t.back[u].as_slice(), reference.back[u].as_slice());
         }
     }
 
-    /// Snapshots carry `rank` and `node_at`, so the window re-sort must
-    /// settle on the very ranks it settled on when it allocated its
-    /// adjacency per call — across many batches on one structure, so that
-    /// stale scratch would show.
+    /// Snapshots carry `rank` and `node_at`, so the reorder must settle on
+    /// the very ranks it settled on when it allocated its lists per call —
+    /// over long streams on one structure, so that stale scratch would show,
+    /// with pruning and id recycling between rounds.
     #[test]
-    fn batches_settle_on_the_reference_ranks() {
+    fn reorders_settle_on_the_reference_ranks() {
         let mut state = 0xC0FF_EE00_D15E_A5E5u64;
-        for _round in 0..200 {
-            let n = 3 + (split_mix(&mut state) % 14) as usize;
+        let mut next = |bound: usize| (split_mix(&mut state) % bound as u64) as usize;
+        for _stream in 0..100 {
+            let n = 4 + next(12);
             let mut topo = IncrementalTopo::with_nodes(n);
             let mut reference = IncrementalTopo::with_nodes(n);
-            for _batch in 0..12 {
-                let len = (split_mix(&mut state) % 6) as usize;
-                let batch: Vec<(usize, usize)> = (0..len)
-                    .map(|_| {
-                        let a = (split_mix(&mut state) % n as u64) as usize;
-                        let b = (split_mix(&mut state) % n as u64) as usize;
-                        (a, b)
-                    })
-                    .collect();
-                if topo.clone().try_add_edges(&batch).is_err() {
-                    continue;
+            for _round in 0..8 {
+                for _ in 0..next(4) {
+                    assert_eq!(topo.add_node(), reference.add_node());
                 }
-                topo.try_add_edges(&batch).unwrap();
-                reference_window_resort(&mut reference, &batch);
-                assert_eq!(topo.rank, reference.rank, "batch {batch:?}");
-                assert_eq!(topo.node_at, reference.node_at);
-                for u in 0..n {
-                    assert_eq!(topo.fwd[u].as_slice(), reference.fwd[u].as_slice());
-                    assert_eq!(topo.back[u].as_slice(), reference.back[u].as_slice());
+                let live: Vec<usize> = (0..topo.node_count())
+                    .filter(|&v| topo.is_live(v))
+                    .collect();
+                for _ in 0..next(24) {
+                    let (a, b) = (live[next(live.len())], live[next(live.len())]);
+                    let got = topo.try_add_edge(a, b);
+                    assert_eq!(
+                        got,
+                        reference_try_add_edge(&mut reference, a, b),
+                        "{a}->{b}"
+                    );
+                    assert_same_state(&topo, &reference);
                 }
                 check_order_invariant(&topo);
+                // The lowest-ranked live nodes are predecessor-closed.
+                let settled: Vec<usize> = topo
+                    .order()
+                    .into_iter()
+                    .filter(|&v| topo.is_live(v))
+                    .take(next(live.len() / 2 + 1))
+                    .collect();
+                topo.prune(&settled);
+                reference.prune(&settled);
+                assert_same_state(&topo, &reference);
             }
         }
     }
@@ -1091,8 +943,9 @@ mod tests {
     #[test]
     fn order_stats_count_forward_edges_reorders_and_moved_nodes() {
         let mut t = IncrementalTopo::with_nodes(4);
-        t.try_add_edge(0, 1).unwrap();
-        t.try_add_edges(&[(1, 2), (2, 3)]).unwrap();
+        for (a, b) in [(0, 1), (1, 2), (2, 3)] {
+            t.try_add_edge(a, b).unwrap();
+        }
         let forward_only = OrderStats {
             forward: 3,
             ..OrderStats::default()
@@ -1101,11 +954,14 @@ mod tests {
         let mut t = IncrementalTopo::with_nodes(4);
         // One backward edge: nodes 1 and 0 swap.
         t.try_add_edge(1, 0).unwrap();
-        // One batch, one window over ranks 0..=3, one forward edge in it.
-        t.try_add_edges(&[(3, 1), (0, 2)]).unwrap();
+        // Another over ranks 0..=3: 3 moves ahead of 1 and 0, 2 stays.
+        t.try_add_edge(3, 1).unwrap();
+        assert_eq!(t.order(), [3, 1, 2, 0]);
+        // A forward edge.
+        t.try_add_edge(2, 0).unwrap();
         let stats = t.order_stats();
         assert_eq!((stats.forward, stats.reorders), (1, 2));
-        assert_eq!(stats.moved, 2 + 4);
+        assert_eq!(stats.moved, 2 + 3);
         // A rejected edge moves nothing.
         t.try_add_edge(0, 3).unwrap_err();
         assert_eq!(t.order_stats(), stats);

@@ -58,14 +58,17 @@
 //!
 //! Anchor calls do **not** insert chain edges into the topology themselves;
 //! they push the required `(from, to)` pairs into a caller-supplied buffer.
-//! The SSER path submits a transaction's chain edges and hook edges as a
-//! single [`IncrementalTopo::try_add_edges`] batch. Chain edges can never be
-//! rejected by the host topology: a fresh node has no other
-//! incident edges, the direct edge between the current neighbours already
-//! orders them, and the host graph is acyclic whenever the checker is still
-//! running (violations latch before a cycle is ever committed into the
-//! structure). Batching them with the hooks is therefore safe — they cannot
-//! be the first offender of a batch.
+//! The SSER path inserts a transaction's chain edges, then its hook edges,
+//! one [`IncrementalTopo::try_add_edge`] at a time, and stops at the first
+//! rejection. Chain edges can never be rejected by the host topology: a
+//! fresh node has no other incident edges, the direct edge between the
+//! current neighbours already orders them, and the host graph is acyclic
+//! whenever the checker is still running (violations latch before a cycle
+//! is ever committed into the structure). Holding them back until the hook
+//! stage is therefore safe — the first offender is always a hook edge. A
+//! splice below the maximum instant, or a split, does cost a reorder: the
+//! fresh node enters the maintained order last, so its edge into an anchor
+//! that already exists points backward.
 //!
 //! ## Append fast path
 //!
@@ -171,7 +174,9 @@ impl SlotRepr {
 /// let b30 = chain.anchor(30, Role::Begin, &mut topo, &mut edges);
 /// // Inserted out of order, 20 is spliced between 10 and 30.
 /// let b20 = chain.anchor(20, Role::Begin, &mut topo, &mut edges);
-/// topo.try_add_edges(&edges).unwrap();
+/// for (from, to) in edges {
+///     topo.try_add_edge(from, to).unwrap();
+/// }
 /// assert!(topo.precedes(e10, b20));
 /// assert!(topo.precedes(e10, b30));
 /// assert_eq!(chain.len(), 3);
@@ -311,7 +316,7 @@ impl TimeChain {
     }
 
     /// [`TimeChain::anchor`] with the emitted chain edges applied to `topo`
-    /// immediately — convenience for callers outside the batched hot path.
+    /// immediately — convenience for callers outside the streaming hot path.
     pub fn anchor_now(&mut self, instant: u64, role: Role, topo: &mut IncrementalTopo) -> usize {
         let mut edges = Vec::new();
         let n = self.anchor(instant, role, topo, &mut edges);

@@ -187,6 +187,28 @@ fn fixture_stream() -> Vec<Transaction> {
     )
 }
 
+/// The fixture stream with every commit instant 30 ticks later, so that a
+/// transaction overlaps the next few: most begin instants splice in below
+/// the time-chain's maximum, and the SSER order reorders on nearly every
+/// transaction.
+fn overlapping_stream() -> Vec<Transaction> {
+    let mut txns = fixture_stream();
+    for t in &mut txns {
+        t.end = t.end.map(|end| end + 30);
+    }
+    txns
+}
+
+/// An SSER checkpoint of [`overlapping_stream`]'s prefix written by the
+/// build before `IncrementalTopo` lost its batched insertion. Its window
+/// re-sort settled the order on other ranks than edge-by-edge insertion
+/// does, so the snapshot holds other ranks and, through the collector's id
+/// recycling, other node ids. It cannot be regenerated: it is that build's
+/// bytes.
+fn parent_written_sser_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot-v5-sser-ed75a20.mtcck")
+}
+
 /// The committed snapshot of the fixture prefix at `level`.
 fn fixture_path(level: IsolationLevel) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -207,7 +229,8 @@ fn level_name(level: IsolationLevel) -> &'static str {
 /// very bytes committed there, and reads them back into a checker that
 /// finishes the stream with the uninterrupted run's verdict. A refactor that
 /// renames, reorders or drops a serialized field fails here instead of on
-/// somebody's disk.
+/// somebody's disk. The older build's SSER snapshot of
+/// [`parent_written_sser_path`] is only decoded and resumed.
 ///
 /// A change that moves snapshot bytes on purpose bumps `SNAPSHOT_VERSION`
 /// and regenerates: the failing check writes this build's file under
@@ -266,6 +289,41 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
         assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
         assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
     }
+
+    // A snapshot written by another build, whose ranks this build would not
+    // have settled on, resumes all the same: any valid order does.
+    let level = IsolationLevel::StrictSerializability;
+    let txns = overlapping_stream();
+    let checker = || {
+        IncrementalChecker::new(level)
+            .with_init_keys(0..FIXTURE_KEYS)
+            .with_gc(FIXTURE_GC)
+    };
+    let mut whole = checker();
+    let mut own_prefix = None;
+    for (i, t) in txns.iter().enumerate() {
+        if i == FIXTURE_CUT {
+            own_prefix = Some(to_bytes(&whole.checkpoint()));
+        }
+        let _ = whole.push(t.clone());
+    }
+    let (consumed, snapshot) = read_checkpoint(parent_written_sser_path()).unwrap();
+    assert_eq!(consumed, FIXTURE_CUT as u64);
+    assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
+    assert_ne!(
+        own_prefix,
+        Some(to_bytes(&snapshot)),
+        "the parent-written fixture no longer differs from this build's bytes"
+    );
+    let mut resumed = IncrementalChecker::resume(snapshot);
+    for t in &txns[FIXTURE_CUT..] {
+        let _ = resumed.push(t.clone());
+    }
+    assert_eq!(resumed.first_violation_at(), whole.first_violation_at());
+    assert_eq!(
+        format!("{:?}", resumed.finish()),
+        format!("{:?}", whole.finish())
+    );
 }
 
 /// A snapshot's bytes are a function of the checker's state: a checker

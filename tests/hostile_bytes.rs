@@ -7,19 +7,24 @@
 //! prefix inflated to 2^32 and to 2^60, **the frame re-made around the damage
 //! so that its CRC holds** and the payload decoder is what meets it.
 //!
+//! Underneath them all, `frame::read_frame` meets the raw frame streams of
+//! the committed segment and wire fixtures the same way: cut at every
+//! offset, bit-flipped, and with each frame's length field claiming the
+//! most its four bytes can (2^32 − 1) and the most a frame may hold.
+//!
 //! What is held: a call returns `Ok` or a typed `Err` — it does not panic —
 //! and it does not ask the allocator for more than eight times its input
 //! plus 64 KiB, however large the numbers in that input claim to be.
 //!
 //! One `#[test]` on purpose: the counter is per thread, and this file's
-//! allocator is the whole binary's. `delta` and `frame` keep the tests they
-//! have in `mtc-store`.
+//! allocator is the whole binary's. The CRC itself keeps its tests in
+//! `mtc-store`.
 
 mod common;
 
 use common::{allocations_of, tenant_stream, Counting, NUM_KEYS};
 use mtc::net::proto::{FrameBuf, ReplyEnvelope, RequestEnvelope};
-use mtc::store::frame::{read_frame, write_frame};
+use mtc::store::frame::{read_frame, write_frame, FrameError, FRAME_HEADER, MAX_FRAME_LEN};
 use mtc::store::{from_bytes, latest_checkpoint, read_log, to_bytes, LogRecord};
 use mtc::{CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -190,6 +195,39 @@ fn reframed(frames: &[Vec<u8>], at: usize, damaged: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Reads `stream` frame after frame to its end, as recovery reads a
+/// segment; the number of frames, or why one was refused.
+fn read_frames(stream: &[u8]) -> Result<usize, FrameError> {
+    let (mut pos, mut frames) = (0, 0);
+    while pos < stream.len() {
+        read_frame(stream, &mut pos)?;
+        frames += 1;
+    }
+    Ok(frames)
+}
+
+/// `stream` and every damaged form of it, through [`read_frames`]: cut at
+/// every offset, `flips` seeded bit flips, and the length field of each
+/// frame claiming `u32::MAX` and [`MAX_FRAME_LEN`] bytes.
+fn frame_stream_held(name: &str, stream: &[u8], flips: usize) {
+    let frames = frames_of(stream);
+    assert_eq!(read_frames(stream), Ok(frames.len()), "{name}");
+    damaged(stream, &[], (usize::MAX, flips, 1), 0, |what, bytes| {
+        let what = || format!("frame stream {name}, {}", what());
+        held(&what, bytes.len(), || read_frames(bytes));
+    });
+    let mut header = 0;
+    for frame in &frames {
+        for claim in [u32::MAX, MAX_FRAME_LEN as u32] {
+            let mut lied = stream.to_vec();
+            lied[header..header + 4].copy_from_slice(&claim.to_le_bytes());
+            let what = || format!("frame stream {name}, length at {header} claiming {claim}");
+            held(&what, lied.len(), || read_frames(&lied));
+        }
+        header += FRAME_HEADER + frame.len();
+    }
+}
+
 fn fixture(path: &str) -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
@@ -332,6 +370,14 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
                 held(&what, stream.len(), || buf.pop::<ReplyEnvelope>());
             }
         });
+    }
+
+    // The frames underneath: both raw streams, straight to `read_frame`.
+    for name in [
+        "crates/store/tests/data/segment-v2-pr21.mtclog",
+        "crates/net/tests/data/frames-pr21.bin",
+    ] {
+        frame_stream_held(name, &fixture(name), 2_000 / thin);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
