@@ -8,7 +8,7 @@
 //! memory plots track qualitatively.
 
 use mtc_baselines::cobra::{cobra_check_ser, BaselineOutcome};
-use mtc_baselines::elle::{ListHistory, ListOp, ListTxn};
+use mtc_baselines::elle::{elle_check_rw_register, ElleLevel, ListHistory, ListOp, ListTxn};
 use mtc_baselines::polysi::polysi_check_si;
 use mtc_core::{
     build_dependency, check_batch, BatchCheck, CheckOptions, IncrementalChecker, IsolationLevel,
@@ -109,14 +109,16 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
         Checker::MtcSi => verify_batch(BatchCheck::Si, history),
         Checker::MtcSser => verify_batch(BatchCheck::Sser, history),
         Checker::MtcSserNaive => verify_batch(BatchCheck::SserNaive, history),
-        Checker::CobraSer | Checker::ElleRwSer => {
-            let out: BaselineOutcome = cobra_check_ser(history);
-            summarize_baseline(history, &out)
-        }
-        Checker::PolySiSi | Checker::ElleRwSi => {
-            let out: BaselineOutcome = polysi_check_si(history);
-            summarize_baseline(history, &out)
-        }
+        Checker::CobraSer => summarize_baseline(history, &cobra_check_ser(history)),
+        Checker::PolySiSi => summarize_baseline(history, &polysi_check_si(history)),
+        Checker::ElleRwSer => summarize_baseline(
+            history,
+            &elle_check_rw_register(history, ElleLevel::Serializability),
+        ),
+        Checker::ElleRwSi => summarize_baseline(
+            history,
+            &elle_check_rw_register(history, ElleLevel::SnapshotIsolation),
+        ),
     };
     VerifyOutcome {
         checker,

@@ -1,11 +1,12 @@
 //! One parameterized sweep per table and figure of the paper's evaluation.
 //!
-//! Every function returns [`Table`]s whose columns mirror the axes of the
-//! corresponding plot, so the binaries in `mtc-bench` only have to print or
-//! persist them. Each sweep takes a size parameter struct with two
-//! constructors: `quick()` (seconds — used by the test suite and CI) and
-//! `paper()` (the scale of the original evaluation, within what the
-//! simulator and baselines can handle on a laptop).
+//! Every function takes a [`Scale`] and returns [`Table`]s whose columns
+//! mirror the axes of the corresponding plot; [`EXPERIMENTS`] lists them by
+//! name, and the `run_all_experiments` binary prints and persists them. Each
+//! sweep's sizes live in one `at(scale)`: [`Scale::Quick`] takes seconds
+//! (the test suite and CI), [`Scale::Paper`] is the scale of the original
+//! evaluation, within what the simulator and baselines can handle on a
+//! laptop.
 //!
 //! | Function | Paper artefact |
 //! |---|---|
@@ -16,6 +17,7 @@
 //! | [`fig10_end_to_end_ser`] | Figure 10 (a–f) |
 //! | [`fig11_abort_rates`] | Figure 11 (a–b) |
 //! | [`table2_bug_rediscovery`] | Table II / Figures 12 & 18 |
+//! | [`backend_matrix`] | none: every in-tree backend, locally and behind the wire |
 //! | [`fig13_effectiveness`] | Figure 13 (a–b) |
 //! | [`fig14_elle_end_to_end`] | Figure 14 (a–b) |
 //! | [`fig17_end_to_end_si`] | Figure 17 (a–f, Appendix D) |
@@ -29,7 +31,8 @@ use mtc_baselines::elle::{elle_check_list_append, ElleLevel};
 use mtc_baselines::porcupine::porcupine_check_linearizability;
 use mtc_core::{check_linearizability, check_si, check_sser, IsolationLevel};
 use mtc_dbsim::{
-    BackendSpec, ClientOptions, Database, DbBackend, DbConfig, FaultKind, FaultSpec, IsolationMode,
+    BackendSpec, ClientOptions, Database, DbBackend, DbConfig, ExecutionOptions, FaultKind,
+    FaultSpec, IsolationMode,
 };
 use mtc_history::anomalies::AnomalyKind;
 use mtc_workload::{
@@ -37,13 +40,42 @@ use mtc_workload::{
     Distribution, ElleWorkloadKind, ElleWorkloadSpec, GtWorkloadSpec, LwtHistorySpec,
     MtWorkloadSpec,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How large an experiment runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds: the test suite and CI smoke runs.
+    Quick,
+    /// The scale of the shipped figures.
+    Paper,
+}
+
+/// Runs one experiment at a scale.
+type Experiment = fn(Scale) -> Vec<Table>;
+
+/// Every experiment by name, in the order a run of all of them takes. The
+/// names are the file stems of the eleven binaries this list replaced.
+pub const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("table1_anomalies", table1_anomalies),
+    ("fig7_ser_verification", fig7_ser_verification),
+    ("fig8_si_verification", fig8_si_verification),
+    ("fig9_sser_verification", fig9_sser_verification),
+    ("fig10_end_to_end_ser", fig10_end_to_end_ser),
+    ("fig11_abort_rates", fig11_abort_rates),
+    ("table2_bug_rediscovery", table2_bug_rediscovery),
+    ("backend_matrix", backend_matrix),
+    ("fig13_effectiveness", fig13_effectiveness),
+    ("fig14_elle_end_to_end", fig14_elle_end_to_end),
+    ("fig17_end_to_end_si", fig17_end_to_end_si),
+];
 
 // ───────────────────────────── Table I ──────────────────────────────────────
 
 /// Table I: every catalogue anomaly, which checker rejects it, and whether
-/// the observed verdicts match the expected matrix.
-pub fn table1_anomalies() -> Table {
+/// the observed verdicts match the expected matrix. The catalogue has one
+/// size, so the scale is ignored.
+pub fn table1_anomalies(_: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "table1_anomalies",
         &[
@@ -73,69 +105,62 @@ pub fn table1_anomalies() -> Table {
             matches.to_string(),
         ]);
     }
-    table
+    vec![table]
 }
 
 // ───────────────────────────── Figure 7 / 8 ─────────────────────────────────
 
-/// Size parameters for the verification-only comparisons (Figures 7 and 8).
-#[derive(Clone, Copy, Debug)]
-pub struct VerificationSweep {
+/// Sizes of the verification-only comparisons (Figures 7 and 8).
+struct VerificationSweep {
     /// Base number of sessions.
-    pub sessions: u32,
+    sessions: u32,
     /// Base number of transactions per session.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Base number of objects.
-    pub num_keys: u64,
+    num_keys: u64,
     /// Values of the #objects sweep.
-    pub object_points: &'static [u64],
+    object_points: &'static [u64],
     /// Values of the #sessions sweep.
-    pub session_points: &'static [u32],
+    session_points: &'static [u32],
     /// Values of the total-#txns sweep.
-    pub txn_points: &'static [u32],
+    txn_points: &'static [u32],
 }
 
 impl VerificationSweep {
-    /// A sub-second configuration for tests.
-    pub fn quick() -> Self {
-        VerificationSweep {
-            sessions: 4,
-            txns_per_session: 50,
-            num_keys: 20,
-            object_points: &[5, 20, 100],
-            session_points: &[2, 4, 8],
-            txn_points: &[50, 100, 200],
-        }
-    }
-
-    /// The scale used for the shipped figures.
-    pub fn paper() -> Self {
-        VerificationSweep {
-            sessions: 10,
-            txns_per_session: 100,
-            num_keys: 1000,
-            object_points: &[100, 1000, 10_000, 100_000],
-            session_points: &[5, 10, 20],
-            txn_points: &[100, 500, 1000, 2000],
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => VerificationSweep {
+                sessions: 4,
+                txns_per_session: 50,
+                num_keys: 20,
+                object_points: &[5, 20, 100],
+                session_points: &[2, 4, 8],
+                txn_points: &[50, 100, 200],
+            },
+            Scale::Paper => VerificationSweep {
+                sessions: 10,
+                txns_per_session: 100,
+                num_keys: 1000,
+                object_points: &[100, 1000, 10_000, 100_000],
+                session_points: &[5, 10, 20],
+                txn_points: &[100, 500, 1000, 2000],
+            },
         }
     }
 }
 
-fn generate_valid_history(spec: &MtWorkloadSpec, isolation: IsolationMode) -> mtc_history::History {
-    let workload = generate_mt_workload(spec);
-    let db = Database::new(DbConfig::correct(isolation, spec.num_keys));
-    let (history, _) = run_register_workload(&db, &workload, &ClientOptions::default());
-    history
-}
-
+/// Figures 7 and 8: one table per axis — (a) object-access distribution,
+/// (b) #objects, (c) #sessions, (d) #txns — each point a valid history timed
+/// under `mtc` and under `baseline`.
 fn verification_sweep(
-    sweep: &VerificationSweep,
+    scale: Scale,
     isolation: IsolationMode,
     mtc: Checker,
     baseline: Checker,
     prefix: &str,
 ) -> Vec<Table> {
-    let base_spec = MtWorkloadSpec {
+    let sweep = VerificationSweep::at(scale);
+    let base = MtWorkloadSpec {
         sessions: sweep.sessions,
         txns_per_session: sweep.txns_per_session,
         num_keys: sweep.num_keys,
@@ -146,91 +171,76 @@ fn verification_sweep(
     };
     let mtc_label = format!("{}_time_s", mtc.label());
     let base_label = format!("{}_time_s", baseline.label());
-
-    // (a) object-access distribution.
-    let mut by_dist = Table::new(
-        format!("{prefix}a_by_distribution"),
-        &["distribution", &mtc_label, &base_label],
-    );
-    for dist in Distribution::paper_set() {
-        let spec = MtWorkloadSpec {
-            distribution: dist,
-            ..base_spec
-        };
-        let history = generate_valid_history(&spec, isolation);
-        let m = verify(mtc, &history);
-        let b = verify(baseline, &history);
-        by_dist.push_row(vec![
-            dist.label().to_string(),
-            secs(m.duration),
-            secs(b.duration),
-        ]);
-    }
-
-    // (b) number of objects.
-    let mut by_objects = Table::new(
-        format!("{prefix}b_by_objects"),
-        &["objects", &mtc_label, &base_label],
-    );
-    for &objects in sweep.object_points {
-        let spec = MtWorkloadSpec {
-            num_keys: objects,
-            ..base_spec
-        };
-        let history = generate_valid_history(&spec, isolation);
-        let m = verify(mtc, &history);
-        let b = verify(baseline, &history);
-        by_objects.push_row(vec![
-            objects.to_string(),
-            secs(m.duration),
-            secs(b.duration),
-        ]);
-    }
-
-    // (c) number of sessions.
-    let mut by_sessions = Table::new(
-        format!("{prefix}c_by_sessions"),
-        &["sessions", &mtc_label, &base_label],
-    );
-    for &sessions in sweep.session_points {
-        let spec = MtWorkloadSpec {
-            sessions,
-            ..base_spec
-        };
-        let history = generate_valid_history(&spec, isolation);
-        let m = verify(mtc, &history);
-        let b = verify(baseline, &history);
-        by_sessions.push_row(vec![
-            sessions.to_string(),
-            secs(m.duration),
-            secs(b.duration),
-        ]);
-    }
-
-    // (d) number of transactions.
-    let mut by_txns = Table::new(
-        format!("{prefix}d_by_txns"),
-        &["txns", &mtc_label, &base_label],
-    );
-    for &txns in sweep.txn_points {
-        let spec = MtWorkloadSpec {
-            txns_per_session: txns / base_spec.sessions.max(1),
-            ..base_spec
-        };
-        let history = generate_valid_history(&spec, isolation);
-        let m = verify(mtc, &history);
-        let b = verify(baseline, &history);
-        by_txns.push_row(vec![txns.to_string(), secs(m.duration), secs(b.duration)]);
-    }
-
-    vec![by_dist, by_objects, by_sessions, by_txns]
+    let axis = |suffix: &str, x: &str, points: Vec<(String, MtWorkloadSpec)>| {
+        let mut table = Table::new(format!("{prefix}{suffix}"), &[x, &mtc_label, &base_label]);
+        for (label, spec) in points {
+            let db = Database::new(DbConfig::correct(isolation, spec.num_keys));
+            let workload = generate_mt_workload(&spec);
+            let (history, _) = run_register_workload(&db, &workload, &ClientOptions::default());
+            let m = verify(mtc, &history);
+            let b = verify(baseline, &history);
+            table.push_row(vec![label, secs(m.duration), secs(b.duration)]);
+        }
+        table
+    };
+    vec![
+        axis(
+            "a_by_distribution",
+            "distribution",
+            Distribution::paper_set()
+                .map(|distribution| {
+                    let spec = MtWorkloadSpec {
+                        distribution,
+                        ..base
+                    };
+                    (distribution.label().to_string(), spec)
+                })
+                .to_vec(),
+        ),
+        axis(
+            "b_by_objects",
+            "objects",
+            sweep
+                .object_points
+                .iter()
+                .map(|&num_keys| (num_keys.to_string(), MtWorkloadSpec { num_keys, ..base }))
+                .collect(),
+        ),
+        axis(
+            "c_by_sessions",
+            "sessions",
+            sweep
+                .session_points
+                .iter()
+                .map(|&sessions| (sessions.to_string(), MtWorkloadSpec { sessions, ..base }))
+                .collect(),
+        ),
+        axis(
+            "d_by_txns",
+            "txns",
+            sweep
+                .txn_points
+                .iter()
+                .map(|&txns| {
+                    let txns_per_session = txns / base.sessions.max(1);
+                    (
+                        txns.to_string(),
+                        MtWorkloadSpec {
+                            txns_per_session,
+                            ..base
+                        },
+                    )
+                })
+                .collect(),
+        ),
+    ]
 }
 
 /// Figure 7: SER verification time, MTC-SER vs Cobra, across distribution,
 /// #objects, #sessions and #txns.
-pub fn fig7_ser_verification(sweep: &VerificationSweep) -> Vec<Table> {
+pub fn fig7_ser_verification(scale: Scale) -> Vec<Table> {
     verification_sweep(
-        sweep,
+        scale,
         IsolationMode::Serializable,
         Checker::MtcSer,
         Checker::CobraSer,
@@ -239,9 +249,9 @@ pub fn fig7_ser_verification(sweep: &VerificationSweep) -> Vec<Table> {
 }
 
 /// Figure 8: SI verification time, MTC-SI vs PolySI, across the same sweeps.
-pub fn fig8_si_verification(sweep: &VerificationSweep) -> Vec<Table> {
+pub fn fig8_si_verification(scale: Scale) -> Vec<Table> {
     verification_sweep(
-        sweep,
+        scale,
         IsolationMode::Snapshot,
         Checker::MtcSi,
         Checker::PolySiSi,
@@ -251,154 +261,136 @@ pub fn fig8_si_verification(sweep: &VerificationSweep) -> Vec<Table> {
 
 // ───────────────────────────── Figure 9 ─────────────────────────────────────
 
-/// Size parameters for the SSER/LIN comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct SserSweep {
+/// Sizes of the SSER/LIN comparison.
+struct SserSweep {
     /// Number of sessions.
-    pub sessions: u32,
+    sessions: u32,
     /// Base transactions per session.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Values of the concurrent-sessions sweep (fractions).
-    pub concurrency_points: &'static [f64],
+    concurrency_points: &'static [f64],
     /// Values of the #txns/session sweep.
-    pub txn_points: &'static [u32],
+    txn_points: &'static [u32],
 }
 
 impl SserSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        SserSweep {
-            sessions: 6,
-            txns_per_session: 10,
-            concurrency_points: &[0.0, 0.5, 1.0],
-            txn_points: &[5, 10],
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => SserSweep {
+                sessions: 6,
+                txns_per_session: 10,
+                concurrency_points: &[0.0, 0.5, 1.0],
+                txn_points: &[5, 10],
+            },
+            Scale::Paper => SserSweep {
+                sessions: 16,
+                txns_per_session: 12,
+                concurrency_points: &[0.25, 0.5, 0.75, 1.0],
+                txn_points: &[5, 8, 10, 12],
+            },
         }
     }
+}
 
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        SserSweep {
-            sessions: 16,
-            txns_per_session: 12,
-            concurrency_points: &[0.25, 0.5, 0.75, 1.0],
-            txn_points: &[5, 8, 10, 12],
-        }
-    }
+/// One row of Figure 9: `x`, then VL-LWT's and Porcupine's time on a
+/// synthetic lightweight-transaction history, which both must judge alike.
+fn lwt_row(
+    x: String,
+    sessions: u32,
+    txns_per_session: u32,
+    concurrent_fraction: f64,
+) -> Vec<String> {
+    let ops = generate_lwt_history(&LwtHistorySpec {
+        sessions,
+        txns_per_session,
+        num_keys: 1,
+        concurrent_fraction,
+        inject_violation: false,
+        seed: 0xF19,
+    });
+    let start = Instant::now();
+    let vl = check_linearizability(&ops).unwrap();
+    let vl_time = start.elapsed();
+    let start = Instant::now();
+    let porc = porcupine_check_linearizability(&ops);
+    let porc_time = start.elapsed();
+    assert_eq!(vl.is_satisfied(), porc.linearizable || porc.timed_out);
+    vec![x, secs(vl_time), secs(porc_time)]
 }
 
 /// Figure 9: SSER verification on synthetic lightweight-transaction
 /// histories, MTC-SSER (`VL-LWT`) vs Porcupine.
-pub fn fig9_sser_verification(sweep: &SserSweep) -> Vec<Table> {
+pub fn fig9_sser_verification(scale: Scale) -> Vec<Table> {
+    let sweep = SserSweep::at(scale);
+    let columns = |x| [x, "MTC-SSER_time_s", "Porcupine_time_s"];
     let mut by_concurrency = Table::new(
         "fig9a_by_concurrent_sessions",
-        &["concurrent_fraction", "MTC-SSER_time_s", "Porcupine_time_s"],
+        &columns("concurrent_fraction"),
     );
     for &fraction in sweep.concurrency_points {
-        let spec = LwtHistorySpec {
-            sessions: sweep.sessions,
-            txns_per_session: sweep.txns_per_session,
-            num_keys: 1,
-            concurrent_fraction: fraction,
-            inject_violation: false,
-            seed: 0xF19,
-        };
-        let ops = generate_lwt_history(&spec);
-        let start = Instant::now();
-        let vl = check_linearizability(&ops).unwrap();
-        let vl_time = start.elapsed();
-        let start = Instant::now();
-        let porc = porcupine_check_linearizability(&ops);
-        let porc_time = start.elapsed();
-        assert_eq!(vl.is_satisfied(), porc.linearizable || porc.timed_out);
-        by_concurrency.push_row(vec![
-            format!("{fraction:.2}"),
-            secs(vl_time),
-            secs(porc_time),
-        ]);
+        let x = format!("{fraction:.2}");
+        by_concurrency.push_row(lwt_row(x, sweep.sessions, sweep.txns_per_session, fraction));
     }
-
-    let mut by_txns = Table::new(
-        "fig9b_by_txns_per_session",
-        &["txns_per_session", "MTC-SSER_time_s", "Porcupine_time_s"],
-    );
+    let mut by_txns = Table::new("fig9b_by_txns_per_session", &columns("txns_per_session"));
     for &txns in sweep.txn_points {
-        let spec = LwtHistorySpec {
-            sessions: sweep.sessions,
-            txns_per_session: txns,
-            num_keys: 1,
-            concurrent_fraction: 1.0,
-            inject_violation: false,
-            seed: 0xF19,
-        };
-        let ops = generate_lwt_history(&spec);
-        let start = Instant::now();
-        let _ = check_linearizability(&ops).unwrap();
-        let vl_time = start.elapsed();
-        let start = Instant::now();
-        let _ = porcupine_check_linearizability(&ops);
-        let porc_time = start.elapsed();
-        by_txns.push_row(vec![txns.to_string(), secs(vl_time), secs(porc_time)]);
+        by_txns.push_row(lwt_row(txns.to_string(), sweep.sessions, txns, 1.0));
     }
     vec![by_concurrency, by_txns]
 }
 
 // ───────────────────────────── Figures 10 / 17 ──────────────────────────────
 
-/// Size parameters for the end-to-end comparisons.
-#[derive(Clone, Copy, Debug)]
-pub struct EndToEndSweep {
+/// Sizes of the end-to-end comparisons.
+struct EndToEndSweep {
     /// Sessions used throughout.
-    pub sessions: u32,
+    sessions: u32,
     /// Values of the total-#txns sweep.
-    pub txn_points: &'static [u32],
+    txn_points: &'static [u32],
     /// Values of the #ops/txn sweep (GT side; MT side is fixed at ≤ 4).
-    pub ops_per_txn_points: &'static [u32],
+    ops_per_txn_points: &'static [u32],
     /// Values of the #objects sweep.
-    pub object_points: &'static [u64],
-    /// Baseline #txns, #ops/txn and #objects when not being swept.
-    pub base_txns: u32,
+    object_points: &'static [u64],
+    /// Baseline #txns when not being swept.
+    base_txns: u32,
     /// Baseline operations per transaction for the GT workload.
-    pub base_ops_per_txn: u32,
+    base_ops_per_txn: u32,
     /// Baseline number of objects.
-    pub base_objects: u64,
+    base_objects: u64,
 }
 
 impl EndToEndSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        EndToEndSweep {
-            sessions: 4,
-            txn_points: &[40, 80],
-            ops_per_txn_points: &[4, 8],
-            object_points: &[10, 50],
-            base_txns: 60,
-            base_ops_per_txn: 8,
-            base_objects: 20,
-        }
-    }
-
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        EndToEndSweep {
-            sessions: 10,
-            txn_points: &[100, 500, 1000, 2000, 3000],
-            ops_per_txn_points: &[4, 12, 16, 20, 24],
-            object_points: &[100, 200, 500, 1000, 5000],
-            base_txns: 1000,
-            base_ops_per_txn: 16,
-            base_objects: 500,
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => EndToEndSweep {
+                sessions: 4,
+                txn_points: &[40, 80],
+                ops_per_txn_points: &[4, 8],
+                object_points: &[10, 50],
+                base_txns: 60,
+                base_ops_per_txn: 8,
+                base_objects: 20,
+            },
+            Scale::Paper => EndToEndSweep {
+                sessions: 10,
+                txn_points: &[100, 500, 1000, 2000, 3000],
+                ops_per_txn_points: &[4, 12, 16, 20, 24],
+                object_points: &[100, 200, 500, 1000, 5000],
+                base_txns: 1000,
+                base_ops_per_txn: 16,
+                base_objects: 500,
+            },
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn end_to_end_sweep(
-    sweep: &EndToEndSweep,
+    scale: Scale,
     isolation: IsolationMode,
     mtc_checker: Checker,
     baseline_checker: Checker,
     prefix: &str,
 ) -> Vec<Table> {
+    let sweep = EndToEndSweep::at(scale);
     let columns = [
         "x",
         "MTC_gen_s",
@@ -441,43 +433,57 @@ fn end_to_end_sweep(
             &ClientOptions::default(),
             baseline_checker,
         );
-        (mt, gt)
+        [mt, gt]
     };
-    let row = |x: String, mt: &crate::exec::EndToEnd, gt: &crate::exec::EndToEnd| {
-        vec![
-            x,
-            secs(mt.generation),
-            secs(mt.verification),
-            mib(mt.memory_bytes),
-            secs(gt.generation),
-            secs(gt.verification),
-            mib(gt.memory_bytes),
-        ]
+    let axis = |suffix: &str, points: Vec<(String, (u32, u32, u64))>| {
+        let mut table = Table::new(format!("{prefix}_{suffix}"), &columns);
+        for (x, (txns, ops, objects)) in points {
+            let mut row = vec![x];
+            for e2e in run_point(txns, ops, objects) {
+                row.extend([
+                    secs(e2e.generation),
+                    secs(e2e.verification),
+                    mib(e2e.memory_bytes),
+                ]);
+            }
+            table.push_row(row);
+        }
+        table
     };
-
-    let mut by_txns = Table::new(format!("{prefix}_by_txns"), &columns);
-    for &txns in sweep.txn_points {
-        let (mt, gt) = run_point(txns, sweep.base_ops_per_txn, sweep.base_objects);
-        by_txns.push_row(row(txns.to_string(), &mt, &gt));
-    }
-    let mut by_ops = Table::new(format!("{prefix}_by_ops_per_txn"), &columns);
-    for &ops in sweep.ops_per_txn_points {
-        let (mt, gt) = run_point(sweep.base_txns, ops, sweep.base_objects);
-        by_ops.push_row(row(ops.to_string(), &mt, &gt));
-    }
-    let mut by_objects = Table::new(format!("{prefix}_by_objects"), &columns);
-    for &objects in sweep.object_points {
-        let (mt, gt) = run_point(sweep.base_txns, sweep.base_ops_per_txn, objects);
-        by_objects.push_row(row(objects.to_string(), &mt, &gt));
-    }
-    vec![by_txns, by_ops, by_objects]
+    let (txns, ops, objects) = (sweep.base_txns, sweep.base_ops_per_txn, sweep.base_objects);
+    vec![
+        axis(
+            "by_txns",
+            sweep
+                .txn_points
+                .iter()
+                .map(|&t| (t.to_string(), (t, ops, objects)))
+                .collect(),
+        ),
+        axis(
+            "by_ops_per_txn",
+            sweep
+                .ops_per_txn_points
+                .iter()
+                .map(|&o| (o.to_string(), (txns, o, objects)))
+                .collect(),
+        ),
+        axis(
+            "by_objects",
+            sweep
+                .object_points
+                .iter()
+                .map(|&k| (k.to_string(), (txns, ops, k)))
+                .collect(),
+        ),
+    ]
 }
 
 /// Figure 10: end-to-end SER checking (time and memory), MTC with MT
 /// workloads vs Cobra with GT workloads.
-pub fn fig10_end_to_end_ser(sweep: &EndToEndSweep) -> Vec<Table> {
+pub fn fig10_end_to_end_ser(scale: Scale) -> Vec<Table> {
     end_to_end_sweep(
-        sweep,
+        scale,
         IsolationMode::Serializable,
         Checker::MtcSer,
         Checker::CobraSer,
@@ -486,9 +492,9 @@ pub fn fig10_end_to_end_ser(sweep: &EndToEndSweep) -> Vec<Table> {
 }
 
 /// Figure 17 (Appendix D): end-to-end SI checking, MTC vs PolySI.
-pub fn fig17_end_to_end_si(sweep: &EndToEndSweep) -> Vec<Table> {
+pub fn fig17_end_to_end_si(scale: Scale) -> Vec<Table> {
     end_to_end_sweep(
-        sweep,
+        scale,
         IsolationMode::Snapshot,
         Checker::MtcSi,
         Checker::PolySiSi,
@@ -498,169 +504,134 @@ pub fn fig17_end_to_end_si(sweep: &EndToEndSweep) -> Vec<Table> {
 
 // ───────────────────────────── Figure 11 ────────────────────────────────────
 
-/// Size parameters for the abort-rate comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct AbortRateSweep {
+/// Sizes of the abort-rate comparison.
+struct AbortRateSweep {
     /// Values of the #sessions sweep.
-    pub session_points: &'static [u32],
+    session_points: &'static [u32],
     /// Values of the skewness sweep (#txns / #objects).
-    pub skew_points: &'static [u32],
+    skew_points: &'static [u32],
     /// Transactions per session.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Operations per GT transaction (the paper uses 20).
-    pub gt_ops_per_txn: u32,
+    gt_ops_per_txn: u32,
     /// Objects used in the #sessions sweep.
-    pub num_keys: u64,
+    num_keys: u64,
 }
 
 impl AbortRateSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        AbortRateSweep {
-            session_points: &[2, 4],
-            skew_points: &[2, 10],
-            txns_per_session: 30,
-            gt_ops_per_txn: 8,
-            num_keys: 40,
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => AbortRateSweep {
+                session_points: &[2, 4],
+                skew_points: &[2, 10],
+                txns_per_session: 30,
+                gt_ops_per_txn: 8,
+                num_keys: 40,
+            },
+            Scale::Paper => AbortRateSweep {
+                session_points: &[5, 10, 15, 20],
+                skew_points: &[1, 5, 10, 20],
+                txns_per_session: 100,
+                gt_ops_per_txn: 20,
+                num_keys: 200,
+            },
         }
     }
+}
 
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        AbortRateSweep {
-            session_points: &[5, 10, 15, 20],
-            skew_points: &[1, 5, 10, 20],
-            txns_per_session: 100,
-            gt_ops_per_txn: 20,
-            num_keys: 200,
-        }
-    }
+/// The four cells of a Figure 11 row: the abort rates of GT-SER, GT-SI,
+/// MT-SER and MT-SI at `sessions` sessions over `num_keys` objects.
+fn rates(sweep: &AbortRateSweep, sessions: u32, num_keys: u64) -> [String; 4] {
+    let opts = ClientOptions {
+        max_retries: 0,
+        record_aborted: true,
+    };
+    let gt = GtWorkloadSpec {
+        sessions,
+        txns_per_session: sweep.txns_per_session,
+        ops_per_txn: sweep.gt_ops_per_txn,
+        num_keys,
+        distribution: Distribution::Uniform,
+        read_only_fraction: 0.2,
+        write_only_fraction: 0.4,
+        seed: 0xF11,
+    };
+    let mt = MtWorkloadSpec {
+        sessions,
+        txns_per_session: sweep.txns_per_session,
+        num_keys,
+        distribution: Distribution::Uniform,
+        read_only_fraction: 0.2,
+        two_key_fraction: 0.5,
+        seed: 0xF11,
+    };
+    let (gt, mt) = (generate_gt_workload(&gt), generate_mt_workload(&mt));
+    [
+        (&gt, IsolationMode::Serializable),
+        (&gt, IsolationMode::Snapshot),
+        (&mt, IsolationMode::Serializable),
+        (&mt, IsolationMode::Snapshot),
+    ]
+    .map(|(workload, isolation)| {
+        let db = Database::new(DbConfig::correct(isolation, num_keys));
+        format!(
+            "{:.3}",
+            run_register_workload(&db, workload, &opts).1.abort_rate()
+        )
+    })
 }
 
 /// Figure 11: abort rates of GT vs MT workloads under SER and SI, as
 /// concurrency (#sessions) and skewness (#txns/#objects) grow.
-pub fn fig11_abort_rates(sweep: &AbortRateSweep) -> Vec<Table> {
-    let run = |isolation: IsolationMode, sessions: u32, num_keys: u64, gt: bool| -> f64 {
-        let config = DbConfig::correct(isolation, num_keys);
-        let opts = ClientOptions {
-            max_retries: 0,
-            record_aborted: true,
-        };
-        let report = if gt {
-            let spec = GtWorkloadSpec {
-                sessions,
-                txns_per_session: sweep.txns_per_session,
-                ops_per_txn: sweep.gt_ops_per_txn,
-                num_keys,
-                distribution: Distribution::Uniform,
-                read_only_fraction: 0.2,
-                write_only_fraction: 0.4,
-                seed: 0xF11,
-            };
-            run_register_workload(&Database::new(config), &generate_gt_workload(&spec), &opts).1
-        } else {
-            let spec = MtWorkloadSpec {
-                sessions,
-                txns_per_session: sweep.txns_per_session,
-                num_keys,
-                distribution: Distribution::Uniform,
-                read_only_fraction: 0.2,
-                two_key_fraction: 0.5,
-                seed: 0xF11,
-            };
-            run_register_workload(&Database::new(config), &generate_mt_workload(&spec), &opts).1
-        };
-        report.abort_rate()
-    };
-
-    let mut by_sessions = Table::new(
-        "fig11a_abort_rate_by_sessions",
-        &["sessions", "GT-SER", "GT-SI", "MT-SER", "MT-SI"],
-    );
+pub fn fig11_abort_rates(scale: Scale) -> Vec<Table> {
+    let sweep = AbortRateSweep::at(scale);
+    let columns = |x| [x, "GT-SER", "GT-SI", "MT-SER", "MT-SI"];
+    let mut by_sessions = Table::new("fig11a_abort_rate_by_sessions", &columns("sessions"));
     for &sessions in sweep.session_points {
-        by_sessions.push_row(vec![
-            sessions.to_string(),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Serializable, sessions, sweep.num_keys, true)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Snapshot, sessions, sweep.num_keys, true)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Serializable, sessions, sweep.num_keys, false)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Snapshot, sessions, sweep.num_keys, false)
-            ),
-        ]);
+        let mut row = vec![sessions.to_string()];
+        row.extend(rates(&sweep, sessions, sweep.num_keys));
+        by_sessions.push_row(row);
     }
 
-    let mut by_skew = Table::new(
-        "fig11b_abort_rate_by_skewness",
-        &["txns_per_object", "GT-SER", "GT-SI", "MT-SER", "MT-SI"],
-    );
+    let mut by_skew = Table::new("fig11b_abort_rate_by_skewness", &columns("txns_per_object"));
     let sessions = *sweep.session_points.last().unwrap_or(&4);
     for &skew in sweep.skew_points {
         // skewness = #txns / #objects, so #objects = #txns / skew.
         let total_txns = (sessions * sweep.txns_per_session) as u64;
         let num_keys = (total_txns / skew as u64).max(1);
-        by_skew.push_row(vec![
-            skew.to_string(),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Serializable, sessions, num_keys, true)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Snapshot, sessions, num_keys, true)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Serializable, sessions, num_keys, false)
-            ),
-            format!(
-                "{:.3}",
-                run(IsolationMode::Snapshot, sessions, num_keys, false)
-            ),
-        ]);
+        let mut row = vec![skew.to_string()];
+        row.extend(rates(&sweep, sessions, num_keys));
+        by_skew.push_row(row);
     }
     vec![by_sessions, by_skew]
 }
 
 // ───────────────────────────── Backend matrix ───────────────────────────────
 
-/// Size parameters for the cross-backend matrix.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendSweep {
+/// Sizes of the cross-backend matrix.
+struct BackendSweep {
     /// Sessions issuing transactions.
-    pub sessions: u32,
+    sessions: u32,
     /// Transactions per session.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Number of objects (small, so anomalies of the weak engines have a
     /// chance to materialize organically).
-    pub num_keys: u64,
+    num_keys: u64,
 }
 
 impl BackendSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        BackendSweep {
-            sessions: 4,
-            txns_per_session: 50,
-            num_keys: 8,
-        }
-    }
-
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        BackendSweep {
-            sessions: 8,
-            txns_per_session: 400,
-            num_keys: 16,
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => BackendSweep {
+                sessions: 4,
+                txns_per_session: 50,
+                num_keys: 8,
+            },
+            Scale::Paper => BackendSweep {
+                sessions: 8,
+                txns_per_session: 400,
+                num_keys: 16,
+            },
         }
     }
 }
@@ -668,14 +639,16 @@ impl BackendSweep {
 /// The backend dimension of the experiment matrix: run the same MT workload
 /// against every in-tree backend ([`BackendSpec::fleet`]) — the OCC
 /// simulator at three modes, the strict-2PL engine and both weak MVCC
-/// levels, all **without any fault injection** — and report, per backend,
-/// what it promises, what each checker decided, and whether the streaming
-/// verdicts agree with the batch ones.
+/// levels, all **without any fault injection** — and against two of them
+/// behind the loopback TCP server, and report, per backend, what it
+/// promises, what each checker decided, and whether the streaming verdicts
+/// agree with the batch ones.
 ///
 /// Backends that promise a level must never be flagged at it; the weak
 /// engines promise nothing, so any flag against them is an *organic*
 /// anomaly produced by their concurrency control.
-pub fn backend_matrix(sweep: &BackendSweep) -> Table {
+pub fn backend_matrix(scale: Scale) -> Vec<Table> {
+    let sweep = BackendSweep::at(scale);
     let mut table = Table::new(
         "backend_matrix",
         &[
@@ -706,67 +679,40 @@ pub fn backend_matrix(sweep: &BackendSweep) -> Table {
         (IsolationLevel::Serializability, Checker::MtcSer),
         (IsolationLevel::StrictSerializability, Checker::MtcSser),
     ];
-    for backend_spec in BackendSpec::fleet(sweep.num_keys) {
-        let db = backend_spec.build();
-        // Zero-latency engines barely overlap under free-running threads, so
-        // non-blocking backends run under the deterministic op-by-op
-        // interleaved driver — real concurrency on a reproducible schedule,
-        // which is what lets the weak engines' organic anomalies show up in
-        // the matrix. Blocking (locking) engines keep one thread per
-        // session.
-        let (history, report) = if backend_spec.blocking() {
-            run_register_workload(db.as_ref(), &workload, &ClientOptions::default())
+    // Zero-latency engines barely overlap under free-running threads, so
+    // non-blocking backends run under the deterministic op-by-op
+    // interleaved driver — real concurrency on a reproducible schedule,
+    // which is what lets the weak engines' organic anomalies show up in
+    // the matrix. Blocking (locking) engines keep one thread per session.
+    let local = BackendSpec::fleet(sweep.num_keys).into_iter().map(|spec| {
+        let driver = if spec.blocking() {
+            ExecutionOptions::threaded()
         } else {
-            mtc_dbsim::ExecutionOptions::interleaved(0xBACD).run(db.as_ref(), &workload)
+            ExecutionOptions::interleaved(0xBACD)
         };
-        let mut verdicts = Vec::new();
-        let mut promises = Vec::new();
-        let mut stream_agrees = true;
-        let mut verify_s = 0.0f64;
-        for (level, checker) in levels {
-            let batch = verify(checker, &history);
-            let streaming = mtc_core::check_streaming(level, &history)
-                .expect("collected histories are inside the checkers' domain");
-            stream_agrees &= batch.violated == streaming.is_violated();
-            verify_s += batch.duration.as_secs_f64();
-            if db.promises(level) {
-                promises.push(level.to_string());
-                assert!(
-                    !batch.violated,
-                    "{} violated its promised level {level}: {}",
-                    backend_spec.label(),
-                    batch.detail
-                );
-            }
-            verdicts.push(if batch.violated { "violated" } else { "ok" });
-        }
-        table.push_row(vec![
-            backend_spec.label().to_string(),
-            if promises.is_empty() {
-                "-".to_string()
-            } else {
-                promises.join("+")
-            },
-            report.committed.to_string(),
-            format!("{:.3}", report.abort_rate()),
-            verdicts[0].to_string(),
-            verdicts[1].to_string(),
-            verdicts[2].to_string(),
-            stream_agrees.to_string(),
-            secs(report.wall_time),
-            format!("{verify_s:.4}"),
-        ]);
-    }
-
+        (spec.build(), driver)
+    });
     // Remote rows: representative engines behind the loopback TCP server,
     // one connection per session thread. A promising engine must keep its
     // promises *through the wire*, and a weak engine's organic anomalies must
-    // survive the round trip.
-    for engine in ["sim-ser", "weak-rc"] {
-        let spec = mtc_net::spec_for_label(engine, sweep.num_keys).expect("fleet label resolves");
-        let server = mtc_net::NetServer::spawn(spec).expect("loopback server spawns");
+    // survive the round trip. The servers outlive the loop.
+    let servers: Vec<mtc_net::NetServer> = ["sim-ser", "weak-rc"]
+        .into_iter()
+        .map(|engine| {
+            let spec =
+                mtc_net::spec_for_label(engine, sweep.num_keys).expect("fleet label resolves");
+            mtc_net::NetServer::spawn(spec).expect("loopback server spawns")
+        })
+        .collect();
+    let remote = servers.iter().map(|server| {
         let db = mtc_net::NetBackend::connect(server.addr()).expect("loopback connect");
-        let (history, report) = mtc_dbsim::ExecutionOptions::threaded().run(&db, &workload);
+        (
+            Box::new(db) as Box<dyn DbBackend>,
+            ExecutionOptions::threaded(),
+        )
+    });
+    for (db, driver) in local.chain(remote) {
+        let (history, report) = driver.run(db.as_ref(), &workload);
         let mut verdicts = Vec::new();
         let mut promises = Vec::new();
         let mut stream_agrees = true;
@@ -804,134 +750,125 @@ pub fn backend_matrix(sweep: &BackendSweep) -> Table {
             secs(report.wall_time),
             format!("{verify_s:.4}"),
         ]);
-        drop(db);
-        let _ = server.shutdown();
     }
-    table
+    vec![table]
 }
 
 // ───────────────────────────── Table II ─────────────────────────────────────
 
 /// One rediscovered-bug scenario of Table II.
-#[derive(Clone, Copy, Debug)]
-pub struct BugScenario {
+struct BugScenario {
     /// Human-readable database the scenario stands in for.
-    pub database: &'static str,
+    database: &'static str,
     /// Claimed isolation level (what we check against).
-    pub level: IsolationLevel,
+    level: IsolationLevel,
     /// The anomaly the injected fault produces.
-    pub anomaly: &'static str,
+    anomaly: &'static str,
     /// The injected fault.
-    pub fault: FaultKind,
+    fault: FaultKind,
     /// The isolation mode the faulty engine otherwise runs at.
-    pub engine: IsolationMode,
+    engine: IsolationMode,
     /// Per-transaction fault probability.
-    pub probability: f64,
+    probability: f64,
     /// Key-space override. The SER-level scenarios need write-skew-shaped
     /// interleavings, which require two concurrent transactions to pick the
     /// same pair of objects — a very small key space makes the rediscovery
     /// reliable within a short history (the paper's runs are 30 minutes
     /// long; ours are a few hundred transactions).
-    pub keys: Option<u64>,
+    keys: Option<u64>,
 }
 
 /// The six Table II scenarios mapped onto simulator faults.
-pub fn table2_scenarios() -> Vec<BugScenario> {
-    vec![
-        BugScenario {
-            database: "MariaDB-Galera-10.7.3 (sim)",
-            level: IsolationLevel::SnapshotIsolation,
-            anomaly: "LostUpdate",
-            fault: FaultKind::SkipWriteValidation,
-            engine: IsolationMode::Snapshot,
-            probability: 0.05,
-            keys: None,
-        },
-        BugScenario {
-            database: "MongoDB-4.2.6 (sim)",
-            level: IsolationLevel::SnapshotIsolation,
-            anomaly: "AbortedRead",
-            fault: FaultKind::DirtyRelease,
-            engine: IsolationMode::Snapshot,
-            probability: 0.02,
-            keys: None,
-        },
-        BugScenario {
-            database: "Dgraph-1.1.1 (sim)",
-            level: IsolationLevel::SnapshotIsolation,
-            anomaly: "CausalityViolation",
-            fault: FaultKind::StaleSnapshot,
-            engine: IsolationMode::Snapshot,
-            probability: 0.05,
-            keys: None,
-        },
-        BugScenario {
-            database: "PostgreSQL-12.3 (sim)",
-            level: IsolationLevel::Serializability,
-            anomaly: "WriteSkew",
-            fault: FaultKind::SkipReadValidation,
-            engine: IsolationMode::Serializable,
-            probability: 0.1,
-            keys: Some(2),
-        },
-        BugScenario {
-            database: "PostgreSQL-11.8 (sim)",
-            level: IsolationLevel::Serializability,
-            anomaly: "LongFork",
-            fault: FaultKind::SkipReadValidation,
-            engine: IsolationMode::Serializable,
-            probability: 0.05,
-            keys: Some(3),
-        },
-        BugScenario {
-            database: "Cassandra-2.0.1 (sim)",
-            level: IsolationLevel::StrictSerializability,
-            anomaly: "AbortedRead",
-            fault: FaultKind::DirtyRelease,
-            engine: IsolationMode::StrictSerializable,
-            probability: 0.02,
-            keys: None,
-        },
-    ]
-}
+const TABLE2_SCENARIOS: [BugScenario; 6] = [
+    BugScenario {
+        database: "MariaDB-Galera-10.7.3 (sim)",
+        level: IsolationLevel::SnapshotIsolation,
+        anomaly: "LostUpdate",
+        fault: FaultKind::SkipWriteValidation,
+        engine: IsolationMode::Snapshot,
+        probability: 0.05,
+        keys: None,
+    },
+    BugScenario {
+        database: "MongoDB-4.2.6 (sim)",
+        level: IsolationLevel::SnapshotIsolation,
+        anomaly: "AbortedRead",
+        fault: FaultKind::DirtyRelease,
+        engine: IsolationMode::Snapshot,
+        probability: 0.02,
+        keys: None,
+    },
+    BugScenario {
+        database: "Dgraph-1.1.1 (sim)",
+        level: IsolationLevel::SnapshotIsolation,
+        anomaly: "CausalityViolation",
+        fault: FaultKind::StaleSnapshot,
+        engine: IsolationMode::Snapshot,
+        probability: 0.05,
+        keys: None,
+    },
+    BugScenario {
+        database: "PostgreSQL-12.3 (sim)",
+        level: IsolationLevel::Serializability,
+        anomaly: "WriteSkew",
+        fault: FaultKind::SkipReadValidation,
+        engine: IsolationMode::Serializable,
+        probability: 0.1,
+        keys: Some(2),
+    },
+    BugScenario {
+        database: "PostgreSQL-11.8 (sim)",
+        level: IsolationLevel::Serializability,
+        anomaly: "LongFork",
+        fault: FaultKind::SkipReadValidation,
+        engine: IsolationMode::Serializable,
+        probability: 0.05,
+        keys: Some(3),
+    },
+    BugScenario {
+        database: "Cassandra-2.0.1 (sim)",
+        level: IsolationLevel::StrictSerializability,
+        anomaly: "AbortedRead",
+        fault: FaultKind::DirtyRelease,
+        engine: IsolationMode::StrictSerializable,
+        probability: 0.02,
+        keys: None,
+    },
+];
 
-/// Size parameters for the bug-rediscovery experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct BugSweep {
+/// Sizes of the bug-rediscovery experiment.
+struct BugSweep {
     /// Sessions issuing transactions.
-    pub sessions: u32,
+    sessions: u32,
     /// Transactions per session.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Objects (small, to force contention — the paper uses 10).
-    pub num_keys: u64,
+    num_keys: u64,
     /// Multiplier applied to each scenario's fault probability (quick runs
     /// use a higher density so the bug appears in a much shorter history).
-    pub fault_boost: f64,
+    fault_boost: f64,
     /// Per-operation latency of the simulated database, in microseconds
     /// (non-zero so that transactions genuinely overlap).
-    pub op_latency_us: u64,
+    op_latency_us: u64,
 }
 
 impl BugSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        BugSweep {
-            sessions: 4,
-            txns_per_session: 150,
-            num_keys: 8,
-            fault_boost: 10.0,
-            op_latency_us: 150,
-        }
-    }
-
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        BugSweep {
-            sessions: 10,
-            txns_per_session: 300,
-            num_keys: 10,
-            fault_boost: 1.0,
-            op_latency_us: 200,
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => BugSweep {
+                sessions: 4,
+                txns_per_session: 150,
+                num_keys: 8,
+                fault_boost: 10.0,
+                op_latency_us: 150,
+            },
+            Scale::Paper => BugSweep {
+                sessions: 10,
+                txns_per_session: 300,
+                num_keys: 10,
+                fault_boost: 1.0,
+                op_latency_us: 200,
+            },
         }
     }
 }
@@ -939,7 +876,8 @@ impl BugSweep {
 /// Table II: run every bug scenario against the fault-injected simulator and
 /// report whether MTC detects a violation, where the counterexample sits in
 /// the history, and how long generation and verification took.
-pub fn table2_bug_rediscovery(sweep: &BugSweep) -> Table {
+pub fn table2_bug_rediscovery(scale: Scale) -> Vec<Table> {
+    let sweep = BugSweep::at(scale);
     let mut table = Table::new(
         "table2_bug_rediscovery",
         &[
@@ -952,7 +890,7 @@ pub fn table2_bug_rediscovery(sweep: &BugSweep) -> Table {
             "hist_verify_s",
         ],
     );
-    for scenario in table2_scenarios() {
+    for scenario in &TABLE2_SCENARIOS {
         let num_keys = scenario.keys.unwrap_or(sweep.num_keys);
         let spec = MtWorkloadSpec {
             sessions: sweep.sessions,
@@ -965,8 +903,8 @@ pub fn table2_bug_rediscovery(sweep: &BugSweep) -> Table {
         };
         let config = DbConfig::correct(scenario.engine, num_keys)
             .with_latency(
-                std::time::Duration::from_micros(sweep.op_latency_us),
-                std::time::Duration::from_micros(sweep.op_latency_us / 2),
+                Duration::from_micros(sweep.op_latency_us),
+                Duration::from_micros(sweep.op_latency_us / 2),
             )
             .with_faults(
                 vec![FaultSpec::new(
@@ -997,7 +935,7 @@ pub fn table2_bug_rediscovery(sweep: &BugSweep) -> Table {
             secs(outcome.duration),
         ]);
     }
-    table
+    vec![table]
 }
 
 /// Extracts the smallest transaction id mentioned in a counterexample string
@@ -1027,53 +965,49 @@ fn counterexample_position(detail: &str) -> Option<u32> {
 
 // ───────────────────────────── Figures 13 / 14 ──────────────────────────────
 
-/// Size parameters for the effectiveness comparison against Elle.
-#[derive(Clone, Copy, Debug)]
-pub struct EffectivenessSweep {
+/// Sizes of the effectiveness comparison against Elle.
+struct EffectivenessSweep {
     /// Trials per configuration (the paper runs repeated 30-minute sessions;
     /// we count bug-detecting trials out of `trials`).
-    pub trials: u32,
+    trials: u32,
     /// Sessions per trial.
-    pub sessions: u32,
+    sessions: u32,
     /// Transactions per session per trial.
-    pub txns_per_session: u32,
+    txns_per_session: u32,
     /// Number of objects (the paper uses 10).
-    pub num_keys: u64,
+    num_keys: u64,
     /// The max-transaction-length points (x-axis of Figure 13).
-    pub txn_len_points: &'static [u32],
+    txn_len_points: &'static [u32],
     /// Per-transaction fault probability of the buggy engines.
-    pub fault_probability: f64,
+    fault_probability: f64,
 }
 
 impl EffectivenessSweep {
-    /// Sub-second configuration.
-    pub fn quick() -> Self {
-        EffectivenessSweep {
-            trials: 2,
-            sessions: 3,
-            txns_per_session: 40,
-            num_keys: 6,
-            txn_len_points: &[2, 4],
-            fault_probability: 0.2,
-        }
-    }
-
-    /// Figure-scale configuration.
-    pub fn paper() -> Self {
-        EffectivenessSweep {
-            trials: 10,
-            sessions: 10,
-            txns_per_session: 300,
-            num_keys: 10,
-            txn_len_points: &[2, 4, 6, 8, 10, 12],
-            fault_probability: 0.02,
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => EffectivenessSweep {
+                trials: 2,
+                sessions: 3,
+                txns_per_session: 40,
+                num_keys: 6,
+                txn_len_points: &[2, 4],
+                fault_probability: 0.2,
+            },
+            Scale::Paper => EffectivenessSweep {
+                trials: 10,
+                sessions: 10,
+                txns_per_session: 300,
+                num_keys: 10,
+                txn_len_points: &[2, 4, 6, 8, 10, 12],
+                fault_probability: 0.02,
+            },
         }
     }
 }
 
 /// The simulated buggy databases of the effectiveness experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BuggyTarget {
+#[derive(Clone, Copy)]
+enum BuggyTarget {
     /// "PostgreSQL-like": claims SER, occasionally skips read validation.
     PostgresSer,
     /// "MongoDB-like": claims SI, occasionally releases dirty writes.
@@ -1082,27 +1016,31 @@ pub enum BuggyTarget {
 
 impl BuggyTarget {
     fn config(self, num_keys: u64, probability: f64, seed: u64) -> DbConfig {
-        let latency = std::time::Duration::from_micros(100);
-        match self {
-            BuggyTarget::PostgresSer => DbConfig::correct(IsolationMode::Serializable, num_keys)
-                .with_latency(latency, latency / 2)
-                .with_faults(
-                    vec![FaultSpec::new(FaultKind::SkipReadValidation, probability)],
-                    seed,
-                ),
-            BuggyTarget::MongoSi => DbConfig::correct(IsolationMode::Snapshot, num_keys)
-                .with_latency(latency, latency / 2)
-                .with_faults(
-                    vec![FaultSpec::new(FaultKind::DirtyRelease, probability)],
-                    seed,
-                ),
-        }
+        let latency = Duration::from_micros(100);
+        let (isolation, fault) = match self {
+            BuggyTarget::PostgresSer => {
+                (IsolationMode::Serializable, FaultKind::SkipReadValidation)
+            }
+            BuggyTarget::MongoSi => (IsolationMode::Snapshot, FaultKind::DirtyRelease),
+        };
+        DbConfig::correct(isolation, num_keys)
+            .with_latency(latency, latency / 2)
+            .with_faults(vec![FaultSpec::new(fault, probability)], seed)
     }
 
-    fn level(self) -> ElleLevel {
+    /// The claimed level, and MTC's and Elle rw-register's checkers for it.
+    fn checks(self) -> (ElleLevel, Checker, Checker) {
         match self {
-            BuggyTarget::PostgresSer => ElleLevel::Serializability,
-            BuggyTarget::MongoSi => ElleLevel::SnapshotIsolation,
+            BuggyTarget::PostgresSer => (
+                ElleLevel::Serializability,
+                Checker::MtcSer,
+                Checker::ElleRwSer,
+            ),
+            BuggyTarget::MongoSi => (
+                ElleLevel::SnapshotIsolation,
+                Checker::MtcSi,
+                Checker::ElleRwSi,
+            ),
         }
     }
 
@@ -1114,34 +1052,32 @@ impl BuggyTarget {
     }
 }
 
-struct EffectivenessPoint {
-    bugs_mini: u32,
-    bugs_append: u32,
-    bugs_wr: u32,
-    gen_mini: f64,
-    gen_append: f64,
-    gen_wr: f64,
-    verify_mini: f64,
-    verify_append: f64,
-    verify_wr: f64,
+/// What one check found over a configuration's trials: bug-detecting
+/// trials, and total generation and verification seconds.
+#[derive(Default)]
+struct Arm {
+    bugs: u32,
+    gen_s: f64,
+    verify_s: f64,
 }
 
+impl Arm {
+    fn add(&mut self, violated: bool, generation: Duration, verification: Duration) {
+        self.bugs += u32::from(violated);
+        self.gen_s += generation.as_secs_f64();
+        self.verify_s += verification.as_secs_f64();
+    }
+}
+
+/// The three arms at one point: MTC on MT workloads, Elle on list-append
+/// and Elle on read-write-register workloads of length `max_txn_len`.
 fn effectiveness_point(
     target: BuggyTarget,
     sweep: &EffectivenessSweep,
     max_txn_len: u32,
-) -> EffectivenessPoint {
-    let mut point = EffectivenessPoint {
-        bugs_mini: 0,
-        bugs_append: 0,
-        bugs_wr: 0,
-        gen_mini: 0.0,
-        gen_append: 0.0,
-        gen_wr: 0.0,
-        verify_mini: 0.0,
-        verify_append: 0.0,
-        verify_wr: 0.0,
-    };
+) -> [Arm; 3] {
+    let [mut mini, mut append, mut wr] = <[Arm; 3]>::default();
+    let (level, mtc_checker, wr_checker) = target.checks();
     let opts = ClientOptions::default();
     for trial in 0..sweep.trials {
         let seed = 0xEFFu64 + trial as u64;
@@ -1162,14 +1098,8 @@ fn effectiveness_point(
             &generate_mt_workload(&mt_spec),
             &opts,
         );
-        let checker = match target {
-            BuggyTarget::PostgresSer => Checker::MtcSer,
-            BuggyTarget::MongoSi => Checker::MtcSi,
-        };
-        let outcome = verify(checker, &history);
-        point.gen_mini += report.wall_time.as_secs_f64();
-        point.verify_mini += outcome.duration.as_secs_f64();
-        point.bugs_mini += u32::from(outcome.violated);
+        let outcome = verify(mtc_checker, &history);
+        mini.add(outcome.violated, report.wall_time, outcome.duration);
 
         // Elle with list-append workloads of the given max length.
         let append_spec = ElleWorkloadSpec {
@@ -1187,10 +1117,8 @@ fn effectiveness_point(
             &opts,
         );
         let start = Instant::now();
-        let out = elle_check_list_append(&list_history, target.level());
-        point.gen_append += report.wall_time.as_secs_f64();
-        point.verify_append += start.elapsed().as_secs_f64();
-        point.bugs_append += u32::from(!out.satisfied);
+        let out = elle_check_list_append(&list_history, level);
+        append.add(!out.satisfied, report.wall_time, start.elapsed());
 
         // Elle with read-write-register workloads of the given max length.
         let wr_spec = ElleWorkloadSpec {
@@ -1202,32 +1130,27 @@ fn effectiveness_point(
             &generate_elle_workload(&wr_spec),
             &opts,
         );
-        let wr_checker = match target {
-            BuggyTarget::PostgresSer => Checker::ElleRwSer,
-            BuggyTarget::MongoSi => Checker::ElleRwSi,
-        };
         let outcome = verify(wr_checker, &wr_history);
-        point.gen_wr += report.wall_time.as_secs_f64();
-        point.verify_wr += outcome.duration.as_secs_f64();
-        point.bugs_wr += u32::from(outcome.violated);
+        wr.add(outcome.violated, report.wall_time, outcome.duration);
     }
-    point
+    [mini, append, wr]
 }
 
 /// Figure 13: number of bug-detecting trials, MTC vs Elle (list-append and
 /// rw-register) as the maximum transaction length varies, on the simulated
 /// buggy PostgreSQL (SER) and MongoDB (SI).
-pub fn fig13_effectiveness(sweep: &EffectivenessSweep) -> Vec<Table> {
-    effectiveness_tables(sweep, false)
+pub fn fig13_effectiveness(scale: Scale) -> Vec<Table> {
+    effectiveness_tables(scale, false)
 }
 
 /// Figure 14: average end-to-end time (generation and verification) for the
 /// same configurations as Figure 13.
-pub fn fig14_elle_end_to_end(sweep: &EffectivenessSweep) -> Vec<Table> {
-    effectiveness_tables(sweep, true)
+pub fn fig14_elle_end_to_end(scale: Scale) -> Vec<Table> {
+    effectiveness_tables(scale, true)
 }
 
-fn effectiveness_tables(sweep: &EffectivenessSweep, timing: bool) -> Vec<Table> {
+fn effectiveness_tables(scale: Scale, timing: bool) -> Vec<Table> {
+    let sweep = EffectivenessSweep::at(scale);
     let mut tables = Vec::new();
     for target in [BuggyTarget::PostgresSer, BuggyTarget::MongoSi] {
         let mut table = if timing {
@@ -1256,27 +1179,16 @@ fn effectiveness_tables(sweep: &EffectivenessSweep, timing: bool) -> Vec<Table> 
             )
         };
         for &len in sweep.txn_len_points {
-            let p = effectiveness_point(target, sweep, len);
+            let arms = effectiveness_point(target, &sweep, len);
+            let mut row = vec![len.to_string()];
             if timing {
                 let avg = |total: f64| format!("{:.4}", total / sweep.trials as f64);
-                table.push_row(vec![
-                    len.to_string(),
-                    avg(p.gen_mini),
-                    avg(p.verify_mini),
-                    avg(p.gen_append),
-                    avg(p.verify_append),
-                    avg(p.gen_wr),
-                    avg(p.verify_wr),
-                ]);
+                row.extend(arms.iter().flat_map(|a| [avg(a.gen_s), avg(a.verify_s)]));
             } else {
-                table.push_row(vec![
-                    len.to_string(),
-                    p.bugs_mini.to_string(),
-                    p.bugs_append.to_string(),
-                    p.bugs_wr.to_string(),
-                    sweep.trials.to_string(),
-                ]);
+                row.extend(arms.iter().map(|a| a.bugs.to_string()));
+                row.push(sweep.trials.to_string());
             }
+            table.push_row(row);
         }
         tables.push(table);
     }
@@ -1287,126 +1199,28 @@ fn effectiveness_tables(sweep: &EffectivenessSweep, timing: bool) -> Vec<Table> 
 mod tests {
     use super::*;
 
+    /// The names are the file stems of the eleven binaries this table
+    /// replaced, each once.
     #[test]
-    fn table1_matches_expected_matrix() {
-        let t = table1_anomalies();
-        assert_eq!(t.len(), 14);
-        for row in &t.rows {
-            assert_eq!(row[5], "true", "mismatch for anomaly {}", row[0]);
-        }
-    }
-
-    #[test]
-    fn fig7_quick_runs_and_has_expected_shape() {
-        let tables = fig7_ser_verification(&VerificationSweep::quick());
-        assert_eq!(tables.len(), 4);
-        assert_eq!(tables[0].len(), 4); // four distributions
+    fn names_are_the_eleven_former_binaries() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
         assert_eq!(
-            tables[1].len(),
-            VerificationSweep::quick().object_points.len()
+            names,
+            [
+                "backend_matrix",
+                "fig10_end_to_end_ser",
+                "fig11_abort_rates",
+                "fig13_effectiveness",
+                "fig14_elle_end_to_end",
+                "fig17_end_to_end_si",
+                "fig7_ser_verification",
+                "fig8_si_verification",
+                "fig9_sser_verification",
+                "table1_anomalies",
+                "table2_bug_rediscovery",
+            ]
         );
-    }
-
-    #[test]
-    fn fig8_quick_runs() {
-        let tables = fig8_si_verification(&VerificationSweep::quick());
-        assert_eq!(tables.len(), 4);
-        for t in &tables {
-            assert!(!t.is_empty());
-        }
-    }
-
-    #[test]
-    fn fig9_quick_runs() {
-        let tables = fig9_sser_verification(&SserSweep::quick());
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].len(), 3);
-    }
-
-    #[test]
-    fn fig10_and_fig17_quick_run() {
-        let tables = fig10_end_to_end_ser(&EndToEndSweep::quick());
-        assert_eq!(tables.len(), 3);
-        let tables = fig17_end_to_end_si(&EndToEndSweep::quick());
-        assert_eq!(tables.len(), 3);
-    }
-
-    #[test]
-    fn fig11_quick_reports_rates_between_zero_and_one() {
-        let tables = fig11_abort_rates(&AbortRateSweep::quick());
-        for t in &tables {
-            for row in &t.rows {
-                for cell in &row[1..] {
-                    let v: f64 = cell.parse().unwrap();
-                    assert!((0.0..=1.0).contains(&v), "abort rate {v} out of range");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn backend_matrix_quick_holds_promises_and_streaming_agreement() {
-        let t = backend_matrix(&BackendSweep::quick());
-        assert_eq!(
-            t.len(),
-            8,
-            "one row per fleet backend plus the two remote rows"
-        );
-        assert!(
-            t.rows.iter().any(|r| r[0] == "net/sim-ser"),
-            "remote promising engine row missing"
-        );
-        assert!(
-            t.rows.iter().any(|r| r[0] == "net/weak-rc"),
-            "remote weak engine row missing"
-        );
-        for row in &t.rows {
-            assert_eq!(
-                row[7], "true",
-                "{}: streaming verdicts disagreed with batch",
-                row[0]
-            );
-            if row[0] == "2pl" {
-                // The pessimistic engine must be organically clean at every
-                // level without a single fault injected.
-                assert_eq!(row[4], "ok", "2pl SI");
-                assert_eq!(row[5], "ok", "2pl SER");
-                assert_eq!(row[6], "ok", "2pl SSER");
-            }
-        }
-    }
-
-    #[test]
-    fn table2_quick_detects_every_injected_bug() {
-        let t = table2_bug_rediscovery(&BugSweep::quick());
-        assert_eq!(t.len(), 6);
-        for row in &t.rows {
-            assert_eq!(
-                row[3], "true",
-                "bug not detected for {} ({})",
-                row[0], row[2]
-            );
-        }
-    }
-
-    #[test]
-    fn fig13_quick_mtc_detects_bugs() {
-        let sweep = EffectivenessSweep::quick();
-        let tables = fig13_effectiveness(&sweep);
-        assert_eq!(tables.len(), 2);
-        for t in &tables {
-            assert_eq!(t.len(), sweep.txn_len_points.len());
-        }
-        // The dirty-release fault of the MongoDB-like target is detected
-        // deterministically (the published-then-aborted value is read by a
-        // later transaction almost surely at this contention level).
-        let mongo = &tables[1];
-        let total: u32 = mongo
-            .rows
-            .iter()
-            .map(|r| r[1].parse::<u32>().unwrap())
-            .sum();
-        assert!(total > 0, "MTC detected no bugs in {}", mongo.title);
     }
 
     #[test]

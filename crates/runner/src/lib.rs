@@ -6,9 +6,9 @@
 //! memory estimates and abort rates.
 //!
 //! The [`experiments`] module contains one parameterized sweep per table and
-//! figure of the paper's evaluation; the binaries in `mtc-bench` are thin
-//! wrappers that run those sweeps at full scale and print the resulting
-//! series.
+//! figure of the paper's evaluation and [`experiments::EXPERIMENTS`], the list
+//! of them by name; the `run_all_experiments` binary of this crate runs them
+//! and [`report::emit`]s the resulting series.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -118,6 +118,24 @@ pub fn mib(bytes: usize) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
+/// Where the experiments drop their CSV series.
+pub fn experiments_dir() -> PathBuf {
+    PathBuf::from("target/experiments")
+}
+
+/// Prints a set of tables (aligned + TSV) and writes them as CSV files.
+pub fn emit(tables: &[Table]) {
+    let dir = experiments_dir();
+    for table in tables {
+        println!("{}", table.to_aligned());
+        println!("{}", table.to_tsv());
+        match table.write_csv(&dir) {
+            Ok(path) => println!("wrote {}\n", path.display()),
+            Err(e) => eprintln!("could not write CSV for {}: {e}", table.title),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +173,21 @@ mod tests {
         assert!(content.contains("a,b"));
         assert!(content.contains("1,2"));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn experiments_dir_is_under_target() {
+        assert!(experiments_dir().starts_with("target"));
+    }
+
+    #[test]
+    fn emit_writes_csv_files() {
+        let mut t = Table::new("runner_report_emit_test", &["a"]);
+        t.push(&[1]);
+        emit(&[t]);
+        let path = experiments_dir().join("runner_report_emit_test.csv");
+        assert!(path.exists());
+        let _ = fs::remove_file(path);
     }
 
     #[test]
