@@ -60,6 +60,18 @@ pub trait DbTxn: Send {
     /// whole list).
     fn append(&mut self, key: Key, element: Value) -> Result<(), AbortReason>;
 
+    /// Announces the transaction's next register reads, `keys` in issue
+    /// order, and — with `then_commit` — that [`DbTxn::commit`] follows them
+    /// with nothing in between. An engine that pays a round trip per
+    /// reply-bearing call may then run them all (and the commit) with the
+    /// first of those reads, so the caller promises two things: the next
+    /// `read_register` calls are exactly these, and no write it issues
+    /// before one of them touches that read's key. Writes to other keys may
+    /// come in between. In-process engines ignore the announcement.
+    fn read_ahead(&mut self, keys: &[Key], then_commit: bool) {
+        let _ = (keys, then_commit);
+    }
+
     /// Attempts to commit. On success the transaction's writes are visible
     /// atomically at the returned commit instant.
     fn commit(self: Box<Self>) -> Result<CommitInfo, AbortReason>;

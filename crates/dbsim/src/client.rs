@@ -1,6 +1,6 @@
 //! The client side of a run: the retry/recording policy ([`ClientOptions`]),
-//! the statistics of an execution ([`ExecutionReport`]), the register
-//! workload's operation function, and the two schedulers of the [`Session`]
+//! the statistics of an execution ([`ExecutionReport`]), how register
+//! workloads issue their operations, and the two schedulers of the [`Session`]
 //! state machine — one OS thread per session, and the deterministic
 //! single-thread interleaving the conformance suite uses to make organic
 //! anomalies reproducible. ([`crate::ExecutionOptions::run`] picks one.)
@@ -8,7 +8,7 @@
 use crate::backend::DbTxn;
 use crate::session::{IssueOp, Session};
 use crate::txn::AbortReason;
-use mtc_history::{Op, ValueAllocator};
+use mtc_history::{Key, Op, ValueAllocator};
 use mtc_workload::ReqOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,27 +87,46 @@ impl ExecutionReport {
     }
 }
 
-/// Issues one register-template operation: reads record the value returned,
-/// writes a fresh unique value from the session's allocator. The [`IssueOp`]
-/// of register workloads.
-pub(crate) fn issue_op(
-    handle: &mut dyn DbTxn,
-    op: &ReqOp,
-    values: &mut ValueAllocator,
-    ops: &mut Vec<Op>,
-) -> Result<(), AbortReason> {
-    match *op {
-        ReqOp::Read(key) => {
-            let value = handle.read_register(key)?;
-            ops.push(Op::Read { key, value });
+/// The [`IssueOp`] of register workloads: reads record the value returned,
+/// writes a fresh unique value from the session's allocator.
+pub(crate) struct RegisterOps;
+
+impl IssueOp<ReqOp, Op> for RegisterOps {
+    fn issue(
+        &self,
+        handle: &mut dyn DbTxn,
+        op: &ReqOp,
+        values: &mut ValueAllocator,
+        ops: &mut Vec<Op>,
+    ) -> Result<(), AbortReason> {
+        match *op {
+            ReqOp::Read(key) => {
+                let value = handle.read_register(key)?;
+                ops.push(Op::Read { key, value });
+            }
+            ReqOp::Write(key) => {
+                let value = values.next();
+                handle.write_register(key, value)?;
+                ops.push(Op::Write { key, value });
+            }
         }
-        ReqOp::Write(key) => {
-            let value = values.next();
-            handle.write_register(key, value)?;
-            ops.push(Op::Write { key, value });
-        }
+        Ok(())
     }
-    Ok(())
+
+    /// The template's reads up to the first that follows a write of its own
+    /// key: all of a mini-transaction's, whatever writes of other keys stand
+    /// between them.
+    fn reads_ahead(&self, template: &[ReqOp], keys: &mut Vec<Key>) -> bool {
+        for (i, op) in template.iter().enumerate() {
+            if let ReqOp::Read(key) = *op {
+                if template[..i].contains(&ReqOp::Write(key)) {
+                    return false;
+                }
+                keys.push(key);
+            }
+        }
+        keys.len() == template.len()
+    }
 }
 
 /// The threaded scheduler: every session steps to completion on an OS thread
@@ -222,6 +241,31 @@ mod tests {
                 backend_spec.label()
             );
         }
+    }
+
+    #[test]
+    fn a_template_announces_its_reads_up_to_one_of_a_key_it_wrote() {
+        use super::RegisterOps;
+        use crate::session::IssueOp;
+        use mtc_history::Key;
+        use mtc_workload::ReqOp::{Read, Write};
+        let plan = |ops: &[mtc_workload::ReqOp]| {
+            let mut keys = Vec::new();
+            let whole = RegisterOps.reads_ahead(ops, &mut keys);
+            (keys, whole)
+        };
+        let (x, y) = (Key(1), Key(2));
+        assert_eq!(plan(&[Read(x), Read(y)]), (vec![x, y], true));
+        assert_eq!(plan(&[Read(x), Read(y), Write(x)]), (vec![x, y], false));
+        assert_eq!(
+            plan(&[Read(x), Write(x), Read(y), Write(y)]),
+            (vec![x, y], false)
+        );
+        assert_eq!(plan(&[Write(x), Read(x)]), (vec![], false));
+        assert_eq!(
+            plan(&[Read(x), Write(x), Read(x), Read(y)]),
+            (vec![x], false)
+        );
     }
 
     #[test]

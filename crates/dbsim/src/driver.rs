@@ -34,7 +34,9 @@
 //! [`crate::BackendSpec::blocking`]).
 
 use crate::backend::DbBackend;
-use crate::client::{drive_interleaved, drive_threaded, issue_op, ClientOptions, ExecutionReport};
+use crate::client::{
+    drive_interleaved, drive_threaded, ClientOptions, ExecutionReport, RegisterOps,
+};
 use crate::live::LiveVerifier;
 use crate::session::{IssueOp, Observer, Session, TxnRecord};
 use mtc_history::{History, HistoryBuilder};
@@ -154,7 +156,14 @@ impl<'v> ExecutionOptions<'v> {
             .iter()
             .map(|s| {
                 let templates = s.txns.iter().map(|t| t.ops.as_slice()).collect();
-                Session::new(db, &self.client, observer, s.session, templates, issue_op)
+                Session::new(
+                    db,
+                    &self.client,
+                    observer,
+                    s.session,
+                    templates,
+                    RegisterOps,
+                )
             })
             .collect();
         let (records, report) = run_sessions(self.driver, sessions);

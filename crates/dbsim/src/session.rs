@@ -13,8 +13,8 @@
 //! The drivers of [`crate::Driver`] only *schedule* steps: one OS thread per
 //! session, or a seeded pick over the live sessions. The machine is generic
 //! over the template-operation type `T` and the recorded-operation type `R`
-//! through one [`IssueOp`] function, so register workloads (`ReqOp → Op`) and
-//! Elle list-append workloads (supplied by `mtc-runner`) share it.
+//! through one [`IssueOp`], so register workloads (`ReqOp → Op`) and Elle
+//! list-append workloads (supplied by `mtc-runner`) share it.
 //!
 //! The contract every driver therefore gets:
 //!
@@ -22,7 +22,10 @@
 //!   template; an open attempt always settles.
 //! * The first attempt of a template uses [`DbBackend::begin`], every retry
 //!   [`DbBackend::begin_retry`] with the *first* attempt's begin instant;
-//!   attempts are counted at begin. An attempt's begin instant
+//!   attempts are counted at begin, and announce the template's reads there
+//!   ([`IssueOp::reads_ahead`] → [`DbTxn::read_ahead`]): a remote handle
+//!   sends them in one frame, a local one ignores them, and either way the
+//!   operations are issued one per step. An attempt's begin instant
 //!   ([`DbTxn::begin_ts`]) is read when it *settles*, not when it begins: a
 //!   remote handle learns it with its first reply.
 //! * A failed operation aborts the attempt with the operation's reason.
@@ -34,7 +37,7 @@
 use crate::backend::{DbBackend, DbTxn};
 use crate::client::{ClientOptions, ExecutionReport};
 use crate::txn::AbortReason;
-use mtc_history::{TxnStatus, ValueAllocator};
+use mtc_history::{Key, TxnStatus, ValueAllocator};
 
 /// One recorded transaction attempt of a session.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,18 +68,43 @@ pub trait Observer<R>: Sync {
     fn observe(&self, record: &TxnRecord<R>);
 }
 
-/// Issues one template operation on an open transaction, pushing what it
-/// observed onto the attempt's recorded operations; unique write values come
-/// from the session's allocator. The single function a [`Session`] is
-/// generic over.
-pub trait IssueOp<T, R>:
-    Fn(&mut dyn DbTxn, &T, &mut ValueAllocator, &mut Vec<R>) -> Result<(), AbortReason> + Send
-{
+/// How a [`Session`] issues the operations of its templates: the one thing
+/// it is generic over. Any function of `issue`'s shape is one, announcing
+/// no reads.
+pub trait IssueOp<T, R>: Send {
+    /// Issues one template operation on an open transaction, pushing what
+    /// it observed onto the attempt's recorded operations; unique write
+    /// values come from the session's allocator.
+    fn issue(
+        &self,
+        handle: &mut dyn DbTxn,
+        op: &T,
+        values: &mut ValueAllocator,
+        ops: &mut Vec<R>,
+    ) -> Result<(), AbortReason>;
+
+    /// Pushes onto `keys` the register reads of `template` an attempt
+    /// announces at begin ([`DbTxn::read_ahead`]); true iff they are the
+    /// whole template, so the commit may be announced with them.
+    fn reads_ahead(&self, template: &[T], keys: &mut Vec<Key>) -> bool {
+        let _ = (template, keys);
+        false
+    }
 }
 
-impl<T, R, F> IssueOp<T, R> for F where
-    F: Fn(&mut dyn DbTxn, &T, &mut ValueAllocator, &mut Vec<R>) -> Result<(), AbortReason> + Send
+impl<T, R, F> IssueOp<T, R> for F
+where
+    F: Fn(&mut dyn DbTxn, &T, &mut ValueAllocator, &mut Vec<R>) -> Result<(), AbortReason> + Send,
 {
+    fn issue(
+        &self,
+        handle: &mut dyn DbTxn,
+        op: &T,
+        values: &mut ValueAllocator,
+        ops: &mut Vec<R>,
+    ) -> Result<(), AbortReason> {
+        self(handle, op, values, ops)
+    }
 }
 
 /// An open attempt at the session's current template.
@@ -103,6 +131,8 @@ pub struct Session<'a, T, R, F> {
     templates: Vec<&'a [T]>,
     next_template: usize,
     open: Option<Attempt<'a, R>>,
+    /// The reads an attempt announces, kept between attempts.
+    reads: Vec<Key>,
     values: ValueAllocator,
     records: Vec<TxnRecord<R>>,
     stats: ExecutionReport,
@@ -129,6 +159,7 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
             templates,
             next_template: 0,
             open: None,
+            reads: Vec::new(),
             values: ValueAllocator::new(session),
             stats: ExecutionReport::default(),
         }
@@ -156,8 +187,10 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
         let template = self.templates[self.next_template];
         if open.failed.is_none() && open.next_op < template.len() {
             let op = &template[open.next_op];
-            open.failed =
-                (self.issue)(open.handle.as_mut(), op, &mut self.values, &mut open.ops).err();
+            open.failed = self
+                .issue
+                .issue(open.handle.as_mut(), op, &mut self.values, &mut open.ops)
+                .err();
             open.next_op += 1;
             self.open = Some(open);
             return true;
@@ -205,16 +238,20 @@ impl<'a, T, R, F: IssueOp<T, R>> Session<'a, T, R, F> {
     fn begin_attempt(&mut self, first_begin: Option<u64>, retries: u32) -> Attempt<'a, R> {
         self.stats.attempts += 1;
         let db = self.db;
-        let handle = match first_begin {
+        let mut handle = match first_begin {
             None => db.begin(),
             Some(ts) => db.begin_retry(ts),
         };
+        let template = self.templates[self.next_template];
+        self.reads.clear();
+        let then_commit = self.issue.reads_ahead(template, &mut self.reads);
+        handle.read_ahead(&self.reads, then_commit);
         Attempt {
             handle,
             first_begin,
             retries,
             next_op: 0,
-            ops: Vec::with_capacity(self.templates[self.next_template].len()),
+            ops: Vec::with_capacity(template.len()),
             failed: None,
         }
     }

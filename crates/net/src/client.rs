@@ -19,12 +19,16 @@
 //! encode their request into the connection's out-buffer, and the next call
 //! that needs an answer (`read_register`, `read_list`, `commit`, `abort`, or
 //! `begin_ts()` asked before any of those) sends everything queued plus
-//! itself in one `write` and reads the replies in sequence order. A
-//! mini-transaction `B·R·W·C` is therefore two round trips, `[B R]·[W C]`,
-//! and `B·R·W·R·W·C` three, `[B R]·[W R]·[W C]`, instead of four and six
-//! (counters `net.requests` and `net.round_trips`; `net.call_micros.<label>`
-//! times each round trip under the request that could not wait). See
-//! [`NetTxn`] for what `Ok` from a queued write promises.
+//! itself in one `write` and reads the replies in sequence order. Reads are
+//! sent ahead too once announced ([`DbTxn::read_ahead`], which the session
+//! machine calls with a template's reads when an attempt begins): the first
+//! of them carries them all. A mini-transaction is therefore one round trip
+//! per phase — `B·R·W·C` is `[B R]·[W C]`, `B·R·W·R·W·C` is `[B R R]·[W W C]`
+//! — and a read-only one, whose commit is announced with its reads, one
+//! frame `[B R R C]` (counters `net.requests` and `net.round_trips`;
+//! `net.call_micros.<label>` times each round trip under the request that
+//! could not wait). See [`NetTxn`] for what `Ok` from a queued write
+//! promises.
 //!
 //! Connections are pooled: a transaction checks one out for its lifetime
 //! (the protocol has at most one open transaction per connection from this
@@ -42,6 +46,7 @@ use mtc_dbsim::{AbortReason, CommitInfo, DbBackend, DbTxn};
 use mtc_history::{Key, Value};
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -336,6 +341,11 @@ impl NetBackend {
         let mut state = TxnState {
             conn: self.checkout().map_err(|_| AbortReason::ConnectionLost),
             begin_ts: None,
+            ahead: VecDeque::new(),
+            values: VecDeque::new(),
+            refused: None,
+            committing: false,
+            commit_ts: None,
         };
         match &mut state.conn {
             Ok(conn) => conn.queue(Request::Begin { retry_of }),
@@ -361,6 +371,16 @@ impl NetBackend {
 /// operation runs, a commit least of all. Another connection cannot see a
 /// write that is still queued — a hand-driven test that needs it visible
 /// reads it back first.
+///
+/// **Reads announced ahead** ([`DbTxn::read_ahead`]) are queued at once,
+/// behind the begin, and the first of them sends them all: the server runs
+/// them back to back, and the later `read_register` calls for them cost no
+/// round trip. A commit announced with them rides in the same frame, so a
+/// read-only mini-transaction is one round trip and an I/O failure of it is
+/// [`AbortReason::CommitStatusUnknown`]; `abort` after such an announcement
+/// rolls nothing back (the commit settles the transaction at the server)
+/// and returns the refusal that failed a read — or `CommitStatusUnknown` if
+/// none did.
 pub struct NetTxn<'b> {
     backend: &'b NetBackend,
     /// Behind a `RefCell` because [`DbTxn::begin_ts`] takes `&self` and may
@@ -375,6 +395,20 @@ struct TxnState {
     conn: Result<Conn, AbortReason>,
     /// The server's begin instant, once a flush has brought `Begun` back.
     begin_ts: Option<u64>,
+    /// Register reads announced and queued whose `read_register` calls have
+    /// not come yet, in the order they will.
+    ahead: VecDeque<Key>,
+    /// Values the server answered register reads with, oldest first, not
+    /// yet handed to a `read_register` call.
+    values: VecDeque<Value>,
+    /// The first refusal the server answered: it answers every later
+    /// request naming the transaction with the same reason.
+    refused: Option<AbortReason>,
+    /// The commit request is queued or sent: from here on an I/O failure
+    /// leaves the outcome unknown.
+    committing: bool,
+    /// The commit instant, once a flush has brought `Committed` back.
+    commit_ts: Option<u64>,
 }
 
 impl TxnState {
@@ -387,36 +421,54 @@ impl TxnState {
         reason
     }
 
-    /// One round trip for everything queued. `Ok` is the last reply; the
-    /// first [`Reply::Aborted`] among them is the error — the server answers
-    /// everything after a refused operation with the same reason. A wire or
-    /// protocol failure dooms the transaction with `on_io_failure`:
-    /// [`AbortReason::ConnectionLost`], or
-    /// [`AbortReason::CommitStatusUnknown`] when a commit request is part
-    /// of what may have reached the server.
+    /// Whether a reply is owed: a request is queued or sent, not answered.
+    fn owed(&self) -> bool {
+        matches!(&self.conn, Ok(conn) if conn.in_flight() > 0)
+    }
+
+    fn queue(&mut self, request: Request) {
+        if let Ok(conn) = &mut self.conn {
+            conn.queue(request);
+        }
+    }
+
+    /// One round trip for everything queued, taking in what its replies
+    /// tell: the begin instant, read values, the commit instant, a refusal.
+    /// `Ok` is the last reply; the first [`Reply::Aborted`] the transaction
+    /// met is the error — the server answers everything after a refused
+    /// operation with the same reason. A wire or protocol failure dooms the
+    /// transaction: [`AbortReason::ConnectionLost`], or
+    /// [`AbortReason::CommitStatusUnknown`] once a commit request is part of
+    /// what may have reached the server.
     fn flush(
         &mut self,
         backend: &NetBackend,
         micros: &mtc_obs::Histogram,
-        on_io_failure: AbortReason,
     ) -> Result<Reply, AbortReason> {
         let conn = match &mut self.conn {
             Ok(conn) => conn,
             Err(reason) => return Err(*reason),
         };
-        let (mut refused, mut unknown, mut last) = (None, false, None);
+        let (mut unknown, mut last) = (false, None);
         let sent = conn.flush(micros, |now, reply| {
             backend.observe(now);
             match reply {
                 Reply::Begun { begin_ts, .. } => self.begin_ts = Some(begin_ts),
-                Reply::Aborted(reason) => _ = refused.get_or_insert(reason),
+                Reply::Value(value) => self.values.push_back(value),
+                Reply::Committed { commit_ts } => self.commit_ts = Some(commit_ts),
+                Reply::Aborted(reason) => _ = self.refused.get_or_insert(reason),
                 // The server no longer knows this transaction.
                 Reply::Error(_) => unknown = true,
                 _ => {}
             }
             last = Some(reply);
         });
-        match (sent, unknown, refused, last) {
+        let on_io_failure = if self.committing {
+            AbortReason::CommitStatusUnknown
+        } else {
+            AbortReason::ConnectionLost
+        };
+        match (sent, unknown, self.refused, last) {
             (Ok(()), false, Some(reason), _) => Err(reason),
             (Ok(()), false, None, Some(reply)) => Ok(reply),
             _ => Err(self.doom(on_io_failure)),
@@ -425,17 +477,10 @@ impl TxnState {
 
     /// Queues `request` and pays the round trip for it and everything
     /// queued before it.
-    fn call(
-        &mut self,
-        backend: &NetBackend,
-        request: Request,
-        on_io_failure: AbortReason,
-    ) -> Result<Reply, AbortReason> {
+    fn call(&mut self, backend: &NetBackend, request: Request) -> Result<Reply, AbortReason> {
         let micros = call_micros(&request);
-        if let Ok(conn) = &mut self.conn {
-            conn.queue(request);
-        }
-        self.flush(backend, micros, on_io_failure)
+        self.queue(request);
+        self.flush(backend, micros)
     }
 
     /// Queues a write. It waits for the next reply-bearing call unless the
@@ -447,9 +492,26 @@ impl TxnState {
                 return Ok(());
             }
         }
-        match self.call(backend, request, AbortReason::ConnectionLost)? {
+        match self.call(backend, request)? {
             Reply::Done => Ok(()),
             _ => Err(self.doom(AbortReason::ConnectionLost)),
+        }
+    }
+
+    /// The value of the oldest register read sent and not yet handed out:
+    /// already here, or brought by a round trip for everything queued.
+    fn value(&mut self, backend: &NetBackend) -> Result<Value, AbortReason> {
+        let flushed = if self.values.is_empty() {
+            self.flush(backend, mtc_obs::histogram!("net.call_micros.read"))
+                .map(drop)
+        } else {
+            Ok(())
+        };
+        match (self.values.pop_front(), flushed) {
+            // A refusal later in the burst does not take back this value.
+            (Some(value), _) => Ok(value),
+            (None, Err(reason)) => Err(reason),
+            (None, Ok(())) => Err(self.doom(AbortReason::ConnectionLost)),
         }
     }
 }
@@ -464,18 +526,21 @@ impl DbTxn for NetTxn<'_> {
             // A refusal of a write that rode along is not lost: the server
             // repeats it to the next call.
             let micros = mtc_obs::histogram!("net.call_micros.begin");
-            let _ = state.flush(self.backend, micros, AbortReason::ConnectionLost);
+            let _ = state.flush(self.backend, micros);
         }
         state.begin_ts.unwrap_or_else(|| self.backend.now())
     }
 
     fn read_register(&mut self, key: Key) -> Result<Value, AbortReason> {
         let state = self.state.get_mut();
-        let request = Request::Read { txn: 0, key };
-        match state.call(self.backend, request, AbortReason::ConnectionLost)? {
-            Reply::Value(value) => Ok(value),
-            _ => Err(state.doom(AbortReason::ConnectionLost)),
+        match state.ahead.pop_front() {
+            None => state.queue(Request::Read { txn: 0, key }),
+            Some(announced) => assert_eq!(
+                announced, key,
+                "register reads must come in the order they were announced"
+            ),
         }
+        state.value(self.backend)
     }
 
     fn write_register(&mut self, key: Key, value: Value) -> Result<(), AbortReason> {
@@ -485,8 +550,7 @@ impl DbTxn for NetTxn<'_> {
 
     fn read_list(&mut self, key: Key) -> Result<Vec<Value>, AbortReason> {
         let state = self.state.get_mut();
-        let request = Request::ReadList { txn: 0, key };
-        match state.call(self.backend, request, AbortReason::ConnectionLost)? {
+        match state.call(self.backend, Request::ReadList { txn: 0, key })? {
             Reply::Values(values) => Ok(values),
             _ => Err(state.doom(AbortReason::ConnectionLost)),
         }
@@ -501,18 +565,42 @@ impl DbTxn for NetTxn<'_> {
         self.state.get_mut().write(self.backend, request)
     }
 
+    /// Queues the announced reads (and commit) behind what is queued — all
+    /// of them, or nothing if they would leave the connection more requests
+    /// in flight than it holds back before a write flushes itself.
+    fn read_ahead(&mut self, keys: &[Key], then_commit: bool) {
+        let state = self.state.get_mut();
+        let Ok(conn) = &mut state.conn else { return };
+        if conn.in_flight() + keys.len() as u64 >= MAX_IN_FLIGHT {
+            return;
+        }
+        for &key in keys {
+            conn.queue(Request::Read { txn: 0, key });
+        }
+        state.ahead.extend(keys);
+        if then_commit {
+            conn.queue(Request::Commit { txn: 0 });
+            state.committing = true;
+        }
+    }
+
     fn commit(self: Box<Self>) -> Result<CommitInfo, AbortReason> {
         let mut state = self.state.into_inner();
-        // From the moment this flush starts to be written the commit may
-        // reach the server even if no reply reaches us, so failures are
-        // ambiguous.
-        let request = Request::Commit { txn: 0 };
-        let result = state
-            .call(self.backend, request, AbortReason::CommitStatusUnknown)
-            .and_then(|reply| match reply {
-                Reply::Committed { commit_ts } => Ok(CommitInfo { commit_ts }),
-                _ => Err(state.doom(AbortReason::CommitStatusUnknown)),
-            });
+        // From the moment the commit starts to be written it may reach the
+        // server even if no reply reaches us, so failures are ambiguous.
+        if !state.committing {
+            state.queue(Request::Commit { txn: 0 });
+            state.committing = true;
+        }
+        if state.owed() {
+            let _ = state.flush(self.backend, mtc_obs::histogram!("net.call_micros.commit"));
+        }
+        let result = match (state.commit_ts, state.refused, &state.conn) {
+            (Some(commit_ts), _, _) => Ok(CommitInfo { commit_ts }),
+            (None, Some(reason), _) => Err(reason),
+            (None, None, Err(reason)) => Err(*reason),
+            (None, None, Ok(_)) => Err(state.doom(AbortReason::CommitStatusUnknown)),
+        };
         // A *known* server-side abort (a write conflict, a refused write) is
         // a clean round trip too: the connection is reusable.
         if let Ok(conn) = state.conn {
@@ -523,12 +611,24 @@ impl DbTxn for NetTxn<'_> {
 
     fn abort(self: Box<Self>) -> AbortReason {
         let mut state = self.state.into_inner();
-        let request = Request::Abort { txn: 0 };
-        let reason = match state.call(self.backend, request, AbortReason::ConnectionLost) {
-            Ok(Reply::Done) => AbortReason::UserAbort,
-            Ok(_) => state.doom(AbortReason::ConnectionLost),
-            // The server had already rolled it back, for this reason.
-            Err(reason) => reason,
+        let reason = if state.committing {
+            // The commit went ahead with the reads: it, not an abort,
+            // settles the transaction at the server.
+            if state.owed() {
+                let _ = state.flush(self.backend, mtc_obs::histogram!("net.call_micros.abort"));
+            }
+            let doomed = state.conn.as_ref().err().copied();
+            state
+                .refused
+                .or(doomed)
+                .unwrap_or(AbortReason::CommitStatusUnknown)
+        } else {
+            match state.call(self.backend, Request::Abort { txn: 0 }) {
+                Ok(Reply::Done) => AbortReason::UserAbort,
+                Ok(_) => state.doom(AbortReason::ConnectionLost),
+                // The server had already rolled it back, for this reason.
+                Err(reason) => reason,
+            }
         };
         if let Ok(conn) = state.conn {
             self.backend.check_in(conn);

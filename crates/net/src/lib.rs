@@ -21,7 +21,8 @@
 //!   `mtc_net_server` binary's engine table;
 //! * [`client`] — [`NetBackend`]/[`NetTxn`] with connection pooling,
 //!   requests sent ahead (`begin` and writes ride with the next read or
-//!   commit: a mini-transaction is two or three round trips, and `Ok` from
+//!   commit, announced reads with the first of them: a mini-transaction is
+//!   one round trip per phase, a read-only one a single frame, and `Ok` from
 //!   a write means *accepted, applied no later than the transaction's next
 //!   reply-bearing call* — the contract is on [`NetTxn`]),
 //!   per-op timeouts and typed I/O failure mapping

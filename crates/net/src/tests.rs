@@ -171,6 +171,44 @@ fn a_commit_sent_behind_a_refused_write_never_runs() {
     server.shutdown().unwrap();
 }
 
+/// A read-only transaction's reads and commit, announced, share one frame;
+/// the same rule keeps the commit from running behind a refused read. A
+/// value answered before the refusal stands, the abort rolls nothing back a
+/// second time, and the connection goes back to the pool.
+#[test]
+fn a_commit_announced_behind_a_refused_read_never_runs() {
+    let server = NetServer::spawn(BackendSpec::TwoPl).unwrap();
+    let backend = NetBackend::connect(server.addr()).unwrap();
+    let mut older = backend.begin();
+    older.write_register(Key(1), Value(10)).unwrap();
+    assert_eq!(older.read_register(Key(1)), Ok(Value(10))); // flushed: lock held
+
+    let mut younger = backend.begin();
+    younger.read_ahead(&[Key(2), Key(1)], true);
+    assert_eq!(younger.read_register(Key(2)), Ok(INIT_VALUE));
+    assert_eq!(younger.read_register(Key(1)), Err(AbortReason::Deadlock));
+    assert_eq!(younger.abort(), AbortReason::Deadlock);
+    assert_eq!(backend.pooled(), 1, "the refused frame was answered whole");
+
+    older.commit().unwrap();
+    let mut reader = backend.begin();
+    reader.read_ahead(&[Key(1), Key(2)], true);
+    assert_eq!(reader.read_register(Key(1)), Ok(Value(10)));
+    assert_eq!(reader.read_register(Key(2)), Ok(INIT_VALUE));
+    assert!(reader.commit().unwrap().commit_ts > 0);
+    server.shutdown().unwrap();
+}
+
+#[test]
+#[should_panic(expected = "in the order they were announced")]
+fn a_read_out_of_its_announced_order_is_a_bug() {
+    let server = NetServer::spawn(spec_for_label("sim-ser", 4).unwrap()).unwrap();
+    let backend = NetBackend::connect(server.addr()).unwrap();
+    let mut t = backend.begin();
+    t.read_ahead(&[Key(0), Key(1)], false);
+    let _ = t.read_register(Key(1));
+}
+
 /// An engine that forgets its own failures: a write to `Key(13)` is
 /// refused, yet `commit` on the same handle would go through.
 #[derive(Default)]

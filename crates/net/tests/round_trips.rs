@@ -3,10 +3,11 @@
 //! The counters are process-wide, so this is a test binary of its own and
 //! every test holds the `with_enabled` lock.
 
-use mtc_dbsim::{AbortReason, DbBackend, DbTxn};
-use mtc_history::{Key, Value};
+use mtc_dbsim::{AbortReason, DbBackend, DbTxn, ExecutionOptions};
+use mtc_history::{Key, Op, Value};
 use mtc_net::{spec_for_label, NetBackend, NetServer};
 use mtc_obs::test_support::with_enabled;
+use mtc_workload::{ReqOp, SessionWorkload, TxnTemplate, Workload};
 
 /// `(net.requests, net.round_trips)` spent by `f`.
 fn cost(f: impl FnOnce()) -> (u64, u64) {
@@ -73,6 +74,53 @@ fn a_mini_transaction_is_two_or_three_round_trips() {
         cost(|| assert_eq!(t.abort(), AbortReason::UserAbort)),
         (1, 1)
     );
+    server.shutdown().unwrap();
+}
+
+/// Through the session machine, which announces a template's reads when it
+/// begins: a mini-transaction's reads share one frame with its begin, its
+/// writes one with its commit — one round trip per phase, whatever writes of
+/// other keys stand between the reads — and a read-only one is a single
+/// frame. A read of a key the template wrote before it waits for that write.
+#[test]
+fn a_mini_transaction_is_one_round_trip_per_phase() {
+    use ReqOp::{Read, Write};
+    let _on = with_enabled(true);
+    let server = NetServer::spawn(spec_for_label("sim-ser", 4).unwrap()).unwrap();
+    let backend = NetBackend::connect(server.addr()).unwrap();
+    let shapes: [(&[ReqOp], (u64, u64)); 7] = [
+        (&[Read(Key(0))], (3, 1)),
+        (&[Read(Key(0)), Read(Key(1))], (4, 1)),
+        (&[Read(Key(0)), Write(Key(0))], (4, 2)),
+        (&[Read(Key(0)), Read(Key(1)), Write(Key(0))], (5, 2)),
+        (
+            &[Read(Key(0)), Read(Key(1)), Write(Key(0)), Write(Key(1))],
+            (6, 2),
+        ),
+        (
+            &[Read(Key(0)), Write(Key(0)), Read(Key(1)), Write(Key(1))],
+            (6, 2),
+        ),
+        (&[Write(Key(2)), Read(Key(2))], (4, 2)),
+    ];
+    for (ops, expected) in shapes {
+        let workload = Workload {
+            sessions: vec![SessionWorkload {
+                session: 0,
+                txns: vec![TxnTemplate { ops: ops.to_vec() }],
+            }],
+            num_keys: 4,
+        };
+        let mut run = None;
+        let spent = cost(|| run = Some(ExecutionOptions::threaded().run(&backend, &workload)));
+        let (history, report) = run.unwrap();
+        assert_eq!(report.committed, 1, "{ops:?}");
+        assert_eq!(spent, expected, "{ops:?}: (requests, round trips)");
+        let txn = history.txns().last().unwrap();
+        if let [Op::Write { value, .. }, Op::Read { value: read, .. }] = txn.ops[..] {
+            assert_eq!(read, value, "a read waits for its own transaction's write");
+        }
+    }
     server.shutdown().unwrap();
 }
 

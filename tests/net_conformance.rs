@@ -374,6 +374,17 @@ fn a_cut_between_a_burst_and_its_replies_is_typed_by_what_it_carried() {
     assert_eq!(t.read_register(Key(0)), Err(AbortReason::ConnectionLost));
     assert_eq!(t.abort(), AbortReason::ConnectionLost);
 
+    // A read-only transaction announced whole is one `[Begin Read Commit]`
+    // frame: its read already carries the commit.
+    let remote = connect_cut_after(1);
+    let mut t = remote.begin();
+    t.read_ahead(&[Key(0)], true);
+    assert_eq!(
+        t.read_register(Key(0)),
+        Err(AbortReason::CommitStatusUnknown)
+    );
+    assert_eq!(t.abort(), AbortReason::CommitStatusUnknown);
+
     // Hello, `Begun` and the read's value pass; `[Write Commit]` is sent
     // and executed, its replies are cut.
     let remote = connect_cut_after(3);
