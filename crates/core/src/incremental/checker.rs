@@ -33,6 +33,19 @@ fn obs_ingest_timer() -> Option<std::time::Instant> {
     })
 }
 
+/// On a sampled push (`mark` is `Some`), records the nanoseconds since
+/// `mark` into the stage histogram `hist` names and restarts `mark`: the
+/// `core.stream.{admit,derive,settle}` attribution of
+/// `checker.ingest_txn_micros`. An unsampled push reads no clock.
+#[inline]
+fn lap(mark: &mut Option<Instant>, hist: impl FnOnce() -> &'static mtc_obs::Histogram) {
+    if let Some(start) = mark {
+        let now = Instant::now();
+        hist().record((now - *start).as_nanos() as u64);
+        *start = now;
+    }
+}
+
 /// Streaming verdict over the prefix consumed so far.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StreamStatus {
@@ -346,8 +359,10 @@ impl IncrementalChecker {
             return;
         }
         let ingest_timer = obs_ingest_timer();
+        let mut stage = ingest_timer;
         let opts = engine.opts;
         let admitted = engine.admit(id, txn, is_init, found);
+        lap(&mut stage, || mtc_obs::histogram!("core.stream.admit"));
         // Only SI scans for DIVERGENCE; `settle` decides when it counts.
         let scan_divergence = engine.level == IsolationLevel::SnapshotIsolation;
         keys.derive(
@@ -359,7 +374,9 @@ impl IncrementalChecker {
             &opts,
             found,
         );
+        lap(&mut stage, || mtc_obs::histogram!("core.stream.derive"));
         engine.settle(id, admitted, found);
+        lap(&mut stage, || mtc_obs::histogram!("core.stream.settle"));
         if engine.gc_due() {
             close_epoch(engine, keys);
         }

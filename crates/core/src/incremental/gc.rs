@@ -6,7 +6,6 @@ use super::engine::Engine;
 use crate::check::IsolationLevel;
 use mtc_history::{FastHashSet, Key, TimeSlot, TxnId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Settled-prefix garbage collection policy for the streaming checkers.
 ///
@@ -162,7 +161,7 @@ impl Engine {
     /// transactions. The retained structure answers every future insertion
     /// exactly as the unretired one would (see [`GcPolicy`] for the
     /// staleness-window contract).
-    pub(super) fn collect(&mut self, watermark: TxnId, refs: &HashSet<TxnId>) {
+    pub(super) fn collect(&mut self, watermark: TxnId, refs: &FastHashSet<TxnId>) {
         if self.done() {
             return;
         }

@@ -11,13 +11,24 @@ use crate::divergence::Divergence;
 use crate::mini::MtViolation;
 use crate::verdict::CheckError;
 use mtc_history::{
-    Edge, EdgeKind, FastHashMap, IntraAnomaly, IntraViolation, Key, Op, Transaction, TxnId,
-    TxnStatus, Value, INIT_VALUE,
+    Edge, EdgeKind, FastHashMap, FastHashSet, InlineSeq, IntraAnomaly, IntraViolation, Key, Op,
+    Transaction, TxnId, TxnStatus, Value, INIT_VALUE,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 // ───────────────────────── per-key state ────────────────────────────────────
+
+/// The readers (or the overwriting readers) of one version: the first
+/// [`READERS_INLINE`] in place, the rest behind one pointer. Written as the
+/// plain array a `Vec<TxnId>` would be.
+pub(super) type Readers = InlineSeq<TxnId, READERS_INLINE>;
+
+/// Transactions a reader list holds in place. On `live_uniform`'s stream
+/// (seed 100) 71 % of the versions read are read by one transaction, 21 %
+/// by two and 8 % by more, and a list of two takes the 24 bytes of the
+/// `Vec` header it replaces while holding what the `Vec` put in a heap
+/// block.
+const READERS_INLINE: usize = 2;
 
 /// Everything ever written as `(key, value)`, as far as the stream has been
 /// consumed. Mirrors the role of `mtc_history::WriteIndex` in batch mode.
@@ -61,7 +72,7 @@ pub(super) struct KeyState {
     pub(super) writes: FastHashMap<(Key, Value), WriteReg>,
     /// Per `(writer, key)`: transactions that read this version, and those
     /// that read it and overwrote it (RW derivation, Algorithm 1).
-    pub(super) readers_of: FastHashMap<(TxnId, Key), (Vec<TxnId>, Vec<TxnId>)>,
+    pub(super) readers_of: FastHashMap<(TxnId, Key), (Readers, Readers)>,
     /// Per `(key, value)`: first committed reader-writer (DIVERGENCE scan).
     pub(super) first_reader_writer: FastHashMap<(Key, Value), TxnId>,
     /// Reads waiting for their writer to appear in the stream.
@@ -463,7 +474,7 @@ impl KeyState {
     pub(super) fn sweep(&mut self, watermark: TxnId, reader_cap: usize) {
         let latest = &self.latest;
         let pending = &self.pending;
-        let mut dropped: HashSet<(TxnId, Key)> = HashSet::new();
+        let mut dropped: FastHashSet<(TxnId, Key)> = FastHashSet::default();
         self.writes.retain(|&(key, value), reg| {
             let is_latest = latest.get(&key) == Some(&value);
             let ids = [
@@ -492,8 +503,8 @@ impl KeyState {
             // Readers and overwriters below the window can no longer gain
             // RW edges that matter (out-of-window interactions are outside
             // the GC's contract); trimming them unpins their transactions.
-            readers.retain(|&r| r >= watermark);
-            overwriters.retain(|&o| o >= watermark);
+            readers.retain(|r| r >= watermark);
+            overwriters.retain(|o| o >= watermark);
             // Reader-list cap: a hot version whose value never changes
             // keeps accumulating in-window readers between sweeps; with a
             // cap, only the newest `reader_cap` stay resident and the
@@ -503,7 +514,7 @@ impl KeyState {
                 let drop_n = readers.len() - reader_cap;
                 // Readers are appended in stream order, so the front of the
                 // list is the oldest.
-                readers.drain(..drop_n);
+                readers.drop_front(drop_n);
                 *self.evicted.entry(*wk).or_default() += drop_n as u64;
             }
         }
@@ -516,8 +527,8 @@ impl KeyState {
     /// (they must stay resident through a collection). Called right after a
     /// [`KeyState::sweep`] at collection-commit epochs only — the sweeps in
     /// between skip this scan entirely.
-    pub(super) fn refs(&self) -> HashSet<TxnId> {
-        let mut refs: HashSet<TxnId> = HashSet::new();
+    pub(super) fn refs(&self) -> FastHashSet<TxnId> {
+        let mut refs: FastHashSet<TxnId> = FastHashSet::default();
         for reg in self.writes.values() {
             for id in [
                 reg.committed_last,

@@ -57,6 +57,11 @@
 //! every snapshot byte (`tests/streaming_verdict_fixture.rs` and
 //! `mtc-store`'s `store_differential.rs` hold it).
 //!
+//! With observability on, one push in sixteen records how long each stage
+//! took, in nanoseconds, as `core.stream.admit`, `core.stream.derive` and
+//! `core.stream.settle`, beside its total in `checker.ingest_txn_micros`
+//! (a due `close_epoch` counts in the total only).
+//!
 //! ## What allocates
 //!
 //! In steady state a mini-transaction's trip through `ingest` allocates
@@ -64,16 +69,18 @@
 //! the time-chain splice pairs and the stack and node sets of a reorder of
 //! the maintained order are buffers that outlive the transaction; the local
 //! `INT` scan looks back over the operations instead of indexing them; a
-//! node's adjacency rows hold their first five neighbours in place and the
+//! node's adjacency rows hold their first five neighbours in place, the
 //! dependency graph threads a source's out-edges through one flat `next`
-//! array. What is left is the growth of the long-lived containers
+//! array, and a version's reader and overwriter lists in `readers_of` hold
+//! their first two transactions in place (`mtc_history::InlineSeq`, the
+//! rows' type). What is left is the growth of the long-lived containers
 //! (amortized), `live_txns`' B-tree nodes, a spilled adjacency row for one
-//! node in seven, and `readers_of`' two lists per version read — two heap
-//! blocks per read-modify-write, the bulk of what remains and ROADMAP item
-//! 11(c)'s to remove with the per-key record. SI adds a provenance row per
+//! node in seven and a spilled reader list for the one version in twelve
+//! that three or more transactions read. SI adds a provenance row per
 //! composed node and the `base_in` / `rw_out` lists. On `live_uniform`'s
-//! stream `tests/ingest_allocations.rs` reads 2.9 (SER), 3.6 (SSER) and 5.5
-//! (SI) allocations per pushed transaction and holds budgets of 4, 5 and 8.
+//! stream `tests/ingest_allocations.rs` reads 0.93 (SER), 1.65 (SSER) and
+//! 3.50 (SI) allocations per pushed transaction and holds budgets of 1.5,
+//! 2.5 and 4.5.
 //!
 //! ## Strict serializability and the online time-chain
 //!

@@ -2,7 +2,9 @@
 //! through the streaming checker with metric recording *disabled* and then
 //! *enabled* must produce bit-identical
 //! results — same verdict payload, same `first_violation_at` — and so must
-//! the four batch checkers, whose stages are spanned (`core.batch.*`). The
+//! the four batch checkers, whose stages are spanned (`core.batch.*`). With
+//! metrics on, every sampled push records its `admit`, `derive` and `settle`
+//! stages (`core.stream.*`) beside its total. The
 //! instrumentation only ever times and counts; this suite is the proof
 //! that it stays off the decision path. (`mtc-store`'s spanned checkpoint
 //! stages have their twin of this check in `crates/store/tests/write_path.rs`.)
@@ -65,16 +67,43 @@ fn run_streaming(level: IsolationLevel, history: &History) -> (String, Option<mt
     (format!("{:?}", checker.finish()), first)
 }
 
+/// The sampled push's total, then the three stages it is split into.
+const STREAM_TIMINGS: [&str; 4] = [
+    "checker.ingest_txn_micros",
+    "core.stream.admit",
+    "core.stream.derive",
+    "core.stream.settle",
+];
+
+/// One streaming run under the switch set to `on`, with what it added to
+/// each of [`STREAM_TIMINGS`]. The guard serializes switch-toggling tests,
+/// so the counts are this run's alone.
+fn run_streaming_counted(
+    on: bool,
+    level: IsolationLevel,
+    history: &History,
+) -> ((String, Option<mtc_history::TxnId>), [u64; 4]) {
+    let _switch = mtc_obs::test_support::with_enabled(on);
+    let count = |name: &str| mtc_obs::registry().histogram(name).count();
+    let before = STREAM_TIMINGS.map(count);
+    let run = run_streaming(level, history);
+    let after = STREAM_TIMINGS.map(count);
+    (run, std::array::from_fn(|i| after[i] - before[i]))
+}
+
+/// Same verdict and `first_violation_at` with metrics off and on; off
+/// records nothing, on records every stage of every sampled push.
 fn assert_identical_on_off(level: IsolationLevel, history: &History) {
-    let off = {
-        let _off = mtc_obs::test_support::with_enabled(false);
-        run_streaming(level, history)
-    };
-    let on = {
-        let _on = mtc_obs::test_support::with_enabled(true);
-        run_streaming(level, history)
-    };
+    let (off, off_counts) = run_streaming_counted(false, level, history);
+    let (on, on_counts) = run_streaming_counted(true, level, history);
     assert_eq!(off, on, "verdict differs with metrics on at {level}");
+    assert_eq!(off_counts, [0; 4], "nothing is recorded with metrics off");
+    let sampled = on_counts[0];
+    assert!(sampled > 0, "{level}: no push was sampled");
+    assert_eq!(
+        on_counts, [sampled; 4],
+        "{level}: every stage of a sampled push is recorded"
+    );
 }
 
 #[test]

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 /// One adjacency row: the first [`ROW_INLINE`] neighbours in place, the rest
 /// behind one pointer — 32 bytes, against a 24-byte `Vec` header plus a heap
 /// block for every node that has a neighbour at all.
-type Row = InlineSeq<ROW_INLINE>;
+type Row = InlineSeq<u32, ROW_INLINE>;
 
 /// Neighbours a row holds in place: the most that fit 32 bytes beside the
 /// length and the pointer. On `live_uniform`'s stream (seed 100, 20 000

@@ -29,7 +29,7 @@ pub mod fasthash;
 pub mod graph;
 pub mod history;
 pub mod incremental;
-mod inline_seq;
+pub mod inline_seq;
 pub mod intra;
 pub mod op;
 pub mod serde_io;
@@ -46,6 +46,7 @@ pub use fasthash::{FastHashMap, FastHashSet};
 pub use graph::DiGraph;
 pub use history::{History, HistoryBuilder};
 pub use incremental::{IncrementalTopo, OrderStats};
+pub use inline_seq::InlineSeq;
 pub use intra::{
     check_int, check_int_history, find_intra_anomalies, find_intra_anomalies_with, IntraAnomaly,
     IntraViolation,

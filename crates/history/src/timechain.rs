@@ -10,6 +10,8 @@
 //! skew, long-running transactions). [`TimeChain`] therefore keeps the
 //! instants in a sorted dense array and splices each new instant into an
 //! [`IncrementalTopo`]-backed chain: `O(1)` for the dominant append case,
+//! `O(log d)` to find an instant `d` slots below the newest (the search
+//! gallops back from the end, and a begin instant sits among the last few),
 //! `O(log n)` predecessor/successor queries, and an `O(n)` memmove only for
 //! the rare out-of-order splice (bounded in practice by clock skew, and the
 //! garbage collector keeps `n` at the live window size).
@@ -184,8 +186,8 @@ impl SlotRepr {
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TimeChain {
     /// Slots sorted by instant. Dense storage: the dominant in-order commit
-    /// stream appends at the back in `O(1)`, lookups binary-search, and the
-    /// collector drains settled prefixes.
+    /// stream appends at the back in `O(1)`, lookups gallop back from the
+    /// newest slot, and the collector drains settled prefixes.
     slots: Vec<(u64, SlotRepr)>,
 }
 
@@ -207,10 +209,32 @@ impl TimeChain {
         self.slots.is_empty()
     }
 
-    /// The index of `instant`, or the insertion point keeping `slots` sorted.
+    /// The index of `instant`, or the insertion point keeping `slots` sorted
+    /// — what `binary_search_by` over all slots returns. Instants are looked
+    /// up near the newest end (a begin instant a little below the last
+    /// commit), so the search gallops back from the newest slot over windows
+    /// of 1, 2, 4, … slots until one starts at or below `instant`, then
+    /// bisects that window: `O(log d)` for an instant `d` slots from the end.
     #[inline]
     fn index_of(&self, instant: u64) -> Result<usize, usize> {
-        self.slots.binary_search_by(|&(t, _)| t.cmp(&instant))
+        // Every slot at or past `hi` is above `instant`.
+        let mut hi = self.slots.len();
+        let mut step = 1;
+        let lo = loop {
+            if step >= hi {
+                break 0;
+            }
+            let probe = hi - step;
+            if self.slots[probe].0 <= instant {
+                break probe;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        self.slots[lo..hi]
+            .binary_search_by(|&(t, _)| t.cmp(&instant))
+            .map(|i| lo + i)
+            .map_err(|i| lo + i)
     }
 
     /// The chain anchors of `instant`, if it has been touched.
@@ -377,6 +401,40 @@ impl TimeChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The galloping lookup returns what a binary search over every slot
+        /// returns — `Ok` at a touched instant, the same insertion point
+        /// otherwise — for probes below the first instant, above the last,
+        /// at every slot and in every gap between two.
+        #[test]
+        fn galloping_lookup_equals_a_binary_search_of_all_slots(
+            first in 1u64..1_000,
+            gaps in prop::collection::vec(1u64..6, 0..80),
+        ) {
+            let mut instants = vec![first];
+            for gap in gaps {
+                instants.push(instants[instants.len() - 1] + gap);
+            }
+            let last = instants[instants.len() - 1];
+            let chain = TimeChain {
+                slots: instants.iter().enumerate().map(|(n, &t)| (t, SlotRepr::Begin(n))).collect(),
+            };
+            let probes = (first - 1..=last + 1).chain([0, u64::MAX]);
+            for probe in probes {
+                let reference = chain.slots.binary_search_by(|&(t, _)| t.cmp(&probe));
+                prop_assert_eq!(chain.index_of(probe), reference, "probe {}", probe);
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_chain_finds_nothing() {
+        assert_eq!(TimeChain::new().index_of(5), Err(0));
+    }
 
     fn end_anchor(chain: &mut TimeChain, t: u64, topo: &mut IncrementalTopo) -> usize {
         chain.anchor_now(t, Role::End, topo)

@@ -12,6 +12,8 @@ use mtc_store::{
     from_bytes, read_checkpoint, recover, to_bytes, write_checkpoint, MtcStore, StreamMeta,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 fn tmpdir(tag: u64) -> PathBuf {
@@ -326,44 +328,96 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
     );
 }
 
+/// `n` keys drawn Zipf(1.0) over `keys` keys, key 0 the hottest, from a
+/// fixed seed.
+fn zipf_keys(keys: u64, n: usize) -> Vec<u64> {
+    let weights: Vec<f64> = (1..=keys).map(|rank| 1.0 / rank as f64).collect();
+    let total: f64 = weights.iter().sum();
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    (0..n)
+        .map(|_| {
+            let mut u = rng.gen::<f64>() * total;
+            let rank = weights.iter().position(|&w| {
+                u -= w;
+                u < 0.0
+            });
+            rank.unwrap_or(keys as usize - 1) as u64
+        })
+        .collect()
+}
+
+/// Pushes `txns` through a checker at `level` with `gc`, checkpoints every
+/// 50 pushes, and asserts that each checkpoint, decoded and resumed,
+/// re-encodes to its own bytes, and that the stream is clean. Returns the
+/// longest reader list any checkpoint held and how many reader entries the
+/// cap evicted by the end.
+fn assert_checkpoints_reencode(
+    level: IsolationLevel,
+    keys: u64,
+    gc: GcPolicy,
+    txns: &[Transaction],
+) -> (usize, u64) {
+    let mut checker = IncrementalChecker::new(level)
+        .with_init_keys(0..keys)
+        .with_gc(gc);
+    let mut differ = Vec::new();
+    let mut checkpoints = 0;
+    let mut longest = 0;
+    for (i, t) in (1..).zip(txns) {
+        let _ = checker.push(t.clone());
+        if i % 50 != 0 {
+            continue;
+        }
+        checkpoints += 1;
+        longest = longest.max(checker.max_reader_list_len());
+        let bytes = to_bytes(&checker.checkpoint());
+        let back: CheckerSnapshot = from_bytes(&bytes).unwrap();
+        if to_bytes(&IncrementalChecker::resume(back).checkpoint()) != bytes {
+            differ.push(i);
+        }
+    }
+    assert_eq!(checkpoints, txns.len() / 50);
+    assert!(checker.violation().is_none(), "{level}: a clean stream");
+    assert!(
+        differ.is_empty(),
+        "{level}: the checkpoints after pushes {differ:?} re-encode to other bytes"
+    );
+    (longest, checker.reader_eviction_count())
+}
+
 /// A snapshot's bytes are a function of the checker's state: a checker
 /// resumed from a checkpoint writes that checkpoint back byte for byte, at
 /// every point of a long, GC'd stream — however differently the decoded maps
-/// were filled from the ones that wrote them.
+/// were filled from the ones that wrote them. The second stream puts
+/// Zipf-hot keys and a majority of read-only transactions under a reader
+/// cap, so the checkpoints hold reader lists that stay in place, lists that
+/// spilled to the heap, and lists the cap cut back from the front — which a
+/// decoded checker holds in place again.
 #[test]
 fn resumed_checkpoints_reencode_to_their_own_bytes() {
     const KEYS: u64 = 50;
     let picks: Vec<(u64, u64, u64)> = (0..600u64)
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 7, i, 1))
         .collect();
-    let txns = build_stream(&picks, KEYS, 4, None, None, None, None);
+    let uniform_rmw = build_stream(&picks, KEYS, 4, None, None, None, None);
+    // Three in five transactions only read (a shape of 0 writes nothing).
+    let picks: Vec<(u64, u64, u64)> = (0..600u64)
+        .zip(zipf_keys(KEYS, 600))
+        .map(|(i, key)| (key, i, u64::from(i % 5 >= 3)))
+        .collect();
+    let zipf_mostly_reads = build_stream(&picks, KEYS, 4, None, None, None, None);
     for level in [
         IsolationLevel::Serializability,
         IsolationLevel::SnapshotIsolation,
         IsolationLevel::StrictSerializability,
     ] {
-        let mut checker = IncrementalChecker::new(level)
-            .with_init_keys(0..KEYS)
-            .with_gc(GcPolicy::clamped(64, 16));
-        let mut differ = Vec::new();
-        let mut checkpoints = 0;
-        for (i, t) in (1..).zip(&txns) {
-            let _ = checker.push(t.clone());
-            if i % 50 != 0 {
-                continue;
-            }
-            checkpoints += 1;
-            let bytes = to_bytes(&checker.checkpoint());
-            let back: CheckerSnapshot = from_bytes(&bytes).unwrap();
-            if to_bytes(&IncrementalChecker::resume(back).checkpoint()) != bytes {
-                differ.push(i);
-            }
-        }
-        assert_eq!(checkpoints, 12);
-        assert!(checker.violation().is_none(), "{level}: a clean stream");
+        assert_checkpoints_reencode(level, KEYS, GcPolicy::clamped(64, 16), &uniform_rmw);
+        let gc = GcPolicy::clamped(64, 16).with_reader_cap(2);
+        let (longest, evicted) = assert_checkpoints_reencode(level, KEYS, gc, &zipf_mostly_reads);
         assert!(
-            differ.is_empty(),
-            "{level}: the checkpoints after pushes {differ:?} re-encode to other bytes"
+            longest > 2,
+            "{level}: no checkpoint held a spilled reader list (longest {longest})"
         );
+        assert!(evicted > 0, "{level}: the reader cap never trimmed a list");
     }
 }

@@ -2,9 +2,11 @@
 //! mini-transaction on the stream `benchmark/`'s `live_uniform` feeds it —
 //! uniform MTs of two sessions, executed on `sim-ser` under the interleaved
 //! driver, in commit order. A mini-transaction's trip through `ingest` keeps
-//! its per-transaction containers in scratch that outlives it; what is left
-//! is container growth and the two reader lists of each new version
-//! (`crates/core/src/incremental/mod.rs`, "What allocates").
+//! its per-transaction containers in scratch that outlives it and a
+//! version's reader lists in place; what is left is container growth and
+//! the odd spilled list (`crates/core/src/incremental/mod.rs`, "What
+//! allocates"). The budgets are the readings — 0.93, 1.65 and 3.50 — plus
+//! at most one allocation of headroom.
 //!
 //! One `#[test]` on purpose: the counter is per thread, and this file's
 //! allocator is the whole binary's.
@@ -89,9 +91,9 @@ fn a_pushed_mini_transaction_stays_within_its_allocation_budget() {
     let stream = commit_ordered_stream();
     assert!(stream.len() >= 20_000);
     for (level, budget) in [
-        (IsolationLevel::Serializability, 4.0),
-        (IsolationLevel::StrictSerializability, 5.0),
-        (IsolationLevel::SnapshotIsolation, 8.0),
+        (IsolationLevel::Serializability, 1.5),
+        (IsolationLevel::StrictSerializability, 2.5),
+        (IsolationLevel::SnapshotIsolation, 4.5),
     ] {
         let mut checker = IncrementalChecker::new(level).with_init_keys(0..NUM_KEYS);
         // Pushing consumes the transactions: build them outside the count.
