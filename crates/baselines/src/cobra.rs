@@ -53,12 +53,6 @@ pub const DECISION_BUDGET: usize = 200_000;
 /// Checks serializability of a (general or mini-transaction) history the way
 /// Cobra does: polygraph + pruning + acyclicity-aware constraint search.
 pub fn cobra_check_ser(history: &History) -> BaselineOutcome {
-    cobra_check_ser_with(history, true)
-}
-
-/// Like [`cobra_check_ser`] but with pruning optionally disabled (used by the
-/// ablation benchmark).
-pub fn cobra_check_ser_with(history: &History, prune: bool) -> BaselineOutcome {
     // Intra-transactional anomalies refute serializability outright.
     if !find_intra_anomalies(history).is_empty() {
         return BaselineOutcome {
@@ -71,7 +65,7 @@ pub fn cobra_check_ser_with(history: &History, prune: bool) -> BaselineOutcome {
         };
     }
 
-    let pg = Polygraph::from_history(history, prune);
+    let pg = Polygraph::from_history(history);
     let mut stats = SolverStats {
         txns: history.len(),
         known_edges: pg.known.len() + pg.known_rw.len(),

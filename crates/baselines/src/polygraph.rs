@@ -89,10 +89,16 @@ struct KeyInfo {
 }
 
 impl Polygraph {
-    /// Builds the polygraph of a history, applying RMW inference. Reachability
-    /// pruning is applied iff `prune` is true (Cobra/PolySI always prune; the
-    /// ablation benchmark turns it off).
-    pub fn from_history(history: &History, prune: bool) -> Self {
+    /// Builds the polygraph of a history, applying RMW inference and then
+    /// reachability pruning to a fixpoint, as Cobra and PolySI do.
+    pub fn from_history(history: &History) -> Self {
+        let mut pg = Polygraph::unpruned(history);
+        pg.prune_by_reachability();
+        pg
+    }
+
+    /// The polygraph of a history with RMW inference only.
+    fn unpruned(history: &History) -> Self {
         let n = history.len();
         let write_index = history.write_index();
         let mut known: Vec<(usize, usize)> = Vec::new();
@@ -201,9 +207,6 @@ impl Polygraph {
             pruned: 0,
         };
         pg.dedup();
-        if prune {
-            pg.prune_by_reachability();
-        }
         pg
     }
 
@@ -310,7 +313,7 @@ mod tests {
         b.committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)]);
         b.committed(0, vec![Op::read(0u64, 2u64), Op::write(0u64, 3u64)]);
         let h = b.build();
-        let pg = Polygraph::from_history(&h, true);
+        let pg = Polygraph::from_history(&h);
         assert!(pg.constraints.is_empty(), "{:?}", pg.constraints);
         assert!(pg.pruned > 0 || pg.constraints.is_empty());
         assert!(pg.known_graph().is_acyclic());
@@ -324,7 +327,7 @@ mod tests {
         b.committed(0, vec![Op::write(0u64, 1u64)]);
         b.committed(1, vec![Op::write(0u64, 2u64)]);
         let h = b.build();
-        let pg = Polygraph::from_history(&h, true);
+        let pg = Polygraph::from_history(&h);
         // ⊥T vs each writer and the two writers against each other: at least
         // the writer-writer pair must remain (neither direction is forced).
         assert!(
@@ -339,7 +342,7 @@ mod tests {
     #[test]
     fn divergence_gives_symmetric_constraint() {
         let h = anomalies::divergence();
-        let pg = Polygraph::from_history(&h, true);
+        let pg = Polygraph::from_history(&h);
         // T2 and T3 both read from T1 and overwrite: the constraint between
         // them remains, and each orientation carries an RW edge.
         let c = pg
@@ -375,8 +378,8 @@ mod tests {
             v += 1;
         }
         let h = b.build();
-        let unpruned = Polygraph::from_history(&h, false);
-        let pruned = Polygraph::from_history(&h, true);
+        let unpruned = Polygraph::unpruned(&h);
+        let pruned = Polygraph::from_history(&h);
         assert!(pruned.constraints.len() <= unpruned.constraints.len());
         assert!(pruned.constraint_edge_count() <= unpruned.constraint_edge_count());
     }
@@ -384,7 +387,7 @@ mod tests {
     #[test]
     fn known_edges_are_deduplicated() {
         let h = anomalies::lost_update();
-        let pg = Polygraph::from_history(&h, true);
+        let pg = Polygraph::from_history(&h);
         let mut sorted = pg.known.clone();
         sorted.sort_unstable();
         sorted.dedup();

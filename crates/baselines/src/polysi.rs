@@ -14,11 +14,6 @@ use mtc_history::{find_intra_anomalies, DiGraph, History};
 
 /// Checks snapshot isolation of a history the way PolySI does.
 pub fn polysi_check_si(history: &History) -> BaselineOutcome {
-    polysi_check_si_with(history, true)
-}
-
-/// Like [`polysi_check_si`] but with pruning optionally disabled.
-pub fn polysi_check_si_with(history: &History, prune: bool) -> BaselineOutcome {
     if !find_intra_anomalies(history).is_empty() {
         return BaselineOutcome {
             satisfied: false,
@@ -30,7 +25,7 @@ pub fn polysi_check_si_with(history: &History, prune: bool) -> BaselineOutcome {
         };
     }
 
-    let pg = Polygraph::from_history(history, prune);
+    let pg = Polygraph::from_history(history);
     let mut stats = SolverStats {
         txns: history.len(),
         known_edges: pg.known.len() + pg.known_rw.len(),

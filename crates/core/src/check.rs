@@ -25,9 +25,16 @@
 //! `Θ(n²)` real-time edges exactly as in the paper, while [`check_sser`]
 //! encodes the real-time order through a sorted chain of *time nodes*,
 //! bringing the complexity down to `O(n log n)` without changing verdicts.
+//!
+//! Steps 1 and 2 are not optional: the verifiers are sound and complete
+//! only for the inputs they admit. There is one configuration per verifier,
+//! the paper's. Beside it, [`check_batch_reference`] runs the same pipeline
+//! over the paper's literal `BUILDDEPENDENCY` (step 3 with the `WW`
+//! transitive closure) — the oracle the optimized build is tested against,
+//! as [`check_sser_naive`] is for the time chain.
 
 use crate::build::build_impl;
-use crate::divergence::{find_divergence_with, Divergence};
+use crate::divergence::find_divergence_with;
 use crate::mini::{unique_values, validate_shapes};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
@@ -56,35 +63,7 @@ impl std::fmt::Display for IsolationLevel {
     }
 }
 
-/// Tuning knobs for the verifiers. The defaults match the paper's MTC tool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CheckOptions {
-    /// Validate the mini-transaction shape and unique values first
-    /// (Definition 9). Disable only for inputs known to be valid.
-    pub validate_mt: bool,
-    /// Run the intra-transactional pre-scan (footnote 1 of Section IV-B).
-    pub prescan_intra: bool,
-    /// Use the reference `BUILDDEPENDENCY` with per-object WW transitive
-    /// closure instead of the optimized variant (Section IV-C). Only affects
-    /// performance, never verdicts (Theorems 1 and 2).
-    pub reference_build: bool,
-    /// For `CHECKSI`, skip the early DIVERGENCE test and rely on the general
-    /// construction plus Lemma 3 reasoning. Exposed for the ablation bench.
-    pub skip_divergence_early_exit: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            validate_mt: true,
-            prescan_intra: true,
-            reference_build: false,
-            skip_divergence_early_exit: false,
-        }
-    }
-}
-
-/// Checks a history against `level` with default options.
+/// Checks a history against `level`.
 pub fn check(level: IsolationLevel, history: &History) -> Result<Verdict, CheckError> {
     match level {
         IsolationLevel::StrictSerializability => check_sser(history),
@@ -93,25 +72,33 @@ pub fn check(level: IsolationLevel, history: &History) -> Result<Verdict, CheckE
     }
 }
 
-/// `CHECKSER` with default options.
+/// `CHECKSER`.
 pub fn check_ser(history: &History) -> Result<Verdict, CheckError> {
-    check_ser_with(history, &CheckOptions::default())
+    check_batch(BatchCheck::Ser, history).map(|c| c.verdict)
 }
 
-/// `CHECKSI` with default options.
+/// `CHECKSI`.
 pub fn check_si(history: &History) -> Result<Verdict, CheckError> {
-    check_si_with(history, &CheckOptions::default())
+    check_batch(BatchCheck::Si, history).map(|c| c.verdict)
 }
 
-/// `CHECKSSER` (time-chain encoding of RT) with default options.
+/// `CHECKSSER` using the time-chain encoding of the real-time order.
+///
+/// Instead of adding an edge for every real-time-ordered pair of
+/// transactions, the begin/end instants are sorted and turned into a chain of
+/// auxiliary *time nodes*; each transaction points to the first instant after
+/// its end and is pointed to from the instant of its begin. A dependency path
+/// "travels back in time" exactly when the naive graph has an RT-involving
+/// cycle, so verdicts coincide with [`check_sser_naive`] while the
+/// construction stays `O(n log n)`.
 pub fn check_sser(history: &History) -> Result<Verdict, CheckError> {
-    check_sser_with(history, &CheckOptions::default())
+    check_batch(BatchCheck::Sser, history).map(|c| c.verdict)
 }
 
 /// `CHECKSSER` materializing all RT edges, exactly as in Algorithm 1
-/// (`Θ(n²)`), with default options.
+/// (`Θ(n²)`).
 pub fn check_sser_naive(history: &History) -> Result<Verdict, CheckError> {
-    check_sser_naive_with(history, &CheckOptions::default())
+    check_batch(BatchCheck::SserNaive, history).map(|c| c.verdict)
 }
 
 /// The four batch verifiers [`check_batch`] runs.
@@ -133,9 +120,11 @@ pub struct Checked {
     /// The verdict.
     pub verdict: Verdict,
     /// Edges of the dependency graph the check built, `RT` edges aside — the
-    /// edge count of `build_dependency(history, false)`. `None` when the
-    /// verdict was reached before any graph was built (intra-transactional
-    /// anomalies, `CHECKSI`'s early DIVERGENCE exit).
+    /// edge count of `build_dependency(history, false)`, or of
+    /// `build_dependency_reference(history, false)` for
+    /// [`check_batch_reference`]. `None` when the verdict was reached before
+    /// any graph was built (intra-transactional anomalies, `CHECKSI`'s
+    /// DIVERGENCE exit).
     pub dep_edges: Option<usize>,
 }
 
@@ -145,20 +134,15 @@ fn preflight(
     check: BatchCheck,
     history: &History,
     index: &WriteIndex,
-    opts: &CheckOptions,
 ) -> Result<Option<Violation>, CheckError> {
-    if opts.validate_mt {
-        validate_shapes(history)
-            .and_then(|()| unique_values(index))
-            .map_err(CheckError::NotMiniTransaction)?;
+    validate_shapes(history)
+        .and_then(|()| unique_values(index))
+        .map_err(CheckError::NotMiniTransaction)?;
+    let violations = find_intra_anomalies_with(history, index);
+    if !violations.is_empty() {
+        return Ok(Some(Violation::Intra(violations)));
     }
-    if opts.prescan_intra {
-        let violations = find_intra_anomalies_with(history, index);
-        if !violations.is_empty() {
-            return Ok(Some(Violation::Intra(violations)));
-        }
-    }
-    if check == BatchCheck::Si && !opts.skip_divergence_early_exit {
+    if check == BatchCheck::Si {
         if let Some(d) = find_divergence_with(history, index) {
             return Ok(Some(d.into_violation()));
         }
@@ -166,22 +150,31 @@ fn preflight(
     Ok(None)
 }
 
-/// Runs one batch verifier with explicit options: one walk of the history
-/// into a [`WriteIndex`], one dependency graph, and the verdict together with
-/// that graph's edge count. The `check_*_with` functions are this, verdict
-/// only.
-pub fn check_batch(
-    check: BatchCheck,
-    history: &History,
-    opts: &CheckOptions,
-) -> Result<Checked, CheckError> {
+/// Runs one batch verifier: one walk of the history into a [`WriteIndex`],
+/// one dependency graph, and the verdict together with that graph's edge
+/// count. [`check_ser`], [`check_si`], [`check_sser`] and
+/// [`check_sser_naive`] are this, verdict only.
+pub fn check_batch(check: BatchCheck, history: &History) -> Result<Checked, CheckError> {
+    run_batch(check, history, false)
+}
+
+/// [`check_batch`] over the graph of [`crate::build_dependency_reference`]
+/// (per-object `WW` transitive closure, Section IV-C) instead of the
+/// optimized `BUILDDEPENDENCY`: the oracle the optimized build is held to.
+/// Theorems 1 and 2 say the verdicts coincide; only the time differs.
+pub fn check_batch_reference(check: BatchCheck, history: &History) -> Result<Checked, CheckError> {
+    run_batch(check, history, true)
+}
+
+/// The pipeline of [`check_batch`], over the reference build if `reference`.
+fn run_batch(check: BatchCheck, history: &History, reference: bool) -> Result<Checked, CheckError> {
     let index = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.index"));
         WriteIndex::new(history)
     };
     let early = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.preflight"));
-        preflight(check, history, &index, opts)?
+        preflight(check, history, &index)?
     };
     if let Some(violation) = early {
         return Ok(Checked {
@@ -192,7 +185,7 @@ pub fn check_batch(
     let with_rt = check == BatchCheck::SserNaive;
     let g = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
-        build_impl(history, &index, with_rt, opts.reference_build)?
+        build_impl(history, &index, with_rt, reference)?
     };
     let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.cycle"));
     let dep_edges = if with_rt {
@@ -204,32 +197,12 @@ pub fn check_batch(
     let violation = match check {
         BatchCheck::Ser | BatchCheck::SserNaive => g.find_labelled_cycle(|_| true).map(cycle),
         BatchCheck::Sser => time_chain_cycle(history, &g).map(cycle),
-        // Even without the early exit, a DIVERGENCE manifests as a WW
-        // "fork": when present, the graph is not a legal dependency graph
-        // (Lemma 3) and the two derived RW edges already form a cycle in the
-        // plain union, which the composed-graph construction would mask.
-        // Catch it here.
-        BatchCheck::Si => opts
-            .skip_divergence_early_exit
-            .then(|| find_divergence_with(history, &index))
-            .flatten()
-            .map(Divergence::into_violation)
-            .or_else(|| composed_si_cycle(&g).map(cycle)),
+        BatchCheck::Si => composed_si_cycle(&g).map(cycle),
     };
     Ok(Checked {
         verdict: violation.map_or(Verdict::Satisfied, Verdict::Violated),
         dep_edges: Some(dep_edges),
     })
-}
-
-/// `CHECKSER` with explicit options.
-pub fn check_ser_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    check_batch(BatchCheck::Ser, history, opts).map(|c| c.verdict)
-}
-
-/// `CHECKSI` with explicit options.
-pub fn check_si_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    check_batch(BatchCheck::Si, history, opts).map(|c| c.verdict)
 }
 
 /// Finds a cycle in `(SO ∪ WR ∪ WW) ; RW?` and expands it back to labelled
@@ -281,28 +254,6 @@ fn composed_si_cycle(g: &DependencyGraph) -> Option<Vec<Edge>> {
         edges.extend(through.into_iter().flatten());
     }
     Some(edges)
-}
-
-/// `CHECKSSER` materializing all RT edges (`Θ(n²)`), with explicit options.
-pub fn check_sser_naive_with(
-    history: &History,
-    opts: &CheckOptions,
-) -> Result<Verdict, CheckError> {
-    check_batch(BatchCheck::SserNaive, history, opts).map(|c| c.verdict)
-}
-
-/// `CHECKSSER` using the time-chain encoding of the real-time order, with
-/// explicit options.
-///
-/// Instead of adding an edge for every real-time-ordered pair of
-/// transactions, the begin/end instants are sorted and turned into a chain of
-/// auxiliary *time nodes*; each transaction points to the first instant after
-/// its end and is pointed to from the instant of its begin. A dependency path
-/// "travels back in time" exactly when the naive graph has an RT-involving
-/// cycle, so verdicts coincide with [`check_sser_naive`] while the
-/// construction stays `O(n log n)`.
-pub fn check_sser_with(history: &History, opts: &CheckOptions) -> Result<Verdict, CheckError> {
-    check_batch(BatchCheck::Sser, history, opts).map(|c| c.verdict)
 }
 
 /// Finds a cycle of `g` plus the time chain of `history`'s instants, with the
@@ -398,7 +349,7 @@ fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>>
 mod tests {
     use super::*;
     use mtc_history::anomalies;
-    use mtc_history::{HistoryBuilder, Op};
+    use mtc_history::{find_intra_anomalies, HistoryBuilder, Op};
 
     /// A serial history: strictly increasing updates in one session.
     fn serial_history() -> History {
@@ -444,36 +395,17 @@ mod tests {
     }
 
     #[test]
-    fn divergence_early_exit_and_general_path_agree() {
-        let h = anomalies::divergence();
-        let with = check_si(&h).unwrap();
-        let without = check_si_with(
-            &h,
-            &CheckOptions {
-                skip_divergence_early_exit: true,
-                ..CheckOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(with.is_violated());
-        assert!(without.is_violated());
-    }
-
-    #[test]
     fn reference_build_yields_identical_verdicts() {
-        let opts = CheckOptions {
-            reference_build: true,
-            ..CheckOptions::default()
-        };
         for (kind, h) in anomalies::catalogue() {
+            let reference = |check| check_batch_reference(check, &h).unwrap().verdict;
             assert_eq!(
                 check_ser(&h).unwrap().is_violated(),
-                check_ser_with(&h, &opts).unwrap().is_violated(),
+                reference(BatchCheck::Ser).is_violated(),
                 "SER/reference mismatch for {kind}"
             );
             assert_eq!(
                 check_si(&h).unwrap().is_violated(),
-                check_si_with(&h, &opts).unwrap().is_violated(),
+                reference(BatchCheck::Si).is_violated(),
                 "SI/reference mismatch for {kind}"
             );
         }
@@ -509,29 +441,20 @@ mod tests {
         // Blind write: not a mini-transaction.
         b.committed(0, vec![Op::write(0u64, 1u64)]);
         let h = b.build();
-        assert!(matches!(
-            check_ser(&h),
-            Err(CheckError::NotMiniTransaction(_))
-        ));
-        // With validation disabled the history is handled (blind write simply
-        // lacks a WW predecessor).
-        let opts = CheckOptions {
-            validate_mt: false,
-            ..CheckOptions::default()
-        };
-        assert!(check_ser_with(&h, &opts).is_ok());
+        for check in [BatchCheck::Ser, BatchCheck::Si, BatchCheck::Sser] {
+            assert!(matches!(
+                check_batch(check, &h),
+                Err(CheckError::NotMiniTransaction(_))
+            ));
+        }
     }
 
     #[test]
     fn long_transactions_are_scanned_like_short_ones_once_validation_is_off() {
         // Twelve keys in one transaction: read each, write each, read each
-        // back. Not a mini-transaction, so only `validate_mt: false` lets it
-        // through to the pre-scan, which keeps no per-transaction table that
-        // a wide transaction could outgrow.
-        let opts = CheckOptions {
-            validate_mt: false,
-            ..CheckOptions::default()
-        };
+        // back. Not a mini-transaction, so the checkers refuse it; the
+        // pre-scan and the build, called past validation, keep no
+        // per-transaction table that a wide transaction could outgrow.
         let wide = |stale: Option<u64>| {
             let mut ops: Vec<Op> = (0..12u64).map(|k| Op::read(k, 0u64)).collect();
             ops.extend((0..12u64).map(|k| Op::write(k, 100 + k)));
@@ -548,19 +471,14 @@ mod tests {
             check_ser(&clean),
             Err(CheckError::NotMiniTransaction(_))
         ));
-        for check in [BatchCheck::Ser, BatchCheck::Si, BatchCheck::Sser] {
-            let checked = check_batch(check, &clean, &opts).unwrap();
-            assert_eq!(checked.verdict, Verdict::Satisfied);
-            // ⊥T → T: SO, and WR + WW on each of the twelve keys.
-            assert_eq!(checked.dep_edges, Some(25));
-        }
+        assert!(find_intra_anomalies(&clean).is_empty());
+        let g = crate::build_dependency(&clean, false).unwrap();
+        assert!(g.find_labelled_cycle(|_| true).is_none());
+        // ⊥T → T: SO, and WR + WW on each of the twelve keys.
+        assert_eq!(g.edge_count(), 25);
         // The eleventh key read back stale: its own write is not what it saw.
         let (stale, t) = wide(Some(10));
-        let checked = check_batch(BatchCheck::Ser, &stale, &opts).unwrap();
-        assert_eq!(checked.dep_edges, None, "no graph before an intra verdict");
-        let Some(Violation::Intra(found)) = checked.verdict.violation() else {
-            panic!("expected an intra verdict, got {checked:?}");
-        };
+        let found = find_intra_anomalies(&stale);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].anomaly, mtc_history::IntraAnomaly::NotMyOwnWrite);
         assert_eq!((found[0].txn, found[0].op_index), (t, 34));

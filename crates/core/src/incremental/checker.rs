@@ -6,7 +6,7 @@ use super::gc::{Eviction, GcPolicy};
 use super::keystate::KeyState;
 use super::snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 use super::Findings;
-use crate::check::{CheckOptions, IsolationLevel};
+use crate::check::IsolationLevel;
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
     DependencyGraph, IntraViolation, Key, Op, OrderStats, SessionId, Transaction, TxnId, TxnStatus,
@@ -79,8 +79,9 @@ pub struct IncrementalChecker {
 }
 
 impl IncrementalChecker {
-    /// A streaming checker for `level` with default [`CheckOptions`] (the
-    /// very same defaults the batch checkers use).
+    /// A streaming checker for `level`: the batch checkers' pipeline —
+    /// validation, intra pre-scan, at SI the DIVERGENCE exit, then the
+    /// graph — one transaction at a time.
     ///
     /// For [`IsolationLevel::StrictSerializability`], transactions should be
     /// fed with begin/commit instants (the `*_timed` push methods, or
@@ -89,7 +90,7 @@ impl IncrementalChecker {
     /// [`crate::check_sser`].
     pub fn new(level: IsolationLevel) -> Self {
         IncrementalChecker {
-            engine: Engine::new(level, CheckOptions::default()),
+            engine: Engine::new(level),
             keys: KeyState::default(),
             found: Findings::default(),
             published: OrderStats::default(),
@@ -138,12 +139,6 @@ impl IncrementalChecker {
     /// ```
     pub fn new_sser() -> Self {
         IncrementalChecker::new(IsolationLevel::StrictSerializability)
-    }
-
-    /// Overrides the tuning options (shared with the batch checkers).
-    pub fn with_options(mut self, opts: CheckOptions) -> Self {
-        self.engine.opts = opts;
-        self
     }
 
     /// Enables settled-prefix garbage collection (see [`GcPolicy`]): memory
@@ -360,20 +355,11 @@ impl IncrementalChecker {
         }
         let ingest_timer = obs_ingest_timer();
         let mut stage = ingest_timer;
-        let opts = engine.opts;
         let admitted = engine.admit(id, txn, is_init, found);
         lap(&mut stage, || mtc_obs::histogram!("core.stream.admit"));
-        // Only SI scans for DIVERGENCE; `settle` decides when it counts.
+        // Only SI scans for DIVERGENCE.
         let scan_divergence = engine.level == IsolationLevel::SnapshotIsolation;
-        keys.derive(
-            id,
-            txn,
-            is_init,
-            scan_divergence,
-            engine.has_init,
-            &opts,
-            found,
-        );
+        keys.derive(id, txn, is_init, scan_divergence, engine.has_init, found);
         lap(&mut stage, || mtc_obs::histogram!("core.stream.derive"));
         engine.settle(id, admitted, found);
         lap(&mut stage, || mtc_obs::histogram!("core.stream.settle"));
@@ -437,11 +423,6 @@ impl IncrementalChecker {
         self.engine.level
     }
 
-    /// The options in effect.
-    pub fn options(&self) -> &CheckOptions {
-        &self.engine.opts
-    }
-
     /// Ends the stream: settles reads still waiting for a writer (they can
     /// no longer be satisfied) and returns the final verdict, which agrees
     /// with the batch checkers on the equivalent [`mtc_history::History`].
@@ -463,19 +444,10 @@ impl IncrementalChecker {
         let pending = keys.drain_pending();
         let settled: Vec<IntraViolation> =
             pending.iter().map(|p| keys.classify_settled(p)).collect();
-        match settled.first() {
-            None => Ok(Verdict::Satisfied),
-            Some(_) if engine.opts.prescan_intra => {
-                Ok(Verdict::Violated(Violation::Intra(settled)))
-            }
-            // Without the pre-scan, an unreadable value is a domain error,
-            // exactly as in `BUILDDEPENDENCY`.
-            Some(p) => Err(CheckError::UnreadableValue {
-                txn: p.txn,
-                key: p.key,
-                value: p.value,
-            }),
+        if settled.is_empty() {
+            return Ok(Verdict::Satisfied);
         }
+        Ok(Verdict::Violated(Violation::Intra(settled)))
     }
 }
 
@@ -536,16 +508,7 @@ pub fn check_streaming(
     level: IsolationLevel,
     history: &mtc_history::History,
 ) -> Result<Verdict, CheckError> {
-    check_streaming_with(level, history, &CheckOptions::default())
-}
-
-/// [`check_streaming`] with explicit options.
-pub fn check_streaming_with(
-    level: IsolationLevel,
-    history: &mtc_history::History,
-    opts: &CheckOptions,
-) -> Result<Verdict, CheckError> {
-    let mut checker = IncrementalChecker::new(level).with_options(*opts);
+    let mut checker = IncrementalChecker::new(level);
     let _ = checker.push_history(history);
     checker.finish()
 }

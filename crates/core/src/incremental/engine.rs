@@ -5,8 +5,9 @@
 
 use super::arena::{ProvMap, TxnMap};
 use super::gc::GcPolicy;
+use super::snapshot::OptionsSlot;
 use super::{keep_lowest, Findings};
-use crate::check::{CheckOptions, IsolationLevel};
+use crate::check::IsolationLevel;
 use crate::mini::validate_shape;
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
@@ -39,7 +40,8 @@ pub(super) struct TxnMeta {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct Engine {
     pub(super) level: IsolationLevel,
-    pub(super) opts: CheckOptions,
+    /// Carried for the snapshot format only (see [`OptionsSlot`]).
+    pub(super) opts: OptionsSlot,
     pub(super) graph: DependencyGraph,
     /// SER: maintained over *all* edges. SSER: additionally contains the
     /// time-chain nodes and the begin/end hook edges.
@@ -94,10 +96,10 @@ pub(super) struct Engine {
 }
 
 impl Engine {
-    pub(super) fn new(level: IsolationLevel, opts: CheckOptions) -> Self {
+    pub(super) fn new(level: IsolationLevel) -> Self {
         Engine {
             level,
-            opts,
+            opts: OptionsSlot::default(),
             graph: DependencyGraph::new(0),
             topo: IncrementalTopo::new(),
             composed: IncrementalTopo::new(),
@@ -220,16 +222,12 @@ impl Engine {
             self.has_init = true;
             return admitted;
         }
-        if self.opts.validate_mt {
-            if let Err(v) = validate_shape(id, &txn.ops) {
-                keep_lowest(&mut found.error, 0, CheckError::NotMiniTransaction(v));
-            }
+        if let Err(v) = validate_shape(id, &txn.ops) {
+            keep_lowest(&mut found.error, 0, CheckError::NotMiniTransaction(v));
         }
         if txn.status == TxnStatus::Committed {
-            if self.opts.prescan_intra {
-                if let Some(v) = local_intra_scan(id, txn) {
-                    keep_lowest(&mut found.intra, 0, v);
-                }
+            if let Some(v) = local_intra_scan(id, txn) {
+                keep_lowest(&mut found.intra, 0, v);
             }
             // SO edge: the session's previous committed transaction (or ⊥T
             // for the first).
@@ -253,7 +251,7 @@ impl Engine {
     /// `found` is left empty, its edge buffer allocated.
     pub(super) fn settle(&mut self, at: TxnId, admitted: Admitted, found: &mut Findings) {
         let (error, intra) = (found.error.take(), found.intra.take());
-        let mut divergence = found.divergence.take();
+        let divergence = found.divergence.take();
         found.edges.sort_by_key(|e| e.0); // stable: discovery order within a key
         let edges = found.edges.drain(..).map(|(_, e)| e);
         if let Some((_, e)) = error {
@@ -263,11 +261,8 @@ impl Engine {
         if let Some((_, v)) = intra {
             return self.latch_violation(Violation::Intra(vec![v]), at);
         }
-        // `CHECKSI`'s early exit; in ablation mode the pattern is reported
-        // after the edges instead, because the composed graph can mask the
-        // RW 2-cycle a DIVERGENCE induces.
-        let late = self.opts.skip_divergence_early_exit;
-        if let Some((_, d)) = divergence.take_if(|_| !late) {
+        // `CHECKSI`'s early exit.
+        if let Some((_, d)) = divergence {
             return self.latch_violation(d.into_violation(), at);
         }
         if let Some(from) = admitted.so {
@@ -279,10 +274,6 @@ impl Engine {
         }
         for edge in edges {
             self.insert(at, edge);
-        }
-        // Still here only in ablation mode.
-        if let Some((_, d)) = divergence {
-            self.latch_violation(d.into_violation(), at);
         }
     }
 

@@ -6,7 +6,6 @@
 
 use super::gc::Eviction;
 use super::{keep_lowest, Findings};
-use crate::check::CheckOptions;
 use crate::divergence::Divergence;
 use crate::mini::MtViolation;
 use crate::verdict::CheckError;
@@ -201,7 +200,6 @@ impl KeyState {
     /// completely, whatever is found — and records in `found` what the
     /// transaction entails. `scan_divergence` enables the SI-only DIVERGENCE
     /// scan.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn derive(
         &mut self,
         id: TxnId,
@@ -209,18 +207,17 @@ impl KeyState {
         is_init: bool,
         scan_divergence: bool,
         has_init: bool,
-        opts: &CheckOptions,
         found: &mut Findings,
     ) {
         let mut per_key = std::mem::take(&mut self.scratch);
         per_key.fill(&txn.ops);
         let committed = txn.status == TxnStatus::Committed;
-        self.register_writes(id, committed, &per_key, opts, found);
+        self.register_writes(id, committed, &per_key, found);
         if committed && !is_init {
             if scan_divergence {
                 self.scan_divergence(id, &per_key, found);
             }
-            self.resolve_own_reads(id, &per_key, has_init, opts, found);
+            self.resolve_own_reads(id, &per_key, has_init, found);
         }
         // `⊥T` is as wide as the key space: its buffers are not worth keeping.
         if !is_init {
@@ -235,14 +232,13 @@ impl KeyState {
         id: TxnId,
         committed: bool,
         per_key: &Decomposed,
-        opts: &CheckOptions,
         found: &mut Findings,
     ) {
         for (key_rank, key, value, is_last) in per_key.writes() {
             let reg = self.writes.entry((key, value)).or_default();
             reg.last_touch = reg.last_touch.max(id);
             if committed {
-                let is_duplicate = |&first: &TxnId| opts.validate_mt && first != id;
+                let is_duplicate = |&first: &TxnId| first != id;
                 if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
                     let duplicate = MtViolation::DuplicateValue {
                         key,
@@ -281,7 +277,7 @@ impl KeyState {
                     // every waiting reader, in arrival order.
                     let (reader, writes_key) = (waiter.txn, waiter.writes_key);
                     self.emit_reads_from(id, reader, key, writes_key, key_rank, &mut found.edges);
-                } else if opts.prescan_intra {
+                } else {
                     // The value only ever existed mid-transaction.
                     let read = IntraViolation {
                         anomaly: IntraAnomaly::IntermediateRead,
@@ -330,7 +326,6 @@ impl KeyState {
         id: TxnId,
         per_key: &Decomposed,
         has_init: bool,
-        opts: &CheckOptions,
         found: &mut Findings,
     ) {
         for (key_rank, work) in per_key.keys.iter().enumerate() {
@@ -368,7 +363,7 @@ impl KeyState {
                     // before committing (the reader's own intermediate write
                     // is the FUTUREREAD case, settled at finish()).
                     let foreign_intermediate = committed_intermediate.is_some_and(|w| w != id);
-                    if foreign_intermediate && opts.prescan_intra {
+                    if foreign_intermediate {
                         let read = IntraViolation {
                             anomaly: IntraAnomaly::IntermediateRead,
                             txn: id,

@@ -49,9 +49,7 @@
 //!    splices, then the begin/end hook edges), then the key edges
 //!    key by key in `key_set` order, within a key in discovery order —
 //!    waiters this transaction's writes resolve, then its own read: `WR`,
-//!    `RW` to known overwriters, `WW`, `RW` from known readers;
-//! 5. at SI with `skip_divergence_early_exit`, the DIVERGENCE of step 3 only
-//!    now, if nothing latched.
+//!    `RW` to known overwriters, `WW`, `RW` from known readers.
 //!
 //! The order decides adjacency order — hence every later certificate and
 //! every snapshot byte (`tests/streaming_verdict_fixture.rs` and
@@ -135,7 +133,7 @@ mod snapshot;
 mod tests;
 
 pub use benchmark_leftovers::{tune, ShardedIncrementalChecker};
-pub use checker::{check_streaming, check_streaming_with, IncrementalChecker, StreamStatus};
+pub use checker::{check_streaming, IncrementalChecker, StreamStatus};
 pub use gc::{Eviction, GcPolicy};
 pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 

@@ -36,6 +36,31 @@ pub struct CheckerSnapshot {
 /// fields nothing read, and SSER's time hooks moved directly behind `SO`.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
+/// The slot of a version-5 snapshot where the checker's four former
+/// pipeline switches went: kept, field for field and in the
+/// same position inside the engine, so snapshot bytes stay what version 5
+/// says. A new checker writes the values every checker ran with; a resumed
+/// checker writes back what it read. Nothing reads the slot, and the next
+/// format version drops it.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub(super) struct OptionsSlot {
+    validate_mt: bool,
+    prescan_intra: bool,
+    reference_build: bool,
+    skip_divergence_early_exit: bool,
+}
+
+impl Default for OptionsSlot {
+    fn default() -> Self {
+        OptionsSlot {
+            validate_mt: true,
+            prescan_intra: true,
+            reference_build: false,
+            skip_divergence_early_exit: false,
+        }
+    }
+}
+
 impl CheckerSnapshot {
     /// The isolation level the snapshotted checker enforces.
     pub fn level(&self) -> IsolationLevel {

@@ -1,5 +1,5 @@
 use super::*;
-use crate::check::{check_ser, check_si, CheckOptions, IsolationLevel};
+use crate::check::{check_ser, check_si, IsolationLevel};
 use crate::mini::MtViolation;
 use crate::verdict::{Verdict, Violation};
 use mtc_history::{
@@ -239,25 +239,6 @@ fn streaming_matches_batch_on_larger_streams() {
 }
 
 #[test]
-fn options_default_is_shared_with_batch_checkers() {
-    let checker = IncrementalChecker::new_ser();
-    assert_eq!(*checker.options(), CheckOptions::default());
-}
-
-#[test]
-fn divergence_ablation_option_still_rejects() {
-    // A DIVERGENCE can be invisible in the composed graph, so the late
-    // scan must run even with the early exit disabled.
-    let h = anomalies::lost_update();
-    let opts = CheckOptions {
-        skip_divergence_early_exit: true,
-        ..CheckOptions::default()
-    };
-    let v = check_streaming_with(IsolationLevel::SnapshotIsolation, &h, &opts).unwrap();
-    assert!(v.is_violated());
-}
-
-#[test]
 fn non_mt_transaction_is_rejected_online() {
     let mut checker = IncrementalChecker::new_ser().with_init_keys(0..1u64);
     let err = checker
@@ -283,21 +264,6 @@ fn duplicate_values_are_rejected_online() {
         err,
         CheckError::NotMiniTransaction(MtViolation::DuplicateValue { .. })
     ));
-}
-
-#[test]
-fn unreadable_value_without_prescan_is_a_domain_error() {
-    let mut b = HistoryBuilder::new().with_init(1);
-    b.committed(0, vec![Op::read(0u64, 77u64)]);
-    let h = b.build();
-    let opts = CheckOptions {
-        prescan_intra: false,
-        ..CheckOptions::default()
-    };
-    let batch = crate::check_ser_with(&h, &opts);
-    let streaming = check_streaming_with(IsolationLevel::Serializability, &h, &opts);
-    assert!(matches!(batch, Err(CheckError::UnreadableValue { .. })));
-    assert!(matches!(streaming, Err(CheckError::UnreadableValue { .. })));
 }
 
 #[test]
@@ -748,56 +714,58 @@ fn class(outcome: &Result<Verdict, CheckError>) -> &'static str {
 
 #[test]
 fn stages_settle_in_the_order_of_the_batch_pipeline() {
-    // T3 is wrong in four ways at once: it installs x = 2 a second time,
-    // reads back something it never wrote, overwrites the x = 1 that T2
+    // The first T3 is wrong in four ways at once: it installs x = 2 a second
+    // time, reads back something it never wrote, forks the x = 1 that T2
     // overwrote already, and its stale read closes T2 -SO-> T3 -RW-> T2.
-    // Each stage switched off hands the transaction to the next one, as in
-    // the batch pipeline. Without the early exit both reject still, but the
-    // batch checker asks for the DIVERGENCE before it looks for a cycle and
-    // the stream only once the edges are in.
-    let mut b = HistoryBuilder::new().with_init(1);
-    b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
-    b.committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)]);
-    b.committed(
-        1,
-        vec![
-            Op::read(0u64, 1u64),
-            Op::write(0u64, 2u64),
-            Op::read(0u64, 5u64),
-        ],
-    );
-    let h = b.build();
-    let mut opts = CheckOptions::default();
-    for (stage_off, expected_batch, expected) in [
-        ("none", "error", "error"),
-        ("validate_mt", "intra", "intra"),
-        ("prescan_intra", "divergence", "divergence"),
-        ("divergence early exit", "divergence", "cycle"),
-    ] {
-        match stage_off {
-            "validate_mt" => opts.validate_mt = false,
-            "prescan_intra" => opts.prescan_intra = false,
-            "divergence early exit" => opts.skip_divergence_early_exit = true,
-            _ => {}
-        }
-        let batch = crate::check_si_with(&h, &opts);
-        let streaming = check_streaming_with(IsolationLevel::SnapshotIsolation, &h, &opts);
-        assert_eq!(class(&batch), expected_batch, "batch, off: {stage_off}");
-        assert_eq!(class(&streaming), expected, "streaming, off: {stage_off}");
+    // Each row takes its first remaining fault away, and the next stage of
+    // the pipeline answers, in batch and in the stream alike — at T3.
+    let rows = [
+        (
+            "error",
+            vec![
+                Op::read(0u64, 1u64),
+                Op::write(0u64, 2u64),
+                Op::read(0u64, 5u64),
+            ],
+        ),
+        (
+            "intra",
+            vec![
+                Op::read(0u64, 1u64),
+                Op::write(0u64, 3u64),
+                Op::read(0u64, 5u64),
+            ],
+        ),
+        (
+            "divergence",
+            vec![Op::read(0u64, 1u64), Op::write(0u64, 3u64)],
+        ),
+        ("cycle", vec![Op::read(0u64, 1u64)]),
+    ];
+    for (expected, t3) in rows {
+        let mut b = HistoryBuilder::new().with_init(1);
+        b.committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)]);
+        b.committed(1, vec![Op::read(0u64, 1u64), Op::write(0u64, 2u64)]);
+        b.committed(1, t3);
+        let h = b.build();
+        let batch = check_si(&h);
+        let streaming = check_streaming(IsolationLevel::SnapshotIsolation, &h);
+        assert_eq!(class(&batch), expected, "batch");
+        assert_eq!(class(&streaming), expected, "streaming");
         // ... and it is T3 that latches, not the end of the stream.
-        let mut checker = IncrementalChecker::new_si().with_options(opts);
+        let mut checker = IncrementalChecker::new_si();
         checker.ingest(TxnId(0), h.txn(TxnId(0)), true);
         for t in &h.txns()[1..3] {
             assert_eq!(
                 checker.push(t.clone()),
                 Ok(StreamStatus::ConsistentSoFar),
-                "off: {stage_off}"
+                "{expected}"
             );
         }
         match checker.push(h.txn(TxnId(3)).clone()) {
             Err(_) => assert_eq!(expected, "error"),
             Ok(status) => {
-                assert_eq!(status, StreamStatus::Violated, "off: {stage_off}");
+                assert_eq!(status, StreamStatus::Violated, "{expected}");
                 assert_eq!(checker.first_violation_at(), Some(TxnId(3)));
             }
         }

@@ -40,14 +40,13 @@ pub mod verdict;
 
 pub use build::{build_dependency, build_dependency_reference, BuildError};
 pub use check::{
-    check, check_batch, check_ser, check_ser_with, check_si, check_si_with, check_sser,
-    check_sser_naive, check_sser_naive_with, check_sser_with, BatchCheck, CheckOptions, Checked,
-    IsolationLevel,
+    check, check_batch, check_batch_reference, check_ser, check_si, check_sser, check_sser_naive,
+    BatchCheck, Checked, IsolationLevel,
 };
 pub use divergence::{find_divergence, Divergence};
 pub use incremental::{
-    check_streaming, check_streaming_with, CheckerSnapshot, Eviction, GcPolicy, IncrementalChecker,
-    StreamStatus, SNAPSHOT_VERSION,
+    check_streaming, CheckerSnapshot, Eviction, GcPolicy, IncrementalChecker, StreamStatus,
+    SNAPSHOT_VERSION,
 };
 pub use incremental::{tune, ShardedIncrementalChecker};
 pub use lwt::{check_linearizability, check_linearizability_single_key, LwtError};

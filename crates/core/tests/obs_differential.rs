@@ -9,9 +9,7 @@
 //! that it stays off the decision path. (`mtc-store`'s spanned checkpoint
 //! stages have their twin of this check in `crates/store/tests/write_path.rs`.)
 
-use mtc_core::{
-    check_batch, BatchCheck, CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel,
-};
+use mtc_core::{check_batch, BatchCheck, GcPolicy, IncrementalChecker, IsolationLevel};
 use mtc_history::{History, HistoryBuilder, Op, Value};
 
 /// A serial read-modify-write history over `keys` keys: clean at SER and
@@ -157,12 +155,7 @@ const BATCH: [BatchCheck; 4] = [
 fn run_batch(history: &History) -> Vec<String> {
     BATCH
         .iter()
-        .map(|&check| {
-            format!(
-                "{:?}",
-                check_batch(check, history, &CheckOptions::default())
-            )
-        })
+        .map(|&check| format!("{:?}", check_batch(check, history)))
         .collect()
 }
 

@@ -10,9 +10,7 @@
 use mtc_baselines::cobra::{cobra_check_ser, BaselineOutcome};
 use mtc_baselines::elle::{elle_check_rw_register, ElleLevel, ListHistory, ListOp, ListTxn};
 use mtc_baselines::polysi::polysi_check_si;
-use mtc_core::{
-    build_dependency, check_batch, BatchCheck, CheckOptions, IncrementalChecker, IsolationLevel,
-};
+use mtc_core::{build_dependency, check_batch, BatchCheck, IncrementalChecker, IsolationLevel};
 use mtc_dbsim::{
     run_sessions, AbortReason, ClientOptions, DbBackend, DbTxn, Driver, ExecutionOptions,
     ExecutionReport, LiveVerifier, Session,
@@ -134,7 +132,7 @@ pub fn verify(checker: Checker, history: &History) -> VerifyOutcome {
 /// left before building one (intra-transactional anomalies, DIVERGENCE) has
 /// the graph built here, for the estimate alone.
 fn verify_batch(check: BatchCheck, history: &History) -> (bool, usize, String) {
-    match check_batch(check, history, &CheckOptions::default()) {
+    match check_batch(check, history) {
         Ok(checked) => {
             let edges = checked.dep_edges.unwrap_or_else(|| {
                 build_dependency(history, false)

@@ -8,8 +8,8 @@
 //! the closure `WW` and the `RT` edges they always had.
 
 use mtc_core::{
-    build_dependency, build_dependency_reference, check_batch, check_ser_with, check_si_with,
-    BatchCheck, CheckOptions, Verdict,
+    build_dependency, build_dependency_reference, check_batch, check_batch_reference, check_ser,
+    check_si, BatchCheck, CheckError, Checked, Verdict,
 };
 use mtc_history::{History, HistoryBuilder, Op};
 use mtc_runner::exec::history_memory_bytes;
@@ -97,27 +97,25 @@ fn the_reference_and_naive_paths_build_one_graph_with_the_edges_they_always_had(
     assert_eq!(edges(build_dependency(&history, true)), Ok(WITH_RT));
 
     let builds = mtc_obs::registry().counter("core.dependency_builds");
-    let reference = CheckOptions {
-        reference_build: true,
-        ..CheckOptions::default()
-    };
-    for (check, opts, expected) in [
-        (BatchCheck::Ser, reference, CLOSED),
-        (BatchCheck::Si, reference, CLOSED),
-        (BatchCheck::Sser, reference, CLOSED),
+    type Run = fn(BatchCheck, &History) -> Result<Checked, CheckError>;
+    let (optimized, reference): (Run, Run) = (check_batch, check_batch_reference);
+    for (check, run, path, expected) in [
+        (BatchCheck::Ser, reference, "reference", CLOSED),
+        (BatchCheck::Si, reference, "reference", CLOSED),
+        (BatchCheck::Sser, reference, "reference", CLOSED),
         // `dep_edges` leaves the `RT` edges of the naive graph out.
-        (BatchCheck::SserNaive, CheckOptions::default(), PLAIN),
-        (BatchCheck::SserNaive, reference, CLOSED),
+        (BatchCheck::SserNaive, optimized, "optimized", PLAIN),
+        (BatchCheck::SserNaive, reference, "reference", CLOSED),
     ] {
         let before = builds.get();
-        let checked = check_batch(check, &history, &opts).unwrap();
-        assert_eq!(builds.get() - before, 1, "{check:?} {opts:?}");
-        assert_eq!(checked.verdict, Verdict::Satisfied, "{check:?} {opts:?}");
-        assert_eq!(checked.dep_edges, Some(expected), "{check:?} {opts:?}");
+        let checked = run(check, &history).unwrap();
+        assert_eq!(builds.get() - before, 1, "{check:?} {path}");
+        assert_eq!(checked.verdict, Verdict::Satisfied, "{check:?} {path}");
+        assert_eq!(checked.dep_edges, Some(expected), "{check:?} {path}");
     }
     // The verdict-only fronts are the same call.
     let before = builds.get();
-    assert_eq!(check_ser_with(&history, &reference), Ok(Verdict::Satisfied));
-    assert_eq!(check_si_with(&history, &reference), Ok(Verdict::Satisfied));
+    assert_eq!(check_ser(&history), Ok(Verdict::Satisfied));
+    assert_eq!(check_si(&history), Ok(Verdict::Satisfied));
     assert_eq!(builds.get() - before, 2);
 }

@@ -26,10 +26,9 @@ pub use mtc_store as store;
 pub use mtc_workload as workload;
 
 // The streaming verification engine, re-exported at the facade root: the
-// online checkers share `CheckOptions`/`IsolationLevel` with the batch path.
+// online checkers share `IsolationLevel` with the batch path.
 pub use mtc_core::{
-    check_streaming, CheckOptions, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel,
-    StreamStatus,
+    check_streaming, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus,
 };
 // The unified execution/verification API: one `execute` entry point
 // parameterized by `Driver`, and one `LiveVerifier::builder` constructor.

@@ -27,9 +27,8 @@
 //! bytes; say in CHANGES.md why the certificates moved.
 
 use mtc::core::{
-    build_dependency, build_dependency_reference, check_ser, check_ser_with, check_si,
-    check_si_with, check_sser, check_sser_naive, check_sser_with, CheckError, CheckOptions,
-    Verdict, Violation,
+    build_dependency, build_dependency_reference, check_batch, check_batch_reference, check_ser,
+    check_si, check_sser, check_sser_naive, BatchCheck, CheckError, Verdict, Violation,
 };
 use mtc::dbsim::{
     BackendSpec, ClientOptions, DbConfig, ExecutionOptions, FaultKind, FaultSpec, IsolationMode,
@@ -222,31 +221,6 @@ fn render_all() -> String {
             )
             .unwrap();
         }
-        if !name.contains("sim-ser") && !name.contains("weak") {
-            // Each preflight stage switched off: whatever it would have
-            // caught surfaces later, or not at all, exactly as it used to.
-            for (label, opts) in [
-                (
-                    "-validate",
-                    CheckOptions {
-                        validate_mt: false,
-                        ..CheckOptions::default()
-                    },
-                ),
-                (
-                    "-prescan",
-                    CheckOptions {
-                        prescan_intra: false,
-                        ..CheckOptions::default()
-                    },
-                ),
-            ] {
-                let ser = render(&name, &h, check_ser_with(&h, &opts));
-                let si = render(&name, &h, check_si_with(&h, &opts));
-                let sser = render(&name, &h, check_sser_with(&h, &opts));
-                writeln!(out, "  {label} SER {ser} | SI {si} | SSER {sser}").unwrap();
-            }
-        }
     }
     out
 }
@@ -337,25 +311,24 @@ fn certificates_are_reproducible() {
     }
     let ring = ring.build();
     let checks = [
-        ("SER", &faulty, check_ser_with as fn(&_, &_) -> _),
-        ("SSER", &faulty, check_sser_with),
-        ("SI", &ring, check_si_with),
-        ("SER", &ring, check_ser_with),
+        (BatchCheck::Ser, &faulty),
+        (BatchCheck::Sser, &faulty),
+        (BatchCheck::Si, &ring),
+        (BatchCheck::Ser, &ring),
     ];
-    for reference_build in [false, true] {
-        let opts = CheckOptions {
-            reference_build,
-            ..CheckOptions::default()
-        };
-        for (level, history, check) in checks {
-            let first = check(history, &opts).unwrap();
-            let name = format!("{level}, reference_build: {reference_build}");
+    for (path, run) in [
+        ("optimized", check_batch as fn(_, &_) -> _),
+        ("reference", check_batch_reference),
+    ] {
+        for (check, history) in checks {
+            let first = run(check, history).unwrap().verdict;
+            let name = format!("{check:?}, {path} build");
             assert!(
                 matches!(first.violation(), Some(Violation::Cycle { .. })),
                 "{name}: {first:?}"
             );
             for _ in 1..CALLS {
-                assert_eq!(check(history, &opts).unwrap(), first, "{name}");
+                assert_eq!(run(check, history).unwrap().verdict, first, "{name}");
             }
         }
     }
@@ -363,27 +336,18 @@ fn certificates_are_reproducible() {
 
 /// `CHECKSI` rebuilds the hops of the cycle it found from the dependency
 /// graph instead of remembering where every composed edge came from; every
-/// cycle it reports — with the early DIVERGENCE exit and without — must still
-/// be a well-formed counterexample.
+/// cycle it reports must still be a well-formed counterexample.
 #[test]
 fn si_counterexamples_are_cycles_of_the_composed_graph() {
-    let general = CheckOptions {
-        skip_divergence_early_exit: true,
-        ..CheckOptions::default()
-    };
     let mut cycles = 0;
     for (name, h) in histories() {
-        for opts in [CheckOptions::default(), general] {
-            let outcome = check_si_with(&h, &opts);
-            if let Ok(Verdict::Violated(Violation::Cycle { edges })) = outcome {
-                assert_si_cycle_is_well_formed(&name, &h, &edges);
-                cycles += 1;
-            }
+        if let Ok(Verdict::Violated(Violation::Cycle { edges })) = check_si(&h) {
+            assert_si_cycle_is_well_formed(&name, &h, &edges);
+            cycles += 1;
         }
     }
-    // The catalogue alone has five (`SI   Cycle` in the fixture), each
-    // reached under both options.
-    assert!(cycles >= 10, "only {cycles} SI cycles were looked at");
+    // The catalogue alone has five (`SI   Cycle` in the fixture).
+    assert!(cycles >= 5, "only {cycles} SI cycles were looked at");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! (sampled from a random serial execution) and corrupted ones.
 
 use mtc::baselines::{brute_check_ser, brute_check_si, cobra_check_ser, polysi_check_si};
-use mtc::core::{build_dependency, check_ser, check_si, check_si_with, check_sser};
-use mtc::core::{CheckOptions, Verdict, Violation};
+use mtc::core::{build_dependency, check_batch_reference, check_ser, check_si, check_sser};
+use mtc::core::{BatchCheck, Verdict, Violation};
 use mtc::history::{EdgeKind, History, HistoryBuilder, Op, TxnStatus};
 use mtc::{check_streaming, IsolationLevel};
 use proptest::prelude::*;
@@ -118,34 +118,27 @@ fn corrupt(history: &History, txn_pick: usize, stale: u64) -> History {
     builder.build()
 }
 
-/// If `CHECKSI` answers `history` with a cycle — with the early DIVERGENCE
-/// exit or without — that cycle is a well-formed counterexample: every edge a
-/// dependency of the history, closed, and a path of `(SO ∪ WR ∪ WW) ; RW?`,
-/// which never has two `RW` edges in a row (cyclically).
+/// If `CHECKSI` answers `history` with a cycle, that cycle is a well-formed
+/// counterexample: every edge a dependency of the history, closed, and a
+/// path of `(SO ∪ WR ∪ WW) ; RW?`, which never has two `RW` edges in a row
+/// (cyclically).
 fn assert_si_cycles_are_well_formed(history: &History) {
-    let general = CheckOptions {
-        skip_divergence_early_exit: true,
-        ..CheckOptions::default()
+    let Ok(Verdict::Violated(Violation::Cycle { edges })) = check_si(history) else {
+        return;
     };
-    for opts in [CheckOptions::default(), general] {
-        let Ok(Verdict::Violated(Violation::Cycle { edges })) = check_si_with(history, &opts)
-        else {
-            continue;
-        };
-        assert!(!edges.is_empty(), "empty cycle");
-        let graph = build_dependency(history, false).expect("the checker built this graph");
-        for (i, e) in edges.iter().enumerate() {
-            let next = &edges[(i + 1) % edges.len()];
-            assert!(
-                graph.contains_edge(e.from, e.to, e.kind),
-                "{e:?} is no dependency"
-            );
-            assert_eq!(e.to, next.from, "the cycle does not close at {e:?}");
-            assert!(
-                !(e.kind.is_rw() && next.kind.is_rw()),
-                "{e:?} then {next:?}: two RW edges in a row"
-            );
-        }
+    assert!(!edges.is_empty(), "empty cycle");
+    let graph = build_dependency(history, false).expect("the checker built this graph");
+    for (i, e) in edges.iter().enumerate() {
+        let next = &edges[(i + 1) % edges.len()];
+        assert!(
+            graph.contains_edge(e.from, e.to, e.kind),
+            "{e:?} is no dependency"
+        );
+        assert_eq!(e.to, next.from, "the cycle does not close at {e:?}");
+        assert!(
+            !(e.kind.is_rw() && next.kind.is_rw()),
+            "{e:?} then {next:?}: two RW edges in a row"
+        );
     }
 }
 
@@ -251,13 +244,13 @@ proptest! {
         keys in 2u64..5,
     ) {
         let history = serial_history(&shapes, keys, 3);
-        let reference = CheckOptions { reference_build: true, ..CheckOptions::default() };
+        let reference = |check| check_batch_reference(check, &history).unwrap().verdict;
         prop_assert_eq!(
-            mtc::core::check_ser_with(&history, &reference).unwrap().is_satisfied(),
+            reference(BatchCheck::Ser).is_satisfied(),
             check_ser(&history).unwrap().is_satisfied()
         );
         prop_assert_eq!(
-            mtc::core::check_si_with(&history, &reference).unwrap().is_satisfied(),
+            reference(BatchCheck::Si).is_satisfied(),
             check_si(&history).unwrap().is_satisfied()
         );
     }

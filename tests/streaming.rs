@@ -12,9 +12,7 @@ use mtc::history::{HistoryBuilder, Op};
 use mtc::runner::{end_to_end_streaming, verify, Checker};
 use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 // The streaming types are re-exported at the facade root.
-use mtc::{
-    check_streaming, CheckOptions, IncrementalChecker, IsolationLevel, LiveVerifier, StreamStatus,
-};
+use mtc::{check_streaming, IncrementalChecker, IsolationLevel, LiveVerifier, StreamStatus};
 
 fn mt_spec(seed: u64, num_keys: u64) -> MtWorkloadSpec {
     MtWorkloadSpec {
@@ -288,15 +286,4 @@ fn sser_runner_checkers_are_wired() {
     let verdict = outcome.verdict.unwrap();
     assert!(verdict.is_violated(), "{verdict:?}");
     assert!(outcome.first_violation.unwrap().elapsed <= report.wall_time);
-}
-
-#[test]
-fn default_options_are_shared_between_batch_and_streaming() {
-    // One `CheckOptions` type, one `Default`: the streaming checkers start
-    // from exactly the options the batch checkers use.
-    let opts = CheckOptions::default();
-    assert!(opts.validate_mt && opts.prescan_intra);
-    assert!(!opts.reference_build && !opts.skip_divergence_early_exit);
-    let checker = mtc::IncrementalChecker::new(IsolationLevel::Serializability);
-    assert_eq!(*checker.options(), opts);
 }

@@ -1,16 +1,15 @@
 //! The streaming checker against a committed fixture:
 //! `tests/data/streaming-verdicts-v5.txt` holds, for the 14-anomaly
 //! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
-//! at SER / SI / SSER under every combination of `validate_mt`,
-//! `prescan_intra`, `skip_divergence_early_exit`, GC and `⊥T`, and this build
-//! must reproduce the file byte for byte. The verdicts and first-violation
+//! at SER / SI / SSER with and without GC and `⊥T`, and this build must
+//! reproduce the file byte for byte. The verdicts and first-violation
 //! indices in it go back to the build before the engine's event vocabulary
 //! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 5.
 //!
-//! One line per (stream, level): a CRC over the records of all 32 variants —
+//! One line per (stream, level): a CRC over the records of all 4 variants —
 //! a fold of every `push` status, `first_violation_at`, `edge_count`, the
 //! CRC-32 of the encoded `checkpoint()` every 16th push and at the end, and
-//! `{:?}` of `finish()` — then the default variant's record in clear, so a
+//! `{:?}` of `finish()` — then the first variant's record in clear, so a
 //! failing line can be read. Unlike the batch fixture, cycles are compared
 //! **edge for edge**: the order in which a transaction's consequences are
 //! applied decides which edge closes which cycle and every adjacency list a
@@ -33,7 +32,7 @@ use mtc::core::CheckError;
 use mtc::history::anomalies::AnomalyKind;
 use mtc::history::{History, Op, SessionId, Transaction, TxnId};
 use mtc::store::{crc32, to_bytes};
-use mtc::{CheckOptions, GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
+use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 
 const FIXTURE: &str = include_str!("data/streaming-verdicts-v5.txt");
 const STREAMS: u64 = 220;
@@ -82,8 +81,8 @@ struct KeyModel {
 
 /// One seeded stream: `keys`, then the transactions in push order (ids are
 /// assigned by the checker). A third of the streams are nearly clean, so the
-/// default options reach the tail with a large state; a third are hostile,
-/// and only the variants with a stage switched off get far into them.
+/// checker reaches the tail with a large state; a third are hostile, and
+/// most of them latch early.
 fn stream(seed: u64) -> (u64, Vec<Transaction>) {
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15 ^ (seed + 1).wrapping_mul(0xD134_2543_DE82_EF95));
     let keys = 2 + rng.below(4);
@@ -236,18 +235,6 @@ fn stream(seed: u64) -> (u64, Vec<Transaction>) {
     (keys, txns)
 }
 
-/// The eight option sets, default first.
-fn option_sets() -> Vec<CheckOptions> {
-    (0..8u32)
-        .map(|bits| CheckOptions {
-            validate_mt: bits & 1 == 0,
-            prescan_intra: bits & 2 == 0,
-            skip_divergence_early_exit: bits & 4 != 0,
-            ..CheckOptions::default()
-        })
-        .collect()
-}
-
 /// One run of a checker and everything observable of it.
 struct Run {
     checker: IncrementalChecker,
@@ -256,8 +243,8 @@ struct Run {
 }
 
 impl Run {
-    fn new(level: IsolationLevel, opts: CheckOptions, gc: bool, init_keys: Option<u64>) -> Run {
-        let mut checker = IncrementalChecker::new(level).with_options(opts);
+    fn new(level: IsolationLevel, gc: bool, init_keys: Option<u64>) -> Run {
+        let mut checker = IncrementalChecker::new(level);
         if gc {
             checker.set_gc(GC);
         }
@@ -314,8 +301,7 @@ impl Run {
 }
 
 /// The fixture line of one (stream, level): every variant's record folded
-/// into a CRC, the first variant's (default options, no GC, `⊥T` as given)
-/// in clear.
+/// into a CRC, the first variant's (no GC, `⊥T` as given) in clear.
 fn line(name: &str, label: &str, records: &[String]) -> String {
     let all = crc32(records.join("\n").as_bytes());
     format!(
@@ -327,22 +313,19 @@ fn line(name: &str, label: &str, records: &[String]) -> String {
 fn render_all() -> String {
     let mut out = String::new();
     let mut count = 0;
-    let options = option_sets();
     for kind in AnomalyKind::ALL {
         let h: History = kind.history();
         for (label, level) in LEVELS {
             let mut records = Vec::new();
-            for &opts in &options {
-                for gc in [false, true] {
-                    // As the history has it, through `push_history` ...
-                    let mut run = Run::new(level, opts, gc, None);
-                    let status = run.checker.push_history(&h);
-                    run.saw(status);
-                    records.push(run.record());
-                    // ... and transaction by transaction without `⊥T`.
-                    let rest = h.txns().iter().filter(|t| Some(t.id) != h.init_txn());
-                    records.push(Run::new(level, opts, gc, None).push_all(rest));
-                }
+            for gc in [false, true] {
+                // As the history has it, through `push_history` ...
+                let mut run = Run::new(level, gc, None);
+                let status = run.checker.push_history(&h);
+                run.saw(status);
+                records.push(run.record());
+                // ... and transaction by transaction without `⊥T`.
+                let rest = h.txns().iter().filter(|t| Some(t.id) != h.init_txn());
+                records.push(Run::new(level, gc, None).push_all(rest));
             }
             count += records.len();
             out.push_str(&line(&format!("catalogue/{kind}"), label, &records));
@@ -352,11 +335,9 @@ fn render_all() -> String {
         let (keys, txns) = stream(seed);
         for (label, level) in LEVELS {
             let mut records = Vec::new();
-            for &opts in &options {
-                for gc in [false, true] {
-                    for init in [Some(keys), None] {
-                        records.push(Run::new(level, opts, gc, init).push_all(&txns));
-                    }
+            for gc in [false, true] {
+                for init in [Some(keys), None] {
+                    records.push(Run::new(level, gc, init).push_all(&txns));
                 }
             }
             count += records.len();
