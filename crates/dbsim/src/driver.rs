@@ -1,7 +1,8 @@
 //! The execution API: one entry point for every client driver.
 //!
 //! Choose a [`Driver`], set the client policy, optionally attach a
-//! [`LiveVerifier`] — on *any* driver — and call [`ExecutionOptions::run`].
+//! [`LiveVerifier`](crate::LiveVerifier) (or any other [`Observer`]) — on
+//! *any* driver — and call [`ExecutionOptions::run`].
 //! Every driver schedules the same per-session state machine
 //! ([`crate::session`]), so retry, recording and verification behave the
 //! same under both; they differ only in *who steps a session when*.
@@ -37,9 +38,8 @@ use crate::backend::DbBackend;
 use crate::client::{
     drive_interleaved, drive_threaded, ClientOptions, ExecutionReport, RegisterOps,
 };
-use crate::live::LiveVerifier;
 use crate::session::{IssueOp, Observer, Session, TxnRecord};
-use mtc_history::{History, HistoryBuilder};
+use mtc_history::{History, HistoryBuilder, Op};
 use mtc_workload::Workload;
 use std::time::Instant;
 
@@ -73,10 +73,11 @@ pub struct ExecutionOptions<'v> {
     /// Retry/recording policy, shared by every driver.
     pub client: ClientOptions,
     /// Optional streaming verifier fed every finished attempt in commit
-    /// order (the order attempts settle under the chosen driver). With
-    /// [`LiveVerifier`] built `stop_on_violation`, a latched violation stops
-    /// sessions from starting further templates on any driver.
-    pub verifier: Option<&'v LiveVerifier>,
+    /// order (the order attempts settle under the chosen driver). With a
+    /// [`LiveVerifier`](crate::LiveVerifier) built `stop_on_violation`, a
+    /// latched violation stops sessions from starting further templates on
+    /// any driver.
+    pub verifier: Option<&'v dyn Observer<Op>>,
 }
 
 impl std::fmt::Debug for ExecutionOptions<'_> {
@@ -132,8 +133,10 @@ impl<'v> ExecutionOptions<'v> {
         self
     }
 
-    /// Attaches a streaming verifier for the duration of the run.
-    pub fn verifier(self, verifier: &LiveVerifier) -> ExecutionOptions<'_> {
+    /// Attaches a streaming verifier — a
+    /// [`LiveVerifier`](crate::LiveVerifier), or a host's observer around
+    /// one — for the duration of the run.
+    pub fn verifier(self, verifier: &dyn Observer<Op>) -> ExecutionOptions<'_> {
         ExecutionOptions {
             driver: self.driver,
             client: self.client,
@@ -143,14 +146,14 @@ impl<'v> ExecutionOptions<'v> {
 
     /// Executes `workload` against `db` under the configured driver and
     /// returns the collected history plus execution statistics. If a
-    /// verifier is attached, its time-to-first-violation clock is restarted
-    /// here and every finished attempt is recorded; call
-    /// [`LiveVerifier::finish`] afterwards for the verification outcome.
+    /// verifier is attached, it is told the run starts
+    /// ([`Observer::mark_started`]) and every finished attempt is recorded;
+    /// call [`LiveVerifier::finish`](crate::LiveVerifier::finish) afterwards
+    /// for the verification outcome.
     pub fn run(&self, db: &dyn DbBackend, workload: &Workload) -> (History, ExecutionReport) {
         if let Some(v) = self.verifier {
             v.mark_started();
         }
-        let observer = self.verifier.map(|v| v as &dyn Observer<_>);
         let sessions = workload
             .sessions
             .iter()
@@ -159,7 +162,7 @@ impl<'v> ExecutionOptions<'v> {
                 Session::new(
                     db,
                     &self.client,
-                    observer,
+                    self.verifier,
                     s.session,
                     templates,
                     RegisterOps,
@@ -210,6 +213,7 @@ mod tests {
     use crate::config::{DbConfig, IsolationMode};
     use crate::db::Database;
     use crate::faults::{FaultKind, FaultSpec};
+    use crate::live::LiveVerifier;
     use mtc_core::IsolationLevel;
     use mtc_workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
 

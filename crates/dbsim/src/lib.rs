@@ -35,6 +35,12 @@
 //! deterministic-interleaved) only schedules its steps. Configure an
 //! [`ExecutionOptions`] builder — optionally attaching a streaming
 //! [`LiveVerifier`] — and call [`ExecutionOptions::run`].
+//!
+//! The simulator stands for the database under test, so it holds no
+//! write-ahead log of the checker's: a host that makes a live-verified
+//! stream durable keeps its own store beside the verifier and attaches
+//! itself as the [`Observer`] (`record_streaming` in `mtc-runner`, the
+//! daemon's tenants in `mtc-service`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,9 +64,7 @@ pub use config::{DbConfig, IsolationMode};
 pub use db::Database;
 pub use driver::{run_sessions, Driver, ExecutionOptions};
 pub use faults::{FaultKind, FaultSpec};
-pub use live::{
-    IngestEvent, LiveOutcome, LiveVerifier, LiveVerifierBuilder, LiveViolation, SinkStats,
-};
+pub use live::{IngestEvent, LiveOutcome, LiveVerifier, LiveVerifierBuilder, LiveViolation};
 pub use session::{IssueOp, Observer, Session, TxnRecord};
 pub use store::StoredValue;
 pub use txn::{AbortReason, CommitInfo, TxnHandle};

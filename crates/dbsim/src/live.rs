@@ -16,11 +16,18 @@
 //! session's order and therefore yields the same verdict as checking the
 //! collected history, even though transaction ids differ from the
 //! per-session renumbering of the final [`History`](mtc_history::History).
+//!
+//! The verifier holds no log. A host that makes its stream durable keeps the
+//! store beside the verifier under one lock, appends each transaction to it
+//! before [`LiveVerifier::record`] and passes the store a snapshot through
+//! [`LiveVerifier::checkpoint`] when the store asks for one: the daemon's
+//! tenants in `mtc-service`, and `record_streaming` in `mtc-runner`.
 
 use crate::session::{Observer, TxnRecord};
-use mtc_core::{CheckError, GcPolicy, IncrementalChecker, IsolationLevel, Verdict, Violation};
+use mtc_core::{
+    CheckError, CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, Verdict, Violation,
+};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
-use mtc_store::MtcStore;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,130 +40,9 @@ pub struct LiveVerifier {
     violated: AtomicBool,
 }
 
-/// The write-ahead persistence sink of a live verifier: every recorded
-/// transaction is appended to an [`MtcStore`] log *before* the checker
-/// consumes it. Every `checkpoint_every` recorded transactions — the floor —
-/// the sink snapshots the checker into a checkpoint file if the store says
-/// one is due ([`MtcStore::checkpoint_due`]: the log since the newest
-/// checkpoint has grown to its size), and otherwise fsyncs the log, so the
-/// log is fsynced at every floor either way.
-struct StoreSink {
-    store: MtcStore,
-    checkpoint_every: usize,
-    since_floor: usize,
-    error: Option<String>,
-    /// Per-sink WAL append latency, owned rather than registered — tenants
-    /// come and go, and the daemon surfaces this through `TenantStatus`.
-    /// Empty unless observability is enabled.
-    append_hist: mtc_obs::Histogram,
-    /// Failed sink operations (appends/checkpoints after the first error
-    /// short-circuit, so in practice 0 or 1).
-    errors: u64,
-    /// When the newest checkpoint finished, for staleness reporting.
-    last_checkpoint: Option<Instant>,
-    /// Checkpoints actually written (not cadence-derived).
-    checkpoints: u64,
-}
-
-impl StoreSink {
-    fn new(store: MtcStore, checkpoint_every: usize) -> Self {
-        StoreSink {
-            store,
-            checkpoint_every: checkpoint_every.max(1),
-            since_floor: 0,
-            error: None,
-            append_hist: mtc_obs::Histogram::new(),
-            errors: 0,
-            last_checkpoint: None,
-            checkpoints: 0,
-        }
-    }
-
-    fn append(&mut self, txn: &Transaction) {
-        if self.error.is_some() {
-            return;
-        }
-        let timer = mtc_obs::enabled().then(Instant::now);
-        if let Err(e) = self.store.append_txn(txn) {
-            self.error = Some(e.to_string());
-            self.errors += 1;
-            return;
-        }
-        if let Some(t0) = timer {
-            self.append_hist.record(t0.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// Called once `checker` has consumed a recorded transaction, its
-    /// `consumed`-th: at a floor, checkpoints `checker` if one is due and
-    /// fsyncs the log if not.
-    fn recorded(&mut self, consumed: u64, checker: &IncrementalChecker) {
-        self.since_floor += 1;
-        if self.error.is_some() || self.since_floor < self.checkpoint_every {
-            return;
-        }
-        self.since_floor = 0;
-        let done = if self.store.checkpoint_due() {
-            let written = self.store.checkpoint(consumed, &checker.checkpoint());
-            if written.is_ok() {
-                self.last_checkpoint = Some(Instant::now());
-                self.checkpoints += 1;
-            }
-            written.map(drop)
-        } else {
-            self.store.sync()
-        };
-        if let Err(e) = done {
-            self.error = Some(e.to_string());
-            self.errors += 1;
-        }
-    }
-
-    fn stats(&self) -> SinkStats {
-        SinkStats {
-            wal_append_p99_micros: self.append_hist.snapshot().p99,
-            wal_appends: self.append_hist.count(),
-            last_checkpoint_age_micros: self
-                .last_checkpoint
-                .map(|t| t.elapsed().as_micros() as u64),
-            checkpoints: self.checkpoints,
-            log_bytes: self.store.log_bytes(),
-            checkpoint_bytes: self.store.checkpoint_bytes(),
-            sink_errors: self.errors,
-        }
-    }
-}
-
-/// Observability of a verifier's persistence sink, surfaced per tenant by
-/// the service's `TenantStatus` — lets an operator tell a slow tenant from
-/// a stalled WAL.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SinkStats {
-    /// 99th-percentile WAL append latency (0 until observability is
-    /// enabled — the histogram only records while the global switch is on).
-    pub wal_append_p99_micros: u64,
-    /// Appends measured into the p99 (0 while observability is disabled).
-    pub wal_appends: u64,
-    /// Microseconds since the newest checkpoint finished (`None` before
-    /// the first one).
-    pub last_checkpoint_age_micros: Option<u64>,
-    /// Checkpoints actually written.
-    pub checkpoints: u64,
-    /// Log bytes the sink's store appended (since it was created or opened).
-    pub log_bytes: u64,
-    /// Checkpoint bytes the sink's store wrote. A checkpoint is due once the
-    /// log since the newest one has grown to that one's size, so every
-    /// checkpoint but the newest is paid for by `log_bytes`.
-    pub checkpoint_bytes: u64,
-    /// Failed sink operations.
-    pub sink_errors: u64,
-}
-
 struct LiveInner {
     checker: IncrementalChecker,
     first_violation: Option<LiveViolation>,
-    /// Optional durable write-ahead sink.
-    sink: Option<StoreSink>,
     /// Start of the run: set when [`crate::ExecutionOptions::run`] begins (or
     /// at construction, for hand-driven use), so `LiveViolation::elapsed` is
     /// comparable with the run's wall time.
@@ -189,16 +75,12 @@ pub struct LiveOutcome {
     pub first_violation: Option<LiveViolation>,
     /// Transactions consumed by the verifier (excluding `⊥T`).
     pub checked_txns: usize,
-    /// First error of the persistence sink, if one was attached and failed.
-    /// Verification continues past sink errors; recovery guarantees only
-    /// cover the prefix persisted before the error.
-    pub sink_error: Option<String>,
 }
 
 /// Chained-setter construction of a [`LiveVerifier`] — the one way the
-/// daemon (and everything else) builds one: GC policy, durable store and
-/// resume source are orthogonal knobs, so they compose as setters instead of
-/// multiplying constructors.
+/// daemon (and everything else) builds one: GC policy and resume source are
+/// orthogonal knobs, so they compose as setters instead of multiplying
+/// constructors.
 ///
 /// ```
 /// use mtc_core::{GcPolicy, IsolationLevel};
@@ -215,7 +97,6 @@ pub struct LiveVerifierBuilder {
     num_keys: u64,
     stop_on_violation: bool,
     gc: Option<GcPolicy>,
-    store: Option<(MtcStore, usize)>,
     resume: Option<IncrementalChecker>,
 }
 
@@ -243,21 +124,6 @@ impl LiveVerifierBuilder {
         self
     }
 
-    /// Attaches a durable write-ahead sink: every recorded transaction is
-    /// appended to `store` *before* the checker consumes it.
-    /// `checkpoint_every` is a floor: every that many recorded transactions
-    /// the log is fsynced, and a checkpoint (a complete
-    /// [`mtc_core::CheckerSnapshot`], whose write fsyncs the log first) is
-    /// written instead if [`MtcStore::checkpoint_due`] — the first floor,
-    /// and then once the log appended since the newest checkpoint has grown
-    /// to that checkpoint's size. After a crash,
-    /// [`mtc_store::recover`] + [`IncrementalChecker::resume`] + replay of
-    /// the logged tail reproduce the uninterrupted verdict.
-    pub fn store(mut self, store: MtcStore, checkpoint_every: usize) -> Self {
-        self.store = Some((store, checkpoint_every));
-        self
-    }
-
     /// Resumes from an already-populated checker — the recovery path:
     /// recover a store, replay the logged tail into
     /// [`IncrementalChecker::resume`]'s result, then hand it here to keep
@@ -281,9 +147,6 @@ impl LiveVerifierBuilder {
             inner: Mutex::new(LiveInner {
                 checker,
                 first_violation: None,
-                sink: self
-                    .store
-                    .map(|(store, every)| StoreSink::new(store, every)),
                 started: Instant::now(),
             }),
             stop_on_violation: self.stop_on_violation,
@@ -298,7 +161,7 @@ impl LiveVerifierBuilder {
 /// One finished transaction attempt, as fed to a [`LiveVerifier`] — the
 /// serializable unit the verification service ingests over the wire.
 /// `begin`/`end` carry the backend's logical clock when known; without them
-/// the SSER mode degenerates to SER (see [`LiveVerifier::record_timed`]).
+/// the SSER mode degenerates to SER (see [`LiveVerifier::record`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IngestEvent {
     /// Session (client thread) the attempt ran on.
@@ -324,6 +187,24 @@ impl IngestEvent {
             end: Some(end),
         }
     }
+
+    /// The transaction a host logs and then hands to
+    /// [`LiveVerifier::record`]; its id is assigned by the checker. It is
+    /// timed only if both instants are known.
+    pub fn into_transaction(self) -> Transaction {
+        let (begin, end) = match (self.begin, self.end) {
+            (Some(begin), Some(end)) => (Some(begin), Some(end)),
+            _ => (None, None),
+        };
+        Transaction {
+            id: TxnId(0),
+            session: SessionId(self.session),
+            ops: self.ops,
+            status: self.status,
+            begin,
+            end,
+        }
+    }
 }
 
 impl LiveVerifier {
@@ -336,7 +217,6 @@ impl LiveVerifier {
             num_keys,
             stop_on_violation: false,
             gc: None,
-            store: None,
             resume: None,
         }
     }
@@ -365,14 +245,6 @@ impl LiveVerifier {
         self.inner.lock().first_violation.as_ref().map(|v| v.at_txn)
     }
 
-    /// Restarts the time-to-first-violation clock. Called by
-    /// [`crate::ExecutionOptions::run`] when the run actually begins, so that
-    /// verifier construction and other setup do not count towards
-    /// [`LiveViolation::elapsed`].
-    pub fn mark_started(&self) {
-        self.inner.lock().started = Instant::now();
-    }
-
     /// True iff a violation has been latched.
     pub fn is_violated(&self) -> bool {
         self.violated.load(Ordering::Relaxed)
@@ -383,81 +255,30 @@ impl LiveVerifier {
         self.stop_on_violation && self.is_violated()
     }
 
-    /// Feeds one finished transaction attempt. Called by the session threads
-    /// in commit order; also usable directly when driving [`crate::Database`] by
-    /// hand (see `examples/streaming_check.rs`). Without begin/commit
-    /// instants the SSER mode degenerates to SER — prefer
-    /// [`LiveVerifier::record_timed`] when the instants are known.
-    pub fn record(&self, session: u32, ops: Vec<Op>, status: TxnStatus) {
-        self.record_inner(session, ops, status, None)
-    }
-
-    /// Feeds one finished transaction attempt together with its begin and
-    /// commit-acknowledgement instants (the simulated store's logical
-    /// clock). In SSER mode the instants feed the online time-chain, so
-    /// real-time-order violations — including skewed commit timestamps —
-    /// latch the moment the offending commit is recorded.
-    pub fn record_timed(
-        &self,
-        session: u32,
-        ops: Vec<Op>,
-        status: TxnStatus,
-        begin: u64,
-        end: u64,
-    ) {
-        self.record_inner(session, ops, status, Some((begin, end)))
-    }
-
-    /// Feeds one wire-shaped [`IngestEvent`] — [`LiveVerifier::record_timed`]
-    /// when both instants are present, [`LiveVerifier::record`] otherwise.
-    /// This is the entry point the verification service's per-tenant drain
-    /// uses.
-    pub fn record_event(&self, event: IngestEvent) {
-        let times = match (event.begin, event.end) {
-            (Some(begin), Some(end)) => Some((begin, end)),
-            _ => None,
-        };
-        self.record_inner(event.session, event.ops, event.status, times)
-    }
-
-    fn record_inner(
-        &self,
-        session: u32,
-        ops: Vec<Op>,
-        status: TxnStatus,
-        times: Option<(u64, u64)>,
-    ) {
+    /// Feeds one finished transaction attempt — after the host has logged
+    /// it, if the host keeps a log. Called by the session threads in commit
+    /// order (through [`Observer::observe`]), by the daemon's drain with
+    /// [`IngestEvent::into_transaction`], and directly when driving
+    /// [`crate::Database`] by hand (see `examples/streaming_check.rs`). The
+    /// checker assigns the id. In SSER mode the begin and commit instants
+    /// feed the online time-chain, so real-time-order violations — including
+    /// skewed commit timestamps — latch the moment the offending commit is
+    /// recorded; without them the SSER mode degenerates to SER.
+    pub fn record(&self, txn: Transaction) {
         let mut inner = self.inner.lock();
-        // A latched verdict does not end the stream: the log still takes
-        // every record, and the checker counts it (see
-        // `IncrementalChecker::push`), so `checked_txns` stays the number of
-        // records admitted.
-        let mut txn = Transaction {
-            id: TxnId(0), // renumbered by the checker
-            session: SessionId(session),
-            ops,
-            status,
-            begin: None,
-            end: None,
-        };
-        if let Some((begin, end)) = times {
-            txn.begin = Some(begin);
-            txn.end = Some(end);
-        }
-        let guts = &mut *inner;
-        if let Some(sink) = guts.sink.as_mut() {
-            // Write-ahead: the log sees the transaction before the checker.
-            sink.append(&txn);
-        }
-        if guts.checker.push(txn).is_err() {
+        // A latched verdict does not end the stream: the checker counts
+        // every record (see `IncrementalChecker::push`), so `checked_txns`
+        // stays the number of records admitted.
+        if inner.checker.push(txn).is_err() {
             // Domain errors latch inside the checker; surfaced by finish().
             self.violated.store(true, Ordering::Relaxed);
         }
-        let consumed = guts.consumed() as u64;
-        if let Some(sink) = guts.sink.as_mut() {
-            sink.recorded(consumed, &guts.checker);
-        }
         self.note_latch(&mut inner);
+    }
+
+    /// A snapshot of the checker as it stands, for a host's checkpoint.
+    pub fn checkpoint(&self) -> CheckerSnapshot {
+        self.inner.lock().checker.checkpoint()
     }
 
     /// Records latch metadata (the `violated` flag feeding `should_stop`,
@@ -478,36 +299,20 @@ impl LiveVerifier {
         }
     }
 
-    /// Observability of the attached persistence sink (`None` without one):
-    /// WAL append p99, checkpoint staleness, error count.
-    pub fn sink_stats(&self) -> Option<SinkStats> {
-        self.inner.lock().sink.as_ref().map(StoreSink::stats)
-    }
-
     /// A snapshot of the currently latched violation, if any: a recorded
     /// transaction is checked by the time `record` returns.
     pub fn violation(&self) -> Option<Violation> {
         self.inner.lock().checker.violation().cloned()
     }
 
-    /// Ends the stream and returns the final outcome, syncing the
-    /// persistence sink (if any) so the log survives the process.
+    /// Ends the stream and returns the final outcome.
     pub fn finish(self) -> LiveOutcome {
-        let mut inner = self.inner.into_inner();
-        let sink_error = inner.sink.as_mut().and_then(|sink| {
-            if sink.error.is_none() {
-                if let Err(e) = sink.store.sync() {
-                    sink.error = Some(e.to_string());
-                }
-            }
-            sink.error.clone()
-        });
+        let inner = self.inner.into_inner();
         let checked = inner.consumed();
         LiveOutcome {
             verdict: inner.checker.finish(),
             first_violation: inner.first_violation,
             checked_txns: checked,
-            sink_error,
         }
     }
 }
@@ -518,13 +323,14 @@ impl Observer<Op> for LiveVerifier {
     }
 
     fn observe(&self, record: &TxnRecord<Op>) {
-        self.record_timed(
-            record.session,
-            record.ops.clone(),
-            record.status,
-            record.begin,
-            record.end,
-        );
+        self.record(record.to_transaction());
+    }
+
+    /// Restarts the time-to-first-violation clock, so that verifier
+    /// construction and other setup do not count towards
+    /// [`LiveViolation::elapsed`].
+    fn mark_started(&self) {
+        self.inner.lock().started = Instant::now();
     }
 }
 
@@ -647,130 +453,6 @@ mod tests {
         assert!(first.at_txn <= outcome.checked_txns);
     }
 
-    fn store_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mtc_live_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn persisted_run_recovers_and_replays_to_the_same_verdict() {
-        use mtc_store::StreamMeta;
-        let dir = store_dir("wal");
-        let s = spec(21, 8, 40);
-        let workload = generate_mt_workload(&s);
-        let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
-        let level = IsolationLevel::Serializability;
-        let store = MtcStore::create(
-            &dir,
-            &StreamMeta {
-                level,
-                num_keys: s.num_keys,
-            },
-        )
-        .unwrap();
-        let verifier = LiveVerifier::builder(level, s.num_keys)
-            .store(store, 25)
-            .build();
-        // Skip aborted-attempt records: how many conflict aborts occur (and
-        // get logged) depends on thread scheduling, and this test asserts
-        // the log's record count exactly.
-        let opts = ClientOptions {
-            record_aborted: false,
-            ..ClientOptions::default()
-        };
-        let (_, report) = run_live(&db, &workload, &opts, &verifier);
-        // "Crash": drop the verifier without finish(). The log was written
-        // ahead of the checker; the sink synced at each checkpoint.
-        drop(verifier);
-
-        let recovery = mtc_store::recover(&dir).unwrap();
-        assert_eq!(recovery.txns.len(), report.committed);
-        assert!(
-            recovery.snapshot.is_some(),
-            "the checkpoint cadence must have fired"
-        );
-        assert!(recovery.resume_from > 0);
-        let mut resumed = IncrementalChecker::resume(recovery.snapshot.clone().unwrap());
-        for t in recovery.tail() {
-            let _ = resumed.push(t.clone());
-        }
-        let resumed_verdict = resumed.finish().unwrap();
-        // Reference: replay the whole log from scratch.
-        let clean = mtc_core::check_streaming(level, &recovery.to_history()).unwrap();
-        assert_eq!(resumed_verdict, clean);
-        assert!(clean.is_satisfied());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persisted_faulty_run_resumes_to_the_same_violation() {
-        use mtc_store::StreamMeta;
-        let dir = store_dir("wal_fault");
-        let s = spec(7, 4, 150);
-        let workload = generate_mt_workload(&s);
-        let config = DbConfig::correct(IsolationMode::Snapshot, s.num_keys)
-            .with_latency(Duration::from_micros(200), Duration::from_micros(100))
-            .with_faults(vec![FaultSpec::new(FaultKind::SkipWriteValidation, 0.6)], 7);
-        let db = Database::new(config);
-        let level = IsolationLevel::SnapshotIsolation;
-        let store = MtcStore::create(
-            &dir,
-            &StreamMeta {
-                level,
-                num_keys: s.num_keys,
-            },
-        )
-        .unwrap();
-        let verifier = LiveVerifier::builder(level, s.num_keys)
-            .stop_on_violation(true)
-            .store(store, 20)
-            .build();
-        let (_, _) = run_live(&db, &workload, &ClientOptions::default(), &verifier);
-        let outcome = verifier.finish();
-        assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
-        let live_verdict = outcome.verdict.unwrap();
-        assert!(live_verdict.is_violated());
-
-        let recovery = mtc_store::recover(&dir).unwrap();
-        let mut resumed = match recovery.snapshot.clone() {
-            Some(snap) => IncrementalChecker::resume(snap),
-            None => IncrementalChecker::new(level).with_init_keys(0..s.num_keys),
-        };
-        for t in recovery.tail() {
-            let _ = resumed.push(t.clone());
-        }
-        assert_eq!(resumed.finish().unwrap(), live_verdict);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn records_after_a_latch_are_logged_and_counted() {
-        use mtc_store::StreamMeta;
-        let dir = store_dir("wal_past_latch");
-        let level = IsolationLevel::Serializability;
-        let meta = StreamMeta { level, num_keys: 1 };
-        let store = MtcStore::create(&dir, &meta).unwrap();
-        let verifier = LiveVerifier::builder(level, 1).store(store, 3).build();
-        let rmw = |read: u64, write: u64| vec![Op::read(0u64, read), Op::write(0u64, write)];
-        // The second record loses the first one's update; five more follow.
-        verifier.record(0, rmw(0, 1), TxnStatus::Committed);
-        verifier.record(1, rmw(0, 2), TxnStatus::Committed);
-        assert_eq!(verifier.first_violation_at(), Some(2));
-        for i in 2..7u64 {
-            verifier.record(0, rmw(i, i + 1), TxnStatus::Committed);
-        }
-        assert_eq!(verifier.consumed(), 7);
-        let outcome = verifier.finish();
-        assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
-        assert!(outcome.verdict.unwrap().is_violated());
-        assert_eq!(outcome.checked_txns, 7, "a latch does not end the stream");
-        assert_eq!(outcome.first_violation.unwrap().at_txn, 2);
-        let recovery = mtc_store::recover(&dir).unwrap();
-        assert_eq!(recovery.txns.len(), 7, "every admitted record is logged");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn gc_bounded_live_verifier_stays_quiet_on_clean_streams() {
         // Drive the verifier by hand (deterministic record order — the GC
@@ -791,13 +473,15 @@ mod tests {
         for i in 0..n {
             let k = (i * 5) % keys;
             let v = 1_000 + i;
-            verifier.record_timed(
+            let ops = vec![Op::read(k, last[k as usize]), Op::write(k, v)];
+            let event = IngestEvent::timed(
                 (i % 4) as u32,
-                vec![Op::read(k, last[k as usize]), Op::write(k, v)],
+                ops,
                 TxnStatus::Committed,
                 10 * i + 1,
                 10 * i + 6,
             );
+            verifier.record(event.into_transaction());
             last[k as usize] = v;
         }
         assert!(

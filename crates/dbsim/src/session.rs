@@ -37,7 +37,7 @@
 use crate::backend::{DbBackend, DbTxn};
 use crate::client::{ClientOptions, ExecutionReport};
 use crate::txn::AbortReason;
-use mtc_history::{Key, TxnStatus, ValueAllocator};
+use mtc_history::{Key, Op, SessionId, Transaction, TxnId, TxnStatus, ValueAllocator};
 
 /// One recorded transaction attempt of a session.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,6 +58,21 @@ pub struct TxnRecord<R> {
     pub end: u64,
 }
 
+impl TxnRecord<Op> {
+    /// The attempt as a history transaction (ops cloned, id left to
+    /// whoever numbers the stream).
+    pub fn to_transaction(&self) -> Transaction {
+        Transaction {
+            id: TxnId(0),
+            session: SessionId(self.session),
+            ops: self.ops.clone(),
+            status: self.status,
+            begin: Some(self.begin),
+            end: Some(self.end),
+        }
+    }
+}
+
 /// Watches a run: sees every recorded attempt in the order attempts settle,
 /// and may stop sessions from starting further templates.
 /// [`crate::LiveVerifier`] is the in-tree implementation.
@@ -66,6 +81,8 @@ pub trait Observer<R>: Sync {
     fn should_stop(&self) -> bool;
     /// Called with every attempt a session records.
     fn observe(&self, record: &TxnRecord<R>);
+    /// Called by [`crate::ExecutionOptions::run`] when the run begins.
+    fn mark_started(&self) {}
 }
 
 /// How a [`Session`] issues the operations of its templates: the one thing

@@ -260,13 +260,14 @@ pub struct TenantStatus {
     pub rss_kb: u64,
     /// 99th-percentile WAL append latency for this tenant, in
     /// microseconds. Zero until the daemon enables observability (the
-    /// per-sink histogram records only while the global switch is on).
+    /// per-store histogram records only while the global switch is on).
     pub wal_append_p99_micros: u64,
     /// Microseconds since the tenant's newest checkpoint finished —
     /// `None` before the first checkpoint. A growing age under steady
     /// ingest is the signature of a stalled WAL.
     pub last_checkpoint_age_micros: Option<u64>,
-    /// Failed persistence-sink operations. Non-zero means the durability
+    /// Failed WAL writes (appends, syncs, checkpoints): 0 or 1, since the
+    /// first failure is the store's last write. Non-zero means the durability
     /// guarantee only covers the prefix persisted before the first error
     /// (verification itself continues).
     pub sink_errors: u64,

@@ -13,12 +13,13 @@
 //!   number of drain workers preserve admission order per tenant (two
 //!   workers that popped consecutive batches could otherwise record them
 //!   in either order, which would corrupt session order and the verdict);
-//! * the tenant's [`LiveVerifier`], built *exclusively* through
-//!   [`LiveVerifier::builder`]: settled-prefix GC on, write-ahead
-//!   [`MtcStore`] WAL under `root/<tenant>/` with checkpoints as often as
-//!   the log pays for them, and
-//!   — when the directory already holds a log — resumed from the newest
-//!   checkpoint plus tail replay.
+//! * the tenant's [`LiveVerifier`] and its [`MtcStore`] WAL under
+//!   `root/<tenant>/`, side by side under one lock so the log order is the
+//!   check order: each event is appended to the log, then recorded, then
+//!   the store checkpoints the checker if a floor calls for it and the log
+//!   pays for it. The verifier is built through [`LiveVerifier::builder`]
+//!   with settled-prefix GC on — and, when the directory already holds a
+//!   log, resumed from the newest checkpoint plus tail replay.
 //!
 //! [`ServiceCore::run_drain`] runs the drain on a fixed set of scoped
 //! threads: each worker sweeps the registry round-robin (offset by its index
@@ -29,9 +30,9 @@
 //! (README, "Why there is more than one drain thread", has the numbers).
 
 use mtc_core::{GcPolicy, IsolationLevel};
-use mtc_dbsim::{IngestEvent, LiveVerifier, SinkStats};
+use mtc_dbsim::{IngestEvent, LiveVerifier};
 use mtc_net::proto::TenantStatus;
-use mtc_store::{MtcStore, StreamMeta};
+use mtc_store::{MtcStore, StoreStats, StreamMeta};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -66,7 +67,7 @@ pub struct ServiceConfig {
     /// The checkpoint floor, in recorded events: every this many, the
     /// tenant's WAL is fsynced, or a checkpoint (full checker snapshot) is
     /// written instead once the log since the newest one has grown to that
-    /// one's size ([`MtcStore::checkpoint_due`]).
+    /// one's size ([`MtcStore::recorded`]).
     pub checkpoint_every: usize,
     /// Settled-prefix GC policy applied to every tenant's checker, or
     /// `None` to retain the full stream.
@@ -166,11 +167,12 @@ struct TenantQueue {
     closing: bool,
 }
 
-/// What a closed tenant's finished verifier knew, for `status` requests that
-/// reach the tenant between its close and its removal from the registry.
+/// What a closed tenant's finished verifier and store knew, for `status`
+/// requests that reach the tenant between its close and its removal from
+/// the registry.
 struct Closed {
     summary: TenantSummary,
-    sink: Option<SinkStats>,
+    store: StoreStats,
 }
 
 /// One named verification stream: queue, drain lock, verifier, counters.
@@ -183,8 +185,9 @@ pub struct Tenant {
     /// Single-flight drain: held across pop-and-record so concurrent drain
     /// workers cannot reorder a tenant's events.
     drain: Mutex<()>,
-    verifier: Mutex<Option<LiveVerifier>>,
-    /// Set by `close` before it lets go of `verifier`, which it empties.
+    /// The checker and the log it is written ahead of.
+    stream: Mutex<Option<(LiveVerifier, MtcStore)>>,
+    /// Set by `close` before it lets go of `stream`, which it empties.
     closed: OnceLock<Closed>,
     /// Drain freeze — the deterministic-backpressure knob for tests and
     /// operations. Admission stays open until the queue fills.
@@ -253,10 +256,16 @@ impl Tenant {
             return 0;
         }
         let n = batch.len();
-        let guard = self.verifier.lock();
-        if let Some(v) = guard.as_ref() {
+        let mut guard = self.stream.lock();
+        if let Some((v, store)) = guard.as_mut() {
             for event in batch {
-                v.record_event(event);
+                let txn = event.into_transaction();
+                // A failed write is latched in the store and reported as
+                // `sink_errors`; verification carries on past it, and
+                // recovery covers the prefix logged before it.
+                let _ = store.append_txn(&txn);
+                v.record(txn);
+                let _ = store.recorded(|| v.checkpoint());
             }
             self.maybe_log_violation(v);
         }
@@ -323,11 +332,13 @@ impl Tenant {
         while self.record_queued(usize::MAX) > 0 {}
         // Held until `closed` is set: a `status` meanwhile waits, and never
         // sees an empty slot without what the verifier knew.
-        let mut slot = self.verifier.lock();
-        let verifier = slot
+        let mut slot = self.stream.lock();
+        let (verifier, mut store) = slot
             .take()
             .ok_or_else(|| format!("tenant \"{}\" is already closed", self.name))?;
-        let sink = verifier.sink_stats();
+        // So the log survives the process; a failure is counted in `store`.
+        let _ = store.sync();
+        let store = store.stats();
         let outcome = verifier.finish();
         let violated = match &outcome.verdict {
             Ok(verdict) => verdict.is_violated(),
@@ -344,7 +355,7 @@ impl Tenant {
         // The slot was full, so `closed` is still empty.
         let _ = self.closed.set(Closed {
             summary: summary.clone(),
-            sink,
+            store,
         });
         drop(slot);
         Ok(summary)
@@ -357,22 +368,22 @@ impl Tenant {
             let q = self.queue.lock();
             (q.queue.len() as u64, q.closing)
         };
-        let (checked, violated, first_violation_at, live_txns, sink) = {
-            let guard = self.verifier.lock();
+        let (checked, violated, first_violation_at, live_txns, store) = {
+            let guard = self.stream.lock();
             match (guard.as_ref(), self.closed.get()) {
-                (Some(v), _) => (
+                (Some((v, store)), _) => (
                     v.consumed() as u64,
                     v.is_violated(),
                     v.first_violation_at().map(|i| i as u64),
                     v.live_txn_count() as u64,
-                    v.sink_stats(),
+                    Some(store.stats()),
                 ),
                 (None, Some(closed)) => (
                     closed.summary.checked,
                     closed.summary.violated,
                     closed.summary.first_violation_at,
                     0,
-                    closed.sink,
+                    Some(closed.store),
                 ),
                 // `close` panicked between emptying the slot and filling
                 // `closed`: nothing is known past what was drained.
@@ -389,11 +400,11 @@ impl Tenant {
             violated,
             first_violation_at,
             live_txns,
-            checkpoints: sink.map(|s| s.checkpoints).unwrap_or(0),
+            checkpoints: store.map(|s| s.checkpoints).unwrap_or(0),
             rss_kb,
-            wal_append_p99_micros: sink.map(|s| s.wal_append_p99_micros).unwrap_or(0),
-            last_checkpoint_age_micros: sink.and_then(|s| s.last_checkpoint_age_micros),
-            sink_errors: sink.map(|s| s.sink_errors).unwrap_or(0),
+            wal_append_p99_micros: store.map(|s| s.wal_append_p99_micros).unwrap_or(0),
+            last_checkpoint_age_micros: store.and_then(|s| s.last_checkpoint_age_micros),
+            sink_errors: store.map(|s| s.errors).unwrap_or(0),
         }
     }
 }
@@ -478,7 +489,8 @@ impl ServiceCore {
         }
 
         let dir = self.config.root.join(name);
-        let (resumed_txns, from_checkpoint, verifier) = if dir.exists() {
+        let mut builder = LiveVerifier::builder(level, num_keys);
+        let (store, resumed_txns, from_checkpoint) = if dir.exists() {
             let (store, recovery) =
                 MtcStore::open_append(&dir).map_err(|e| format!("open tenant store: {e}"))?;
             if recovery.meta.level != level || recovery.meta.num_keys != num_keys {
@@ -490,23 +502,17 @@ impl ServiceCore {
             }
             let (resumed_txns, from_checkpoint) =
                 (recovery.txns.len() as u64, recovery.snapshot.is_some());
-            let mut builder = LiveVerifier::builder(level, num_keys)
-                .resume_from(recovery.resume())
-                .store(store, self.config.checkpoint_every);
-            if let Some(gc) = self.config.gc {
-                builder = builder.gc(gc);
-            }
-            (resumed_txns, from_checkpoint, builder.build())
+            builder = builder.resume_from(recovery.resume());
+            (store, resumed_txns, from_checkpoint)
         } else {
             let store = MtcStore::create(&dir, &StreamMeta { level, num_keys })
                 .map_err(|e| format!("create tenant store: {e}"))?;
-            let mut builder =
-                LiveVerifier::builder(level, num_keys).store(store, self.config.checkpoint_every);
-            if let Some(gc) = self.config.gc {
-                builder = builder.gc(gc);
-            }
-            (0, false, builder.build())
+            (store, 0, false)
         };
+        if let Some(gc) = self.config.gc {
+            builder = builder.gc(gc);
+        }
+        let store = store.with_checkpoint_every(self.config.checkpoint_every);
 
         let id = reg.next_id;
         reg.next_id += 1;
@@ -520,7 +526,7 @@ impl ServiceCore {
                 closing: false,
             }),
             drain: Mutex::new(()),
-            verifier: Mutex::new(Some(verifier)),
+            stream: Mutex::new(Some((builder.build(), store))),
             closed: OnceLock::new(),
             paused: AtomicBool::new(false),
             ingested: AtomicU64::new(resumed_txns),
@@ -696,7 +702,7 @@ mod tests {
 
     /// `status` can reach a tenant after `close` finished its verifier and
     /// before `close_tenant` unregisters it; it must report what the
-    /// finished verifier knew, and the checkpoints its sink really wrote.
+    /// finished verifier knew, and the checkpoints its store really wrote.
     #[test]
     fn a_closed_tenant_reports_what_its_finished_verifier_knew() {
         let root = std::env::temp_dir().join(format!("mtc_service_core_{}", std::process::id()));
@@ -704,7 +710,7 @@ mod tests {
         let core = ServiceCore::new(ServiceConfig::new(&root).checkpoint_every(4)).unwrap();
         let level = IsolationLevel::Serializability;
         // A first life of five clean events, so the second resumes with them
-        // drained and its sink counting checkpoints from zero.
+        // drained and its store counting checkpoints from zero.
         let first = core.open_tenant("t", level, 1).unwrap();
         core.ingest(first.tenant, chain(0..5, None)).unwrap();
         assert!(!core.close_tenant(first.tenant).unwrap().violated);

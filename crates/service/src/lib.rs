@@ -29,8 +29,8 @@
 //!   size and process RSS.
 //!
 //! Tenant verifiers are built exclusively through
-//! [`mtc_dbsim::LiveVerifier::builder`]; the daemon is the reference
-//! consumer of that unified construction API.
+//! [`mtc_dbsim::LiveVerifier::builder`], and each sits beside the
+//! [`mtc_store::MtcStore`] its events are written ahead to.
 //!
 //! * [`core`] — [`ServiceCore`], [`ServiceConfig`], tenant registry and
 //!   drain loop (protocol-independent);

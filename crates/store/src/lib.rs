@@ -14,6 +14,15 @@
 //! re-checkable offline, against any checker, long after the database under
 //! test is gone.
 //!
+//! [`MtcStore`] alone decides when to checkpoint. Its host appends each
+//! transaction before its checker consumes it and calls
+//! [`MtcStore::recorded`] after; at every floor
+//! ([`MtcStore::with_checkpoint_every`]) the store asks the host for a
+//! snapshot if the log written since the newest checkpoint has paid for
+//! one, and fsyncs the log if not. The first write that fails is the store's
+//! last: every later append, sync and checkpoint returns that error, so what
+//! recovers is the stream up to it.
+//!
 //! ## Crash model
 //!
 //! What "crashed" covers depends on what died.
@@ -58,7 +67,7 @@ pub use checkpoint::{
 };
 pub use frame::{crc32, read_frame, write_frame, write_frame_with, FrameError};
 pub use segment::{read_log, LogRecord, LogWriter, RecoveredLog, StreamMeta, LOG_VERSION};
-pub use store::{recover, MtcStore, Recovery, DEFAULT_CHECKPOINT_KEEP};
+pub use store::{recover, MtcStore, Recovery, StoreStats, DEFAULT_CHECKPOINT_KEEP};
 
 use std::io;
 
@@ -91,6 +100,24 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// A copy that displays as the original: an I/O error keeps its OS error
+/// code, or else its kind and message. [`MtcStore`] returns its first
+/// failure again from every later write.
+impl Clone for StoreError {
+    fn clone(&self) -> Self {
+        match self {
+            StoreError::Io(e) => StoreError::Io(match e.raw_os_error() {
+                Some(code) => io::Error::from_raw_os_error(code),
+                None => io::Error::new(e.kind(), e.to_string()),
+            }),
+            StoreError::Corrupt(m) => StoreError::Corrupt(m.clone()),
+            StoreError::Decode(e) => StoreError::Decode(e.clone()),
+            StoreError::Serde(m) => StoreError::Serde(m.clone()),
+            StoreError::Format(m) => StoreError::Format(m.clone()),
+        }
+    }
+}
 
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {

@@ -45,8 +45,8 @@ pub const LOG_MAGIC: &str = "mtc-store-log";
 /// accumulated key table instead of repeating field-name strings. The
 /// table resets at every segment boundary, so segments stay individually
 /// decodable. Version 1 segments (inline keys in every record) remain
-/// readable; [`LogWriter::open_append`] keeps appending v1 records to an
-/// existing v1 tail segment and switches to v2 at the next rotation.
+/// readable; the writer writes v2 only, so [`LogWriter::open_append`]
+/// rotates away from a v1 tail segment at once.
 pub const LOG_VERSION: u32 = 2;
 /// Oldest segment format version the reader still accepts.
 pub const MIN_LOG_VERSION: u32 = 1;
@@ -141,10 +141,7 @@ pub struct LogWriter {
     written_in_segment: usize,
     /// Stream index of the next transaction to append.
     next_txn: u64,
-    /// Format version of the segment currently being appended to (an
-    /// `open_append` may be continuing an old v1 segment).
-    segment_version: u32,
-    /// Schema table of the current segment (v2 segments only).
+    /// Schema table of the current segment.
     dict: binval::KeyDict,
     /// The frame being appended, kept between appends for its capacity.
     frame: Vec<u8>,
@@ -191,7 +188,6 @@ impl LogWriter {
             segment_bytes,
             written_in_segment: 0,
             next_txn: 0,
-            segment_version: LOG_VERSION,
             dict: binval::KeyDict::default(),
             frame: Vec::new(),
             appended: 0,
@@ -202,7 +198,8 @@ impl LogWriter {
 
     /// Re-opens an existing log for appending: scans it (tolerating a torn
     /// tail, whose bytes are truncated away) and positions after the last
-    /// intact record. Returns the writer together with the recovered
+    /// intact record — or, when the last segment is a v1 one, in a fresh v2
+    /// segment after it. Returns the writer together with the recovered
     /// contents, so a resuming process replays and appends from one scan.
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, RecoveredLog), StoreError> {
         let dir = dir.as_ref().to_path_buf();
@@ -227,29 +224,28 @@ impl LogWriter {
         }
         let file = fs::OpenOptions::new().append(true).open(last_path)?;
         let written_in_segment = fs::metadata(last_path)?.len() as usize;
-        Ok((
-            LogWriter {
-                dir,
-                file,
-                segment,
-                // Continue with the geometry the log was created with.
-                segment_bytes: recovered.segment_bytes.max(1),
-                written_in_segment,
-                next_txn: recovered.txns.len() as u64,
-                // Continue the tail segment in its own format: mixing v2
-                // records into a v1 segment (or vice versa) would break the
-                // per-segment header's format promise.
-                segment_version: recovered.last_segment_version,
-                dict: {
-                    let mut dict = binval::KeyDict::default();
-                    dict.extend_known(&recovered.last_segment_dict);
-                    dict
-                },
-                frame: Vec::new(),
-                appended: 0,
+        let mut writer = LogWriter {
+            dir,
+            file,
+            segment,
+            // Continue with the geometry the log was created with.
+            segment_bytes: recovered.segment_bytes.max(1),
+            written_in_segment,
+            next_txn: recovered.txns.len() as u64,
+            dict: {
+                let mut dict = binval::KeyDict::default();
+                dict.extend_known(&recovered.last_segment_dict);
+                dict
             },
-            recovered,
-        ))
+            frame: Vec::new(),
+            appended: 0,
+        };
+        if recovered.last_segment_version < LOG_VERSION {
+            // A segment holds records of its header's format only, and v2
+            // is the one this writer writes.
+            writer.rotate()?;
+        }
+        Ok((writer, recovered))
     }
 
     /// Stream index the next appended transaction will get.
@@ -284,31 +280,29 @@ impl LogWriter {
     /// Appends one record as one frame, encoded in place.
     fn append_record(&mut self, record: RecordRef<'_>) -> Result<(), StoreError> {
         if self.written_in_segment >= self.segment_bytes {
-            self.sync()?;
-            self.segment += 1;
-            self.file = open_segment(&self.dir, self.segment, self.next_txn, self.segment_bytes)?;
-            self.written_in_segment = 0;
-            // Fresh segments are always written in the current format, even
-            // when the writer was continuing an old v1 tail segment.
-            self.segment_version = LOG_VERSION;
-            self.dict = binval::KeyDict::default();
-            mtc_obs::counter!("store.segment_rotations").inc();
+            self.rotate()?;
         }
         self.frame.clear();
         {
             let _span = mtc_obs::sampled_span!("store.append.encode");
-            let (v2, dict) = (self.segment_version >= 2, &mut self.dict);
-            write_frame_with(&mut self.frame, |out| {
-                if v2 {
-                    write_record_v2(&record, dict, out)
-                } else {
-                    binval::write_value(&record, out)
-                }
-            });
+            let dict = &mut self.dict;
+            write_frame_with(&mut self.frame, |out| write_record_v2(&record, dict, out));
         }
         self.file.write_all(&self.frame)?;
         self.written_in_segment += self.frame.len();
         self.appended += self.frame.len() as u64;
+        Ok(())
+    }
+
+    /// Fsyncs the current segment and moves on to a fresh one, with an
+    /// empty schema table.
+    fn rotate(&mut self) -> Result<(), StoreError> {
+        self.sync()?;
+        self.segment += 1;
+        self.file = open_segment(&self.dir, self.segment, self.next_txn, self.segment_bytes)?;
+        self.written_in_segment = 0;
+        self.dict = binval::KeyDict::default();
+        mtc_obs::counter!("store.segment_rotations").inc();
         Ok(())
     }
 }
@@ -405,7 +399,8 @@ pub struct RecoveredLog {
     pub last_valid_offset: usize,
     /// Rotation threshold recorded in the segment headers.
     pub segment_bytes: usize,
-    /// Format version of the last segment (the one `open_append` continues).
+    /// Format version of the last segment (`open_append` continues a v2 one
+    /// and rotates away from a v1 one).
     pub last_segment_version: u32,
     /// Schema table accumulated by the last segment's intact records, in
     /// index order (empty for v1 segments), so `open_append` keeps encoding
@@ -777,23 +772,17 @@ mod tests {
     }
 
     #[test]
-    fn open_append_continues_a_v1_tail_and_rotates_to_v2() {
+    fn open_append_rotates_a_v1_tail_to_v2_at_once() {
         let dir = tmpdir("v1_append");
         write_v1_log(&dir, &meta(), 10, 512);
-        let before = segment_files(&dir).unwrap().len();
+        let v1_segments = segment_files(&dir).unwrap();
+        let v1_bytes: Vec<Vec<u8>> = v1_segments
+            .iter()
+            .map(|(_, path)| fs::read(path).unwrap())
+            .collect();
         let (mut w, recovered) = LogWriter::open_append(&dir).unwrap();
         assert_eq!(recovered.txns.len(), 10);
         assert_eq!(recovered.last_segment_version, 1);
-        // Append enough to keep writing into the v1 tail and then rotate.
-        for i in 10..40 {
-            w.append(&txn(i)).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
-        let segments = segment_files(&dir).unwrap();
-        assert!(segments.len() > before, "must have rotated");
-        // The tail segment written before rotation stayed v1; rotated
-        // segments are v2.
         let header_version = |path: &Path| -> u32 {
             let bytes = fs::read(path).unwrap();
             let mut pos = 0usize;
@@ -801,8 +790,23 @@ mod tests {
                 binval::from_bytes(read_frame(&bytes, &mut pos).unwrap()).unwrap();
             header.version
         };
-        assert_eq!(header_version(&segments[before - 1].1), 1);
+        // A fresh v2 segment before anything is appended.
+        let segments = segment_files(&dir).unwrap();
+        assert_eq!(segments.len(), v1_segments.len() + 1);
         assert_eq!(header_version(&segments.last().unwrap().1), 2);
+        for i in 10..40 {
+            w.append(&txn(i)).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        // The v1 segments kept their bytes; every segment after them is v2.
+        for ((_, path), bytes) in v1_segments.iter().zip(&v1_bytes) {
+            assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
+        }
+        let segments = segment_files(&dir).unwrap();
+        for (_, path) in &segments[v1_segments.len()..] {
+            assert_eq!(header_version(path), 2, "{}", path.display());
+        }
         // Everything reads back, across the format switch.
         let log = read_log(&dir).unwrap();
         assert_eq!(log.txns.len(), 40);

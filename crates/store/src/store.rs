@@ -16,10 +16,16 @@
 //! checker reproduces the uninterrupted verdict. With no usable checkpoint
 //! the whole log replays from scratch — slower, same answer.
 //!
-//! An open [`MtcStore`] is the directory's one writer. Writing a checkpoint
-//! reads nothing back: every checkpoint is a full snapshot, and pruning goes
-//! by file names. The store counts the bytes it writes to both, and says
-//! when the next checkpoint is worth them ([`MtcStore::checkpoint_due`]).
+//! An open [`MtcStore`] is the directory's one writer, and the one module
+//! that decides when to checkpoint. A host that checks what it logs calls
+//! [`MtcStore::append_txn`] before its checker consumes a transaction and
+//! [`MtcStore::recorded`] after: every `checkpoint_every` recorded
+//! transactions — the floor — the store writes a checkpoint if one is worth
+//! its bytes and fsyncs the log if not. Writing a checkpoint reads nothing
+//! back: every checkpoint is a full snapshot, and pruning goes by file
+//! names. The first write that fails is the last: the store keeps it and
+//! returns it from every later append, sync and checkpoint, so the log
+//! stays a clean prefix of what was recorded.
 
 use crate::checkpoint::{
     encode_checkpoint, latest_checkpoint_within, prune_checkpoints, remove_stale_tmp_files,
@@ -30,6 +36,7 @@ use crate::StoreError;
 use mtc_core::{CheckerSnapshot, IncrementalChecker};
 use mtc_history::{History, HistoryBuilder, Transaction};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// How many checkpoints [`MtcStore::checkpoint`] retains.
 pub const DEFAULT_CHECKPOINT_KEEP: usize = 3;
@@ -40,12 +47,57 @@ pub struct MtcStore {
     dir: PathBuf,
     writer: LogWriter,
     checkpoint_keep: usize,
+    /// The floor of [`MtcStore::recorded`]; `usize::MAX` until set.
+    checkpoint_every: usize,
+    /// `recorded` calls since the last floor.
+    since_floor: usize,
     /// Checkpoint bytes this store wrote.
     checkpoint_bytes: u64,
-    /// The log's [`LogWriter::appended_bytes`] when this store wrote its
-    /// newest checkpoint, and that checkpoint's size; `None` before the
-    /// first.
-    last_checkpoint: Option<(u64, u64)>,
+    /// Checkpoints this store wrote.
+    checkpoints: u64,
+    /// The newest checkpoint this store wrote; `None` before the first.
+    newest: Option<Newest>,
+    /// This store's append latency, owned rather than registered — the
+    /// daemon's tenants come and go, and it surfaces this per tenant. Empty
+    /// unless observability is enabled.
+    append_hist: mtc_obs::Histogram,
+    /// The first failed append, sync or checkpoint, returned by every later
+    /// one.
+    failed: Option<StoreError>,
+}
+
+/// The newest checkpoint a store wrote.
+#[derive(Debug)]
+struct Newest {
+    /// The log's [`LogWriter::appended_bytes`] when it was written.
+    log_at: u64,
+    /// Its size in bytes.
+    size: u64,
+    /// When it finished.
+    at: Instant,
+}
+
+/// What a store has written, and how fast: the daemon reports it per tenant,
+/// so an operator can tell a slow tenant from a stalled log.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StoreStats {
+    /// 99th-percentile append latency (0 until observability is enabled —
+    /// the histogram only records while the global switch is on).
+    pub wal_append_p99_micros: u64,
+    /// Microseconds since the newest checkpoint finished (`None` before
+    /// the first one).
+    pub last_checkpoint_age_micros: Option<u64>,
+    /// Checkpoints written.
+    pub checkpoints: u64,
+    /// Log bytes appended since the store was created or opened.
+    pub log_bytes: u64,
+    /// Checkpoint bytes written. A checkpoint is due once the log since the
+    /// newest one has grown to that one's size, so every checkpoint but the
+    /// newest is paid for by `log_bytes`.
+    pub checkpoint_bytes: u64,
+    /// Failed appends, syncs and checkpoints: 0 or 1, since the first
+    /// failure is the store's last write.
+    pub errors: u64,
 }
 
 impl MtcStore {
@@ -54,8 +106,13 @@ impl MtcStore {
             dir: dir.to_path_buf(),
             writer,
             checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
+            checkpoint_every: usize::MAX,
+            since_floor: 0,
             checkpoint_bytes: 0,
-            last_checkpoint: None,
+            checkpoints: 0,
+            newest: None,
+            append_hist: mtc_obs::Histogram::new(),
+            failed: None,
         }
     }
 
@@ -67,8 +124,8 @@ impl MtcStore {
     /// Re-opens an existing store for appending, recovering its contents
     /// (torn tail truncated, newest intact checkpoint loaded) and deleting
     /// the temporary file of a checkpoint the previous writer died writing.
-    /// The reopened store has written no checkpoint of its own, so a
-    /// checkpoint is due at once ([`MtcStore::checkpoint_due`]).
+    /// The reopened store has written no checkpoint of its own, so its first
+    /// floor writes one.
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, Recovery), StoreError> {
         let (writer, log) = LogWriter::open_append(&dir)?;
         remove_stale_tmp_files(dir.as_ref())?;
@@ -87,13 +144,24 @@ impl MtcStore {
         self
     }
 
+    /// Sets the floor of [`MtcStore::recorded`]: every `every` recorded
+    /// transactions the log is fsynced, or a checkpoint written instead.
+    /// Until set, `recorded` writes nothing.
+    pub fn with_checkpoint_every(mut self, every: usize) -> Self {
+        self.checkpoint_every = every.max(1);
+        self
+    }
+
     /// Appends one transaction to the log (write-ahead: call this *before*
     /// feeding the transaction to the checker). Returns its stream index.
     pub fn append_txn(&mut self, txn: &Transaction) -> Result<u64, StoreError> {
-        let timer = mtc_obs::enabled().then(std::time::Instant::now);
-        let idx = self.writer.append(txn)?;
+        self.latched()?;
+        let timer = mtc_obs::enabled().then(Instant::now);
+        let idx = self.writer.append(txn).map_err(|e| self.fail(e))?;
         if let Some(t0) = timer {
-            mtc_obs::histogram!("store.wal_append_micros").record(t0.elapsed().as_micros() as u64);
+            let micros = t0.elapsed().as_micros() as u64;
+            mtc_obs::histogram!("store.wal_append_micros").record(micros);
+            self.append_hist.record(micros);
         }
         Ok(idx)
     }
@@ -105,34 +173,46 @@ impl MtcStore {
 
     /// Forces appended records down to the device (`fsync`).
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.writer.sync()
+        self.latched()?;
+        self.writer.sync().map_err(|e| self.fail(e))
     }
 
-    /// Log bytes this store appended since it was created or opened.
-    pub fn log_bytes(&self) -> u64 {
-        self.writer.appended_bytes()
-    }
-
-    /// Checkpoint bytes this store wrote since it was created or opened.
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.checkpoint_bytes
-    }
-
-    /// True when a checkpoint is worth its bytes: this store has written
-    /// none yet, or the log it appended since its newest one has grown to
-    /// that checkpoint's size.
+    /// Called once the checker has consumed the transaction appended last.
+    /// At a floor ([`MtcStore::with_checkpoint_every`]) it checkpoints the
+    /// checker, through `snapshot`, if one is due, and fsyncs the log if
+    /// not, so the log is fsynced at every floor either way. Log and checker
+    /// move in lockstep, so the snapshot has consumed every logged
+    /// transaction.
     ///
+    /// A checkpoint is due when this store has written none yet, or the log
+    /// it appended since its newest one has grown to that checkpoint's size.
     /// The ratio is 1 and not a knob. Each checkpoint is paid for by as many
     /// log bytes as the one before it weighs, so the checkpoint bytes written
     /// before the newest stay below the log bytes written — on a GC'd stream
     /// (a snapshot of steady size) the cost per logged transaction is fixed,
     /// on an un-GC'd one (a snapshot that grows with the stream) the number of
     /// checkpoints grows with the logarithm of its length. A recovery replays
-    /// at most one checkpoint's worth of log, plus whatever the caller
-    /// appended between two asks.
-    pub fn checkpoint_due(&self) -> bool {
-        self.last_checkpoint
-            .is_none_or(|(log_at, size)| self.log_bytes() - log_at >= size)
+    /// at most one checkpoint's worth of log, plus one floor.
+    pub fn recorded(
+        &mut self,
+        snapshot: impl FnOnce() -> CheckerSnapshot,
+    ) -> Result<(), StoreError> {
+        self.latched()?;
+        self.since_floor += 1;
+        if self.since_floor < self.checkpoint_every {
+            return Ok(());
+        }
+        self.since_floor = 0;
+        let due = self
+            .newest
+            .as_ref()
+            .is_none_or(|n| self.writer.appended_bytes() - n.log_at >= n.size);
+        if due {
+            self.checkpoint(self.next_txn_index(), &snapshot())
+                .map(drop)
+        } else {
+            self.sync()
+        }
     }
 
     /// Persists a checker snapshot taken after consuming `consumed` logged
@@ -145,7 +225,17 @@ impl MtcStore {
         consumed: u64,
         snapshot: &CheckerSnapshot,
     ) -> Result<PathBuf, StoreError> {
-        let timer = mtc_obs::enabled().then(std::time::Instant::now);
+        self.latched()?;
+        self.write_checkpoint(consumed, snapshot)
+            .map_err(|e| self.fail(e))
+    }
+
+    fn write_checkpoint(
+        &mut self,
+        consumed: u64,
+        snapshot: &CheckerSnapshot,
+    ) -> Result<PathBuf, StoreError> {
+        let timer = mtc_obs::enabled().then(Instant::now);
         {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.sync"));
             self.writer.sync()?;
@@ -160,7 +250,12 @@ impl MtcStore {
         };
         mtc_obs::counter!("store.checkpoint_full_bytes").add(bytes.len() as u64);
         self.checkpoint_bytes += bytes.len() as u64;
-        self.last_checkpoint = Some((self.log_bytes(), bytes.len() as u64));
+        self.checkpoints += 1;
+        self.newest = Some(Newest {
+            log_at: self.writer.appended_bytes(),
+            size: bytes.len() as u64,
+            at: Instant::now(),
+        });
         {
             let _span = mtc_obs::span(mtc_obs::histogram!("store.checkpoint.prune"));
             prune_checkpoints(&self.dir, self.checkpoint_keep)?;
@@ -169,6 +264,34 @@ impl MtcStore {
             mtc_obs::histogram!("store.checkpoint_micros").record(t0.elapsed().as_micros() as u64);
         }
         Ok(path)
+    }
+
+    /// What this store has written since it was created or opened.
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            wal_append_p99_micros: self.append_hist.snapshot().p99,
+            last_checkpoint_age_micros: self
+                .newest
+                .as_ref()
+                .map(|n| n.at.elapsed().as_micros() as u64),
+            checkpoints: self.checkpoints,
+            log_bytes: self.writer.appended_bytes(),
+            checkpoint_bytes: self.checkpoint_bytes,
+            errors: self.failed.is_some() as u64,
+        }
+    }
+
+    /// The first failure, if a write has failed.
+    fn latched(&self) -> Result<(), StoreError> {
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// Latches `e` as the store's first failure and returns it.
+    fn fail(&mut self, e: StoreError) -> StoreError {
+        self.failed.insert(e).clone()
     }
 }
 
@@ -409,6 +532,65 @@ mod tests {
         store.checkpoint(21, &checker.checkpoint()).unwrap();
         drop(store);
         assert_eq!(recover(&dir).unwrap().resume_from, 21);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_first_failed_write_is_the_last() {
+        let dir = tmpdir("latch");
+        let mut store = MtcStore::create(&dir, &meta())
+            .unwrap()
+            .with_checkpoint_every(4);
+        let mut checker =
+            IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
+        // The first floor's checkpoint cannot be written: its temporary
+        // file's name is taken by a directory.
+        fs::create_dir(dir.join("checkpoint-000000000004.mtcck.tmp")).unwrap();
+        for i in 0..3u64 {
+            let t = txn(i, i, i + 1);
+            store.append_txn(&t).unwrap();
+            let _ = checker.push(t);
+            store.recorded(|| checker.checkpoint()).unwrap();
+        }
+        let t = txn(3, 3, 4);
+        store.append_txn(&t).unwrap();
+        let _ = checker.push(t);
+        let failed = store.recorded(|| checker.checkpoint()).unwrap_err();
+        assert!(matches!(failed, StoreError::Io(_)), "{failed}");
+
+        let segments = || {
+            let mut lengths: Vec<(String, u64)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".mtclog"))
+                .map(|e| {
+                    let len = e.metadata().unwrap().len();
+                    (e.file_name().to_string_lossy().into_owned(), len)
+                })
+                .collect();
+            lengths.sort();
+            lengths
+        };
+        let before = segments();
+        for i in 4..12u64 {
+            let again = store.append_txn(&txn(i, i, i + 1)).unwrap_err();
+            assert_eq!(again.to_string(), failed.to_string());
+            let again = store.recorded(|| checker.checkpoint()).unwrap_err();
+            assert_eq!(again.to_string(), failed.to_string());
+        }
+        assert_eq!(store.sync().unwrap_err().to_string(), failed.to_string());
+        let snapshot = checker.checkpoint();
+        let again = store.checkpoint(4, &snapshot).unwrap_err();
+        assert_eq!(again.to_string(), failed.to_string());
+        assert_eq!(segments(), before, "nothing written after the failure");
+        let stats = store.stats();
+        assert_eq!((stats.errors, stats.checkpoints), (1, 0));
+        drop(store);
+
+        let recovery = recover(&dir).unwrap();
+        assert_eq!(recovery.txns.len(), 4);
+        assert_eq!(recovery.txns[3], txn(3, 3, 4));
+        assert!(recovery.snapshot.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,5 @@
-//! The checkpoint cadence of a [`LiveVerifier`]'s store: `checkpoint_every`
-//! is a floor, and at a floor a snapshot is written only once the log
+//! The checkpoint cadence of an [`MtcStore`] that logs what a checker
+//! consumes: `checkpoint_every` is a floor, and at a floor a snapshot is written only once the log
 //! appended since the newest one has grown to that one's size. So the
 //! checkpoint bytes written stay below the log bytes written, the recovery
 //! tail stays within one snapshot's worth of log, an un-GC'd stream (whose
@@ -10,11 +10,10 @@
 //! `with_enabled` lock and this file is its own test binary. `--nocapture`
 //! prints where each stream checkpointed.
 
-use mtc_core::{GcPolicy, IsolationLevel};
-use mtc_dbsim::{IngestEvent, LiveVerifier, SinkStats};
-use mtc_history::{Op, TxnStatus};
+use mtc_core::{GcPolicy, IncrementalChecker, IsolationLevel};
+use mtc_history::{Op, SessionId, Transaction, TxnId};
 use mtc_obs::test_support::with_enabled;
-use mtc_store::{recover, MtcStore, StreamMeta};
+use mtc_store::{recover, MtcStore, StoreStats, StreamMeta};
 use std::path::PathBuf;
 
 const LEVEL: IsolationLevel = IsolationLevel::Serializability;
@@ -26,7 +25,7 @@ const FLOOR: usize = 256;
 /// A clean stream of `total` mini-transactions in the service benchmark's
 /// shape: four round-robin sessions over 1 000 uniform keys, a fifth of them
 /// read-only, half on two keys, every read observing the latest write.
-fn stream(seed: u64, total: u64) -> Vec<IngestEvent> {
+fn stream(seed: u64, total: u64) -> Vec<Transaction> {
     let mut state = seed;
     let mut below = |n: u64| {
         // SplitMix64.
@@ -58,29 +57,29 @@ fn stream(seed: u64, total: u64) -> Vec<IngestEvent> {
                     ops.push(Op::write(k, next_value));
                 }
             }
-            let session = (i % SESSIONS) as u32;
-            IngestEvent::timed(session, ops, TxnStatus::Committed, 10 * i + 1, 10 * i + 6)
+            let session = SessionId((i % SESSIONS) as u32);
+            Transaction::committed(TxnId(0), session, ops).with_times(10 * i + 1, 10 * i + 6)
         })
         .collect()
 }
 
-/// What the sink reported over one recorded stream.
+/// What the store reported over one recorded stream.
 struct Cadence {
-    /// The sink's stats after the last record.
-    last: SinkStats,
+    /// The store's stats after the last record.
+    last: StoreStats,
     /// Events consumed at each checkpoint.
     at: Vec<u64>,
-    /// The sink's `log_bytes` when it wrote its newest checkpoint, and that
+    /// The store's `log_bytes` when it wrote its newest checkpoint, and that
     /// checkpoint's size.
     newest: (u64, u64),
     /// The largest log record, in bytes.
     max_record: u64,
 }
 
-/// Records `events` through a verifier with a store at floor [`FLOOR`],
-/// reading its sink after every record, and checks that the store recovers
-/// from the newest checkpoint to the live verdict.
-fn record(tag: &str, events: Vec<IngestEvent>, gc: Option<GcPolicy>) -> Cadence {
+/// Logs `txns` into a store at floor [`FLOOR`] and checks each one after it
+/// is logged, reading the store's stats after every record, and checks that
+/// the store recovers from the newest checkpoint to the live verdict.
+fn record(tag: &str, txns: Vec<Transaction>, gc: Option<GcPolicy>) -> Cadence {
     let dir: PathBuf = std::env::temp_dir().join(format!(
         "mtc_checkpoint_cadence_{tag}_{}",
         std::process::id()
@@ -90,22 +89,25 @@ fn record(tag: &str, events: Vec<IngestEvent>, gc: Option<GcPolicy>) -> Cadence 
         level: LEVEL,
         num_keys: NUM_KEYS,
     };
-    let mut builder =
-        LiveVerifier::builder(LEVEL, NUM_KEYS).store(MtcStore::create(&dir, &meta).unwrap(), FLOOR);
+    let mut store = MtcStore::create(&dir, &meta)
+        .unwrap()
+        .with_checkpoint_every(FLOOR);
+    let mut checker = IncrementalChecker::new(LEVEL).with_init_keys(0..NUM_KEYS);
     if let Some(policy) = gc {
-        builder = builder.gc(policy);
+        checker.set_gc(policy);
     }
-    let verifier = builder.build();
-    let mut last = verifier.sink_stats().unwrap();
+    let mut last = store.stats();
     let mut cadence = Cadence {
         last,
         at: Vec::new(),
         newest: (0, 0),
         max_record: 0,
     };
-    for (i, event) in events.into_iter().enumerate() {
-        verifier.record_event(event);
-        let now = verifier.sink_stats().unwrap();
+    for (i, txn) in txns.into_iter().enumerate() {
+        store.append_txn(&txn).unwrap();
+        let _ = checker.push(txn);
+        store.recorded(|| checker.checkpoint()).unwrap();
+        let now = store.stats();
         cadence.max_record = cadence.max_record.max(now.log_bytes - last.log_bytes);
         if now.checkpoints > last.checkpoints {
             cadence.at.push(i as u64 + 1);
@@ -118,9 +120,9 @@ fn record(tag: &str, events: Vec<IngestEvent>, gc: Option<GcPolicy>) -> Cadence 
         "{tag}: checkpoints at {:?}, the newest {} bytes; {} checkpoint bytes, {} log bytes",
         cadence.at, cadence.newest.1, last.checkpoint_bytes, last.log_bytes
     );
-    let outcome = verifier.finish();
-    assert!(outcome.sink_error.is_none(), "{:?}", outcome.sink_error);
-    let live = outcome.verdict.unwrap();
+    store.sync().unwrap();
+    assert_eq!(store.stats().errors, 0);
+    let live = checker.finish().unwrap();
     assert!(live.is_satisfied());
 
     let recovery = recover(&dir).unwrap();
@@ -182,7 +184,8 @@ fn the_log_is_fsynced_at_every_floor() {
     let before = syncs();
     let c = record("syncs", stream(1201, 3_000), Some(GcPolicy::default()));
     // Two of the eleven floors write a checkpoint (which fsyncs the log
-    // first), the other nine fsync the log alone, and `finish` once more.
+    // first), the other nine fsync the log alone, and the closing `sync` once
+    // more.
     assert_eq!(c.at.len(), 2, "checkpoints at {:?}", c.at);
     assert_eq!(c.last.checkpoints, 2);
     assert_eq!(syncs() - before, 3_000 / FLOOR as u64 + 1);

@@ -5,10 +5,10 @@
 //! ```
 //!
 //! 1. **Record** — a fault-injected workload runs under the live verifier
-//!    with a write-ahead store attached: every transaction hits the log
-//!    before the checker, and the checker is checkpointed periodically.
-//! 2. **Crash** — the process "dies" (we drop the verifier without
-//!    finishing it and tear the log tail, as a kill mid-write would).
+//!    through [`record_streaming`]: every transaction hits the log before
+//!    the checker, and the store checkpoints the checker as the log pays
+//!    for it.
+//! 2. **Crash** — the log tail is torn, as a kill mid-write would leave it.
 //! 3. **Resume** — recovery loads the newest intact checkpoint and replays
 //!    the logged tail: same verdict as the uninterrupted run, in a
 //!    fraction of the work.
@@ -16,11 +16,10 @@
 //!    completely different checker (batch MTC-SI), long after the
 //!    "database" is gone.
 
-use mtc::dbsim::{Database, DbConfig, FaultKind, FaultSpec, IsolationMode};
-use mtc::runner::{replay_verify, resume_verification, Checker};
-use mtc::store::{MtcStore, StreamMeta};
+use mtc::dbsim::{ClientOptions, Database, DbConfig, FaultKind, FaultSpec, IsolationMode};
+use mtc::runner::{record_streaming, replay_verify, resume_verification, Checker, RecordOptions};
 use mtc::workload::{generate_mt_workload, Distribution, MtWorkloadSpec};
-use mtc::{ExecutionOptions, GcPolicy, IsolationLevel, LiveVerifier};
+use mtc::{GcPolicy, IsolationLevel};
 use std::time::Duration;
 
 fn main() {
@@ -44,35 +43,31 @@ fn main() {
             vec![FaultSpec::new(FaultKind::SkipWriteValidation, 0.004)],
             3,
         );
-    let level = IsolationLevel::SnapshotIsolation;
-    let store = MtcStore::create(
+    let recorded = record_streaming(
         &dir,
-        &StreamMeta {
-            level,
-            num_keys: spec.num_keys,
+        &Database::new(config),
+        &workload,
+        &ClientOptions::default(),
+        IsolationLevel::SnapshotIsolation,
+        &RecordOptions {
+            checkpoint_every: 128, // fsync or checkpoint every 128 recorded txns
+            stop_on_violation: false,
+            // Bounded resident state for long runs.
+            gc: Some(GcPolicy {
+                window: 4096,
+                every: 1024,
+                reader_cap: 0,
+            }),
         },
     )
     .expect("fresh store");
-    let verifier = LiveVerifier::builder(level, spec.num_keys)
-        .store(store, 128) // fsync or checkpoint every 128 recorded txns
-        .gc(GcPolicy {
-            window: 4096,
-            every: 1024,
-            reader_cap: 0,
-        }) // bounded resident state for long runs
-        .build();
-    let db = Database::new(config);
-    let (_, report) = ExecutionOptions::threaded()
-        .verifier(&verifier)
-        .run(&db, &workload);
     println!(
         "recorded {} committed transactions into {}",
-        report.committed,
+        recorded.committed,
         dir.display()
     );
 
     // ── 2. crash ────────────────────────────────────────────────────────
-    drop(verifier); // no finish(), no final checkpoint: the "kill"
     if let Some(seg) = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
@@ -85,7 +80,7 @@ fn main() {
         bytes.extend_from_slice(&[0x33, 0x00, 0x00, 0x00, 0xbe]);
         std::fs::write(&path, bytes).unwrap();
     }
-    println!("crashed: verifier dropped mid-session, log tail torn");
+    println!("crashed: log tail torn");
 
     // ── 3. resume ───────────────────────────────────────────────────────
     let resumed = resume_verification(&dir).expect("recovery");
