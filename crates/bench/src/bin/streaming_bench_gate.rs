@@ -62,7 +62,6 @@ const MAX_GC_RSS: f64 = 0.45;
 const GC_POLICY: GcPolicy = GcPolicy {
     window: 1024,
     every: 256,
-    reader_cap: 0,
 };
 
 /// Timing repetitions per series; the best run is reported (CI noise floor).

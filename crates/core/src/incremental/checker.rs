@@ -2,7 +2,7 @@
 //! the [`KeyState`] and runs the one ingest loop, on the caller's thread.
 
 use super::engine::Engine;
-use super::gc::{Eviction, GcPolicy};
+use super::gc::GcPolicy;
 use super::keystate::KeyState;
 use super::snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 use super::Findings;
@@ -150,7 +150,7 @@ impl IncrementalChecker {
 
     /// Non-consuming form of [`IncrementalChecker::with_gc`].
     pub fn set_gc(&mut self, policy: GcPolicy) {
-        self.engine.gc = Some(policy.normalized());
+        self.engine.gc = Some(GcPolicy::clamped(policy.window, policy.every));
     }
 
     /// The garbage-collection policy in effect, if any.
@@ -169,23 +169,10 @@ impl IncrementalChecker {
         live_nodes(&self.engine)
     }
 
-    /// Explicit eviction markers recorded by the GC's reader-list cap: one
-    /// per live version whose resident reader list was trimmed beyond the
-    /// staleness window. Empty unless [`GcPolicy::reader_cap`] is set. A
-    /// clean verdict with a non-empty marker set is a qualified
-    /// certificate (see [`GcPolicy`]).
-    pub fn reader_evictions(&self) -> Vec<Eviction> {
-        self.keys.evictions()
-    }
-
-    /// Total reader entries dropped by the GC's reader-list cap so far.
-    pub fn reader_eviction_count(&self) -> u64 {
-        self.keys.evicted.values().sum()
-    }
-
     /// Longest resident reader list across all live versions — the register
-    /// state a hot, never-overwritten key accumulates; the quantity
-    /// [`GcPolicy::reader_cap`] bounds.
+    /// state a hot, never-overwritten key accumulates. Under a [`GcPolicy`]
+    /// it stays within `window + every`: each sweep trims the lists to the
+    /// window, and at most `every` transactions read between two sweeps.
     pub fn max_reader_list_len(&self) -> usize {
         self.keys.max_reader_list_len()
     }
@@ -486,7 +473,7 @@ fn live_nodes(engine: &Engine) -> usize {
 fn close_epoch(engine: &mut Engine, keys: &mut KeyState) {
     let gc_timer = mtc_obs::enabled().then(Instant::now);
     let watermark = engine.gc_watermark();
-    keys.sweep(watermark, engine.gc.map_or(0, |g| g.reader_cap));
+    keys.sweep(watermark);
     if engine.begin_epoch() {
         let before = gc_timer.is_some().then(|| live_nodes(engine));
         engine.collect(watermark, &keys.refs());

@@ -1,11 +1,10 @@
-//! Settled-prefix garbage collection: the policy, the eviction markers, the
-//! epoch clock, and the graph-side collection ([`Engine::collect`]). The
-//! per-key half of a sweep is [`super::keystate`]'s.
+//! Settled-prefix garbage collection: the policy, the epoch clock, and the
+//! graph-side collection ([`Engine::collect`]). The per-key half of a sweep
+//! is [`super::keystate`]'s.
 
 use super::engine::Engine;
 use crate::check::IsolationLevel;
-use mtc_history::{FastHashSet, Key, TimeSlot, TxnId};
-use serde::{Deserialize, Serialize};
+use mtc_history::{FastHashSet, TimeSlot, TxnId};
 
 /// Settled-prefix garbage collection policy for the streaming checkers.
 ///
@@ -25,33 +24,17 @@ use serde::{Deserialize, Serialize};
 /// surfaces as the read of an unknown value (the conservative direction)
 /// instead of the unbounded run's classification.
 ///
-/// # Reader-list caps
-///
-/// The sweep trims the reader/overwriter lists of *live* (latest) versions
-/// to the window, but a hot key whose version never changes still
-/// accumulates up to `window` reader entries between sweeps — with many hot
-/// keys, `window × keys` register state. Setting `reader_cap > 0` bounds
-/// each live version's resident reader list to the `reader_cap` newest
-/// readers; the evicted older readers can no longer contribute RW
-/// anti-dependency edges if the version is later overwritten, so a clean
-/// verdict obtained under a cap is a **qualified certificate**: violations
-/// that are found remain sound (eviction only removes potential edges), but
-/// completeness now additionally requires that no more than `reader_cap`
-/// in-window readers of any single version conflict with a later writer.
-/// Every eviction is recorded as an explicit marker
-/// ([`super::IncrementalChecker::reader_evictions`]) and rides along in
-/// [`super::CheckerSnapshot`]s, so a consumer of the verdict can see exactly which
-/// versions the certificate is qualified on. `reader_cap = 0` (the default)
-/// disables capping and keeps the unqualified staleness-window contract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Every sweep also trims the reader and overwriter lists of *live*
+/// (latest) versions to the window, so a hot key whose version never
+/// changes holds at most the readers of the last `window + every`
+/// transactions. That bounds the register state without dropping any
+/// in-window reader a later overwrite could turn into an `RW` edge.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GcPolicy {
     /// Keep at least the most recent `window` transactions resident.
     pub window: usize,
     /// Run a collection every `every` consumed transactions.
     pub every: usize,
-    /// Cap each live version's resident reader list to this many newest
-    /// readers at every sweep (0 = unlimited, the default).
-    pub reader_cap: usize,
 }
 
 impl Default for GcPolicy {
@@ -59,59 +42,24 @@ impl Default for GcPolicy {
         GcPolicy {
             window: 8192,
             every: 2048,
-            reader_cap: 0,
         }
     }
 }
 
 impl GcPolicy {
-    /// A window/cadence policy with both knobs clamped to at least 1 and no
-    /// reader cap.
+    /// A window/cadence policy with both knobs clamped to at least 1.
     pub fn clamped(window: usize, every: usize) -> Self {
         GcPolicy {
             window: window.max(1),
             every: every.max(1),
-            reader_cap: 0,
         }
     }
-
-    /// Adds a per-key reader-list cap (builder style; see the type docs for
-    /// the qualified-certificate contract).
-    pub fn with_reader_cap(mut self, cap: usize) -> Self {
-        self.reader_cap = cap;
-        self
-    }
-
-    /// The policy with window and cadence clamped to at least 1, the reader
-    /// cap preserved.
-    pub(super) fn normalized(self) -> Self {
-        GcPolicy {
-            window: self.window.max(1),
-            every: self.every.max(1),
-            reader_cap: self.reader_cap,
-        }
-    }
-}
-
-/// An explicit eviction marker: the settled-prefix GC capped the reader
-/// list of a live version. Clean verdicts produced after evictions are
-/// qualified certificates (see [`GcPolicy`]'s reader-cap documentation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Eviction {
-    /// The transaction whose version had readers evicted (`⊥T`'s id for the
-    /// initial version).
-    pub writer: TxnId,
-    /// The key concerned.
-    pub key: Key,
-    /// How many reader entries have been dropped from this version's list
-    /// so far.
-    pub dropped: u64,
 }
 
 /// Number of sweep epochs per collection commit. Epoch boundaries fire
 /// every [`GcPolicy::every`] transactions and always sweep the per-key
-/// state (keeping the staleness-window and reader-cap contracts on their
-/// original cadence); the graph-side collection — candidate identification,
+/// state (keeping the staleness-window contract on its original cadence);
+/// the graph-side collection — candidate identification,
 /// predecessor-closure fixpoint and prune — runs only on every
 /// `GC_COMMIT_EPOCHS`-th boundary, so its cost is amortized off the ingest
 /// path. Deferring a commit only keeps *more* state resident, which is
@@ -133,8 +81,7 @@ impl Engine {
     /// Advances the epoch clock at a due boundary; true iff this boundary
     /// is a collection commit, i.e. the caller should materialize the
     /// key-state refs and run [`Engine::collect`]. Every boundary sweeps the
-    /// per-key state (so the reader-cap contract keeps its original
-    /// cadence); only every [`GC_COMMIT_EPOCHS`]-th runs the graph-side
+    /// per-key state; only every [`GC_COMMIT_EPOCHS`]-th runs the graph-side
     /// candidate closure and prune.
     pub(super) fn begin_epoch(&mut self) -> bool {
         self.last_gc = self.txn_count;

@@ -4,7 +4,7 @@
 //! in key order, so how the maps lay their entries out in memory is never
 //! part of the format.
 
-use super::gc::Eviction;
+use super::snapshot::EvictedSlot;
 use super::{keep_lowest, Findings};
 use crate::divergence::Divergence;
 use crate::mini::MtViolation;
@@ -80,10 +80,8 @@ pub(super) struct KeyState {
     /// version a well-behaved new reader is expected to observe. Stale
     /// versions (anything else, once old enough) are GC candidates.
     pub(super) latest: FastHashMap<Key, Value>,
-    /// Explicit eviction markers: per `(writer, key)` version, how many
-    /// reader entries the GC's reader-list cap has dropped (see
-    /// [`GcPolicy`]'s reader-cap contract). Empty unless a cap is set.
-    pub(super) evicted: FastHashMap<(TxnId, Key), u64>,
+    /// Carried for the snapshot format only (see [`EvictedSlot`]).
+    evicted: EvictedSlot,
     /// The transaction being derived, per key — pure scratch, refilled by
     /// every [`KeyState::derive`], kept for its capacity.
     #[serde(skip)]
@@ -461,12 +459,11 @@ impl KeyState {
     /// the latest of their key, were last touched before `watermark`, and
     /// have no pending read — together with their `readers_of` /
     /// `first_reader_writer` satellites, and trims reader/overwriter lists
-    /// of live versions down to the window (and, when `reader_cap > 0`, to
-    /// the `reader_cap` newest readers, recording an eviction marker per
-    /// capped version). Purely mutating — the set of transactions the
-    /// surviving state still references is materialized separately by
-    /// [`KeyState::refs`], and only at collection-commit epochs.
-    pub(super) fn sweep(&mut self, watermark: TxnId, reader_cap: usize) {
+    /// of live versions down to the window. Purely mutating — the set of
+    /// transactions the surviving state still references is materialized
+    /// separately by [`KeyState::refs`], and only at collection-commit
+    /// epochs.
+    pub(super) fn sweep(&mut self, watermark: TxnId) {
         let latest = &self.latest;
         let pending = &self.pending;
         let mut dropped: FastHashSet<(TxnId, Key)> = FastHashSet::default();
@@ -488,30 +485,12 @@ impl KeyState {
             false
         });
         self.readers_of.retain(|wk, _| !dropped.contains(wk));
-        // Eviction markers are deliberately *not* dropped with their
-        // version: the RW edges lost to an eviction stay lost even after
-        // the version itself is retired, so the marker must outlive it —
-        // otherwise a qualified clean verdict would silently turn into an
-        // unqualified one (and the cumulative count would shrink). The map
-        // is bounded by the number of distinct versions ever capped.
-        for (wk, (readers, overwriters)) in self.readers_of.iter_mut() {
+        for (readers, overwriters) in self.readers_of.values_mut() {
             // Readers and overwriters below the window can no longer gain
             // RW edges that matter (out-of-window interactions are outside
             // the GC's contract); trimming them unpins their transactions.
             readers.retain(|r| r >= watermark);
             overwriters.retain(|o| o >= watermark);
-            // Reader-list cap: a hot version whose value never changes
-            // keeps accumulating in-window readers between sweeps; with a
-            // cap, only the newest `reader_cap` stay resident and the
-            // eviction is recorded as an explicit marker (the verdict
-            // becomes a qualified certificate — see `GcPolicy`).
-            if reader_cap > 0 && readers.len() > reader_cap {
-                let drop_n = readers.len() - reader_cap;
-                // Readers are appended in stream order, so the front of the
-                // list is the oldest.
-                readers.drop_front(drop_n);
-                *self.evicted.entry(*wk).or_default() += drop_n as u64;
-            }
         }
         let writes = &self.writes;
         self.first_reader_writer
@@ -549,23 +528,7 @@ impl KeyState {
         refs
     }
 
-    /// The eviction markers of this state, sorted for determinism.
-    pub(super) fn evictions(&self) -> Vec<Eviction> {
-        let mut out: Vec<Eviction> = self
-            .evicted
-            .iter()
-            .map(|(&(writer, key), &dropped)| Eviction {
-                writer,
-                key,
-                dropped,
-            })
-            .collect();
-        out.sort_by_key(|e| (e.writer, e.key));
-        out
-    }
-
-    /// Longest resident reader list across all live versions — the quantity
-    /// the reader cap bounds.
+    /// Longest resident reader list across all live versions.
     pub(super) fn max_reader_list_len(&self) -> usize {
         self.readers_of
             .values()

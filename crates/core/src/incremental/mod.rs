@@ -24,8 +24,8 @@
 //! | `keystate.rs` | `KeyState`: per-key provenance indexes, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
 //! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
 //! | `arena.rs` | `TxnMap`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
-//! | `gc.rs` | `GcPolicy`, `Eviction`, the epoch clock and `Engine::collect` | `checker` only |
-//! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
+//! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` | `checker` only |
+//! | `snapshot.rs` | `CheckerSnapshot`, its version and the v5 slots nothing reads (`GcPolicy`'s serde) | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
 //!
 //! (`benchmark_leftovers.rs` holds two names the standalone `benchmark/`
@@ -134,7 +134,7 @@ mod tests;
 
 pub use benchmark_leftovers::{tune, ShardedIncrementalChecker};
 pub use checker::{check_streaming, IncrementalChecker, StreamStatus};
-pub use gc::{Eviction, GcPolicy};
+pub use gc::GcPolicy;
 pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 
 /// What consuming one transaction turned up, before any of it is applied:

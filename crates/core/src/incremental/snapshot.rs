@@ -1,10 +1,10 @@
 //! [`CheckerSnapshot`]: the serialized form of a streaming checker.
 
 use super::engine::Engine;
-use super::gc::Eviction;
+use super::gc::GcPolicy;
 use super::keystate::KeyState;
 use crate::check::IsolationLevel;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Emitter, Error, Head, Serialize, Source};
 
 /// A complete, self-contained snapshot of a streaming checker: everything
 /// needed to resume verification exactly where it stopped — the engine
@@ -61,6 +61,75 @@ impl Default for OptionsSlot {
     }
 }
 
+/// The GC policy as a version-5 snapshot writes it: `window`, `every` and,
+/// in the third field, the reader cap an earlier build's sweep could
+/// truncate live reader lists to. This build keeps every reader, so it
+/// writes 0 there, and refuses a snapshot that holds anything else — a
+/// capped checker's clean verdict was only qualified, and a checkpoint it
+/// wrote is passed over so the log replays to an unqualified one. The next
+/// format version drops the field.
+#[derive(Serialize, Deserialize)]
+struct GcPolicySlot {
+    window: usize,
+    every: usize,
+    reader_cap: usize,
+}
+
+impl Serialize for GcPolicy {
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        GcPolicySlot {
+            window: self.window,
+            every: self.every,
+            reader_cap: 0,
+        }
+        .emit(out);
+    }
+}
+
+impl Deserialize for GcPolicy {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error> {
+        let slot = GcPolicySlot::pull(src)?;
+        if slot.reader_cap != 0 {
+            return Err(capped(&format!("a reader cap of {}", slot.reader_cap)));
+        }
+        Ok(GcPolicy {
+            window: slot.window,
+            every: slot.every,
+        })
+    }
+}
+
+/// The slot of a version-5 key state where the reader cap's eviction
+/// markers went: written as the empty map, and a snapshot that holds any
+/// marker is refused as [`GcPolicySlot`] says. The next format version
+/// drops it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct EvictedSlot;
+
+impl Serialize for EvictedSlot {
+    fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
+        out.begin_array(0);
+        out.end_array();
+    }
+}
+
+impl Deserialize for EvictedSlot {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error> {
+        match src.next()? {
+            Head::Array(0) => Ok(EvictedSlot),
+            Head::Array(n) => Err(capped(&format!("{n} reader-cap eviction markers"))),
+            _ => Err(Error::expected("array of pairs", "EvictedSlot")),
+        }
+    }
+}
+
+/// Why a snapshot a capped checker wrote does not resume.
+fn capped(what: &str) -> Error {
+    Error::msg(format!(
+        "snapshot holds {what}: this build keeps every reader and resumes no capped checker"
+    ))
+}
+
 impl CheckerSnapshot {
     /// The isolation level the snapshotted checker enforces.
     pub fn level(&self) -> IsolationLevel {
@@ -75,11 +144,5 @@ impl CheckerSnapshot {
     /// Snapshot format version.
     pub fn version(&self) -> u32 {
         self.version
-    }
-
-    /// The reader-eviction markers carried by the snapshot (sorted; see
-    /// [`super::GcPolicy`]'s reader-cap contract).
-    pub fn reader_evictions(&self) -> Vec<Eviction> {
-        self.keys.evictions()
     }
 }

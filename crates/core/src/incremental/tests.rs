@@ -550,7 +550,6 @@ fn gc_bounds_resident_state_and_preserves_verdicts() {
         let mut gc = IncrementalChecker::new(level).with_gc(GcPolicy {
             window: 512,
             every: 128,
-            reader_cap: 0,
         });
         let _ = gc.push_history(&h);
         assert!(
@@ -582,7 +581,6 @@ fn gc_keeps_session_frontier_and_init_resident() {
     let mut gc = IncrementalChecker::new(IsolationLevel::Serializability).with_gc(GcPolicy {
         window: 64,
         every: 32,
-        reader_cap: 0,
     });
     let _ = gc.push_history(&h);
     // ⊥T and the last transaction of each of the 6 sessions must be
@@ -602,7 +600,6 @@ fn checkpoint_after_gc_resumes_exactly() {
     let mut c = IncrementalChecker::new(level).with_gc(GcPolicy {
         window: 256,
         every: 64,
-        reader_cap: 0,
     });
     if let Some(init) = h.init_txn() {
         c.ingest(init, h.txn(init), true);
@@ -616,7 +613,6 @@ fn checkpoint_after_gc_resumes_exactly() {
         Some(GcPolicy {
             window: 256,
             every: 64,
-            reader_cap: 0,
         }),
         "the GC policy must survive the snapshot"
     );
@@ -638,7 +634,6 @@ fn checkpointed_adjacency_rows_are_plain_arrays() {
     let gc = GcPolicy {
         window: 128,
         every: 32,
-        reader_cap: 0,
     };
     for level in [
         IsolationLevel::Serializability,

@@ -121,18 +121,6 @@ impl<'v> ExecutionOptions<'v> {
         self
     }
 
-    /// Sets [`ClientOptions::max_retries`].
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.client.max_retries = max_retries;
-        self
-    }
-
-    /// Sets [`ClientOptions::record_aborted`].
-    pub fn record_aborted(mut self, record_aborted: bool) -> Self {
-        self.client.record_aborted = record_aborted;
-        self
-    }
-
     /// Attaches a streaming verifier — a
     /// [`LiveVerifier`](crate::LiveVerifier), or a host's observer around
     /// one — for the duration of the run.
@@ -369,7 +357,10 @@ mod tests {
         };
         let db = Database::new(DbConfig::correct(IsolationMode::Serializable, s.num_keys));
         let (history, report) = ExecutionOptions::interleaved(11)
-            .max_retries(1000)
+            .client(ClientOptions {
+                max_retries: 1000,
+                ..Default::default()
+            })
             .run(&db, &generate_mt_workload(&s));
         assert!(report.aborted_attempts > 0, "must exercise retry-begin");
         assert_eq!(

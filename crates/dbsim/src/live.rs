@@ -88,7 +88,7 @@ pub struct LiveOutcome {
 ///
 /// let verifier = LiveVerifier::builder(IsolationLevel::Serializability, 16)
 ///     .stop_on_violation(true)
-///     .gc(GcPolicy { window: 64, every: 16, reader_cap: 0 })
+///     .gc(GcPolicy { window: 64, every: 16 })
 ///     .build();
 /// assert!(!verifier.is_violated());
 /// ```
@@ -465,7 +465,6 @@ mod tests {
             .gc(GcPolicy {
                 window: 64,
                 every: 16,
-                reader_cap: 0,
             })
             .build();
         let mut last = vec![0u64; keys as usize];

@@ -89,22 +89,6 @@ impl<T: Copy + Default, const N: usize> InlineSeq<T, N> {
         self.len = kept as u32;
     }
 
-    /// Removes the first `n` elements, keeping the rest in order.
-    ///
-    /// # Panics
-    ///
-    /// If `n` exceeds the length, as `Vec::drain(..n)` does.
-    pub fn drop_front(&mut self, n: usize) {
-        if let Some(heap) = &mut self.spill {
-            heap.drain(..n);
-            return;
-        }
-        let len = self.len as usize;
-        assert!(n <= len, "drop_front count out of bounds");
-        self.inline.copy_within(n..len, 0);
-        self.len = (len - n) as u32;
-    }
-
     /// Removes the element at `index`, moving the last one into its place.
     pub fn swap_remove(&mut self, index: usize) {
         if let Some(heap) = &mut self.spill {
@@ -161,7 +145,7 @@ mod tests {
             let mut seq = InlineSeq::<u32, 3>::default();
             let mut mirror: Vec<u32> = Vec::new();
             for _ in 0..24 {
-                match next(7) {
+                match next(6) {
                     0..=2 => {
                         let id = next(8) as u32;
                         seq.push(id);
@@ -180,12 +164,6 @@ mod tests {
                     5 if next(4) == 0 => {
                         seq.clear();
                         mirror.clear();
-                    }
-                    6 => {
-                        // The reader cap's front drop, zero and all included.
-                        let n = next(mirror.len() as u64 + 1) as usize;
-                        seq.drop_front(n);
-                        mirror.drain(..n);
                     }
                     _ => {}
                 }

@@ -52,12 +52,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// Maximum idle connections a [`NetBackend`] keeps for reuse; transactions
+/// beyond this many in flight dial extra connections that are closed on
+/// return.
+const POOL_SIZE: usize = 16;
+
 /// Knobs of a [`NetBackend`].
 #[derive(Clone, Copy, Debug)]
 pub struct NetOptions {
-    /// Maximum idle connections kept for reuse; transactions beyond this
-    /// many in flight dial extra connections that are closed on return.
-    pub pool_size: usize,
     /// Per-operation reply deadline. A transaction whose reply misses it
     /// aborts with [`AbortReason::ConnectionLost`] (or
     /// [`AbortReason::CommitStatusUnknown`] if the commit request was
@@ -70,7 +72,6 @@ pub struct NetOptions {
 impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
-            pool_size: 16,
             op_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(2),
         }
@@ -301,7 +302,7 @@ impl NetBackend {
     /// did not settle, and closing it is what makes the server abort it.
     fn check_in(&self, conn: Conn) {
         let mut pool = self.pool.lock();
-        if conn.in_flight() == 0 && pool.len() < self.opts.pool_size {
+        if conn.in_flight() == 0 && pool.len() < POOL_SIZE {
             pool.push(conn);
         }
     }

@@ -9,7 +9,8 @@
 use mtc_core::{CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::{
-    from_bytes, read_checkpoint, recover, to_bytes, write_checkpoint, MtcStore, StreamMeta,
+    from_bytes, read_checkpoint, recover, to_bytes, write_checkpoint, MtcStore, StoreError,
+    StreamMeta,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,7 +169,6 @@ const FIXTURE_KEYS: u64 = 4;
 const FIXTURE_GC: GcPolicy = GcPolicy {
     window: 96,
     every: 16,
-    reader_cap: 2,
 };
 
 /// The deterministic 200-transaction stream the fixtures were cut from: an
@@ -205,8 +205,10 @@ fn overlapping_stream() -> Vec<Transaction> {
 /// build before `IncrementalTopo` lost its batched insertion. Its window
 /// re-sort settled the order on other ranks than edge-by-edge insertion
 /// does, so the snapshot holds other ranks and, through the collector's id
-/// recycling, other node ids. It cannot be regenerated: it is that build's
-/// bytes.
+/// recycling, other node ids. Only a checkout of that build can write it:
+/// its own copy of this file with [`overlapping_stream`] added, the prefix
+/// checkpointed under `FIXTURE_GC` with `reader_cap: 0` (the field that
+/// build's policy still had).
 fn parent_written_sser_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot-v5-sser-ed75a20.mtcck")
 }
@@ -277,14 +279,8 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
         assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
         assert_eq!(snapshot.level(), level);
         assert_eq!(snapshot.txn_count(), FIXTURE_CUT + 1);
-        let evictions = snapshot.reader_evictions();
-        assert!(
-            !evictions.is_empty(),
-            "{level}: the fixture must carry eviction markers"
-        );
         let mut resumed = IncrementalChecker::resume(snapshot);
         assert_eq!(resumed.gc_policy(), Some(FIXTURE_GC));
-        assert_eq!(resumed.reader_evictions(), evictions, "{level}");
         for t in &txns[FIXTURE_CUT..] {
             let _ = resumed.push(t.clone());
         }
@@ -328,6 +324,62 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
     );
 }
 
+/// `snapshot-v5-ser-capped.mtcck` is the SER fixture prefix as a build with
+/// a GC reader cap wrote it: `FIXTURE_GC` with `reader_cap: 2`, so its clean
+/// verdict was only qualified on the readers the cap dropped. This build
+/// refuses it by name, and a store whose newest checkpoint it is recovers
+/// past it — from the checkpoint before it, or by replaying the log from
+/// the start — to the verdict a fresh uncapped checker gives on that log.
+#[test]
+fn a_reader_capped_checkpoint_is_refused_and_recovery_replays_past_it() {
+    let capped =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot-v5-ser-capped.mtcck");
+    match read_checkpoint(&capped) {
+        Err(StoreError::Serde(why)) => assert!(why.contains("reader cap"), "{why}"),
+        other => panic!("a capped snapshot must be refused, got {other:?}"),
+    }
+
+    let level = IsolationLevel::Serializability;
+    let txns = fixture_stream();
+    let fresh = || IncrementalChecker::new(level).with_init_keys(0..FIXTURE_KEYS);
+    let outcome = |c: IncrementalChecker| (c.first_violation_at(), format!("{:?}", c.finish()));
+    let mut plain = fresh();
+    let mut collected = fresh().with_gc(FIXTURE_GC);
+    for t in &txns {
+        let _ = plain.push(t.clone());
+        let _ = collected.push(t.clone());
+    }
+    let expected = outcome(plain);
+    assert_eq!(outcome(collected), expected);
+
+    for older in [None, Some(64u64)] {
+        let dir = tmpdir(0xCA9_000 + older.unwrap_or(0));
+        let meta = StreamMeta {
+            level,
+            num_keys: FIXTURE_KEYS,
+        };
+        let mut store = MtcStore::create(&dir, &meta).unwrap();
+        let mut checker = fresh().with_gc(FIXTURE_GC);
+        for (i, t) in (1..).zip(&txns) {
+            store.append_txn(t).unwrap();
+            let _ = checker.push(t.clone());
+            if older == Some(i) {
+                store.checkpoint(i, &checker.checkpoint()).unwrap();
+            }
+        }
+        store.sync().unwrap();
+        drop(store);
+        let newest = dir.join(format!("checkpoint-{FIXTURE_CUT:012}.mtcck"));
+        std::fs::copy(&capped, newest).unwrap();
+
+        let recovery = recover(&dir).unwrap();
+        assert_eq!(recovery.resume_from, older.unwrap_or(0));
+        assert_eq!(recovery.snapshot.is_some(), older.is_some());
+        assert_eq!(outcome(recovery.resume()), expected, "older = {older:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// `n` keys drawn Zipf(1.0) over `keys` keys, key 0 the hottest, from a
 /// fixed seed.
 fn zipf_keys(keys: u64, n: usize) -> Vec<u64> {
@@ -349,14 +401,13 @@ fn zipf_keys(keys: u64, n: usize) -> Vec<u64> {
 /// Pushes `txns` through a checker at `level` with `gc`, checkpoints every
 /// 50 pushes, and asserts that each checkpoint, decoded and resumed,
 /// re-encodes to its own bytes, and that the stream is clean. Returns the
-/// longest reader list any checkpoint held and how many reader entries the
-/// cap evicted by the end.
+/// longest reader list any checkpoint held.
 fn assert_checkpoints_reencode(
     level: IsolationLevel,
     keys: u64,
     gc: GcPolicy,
     txns: &[Transaction],
-) -> (usize, u64) {
+) -> usize {
     let mut checker = IncrementalChecker::new(level)
         .with_init_keys(0..keys)
         .with_gc(gc);
@@ -382,17 +433,17 @@ fn assert_checkpoints_reencode(
         differ.is_empty(),
         "{level}: the checkpoints after pushes {differ:?} re-encode to other bytes"
     );
-    (longest, checker.reader_eviction_count())
+    longest
 }
 
 /// A snapshot's bytes are a function of the checker's state: a checker
 /// resumed from a checkpoint writes that checkpoint back byte for byte, at
 /// every point of a long, GC'd stream — however differently the decoded maps
-/// were filled from the ones that wrote them. The second stream puts
-/// Zipf-hot keys and a majority of read-only transactions under a reader
-/// cap, so the checkpoints hold reader lists that stay in place, lists that
-/// spilled to the heap, and lists the cap cut back from the front — which a
-/// decoded checker holds in place again.
+/// were filled from the ones that wrote them. The second stream has
+/// Zipf-hot keys and a majority of read-only transactions, so the
+/// checkpoints hold reader lists that stay in place, lists that spilled to
+/// the heap, and lists a sweep cut back to the window — which a decoded
+/// checker may hold in place again.
 #[test]
 fn resumed_checkpoints_reencode_to_their_own_bytes() {
     const KEYS: u64 = 50;
@@ -412,12 +463,11 @@ fn resumed_checkpoints_reencode_to_their_own_bytes() {
         IsolationLevel::StrictSerializability,
     ] {
         assert_checkpoints_reencode(level, KEYS, GcPolicy::clamped(64, 16), &uniform_rmw);
-        let gc = GcPolicy::clamped(64, 16).with_reader_cap(2);
-        let (longest, evicted) = assert_checkpoints_reencode(level, KEYS, gc, &zipf_mostly_reads);
+        let gc = GcPolicy::clamped(64, 16);
+        let longest = assert_checkpoints_reencode(level, KEYS, gc, &zipf_mostly_reads);
         assert!(
             longest > 2,
             "{level}: no checkpoint held a spilled reader list (longest {longest})"
         );
-        assert!(evicted > 0, "{level}: the reader cap never trimmed a list");
     }
 }

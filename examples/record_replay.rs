@@ -56,7 +56,6 @@ fn main() {
             gc: Some(GcPolicy {
                 window: 4096,
                 every: 1024,
-                reader_cap: 0,
             }),
         },
     )

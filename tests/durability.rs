@@ -75,11 +75,7 @@ fn hundred_thousand_txn_stream_verifies_with_bounded_memory() {
     ] {
         let h = long_stream(n, 16, None);
         let unbounded = check_streaming(level, &h).unwrap();
-        let mut gc = IncrementalChecker::new(level).with_gc(GcPolicy {
-            window,
-            every: 512,
-            reader_cap: 0,
-        });
+        let mut gc = IncrementalChecker::new(level).with_gc(GcPolicy { window, every: 512 });
         let _ = gc.push_history(&h);
         assert!(
             gc.live_txn_count() <= txn_cap,
@@ -115,7 +111,6 @@ fn bounded_memory_stream_still_latches_violations_exactly() {
         let mut gc = IncrementalChecker::new(level).with_gc(GcPolicy {
             window: 1024,
             every: 256,
-            reader_cap: 0,
         });
         let _ = gc.push_history(&h);
         let first = gc.first_violation_at();
@@ -233,7 +228,7 @@ fn checkpoint_resumes_at_scale_at_si() {
 
 /// A stream in which every transaction reads one *hot* key whose version
 /// never changes (`⊥T`'s initial version) and RMWs a rotating cold key.
-/// The hot version stays latest forever, so without a cap its reader list
+/// The hot version stays latest forever, so its reader list
 /// accumulates up to the full GC window between sweeps.
 #[allow(clippy::explicit_counter_loop)] // `value` is state, not a counter
 fn hot_key_stream(n: u64, cold_keys: u64) -> Vec<Transaction> {
@@ -261,150 +256,39 @@ fn hot_key_stream(n: u64, cold_keys: u64) -> Vec<Transaction> {
     out
 }
 
-/// Regression for the ROADMAP follow-up: a hot key whose version never
-/// changes accumulates `readers_of` register state up to the window between
-/// sweeps; `GcPolicy::reader_cap` bounds it, with explicit eviction markers.
+/// A hot key whose version never changes accumulates `readers_of` register
+/// state between sweeps, and the window bounds it: every sweep trims a live
+/// version's readers to the window, so no list outgrows `window + every`.
+/// Every reader stays, so the verdict is the un-collected run's.
 #[test]
-fn hot_key_reader_lists_accumulate_without_cap_and_are_bounded_with_cap() {
-    let n = 4_000u64;
-    let drive = |cap: usize| {
-        let mut c = IncrementalChecker::new(IsolationLevel::Serializability)
-            .with_init_keys(0..9u64)
-            .with_gc(GcPolicy {
-                window: 256,
-                every: 64,
-                reader_cap: cap,
-            });
-        for t in hot_key_stream(n, 8) {
-            let _ = c.push(t);
-        }
-        c
-    };
-
-    let uncapped = drive(0);
-    let accumulated = uncapped.max_reader_list_len();
-    assert!(
-        accumulated > 128,
-        "the hot key's reader list must accumulate toward the window \
-         between sweeps (got {accumulated})"
-    );
-    assert_eq!(uncapped.reader_eviction_count(), 0);
-    assert!(uncapped.reader_evictions().is_empty());
-
-    let capped = drive(16);
-    let bounded = capped.max_reader_list_len();
-    assert!(
-        bounded <= 16 + 64,
-        "the cap must bound resident reader state to cap + sweep cadence \
-         (got {bounded})"
-    );
-    assert!(
-        capped.reader_eviction_count() > 0,
-        "evictions must be marked"
-    );
-    let evictions = capped.reader_evictions();
-    assert!(
-        evictions.iter().any(|e| e.key == mtc::history::Key(0)),
-        "the marker must name the hot key: {evictions:?}"
-    );
-    // Evictions only remove *potential* RW edges of a version that is never
-    // overwritten here, so the clean verdict must be preserved.
-    let unbounded = drive(0).finish().unwrap();
-    assert_eq!(capped.finish().unwrap(), unbounded);
-    assert!(unbounded.is_satisfied());
-}
-
-/// Eviction markers are part of the checker state proper: they survive a
-/// checkpoint/resume round trip and are readable from the snapshot itself.
-#[test]
-fn reader_eviction_markers_survive_checkpoint_and_resume() {
+fn hot_key_reader_lists_stay_within_window_and_cadence() {
+    let (window, every) = (256, 64);
     let mut c = IncrementalChecker::new(IsolationLevel::Serializability)
         .with_init_keys(0..9u64)
-        .with_gc(GcPolicy {
-            window: 128,
-            every: 32,
-            reader_cap: 8,
-        });
-    let stream = hot_key_stream(2_000, 8);
-    let cut = 1_500usize;
-    for t in &stream[..cut] {
-        let _ = c.push(t.clone());
-    }
-    assert!(c.reader_eviction_count() > 0);
-    let snapshot = c.checkpoint();
-    let in_snapshot = snapshot.reader_evictions();
-    assert!(
-        !in_snapshot.is_empty(),
-        "the snapshot must carry the qualified-certificate markers"
-    );
-    assert_eq!(in_snapshot, c.reader_evictions());
-
-    // The restored state carries the markers: markers and count are
-    // visible at once, not only after the next sweep.
-    let mut resumed = IncrementalChecker::resume(snapshot);
-    assert_eq!(resumed.reader_evictions(), c.reader_evictions());
-    assert_eq!(resumed.reader_eviction_count(), c.reader_eviction_count());
-    for t in &stream[cut..] {
-        let _ = resumed.push(t.clone());
-    }
-    assert!(resumed.reader_eviction_count() >= c.reader_eviction_count());
-    assert!(resumed.finish().unwrap().is_satisfied());
-}
-
-/// Markers must outlive the capped version: once readers are evicted, the
-/// potentially lost RW edges stay lost even after the version itself is
-/// overwritten and retired, so retiring it must not un-qualify the
-/// certificate or shrink the cumulative count.
-#[test]
-fn reader_eviction_markers_outlive_the_capped_version() {
-    let mut c = IncrementalChecker::new(IsolationLevel::Serializability)
-        .with_init_keys(0..9u64)
-        .with_gc(GcPolicy {
-            window: 128,
-            every: 32,
-            reader_cap: 8,
-        });
-    // Phase 1: key 0 is hot and never written — its reader list gets capped.
-    for t in hot_key_stream(1_000, 8) {
+        .with_gc(GcPolicy { window, every });
+    let mut plain =
+        IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..9u64);
+    for t in hot_key_stream(4_000, 8) {
+        let _ = plain.push(t.clone());
         let _ = c.push(t);
     }
-    let evicted_hot = c.reader_eviction_count();
-    assert!(evicted_hot > 0);
-    // Phase 2: overwrite the hot key, then stream long past the window so
-    // the GC retires the capped initial version.
-    let _ = c.push(
-        Transaction::committed(
-            mtc::history::TxnId(0),
-            mtc::history::SessionId(0),
-            vec![Op::read(0u64, 0u64), Op::write(0u64, 900_000_001u64)],
-        )
-        .with_times(100_000, 100_001),
-    );
-    let mut last = 900_000_001u64;
-    for i in 0..1_000u64 {
-        let v = 900_000_002 + i;
-        let _ = c.push(
-            Transaction::committed(
-                mtc::history::TxnId(0),
-                mtc::history::SessionId((i % 4) as u32),
-                vec![Op::read(0u64, last), Op::write(0u64, v)],
-            )
-            .with_times(200_000 + 10 * i, 200_005 + 10 * i),
-        );
-        last = v;
-    }
+    let longest = c.max_reader_list_len();
     assert!(
-        c.reader_eviction_count() >= evicted_hot,
-        "the cumulative eviction count must be monotone across version \
-         retirement ({} -> {})",
-        evicted_hot,
-        c.reader_eviction_count()
+        longest > 128,
+        "the hot key's reader list must accumulate toward the window \
+         between sweeps (got {longest})"
     );
     assert!(
-        c.reader_evictions()
-            .iter()
-            .any(|e| e.key == mtc::history::Key(0)),
-        "the marker must survive the retirement of the version it qualifies"
+        longest <= window + every,
+        "a sweep trims reader lists to the window, so none outgrows \
+         window + every = {} (got {longest})",
+        window + every
     );
-    assert!(c.finish().unwrap().is_satisfied());
+    assert!(
+        plain.max_reader_list_len() > window + every,
+        "without a GC the list keeps every reader"
+    );
+    let verdict = c.finish().unwrap();
+    assert_eq!(verdict, plain.finish().unwrap());
+    assert!(verdict.is_satisfied());
 }

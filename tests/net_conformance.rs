@@ -291,7 +291,6 @@ fn server_death_mid_stream_keeps_the_recorded_history_verifiable() {
     let opts = NetOptions {
         op_timeout: Duration::from_millis(500),
         connect_timeout: Duration::from_millis(500),
-        ..NetOptions::default()
     };
     let remote = NetBackend::connect_with(server.addr(), opts).unwrap();
 

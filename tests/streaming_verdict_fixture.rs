@@ -44,7 +44,6 @@ const LEVELS: [(&str, IsolationLevel); 3] = [
 const GC: GcPolicy = GcPolicy {
     window: 24,
     every: 8,
-    reader_cap: 2,
 };
 
 struct XorShift(u64);
