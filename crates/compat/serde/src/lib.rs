@@ -23,15 +23,26 @@
 //! rely on all of it without checking:
 //!
 //! * **One value per `emit`.** A call sends one scalar event, or one
-//!   `begin_array` … `end_array` / `begin_object` … `end_object` bracket
-//!   with everything inside it — never nothing, never two values.
+//!   `begin_*` … `end_*` bracket with everything inside it — never nothing,
+//!   never two values. A unit variant is a scalar event.
 //! * **Lengths are exact and trusted.** `begin_array(len)` is followed by
-//!   exactly `len` values and `begin_object(len)` by exactly `len`
-//!   key-then-value pairs. The binary form writes the length as a prefix and
-//!   cannot go back, so an impl that does not know its length up front
-//!   counts first. (The tree builder checks the count in debug builds.)
-//! * **Keys before values.** Inside an object every value is preceded by one
-//!   `key` call; `key` is called nowhere else.
+//!   exactly `len` values, `begin_object(len)` by exactly `len`
+//!   key-then-value pairs, `begin_struct(len)` by exactly `len`
+//!   field-then-value pairs and `begin_variant` by exactly one value. The
+//!   binary form writes the length as a prefix and cannot go back, so an
+//!   impl that does not know its length up front counts first. (The tree
+//!   builder checks the count in debug builds.)
+//! * **Names before values.** Inside an object every value is preceded by
+//!   one `key` call, inside a struct by one `field` call; neither is called
+//!   anywhere else.
+//!
+//! A struct and an enum variant are events of their own, so each sink picks
+//! its spelling. The provided defaults spell them as named: a struct as an
+//! object of its fields, a unit variant as its name, any other variant as
+//! a single-key object — which is what [`Serialize::to_json_value`], and so
+//! JSON text, gets. `mtc_store::binval` spells them by position: a struct as
+//! an array of its fields in declaration order, a variant by its index in
+//! declaration order.
 //!
 //! ## The source contract
 //!
@@ -55,18 +66,20 @@
 //! * **Strings and keys are on loan**, until the next call on the source.
 //!
 //! How the derived impls (and the ones written by hand) read the shapes the
-//! derive writes:
+//! derive writes — each in both spellings, told apart by the head:
 //!
-//! * a **struct** from an object, in one pass over its keys: fields in any
-//!   order; an unknown key is skipped; of duplicate keys the first wins (as
+//! * a **struct** from an array of exactly its fields, in declaration order;
+//!   or from an object, in one pass over its keys: fields in any order; an
+//!   unknown key is skipped; of duplicate keys the first wins (as
 //!   [`JsonValue::get`] finds it); a field that never came is an error, an
-//!   `Option` field too; a `#[serde(skip)]` field is `Default`;
+//!   `Option` field too. A `#[serde(skip)]` field is `Default` either way;
 //! * a **newtype** as its content; a wider **tuple** (struct or not) from
 //!   the first elements of an array, which may run longer but not shorter; a
 //!   **unit struct** from any one value;
-//! * an **enum** externally tagged: a bare string for a unit variant, a
-//!   single-key object otherwise — which a unit variant tolerates too,
-//!   whatever it holds;
+//! * an **enum** by index — an unsigned integer for a unit variant, an
+//!   `[index, payload]` pair otherwise — or externally tagged: a bare string
+//!   for a unit variant, a single-key object otherwise. A unit variant
+//!   tolerates the payload form too, whatever it holds;
 //! * integers from either integer head if they fit, floats from any number,
 //!   `Option` with `null` for `None`, a map from an array of pairs (a later
 //!   duplicate overwrites).
@@ -231,6 +244,37 @@ pub trait Emitter {
     fn key(&mut self, k: &str);
     /// Closes the innermost object.
     fn end_object(&mut self);
+
+    /// Opens a struct of exactly `len` fields; by default, an object.
+    fn begin_struct(&mut self, len: usize) {
+        self.begin_object(len);
+    }
+    /// The name of the next field of the innermost struct; by default, its
+    /// key.
+    fn field(&mut self, name: &'static str) {
+        self.key(name);
+    }
+    /// Closes the innermost struct.
+    fn end_struct(&mut self) {
+        self.end_object();
+    }
+    /// A variant without payload, the `index`th of its enum; by default, its
+    /// name.
+    fn unit_variant(&mut self, index: u32, name: &'static str) {
+        let _ = index;
+        self.str(name);
+    }
+    /// Opens the `index`th variant of an enum, whose payload — exactly one
+    /// value — follows; by default, a single-key object.
+    fn begin_variant(&mut self, index: u32, name: &'static str) {
+        let _ = index;
+        self.begin_object(1);
+        self.key(name);
+    }
+    /// Closes the innermost variant.
+    fn end_variant(&mut self) {
+        self.end_object();
+    }
 }
 
 /// Types that can describe themselves to an [`Emitter`].
@@ -875,33 +919,37 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 
 impl Serialize for std::time::Duration {
     fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
-        out.begin_object(2);
-        out.key("secs");
+        out.begin_struct(2);
+        out.field("secs");
         out.u64(self.as_secs());
-        out.key("nanos");
+        out.field("nanos");
         out.u64(u64::from(self.subsec_nanos()));
-        out.end_object();
+        out.end_struct();
     }
 }
 
 impl Deserialize for std::time::Duration {
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error> {
-        // The shape a derived `struct { secs: u64, nanos: u32 }` reads.
-        let Head::Object(len) = src.next()? else {
-            return Err(Error::expected("object", "Duration"));
-        };
-        let (mut secs, mut nanos) = (None, None);
-        for _ in 0..len {
-            match src.key()? {
-                "secs" if secs.is_none() => secs = Some(u64::pull(src)?),
-                "nanos" if nanos.is_none() => nanos = Some(u32::pull(src)?),
-                _ => src.skip()?,
+        // The shapes a derived `struct { secs: u64, nanos: u32 }` reads.
+        let (secs, nanos) = match src.next()? {
+            Head::Array(2) => (u64::pull(src)?, u32::pull(src)?),
+            Head::Object(len) => {
+                let (mut secs, mut nanos) = (None, None);
+                for _ in 0..len {
+                    match src.key()? {
+                        "secs" if secs.is_none() => secs = Some(u64::pull(src)?),
+                        "nanos" if nanos.is_none() => nanos = Some(u32::pull(src)?),
+                        _ => src.skip()?,
+                    }
+                }
+                (
+                    secs.ok_or_else(|| Error::missing_field("Duration", "secs"))?,
+                    nanos.ok_or_else(|| Error::missing_field("Duration", "nanos"))?,
+                )
             }
-        }
-        Ok(std::time::Duration::new(
-            secs.ok_or_else(|| Error::missing_field("Duration", "secs"))?,
-            nanos.ok_or_else(|| Error::missing_field("Duration", "nanos"))?,
-        ))
+            _ => return Err(Error::expected("array of 2 fields or object", "Duration")),
+        };
+        Ok(std::time::Duration::new(secs, nanos))
     }
 }
 

@@ -1,9 +1,12 @@
-//! One literal expected [`JsonValue`] per shape the derive and the container
-//! impls support. The literals were written against the tree-returning
-//! `Serialize` of PR 21 and have not moved: whatever a type's `emit` sends to
-//! a sink, the tree built from it is the tree the old derive built — and the
-//! bytes streamed straight out are the bytes of that tree. One rule moved
-//! since: a `HashMap` is written in key order, not in its iteration order.
+//! Two literal expected [`JsonValue`]s per shape the derive and the
+//! container impls support. The named one was written against the
+//! tree-returning `Serialize` of an early build and has not moved: whatever a type's
+//! `emit` sends to a sink, the tree built from it is the tree the old derive
+//! built. One rule moved since: a `HashMap` is written in key order, not in
+//! its iteration order. The positional one is what the bytes streamed
+//! straight out hold — the same tree with every struct an array of its
+//! fields and every variant its index — and the bytes of the named tree,
+//! which older builds wrote, read back to the same value.
 
 use serde::{Deserialize, JsonValue, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -74,18 +77,33 @@ struct Maps {
     initial: char,
 }
 
-/// `expected` is what `value` serializes to, `value` is what it reads back
-/// as, and streaming `value` writes the bytes of that tree.
-fn holds<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: &T, expected: JsonValue) {
-    assert_eq!(value.to_json_value(), expected, "tree of {value:?}");
-    assert_eq!(&T::from_json_value(&expected).unwrap(), value);
+/// `named` is what `value` serializes to as a tree, `positional` the tree
+/// of the bytes streaming `value` writes, and `value` is what each of them
+/// reads back as — from the tree and from its bytes.
+fn holds<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+    value: &T,
+    named: JsonValue,
+    positional: JsonValue,
+) {
+    assert_eq!(value.to_json_value(), named, "tree of {value:?}");
     assert_eq!(
         mtc_store::to_bytes(value),
-        mtc_store::to_bytes(&expected),
+        mtc_store::to_bytes(&positional),
         "streamed bytes of {value:?}"
     );
-    let back: T = mtc_store::from_bytes(&mtc_store::to_bytes(value)).unwrap();
-    assert_eq!(&back, value);
+    for tree in [&named, &positional] {
+        assert_eq!(&T::from_json_value(tree).unwrap(), value, "{tree:?}");
+        let back: T = mtc_store::from_bytes(&mtc_store::to_bytes(tree)).unwrap();
+        assert_eq!(&back, value, "bytes of {tree:?}");
+    }
+}
+
+/// [`holds`] of a value whose two spellings are the same tree.
+fn holds_alike<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+    value: &T,
+    tree: JsonValue,
+) {
+    holds(value, tree.clone(), tree);
 }
 
 #[test]
@@ -103,6 +121,7 @@ fn structs_serialize_to_their_documented_shapes() {
             ("label", s("héllo")),
             ("delta", I64(-3)),
         ]),
+        arr(vec![U64(7), s("héllo"), I64(-3)]),
     );
     // A skipped field is neither written nor expected.
     let dirty = Named {
@@ -112,22 +131,27 @@ fn structs_serialize_to_their_documented_shapes() {
     assert_eq!(dirty.to_json_value(), named.to_json_value());
     assert_eq!(mtc_store::to_bytes(&dirty), mtc_store::to_bytes(&named));
 
-    holds(&Newtype(u64::MAX), U64(u64::MAX));
-    holds(&Pair(9, "p".to_string()), arr(vec![U64(9), s("p")]));
-    holds(
+    holds_alike(&Newtype(u64::MAX), U64(u64::MAX));
+    holds_alike(&Pair(9, "p".to_string()), arr(vec![U64(9), s("p")]));
+    holds_alike(
         &Triple(1, Newtype(2), true),
         arr(vec![U64(1), U64(2), JsonValue::Bool(true)]),
     );
-    holds(&Unit, Null);
+    holds_alike(&Unit, Null);
 }
 
 #[test]
 fn enum_variants_are_externally_tagged() {
-    holds(&Shape::Unit, s("Unit"));
-    holds(&Shape::Newtype(Newtype(5)), obj(vec![("Newtype", U64(5))]));
+    holds(&Shape::Unit, s("Unit"), U64(0));
+    holds(
+        &Shape::Newtype(Newtype(5)),
+        obj(vec![("Newtype", U64(5))]),
+        arr(vec![U64(1), U64(5)]),
+    );
     holds(
         &Shape::Tuple(4, "t".to_string(), Unit),
         obj(vec![("Tuple", arr(vec![U64(4), s("t"), Null]))]),
+        arr(vec![U64(2), arr(vec![U64(4), s("t"), Null])]),
     );
     holds(
         &Shape::Struct {
@@ -138,6 +162,7 @@ fn enum_variants_are_externally_tagged() {
             "Struct",
             obj(vec![("out", U64(8)), ("inner", arr(vec![U64(1), s("")]))]),
         )]),
+        arr(vec![U64(3), arr(vec![U64(8), arr(vec![U64(1), s("")])])]),
     );
 }
 
@@ -163,6 +188,12 @@ fn containers_nest() {
             ),
             ("signed", arr(vec![I64(-1), U64(0), U64(i32::MAX as u64)])),
         ]),
+        arr(vec![
+            arr(vec![arr(vec![U64(1), s("a")]), arr(vec![U64(2), s("b")])]),
+            Null,
+            arr(vec![U64(0), arr(vec![U64(1), U64(0)])]),
+            arr(vec![I64(-1), U64(0), U64(i32::MAX as u64)]),
+        ]),
     );
     let empty = Nested {
         rows: Some(Vec::new()),
@@ -178,6 +209,7 @@ fn containers_nest() {
             ("shapes", arr(vec![])),
             ("signed", arr(vec![])),
         ]),
+        arr(vec![arr(vec![]), Null, arr(vec![]), arr(vec![])]),
     );
     // Arrays, slices and borrows only serialize.
     let fixed = [-1i8, 0, 1];
@@ -216,6 +248,16 @@ fn maps_are_arrays_of_pairs_in_key_order() {
             ("ratio", F64(-0.25)),
             ("initial", s("é")),
         ]),
+        arr(vec![
+            arr(vec![arr(vec![U64(1), U64(10)]), arr(vec![U64(3), U64(30)])]),
+            arr(vec![
+                arr(vec![s("a"), arr(vec![])]),
+                arr(vec![s("b"), arr(vec![U64(2)])]),
+            ]),
+            arr(vec![U64(2), U64(500)]),
+            F64(-0.25),
+            s("é"),
+        ]),
     );
     // Several entries: one byte string, whatever order they went in, however
     // large the table, and the one a `BTreeMap` of them writes.
@@ -227,9 +269,9 @@ fn maps_are_arrays_of_pairs_in_key_order() {
     let expected = arr((0..40u64)
         .map(|i| arr(vec![U64(i), s(&format!("v{i}"))]))
         .collect());
-    holds(&upward, expected.clone());
-    holds(&downward, expected.clone());
-    holds(&ordered, expected);
+    holds_alike(&upward, expected.clone());
+    holds_alike(&downward, expected.clone());
+    holds_alike(&ordered, expected);
     let bytes = mtc_store::to_bytes(&upward);
     assert_eq!(mtc_store::to_bytes(&downward), bytes);
     assert_eq!(mtc_store::to_bytes(&ordered), bytes);
@@ -259,19 +301,20 @@ fn skip_holds_both_directions_inside_a_struct_variant() {
         "Held",
         obj(vec![("kept", U64(1)), ("also", JsonValue::Bool(true))]),
     )]);
+    let positional = arr(vec![U64(1), arr(vec![U64(1), JsonValue::Bool(true)])]);
     assert_eq!(held.to_json_value(), expected);
-    assert_eq!(mtc_store::to_bytes(&held), mtc_store::to_bytes(&expected));
+    assert_eq!(mtc_store::to_bytes(&held), mtc_store::to_bytes(&positional));
     let clean = Skipping::Held {
         kept: 1,
         scratch: Vec::new(),
         also: true,
     };
-    assert_eq!(Skipping::from_json_value(&expected).unwrap(), clean);
+    holds(&clean, expected, positional);
     assert_eq!(
         mtc_store::from_bytes::<Skipping>(&mtc_store::to_bytes(&held)).unwrap(),
         clean
     );
-    holds(&Skipping::Plain, s("Plain"));
+    holds(&Skipping::Plain, s("Plain"), U64(0));
 }
 
 // ── the read direction ──────────────────────────────────────────────────────
@@ -329,7 +372,6 @@ fn a_struct_reads_its_keys_in_any_order_skips_strangers_and_keeps_the_first_dupl
     assert_eq!(reads::<Named>(duplicated), Ok(named));
     let missing = obj(vec![("id", U64(7)), ("delta", I64(-3))]);
     assert!(reads::<Named>(missing).unwrap_err().contains("`label`"));
-    assert!(reads::<Named>(arr(vec![U64(7), s("l"), I64(-3)])).is_err());
     // Struct variants read by the same rules.
     let held = obj(vec![(
         "Held",
@@ -417,8 +459,137 @@ fn enums_read_a_bare_tag_or_a_single_key_object() {
         .contains("`Nope`"));
     assert!(reads::<Shape>(obj(vec![])).is_err());
     assert!(reads::<Shape>(obj(vec![("Unit", Null), ("Unit", Null)])).is_err());
-    assert!(reads::<Shape>(U64(0)).is_err());
     assert!(reads::<Shape>(arr(vec![s("Unit")])).is_err());
+}
+
+#[test]
+fn structs_read_their_fields_in_declaration_order_and_exactly_that_many() {
+    let named = Named {
+        id: 7,
+        scratch: Vec::new(),
+        label: "l".to_string(),
+        delta: -3,
+    };
+    assert_eq!(
+        reads::<Named>(arr(vec![U64(7), s("l"), I64(-3)])),
+        Ok(named)
+    );
+    // The skipped field takes no place; one field too few or too many is a
+    // refusal, and so is a field of the wrong type where it stands.
+    for misfit in [
+        arr(vec![U64(7), s("l")]),
+        arr(vec![U64(7), s("l"), I64(-3), Null]),
+        arr(vec![U64(7), arr(vec![]), s("l"), I64(-3)]),
+        arr(vec![s("l"), U64(7), I64(-3)]),
+        arr(vec![]),
+    ] {
+        assert!(reads::<Named>(misfit.clone()).is_err(), "{misfit:?}");
+    }
+    assert!(reads::<Named>(arr(vec![U64(7)]))
+        .unwrap_err()
+        .contains("array of 3 fields"));
+    assert!(reads::<Named>(U64(7)).is_err());
+    // A struct variant's payload too.
+    assert_eq!(
+        reads::<Skipping>(arr(vec![U64(1), arr(vec![U64(1), JsonValue::Bool(false)])])),
+        Ok(Skipping::Held {
+            kept: 1,
+            scratch: Vec::new(),
+            also: false
+        })
+    );
+    assert!(reads::<Skipping>(arr(vec![U64(1), arr(vec![U64(1)])])).is_err());
+}
+
+#[test]
+fn enums_read_a_variant_index_or_an_index_and_payload_pair() {
+    assert_eq!(reads::<Shape>(U64(0)), Ok(Shape::Unit));
+    // A unit variant tolerates the payload form, whatever it holds.
+    assert_eq!(
+        reads::<Shape>(arr(vec![U64(0), obj(vec![("x", Null)])])),
+        Ok(Shape::Unit)
+    );
+    assert_eq!(
+        reads::<Shape>(arr(vec![U64(1), U64(9)])),
+        Ok(Shape::Newtype(Newtype(9)))
+    );
+    // A payload variant is no bare index; an index past the enum is unknown,
+    // bare or paired; the index is a number and the pair a pair.
+    assert!(reads::<Shape>(U64(1))
+        .unwrap_err()
+        .contains("unknown variant `1`"));
+    assert!(reads::<Shape>(U64(4))
+        .unwrap_err()
+        .contains("unknown variant `4`"));
+    assert!(reads::<Shape>(arr(vec![U64(4), Null]))
+        .unwrap_err()
+        .contains("unknown variant `4`"));
+    assert!(reads::<Shape>(U64(u64::MAX)).is_err());
+    assert!(reads::<Shape>(I64(-1)).is_err());
+    assert!(reads::<Shape>(arr(vec![s("Unit"), Null])).is_err());
+    assert!(reads::<Shape>(arr(vec![U64(1)])).is_err());
+    assert!(reads::<Shape>(arr(vec![U64(1), U64(9), Null])).is_err());
+    assert!(reads::<Shape>(arr(vec![U64(2), arr(vec![U64(4)])])).is_err());
+}
+
+/// Whatever the bytes of a positional value turn into — a field count, an
+/// index or a head that is not what the type reads — the reader refuses it
+/// as a value of the wrong shape, never as a panic.
+#[test]
+fn positional_misfits_in_bytes_are_serde_errors() {
+    let value = Nested {
+        rows: Some(vec![(1, "a".to_string())]),
+        none: None,
+        shapes: vec![
+            Shape::Unit,
+            Shape::Struct {
+                out: 3,
+                inner: Pair(4, "b".to_string()),
+            },
+        ],
+        signed: vec![-1],
+    };
+    let good = mtc_store::to_bytes(&value);
+    let tree = mtc_store::from_bytes::<JsonValue>(&good).unwrap();
+    let JsonValue::Array(fields) = &tree else {
+        panic!("a struct is an array")
+    };
+    let mut misfits = vec![
+        // One field short, and one too many.
+        arr(fields[..3].to_vec()),
+        arr([fields.clone(), vec![Null]].concat()),
+        // An array where the scalar of `none` belongs.
+        arr([
+            fields[..1].to_vec(),
+            vec![arr(vec![U64(1)])],
+            fields[2..].to_vec(),
+        ]
+        .concat()),
+        // A variant index past the enum, bare and paired.
+        arr([
+            fields[..2].to_vec(),
+            vec![arr(vec![U64(9)])],
+            fields[3..].to_vec(),
+        ]
+        .concat()),
+        arr([
+            fields[..2].to_vec(),
+            vec![arr(vec![arr(vec![U64(9), Null])])],
+            fields[3..].to_vec(),
+        ]
+        .concat()),
+    ];
+    // An array where a number belongs, anywhere in `signed`.
+    misfits.push(arr(
+        [fields[..3].to_vec(), vec![arr(vec![arr(vec![])])]].concat()
+    ));
+    for misfit in misfits {
+        match mtc_store::from_bytes::<Nested>(&mtc_store::to_bytes(&misfit)) {
+            Err(mtc_store::StoreError::Serde(_)) => {}
+            other => panic!("{misfit:?} read as {other:?}"),
+        }
+    }
+    assert_eq!(mtc_store::from_bytes::<Nested>(&good).unwrap(), value);
 }
 
 #[test]

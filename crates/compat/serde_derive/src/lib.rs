@@ -10,8 +10,12 @@
 //! * tuple structs (newtypes serialize transparently, wider tuples as
 //!   arrays),
 //! * unit structs,
-//! * enums with unit, newtype, tuple and struct variants (externally tagged,
-//!   matching serde's default representation).
+//! * enums with unit, newtype, tuple and struct variants.
+//!
+//! A struct and a variant are written as events of their own
+//! (`begin_struct` / `field`, `unit_variant` / `begin_variant`), which a
+//! sink spells by name — serde's default, externally tagged representation —
+//! or by position; and read back from either spelling.
 //!
 //! Generic type parameters are not supported; deriving on a generic item
 //! produces a compile error naming this limitation.
@@ -283,17 +287,17 @@ fn emit_of(value: &str) -> String {
     format!("::serde::Serialize::emit({value}, __out);\n")
 }
 
-/// An object of the non-skipped `fs`, in declaration order; `access` turns a
+/// A struct of the non-skipped `fs`, in declaration order; `access` turns a
 /// field name into the expression borrowing it. Field names are literals
-/// handed to `key`, never allocated.
+/// handed to `field`, never allocated.
 fn emit_named(fs: &[NamedField], access: impl Fn(&str) -> String) -> String {
     let kept: Vec<&NamedField> = fs.iter().filter(|f| !f.skip).collect();
-    let mut body = format!("__out.begin_object({});\n", kept.len());
+    let mut body = format!("__out.begin_struct({});\n", kept.len());
     for f in kept {
-        body.push_str(&format!("__out.key({:?});\n", f.name));
+        body.push_str(&format!("__out.field({:?});\n", f.name));
         body.push_str(&emit_of(&access(&f.name)));
     }
-    body + "__out.end_object();\n"
+    body + "__out.end_struct();\n"
 }
 
 /// One value transparently, several as an array.
@@ -316,18 +320,20 @@ fn gen_serialize(item: &Item) -> String {
             (name, body)
         }
         Item::Enum { name, variants } => {
-            // Externally tagged: `"V"` for a unit variant, `{"V": payload}`
-            // for the rest.
+            // A variant is its index and its name; the sink picks which to
+            // write.
             let mut arms = String::new();
-            for v in variants {
+            for (index, v) in variants.iter().enumerate() {
                 let vn = &v.name;
                 let tagged = |pattern: String, payload: String| {
                     format!(
-                        "{name}::{vn}{pattern} => {{\n__out.begin_object(1);\n__out.key({vn:?});\n{payload}__out.end_object();\n}}\n"
+                        "{name}::{vn}{pattern} => {{\n__out.begin_variant({index}, {vn:?});\n{payload}__out.end_variant();\n}}\n"
                     )
                 };
                 arms.push_str(&match &v.fields {
-                    Fields::Unit => format!("{name}::{vn} => __out.str({vn:?}),\n"),
+                    Fields::Unit => {
+                        format!("{name}::{vn} => __out.unit_variant({index}, {vn:?}),\n")
+                    }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
                         tagged(
@@ -358,21 +364,28 @@ fn gen_serialize(item: &Item) -> String {
 /// `pull` of one value from the source the generated method names `__src`.
 const PULL: &str = "::serde::Deserialize::pull(__src)?";
 
-/// Reads an object into `path { … }`, in one pass over its keys: fields in
-/// any order, the first of duplicate keys wins, unknown keys are skipped
-/// (and validated), a field that never came is `missing_field` and a
-/// `#[serde(skip)]` field is `Default`. Keys are compared as `&str`, never
-/// allocated.
+/// Reads a struct into `path { … }`, from either spelling. By position: an
+/// array of exactly the non-skipped fields, in declaration order. By name:
+/// an object, in one pass over its keys — fields in any order, the first of
+/// duplicate keys wins, unknown keys are skipped (and validated), a field
+/// that never came is `missing_field`; keys are compared as `&str`, never
+/// allocated. A `#[serde(skip)]` field is `Default` either way.
 fn pull_named(ty: &str, path: &str, fs: &[NamedField]) -> String {
     let mut slots = String::new();
     let mut arms = String::new();
     let mut inits = String::new();
+    let mut positional = String::new();
+    let mut kept = 0usize;
     for f in fs {
         let field = &f.name;
         if f.skip {
-            inits.push_str(&format!("{field}: ::std::default::Default::default(),\n"));
+            let default = format!("{field}: ::std::default::Default::default(),\n");
+            inits.push_str(&default);
+            positional.push_str(&default);
             continue;
         }
+        kept += 1;
+        positional.push_str(&format!("{field}: {PULL},\n"));
         slots.push_str(&format!(
             "let mut __f_{field} = ::std::option::Option::None;\n"
         ));
@@ -383,8 +396,9 @@ fn pull_named(ty: &str, path: &str, fs: &[NamedField]) -> String {
             "{field}: __f_{field}.ok_or_else(|| ::serde::Error::missing_field({ty:?}, {field:?}))?,\n"
         ));
     }
+    let count = format!("array of {kept} fields");
     format!(
-        "match ::serde::Source::next(__src)? {{\n ::serde::Head::Object(__len) => {{\n{slots}for _ in 0..__len {{\n match ::serde::Source::key(__src)? {{\n{arms} _ => ::serde::Source::skip(__src)?,\n }}\n }}\n Ok({path} {{ {inits} }})\n }}\n _ => Err(::serde::Error::expected(\"object\", {ty:?})),\n}}"
+        "match ::serde::Source::next(__src)? {{\n ::serde::Head::Array({kept}) => Ok({path} {{ {positional} }}),\n ::serde::Head::Array(_) => Err(::serde::Error::expected({count:?}, {ty:?})),\n ::serde::Head::Object(__len) => {{\n{slots}for _ in 0..__len {{\n match ::serde::Source::key(__src)? {{\n{arms} _ => ::serde::Source::skip(__src)?,\n }}\n }}\n Ok({path} {{ {inits} }})\n }}\n _ => Err(::serde::Error::expected(\"array or object\", {ty:?})),\n}}"
     )
 }
 
@@ -412,25 +426,35 @@ fn gen_deserialize(item: &Item) -> String {
             (name, body)
         }
         Item::Enum { name, variants } => {
-            // Externally tagged: `"V"` for a unit variant — `{"V": anything}`
-            // is tolerated for one too — and `{"V": payload}` for the rest.
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for v in variants {
+            // By index: `i` for a unit variant, `[i, payload]` for the rest.
+            // By name: `"V"` for a unit variant, `{"V": payload}` for the
+            // rest. A unit variant tolerates the payload form, whatever the
+            // payload holds.
+            let (mut unit_indices, mut unit_names) = (String::new(), String::new());
+            let (mut indices, mut payloads) = (String::new(), String::new());
+            for (index, v) in variants.iter().enumerate() {
                 let vn = &v.name;
                 let path = format!("{name}::{vn}");
                 let payload = match &v.fields {
                     Fields::Unit => {
-                        unit_arms.push_str(&format!("{vn:?} => Ok({path}),\n"));
+                        unit_indices.push_str(&format!("{index} => Ok({path}),\n"));
+                        unit_names.push_str(&format!("{vn:?} => Ok({path}),\n"));
                         format!("{{ ::serde::Source::skip(__src)?; Ok({path}) }}")
                     }
                     Fields::Tuple(n) => pull_tuple(name, &path, *n),
                     Fields::Named(fs) => pull_named(name, &path, fs),
                 };
-                tagged_arms.push_str(&format!("{vn:?} => {payload},\n"));
+                indices.push_str(&format!("{vn:?} => {index}u64,\n"));
+                payloads.push_str(&format!("{index} => {payload},\n"));
             }
+            let unknown_index =
+                format!("__i => Err(::serde::Error::unknown_variant({name:?}, &__i.to_string())),");
+            let unknown_name =
+                format!("__tag => Err(::serde::Error::unknown_variant({name:?}, __tag)),");
+            // A payload variant is read in one place, whichever way its
+            // head named it.
             let body = format!(
-                "match ::serde::Source::next(__src)? {{\n ::serde::Head::Str(__tag) => match __tag {{\n{unit_arms} __other => Err(::serde::Error::unknown_variant({name:?}, __other)),\n }},\n ::serde::Head::Object(1) => {{\n let __tag = ::serde::Source::key(__src)?;\n match __tag {{\n{tagged_arms} __other => Err(::serde::Error::unknown_variant({name:?}, __other)),\n }}\n }}\n _ => Err(::serde::Error::expected(\"string or single-key object\", {name:?})),\n}}"
+                "let __i = match ::serde::Source::next(__src)? {{\n ::serde::Head::U64(__i) => return match __i {{\n{unit_indices} {unknown_index}\n }},\n ::serde::Head::Str(__tag) => return match __tag {{\n{unit_names} {unknown_name}\n }},\n ::serde::Head::Array(2) => <u64 as ::serde::Deserialize>::pull(__src)?,\n ::serde::Head::Object(1) => match ::serde::Source::key(__src)? {{\n{indices} __tag => return Err(::serde::Error::unknown_variant({name:?}, __tag)),\n }},\n _ => return Err(::serde::Error::expected(\"variant index, string or single-key object\", {name:?})),\n}};\nmatch __i {{\n{payloads} {unknown_index}\n}}"
             );
             (name, body)
         }

@@ -108,49 +108,69 @@ impl<V: Serialize> Serialize for TxnMap<V> {
     fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
         let mut entries: Vec<(u32, &V)> = self.iter().map(|(t, v)| (t.0, v)).collect();
         entries.sort_unstable_by_key(|&(t, _)| t);
-        out.begin_object(2);
-        out.key("base");
+        out.begin_struct(2);
+        out.field("base");
         self.base.emit(out);
-        out.key("entries");
+        out.field("entries");
         entries.emit(out);
-        out.end_object();
+        out.end_struct();
     }
 }
 
 impl<V: Deserialize> Deserialize for TxnMap<V> {
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
-        let Head::Object(len) = src.next()? else {
-            return Err(serde::Error::expected("object", "TxnMap"));
-        };
-        let (mut base, mut entries) = (None, None);
-        for _ in 0..len {
-            match src.key()? {
-                "base" if base.is_none() => base = Some(u32::pull(src)?),
-                "entries" if entries.is_none() => {
-                    let Head::Array(pairs) = src.next()? else {
-                        return Err(serde::Error::expected("entries array", "TxnMap"));
-                    };
-                    // Straight into the map: there is no list of pairs to
-                    // build first. `base` is written ahead of them; had it
-                    // come behind, the `rebase` below moves the window.
-                    let mut map = TxnMap {
-                        base: base.unwrap_or(0),
-                        ..TxnMap::default()
-                    };
-                    for _ in 0..pairs {
-                        let Head::Array(2) = src.next()? else {
-                            return Err(serde::Error::expected("[txn, value] pair", "TxnMap"));
-                        };
-                        map.insert(TxnId(u32::pull(src)?), V::pull(src)?);
-                    }
-                    entries = Some(map);
-                }
-                _ => src.skip()?,
+        let (base, mut map) = match src.next()? {
+            Head::Array(2) => {
+                let base = u32::pull(src)?;
+                (base, Self::pull_entries(src, base)?)
             }
-        }
-        let base = base.ok_or_else(|| serde::Error::missing_field("TxnMap", "base"))?;
-        let mut map = entries.ok_or_else(|| serde::Error::missing_field("TxnMap", "entries"))?;
+            Head::Object(len) => {
+                let (mut base, mut entries) = (None, None);
+                for _ in 0..len {
+                    match src.key()? {
+                        "base" if base.is_none() => base = Some(u32::pull(src)?),
+                        "entries" if entries.is_none() => {
+                            entries = Some(Self::pull_entries(src, base.unwrap_or(0))?)
+                        }
+                        _ => src.skip()?,
+                    }
+                }
+                (
+                    base.ok_or_else(|| serde::Error::missing_field("TxnMap", "base"))?,
+                    entries.ok_or_else(|| serde::Error::missing_field("TxnMap", "entries"))?,
+                )
+            }
+            _ => {
+                return Err(serde::Error::expected(
+                    "array of 2 fields or object",
+                    "TxnMap",
+                ))
+            }
+        };
         map.rebase(base);
+        Ok(map)
+    }
+}
+
+impl<V: Deserialize> TxnMap<V> {
+    /// The `entries` field, straight into a map whose window starts at
+    /// `base`: there is no list of pairs to build first. `base` is written
+    /// ahead of them; had it come behind, the caller's `rebase` moves the
+    /// window.
+    fn pull_entries<S: Source + ?Sized>(src: &mut S, base: u32) -> Result<Self, serde::Error> {
+        let Head::Array(pairs) = src.next()? else {
+            return Err(serde::Error::expected("entries array", "TxnMap"));
+        };
+        let mut map = TxnMap {
+            base,
+            ..TxnMap::default()
+        };
+        for _ in 0..pairs {
+            let Head::Array(2) = src.next()? else {
+                return Err(serde::Error::expected("[txn, value] pair", "TxnMap"));
+            };
+            map.insert(TxnId(u32::pull(src)?), V::pull(src)?);
+        }
         Ok(map)
     }
 }

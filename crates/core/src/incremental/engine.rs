@@ -5,7 +5,6 @@
 
 use super::arena::{ProvMap, TxnMap};
 use super::gc::GcPolicy;
-use super::snapshot::OptionsSlot;
 use super::{keep_lowest, Findings};
 use crate::check::IsolationLevel;
 use crate::mini::validate_shape;
@@ -40,8 +39,6 @@ pub(super) struct TxnMeta {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct Engine {
     pub(super) level: IsolationLevel,
-    /// Carried for the snapshot format only (see [`OptionsSlot`]).
-    pub(super) opts: OptionsSlot,
     pub(super) graph: DependencyGraph,
     /// SER: maintained over *all* edges. SSER: additionally contains the
     /// time-chain nodes and the begin/end hook edges.
@@ -99,7 +96,6 @@ impl Engine {
     pub(super) fn new(level: IsolationLevel) -> Self {
         Engine {
             level,
-            opts: OptionsSlot::default(),
             graph: DependencyGraph::new(0),
             topo: IncrementalTopo::new(),
             composed: IncrementalTopo::new(),

@@ -5,6 +5,7 @@
 use super::engine::Engine;
 use crate::check::IsolationLevel;
 use mtc_history::{FastHashSet, TimeSlot, TxnId};
+use serde::{Deserialize, Serialize};
 
 /// Settled-prefix garbage collection policy for the streaming checkers.
 ///
@@ -29,7 +30,7 @@ use mtc_history::{FastHashSet, TimeSlot, TxnId};
 /// changes holds at most the readers of the last `window + every`
 /// transactions. That bounds the register state without dropping any
 /// in-window reader a later overwrite could turn into an `RW` edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcPolicy {
     /// Keep at least the most recent `window` transactions resident.
     pub window: usize,

@@ -4,7 +4,6 @@
 //! in key order, so how the maps lay their entries out in memory is never
 //! part of the format.
 
-use super::snapshot::EvictedSlot;
 use super::{keep_lowest, Findings};
 use crate::divergence::Divergence;
 use crate::mini::MtViolation;
@@ -80,8 +79,6 @@ pub(super) struct KeyState {
     /// version a well-behaved new reader is expected to observe. Stale
     /// versions (anything else, once old enough) are GC candidates.
     pub(super) latest: FastHashMap<Key, Value>,
-    /// Carried for the snapshot format only (see [`EvictedSlot`]).
-    evicted: EvictedSlot,
     /// The transaction being derived, per key — pure scratch, refilled by
     /// every [`KeyState::derive`], kept for its capacity.
     #[serde(skip)]

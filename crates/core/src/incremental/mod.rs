@@ -25,7 +25,7 @@
 //! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
 //! | `arena.rs` | `TxnMap`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` | `checker` only |
-//! | `snapshot.rs` | `CheckerSnapshot`, its version and the v5 slots nothing reads (`GcPolicy`'s serde) | `checker`; `mtc-store` through serde |
+//! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
 //!
 //! (`benchmark_leftovers.rs` holds two names the standalone `benchmark/`

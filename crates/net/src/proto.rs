@@ -40,8 +40,11 @@ use std::io::{Read, Write};
 /// `Hello` exchange rejects mismatched peers instead of misdecoding them.
 /// Version 2 added the verification-service role (`OpenTenant` / `Ingest` /
 /// `TenantStatus` / `CloseTenant` and their replies); version 3 transaction
-/// id `0` and the refusal rule (see the [module docs](self)).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// id `0` and the refusal rule (see the [module docs](self)); version 4 wrote
+/// envelopes by position — fields in declaration order, variants by index,
+/// no names. A server still reads a version 3 `Hello`, which spells its
+/// names, and answers it with the version mismatch.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// A client request, wrapped in a [`RequestEnvelope`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -139,9 +142,9 @@ pub enum Request {
     /// Scrape the server's metric registry ([`Reply::Metrics`]). Answered
     /// by both execution servers and service daemons; all-zero metrics
     /// with `enabled: false` mean the server never turned observability
-    /// on. Added without a version bump: the externally-tagged envelope
-    /// encoding makes added variants wire-compatible — an old server
-    /// answers an unknown tag with [`Reply::Error`], not a misdecode.
+    /// on. Added without a version bump: a variant added at the end of the
+    /// enum leaves every other index where it was, and an older server
+    /// refuses the index it does not know instead of misdecoding it.
     MetricsSnapshot,
 }
 

@@ -1,12 +1,19 @@
-//! The wire format, held from the sender's side: `tests/data/frames-pr21.bin`
+//! The wire format, held from the sender's side: `tests/data/frames-v4.bin`
 //! is one frame of every [`Request`] and [`Reply`] variant, back to back, as
-//! the PR 21 build — which encoded every envelope through an owned value
-//! tree — sent them. This build streams an envelope straight into its frame
-//! and must put the same bytes on the wire.
+//! the build that introduced protocol 4 — envelopes by position, no field or
+//! variant names — sent them; every later build of that protocol must put
+//! the same bytes on the wire.
 //!
-//! To regenerate (only a `PROTOCOL_VERSION` bump should ever need it): delete
-//! the fixture, run this test on the build that is to be the reference and
-//! copy `<target>/tmp/frames.actual.bin` over it.
+//! `tests/data/frames-pr21.bin` is the same messages as an older build —
+//! one that still built an owned value tree per envelope — sent them at
+//! protocol 3, every name spelt out. They still decode, and the
+//! first of them, the version-3 `Hello`, is answered with the version
+//! mismatch rather than a decode error.
+//!
+//! To regenerate the v4 fixture (only a `PROTOCOL_VERSION` bump should ever
+//! need it — and then under the new version's name): delete it, run this
+//! test on the build that is to be the reference and copy
+//! `<target>/tmp/frames.actual.bin` over it.
 
 use mtc_core::IsolationLevel;
 use mtc_dbsim::{AbortReason, IngestEvent};
@@ -14,13 +21,23 @@ use mtc_history::{Key, Op, TxnStatus, Value};
 use mtc_net::proto::{
     self, Reply, ReplyEnvelope, Request, RequestEnvelope, TenantStatus, PROTOCOL_VERSION,
 };
+use mtc_net::{spec_for_label, NetServer};
+use std::io::Write;
 use std::path::Path;
 
-fn requests() -> Vec<RequestEnvelope> {
+fn fixture(name: &str) -> Vec<u8> {
+    std::fs::read(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/data")
+            .join(name),
+    )
+    .unwrap_or_default()
+}
+
+/// Every request variant, its `Hello` of protocol `version`.
+fn requests(version: u32) -> Vec<RequestEnvelope> {
     let requests = vec![
-        Request::Hello {
-            version: PROTOCOL_VERSION,
-        },
+        Request::Hello { version },
         Request::Begin { retry_of: None },
         Request::Begin { retry_of: Some(42) },
         Request::Read {
@@ -83,10 +100,11 @@ fn requests() -> Vec<RequestEnvelope> {
     requests.into_iter().enumerate().map(envelope).collect()
 }
 
-fn replies() -> Vec<ReplyEnvelope> {
+/// Every reply variant, its `Hello` of protocol `version`.
+fn replies(version: u32) -> Vec<ReplyEnvelope> {
     let replies = vec![
         Reply::Hello {
-            version: PROTOCOL_VERSION,
+            version,
             label: "2pl".to_string(),
             promised: vec![
                 IsolationLevel::Serializability,
@@ -165,19 +183,17 @@ fn replies() -> Vec<ReplyEnvelope> {
 
 #[test]
 fn every_variant_is_framed_as_the_parent_framed_it() {
-    let fixture =
-        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/frames-pr21.bin"))
-            .unwrap_or_default();
+    let fixture = fixture("frames-v4.bin");
 
-    // Every message encodes to the parent's bytes: appended to one buffer
+    // Every message encodes to the reference bytes: appended to one buffer
     // as a pipelining peer does, and sent one by one.
     let mut appended = Vec::new();
     let mut sent = Vec::new();
-    for envelope in requests() {
+    for envelope in requests(PROTOCOL_VERSION) {
         proto::encode(&mut appended, &envelope);
         proto::send(&mut sent, &envelope).unwrap();
     }
-    for envelope in replies() {
+    for envelope in replies(PROTOCOL_VERSION) {
         proto::encode(&mut appended, &envelope);
         proto::send(&mut sent, &envelope).unwrap();
     }
@@ -187,19 +203,59 @@ fn every_variant_is_framed_as_the_parent_framed_it() {
         std::fs::write(&path, &appended).expect("write the actual frames");
         let at = appended.iter().zip(&fixture).take_while(|(a, f)| a == f);
         panic!(
-            "the frames differ from tests/data/frames-pr21.bin at byte {}; this build's are in {}",
+            "the frames differ from tests/data/frames-v4.bin at byte {}; this build's are in {}",
             at.count(),
             path.display()
         );
     }
+    assert_decodes_to(&fixture, PROTOCOL_VERSION);
+}
 
-    // The parent's bytes decode to the messages they were made from.
-    let mut wire = fixture.as_slice();
-    for sent in requests() {
+/// `wire` holds exactly the messages [`requests`] and [`replies`] make at
+/// protocol `version`, in that order.
+fn assert_decodes_to(mut wire: &[u8], version: u32) {
+    for sent in requests(version) {
         assert_eq!(proto::recv::<RequestEnvelope, _>(&mut wire).unwrap(), sent);
     }
-    for sent in replies() {
+    for sent in replies(version) {
         assert_eq!(proto::recv::<ReplyEnvelope, _>(&mut wire).unwrap(), sent);
     }
     assert!(wire.is_empty(), "the fixture holds a frame nobody sends");
+}
+
+/// The protocol-3 frames, every name spelt out, read back to the messages
+/// they were made from — and are twice the bytes of protocol 4's.
+#[test]
+fn the_protocol_3_frames_still_decode() {
+    let (old, new) = (fixture("frames-pr21.bin"), fixture("frames-v4.bin"));
+    assert_decodes_to(&old, 3);
+    assert!(
+        new.len() * 2 < old.len(),
+        "{} against {}",
+        new.len(),
+        old.len()
+    );
+}
+
+/// A peer that speaks protocol 3 is told so: its `Hello`, exactly as a
+/// protocol-3 build sent it, decodes and is answered with the version mismatch —
+/// not dropped as an undecodable frame.
+#[test]
+fn a_protocol_3_hello_gets_the_version_mismatch_error() {
+    let old = fixture("frames-pr21.bin");
+    let mut end = 0;
+    mtc_store::frame::read_frame(&old, &mut end).unwrap();
+    let server = NetServer::spawn(spec_for_label("sim-ser", 4).unwrap()).unwrap();
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    conn.write_all(&old[..end]).unwrap();
+    let reply: ReplyEnvelope = proto::recv(&mut conn).unwrap();
+    assert_eq!(reply.seq, 0);
+    assert_eq!(
+        reply.reply,
+        Reply::Error(format!(
+            "protocol version mismatch: client 3, server {PROTOCOL_VERSION}"
+        ))
+    );
+    drop(conn);
+    server.shutdown().unwrap();
 }

@@ -5,14 +5,13 @@
 //! [`serde::Serialize`]. This module gives those values a *binary* wire
 //! form: one tag byte per node, LEB128 varints for lengths and unsigned
 //! integers, zig-zag varints for signed ones, and raw IEEE-754 bits for
-//! floats. Compared to JSON text it is both more compact (framing and
-//! numbers shrink; field names remain) and exact — no number formatting
-//! round-trip concerns, no escaping.
+//! floats. Compared to JSON text it is both more compact and exact — no
+//! number formatting round-trip concerns, no escaping.
 //!
 //! The encoding is self-delimiting: a value knows its own extent, so frames
 //! (see [`crate::frame`]) only add integrity, not structure.
 //!
-//! ## One writer, one reader, two key modes
+//! ## One writer, one reader, no names
 //!
 //! Neither direction builds a value tree. The one byte writer is a
 //! [`serde::Emitter`]: [`Serialize::emit`] feeds it the value as events, and
@@ -20,20 +19,30 @@
 //! is why the sink contract announces container lengths up front: they are
 //! prefixes here. The one byte reader is a [`serde::Source`]:
 //! [`Deserialize::pull`] asks it for one head after another, each is parsed
-//! off the input when it is asked for, and strings and keys are borrowed
-//! from the input (or from the key table), not copied. ([`serde::JsonValue`]
-//! implements both traits, so a caller that does want a tree writes one
-//! through the same writer and gets one from the same reader:
-//! `from_bytes::<JsonValue>`.) What differs between payloads is only how an
-//! object's keys are spelt:
+//! off the input when it is asked for, and strings are borrowed from the
+//! input, not copied. ([`serde::JsonValue`] implements both traits, so a
+//! caller that does want a tree writes one through the same writer and gets
+//! one from the same reader: `from_bytes::<JsonValue>`.)
 //!
-//! * **inline** ([`write_value`], [`to_bytes`], [`from_bytes`]):
-//!   `TAG_OBJECT`, every key a length-prefixed string — checkpoints,
-//!   headers, wire envelopes, v1 log segments;
-//! * **indexed** ([`write_value_indexed`]): `TAG_OBJECT_IDX`, every key a
-//!   varint index into a [`KeyDict`] that interns keys in first-seen order —
-//!   v2 log segments, which ship the table's new tail with each record and
-//!   read it back against the table so far.
+//! The writer spells by position what the derive knows at compile time: a
+//! struct is an array of its fields in declaration order, a unit variant its
+//! index in declaration order, any other variant an `[index, payload]`
+//! pair. No field or variant name reaches the bytes — over half of a
+//! checker snapshot was names before they went — and a decode validates no
+//! name. The cost is that a payload no longer describes itself across a
+//! change of fields: a field added to, dropped from or moved in a persisted
+//! struct (or a variant anywhere but at the end of its enum) changes what
+//! every byte after it means, so it is a format version bump of the
+//! payload's owner (`SNAPSHOT_VERSION`, `LOG_VERSION`, `PROTOCOL_VERSION`;
+//! `crates/store/tests/snapshot_version.rs` holds the snapshot's to it).
+//!
+//! The reader still takes the names older writers wrote, through the
+//! derive's reading of an object: `TAG_OBJECT`, every key a length-prefixed
+//! string (snapshots up to version 5, their checkpoint and segment headers,
+//! wire envelopes up to protocol 3, v1 log records), and `TAG_OBJECT_IDX`,
+//! every key a varint index into a key table that v2 log records ship in
+//! front of themselves ([`crate::segment`] reads them through
+//! `from_bytes_indexed`). Nothing writes either any more.
 //!
 //! What the reader checks, it checks where it stands: tags, canonical
 //! varints, UTF-8, [`MAX_DEPTH`] on the containers it is inside of, a key
@@ -41,7 +50,8 @@
 //! (so a length that lies is refused before anything is reserved for it),
 //! and, once the value is read, that the input ended with it. Those failures
 //! are [`DecodeError`]s; a value that is well-formed but not of the shape
-//! the type reads is a [`crate::StoreError::Serde`].
+//! the type reads — a wrong field count, a variant index past the enum, an
+//! array where a number belongs — is a [`crate::StoreError::Serde`].
 
 use serde::{Deserialize, Emitter, Head, Serialize, Source};
 
@@ -96,11 +106,12 @@ const TAG_STR: u8 = 0x06;
 const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
 /// An object whose keys are varint indices into an out-of-band key table
-/// (the schema-table form used by v2 log segments, see [`crate::segment`]).
+/// (the schema-table form of v2 log segments, see [`crate::segment`]): read,
+/// never written.
 const TAG_OBJECT_IDX: u8 = 0x09;
 
 #[inline]
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -153,11 +164,10 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// The byte writer: every event appends its encoding to `out`. With a
-/// `dict`, object keys are interned and written as indices; without, inline.
+/// The byte writer: every event appends its encoding to `out`, structs and
+/// variants by position.
 struct Writer<'a> {
     out: &'a mut Vec<u8>,
-    dict: Option<&'a mut KeyDict>,
 }
 
 impl Emitter for Writer<'_> {
@@ -198,26 +208,39 @@ impl Emitter for Writer<'_> {
     fn end_array(&mut self) {}
     #[inline]
     fn begin_object(&mut self, len: usize) {
-        self.out.push(match self.dict {
-            Some(_) => TAG_OBJECT_IDX,
-            None => TAG_OBJECT,
-        });
+        self.out.push(TAG_OBJECT);
         put_varint(self.out, len as u64);
     }
     #[inline]
     fn key(&mut self, k: &str) {
-        match &mut self.dict {
-            Some(dict) => put_varint(self.out, dict.intern(k)),
-            None => put_str(self.out, k),
-        }
+        put_str(self.out, k);
     }
     #[inline]
     fn end_object(&mut self) {}
+    #[inline]
+    fn begin_struct(&mut self, len: usize) {
+        self.begin_array(len);
+    }
+    #[inline]
+    fn field(&mut self, _name: &'static str) {}
+    #[inline]
+    fn end_struct(&mut self) {}
+    #[inline]
+    fn unit_variant(&mut self, index: u32, _name: &'static str) {
+        self.u64(u64::from(index));
+    }
+    #[inline]
+    fn begin_variant(&mut self, index: u32, _name: &'static str) {
+        self.begin_array(2);
+        self.u64(u64::from(index));
+    }
+    #[inline]
+    fn end_variant(&mut self) {}
 }
 
 /// A length-prefixed string, as keys and string payloads are written.
 #[inline]
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
@@ -451,67 +474,9 @@ pub(crate) fn decode_str(input: &[u8], pos: &mut usize) -> Result<String, Decode
     get_str(input, pos).map(str::to_string)
 }
 
-/// Writer-side key interner for schema-table (indexed) payloads: every
-/// distinct object key is assigned a dense index in first-seen order.
-#[derive(Debug, Default)]
-pub struct KeyDict {
-    keys: Vec<String>,
-    index: std::collections::HashMap<String, u64>,
-}
-
-impl KeyDict {
-    /// Number of interned keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True iff no key has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The interned keys, in index order.
-    pub fn keys(&self) -> &[String] {
-        &self.keys
-    }
-
-    /// Pre-loads keys recovered from an existing payload stream, in index
-    /// order, so appended values keep resolving against the same table.
-    pub fn extend_known(&mut self, keys: &[String]) {
-        for k in keys {
-            self.intern(k);
-        }
-    }
-
-    fn intern(&mut self, key: &str) -> u64 {
-        if let Some(&i) = self.index.get(key) {
-            return i;
-        }
-        let i = self.keys.len() as u64;
-        self.keys.push(key.to_string());
-        self.index.insert(key.to_string(), i);
-        i
-    }
-}
-
-/// Appends the binary form of `value` to `out`, object keys inline.
+/// Appends the binary form of `value` to `out`.
 pub fn write_value<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
-    value.emit(&mut Writer { out, dict: None });
-}
-
-/// Appends `value` like [`write_value`], but writes every object in the
-/// schema-table form: keys become varint indices into `dict`, and keys not
-/// yet interned are appended to it. The caller is responsible for shipping
-/// `dict`'s new tail alongside the payload so readers can rebuild the table.
-pub fn write_value_indexed<T: Serialize + ?Sized>(
-    value: &T,
-    dict: &mut KeyDict,
-    out: &mut Vec<u8>,
-) {
-    value.emit(&mut Writer {
-        out,
-        dict: Some(dict),
-    });
+    value.emit(&mut Writer { out });
 }
 
 /// Serializes any workspace-serde type into the binary value form.
@@ -527,8 +492,8 @@ pub fn from_bytes<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> 
     read(Reader::new(input, None))
 }
 
-/// [`from_bytes`] of a value whose indexed object keys resolve against
-/// `base` (the table carried over from earlier records) extended by
+/// [`from_bytes`] of a v2 log record, whose indexed object keys resolve
+/// against `base` (the table carried over from earlier records) extended by
 /// `pending` (the keys the current record introduces).
 pub(crate) fn from_bytes_indexed<T: Deserialize>(
     input: &[u8],
@@ -641,7 +606,34 @@ mod tests {
     }
 
     // The two recursive tree encoders this module shipped up to PR 21, kept
-    // as the reference the streaming writer is held to.
+    // as the reference the streaming writer is held to — and, with the
+    // writer's indexed key mode gone, as the maker of the v2 key-table bytes
+    // the reader still takes.
+
+    /// The v2 writer's key interner: every distinct object key gets a dense
+    /// index in first-seen order.
+    #[derive(Default)]
+    struct KeyDict {
+        keys: Vec<String>,
+    }
+
+    impl KeyDict {
+        fn len(&self) -> usize {
+            self.keys.len()
+        }
+
+        fn keys(&self) -> &[String] {
+            &self.keys
+        }
+
+        fn intern(&mut self, key: &str) -> u64 {
+            let at = self.keys.iter().position(|k| k == key);
+            at.unwrap_or_else(|| {
+                self.keys.push(key.to_string());
+                self.keys.len() - 1
+            }) as u64
+        }
+    }
 
     fn encode_into(v: &JsonValue, out: &mut Vec<u8>) {
         match v {
@@ -753,26 +745,39 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// The streamed bytes are the reference encoders' bytes, and with a
-        /// dictionary the keys are interned in the reference's order — also
-        /// when the dictionary already holds keys from earlier records.
+        /// The streamed bytes of a tree are the reference encoder's bytes.
         #[test]
-        fn streamed_bytes_equal_the_tree_encoders(first in Trees, second in Trees) {
+        fn streamed_bytes_equal_the_tree_encoders(first in Trees) {
             let mut expected = Vec::new();
             encode_into(&first, &mut expected);
             proptest::prop_assert_eq!(to_bytes(&first), expected);
-
-            let (mut dict, mut reference_dict) = (KeyDict::default(), KeyDict::default());
-            let (mut indexed, mut expected) = (Vec::new(), Vec::new());
-            for tree in [&first, &second, &first] {
-                write_value_indexed(tree, &mut dict, &mut indexed);
-                encode_value_indexed(tree, &mut reference_dict, &mut expected);
-                proptest::prop_assert_eq!(&indexed, &expected);
-                proptest::prop_assert_eq!(dict.keys(), reference_dict.keys());
-            }
             // Bit-exact floats keep `PartialEq` from seeing a NaN round trip.
             let back = decode_value(&to_bytes(&first)).unwrap();
             proptest::prop_assert_eq!(to_bytes(&back), to_bytes(&first));
+        }
+    }
+
+    /// A derived value is written as its tree with every struct an array and
+    /// every variant an index — no name reaches the bytes — and reads back
+    /// from them, and from its named tree's bytes too.
+    #[test]
+    fn derived_values_are_written_without_names() {
+        use mtc_history::{Op, SessionId, Transaction, TxnId};
+        let txn = Transaction::committed(TxnId(9), SessionId(2), vec![Op::write(3u64, u64::MAX)])
+            .with_times(5, 8);
+        let bytes = to_bytes(&txn);
+        let tree = decode_value(&bytes).unwrap();
+        let mut named = Vec::new();
+        encode_into(&txn.to_json_value(), &mut named);
+        assert!(!format!("{tree:?}").contains("Object"), "{tree:?}");
+        assert!(
+            bytes.len() * 2 < named.len(),
+            "{} against {}",
+            bytes.len(),
+            named.len()
+        );
+        for bytes in [bytes, named] {
+            assert_eq!(from_bytes::<Transaction>(&bytes).unwrap(), txn);
         }
     }
 
@@ -870,9 +875,9 @@ mod tests {
             let inline = to_bytes(&second);
             let mut dict = KeyDict::default();
             let mut indexed = Vec::new();
-            write_value_indexed(&first, &mut dict, &mut Vec::new());
+            encode_value_indexed(&first, &mut dict, &mut Vec::new());
             let carried = dict.len();
-            write_value_indexed(&second, &mut dict, &mut indexed);
+            encode_value_indexed(&second, &mut dict, &mut indexed);
             let (base, pending) = dict.keys().split_at(carried);
             agree(&inline, None);
             agree(&indexed, Some((base, pending)));
@@ -1136,7 +1141,7 @@ mod tests {
         ]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        write_value_indexed(&obj, &mut dict, &mut indexed);
+        encode_value_indexed(&obj, &mut dict, &mut indexed);
         for cut in 0..indexed.len() {
             assert!(
                 decode_value_indexed(&indexed[..cut], dict.keys(), &[]).is_err(),
@@ -1174,7 +1179,7 @@ mod tests {
         ]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        write_value_indexed(&obj, &mut dict, &mut indexed);
+        encode_value_indexed(&obj, &mut dict, &mut indexed);
         assert_eq!(
             dict.keys(),
             ["first_field".to_string(), "nested".to_string()]
@@ -1194,7 +1199,7 @@ mod tests {
         let obj = JsonValue::Object(vec![("k".to_string(), JsonValue::Null)]);
         let mut dict = KeyDict::default();
         let mut indexed = Vec::new();
-        write_value_indexed(&obj, &mut dict, &mut indexed);
+        encode_value_indexed(&obj, &mut dict, &mut indexed);
         assert_eq!(
             decode_value(&indexed),
             Err(DecodeError::BadTag(TAG_OBJECT_IDX))

@@ -13,9 +13,10 @@
 //! transaction) followed by one frame per [`LogRecord`]. The first segment
 //! carries the stream's [`StreamMeta`] as its first record. Frames are
 //! CRC-checked ([`crate::frame`]); every append streams its record into one
-//! buffer the writer keeps — frame header, key-table prelude and value, no
-//! value tree and no second copy — and hands it to the OS as one `write`, and only [`LogWriter::sync`] and segment rotation `fsync` (the crate
-//! docs spell out what that means for a process crash and for power loss).
+//! buffer the writer keeps — frame header and value, no value tree and no
+//! second copy — and hands it to the OS as one `write`, and only
+//! [`LogWriter::sync`] and segment rotation `fsync` (the crate docs spell out
+//! what that means for a process crash and for power loss).
 //!
 //! ## Crash tolerance
 //!
@@ -38,16 +39,16 @@ use std::path::{Path, PathBuf};
 
 /// Magic tag binding a file to this log format.
 pub const LOG_MAGIC: &str = "mtc-store-log";
-/// Current log format version. Version 2 segments use a schema-table
-/// record encoding: every record payload carries the object keys it
-/// introduces (`[varint n_new][n_new length-prefixed strings][value]`) and
-/// the value encodes objects with varint key *indices* into the segment's
-/// accumulated key table instead of repeating field-name strings. The
-/// table resets at every segment boundary, so segments stay individually
-/// decodable. Version 1 segments (inline keys in every record) remain
-/// readable; the writer writes v2 only, so [`LogWriter::open_append`]
-/// rotates away from a v1 tail segment at once.
-pub const LOG_VERSION: u32 = 2;
+/// Current log format version: a version 3 record is the record's
+/// positional [`binval`] payload alone — no field name, no key table.
+/// Older segments remain readable: version 1 records spell every field name
+/// inline, and version 2 records carry the object keys they introduce to
+/// their segment's key table (`[varint n_new][n_new length-prefixed
+/// strings][value]`, the value's keys varint indices into the table, which
+/// resets at every segment boundary). A segment holds records of its
+/// header's version only, so [`LogWriter::open_append`] rotates away from
+/// an older tail segment at once.
+pub const LOG_VERSION: u32 = 3;
 /// Oldest segment format version the reader still accepts.
 pub const MIN_LOG_VERSION: u32 = 1;
 /// Default segment rotation threshold, in payload bytes.
@@ -85,8 +86,8 @@ pub enum LogRecord {
 }
 
 /// A [`LogRecord`] by reference — the writer's hot path has no use for an
-/// owned copy of the transaction. Emits what the owned record does: an
-/// externally tagged newtype variant, `{"Txn": txn}` / `{"Meta": meta}`.
+/// owned copy of the transaction. Emits what the owned record does: the
+/// newtype variant of [`LogRecord`]'s index and name.
 enum RecordRef<'a> {
     Meta(&'a StreamMeta),
     Txn(&'a Transaction),
@@ -94,18 +95,17 @@ enum RecordRef<'a> {
 
 impl Serialize for RecordRef<'_> {
     fn emit<E: Emitter + ?Sized>(&self, out: &mut E) {
-        out.begin_object(1);
         match self {
             RecordRef::Meta(meta) => {
-                out.key("Meta");
+                out.begin_variant(0, "Meta");
                 meta.emit(out);
             }
             RecordRef::Txn(txn) => {
-                out.key("Txn");
+                out.begin_variant(1, "Txn");
                 txn.emit(out);
             }
         }
-        out.end_object();
+        out.end_variant();
     }
 }
 
@@ -141,8 +141,6 @@ pub struct LogWriter {
     written_in_segment: usize,
     /// Stream index of the next transaction to append.
     next_txn: u64,
-    /// Schema table of the current segment.
-    dict: binval::KeyDict,
     /// The frame being appended, kept between appends for its capacity.
     frame: Vec<u8>,
     /// Bytes of the record frames this writer appended.
@@ -188,7 +186,6 @@ impl LogWriter {
             segment_bytes,
             written_in_segment: 0,
             next_txn: 0,
-            dict: binval::KeyDict::default(),
             frame: Vec::new(),
             appended: 0,
         };
@@ -198,8 +195,8 @@ impl LogWriter {
 
     /// Re-opens an existing log for appending: scans it (tolerating a torn
     /// tail, whose bytes are truncated away) and positions after the last
-    /// intact record — or, when the last segment is a v1 one, in a fresh v2
-    /// segment after it. Returns the writer together with the recovered
+    /// intact record — or, when the last segment is of an older version, in a
+    /// fresh segment of [`LOG_VERSION`] after it. Returns the writer together with the recovered
     /// contents, so a resuming process replays and appends from one scan.
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, RecoveredLog), StoreError> {
         let dir = dir.as_ref().to_path_buf();
@@ -232,17 +229,12 @@ impl LogWriter {
             segment_bytes: recovered.segment_bytes.max(1),
             written_in_segment,
             next_txn: recovered.txns.len() as u64,
-            dict: {
-                let mut dict = binval::KeyDict::default();
-                dict.extend_known(&recovered.last_segment_dict);
-                dict
-            },
             frame: Vec::new(),
             appended: 0,
         };
         if recovered.last_segment_version < LOG_VERSION {
-            // A segment holds records of its header's format only, and v2
-            // is the one this writer writes.
+            // A segment holds records of its header's format only, and
+            // `LOG_VERSION` is the one this writer writes.
             writer.rotate()?;
         }
         Ok((writer, recovered))
@@ -285,8 +277,7 @@ impl LogWriter {
         self.frame.clear();
         {
             let _span = mtc_obs::sampled_span!("store.append.encode");
-            let dict = &mut self.dict;
-            write_frame_with(&mut self.frame, |out| write_record_v2(&record, dict, out));
+            write_frame_with(&mut self.frame, |out| binval::write_value(&record, out));
         }
         self.file.write_all(&self.frame)?;
         self.written_in_segment += self.frame.len();
@@ -294,39 +285,14 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Fsyncs the current segment and moves on to a fresh one, with an
-    /// empty schema table.
+    /// Fsyncs the current segment and moves on to a fresh one.
     fn rotate(&mut self) -> Result<(), StoreError> {
         self.sync()?;
         self.segment += 1;
         self.file = open_segment(&self.dir, self.segment, self.next_txn, self.segment_bytes)?;
         self.written_in_segment = 0;
-        self.dict = binval::KeyDict::default();
         mtc_obs::counter!("store.segment_rotations").inc();
         Ok(())
-    }
-}
-
-/// Appends one record in the v2 schema-table form: the keys this record
-/// introduces to the segment's table (shipped as length-prefixed strings)
-/// followed by the value with indexed object keys.
-fn write_record_v2(record: &RecordRef<'_>, dict: &mut binval::KeyDict, out: &mut Vec<u8>) {
-    let known = dict.len();
-    let prelude = out.len();
-    // Which keys are new is known once the value is written. All but a
-    // segment's first records bring none, so write that — a count of zero —
-    // and the value behind it; the rare record that does bring keys has
-    // its prelude spliced in over the zero.
-    out.push(0);
-    binval::write_value_indexed(record, dict, out);
-    let new = &dict.keys()[known..];
-    if !new.is_empty() {
-        let mut keys = Vec::new();
-        binval::put_varint(&mut keys, new.len() as u64);
-        for key in new {
-            binval::put_str(&mut keys, key);
-        }
-        out.splice(prelude..=prelude, keys);
     }
 }
 
@@ -352,7 +318,7 @@ fn decode_record(
     version: u32,
     dict: &mut Vec<String>,
 ) -> Result<LogRecord, StoreError> {
-    if version >= 2 {
+    if version == 2 {
         decode_record_v2(payload, dict)
     } else {
         binval::from_bytes(payload)
@@ -399,13 +365,9 @@ pub struct RecoveredLog {
     pub last_valid_offset: usize,
     /// Rotation threshold recorded in the segment headers.
     pub segment_bytes: usize,
-    /// Format version of the last segment (`open_append` continues a v2 one
-    /// and rotates away from a v1 one).
+    /// Format version of the last segment (`open_append` continues one of
+    /// [`LOG_VERSION`] and rotates away from an older one).
     pub last_segment_version: u32,
-    /// Schema table accumulated by the last segment's intact records, in
-    /// index order (empty for v1 segments), so `open_append` keeps encoding
-    /// against the table the segment's existing records established.
-    pub last_segment_dict: Vec<String>,
 }
 
 /// Scans the log in `dir`, returning every intact transaction. Damage at
@@ -433,7 +395,7 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
         let is_last = i == last_index;
         let bytes = fs::read(path)?;
         let mut pos = 0usize;
-        // The schema table never crosses a segment boundary.
+        // A v2 key table never crosses a segment boundary.
         dict.clear();
         // Header frame. A damaged header is only tolerable when the crash
         // happened right after a rotation created the (then-last) segment.
@@ -543,7 +505,6 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
         last_valid_offset,
         segment_bytes,
         last_segment_version,
-        last_segment_dict: dict,
     })
 }
 
@@ -716,7 +677,8 @@ mod tests {
 
     /// Writes a version-1 log (inline keys in every record) by hand, the
     /// way the v1 writer laid it out: header frame, then plain binval
-    /// record frames, rotating at `segment_bytes`.
+    /// record frames, rotating at `segment_bytes` — every value spelt by
+    /// name, as its JSON tree is.
     fn write_v1_log(dir: &Path, meta: &StreamMeta, txns: u32, segment_bytes: usize) {
         fs::create_dir_all(dir).unwrap();
         let mut records = vec![LogRecord::Meta(meta.clone())];
@@ -735,7 +697,7 @@ mod tests {
                     segment_bytes: segment_bytes as u64,
                 };
                 let mut bytes = Vec::new();
-                write_frame(&mut bytes, &binval::to_bytes(&header));
+                write_frame(&mut bytes, &binval::to_bytes(&header.to_json_value()));
                 let mut file = fs::OpenOptions::new()
                     .create_new(true)
                     .append(true)
@@ -747,7 +709,7 @@ mod tests {
                 written = 0;
             }
             let mut framed = Vec::new();
-            write_frame(&mut framed, &binval::to_bytes(record));
+            write_frame(&mut framed, &binval::to_bytes(&record.to_json_value()));
             out.as_mut().unwrap().write_all(&framed).unwrap();
             written += framed.len();
             if matches!(record, LogRecord::Txn(_)) {
@@ -767,12 +729,11 @@ mod tests {
         assert_eq!(log.txns[13], txn(13));
         assert!(!log.torn_tail);
         assert_eq!(log.last_segment_version, 1);
-        assert!(log.last_segment_dict.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn open_append_rotates_a_v1_tail_to_v2_at_once() {
+    fn open_append_rotates_a_v1_tail_to_the_current_version_at_once() {
         let dir = tmpdir("v1_append");
         write_v1_log(&dir, &meta(), 10, 512);
         let v1_segments = segment_files(&dir).unwrap();
@@ -790,37 +751,38 @@ mod tests {
                 binval::from_bytes(read_frame(&bytes, &mut pos).unwrap()).unwrap();
             header.version
         };
-        // A fresh v2 segment before anything is appended.
+        // A fresh segment before anything is appended.
         let segments = segment_files(&dir).unwrap();
         assert_eq!(segments.len(), v1_segments.len() + 1);
-        assert_eq!(header_version(&segments.last().unwrap().1), 2);
+        assert_eq!(header_version(&segments.last().unwrap().1), LOG_VERSION);
         for i in 10..40 {
             w.append(&txn(i)).unwrap();
         }
         w.sync().unwrap();
         drop(w);
-        // The v1 segments kept their bytes; every segment after them is v2.
+        // The v1 segments kept their bytes; every segment after them is of
+        // the current version.
         for ((_, path), bytes) in v1_segments.iter().zip(&v1_bytes) {
             assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
         }
         let segments = segment_files(&dir).unwrap();
         for (_, path) in &segments[v1_segments.len()..] {
-            assert_eq!(header_version(path), 2, "{}", path.display());
+            assert_eq!(header_version(path), LOG_VERSION, "{}", path.display());
         }
         // Everything reads back, across the format switch.
         let log = read_log(&dir).unwrap();
         assert_eq!(log.txns.len(), 40);
         assert_eq!(log.txns[25], txn(25));
-        assert_eq!(log.last_segment_version, 2);
+        assert_eq!(log.last_segment_version, LOG_VERSION);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn schema_table_segments_shrink_the_log() {
-        let dir_v2 = tmpdir("size_v2");
+    fn positional_segments_shrink_the_log() {
+        let dir_now = tmpdir("size_now");
         let dir_v1 = tmpdir("size_v1");
         const TXNS: u32 = 200;
-        let mut w = LogWriter::create(&dir_v2, &meta()).unwrap();
+        let mut w = LogWriter::create(&dir_now, &meta()).unwrap();
         for i in 0..TXNS {
             w.append(&txn(i)).unwrap();
         }
@@ -834,21 +796,20 @@ mod tests {
                 .map(|(_, p)| fs::metadata(p).unwrap().len())
                 .sum()
         };
-        let (v1, v2) = (total(&dir_v1), total(&dir_v2));
+        let (v1, now) = (total(&dir_v1), total(&dir_now));
         // Both logs round-trip identically...
-        let log = read_log(&dir_v2).unwrap();
+        let log = read_log(&dir_now).unwrap();
         assert_eq!(log.txns, read_log(&dir_v1).unwrap().txns);
         assert_eq!(log.txns.len(), TXNS as usize);
-        // ...but the schema-table form nearly halves the bytes: field names
-        // are written once per segment instead of once per record. (Tiny
-        // two-op transactions shrink ~1.8×; real histories with more ops
-        // per record shrink further.)
+        // ...but with no field names the records are under half the bytes
+        // of v1's, which spell every name in every record. (v2's key tables
+        // got these two-op transactions to ~1.8× under v1.)
         assert!(
-            v2 * 8 <= v1 * 5,
-            "schema-table log must shrink at least 1.6x: v2 {v2} vs v1 {v1}"
+            now * 2 <= v1,
+            "positional log must shrink at least 2x: {now} vs v1 {v1}"
         );
         let _ = fs::remove_dir_all(&dir_v1);
-        let _ = fs::remove_dir_all(&dir_v2);
+        let _ = fs::remove_dir_all(&dir_now);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
-//! is the uninterrupted run's either way. (The committed `snapshot-v5-*`
-//! fixtures, of this build's version, keep resuming: `store_differential.rs`;
-//! a store a version-4 build wrote recovers by replaying its whole log:
+//! is the uninterrupted run's either way. (The committed `snapshot-v6-*`
+//! fixtures, of this build's version, keep resuming, and the `snapshot-v5-*`
+//! ones a version-5 build wrote are passed over: `store_differential.rs`; a
+//! store a version-4 build wrote recovers by replaying its whole log:
 //! `tests/parent_written_deltas.rs`.)
+//!
+//! Since version 6 a snapshot is positional — its fields in declaration
+//! order, no names — so nothing in the bytes tells a reader which field it
+//! is looking at but the version: a change of fields to any type a snapshot
+//! holds is a version bump, and this is what a bump buys.
 
 use mtc_core::{IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId};
@@ -55,24 +61,24 @@ fn record(dir: &Path, checkpoints: &[u64]) -> (Vec<PathBuf>, String) {
 }
 
 /// Rewrites the checkpoint file at `path` with its snapshot's `version`
-/// field set to `version`, every other byte of the payload as it was and
+/// field — the first — set to `version`, every other byte of the payload as it was and
 /// both frames' CRCs good.
 fn set_snapshot_version(path: &Path, version: u64) {
     let bytes = fs::read(path).unwrap();
     let mut pos = 0;
     let header = read_frame(&bytes, &mut pos).unwrap();
     let payload = read_frame(&bytes, &mut pos).unwrap();
-    let JsonValue::Object(mut fields) = from_bytes::<JsonValue>(payload).unwrap() else {
-        panic!("a snapshot is an object");
+    let JsonValue::Array(mut fields) = from_bytes::<JsonValue>(payload).unwrap() else {
+        panic!("a snapshot is an array of its fields");
     };
-    let field = fields
-        .iter_mut()
-        .find(|(name, _)| name == "version")
-        .expect("a snapshot carries its version");
-    field.1 = JsonValue::U64(version);
+    assert!(
+        matches!(fields[0], JsonValue::U64(_)),
+        "a snapshot carries its version first"
+    );
+    fields[0] = JsonValue::U64(version);
     let mut rewritten = Vec::new();
     write_frame(&mut rewritten, header);
-    write_frame(&mut rewritten, &to_bytes(&JsonValue::Object(fields)));
+    write_frame(&mut rewritten, &to_bytes(&JsonValue::Array(fields)));
     fs::write(path, rewritten).unwrap();
 }
 
@@ -111,4 +117,50 @@ fn a_newer_snapshot_version_alone_falls_back_to_a_scratch_replay() {
     assert_eq!(recovery.tail().len(), 90);
     assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the snapshot of the checkpoint file at `path` through `change`,
+/// both frames' CRCs good.
+fn rewrite_snapshot(path: &Path, change: impl FnOnce(&mut Vec<JsonValue>)) {
+    let bytes = fs::read(path).unwrap();
+    let mut pos = 0;
+    let header = read_frame(&bytes, &mut pos).unwrap();
+    let payload = read_frame(&bytes, &mut pos).unwrap();
+    let JsonValue::Array(mut fields) = from_bytes::<JsonValue>(payload).unwrap() else {
+        panic!("a snapshot is an array of its fields");
+    };
+    change(&mut fields);
+    let mut rewritten = Vec::new();
+    write_frame(&mut rewritten, header);
+    write_frame(&mut rewritten, &to_bytes(&JsonValue::Array(fields)));
+    fs::write(path, rewritten).unwrap();
+}
+
+/// What an unbumped change of fields would write — a field more in the
+/// snapshot, a field fewer in its engine — is refused as a value of another
+/// shape, never read into the wrong fields, and recovery passes over it.
+#[test]
+fn a_snapshot_of_other_fields_at_this_version_is_refused_not_misread() {
+    let changes: [fn(&mut Vec<JsonValue>); 2] = [
+        |fields| fields.push(JsonValue::Null),
+        |fields| match &mut fields[1] {
+            JsonValue::Array(engine) => {
+                engine.pop();
+            }
+            other => panic!("an engine is an array of its fields, not {other:?}"),
+        },
+    ];
+    for (i, change) in changes.into_iter().enumerate() {
+        let dir = tmpdir(&format!("fields{i}"));
+        let (files, verdict) = record(&dir, &[30, 60]);
+        rewrite_snapshot(&files[1], change);
+        match read_checkpoint(&files[1]) {
+            Err(StoreError::Serde(_)) => {}
+            other => panic!("change {i}: expected a shape error, got {other:?}"),
+        }
+        let recovery = recover(&dir).unwrap();
+        assert_eq!(recovery.resume_from, 30, "change {i}");
+        assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -201,23 +201,12 @@ fn overlapping_stream() -> Vec<Transaction> {
     txns
 }
 
-/// An SSER checkpoint of [`overlapping_stream`]'s prefix written by the
-/// build before `IncrementalTopo` lost its batched insertion. Its window
-/// re-sort settled the order on other ranks than edge-by-edge insertion
-/// does, so the snapshot holds other ranks and, through the collector's id
-/// recycling, other node ids. Only a checkout of that build can write it:
-/// its own copy of this file with [`overlapping_stream`] added, the prefix
-/// checkpointed under `FIXTURE_GC` with `reader_cap: 0` (the field that
-/// build's policy still had).
-fn parent_written_sser_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot-v5-sser-ed75a20.mtcck")
-}
-
-/// The committed snapshot of the fixture prefix at `level`.
+/// The committed snapshot of the fixture prefix at `level`, of this build's
+/// `SNAPSHOT_VERSION`.
 fn fixture_path(level: IsolationLevel) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(format!("snapshot-v5-{}.mtcck", level_name(level)))
+        .join(format!("snapshot-v6-{}.mtcck", level_name(level)))
 }
 
 fn level_name(level: IsolationLevel) -> &'static str {
@@ -228,25 +217,28 @@ fn level_name(level: IsolationLevel) -> &'static str {
     }
 }
 
-/// The `snapshot-v5-*` files under `tests/data/` pin the `CheckerSnapshot`
+const LEVELS: [IsolationLevel; 3] = [
+    IsolationLevel::Serializability,
+    IsolationLevel::SnapshotIsolation,
+    IsolationLevel::StrictSerializability,
+];
+
+/// The `snapshot-v6-*` files under `tests/data/` pin the `CheckerSnapshot`
 /// format from both sides: this build writes, for the fixture prefix, the
 /// very bytes committed there, and reads them back into a checker that
-/// finishes the stream with the uninterrupted run's verdict. A refactor that
-/// renames, reorders or drops a serialized field fails here instead of on
-/// somebody's disk. The older build's SSER snapshot of
-/// [`parent_written_sser_path`] is only decoded and resumed.
+/// finishes the stream with the uninterrupted run's verdict. A version-6
+/// snapshot names no field, so a refactor that renames a serialized field
+/// passes here, and one that reorders, adds or drops one fails here instead
+/// of on somebody's disk.
 ///
 /// A change that moves snapshot bytes on purpose bumps `SNAPSHOT_VERSION`
 /// and regenerates: the failing check writes this build's file under
-/// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture.
+/// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture (named for
+/// the new version) and keep the old one as a refused input below.
 #[test]
-fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
+fn the_v6_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
-    for level in [
-        IsolationLevel::Serializability,
-        IsolationLevel::SnapshotIsolation,
-        IsolationLevel::StrictSerializability,
-    ] {
+    for level in LEVELS {
         let checker = || {
             IncrementalChecker::new(level)
                 .with_init_keys(0..FIXTURE_KEYS)
@@ -265,7 +257,7 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
             let _ = prefix.push(t.clone());
         }
         let written = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("snapshot-v5-{}", level_name(level)));
+            .join(format!("snapshot-v6-{}", level_name(level)));
         let written = write_checkpoint(&written, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert!(
             std::fs::read(fixture_path(level)).ok() == Some(std::fs::read(&written).unwrap()),
@@ -287,96 +279,115 @@ fn the_v5_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
         assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
         assert_eq!(format!("{:?}", resumed.finish()), expected, "{level}");
     }
-
-    // A snapshot written by another build, whose ranks this build would not
-    // have settled on, resumes all the same: any valid order does.
-    let level = IsolationLevel::StrictSerializability;
-    let txns = overlapping_stream();
-    let checker = || {
-        IncrementalChecker::new(level)
-            .with_init_keys(0..FIXTURE_KEYS)
-            .with_gc(FIXTURE_GC)
-    };
-    let mut whole = checker();
-    let mut own_prefix = None;
-    for (i, t) in txns.iter().enumerate() {
-        if i == FIXTURE_CUT {
-            own_prefix = Some(to_bytes(&whole.checkpoint()));
-        }
-        let _ = whole.push(t.clone());
-    }
-    let (consumed, snapshot) = read_checkpoint(parent_written_sser_path()).unwrap();
-    assert_eq!(consumed, FIXTURE_CUT as u64);
-    assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
-    assert_ne!(
-        own_prefix,
-        Some(to_bytes(&snapshot)),
-        "the parent-written fixture no longer differs from this build's bytes"
-    );
-    let mut resumed = IncrementalChecker::resume(snapshot);
-    for t in &txns[FIXTURE_CUT..] {
-        let _ = resumed.push(t.clone());
-    }
-    assert_eq!(resumed.first_violation_at(), whole.first_violation_at());
-    assert_eq!(
-        format!("{:?}", resumed.finish()),
-        format!("{:?}", whole.finish())
-    );
 }
 
-/// `snapshot-v5-ser-capped.mtcck` is the SER fixture prefix as a build with
-/// a GC reader cap wrote it: `FIXTURE_GC` with `reader_cap: 2`, so its clean
-/// verdict was only qualified on the readers the cap dropped. This build
-/// refuses it by name, and a store whose newest checkpoint it is recovers
-/// past it — from the checkpoint before it, or by replaying the log from
-/// the start — to the verdict a fresh uncapped checker gives on that log.
-#[test]
-fn a_reader_capped_checkpoint_is_refused_and_recovery_replays_past_it() {
-    let capped =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/snapshot-v5-ser-capped.mtcck");
-    match read_checkpoint(&capped) {
-        Err(StoreError::Serde(why)) => assert!(why.contains("reader cap"), "{why}"),
-        other => panic!("a capped snapshot must be refused, got {other:?}"),
-    }
-
-    let level = IsolationLevel::Serializability;
-    let txns = fixture_stream();
+/// Records `txns` at `level` into a fresh store with a checkpoint of this
+/// build's after `older` transactions, if any, puts the checkpoint file
+/// `refused` in as the newest one, at [`FIXTURE_CUT`], and recovers: the
+/// recovery must pass over it — to the older checkpoint, or to a replay of
+/// the log from the start — and reach the verdict a fresh checker gives on
+/// the whole log.
+fn assert_recovery_passes_over(
+    refused: &std::path::Path,
+    level: IsolationLevel,
+    txns: &[Transaction],
+    older: Option<u64>,
+) {
     let fresh = || IncrementalChecker::new(level).with_init_keys(0..FIXTURE_KEYS);
     let outcome = |c: IncrementalChecker| (c.first_violation_at(), format!("{:?}", c.finish()));
     let mut plain = fresh();
     let mut collected = fresh().with_gc(FIXTURE_GC);
-    for t in &txns {
+    for t in txns {
         let _ = plain.push(t.clone());
         let _ = collected.push(t.clone());
     }
     let expected = outcome(plain);
     assert_eq!(outcome(collected), expected);
 
-    for older in [None, Some(64u64)] {
-        let dir = tmpdir(0xCA9_000 + older.unwrap_or(0));
-        let meta = StreamMeta {
-            level,
-            num_keys: FIXTURE_KEYS,
-        };
-        let mut store = MtcStore::create(&dir, &meta).unwrap();
-        let mut checker = fresh().with_gc(FIXTURE_GC);
-        for (i, t) in (1..).zip(&txns) {
-            store.append_txn(t).unwrap();
-            let _ = checker.push(t.clone());
-            if older == Some(i) {
-                store.checkpoint(i, &checker.checkpoint()).unwrap();
-            }
+    let dir = tmpdir(0xCA9_000 + older.unwrap_or(0));
+    let meta = StreamMeta {
+        level,
+        num_keys: FIXTURE_KEYS,
+    };
+    let mut store = MtcStore::create(&dir, &meta).unwrap();
+    let mut checker = fresh().with_gc(FIXTURE_GC);
+    for (i, t) in (1..).zip(txns) {
+        store.append_txn(t).unwrap();
+        let _ = checker.push(t.clone());
+        if older == Some(i) {
+            store.checkpoint(i, &checker.checkpoint()).unwrap();
         }
-        store.sync().unwrap();
-        drop(store);
-        let newest = dir.join(format!("checkpoint-{FIXTURE_CUT:012}.mtcck"));
-        std::fs::copy(&capped, newest).unwrap();
+    }
+    store.sync().unwrap();
+    drop(store);
+    let newest = dir.join(format!("checkpoint-{FIXTURE_CUT:012}.mtcck"));
+    std::fs::copy(refused, newest).unwrap();
 
-        let recovery = recover(&dir).unwrap();
-        assert_eq!(recovery.resume_from, older.unwrap_or(0));
-        assert_eq!(recovery.snapshot.is_some(), older.is_some());
-        assert_eq!(outcome(recovery.resume()), expected, "older = {older:?}");
-        let _ = std::fs::remove_dir_all(&dir);
+    let recovery = recover(&dir).unwrap();
+    let what = format!("{} at {level}, older = {older:?}", refused.display());
+    assert_eq!(recovery.resume_from, older.unwrap_or(0), "{what}");
+    assert_eq!(recovery.snapshot.is_some(), older.is_some(), "{what}");
+    assert_eq!(outcome(recovery.resume()), expected, "{what}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A committed version-5 snapshot, refused by this build.
+fn v5_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data")
+        .join(format!("snapshot-v5-{name}.mtcck"))
+}
+
+fn assert_refused_as_version_5(path: &std::path::Path) {
+    match read_checkpoint(path) {
+        Err(StoreError::Format(why)) => {
+            assert!(why.contains("unsupported snapshot version 5"), "{why}")
+        }
+        other => panic!("{}: must be refused, got {other:?}", path.display()),
+    }
+}
+
+/// The `snapshot-v5-{ser,si,sser}` files are the fixture prefix as the last
+/// version-5 build wrote it, and `snapshot-v5-sser-ed75a20` the SSER prefix
+/// of [`overlapping_stream`] as an older version-5 build — one that settled
+/// the order on other ranks — wrote it. It used to show that a snapshot of
+/// another build's ranks resumes all the same; no other build writes
+/// version 6, so it is a refused input now, like the rest. Each header still
+/// decodes, each snapshot — names and all — is read and refused by its
+/// version, and recovery passes over each to the uninterrupted verdict.
+#[test]
+fn the_v5_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+    for level in LEVELS {
+        let path = v5_path(level_name(level));
+        assert_refused_as_version_5(&path);
+        assert_recovery_passes_over(&path, level, &fixture_stream(), None);
+    }
+    let path = v5_path("sser-ed75a20");
+    assert_refused_as_version_5(&path);
+    let level = IsolationLevel::StrictSerializability;
+    for older in [None, Some(64u64)] {
+        assert_recovery_passes_over(&path, level, &overlapping_stream(), older);
+    }
+}
+
+/// `snapshot-v5-ser-capped.mtcck` is the SER fixture prefix as a build with
+/// a GC reader cap wrote it: `FIXTURE_GC` with `reader_cap: 2`, so its clean
+/// verdict was only qualified on the readers the cap dropped. Version 6 has
+/// no slot for a cap, and this build refuses the file by its version like
+/// every version-5 snapshot; a store whose newest checkpoint it is recovers
+/// past it — from the checkpoint before it, or by replaying the log from
+/// the start — to the verdict a fresh uncapped checker gives on that log.
+#[test]
+fn a_reader_capped_checkpoint_is_refused_and_recovery_replays_past_it() {
+    let capped = v5_path("ser-capped");
+    assert_refused_as_version_5(&capped);
+    for older in [None, Some(64u64)] {
+        assert_recovery_passes_over(
+            &capped,
+            IsolationLevel::Serializability,
+            &fixture_stream(),
+            older,
+        );
     }
 }
 
@@ -437,8 +448,8 @@ fn assert_checkpoints_reencode(
 }
 
 /// A snapshot's bytes are a function of the checker's state: a checker
-/// resumed from a checkpoint writes that checkpoint back byte for byte, at
-/// every point of a long, GC'd stream — however differently the decoded maps
+/// resumed from a checkpoint writes that checkpoint back byte for byte — the
+/// committed `snapshot-v6-*` fixtures, and every point of a long, GC'd stream — however differently the decoded maps
 /// were filled from the ones that wrote them. The second stream has
 /// Zipf-hot keys and a majority of read-only transactions, so the
 /// checkpoints hold reader lists that stay in place, lists that spilled to
@@ -457,11 +468,21 @@ fn resumed_checkpoints_reencode_to_their_own_bytes() {
         .map(|(i, key)| (key, i, u64::from(i % 5 >= 3)))
         .collect();
     let zipf_mostly_reads = build_stream(&picks, KEYS, 4, None, None, None, None);
-    for level in [
-        IsolationLevel::Serializability,
-        IsolationLevel::SnapshotIsolation,
-        IsolationLevel::StrictSerializability,
-    ] {
+    for level in LEVELS {
+        // The committed snapshots too, as files.
+        let (consumed, snapshot) = read_checkpoint(fixture_path(level)).unwrap();
+        let dir = tmpdir(0x5EE_000 + consumed);
+        let path = write_checkpoint(
+            &dir,
+            consumed,
+            &IncrementalChecker::resume(snapshot).checkpoint(),
+        );
+        assert!(
+            std::fs::read(path.unwrap()).unwrap() == std::fs::read(fixture_path(level)).unwrap(),
+            "{level}: the resumed fixture re-encodes to other bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
         assert_checkpoints_reencode(level, KEYS, GcPolicy::clamped(64, 16), &uniform_rmw);
         let gc = GcPolicy::clamped(64, 16);
         let longest = assert_checkpoints_reencode(level, KEYS, gc, &zipf_mostly_reads);

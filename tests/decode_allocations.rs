@@ -1,7 +1,7 @@
 //! The read path's allocation budget, the twin of `encode_allocations.rs`.
 //! Nothing that is read back is first parsed into an owned value tree:
 //! `Deserialize::pull` takes a value head by head from the byte reader, which
-//! borrows strings and keys from its input, so decoding a checker snapshot
+//! borrows strings from its input, so decoding a checker snapshot
 //! allocates what the snapshot itself owns and a log record what its
 //! transaction owns. The build before this budget existed made one
 //! allocation per tree node and per field name on top of that: 169 812 for
@@ -83,10 +83,10 @@ fn decoding_builds_no_value_tree() {
         "decoding a transaction made {per_txn:.3} allocations, budget 3"
     );
 
-    // A v2 log record through `read_log`, in steady state: the marginal cost
-    // of the 2 000 records a longer log holds (the segment's key table, the
-    // file's buffer and the growth of the transaction list are the shorter
-    // log's too, or amortised).
+    // A log record through `read_log`, in steady state: the marginal cost
+    // of the 2 000 records a longer log holds (the file's buffer and the
+    // growth of the transaction list are the shorter log's too, or
+    // amortised).
     let dir = std::env::temp_dir().join(format!("mtc_decode_allocations_{}", std::process::id()));
     let meta = StreamMeta {
         level,

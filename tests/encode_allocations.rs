@@ -125,8 +125,8 @@ fn encoding_builds_no_value_tree() {
         "encoding a checkpoint made {allocations} allocations, budget 64"
     );
 
-    // A WAL append in steady state: the segment's key table is complete and
-    // the writer's frame buffer has seen a record of every size.
+    // A WAL append in steady state: the writer's frame buffer has seen a
+    // record of every size.
     let dir = std::env::temp_dir().join(format!("mtc_encode_allocations_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let meta = StreamMeta {

@@ -1,8 +1,9 @@
 //! Hostile bytes against every decoder that reads the binary value form:
 //! `binval::from_bytes` (checker snapshots, log records, wire envelopes),
 //! `read_log`, `latest_checkpoint` (snapshot payload and checkpoint header)
-//! and `FrameBuf::pop`. Each is fed the committed fixtures — and one
-//! megabyte-sized snapshot made here — cut short at every offset (strided
+//! and `FrameBuf::pop`. Each is fed the committed fixtures — this build's
+//! and, where a reader still takes an older format, the older one — and one
+//! half-megabyte snapshot made here — cut short at every offset (strided
 //! where the input is long), with seeded bit flips, and with every length
 //! prefix inflated to 2^32 and to 2^60, **the frame re-made around the damage
 //! so that its CRC holds** and the payload decoder is what meets it.
@@ -234,7 +235,7 @@ fn fixture(path: &str) -> Vec<u8> {
 }
 
 /// The checkpoint of `encode_allocations.rs`: a 3 000-transaction SER
-/// checker's, a megabyte of it.
+/// checker's, half a megabyte of it.
 fn large_snapshot() -> Vec<u8> {
     let mut checker =
         IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..NUM_KEYS);
@@ -264,7 +265,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     for (n, name) in ["ser", "si", "sser"].iter().enumerate() {
         let file = format!("checkpoint-{:012}.mtcck", 200);
         let frames = frames_of(&fixture(&format!(
-            "crates/store/tests/data/snapshot-v5-{name}.mtcck"
+            "crates/store/tests/data/snapshot-v6-{name}.mtcck"
         )));
         let [header, payload] = frames.as_slice() else {
             panic!("{name}: a checkpoint file is two frames");
@@ -299,7 +300,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
         std::fs::remove_file(dir.join(&file)).expect("remove the checkpoint");
     }
     let large = large_snapshot();
-    assert!(large.len() > 1_000_000 && from_bytes::<CheckerSnapshot>(&large).is_ok());
+    assert!(large.len() > 400_000 && from_bytes::<CheckerSnapshot>(&large).is_ok());
     let amount = (128 / thin, 200 / thin, 256 / thin);
     damaged(
         &large,
@@ -312,25 +313,33 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
         },
     );
 
-    // Log records: each record of the committed v2 segment damaged in its
-    // file, through `read_log`; and every transaction it holds in the inline
-    // form (v1 segments, `from_bytes`).
-    let segment = frames_of(&fixture("crates/store/tests/data/segment-v2-pr21.mtclog"));
+    // Log records: each record of the committed segments — this build's
+    // positional one, and a v2 one with its key tables — damaged in its
+    // file, through `read_log`; and every transaction they hold as a lone
+    // record, through `from_bytes`.
     let file = dir.join("segment-00000000.mtclog");
-    for (at, payload) in segment.iter().enumerate().skip(1) {
-        let lengths = lengths_of(payload, true);
-        let amount = (usize::MAX, 10, usize::MAX);
-        damaged(payload, &lengths, amount, at as u64, |what, bytes| {
-            let what = || format!("log record {at}, {}", what());
-            let damaged = reframed(&segment, at, bytes);
-            std::fs::write(&file, &damaged).expect("write the segment");
-            held(&what, damaged.len(), || read_log(&dir));
-        });
+    let mut txns = Vec::new();
+    for (name, v2) in [
+        ("segment-v3.mtclog", false),
+        ("segment-v2-pr21.mtclog", true),
+    ] {
+        let segment = frames_of(&fixture(&format!("crates/store/tests/data/{name}")));
+        for (at, payload) in segment.iter().enumerate().skip(1) {
+            let lengths = lengths_of(payload, v2);
+            let amount = (usize::MAX, 10, usize::MAX);
+            damaged(payload, &lengths, amount, at as u64, |what, bytes| {
+                let what = || format!("{name}, log record {at}, {}", what());
+                let damaged = reframed(&segment, at, bytes);
+                std::fs::write(&file, &damaged).expect("write the segment");
+                held(&what, damaged.len(), || read_log(&dir));
+            });
+        }
+        std::fs::write(&file, reframed(&segment, 0, &segment[0])).expect("write the segment");
+        let log = read_log(&dir).expect("the committed segment reads");
+        assert_eq!(log.txns.len(), 200, "{name}");
+        txns = log.txns;
     }
-    std::fs::write(&file, reframed(&segment, 0, &segment[0])).expect("write the segment");
-    let log = read_log(&dir).expect("the committed segment reads");
-    assert_eq!(log.txns.len(), 200);
-    for (at, txn) in log.txns.into_iter().enumerate() {
+    for (at, txn) in txns.into_iter().enumerate() {
         let payload = to_bytes(&LogRecord::Txn(txn));
         let lengths = lengths_of(&payload, false);
         damaged(
@@ -339,42 +348,47 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
             (usize::MAX, 10, usize::MAX),
             at as u64,
             |what, bytes| {
-                let what = || format!("inline log record {at}, {}", what());
+                let what = || format!("lone log record {at}, {}", what());
                 held(&what, bytes.len(), || from_bytes::<LogRecord>(bytes));
             },
         );
     }
 
-    // Wire envelopes: every frame of the committed stream, as a payload
-    // through `from_bytes` and in its stream through `FrameBuf::pop`. The
-    // fixture holds the requests first, `MetricsSnapshot` the last of them.
-    let wire = frames_of(&fixture("crates/net/tests/data/frames-pr21.bin"));
-    let requests = 1 + wire
-        .iter()
-        .rposition(|payload| from_bytes::<RequestEnvelope>(payload).is_ok())
-        .expect("the stream holds requests");
-    assert!(requests > 10 && wire.len() - requests > 10);
-    for (at, payload) in wire.iter().enumerate() {
-        let lengths = lengths_of(payload, false);
-        let amount = (usize::MAX, 2_000 / wire.len() + 1, usize::MAX);
-        damaged(payload, &lengths, amount, at as u64, |what, bytes| {
-            let what = || format!("envelope {at}, {}", what());
-            let stream = reframed(&wire[at..=at], 0, bytes);
-            let mut buf = FrameBuf::default();
-            buf.fill(&mut stream.as_slice()).expect("a slice reads");
-            if at < requests {
-                held(&what, bytes.len(), || from_bytes::<RequestEnvelope>(bytes));
-                held(&what, stream.len(), || buf.pop::<RequestEnvelope>());
-            } else {
-                held(&what, bytes.len(), || from_bytes::<ReplyEnvelope>(bytes));
-                held(&what, stream.len(), || buf.pop::<ReplyEnvelope>());
-            }
-        });
+    // Wire envelopes: every frame of the committed streams — protocol 4's,
+    // and protocol 3's, names and all — as a payload through `from_bytes`
+    // and in its stream through `FrameBuf::pop`. Each holds the requests
+    // first, `MetricsSnapshot` the last of them.
+    for name in ["frames-v4.bin", "frames-pr21.bin"] {
+        let wire = frames_of(&fixture(&format!("crates/net/tests/data/{name}")));
+        let requests = 1 + wire
+            .iter()
+            .rposition(|payload| from_bytes::<RequestEnvelope>(payload).is_ok())
+            .expect("the stream holds requests");
+        assert!(requests > 10 && wire.len() - requests > 10, "{name}");
+        for (at, payload) in wire.iter().enumerate() {
+            let lengths = lengths_of(payload, false);
+            let amount = (usize::MAX, 2_000 / wire.len() + 1, usize::MAX);
+            damaged(payload, &lengths, amount, at as u64, |what, bytes| {
+                let what = || format!("{name}, envelope {at}, {}", what());
+                let stream = reframed(&wire[at..=at], 0, bytes);
+                let mut buf = FrameBuf::default();
+                buf.fill(&mut stream.as_slice()).expect("a slice reads");
+                if at < requests {
+                    held(&what, bytes.len(), || from_bytes::<RequestEnvelope>(bytes));
+                    held(&what, stream.len(), || buf.pop::<RequestEnvelope>());
+                } else {
+                    held(&what, bytes.len(), || from_bytes::<ReplyEnvelope>(bytes));
+                    held(&what, stream.len(), || buf.pop::<ReplyEnvelope>());
+                }
+            });
+        }
     }
 
-    // The frames underneath: both raw streams, straight to `read_frame`.
+    // The frames underneath: the raw streams, straight to `read_frame`.
     for name in [
+        "crates/store/tests/data/segment-v3.mtclog",
         "crates/store/tests/data/segment-v2-pr21.mtclog",
+        "crates/net/tests/data/frames-v4.bin",
         "crates/net/tests/data/frames-pr21.bin",
     ] {
         frame_stream_held(name, &fixture(name), 2_000 / thin);

@@ -1,10 +1,12 @@
 //! The streaming checker against a committed fixture:
-//! `tests/data/streaming-verdicts-v5.txt` holds, for the 14-anomaly
+//! `tests/data/streaming-verdicts-v6.txt` holds, for the 14-anomaly
 //! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
 //! at SER / SI / SSER with and without GC and `⊥T`, and this build must
 //! reproduce the file byte for byte. The verdicts and first-violation
 //! indices in it go back to the build before the engine's event vocabulary
-//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 5.
+//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 6,
+//! written by the build that introduced it (its `variants=` and
+//! `snapshots=` CRCs are the only fields that moved from version 5's file).
 //!
 //! One line per (stream, level): a CRC over the records of all 4 variants —
 //! a fold of every `push` status, `first_violation_at`, `edge_count`, the
@@ -34,7 +36,7 @@ use mtc::history::{History, Op, SessionId, Transaction, TxnId};
 use mtc::store::{crc32, to_bytes};
 use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 
-const FIXTURE: &str = include_str!("data/streaming-verdicts-v5.txt");
+const FIXTURE: &str = include_str!("data/streaming-verdicts-v6.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -361,7 +363,7 @@ fn streaming_verdicts_match_the_parent_written_fixture() {
         .position(|(a, f)| a != f)
         .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
     panic!(
-        "verdicts differ from tests/data/streaming-verdicts-v5.txt at line {}; \
+        "verdicts differ from tests/data/streaming-verdicts-v6.txt at line {}; \
          this build's rendering is in {}",
         line + 1,
         path.display()
