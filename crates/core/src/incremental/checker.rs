@@ -280,13 +280,6 @@ impl IncrementalChecker {
         self.push(txn)
     }
 
-    /// Convenience: feeds an aborted transaction (participates in
-    /// `ABORTEDREAD` provenance, contributes no edges).
-    pub fn push_aborted(&mut self, session: u32, ops: Vec<Op>) -> Result<StreamStatus, CheckError> {
-        let txn = Transaction::aborted(TxnId(0), SessionId(session), ops);
-        self.push(txn)
-    }
-
     /// Convenience: feeds a committed transaction with wall-clock begin and
     /// commit-acknowledgement instants (the inputs of the SSER time-chain;
     /// ignored by SER/SI checkers).

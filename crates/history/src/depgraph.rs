@@ -37,18 +37,6 @@ pub enum EdgeKind {
 }
 
 impl EdgeKind {
-    /// True for `WR(_)`.
-    #[inline]
-    pub fn is_wr(self) -> bool {
-        matches!(self, EdgeKind::Wr(_))
-    }
-
-    /// True for `WW(_)`.
-    #[inline]
-    pub fn is_ww(self) -> bool {
-        matches!(self, EdgeKind::Ww(_))
-    }
-
     /// True for `RW(_)`.
     #[inline]
     pub fn is_rw(self) -> bool {
@@ -273,14 +261,6 @@ impl DependencyGraph {
     /// Labelled out-edges of `from`.
     pub fn out_edges(&self, from: TxnId) -> impl Iterator<Item = &Edge> + '_ {
         self.row(from.0)
-    }
-
-    /// Edges whose kind satisfies `pred`.
-    pub fn edges_matching<'a, F>(&'a self, pred: F) -> impl Iterator<Item = &'a Edge> + 'a
-    where
-        F: Fn(EdgeKind) -> bool + 'a,
-    {
-        self.edges.iter().filter(move |e| pred(e.kind))
     }
 
     /// Projects the edges whose kind satisfies `pred` onto an unlabelled

@@ -146,12 +146,6 @@ impl Transaction {
         self.ops.iter().any(|op| op.is_write() && op.key() == key)
     }
 
-    /// True iff this transaction reads `key` before writing it (i.e. has an
-    /// external read of `key`).
-    pub fn reads_externally(&self, key: Key) -> bool {
-        self.external_read(key).is_some()
-    }
-
     /// All keys written by the transaction, in first-write order, without
     /// duplicates.
     pub fn write_set(&self) -> Vec<Key> {

@@ -16,9 +16,9 @@
 //!
 //! * [`proto`] — envelopes, request/reply enums, framed send/recv and the
 //!   receive buffer of a pipelined connection;
-//! * [`server`] — [`serve`] accept loop, the burst-answering connection loop
-//!   both server roles run, [`NetServer`] in-process harness, and the
-//!   `mtc_net_server` binary's engine table;
+//! * [`server`] — [`serve`], the accept loop and the burst-answering
+//!   connection loop both server roles run, [`NetServer`] in-process
+//!   harness, and the `mtc_net_server` binary's engine table;
 //! * [`client`] — [`NetBackend`]/[`NetTxn`] with connection pooling,
 //!   requests sent ahead (`begin` and writes ride with the next read or
 //!   commit, announced reads with the first of them: a mini-transaction is

@@ -1,12 +1,13 @@
 //! The server side: any [`DbBackend`] behind a TCP listener.
 //!
-//! [`serve`] runs an accept loop and one handler thread per connection
-//! inside a [`std::thread::scope`], so handlers can hold open transactions
-//! (`Box<dyn DbTxn + '_>`) against the borrowed engine. A connection that
-//! drops — cleanly or mid-transaction — has its leftover transactions
-//! explicitly aborted before the handler exits: engines like the weak MVCC
-//! store do not clean up on `Drop`, and a crashed client must never leave
-//! locks or uncommitted versions behind on the server.
+//! [`serve`] runs [`accept_loop`] (the verification daemon's too): one
+//! handler thread per connection inside a [`std::thread::scope`], so
+//! handlers can hold open transactions (`Box<dyn DbTxn + '_>`) against the
+//! borrowed engine. A connection that drops — cleanly or mid-transaction —
+//! has its leftover transactions explicitly aborted before the handler
+//! exits: engines like the weak MVCC store do not clean up on `Drop`, and a
+//! crashed client must never leave locks or uncommitted versions behind on
+//! the server.
 //!
 //! A handler answers **bursts**: [`serve_connection`] (the loop the
 //! verification daemon's handlers run too) reads whatever the socket has,
@@ -45,32 +46,48 @@ const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::StrictSerializability,
 ];
 
-/// Serves `backend` on `listener` until `shutdown` becomes true.
-///
-/// Each accepted connection gets its own handler thread; the accept loop
-/// polls the shutdown flag every few milliseconds (the listener is switched
-/// to non-blocking mode for that). Returns when the flag is set and every
-/// handler has finished.
+/// Serves `backend` on `listener` until `shutdown` becomes true: one
+/// handler thread per connection ([`accept_loop`]).
 pub fn serve(
     backend: &dyn DbBackend,
     listener: TcpListener,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
+    accept_loop(
+        listener,
+        "execution",
+        || shutdown.load(Ordering::Acquire),
+        |stream| handle_connection(backend, stream, shutdown),
+    )
+}
+
+/// The accept loop of both server roles: each accepted connection gets its
+/// own scoped thread running `handle`, announced as a `connection-accepted`
+/// event with `role`. The loop polls `stop` every few milliseconds (the
+/// listener is switched to non-blocking mode for that) and returns once it
+/// is true and every handler has finished.
+pub fn accept_loop(
+    listener: TcpListener,
+    role: &str,
+    stop: impl Fn() -> bool,
+    handle: impl Fn(TcpStream) + Sync,
+) -> io::Result<()> {
     listener.set_nonblocking(true)?;
+    let handle = &handle;
     std::thread::scope(|scope| {
-        while !shutdown.load(Ordering::Acquire) {
+        while !stop() {
             match listener.accept() {
                 Ok((stream, peer)) => {
                     mtc_obs::gauge!("net.connections_open").add(1);
                     mtc_obs::events::emit(
                         "connection-accepted",
                         &[
-                            ("role", JsonValue::Str("execution".to_string())),
+                            ("role", JsonValue::Str(role.to_string())),
                             ("peer", JsonValue::Str(peer.to_string())),
                         ],
                     );
                     scope.spawn(move || {
-                        handle_connection(backend, stream, shutdown);
+                        handle(stream);
                         mtc_obs::gauge!("net.connections_open").sub(1);
                     });
                 }

@@ -13,7 +13,7 @@
 //! ones passed over) rather than loading the only file there was.
 //!
 //! ```text
-//! cargo run --release -p mtc-bench --bin crash_resume_smoke
+//! cargo run --release -p mtc-runner --bin crash_resume_smoke
 //! ```
 //!
 //! Exit code 0 on success; nonzero (with a diagnostic) on any mismatch.

@@ -17,7 +17,7 @@
 //!    verdict.
 //!
 //! ```text
-//! cargo run --release -p mtc-bench --bin net_crash_smoke
+//! cargo run --release -p mtc-runner --bin net_crash_smoke
 //! ```
 //!
 //! Exit code 0 on success; nonzero (with a diagnostic) on any mismatch.

@@ -42,6 +42,11 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// A flag's count, or [`usage`] when it is not one.
+fn number(value: String) -> usize {
+    value.parse().unwrap_or_else(|_| usage())
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut root: Option<String> = None;
@@ -55,9 +60,9 @@ fn main() {
         match flag.as_str() {
             "--root" => root = Some(value()),
             "--addr" => addr = value(),
-            "--queue-cap" => queue_cap = value().parse().ok(),
-            "--checkpoint-every" => checkpoint_every = value().parse().ok(),
-            "--drain-workers" => drain_workers = value().parse().ok(),
+            "--queue-cap" => queue_cap = Some(number(value())),
+            "--checkpoint-every" => checkpoint_every = Some(number(value())),
+            "--drain-workers" => drain_workers = Some(number(value())),
             "--metrics-json" => metrics_json = true,
             _ => usage(),
         }

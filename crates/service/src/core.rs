@@ -54,6 +54,10 @@ const MAX_TENANT_NAME: usize = 64;
 /// dense per-session table by them and every snapshot carries it.
 pub const MAX_SESSIONS: u32 = 1 << 16;
 
+/// Events a drain worker feeds a tenant's checker per sweep — the unit of
+/// fairness across tenants.
+const DRAIN_BATCH: usize = 128;
+
 /// Tuning of a [`ServiceCore`]; every knob has a serviceable default.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -69,28 +73,19 @@ pub struct ServiceConfig {
     /// written instead once the log since the newest one has grown to that
     /// one's size ([`MtcStore::recorded`]).
     pub checkpoint_every: usize,
-    /// Settled-prefix GC policy applied to every tenant's checker, or
-    /// `None` to retain the full stream.
-    pub gc: Option<GcPolicy>,
     /// Threads carrying the drain loop.
     pub drain_workers: usize,
-    /// Events a drain worker feeds a tenant's checker per sweep — the unit
-    /// of fairness across tenants.
-    pub drain_batch: usize,
 }
 
 impl ServiceConfig {
     /// Defaults rooted at `root`: 1024-event queues, a checkpoint floor of
-    /// 256 events, default GC policy, 2 drain workers, 128-event drain
-    /// batches.
+    /// 256 events, 2 drain workers.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             root: root.into(),
             queue_cap: 1024,
             checkpoint_every: 256,
-            gc: Some(GcPolicy::default()),
             drain_workers: 2,
-            drain_batch: 128,
         }
     }
 
@@ -104,12 +99,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::checkpoint_every`](#structfield.checkpoint_every)).
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// Replaces (or disables, with `None`) the per-tenant GC policy.
-    pub fn gc(mut self, gc: Option<GcPolicy>) -> Self {
-        self.gc = gc;
         self
     }
 
@@ -489,7 +478,7 @@ impl ServiceCore {
         }
 
         let dir = self.config.root.join(name);
-        let mut builder = LiveVerifier::builder(level, num_keys);
+        let mut builder = LiveVerifier::builder(level, num_keys).gc(GcPolicy::default());
         let (store, resumed_txns, from_checkpoint) = if dir.exists() {
             let (store, recovery) =
                 MtcStore::open_append(&dir).map_err(|e| format!("open tenant store: {e}"))?;
@@ -509,9 +498,6 @@ impl ServiceCore {
                 .map_err(|e| format!("create tenant store: {e}"))?;
             (store, 0, false)
         };
-        if let Some(gc) = self.config.gc {
-            builder = builder.gc(gc);
-        }
         let store = store.with_checkpoint_every(self.config.checkpoint_every);
 
         let id = reg.next_id;
@@ -648,7 +634,7 @@ impl ServiceCore {
             let mut fed = 0;
             let n = tenants.len();
             for i in 0..n {
-                fed += tenants[(i + offset) % n].drain_batch(self.config.drain_batch);
+                fed += tenants[(i + offset) % n].drain_batch(DRAIN_BATCH);
             }
             if fed == 0 {
                 std::thread::sleep(Duration::from_micros(500));

@@ -7,11 +7,11 @@
 //! Execution-role requests are refused with an explicit error, mirroring
 //! how `mtc_net::serve` refuses service-role requests.
 //!
-//! [`serve`] is the accept loop (one scoped handler thread per
-//! connection, pushing into the core's admission queues — handlers never
-//! verify); [`ServiceServer`] is the in-process harness the tests, the
-//! load generator and the bench gate build on: ephemeral loopback port,
-//! its own accept *and* drain threads, shutdown on drop.
+//! [`serve`] runs the execution server's accept loop (one scoped handler
+//! thread per connection, pushing into the core's admission queues —
+//! handlers never verify); [`ServiceServer`] is the in-process harness the
+//! tests, the load generator and the benchmark build on: ephemeral
+//! loopback port, its own accept *and* drain threads, shutdown on drop.
 
 use crate::core::{Admission, ServiceConfig, ServiceCore};
 use mtc_net::proto::{Reply, Request, PROTOCOL_VERSION};
@@ -19,43 +19,21 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The label a service announces in its `Hello` reply.
 pub const SERVICE_LABEL: &str = "mtc-service";
 
-/// Serves `core` on `listener` until `shutdown` becomes true: one handler
-/// thread per connection, the execution server's connection loop
-/// ([`mtc_net::server::serve_connection`]).
+/// Serves `core` on `listener` until `shutdown` becomes true or the core
+/// stops: one handler thread per connection, the execution server's accept
+/// and connection loops ([`mtc_net::server::accept_loop`],
+/// [`mtc_net::server::serve_connection`]).
 pub fn serve(core: &ServiceCore, listener: TcpListener, shutdown: &AtomicBool) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| {
-        while !shutdown.load(Ordering::Acquire) && !core.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    use mtc_obs::events::JsonValue;
-                    mtc_obs::gauge!("net.connections_open").add(1);
-                    mtc_obs::events::emit(
-                        "connection-accepted",
-                        &[
-                            ("role", JsonValue::Str("service".to_string())),
-                            ("peer", JsonValue::Str(peer.to_string())),
-                        ],
-                    );
-                    scope.spawn(move || {
-                        handle_connection(core, stream, shutdown);
-                        mtc_obs::gauge!("net.connections_open").sub(1);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    })
+    mtc_net::server::accept_loop(
+        listener,
+        "service",
+        || shutdown.load(Ordering::Acquire) || core.is_shutdown(),
+        |stream| handle_connection(core, stream, shutdown),
+    )
 }
 
 /// One service-role connection. Unlike the execution server there is
