@@ -1,6 +1,7 @@
 //! The engine's arena-backed maps: [`TxnMap`], a windowed dense map keyed by
-//! transaction id, and [`ProvMap`], the composed-edge provenance rows — with
-//! the hand-written serde that fixes their snapshot layout.
+//! transaction id, [`IdOrdered`], one written as a plain map, and
+//! [`ProvMap`], the composed-edge provenance rows — with the hand-written
+//! serde that fixes their snapshot layout.
 
 use mtc_history::{Edge, FastHashMap, TxnId};
 use serde::{Deserialize, Head, Serialize, Source};
@@ -18,6 +19,8 @@ pub(super) struct TxnMap<V> {
     base: u32,
     dense: Vec<Option<V>>,
     low: FastHashMap<TxnId, V>,
+    /// Entries present, in both parts.
+    len: usize,
 }
 
 impl<V> Default for TxnMap<V> {
@@ -26,6 +29,7 @@ impl<V> Default for TxnMap<V> {
             base: 0,
             dense: Vec::new(),
             low: FastHashMap::default(),
+            len: 0,
         }
     }
 }
@@ -40,16 +44,22 @@ impl<V> TxnMap<V> {
         }
     }
 
+    /// Entries present.
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
     pub(super) fn insert(&mut self, t: TxnId, v: V) {
-        if t.0 >= self.base {
+        let was = if t.0 >= self.base {
             let i = (t.0 - self.base) as usize;
             if self.dense.len() <= i {
                 self.dense.resize_with(i + 1, || None);
             }
-            self.dense[i] = Some(v);
+            self.dense[i].replace(v)
         } else {
-            self.low.insert(t, v);
-        }
+            self.low.insert(t, v)
+        };
+        self.len += usize::from(was.is_none());
     }
 
     pub(super) fn get_or_default(&mut self, t: TxnId) -> &mut V
@@ -61,20 +71,27 @@ impl<V> TxnMap<V> {
             if self.dense.len() <= i {
                 self.dense.resize_with(i + 1, || None);
             }
-            self.dense[i].get_or_insert_with(V::default)
+            let slot = &mut self.dense[i];
+            self.len += usize::from(slot.is_none());
+            slot.get_or_insert_with(V::default)
         } else {
-            self.low.entry(t).or_default()
+            let len = &mut self.len;
+            self.low.entry(t).or_insert_with(|| {
+                *len += 1;
+                V::default()
+            })
         }
     }
 
     pub(super) fn remove(&mut self, t: TxnId) {
-        if t.0 >= self.base {
-            if let Some(slot) = self.dense.get_mut((t.0 - self.base) as usize) {
-                *slot = None;
-            }
+        let was = if t.0 >= self.base {
+            self.dense
+                .get_mut((t.0 - self.base) as usize)
+                .and_then(Option::take)
         } else {
-            self.low.remove(&t);
-        }
+            self.low.remove(&t)
+        };
+        self.len -= usize::from(was.is_some());
     }
 
     pub(super) fn iter(&self) -> impl Iterator<Item = (TxnId, &V)> {
@@ -85,6 +102,14 @@ impl<V> TxnMap<V> {
                 .enumerate()
                 .filter_map(move |(i, v)| Some((TxnId(base + i as u32), v.as_ref()?))),
         )
+    }
+
+    /// Every entry in id order.
+    pub(super) fn sorted(&self) -> Vec<(TxnId, &V)> {
+        let mut entries: Vec<(TxnId, &V)> = Vec::with_capacity(self.len);
+        entries.extend(self.iter());
+        entries.sort_unstable_by_key(|&(t, _)| t);
+        entries
     }
 
     /// Moves the dense window up to `base`: surviving entries below it (GC
@@ -106,13 +131,16 @@ impl<V> TxnMap<V> {
 
 impl<V: Serialize> Serialize for TxnMap<V> {
     fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
-        let mut entries: Vec<(u32, &V)> = self.iter().map(|(t, v)| (t.0, v)).collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
         out.begin_struct(2);
         out.field("base");
         self.base.emit(out);
         out.field("entries");
-        entries.emit(out);
+        let entries = self.sorted();
+        out.begin_array(entries.len());
+        for (t, v) in entries {
+            (t.0, v).emit(out);
+        }
+        out.end_array();
         out.end_struct();
     }
 }
@@ -172,6 +200,58 @@ impl<V: Deserialize> TxnMap<V> {
             map.insert(TxnId(u32::pull(src)?), V::pull(src)?);
         }
         Ok(map)
+    }
+}
+
+/// A [`TxnMap`] that a snapshot writes as a plain map in id order —
+/// `[[id, value], …]`, a `BTreeMap<TxnId, V>`'s layout — with no window in
+/// the bytes: reading one picks its own window, the smallest that holds at
+/// least half the ids it spans.
+#[derive(Clone, Debug)]
+pub(super) struct IdOrdered<V>(TxnMap<V>);
+
+impl<V> Default for IdOrdered<V> {
+    fn default() -> Self {
+        IdOrdered(TxnMap::default())
+    }
+}
+
+impl<V> std::ops::Deref for IdOrdered<V> {
+    type Target = TxnMap<V>;
+
+    fn deref(&self) -> &TxnMap<V> {
+        &self.0
+    }
+}
+
+impl<V> std::ops::DerefMut for IdOrdered<V> {
+    fn deref_mut(&mut self) -> &mut TxnMap<V> {
+        &mut self.0
+    }
+}
+
+impl<V: Serialize> Serialize for IdOrdered<V> {
+    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
+        self.0.sorted().emit(out);
+    }
+}
+
+impl<V: Deserialize> Deserialize for IdOrdered<V> {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let mut pairs = Vec::<(TxnId, V)>::pull(src)?;
+        pairs.sort_unstable_by_key(|&(t, _)| t);
+        let (n, top) = (pairs.len(), pairs.last().map_or(0, |&(t, _)| t.0));
+        // The window `[base, top]` holds the `n - i` ids from the `i`-th up.
+        let holds_half = |i: usize| top - pairs[i].0 .0 < 2 * (n - i) as u32;
+        let base = (0..n).find(|&i| holds_half(i)).map_or(0, |i| pairs[i].0 .0);
+        let mut map = TxnMap::default();
+        map.rebase(base);
+        map.dense
+            .reserve_exact((top - base) as usize + usize::from(n > 0));
+        for (t, v) in pairs {
+            map.insert(t, v);
+        }
+        Ok(IdOrdered(map))
     }
 }
 
@@ -288,8 +368,8 @@ mod tests {
         for tree in [&written, &swapped] {
             let back = TxnMap::<usize>::from_json_value(tree).unwrap();
             assert_eq!(
-                (back.base, &back.dense, &back.low),
-                (17, &map.dense, &map.low)
+                (back.base, &back.dense, &back.low, back.len),
+                (17, &map.dense, &map.low, 5)
             );
             assert_eq!(back.to_json_value(), written);
         }

@@ -3,7 +3,7 @@
 //! time-chain hooks and the verdict latch. [`Engine::admit`] registers a
 //! transaction, [`Engine::settle`] applies what it was found to entail.
 
-use super::arena::{ProvMap, TxnMap};
+use super::arena::{IdOrdered, ProvMap, TxnMap};
 use super::gc::GcPolicy;
 use super::{keep_lowest, Findings};
 use crate::check::IsolationLevel;
@@ -14,7 +14,6 @@ use mtc_history::{
     SessionId, TimeChain, Transaction, TxnId, TxnStatus,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 // ───────────────────────── the engine ───────────────────────────────────────
 
@@ -26,8 +25,8 @@ pub(super) enum NodeOwner {
     Time,
 }
 
-/// Stream-order metadata of a resident transaction, kept for the GC's
-/// candidate enumeration (and the SSER chain cut computation).
+/// The instants a resident transaction reported, which the GC's candidate
+/// enumeration and the SSER chain cut read.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub(super) struct TxnMeta {
     pub(super) begin: Option<u64>,
@@ -63,8 +62,10 @@ pub(super) struct Engine {
     /// Last *committed* transaction of each session: the source of the
     /// session's next `SO` edge, which skips aborted attempts.
     pub(super) sessions: Vec<Option<TxnId>>,
-    /// Stream metadata of every resident (unpruned) transaction.
-    pub(super) live_txns: BTreeMap<TxnId, TxnMeta>,
+    /// The instants of every resident (unpruned) transaction: the same ids
+    /// as `txn_node`, in a table of their own so that the node lookups of
+    /// every edge insertion stay in the smaller one.
+    pub(super) live_txns: IdOrdered<TxnMeta>,
     /// Settled-prefix GC policy; `None` disables collection.
     pub(super) gc: Option<GcPolicy>,
     /// `txn_count` at the last epoch boundary (sweep).
@@ -107,7 +108,7 @@ impl Engine {
             txn_cnode: TxnMap::default(),
             node_owner: Vec::new(),
             sessions: Vec::new(),
-            live_txns: BTreeMap::new(),
+            live_txns: IdOrdered::default(),
             gc: None,
             last_gc: 0,
             gc_epochs: 0,
@@ -202,13 +203,8 @@ impl Engine {
             let cnode = self.composed.add_node();
             self.txn_cnode.insert(id, cnode);
         }
-        self.live_txns.insert(
-            id,
-            TxnMeta {
-                begin: txn.begin,
-                end: txn.end,
-            },
-        );
+        let (begin, end) = (txn.begin, txn.end);
+        self.live_txns.insert(id, TxnMeta { begin, end });
 
         let mut admitted = Admitted {
             so: None,

@@ -2,7 +2,8 @@
 //! graph-side collection ([`Engine::collect`]). The per-key half of a sweep
 //! is [`super::keystate`]'s.
 
-use super::engine::Engine;
+use super::engine::{Engine, NodeOwner};
+use super::keystate::TxnSet;
 use crate::check::IsolationLevel;
 use mtc_history::{FastHashSet, TimeSlot, TxnId};
 use serde::{Deserialize, Serialize};
@@ -109,23 +110,32 @@ impl Engine {
     /// transactions. The retained structure answers every future insertion
     /// exactly as the unretired one would (see [`GcPolicy`] for the
     /// staleness-window contract).
-    pub(super) fn collect(&mut self, watermark: TxnId, refs: &FastHashSet<TxnId>) {
+    pub(super) fn collect(&mut self, watermark: TxnId, refs: &TxnSet) {
         if self.done() {
             return;
         }
+        let mut plan = self.candidates(watermark, refs);
+        self.close(&mut plan, watermark, refs);
+        self.commit(plan, watermark);
+    }
 
+    /// What a collection may retire before the closure has looked at the
+    /// graph: every candidate transaction and chain slot, with the masks the
+    /// closure tests predecessors against.
+    fn candidates(&self, watermark: TxnId, refs: &TxnSet) -> Collection {
         // ── candidate transactions ──
         // Membership is a bitmap over transaction ids below the watermark
-        // (plus the ordered list for iteration): the closure loop below
-        // tests and clears membership per predecessor walk, and bitmaps
-        // make those index arithmetic instead of hash probes.
+        // (plus the list, in id order, for iteration): the closure tests and
+        // clears membership per predecessor, and bitmaps make those index
+        // arithmetic instead of hash probes.
         let keep_sessions: FastHashSet<TxnId> = self.sessions.iter().flatten().copied().collect();
-        let mut cand_list: Vec<TxnId> = self
-            .live_txns
-            .range(..watermark)
-            .map(|(&t, _)| t)
+        let resident = self.live_txns.sorted();
+        let cand_list: Vec<TxnId> = resident
+            .iter()
+            .map(|&(t, _)| t)
+            .take_while(|&t| t < watermark)
             .filter(|t| !(self.has_init && t.0 == 0)) // ⊥T anchors new sessions
-            .filter(|t| !refs.contains(t))
+            .filter(|&t| !refs.contains(t))
             .filter(|t| !keep_sessions.contains(t))
             .collect();
         let mut cand = vec![false; watermark.0 as usize];
@@ -144,24 +154,23 @@ impl Engine {
         if self.level == IsolationLevel::StrictSerializability && !self.chain.is_empty() {
             let bot = self
                 .has_init
-                .then(|| self.live_txns.get(&TxnId(0)))
+                .then(|| self.live_txns.get(TxnId(0)))
                 .flatten();
             chain_low = bot
-                .map(|m| {
-                    m.begin
+                .map(|r| {
+                    r.begin
                         .into_iter()
-                        .chain(m.end)
+                        .chain(r.end)
                         .max()
                         .map_or(0, |t| t.saturating_add(1))
                 })
                 .unwrap_or(0);
-            let cut = self
-                .live_txns
+            let cut = resident
                 .iter()
                 .filter(|(t, _)| {
                     !(cand.get(t.index()).copied().unwrap_or(false) || self.has_init && t.0 == 0)
                 })
-                .filter_map(|(_, m)| m.begin.into_iter().chain(m.end).min())
+                .filter_map(|(_, r)| r.begin.into_iter().chain(r.end).min())
                 .min()
                 .unwrap_or(u64::MAX);
             if cut > chain_low {
@@ -189,10 +198,9 @@ impl Engine {
             None
         };
 
-        // ── closure: drop candidates that anything retained still points at ──
         // `in_nodes` / `in_cnodes` mirror the candidate set as bitmaps over
-        // (composed-)order node ids; dropped members are unmarked in place,
-        // so each round's predecessor walks are pure index arithmetic.
+        // (composed-)order node ids; the closure unmarks dropped members in
+        // place, so its predecessor tests are pure index arithmetic.
         let nb = self.topo.node_count();
         let mut in_nodes = vec![false; nb];
         let mut cut_mask = vec![false; nb];
@@ -207,108 +215,163 @@ impl Engine {
                 in_nodes[n] = true;
             }
         }
-        // Chain-exit anchors of candidate slots that the closure retains.
-        // A retained slot's exit only ever points *forward* along the chain
-        // (splice, split and shortcut edges all follow instant order), so it
-        // is an acceptable predecessor of a later candidate: the collection
-        // commit deletes its edges into the pruned set and re-establishes
-        // the chain order with one shortcut per pruned run. Without this, a
-        // single straggler-pinned slot would cascade-retain every slot (and
-        // transaction) behind it.
-        let mut slot_out_mask = vec![false; nb];
-        let mut slot_dead = vec![false; pruned_slots.len()];
         let mut in_cnodes = vec![false; if si { self.composed.node_count() } else { 0 }];
         if si {
             for &t in &cand_list {
                 in_cnodes[self.cnode_of(t)] = true;
             }
         }
-        loop {
-            let mut drop_txns: Vec<TxnId> = Vec::new();
-            let mut drop_slots: Vec<usize> = Vec::new();
-            for &t in &cand_list {
-                if !cand[t.index()] {
-                    continue;
-                }
-                let n = self.node_of(t);
-                if self
-                    .topo
-                    .predecessors(n)
-                    .any(|p| !in_nodes[p] && !cut_mask[p] && !slot_out_mask[p])
-                {
-                    drop_txns.push(t);
-                }
-            }
-            for (i, &(_, s)) in pruned_slots.iter().enumerate() {
-                if slot_dead[i] {
-                    continue;
-                }
-                let bad = s.nodes().any(|n| {
-                    self.topo
-                        .predecessors(n)
-                        .any(|p| !in_nodes[p] && !cut_mask[p] && !slot_out_mask[p])
-                });
-                if bad {
-                    drop_slots.push(i);
-                }
-            }
-            if si {
-                for &t in &cand_list {
-                    if !cand[t.index()] {
-                        continue;
-                    }
-                    let n = self.cnode_of(t);
-                    if self
-                        .composed
-                        .predecessors(n)
-                        .any(|p| !in_cnodes[p] && Some(p) != bot_cnode)
-                    {
-                        drop_txns.push(t);
-                    }
-                }
-                // A retained composition index must never compose a new
-                // edge that touches a pruned endpoint. Only *active* owners
-                // can still compose: `base_in[b]` fires on a new RW edge
-                // out of `b`, which needs `b` in a live readers list
-                // (trimmed to ≥ watermark); `rw_out[b]` fires on a new base
-                // edge into `b`, which makes `b` a reader of a fresh
-                // resolution — a new transaction or one with a pending read
-                // (pinned via `refs`). Entries of settled owners are inert
-                // and must not disqualify their endpoints.
-                let is_cand = |t: TxnId| cand.get(t.index()).copied().unwrap_or(false);
-                let active = |owner: TxnId| owner >= watermark || refs.contains(&owner);
-                for (owner, edges) in self.base_in.iter() {
-                    if active(owner) {
-                        drop_txns.extend(edges.iter().map(|e| e.from).filter(|&t| is_cand(t)));
-                    }
-                }
-                for (owner, edges) in self.rw_out.iter() {
-                    if active(owner) {
-                        drop_txns.extend(edges.iter().map(|e| e.to).filter(|&t| is_cand(t)));
-                    }
-                }
-            }
-            if drop_txns.is_empty() && drop_slots.is_empty() {
-                break;
-            }
-            for t in drop_txns {
-                if cand[t.index()] {
-                    cand[t.index()] = false;
-                    in_nodes[self.node_of(t)] = false;
-                    if si {
-                        in_cnodes[self.cnode_of(t)] = false;
-                    }
-                }
-            }
-            for i in drop_slots {
-                slot_dead[i] = true;
-                let (_, s) = pruned_slots[i];
-                for n in s.nodes() {
-                    in_nodes[n] = false;
-                }
-                slot_out_mask[s.end_node] = true;
+        Collection {
+            slot_dead: vec![false; pruned_slots.len()],
+            slot_out_mask: vec![false; nb],
+            cand_list,
+            cand,
+            pruned_slots,
+            cut_sources,
+            in_nodes,
+            cut_mask,
+            in_cnodes,
+            bot_cnode,
+        }
+    }
+
+    /// The closure: drops every candidate that anything retained still
+    /// points at, until nothing changes — the largest candidate set closed
+    /// under predecessors. The seeds are what the first of the reference's
+    /// rounds drops: the candidates and slots with a retained predecessor,
+    /// and SI's pins. From there a dropped member re-examines only its own
+    /// successors (in `topo`, and at SI in `composed`), so the closure costs
+    /// one pass over the candidates plus the out-edges of what it drops.
+    fn close(&self, plan: &mut Collection, watermark: TxnId, refs: &TxnSet) {
+        let si = self.level == IsolationLevel::SnapshotIsolation;
+        let mut seeds: Vec<Dropped> = Vec::new();
+        if si {
+            seeds.extend(self.si_pins(plan, watermark, refs).map(Dropped::Txn));
+        }
+        let pinned = |&t: &TxnId| self.pinned_by_predecessor(plan, t);
+        seeds.extend(
+            plan.cand_list
+                .iter()
+                .copied()
+                .filter(pinned)
+                .map(Dropped::Txn),
+        );
+        let slots = 0..plan.pruned_slots.len();
+        seeds.extend(
+            slots
+                .filter(|&i| self.slot_pinned(plan, i))
+                .map(Dropped::Slot),
+        );
+        let mut work = Vec::with_capacity(seeds.len());
+        for seed in seeds {
+            match seed {
+                Dropped::Txn(t) => plan.drop_txn(self, t, &mut work),
+                Dropped::Slot(i) => plan.drop_slot(i, &mut work),
             }
         }
+        // Which candidate owns a node: a transaction (`node_owner`) or a
+        // chain slot (`slot_at`); at SI, which owns a composed node.
+        let mut slot_at = vec![u32::MAX; plan.in_nodes.len()];
+        for (i, &(_, s)) in plan.pruned_slots.iter().enumerate() {
+            for n in s.nodes() {
+                slot_at[n] = i as u32;
+            }
+        }
+        let mut txn_at = vec![u32::MAX; plan.in_cnodes.len()];
+        if si {
+            for &t in &plan.cand_list {
+                txn_at[self.cnode_of(t)] = t.0;
+            }
+        }
+        while let Some(dropped) = work.pop() {
+            // The nodes the drop made a retained predecessor: a
+            // transaction's order node (and composed node), a slot's entry
+            // anchor — its exit anchor stays an acceptable predecessor.
+            let (node, cnode) = match dropped {
+                Dropped::Txn(t) => (Some(self.node_of(t)), si.then(|| self.cnode_of(t))),
+                Dropped::Slot(i) => {
+                    let s = plan.pruned_slots[i].1;
+                    ((s.begin_node != s.end_node).then_some(s.begin_node), None)
+                }
+            };
+            for n in node.into_iter().flat_map(|n| self.topo.successors(n)) {
+                if !plan.in_nodes[n] {
+                    continue;
+                }
+                match self.node_owner[n] {
+                    NodeOwner::Txn(t) => plan.drop_txn(self, t, &mut work),
+                    NodeOwner::Time => plan.drop_slot(slot_at[n] as usize, &mut work),
+                }
+            }
+            for c in cnode.into_iter().flat_map(|c| self.composed.successors(c)) {
+                if plan.in_cnodes[c] {
+                    plan.drop_txn(self, TxnId(txn_at[c]), &mut work);
+                }
+            }
+        }
+    }
+
+    /// A retained composition index must never compose a new edge that
+    /// touches a pruned endpoint. Only *active* owners can still compose:
+    /// `base_in[b]` fires on a new RW edge out of `b`, which needs `b` in a
+    /// live readers list (trimmed to ≥ watermark); `rw_out[b]` fires on a new
+    /// base edge into `b`, which makes `b` a reader of a fresh resolution — a
+    /// new transaction or one with a pending read (pinned via `refs`).
+    /// Entries of settled owners are inert and must not disqualify their
+    /// endpoints. Yields the candidates an active owner's entries pin.
+    fn si_pins<'a>(
+        &'a self,
+        plan: &'a Collection,
+        watermark: TxnId,
+        refs: &'a TxnSet,
+    ) -> impl Iterator<Item = TxnId> + 'a {
+        let active = move |owner: TxnId| owner >= watermark || refs.contains(owner);
+        let bases = self.base_in.iter().filter(move |&(owner, _)| active(owner));
+        let rws = self.rw_out.iter().filter(move |&(owner, _)| active(owner));
+        let from = bases.flat_map(|(_, edges)| edges.iter().map(|e| e.from));
+        let to = rws.flat_map(|(_, edges)| edges.iter().map(|e| e.to));
+        from.chain(to).filter(|&t| plan.is_cand(t))
+    }
+
+    /// True iff candidate `t` has a predecessor the collection retains: in
+    /// `topo`, one that is no candidate, no cut source and no chain exit of
+    /// a retained slot; at SI, in `composed`, one that is no candidate and
+    /// not ⊥T.
+    fn pinned_by_predecessor(&self, plan: &Collection, t: TxnId) -> bool {
+        if self
+            .topo
+            .predecessors(self.node_of(t))
+            .any(|p| plan.retains(p))
+        {
+            return true;
+        }
+        !plan.in_cnodes.is_empty()
+            && self
+                .composed
+                .predecessors(self.cnode_of(t))
+                .any(|p| !plan.in_cnodes[p] && Some(p) != plan.bot_cnode)
+    }
+
+    /// True iff a node of candidate slot `i` has a retained predecessor.
+    fn slot_pinned(&self, plan: &Collection, i: usize) -> bool {
+        let s = plan.pruned_slots[i].1;
+        s.nodes()
+            .any(|n| self.topo.predecessors(n).any(|p| plan.retains(p)))
+    }
+
+    /// Retires what survived the closure.
+    fn commit(&mut self, plan: Collection, watermark: TxnId) {
+        let Collection {
+            mut cand_list,
+            cand,
+            mut pruned_slots,
+            slot_dead,
+            mut cut_sources,
+            slot_out_mask,
+            in_cnodes,
+            bot_cnode,
+            ..
+        } = plan;
         cand_list.retain(|&t| cand[t.index()]);
         let mut dead = slot_dead.iter();
         pruned_slots.retain(|_| !*dead.next().expect("one flag per slot"));
@@ -316,7 +379,7 @@ impl Engine {
             return;
         }
 
-        // ── commit the collection ──
+        let si = self.level == IsolationLevel::SnapshotIsolation;
         let mut nodes: Vec<usize> = cand_list.iter().map(|&t| self.node_of(t)).collect();
         for &(_, s) in &pruned_slots {
             nodes.extend(s.nodes());
@@ -371,7 +434,7 @@ impl Engine {
             self.txn_cnode.remove(t);
             self.base_in.remove(t);
             self.rw_out.remove(t);
-            self.live_txns.remove(&t);
+            self.live_txns.remove(t);
         }
         self.pruned_txns += cand_list.len();
         // Re-base the windowed maps: the dense blocks track the live window
@@ -381,5 +444,144 @@ impl Engine {
         self.txn_cnode.rebase(watermark.0);
         self.base_in.rebase(watermark.0);
         self.rw_out.rebase(watermark.0);
+        self.live_txns.rebase(watermark.0);
+    }
+}
+
+/// One collection between its candidates and its commit.
+#[derive(Clone, Debug)]
+pub(super) struct Collection {
+    /// The candidate transactions, in id order; `cand` flags the ones the
+    /// closure has not dropped, by id.
+    cand_list: Vec<TxnId>,
+    cand: Vec<bool>,
+    /// The candidate chain slots, in instant order; `slot_dead` flags the
+    /// ones the closure dropped.
+    pruned_slots: Vec<(u64, TimeSlot)>,
+    slot_dead: Vec<bool>,
+    /// Nodes whose edges into the pruned set the commit deletes.
+    cut_sources: Vec<usize>,
+    /// By order node, the three kinds of node that pin nothing: a node of a
+    /// candidate the closure has not dropped (`in_nodes`), a cut source
+    /// (`cut_mask`), the chain exit of a dropped slot (`slot_out_mask`).
+    /// Every other node is retained and pins its candidate successors.
+    in_nodes: Vec<bool>,
+    cut_mask: Vec<bool>,
+    /// Chain-exit anchors of candidate slots that the closure retains.
+    /// A retained slot's exit only ever points *forward* along the chain
+    /// (splice, split and shortcut edges all follow instant order), so it
+    /// is an acceptable predecessor of a later candidate: the collection
+    /// commit deletes its edges into the pruned set and re-establishes
+    /// the chain order with one shortcut per pruned run. Without this, a
+    /// single straggler-pinned slot would cascade-retain every slot (and
+    /// transaction) behind it.
+    slot_out_mask: Vec<bool>,
+    /// SI, by composed node: a candidate not dropped. Besides these, only
+    /// ⊥T's composed node (`bot_cnode`) pins nothing.
+    in_cnodes: Vec<bool>,
+    bot_cnode: Option<usize>,
+}
+
+/// A closure drop whose successors are still to be examined.
+enum Dropped {
+    Txn(TxnId),
+    Slot(usize),
+}
+
+impl Collection {
+    fn is_cand(&self, t: TxnId) -> bool {
+        self.cand.get(t.index()).copied().unwrap_or(false)
+    }
+
+    /// True iff order node `p` is retained, i.e. a predecessor that pins
+    /// its successors.
+    fn retains(&self, p: usize) -> bool {
+        !self.in_nodes[p] && !self.cut_mask[p] && !self.slot_out_mask[p]
+    }
+
+    /// Drops candidate `t` (no-op if it is none any more) and queues it.
+    fn drop_txn(&mut self, engine: &Engine, t: TxnId, work: &mut Vec<Dropped>) {
+        if !self.is_cand(t) {
+            return;
+        }
+        self.cand[t.index()] = false;
+        self.in_nodes[engine.node_of(t)] = false;
+        if !self.in_cnodes.is_empty() {
+            self.in_cnodes[engine.cnode_of(t)] = false;
+        }
+        work.push(Dropped::Txn(t));
+    }
+
+    /// Drops candidate slot `i` (no-op if dropped already) and queues it.
+    fn drop_slot(&mut self, i: usize, work: &mut Vec<Dropped>) {
+        if self.slot_dead[i] {
+            return;
+        }
+        self.slot_dead[i] = true;
+        let s = self.pruned_slots[i].1;
+        for n in s.nodes() {
+            self.in_nodes[n] = false;
+        }
+        self.slot_out_mask[s.end_node] = true;
+        work.push(Dropped::Slot(i));
+    }
+}
+
+#[cfg(test)]
+impl Engine {
+    /// The closure as it was computed before the worklist: rounds over every
+    /// candidate and slot until one drops nothing, SI's pins re-applied each
+    /// round. The reference [`Engine::close`] is held to.
+    fn close_in_rounds(&self, plan: &mut Collection, watermark: TxnId, refs: &TxnSet) {
+        let si = self.level == IsolationLevel::SnapshotIsolation;
+        loop {
+            let mut drop_txns: Vec<TxnId> = Vec::new();
+            let mut drop_slots: Vec<usize> = Vec::new();
+            for &t in &plan.cand_list {
+                if plan.cand[t.index()] && self.pinned_by_predecessor(plan, t) {
+                    drop_txns.push(t);
+                }
+            }
+            for i in 0..plan.pruned_slots.len() {
+                if !plan.slot_dead[i] && self.slot_pinned(plan, i) {
+                    drop_slots.push(i);
+                }
+            }
+            if si {
+                drop_txns.extend(self.si_pins(plan, watermark, refs));
+            }
+            if drop_txns.is_empty() && drop_slots.is_empty() {
+                break;
+            }
+            let mut work = Vec::new();
+            for t in drop_txns {
+                plan.drop_txn(self, t, &mut work);
+            }
+            for i in drop_slots {
+                plan.drop_slot(i, &mut work);
+            }
+        }
+    }
+
+    /// What a collection at `watermark` would retire, by the worklist
+    /// closure and by the round-based reference: for each, the surviving
+    /// candidate transactions and chain slots (by instant), in order. Looks
+    /// only; commits nothing.
+    pub(super) fn closures(&self, watermark: TxnId, refs: &TxnSet) -> [(Vec<TxnId>, Vec<u64>); 2] {
+        let retired = |plan: Collection| {
+            let txns = plan
+                .cand_list
+                .iter()
+                .copied()
+                .filter(|&t| plan.cand[t.index()]);
+            let slots = plan.pruned_slots.iter().zip(&plan.slot_dead);
+            let slots = slots.filter(|(_, &dead)| !dead).map(|(&(at, _), _)| at);
+            (txns.collect(), slots.collect())
+        };
+        let mut worklist = self.candidates(watermark, refs);
+        let mut rounds = worklist.clone();
+        self.close(&mut worklist, watermark, refs);
+        self.close_in_rounds(&mut rounds, watermark, refs);
+        [retired(worklist), retired(rounds)]
     }
 }

@@ -1,16 +1,24 @@
 //! Per-key state of the streaming checker: the provenance indexes every
 //! dependency edge is derived from, the decomposition of a transaction into
-//! per-key work, and the settled-prefix sweep. A snapshot writes each index
-//! in key order, so how the maps lay their entries out in memory is never
-//! part of the format.
+//! per-key work, and the settled-prefix sweep.
+//!
+//! A version `(key, value)` has one record, [`Version`]: its provenance and
+//! its reader lists. A key's newest version lives in the key's [`Slot`] — a
+//! dense vector indexed by key for the key space `⊥T` seeded, a map by key
+//! beyond it — so a read of the current version, the common case, probes no
+//! map keyed by `(key, value)`; every other version lives in one map. The
+//! rarer state — pending reads, SI's first reader-writers — keeps maps of
+//! its own. A snapshot writes all of it as the five maps it was before the
+//! records, each in key order, so how the state is laid out in memory is
+//! never part of the format.
 
 use super::{keep_lowest, Findings};
 use crate::divergence::Divergence;
 use crate::mini::MtViolation;
 use crate::verdict::CheckError;
 use mtc_history::{
-    Edge, EdgeKind, FastHashMap, FastHashSet, InlineSeq, IntraAnomaly, IntraViolation, Key, Op,
-    Transaction, TxnId, TxnStatus, Value, INIT_VALUE,
+    Edge, EdgeKind, FastHashMap, InlineSeq, IntraAnomaly, IntraViolation, Key, Op, Transaction,
+    TxnId, TxnStatus, Value, INIT_VALUE,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +57,19 @@ pub(super) struct WriteReg {
     last_touch: TxnId,
 }
 
+impl WriteReg {
+    /// Every transaction the registration names.
+    fn ids(&self) -> impl Iterator<Item = TxnId> {
+        let ids = [
+            self.committed_last,
+            self.committed_intermediate,
+            self.non_committed,
+            self.first_committed_any,
+        ];
+        ids.into_iter().flatten()
+    }
+}
+
 /// An external read whose provenance cannot be classified yet.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct PendingRead {
@@ -63,26 +84,203 @@ pub(super) struct PendingRead {
     writes_key: bool,
 }
 
+/// The record of one version `(key, value)`: its provenance and its reader
+/// lists, which a snapshot writes into two maps, held together so that one
+/// lookup finds both.
+#[derive(Clone, Debug, Default)]
+struct Version {
+    /// Provenance of the value (the `writes` entry).
+    reg: Option<WriteReg>,
+    /// Transactions that read the version the committed last writer
+    /// installed, and those that read it and overwrote it — RW derivation,
+    /// Algorithm 1 (the `readers_of` entry under `(writer, key)`).
+    readers: Option<(Readers, Readers)>,
+}
+
+impl Version {
+    fn is_empty(&self) -> bool {
+        self.reg.is_none() && self.readers.is_none()
+    }
+}
+
+/// One key: its newest version — the value installed by the newest
+/// committed last-write of the key (the `latest` entry), the version a
+/// well-behaved new reader is expected to observe — and that version's
+/// record. Without a committed last-write the slot is empty.
+#[derive(Clone, Debug, Default)]
+struct Slot {
+    latest: Option<Value>,
+    version: Version,
+}
+
 /// The per-key indexes of the streaming checker.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct KeyState {
-    /// Provenance of every value seen so far, per key.
-    pub(super) writes: FastHashMap<(Key, Value), WriteReg>,
-    /// Per `(writer, key)`: transactions that read this version, and those
-    /// that read it and overwrote it (RW derivation, Algorithm 1).
-    pub(super) readers_of: FastHashMap<(TxnId, Key), (Readers, Readers)>,
+    /// Every version's record, the newest of each key in the key's slot.
+    table: Table,
+    /// Reader lists whose writer is not their version's committed last
+    /// writer: only a duplicate value's waiters, resolved by the duplicate
+    /// writer in the transaction that latches the error, leave one.
+    pub(super) strays: FastHashMap<(TxnId, Key), (Readers, Readers)>,
     /// Per `(key, value)`: first committed reader-writer (DIVERGENCE scan).
-    pub(super) first_reader_writer: FastHashMap<(Key, Value), TxnId>,
+    first_reader_writer: FastHashMap<(Key, Value), TxnId>,
     /// Reads waiting for their writer to appear in the stream.
-    pub(super) pending: FastHashMap<(Key, Value), Vec<PendingRead>>,
-    /// Value installed by the *newest* committed last-write per key — the
-    /// version a well-behaved new reader is expected to observe. Stale
-    /// versions (anything else, once old enough) are GC candidates.
-    pub(super) latest: FastHashMap<Key, Value>,
+    pending: FastHashMap<(Key, Value), Vec<PendingRead>>,
     /// The transaction being derived, per key — pure scratch, refilled by
     /// every [`KeyState::derive`], kept for its capacity.
-    #[serde(skip)]
     scratch: Decomposed,
+}
+
+/// The version records: each key's newest in its slot, the rest in one map.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    /// The slots of keys `0..dense.len()`: the key space `⊥T` seeded, when
+    /// it is dense enough to index.
+    dense: Vec<Slot>,
+    /// The slots of every other key.
+    sparse: FastHashMap<Key, Slot>,
+    /// Every version that is not its key's newest: older ones, and values
+    /// written by aborted or intermediate writes.
+    versions: FastHashMap<(Key, Value), Version>,
+}
+
+/// How many slots a key space gets in place: one per key up to the largest,
+/// if at least half of those are in the space; none otherwise.
+fn dense_len(keys: impl Iterator<Item = Key>) -> usize {
+    let (mut count, mut top) = (0u64, None);
+    for key in keys {
+        count += 1;
+        top = top.max(Some(key.0));
+    }
+    match top {
+        Some(top) if top < 2 * count => top as usize + 1,
+        _ => 0,
+    }
+}
+
+/// The slot of `key`, created empty among the sparse ones if it has none.
+fn slot_entry<'a>(
+    dense: &'a mut [Slot],
+    sparse: &'a mut FastHashMap<Key, Slot>,
+    key: Key,
+) -> &'a mut Slot {
+    match usize::try_from(key.0).ok().and_then(|i| dense.get_mut(i)) {
+        Some(slot) => slot,
+        None => sparse.entry(key).or_default(),
+    }
+}
+
+/// The slot of `key`, if it has one.
+fn slot_mut<'a>(
+    dense: &'a mut [Slot],
+    sparse: &'a mut FastHashMap<Key, Slot>,
+    key: Key,
+) -> Option<&'a mut Slot> {
+    match usize::try_from(key.0).ok().and_then(|i| dense.get_mut(i)) {
+        Some(slot) => Some(slot),
+        None => sparse.get_mut(&key),
+    }
+}
+
+impl Table {
+    /// An empty table whose dense slots cover `keys`.
+    fn for_keys(keys: impl Iterator<Item = Key>) -> Self {
+        Table {
+            dense: vec![Slot::default(); dense_len(keys)],
+            ..Table::default()
+        }
+    }
+
+    fn slot(&self, key: Key) -> Option<&Slot> {
+        match usize::try_from(key.0).ok().and_then(|i| self.dense.get(i)) {
+            Some(slot) => Some(slot),
+            None => self.sparse.get(&key),
+        }
+    }
+
+    fn slot_or_default(&mut self, key: Key) -> &mut Slot {
+        slot_entry(&mut self.dense, &mut self.sparse, key)
+    }
+
+    fn get(&self, key: Key, value: Value) -> Option<&Version> {
+        match self.slot(key) {
+            Some(slot) if slot.latest == Some(value) => Some(&slot.version),
+            _ => self.versions.get(&(key, value)),
+        }
+    }
+
+    fn get_mut(&mut self, key: Key, value: Value) -> Option<&mut Version> {
+        let Table {
+            dense,
+            sparse,
+            versions,
+        } = self;
+        match slot_mut(dense, sparse, key) {
+            Some(slot) if slot.latest == Some(value) => Some(&mut slot.version),
+            _ => versions.get_mut(&(key, value)),
+        }
+    }
+
+    /// The record of `(key, value)`, created empty if there is none.
+    fn entry(&mut self, key: Key, value: Value) -> &mut Version {
+        let Table {
+            dense,
+            sparse,
+            versions,
+        } = self;
+        match slot_mut(dense, sparse, key) {
+            Some(slot) if slot.latest == Some(value) => &mut slot.version,
+            _ => versions.entry((key, value)).or_default(),
+        }
+    }
+
+    /// Makes `value` the newest version of `key` — a committed last-write
+    /// installed it — and returns its record: the record the slot held
+    /// moves into the map, the one of `value`, if the map had one, into the
+    /// slot.
+    fn promote(&mut self, key: Key, value: Value) -> &mut Version {
+        let Table {
+            dense,
+            sparse,
+            versions,
+        } = self;
+        let slot = slot_entry(dense, sparse, key);
+        if slot.latest != Some(value) {
+            let newest = versions.remove(&(key, value)).unwrap_or_default();
+            let older = std::mem::replace(&mut slot.version, newest);
+            if let Some(old) = slot.latest.replace(value) {
+                if !older.is_empty() {
+                    versions.insert((key, old), older);
+                }
+            }
+        }
+        &mut slot.version
+    }
+
+    /// Slots in use or in place.
+    fn slot_count(&self) -> usize {
+        self.dense.len() + self.sparse.len()
+    }
+
+    /// Every slot with its key, in no particular order.
+    fn slots(&self) -> impl Iterator<Item = (Key, &Slot)> + '_ {
+        let dense = (self.dense.iter().enumerate()).map(|(i, slot)| (Key(i as u64), slot));
+        dense.chain(self.sparse.iter().map(|(&key, slot)| (key, slot)))
+    }
+
+    /// Every key's newest version, in no particular order.
+    fn latest(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
+        self.slots()
+            .filter_map(|(key, slot)| Some((key, slot.latest?)))
+    }
+
+    /// Every record, in no particular order; at most
+    /// `slot_count() + versions.len()` of them.
+    fn iter(&self) -> impl Iterator<Item = ((Key, Value), &Version)> + '_ {
+        let newest = self.slots();
+        let newest = newest.filter_map(|(key, slot)| Some(((key, slot.latest?), &slot.version)));
+        newest.chain(self.versions.iter().map(|(&at, version)| (at, version)))
+    }
 }
 
 /// The per-key slice of one transaction. The slot's index is the rank of
@@ -182,6 +380,7 @@ impl Decomposed {
     /// Every write as `(key rank, key, value, is_last)`, key by key in
     /// `key_set` order, program order within a key. `is_last` holds for
     /// every write whose value equals the key's last write's.
+    #[cfg(test)]
     fn writes(&self) -> impl Iterator<Item = (u32, Key, Value, bool)> + '_ {
         self.writes.iter().map(|w| {
             let work = &self.keys[w.slot as usize];
@@ -195,6 +394,16 @@ impl KeyState {
     /// completely, whatever is found — and records in `found` what the
     /// transaction entails. `scan_divergence` enables the SI-only DIVERGENCE
     /// scan.
+    ///
+    /// Each key is worked off in one piece: its writes are registered
+    /// (resolving the reads that waited for them), then its DIVERGENCE
+    /// pattern and its external read are examined. Keys touch disjoint
+    /// state, so this equals registering every write before examining any
+    /// read. A read of a value the transaction does not write itself is
+    /// even independent of the key's writes, and is examined first, while
+    /// the version it reads — usually the key's newest — is still in the
+    /// slot the writes move it out of; its edges and anomaly are filed
+    /// behind the writes', as if it came after them.
     pub(super) fn derive(
         &mut self,
         id: TxnId,
@@ -206,13 +415,40 @@ impl KeyState {
     ) {
         let mut per_key = std::mem::take(&mut self.scratch);
         per_key.fill(&txn.ops);
+        if is_init {
+            // ⊥T comes first: the key space it seeds is the dense one.
+            self.table = Table::for_keys(per_key.keys.iter().map(|w| w.key));
+        }
         let committed = txn.status == TxnStatus::Committed;
-        self.register_writes(id, committed, &per_key, found);
-        if committed && !is_init {
-            if scan_divergence {
-                self.scan_divergence(id, &per_key, found);
+        let reads = committed && !is_init;
+        let mut next = 0;
+        for (key_rank, work) in per_key.keys.iter().enumerate() {
+            let key_rank = key_rank as u32;
+            let start = next;
+            while per_key.writes.get(next).is_some_and(|w| w.slot == key_rank) {
+                next += 1;
             }
-            self.resolve_own_reads(id, &per_key, has_init, found);
+            let writes = &per_key.writes[start..next];
+            let read_first = reads && !work.future_candidate;
+            if !read_first {
+                self.register(id, committed, key_rank, work, writes, found);
+            }
+            let mut read = None;
+            if reads {
+                if scan_divergence {
+                    self.scan_divergence(id, work, found);
+                }
+                let mark = found.edges.len();
+                read = self.resolve_own_read(id, key_rank, work, has_init, found);
+                if read_first {
+                    let read_edges = found.edges.len() - mark;
+                    self.register(id, committed, key_rank, work, writes, found);
+                    found.edges[mark..].rotate_left(read_edges);
+                }
+            }
+            if let Some(read) = read {
+                keep_lowest(&mut found.intra, key_rank, read);
+            }
         }
         // `⊥T` is as wide as the key space: its buffers are not worth keeping.
         if !is_init {
@@ -220,58 +456,70 @@ impl KeyState {
         }
     }
 
-    /// Registers the transaction's writes (duplicate detection) and, for a
-    /// committed one, resolves the reads that were waiting for them.
-    fn register_writes(
+    /// Registers the transaction's writes of one key (duplicate detection)
+    /// and, for a committed one, resolves the reads that were waiting for
+    /// them.
+    fn register(
         &mut self,
         id: TxnId,
         committed: bool,
-        per_key: &Decomposed,
+        key_rank: u32,
+        work: &KeyWork,
+        writes: &[KeyWrite],
         found: &mut Findings,
     ) {
-        for (key_rank, key, value, is_last) in per_key.writes() {
-            let reg = self.writes.entry((key, value)).or_default();
+        let key = work.key;
+        for write in writes {
+            let (value, is_last) = (write.value, write.value == work.last_write);
+            let version = if committed && is_last {
+                self.table.promote(key, value)
+            } else {
+                self.table.entry(key, value)
+            };
+            let reg = version.reg.get_or_insert_with(WriteReg::default);
             reg.last_touch = reg.last_touch.max(id);
-            if committed {
-                let is_duplicate = |&first: &TxnId| first != id;
-                if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
-                    let duplicate = MtViolation::DuplicateValue {
-                        key,
-                        value,
-                        first,
-                        second: id,
-                    };
-                    let error = CheckError::NotMiniTransaction(duplicate);
-                    keep_lowest(&mut found.error, key_rank, error);
+            if !committed {
+                if reg.non_committed.is_none() {
+                    reg.non_committed = Some(id);
                 }
-                if reg.first_committed_any.is_none() {
-                    reg.first_committed_any = Some(id);
-                }
-                if is_last {
-                    if reg.committed_last.is_none() {
-                        reg.committed_last = Some(id);
-                    }
-                    self.latest.insert(key, value);
-                } else if reg.committed_intermediate.is_none() {
-                    reg.committed_intermediate = Some(id);
-                }
-            } else if reg.non_committed.is_none() {
-                reg.non_committed = Some(id);
+                continue;
             }
-        }
-        if !committed {
-            return;
-        }
-        for (key_rank, key, value, is_last) in per_key.writes() {
+            let is_duplicate = |&first: &TxnId| first != id;
+            if let Some(first) = reg.first_committed_any.filter(is_duplicate) {
+                let duplicate = MtViolation::DuplicateValue {
+                    key,
+                    value,
+                    first,
+                    second: id,
+                };
+                let error = CheckError::NotMiniTransaction(duplicate);
+                keep_lowest(&mut found.error, key_rank, error);
+            }
+            if reg.first_committed_any.is_none() {
+                reg.first_committed_any = Some(id);
+            }
+            if is_last {
+                if reg.committed_last.is_none() {
+                    reg.committed_last = Some(id);
+                }
+            } else if reg.committed_intermediate.is_none() {
+                reg.committed_intermediate = Some(id);
+            }
             let Some(waiters) = self.pending.remove(&(key, value)) else {
                 continue;
             };
+            let installs = reg.committed_last == Some(id);
             for waiter in waiters {
                 if is_last {
                     // The version now exists: the deferred WR/WW/RW edges of
                     // every waiting reader, in arrival order.
+                    let lists = if installs {
+                        version.readers.get_or_insert_with(Default::default)
+                    } else {
+                        self.strays.entry((id, key)).or_default()
+                    };
                     let (reader, writes_key) = (waiter.txn, waiter.writes_key);
-                    self.emit_reads_from(id, reader, key, writes_key, key_rank, &mut found.edges);
+                    reads_from(lists, id, reader, key, writes_key, key_rank, found);
                 } else {
                     // The value only ever existed mid-transaction.
                     let read = IntraViolation {
@@ -287,133 +535,87 @@ impl KeyState {
         }
     }
 
-    /// The DIVERGENCE scan, in `write_set` order like `find_divergence`.
-    fn scan_divergence(&mut self, id: TxnId, per_key: &Decomposed, found: &mut Findings) {
-        for &slot in &per_key.written {
-            let work = &per_key.keys[slot as usize];
-            let Some((value, _)) = work.external_read else {
-                continue;
+    /// The DIVERGENCE scan of one key, ranked by `write_set` order like
+    /// `find_divergence`.
+    fn scan_divergence(&mut self, id: TxnId, work: &KeyWork, found: &mut Findings) {
+        let Some((value, _)) = work.external_read.filter(|_| work.writes_key()) else {
+            return;
+        };
+        let first = *self
+            .first_reader_writer
+            .entry((work.key, value))
+            .or_insert(id);
+        if first != id {
+            let version = self.table.get(work.key, value);
+            let writer = version.and_then(|v| v.reg.as_ref()?.committed_last);
+            let divergence = Divergence {
+                key: work.key,
+                value,
+                writer,
+                reader1: first,
+                reader2: id,
             };
-            let first = *self
-                .first_reader_writer
-                .entry((work.key, value))
-                .or_insert(id);
-            if first != id {
-                let writer = self
-                    .writes
-                    .get(&(work.key, value))
-                    .and_then(|r| r.committed_last);
-                let divergence = Divergence {
-                    key: work.key,
-                    value,
-                    writer,
-                    reader1: first,
-                    reader2: id,
-                };
-                keep_lowest(&mut found.divergence, work.write_rank, divergence);
-            }
+            keep_lowest(&mut found.divergence, work.write_rank, divergence);
         }
     }
 
-    /// Resolves the transaction's own external reads, in `key_set` order.
-    fn resolve_own_reads(
+    /// Resolves the transaction's external read of one key, if it has one:
+    /// its edges go into `found`, its anomaly, if it is one, is returned.
+    fn resolve_own_read(
         &mut self,
         id: TxnId,
-        per_key: &Decomposed,
+        key_rank: u32,
+        work: &KeyWork,
         has_init: bool,
         found: &mut Findings,
-    ) {
-        for (key_rank, work) in per_key.keys.iter().enumerate() {
-            let key_rank = key_rank as u32;
-            let Some((value, op_index)) = work.external_read else {
-                continue;
-            };
-            if value == INIT_VALUE && !has_init {
-                // Read of the implicit initial state: no dependency.
-                continue;
-            }
-            let (committed_last, committed_intermediate) =
-                match self.writes.get_mut(&(work.key, value)) {
-                    Some(reg) => {
-                        // Reads refresh the GC staleness clock of the version.
-                        reg.last_touch = reg.last_touch.max(id);
-                        (reg.committed_last, reg.committed_intermediate)
+    ) -> Option<IntraViolation> {
+        let (value, op_index) = work.external_read?;
+        if value == INIT_VALUE && !has_init {
+            // Read of the implicit initial state: no dependency.
+            return None;
+        }
+        let key = work.key;
+        let mut intermediate = None;
+        if let Some(version) = self.table.get_mut(key, value) {
+            if let Some(reg) = &mut version.reg {
+                // Reads refresh the GC staleness clock of the version.
+                reg.last_touch = reg.last_touch.max(id);
+                match reg.committed_last {
+                    Some(writer) if writer != id => {
+                        let lists = version.readers.get_or_insert_with(Default::default);
+                        let writes_key = work.writes_key();
+                        reads_from(lists, writer, id, key, writes_key, key_rank, found);
+                        return None;
                     }
-                    None => (None, None),
-                };
-            match committed_last {
-                Some(writer) if writer != id => {
-                    let writes_key = work.writes_key();
-                    self.emit_reads_from(
-                        writer,
-                        id,
-                        work.key,
-                        writes_key,
-                        key_rank,
-                        &mut found.edges,
-                    );
-                }
-                _ => {
-                    // A *foreign* committed transaction overwrote the value
-                    // before committing (the reader's own intermediate write
-                    // is the FUTUREREAD case, settled at finish()).
-                    let foreign_intermediate = committed_intermediate.is_some_and(|w| w != id);
-                    if foreign_intermediate {
-                        let read = IntraViolation {
-                            anomaly: IntraAnomaly::IntermediateRead,
-                            txn: id,
-                            op_index,
-                            key: work.key,
-                            value,
-                        };
-                        keep_lowest(&mut found.intra, key_rank, read);
-                        continue;
-                    }
-                    // Nobody (valid) has installed the value yet: defer.
-                    self.pending
-                        .entry((work.key, value))
-                        .or_default()
-                        .push(PendingRead {
-                            txn: id,
-                            op_index,
-                            key: work.key,
-                            value,
-                            future_candidate: work.future_candidate,
-                            writes_key: work.writes_key(),
-                        });
+                    _ => intermediate = reg.committed_intermediate,
                 }
             }
         }
-    }
-
-    /// Records the WR / WW edges of "`reader` reads `key` from `writer`" plus
-    /// the RW anti-dependencies derivable from the updated indexes.
-    fn emit_reads_from(
-        &mut self,
-        writer: TxnId,
-        reader: TxnId,
-        key: Key,
-        reader_writes_key: bool,
-        key_rank: u32,
-        edges: &mut Vec<(u32, Edge)>,
-    ) {
-        let mut edge = |from, to, kind| edges.push((key_rank, Edge { from, to, kind }));
-        edge(writer, reader, EdgeKind::Wr(key));
-        let (readers, overwriters) = self.readers_of.entry((writer, key)).or_default();
-        // New reader anti-depends on every known overwriter of the version.
-        for &overwriter in overwriters.iter().filter(|&&o| o != reader) {
-            edge(reader, overwriter, EdgeKind::Rw(key));
+        // A *foreign* committed transaction overwrote the value before
+        // committing (the reader's own intermediate write is the FUTUREREAD
+        // case, settled at finish()).
+        if intermediate.is_some_and(|w| w != id) {
+            return Some(IntraViolation {
+                anomaly: IntraAnomaly::IntermediateRead,
+                txn: id,
+                op_index,
+                key,
+                value,
+            });
         }
-        if reader_writes_key {
-            edge(writer, reader, EdgeKind::Ww(key));
-            // Every known reader of the version anti-depends on the new
-            // overwriter.
-            for &other in readers.iter().filter(|&&r| r != reader) {
-                edge(other, reader, EdgeKind::Rw(key));
-            }
-            overwriters.push(reader);
-        }
-        readers.push(reader);
+        // Nobody (valid) has installed the value yet: defer.
+        self.pending
+            .entry((key, value))
+            .or_default()
+            .push(PendingRead {
+                txn: id,
+                op_index,
+                key,
+                value,
+                future_candidate: work.future_candidate,
+                writes_key: work.writes_key(),
+            });
+        None
     }
 
     /// Drains the still-unresolved reads for end-of-stream classification.
@@ -427,9 +629,9 @@ impl KeyState {
     /// would, now that the stream is complete.
     pub(super) fn classify_settled(&self, p: &PendingRead) -> IntraViolation {
         let reg = self
-            .writes
-            .get(&(p.key, p.value))
-            .cloned()
+            .table
+            .get(p.key, p.value)
+            .and_then(|v| v.reg.clone())
             .unwrap_or_default();
         let foreign_non_committed = reg.non_committed.is_some_and(|w| w != p.txn);
         let foreign_intermediate = reg.committed_intermediate.is_some_and(|w| w != p.txn);
@@ -454,69 +656,69 @@ impl KeyState {
     /// Settled-prefix sweep: drops per-key state that can no longer affect
     /// any verdict under the GC's staleness window — versions that are not
     /// the latest of their key, were last touched before `watermark`, and
-    /// have no pending read — together with their `readers_of` /
-    /// `first_reader_writer` satellites, and trims reader/overwriter lists
-    /// of live versions down to the window. Purely mutating — the set of
-    /// transactions the surviving state still references is materialized
-    /// separately by [`KeyState::refs`], and only at collection-commit
-    /// epochs.
+    /// have no pending read, with their reader lists; a first reader-writer
+    /// whose version has neither a registration nor a pending read left —
+    /// and trims the reader/overwriter lists of live versions down to the
+    /// window. Purely mutating — the set of transactions the surviving state
+    /// still references is materialized separately by [`KeyState::refs`],
+    /// and only at collection-commit epochs.
     pub(super) fn sweep(&mut self, watermark: TxnId) {
-        let latest = &self.latest;
-        let pending = &self.pending;
-        let mut dropped: FastHashSet<(TxnId, Key)> = FastHashSet::default();
-        self.writes.retain(|&(key, value), reg| {
-            let is_latest = latest.get(&key) == Some(&value);
-            let ids = [
-                reg.committed_last,
-                reg.committed_intermediate,
-                reg.non_committed,
-                reg.first_committed_any,
-            ];
-            let old = reg.last_touch < watermark && ids.iter().flatten().all(|&t| t < watermark);
-            if is_latest || !old || pending.contains_key(&(key, value)) {
-                return true;
-            }
-            if let Some(w) = reg.committed_last {
-                dropped.insert((w, key));
-            }
-            false
-        });
-        self.readers_of.retain(|wk, _| !dropped.contains(wk));
-        for (readers, overwriters) in self.readers_of.values_mut() {
-            // Readers and overwriters below the window can no longer gain
-            // RW edges that matter (out-of-window interactions are outside
-            // the GC's contract); trimming them unpins their transactions.
+        // Readers and overwriters below the window can no longer gain RW
+        // edges that matter (out-of-window interactions are outside the
+        // GC's contract); trimming them unpins their transactions.
+        let trim = |(readers, overwriters): &mut (Readers, Readers)| {
             readers.retain(|r| r >= watermark);
             overwriters.retain(|o| o >= watermark);
+        };
+        let Table {
+            dense,
+            sparse,
+            versions,
+        } = &mut self.table;
+        let pending = &self.pending;
+        for slot in dense.iter_mut().chain(sparse.values_mut()) {
+            if let Some(lists) = &mut slot.version.readers {
+                trim(lists);
+            }
         }
-        let writes = &self.writes;
-        self.first_reader_writer
-            .retain(|kv, _| writes.contains_key(kv) || pending.contains_key(kv));
+        versions.retain(|&(key, value), version| {
+            let old =
+                |reg: &WriteReg| reg.last_touch < watermark && reg.ids().all(|t| t < watermark);
+            if version.reg.as_ref().is_some_and(old) && !pending.contains_key(&(key, value)) {
+                return false;
+            }
+            if let Some(lists) = &mut version.readers {
+                trim(lists);
+            }
+            true
+        });
+        for lists in self.strays.values_mut() {
+            trim(lists);
+        }
+        let table = &self.table;
+        self.first_reader_writer.retain(|&(key, value), _| {
+            let registered = table.get(key, value).is_some_and(|v| v.reg.is_some());
+            registered || pending.contains_key(&(key, value))
+        });
     }
 
     /// The set of transactions the current per-key state still references
     /// (they must stay resident through a collection). Called right after a
     /// [`KeyState::sweep`] at collection-commit epochs only — the sweeps in
     /// between skip this scan entirely.
-    pub(super) fn refs(&self) -> FastHashSet<TxnId> {
-        let mut refs: FastHashSet<TxnId> = FastHashSet::default();
-        for reg in self.writes.values() {
-            for id in [
-                reg.committed_last,
-                reg.committed_intermediate,
-                reg.non_committed,
-                reg.first_committed_any,
-            ]
-            .into_iter()
-            .flatten()
-            {
-                refs.insert(id);
+    pub(super) fn refs(&self) -> TxnSet {
+        let mut refs = TxnSet::default();
+        for (_, version) in self.table.iter() {
+            if let Some(reg) = &version.reg {
+                refs.extend(reg.ids());
+            }
+            if let Some((readers, overwriters)) = &version.readers {
+                refs.extend(readers.iter().chain(overwriters.iter()).copied());
             }
         }
-        for (&(w, _), (readers, overwriters)) in &self.readers_of {
-            refs.insert(w);
-            refs.extend(readers.iter().copied());
-            refs.extend(overwriters.iter().copied());
+        for (&(w, _), (readers, overwriters)) in &self.strays {
+            refs.extend(std::iter::once(w));
+            refs.extend(readers.iter().chain(overwriters.iter()).copied());
         }
         refs.extend(self.first_reader_writer.values().copied());
         for waiters in self.pending.values() {
@@ -527,12 +729,267 @@ impl KeyState {
 
     /// Longest resident reader list across all live versions.
     pub(super) fn max_reader_list_len(&self) -> usize {
-        self.readers_of
-            .values()
+        let records = self.table.iter().filter_map(|(_, v)| v.readers.as_ref());
+        records
+            .chain(self.strays.values())
             .map(|(readers, _)| readers.len())
             .max()
             .unwrap_or(0)
     }
+}
+
+/// A set of transactions as a bitmap over their ids: what [`KeyState::refs`]
+/// hands the GC, which asks it once per resident transaction.
+#[derive(Debug, Default)]
+pub(super) struct TxnSet(Vec<bool>);
+
+impl TxnSet {
+    pub(super) fn contains(&self, t: TxnId) -> bool {
+        self.0.get(t.index()).copied().unwrap_or(false)
+    }
+
+    fn extend(&mut self, ids: impl Iterator<Item = TxnId>) {
+        for t in ids {
+            if self.0.len() <= t.index() {
+                self.0.resize(t.index() + 1, false);
+            }
+            self.0[t.index()] = true;
+        }
+    }
+}
+
+/// Records the WR / WW edges of "`reader` reads `key` from `writer`" plus
+/// the RW anti-dependencies derivable from the version's reader lists
+/// `(readers, overwriters)`, which gain `reader`.
+fn reads_from(
+    (readers, overwriters): &mut (Readers, Readers),
+    writer: TxnId,
+    reader: TxnId,
+    key: Key,
+    reader_writes_key: bool,
+    key_rank: u32,
+    found: &mut Findings,
+) {
+    let mut edge = |from, to, kind| found.edges.push((key_rank, Edge { from, to, kind }));
+    edge(writer, reader, EdgeKind::Wr(key));
+    // New reader anti-depends on every known overwriter of the version.
+    for &overwriter in overwriters.iter().filter(|&&o| o != reader) {
+        edge(reader, overwriter, EdgeKind::Rw(key));
+    }
+    if reader_writes_key {
+        edge(writer, reader, EdgeKind::Ww(key));
+        // Every known reader of the version anti-depends on the new
+        // overwriter.
+        for &other in readers.iter().filter(|&&r| r != reader) {
+            edge(other, reader, EdgeKind::Rw(key));
+        }
+        overwriters.push(reader);
+    }
+    readers.push(reader);
+}
+
+// ───────────────────────── snapshot layout ──────────────────────────────────
+
+/// Writes the records out as the five maps a snapshot has for the key
+/// state, each an array of `[key, value]` pairs in key order: `writes` and
+/// `first_reader_writer` by `(key, value)`, `readers_of` by
+/// `(writer, key)` — the version's committed last writer, or a stray's
+/// own —, `pending` by `(key, value)`, `latest` by key.
+impl Serialize for KeyState {
+    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
+        let mut records = Vec::with_capacity(self.table.slot_count() + self.table.versions.len());
+        records.extend(self.table.iter());
+        let registered = records
+            .iter()
+            .filter_map(|&(version, record)| Some((version, record.reg.as_ref()?)));
+        let read = records.iter().filter_map(|&((key, _), record)| {
+            let writer = record.reg.as_ref()?.committed_last?;
+            Some(((writer, key), record.readers.as_ref()?))
+        });
+        let strays = self.strays.iter().map(|(&at, lists)| (at, lists));
+        let (versions, keys): (usize, usize) = (records.len(), self.table.slot_count());
+        out.begin_struct(5);
+        out.field("writes");
+        emit_map(versions, registered, out);
+        out.field("readers_of");
+        emit_map(versions + self.strays.len(), read.chain(strays), out);
+        out.field("first_reader_writer");
+        emit_map(
+            self.first_reader_writer.len(),
+            self.first_reader_writer.iter(),
+            out,
+        );
+        out.field("pending");
+        emit_map(self.pending.len(), self.pending.iter(), out);
+        out.field("latest");
+        emit_map(keys, self.table.latest(), out);
+        out.end_struct();
+    }
+}
+
+/// Writes `pairs`, at most `most` of them, as a map: an array of
+/// `[key, value]` pairs in key order.
+fn emit_map<K: Ord + Serialize, V: Serialize, E: serde::Emitter + ?Sized>(
+    most: usize,
+    pairs: impl Iterator<Item = (K, V)>,
+    out: &mut E,
+) {
+    let mut sorted: Vec<(K, V)> = Vec::with_capacity(most);
+    sorted.extend(pairs);
+    // Keys are unique: an unstable sort is a total order here.
+    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    sorted.emit(out);
+}
+
+/// The five maps of a snapshot's key state, in the order it writes them.
+const MAPS: [&str; 5] = [
+    "writes",
+    "readers_of",
+    "first_reader_writer",
+    "pending",
+    "latest",
+];
+
+/// Reads the five maps by position, or by name in any order, straight into
+/// records: every registration into the map of versions, every reader list
+/// into the record of the version its writer installed last — among the
+/// strays if there is none — until `latest` moves each key's newest version
+/// into its slot.
+impl Deserialize for KeyState {
+    fn pull<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let mut read = Reading::default();
+        let mut seen = [false; 5];
+        match src.next()? {
+            serde::Head::Array(5) => {
+                for (i, seen) in seen.iter_mut().enumerate() {
+                    read.map(i, src)?;
+                    *seen = true;
+                }
+            }
+            serde::Head::Object(len) => {
+                for _ in 0..len {
+                    let key = src.key()?;
+                    match MAPS.iter().position(|&name| name == key) {
+                        Some(i) if !seen[i] => {
+                            read.map(i, src)?;
+                            seen[i] = true;
+                        }
+                        _ => src.skip()?,
+                    }
+                }
+            }
+            _ => return Err(serde::Error::expected("array of 5 fields", "KeyState")),
+        }
+        if let Some(i) = seen.iter().position(|&seen| !seen) {
+            return Err(serde::Error::missing_field("KeyState", MAPS[i]));
+        }
+        Ok(read.finish())
+    }
+}
+
+/// A key state being read: every record still in the map of versions.
+#[derive(Default)]
+struct Reading {
+    keys: KeyState,
+    /// `(writer, key)` → the value of the version the writer last wrote.
+    installed: FastHashMap<(TxnId, Key), Value>,
+    latest: Vec<(Key, Value)>,
+}
+
+impl Reading {
+    /// Reads the `i`-th of [`MAPS`].
+    fn map<S: serde::Source + ?Sized>(
+        &mut self,
+        i: usize,
+        src: &mut S,
+    ) -> Result<(), serde::Error> {
+        let KeyState {
+            table,
+            strays,
+            first_reader_writer,
+            pending,
+            ..
+        } = &mut self.keys;
+        match i {
+            0 => {
+                let len = pairs(src, 2 * std::mem::size_of::<((Key, Value), Version)>())?;
+                table.versions.reserve(len.1);
+                self.installed.reserve(len.1);
+                for _ in 0..len.0 {
+                    let ((key, value), reg): ((Key, Value), WriteReg) = Deserialize::pull(src)?;
+                    if let Some(writer) = reg.committed_last {
+                        self.installed.insert((writer, key), value);
+                    }
+                    let version = Version {
+                        reg: Some(reg),
+                        readers: None,
+                    };
+                    table.versions.insert((key, value), version);
+                }
+            }
+            1 => {
+                for _ in 0..pairs(src, 0)?.0 {
+                    let ((writer, key), lists): ((TxnId, Key), _) = Deserialize::pull(src)?;
+                    let value = self.installed.get(&(writer, key));
+                    match value.and_then(|&value| table.versions.get_mut(&(key, value))) {
+                        Some(version) => version.readers = Some(lists),
+                        None => {
+                            strays.insert((writer, key), lists);
+                        }
+                    }
+                }
+            }
+            2 => *first_reader_writer = Deserialize::pull(src)?,
+            3 => *pending = Deserialize::pull(src)?,
+            _ => self.latest = Deserialize::pull(src)?,
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> KeyState {
+        let Reading {
+            mut keys,
+            installed,
+            latest,
+        } = self;
+        // Reader lists read before their versions wait among the strays.
+        let KeyState { table, strays, .. } = &mut keys;
+        strays.retain(|&(writer, key), lists| {
+            let value = installed.get(&(writer, key));
+            match value.and_then(|&value| table.versions.get_mut(&(key, value))) {
+                Some(version) => {
+                    version.readers = Some(std::mem::take(lists));
+                    false
+                }
+                None => true,
+            }
+        });
+        let mut versions = std::mem::take(&mut table.versions);
+        *table = Table::for_keys(latest.iter().map(|&(key, _)| key));
+        for (key, value) in latest {
+            let slot = table.slot_or_default(key);
+            slot.latest = Some(value);
+            slot.version = versions.remove(&(key, value)).unwrap_or_default();
+        }
+        table.versions = versions;
+        keys
+    }
+}
+
+/// Reads the head of a map, an array of pairs: its length, and how many
+/// entries of `each` bytes may be reserved for it — as the serde stand-in
+/// reserves for a `HashMap`, never beyond what the bytes left could hold.
+fn pairs<S: serde::Source + ?Sized>(
+    src: &mut S,
+    each: usize,
+) -> Result<(usize, usize), serde::Error> {
+    let serde::Head::Array(len) = src.next()? else {
+        return Err(serde::Error::expected("array of pairs", "KeyState"));
+    };
+    Ok((
+        len,
+        len.min(src.bytes_left().saturating_mul(4) / each.max(1)),
+    ))
 }
 
 #[cfg(test)]
@@ -588,6 +1045,39 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// The key state's snapshot layout is the five maps it had before its
+    /// records: read back — its maps in their order, or named backwards — it
+    /// writes them out unchanged, a duplicate value's waiter included: the
+    /// reader list a latched checker keeps under a writer that is not its
+    /// version's.
+    #[test]
+    fn a_key_state_reads_back_whatever_order_its_maps_come_in() {
+        use serde::JsonValue;
+        let mut c = crate::IncrementalChecker::new_si().with_init_keys(0..2u64);
+        // T1 reads the value it writes last, so its read waits; T2 and T3 read
+        // key 1's versions; T4 installs T1's value again: a duplicate, whose
+        // resolution of T1's wait is the stray.
+        let rmw = |key: u64, from: u64, to: u64| vec![Op::read(key, from), Op::write(key, to)];
+        c.push_committed(0, vec![Op::read(0u64, 5u64), Op::write(0u64, 5u64)])
+            .unwrap();
+        c.push_committed(1, rmw(1, 0, 7)).unwrap();
+        c.push_committed(2, rmw(1, 7, 8)).unwrap();
+        assert!(c.push_committed(3, rmw(0, 0, 5)).is_err());
+        assert_eq!(c.keys.strays.len(), 1);
+        let written = c.keys.to_json_value();
+        let JsonValue::Object(mut maps) = written.clone() else {
+            panic!("a key state is written as an object of maps");
+        };
+        for backwards in [false, true] {
+            if backwards {
+                maps.reverse();
+            }
+            let back = KeyState::from_json_value(&JsonValue::Object(maps.clone())).unwrap();
+            assert_eq!(back.to_json_value(), written, "backwards: {backwards}");
+            assert_eq!(back.strays.len(), 1, "backwards: {backwards}");
+        }
     }
 
     proptest! {

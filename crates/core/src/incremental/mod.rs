@@ -21,10 +21,10 @@
 //! | file | holds | called by |
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
-//! | `keystate.rs` | `KeyState`: per-key provenance indexes, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
+//! | `keystate.rs` | `KeyState`: per-version records and per-key slots, the one-pass per-key decomposition, edge derivation, the per-key sweep, their snapshot layout | `checker` only |
 //! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
-//! | `arena.rs` | `TxnMap`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
-//! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` | `checker` only |
+//! | `arena.rs` | `TxnMap`, `IdOrdered`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
+//! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` (candidates, worklist closure, commit) | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
 //!
@@ -55,10 +55,13 @@
 //! every snapshot byte (`tests/streaming_verdict_fixture.rs` and
 //! `mtc-store`'s `store_differential.rs` hold it).
 //!
-//! With observability on, one push in sixteen records how long each stage
+//! With observability on, one push in thirty-two records how long each stage
 //! took, in nanoseconds, as `core.stream.admit`, `core.stream.derive` and
 //! `core.stream.settle`, beside its total in `checker.ingest_txn_micros`
-//! (a due `close_epoch` counts in the total only).
+//! (a due `close_epoch` counts in the total only). Every GC epoch records
+//! its parts the same way — `core.stream.gc.sweep` at each,
+//! `core.stream.gc.refs` and `core.stream.gc.collect` at a collection commit
+//! — beside its total in `checker.gc_epoch_micros`.
 //!
 //! ## What allocates
 //!
@@ -72,13 +75,29 @@
 //! array, and a version's reader and overwriter lists in `readers_of` hold
 //! their first two transactions in place (`mtc_history::InlineSeq`, the
 //! rows' type). What is left is the growth of the long-lived containers
-//! (amortized), `live_txns`' B-tree nodes, a spilled adjacency row for one
-//! node in seven and a spilled reader list for the one version in twelve
-//! that three or more transactions read. SI adds a provenance row per
-//! composed node and the `base_in` / `rw_out` lists. On `live_uniform`'s
-//! stream `tests/ingest_allocations.rs` reads 0.93 (SER), 1.65 (SSER) and
-//! 3.50 (SI) allocations per pushed transaction and holds budgets of 1.5,
-//! 2.5 and 4.5.
+//! (amortized), a spilled adjacency row for one node in seven and a spilled
+//! reader list for the one version in twelve that three or more
+//! transactions read. SI adds a provenance row per composed node and the
+//! `base_in` / `rw_out` lists. On `live_uniform`'s stream
+//! `tests/ingest_allocations.rs` reads 0.76 (SER), 1.48 (SSER) and 3.33
+//! (SI) allocations per pushed transaction — 0.93, 1.65 and 3.50 while the
+//! resident transactions' instants were a B-tree of their own — and holds
+//! budgets of 1.33, 2.33 and 4.33.
+//!
+//! ## Where the state lives
+//!
+//! Per transaction, dense tables (`TxnMap`, indexed by id from the GC's
+//! watermark up): the order node of each resident transaction, and apart
+//! from it — so that the node lookups of every edge stay in the smaller
+//! table — the instants the GC reads. Per version, one record holds its
+//! provenance and reader lists, and the newest version of each key `⊥T`
+//! seeded sits in a vector indexed by key. A read of the current version —
+//! most reads — finds it in the key's slot without probing a map keyed by
+//! `(key, value)`; the write that replaces it probes the map once for a
+//! record of its new value and files the replaced version there. The
+//! snapshot layout predates the records and the tables: `KeyState` writes
+//! and reads it by hand, the instants' table is written as the map in id
+//! order it was.
 //!
 //! ## Strict serializability and the online time-chain
 //!

@@ -4,7 +4,8 @@
 //! results — same verdict payload, same `first_violation_at` — and so must
 //! the four batch checkers, whose stages are spanned (`core.batch.*`). With
 //! metrics on, every sampled push records its `admit`, `derive` and `settle`
-//! stages (`core.stream.*`) beside its total. The
+//! stages (`core.stream.*`) beside its total, and every GC epoch its
+//! `sweep`, `refs` and `collect` parts (`core.stream.gc.*`) beside its. The
 //! instrumentation only ever times and counts; this suite is the proof
 //! that it stays off the decision path. (`mtc-store`'s spanned checkpoint
 //! stages have their twin of this check in `crates/store/tests/write_path.rs`.)
@@ -65,12 +66,17 @@ fn run_streaming(level: IsolationLevel, history: &History) -> (String, Option<mt
     (format!("{:?}", checker.finish()), first)
 }
 
-/// The sampled push's total, then the three stages it is split into.
-const STREAM_TIMINGS: [&str; 4] = [
+/// The sampled push's total, then the three stages it is split into; a GC
+/// epoch's total, then the three parts it is split into.
+const STREAM_TIMINGS: [&str; 8] = [
     "checker.ingest_txn_micros",
     "core.stream.admit",
     "core.stream.derive",
     "core.stream.settle",
+    "checker.gc_epoch_micros",
+    "core.stream.gc.sweep",
+    "core.stream.gc.refs",
+    "core.stream.gc.collect",
 ];
 
 /// One streaming run under the switch set to `on`, with what it added to
@@ -80,7 +86,7 @@ fn run_streaming_counted(
     on: bool,
     level: IsolationLevel,
     history: &History,
-) -> ((String, Option<mtc_history::TxnId>), [u64; 4]) {
+) -> ((String, Option<mtc_history::TxnId>), [u64; 8]) {
     let _switch = mtc_obs::test_support::with_enabled(on);
     let count = |name: &str| mtc_obs::registry().histogram(name).count();
     let before = STREAM_TIMINGS.map(count);
@@ -90,18 +96,28 @@ fn run_streaming_counted(
 }
 
 /// Same verdict and `first_violation_at` with metrics off and on; off
-/// records nothing, on records every stage of every sampled push.
-fn assert_identical_on_off(level: IsolationLevel, history: &History) {
+/// records nothing, on records every stage of every sampled push and every
+/// part of every GC epoch — the sweep at each, the refs and the collection
+/// at every fourth, the collection commits. Returns the epochs.
+fn assert_identical_on_off(level: IsolationLevel, history: &History) -> u64 {
     let (off, off_counts) = run_streaming_counted(false, level, history);
     let (on, on_counts) = run_streaming_counted(true, level, history);
     assert_eq!(off, on, "verdict differs with metrics on at {level}");
-    assert_eq!(off_counts, [0; 4], "nothing is recorded with metrics off");
+    assert_eq!(off_counts, [0; 8], "nothing is recorded with metrics off");
     let sampled = on_counts[0];
     assert!(sampled > 0, "{level}: no push was sampled");
     assert_eq!(
-        on_counts, [sampled; 4],
+        on_counts[..4],
+        [sampled; 4],
         "{level}: every stage of a sampled push is recorded"
     );
+    let (epochs, commits) = (on_counts[4], on_counts[4] / 4);
+    assert_eq!(
+        on_counts[4..],
+        [epochs, epochs, commits, commits],
+        "{level}: every part of a GC epoch is recorded"
+    );
+    epochs
 }
 
 #[test]
@@ -112,7 +128,11 @@ fn clean_streams_identical_with_metrics_on_and_off() {
             IsolationLevel::Serializability,
             IsolationLevel::SnapshotIsolation,
         ] {
-            assert_identical_on_off(level, &history);
+            let epochs = assert_identical_on_off(level, &history);
+            assert!(
+                epochs >= 4,
+                "{level}: {txns} transactions closed {epochs} epochs"
+            );
         }
     }
 }

@@ -16,215 +16,9 @@ use mtc_core::{
 use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
 use proptest::prelude::*;
 
-/// Mini-transaction shapes, as in the top-level differential suite.
-#[derive(Debug, Clone, Copy)]
-enum Shape {
-    ReadOne,
-    ReadTwo,
-    Rmw,
-    DoubleRmw,
-    WriteSkewHalf,
-}
-
-fn shape_strategy() -> impl Strategy<Value = Shape> {
-    prop_oneof![
-        Just(Shape::ReadOne),
-        Just(Shape::ReadTwo),
-        Just(Shape::Rmw),
-        Just(Shape::DoubleRmw),
-        Just(Shape::WriteSkewHalf),
-    ]
-}
-
-/// Builds a valid serial MT history (satisfies SER and SI by construction).
-fn serial_history(shapes: &[(Shape, u64, u64)], keys: u64, sessions: u32) -> History {
-    let keys = keys.max(2);
-    let mut state = vec![0u64; keys as usize];
-    let mut next_value = 1u64;
-    let mut builder = HistoryBuilder::new().with_init(keys);
-    for (i, &(shape, k1, k2)) in shapes.iter().enumerate() {
-        let a = (k1 % keys) as usize;
-        let b = (k2 % keys) as usize;
-        let b = if a == b { (a + 1) % keys as usize } else { b };
-        let session = (i as u32) % sessions;
-        let mut ops = Vec::new();
-        match shape {
-            Shape::ReadOne => ops.push(Op::read(a as u64, state[a])),
-            Shape::ReadTwo => {
-                ops.push(Op::read(a as u64, state[a]));
-                ops.push(Op::read(b as u64, state[b]));
-            }
-            Shape::Rmw => {
-                ops.push(Op::read(a as u64, state[a]));
-                ops.push(Op::write(a as u64, next_value));
-                state[a] = next_value;
-                next_value += 1;
-            }
-            Shape::DoubleRmw => {
-                ops.push(Op::read(a as u64, state[a]));
-                ops.push(Op::write(a as u64, next_value));
-                state[a] = next_value;
-                next_value += 1;
-                ops.push(Op::read(b as u64, state[b]));
-                ops.push(Op::write(b as u64, next_value));
-                state[b] = next_value;
-                next_value += 1;
-            }
-            Shape::WriteSkewHalf => {
-                ops.push(Op::read(a as u64, state[a]));
-                ops.push(Op::read(b as u64, state[b]));
-                ops.push(Op::write(a as u64, next_value));
-                state[a] = next_value;
-                next_value += 1;
-            }
-        }
-        builder.committed(session, ops);
-    }
-    builder.build()
-}
-
-/// Corrupts one read to return a stale value (may or may not introduce a
-/// violation — stale pure reads can still be serializable).
-fn corrupt(history: &History, txn_pick: usize, stale: u64) -> History {
-    let mut builder = HistoryBuilder::new().with_init(history.keys().len() as u64);
-    let user_txns: Vec<_> = history
-        .txns()
-        .iter()
-        .filter(|t| Some(t.id) != history.init_txn())
-        .collect();
-    let target = txn_pick % user_txns.len().max(1);
-    for (i, t) in user_txns.iter().enumerate() {
-        let mut ops = t.ops.clone();
-        if i == target {
-            if let Some(Op::Read { value, .. }) = ops.first_mut() {
-                *value = Value(stale % value.raw().max(1));
-            }
-        }
-        builder.committed(t.session.0, ops);
-    }
-    builder.build()
-}
-
-/// Like [`serial_history`], but every transaction carries a commit interval:
-/// begins are non-decreasing (`gap` apart) and each transaction stays open
-/// for `duration` ticks, so large durations produce intervals overlapping
-/// many successors — which must *not* constrain the real-time order. The key
-/// space is shifted by `key_offset`.
-fn timed_serial_history(
-    shapes: &[(Shape, u64, u64)],
-    keys: u64,
-    sessions: u32,
-    key_offset: u64,
-    intervals: &[(u64, u64)],
-) -> History {
-    let keys = keys.max(2);
-    let mut state = vec![0u64; keys as usize];
-    let mut next_value = 1u64;
-    let mut builder = HistoryBuilder::new().with_init_keys((0..keys).map(|k| k + key_offset));
-    let mut begin = 1u64;
-    for (i, &(shape, k1, k2)) in shapes.iter().enumerate() {
-        let a = (k1 % keys) as usize;
-        let b = (k2 % keys) as usize;
-        let b = if a == b { (a + 1) % keys as usize } else { b };
-        let session = (i as u32) % sessions;
-        let (ka, kb) = (a as u64 + key_offset, b as u64 + key_offset);
-        let mut ops = Vec::new();
-        match shape {
-            Shape::ReadOne => ops.push(Op::read(ka, state[a])),
-            Shape::ReadTwo => {
-                ops.push(Op::read(ka, state[a]));
-                ops.push(Op::read(kb, state[b]));
-            }
-            Shape::Rmw => {
-                ops.push(Op::read(ka, state[a]));
-                ops.push(Op::write(ka, next_value));
-                state[a] = next_value;
-                next_value += 1;
-            }
-            Shape::DoubleRmw => {
-                ops.push(Op::read(ka, state[a]));
-                ops.push(Op::write(ka, next_value));
-                state[a] = next_value;
-                next_value += 1;
-                ops.push(Op::read(kb, state[b]));
-                ops.push(Op::write(kb, next_value));
-                state[b] = next_value;
-                next_value += 1;
-            }
-            Shape::WriteSkewHalf => {
-                ops.push(Op::read(ka, state[a]));
-                ops.push(Op::read(kb, state[b]));
-                ops.push(Op::write(ka, next_value));
-                state[a] = next_value;
-                next_value += 1;
-            }
-        }
-        let (gap, duration) = intervals[i % intervals.len().max(1)];
-        begin += gap;
-        builder.committed_timed(session, ops, begin, begin + duration);
-    }
-    builder.build()
-}
-
-/// Rebuilds a timed history, pulling the *reported* end of the `pick`-th
-/// user transaction `delta` ticks into the past (clock skew; saturating, so
-/// a large delta yields a self-inconsistent interval), optionally replacing
-/// the first read of the `corrupt`-th transaction with a stale value, and
-/// optionally stripping one instant of the `strip`-th transaction (a
-/// partially timed record — only its remaining side constrains real time).
-fn skewed(
-    history: &History,
-    pick: usize,
-    delta: u64,
-    corrupt: Option<(usize, u64)>,
-    strip: Option<(usize, bool)>,
-) -> History {
-    let init_keys = history.init_txn().map(|id| history.txn(id).write_set());
-    let mut builder = match &init_keys {
-        Some(keys) => HistoryBuilder::new().with_init_keys(keys.iter().copied()),
-        None => HistoryBuilder::new(),
-    };
-    let user: Vec<_> = history
-        .txns()
-        .iter()
-        .filter(|t| Some(t.id) != history.init_txn())
-        .collect();
-    let target = pick % user.len().max(1);
-    for (i, t) in user.iter().enumerate() {
-        let mut ops = t.ops.clone();
-        if let Some((cp, stale)) = corrupt {
-            if i == cp % user.len().max(1) {
-                if let Some(Op::Read { value, .. }) = ops.first_mut() {
-                    *value = Value(stale % value.raw().max(1));
-                }
-            }
-        }
-        let begin = t.begin.unwrap_or(0);
-        let mut end = t.end.unwrap_or(begin);
-        if i == target {
-            end = end.saturating_sub(delta);
-        }
-        let (mut begin, mut end) = (Some(begin), Some(end));
-        if let Some((sp, strip_begin)) = strip {
-            if i == sp % user.len().max(1) {
-                if strip_begin {
-                    begin = None;
-                } else {
-                    end = None;
-                }
-            }
-        }
-        builder.push_cloned(Transaction {
-            id: TxnId(0), // renumbered by the builder
-            session: t.session,
-            ops,
-            status: t.status,
-            begin,
-            end,
-        });
-    }
-    builder.build()
-}
+#[path = "common/streams.rs"]
+mod streams;
+use streams::*;
 
 /// A single-key RMW chain of `n` transactions in which transaction
 /// `pick % n` (when it is not the first) reads the initial value instead of
@@ -598,22 +392,6 @@ proptest! {
 
 // ───────────────── epoch-GC differential ─────────────────────────────────────
 
-/// Small GC geometries for the epoch-GC differential tests. The engine
-/// sweeps every `every` transactions but only commits a graph-side
-/// collection every fourth sweep epoch, so with these cadences most random
-/// history lengths are *not* multiples of the commit cycle (`4·every`) and
-/// the run ends with the GC window straddling an epoch boundary —
-/// uncommitted sweep-only epochs whose deferred state the verdict must not
-/// depend on.
-fn gc_geometry_strategy() -> impl Strategy<Value = GcPolicy> {
-    prop::sample::select(vec![
-        GcPolicy::clamped(8, 2),
-        GcPolicy::clamped(12, 3),
-        GcPolicy::clamped(10, 4),
-        GcPolicy::clamped(6, 1),
-    ])
-}
-
 /// Uninterrupted un-GC'd reference outcome for `history` at `level`.
 fn ungced_reference(level: IsolationLevel, history: &History) -> (Option<TxnId>, String) {
     let (mut reference, txns) = seeded(level, history);
@@ -622,59 +400,6 @@ fn ungced_reference(level: IsolationLevel, history: &History) -> (Option<TxnId>,
     }
     let first = reference.first_violation_at();
     (first, format!("{:?}", reference.finish()))
-}
-
-/// Corrupts one read to return the *previous* version of its key, picking a
-/// target transaction whose previous version was installed at most `max_age`
-/// transactions earlier. Unlike [`corrupt`] — whose stale value may reference
-/// state arbitrarily far in the past, which a windowed GC is *allowed* to
-/// have retired (the qualified-certificate contract) — this keeps the
-/// violation inside the staleness window, where GC'd and un-GC'd verdicts
-/// must be bit-identical. Returns the history unchanged when no transaction
-/// qualifies (the valid history then trivially satisfies the property).
-fn corrupt_fresh(history: &History, pick: usize, max_age: usize) -> History {
-    let user: Vec<_> = history
-        .txns()
-        .iter()
-        .filter(|t| Some(t.id) != history.init_txn())
-        .collect();
-    // versions[key] = (user txn index, value) of installed versions, oldest
-    // first; candidates = txns whose first read could be made one-version
-    // stale against a version no older than `max_age`.
-    let mut versions: std::collections::HashMap<u64, Vec<(usize, Value)>> =
-        std::collections::HashMap::new();
-    let mut candidates: Vec<(usize, Value)> = Vec::new();
-    for (i, t) in user.iter().enumerate() {
-        if let Some(Op::Read { key, .. }) = t.ops.first() {
-            if let Some(vs) = versions.get(&key.raw()) {
-                if vs.len() >= 2 {
-                    let (installed_at, stale) = vs[vs.len() - 2];
-                    if i - installed_at <= max_age {
-                        candidates.push((i, stale));
-                    }
-                }
-            }
-        }
-        for key in t.write_set() {
-            if let Some(v) = t.last_write(key) {
-                versions.entry(key.raw()).or_default().push((i, v));
-            }
-        }
-    }
-    let Some(&(target, stale)) = candidates.get(pick % candidates.len().max(1)) else {
-        return history.clone();
-    };
-    let mut builder = HistoryBuilder::new().with_init(history.keys().len() as u64);
-    for (i, t) in user.iter().enumerate() {
-        let mut ops = t.ops.clone();
-        if i == target {
-            if let Some(Op::Read { value, .. }) = ops.first_mut() {
-                *value = stale;
-            }
-        }
-        builder.committed(t.session.0, ops);
-    }
-    builder.build()
 }
 
 proptest! {
