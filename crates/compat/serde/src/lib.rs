@@ -54,9 +54,16 @@
 //!   container holds — on success; after an error the source is nobody's.
 //! * **A container is read out.** After [`Head::Array`]`(len)` the caller
 //!   reads exactly `len` values, after [`Head::Object`]`(len)` exactly `len`
-//!   times one [`Source::key`] and then one value. There is no end event: the
-//!   source counts. What the caller has no use for it [`Source::skip`]s,
+//!   times one [`Source::key`] and then one value. There is no end event,
+//!   and a byte source keeps no count either: it trusts the caller to read
+//!   what it opened. What the caller has no use for it [`Source::skip`]s,
 //!   which holds the skipped value to every check a read would have made.
+//! * **Nesting is bounded where the input chooses it.** A derived type nests
+//!   as deep as the type does; a reader whose recursion follows the input —
+//!   [`Source::skip`], [`JsonValue`]'s `pull` — steps into each value of a
+//!   container through [`Source::enter`] and back out through
+//!   [`Source::leave`], and a byte source refuses to go deeper than it
+//!   follows.
 //! * **A length is refused before it is trusted.** A byte source checks a
 //!   length prefix against the input it has left — every value is a byte at
 //!   least — before it yields the head, and the containers here reserve for
@@ -449,19 +456,45 @@ pub trait Source {
     /// source whose lengths are facts says `usize::MAX`.
     fn bytes_left(&self) -> usize;
 
+    /// If the next value is an unsigned integer, consumes it and returns it;
+    /// otherwise consumes nothing. A source that can tell by a look at its
+    /// input saves the unsigned integers — most of what the workspace reads —
+    /// the round trip through [`Head`]; the default never can, and the caller
+    /// falls back to [`Source::next`].
+    fn next_u64(&mut self) -> Result<Option<u64>, Error> {
+        Ok(None)
+    }
+
+    /// Steps one level into the value of a container about to be read, for
+    /// a reader whose recursion follows the input ([`Source::skip`],
+    /// [`JsonValue`]'s `pull`): a byte source refuses input nested deeper
+    /// than it will follow here, before the stack does. Every `enter` that
+    /// returned `Ok` is matched by one [`Source::leave`] once the value is
+    /// read. A derived type's nesting is fixed by the type and needs neither.
+    fn enter(&mut self) -> Result<(), Error> {
+        Ok(())
+    }
+
+    /// Steps back out of the value [`Source::enter`] stepped into.
+    fn leave(&mut self) {}
+
     /// Consumes one whole value, holding it to every check a read of it
     /// would have made.
     fn skip(&mut self) -> Result<(), Error> {
         match self.next()? {
             Head::Array(len) => {
                 for _ in 0..len {
+                    self.enter()?;
                     self.skip()?;
+                    self.leave();
                 }
             }
             Head::Object(len) => {
                 for _ in 0..len {
                     self.key()?;
+                    self.enter()?;
                     self.skip()?;
+                    self.leave();
                 }
             }
             _ => {}
@@ -476,9 +509,6 @@ pub trait Deserialize: Sized {
     ///
     /// Generic over the source as [`Serialize::emit`] is over the sink, and
     /// `S: ?Sized` keeps `&mut dyn Source` a legal argument all the same.
-    /// (Here the choice is one of symmetry, not of speed: measured when this
-    /// was written, a 1.2 MB snapshot read in the same 6.2 ms either way —
-    /// the byte reader's `next` is a tag dispatch nobody inlines.)
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error>;
 
     /// Reconstructs `Self` from a JSON value tree: [`Deserialize::pull`]
@@ -609,7 +639,7 @@ impl Deserialize for JsonValue {
             Head::Array(len) => {
                 let mut items = Vec::with_capacity(cautious(len, size_of::<JsonValue>(), src));
                 for _ in 0..len {
-                    items.push(JsonValue::pull(src)?);
+                    items.push(JsonValue::pull_within(src)?);
                 }
                 JsonValue::Array(items)
             }
@@ -618,11 +648,22 @@ impl Deserialize for JsonValue {
                     Vec::with_capacity(cautious(len, size_of::<(String, JsonValue)>(), src));
                 for _ in 0..len {
                     let key = src.key()?.to_string();
-                    entries.push((key, JsonValue::pull(src)?));
+                    entries.push((key, JsonValue::pull_within(src)?));
                 }
                 JsonValue::Object(entries)
             }
         })
+    }
+}
+
+impl JsonValue {
+    /// One value of a container: a tree's shape is the input's, so every
+    /// level of it goes through [`Source::enter`].
+    fn pull_within<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error> {
+        src.enter()?;
+        let value = JsonValue::pull(src)?;
+        src.leave();
+        Ok(value)
     }
 }
 
@@ -654,7 +695,11 @@ macro_rules! impl_unsigned {
         impl Deserialize for $t {
             #[inline]
             fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, Error> {
-                pull_integer(src, "unsigned integer", stringify!($t))
+                match src.next_u64()? {
+                    Some(n) => <$t>::try_from(n)
+                        .map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t)))),
+                    None => pull_integer(src, "unsigned integer", stringify!($t)),
+                }
             }
         }
     )*};

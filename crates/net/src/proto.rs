@@ -262,8 +262,10 @@ pub struct TenantStatus {
     /// tenant.
     pub rss_kb: u64,
     /// 99th-percentile WAL append latency for this tenant, in
-    /// microseconds. Zero until the daemon enables observability (the
-    /// per-store histogram records only while the global switch is on).
+    /// microseconds: one append is one drained batch — up to 128 events,
+    /// encoded and handed to the OS with one `write` — not one event. Zero
+    /// until the daemon enables observability (the per-store histogram
+    /// records only while the global switch is on).
     pub wal_append_p99_micros: u64,
     /// Microseconds since the tenant's newest checkpoint finished —
     /// `None` before the first checkpoint. A growing age under steady

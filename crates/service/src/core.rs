@@ -15,9 +15,10 @@
 //!   in either order, which would corrupt session order and the verdict);
 //! * the tenant's [`LiveVerifier`] and its [`MtcStore`] WAL under
 //!   `root/<tenant>/`, side by side under one lock so the log order is the
-//!   check order: each event is appended to the log, then recorded, then
-//!   the store checkpoints the checker if a floor calls for it and the log
-//!   pays for it. The verifier is built through [`LiveVerifier::builder`]
+//!   check order: a drained batch is appended to the log with one write,
+//!   then each event of it is recorded, and after each the store
+//!   checkpoints the checker if a floor calls for it and the log pays for
+//!   it. The verifier is built through [`LiveVerifier::builder`]
 //!   with settled-prefix GC on — and, when the directory already holds a
 //!   log, resumed from the newest checkpoint plus tail replay.
 //!
@@ -31,6 +32,7 @@
 
 use mtc_core::{GcPolicy, IsolationLevel};
 use mtc_dbsim::{IngestEvent, LiveVerifier};
+use mtc_history::Transaction;
 use mtc_net::proto::TenantStatus;
 use mtc_store::{MtcStore, StoreStats, StreamMeta};
 use parking_lot::Mutex;
@@ -245,14 +247,18 @@ impl Tenant {
             return 0;
         }
         let n = batch.len();
+        let txns: Vec<Transaction> = batch
+            .into_iter()
+            .map(IngestEvent::into_transaction)
+            .collect();
         let mut guard = self.stream.lock();
         if let Some((v, store)) = guard.as_mut() {
-            for event in batch {
-                let txn = event.into_transaction();
-                // A failed write is latched in the store and reported as
-                // `sink_errors`; verification carries on past it, and
-                // recovery covers the prefix logged before it.
-                let _ = store.append_txn(&txn);
+            // The whole batch is logged, with one write, before the checker
+            // sees any of it. A failed write is latched in the store and
+            // reported as `sink_errors`; verification carries on past it,
+            // and recovery covers the prefix logged before it.
+            let _ = store.append_txns(&txns);
+            for txn in txns {
                 v.record(txn);
                 let _ = store.recorded(|| v.checkpoint());
             }

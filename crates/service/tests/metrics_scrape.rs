@@ -74,7 +74,13 @@ fn live_daemon_snapshot_has_the_documented_shape() {
     let wal = snapshot
         .histogram("store.wal_append_micros")
         .expect("WAL append histogram registered");
-    assert!(wal.count >= spec.events_per_tenant());
+    // One append per drained batch, and a drain takes at most 128 events.
+    let events = spec.events_per_tenant();
+    assert!(
+        events.div_ceil(128) <= wal.count && wal.count <= events,
+        "{} WAL appends for {events} events",
+        wal.count
+    );
     assert!(
         snapshot.gauge("service.queue_depth").is_some(),
         "queue depth gauge missing"

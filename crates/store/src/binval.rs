@@ -45,13 +45,19 @@
 //! `from_bytes_indexed`). Nothing writes either any more.
 //!
 //! What the reader checks, it checks where it stands: tags, canonical
-//! varints, UTF-8, [`MAX_DEPTH`] on the containers it is inside of, a key
-//! index against its tables, a length prefix against the input that is left
-//! (so a length that lies is refused before anything is reserved for it),
-//! and, once the value is read, that the input ended with it. Those failures
-//! are [`DecodeError`]s; a value that is well-formed but not of the shape
-//! the type reads — a wrong field count, a variant index past the enum, an
-//! array where a number belongs — is a [`crate::StoreError::Serde`].
+//! varints, UTF-8, a key index against its tables, a length prefix against
+//! the input that is left (so a length that lies is refused before anything
+//! is reserved for it), and, once the value is read, that the input ended
+//! with it. It keeps no stack of the containers it is inside of: the caller
+//! reads out what it opens (the source contract), and the one key spelling
+//! a payload may use is the payload's — inline in a plain read, an index in
+//! a v2 record's, whose objects are all indexed. [`MAX_DEPTH`] is held where
+//! recursion follows the input, not a type: [`serde::Source::skip`] and a
+//! [`serde::JsonValue`] read step into every value of a container through
+//! [`serde::Source::enter`], which the reader counts. Those failures are
+//! [`DecodeError`]s; a value that is well-formed but not of the shape the
+//! type reads — a wrong field count, a variant index past the enum, an array
+//! where a number belongs — is a [`crate::StoreError::Serde`].
 
 use serde::{Deserialize, Emitter, Head, Serialize, Source};
 
@@ -266,23 +272,13 @@ impl<'a> KeyTables<'a> {
     }
 }
 
-/// How many open containers a [`Reader`] tracks in place. Setting up room
-/// for all [`MAX_DEPTH`] of them cost a read of a 46-byte envelope a quarter
-/// of its time; a checker snapshot nests 8 deep.
-const SHALLOW: usize = 16;
-
-/// A container the reader is inside of.
-#[derive(Clone, Copy, Default)]
-struct Open {
-    /// Values of it not yet begun.
-    left: usize,
-    /// It is a [`TAG_OBJECT_IDX`] object: its keys are table indices.
-    indexed: bool,
-}
-
 /// The byte reader: every head is parsed off `input` when it is asked for,
-/// strings and inline keys are borrowed from it. With `keys`, indexed
-/// objects resolve against the tables; without, they are a bad tag.
+/// strings and inline keys are borrowed from it, and no stack of open
+/// containers is kept, so a head costs its tag and its bytes. With `keys`,
+/// the payload is a v2 record's: every object a [`TAG_OBJECT_IDX`] one,
+/// every key an index into the tables. Without, every object is a
+/// [`TAG_OBJECT`] one with its keys inline. An object of the other kind is
+/// a bad tag.
 ///
 /// A byte-level failure is kept in `failed` — [`serde::Error`] is a message,
 /// and callers tell a [`DecodeError`] from a value of the wrong shape — and
@@ -291,13 +287,7 @@ struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
     keys: Option<KeyTables<'a>>,
-    /// The containers being read, outermost first, `depth` of them: the
-    /// first [`SHALLOW`] here, the rest — the workspace writes nothing that
-    /// deep — in `deeper`. One whose last value has begun stays until the
-    /// next head is asked for: that value may be a container itself, and it
-    /// is one level further in.
-    open: [Open; SHALLOW],
-    deeper: Vec<Open>,
+    /// Values entered through [`Source::enter`] and not yet left.
     depth: usize,
     failed: Option<DecodeError>,
 }
@@ -308,8 +298,6 @@ impl<'a> Reader<'a> {
             input,
             pos: 0,
             keys,
-            open: [Open::default(); SHALLOW],
-            deeper: Vec::new(),
             depth: 0,
             failed: None,
         }
@@ -323,64 +311,22 @@ impl<'a> Reader<'a> {
         serde::Error::msg(String::new())
     }
 
-    /// Pops the containers that are done and returns the one the next value
-    /// (or key) belongs to, `None` at the root.
-    #[inline]
-    fn innermost(&mut self) -> Option<&mut Open> {
-        while self.depth > 0 && self.at(self.depth - 1).left == 0 {
-            self.depth -= 1;
-            if self.depth >= SHALLOW {
-                self.deeper.pop();
-            }
-        }
-        self.depth.checked_sub(1).map(|top| self.at(top))
-    }
-
-    /// The `level`th open container, outermost first.
-    #[inline]
-    fn at(&mut self, level: usize) -> &mut Open {
-        match level.checked_sub(SHALLOW) {
-            None => &mut self.open[level],
-            Some(deep) => &mut self.deeper[deep],
-        }
-    }
-
-    /// Steps into the next value and returns its tag.
-    #[inline]
-    fn tag(&mut self) -> Result<u8, DecodeError> {
-        if let Some(parent) = self.innermost() {
-            parent.left -= 1;
-        }
-        if self.depth > MAX_DEPTH {
-            return Err(DecodeError::TooDeep);
-        }
-        let &tag = self.input.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(tag)
-    }
-
     /// A container's length prefix — a claim, refused here if the input
-    /// left could not hold that many values of a byte each — and the
-    /// container opened.
+    /// left could not hold that many values of a byte each.
     #[inline]
-    fn begin(&mut self, indexed: bool) -> Result<usize, DecodeError> {
+    fn container_len(&mut self) -> Result<usize, DecodeError> {
         let len = get_varint(self.input, &mut self.pos)?;
         if len > (self.input.len() - self.pos) as u64 {
             return Err(DecodeError::Truncated);
         }
-        let left = len as usize;
-        let opened = Open { left, indexed };
-        if self.depth < SHALLOW {
-            self.open[self.depth] = opened;
-        } else {
-            self.deeper.push(opened);
-        }
-        self.depth += 1;
-        Ok(left)
+        Ok(len as usize)
     }
 
+    #[inline]
     fn head(&mut self) -> Result<Head<'a>, DecodeError> {
-        Ok(match self.tag()? {
+        let &tag = self.input.get(self.pos).ok_or(DecodeError::Truncated)?;
+        self.pos += 1;
+        Ok(match tag {
             TAG_NULL => Head::Null,
             TAG_FALSE => Head::Bool(false),
             TAG_TRUE => Head::Bool(true),
@@ -398,10 +344,9 @@ impl<'a> Reader<'a> {
                 )))
             }
             TAG_STR => Head::Str(get_str(self.input, &mut self.pos)?),
-            TAG_ARRAY => Head::Array(self.begin(false)?),
-            TAG_OBJECT => Head::Object(self.begin(false)?),
-            // Only valid in indexed payloads: a plain decode has no table.
-            TAG_OBJECT_IDX if self.keys.is_some() => Head::Object(self.begin(true)?),
+            TAG_ARRAY => Head::Array(self.container_len()?),
+            TAG_OBJECT if self.keys.is_none() => Head::Object(self.container_len()?),
+            TAG_OBJECT_IDX if self.keys.is_some() => Head::Object(self.container_len()?),
             other => return Err(DecodeError::BadTag(other)),
         })
     }
@@ -429,17 +374,11 @@ impl Source for Reader<'_> {
 
     #[inline]
     fn key(&mut self) -> Result<&str, serde::Error> {
-        let indexed = match self.innermost() {
-            Some(object) => object.indexed,
-            None => return Err(serde::Error::msg("a key was read outside an object")),
-        };
-        let key = if indexed {
-            let tables = self
-                .keys
-                .expect("an indexed object opened only with tables");
-            get_varint(self.input, &mut self.pos).and_then(|idx| tables.resolve(idx))
-        } else {
-            get_str(self.input, &mut self.pos)
+        let key = match self.keys {
+            None => get_str(self.input, &mut self.pos),
+            Some(tables) => {
+                get_varint(self.input, &mut self.pos).and_then(|idx| tables.resolve(idx))
+            }
         };
         key.map_err(|e| self.fail(e))
     }
@@ -452,10 +391,38 @@ impl Source for Reader<'_> {
     #[inline]
     fn null(&mut self) -> Result<bool, serde::Error> {
         match self.input.get(self.pos) {
-            Some(&TAG_NULL) => self.next().map(|_| true),
+            Some(&TAG_NULL) => {
+                self.pos += 1;
+                Ok(true)
+            }
             Some(_) => Ok(false),
             None => Err(self.fail(DecodeError::Truncated)),
         }
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> Result<Option<u64>, serde::Error> {
+        if self.input.get(self.pos) != Some(&TAG_U64) {
+            return Ok(None);
+        }
+        self.pos += 1;
+        get_varint(self.input, &mut self.pos)
+            .map(Some)
+            .map_err(|e| self.fail(e))
+    }
+
+    #[inline]
+    fn enter(&mut self) -> Result<(), serde::Error> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.fail(DecodeError::TooDeep));
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
 }
 
@@ -554,7 +521,9 @@ mod tests {
                 }
                 Ok(JsonValue::Array(items))
             }
-            TAG_OBJECT => {
+            // A v2 record's payload is indexed throughout: no writer ever put
+            // an inline-keyed object inside one.
+            TAG_OBJECT if keys.is_none() => {
                 let len = get_varint(input, pos)? as usize;
                 let mut entries = Vec::with_capacity(len.min(4096));
                 for _ in 0..len {
@@ -901,10 +870,11 @@ mod tests {
                     let mut deep = [TAG_ARRAY, 1].repeat(wraps);
                     deep.extend_from_slice(bytes);
                     agree(&deep, tables);
-                    proptest::prop_assert_eq!(
-                        from_bytes_indexed::<JsonValue>(&deep, base, pending).is_ok(),
-                        fits
-                    );
+                    let read = match tables {
+                        None => from_bytes::<JsonValue>(&deep),
+                        Some((base, pending)) => from_bytes_indexed::<JsonValue>(&deep, base, pending),
+                    };
+                    proptest::prop_assert_eq!(read.is_ok(), fits);
                 }
             }
             // A key index past the tables: the last key the record brought
@@ -959,6 +929,43 @@ mod tests {
         agree(&keyed, None);
         agree(&keyed, Some((&[], &[])));
         agree(&keyed, Some((&[], &["k".to_string()])));
+    }
+
+    /// Depth is held where recursion follows the input: a derived struct read
+    /// from its named bytes skips a field it does not know, and the skip
+    /// counts the levels — one past [`MAX_DEPTH`] is refused, a hundred
+    /// thousand too, without the stack ever seeing them.
+    #[test]
+    fn an_unknown_field_nested_past_max_depth_is_refused_where_it_is_skipped() {
+        use mtc_history::{Op, SessionId, Transaction, TxnId};
+        let txn = Transaction::committed(TxnId(4), SessionId(1), vec![Op::read(2u64, 0u64)])
+            .with_times(3, 9);
+        let JsonValue::Object(mut fields) = txn.to_json_value() else {
+            panic!("a transaction's named tree is an object");
+        };
+        fields.push(("unknown".to_string(), JsonValue::Null));
+        let named = to_bytes(&JsonValue::Object(fields));
+        let with_unknown = |levels: usize| {
+            // The unknown field comes last, so its `null` is the last byte.
+            let mut bytes = named[..named.len() - 1].to_vec();
+            bytes.extend_from_slice(&[TAG_ARRAY, 1].repeat(levels));
+            bytes.push(TAG_NULL);
+            bytes
+        };
+        assert_eq!(from_bytes::<Transaction>(&with_unknown(0)).unwrap(), txn);
+        assert_eq!(
+            from_bytes::<Transaction>(&with_unknown(MAX_DEPTH)).unwrap(),
+            txn
+        );
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            assert!(
+                matches!(
+                    from_bytes::<Transaction>(&with_unknown(levels)),
+                    Err(crate::StoreError::Decode(DecodeError::TooDeep))
+                ),
+                "{levels} levels"
+            );
+        }
     }
 
     fn rt(v: JsonValue) {

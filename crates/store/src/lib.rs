@@ -15,8 +15,8 @@
 //! test is gone.
 //!
 //! [`MtcStore`] alone decides when to checkpoint. Its host appends each
-//! transaction before its checker consumes it and calls
-//! [`MtcStore::recorded`] after; at every floor
+//! transaction — alone or in a batch — before its checker consumes it and
+//! calls [`MtcStore::recorded`] after the checker has; at every floor
 //! ([`MtcStore::with_checkpoint_every`]) the store asks the host for a
 //! snapshot if the log written since the newest checkpoint has paid for
 //! one, and fsyncs the log if not. The first write that fails is the store's
@@ -29,7 +29,7 @@
 //!
 //! * **The process** (panic, `kill -9`, OOM kill): nothing admitted is lost.
 //!   Every append is a `write` the kernel has accepted before
-//!   [`MtcStore::append_txn`] returns, and the kernel outlives the process;
+//!   [`MtcStore::append_txn`] (or [`MtcStore::append_txns`]) returns, and the kernel outlives the process;
 //!   at worst the last frame is torn, and recovery truncates it. A
 //!   checkpoint is written under a temporary name and renamed into place, so
 //!   a kill mid-checkpoint leaves the older checkpoints intact and a stray

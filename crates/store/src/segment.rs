@@ -12,11 +12,12 @@
 //! stream (magic, format version, segment index, index of its first
 //! transaction) followed by one frame per [`LogRecord`]. The first segment
 //! carries the stream's [`StreamMeta`] as its first record. Frames are
-//! CRC-checked ([`crate::frame`]); every append streams its record into one
+//! CRC-checked ([`crate::frame`]); an append streams its records into one
 //! buffer the writer keeps — frame header and value, no value tree and no
-//! second copy — and hands it to the OS as one `write`, and only
-//! [`LogWriter::sync`] and segment rotation `fsync` (the crate docs spell out
-//! what that means for a process crash and for power loss).
+//! second copy — and hands a batch to the OS as one `write` (one per segment
+//! it touches), and only [`LogWriter::sync`] and segment rotation `fsync`
+//! (the crate docs spell out what that means for a process crash and for
+//! power loss).
 //!
 //! ## Crash tolerance
 //!
@@ -141,8 +142,8 @@ pub struct LogWriter {
     written_in_segment: usize,
     /// Stream index of the next transaction to append.
     next_txn: u64,
-    /// The frame being appended, kept between appends for its capacity.
-    frame: Vec<u8>,
+    /// The frames being appended, kept between appends for their capacity.
+    frames: Vec<u8>,
     /// Bytes of the record frames this writer appended.
     appended: u64,
 }
@@ -186,10 +187,10 @@ impl LogWriter {
             segment_bytes,
             written_in_segment: 0,
             next_txn: 0,
-            frame: Vec::new(),
+            frames: Vec::new(),
             appended: 0,
         };
-        w.append_record(RecordRef::Meta(meta))?;
+        w.append_records([RecordRef::Meta(meta)])?;
         Ok(w)
     }
 
@@ -229,7 +230,7 @@ impl LogWriter {
             segment_bytes: recovered.segment_bytes.max(1),
             written_in_segment,
             next_txn: recovered.txns.len() as u64,
-            frame: Vec::new(),
+            frames: Vec::new(),
             appended: 0,
         };
         if recovered.last_segment_version < LOG_VERSION {
@@ -245,14 +246,22 @@ impl LogWriter {
         self.next_txn
     }
 
-    /// Appends one transaction, returning its stream index. The record is
-    /// with the OS when this returns (safe against a process crash); call
-    /// [`LogWriter::sync`] to force it down to the device.
+    /// Appends one transaction, returning its stream index: an
+    /// [`LogWriter::append_txns`] of one.
     pub fn append(&mut self, txn: &Transaction) -> Result<u64, StoreError> {
-        let index = self.next_txn;
-        self.append_record(RecordRef::Txn(txn))?;
-        self.next_txn = index + 1;
-        Ok(index)
+        self.append_txns(std::slice::from_ref(txn))
+    }
+
+    /// Appends `txns` in order, returning the stream index of the first. Their
+    /// frames are encoded into one buffer and handed to the OS as one `write`
+    /// — one per segment where a rotation falls inside the batch, which it
+    /// does exactly where appending them one at a time would put it. The
+    /// records are with the OS when this returns (safe against a process
+    /// crash); call [`LogWriter::sync`] to force them down to the device.
+    pub fn append_txns(&mut self, txns: &[Transaction]) -> Result<u64, StoreError> {
+        let first = self.next_txn;
+        self.append_records(txns.iter().map(RecordRef::Txn))?;
+        Ok(first)
     }
 
     /// Bytes of the record frames this writer appended since it was created
@@ -269,19 +278,42 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Appends one record as one frame, encoded in place.
-    fn append_record(&mut self, record: RecordRef<'_>) -> Result<(), StoreError> {
-        if self.written_in_segment >= self.segment_bytes {
-            self.rotate()?;
+    /// Appends each record as one frame, encoded in place into `frames`, and
+    /// writes the frames of each segment with one `write`. A segment is full
+    /// once the frames in it reach `segment_bytes`, checked before each
+    /// record.
+    fn append_records<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+    ) -> Result<(), StoreError> {
+        self.frames.clear();
+        let mut txns = 0;
+        for record in records {
+            if self.written_in_segment + self.frames.len() >= self.segment_bytes {
+                self.write_frames(txns)?;
+                txns = 0;
+                self.rotate()?;
+            }
+            {
+                let _span = mtc_obs::sampled_span!("store.append.encode");
+                write_frame_with(&mut self.frames, |out| binval::write_value(&record, out));
+            }
+            txns += matches!(record, RecordRef::Txn(_)) as u64;
         }
-        self.frame.clear();
-        {
-            let _span = mtc_obs::sampled_span!("store.append.encode");
-            write_frame_with(&mut self.frame, |out| binval::write_value(&record, out));
+        self.write_frames(txns)
+    }
+
+    /// Hands the encoded frames, `txns` transaction records among them, to
+    /// the OS.
+    fn write_frames(&mut self, txns: u64) -> Result<(), StoreError> {
+        if self.frames.is_empty() {
+            return Ok(());
         }
-        self.file.write_all(&self.frame)?;
-        self.written_in_segment += self.frame.len();
-        self.appended += self.frame.len() as u64;
+        self.file.write_all(&self.frames)?;
+        self.written_in_segment += self.frames.len();
+        self.appended += self.frames.len() as u64;
+        self.next_txn += txns;
+        self.frames.clear();
         Ok(())
     }
 

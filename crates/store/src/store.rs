@@ -17,13 +17,14 @@
 //! the whole log replays from scratch — slower, same answer.
 //!
 //! An open [`MtcStore`] is the directory's one writer, and the one module
-//! that decides when to checkpoint. A host that checks what it logs calls
-//! [`MtcStore::append_txn`] before its checker consumes a transaction and
-//! [`MtcStore::recorded`] after: every `checkpoint_every` recorded
-//! transactions — the floor — the store writes a checkpoint if one is worth
-//! its bytes and fsyncs the log if not. Writing a checkpoint reads nothing
-//! back: every checkpoint is a full snapshot, and pruning goes by file
-//! names. The first write that fails is the last: the store keeps it and
+//! that decides when to checkpoint. A host that checks what it logs appends
+//! a transaction ([`MtcStore::append_txn`], or a batch of them with
+//! [`MtcStore::append_txns`]) before its checker consumes it and calls
+//! [`MtcStore::recorded`] after the checker has: every `checkpoint_every`
+//! recorded transactions — the floor — the store writes a checkpoint if one
+//! is worth its bytes and fsyncs the log if not. Writing a checkpoint reads
+//! nothing back: every checkpoint is a full snapshot, and pruning goes by
+//! file names. The first write that fails is the last: the store keeps it and
 //! returns it from every later append, sync and checkpoint, so the log
 //! stays a clean prefix of what was recorded.
 
@@ -51,6 +52,10 @@ pub struct MtcStore {
     checkpoint_every: usize,
     /// `recorded` calls since the last floor.
     since_floor: usize,
+    /// Logged transactions the host's checker has consumed: the log's length
+    /// when the store was opened, plus one per `recorded` call. The log runs
+    /// ahead of it by what was appended and not yet recorded.
+    consumed: u64,
     /// Checkpoint bytes this store wrote.
     checkpoint_bytes: u64,
     /// Checkpoints this store wrote.
@@ -81,8 +86,9 @@ struct Newest {
 /// so an operator can tell a slow tenant from a stalled log.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreStats {
-    /// 99th-percentile append latency (0 until observability is enabled —
-    /// the histogram only records while the global switch is on).
+    /// 99th-percentile latency of one append call, a whole batch for a host
+    /// that appends batches (0 until observability is enabled: the
+    /// histogram only records while the global switch is on).
     pub wal_append_p99_micros: u64,
     /// Microseconds since the newest checkpoint finished (`None` before
     /// the first one).
@@ -103,6 +109,7 @@ pub struct StoreStats {
 impl MtcStore {
     fn new(dir: &Path, writer: LogWriter) -> Self {
         MtcStore {
+            consumed: writer.next_txn_index(),
             dir: dir.to_path_buf(),
             writer,
             checkpoint_keep: DEFAULT_CHECKPOINT_KEEP,
@@ -155,9 +162,17 @@ impl MtcStore {
     /// Appends one transaction to the log (write-ahead: call this *before*
     /// feeding the transaction to the checker). Returns its stream index.
     pub fn append_txn(&mut self, txn: &Transaction) -> Result<u64, StoreError> {
+        self.append_txns(std::slice::from_ref(txn))
+    }
+
+    /// Appends `txns` to the log with one `write` ([`LogWriter::append_txns`])
+    /// and returns the stream index of the first. Write-ahead: call this
+    /// before feeding any of them to the checker, and [`MtcStore::recorded`]
+    /// after each one it consumes. `store.wal_append_micros` times the call.
+    pub fn append_txns(&mut self, txns: &[Transaction]) -> Result<u64, StoreError> {
         self.latched()?;
         let timer = mtc_obs::enabled().then(Instant::now);
-        let idx = self.writer.append(txn).map_err(|e| self.fail(e))?;
+        let idx = self.writer.append_txns(txns).map_err(|e| self.fail(e))?;
         if let Some(t0) = timer {
             let micros = t0.elapsed().as_micros() as u64;
             mtc_obs::histogram!("store.wal_append_micros").record(micros);
@@ -177,12 +192,13 @@ impl MtcStore {
         self.writer.sync().map_err(|e| self.fail(e))
     }
 
-    /// Called once the checker has consumed the transaction appended last.
-    /// At a floor ([`MtcStore::with_checkpoint_every`]) it checkpoints the
-    /// checker, through `snapshot`, if one is due, and fsyncs the log if
-    /// not, so the log is fsynced at every floor either way. Log and checker
-    /// move in lockstep, so the snapshot has consumed every logged
-    /// transaction.
+    /// Called each time the checker has consumed one more logged
+    /// transaction. At a floor ([`MtcStore::with_checkpoint_every`]) it
+    /// checkpoints the checker, through `snapshot`, if one is due, and fsyncs
+    /// the log if not, so the log is fsynced at every floor either way. The
+    /// log may run ahead of the checker — by a batch a host appended before
+    /// checking it — so a checkpoint records the transactions the checker
+    /// consumed, counted here, not the log's length.
     ///
     /// A checkpoint is due when this store has written none yet, or the log
     /// it appended since its newest one has grown to that checkpoint's size.
@@ -192,12 +208,18 @@ impl MtcStore {
     /// (a snapshot of steady size) the cost per logged transaction is fixed,
     /// on an un-GC'd one (a snapshot that grows with the stream) the number of
     /// checkpoints grows with the logarithm of its length. A recovery replays
-    /// at most one checkpoint's worth of log, plus one floor.
+    /// at most one checkpoint's worth of log, plus one floor and the batch
+    /// the log ran ahead by.
     pub fn recorded(
         &mut self,
         snapshot: impl FnOnce() -> CheckerSnapshot,
     ) -> Result<(), StoreError> {
         self.latched()?;
+        self.consumed += 1;
+        debug_assert!(
+            self.consumed <= self.next_txn_index(),
+            "a transaction was recorded before it was logged"
+        );
         self.since_floor += 1;
         if self.since_floor < self.checkpoint_every {
             return Ok(());
@@ -208,8 +230,7 @@ impl MtcStore {
             .as_ref()
             .is_none_or(|n| self.writer.appended_bytes() - n.log_at >= n.size);
         if due {
-            self.checkpoint(self.next_txn_index(), &snapshot())
-                .map(drop)
+            self.checkpoint(self.consumed, &snapshot()).map(drop)
         } else {
             self.sync()
         }
