@@ -10,9 +10,11 @@
 //!   order of `x`;
 //! * the `RW` edges are derived from `WR` and `WW`.
 //!
-//! "The values read" are resolved against a [`WriteIndex`]: a batch check
-//! hands in the one its validation and pre-scan already read
-//! ([`crate::check_batch`]), the public entry points below build their own.
+//! "The values read" are the external reads the intra-transactional pre-scan
+//! resolved ([`mtc_history::scan_reads`]): each read's writer was looked up
+//! in the [`WriteIndex`] once, there. A batch check hands in the reads its
+//! pre-scan already resolved ([`crate::check_batch`]); the public entry
+//! points below run that scan themselves.
 //!
 //! Two variants are provided: [`build_dependency_reference`] mirrors the
 //! paper's Algorithm 1 literally, including the per-object transitive closure
@@ -23,13 +25,16 @@
 //! # How `RW` is derived
 //!
 //! `T' -WR(x)-> T` and `T' -WW(x)-> S` with `T ≠ S` give `T -RW(x)-> S`: the
-//! readers and the overwriters of one version meet at its writer. Both edge
-//! kinds are therefore read off the graph into flat `(writer, key, target)`
-//! lists, each is sorted, and one merge over the runs of equal
-//! `(writer, key)` pairs every reader of a version with every overwriter of
-//! it. The lists are read after the optional closure, so in the reference
-//! variant the closure `WW` edges take part as well (the derived `R̂W` edges
-//! of Figure 6).
+//! readers and the overwriters of one version meet at its writer. Every
+//! resolved read is such a meeting — its reader reads the version, and
+//! overwrites it too if it writes the key — so the reads are counted into
+//! one bucket per writer (a stable counting sort by writer id: no
+//! comparison, and a bucket's readers stay in transaction order), and each
+//! bucket, a handful of reads, is sorted by `(key, reader)`. A run of equal
+//! keys in a bucket is one version: every reader of it is paired with every
+//! other overwriter of it. In the reference variant the closure's `WW`
+//! edges join the buckets of their sources as overwriters that read nothing
+//! (the derived `R̂W` edges of Figure 6).
 //!
 //! No `RW` edge can come out twice, so none is looked up before it is added.
 //! A transaction has one external read per key and so one `WR(x)` in-edge: a
@@ -49,7 +54,10 @@
 //! the same counterexample twice, in this process or another.
 
 use crate::verdict::CheckError;
-use mtc_history::{DependencyGraph, EdgeKind, History, Key, Op, TxnId, WriteIndex, INIT_VALUE};
+use mtc_history::{
+    scan_reads, DependencyGraph, EdgeKind, History, Key, ResolvedRead, TxnId, WriteIndex,
+    INIT_VALUE,
+};
 use std::collections::{BTreeMap, HashMap};
 
 /// Errors preventing the construction of a dependency graph.
@@ -63,7 +71,7 @@ pub type BuildError = CheckError;
 /// materialized (`Θ(n²)` of them); this is only needed by the naive
 /// `CHECKSSER`.
 pub fn build_dependency(history: &History, with_rt: bool) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, &WriteIndex::new(history), with_rt, false)
+    build_impl(history, &resolve(history), with_rt, false)
 }
 
 /// Builds the dependency graph exactly as in Algorithm 1, including the
@@ -72,14 +80,19 @@ pub fn build_dependency_reference(
     history: &History,
     with_rt: bool,
 ) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, &WriteIndex::new(history), with_rt, true)
+    build_impl(history, &resolve(history), with_rt, true)
 }
 
-/// `BUILDDEPENDENCY` over `history`, whose writes `index` holds: a batch
-/// check hands in the index its earlier stages already read.
+/// The external reads of `history`, resolved against an index of its own.
+fn resolve(history: &History) -> Vec<ResolvedRead> {
+    scan_reads(history, &WriteIndex::new(history)).reads
+}
+
+/// `BUILDDEPENDENCY` over `history`, whose external reads the pre-scan
+/// resolved into `reads` ([`mtc_history::ReadScan::reads`]).
 pub(crate) fn build_impl(
     history: &History,
-    index: &WriteIndex,
+    reads: &[ResolvedRead],
     with_rt: bool,
     transitive_ww: bool,
 ) -> Result<DependencyGraph, BuildError> {
@@ -98,88 +111,118 @@ pub(crate) fn build_impl(
         g.add_edge(a, b, EdgeKind::So);
     }
 
-    // WR and (direct) WW edges, inferred from the values read. The external
-    // read of a key is a read that is the transaction's first operation on
-    // it; the transaction writes the key iff a later operation does.
-    for txn in history.committed() {
-        if Some(txn.id) == history.init_txn() {
+    // WR and (direct) WW edges, one resolved read at a time: the read's
+    // writer was found by the pre-scan, and the reader writes the key too
+    // iff it overwrites the version it read.
+    for read in reads {
+        let Some(writer) = read.writer else {
+            let value = history.txn(read.reader).external_read(read.key);
+            let value = value.expect("a resolved read is its reader's external read");
+            if value == INIT_VALUE && !history.has_init() {
+                // Read of the implicit initial state: no dependency.
+                continue;
+            }
+            return Err(CheckError::UnreadableValue {
+                txn: read.reader,
+                key: read.key,
+                value,
+            });
+        };
+        if writer == read.reader {
+            // A transaction "reading from itself" externally is a
+            // FUTUREREAD; the pre-scan reports it, we simply skip here.
             continue;
         }
-        for (i, op) in txn.ops.iter().enumerate() {
-            let Op::Read { key, value } = *op else {
-                continue;
-            };
-            if txn.ops[..i].iter().any(|earlier| earlier.key() == key) {
-                continue;
-            }
-            let writer = match index.final_writer(key, value) {
-                Some(writer) => writer,
-                None => {
-                    if value == INIT_VALUE && !history.has_init() {
-                        // Read of the implicit initial state: no dependency.
-                        continue;
-                    }
-                    return Err(CheckError::UnreadableValue {
-                        txn: txn.id,
-                        key,
-                        value,
-                    });
-                }
-            };
-            if writer == txn.id {
-                // A transaction "reading from itself" externally is a
-                // FUTUREREAD; the pre-scan reports it, we simply skip here.
-                continue;
-            }
-            g.add_edge(writer, txn.id, EdgeKind::Wr(key));
-            let later = &txn.ops[i + 1..];
-            if later.iter().any(|op| op.is_write() && op.key() == key) {
-                g.add_edge(writer, txn.id, EdgeKind::Ww(key));
-            }
+        g.add_edge(writer, read.reader, EdgeKind::Wr(read.key));
+        if read.overwrites {
+            g.add_edge(writer, read.reader, EdgeKind::Ww(read.key));
         }
     }
 
     // Optional per-object transitive closure of the WW edges (Algorithm 1
     // lines 12–13).
-    if transitive_ww {
-        add_ww_closure(&mut g);
-    }
+    let closure = if transitive_ww {
+        add_ww_closure(&mut g)
+    } else {
+        Vec::new()
+    };
 
-    add_rw_edges(&mut g);
+    add_rw_edges(&mut g, reads, &closure);
     Ok(g)
 }
 
-/// Derives the `RW` edges from the `WR` and `WW` edges `g` holds (module
-/// docs, "How `RW` is derived").
-fn add_rw_edges(g: &mut DependencyGraph) {
-    let mut readers: Vec<(TxnId, Key, TxnId)> = Vec::new();
-    let mut overwriters: Vec<(TxnId, Key, TxnId)> = Vec::new();
-    for e in g.edges() {
-        match e.kind {
-            EdgeKind::Wr(key) => readers.push((e.from, key, e.to)),
-            EdgeKind::Ww(key) => overwriters.push((e.from, key, e.to)),
-            _ => {}
-        }
-    }
-    readers.sort_unstable();
-    overwriters.sort_unstable();
+/// One transaction's part in a version: reading it, overwriting it, or both.
+#[derive(Clone, Copy, Default)]
+struct Meet {
+    key: Key,
+    txn: TxnId,
+    reads: bool,
+    overwrites: bool,
+}
 
-    // Two pointers: `o` never moves back, so the merge is linear.
-    let version = |e: &(TxnId, Key, TxnId)| (e.0, e.1);
-    let mut o = 0;
-    for run in readers.chunk_by(|a, b| version(a) == version(b)) {
-        let read = version(&run[0]);
-        while o < overwriters.len() && version(&overwriters[o]) < read {
-            o += 1;
+/// Derives the `RW` edges from the reads that gave `WR` edges and from the
+/// closure's `WW` edges `(writer, key, overwriter)` (module docs, "How `RW`
+/// is derived").
+fn add_rw_edges(g: &mut DependencyGraph, reads: &[ResolvedRead], closure: &[(TxnId, Key, TxnId)]) {
+    // The reads the loop above turned into edges, and the closure's WW
+    // edges, each with the writer whose version they meet at.
+    let meets = || {
+        let read = reads.iter().filter_map(|r| {
+            let writer = r.writer.filter(|&w| w != r.reader)?;
+            let meet = Meet {
+                key: r.key,
+                txn: r.reader,
+                reads: true,
+                overwrites: r.overwrites,
+            };
+            Some((writer, meet))
+        });
+        let overwrite = closure.iter().map(|&(writer, key, txn)| {
+            let meet = Meet {
+                key,
+                txn,
+                reads: false,
+                overwrites: true,
+            };
+            (writer, meet)
+        });
+        read.chain(overwrite)
+    };
+
+    // Counting sort by writer: `ends[w]` counts, then points past, the
+    // bucket of writer `w`; filling moves it from the bucket's start to
+    // its end.
+    let mut ends = vec![0u32; g.node_count()];
+    for (writer, _) in meets() {
+        ends[writer.index()] += 1;
+    }
+    let mut start = 0;
+    for end in &mut ends {
+        (start, *end) = (start + *end, start);
+    }
+    let mut buckets = vec![Meet::default(); start as usize];
+    for (writer, meet) in meets() {
+        let at = &mut ends[writer.index()];
+        buckets[*at as usize] = meet;
+        *at += 1;
+    }
+
+    let mut start = 0;
+    for end in ends {
+        let bucket = &mut buckets[start..end as usize];
+        start = end as usize;
+        if bucket.len() > 1 {
+            bucket.sort_unstable_by_key(|m| (m.key, m.txn));
         }
-        let start = o;
-        while o < overwriters.len() && version(&overwriters[o]) == read {
-            o += 1;
-        }
-        for &(_, key, reader) in run {
-            for &(_, _, overwriter) in &overwriters[start..o] {
-                if reader != overwriter {
-                    g.add_edge(reader, overwriter, EdgeKind::Rw(key));
+        for version in bucket.chunk_by(|a, b| a.key == b.key) {
+            if !version.iter().any(|m| m.overwrites) {
+                continue;
+            }
+            for reader in version.iter().filter(|m| m.reads) {
+                for overwriter in version.iter().filter(|m| m.overwrites) {
+                    if reader.txn != overwriter.txn {
+                        g.add_edge(reader.txn, overwriter.txn, EdgeKind::Rw(reader.key));
+                    }
                 }
             }
         }
@@ -212,8 +255,9 @@ fn add_rt_edges(history: &History, g: &mut DependencyGraph) {
     }
 }
 
-/// Adds, for every object, the transitive closure of its direct WW edges.
-fn add_ww_closure(g: &mut DependencyGraph) {
+/// Adds, for every object, the transitive closure of its direct WW edges,
+/// and returns the edges it added as `(writer, key, overwriter)`.
+fn add_ww_closure(g: &mut DependencyGraph) -> Vec<(TxnId, Key, TxnId)> {
     // Group direct WW edges by key; keys are visited in sorted order.
     let mut per_key: BTreeMap<Key, Vec<(TxnId, TxnId)>> = BTreeMap::new();
     for e in g.edges() {
@@ -221,6 +265,7 @@ fn add_ww_closure(g: &mut DependencyGraph) {
             per_key.entry(k).or_default().push((e.from, e.to));
         }
     }
+    let mut added = Vec::new();
     for (key, edges) in per_key {
         // Build a local graph over the writers of this key.
         let mut nodes: Vec<TxnId> = Vec::new();
@@ -241,10 +286,107 @@ fn add_ww_closure(g: &mut DependencyGraph) {
         let all: Vec<usize> = (0..nodes.len()).collect();
         for (u, reach) in lg.closure_within(&all) {
             for v in reach {
-                g.add_edge_dedup(nodes[u], nodes[v], EdgeKind::Ww(key));
+                let (from, to) = (nodes[u], nodes[v]);
+                if !g.contains_edge(from, to, EdgeKind::Ww(key)) {
+                    g.add_edge(from, to, EdgeKind::Ww(key));
+                    added.push((from, key, to));
+                }
             }
         }
     }
+    added
+}
+
+/// `BUILDDEPENDENCY` as it was before the pre-scan's reads fed it: a second
+/// walk of the history that looks every external read up in the index
+/// again, and `RW` by sorting the graph's `WR` and `WW` edges into two flat
+/// lists and merging them. The reference [`build_impl`] is held to, edge for
+/// edge (`check::tests::the_counting_derivations_are_the_references`).
+#[cfg(test)]
+pub(crate) fn build_by_sort_merge(
+    history: &History,
+    with_rt: bool,
+    transitive_ww: bool,
+) -> Result<DependencyGraph, BuildError> {
+    use mtc_history::Op;
+    let index = WriteIndex::new(history);
+    let mut g = DependencyGraph::new(history.len());
+    if with_rt {
+        add_rt_edges(history, &mut g);
+    }
+    for (a, b) in history.session_order_edges() {
+        g.add_edge(a, b, EdgeKind::So);
+    }
+    for txn in history.committed() {
+        if Some(txn.id) == history.init_txn() {
+            continue;
+        }
+        for (i, op) in txn.ops.iter().enumerate() {
+            let Op::Read { key, value } = *op else {
+                continue;
+            };
+            if txn.ops[..i].iter().any(|earlier| earlier.key() == key) {
+                continue;
+            }
+            let writer = match index.final_writer(key, value) {
+                Some(writer) => writer,
+                None => {
+                    if value == INIT_VALUE && !history.has_init() {
+                        continue;
+                    }
+                    return Err(CheckError::UnreadableValue {
+                        txn: txn.id,
+                        key,
+                        value,
+                    });
+                }
+            };
+            if writer == txn.id {
+                continue;
+            }
+            g.add_edge(writer, txn.id, EdgeKind::Wr(key));
+            let later = &txn.ops[i + 1..];
+            if later.iter().any(|op| op.is_write() && op.key() == key) {
+                g.add_edge(writer, txn.id, EdgeKind::Ww(key));
+            }
+        }
+    }
+    if transitive_ww {
+        add_ww_closure(&mut g);
+    }
+
+    let mut readers: Vec<(TxnId, Key, TxnId)> = Vec::new();
+    let mut overwriters: Vec<(TxnId, Key, TxnId)> = Vec::new();
+    for e in g.edges() {
+        match e.kind {
+            EdgeKind::Wr(key) => readers.push((e.from, key, e.to)),
+            EdgeKind::Ww(key) => overwriters.push((e.from, key, e.to)),
+            _ => {}
+        }
+    }
+    readers.sort_unstable();
+    overwriters.sort_unstable();
+    // Two pointers: `o` never moves back, so the merge is linear.
+    let version = |e: &(TxnId, Key, TxnId)| (e.0, e.1);
+    let mut o = 0;
+    for run in readers.chunk_by(|a, b| version(a) == version(b)) {
+        let read = version(&run[0]);
+        while o < overwriters.len() && version(&overwriters[o]) < read {
+            o += 1;
+        }
+        let start = o;
+        while o < overwriters.len() && version(&overwriters[o]) == read {
+            o += 1;
+        }
+        for &(_, key, reader) in run {
+            for &(_, _, overwriter) in &overwriters[start..o] {
+                if reader != overwriter {
+                    g.add_edge(reader, overwriter, EdgeKind::Rw(key));
+                }
+            }
+        }
+    }
+    Ok(g)
 }
 
 #[cfg(test)]

@@ -3,13 +3,17 @@
 //! All three share the same structure ([`check_batch`]):
 //!
 //! 0. index every write of the history once ([`mtc_history::WriteIndex`]);
-//!    steps 1 to 3 and DIVERGENCE all read that one index instead of
+//!    steps 1 and 2 and DIVERGENCE all read that one index instead of
 //!    walking the history into maps of their own;
 //! 1. validate that the input is a mini-transaction history (Definition 9);
 //! 2. pre-scan for intra-transactional / read-provenance anomalies
-//!    (Figures 5a–5g) — any hit refutes every strong level immediately;
+//!    (Figures 5a–5g) — any hit refutes every strong level immediately —
+//!    resolving every external read against the index on the way: its
+//!    writer, and whether the reader overwrites it
+//!    ([`mtc_history::scan_reads`]);
 //! 3. build the (unique) dependency graph (`BUILDDEPENDENCY`,
-//!    [`crate::build_dependency`]) — once: the verdict comes back with that
+//!    [`crate::build_dependency`]) from the reads step 2 resolved, with no
+//!    second look into the index — once: the verdict comes back with that
 //!    graph's edge count, so a caller reporting it need not build again;
 //! 4. decide acyclicity of the appropriate edge combination — collected as
 //!    one flat pair list and frozen into one [`DiGraph`] — and, on a cycle,
@@ -38,7 +42,8 @@ use crate::divergence::find_divergence_with;
 use crate::mini::{unique_values, validate_shapes};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
-    find_intra_anomalies_with, DependencyGraph, DiGraph, Edge, EdgeKind, History, TxnId, WriteIndex,
+    scan_reads, DependencyGraph, DiGraph, Edge, EdgeKind, History, ReadScan, ResolvedRead, TxnId,
+    WriteIndex,
 };
 use serde::{Deserialize, Serialize};
 
@@ -129,25 +134,26 @@ pub struct Checked {
 }
 
 /// Steps 1 and 2, and `CHECKSI`'s early DIVERGENCE test: everything that can
-/// settle the verdict before a graph exists.
+/// settle the verdict before a graph exists. If nothing does, step 2's
+/// resolved reads, which step 3 builds the graph from.
 fn preflight(
     check: BatchCheck,
     history: &History,
     index: &WriteIndex,
-) -> Result<Option<Violation>, CheckError> {
+) -> Result<Result<Vec<ResolvedRead>, Violation>, CheckError> {
     validate_shapes(history)
         .and_then(|()| unique_values(index))
         .map_err(CheckError::NotMiniTransaction)?;
-    let violations = find_intra_anomalies_with(history, index);
+    let ReadScan { violations, reads } = scan_reads(history, index);
     if !violations.is_empty() {
-        return Ok(Some(Violation::Intra(violations)));
+        return Ok(Err(Violation::Intra(violations)));
     }
     if check == BatchCheck::Si {
         if let Some(d) = find_divergence_with(history, index) {
-            return Ok(Some(d.into_violation()));
+            return Ok(Err(d.into_violation()));
         }
     }
-    Ok(None)
+    Ok(Ok(reads))
 }
 
 /// Runs one batch verifier: one walk of the history into a [`WriteIndex`],
@@ -176,17 +182,22 @@ fn run_batch(check: BatchCheck, history: &History, reference: bool) -> Result<Ch
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.preflight"));
         preflight(check, history, &index)?
     };
-    if let Some(violation) = early {
-        return Ok(Checked {
-            verdict: Verdict::Violated(violation),
-            dep_edges: None,
-        });
-    }
+    drop(index);
+    let reads = match early {
+        Ok(reads) => reads,
+        Err(violation) => {
+            return Ok(Checked {
+                verdict: Verdict::Violated(violation),
+                dep_edges: None,
+            })
+        }
+    };
     let with_rt = check == BatchCheck::SserNaive;
     let g = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
-        build_impl(history, &index, with_rt, reference)?
+        build_impl(history, &reads, with_rt, reference)?
     };
+    drop(reads);
     let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.cycle"));
     let dep_edges = if with_rt {
         g.edges().iter().filter(|e| e.kind != EdgeKind::Rt).count()
@@ -260,56 +271,8 @@ fn composed_si_cycle(g: &DependencyGraph) -> Option<Vec<Edge>> {
 /// time nodes spliced back out into `RT` edges.
 fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>> {
     let n = g.node_count();
-
-    // Collect the distinct instants of committed transactions. A partially
-    // timed transaction (only a begin or only an end recorded) still
-    // constrains the real-time order on the side it has — exactly as in the
-    // naive RT materialization, which only needs `a.end` and `b.begin`.
-    let mut instants: Vec<u64> = Vec::new();
-    for t in history.committed() {
-        if let Some(b) = t.begin {
-            instants.push(b);
-        }
-        if let Some(e) = t.end {
-            instants.push(e);
-        }
-    }
-    instants.sort_unstable();
-    instants.dedup();
-    let time_node =
-        |instant: u64| -> Option<usize> { instants.binary_search(&instant).ok().map(|i| n + i) };
-    let first_after = |instant: u64| -> Option<usize> {
-        match instants.binary_search(&instant) {
-            Ok(i) | Err(i) => {
-                let j = if instants.get(i) == Some(&instant) {
-                    i + 1
-                } else {
-                    i
-                };
-                if j < instants.len() {
-                    Some(n + j)
-                } else {
-                    None
-                }
-            }
-        }
-    };
-
-    // Dependencies, then the chain, then each transaction's two hooks.
-    let mut aug: Vec<(usize, usize)> = (g.edges().iter())
-        .map(|e| (e.from.index(), e.to.index()))
-        .collect();
-    aug.extend((1..instants.len()).map(|w| (n + w - 1, n + w)));
-    for t in history.committed() {
-        if let Some(tn) = t.begin.and_then(time_node) {
-            aug.push((tn, t.id.index()));
-        }
-        if let Some(tn) = t.end.and_then(first_after) {
-            aug.push((t.id.index(), tn));
-        }
-    }
-
-    let aug = DiGraph::from_edges(n + instants.len(), aug.iter().copied());
+    let (time_nodes, aug) = time_chain(history, g);
+    let aug = DiGraph::from_edges(n + time_nodes, aug.iter().copied());
     let cycle = aug.find_cycle()?;
 
     // Splice time nodes out of the cycle: consecutive real transactions with
@@ -345,11 +308,112 @@ fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>>
     Some(edges)
 }
 
+/// The graph [`time_chain_cycle`] searches: `g`'s edges, then the chain of
+/// time nodes, then each committed transaction's two hooks, in id order —
+/// from the time node of its begin, to the first time node after its end.
+/// Time node `w` is node `n + w` for the `w`-th distinct instant of a
+/// committed transaction; the count of them is returned beside the pairs.
+///
+/// A partially timed transaction (only a begin or only an end recorded)
+/// still constrains the real-time order on the side it has — exactly as in
+/// the naive RT materialization, which only needs `a.end` and `b.begin`.
+fn time_chain(history: &History, g: &DependencyGraph) -> (usize, Vec<(usize, usize)>) {
+    let n = g.node_count();
+    // Every instant, tagged `2·id + side` (0 a begin, 1 an end). A session's
+    // instants rise with its ids, so the stable sort mostly merges runs.
+    let mut instants: Vec<(u64, u64)> = Vec::with_capacity(2 * n);
+    for t in history.committed() {
+        let tag = 2 * t.id.index() as u64;
+        instants.extend(t.begin.map(|b| (b, tag)));
+        instants.extend(t.end.map(|e| (e, tag + 1)));
+    }
+    instants.sort();
+
+    // One walk ranks every instant: a begin hooks from its own time node,
+    // an end to the next one (if there is a later instant).
+    const NONE: u32 = u32::MAX;
+    let mut hooks = vec![[NONE; 2]; n];
+    let mut time_nodes = 0;
+    let mut last = None;
+    for &(instant, tag) in &instants {
+        if last != Some(instant) {
+            (time_nodes, last) = (time_nodes + 1, Some(instant));
+        }
+        let side = (tag % 2) as usize;
+        hooks[(tag / 2) as usize][side] = time_nodes - 1 + side as u32;
+    }
+
+    // Dependencies, then the chain, then each transaction's two hooks.
+    let mut aug = Vec::with_capacity(g.edges().len() + time_nodes as usize + instants.len());
+    aug.extend(g.edges().iter().map(|e| (e.from.index(), e.to.index())));
+    aug.extend((1..time_nodes as usize).map(|w| (n + w - 1, n + w)));
+    for (t, [begin, end]) in hooks.into_iter().enumerate() {
+        if begin != NONE {
+            aug.push((n + begin as usize, t));
+        }
+        if end < time_nodes {
+            aug.push((t, n + end as usize));
+        }
+    }
+    (time_nodes as usize, aug)
+}
+
+/// The pairs of [`time_chain`] as they were numbered before its one sort:
+/// the distinct instants sorted and deduplicated, and each hook found by a
+/// binary search among them. The reference [`time_chain`] is held to, pair
+/// for pair (`tests::the_counting_derivations_are_the_references`).
+#[cfg(test)]
+fn time_chain_by_search(history: &History, g: &DependencyGraph) -> (usize, Vec<(usize, usize)>) {
+    let n = g.node_count();
+    let mut instants: Vec<u64> = Vec::new();
+    for t in history.committed() {
+        instants.extend(t.begin);
+        instants.extend(t.end);
+    }
+    instants.sort_unstable();
+    instants.dedup();
+    let time_node =
+        |instant: u64| -> Option<usize> { instants.binary_search(&instant).ok().map(|i| n + i) };
+    let first_after = |instant: u64| -> Option<usize> {
+        match instants.binary_search(&instant) {
+            Ok(i) | Err(i) => {
+                let j = if instants.get(i) == Some(&instant) {
+                    i + 1
+                } else {
+                    i
+                };
+                if j < instants.len() {
+                    Some(n + j)
+                } else {
+                    None
+                }
+            }
+        }
+    };
+    let mut aug: Vec<(usize, usize)> = (g.edges().iter())
+        .map(|e| (e.from.index(), e.to.index()))
+        .collect();
+    aug.extend((1..instants.len()).map(|w| (n + w - 1, n + w)));
+    for t in history.committed() {
+        if let Some(tn) = t.begin.and_then(time_node) {
+            aug.push((tn, t.id.index()));
+        }
+        if let Some(tn) = t.end.and_then(first_after) {
+            aug.push((t.id.index(), tn));
+        }
+    }
+    (instants.len(), aug)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{build_by_sort_merge, build_impl};
     use mtc_history::anomalies;
-    use mtc_history::{find_intra_anomalies, HistoryBuilder, Op};
+    use mtc_history::{
+        find_intra_anomalies, HistoryBuilder, Op, SessionId, Transaction, TxnStatus,
+    };
+    use proptest::prelude::*;
 
     /// A serial history: strictly increasing updates in one session.
     fn serial_history() -> History {
@@ -569,5 +633,148 @@ mod tests {
         assert_eq!(IsolationLevel::Serializability.to_string(), "SER");
         assert_eq!(IsolationLevel::SnapshotIsolation.to_string(), "SI");
         assert_eq!(IsolationLevel::StrictSerializability.to_string(), "SSER");
+    }
+
+    /// One generated transaction: `(key, key, version, version, mode,
+    /// begin, length)`. The versions pick, among the committed versions of
+    /// each key so far, the one that is read; the mode bits pick the shape
+    /// and the instants.
+    type Step = (u64, u64, u64, u64, u16, u64, u64);
+
+    const TWO_KEYS: u16 = 1;
+    const WRITE_FIRST: u16 = 2;
+    const WRITE_SECOND: u16 = 4;
+    /// Recorded aborted, and read by nobody.
+    const ABORTED: u16 = 8;
+    /// The second key is written first: a writer whose writes are not in
+    /// key order, nor in read order.
+    const SWAPPED: u16 = 16;
+    /// An aborted attempt writing the same values goes first, so the index
+    /// slot of each value is created by a writer that does not install it.
+    const RETRIED: u16 = 32;
+    /// Bits 6–7: no instants, both, the begin only, the end only.
+    const TIMING: u16 = 3 << 6;
+    /// With both instants: the commit is acknowledged before the begin.
+    const REVERSED: u16 = 256;
+
+    /// A history whose reads may pick *any* committed version, so versions
+    /// have many readers and forked overwriters; before step `hot_at`,
+    /// `hot_readers` transactions read one version of key 0, and those
+    /// whose bit of `hot_writers` is set overwrite it. Instants come from a
+    /// range small enough that many tie.
+    fn arbitrary_history(
+        steps: &[Step],
+        keys: u64,
+        sessions: u32,
+        with_init: bool,
+        (hot_at, hot_readers, hot_writers): (usize, u32, u32),
+    ) -> History {
+        let mut b = if with_init {
+            HistoryBuilder::new().with_init(keys)
+        } else {
+            HistoryBuilder::new()
+        };
+        // The first version of a key is the initial value, which without
+        // `⊥T` nobody wrote.
+        let mut versions = vec![vec![0u64]; keys as usize];
+        let mut fresh = 0u64;
+        let mut turn = 0u32;
+        let mut push = |b: &mut HistoryBuilder, ops, status, begin, end| {
+            turn += 1;
+            let session = SessionId(turn % sessions);
+            let mut txn = Transaction::committed(TxnId(0), session, ops);
+            (txn.status, txn.begin, txn.end) = (status, begin, end);
+            b.push_cloned(txn);
+        };
+        for (i, &(k1, k2, v1, v2, mode, begin, length)) in steps.iter().enumerate() {
+            if i == hot_at % steps.len() {
+                let hot = *versions[0].last().unwrap();
+                for reader in 0..hot_readers {
+                    let mut ops = vec![Op::read(0u64, hot)];
+                    if hot_writers >> reader & 1 == 1 {
+                        fresh += 1;
+                        ops.push(Op::write(0u64, fresh));
+                        versions[0].push(fresh);
+                    }
+                    push(&mut b, ops, TxnStatus::Committed, None, None);
+                }
+            }
+            let pick = |key: u64, v: u64| {
+                let of_key = &versions[key as usize];
+                of_key[(v % of_key.len() as u64) as usize]
+            };
+            let (a, c) = (k1 % keys, k2 % keys);
+            let mut ops = vec![Op::read(a, pick(a, v1))];
+            let two = mode & TWO_KEYS != 0 && c != a;
+            if two {
+                ops.push(Op::read(c, pick(c, v2)));
+            }
+            let mut written = Vec::new();
+            if mode & WRITE_FIRST != 0 {
+                written.push(a);
+            }
+            if two && mode & WRITE_SECOND != 0 {
+                written.push(c);
+            }
+            if mode & SWAPPED != 0 {
+                written.reverse();
+            }
+            let written: Vec<(u64, u64)> = (written.into_iter())
+                .map(|key| {
+                    fresh += 1;
+                    (key, fresh)
+                })
+                .collect();
+            ops.extend(written.iter().map(|&(key, value)| Op::write(key, value)));
+            let (begin, end) = match (mode & TIMING) >> 6 {
+                0 => (None, None),
+                1 if mode & REVERSED != 0 => (Some(begin + length), Some(begin)),
+                1 => (Some(begin), Some(begin + length)),
+                2 => (Some(begin), None),
+                _ => (None, Some(begin + length)),
+            };
+            if mode & RETRIED != 0 {
+                push(&mut b, ops.clone(), TxnStatus::Aborted, begin, end);
+            }
+            if mode & ABORTED != 0 {
+                push(&mut b, ops, TxnStatus::Aborted, begin, end);
+                continue;
+            }
+            push(&mut b, ops, TxnStatus::Committed, begin, end);
+            for (key, value) in written {
+                versions[key as usize].push(value);
+            }
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The build from the pre-scan's reads, with `RW` by counting sort,
+        /// gives the edges of the sort-merge reference build in the same
+        /// order, closure or not; the time chain numbered by one sort and
+        /// one walk gives the pairs of the binary-search numbering in the
+        /// same order. Equal lists, not equal sets: the order decides every
+        /// certificate a checker reports.
+        #[test]
+        fn the_counting_derivations_are_the_references(
+            steps in prop::collection::vec((0u64..4, 0u64..4, 0u64..64, 0u64..64, 0u16..512, 0u64..24, 0u64..4), 1..48),
+            keys in 1u64..4,
+            sessions in 1u32..4,
+            with_init in any::<bool>(),
+            hot in (0usize..48, 0u32..10, 0u32..1024),
+        ) {
+            let history = arbitrary_history(&steps, keys, sessions, with_init, hot);
+            let index = WriteIndex::new(&history);
+            let reads = scan_reads(&history, &index).reads;
+            for (with_rt, closure) in [(false, false), (false, true), (true, false)] {
+                let built = build_impl(&history, &reads, with_rt, closure).unwrap();
+                let reference = build_by_sort_merge(&history, with_rt, closure).unwrap();
+                prop_assert_eq!(built.edges(), reference.edges(), "rt: {}, closure: {}", with_rt, closure);
+            }
+            let g = build_impl(&history, &reads, false, false).unwrap();
+            prop_assert_eq!(time_chain(&history, &g), time_chain_by_search(&history, &g));
+        }
     }
 }

@@ -64,8 +64,10 @@ pub fn find_divergence(history: &History) -> Option<Divergence> {
 
 /// [`find_divergence`] over an index of `history` the caller already has.
 pub(crate) fn find_divergence_with(history: &History, index: &WriteIndex) -> Option<Divergence> {
-    // (key, value read) -> first transaction seen that read it and writes key
-    let mut first_reader_writer: FastHashMap<(Key, Value), TxnId> = FastHashMap::default();
+    // (key, value read) -> first transaction seen that read it and writes
+    // key; sized once, for about one overwritten read per transaction.
+    let mut first_reader_writer: FastHashMap<(Key, Value), TxnId> =
+        FastHashMap::with_capacity_and_hasher(history.len(), Default::default());
 
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {

@@ -12,7 +12,7 @@ use crate::history::History;
 use crate::op::Op;
 use crate::txn::{Transaction, TxnId};
 use crate::value::{Key, Value, INIT_VALUE};
-use crate::write_index::WriteIndex;
+use crate::write_index::{first_final, WriteIndex, Writer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -108,6 +108,40 @@ pub fn check_int_history(history: &History) -> bool {
     history.committed().all(check_int)
 }
 
+/// One external read of a committed transaction, resolved against a
+/// [`WriteIndex`]: what `BUILDDEPENDENCY` turns into a `WR` edge, and a `WW`
+/// edge beside it when the reader overwrites the version it read.
+///
+/// The value read is not kept: a history has one such list per check, one
+/// entry per read, so every byte of an entry is paid on every read. The
+/// reader's [`Transaction::external_read`] of `key` gives it back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ResolvedRead {
+    /// The reading transaction.
+    pub reader: TxnId,
+    /// Object read.
+    pub key: Key,
+    /// The first committed transaction whose last write of `key` is the
+    /// value read ([`WriteIndex::final_writer`]): the writer read from.
+    /// `None` when no committed transaction installs the value.
+    pub writer: Option<TxnId>,
+    /// The reader writes `key` later in its program.
+    pub overwrites: bool,
+}
+
+/// What the pre-scan of a history finds: its anomalies, and every external
+/// read it resolved on the way.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadScan {
+    /// Every intra-transactional and read-provenance anomaly, as
+    /// [`find_intra_anomalies`] reports them.
+    pub violations: Vec<IntraViolation>,
+    /// The external reads of the committed transactions other than `⊥T`, in
+    /// transaction order, then program order — each looked up in the index
+    /// once, here, and not again by whoever builds edges from it.
+    pub reads: Vec<ResolvedRead>,
+}
+
 /// Scans a history for all intra-transactional and read-provenance anomalies.
 ///
 /// Returns every detected violation; an empty result means the history passes
@@ -116,24 +150,26 @@ pub fn check_int_history(history: &History) -> bool {
 /// reads (aborted transactions never make it into dependency graphs), but
 /// aborted transactions do count as potential writers for [`IntraAnomaly::AbortedRead`].
 pub fn find_intra_anomalies(history: &History) -> Vec<IntraViolation> {
-    find_intra_anomalies_with(history, &WriteIndex::new(history))
+    scan_reads(history, &WriteIndex::new(history)).violations
 }
 
-/// [`find_intra_anomalies`] over an index of `history` the caller already has.
-pub fn find_intra_anomalies_with(history: &History, index: &WriteIndex) -> Vec<IntraViolation> {
-    let mut violations = Vec::new();
+/// The pre-scan of [`find_intra_anomalies`] over an index of `history` the
+/// caller already has, keeping every external read it resolves.
+pub fn scan_reads(history: &History, index: &WriteIndex) -> ReadScan {
+    let mut scan = ReadScan {
+        violations: Vec::new(),
+        // One resolved read per read operation at most: sized once, and
+        // what no read fills is never touched.
+        reads: Vec::with_capacity(history.op_count()),
+    };
     for txn in history.committed() {
-        scan_transaction(history, txn, index, &mut violations);
+        scan_transaction(history, txn, index, &mut scan);
     }
-    violations
+    scan
 }
 
-fn scan_transaction(
-    history: &History,
-    txn: &Transaction,
-    index: &WriteIndex,
-    out: &mut Vec<IntraViolation>,
-) {
+fn scan_transaction(history: &History, txn: &Transaction, index: &WriteIndex, scan: &mut ReadScan) {
+    let resolves = Some(txn.id) != history.init_txn();
     for (i, op) in txn.ops.iter().enumerate() {
         let Op::Read { key, value } = *op else {
             continue;
@@ -157,11 +193,24 @@ fn scan_transaction(
                 })
             }
             Some(_) => Some(IntraAnomaly::NonRepeatableReads),
-            // External read: check where the value came from.
-            None => classify_external_read(history, txn.id, key, value, index),
+            // External read: check where the value came from, and keep what
+            // was found.
+            None => {
+                let writers = index.writers(key, value);
+                if resolves {
+                    let later = &txn.ops[i + 1..];
+                    scan.reads.push(ResolvedRead {
+                        reader: txn.id,
+                        key,
+                        writer: first_final(writers),
+                        overwrites: later.iter().any(|op| op.is_write() && op.key() == key),
+                    });
+                }
+                classify_external_read(history, txn.id, value, writers)
+            }
         };
         if let Some(anomaly) = anomaly {
-            out.push(IntraViolation {
+            scan.violations.push(IntraViolation {
                 anomaly,
                 txn: txn.id,
                 op_index: i,
@@ -172,15 +221,14 @@ fn scan_transaction(
     }
 }
 
-/// Classifies an *external* read (no preceding own access of the object).
+/// Classifies an *external* read (no preceding own access of the object) of
+/// `value`, whose writers in the index are `writers`.
 fn classify_external_read(
     history: &History,
     reader: TxnId,
-    key: Key,
     value: Value,
-    index: &WriteIndex,
+    writers: &[Writer],
 ) -> Option<IntraAnomaly> {
-    let writers = index.writers(key, value);
     if writers.is_empty() {
         // Nobody ever wrote this value. Reading the conventional initial
         // value is acceptable only when the history has no ⊥T (otherwise

@@ -48,8 +48,8 @@ pub use history::{History, HistoryBuilder};
 pub use incremental::{IncrementalTopo, OrderStats};
 pub use inline_seq::InlineSeq;
 pub use intra::{
-    check_int, check_int_history, find_intra_anomalies, find_intra_anomalies_with, IntraAnomaly,
-    IntraViolation,
+    check_int, check_int_history, find_intra_anomalies, scan_reads, IntraAnomaly, IntraViolation,
+    ReadScan, ResolvedRead,
 };
 pub use op::{LwtKind, Op, TimedOp};
 pub use session::SessionId;

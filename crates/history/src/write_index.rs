@@ -153,10 +153,7 @@ impl WriteIndex {
     /// the transaction a reader of `(key, value)` reads from
     /// (`History::write_index()[&(key, value)][0]`).
     pub fn final_writer(&self, key: Key, value: Value) -> Option<TxnId> {
-        self.writers(key, value)
-            .iter()
-            .find(|w| w.committed && w.is_final)
-            .map(|w| w.txn)
+        first_final(self.writers(key, value))
     }
 
     /// The first violation of the unique-value convention in walk order, if
@@ -167,17 +164,25 @@ impl WriteIndex {
     }
 }
 
+/// The first committed writer among `writers` (one slot's, in id order)
+/// that installs the value: [`WriteIndex::final_writer`] of that slot.
+pub(crate) fn first_final(writers: &[Writer]) -> Option<TxnId> {
+    (writers.iter())
+        .find(|w| w.committed && w.is_final)
+        .map(|w| w.txn)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::HistoryBuilder;
-    use crate::intra::{find_intra_anomalies_with, IntraAnomaly};
+    use crate::intra::{find_intra_anomalies, IntraAnomaly};
     use crate::value::INIT_VALUE;
 
     const X: Key = Key(0);
 
     fn anomalies_of(h: &History) -> Vec<IntraAnomaly> {
-        find_intra_anomalies_with(h, &WriteIndex::new(h))
+        find_intra_anomalies(h)
             .into_iter()
             .map(|v| v.anomaly)
             .collect()
