@@ -13,8 +13,9 @@
 //! "The values read" are the external reads the intra-transactional pre-scan
 //! resolved ([`mtc_history::scan_reads`]): each read's writer was looked up
 //! in the [`WriteIndex`] once, there. A batch check hands in the reads its
-//! pre-scan already resolved ([`crate::check_batch`]); the public entry
-//! points below run that scan themselves.
+//! pre-scan already resolved ([`crate::check_batch`]) and keeps the flat
+//! edge list it gets back; the public entry points below run that scan
+//! themselves and link the list into a [`DependencyGraph`].
 //!
 //! Two variants are provided: [`build_dependency_reference`] mirrors the
 //! paper's Algorithm 1 literally, including the per-object transitive closure
@@ -41,27 +42,63 @@
 //! `(reader, x)` sits in exactly one run. And the overwriters of a run are
 //! distinct: a transaction has at most one direct `WW(x)` in-edge (it comes
 //! with that same external read), and the closure adds an edge only where
-//! there is none yet.
+//! there is none yet. So a run of `r` readers and `o` overwriters, `b` of
+//! them both, gives `r·o − b` edges, and the list is sized before any edge
+//! is written.
+//!
+//! # The reference closure's budget
+//!
+//! The closure is quadratic in the writers of a key: a hot key written by
+//! 10 000 transactions gives some 50 million `WW` edges, and the `RW` edges
+//! derived from them multiply that by the readers of each version. The
+//! reference build therefore refuses a graph of more than
+//! [`reference_edge_budget`] edges with [`CheckError::ReferenceTooLarge`]
+//! and stops counting the moment it passes the budget, so a refusal costs
+//! about as much as the budget, not as much as the graph.
 //!
 //! # Edge order
 //!
-//! The order of [`DependencyGraph::edges`] — which decides the order of every
-//! adjacency row, hence which of several cycles a checker reports — is a
-//! function of the history alone: `RT` (if asked for), `SO`, then `WR` / `WW`
+//! The order of the flat edge list `build_impl` returns — which is the
+//! order of every row the checkers search, of every [`DependencyGraph`]
+//! row, hence which of several cycles a checker reports — is a function of
+//! the history alone: `RT` (if asked for), `SO`, then `WR` / `WW`
 //! transaction by transaction with the keys in first-touch order, then the
 //! closure's `WW` edges key by key (reference variant), then `RW` sorted by
-//! `(writer, key, reader, overwriter)`. Checking one history twice reports
-//! the same counterexample twice, in this process or another.
+//! `(writer, key, reader, overwriter)`. A row keeps the list's order: the
+//! checkers lay the list out by source with a stable counting sort. Checking
+//! one history twice reports the same counterexample twice, in this process
+//! or another.
 
 use crate::verdict::CheckError;
 use mtc_history::{
-    scan_reads, DependencyGraph, EdgeKind, History, Key, ResolvedRead, TxnId, WriteIndex,
-    INIT_VALUE,
+    scan_reads, DependencyGraph, DiGraph, Edge, EdgeKind, FastHashSet, History, Key, ResolvedRead,
+    TxnId, WriteIndex, INIT_VALUE,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Errors preventing the construction of a dependency graph.
 pub type BuildError = CheckError;
+
+/// Edges per transaction of [`reference_edge_budget`].
+const REFERENCE_EDGES_PER_TXN: usize = 64;
+
+/// Edges [`reference_edge_budget`] grants any history, however small.
+const REFERENCE_EDGE_FLOOR: usize = 1 << 18;
+
+/// The most edges [`build_dependency_reference`] (and so
+/// [`crate::check_batch_reference`]) builds for a history of `txns`
+/// transactions, `RT` edges aside: 64 per transaction plus 262 144 — at 24
+/// bytes an edge, 1.5 KiB per transaction plus 6 MiB. The optimized graph
+/// of a mini-transaction history has about four edges per transaction; the
+/// closure of a key whose versions form a chain of `w` writers adds about
+/// `w² / 2`, so a key written some 720 times exhausts it on its own in a
+/// small history, and one written about `11 √txns` times in a large one.
+/// The largest history the tests hand the reference build (2 067
+/// transactions, 174 818 edges) uses 44 % of its budget.
+pub fn reference_edge_budget(txns: usize) -> usize {
+    txns.saturating_mul(REFERENCE_EDGES_PER_TXN)
+        .saturating_add(REFERENCE_EDGE_FLOOR)
+}
 
 /// Builds the dependency graph of a mini-transaction history *without*
 /// computing the transitive closure of the `WW` edges (the optimized variant
@@ -71,16 +108,20 @@ pub type BuildError = CheckError;
 /// materialized (`Θ(n²)` of them); this is only needed by the naive
 /// `CHECKSSER`.
 pub fn build_dependency(history: &History, with_rt: bool) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, &resolve(history), with_rt, false)
+    let edges = build_impl(history, &resolve(history), with_rt, false)?;
+    Ok(DependencyGraph::from_edges(history.len(), edges))
 }
 
 /// Builds the dependency graph exactly as in Algorithm 1, including the
-/// per-object transitive closure of the `WW` edges.
+/// per-object transitive closure of the `WW` edges. A graph of more than
+/// [`reference_edge_budget`] edges is refused
+/// ([`CheckError::ReferenceTooLarge`]).
 pub fn build_dependency_reference(
     history: &History,
     with_rt: bool,
 ) -> Result<DependencyGraph, BuildError> {
-    build_impl(history, &resolve(history), with_rt, true)
+    let edges = build_impl(history, &resolve(history), with_rt, true)?;
+    Ok(DependencyGraph::from_edges(history.len(), edges))
 }
 
 /// The external reads of `history`, resolved against an index of its own.
@@ -89,66 +130,89 @@ fn resolve(history: &History) -> Vec<ResolvedRead> {
 }
 
 /// `BUILDDEPENDENCY` over `history`, whose external reads the pre-scan
-/// resolved into `reads` ([`mtc_history::ReadScan::reads`]).
+/// resolved into `reads` ([`mtc_history::ReadScan::reads`]): the edges, in
+/// the order of the module docs ("Edge order"), in one list allocated once.
 pub(crate) fn build_impl(
     history: &History,
     reads: &[ResolvedRead],
     with_rt: bool,
     transitive_ww: bool,
-) -> Result<DependencyGraph, BuildError> {
+) -> Result<Vec<Edge>, BuildError> {
     mtc_obs::counter!("core.dependency_builds").add(1);
-    let n = history.len();
-    let mut g = DependencyGraph::new(n);
 
-    // RT edges (CHECKSSER only): all committed pairs ordered by wall clock.
-    if with_rt {
-        add_rt_edges(history, &mut g);
-    }
-
-    // SO edges: adjacent committed transactions of each session, plus
-    // ⊥T → first.
-    for (a, b) in history.session_order_edges() {
-        g.add_edge(a, b, EdgeKind::So);
-    }
-
-    // WR and (direct) WW edges, one resolved read at a time: the read's
-    // writer was found by the pre-scan, and the reader writes the key too
-    // iff it overwrites the version it read.
+    // A read gives a WR edge from its writer, and a WW edge too iff the
+    // reader overwrites the version it read. A read with no writer is of
+    // the implicit initial state, or of a value nobody wrote; a transaction
+    // "reading from itself" externally is a FUTUREREAD, which the pre-scan
+    // reports: neither gives an edge.
+    let mut wr_ww = 0;
     for read in reads {
-        let Some(writer) = read.writer else {
-            let value = history.txn(read.reader).external_read(read.key);
-            let value = value.expect("a resolved read is its reader's external read");
-            if value == INIT_VALUE && !history.has_init() {
-                // Read of the implicit initial state: no dependency.
-                continue;
+        match read.writer {
+            Some(writer) if writer != read.reader => wr_ww += 1 + usize::from(read.overwrites),
+            Some(_) => {}
+            None => {
+                let value = history.txn(read.reader).external_read(read.key);
+                let value = value.expect("a resolved read is its reader's external read");
+                if value != INIT_VALUE || history.has_init() {
+                    return Err(CheckError::UnreadableValue {
+                        txn: read.reader,
+                        key: read.key,
+                        value,
+                    });
+                }
             }
-            return Err(CheckError::UnreadableValue {
-                txn: read.reader,
-                key: read.key,
-                value,
-            });
-        };
-        if writer == read.reader {
-            // A transaction "reading from itself" externally is a
-            // FUTUREREAD; the pre-scan reports it, we simply skip here.
-            continue;
-        }
-        g.add_edge(writer, read.reader, EdgeKind::Wr(read.key));
-        if read.overwrites {
-            g.add_edge(writer, read.reader, EdgeKind::Ww(read.key));
         }
     }
+    let edge_reads = || {
+        reads.iter().filter_map(|r| {
+            let writer = r.writer.filter(|&w| w != r.reader)?;
+            Some((writer, r))
+        })
+    };
+    let session_order = history.session_order_edges();
+    let base = session_order.len() + wr_ww;
 
     // Optional per-object transitive closure of the WW edges (Algorithm 1
-    // lines 12–13).
+    // lines 12–13), and the versions RW is derived from.
+    let budget = reference_edge_budget(history.len());
+    let refused = |edges| CheckError::ReferenceTooLarge { edges, budget };
     let closure = if transitive_ww {
-        add_ww_closure(&mut g)
+        let direct = edge_reads()
+            .filter(|(_, r)| r.overwrites)
+            .map(|(writer, r)| (writer, r.key, r.reader));
+        ww_closure(direct, budget.saturating_sub(base)).map_err(|added| refused(base + added))?
     } else {
         Vec::new()
     };
+    let versions = Versions::new(history.len(), reads, &closure);
+    let total = base + closure.len() + versions.rw_count;
+    if transitive_ww && total > budget {
+        return Err(refused(total));
+    }
 
-    add_rw_edges(&mut g, reads, &closure);
-    Ok(g)
+    // RT edges (CHECKSSER only): all committed pairs ordered by wall clock.
+    let mut edges = if with_rt {
+        let mut rt = rt_edges(history);
+        rt.reserve_exact(total);
+        rt
+    } else {
+        Vec::with_capacity(total)
+    };
+    let sized = edges.len() + total;
+    let edge = |from, to, kind| Edge { from, to, kind };
+    // SO edges: adjacent committed transactions of each session, plus
+    // ⊥T → first.
+    edges.extend((session_order.into_iter()).map(|(a, b)| edge(a, b, EdgeKind::So)));
+    for (writer, read) in edge_reads() {
+        edges.push(edge(writer, read.reader, EdgeKind::Wr(read.key)));
+        if read.overwrites {
+            edges.push(edge(writer, read.reader, EdgeKind::Ww(read.key)));
+        }
+    }
+    edges.extend((closure.iter()).map(|&(writer, key, to)| edge(writer, to, EdgeKind::Ww(key))));
+    versions.add_rw_edges(&mut edges);
+    debug_assert_eq!(edges.len(), sized, "the edge list was sized exactly");
+    Ok(edges)
 }
 
 /// One transaction's part in a version: reading it, overwriting it, or both.
@@ -160,68 +224,108 @@ struct Meet {
     overwrites: bool,
 }
 
-/// Derives the `RW` edges from the reads that gave `WR` edges and from the
-/// closure's `WW` edges `(writer, key, overwriter)` (module docs, "How `RW`
-/// is derived").
-fn add_rw_edges(g: &mut DependencyGraph, reads: &[ResolvedRead], closure: &[(TxnId, Key, TxnId)]) {
-    // The reads the loop above turned into edges, and the closure's WW
-    // edges, each with the writer whose version they meet at.
-    let meets = || {
-        let read = reads.iter().filter_map(|r| {
-            let writer = r.writer.filter(|&w| w != r.reader)?;
-            let meet = Meet {
-                key: r.key,
-                txn: r.reader,
-                reads: true,
-                overwrites: r.overwrites,
-            };
-            Some((writer, meet))
-        });
-        let overwrite = closure.iter().map(|&(writer, key, txn)| {
-            let meet = Meet {
-                key,
-                txn,
-                reads: false,
-                overwrites: true,
-            };
-            (writer, meet)
-        });
-        read.chain(overwrite)
-    };
+/// Every version's readers and overwriters, grouped by version (module
+/// docs, "How `RW` is derived"): a bucket per writer, in writer order, each
+/// sorted by `(key, txn)`; and where the versions that give `RW` edges lie.
+struct Versions {
+    meets: Vec<Meet>,
+    /// `meets[start..end]` of each version with a reader and another
+    /// overwriter, in `(writer, key)` order.
+    pairing: Vec<(u32, u32)>,
+    /// The number of `RW` edges [`Versions::add_rw_edges`] adds.
+    rw_count: usize,
+}
 
-    // Counting sort by writer: `ends[w]` counts, then points past, the
-    // bucket of writer `w`; filling moves it from the bucket's start to
-    // its end.
-    let mut ends = vec![0u32; g.node_count()];
-    for (writer, _) in meets() {
-        ends[writer.index()] += 1;
-    }
-    let mut start = 0;
-    for end in &mut ends {
-        (start, *end) = (start + *end, start);
-    }
-    let mut buckets = vec![Meet::default(); start as usize];
-    for (writer, meet) in meets() {
-        let at = &mut ends[writer.index()];
-        buckets[*at as usize] = meet;
-        *at += 1;
-    }
+impl Versions {
+    /// The versions the reads that give `WR` edges meet at, and those the
+    /// closure's `WW` edges `(writer, key, overwriter)` meet at.
+    fn new(n: usize, reads: &[ResolvedRead], closure: &[(TxnId, Key, TxnId)]) -> Self {
+        let meets = || {
+            let read = reads.iter().filter_map(|r| {
+                let writer = r.writer.filter(|&w| w != r.reader)?;
+                let meet = Meet {
+                    key: r.key,
+                    txn: r.reader,
+                    reads: true,
+                    overwrites: r.overwrites,
+                };
+                Some((writer, meet))
+            });
+            let overwrite = closure.iter().map(|&(writer, key, txn)| {
+                let meet = Meet {
+                    key,
+                    txn,
+                    reads: false,
+                    overwrites: true,
+                };
+                (writer, meet)
+            });
+            read.chain(overwrite)
+        };
 
-    let mut start = 0;
-    for end in ends {
-        let bucket = &mut buckets[start..end as usize];
-        start = end as usize;
-        if bucket.len() > 1 {
-            bucket.sort_unstable_by_key(|m| (m.key, m.txn));
+        // Counting sort by writer: `ends[w]` counts, then points past, the
+        // bucket of writer `w`; filling moves it from the bucket's start to
+        // its end.
+        let mut ends = vec![0u32; n];
+        for (writer, _) in meets() {
+            ends[writer.index()] += 1;
         }
-        for version in bucket.chunk_by(|a, b| a.key == b.key) {
-            if !version.iter().any(|m| m.overwrites) {
-                continue;
+        let mut start = 0;
+        for end in &mut ends {
+            (start, *end) = (start + *end, start);
+        }
+        let mut sorted = vec![Meet::default(); start as usize];
+        for (writer, meet) in meets() {
+            let at = &mut ends[writer.index()];
+            sorted[*at as usize] = meet;
+            *at += 1;
+        }
+
+        // A run of one key in a bucket is one version: `r` readers and `o`
+        // overwriters, `b` of them both, pair into `r·o − b` edges. A
+        // bucket of one meet pairs with nothing.
+        let (mut pairing, mut rw_count) = (Vec::new(), 0);
+        let mut start = 0;
+        for end in ends {
+            let bucket = &mut sorted[start..end as usize];
+            if bucket.len() > 1 {
+                bucket.sort_unstable_by_key(|m| (m.key, m.txn));
+                let mut at = start;
+                for version in bucket.chunk_by(|a, b| a.key == b.key) {
+                    let (mut readers, mut overwriters, mut both) = (0, 0, 0);
+                    for m in version {
+                        readers += usize::from(m.reads);
+                        overwriters += usize::from(m.overwrites);
+                        both += usize::from(m.reads && m.overwrites);
+                    }
+                    if readers * overwriters > both {
+                        pairing.push((at as u32, (at + version.len()) as u32));
+                        rw_count += readers * overwriters - both;
+                    }
+                    at += version.len();
+                }
             }
+            start = end as usize;
+        }
+        Versions {
+            meets: sorted,
+            pairing,
+            rw_count,
+        }
+    }
+
+    /// Pairs every reader of each version with every other overwriter of it.
+    fn add_rw_edges(&self, edges: &mut Vec<Edge>) {
+        for &(start, end) in &self.pairing {
+            let version = &self.meets[start as usize..end as usize];
             for reader in version.iter().filter(|m| m.reads) {
                 for overwriter in version.iter().filter(|m| m.overwrites) {
                     if reader.txn != overwriter.txn {
-                        g.add_edge(reader.txn, overwriter.txn, EdgeKind::Rw(reader.key));
+                        edges.push(Edge {
+                            from: reader.txn,
+                            to: overwriter.txn,
+                            kind: EdgeKind::Rw(reader.key),
+                        });
                     }
                 }
             }
@@ -234,8 +338,9 @@ fn add_rw_edges(g: &mut DependencyGraph, reads: &[ResolvedRead], closure: &[(Txn
 /// Transactions without recorded begin/end instants simply contribute no RT
 /// edges: for them the real-time order degenerates to the session order, as
 /// permitted by Definition 2 (`SO ⊆ RT`).
-fn add_rt_edges(history: &History, g: &mut DependencyGraph) {
+fn rt_edges(history: &History) -> Vec<Edge> {
     let committed: Vec<TxnId> = history.committed_ids().collect();
+    let mut edges = Vec::new();
     for &a in &committed {
         let ta = history.txn(a);
         if ta.end.is_none() {
@@ -249,59 +354,83 @@ fn add_rt_edges(history: &History, g: &mut DependencyGraph) {
             // matching the time-chain encoding, where such an interval wraps
             // around the chain into a one-transaction cycle.
             if ta.precedes_in_real_time(history.txn(b)) {
-                g.add_edge(a, b, EdgeKind::Rt);
+                edges.push(Edge {
+                    from: a,
+                    to: b,
+                    kind: EdgeKind::Rt,
+                });
             }
         }
     }
+    edges
 }
 
-/// Adds, for every object, the transitive closure of its direct WW edges,
-/// and returns the edges it added as `(writer, key, overwriter)`.
-fn add_ww_closure(g: &mut DependencyGraph) -> Vec<(TxnId, Key, TxnId)> {
-    // Group direct WW edges by key; keys are visited in sorted order.
+/// The transitive closure, object by object, of the direct `WW` edges
+/// `direct` (`(writer, key, overwriter)`, in edge order): the edges it adds,
+/// as `(writer, key, overwriter)`. Keys come in sorted order; within a key,
+/// writers in the order they first appear in `direct`, and each one's
+/// overwriters in that same order. `Err` with the count reached as soon as
+/// more than `room` edges would be added.
+fn ww_closure(
+    direct: impl Iterator<Item = (TxnId, Key, TxnId)>,
+    room: usize,
+) -> Result<Vec<(TxnId, Key, TxnId)>, usize> {
     let mut per_key: BTreeMap<Key, Vec<(TxnId, TxnId)>> = BTreeMap::new();
-    for e in g.edges() {
-        if let EdgeKind::Ww(k) = e.kind {
-            per_key.entry(k).or_default().push((e.from, e.to));
-        }
+    for (writer, key, overwriter) in direct {
+        per_key.entry(key).or_default().push((writer, overwriter));
     }
     let mut added = Vec::new();
-    for (key, edges) in per_key {
-        // Build a local graph over the writers of this key.
+    let (mut seen, mut stack, mut reach) = (Vec::new(), Vec::new(), Vec::new());
+    for (key, pairs) in per_key {
+        // The writers of this key, numbered locally.
         let mut nodes: Vec<TxnId> = Vec::new();
-        let mut index_of: HashMap<TxnId, usize> = HashMap::new();
-        let local_index = |t: TxnId, nodes: &mut Vec<TxnId>, map: &mut HashMap<TxnId, usize>| {
-            *map.entry(t).or_insert_with(|| {
+        let mut local_of = BTreeMap::new();
+        let mut local = |t: TxnId| {
+            *local_of.entry(t).or_insert_with(|| {
                 nodes.push(t);
                 nodes.len() - 1
             })
         };
-        let mut local = Vec::new();
-        for &(a, b) in &edges {
-            let ia = local_index(a, &mut nodes, &mut index_of);
-            let ib = local_index(b, &mut nodes, &mut index_of);
-            local.push((ia, ib));
-        }
-        let lg = mtc_history::DiGraph::from_edges(nodes.len(), local.iter().copied());
-        let all: Vec<usize> = (0..nodes.len()).collect();
-        for (u, reach) in lg.closure_within(&all) {
-            for v in reach {
-                let (from, to) = (nodes[u], nodes[v]);
-                if !g.contains_edge(from, to, EdgeKind::Ww(key)) {
-                    g.add_edge(from, to, EdgeKind::Ww(key));
-                    added.push((from, key, to));
+        let pairs: Vec<(usize, usize)> =
+            (pairs.iter()).map(|&(a, b)| (local(a), local(b))).collect();
+        let graph = DiGraph::from_edges(nodes.len(), pairs.iter().copied());
+        let direct: FastHashSet<(usize, usize)> = pairs.into_iter().collect();
+        // One search per writer, each marking what it reaches with the
+        // writer's own number: a search costs what it reaches.
+        seen.clear();
+        seen.resize(nodes.len(), usize::MAX);
+        for u in 0..nodes.len() {
+            seen[u] = u;
+            stack.push(u);
+            while let Some(x) = stack.pop() {
+                for y in graph.successors(x) {
+                    if seen[y] != u {
+                        seen[y] = u;
+                        reach.push(y);
+                        stack.push(y);
+                    }
                 }
+            }
+            reach.sort_unstable();
+            for v in reach.drain(..) {
+                if direct.contains(&(u, v)) {
+                    continue;
+                }
+                if added.len() == room {
+                    return Err(room + 1);
+                }
+                added.push((nodes[u], key, nodes[v]));
             }
         }
     }
-    added
+    Ok(added)
 }
 
 /// `BUILDDEPENDENCY` as it was before the pre-scan's reads fed it: a second
 /// walk of the history that looks every external read up in the index
 /// again, and `RW` by sorting the graph's `WR` and `WW` edges into two flat
 /// lists and merging them. The reference [`build_impl`] is held to, edge for
-/// edge (`check::tests::the_counting_derivations_are_the_references`).
+/// edge (`reference::tests::the_counting_derivations_are_the_references`).
 #[cfg(test)]
 pub(crate) fn build_by_sort_merge(
     history: &History,
@@ -312,7 +441,9 @@ pub(crate) fn build_by_sort_merge(
     let index = WriteIndex::new(history);
     let mut g = DependencyGraph::new(history.len());
     if with_rt {
-        add_rt_edges(history, &mut g);
+        for e in rt_edges(history) {
+            g.add_edge(e.from, e.to, e.kind);
+        }
     }
     for (a, b) in history.session_order_edges() {
         g.add_edge(a, b, EdgeKind::So);
@@ -352,7 +483,37 @@ pub(crate) fn build_by_sort_merge(
         }
     }
     if transitive_ww {
-        add_ww_closure(&mut g);
+        // The closure as a reachability matrix: every writer of a key
+        // against every other, in local order.
+        let mut per_key: BTreeMap<Key, Vec<(TxnId, TxnId)>> = BTreeMap::new();
+        for e in g.edges() {
+            if let EdgeKind::Ww(key) = e.kind {
+                per_key.entry(key).or_default().push((e.from, e.to));
+            }
+        }
+        for (key, pairs) in per_key {
+            let mut nodes: Vec<TxnId> = Vec::new();
+            for &(a, b) in &pairs {
+                for t in [a, b] {
+                    if !nodes.contains(&t) {
+                        nodes.push(t);
+                    }
+                }
+            }
+            let local = |t: TxnId| nodes.iter().position(|&n| n == t).unwrap();
+            let lg = DiGraph::from_edges(
+                nodes.len(),
+                pairs.iter().map(|&(a, b)| (local(a), local(b))),
+            );
+            for u in 0..nodes.len() {
+                let seen = lg.reachable_from(u);
+                for v in (0..nodes.len()).filter(|&v| v != u && seen[v]) {
+                    if !g.contains_edge(nodes[u], nodes[v], EdgeKind::Ww(key)) {
+                        g.add_edge(nodes[u], nodes[v], EdgeKind::Ww(key));
+                    }
+                }
+            }
+        }
     }
 
     let mut readers: Vec<(TxnId, Key, TxnId)> = Vec::new();
@@ -519,6 +680,41 @@ mod tests {
             "expected O(n) edges, got {} for n = {n}",
             g.edge_count()
         );
+    }
+
+    #[test]
+    fn a_hot_key_past_the_reference_budget_is_refused() {
+        // One key updated 1 000 times in a row: the closure of its chain is
+        // 499 500 WW edges, past the 326 208 the 1 001 transactions get.
+        const UPDATES: u64 = 1_000;
+        let mut b = HistoryBuilder::new().with_init(1);
+        for v in 0..UPDATES {
+            b.committed(0, vec![Op::read(0u64, v), Op::write(0u64, v + 1)]);
+        }
+        let h = b.build();
+        let budget = reference_edge_budget(h.len());
+        assert_eq!(budget, 64 * 1_001 + 262_144);
+        // The build stops counting one edge past the budget.
+        let refused = Err(CheckError::ReferenceTooLarge {
+            edges: budget + 1,
+            budget,
+        });
+        assert_eq!(
+            build_dependency_reference(&h, false).map(|g| g.edge_count()),
+            refused
+        );
+        let check = crate::check_batch_reference(crate::BatchCheck::Ser, &h);
+        assert_eq!(check.map(|c| c.dep_edges), refused.map(|_| None));
+        // The optimized build has no closure and no budget: SO, WR and WW
+        // per update.
+        assert_eq!(build_dependency(&h, false).unwrap().edge_count(), 3_000);
+        assert!(crate::check_ser(&h).unwrap().is_satisfied());
+        // Half the updates stay well inside it.
+        let mut b = HistoryBuilder::new().with_init(1);
+        for v in 0..UPDATES / 2 {
+            b.committed(0, vec![Op::read(0u64, v), Op::write(0u64, v + 1)]);
+        }
+        assert!(build_dependency_reference(&b.build(), false).is_ok());
     }
 
     #[test]

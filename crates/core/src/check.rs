@@ -13,11 +13,18 @@
 //!    ([`mtc_history::scan_reads`]);
 //! 3. build the (unique) dependency graph (`BUILDDEPENDENCY`,
 //!    [`crate::build_dependency`]) from the reads step 2 resolved, with no
-//!    second look into the index — once: the verdict comes back with that
-//!    graph's edge count, so a caller reporting it need not build again;
-//! 4. decide acyclicity of the appropriate edge combination — collected as
-//!    one flat pair list and frozen into one [`DiGraph`] — and, on a cycle,
-//!    return a labelled counterexample.
+//!    second look into the index — once, as one flat edge list: the verdict
+//!    comes back with its edge count, so a caller reporting it need not
+//!    build again;
+//! 4. lay the list out once by source — one counting sort into one CSR,
+//!    each row in list order, `RW` targets flagged — and search it for a
+//!    cycle with [`mtc_history::find_cycle_in`]. `CHECKSER` and the naive
+//!    `CHECKSSER` search the CSR itself; `CHECKSI` and `CHECKSSER` search
+//!    graphs derived from it *in place*, their successors computed from the
+//!    CSR's rows where the search stands (`Composed`, `TimeChain`). Only
+//!    for a cycle found is a second index built — each source's edges as
+//!    indices into the list — to label the cycle's hops back into a
+//!    counterexample.
 //!
 //! `CHECKSI` additionally rejects the DIVERGENCE pattern before any graph
 //! work (Lemma 1), and checks acyclicity of the *composed* graph
@@ -32,17 +39,18 @@
 //!
 //! Steps 1 and 2 are not optional: the verifiers are sound and complete
 //! only for the inputs they admit. There is one configuration per verifier,
-//! the paper's. Beside it, [`check_batch_reference`] runs the same pipeline
-//! over the paper's literal `BUILDDEPENDENCY` (step 3 with the `WW`
-//! transitive closure) — the oracle the optimized build is tested against,
-//! as [`check_sser_naive`] is for the time chain.
+//! the paper's. Beside it, [`crate::check_batch_reference`] runs the same
+//! steps 0–2 and the paper's literal `BUILDDEPENDENCY` (step 3 with the `WW`
+//! transitive closure), then searches its graph with pair lists of its own
+//! ([`crate::reference`]) — the oracle the optimized build and the in-place
+//! searches are held to, as [`check_sser_naive`] is for the time chain.
 
 use crate::build::build_impl;
 use crate::divergence::find_divergence_with;
 use crate::mini::{unique_values, validate_shapes};
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
-    scan_reads, DependencyGraph, DiGraph, Edge, EdgeKind, History, ReadScan, ResolvedRead, TxnId,
+    find_cycle_in, scan_reads, Edge, EdgeKind, History, ReadScan, ResolvedRead, Successors, TxnId,
     WriteIndex,
 };
 use serde::{Deserialize, Serialize};
@@ -127,7 +135,7 @@ pub struct Checked {
     /// Edges of the dependency graph the check built, `RT` edges aside — the
     /// edge count of `build_dependency(history, false)`, or of
     /// `build_dependency_reference(history, false)` for
-    /// [`check_batch_reference`]. `None` when the verdict was reached before
+    /// [`crate::check_batch_reference`]. `None` when the verdict was reached before
     /// any graph was built (intra-transactional anomalies, `CHECKSI`'s
     /// DIVERGENCE exit).
     pub dep_edges: Option<usize>,
@@ -156,24 +164,13 @@ fn preflight(
     Ok(Ok(reads))
 }
 
-/// Runs one batch verifier: one walk of the history into a [`WriteIndex`],
-/// one dependency graph, and the verdict together with that graph's edge
-/// count. [`check_ser`], [`check_si`], [`check_sser`] and
-/// [`check_sser_naive`] are this, verdict only.
-pub fn check_batch(check: BatchCheck, history: &History) -> Result<Checked, CheckError> {
-    run_batch(check, history, false)
-}
-
-/// [`check_batch`] over the graph of [`crate::build_dependency_reference`]
-/// (per-object `WW` transitive closure, Section IV-C) instead of the
-/// optimized `BUILDDEPENDENCY`: the oracle the optimized build is held to.
-/// Theorems 1 and 2 say the verdicts coincide; only the time differs.
-pub fn check_batch_reference(check: BatchCheck, history: &History) -> Result<Checked, CheckError> {
-    run_batch(check, history, true)
-}
-
-/// The pipeline of [`check_batch`], over the reference build if `reference`.
-fn run_batch(check: BatchCheck, history: &History, reference: bool) -> Result<Checked, CheckError> {
+/// Steps 0 to 3 of a batch check, over the reference build if `reference`:
+/// the dependency edges, or the violation found before any graph existed.
+pub(crate) fn batch_edges(
+    check: BatchCheck,
+    history: &History,
+    reference: bool,
+) -> Result<Result<Vec<Edge>, Violation>, CheckError> {
     let index = {
         let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.index"));
         WriteIndex::new(history)
@@ -185,6 +182,35 @@ fn run_batch(check: BatchCheck, history: &History, reference: bool) -> Result<Ch
     drop(index);
     let reads = match early {
         Ok(reads) => reads,
+        Err(violation) => return Ok(Err(violation)),
+    };
+    let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
+    let with_rt = check == BatchCheck::SserNaive;
+    build_impl(history, &reads, with_rt, reference).map(Ok)
+}
+
+/// The verdict of a batch check whose step 4 found `cycle` (or none) in a
+/// graph of `edges`; `RT` edges are not counted.
+pub(crate) fn checked(check: BatchCheck, edges: &[Edge], cycle: Option<Vec<Edge>>) -> Checked {
+    let dep_edges = if check == BatchCheck::SserNaive {
+        edges.iter().filter(|e| e.kind != EdgeKind::Rt).count()
+    } else {
+        edges.len()
+    };
+    let violation = cycle.map(|edges| Violation::Cycle { edges });
+    Checked {
+        verdict: violation.map_or(Verdict::Satisfied, Verdict::Violated),
+        dep_edges: Some(dep_edges),
+    }
+}
+
+/// Runs one batch verifier: one walk of the history into a [`WriteIndex`],
+/// one dependency edge list, one CSR of it, and the verdict together with
+/// the graph's edge count. [`check_ser`], [`check_si`], [`check_sser`] and
+/// [`check_sser_naive`] are this, verdict only.
+pub fn check_batch(check: BatchCheck, history: &History) -> Result<Checked, CheckError> {
+    let edges = match batch_edges(check, history, false)? {
+        Ok(edges) => edges,
         Err(violation) => {
             return Ok(Checked {
                 verdict: Verdict::Violated(violation),
@@ -192,97 +218,376 @@ fn run_batch(check: BatchCheck, history: &History, reference: bool) -> Result<Ch
             })
         }
     };
-    let with_rt = check == BatchCheck::SserNaive;
-    let g = {
-        let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.build"));
-        build_impl(history, &reads, with_rt, reference)?
-    };
-    drop(reads);
     let _span = mtc_obs::span(mtc_obs::histogram!("core.batch.cycle"));
-    let dep_edges = if with_rt {
-        g.edges().iter().filter(|e| e.kind != EdgeKind::Rt).count()
-    } else {
-        g.edge_count()
+    let csr = Csr::new(history.len(), &edges);
+    let cycle = match check {
+        BatchCheck::Ser | BatchCheck::SserNaive => find_cycle_in(&csr).map(|cycle| {
+            let rows = Rows::new(&csr, &edges);
+            rows.label_cycle(&cycle)
+        }),
+        BatchCheck::Si => composed_cycle(&csr, &edges),
+        BatchCheck::Sser => time_chain_cycle(history, &csr, &edges),
     };
-    let cycle = |edges| Violation::Cycle { edges };
-    let violation = match check {
-        BatchCheck::Ser | BatchCheck::SserNaive => g.find_labelled_cycle(|_| true).map(cycle),
-        BatchCheck::Sser => time_chain_cycle(history, &g).map(cycle),
-        BatchCheck::Si => composed_si_cycle(&g).map(cycle),
-    };
-    Ok(Checked {
-        verdict: violation.map_or(Verdict::Satisfied, Verdict::Violated),
-        dep_edges: Some(dep_edges),
-    })
+    Ok(checked(check, &edges, cycle))
 }
 
-/// Finds a cycle in `(SO ∪ WR ∪ WW) ; RW?` and expands it back to labelled
-/// dependency edges; returns `None` if the composed graph is acyclic.
-fn composed_si_cycle(g: &DependencyGraph) -> Option<Vec<Edge>> {
-    let is_base = |e: &&Edge| matches!(e.kind, EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_));
-    // The first RW edge `b → c`, if any.
-    let rw_hop = |b: TxnId, c: usize| {
-        g.out_edges(b)
-            .find(|rw| rw.kind.is_rw() && rw.to.index() == c)
-    };
+/// The flag of an `RW` entry in [`Csr::targets`].
+const RW: u32 = 1 << 31;
 
-    // Per-node RW successors for the `; RW?` part.
-    let rw_out = g.project(EdgeKind::is_rw);
-    // Parallel composed edges do not affect cycle questions, so the pairs
-    // are neither deduplicated nor remembered: only the hops of a cycle that
-    // is actually found are expanded again, below.
-    let mut composed: Vec<(usize, usize)> = Vec::with_capacity(2 * g.live_edge_count());
-    for e in g.edges().iter().filter(is_base) {
-        let (a, b) = (e.from.index(), e.to.index());
-        // base edge alone (the `?` of `RW?`)
-        composed.push((a, b));
-        // base ; RW
-        for c in rw_out.successors(b) {
-            if a == c {
-                // A two-edge cycle a → b → a: report it directly.
-                let rw = rw_hop(e.to, a);
-                debug_assert!(rw.is_some(), "no RW edge for the hop {b}->{a}");
-                return Some(std::iter::once(e).chain(rw).copied().collect());
-            }
-            composed.push((a, c));
+/// The end hook of a transaction without an end.
+const NONE: u32 = u32::MAX;
+
+/// The dependency edges laid out by source: row `u` is `targets[offsets[u]
+/// ..offsets[u + 1]]`, in edge-list order, each entry the target's id with
+/// [`RW`] set for an `RW` edge.
+pub(crate) struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// # Panics
+    ///
+    /// If `n` does not fit in 31 bits or `edges.len()` in 32.
+    pub(crate) fn new(n: usize, edges: &[Edge]) -> Self {
+        assert!(n < RW as usize, "{n} nodes do not fit in 31 bits");
+        let (offsets, targets) = by_source(n, edges, |_, e| {
+            e.to.0 | if e.kind.is_rw() { RW } else { 0 }
+        });
+        Csr { offsets, targets }
+    }
+
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The end of `u`'s row in `targets`.
+    #[inline]
+    fn end(&self, u: usize) -> u32 {
+        self.offsets[u + 1]
+    }
+}
+
+/// One stable counting sort of `edges` by source: `n + 1` row offsets and,
+/// row by row in list order, `entry(i, edges[i])` for every edge.
+fn by_source(
+    n: usize,
+    edges: &[Edge],
+    entry: impl Fn(usize, &Edge) -> u32,
+) -> (Vec<u32>, Vec<u32>) {
+    assert!(
+        u32::try_from(edges.len()).is_ok(),
+        "{} edges do not fit in a u32",
+        edges.len()
+    );
+    let mut offsets = vec![0u32; n + 1];
+    for e in edges {
+        offsets[e.from.index() + 1] += 1;
+    }
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    // Filling moves `offsets[u]` from the start of `u`'s row to its end,
+    // which is where row `u + 1` starts: one rotation puts them back.
+    let mut entries = vec![0u32; edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let at = &mut offsets[e.from.index()];
+        entries[*at as usize] = entry(i, e);
+        *at += 1;
+    }
+    offsets.rotate_right(1);
+    offsets[0] = 0;
+    (offsets, entries)
+}
+
+impl Successors for Csr {
+    /// The position of the next entry of the row.
+    type Cursor = u32;
+
+    fn node_count(&self) -> usize {
+        Csr::node_count(self)
+    }
+
+    #[inline]
+    fn first(&self, u: usize) -> u32 {
+        self.offsets[u]
+    }
+
+    #[inline]
+    fn next(&self, u: usize, at: &mut u32) -> Option<usize> {
+        if *at == self.end(u) {
+            return None;
+        }
+        *at += 1;
+        Some((self.targets[*at as usize - 1] & !RW) as usize)
+    }
+}
+
+/// `(SO ∪ WR ∪ WW) ; RW?` over a [`Csr`], in place: the successors of `a`
+/// are, for each non-`RW` entry `b` of `a`'s row in order, `b` itself, then
+/// the `RW` entries of `b`'s row in order. Parallel composed edges are
+/// neither merged nor remembered: they do not change a cycle question, and
+/// only the hops of a cycle that is found are expanded again.
+///
+/// `RW` edges come last in the edge list ([`crate::build`], "Edge order"),
+/// so every row is its base entries, then its `RW` entries: `a`'s base
+/// entries end at its first `RW` entry, and `b`'s `RW` entries are found
+/// from the end of its row.
+pub(crate) struct Composed<'a>(&'a Csr);
+
+impl<'a> Composed<'a> {
+    pub(crate) fn new(csr: &'a Csr) -> Self {
+        debug_assert!(
+            (0..csr.node_count()).all(|u| {
+                let row = &csr.targets[csr.offsets[u] as usize..csr.end(u) as usize];
+                row.is_sorted_by_key(|t| t & RW)
+            }),
+            "a base edge after an RW edge in a row"
+        );
+        Composed(csr)
+    }
+}
+
+impl Successors for Composed<'_> {
+    /// The position in `a`'s row past its last base entry `b`, and the
+    /// rest of the `RW` entries of `b`'s row, as a range.
+    type Cursor = (u32, u32, u32);
+
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    #[inline]
+    fn first(&self, a: usize) -> (u32, u32, u32) {
+        (self.0.offsets[a], 0, 0)
+    }
+
+    #[inline]
+    fn next(&self, a: usize, (at, rw, rw_end): &mut (u32, u32, u32)) -> Option<usize> {
+        let Csr { offsets, targets } = self.0;
+        if *rw < *rw_end {
+            *rw += 1;
+            return Some((targets[*rw as usize - 1] & !RW) as usize);
+        }
+        if *at == self.0.end(a) || targets[*at as usize] & RW != 0 {
+            return None;
+        }
+        let b = targets[*at as usize] as usize;
+        *at += 1;
+        (*rw, *rw_end) = (self.0.end(b), self.0.end(b));
+        while *rw > offsets[b] && targets[*rw as usize - 1] & RW != 0 {
+            *rw -= 1;
+        }
+        Some(b)
+    }
+}
+
+/// Each source's edges as indices into the edge list, in list order: built
+/// only for a cycle that was found, to label its hops.
+struct Rows<'a> {
+    edges: &'a [Edge],
+    offsets: Vec<u32>,
+    index: Vec<u32>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(csr: &Csr, edges: &'a [Edge]) -> Self {
+        let (offsets, index) = by_source(csr.node_count(), edges, |i, _| i as u32);
+        Rows {
+            edges,
+            offsets,
+            index,
         }
     }
 
-    let composed = DiGraph::from_edges(g.node_count(), composed.iter().copied());
-    let cycle = composed.find_cycle()?;
+    /// The out-edges of `u`, in list order.
+    fn out(&self, u: usize) -> impl Iterator<Item = &'a Edge> + '_ {
+        let row = &self.index[self.offsets[u] as usize..self.offsets[u + 1] as usize];
+        row.iter().map(|&i| &self.edges[i as usize])
+    }
+
+    /// The edge `u → v` to report for that hop: the best
+    /// [`EdgeKind::label_rank`], the first in the row among equals.
+    fn label_hop(&self, u: usize, v: usize) -> Option<Edge> {
+        (self.out(u).filter(|e| e.to.index() == v))
+            .min_by_key(|e| e.kind.label_rank())
+            .copied()
+    }
+
+    /// One [`Rows::label_hop`] per consecutive pair of a cycle's nodes.
+    /// Every hop of a cycle found in the CSR is an edge, so a hop without
+    /// a label is a bug (asserted in debug builds).
+    fn label_cycle(&self, cycle: &[usize]) -> Vec<Edge> {
+        let mut labelled = Vec::with_capacity(cycle.len());
+        for i in 0..cycle.len() {
+            let (u, v) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+            let hop = self.label_hop(u, v);
+            debug_assert!(hop.is_some(), "no labelled edge for the hop {u}->{v}");
+            labelled.extend(hop);
+        }
+        labelled
+    }
+}
+
+/// Finds a cycle in `(SO ∪ WR ∪ WW) ; RW?` ([`Composed`]) and expands it
+/// back to labelled dependency edges; returns `None` if the composed graph
+/// is acyclic.
+fn composed_cycle(csr: &Csr, edges: &[Edge]) -> Option<Vec<Edge>> {
+    let cycle = find_cycle_in(&Composed::new(csr))?;
+    let rows = Rows::new(csr, edges);
+    let is_base = |e: &&Edge| matches!(e.kind, EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_));
+    // The first RW edge `b → c`, if any.
+    let rw_hop =
+        |b: TxnId, c: usize| (rows.out(b.index())).find(|rw| rw.kind.is_rw() && rw.to.index() == c);
+
+    // A two-edge cycle a → b → a is a composed self-loop, so the search
+    // above found a cycle if there is one: the first, in edge order, is
+    // reported as it is.
+    for e in edges.iter().filter(is_base) {
+        if let Some(rw) = rw_hop(e.to, e.from.index()) {
+            return Some(vec![*e, *rw]);
+        }
+    }
     // Each hop `u → v` is a base edge, or else the first base edge `u → b`
     // whose target has an RW edge `b → v`.
-    let mut edges = Vec::with_capacity(2 * cycle.len());
+    let mut labelled = Vec::with_capacity(2 * cycle.len());
     for i in 0..cycle.len() {
         let (u, v) = (cycle[i], cycle[(i + 1) % cycle.len()]);
-        let base = || g.out_edges(TxnId(u as u32)).filter(is_base);
+        let base = || rows.out(u).filter(is_base);
         if let Some(e) = base().find(|e| e.to.index() == v) {
-            edges.push(*e);
+            labelled.push(*e);
             continue;
         }
         let through = base().find_map(|e| rw_hop(e.to, v).map(|rw| [*e, *rw]));
         debug_assert!(through.is_some(), "no expansion of the hop {u}->{v}");
-        edges.extend(through.into_iter().flatten());
+        labelled.extend(through.into_iter().flatten());
     }
-    Some(edges)
+    Some(labelled)
 }
 
-/// Finds a cycle of `g` plus the time chain of `history`'s instants, with the
-/// time nodes spliced back out into `RT` edges.
-fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>> {
-    let n = g.node_count();
-    let (time_nodes, aug) = time_chain(history, g);
-    let aug = DiGraph::from_edges(n + time_nodes, aug.iter().copied());
-    let cycle = aug.find_cycle()?;
+/// A [`Csr`] plus the time chain of a history's instants, in place. Time
+/// node `w` is node `n + w` for the `w`-th distinct instant of a committed
+/// transaction. Transaction `t`'s successors are its row, then the first
+/// time node after its end; time node `w`'s are `w + 1`, then the
+/// transactions whose begin is `w`, in id order.
+///
+/// A partially timed transaction (only a begin or only an end recorded)
+/// still constrains the real-time order on the side it has — exactly as in
+/// the naive RT materialization, which only needs `a.end` and `b.begin`.
+pub(crate) struct TimeChain<'a> {
+    csr: &'a Csr,
+    /// The transactions with a begin, ordered by `(begin, id)`.
+    begins: Vec<u32>,
+    /// `begins[runs[w]..runs[w + 1]]`: the transactions that begin at time
+    /// node `w`.
+    runs: Vec<u32>,
+    /// `end_hook[t]`: the time node after `t`'s end — `runs.len() - 1`
+    /// when no instant is later —, or [`NONE`] without an end.
+    end_hook: Vec<u32>,
+}
+
+impl<'a> TimeChain<'a> {
+    pub(crate) fn new(history: &History, csr: &'a Csr) -> Self {
+        let n = csr.node_count();
+        // Every instant, tagged `2·id + side` (0 a begin, 1 an end). A
+        // session's instants rise with its ids, so the stable sort mostly
+        // merges runs; equal instants keep id order.
+        let mut instants: Vec<(u64, u64)> = Vec::with_capacity(2 * n);
+        for t in history.committed() {
+            let tag = 2 * t.id.index() as u64;
+            instants.extend(t.begin.map(|b| (b, tag)));
+            instants.extend(t.end.map(|e| (e, tag + 1)));
+        }
+        instants.sort();
+
+        // One walk ranks every instant: a begin joins its time node, an
+        // end hooks to the next one.
+        let mut begins = Vec::with_capacity(n);
+        let mut runs = Vec::with_capacity(instants.len() + 1);
+        let mut end_hook = vec![NONE; n];
+        let mut last = None;
+        for &(instant, tag) in &instants {
+            if last != Some(instant) {
+                runs.push(begins.len() as u32);
+                last = Some(instant);
+            }
+            let t = (tag / 2) as u32;
+            if tag % 2 == 0 {
+                begins.push(t);
+            } else {
+                end_hook[t as usize] = runs.len() as u32;
+            }
+        }
+        runs.push(begins.len() as u32);
+        TimeChain {
+            csr,
+            begins,
+            runs,
+            end_hook,
+        }
+    }
+
+    fn time_nodes(&self) -> usize {
+        self.runs.len() - 1
+    }
+}
+
+impl Successors for TimeChain<'_> {
+    /// A position — in a transaction's row, or in a time node's run of
+    /// `begins` — and whether the one successor outside it, the end hook
+    /// after the row or the chain edge before the run, is still to come.
+    type Cursor = (u32, bool);
+
+    fn node_count(&self) -> usize {
+        self.csr.node_count() + self.time_nodes()
+    }
+
+    #[inline]
+    fn first(&self, u: usize) -> (u32, bool) {
+        let n = self.csr.node_count();
+        if u < n {
+            (self.csr.offsets[u], true)
+        } else {
+            (self.runs[u - n], true)
+        }
+    }
+
+    #[inline]
+    fn next(&self, u: usize, (at, pending): &mut (u32, bool)) -> Option<usize> {
+        let n = self.csr.node_count();
+        if u < n {
+            if let Some(v) = self.csr.next(u, at) {
+                return Some(v);
+            }
+            let hook = self.end_hook[u] as usize;
+            return (std::mem::take(pending) && hook < self.time_nodes()).then_some(n + hook);
+        }
+        let w = u - n;
+        if std::mem::take(pending) && w + 1 < self.time_nodes() {
+            return Some(u + 1);
+        }
+        if *at == self.runs[w + 1] {
+            return None;
+        }
+        *at += 1;
+        Some(self.begins[*at as usize - 1] as usize)
+    }
+}
+
+/// Finds a cycle of a [`TimeChain`] over `csr`, with the time nodes spliced
+/// back out into `RT` edges.
+fn time_chain_cycle(history: &History, csr: &Csr, edges: &[Edge]) -> Option<Vec<Edge>> {
+    let n = csr.node_count();
+    let cycle = find_cycle_in(&TimeChain::new(history, csr))?;
+    let rows = Rows::new(csr, edges);
 
     // Splice time nodes out of the cycle: consecutive real transactions with
     // time nodes in between are connected by an RT edge.
-    let reals: Vec<usize> = cycle.iter().copied().filter(|&v| v < n).collect();
     debug_assert!(
-        !reals.is_empty(),
+        cycle.iter().any(|&v| v < n),
         "a cycle cannot consist of time nodes only"
     );
-    let mut edges = Vec::new();
+    let mut labelled = Vec::new();
     let len = cycle.len();
     // Position of each real node in the cycle, to know whether the hop to the
     // next real node went through time nodes.
@@ -294,121 +599,25 @@ fn time_chain_cycle(history: &History, g: &DependencyGraph) -> Option<Vec<Edge>>
         // A hop straight to the next real node is a dependency; one through
         // time nodes is real time.
         let direct_hop = (pos + 1) % len == next_pos;
-        let dependency = direct_hop.then(|| g.label_hop(u, v, |_| true)).flatten();
+        let dependency = direct_hop.then(|| rows.label_hop(u, v)).flatten();
         debug_assert!(
             dependency.is_some() == direct_hop,
             "no labelled edge for the hop {u}->{v}"
         );
-        edges.push(dependency.unwrap_or(Edge {
+        labelled.push(dependency.unwrap_or(Edge {
             from: TxnId(u as u32),
             to: TxnId(v as u32),
             kind: EdgeKind::Rt,
         }));
     }
-    Some(edges)
-}
-
-/// The graph [`time_chain_cycle`] searches: `g`'s edges, then the chain of
-/// time nodes, then each committed transaction's two hooks, in id order —
-/// from the time node of its begin, to the first time node after its end.
-/// Time node `w` is node `n + w` for the `w`-th distinct instant of a
-/// committed transaction; the count of them is returned beside the pairs.
-///
-/// A partially timed transaction (only a begin or only an end recorded)
-/// still constrains the real-time order on the side it has — exactly as in
-/// the naive RT materialization, which only needs `a.end` and `b.begin`.
-fn time_chain(history: &History, g: &DependencyGraph) -> (usize, Vec<(usize, usize)>) {
-    let n = g.node_count();
-    // Every instant, tagged `2·id + side` (0 a begin, 1 an end). A session's
-    // instants rise with its ids, so the stable sort mostly merges runs.
-    let mut instants: Vec<(u64, u64)> = Vec::with_capacity(2 * n);
-    for t in history.committed() {
-        let tag = 2 * t.id.index() as u64;
-        instants.extend(t.begin.map(|b| (b, tag)));
-        instants.extend(t.end.map(|e| (e, tag + 1)));
-    }
-    instants.sort();
-
-    // One walk ranks every instant: a begin hooks from its own time node,
-    // an end to the next one (if there is a later instant).
-    const NONE: u32 = u32::MAX;
-    let mut hooks = vec![[NONE; 2]; n];
-    let mut time_nodes = 0;
-    let mut last = None;
-    for &(instant, tag) in &instants {
-        if last != Some(instant) {
-            (time_nodes, last) = (time_nodes + 1, Some(instant));
-        }
-        let side = (tag % 2) as usize;
-        hooks[(tag / 2) as usize][side] = time_nodes - 1 + side as u32;
-    }
-
-    // Dependencies, then the chain, then each transaction's two hooks.
-    let mut aug = Vec::with_capacity(g.edges().len() + time_nodes as usize + instants.len());
-    aug.extend(g.edges().iter().map(|e| (e.from.index(), e.to.index())));
-    aug.extend((1..time_nodes as usize).map(|w| (n + w - 1, n + w)));
-    for (t, [begin, end]) in hooks.into_iter().enumerate() {
-        if begin != NONE {
-            aug.push((n + begin as usize, t));
-        }
-        if end < time_nodes {
-            aug.push((t, n + end as usize));
-        }
-    }
-    (time_nodes as usize, aug)
-}
-
-/// The pairs of [`time_chain`] as they were numbered before its one sort:
-/// the distinct instants sorted and deduplicated, and each hook found by a
-/// binary search among them. The reference [`time_chain`] is held to, pair
-/// for pair (`tests::the_counting_derivations_are_the_references`).
-#[cfg(test)]
-fn time_chain_by_search(history: &History, g: &DependencyGraph) -> (usize, Vec<(usize, usize)>) {
-    let n = g.node_count();
-    let mut instants: Vec<u64> = Vec::new();
-    for t in history.committed() {
-        instants.extend(t.begin);
-        instants.extend(t.end);
-    }
-    instants.sort_unstable();
-    instants.dedup();
-    let time_node =
-        |instant: u64| -> Option<usize> { instants.binary_search(&instant).ok().map(|i| n + i) };
-    let first_after = |instant: u64| -> Option<usize> {
-        match instants.binary_search(&instant) {
-            Ok(i) | Err(i) => {
-                let j = if instants.get(i) == Some(&instant) {
-                    i + 1
-                } else {
-                    i
-                };
-                if j < instants.len() {
-                    Some(n + j)
-                } else {
-                    None
-                }
-            }
-        }
-    };
-    let mut aug: Vec<(usize, usize)> = (g.edges().iter())
-        .map(|e| (e.from.index(), e.to.index()))
-        .collect();
-    aug.extend((1..instants.len()).map(|w| (n + w - 1, n + w)));
-    for t in history.committed() {
-        if let Some(tn) = t.begin.and_then(time_node) {
-            aug.push((tn, t.id.index()));
-        }
-        if let Some(tn) = t.end.and_then(first_after) {
-            aug.push((t.id.index(), tn));
-        }
-    }
-    (instants.len(), aug)
+    Some(labelled)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::build::{build_by_sort_merge, build_impl};
+    use crate::check_batch_reference;
+    use crate::reference;
     use mtc_history::anomalies;
     use mtc_history::{
         find_intra_anomalies, HistoryBuilder, Op, SessionId, Transaction, TxnStatus,
@@ -639,7 +848,7 @@ mod tests {
     /// begin, length)`. The versions pick, among the committed versions of
     /// each key so far, the one that is read; the mode bits pick the shape
     /// and the instants.
-    type Step = (u64, u64, u64, u64, u16, u64, u64);
+    pub(crate) type Step = (u64, u64, u64, u64, u16, u64, u64);
 
     const TWO_KEYS: u16 = 1;
     const WRITE_FIRST: u16 = 2;
@@ -662,7 +871,7 @@ mod tests {
     /// `hot_readers` transactions read one version of key 0, and those
     /// whose bit of `hot_writers` is set overwrite it. Instants come from a
     /// range small enough that many tie.
-    fn arbitrary_history(
+    pub(crate) fn arbitrary_history(
         steps: &[Step],
         keys: u64,
         sessions: u32,
@@ -748,33 +957,79 @@ mod tests {
         b.build()
     }
 
+    /// The successors of every node of `graph`, as its cursor yields them.
+    fn rows_of(graph: &impl Successors) -> Vec<Vec<usize>> {
+        let row = |u| {
+            let mut at = graph.first(u);
+            std::iter::from_fn(move || graph.next(u, &mut at)).collect()
+        };
+        (0..graph.node_count()).map(row).collect()
+    }
+
+    /// The strategy of [`arbitrary_history`]'s arguments.
+    pub(crate) fn arbitrary_args(
+    ) -> impl Strategy<Value = (Vec<Step>, u64, u32, bool, (usize, u32, u32))> {
+        (
+            prop::collection::vec(
+                (
+                    0u64..4,
+                    0u64..4,
+                    0u64..64,
+                    0u64..64,
+                    0u16..512,
+                    0u64..24,
+                    0u64..4,
+                ),
+                1..48,
+            ),
+            1u64..4,
+            1u32..4,
+            any::<bool>(),
+            (0usize..48, 0u32..10, 0u32..1024),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The build from the pre-scan's reads, with `RW` by counting sort,
-        /// gives the edges of the sort-merge reference build in the same
-        /// order, closure or not; the time chain numbered by one sort and
-        /// one walk gives the pairs of the binary-search numbering in the
-        /// same order. Equal lists, not equal sets: the order decides every
-        /// certificate a checker reports.
+        /// The in-place searches walk the graphs the reference stage lays
+        /// out from pair lists: for every node, `Composed` and `TimeChain`
+        /// yield the row `DiGraph::from_edges` gives it over the composed
+        /// pairs and the time chain's pairs, element for element — so the
+        /// one DFS visits the same nodes in the same order. And every check
+        /// reports what the reference stage reports over the same edges,
+        /// certificate for certificate, and the verdict of
+        /// `check_batch_reference`, whose closure graph has more edges.
         #[test]
-        fn the_counting_derivations_are_the_references(
-            steps in prop::collection::vec((0u64..4, 0u64..4, 0u64..64, 0u64..64, 0u16..512, 0u64..24, 0u64..4), 1..48),
-            keys in 1u64..4,
-            sessions in 1u32..4,
-            with_init in any::<bool>(),
-            hot in (0usize..48, 0u32..10, 0u32..1024),
+        fn the_in_place_searches_are_the_reference_stage(
+            args in arbitrary_args(),
         ) {
+            let (steps, keys, sessions, with_init, hot) = args;
             let history = arbitrary_history(&steps, keys, sessions, with_init, hot);
-            let index = WriteIndex::new(&history);
-            let reads = scan_reads(&history, &index).reads;
-            for (with_rt, closure) in [(false, false), (false, true), (true, false)] {
-                let built = build_impl(&history, &reads, with_rt, closure).unwrap();
-                let reference = build_by_sort_merge(&history, with_rt, closure).unwrap();
-                prop_assert_eq!(built.edges(), reference.edges(), "rt: {}, closure: {}", with_rt, closure);
+            let graph = crate::build_dependency(&history, false).unwrap();
+            let csr = Csr::new(history.len(), graph.edges());
+            if let Some(composed) = reference::composed_graph(&graph) {
+                prop_assert_eq!(rows_of(&Composed::new(&csr)), rows_of(&composed));
             }
-            let g = build_impl(&history, &reads, false, false).unwrap();
-            prop_assert_eq!(time_chain(&history, &g), time_chain_by_search(&history, &g));
+            let chain = reference::time_chain_graph(&history, &graph);
+            prop_assert_eq!(rows_of(&TimeChain::new(&history, &csr)), rows_of(&chain));
+
+            for check in [BatchCheck::Ser, BatchCheck::Si, BatchCheck::Sser, BatchCheck::SserNaive] {
+                let ours = check_batch(check, &history);
+                let closed = check_batch_reference(check, &history);
+                let violated = |c: &Result<Checked, CheckError>| c.clone().map(|c| c.verdict.is_violated());
+                prop_assert_eq!(violated(&ours), violated(&closed), "{:?}", check);
+                let verdict = match ours {
+                    Ok(Checked { verdict, dep_edges: Some(_) }) => verdict,
+                    early => {
+                        prop_assert_eq!(early, closed);
+                        continue;
+                    }
+                };
+                let graph = crate::build_dependency(&history, check == BatchCheck::SserNaive).unwrap();
+                let cycle = reference::cycle_stage(check, &history, &graph);
+                prop_assert_eq!(verdict.violation(), cycle.map(|edges| Violation::Cycle { edges }).as_ref(), "{:?}", check);
+            }
         }
     }
 }

@@ -36,12 +36,13 @@ pub mod incremental;
 pub mod lwt;
 pub mod mini;
 pub mod npc;
+pub mod reference;
 pub mod verdict;
 
-pub use build::{build_dependency, build_dependency_reference, BuildError};
+pub use build::{build_dependency, build_dependency_reference, reference_edge_budget, BuildError};
 pub use check::{
-    check, check_batch, check_batch_reference, check_ser, check_si, check_sser, check_sser_naive,
-    BatchCheck, Checked, IsolationLevel,
+    check, check_batch, check_ser, check_si, check_sser, check_sser_naive, BatchCheck, Checked,
+    IsolationLevel,
 };
 pub use divergence::{find_divergence, Divergence};
 pub use incremental::{
@@ -50,4 +51,5 @@ pub use incremental::{
 pub use incremental::{tune, ShardedIncrementalChecker};
 pub use lwt::{check_linearizability, check_linearizability_single_key, LwtError};
 pub use mini::{validate_history, validate_transaction, MtViolation};
+pub use reference::check_batch_reference;
 pub use verdict::{CheckError, Verdict, Violation};

@@ -216,6 +216,17 @@ pub enum CheckError {
         /// The key of the offending operation.
         key: Key,
     },
+    /// The reference `BUILDDEPENDENCY` (with the `WW` transitive closure)
+    /// would build more edges than its budget for a history of this size
+    /// ([`crate::build::reference_edge_budget`]); the optimized build has
+    /// no such limit.
+    ReferenceTooLarge {
+        /// Edges counted when the build stopped: past the budget, and at
+        /// most the whole graph's.
+        edges: usize,
+        /// The budget.
+        budget: usize,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -233,6 +244,11 @@ impl fmt::Display for CheckError {
             CheckError::MissingTimestamps { txn } => {
                 write!(f, "{txn} lacks begin/end timestamps required for SSER")
             }
+            CheckError::ReferenceTooLarge { edges, budget } => write!(
+                f,
+                "the reference dependency graph has more than {budget} edges (stopped at \
+                 {edges}); the WW closure is too large for this history"
+            ),
             CheckError::UnsupportedLwtOp { key } => {
                 write!(
                     f,

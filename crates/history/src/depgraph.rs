@@ -43,6 +43,21 @@ impl EdgeKind {
         matches!(self, EdgeKind::Rw(_))
     }
 
+    /// Where the kind stands when a counterexample's hop has edges of
+    /// several kinds: `WW`, `WR`, `RW`, `SO`, `RT`, best first, to match the
+    /// paper's counterexample style. Among edges of one rank a hop reports
+    /// the first in its source's row.
+    #[inline]
+    pub fn label_rank(self) -> u8 {
+        match self {
+            EdgeKind::Ww(_) => 0,
+            EdgeKind::Wr(_) => 1,
+            EdgeKind::Rw(_) => 2,
+            EdgeKind::So => 3,
+            EdgeKind::Rt => 4,
+        }
+    }
+
     /// The key the edge is about, if any.
     #[inline]
     pub fn key(self) -> Option<Key> {
@@ -99,9 +114,14 @@ impl fmt::Debug for Edge {
 /// The adjacency is an intrusive list over `edges`: a source's row is the
 /// chain of edge indices from its head along `next`, in the order the edges
 /// were added. A row costs its source eight bytes and no heap block of its
-/// own — the batch checkers' 160 000 edges from 40 000 sources are two flat
-/// vectors, and a streamed transaction allocates nothing for its row. The
-/// index is never serialized; [`DependencyGraph::rebuild_index`] restores it.
+/// own, so a streamed transaction allocates nothing for its row. The index
+/// is never serialized; [`DependencyGraph::rebuild_index`] restores it.
+///
+/// This is the graph that grows: the streaming engine's, and what the
+/// public `BUILDDEPENDENCY` entry points of `mtc-core` return
+/// ([`DependencyGraph::from_edges`] links their list once). The batch
+/// checkers themselves keep their edges as a plain list and search a frozen
+/// layout of it; they never build one of these.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DependencyGraph {
     node_count: usize,
@@ -159,6 +179,31 @@ impl DependencyGraph {
             adj_base: 0,
             adj_low: FastHashMap::default(),
         }
+    }
+
+    /// The graph over `node_count` transactions with the given edges, each
+    /// source's row in list order: what adding them one by one gives, with
+    /// every row linked in one pass over the list.
+    pub fn from_edges(node_count: usize, edges: Vec<Edge>) -> Self {
+        assert!(
+            u32::try_from(edges.len()).is_ok_and(|len| len != NIL),
+            "{} edges do not fit in a u32",
+            edges.len()
+        );
+        let mut graph = DependencyGraph::new(node_count);
+        graph.dense = vec![RowEnds::default(); node_count];
+        graph.next = vec![NIL; edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            debug_assert!(e.from.index() < node_count && e.to.index() < node_count);
+            let row = &mut graph.dense[e.from.index()];
+            match row.tail {
+                NIL => row.head = i as u32,
+                tail => graph.next[tail as usize] = i as u32,
+            }
+            row.tail = i as u32;
+        }
+        graph.edges = edges;
+        graph
     }
 
     /// Number of transactions (nodes).
@@ -292,8 +337,8 @@ impl DependencyGraph {
 
     /// Finds a cycle (over edges matching `pred`) and labels it: for each
     /// consecutive node pair one labelled edge is selected (preferring, in
-    /// order, `WW`, `WR`, `RW`, `SO`, `RT`, to match the paper's
-    /// counterexample style). Returns `None` if the projection is acyclic.
+    /// order, `WW`, `WR`, `RW`, `SO`, `RT`: [`EdgeKind::label_rank`]).
+    /// Returns `None` if the projection is acyclic.
     pub fn find_labelled_cycle<F>(&self, pred: F) -> Option<Vec<Edge>>
     where
         F: Fn(EdgeKind) -> bool + Copy,
@@ -324,22 +369,15 @@ impl DependencyGraph {
     }
 
     /// The labelled edge `u → v` of an allowed kind to report for that hop
-    /// of a counterexample, if there is one (kinds ranked as in
-    /// [`DependencyGraph::find_labelled_cycle`]).
+    /// of a counterexample, if there is one (kinds ranked by
+    /// [`EdgeKind::label_rank`]).
     pub fn label_hop<F>(&self, u: usize, v: usize, pred: F) -> Option<Edge>
     where
         F: Fn(EdgeKind) -> bool,
     {
-        let rank = |k: EdgeKind| match k {
-            EdgeKind::Ww(_) => 0,
-            EdgeKind::Wr(_) => 1,
-            EdgeKind::Rw(_) => 2,
-            EdgeKind::So => 3,
-            EdgeKind::Rt => 4,
-        };
         self.out_edges(TxnId(u as u32))
             .filter(|e| e.to.index() == v && pred(e.kind))
-            .min_by_key(|e| rank(e.kind))
+            .min_by_key(|e| e.kind.label_rank())
             .copied()
     }
 
@@ -582,6 +620,11 @@ mod tests {
             }
             assert!(g.adj_base > 0, "⊥T's row must have moved to the low map");
             agree(&g);
+            // The same list linked in one pass.
+            agree(&DependencyGraph::from_edges(
+                g.node_count(),
+                g.edges().to_vec(),
+            ));
             let json = serde_json::to_string(&g).unwrap();
             let mut back: DependencyGraph = serde_json::from_str(&json).unwrap();
             back.rebuild_index();

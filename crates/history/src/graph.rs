@@ -10,6 +10,11 @@
 //! grows afterwards. (A graph that must grow edge by edge is an
 //! [`crate::IncrementalTopo`].)
 //!
+//! A graph whose rows are a function of another one's need not be laid out
+//! at all: anything that can enumerate a node's successors through a cursor
+//! ([`Successors`]) is searched by the same depth-first search,
+//! [`find_cycle_in`], that [`DiGraph::find_cycle`] runs.
+//!
 //! All traversals are iterative (explicit stacks) so that histories with
 //! hundreds of thousands of transactions do not overflow the call stack.
 
@@ -129,53 +134,10 @@ impl DiGraph {
     }
 
     /// Finds one directed cycle and returns its nodes in order
-    /// (`c[0] → c[1] → … → c[k-1] → c[0]`), or `None` if the graph is acyclic.
+    /// (`c[0] → c[1] → … → c[k-1] → c[0]`), or `None` if the graph is acyclic
+    /// ([`find_cycle_in`] over the rows).
     pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.node_count();
-        let mut color = vec![WHITE; n];
-        let mut parent = vec![usize::MAX; n];
-
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            // Iterative DFS: stack of (node, position of its next successor
-            // in `targets`).
-            let mut stack: Vec<(usize, usize)> = vec![(start, self.offsets[start] as usize)];
-            color[start] = GRAY;
-            while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-                if *i < self.offsets[u + 1] as usize {
-                    let v = self.targets[*i] as usize;
-                    *i += 1;
-                    match color[v] {
-                        WHITE => {
-                            color[v] = GRAY;
-                            parent[v] = u;
-                            stack.push((v, self.offsets[v] as usize));
-                        }
-                        GRAY => {
-                            // Back edge u → v closes a cycle v → … → u → v.
-                            let mut cycle = vec![u];
-                            let mut cur = u;
-                            while cur != v {
-                                cur = parent[cur];
-                                cycle.push(cur);
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[u] = BLACK;
-                    stack.pop();
-                }
-            }
-        }
-        None
+        find_cycle_in(self)
     }
 
     /// Tarjan's strongly-connected-components algorithm (iterative).
@@ -290,26 +252,100 @@ impl DiGraph {
         }
         None
     }
+}
 
-    /// Computes the transitive closure restricted to the given node subset,
-    /// returning, for every node in `nodes`, the subset members reachable
-    /// from it. Quadratic in `nodes.len()`; used only by the reference
-    /// (non-optimized) `BUILDDEPENDENCY` on per-key write sets, which are
-    /// small for mini-transaction histories.
-    pub fn closure_within(&self, nodes: &[usize]) -> Vec<(usize, Vec<usize>)> {
-        nodes
-            .iter()
-            .map(|&u| {
-                let seen = self.reachable_from(u);
-                let reach = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != u && seen[v])
-                    .collect();
-                (u, reach)
-            })
-            .collect()
+/// A directed graph over nodes `0..node_count()` whose successors a search
+/// enumerates one at a time: [`Successors::first`] opens a cursor on a
+/// node's row and [`Successors::next`] advances it. The rows need not exist
+/// anywhere — a graph composed from another one, or one with implicit
+/// nodes, computes each successor where the cursor stands.
+pub trait Successors {
+    /// Where an enumeration of one node's successors stands.
+    type Cursor: Copy;
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+
+    /// A cursor before the first successor of `node`.
+    fn first(&self, node: usize) -> Self::Cursor;
+
+    /// The successor of `node` at `at`, moving `at` past it; `None` once the
+    /// row is exhausted.
+    fn next(&self, node: usize, at: &mut Self::Cursor) -> Option<usize>;
+}
+
+impl Successors for DiGraph {
+    /// The position of the next successor in `targets`.
+    type Cursor = u32;
+
+    #[inline]
+    fn node_count(&self) -> usize {
+        DiGraph::node_count(self)
     }
+
+    #[inline]
+    fn first(&self, node: usize) -> u32 {
+        self.offsets[node]
+    }
+
+    #[inline]
+    fn next(&self, node: usize, at: &mut u32) -> Option<usize> {
+        if *at == self.offsets[node + 1] {
+            return None;
+        }
+        *at += 1;
+        Some(self.targets[*at as usize - 1] as usize)
+    }
+}
+
+/// Finds one directed cycle of `graph` and returns its nodes in order
+/// (`c[0] → c[1] → … → c[k-1] → c[0]`), or `None` if it is acyclic.
+///
+/// The one cycle search of the workspace: roots in id order, successors
+/// in cursor order, the first back edge closes the cycle. One stack serves
+/// every root, and it holds exactly the gray path, so the cycle a back edge
+/// `u → v` closes is the stack from `v` up to `u` — no parent array.
+///
+/// # Panics
+///
+/// If the node count does not fit in a `u32`.
+pub fn find_cycle_in<G: Successors + ?Sized>(graph: &G) -> Option<Vec<usize>> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    const BLACK: u8 = 2;
+    let n = graph.node_count();
+    assert!(u32::try_from(n).is_ok(), "{n} nodes do not fit in a u32");
+    let mut color = vec![WHITE; n];
+    let mut stack: Vec<(u32, G::Cursor)> = Vec::new();
+    for start in 0..n {
+        if color[start] != WHITE {
+            continue;
+        }
+        color[start] = GRAY;
+        stack.push((start as u32, graph.first(start)));
+        while let Some((u, at)) = stack.last_mut() {
+            let u = *u as usize;
+            let Some(v) = graph.next(u, at) else {
+                color[u] = BLACK;
+                stack.pop();
+                continue;
+            };
+            match color[v] {
+                WHITE => {
+                    color[v] = GRAY;
+                    stack.push((v as u32, graph.first(v)));
+                }
+                GRAY => {
+                    // Back edge u → v closes the cycle v → … → u → v.
+                    let from = stack.iter().rposition(|&(w, _)| w as usize == v);
+                    let path = &stack[from.expect("a gray node is on the stack")..];
+                    return Some(path.iter().map(|&(w, _)| w as usize).collect());
+                }
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -404,22 +440,6 @@ mod tests {
         assert_eq!(g.successors(3).len(), 0);
         let grouped = [(0, 3), (0, 1), (0, 3), (2, 1), (2, 2), (2, 1)];
         assert_eq!(g.edges().collect::<Vec<_>>(), grouped);
-    }
-
-    #[test]
-    fn closure_within_subset() {
-        let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let closure = g.closure_within(&[0, 2, 4]);
-        let get = |u: usize| {
-            closure
-                .iter()
-                .find(|(n, _)| *n == u)
-                .map(|(_, r)| r.clone())
-                .unwrap()
-        };
-        assert_eq!(get(0), vec![2, 4]);
-        assert_eq!(get(2), vec![4]);
-        assert_eq!(get(4), Vec::<usize>::new());
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod write_index;
 pub use anomalies::{AnomalyKind, ExpectedVerdicts};
 pub use depgraph::{DependencyGraph, Edge, EdgeKind};
 pub use fasthash::{FastHashMap, FastHashSet};
-pub use graph::DiGraph;
+pub use graph::{find_cycle_in, DiGraph, Successors};
 pub use history::{History, HistoryBuilder};
 pub use incremental::{IncrementalTopo, OrderStats};
 pub use inline_seq::InlineSeq;
