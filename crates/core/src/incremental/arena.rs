@@ -1,9 +1,8 @@
 //! The engine's arena-backed maps: [`TxnMap`], a windowed dense map keyed by
-//! transaction id, [`IdOrdered`], one written as a plain map, and
-//! [`ProvMap`], the composed-edge provenance rows — with the hand-written
-//! serde that fixes their snapshot layout.
+//! transaction id, and [`IdOrdered`], one written as a plain map — with the
+//! hand-written serde that fixes their snapshot layout.
 
-use mtc_history::{Edge, FastHashMap, TxnId};
+use mtc_history::{FastHashMap, TxnId};
 use serde::{Deserialize, Head, Serialize, Source};
 
 /// A windowed, dense map keyed by [`TxnId`]: ids at or above `base` index
@@ -60,27 +59,6 @@ impl<V> TxnMap<V> {
             self.low.insert(t, v)
         };
         self.len += usize::from(was.is_none());
-    }
-
-    pub(super) fn get_or_default(&mut self, t: TxnId) -> &mut V
-    where
-        V: Default,
-    {
-        if t.0 >= self.base {
-            let i = (t.0 - self.base) as usize;
-            if self.dense.len() <= i {
-                self.dense.resize_with(i + 1, || None);
-            }
-            let slot = &mut self.dense[i];
-            self.len += usize::from(slot.is_none());
-            slot.get_or_insert_with(V::default)
-        } else {
-            let len = &mut self.len;
-            self.low.entry(t).or_insert_with(|| {
-                *len += 1;
-                V::default()
-            })
-        }
     }
 
     pub(super) fn remove(&mut self, t: TxnId) {
@@ -255,82 +233,6 @@ impl<V: Deserialize> Deserialize for IdOrdered<V> {
     }
 }
 
-/// Composed-edge provenance as an arena of adjacency rows indexed by source
-/// composed-node id (dense and bounded: composed node ids are recycled by
-/// the GC), each row sorted by target id for binary-search lookups — index
-/// arithmetic instead of hashing a `(usize, usize)` pair per composition.
-#[derive(Clone, Debug, Default)]
-pub(super) struct ProvMap {
-    rows: Vec<Vec<(u32, Edge, Option<Edge>)>>,
-}
-
-impl ProvMap {
-    /// Records provenance for the pair `a → c`; false iff the pair is
-    /// already present (first provenance wins, like the batch construction).
-    pub(super) fn record(&mut self, a: usize, c: usize, prov: (Edge, Option<Edge>)) -> bool {
-        if self.rows.len() <= a {
-            self.rows.resize_with(a + 1, Vec::new);
-        }
-        let row = &mut self.rows[a];
-        match row.binary_search_by_key(&(c as u32), |e| e.0) {
-            Ok(_) => false,
-            Err(i) => {
-                row.insert(i, (c as u32, prov.0, prov.1));
-                true
-            }
-        }
-    }
-
-    pub(super) fn get(&self, a: usize, c: usize) -> Option<(Edge, Option<Edge>)> {
-        let row = self.rows.get(a)?;
-        let i = row.binary_search_by_key(&(c as u32), |e| e.0).ok()?;
-        Some((row[i].1, row[i].2))
-    }
-
-    /// Drops every pair with an endpoint flagged in `gone` (a bitmap over
-    /// composed-node ids; out-of-range ids are live).
-    pub(super) fn prune(&mut self, gone: &[bool]) {
-        let dead = |n: usize| gone.get(n).copied().unwrap_or(false);
-        for (a, row) in self.rows.iter_mut().enumerate() {
-            if dead(a) {
-                *row = Vec::new();
-            } else {
-                row.retain(|&(c, _, _)| !dead(c as usize));
-            }
-        }
-    }
-}
-
-impl Serialize for ProvMap {
-    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
-        // The array's length is written before its rows: count first.
-        out.begin_array(self.rows.iter().map(Vec::len).sum());
-        for (a, row) in self.rows.iter().enumerate() {
-            for &(c, base, rw) in row {
-                (a as u32, c, base, rw).emit(out);
-            }
-        }
-        out.end_array();
-    }
-}
-
-impl Deserialize for ProvMap {
-    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
-        let Head::Array(len) = src.next()? else {
-            return Err(serde::Error::expected("array", "ProvMap"));
-        };
-        let mut out = ProvMap::default();
-        for _ in 0..len {
-            let Head::Array(4) = src.next()? else {
-                return Err(serde::Error::expected("[a, c, base, rw] entry", "ProvMap"));
-            };
-            let (a, c) = (u32::pull(src)? as usize, u32::pull(src)? as usize);
-            out.record(a, c, (Edge::pull(src)?, Option::<Edge>::pull(src)?));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,29 +283,5 @@ mod tests {
         ] {
             assert!(TxnMap::<usize>::from_json_value(&broken).is_err());
         }
-    }
-
-    #[test]
-    fn a_prov_map_reads_its_rows_back() {
-        let edge = |from, to| Edge {
-            from: TxnId(from),
-            to: TxnId(to),
-            kind: mtc_history::EdgeKind::So,
-        };
-        let mut map = ProvMap::default();
-        assert!(map.record(2, 5, (edge(1, 2), Some(edge(2, 3)))));
-        assert!(map.record(0, 1, (edge(4, 5), None)));
-        assert!(map.record(2, 1, (edge(6, 7), None)));
-        let written = map.to_json_value();
-        let back = ProvMap::from_json_value(&written).unwrap();
-        assert_eq!(back.rows, map.rows);
-        let Array(mut rows) = written else {
-            panic!("a prov map is an array")
-        };
-        let Array(row) = &mut rows[0] else {
-            panic!("of arrays")
-        };
-        row.pop();
-        assert!(ProvMap::from_json_value(&Array(rows)).is_err());
     }
 }

@@ -165,10 +165,11 @@ impl IncrementalChecker {
         self.engine.live_txns.len()
     }
 
-    /// Number of live nodes in the maintained order(s) — transactions plus,
-    /// in SSER mode, time-chain nodes. The quantity the GC bounds.
+    /// Number of live nodes in the maintained order — transactions plus, in
+    /// SSER mode, time-chain nodes and, in SI mode, a tail node per
+    /// transaction. The quantity the GC bounds.
     pub fn live_node_count(&self) -> usize {
-        live_nodes(&self.engine)
+        self.engine.topo.live_node_count()
     }
 
     /// Longest resident reader list across all live versions — the register
@@ -193,7 +194,7 @@ impl IncrementalChecker {
     /// `checker.topo_forward`, `checker.topo_reorders` and
     /// `checker.topo_moved`.
     pub fn order_stats(&self) -> OrderStats {
-        order_stats(&self.engine)
+        self.engine.topo.order_stats()
     }
 
     /// Captures a complete [`CheckerSnapshot`] of the current state: the
@@ -433,33 +434,18 @@ impl IncrementalChecker {
     }
 }
 
-/// The level's maintained order is the one that has any readings.
-fn order_stats(engine: &Engine) -> OrderStats {
-    let (topo, composed) = (engine.topo.order_stats(), engine.composed.order_stats());
-    OrderStats {
-        forward: topo.forward + composed.forward,
-        reorders: topo.reorders + composed.reorders,
-        moved: topo.moved + composed.moved,
-    }
-}
-
-/// Publishes what the orders did since the last call: on the sampled pushes
+/// Publishes what the order did since the last call: on the sampled pushes
 /// and at `finish`, so a scrape of a running checker trails it by at most
 /// sixteen transactions and the hot path pays nothing for it.
 fn publish_order_stats(engine: &Engine, published: &mut OrderStats) {
     if !mtc_obs::enabled() {
         return;
     }
-    let now = order_stats(engine);
+    let now = engine.topo.order_stats();
     let was = std::mem::replace(published, now);
     mtc_obs::counter!("checker.topo_forward").add(now.forward - was.forward);
     mtc_obs::counter!("checker.topo_reorders").add(now.reorders - was.reorders);
     mtc_obs::counter!("checker.topo_moved").add(now.moved - was.moved);
-}
-
-fn live_nodes(engine: &Engine) -> usize {
-    let (topo, composed) = (&engine.topo, &engine.composed);
-    topo.live_node_count().max(composed.live_node_count())
 }
 
 /// A due epoch boundary: sweeps the key state at the GC watermark, advances
@@ -475,14 +461,14 @@ fn close_epoch(engine: &mut Engine, keys: &mut KeyState) {
     keys.sweep(watermark);
     lap(&mut stage, || mtc_obs::histogram!("core.stream.gc.sweep"));
     if engine.begin_epoch() {
-        let before = gc_timer.is_some().then(|| live_nodes(engine));
+        let before = gc_timer.is_some().then(|| engine.topo.live_node_count());
         let refs = keys.refs();
         lap(&mut stage, || mtc_obs::histogram!("core.stream.gc.refs"));
         engine.collect(watermark, &refs);
         lap(&mut stage, || mtc_obs::histogram!("core.stream.gc.collect"));
         if let Some(before) = before {
             mtc_obs::histogram!("checker.gc_reclaimed_nodes")
-                .record(before.saturating_sub(live_nodes(engine)) as u64);
+                .record(before.saturating_sub(engine.topo.live_node_count()) as u64);
         }
     }
     if let Some(t0) = gc_timer {

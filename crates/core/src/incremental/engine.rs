@@ -1,9 +1,9 @@
 //! The key-independent core of the streaming checker: the labelled
-//! dependency graph, the maintained topological order(s), the SSER
-//! time-chain hooks and the verdict latch. [`Engine::admit`] registers a
-//! transaction, [`Engine::settle`] applies what it was found to entail.
+//! dependency graph, the maintained topological order, the SSER time-chain
+//! hooks, SI's tail nodes and the verdict latch. [`Engine::admit`] registers
+//! a transaction, [`Engine::settle`] applies what it was found to entail.
 
-use super::arena::{IdOrdered, ProvMap, TxnMap};
+use super::arena::{IdOrdered, TxnMap};
 use super::gc::GcPolicy;
 use super::{keep_lowest, Findings};
 use crate::check::IsolationLevel;
@@ -17,12 +17,43 @@ use serde::{Deserialize, Serialize};
 
 // ───────────────────────── the engine ───────────────────────────────────────
 
-/// Owner of one node of the SER/SSER topological order: a transaction, or
-/// an auxiliary time node of the SSER time-chain.
+/// Owner of one node of the topological order: a transaction, an
+/// auxiliary time node of the SSER time-chain, or the tail node of a
+/// transaction at SI (see [`split_edge`]).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub(super) enum NodeOwner {
     Txn(TxnId),
     Time,
+    Tail(TxnId),
+}
+
+impl NodeOwner {
+    /// The transaction whose node or tail this is.
+    pub(super) fn txn(self) -> Option<TxnId> {
+        match self {
+            NodeOwner::Txn(t) | NodeOwner::Tail(t) => Some(t),
+            NodeOwner::Time => None,
+        }
+    }
+}
+
+/// The edges of the maintained order that stand for one dependency edge at
+/// SI, given each endpoint's `(node, tail)`: a base edge `a → b` (`SO`,
+/// `WR`, `WW`) is `a → b` and `a → b̂`, an `RW` edge `b → c` is `b̂ → c`. A
+/// tail is entered only by base edges and left only by `RW` edges, so the
+/// paths between transaction nodes are exactly the edges of
+/// `(SO ∪ WR ∪ WW) ; RW?`, and the order is acyclic iff that composition is.
+pub(super) fn split_edge(
+    kind: EdgeKind,
+    (a, a_tail): (usize, usize),
+    (b, b_tail): (usize, usize),
+) -> impl Iterator<Item = (usize, usize)> {
+    let pairs = if kind.is_rw() {
+        [Some((a_tail, b)), None]
+    } else {
+        [Some((a, b)), Some((a, b_tail))]
+    };
+    pairs.into_iter().flatten()
 }
 
 /// The instants a resident transaction reported, which the GC's candidate
@@ -33,30 +64,23 @@ pub(super) struct TxnMeta {
     pub(super) end: Option<u64>,
 }
 
-/// The key-independent state: labelled graph, topological order(s), verdict
+/// The key-independent state: labelled graph, topological order, verdict
 /// latch and session bookkeeping.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct Engine {
     pub(super) level: IsolationLevel,
     pub(super) graph: DependencyGraph,
     /// SER: maintained over *all* edges. SSER: additionally contains the
-    /// time-chain nodes and the begin/end hook edges.
+    /// time-chain nodes and the begin/end hook edges. SI: a tail node per
+    /// transaction besides, each edge split by [`split_edge`].
     pub(super) topo: IncrementalTopo,
-    /// SI: maintained over the composed graph `(SO ∪ WR ∪ WW) ; RW?`.
-    pub(super) composed: IncrementalTopo,
-    /// SI: provenance of each composed edge (base edge, optional RW suffix).
-    pub(super) composed_prov: ProvMap,
-    /// SI: base edges indexed by target (for compositions with later RW).
-    pub(super) base_in: TxnMap<Vec<Edge>>,
-    /// SI: RW edges indexed by source.
-    pub(super) rw_out: TxnMap<Vec<Edge>>,
     /// SSER: the online time-chain over begin/commit instants.
     pub(super) chain: TimeChain,
     /// Topological-order node of each resident transaction. An explicit map
     /// (rather than the identity) because pruned node ids are recycled.
     pub(super) txn_node: TxnMap<usize>,
-    /// Composed-order node of each resident transaction (SI).
-    pub(super) txn_cnode: TxnMap<usize>,
+    /// SI: the tail node of each resident transaction.
+    pub(super) txn_tail: TxnMap<usize>,
     /// Owner of each topological-order node, for cycle splicing.
     pub(super) node_owner: Vec<NodeOwner>,
     /// Last *committed* transaction of each session: the source of the
@@ -99,13 +123,9 @@ impl Engine {
             level,
             graph: DependencyGraph::new(0),
             topo: IncrementalTopo::new(),
-            composed: IncrementalTopo::new(),
-            composed_prov: ProvMap::default(),
-            base_in: TxnMap::default(),
-            rw_out: TxnMap::default(),
             chain: TimeChain::new(),
             txn_node: TxnMap::default(),
-            txn_cnode: TxnMap::default(),
+            txn_tail: TxnMap::default(),
             node_owner: Vec::new(),
             sessions: Vec::new(),
             live_txns: IdOrdered::default(),
@@ -131,13 +151,11 @@ impl Engine {
             .expect("edge endpoint must be a resident transaction")
     }
 
-    /// Composed-order node of a resident transaction (SI).
-    #[inline]
-    pub(super) fn cnode_of(&self, txn: TxnId) -> usize {
-        *self
-            .txn_cnode
-            .get(txn)
-            .expect("edge endpoint must be a resident transaction")
+    /// The order nodes of a resident transaction: its node and, at SI, its
+    /// tail.
+    pub(super) fn nodes_of(&self, txn: TxnId) -> impl Iterator<Item = usize> {
+        let tail = self.txn_tail.get(txn).copied();
+        std::iter::once(self.node_of(txn)).chain(tail)
     }
 
     /// Records `owner` for a (possibly recycled) topological-order node.
@@ -197,11 +215,12 @@ impl Engine {
         self.txn_node.insert(id, node);
         self.set_owner(node, NodeOwner::Txn(id));
         let end_anchor = end.map(|instant| self.time_anchor(instant, Role::End));
-        // The composed order only exists at SI; the other levels skip the
-        // node bookkeeping entirely on the ingest hot path.
+        // Tails only exist at SI; the other levels skip the node
+        // bookkeeping entirely on the ingest hot path.
         if self.level == IsolationLevel::SnapshotIsolation {
-            let cnode = self.composed.add_node();
-            self.txn_cnode.insert(id, cnode);
+            let tail = self.topo.add_node();
+            self.txn_tail.insert(id, tail);
+            self.set_owner(tail, NodeOwner::Tail(id));
         }
         let (begin, end) = (txn.begin, txn.end);
         self.live_txns.insert(id, TxnMeta { begin, end });
@@ -270,26 +289,31 @@ impl Engine {
     }
 
     /// Adds one dependency edge (`RW` only if absent) to the graph and to
-    /// the order the level maintains; no-op once a verdict is latched.
+    /// the maintained order — at SSER the *augmented* one, time nodes
+    /// included, where a rejection means a dependency path contradicts the
+    /// time-chain; at SI split by [`split_edge`]. No-op once a verdict is
+    /// latched.
     fn insert(&mut self, at: TxnId, edge: Edge) {
         let Edge { from, to, kind } = edge;
         if self.done() || (kind.is_rw() && self.graph.contains_edge(from, to, kind)) {
             return;
         }
         self.graph.add_edge(from, to, kind);
-        if self.level == IsolationLevel::SnapshotIsolation {
-            self.apply_si_edge(at, edge);
-        } else {
-            self.apply_order_edge(at, edge);
+        let (u, v) = (self.node_of(from), self.node_of(to));
+        let Some((&u_tail, &v_tail)) = self.txn_tail.get(from).zip(self.txn_tail.get(to)) else {
+            return self.order_edge(at, u, v);
+        };
+        for (x, y) in split_edge(kind, (u, u_tail), (v, v_tail)) {
+            self.order_edge(at, x, y);
         }
     }
 
-    /// SER / SSER: the edge goes into the maintained order — at SSER the
-    /// *augmented* one, time nodes included, where a rejection means a
-    /// dependency path contradicts the time-chain — and a rejection is
-    /// spliced back into a labelled counterexample.
-    fn apply_order_edge(&mut self, at: TxnId, edge: Edge) {
-        let (u, v) = (self.node_of(edge.from), self.node_of(edge.to));
+    /// Inserts `u → v` into the maintained order and splices a rejection
+    /// back into a labelled counterexample; no-op once a verdict is latched.
+    fn order_edge(&mut self, at: TxnId, u: usize, v: usize) {
+        if self.done() {
+            return;
+        }
         if let Err(cycle) = self.topo.try_add_edge(u, v) {
             let edges = self.order_cycle_edges(&cycle);
             self.latch_violation(Violation::Cycle { edges }, at);
@@ -336,105 +360,36 @@ impl Engine {
         anchor
     }
 
-    /// Maps a cycle over the maintained order back to labelled edges,
-    /// mirroring the splice of [`crate::check_sser`]: direct
-    /// transaction-to-transaction hops are labelled from the dependency
-    /// graph, hops through time nodes (SSER only) become RT edges.
+    /// Maps a cycle over the maintained order back to labelled edges, from
+    /// its first transaction node on, mirroring the splice of
+    /// [`crate::check_sser`]: a direct hop is labelled from the dependency
+    /// graph — at SI one out of a tail by an `RW` edge, any other by a base
+    /// edge — and hops through time nodes (SSER only) become RT edges.
     fn order_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
         let len = cycle.len();
-        let real_positions: Vec<usize> = (0..len)
-            .filter(|&i| matches!(self.node_owner[cycle[i]], NodeOwner::Txn(_)))
+        let owner = |i: usize| self.node_owner[cycle[i % len]];
+        let start = (0..len).find(|&i| matches!(owner(i), NodeOwner::Txn(_)));
+        let start = start.expect("a cycle passes a transaction node");
+        // The cycle's positions from `start` and their transactions, time
+        // nodes left out.
+        let real: Vec<(usize, TxnId)> = (start..start + len)
+            .filter_map(|i| Some((i, owner(i).txn()?)))
             .collect();
-        debug_assert!(
-            !real_positions.is_empty(),
-            "a cycle cannot consist of time nodes only"
-        );
-        let mut edges = Vec::new();
-        for (idx, &pos) in real_positions.iter().enumerate() {
-            let next_pos = real_positions[(idx + 1) % real_positions.len()];
-            let NodeOwner::Txn(u) = self.node_owner[cycle[pos]] else {
-                unreachable!("filtered to transaction nodes");
-            };
-            let NodeOwner::Txn(v) = self.node_owner[cycle[next_pos]] else {
-                unreachable!("filtered to transaction nodes");
-            };
-            let direct_hop = (pos + 1) % len == next_pos;
-            let dependency = direct_hop
-                .then(|| self.graph.label_hop(u.index(), v.index(), |_| true))
+        let si = self.level == IsolationLevel::SnapshotIsolation;
+        let mut edges = Vec::with_capacity(real.len());
+        for (idx, &(pos, u)) in real.iter().enumerate() {
+            let back_to_start = (start + len, real[0].1);
+            let (next, v) = real.get(idx + 1).copied().unwrap_or(back_to_start);
+            let out_of_tail = matches!(owner(pos), NodeOwner::Tail(_));
+            let kind_fits = |kind: EdgeKind| !si || kind.is_rw() == out_of_tail;
+            let dependency = (pos + 1 == next)
+                .then(|| self.graph.label_hop(u.index(), v.index(), kind_fits))
                 .flatten();
             edges.push(dependency.unwrap_or(Edge {
                 from: u,
                 to: v,
                 kind: EdgeKind::Rt,
             }));
-        }
-        edges
-    }
-
-    fn apply_si_edge(&mut self, at: TxnId, edge: Edge) {
-        match edge.kind {
-            EdgeKind::So | EdgeKind::Wr(_) | EdgeKind::Ww(_) => {
-                let (a, b) = (self.cnode_of(edge.from), self.cnode_of(edge.to));
-                self.add_composed(at, a, b, (edge, None));
-                // By index: composing touches neither `rw_out` nor `base_in`.
-                let suffixes = self.rw_out.get(edge.to).map_or(0, Vec::len);
-                for i in 0..suffixes {
-                    if self.done() {
-                        return;
-                    }
-                    let rw = self.rw_out.get(edge.to).expect("counted above")[i];
-                    let c = self.cnode_of(rw.to);
-                    self.add_composed(at, a, c, (edge, Some(rw)));
-                }
-                if !self.done() {
-                    self.base_in.get_or_default(edge.to).push(edge);
-                }
-            }
-            EdgeKind::Rw(_) => {
-                let c = self.cnode_of(edge.to);
-                let bases = self.base_in.get(edge.from).map_or(0, Vec::len);
-                for i in 0..bases {
-                    let base = self.base_in.get(edge.from).expect("counted above")[i];
-                    let a = self.cnode_of(base.from);
-                    self.add_composed(at, a, c, (base, Some(edge)));
-                    if self.done() {
-                        return;
-                    }
-                }
-                self.rw_out.get_or_default(edge.from).push(edge);
-            }
-            EdgeKind::Rt => {}
-        }
-    }
-
-    /// Inserts a composed edge (first provenance wins, like the batch
-    /// construction) and checks acyclicity of the composed graph. A 2-cycle
-    /// `a → c → a` through an RW suffix surfaces as the self-pair `(a, a)`,
-    /// which the maintained order rejects as a one-node cycle labelled from
-    /// its own provenance — no special casing needed.
-    fn add_composed(&mut self, at: TxnId, a: usize, c: usize, prov: (Edge, Option<Edge>)) {
-        if !self.composed_prov.record(a, c, prov) {
-            return;
-        }
-        if let Err(cycle) = self.composed.try_add_edge(a, c) {
-            let edges = self.composed_cycle_edges(&cycle);
-            self.latch_violation(Violation::Cycle { edges }, at);
-        }
-    }
-
-    /// Expands a composed-graph node cycle into labelled edges via the
-    /// recorded provenance.
-    fn composed_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
-        let mut edges = Vec::new();
-        for i in 0..cycle.len() {
-            let u = cycle[i];
-            let v = cycle[(i + 1) % cycle.len()];
-            if let Some((base, rw)) = self.composed_prov.get(u, v) {
-                edges.push(base);
-                if let Some(rw) = rw {
-                    edges.push(rw);
-                }
-            }
         }
         edges
     }

@@ -2,7 +2,7 @@
 //! graph-side collection ([`Engine::collect`]). The per-key half of a sweep
 //! is [`super::keystate`]'s.
 
-use super::engine::{Engine, NodeOwner};
+use super::engine::Engine;
 use super::keystate::TxnSet;
 use crate::check::IsolationLevel;
 use mtc_history::{FastHashSet, TimeSlot, TxnId};
@@ -115,7 +115,7 @@ impl Engine {
             return;
         }
         let mut plan = self.candidates(watermark, refs);
-        self.close(&mut plan, watermark, refs);
+        self.close(&mut plan);
         self.commit(plan, watermark);
     }
 
@@ -190,17 +190,14 @@ impl Engine {
             .iter()
             .map(|&(_, s)| s.end_node)
             .collect();
-        let si = self.level == IsolationLevel::SnapshotIsolation;
-        let bot_cnode = if self.has_init {
+        if self.has_init {
             cut_sources.push(self.node_of(TxnId(0)));
-            si.then(|| self.cnode_of(TxnId(0)))
-        } else {
-            None
-        };
+        }
 
-        // `in_nodes` / `in_cnodes` mirror the candidate set as bitmaps over
-        // (composed-)order node ids; the closure unmarks dropped members in
-        // place, so its predecessor tests are pure index arithmetic.
+        // `in_nodes` mirrors the candidate set as a bitmap over order node
+        // ids — a transaction's node and, at SI, its tail; the closure
+        // unmarks dropped members in place, so its predecessor tests are
+        // pure index arithmetic.
         let nb = self.topo.node_count();
         let mut in_nodes = vec![false; nb];
         let mut cut_mask = vec![false; nb];
@@ -208,17 +205,13 @@ impl Engine {
             cut_mask[s] = true;
         }
         for &t in &cand_list {
-            in_nodes[self.node_of(t)] = true;
+            for n in self.nodes_of(t) {
+                in_nodes[n] = true;
+            }
         }
         for &(_, s) in &pruned_slots {
             for n in s.nodes() {
                 in_nodes[n] = true;
-            }
-        }
-        let mut in_cnodes = vec![false; if si { self.composed.node_count() } else { 0 }];
-        if si {
-            for &t in &cand_list {
-                in_cnodes[self.cnode_of(t)] = true;
             }
         }
         Collection {
@@ -230,24 +223,18 @@ impl Engine {
             cut_sources,
             in_nodes,
             cut_mask,
-            in_cnodes,
-            bot_cnode,
         }
     }
 
     /// The closure: drops every candidate that anything retained still
     /// points at, until nothing changes — the largest candidate set closed
     /// under predecessors. The seeds are what the first of the reference's
-    /// rounds drops: the candidates and slots with a retained predecessor,
-    /// and SI's pins. From there a dropped member re-examines only its own
-    /// successors (in `topo`, and at SI in `composed`), so the closure costs
-    /// one pass over the candidates plus the out-edges of what it drops.
-    fn close(&self, plan: &mut Collection, watermark: TxnId, refs: &TxnSet) {
-        let si = self.level == IsolationLevel::SnapshotIsolation;
+    /// rounds drops: the candidates and slots with a retained predecessor.
+    /// From there a dropped member re-examines only its own successors, so
+    /// the closure costs one pass over the candidates plus the out-edges of
+    /// what it drops.
+    fn close(&self, plan: &mut Collection) {
         let mut seeds: Vec<Dropped> = Vec::new();
-        if si {
-            seeds.extend(self.si_pins(plan, watermark, refs).map(Dropped::Txn));
-        }
         let pinned = |&t: &TxnId| self.pinned_by_predecessor(plan, t);
         seeds.extend(
             plan.cand_list
@@ -270,86 +257,43 @@ impl Engine {
             }
         }
         // Which candidate owns a node: a transaction (`node_owner`) or a
-        // chain slot (`slot_at`); at SI, which owns a composed node.
+        // chain slot (`slot_at`).
         let mut slot_at = vec![u32::MAX; plan.in_nodes.len()];
         for (i, &(_, s)) in plan.pruned_slots.iter().enumerate() {
             for n in s.nodes() {
                 slot_at[n] = i as u32;
             }
         }
-        let mut txn_at = vec![u32::MAX; plan.in_cnodes.len()];
-        if si {
-            for &t in &plan.cand_list {
-                txn_at[self.cnode_of(t)] = t.0;
-            }
-        }
         while let Some(dropped) = work.pop() {
-            // The nodes the drop made a retained predecessor: a
-            // transaction's order node (and composed node), a slot's entry
-            // anchor — its exit anchor stays an acceptable predecessor.
-            let (node, cnode) = match dropped {
-                Dropped::Txn(t) => (Some(self.node_of(t)), si.then(|| self.cnode_of(t))),
+            // The nodes the drop made retained predecessors: a transaction's
+            // node and tail, a slot's entry anchor — its exit anchor stays
+            // an acceptable predecessor.
+            let (node, tail) = match dropped {
+                Dropped::Txn(t) => (Some(self.node_of(t)), self.txn_tail.get(t).copied()),
                 Dropped::Slot(i) => {
                     let s = plan.pruned_slots[i].1;
                     ((s.begin_node != s.end_node).then_some(s.begin_node), None)
                 }
             };
-            for n in node.into_iter().flat_map(|n| self.topo.successors(n)) {
+            let nodes = node.into_iter().chain(tail);
+            for n in nodes.flat_map(|n| self.topo.successors(n)) {
                 if !plan.in_nodes[n] {
                     continue;
                 }
-                match self.node_owner[n] {
-                    NodeOwner::Txn(t) => plan.drop_txn(self, t, &mut work),
-                    NodeOwner::Time => plan.drop_slot(slot_at[n] as usize, &mut work),
-                }
-            }
-            for c in cnode.into_iter().flat_map(|c| self.composed.successors(c)) {
-                if plan.in_cnodes[c] {
-                    plan.drop_txn(self, TxnId(txn_at[c]), &mut work);
+                match self.node_owner[n].txn() {
+                    Some(t) => plan.drop_txn(self, t, &mut work),
+                    None => plan.drop_slot(slot_at[n] as usize, &mut work),
                 }
             }
         }
     }
 
-    /// A retained composition index must never compose a new edge that
-    /// touches a pruned endpoint. Only *active* owners can still compose:
-    /// `base_in[b]` fires on a new RW edge out of `b`, which needs `b` in a
-    /// live readers list (trimmed to ≥ watermark); `rw_out[b]` fires on a new
-    /// base edge into `b`, which makes `b` a reader of a fresh resolution — a
-    /// new transaction or one with a pending read (pinned via `refs`).
-    /// Entries of settled owners are inert and must not disqualify their
-    /// endpoints. Yields the candidates an active owner's entries pin.
-    fn si_pins<'a>(
-        &'a self,
-        plan: &'a Collection,
-        watermark: TxnId,
-        refs: &'a TxnSet,
-    ) -> impl Iterator<Item = TxnId> + 'a {
-        let active = move |owner: TxnId| owner >= watermark || refs.contains(owner);
-        let bases = self.base_in.iter().filter(move |&(owner, _)| active(owner));
-        let rws = self.rw_out.iter().filter(move |&(owner, _)| active(owner));
-        let from = bases.flat_map(|(_, edges)| edges.iter().map(|e| e.from));
-        let to = rws.flat_map(|(_, edges)| edges.iter().map(|e| e.to));
-        from.chain(to).filter(|&t| plan.is_cand(t))
-    }
-
-    /// True iff candidate `t` has a predecessor the collection retains: in
-    /// `topo`, one that is no candidate, no cut source and no chain exit of
-    /// a retained slot; at SI, in `composed`, one that is no candidate and
-    /// not ⊥T.
+    /// True iff candidate `t` has a predecessor the collection retains — one
+    /// that is no candidate, no cut source and no chain exit of a retained
+    /// slot — into its node or its tail.
     fn pinned_by_predecessor(&self, plan: &Collection, t: TxnId) -> bool {
-        if self
-            .topo
-            .predecessors(self.node_of(t))
-            .any(|p| plan.retains(p))
-        {
-            return true;
-        }
-        !plan.in_cnodes.is_empty()
-            && self
-                .composed
-                .predecessors(self.cnode_of(t))
-                .any(|p| !plan.in_cnodes[p] && Some(p) != plan.bot_cnode)
+        self.nodes_of(t)
+            .any(|n| self.topo.predecessors(n).any(|p| plan.retains(p)))
     }
 
     /// True iff a node of candidate slot `i` has a retained predecessor.
@@ -368,8 +312,6 @@ impl Engine {
             slot_dead,
             mut cut_sources,
             slot_out_mask,
-            in_cnodes,
-            bot_cnode,
             ..
         } = plan;
         cand_list.retain(|&t| cand[t.index()]);
@@ -379,8 +321,7 @@ impl Engine {
             return;
         }
 
-        let si = self.level == IsolationLevel::SnapshotIsolation;
-        let mut nodes: Vec<usize> = cand_list.iter().map(|&t| self.node_of(t)).collect();
+        let mut nodes: Vec<usize> = cand_list.iter().flat_map(|&t| self.nodes_of(t)).collect();
         for &(_, s) in &pruned_slots {
             nodes.extend(s.nodes());
         }
@@ -418,22 +359,11 @@ impl Engine {
             self.topo.remove_edges_into(src, &nodes);
         }
         self.topo.prune(&nodes);
-        if si {
-            let cand_cnodes: Vec<usize> = cand_list.iter().map(|&t| self.cnode_of(t)).collect();
-            if let Some(bc) = bot_cnode {
-                self.composed.remove_edges_into(bc, &cand_cnodes);
-            }
-            self.composed.prune(&cand_cnodes);
-            // `in_cnodes` now flags exactly the surviving candidates.
-            self.composed_prov.prune(&in_cnodes);
-        }
         self.graph
             .prune_nodes(|t| cand.get(t.index()).copied().unwrap_or(false));
         for &t in &cand_list {
             self.txn_node.remove(t);
-            self.txn_cnode.remove(t);
-            self.base_in.remove(t);
-            self.rw_out.remove(t);
+            self.txn_tail.remove(t);
             self.live_txns.remove(t);
         }
         self.pruned_txns += cand_list.len();
@@ -441,9 +371,7 @@ impl Engine {
         // and the (bounded) set of pinned stragglers spills into the low
         // maps, so resident memory stays proportional to the window.
         self.txn_node.rebase(watermark.0);
-        self.txn_cnode.rebase(watermark.0);
-        self.base_in.rebase(watermark.0);
-        self.rw_out.rebase(watermark.0);
+        self.txn_tail.rebase(watermark.0);
         self.live_txns.rebase(watermark.0);
     }
 }
@@ -461,10 +389,11 @@ pub(super) struct Collection {
     slot_dead: Vec<bool>,
     /// Nodes whose edges into the pruned set the commit deletes.
     cut_sources: Vec<usize>,
-    /// By order node, the three kinds of node that pin nothing: a node of a
-    /// candidate the closure has not dropped (`in_nodes`), a cut source
-    /// (`cut_mask`), the chain exit of a dropped slot (`slot_out_mask`).
-    /// Every other node is retained and pins its candidate successors.
+    /// By order node, the three kinds of node that pin nothing: a node or
+    /// tail of a candidate the closure has not dropped (`in_nodes`), a cut
+    /// source (`cut_mask`), the chain exit of a dropped slot
+    /// (`slot_out_mask`). Every other node is retained and pins its
+    /// candidate successors.
     in_nodes: Vec<bool>,
     cut_mask: Vec<bool>,
     /// Chain-exit anchors of candidate slots that the closure retains.
@@ -476,10 +405,6 @@ pub(super) struct Collection {
     /// single straggler-pinned slot would cascade-retain every slot (and
     /// transaction) behind it.
     slot_out_mask: Vec<bool>,
-    /// SI, by composed node: a candidate not dropped. Besides these, only
-    /// ⊥T's composed node (`bot_cnode`) pins nothing.
-    in_cnodes: Vec<bool>,
-    bot_cnode: Option<usize>,
 }
 
 /// A closure drop whose successors are still to be examined.
@@ -505,9 +430,8 @@ impl Collection {
             return;
         }
         self.cand[t.index()] = false;
-        self.in_nodes[engine.node_of(t)] = false;
-        if !self.in_cnodes.is_empty() {
-            self.in_cnodes[engine.cnode_of(t)] = false;
+        for n in engine.nodes_of(t) {
+            self.in_nodes[n] = false;
         }
         work.push(Dropped::Txn(t));
     }
@@ -530,10 +454,9 @@ impl Collection {
 #[cfg(test)]
 impl Engine {
     /// The closure as it was computed before the worklist: rounds over every
-    /// candidate and slot until one drops nothing, SI's pins re-applied each
-    /// round. The reference [`Engine::close`] is held to.
-    fn close_in_rounds(&self, plan: &mut Collection, watermark: TxnId, refs: &TxnSet) {
-        let si = self.level == IsolationLevel::SnapshotIsolation;
+    /// candidate and slot until one drops nothing. The reference
+    /// [`Engine::close`] is held to.
+    fn close_in_rounds(&self, plan: &mut Collection) {
         loop {
             let mut drop_txns: Vec<TxnId> = Vec::new();
             let mut drop_slots: Vec<usize> = Vec::new();
@@ -546,9 +469,6 @@ impl Engine {
                 if !plan.slot_dead[i] && self.slot_pinned(plan, i) {
                     drop_slots.push(i);
                 }
-            }
-            if si {
-                drop_txns.extend(self.si_pins(plan, watermark, refs));
             }
             if drop_txns.is_empty() && drop_slots.is_empty() {
                 break;
@@ -580,8 +500,8 @@ impl Engine {
         };
         let mut worklist = self.candidates(watermark, refs);
         let mut rounds = worklist.clone();
-        self.close(&mut worklist, watermark, refs);
-        self.close_in_rounds(&mut rounds, watermark, refs);
+        self.close(&mut worklist);
+        self.close_in_rounds(&mut rounds);
         [retired(worklist), retired(rounds)]
     }
 }

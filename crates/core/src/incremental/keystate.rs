@@ -8,9 +8,9 @@
 //! beyond it — so a read of the current version, the common case, probes no
 //! map keyed by `(key, value)`; every other version lives in one map. The
 //! rarer state — pending reads, SI's first reader-writers — keeps maps of
-//! its own. A snapshot writes all of it as the five maps it was before the
-//! records, each in key order, so how the state is laid out in memory is
-//! never part of the format.
+//! its own. A snapshot writes all of it as it is held, every map in key
+//! order, so its bytes depend on the state alone, not on how the maps were
+//! filled.
 
 use super::{keep_lowest, Findings};
 use crate::divergence::Divergence;
@@ -85,9 +85,8 @@ pub(super) struct PendingRead {
 }
 
 /// The record of one version `(key, value)`: its provenance and its reader
-/// lists, which a snapshot writes into two maps, held together so that one
-/// lookup finds both.
-#[derive(Clone, Debug, Default)]
+/// lists, held together so that one lookup finds both.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct Version {
     /// Provenance of the value (the `writes` entry).
     reg: Option<WriteReg>,
@@ -104,17 +103,17 @@ impl Version {
 }
 
 /// One key: its newest version — the value installed by the newest
-/// committed last-write of the key (the `latest` entry), the version a
-/// well-behaved new reader is expected to observe — and that version's
-/// record. Without a committed last-write the slot is empty.
-#[derive(Clone, Debug, Default)]
+/// committed last-write of the key, the version a well-behaved new reader is
+/// expected to observe — and that version's record. Without a committed
+/// last-write the slot is empty.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct Slot {
     latest: Option<Value>,
     version: Version,
 }
 
 /// The per-key indexes of the streaming checker.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub(super) struct KeyState {
     /// Every version's record, the newest of each key in the key's slot.
     table: Table,
@@ -128,11 +127,12 @@ pub(super) struct KeyState {
     pending: FastHashMap<(Key, Value), Vec<PendingRead>>,
     /// The transaction being derived, per key — pure scratch, refilled by
     /// every [`KeyState::derive`], kept for its capacity.
+    #[serde(skip)]
     scratch: Decomposed,
 }
 
 /// The version records: each key's newest in its slot, the rest in one map.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 struct Table {
     /// The slots of keys `0..dense.len()`: the key space `⊥T` seeded, when
     /// it is dense enough to index.
@@ -198,10 +198,6 @@ impl Table {
         }
     }
 
-    fn slot_or_default(&mut self, key: Key) -> &mut Slot {
-        slot_entry(&mut self.dense, &mut self.sparse, key)
-    }
-
     fn get(&self, key: Key, value: Value) -> Option<&Version> {
         match self.slot(key) {
             Some(slot) if slot.latest == Some(value) => Some(&slot.version),
@@ -257,25 +253,13 @@ impl Table {
         &mut slot.version
     }
 
-    /// Slots in use or in place.
-    fn slot_count(&self) -> usize {
-        self.dense.len() + self.sparse.len()
-    }
-
     /// Every slot with its key, in no particular order.
     fn slots(&self) -> impl Iterator<Item = (Key, &Slot)> + '_ {
         let dense = (self.dense.iter().enumerate()).map(|(i, slot)| (Key(i as u64), slot));
         dense.chain(self.sparse.iter().map(|(&key, slot)| (key, slot)))
     }
 
-    /// Every key's newest version, in no particular order.
-    fn latest(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        self.slots()
-            .filter_map(|(key, slot)| Some((key, slot.latest?)))
-    }
-
-    /// Every record, in no particular order; at most
-    /// `slot_count() + versions.len()` of them.
+    /// Every record, in no particular order.
     fn iter(&self) -> impl Iterator<Item = ((Key, Value), &Version)> + '_ {
         let newest = self.slots();
         let newest = newest.filter_map(|(key, slot)| Some(((key, slot.latest?), &slot.version)));
@@ -788,210 +772,6 @@ fn reads_from(
     readers.push(reader);
 }
 
-// ───────────────────────── snapshot layout ──────────────────────────────────
-
-/// Writes the records out as the five maps a snapshot has for the key
-/// state, each an array of `[key, value]` pairs in key order: `writes` and
-/// `first_reader_writer` by `(key, value)`, `readers_of` by
-/// `(writer, key)` — the version's committed last writer, or a stray's
-/// own —, `pending` by `(key, value)`, `latest` by key.
-impl Serialize for KeyState {
-    fn emit<E: serde::Emitter + ?Sized>(&self, out: &mut E) {
-        let mut records = Vec::with_capacity(self.table.slot_count() + self.table.versions.len());
-        records.extend(self.table.iter());
-        let registered = records
-            .iter()
-            .filter_map(|&(version, record)| Some((version, record.reg.as_ref()?)));
-        let read = records.iter().filter_map(|&((key, _), record)| {
-            let writer = record.reg.as_ref()?.committed_last?;
-            Some(((writer, key), record.readers.as_ref()?))
-        });
-        let strays = self.strays.iter().map(|(&at, lists)| (at, lists));
-        let (versions, keys): (usize, usize) = (records.len(), self.table.slot_count());
-        out.begin_struct(5);
-        out.field("writes");
-        emit_map(versions, registered, out);
-        out.field("readers_of");
-        emit_map(versions + self.strays.len(), read.chain(strays), out);
-        out.field("first_reader_writer");
-        emit_map(
-            self.first_reader_writer.len(),
-            self.first_reader_writer.iter(),
-            out,
-        );
-        out.field("pending");
-        emit_map(self.pending.len(), self.pending.iter(), out);
-        out.field("latest");
-        emit_map(keys, self.table.latest(), out);
-        out.end_struct();
-    }
-}
-
-/// Writes `pairs`, at most `most` of them, as a map: an array of
-/// `[key, value]` pairs in key order.
-fn emit_map<K: Ord + Serialize, V: Serialize, E: serde::Emitter + ?Sized>(
-    most: usize,
-    pairs: impl Iterator<Item = (K, V)>,
-    out: &mut E,
-) {
-    let mut sorted: Vec<(K, V)> = Vec::with_capacity(most);
-    sorted.extend(pairs);
-    // Keys are unique: an unstable sort is a total order here.
-    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    sorted.emit(out);
-}
-
-/// The five maps of a snapshot's key state, in the order it writes them.
-const MAPS: [&str; 5] = [
-    "writes",
-    "readers_of",
-    "first_reader_writer",
-    "pending",
-    "latest",
-];
-
-/// Reads the five maps by position, or by name in any order, straight into
-/// records: every registration into the map of versions, every reader list
-/// into the record of the version its writer installed last — among the
-/// strays if there is none — until `latest` moves each key's newest version
-/// into its slot.
-impl Deserialize for KeyState {
-    fn pull<S: serde::Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
-        let mut read = Reading::default();
-        let mut seen = [false; 5];
-        match src.next()? {
-            serde::Head::Array(5) => {
-                for (i, seen) in seen.iter_mut().enumerate() {
-                    read.map(i, src)?;
-                    *seen = true;
-                }
-            }
-            serde::Head::Object(len) => {
-                for _ in 0..len {
-                    let key = src.key()?;
-                    match MAPS.iter().position(|&name| name == key) {
-                        Some(i) if !seen[i] => {
-                            read.map(i, src)?;
-                            seen[i] = true;
-                        }
-                        _ => src.skip()?,
-                    }
-                }
-            }
-            _ => return Err(serde::Error::expected("array of 5 fields", "KeyState")),
-        }
-        if let Some(i) = seen.iter().position(|&seen| !seen) {
-            return Err(serde::Error::missing_field("KeyState", MAPS[i]));
-        }
-        Ok(read.finish())
-    }
-}
-
-/// A key state being read: every record still in the map of versions.
-#[derive(Default)]
-struct Reading {
-    keys: KeyState,
-    /// `(writer, key)` → the value of the version the writer last wrote.
-    installed: FastHashMap<(TxnId, Key), Value>,
-    latest: Vec<(Key, Value)>,
-}
-
-impl Reading {
-    /// Reads the `i`-th of [`MAPS`].
-    fn map<S: serde::Source + ?Sized>(
-        &mut self,
-        i: usize,
-        src: &mut S,
-    ) -> Result<(), serde::Error> {
-        let KeyState {
-            table,
-            strays,
-            first_reader_writer,
-            pending,
-            ..
-        } = &mut self.keys;
-        match i {
-            0 => {
-                let len = pairs(src, 2 * std::mem::size_of::<((Key, Value), Version)>())?;
-                table.versions.reserve(len.1);
-                self.installed.reserve(len.1);
-                for _ in 0..len.0 {
-                    let ((key, value), reg): ((Key, Value), WriteReg) = Deserialize::pull(src)?;
-                    if let Some(writer) = reg.committed_last {
-                        self.installed.insert((writer, key), value);
-                    }
-                    let version = Version {
-                        reg: Some(reg),
-                        readers: None,
-                    };
-                    table.versions.insert((key, value), version);
-                }
-            }
-            1 => {
-                for _ in 0..pairs(src, 0)?.0 {
-                    let ((writer, key), lists): ((TxnId, Key), _) = Deserialize::pull(src)?;
-                    let value = self.installed.get(&(writer, key));
-                    match value.and_then(|&value| table.versions.get_mut(&(key, value))) {
-                        Some(version) => version.readers = Some(lists),
-                        None => {
-                            strays.insert((writer, key), lists);
-                        }
-                    }
-                }
-            }
-            2 => *first_reader_writer = Deserialize::pull(src)?,
-            3 => *pending = Deserialize::pull(src)?,
-            _ => self.latest = Deserialize::pull(src)?,
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> KeyState {
-        let Reading {
-            mut keys,
-            installed,
-            latest,
-        } = self;
-        // Reader lists read before their versions wait among the strays.
-        let KeyState { table, strays, .. } = &mut keys;
-        strays.retain(|&(writer, key), lists| {
-            let value = installed.get(&(writer, key));
-            match value.and_then(|&value| table.versions.get_mut(&(key, value))) {
-                Some(version) => {
-                    version.readers = Some(std::mem::take(lists));
-                    false
-                }
-                None => true,
-            }
-        });
-        let mut versions = std::mem::take(&mut table.versions);
-        *table = Table::for_keys(latest.iter().map(|&(key, _)| key));
-        for (key, value) in latest {
-            let slot = table.slot_or_default(key);
-            slot.latest = Some(value);
-            slot.version = versions.remove(&(key, value)).unwrap_or_default();
-        }
-        table.versions = versions;
-        keys
-    }
-}
-
-/// Reads the head of a map, an array of pairs: its length, and how many
-/// entries of `each` bytes may be reserved for it — as the serde stand-in
-/// reserves for a `HashMap`, never beyond what the bytes left could hold.
-fn pairs<S: serde::Source + ?Sized>(
-    src: &mut S,
-    each: usize,
-) -> Result<(usize, usize), serde::Error> {
-    let serde::Head::Array(len) = src.next()? else {
-        return Err(serde::Error::expected("array of pairs", "KeyState"));
-    };
-    Ok((
-        len,
-        len.min(src.bytes_left().saturating_mul(4) / each.max(1)),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,39 +825,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    /// The key state's snapshot layout is the five maps it had before its
-    /// records: read back — its maps in their order, or named backwards — it
-    /// writes them out unchanged, a duplicate value's waiter included: the
-    /// reader list a latched checker keeps under a writer that is not its
-    /// version's.
-    #[test]
-    fn a_key_state_reads_back_whatever_order_its_maps_come_in() {
-        use serde::JsonValue;
-        let mut c = crate::IncrementalChecker::new_si().with_init_keys(0..2u64);
-        // T1 reads the value it writes last, so its read waits; T2 and T3 read
-        // key 1's versions; T4 installs T1's value again: a duplicate, whose
-        // resolution of T1's wait is the stray.
-        let rmw = |key: u64, from: u64, to: u64| vec![Op::read(key, from), Op::write(key, to)];
-        c.push_committed(0, vec![Op::read(0u64, 5u64), Op::write(0u64, 5u64)])
-            .unwrap();
-        c.push_committed(1, rmw(1, 0, 7)).unwrap();
-        c.push_committed(2, rmw(1, 7, 8)).unwrap();
-        assert!(c.push_committed(3, rmw(0, 0, 5)).is_err());
-        assert_eq!(c.keys.strays.len(), 1);
-        let written = c.keys.to_json_value();
-        let JsonValue::Object(mut maps) = written.clone() else {
-            panic!("a key state is written as an object of maps");
-        };
-        for backwards in [false, true] {
-            if backwards {
-                maps.reverse();
-            }
-            let back = KeyState::from_json_value(&JsonValue::Object(maps.clone())).unwrap();
-            assert_eq!(back.to_json_value(), written, "backwards: {backwards}");
-            assert_eq!(back.strays.len(), 1, "backwards: {backwards}");
-        }
     }
 
     proptest! {

@@ -21,9 +21,9 @@
 //! | file | holds | called by |
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
-//! | `keystate.rs` | `KeyState`: per-version records and per-key slots, the one-pass per-key decomposition, edge derivation, the per-key sweep, their snapshot layout | `checker` only |
-//! | `engine.rs` | `Engine`: labelled graph, maintained orders, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
-//! | `arena.rs` | `TxnMap`, `IdOrdered`, `ProvMap`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
+//! | `keystate.rs` | `KeyState`: per-version records and per-key slots, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
+//! | `engine.rs` | `Engine`: labelled graph, the one maintained order, SI's split edges, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
+//! | `arena.rs` | `TxnMap`, `IdOrdered`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` (candidates, worklist closure, commit) | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
 //! | `checker.rs` | `IncrementalChecker`: every accessor, `push*`, `checkpoint`/`resume`, `finish`, and the one ingest loop | the public API |
@@ -72,32 +72,32 @@
 //! `INT` scan looks back over the operations instead of indexing them; a
 //! node's adjacency rows hold their first five neighbours in place, the
 //! dependency graph threads a source's out-edges through one flat `next`
-//! array, and a version's reader and overwriter lists in `readers_of` hold
-//! their first two transactions in place (`mtc_history::InlineSeq`, the
+//! array, and a version's reader and overwriter lists hold their first two
+//! transactions in place (`mtc_history::InlineSeq`, the
 //! rows' type). What is left is the growth of the long-lived containers
 //! (amortized), a spilled adjacency row for one node in seven and a spilled
 //! reader list for the one version in twelve that three or more
-//! transactions read. SI adds a provenance row per composed node and the
-//! `base_in` / `rw_out` lists. On `live_uniform`'s stream
-//! `tests/ingest_allocations.rs` reads 0.76 (SER), 1.48 (SSER) and 3.33
-//! (SI) allocations per pushed transaction — 0.93, 1.65 and 3.50 while the
-//! resident transactions' instants were a B-tree of their own — and holds
-//! budgets of 1.33, 2.33 and 4.33.
+//! transactions read. SI adds a tail node per transaction and a second
+//! order edge per base edge, which spill more adjacency rows. On
+//! `live_uniform`'s stream `tests/ingest_allocations.rs` reads 0.76 (SER),
+//! 1.48 (SSER) and 2.15 (SI) allocations per pushed transaction — SI read
+//! 3.33 while it kept a composed order of its own beside the one here — and
+//! holds budgets of 1.33, 2.33 and 3.15.
 //!
 //! ## Where the state lives
 //!
 //! Per transaction, dense tables (`TxnMap`, indexed by id from the GC's
-//! watermark up): the order node of each resident transaction, and apart
-//! from it — so that the node lookups of every edge stay in the smaller
-//! table — the instants the GC reads. Per version, one record holds its
+//! watermark up): the order node of each resident transaction, at SI its
+//! tail node, and apart from them — so that the node lookups of every edge
+//! stay in the smaller tables — the instants the GC reads. Per version, one record holds its
 //! provenance and reader lists, and the newest version of each key `⊥T`
 //! seeded sits in a vector indexed by key. A read of the current version —
 //! most reads — finds it in the key's slot without probing a map keyed by
 //! `(key, value)`; the write that replaces it probes the map once for a
-//! record of its new value and files the replaced version there. The
-//! snapshot layout predates the records and the tables: `KeyState` writes
-//! and reads it by hand, the instants' table is written as the map in id
-//! order it was.
+//! record of its new value and files the replaced version there. A snapshot
+//! writes the key state as it is held — slots, records and maps, every map
+//! in key order; the instants' table is written as the map in id order it
+//! was.
 //!
 //! ## Strict serializability and the online time-chain
 //!
@@ -113,6 +113,33 @@
 //! `txn → end-node(end)` edges, and a real-time-order violation latches the
 //! moment a dependency edge contradicts the chain. Use
 //! [`IncrementalChecker::new_sser`] plus the `*_timed` push methods.
+//!
+//! ## Snapshot isolation as split nodes
+//!
+//! The paper checks SI on MT histories as the acyclicity of
+//! `(SO ∪ WR ∪ WW) ; RW?`. The streaming engine keeps that composition in
+//! the one maintained order SER and SSER use: at SI every transaction `v`
+//! has a second node, its *tail* `v̂` (`NodeOwner::Tail`), allocated beside
+//! its node in `admit`. A base edge `a → b` (`SO`, `WR`, `WW`) goes in as
+//! `a → b` and `a → b̂`, an `RW` edge `b → c` as `b̂ → c` (`split_edge`).
+//!
+//! A tail is entered only by base edges and left only by `RW` edges, so a
+//! path between two transaction nodes is a sequence of base edges, each
+//! possibly followed by one `RW` edge — exactly a path of composed edges.
+//! A cycle of the split graph passes a transaction node (tails have no edge
+//! between them), so the order rejects an edge iff the composition gains a
+//! cycle, at the same dependency edge: verdicts and `first_violation_at`
+//! are the composition's. `tests.rs` holds the encoding to the composed
+//! pairs at every prefix of arbitrary and catalogue histories.
+//!
+//! A rejected cycle reads back through `DependencyGraph::label_hop`, from
+//! its first transaction node: a hop into a tail or between transactions
+//! is labelled by a base edge, a hop out of a tail by an `RW` edge. The GC
+//! treats a tail as part of its transaction: both are candidates together,
+//! both are pinned by a retained predecessor, both are pruned together.
+//! Nothing else is kept for SI: no composed pairs are materialized, so no
+//! provenance rows, no per-transaction edge lists and no GC pins that
+//! guard them.
 //!
 //! ## Equivalence with the batch checkers
 //!

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 /// A complete, self-contained snapshot of a streaming checker: everything
 /// needed to resume verification exactly where it stopped — the engine
-/// (graphs, maintained orders, time-chain, verdict latch) plus the per-key
+/// (graph, maintained order, time-chain, verdict latch) plus the per-key
 /// provenance indexes.
 ///
 /// A snapshot holds what the checker knows, not how it stores it: every
@@ -27,8 +27,8 @@ pub struct CheckerSnapshot {
 
 /// Current snapshot format version. Bumped to 2 when the per-key state
 /// gained explicit reader-eviction markers (the GC reader-cap feature); to
-/// 3 when the engine's hot maps moved to windowed arenas (`TxnMap` /
-/// `ProvMap` layouts) and the GC gained epoch scheduling (`gc_epochs`);
+/// 3 when the engine's hot maps moved to windowed arenas (`TxnMap` and
+/// provenance-row layouts) and the GC gained epoch scheduling (`gc_epochs`);
 /// to 4 when the time-chain moved to collapsed single-node slots with lazy
 /// role splitting (the `TimeChain` serialization changed shape); to 5 when
 /// the snapshot became one key state with its maps in key order, lost the
@@ -38,8 +38,12 @@ pub struct CheckerSnapshot {
 /// version 5 kept for its layout alone — the engine's former pipeline
 /// switches, the GC's reader cap and the key state's eviction markers.
 /// Since version 6 the bytes do not describe themselves: adding, dropping
-/// or moving a field of any type a snapshot holds is a bump.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// or moving a field of any type a snapshot holds is a bump. Version 7: SI
+/// runs in the one maintained order through tail nodes (the composed order,
+/// its provenance rows and its edge indexes left the engine), and the key
+/// state is written as it is held — its slots, version records and maps —
+/// instead of as the five maps it was before its records.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 impl CheckerSnapshot {
     /// The isolation level the snapshotted checker enforces.

@@ -3,7 +3,7 @@ use crate::check::{check_ser, check_si, IsolationLevel};
 use crate::mini::MtViolation;
 use crate::verdict::{Verdict, Violation};
 use mtc_history::{
-    anomalies, EdgeKind, History, HistoryBuilder, Op, SessionId, Transaction, TxnId,
+    anomalies, DiGraph, EdgeKind, History, HistoryBuilder, Op, SessionId, Transaction, TxnId,
 };
 
 fn stream_verdict(level: IsolationLevel, h: &History) -> Verdict {
@@ -622,11 +622,11 @@ fn checkpoint_after_gc_resumes_exactly() {
     assert_eq!(resumed.finish().unwrap(), clean);
 }
 
-/// A snapshot carries the maintained orders' adjacency as plain arrays,
-/// whatever holds the rows in memory: `engine.{topo,composed}.{fwd,back}` of
-/// an encoded checkpoint are the `Vec<Vec<u32>>` the accessors rebuild —
-/// rows past the inline capacity (`⊥T` precedes every first reader), rows a
-/// collection emptied, and recycled rows included.
+/// A snapshot carries the maintained order's adjacency as plain arrays,
+/// whatever holds the rows in memory: `engine.topo.{fwd,back}` of an encoded
+/// checkpoint are the `Vec<Vec<u32>>` the accessors rebuild — rows past the
+/// inline capacity (`⊥T` precedes every first reader), rows a collection
+/// emptied, and recycled rows included.
 #[test]
 fn checkpointed_adjacency_rows_are_plain_arrays() {
     use serde::Serialize;
@@ -648,33 +648,22 @@ fn checkpointed_adjacency_rows_are_plain_arrays() {
             let _ = c.push_history(&h);
             assert_eq!(policy.is_some(), c.pruned_txn_count() > 0);
             let snapshot = c.checkpoint().to_json_value();
-            let engine = snapshot.get("engine").expect("engine");
-            let orders = [("topo", &c.engine.topo), ("composed", &c.engine.composed)];
-            let mut longest = 0;
-            for (name, order) in orders {
-                let encoded = engine.get(name).expect("order");
-                let nodes = 0..order.node_count();
-                let fwd: Vec<Vec<u32>> = nodes
-                    .clone()
-                    .map(|n| order.successors(n).map(|v| v as u32).collect())
-                    .collect();
-                let back: Vec<Vec<u32>> = nodes
-                    .map(|n| order.predecessors(n).map(|v| v as u32).collect())
-                    .collect();
-                longest = longest.max(fwd.iter().map(Vec::len).max().unwrap_or(0));
-                assert_eq!(
-                    encoded.get("fwd"),
-                    Some(&fwd.to_json_value()),
-                    "{level} {name}"
-                );
-                assert_eq!(
-                    encoded.get("back"),
-                    Some(&back.to_json_value()),
-                    "{level} {name}"
-                );
-            }
+            let encoded = snapshot.get("engine").and_then(|e| e.get("topo"));
+            let order = &c.engine.topo;
+            let nodes = 0..order.node_count();
+            let fwd: Vec<Vec<u32>> = nodes
+                .clone()
+                .map(|n| order.successors(n).map(|v| v as u32).collect())
+                .collect();
+            let back: Vec<Vec<u32>> = nodes
+                .map(|n| order.predecessors(n).map(|v| v as u32).collect())
+                .collect();
+            let encoded = encoded.expect("the order");
+            assert_eq!(encoded.get("fwd"), Some(&fwd.to_json_value()), "{level}");
+            assert_eq!(encoded.get("back"), Some(&back.to_json_value()), "{level}");
             // `⊥T`'s row holds more than the five ids a row keeps in place;
             // collected streams cut it back.
+            let longest = fwd.iter().map(Vec::len).max().unwrap_or(0);
             assert!(
                 policy.is_some() || longest > 5,
                 "{level}: every row fits in place"
@@ -925,5 +914,78 @@ proptest::proptest! {
         let timed = streams::timed_serial_history(&shapes, 3, 2, 0, &intervals);
         let timed = streams::skewed(&timed, pick, delta, None, strip);
         closures_agree(IsolationLevel::StrictSerializability, &timed, policy);
+    }
+}
+
+// ─────────────── SI's split nodes against the composed pairs ────────────────
+
+/// Checks, at every prefix of `history`'s dependency edges in the order
+/// `build_dependency` emits them, that the composed pairs
+/// `(SO ∪ WR ∪ WW) ; RW?` are acyclic iff the split graph is: transaction
+/// `t` as node `t`, its tail as node `n + t`, every edge as
+/// [`engine::split_edge`] splits it. Returns how many prefixes are cyclic.
+fn assert_split_nodes_are_the_composition(history: &History) -> usize {
+    let graph = crate::build_dependency(history, false).expect("the history builds");
+    let (n, edges) = (history.len(), graph.edges());
+    // The RW edges out of each transaction, with their positions.
+    let mut rw_from: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    for (i, e) in edges.iter().enumerate().filter(|(_, e)| e.kind.is_rw()) {
+        rw_from[e.from.index()].push((i, e.to.index()));
+    }
+    let mut cyclic = 0;
+    for k in 0..=edges.len() {
+        let prefix = &edges[..k];
+        let mut composed = Vec::new();
+        for base in prefix.iter().filter(|e| !e.kind.is_rw()) {
+            let (a, b) = (base.from.index(), base.to.index());
+            composed.push((a, b));
+            let rws = rw_from[b].iter().take_while(|&&(i, _)| i < k);
+            composed.extend(rws.map(|&(_, c)| (a, c)));
+        }
+        let split: Vec<(usize, usize)> = prefix
+            .iter()
+            .flat_map(|e| {
+                let (a, b) = (e.from.index(), e.to.index());
+                engine::split_edge(e.kind, (a, n + a), (b, n + b))
+            })
+            .collect();
+        let acyclic = DiGraph::from_edges(n, composed).is_acyclic();
+        assert_eq!(
+            DiGraph::from_edges(2 * n, split).is_acyclic(),
+            acyclic,
+            "prefix {k} of {edges:?}"
+        );
+        cyclic += usize::from(!acyclic);
+    }
+    cyclic
+}
+
+/// Over the catalogue both sides of the equivalence are met: histories whose
+/// composition closes a cycle (a lost update, a long fork) and histories
+/// whose RW edges alone do (write skew, which SI allows).
+#[test]
+fn split_nodes_are_the_composition_on_the_catalogue() {
+    let mut cyclic = 0;
+    for kind in anomalies::AnomalyKind::ALL {
+        let history = kind.history();
+        if crate::build_dependency(&history, false).is_ok() {
+            cyclic += assert_split_nodes_are_the_composition(&history);
+        }
+    }
+    assert!(cyclic > 0, "no catalogue history closes a composed cycle");
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    /// On histories whose versions have many readers and forked
+    /// overwriters, with and without `⊥T`.
+    #[test]
+    fn split_nodes_are_the_composition_at_every_prefix(
+        args in crate::check::tests::arbitrary_args(),
+    ) {
+        let (steps, keys, sessions, with_init, hot) = args;
+        let history = crate::check::tests::arbitrary_history(&steps, keys, sessions, with_init, hot);
+        assert_split_nodes_are_the_composition(&history);
     }
 }

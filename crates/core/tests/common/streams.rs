@@ -1,14 +1,15 @@
 //! The random streams the streaming engine's differential tests draw from:
 //! valid serial mini-transaction histories, timed ones, their corruptions,
-//! and the small GC geometries they are checked under. Included by
-//! `streaming_differential.rs` and by the engine's own unit tests (which
-//! hold the GC's closure to its reference on them); the includer brings
-//! `GcPolicy` into scope.
+//! and the small GC geometries they are checked under; and the check an SI
+//! cycle certificate is held to. Included by `streaming_differential.rs`,
+//! by the engine's own unit tests (which hold the GC's closure to its
+//! reference on them) and by the streaming verdict fixture's test; the
+//! includer brings `GcPolicy` into scope.
 
 #![allow(dead_code)]
 
 use super::GcPolicy;
-use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
+use mtc_history::{Edge, History, HistoryBuilder, Op, Transaction, TxnId, Value};
 use proptest::prelude::*;
 
 /// Mini-transaction shapes, as in the top-level differential suite.
@@ -288,4 +289,19 @@ pub fn corrupt_fresh(history: &History, pick: usize, max_age: usize) -> History 
         builder.committed(t.session.0, ops);
     }
     builder.build()
+}
+
+/// Holds an SI cycle certificate to what it certifies, without the engine's
+/// encoding: a closed walk over `derived` — the dependency edges of the
+/// prefix the checker consumed — in which no two cyclically adjacent edges
+/// are `RW`, i.e. a cycle of `(SO ∪ WR ∪ WW) ; RW?`.
+pub fn assert_si_certificate(derived: &[Edge], certificate: &[Edge]) {
+    assert!(!certificate.is_empty(), "an empty certificate");
+    for (i, e) in certificate.iter().enumerate() {
+        let next = &certificate[(i + 1) % certificate.len()];
+        assert!(derived.contains(e), "{e:?} is not derived: {certificate:?}");
+        assert_eq!(e.to, next.from, "not a closed walk: {certificate:?}");
+        let two_rw = e.kind.is_rw() && next.kind.is_rw();
+        assert!(!two_rw, "two RW edges in a row: {certificate:?}");
+    }
 }

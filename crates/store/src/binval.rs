@@ -353,13 +353,17 @@ impl<'a> Reader<'a> {
 
     /// What `from_bytes` makes of a finished `pull`: the byte-level failure
     /// if there was one, else the shape failure, else the value — provided
-    /// it was all of the input.
-    fn finish<T>(&self, pulled: Result<T, serde::Error>) -> Result<T, crate::StoreError> {
+    /// it was all of the input, when `whole`.
+    fn finish<T>(
+        &self,
+        pulled: Result<T, serde::Error>,
+        whole: bool,
+    ) -> Result<T, crate::StoreError> {
         if let Some(e) = &self.failed {
             return Err(crate::StoreError::Decode(e.clone()));
         }
         let value = pulled.map_err(|e| crate::StoreError::Serde(e.to_string()))?;
-        if self.pos != self.input.len() {
+        if whole && self.pos != self.input.len() {
             return Err(crate::StoreError::Decode(DecodeError::TrailingBytes));
         }
         Ok(value)
@@ -470,9 +474,18 @@ pub(crate) fn from_bytes_indexed<T: Deserialize>(
     read(Reader::new(input, Some(KeyTables { base, pending })))
 }
 
+/// Deserializes a workspace-serde type from the front of the binary value
+/// form: what `T` reads of the value `input` starts with, the rest of the
+/// input unread and unchecked.
+pub(crate) fn from_front<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> {
+    let mut reader = Reader::new(input, None);
+    let pulled = T::pull(&mut reader);
+    reader.finish(pulled, false)
+}
+
 fn read<T: Deserialize>(mut reader: Reader<'_>) -> Result<T, crate::StoreError> {
     let pulled = T::pull(&mut reader);
-    reader.finish(pulled)
+    reader.finish(pulled, true)
 }
 
 #[cfg(test)]

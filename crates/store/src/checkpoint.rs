@@ -12,10 +12,12 @@
 //! the snapshot — written to a temporary name and renamed into place, so a
 //! crash mid-checkpoint never damages an older checkpoint.
 //! [`latest_checkpoint`] walks the files newest-first and returns the first
-//! one that loads: both frames check, the snapshot decodes and is of the
-//! [`SNAPSHOT_VERSION`] this build resumes. A torn newest checkpoint, or one
-//! another version wrote, so degrades to an older one instead of failing
-//! recovery.
+//! one that loads: both frames check, the snapshot is of the
+//! [`SNAPSHOT_VERSION`] this build resumes and decodes. A torn newest
+//! checkpoint, or one another version wrote, so degrades to an older one
+//! instead of failing recovery. The version is read first, on its own: a
+//! snapshot is positional, so a body of another version is never decoded
+//! by this build's layout.
 //!
 //! Only `.mtcck` files are checkpoints. Any other file named
 //! `checkpoint-<consumed>.<ext>` — older builds wrote delta checkpoints under
@@ -30,7 +32,7 @@ use crate::binval;
 use crate::frame::{read_frame, write_frame_with, FrameError};
 use crate::StoreError;
 use mtc_core::{CheckerSnapshot, SNAPSHOT_VERSION};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Head, Serialize, Source};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -46,6 +48,24 @@ struct CheckpointHeader {
     /// Recorded transactions consumed by the snapshotted checker
     /// (excluding `⊥T`): the log index to resume replay from.
     consumed: u64,
+}
+
+/// The version a snapshot payload leads with: the first of its fields — by
+/// position, or by name as snapshots up to version 5 spelt it.
+struct LeadingVersion(u32);
+
+impl Deserialize for LeadingVersion {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let named = match src.next()? {
+            Head::Array(len) if len > 0 => false,
+            Head::Object(len) if len > 0 => true,
+            _ => return Err(serde::Error::expected("fields", "CheckerSnapshot")),
+        };
+        if named && src.key()? != "version" {
+            return Err(serde::Error::missing_field("CheckerSnapshot", "version"));
+        }
+        u32::pull(src).map(LeadingVersion)
+    }
 }
 
 fn checkpoint_path(dir: &Path, consumed: u64) -> PathBuf {
@@ -147,8 +167,8 @@ pub(crate) fn remove_stale_tmp_files(dir: &Path) -> Result<usize, StoreError> {
 
 /// Reads and validates one checkpoint file: the `consumed` its header
 /// records and its snapshot. The file is read whole, both frames checked,
-/// the snapshot decoded — if it is of the [`SNAPSHOT_VERSION`] this build
-/// resumes.
+/// the snapshot's version read and, if it is the [`SNAPSHOT_VERSION`] this
+/// build resumes, the snapshot decoded.
 pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<(u64, CheckerSnapshot), StoreError> {
     let path = path.as_ref();
     let read = mtc_obs::span(mtc_obs::histogram!("store.recover.read"));
@@ -174,15 +194,14 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<(u64, CheckerSnapshot),
         )));
     }
     let _span = mtc_obs::span(mtc_obs::histogram!("store.recover.snapshot"));
-    let snapshot: CheckerSnapshot = binval::from_bytes(payload)?;
-    if snapshot.version() != SNAPSHOT_VERSION {
+    let LeadingVersion(version) = binval::from_front(payload)?;
+    if version != SNAPSHOT_VERSION {
         return Err(StoreError::Format(format!(
-            "{}: unsupported snapshot version {}",
+            "{}: unsupported snapshot version {version}",
             path.display(),
-            snapshot.version()
         )));
     }
-    Ok((header.consumed, snapshot))
+    Ok((header.consumed, binval::from_bytes(payload)?))
 }
 
 /// The newest checkpoint in `dir` that loads, if any. Damaged newer

@@ -1,22 +1,24 @@
 //! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
-//! is the uninterrupted run's either way. (The committed `snapshot-v6-*`
-//! fixtures, of this build's version, keep resuming, and the `snapshot-v5-*`
-//! ones a version-5 build wrote are passed over: `store_differential.rs`; a
+//! is the uninterrupted run's either way. (The committed `snapshot-v7-*`
+//! fixtures, of this build's version, keep resuming, and the `snapshot-v6-*`
+//! ones a version-6 build wrote are passed over: `store_differential.rs`; a
 //! store a version-4 build wrote recovers by replaying its whole log:
 //! `tests/parent_written_deltas.rs`.)
 //!
 //! Since version 6 a snapshot is positional — its fields in declaration
 //! order, no names — so nothing in the bytes tells a reader which field it
 //! is looking at but the version: a change of fields to any type a snapshot
-//! holds is a version bump, and this is what a bump buys.
+//! holds is a version bump, and this is what a bump buys. The version is
+//! the first field, and it is read before the rest: a body of another
+//! version is never decoded.
 
-use mtc_core::{IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
+use mtc_core::{CheckerSnapshot, IncrementalChecker, IsolationLevel, SNAPSHOT_VERSION};
 use mtc_history::{Op, SessionId, Transaction, TxnId};
 use mtc_store::frame::{read_frame, write_frame};
 use mtc_store::{from_bytes, read_checkpoint, recover, to_bytes, MtcStore, StoreError, StreamMeta};
-use serde::JsonValue;
+use serde::{JsonValue, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -163,4 +165,37 @@ fn a_snapshot_of_other_fields_at_this_version_is_refused_not_misread() {
         assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A snapshot that spells its field names, as every snapshot up to version 5
+/// did, is read for its version alone — the first of its fields, by name —
+/// and refused by it; recovery passes over it.
+#[test]
+fn a_snapshot_with_field_names_is_refused_by_its_version() {
+    let dir = tmpdir("names");
+    let (files, verdict) = record(&dir, &[30, 60]);
+    let bytes = fs::read(&files[1]).unwrap();
+    let mut pos = 0;
+    let header = read_frame(&bytes, &mut pos).unwrap();
+    let payload = read_frame(&bytes, &mut pos).unwrap();
+    let snapshot: CheckerSnapshot = from_bytes(payload).unwrap();
+    let JsonValue::Object(mut fields) = snapshot.to_json_value() else {
+        panic!("a snapshot spelt by name is an object of its fields");
+    };
+    assert_eq!(fields[0].0, "version");
+    fields[0].1 = JsonValue::U64(5);
+    let mut rewritten = Vec::new();
+    write_frame(&mut rewritten, header);
+    write_frame(&mut rewritten, &to_bytes(&JsonValue::Object(fields)));
+    fs::write(&files[1], rewritten).unwrap();
+    match read_checkpoint(&files[1]) {
+        Err(StoreError::Format(why)) => {
+            assert!(why.contains("unsupported snapshot version 5"), "{why}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+    let recovery = recover(&dir).unwrap();
+    assert_eq!(recovery.resume_from, 30, "version 5 must be passed over");
+    assert_eq!(format!("{:?}", recovery.resume().finish()), verdict);
+    let _ = fs::remove_dir_all(&dir);
 }

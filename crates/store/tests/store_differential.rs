@@ -206,7 +206,7 @@ fn overlapping_stream() -> Vec<Transaction> {
 fn fixture_path(level: IsolationLevel) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(format!("snapshot-v6-{}.mtcck", level_name(level)))
+        .join(format!("snapshot-v7-{}.mtcck", level_name(level)))
 }
 
 fn level_name(level: IsolationLevel) -> &'static str {
@@ -223,20 +223,20 @@ const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::StrictSerializability,
 ];
 
-/// The `snapshot-v6-*` files under `tests/data/` pin the `CheckerSnapshot`
+/// The `snapshot-v7-*` files under `tests/data/` pin the `CheckerSnapshot`
 /// format from both sides: this build writes, for the fixture prefix, the
 /// very bytes committed there, and reads them back into a checker that
-/// finishes the stream with the uninterrupted run's verdict. A version-6
-/// snapshot names no field, so a refactor that renames a serialized field
-/// passes here, and one that reorders, adds or drops one fails here instead
-/// of on somebody's disk.
+/// finishes the stream with the uninterrupted run's verdict. A snapshot
+/// names no field, so a refactor that renames a serialized field passes
+/// here, and one that reorders, adds or drops one fails here instead of on
+/// somebody's disk.
 ///
 /// A change that moves snapshot bytes on purpose bumps `SNAPSHOT_VERSION`
 /// and regenerates: the failing check writes this build's file under
 /// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture (named for
 /// the new version) and keep the old one as a refused input below.
 #[test]
-fn the_v6_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
+fn the_v7_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
     for level in LEVELS {
         let checker = || {
@@ -257,7 +257,7 @@ fn the_v6_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
             let _ = prefix.push(t.clone());
         }
         let written = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("snapshot-v6-{}", level_name(level)));
+            .join(format!("snapshot-v7-{}", level_name(level)));
         let written = write_checkpoint(&written, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert!(
             std::fs::read(fixture_path(level)).ok() == Some(std::fs::read(&written).unwrap()),
@@ -331,6 +331,29 @@ fn assert_recovery_passes_over(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `snapshot-v6-{ser,si,sser}` files are the fixture prefix as the last
+/// version-6 build wrote it: this build's layout would misread them, so
+/// each is refused by its version before its body is decoded, and recovery
+/// passes over each — to the checkpoint before it, or to a replay of the
+/// log from the start — to the uninterrupted verdict.
+#[test]
+fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+    for level in LEVELS {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/data")
+            .join(format!("snapshot-v6-{}.mtcck", level_name(level)));
+        match read_checkpoint(&path) {
+            Err(StoreError::Format(why)) => {
+                assert!(why.contains("unsupported snapshot version 6"), "{why}")
+            }
+            other => panic!("{}: must be refused, got {other:?}", path.display()),
+        }
+        for older in [None, Some(64u64)] {
+            assert_recovery_passes_over(&path, level, &fixture_stream(), older);
+        }
+    }
+}
+
 /// A committed version-5 snapshot, refused by this build.
 fn v5_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -350,11 +373,9 @@ fn assert_refused_as_version_5(path: &std::path::Path) {
 /// The `snapshot-v5-{ser,si,sser}` files are the fixture prefix as the last
 /// version-5 build wrote it, and `snapshot-v5-sser-ed75a20` the SSER prefix
 /// of [`overlapping_stream`] as an older version-5 build — one that settled
-/// the order on other ranks — wrote it. It used to show that a snapshot of
-/// another build's ranks resumes all the same; no other build writes
-/// version 6, so it is a refused input now, like the rest. Each header still
-/// decodes, each snapshot — names and all — is read and refused by its
-/// version, and recovery passes over each to the uninterrupted verdict.
+/// the order on other ranks — wrote it. Each header still decodes, each
+/// snapshot — names and all — is refused by its version before its body is
+/// decoded, and recovery passes over each to the uninterrupted verdict.
 #[test]
 fn the_v5_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
     for level in LEVELS {
@@ -372,11 +393,12 @@ fn the_v5_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
 
 /// `snapshot-v5-ser-capped.mtcck` is the SER fixture prefix as a build with
 /// a GC reader cap wrote it: `FIXTURE_GC` with `reader_cap: 2`, so its clean
-/// verdict was only qualified on the readers the cap dropped. Version 6 has
-/// no slot for a cap, and this build refuses the file by its version like
-/// every version-5 snapshot; a store whose newest checkpoint it is recovers
-/// past it — from the checkpoint before it, or by replaying the log from
-/// the start — to the verdict a fresh uncapped checker gives on that log.
+/// verdict was only qualified on the readers the cap dropped. No later
+/// version has a slot for a cap, and this build refuses the file by its
+/// version like every version-5 snapshot; a store whose newest checkpoint it
+/// is recovers past it — from the checkpoint before it, or by replaying the
+/// log from the start — to the verdict a fresh uncapped checker gives on
+/// that log.
 #[test]
 fn a_reader_capped_checkpoint_is_refused_and_recovery_replays_past_it() {
     let capped = v5_path("ser-capped");
@@ -449,8 +471,9 @@ fn assert_checkpoints_reencode(
 
 /// A snapshot's bytes are a function of the checker's state: a checker
 /// resumed from a checkpoint writes that checkpoint back byte for byte — the
-/// committed `snapshot-v6-*` fixtures, and every point of a long, GC'd stream — however differently the decoded maps
-/// were filled from the ones that wrote them. The second stream has
+/// committed `snapshot-v7-*` fixtures, and every point of a long, GC'd
+/// stream — however differently the decoded maps were filled from the ones
+/// that wrote them. The second stream has
 /// Zipf-hot keys and a majority of read-only transactions, so the
 /// checkpoints hold reader lists that stay in place, lists that spilled to
 /// the heap, and lists a sweep cut back to the window — which a decoded

@@ -36,7 +36,7 @@ fn decoding_builds_no_value_tree() {
     }
     let bytes = mtc::store::to_bytes(&checker.checkpoint());
     assert!(
-        bytes.len() > 500_000,
+        bytes.len() > 400_000,
         "the snapshot shrank to {}",
         bytes.len()
     );

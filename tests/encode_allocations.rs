@@ -116,7 +116,7 @@ fn encoding_builds_no_value_tree() {
         bytes.len()
     );
     assert!(
-        bytes.len() > 500_000,
+        bytes.len() > 400_000,
         "the snapshot shrank to {}",
         bytes.len()
     );

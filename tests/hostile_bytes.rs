@@ -265,7 +265,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     for (n, name) in ["ser", "si", "sser"].iter().enumerate() {
         let file = format!("checkpoint-{:012}.mtcck", 200);
         let frames = frames_of(&fixture(&format!(
-            "crates/store/tests/data/snapshot-v6-{name}.mtcck"
+            "crates/store/tests/data/snapshot-v7-{name}.mtcck"
         )));
         let [header, payload] = frames.as_slice() else {
             panic!("{name}: a checkpoint file is two frames");

@@ -5,7 +5,7 @@
 //! its per-transaction containers in scratch that outlives it and a
 //! version's reader lists in place; what is left is container growth and
 //! the odd spilled list (`crates/core/src/incremental/mod.rs`, "What
-//! allocates"). The budgets are the readings — 0.76, 1.48 and 3.33 — plus
+//! allocates"). The budgets are the readings — 0.76, 1.48 and 2.15 — plus
 //! the headroom the budgets had over the readings before the resident
 //! transactions left their B-tree (0.57, 0.85 and 1.0).
 //!
@@ -94,7 +94,7 @@ fn a_pushed_mini_transaction_stays_within_its_allocation_budget() {
     for (level, budget) in [
         (IsolationLevel::Serializability, 1.33),
         (IsolationLevel::StrictSerializability, 2.33),
-        (IsolationLevel::SnapshotIsolation, 4.33),
+        (IsolationLevel::SnapshotIsolation, 3.15),
     ] {
         let mut checker = IncrementalChecker::new(level).with_init_keys(0..NUM_KEYS);
         // Pushing consumes the transactions: build them outside the count.

@@ -14,6 +14,10 @@
 //! version 5; the fixture was written by a clone of it with those three
 //! fields taken out and `SNAPSHOT_VERSION` set to 6, and nothing else
 //! changed, so that it holds that build's spelling of this build's fields.
+//! Its three snapshot lines, and only those, were written again by the build
+//! that introduced `SNAPSHOT_VERSION` 7, whose snapshots hold other fields:
+//! SI's tails in place of its composed order, and the key state as it is
+//! held. Every name they share with version 6 is spelt as before.
 //!
 //! To regenerate (only a change of what the values hold should ever need
 //! it): empty the fixture, run this test and copy

@@ -1,12 +1,16 @@
 //! The streaming checker against a committed fixture:
-//! `tests/data/streaming-verdicts-v6.txt` holds, for the 14-anomaly
+//! `tests/data/streaming-verdicts-v7.txt` holds, for the 14-anomaly
 //! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
 //! at SER / SI / SSER with and without GC and `⊥T`, and this build must
 //! reproduce the file byte for byte. The verdicts and first-violation
 //! indices in it go back to the build before the engine's event vocabulary
-//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 6,
-//! written by the build that introduced it (its `variants=` and
-//! `snapshots=` CRCs are the only fields that moved from version 5's file).
+//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 7,
+//! written by the build that introduced it. Against version 6's file its
+//! `variants=` and `snapshots=` CRCs moved, and 40 SI certificates: SI went
+//! into the one maintained order through tail nodes, and a cycle found
+//! there is read back hop by hop through `DependencyGraph::label_hop` —
+//! 36 are the same transactions with a hop labelled by the lower-ranked
+//! kind, 4 another cycle closed by the same edge.
 //!
 //! One line per (stream, level): a CRC over the records of all 4 variants —
 //! a fold of every `push` status, `first_violation_at`, `edge_count`, the
@@ -30,13 +34,16 @@
 //! unchanged, and every line whose clear text moved is listed, with why, in
 //! CHANGES.md before the new file replaces the old.
 
-use mtc::core::CheckError;
+use mtc::core::{build_dependency, CheckError, Violation};
 use mtc::history::anomalies::AnomalyKind;
-use mtc::history::{History, Op, SessionId, Transaction, TxnId};
+use mtc::history::{History, HistoryBuilder, Op, SessionId, Transaction, TxnId};
 use mtc::store::{crc32, to_bytes};
 use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 
-const FIXTURE: &str = include_str!("data/streaming-verdicts-v6.txt");
+#[path = "../crates/core/tests/common/streams.rs"]
+mod streams;
+
+const FIXTURE: &str = include_str!("data/streaming-verdicts-v7.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -363,7 +370,7 @@ fn streaming_verdicts_match_the_parent_written_fixture() {
         .position(|(a, f)| a != f)
         .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
     panic!(
-        "verdicts differ from tests/data/streaming-verdicts-v6.txt at line {}; \
+        "verdicts differ from tests/data/streaming-verdicts-v7.txt at line {}; \
          this build's rendering is in {}",
         line + 1,
         path.display()
@@ -401,4 +408,41 @@ fn the_fixture_exercises_every_outcome_class() {
             .is_some_and(|p| p.starts_with(&"c".repeat(32)) && p.contains('v'))
     });
     assert!(late, "no stream latches after its 32nd transaction");
+}
+
+/// Every SI cycle the checker reports on the seeded streams — in each of the
+/// fixture's four variants — is a cycle of `(SO ∪ WR ∪ WW) ; RW?` over the
+/// edges `build_dependency` derives from the prefix it consumed
+/// (`streams::assert_si_certificate`). A prefix with a read that still
+/// waits for its writer has no dependency graph of its own and is not
+/// checked.
+#[test]
+fn si_certificates_of_the_seeded_streams_are_composed_cycles() {
+    let mut checked = 0;
+    for seed in 0..STREAMS {
+        let (keys, txns) = stream(seed);
+        for gc in [false, true] {
+            for init in [Some(keys), None] {
+                let mut checker = Run::new(IsolationLevel::SnapshotIsolation, gc, init).checker;
+                let mut prefix = match init {
+                    Some(keys) => HistoryBuilder::new().with_init_keys(0..keys),
+                    None => HistoryBuilder::new(),
+                };
+                for t in &txns {
+                    prefix.push_cloned(t.clone());
+                    if checker.push(t.clone()) != Ok(StreamStatus::ConsistentSoFar) {
+                        break;
+                    }
+                }
+                let Some(Violation::Cycle { edges }) = checker.violation() else {
+                    continue;
+                };
+                if let Ok(graph) = build_dependency(&prefix.build(), false) {
+                    streams::assert_si_certificate(graph.edges(), edges);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked >= 200, "only {checked} SI cycles checked");
 }
