@@ -653,7 +653,7 @@ mod tests {
         let h = b.build();
         let g = build_dependency(&h, false).unwrap();
         assert!(g.out_edges(TxnId(2)).next().is_none());
-        assert!(!g.contains_any_edge(TxnId(1), TxnId(2)));
+        assert!(!g.out_edges(TxnId(1)).any(|e| e.to == TxnId(2)));
     }
 
     #[test]

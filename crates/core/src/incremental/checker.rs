@@ -213,10 +213,7 @@ impl IncrementalChecker {
     /// run's, and its [`IncrementalChecker::checkpoint`] right away encodes
     /// to the bytes it was resumed from.
     pub fn resume(snapshot: CheckerSnapshot) -> Self {
-        let CheckerSnapshot {
-            mut engine, keys, ..
-        } = snapshot;
-        engine.graph.rebuild_index();
+        let CheckerSnapshot { engine, keys, .. } = snapshot;
         IncrementalChecker {
             engine,
             keys,

@@ -288,14 +288,21 @@ impl Engine {
         }
     }
 
-    /// Adds one dependency edge (`RW` only if absent) to the graph and to
-    /// the maintained order — at SSER the *augmented* one, time nodes
-    /// included, where a rejection means a dependency path contradicts the
-    /// time-chain; at SI split by [`split_edge`]. No-op once a verdict is
-    /// latched.
+    /// Adds one dependency edge to the graph and to the maintained order —
+    /// at SSER the *augmented* one, time nodes included, where a rejection
+    /// means a dependency path contradicts the time-chain; at SI split by
+    /// [`split_edge`]. No-op once a verdict is latched.
+    ///
+    /// The edge is pushed with no look-up, because no labelled edge
+    /// arrives twice. `SO` comes once per transaction. Every key edge comes
+    /// from `keystate::reads_from`, which runs once per external read, and
+    /// a transaction has one external read per key: `WR(x)` and `WW(x)` are
+    /// that read's own, and `RW(x) r → o` is emitted when the second of
+    /// reader `r` and overwriter `o` joins the lists of the one version of
+    /// `x` that `r` read.
     fn insert(&mut self, at: TxnId, edge: Edge) {
         let Edge { from, to, kind } = edge;
-        if self.done() || (kind.is_rw() && self.graph.contains_edge(from, to, kind)) {
+        if self.done() {
             return;
         }
         self.graph.add_edge(from, to, kind);
@@ -364,7 +371,8 @@ impl Engine {
     /// its first transaction node on, mirroring the splice of
     /// [`crate::check_sser`]: a direct hop is labelled from the dependency
     /// graph — at SI one out of a tail by an `RW` edge, any other by a base
-    /// edge — and hops through time nodes (SSER only) become RT edges.
+    /// edge — and hops through time nodes (SSER only) become RT edges. All
+    /// hops are labelled in one pass over the graph's edges.
     fn order_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
         let len = cycle.len();
         let owner = |i: usize| self.node_owner[cycle[i % len]];
@@ -376,22 +384,29 @@ impl Engine {
             .filter_map(|i| Some((i, owner(i).txn()?)))
             .collect();
         let si = self.level == IsolationLevel::SnapshotIsolation;
-        let mut edges = Vec::with_capacity(real.len());
+        // Each hop's transactions, and for a direct hop whether it leaves a
+        // tail (`None`: the hop passes time nodes).
+        let mut hops = Vec::with_capacity(real.len());
+        let mut direct = Vec::with_capacity(real.len());
         for (idx, &(pos, u)) in real.iter().enumerate() {
             let back_to_start = (start + len, real[0].1);
             let (next, v) = real.get(idx + 1).copied().unwrap_or(back_to_start);
+            hops.push((u.index(), v.index()));
             let out_of_tail = matches!(owner(pos), NodeOwner::Tail(_));
-            let kind_fits = |kind: EdgeKind| !si || kind.is_rw() == out_of_tail;
-            let dependency = (pos + 1 == next)
-                .then(|| self.graph.label_hop(u.index(), v.index(), kind_fits))
-                .flatten();
-            edges.push(dependency.unwrap_or(Edge {
-                from: u,
-                to: v,
-                kind: EdgeKind::Rt,
-            }));
+            direct.push((pos + 1 == next).then_some(out_of_tail));
         }
-        edges
+        let labels = self.graph.label_hops(&hops, |i, kind| {
+            direct[i].is_some_and(|out_of_tail| !si || kind.is_rw() == out_of_tail)
+        });
+        let rt = |(u, v)| Edge {
+            from: TxnId(u as u32),
+            to: TxnId(v as u32),
+            kind: EdgeKind::Rt,
+        };
+        hops.into_iter()
+            .zip(labels)
+            .map(|(hop, label)| label.unwrap_or_else(|| rt(hop)))
+            .collect()
     }
 }
 

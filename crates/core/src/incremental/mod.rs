@@ -22,7 +22,7 @@
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
 //! | `keystate.rs` | `KeyState`: per-version records and per-key slots, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
-//! | `engine.rs` | `Engine`: labelled graph, the one maintained order, SI's split edges, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
+//! | `engine.rs` | `Engine`: labelled edge list (pushed, never looked up), the one maintained order, SI's split edges, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
 //! | `arena.rs` | `TxnMap`, `IdOrdered`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` (candidates, worklist closure, commit) | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
@@ -71,13 +71,12 @@
 //! the maintained order are buffers that outlive the transaction; the local
 //! `INT` scan looks back over the operations instead of indexing them; a
 //! node's adjacency rows hold their first five neighbours in place, the
-//! dependency graph threads a source's out-edges through one flat `next`
-//! array, and a version's reader and overwriter lists hold their first two
-//! transactions in place (`mtc_history::InlineSeq`, the
-//! rows' type). What is left is the growth of the long-lived containers
-//! (amortized), a spilled adjacency row for one node in seven and a spilled
-//! reader list for the one version in twelve that three or more
-//! transactions read. SI adds a tail node per transaction and a second
+//! dependency graph is one edge list with no row index beside it, and a
+//! version's reader and overwriter lists hold their first two transactions
+//! in place (`mtc_history::InlineSeq`, the rows' type). What is left is the
+//! growth of the long-lived containers (amortized), a spilled adjacency row
+//! for one node in seven and a spilled reader list for the one version in
+//! twelve that three or more transactions read. SI adds a tail node per transaction and a second
 //! order edge per base edge, which spill more adjacency rows. On
 //! `live_uniform`'s stream `tests/ingest_allocations.rs` reads 0.76 (SER),
 //! 1.48 (SSER) and 2.15 (SI) allocations per pushed transaction — SI read
@@ -132,14 +131,14 @@
 //! are the composition's. `tests.rs` holds the encoding to the composed
 //! pairs at every prefix of arbitrary and catalogue histories.
 //!
-//! A rejected cycle reads back through `DependencyGraph::label_hop`, from
-//! its first transaction node: a hop into a tail or between transactions
-//! is labelled by a base edge, a hop out of a tail by an `RW` edge. The GC
-//! treats a tail as part of its transaction: both are candidates together,
-//! both are pinned by a retained predecessor, both are pruned together.
-//! Nothing else is kept for SI: no composed pairs are materialized, so no
-//! provenance rows, no per-transaction edge lists and no GC pins that
-//! guard them.
+//! A rejected cycle reads back through `DependencyGraph::label_hops`, all
+//! hops in one pass over the edge list, from its first transaction node: a
+//! hop into a tail or between transactions is labelled by a base edge, a
+//! hop out of a tail by an `RW` edge. The GC treats a tail as part of its
+//! transaction: both are candidates together, both are pinned by a
+//! retained predecessor, both are pruned together. Nothing else is kept for
+//! SI: no composed pairs are materialized, so no provenance rows, no
+//! per-transaction edge lists and no GC pins that guard them.
 //!
 //! ## Equivalence with the batch checkers
 //!

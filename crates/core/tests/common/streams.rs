@@ -1,10 +1,11 @@
 //! The random streams the streaming engine's differential tests draw from:
 //! valid serial mini-transaction histories, timed ones, their corruptions,
-//! and the small GC geometries they are checked under; and the check an SI
-//! cycle certificate is held to. Included by `streaming_differential.rs`,
-//! by the engine's own unit tests (which hold the GC's closure to its
-//! reference on them) and by the streaming verdict fixture's test; the
-//! includer brings `GcPolicy` into scope.
+//! and the small GC geometries they are checked under; the check an SI
+//! cycle certificate is held to, and the one a streamed graph's edge list
+//! is held to. Included by `streaming_differential.rs`, by the engine's own
+//! unit tests (which hold the GC's closure to its reference on them) and by
+//! the streaming verdict fixture's test; the includer brings `GcPolicy`
+//! into scope.
 
 #![allow(dead_code)]
 
@@ -303,5 +304,14 @@ pub fn assert_si_certificate(derived: &[Edge], certificate: &[Edge]) {
         assert_eq!(e.to, next.from, "not a closed walk: {certificate:?}");
         let two_rw = e.kind.is_rw() && next.kind.is_rw();
         assert!(!two_rw, "two RW edges in a row: {certificate:?}");
+    }
+}
+
+/// Holds a streamed graph's edge list to what the engine's `insert` relies
+/// on when it pushes an edge without looking it up: no labelled edge twice.
+pub fn assert_no_edge_twice(edges: &[Edge]) {
+    let mut seen = std::collections::HashSet::with_capacity(edges.len());
+    for e in edges {
+        assert!(seen.insert(*e), "{e:?} is held twice");
     }
 }

@@ -356,6 +356,55 @@ fn si_certificates_of_the_catalogue_are_composed_cycles() {
     assert!(cycles >= 3, "{cycles} SI cycles");
 }
 
+// ───────────────── no labelled edge twice ───────────────────────────────────
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine pushes every derived edge onto the graph without looking
+    /// it up first, so none may be derived twice: on valid and corrupted
+    /// histories, at every level, un-GC'd and GC'd, each straight through
+    /// and resumed from a checkpoint taken at `cut`.
+    #[test]
+    fn streamed_graphs_hold_no_labelled_edge_twice(
+        shapes in prop::collection::vec((shape_strategy(), 0u64..6, 0u64..6), 2..40),
+        keys in 2u64..6,
+        sessions in 1u32..4,
+        corruption in prop::option::of((0usize..40, 0u64..50)),
+        policy in gc_geometry_strategy(),
+        cut in 0usize..40,
+    ) {
+        let mut history = serial_history(&shapes, keys, sessions);
+        if let Some((pick, stale)) = corruption {
+            history = corrupt(&history, pick, stale);
+        }
+        for level in [
+            IsolationLevel::Serializability,
+            IsolationLevel::SnapshotIsolation,
+            IsolationLevel::StrictSerializability,
+        ] {
+            for (gc, resume) in [(false, false), (true, false), (false, true), (true, true)] {
+                let (mut checker, txns) = seeded(level, &history);
+                if gc {
+                    checker.set_gc(policy);
+                }
+                let cut = if resume { cut % (txns.len() + 1) } else { txns.len() };
+                for t in &txns[..cut] {
+                    let _ = checker.push(t.clone());
+                }
+                if resume {
+                    let bytes = serde_json::to_string(&checker.checkpoint()).unwrap();
+                    checker = IncrementalChecker::resume(serde_json::from_str(&bytes).unwrap());
+                    for t in &txns[cut..] {
+                        let _ = checker.push(t.clone());
+                    }
+                }
+                assert_no_edge_twice(checker.graph().edges());
+            }
+        }
+    }
+}
+
 // ───────────────── checkpoint / resume differential ─────────────────────────
 
 /// Seeds a checker with `history`'s `⊥T` (if any) and returns the

@@ -9,12 +9,11 @@
 //! * `WW(x)` — a version order among the transactions writing `x`,
 //! * `RW(x)` — the anti-dependency derived from `WR` and `WW`.
 //!
-//! [`DependencyGraph`] stores the labelled edges — it can grow edge by edge,
-//! which the streaming engine needs — and offers projections onto the
-//! unlabelled, frozen [`DiGraph`] used for cycle detection, plus helpers to
-//! label a node cycle back into a readable counterexample.
+//! [`DependencyGraph`] is the labelled edges as one list, which grows edge
+//! by edge as the streaming engine derives them. It offers projections onto
+//! the unlabelled, frozen [`DiGraph`] used for cycle detection, and labels a
+//! node cycle back into a readable counterexample.
 
-use crate::fasthash::FastHashMap;
 use crate::graph::DiGraph;
 use crate::txn::TxnId;
 use crate::value::Key;
@@ -103,25 +102,20 @@ impl fmt::Debug for Edge {
     }
 }
 
-/// A dependency graph over the transactions of a history.
+/// A dependency graph over the transactions of a history: its labelled
+/// edges, one list in the order they were added.
 ///
 /// Nodes are transaction indices; `node_count` only bounds the id space
-/// (ids are never recycled). The adjacency index is keyed by source node, so
-/// a graph whose settled prefix has been pruned
-/// ([`DependencyGraph::prune_nodes`]) holds memory proportional to its
-/// *live* edges, not to every transaction ever admitted.
+/// (ids are never recycled). The list is the whole structure, and what is
+/// serialized is what is held: a pruned graph
+/// ([`DependencyGraph::prune_nodes`]) holds only its live edges, and a
+/// deserialized one is ready as it is read.
 ///
-/// The adjacency is an intrusive list over `edges`: a source's row is the
-/// chain of edge indices from its head along `next`, in the order the edges
-/// were added. A row costs its source eight bytes and no heap block of its
-/// own, so a streamed transaction allocates nothing for its row. The index
-/// is never serialized; [`DependencyGraph::rebuild_index`] restores it.
-///
-/// This is the graph that grows: the streaming engine's, and what the
-/// public `BUILDDEPENDENCY` entry points of `mtc-core` return
-/// ([`DependencyGraph::from_edges`] links their list once). The batch
-/// checkers themselves keep their edges as a plain list and search a frozen
-/// layout of it; they never build one of these.
+/// The streaming engine pushes each edge onto it as it derives it, and the
+/// public `BUILDDEPENDENCY` entry points of `mtc-core` return one. No cycle
+/// search walks it: the engine keeps a maintained order of its own, and
+/// [`DependencyGraph::project`] freezes it for the others. The queries
+/// about one source scan the list; only certificates and tests ask them.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DependencyGraph {
     node_count: usize,
@@ -129,81 +123,25 @@ pub struct DependencyGraph {
     /// Labelled edges pruned away by settled-prefix GC (kept so
     /// `edge_count` keeps reporting the historical total).
     pruned_edges: usize,
-    /// `next[i]`: the edge after `edges[i]` in its source's row, or [`NIL`].
-    #[serde(skip)]
-    next: Vec<u32>,
-    /// Rows of the sources `>= adj_base`, indexed by `from - adj_base`: the
-    /// hot window of recent transactions resolves out-edge lookups with
-    /// plain index arithmetic.
-    #[serde(skip)]
-    dense: Vec<RowEnds>,
-    /// First source id covered by `dense`. Sources below it are the few
-    /// long-lived stragglers GC retains (`⊥T`, session frontiers) and live
-    /// in `adj_low`; [`DependencyGraph::rebuild_index`] picks the split so
-    /// the dense span stays proportional to the live row count.
-    #[serde(skip)]
-    adj_base: u32,
-    /// Rows of the sparse sources below `adj_base`.
-    #[serde(skip)]
-    adj_low: FastHashMap<u32, RowEnds>,
-}
-
-/// "No edge": the end of a row, and both ends of an empty one.
-const NIL: u32 = u32::MAX;
-
-/// First and last edge index of one source's row.
-#[derive(Clone, Copy, Debug)]
-struct RowEnds {
-    head: u32,
-    tail: u32,
-}
-
-impl Default for RowEnds {
-    fn default() -> Self {
-        RowEnds {
-            head: NIL,
-            tail: NIL,
-        }
-    }
 }
 
 impl DependencyGraph {
     /// Creates an empty dependency graph over `node_count` transactions.
     pub fn new(node_count: usize) -> Self {
-        DependencyGraph {
-            node_count,
-            edges: Vec::new(),
-            pruned_edges: 0,
-            next: Vec::new(),
-            dense: Vec::new(),
-            adj_base: 0,
-            adj_low: FastHashMap::default(),
-        }
+        DependencyGraph::from_edges(node_count, Vec::new())
     }
 
-    /// The graph over `node_count` transactions with the given edges, each
-    /// source's row in list order: what adding them one by one gives, with
-    /// every row linked in one pass over the list.
+    /// The graph over `node_count` transactions with the given edges, in
+    /// list order: what adding them one by one gives.
     pub fn from_edges(node_count: usize, edges: Vec<Edge>) -> Self {
-        assert!(
-            u32::try_from(edges.len()).is_ok_and(|len| len != NIL),
-            "{} edges do not fit in a u32",
-            edges.len()
-        );
-        let mut graph = DependencyGraph::new(node_count);
-        graph.dense = vec![RowEnds::default(); node_count];
-        graph.next = vec![NIL; edges.len()];
-        for (i, e) in edges.iter().enumerate() {
-            debug_assert!(e.from.index() < node_count && e.to.index() < node_count);
-            let row = &mut graph.dense[e.from.index()];
-            match row.tail {
-                NIL => row.head = i as u32,
-                tail => graph.next[tail as usize] = i as u32,
-            }
-            row.tail = i as u32;
+        debug_assert!(edges
+            .iter()
+            .all(|e| e.from.index() < node_count && e.to.index() < node_count));
+        DependencyGraph {
+            node_count,
+            edges,
+            pruned_edges: 0,
         }
-        graph.edges = edges;
-        graph
     }
 
     /// Number of transactions (nodes).
@@ -233,79 +171,28 @@ impl DependencyGraph {
         self.edges.len()
     }
 
-    /// Adds a labelled edge.
+    /// Adds a labelled edge. Nothing checks that it is new: the derivations
+    /// that grow a graph emit each labelled edge once.
+    #[inline]
     pub fn add_edge(&mut self, from: TxnId, to: TxnId, kind: EdgeKind) {
         debug_assert!(from.index() < self.node_count && to.index() < self.node_count);
         self.edges.push(Edge { from, to, kind });
-        self.link(self.edges.len() - 1);
-    }
-
-    /// Adds a labelled edge unless an identical one is already present.
-    pub fn add_edge_dedup(&mut self, from: TxnId, to: TxnId, kind: EdgeKind) {
-        if !self.contains_edge(from, to, kind) {
-            self.add_edge(from, to, kind);
-        }
-    }
-
-    /// Appends `edges[index]` to its source's row, growing the dense window
-    /// on demand for fresh sources.
-    #[inline]
-    fn link(&mut self, index: usize) {
-        // Edges a deserialized graph holds stay unindexed until
-        // `rebuild_index`; the ones added meanwhile are indexed.
-        self.next.resize(index + 1, NIL);
-        let from = self.edges[index].from.0;
-        let row = if from >= self.adj_base {
-            let i = (from - self.adj_base) as usize;
-            if i >= self.dense.len() {
-                self.dense.resize_with(i + 1, RowEnds::default);
-            }
-            &mut self.dense[i]
-        } else {
-            self.adj_low.entry(from).or_default()
-        };
-        match row.tail {
-            NIL => row.head = index as u32,
-            tail => self.next[tail as usize] = index as u32,
-        }
-        row.tail = index as u32;
-    }
-
-    /// The edges of `from`'s row, in the order they were added.
-    #[inline]
-    fn row(&self, from: u32) -> impl Iterator<Item = &Edge> + '_ {
-        let ends = if from >= self.adj_base {
-            self.dense.get((from - self.adj_base) as usize)
-        } else {
-            self.adj_low.get(&from)
-        };
-        let mut at = ends.map_or(NIL, |ends| ends.head);
-        std::iter::from_fn(move || {
-            let edge = self.edges.get(at as usize)?;
-            at = self.next[at as usize];
-            Some(edge)
-        })
     }
 
     /// True iff the exact labelled edge is present.
     pub fn contains_edge(&self, from: TxnId, to: TxnId, kind: EdgeKind) -> bool {
-        self.row(from.0).any(|e| e.to == to && e.kind == kind)
+        self.edges.contains(&Edge { from, to, kind })
     }
 
-    /// True iff some edge of any kind goes `from → to`.
-    pub fn contains_any_edge(&self, from: TxnId, to: TxnId) -> bool {
-        self.row(from.0).any(|e| e.to == to)
-    }
-
-    /// All labelled edges.
+    /// All labelled edges, in the order they were added.
     #[inline]
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
-    /// Labelled out-edges of `from`.
+    /// Labelled out-edges of `from`, in the order they were added.
     pub fn out_edges(&self, from: TxnId) -> impl Iterator<Item = &Edge> + '_ {
-        self.row(from.0)
+        self.edges.iter().filter(move |e| e.from == from)
     }
 
     /// Projects the edges whose kind satisfies `pred` onto an unlabelled
@@ -338,116 +225,70 @@ impl DependencyGraph {
     /// Finds a cycle (over edges matching `pred`) and labels it: for each
     /// consecutive node pair one labelled edge is selected (preferring, in
     /// order, `WW`, `WR`, `RW`, `SO`, `RT`: [`EdgeKind::label_rank`]).
-    /// Returns `None` if the projection is acyclic.
+    /// Returns `None` if the projection is acyclic. Every hop of the cycle
+    /// is an edge of the projection, so a hop without a label is a bug
+    /// (asserted in debug builds), never a silently shorter counterexample.
     pub fn find_labelled_cycle<F>(&self, pred: F) -> Option<Vec<Edge>>
-    where
-        F: Fn(EdgeKind) -> bool + Copy,
-    {
-        let projected = self.project(pred);
-        let cycle = projected.find_cycle()?;
-        Some(self.label_node_cycle(&cycle, pred))
-    }
-
-    /// Labels a node cycle obtained from a projection: one [`label_hop`]
-    /// per consecutive pair of nodes. Every hop of such a cycle is an edge of
-    /// the projection, so a hop without a label is a bug (asserted in debug
-    /// builds), never a silently shorter counterexample.
-    ///
-    /// [`label_hop`]: DependencyGraph::label_hop
-    pub fn label_node_cycle<F>(&self, cycle: &[usize], pred: F) -> Vec<Edge>
     where
         F: Fn(EdgeKind) -> bool,
     {
-        let mut labelled = Vec::with_capacity(cycle.len());
-        for i in 0..cycle.len() {
-            let (u, v) = (cycle[i], cycle[(i + 1) % cycle.len()]);
-            let hop = self.label_hop(u, v, &pred);
-            debug_assert!(hop.is_some(), "no labelled edge for the hop {u}->{v}");
-            labelled.extend(hop);
-        }
-        labelled
+        let cycle = self.project(&pred).find_cycle()?;
+        let hops: Vec<(usize, usize)> = (0..cycle.len())
+            .map(|i| (cycle[i], cycle[(i + 1) % cycle.len()]))
+            .collect();
+        let labels = self.label_hops(&hops, |_, kind| pred(kind));
+        debug_assert!(labels.iter().all(Option::is_some), "an unlabelled hop");
+        Some(labels.into_iter().flatten().collect())
     }
 
     /// The labelled edge `u → v` of an allowed kind to report for that hop
-    /// of a counterexample, if there is one (kinds ranked by
-    /// [`EdgeKind::label_rank`]).
+    /// of a counterexample, if there is one: the best by
+    /// [`EdgeKind::label_rank`], the first added among equals.
     pub fn label_hop<F>(&self, u: usize, v: usize, pred: F) -> Option<Edge>
     where
         F: Fn(EdgeKind) -> bool,
     {
-        self.out_edges(TxnId(u as u32))
-            .filter(|e| e.to.index() == v && pred(e.kind))
-            .min_by_key(|e| e.kind.label_rank())
-            .copied()
+        self.label_hops(&[(u, v)], |_, kind| pred(kind))[0]
     }
 
-    /// The `WW(key)` successors of `from` (direct edges only).
-    pub fn ww_successors(&self, from: TxnId, key: Key) -> Vec<TxnId> {
-        self.out_edges(from)
-            .filter(|e| e.kind == EdgeKind::Ww(key))
-            .map(|e| e.to)
-            .collect()
-    }
-
-    /// Count of edges per kind class `(so, rt, wr, ww, rw)`.
-    pub fn edge_kind_counts(&self) -> (usize, usize, usize, usize, usize) {
-        let mut c = (0, 0, 0, 0, 0);
-        for e in &self.edges {
-            match e.kind {
-                EdgeKind::So => c.0 += 1,
-                EdgeKind::Rt => c.1 += 1,
-                EdgeKind::Wr(_) => c.2 += 1,
-                EdgeKind::Ww(_) => c.3 += 1,
-                EdgeKind::Rw(_) => c.4 += 1,
+    /// [`DependencyGraph::label_hop`] for every hop `(u, v)` of `hops`,
+    /// `fits(i, kind)` saying which kinds hop `i` may take, in one pass over
+    /// the list: a cycle of any length costs one scan.
+    pub fn label_hops<F>(&self, hops: &[(usize, usize)], fits: F) -> Vec<Option<Edge>>
+    where
+        F: Fn(usize, EdgeKind) -> bool,
+    {
+        let mut by_pair: Vec<_> = hops.iter().zip(0..).map(|(&(u, v), i)| (u, v, i)).collect();
+        by_pair.sort_unstable();
+        let mut is_source = vec![false; self.node_count];
+        for &(u, ..) in by_pair.iter().filter(|&&(u, ..)| u < self.node_count) {
+            is_source[u] = true;
+        }
+        let mut labels: Vec<Option<Edge>> = vec![None; hops.len()];
+        let sourced = |e: &&Edge| is_source.get(e.from.index()) == Some(&true);
+        for e in self.edges.iter().filter(sourced) {
+            let pair = (e.from.index(), e.to.index());
+            let at = by_pair.partition_point(|&(u, v, _)| (u, v) < pair);
+            for &(.., i) in by_pair[at..].iter().take_while(|h| (h.0, h.1) == pair) {
+                let worse = |best: &Edge| best.kind.label_rank() > e.kind.label_rank();
+                if fits(i, e.kind) && labels[i].as_ref().is_none_or(worse) {
+                    labels[i] = Some(*e);
+                }
             }
         }
-        c
-    }
-
-    /// Rebuilds the adjacency index. Needed after deserialization (the
-    /// adjacency is not serialized) and after [`DependencyGraph::prune_nodes`].
-    ///
-    /// The dense/low split is re-chosen here: the smallest base whose dense
-    /// span `node_count - base` stays within twice the number of live
-    /// sources above it (plus slack). On an un-GC'd graph every source is
-    /// dense; under GC the handful of retained low sources (`⊥T`, session
-    /// frontiers) spill to the hash map and the dense window tracks the
-    /// live tail, keeping resident index memory proportional to live edges.
-    pub fn rebuild_index(&mut self) {
-        let mut sources: Vec<u32> = self.edges.iter().map(|e| e.from.0).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let n = self.node_count as u32;
-        let m = sources.len();
-        let mut base = n;
-        for (i, &s) in sources.iter().enumerate() {
-            if n.saturating_sub(s) as usize <= 2 * (m - i) + 64 {
-                base = s;
-                break;
-            }
-        }
-        self.adj_base = base;
-        self.dense.clear();
-        self.dense
-            .resize_with((n - base) as usize, RowEnds::default);
-        self.adj_low = FastHashMap::default();
-        self.next.clear();
-        for i in 0..self.edges.len() {
-            self.link(i);
-        }
+        labels
     }
 
     /// Drops every labelled edge with an endpoint for which `pruned`
-    /// returns true, freeing the corresponding adjacency rows. Used by the
-    /// settled-prefix GC of the streaming checkers: pruned transactions can
-    /// no longer appear in any counterexample, so their edges are dead
-    /// weight. [`DependencyGraph::edge_count`] keeps counting them;
+    /// returns true. Used by the settled-prefix GC of the streaming
+    /// checkers: pruned transactions can no longer appear in any
+    /// counterexample, so their edges are dead weight.
+    /// [`DependencyGraph::edge_count`] keeps counting them;
     /// [`DependencyGraph::live_edge_count`] does not.
     pub fn prune_nodes(&mut self, pruned: impl Fn(TxnId) -> bool) {
         let before = self.edges.len();
         self.edges.retain(|e| !pruned(e.from) && !pruned(e.to));
         self.pruned_edges += before - self.edges.len();
-        self.rebuild_index();
     }
 }
 
@@ -464,14 +305,20 @@ mod tests {
         let mut g = DependencyGraph::new(3);
         g.add_edge(t(0), t(1), EdgeKind::Wr(Key(5)));
         g.add_edge(t(1), t(2), EdgeKind::Ww(Key(5)));
-        g.add_edge_dedup(t(1), t(2), EdgeKind::Ww(Key(5)));
-        assert_eq!(g.edge_count(), 2);
+        g.add_edge(t(0), t(2), EdgeKind::So);
+        assert_eq!(g.edge_count(), 3);
         assert!(g.contains_edge(t(0), t(1), EdgeKind::Wr(Key(5))));
         assert!(!g.contains_edge(t(0), t(1), EdgeKind::Ww(Key(5))));
-        assert!(g.contains_any_edge(t(1), t(2)));
-        assert!(!g.contains_any_edge(t(2), t(1)));
-        assert_eq!(g.ww_successors(t(1), Key(5)), vec![t(2)]);
-        assert_eq!(g.ww_successors(t(1), Key(6)), Vec::<TxnId>::new());
+        let out: Vec<_> = g.out_edges(t(0)).map(|e| (e.to, e.kind)).collect();
+        assert_eq!(out, [(t(1), EdgeKind::Wr(Key(5))), (t(2), EdgeKind::So)]);
+        assert!(g.out_edges(t(2)).next().is_none());
+        // What is serialized is the whole graph: the list reads back as it
+        // was written and answers the same queries.
+        let json = serde_json::to_string(&g).unwrap();
+        let back: DependencyGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.edges(), g.edges());
+        assert_eq!(back.node_count(), 3);
+        assert!(back.contains_edge(t(1), t(2), EdgeKind::Ww(Key(5))));
     }
 
     #[test]
@@ -497,28 +344,12 @@ mod tests {
         // The WW edge is preferred over the RT edge for the 0→1 leg.
         let leg01 = cycle.iter().find(|e| e.from == t(0)).unwrap();
         assert_eq!(leg01.kind, EdgeKind::Ww(Key(1)));
-    }
-
-    #[test]
-    fn edge_kind_counts_are_tracked() {
-        let mut g = DependencyGraph::new(4);
-        g.add_edge(t(0), t(1), EdgeKind::So);
-        g.add_edge(t(0), t(2), EdgeKind::Rt);
-        g.add_edge(t(1), t(2), EdgeKind::Wr(Key(0)));
-        g.add_edge(t(1), t(3), EdgeKind::Ww(Key(0)));
-        g.add_edge(t(2), t(3), EdgeKind::Rw(Key(0)));
-        g.add_edge(t(3), t(0), EdgeKind::Rw(Key(1)));
-        assert_eq!(g.edge_kind_counts(), (1, 1, 1, 1, 2));
-    }
-
-    #[test]
-    fn rebuild_index_restores_adjacency() {
-        let mut g = DependencyGraph::new(2);
-        g.add_edge(t(0), t(1), EdgeKind::So);
-        let json = serde_json::to_string(&g).unwrap();
-        let mut back: DependencyGraph = serde_json::from_str(&json).unwrap();
-        back.rebuild_index();
-        assert!(back.contains_edge(t(0), t(1), EdgeKind::So));
+        // Among edges of one rank the first added is reported.
+        g.add_edge(t(0), t(1), EdgeKind::Ww(Key(0)));
+        let hop = g.label_hop(0, 1, |_| true).unwrap();
+        assert_eq!(hop.kind, EdgeKind::Ww(Key(1)));
+        let hop = g.label_hop(0, 1, |k| k.key() != Some(Key(1))).unwrap();
+        assert_eq!(hop.kind, EdgeKind::Ww(Key(0)));
     }
 
     #[test]
@@ -532,104 +363,11 @@ mod tests {
         assert_eq!(g.live_edge_count(), 1);
         assert!(g.contains_edge(t(2), t(3), EdgeKind::Ww(Key(0))));
         assert!(!g.contains_edge(t(0), t(1), EdgeKind::So));
-        assert!(!g.contains_any_edge(t(1), t(2)));
+        assert!(g.out_edges(t(1)).next().is_none());
         // The graph keeps accepting edges among live nodes.
         g.add_edge(t(3), t(2), EdgeKind::Rw(Key(0)));
         assert_eq!(g.live_edge_count(), 2);
         assert!(g.contains_edge(t(3), t(2), EdgeKind::Rw(Key(0))));
-    }
-
-    /// The intrusive rows against a scan of `edges()`: same out-edges in the
-    /// same (insertion) order, same membership answers, same reported hop —
-    /// through interleaved `add_edge` and `prune_nodes`, which re-chooses the
-    /// dense / low split and leaves `⊥T`'s row in the low map.
-    #[test]
-    fn rows_agree_with_a_scan_of_the_edge_list() {
-        let mut state = 0x5EED_0FED_6E50_u64;
-        let mut next = |bound: u64| crate::split_mix(&mut state) % bound;
-        let kinds = [
-            EdgeKind::So,
-            EdgeKind::Rt,
-            EdgeKind::Wr(Key(1)),
-            EdgeKind::Ww(Key(1)),
-            EdgeKind::Rw(Key(1)),
-            EdgeKind::Rw(Key(2)),
-        ];
-        let agree = |g: &DependencyGraph| {
-            for from in 0..g.node_count() as u32 {
-                let scanned: Vec<Edge> = g
-                    .edges()
-                    .iter()
-                    .filter(|e| e.from == t(from))
-                    .copied()
-                    .collect();
-                let row: Vec<Edge> = g.out_edges(t(from)).copied().collect();
-                assert_eq!(row, scanned, "row of T{from}");
-                for to in 0..g.node_count() as u32 {
-                    for kind in kinds {
-                        let wanted = Edge {
-                            from: t(from),
-                            to: t(to),
-                            kind,
-                        };
-                        assert_eq!(
-                            g.contains_edge(t(from), t(to), kind),
-                            scanned.contains(&wanted)
-                        );
-                    }
-                    // Kinds are ranked WW, WR, RW, SO, RT; the first of the
-                    // best rank in insertion order is reported.
-                    let rank = |e: &&Edge| match e.kind {
-                        EdgeKind::Ww(_) => 0,
-                        EdgeKind::Wr(_) => 1,
-                        EdgeKind::Rw(_) => 2,
-                        EdgeKind::So => 3,
-                        EdgeKind::Rt => 4,
-                    };
-                    let hop = scanned.iter().filter(|e| e.to == t(to)).min_by_key(rank);
-                    assert_eq!(
-                        g.label_hop(from as usize, to as usize, |_| true),
-                        hop.copied()
-                    );
-                }
-            }
-        };
-        for _round in 0..4 {
-            // `⊥T` stays and keeps gaining out-edges; everything else lives
-            // in a window the prunes slide along.
-            let mut g = DependencyGraph::new(1);
-            let mut floor = 1u32;
-            for step in 0..400 {
-                let n = g.add_node() as u32 + 1;
-                for _ in 0..next(4) {
-                    let pick = |r: u64| floor + r as u32;
-                    let from = if next(8) == 0 {
-                        0
-                    } else {
-                        pick(next((n - floor) as u64))
-                    };
-                    let to = pick(next((n - floor) as u64));
-                    g.add_edge(t(from), t(to), kinds[next(6) as usize]);
-                }
-                if step % 40 == 39 {
-                    let cut = n - 20;
-                    g.prune_nodes(|id| id.0 != 0 && id.0 < cut);
-                    floor = cut;
-                    agree(&g);
-                }
-            }
-            assert!(g.adj_base > 0, "⊥T's row must have moved to the low map");
-            agree(&g);
-            // The same list linked in one pass.
-            agree(&DependencyGraph::from_edges(
-                g.node_count(),
-                g.edges().to_vec(),
-            ));
-            let json = serde_json::to_string(&g).unwrap();
-            let mut back: DependencyGraph = serde_json::from_str(&json).unwrap();
-            back.rebuild_index();
-            agree(&back);
-        }
     }
 
     #[test]

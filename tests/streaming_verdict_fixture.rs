@@ -446,3 +446,25 @@ fn si_certificates_of_the_seeded_streams_are_composed_cycles() {
     }
     assert!(checked >= 200, "only {checked} SI cycles checked");
 }
+
+/// The engine pushes every derived edge without looking it up first: on the
+/// seeded streams, in each of the fixture's four variants at every level,
+/// the graph a stream leaves holds no labelled edge twice
+/// (`streams::assert_no_edge_twice`).
+#[test]
+fn the_seeded_streams_leave_no_labelled_edge_twice() {
+    for seed in 0..STREAMS {
+        let (keys, txns) = stream(seed);
+        for (_, level) in LEVELS {
+            for gc in [false, true] {
+                for init in [Some(keys), None] {
+                    let mut checker = Run::new(level, gc, init).checker;
+                    for t in &txns {
+                        let _ = checker.push(t.clone());
+                    }
+                    streams::assert_no_edge_twice(checker.graph().edges());
+                }
+            }
+        }
+    }
+}
