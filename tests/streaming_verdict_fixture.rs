@@ -1,38 +1,38 @@
-//! The streaming checker against a committed fixture:
-//! `tests/data/streaming-verdicts-v7.txt` holds, for the 14-anomaly
-//! catalogue and 220 seeded hostile streams, what `IncrementalChecker` said
-//! at SER / SI / SSER with and without GC and `⊥T`, and this build must
-//! reproduce the file byte for byte. The verdicts and first-violation
-//! indices in it go back to the build before the engine's event vocabulary
-//! went (commit 890a952); the snapshot CRCs are of `SNAPSHOT_VERSION` 7,
-//! written by the build that introduced it. Against version 6's file its
-//! `variants=` and `snapshots=` CRCs moved, and 40 SI certificates: SI went
-//! into the one maintained order through tail nodes, and a cycle found
-//! there is read back hop by hop through `DependencyGraph::label_hop` —
-//! 36 are the same transactions with a hop labelled by the lower-ranked
-//! kind, 4 another cycle closed by the same edge.
+//! The streaming checker against two committed fixtures, which this build
+//! must reproduce byte for byte. For the 14-anomaly catalogue and 220 seeded
+//! hostile streams, at SER / SI / SSER, with and without GC and `⊥T`:
 //!
-//! One line per (stream, level): a CRC over the records of all 4 variants —
-//! a fold of every `push` status, `first_violation_at`, `edge_count`, the
-//! CRC-32 of the encoded `checkpoint()` every 16th push and at the end, and
-//! `{:?}` of `finish()` — then the first variant's record in clear, so a
-//! failing line can be read. Unlike the batch fixture, cycles are compared
-//! **edge for edge**: the order in which a transaction's consequences are
-//! applied decides which edge closes which cycle and every adjacency list a
-//! snapshot carries, and it is deterministic across processes.
+//! * `tests/data/streaming-verdicts.txt` holds what `IncrementalChecker`
+//!   said — every `push` status, `first_violation_at`, `edge_count` and
+//!   `{:?}` of `finish()`, cycles edge for edge. Nothing in it depends on
+//!   the snapshot format. Its verdicts and first-violation indices go back
+//!   to the build before the engine's event vocabulary went (commit
+//!   890a952); 40 SI certificates moved when SI went into the one
+//!   maintained order (`SNAPSHOT_VERSION` 7: 36 hops relabelled by the
+//!   lower-ranked kind, 4 other cycles closed by the same edge).
+//! * `tests/data/streaming-snapshots-v7.txt` holds the CRC-32 of the
+//!   encoded `checkpoint()` every 16th push and at the end: the bytes half,
+//!   which moves with every change of the snapshot format.
+//!
+//! One line per (stream, level) in each file: a CRC over the records of all
+//! 4 variants, and in the verdict file the first variant's record in clear,
+//! so a failing line can be read. Unlike the batch fixture, cycles are
+//! compared **edge for edge**: the order in which a transaction's
+//! consequences are applied decides which edge closes which cycle and every
+//! adjacency list a snapshot carries, and it is deterministic across
+//! processes.
 //!
 //! To regenerate after an *intentional* change of that order — one that
 //! keeps the snapshot format — run this test in a clone of the parent commit
-//! with an empty fixture file, and copy `streaming-verdicts.actual.txt` from
-//! the path the failure prints.
+//! with empty fixture files, and copy `streaming-verdicts.actual.txt` and
+//! `streaming-snapshots.actual.txt` from the path the failure prints.
 //!
 //! A change of the snapshot format (a `SNAPSHOT_VERSION` bump) moves every
-//! snapshot CRC, and a clone of the parent cannot write the new ones. Then
-//! regenerate on the change itself: run this test twice, in two processes,
-//! and check both wrote the same bytes; then diff the clear-text records
-//! against the old file, field by field. Every `pushes=` and `at=` must be
-//! unchanged, and every line whose clear text moved is listed, with why, in
-//! CHANGES.md before the new file replaces the old.
+//! snapshot CRC, and a clone of the parent cannot write the new ones. The
+//! verdict file must not move then: regenerate only the bytes file, on the
+//! change itself, by running this test twice, in two processes, and checking
+//! both wrote the same bytes. A change that moves a verdict line lists every
+//! moved line, with why, in CHANGES.md before the new file replaces the old.
 
 use mtc::core::{build_dependency, CheckError, Violation};
 use mtc::history::anomalies::AnomalyKind;
@@ -43,7 +43,8 @@ use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 #[path = "../crates/core/tests/common/streams.rs"]
 mod streams;
 
-const FIXTURE: &str = include_str!("data/streaming-verdicts-v7.txt");
+const VERDICTS: &str = include_str!("data/streaming-verdicts.txt");
+const SNAPSHOTS: &str = include_str!("data/streaming-snapshots-v7.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -283,7 +284,7 @@ impl Run {
         }
     }
 
-    fn push_all<'a>(mut self, txns: impl IntoIterator<Item = &'a Transaction>) -> String {
+    fn push_all<'a>(mut self, txns: impl IntoIterator<Item = &'a Transaction>) -> Record {
         for t in txns {
             let status = self.checker.push(t.clone());
             self.saw(status);
@@ -291,8 +292,8 @@ impl Run {
         self.record()
     }
 
-    /// The run as text.
-    fn record(mut self) -> String {
+    /// The run as text: what it said, and the CRCs of its snapshots.
+    fn record(mut self) -> Record {
         self.snapshot();
         let Run {
             checker,
@@ -301,25 +302,47 @@ impl Run {
         } = self;
         let at = checker.first_violation_at();
         let edges = checker.edge_count();
-        format!(
-            "pushes={statuses} at={at:?} edges={edges} snapshots={snapshots:x?} verdict={:?}",
+        let said = format!(
+            "pushes={statuses} at={at:?} edges={edges} verdict={:?}",
             checker.finish()
-        )
+        );
+        Record {
+            said,
+            snapshots: format!("{snapshots:x?}"),
+        }
     }
 }
 
-/// The fixture line of one (stream, level): every variant's record folded
-/// into a CRC, the first variant's (no GC, `⊥T` as given) in clear.
-fn line(name: &str, label: &str, records: &[String]) -> String {
-    let all = crc32(records.join("\n").as_bytes());
-    format!(
-        "{name} {label} variants={all:08x} default: {}\n",
-        records[0]
-    )
+/// One variant's run: the verdict half and the bytes half.
+struct Record {
+    said: String,
+    snapshots: String,
 }
 
-fn render_all() -> String {
-    let mut out = String::new();
+/// The two fixture lines of one (stream, level): every variant's verdict
+/// record folded into a CRC, the first variant's (no GC, `⊥T` as given) in
+/// clear; and every variant's snapshot CRCs folded into one.
+fn lines(name: &str, label: &str, records: &[Record], out: &mut Rendering) {
+    let fold = |half: fn(&Record) -> &str| {
+        let all: Vec<&str> = records.iter().map(half).collect();
+        crc32(all.join("\n").as_bytes())
+    };
+    let said = fold(|r| &r.said);
+    let default = &records[0].said;
+    out.verdicts += &format!("{name} {label} variants={said:08x} default: {default}\n");
+    let snapshots = fold(|r| &r.snapshots);
+    out.snapshots += &format!("{name} {label} snapshots={snapshots:08x}\n");
+}
+
+/// Both fixtures as this build writes them.
+#[derive(Default)]
+struct Rendering {
+    verdicts: String,
+    snapshots: String,
+}
+
+fn render_all() -> Rendering {
+    let mut out = Rendering::default();
     let mut count = 0;
     for kind in AnomalyKind::ALL {
         let h: History = kind.history();
@@ -336,7 +359,7 @@ fn render_all() -> String {
                 records.push(Run::new(level, gc, None).push_all(rest));
             }
             count += records.len();
-            out.push_str(&line(&format!("catalogue/{kind}"), label, &records));
+            lines(&format!("catalogue/{kind}"), label, &records, &mut out);
         }
     }
     for seed in 0..STREAMS {
@@ -349,38 +372,66 @@ fn render_all() -> String {
                 }
             }
             count += records.len();
-            out.push_str(&line(&format!("stream/{seed:03}"), label, &records));
+            lines(&format!("stream/{seed:03}"), label, &records, &mut out);
         }
     }
-    format!("# {count} records\n{out}")
+    let head = format!("# {count} records\n");
+    Rendering {
+        verdicts: head.clone() + &out.verdicts,
+        snapshots: head + &out.snapshots,
+    }
 }
 
-#[test]
-fn streaming_verdicts_match_the_parent_written_fixture() {
-    let actual = render_all();
-    if actual == FIXTURE {
+/// The rendering, computed once for the two tests that compare it.
+fn rendering() -> &'static Rendering {
+    static RENDERING: std::sync::OnceLock<Rendering> = std::sync::OnceLock::new();
+    RENDERING.get_or_init(render_all)
+}
+
+/// Fails, naming the first differing line and leaving this build's
+/// rendering beside the test binary, unless `actual` is `fixture`.
+fn matches(fixture_name: &str, fixture: &str, actual_name: &str, actual: &str) {
+    if actual == fixture {
         return;
     }
-    let path =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("streaming-verdicts.actual.txt");
-    std::fs::write(&path, &actual).expect("write the actual rendering");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(actual_name);
+    std::fs::write(&path, actual).expect("write the actual rendering");
     let line = actual
         .lines()
-        .zip(FIXTURE.lines())
+        .zip(fixture.lines())
         .position(|(a, f)| a != f)
-        .unwrap_or_else(|| actual.lines().count().min(FIXTURE.lines().count()));
+        .unwrap_or_else(|| actual.lines().count().min(fixture.lines().count()));
     panic!(
-        "verdicts differ from tests/data/streaming-verdicts-v7.txt at line {}; \
-         this build's rendering is in {}",
+        "{fixture_name} differs at line {}; this build's rendering is in {}",
         line + 1,
         path.display()
     );
 }
 
 #[test]
+fn streaming_verdicts_match_the_parent_written_fixture() {
+    matches(
+        "tests/data/streaming-verdicts.txt",
+        VERDICTS,
+        "streaming-verdicts.actual.txt",
+        &rendering().verdicts,
+    );
+}
+
+#[test]
+fn snapshot_crcs_match_the_fixture() {
+    matches(
+        "tests/data/streaming-snapshots-v7.txt",
+        SNAPSHOTS,
+        "streaming-snapshots.actual.txt",
+        &rendering().snapshots,
+    );
+}
+
+#[test]
 fn the_fixture_exercises_every_outcome_class() {
     assert!(
-        FIXTURE.lines().count() <= 800,
+        VERDICTS.lines().count() <= 800,
         "the fixture outgrew its cap"
     );
     for class in [
@@ -398,11 +449,11 @@ fn the_fixture_exercises_every_outcome_class() {
         "NotMyLastWrite",
         "NonRepeatableReads",
     ] {
-        assert!(FIXTURE.contains(class), "no `{class}` in the fixture");
+        assert!(VERDICTS.contains(class), "no `{class}` in the fixture");
     }
     // Late latches: some default-variant stream is still consistent after
     // its 32nd push and violated before its last.
-    let late = FIXTURE.lines().any(|l| {
+    let late = VERDICTS.lines().any(|l| {
         l.split("pushes=")
             .nth(1)
             .is_some_and(|p| p.starts_with(&"c".repeat(32)) && p.contains('v'))
