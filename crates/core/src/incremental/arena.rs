@@ -171,11 +171,25 @@ impl<V: Deserialize> TxnMap<V> {
             base,
             ..TxnMap::default()
         };
+        // Room for every entry in the window, as far as the bytes left can
+        // back the claim (four times them, as a `Vec` reserves).
+        let each = std::mem::size_of::<Option<V>>().max(1);
+        map.dense
+            .reserve_exact(pairs.min(src.bytes_left().saturating_mul(4) / each));
         for _ in 0..pairs {
             let Head::Array(2) = src.next()? else {
                 return Err(serde::Error::expected("[txn, value] pair", "TxnMap"));
             };
-            map.insert(TxnId(u32::pull(src)?), V::pull(src)?);
+            let t = TxnId(u32::pull(src)?);
+            // An id sets aside a slot for every id of the window before it:
+            // no more of them than a `Vec` would reserve on the bytes left.
+            let slots = (t.0.saturating_sub(base) as usize).saturating_add(1);
+            if slots > src.bytes_left().saturating_mul(4) / each {
+                return Err(serde::Error::msg(format!(
+                    "TxnMap from {base}: an entry for {t} past what its bytes hold"
+                )));
+            }
+            map.insert(t, V::pull(src)?);
         }
         Ok(map)
     }

@@ -1,7 +1,7 @@
 //! The one streaming front: [`IncrementalChecker`] owns the [`Engine`] and
 //! the [`KeyState`] and runs the one ingest loop, on the caller's thread.
 
-use super::engine::Engine;
+use super::engine::{Engine, OrderEdge};
 use super::gc::GcPolicy;
 use super::keystate::KeyState;
 use super::snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
@@ -9,8 +9,7 @@ use super::Findings;
 use crate::check::IsolationLevel;
 use crate::verdict::{CheckError, Verdict, Violation};
 use mtc_history::{
-    DependencyGraph, IntraViolation, Key, Op, OrderStats, SessionId, Transaction, TxnId, TxnStatus,
-    INIT_VALUE,
+    IntraViolation, Key, Op, OrderStats, SessionId, Transaction, TxnId, TxnStatus, INIT_VALUE,
 };
 use std::time::Instant;
 
@@ -382,9 +381,11 @@ impl IncrementalChecker {
         self.engine.txn_count
     }
 
-    /// Number of labelled dependency edges derived so far.
+    /// Number of labelled dependency edges derived so far, the one that
+    /// closed a cycle included: a count, kept beside the order, which holds
+    /// each pair of transactions once.
     pub fn edge_count(&self) -> usize {
-        self.engine.graph.edge_count()
+        self.engine.edges
     }
 
     /// Number of distinct begin/commit instants spliced into the SSER
@@ -393,9 +394,15 @@ impl IncrementalChecker {
         self.engine.chain.len()
     }
 
-    /// The dependency graph grown so far (for inspection / reporting).
-    pub fn graph(&self) -> &DependencyGraph {
-        &self.engine.graph
+    /// The dependency edges the maintained order holds among resident
+    /// transactions, one per row entry, each with the label it carries: of
+    /// the edges derived between two transactions, the best by
+    /// [`mtc_history::EdgeKind::label_rank`], the first among equals. At SI
+    /// each base edge `a → b` is two entries (into `b`'s node and into its
+    /// tail) and each `RW` edge one (out of the source's tail). For
+    /// inspection and tests; it walks every row.
+    pub fn order_edges(&self) -> Vec<OrderEdge> {
+        self.engine.order_edges().collect()
     }
 
     /// The isolation level being enforced.

@@ -1,7 +1,8 @@
-//! The key-independent core of the streaming checker: the labelled
-//! dependency graph, the maintained topological order, the SSER time-chain
-//! hooks, SI's tail nodes and the verdict latch. [`Engine::admit`] registers
-//! a transaction, [`Engine::settle`] applies what it was found to entail.
+//! The key-independent core of the streaming checker: the maintained
+//! topological order, whose rows hold each dependency edge once with its
+//! label, the SSER time-chain hooks, SI's tail nodes and the verdict latch.
+//! [`Engine::admit`] registers a transaction, [`Engine::settle`] applies
+//! what it was found to entail.
 
 use super::arena::{IdOrdered, TxnMap};
 use super::gc::GcPolicy;
@@ -10,7 +11,7 @@ use crate::check::IsolationLevel;
 use crate::mini::validate_shape;
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
-    DependencyGraph, Edge, EdgeKind, IncrementalTopo, IntraAnomaly, IntraViolation, Op, Role,
+    Edge, EdgeKind, EdgeTag, IncrementalTopo, IntraAnomaly, IntraViolation, Key, Op, Role,
     SessionId, TimeChain, Transaction, TxnId, TxnStatus,
 };
 use serde::{Deserialize, Serialize};
@@ -56,6 +57,39 @@ pub(super) fn split_edge(
     pairs.into_iter().flatten()
 }
 
+/// The keys a resident transaction touches, in the order it first touches
+/// them: a mini-transaction touches at most two, and the key slot of a
+/// labelled row entry into the transaction's node or tail indexes them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub(super) struct TxnKeys {
+    first: Key,
+    second: Option<Key>,
+}
+
+impl TxnKeys {
+    /// The first two keys `ops` touch, if it touches any.
+    fn of(ops: &[Op]) -> Option<TxnKeys> {
+        let first = ops.first()?.key();
+        let second = ops.iter().map(Op::key).find(|&k| k != first);
+        Some(TxnKeys { first, second })
+    }
+
+    /// The slot of `key`, if the transaction touches it.
+    fn slot(self, key: Key) -> Option<usize> {
+        if key == self.first {
+            Some(0)
+        } else {
+            (Some(key) == self.second).then_some(1)
+        }
+    }
+
+    /// The keys in slot order, and how many there are.
+    fn keys(self) -> ([Key; 2], usize) {
+        let second = self.second.unwrap_or(self.first);
+        ([self.first, second], 1 + usize::from(self.second.is_some()))
+    }
+}
+
 /// The instants a resident transaction reported, which the GC's candidate
 /// enumeration and the SSER chain cut read.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -64,15 +98,20 @@ pub(super) struct TxnMeta {
     pub(super) end: Option<u64>,
 }
 
-/// The key-independent state: labelled graph, topological order, verdict
-/// latch and session bookkeeping.
+/// The key-independent state: topological order, verdict latch and session
+/// bookkeeping.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(super) struct Engine {
     pub(super) level: IsolationLevel,
-    pub(super) graph: DependencyGraph,
+    /// Dependency edges derived so far, the one that closed a cycle
+    /// included: [`super::IncrementalChecker::edge_count`].
+    pub(super) edges: usize,
     /// SER: maintained over *all* edges. SSER: additionally contains the
     /// time-chain nodes and the begin/end hook edges. SI: a tail node per
-    /// transaction besides, each edge split by [`split_edge`].
+    /// transaction besides, each edge split by [`split_edge`]. A dependency
+    /// edge is held here alone: its pair once, its label in the entry
+    /// ([`EdgeTag`]), the label's key named by its slot in the target's
+    /// `txn_keys`.
     pub(super) topo: IncrementalTopo,
     /// SSER: the online time-chain over begin/commit instants.
     pub(super) chain: TimeChain,
@@ -81,6 +120,9 @@ pub(super) struct Engine {
     pub(super) txn_node: TxnMap<usize>,
     /// SI: the tail node of each resident transaction.
     pub(super) txn_tail: TxnMap<usize>,
+    /// The keys of each resident transaction but `⊥T`, which is never the
+    /// target of an edge.
+    pub(super) txn_keys: TxnMap<TxnKeys>,
     /// Owner of each topological-order node, for cycle splicing.
     pub(super) node_owner: Vec<NodeOwner>,
     /// Last *committed* transaction of each session: the source of the
@@ -121,11 +163,12 @@ impl Engine {
     pub(super) fn new(level: IsolationLevel) -> Self {
         Engine {
             level,
-            graph: DependencyGraph::new(0),
+            edges: 0,
             topo: IncrementalTopo::new(),
             chain: TimeChain::new(),
             txn_node: TxnMap::default(),
             txn_tail: TxnMap::default(),
+            txn_keys: TxnMap::default(),
             node_owner: Vec::new(),
             sessions: Vec::new(),
             live_txns: IdOrdered::default(),
@@ -189,7 +232,16 @@ impl Engine {
     ) -> Admitted {
         debug_assert_eq!(id.index(), self.txn_count);
         self.txn_count += 1;
-        self.graph.add_node();
+        // A transaction takes at most three nodes: its own, and two time
+        // anchors (SSER) or its tail (SI).
+        if !self.topo.has_room(3) {
+            let nodes = self.topo.node_count();
+            keep_lowest(&mut found.error, 0, CheckError::OrderFull { nodes });
+            return Admitted {
+                so: None,
+                hooks: None,
+            };
+        }
 
         // SSER: committed transactions with at least one recorded instant
         // (⊥T included, matching `check_sser`'s instant collection) hook
@@ -232,6 +284,9 @@ impl Engine {
         if is_init {
             self.has_init = true;
             return admitted;
+        }
+        if let Some(keys) = TxnKeys::of(&txn.ops) {
+            self.txn_keys.insert(id, keys);
         }
         if let Err(v) = validate_shape(id, &txn.ops) {
             keep_lowest(&mut found.error, 0, CheckError::NotMiniTransaction(v));
@@ -288,41 +343,46 @@ impl Engine {
         }
     }
 
-    /// Adds one dependency edge to the graph and to the maintained order —
-    /// at SSER the *augmented* one, time nodes included, where a rejection
-    /// means a dependency path contradicts the time-chain; at SI split by
-    /// [`split_edge`]. No-op once a verdict is latched.
+    /// Adds one dependency edge to the maintained order — at SSER the
+    /// *augmented* one, time nodes included, where a rejection means a
+    /// dependency path contradicts the time-chain; at SI split by
+    /// [`split_edge`] — labelled with its kind and the slot of its key among
+    /// the target's. No-op once a verdict is latched.
     ///
-    /// The edge is pushed with no look-up, because no labelled edge
-    /// arrives twice. `SO` comes once per transaction. Every key edge comes
-    /// from `keystate::reads_from`, which runs once per external read, and
-    /// a transaction has one external read per key: `WR(x)` and `WW(x)` are
-    /// that read's own, and `RW(x) r → o` is emitted when the second of
-    /// reader `r` and overwriter `o` joins the lists of the one version of
-    /// `x` that `r` read.
+    /// A pair the order holds already keeps its entry, relabelled only by a
+    /// strictly better kind (`WR(x)` then `WW(x)` from one writer to a
+    /// read-modify-write is one entry, labelled `WW(x)`): the label
+    /// `DependencyGraph::label_hop` gives the pair over the derived edges.
     fn insert(&mut self, at: TxnId, edge: Edge) {
         let Edge { from, to, kind } = edge;
         if self.done() {
             return;
         }
-        self.graph.add_edge(from, to, kind);
+        self.edges += 1;
+        let slot = kind.key().map_or(0, |key| {
+            let keys = self.txn_keys.get(to).copied();
+            let slot = keys.and_then(|keys| keys.slot(key));
+            slot.expect("a keyed edge's key is one of its target's")
+        });
+        let tag = EdgeTag::new(kind, slot);
         let (u, v) = (self.node_of(from), self.node_of(to));
         let Some((&u_tail, &v_tail)) = self.txn_tail.get(from).zip(self.txn_tail.get(to)) else {
-            return self.order_edge(at, u, v);
+            return self.order_edge(at, u, v, tag);
         };
         for (x, y) in split_edge(kind, (u, u_tail), (v, v_tail)) {
-            self.order_edge(at, x, y);
+            self.order_edge(at, x, y, tag);
         }
     }
 
-    /// Inserts `u → v` into the maintained order and splices a rejection
-    /// back into a labelled counterexample; no-op once a verdict is latched.
-    fn order_edge(&mut self, at: TxnId, u: usize, v: usize) {
+    /// Inserts `u → v`, labelled `tag`, into the maintained order and
+    /// splices a rejection back into a labelled counterexample; no-op once a
+    /// verdict is latched.
+    fn order_edge(&mut self, at: TxnId, u: usize, v: usize, tag: EdgeTag) {
         if self.done() {
             return;
         }
-        if let Err(cycle) = self.topo.try_add_edge(u, v) {
-            let edges = self.order_cycle_edges(&cycle);
+        if let Err(cycle) = self.topo.try_add_edge(u, v, tag) {
+            let edges = self.order_cycle_edges(&cycle, tag);
             self.latch_violation(Violation::Cycle { edges }, at);
         }
     }
@@ -347,9 +407,9 @@ impl Engine {
         pairs.extend(end.map(|anchor| (tnode, anchor)));
         let rejected = pairs
             .iter()
-            .find_map(|&(from, to)| self.topo.try_add_edge(from, to).err());
+            .find_map(|&(from, to)| self.topo.try_add_edge(from, to, EdgeTag::NONE).err());
         if let Some(cycle) = rejected {
-            let edges = self.order_cycle_edges(&cycle);
+            let edges = self.order_cycle_edges(&cycle, EdgeTag::NONE);
             self.latch_violation(Violation::Cycle { edges }, at);
         }
         self.time_scratch = pairs;
@@ -369,11 +429,14 @@ impl Engine {
 
     /// Maps a cycle over the maintained order back to labelled edges, from
     /// its first transaction node on, mirroring the splice of
-    /// [`crate::check_sser`]: a direct hop is labelled from the dependency
-    /// graph — at SI one out of a tail by an `RW` edge, any other by a base
-    /// edge — and hops through time nodes (SSER only) become RT edges. All
-    /// hops are labelled in one pass over the graph's edges.
-    fn order_cycle_edges(&self, cycle: &[usize]) -> Vec<Edge> {
+    /// [`crate::check_sser`]: a direct hop between two transactions' nodes
+    /// is one edge of the order and reports the label its row entry carries
+    /// — `closing`, the rejected edge's, for the hop that closes the cycle,
+    /// which no row holds — and hops through time nodes (SSER only) become
+    /// RT edges. At SI a hop into a node or a tail carries a base kind and a
+    /// hop out of a tail an `RW` kind, because those are the only labels
+    /// [`split_edge`] puts there. One look-up per hop in its source's row.
+    fn order_cycle_edges(&self, cycle: &[usize], closing: EdgeTag) -> Vec<Edge> {
         let len = cycle.len();
         let owner = |i: usize| self.node_owner[cycle[i % len]];
         let start = (0..len).find(|&i| matches!(owner(i), NodeOwner::Txn(_)));
@@ -383,31 +446,84 @@ impl Engine {
         let real: Vec<(usize, TxnId)> = (start..start + len)
             .filter_map(|i| Some((i, owner(i).txn()?)))
             .collect();
-        let si = self.level == IsolationLevel::SnapshotIsolation;
-        // Each hop's transactions, and for a direct hop whether it leaves a
-        // tail (`None`: the hop passes time nodes).
-        let mut hops = Vec::with_capacity(real.len());
-        let mut direct = Vec::with_capacity(real.len());
-        for (idx, &(pos, u)) in real.iter().enumerate() {
-            let back_to_start = (start + len, real[0].1);
-            let (next, v) = real.get(idx + 1).copied().unwrap_or(back_to_start);
-            hops.push((u.index(), v.index()));
-            let out_of_tail = matches!(owner(pos), NodeOwner::Tail(_));
-            direct.push((pos + 1 == next).then_some(out_of_tail));
-        }
-        let labels = self.graph.label_hops(&hops, |i, kind| {
-            direct[i].is_some_and(|out_of_tail| !si || kind.is_rw() == out_of_tail)
-        });
-        let rt = |(u, v)| Edge {
-            from: TxnId(u as u32),
-            to: TxnId(v as u32),
-            kind: EdgeKind::Rt,
+        let back_to_start = (start + len, real[0].1);
+        let hops = real.iter().zip(real.iter().skip(1).chain([&back_to_start]));
+        let hop = |(&(pos, from), &(next, to)): (&(usize, TxnId), &(usize, TxnId))| {
+            let kind = if pos + 1 == next {
+                let tag = if pos % len == len - 1 {
+                    closing
+                } else {
+                    let (u, v) = (cycle[pos % len], cycle[next % len]);
+                    let tag = self.topo.label(u, v);
+                    tag.expect("a hop of the cycle is an edge of the order")
+                };
+                self.kind_of(tag, to)
+                    .expect("an edge between transactions carries its label")
+            } else {
+                EdgeKind::Rt
+            };
+            Edge { from, to, kind }
         };
-        hops.into_iter()
-            .zip(labels)
-            .map(|(hop, label)| label.unwrap_or_else(|| rt(hop)))
-            .collect()
+        hops.map(hop).collect()
     }
+
+    /// The kind a row entry into transaction `to`'s node or tail stands for,
+    /// if it is labelled.
+    pub(super) fn kind_of(&self, tag: EdgeTag, to: TxnId) -> Option<EdgeKind> {
+        let (keys, n) = self.txn_keys.get(to).map_or(([Key(0); 2], 0), |k| k.keys());
+        tag.kind(&keys[..n]).ok().flatten()
+    }
+
+    /// The labelled entries of the order's rows between two transactions'
+    /// nodes, node by node: see [`super::IncrementalChecker::order_edges`].
+    pub(super) fn order_edges(&self) -> impl Iterator<Item = OrderEdge> + '_ {
+        let nodes = (0..self.topo.node_count()).filter(|&u| self.topo.is_live(u));
+        nodes.flat_map(move |u| {
+            let entries = self.topo.labelled_successors(u);
+            entries.filter_map(move |(v, tag)| {
+                let (a, b) = (self.node_owner[u], self.node_owner[v]);
+                let (from, to) = (a.txn()?, b.txn()?);
+                let kind = self.kind_of(tag, to)?;
+                Some(OrderEdge {
+                    edge: Edge { from, to, kind },
+                    out_of_tail: matches!(a, NodeOwner::Tail(_)),
+                    into_tail: matches!(b, NodeOwner::Tail(_)),
+                })
+            })
+        })
+    }
+
+    /// Refuses an order whose rows hold a label that names a key its
+    /// target does not have: a snapshot's bytes, checked as they are read.
+    pub(super) fn check_labels(&self) -> Result<(), String> {
+        for u in 0..self.topo.node_count() {
+            for (v, tag) in self.topo.labelled_successors(u) {
+                let to = self.node_owner.get(v).and_then(|owner| owner.txn());
+                let (keys, n) = to
+                    .and_then(|t| self.txn_keys.get(t))
+                    .map_or(([Key(0); 2], 0), |k| k.keys());
+                tag.kind(&keys[..n])
+                    .map_err(|e| format!("the edge {u} -> {v}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One labelled entry of the maintained order's rows: the dependency edge
+/// it stands for, with the label it carries, and at SI which half of the
+/// split it is ([`IncrementalChecker::order_edges`]).
+///
+/// [`IncrementalChecker::order_edges`]: super::IncrementalChecker::order_edges
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OrderEdge {
+    /// The pair and its label.
+    pub edge: Edge,
+    /// SI: the entry leaves the tail of `edge.from` (an `RW` edge).
+    pub out_of_tail: bool,
+    /// SI: the entry enters the tail of `edge.to` (a base edge's second
+    /// half).
+    pub into_tail: bool,
 }
 
 /// What [`Engine::admit`] leaves for [`Engine::settle`] besides its findings.

@@ -5,7 +5,7 @@
 use super::engine::Engine;
 use super::keystate::TxnSet;
 use crate::check::IsolationLevel;
-use mtc_history::{FastHashSet, TimeSlot, TxnId};
+use mtc_history::{EdgeTag, FastHashSet, TimeSlot, TxnId};
 use serde::{Deserialize, Serialize};
 
 /// Settled-prefix garbage collection policy for the streaming checkers.
@@ -347,7 +347,7 @@ impl Engine {
             if let (Some((_, a)), Some((_, s))) = (self.chain.pred(first), self.chain.succ(last)) {
                 if !self.topo.has_edge(a.end_node, s.begin_node) {
                     self.topo
-                        .try_add_edge(a.end_node, s.begin_node)
+                        .try_add_edge(a.end_node, s.begin_node, EdgeTag::NONE)
                         .expect("chain shortcut follows the existing order");
                 }
             }
@@ -359,11 +359,10 @@ impl Engine {
             self.topo.remove_edges_into(src, &nodes);
         }
         self.topo.prune(&nodes);
-        self.graph
-            .prune_nodes(|t| cand.get(t.index()).copied().unwrap_or(false));
         for &t in &cand_list {
             self.txn_node.remove(t);
             self.txn_tail.remove(t);
+            self.txn_keys.remove(t);
             self.live_txns.remove(t);
         }
         self.pruned_txns += cand_list.len();
@@ -372,6 +371,7 @@ impl Engine {
         // maps, so resident memory stays proportional to the window.
         self.txn_node.rebase(watermark.0);
         self.txn_tail.rebase(watermark.0);
+        self.txn_keys.rebase(watermark.0);
         self.live_txns.rebase(watermark.0);
     }
 }

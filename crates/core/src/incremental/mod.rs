@@ -179,6 +179,7 @@ mod tests;
 
 pub use benchmark_leftovers::{tune, ShardedIncrementalChecker};
 pub use checker::{check_streaming, IncrementalChecker, StreamStatus};
+pub use engine::OrderEdge;
 pub use gc::GcPolicy;
 pub use snapshot::{CheckerSnapshot, SNAPSHOT_VERSION};
 

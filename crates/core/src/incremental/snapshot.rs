@@ -3,7 +3,7 @@
 use super::engine::Engine;
 use super::keystate::KeyState;
 use crate::check::IsolationLevel;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
 
 /// A complete, self-contained snapshot of a streaming checker: everything
 /// needed to resume verification exactly where it stopped — the engine
@@ -17,12 +17,39 @@ use serde::{Deserialize, Serialize};
 /// serde stack, so `mtc-store` can frame them into checkpoint files; a
 /// resumed checker finishes with a verdict — violation payload and
 /// `first_violation_at` included — bit-identical to the uninterrupted run's.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct CheckerSnapshot {
     /// Snapshot format version.
     pub(super) version: u32,
     pub(super) engine: Engine,
     pub(super) keys: KeyState,
+}
+
+/// The fields of a [`CheckerSnapshot`], before its labels are checked.
+#[derive(Deserialize)]
+struct Stored {
+    version: u32,
+    engine: Engine,
+    keys: KeyState,
+}
+
+/// Read back, a snapshot is refused unless each label in its order's rows
+/// names a key its target transaction has (the order itself refuses an id
+/// past its node count and a label that names no kind).
+impl Deserialize for CheckerSnapshot {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let Stored {
+            version,
+            engine,
+            keys,
+        } = Stored::pull(src)?;
+        engine.check_labels().map_err(serde::Error::msg)?;
+        Ok(CheckerSnapshot {
+            version,
+            engine,
+            keys,
+        })
+    }
 }
 
 /// Current snapshot format version. Bumped to 2 when the per-key state
@@ -42,8 +69,12 @@ pub struct CheckerSnapshot {
 /// runs in the one maintained order through tail nodes (the composed order,
 /// its provenance rows and its edge indexes left the engine), and the key
 /// state is written as it is held — its slots, version records and maps —
-/// instead of as the five maps it was before its records.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// instead of as the five maps it was before its records. Version 8: the
+/// engine's labelled edge list left it — each dependency edge is one entry
+/// of the order's forward rows, its label packed beneath the target's id,
+/// its key named by a slot in the per-transaction key table the engine
+/// gained — and the derived-edge count is a field of its own.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 impl CheckerSnapshot {
     /// The isolation level the snapshotted checker enforces.

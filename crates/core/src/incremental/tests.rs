@@ -624,12 +624,13 @@ fn checkpoint_after_gc_resumes_exactly() {
 
 /// A snapshot carries the maintained order's adjacency as plain arrays,
 /// whatever holds the rows in memory: `engine.topo.{fwd,back}` of an encoded
-/// checkpoint are the `Vec<Vec<u32>>` the accessors rebuild — rows past the
-/// inline capacity (`⊥T` precedes every first reader), rows a collection
-/// emptied, and recycled rows included.
+/// checkpoint are the `Vec<Vec<u32>>` the accessors rebuild — a forward
+/// entry its target's id above the four bits of its label — with rows past
+/// the inline capacity (`⊥T` precedes every first reader), rows a
+/// collection emptied, and recycled rows included.
 #[test]
 fn checkpointed_adjacency_rows_are_plain_arrays() {
-    use serde::Serialize;
+    use serde::{Deserialize, Serialize};
     let h = serial_history(600, 8, None);
     let gc = GcPolicy {
         window: 128,
@@ -659,7 +660,12 @@ fn checkpointed_adjacency_rows_are_plain_arrays() {
                 .map(|n| order.predecessors(n).map(|v| v as u32).collect())
                 .collect();
             let encoded = encoded.expect("the order");
-            assert_eq!(encoded.get("fwd"), Some(&fwd.to_json_value()), "{level}");
+            let entries = Vec::<Vec<u32>>::from_json_value(encoded.get("fwd").unwrap()).unwrap();
+            let targets: Vec<Vec<u32>> = entries
+                .iter()
+                .map(|row| row.iter().map(|e| e >> 4).collect())
+                .collect();
+            assert_eq!(targets, fwd, "{level}");
             assert_eq!(encoded.get("back"), Some(&back.to_json_value()), "{level}");
             // `⊥T`'s row holds more than the five ids a row keeps in place;
             // collected streams cut it back.
@@ -783,8 +789,21 @@ fn time_hooks_of_a_commit_without_so_come_first() {
     // No `⊥T` and a fresh session: no `SO` edge, so nothing precedes the
     // hooks and none of the commit's key edges reaches the graph.
     let checker = hooked_after(2);
-    assert_eq!(checker.graph().out_edges(TxnId(1)).count(), 0);
+    let out_of = |t: TxnId| {
+        checker
+            .order_edges()
+            .into_iter()
+            .filter(move |e| e.edge.from == t)
+    };
+    assert_eq!(out_of(TxnId(1)).count(), 0);
     assert_eq!(checker.edge_count(), 2, "WR and WW of the second commit");
+    // ... held as one entry of the order, labelled by the better kind.
+    let ww = Edge {
+        from: TxnId(0),
+        to: TxnId(1),
+        kind: EdgeKind::Ww(mtc_history::Key(0)),
+    };
+    assert_eq!(out_of(TxnId(0)).map(|e| e.edge).collect::<Vec<_>>(), [ww]);
 }
 
 #[test]
@@ -793,7 +812,12 @@ fn time_hooks_come_right_after_so() {
     // before any of the commit's key edges reaches the graph.
     let checker = hooked_after(1);
     let (from, to) = (TxnId(1), TxnId(2));
-    let settled: Vec<Edge> = checker.graph().out_edges(from).copied().collect();
+    let settled: Vec<Edge> = checker
+        .order_edges()
+        .into_iter()
+        .map(|e| e.edge)
+        .filter(|e| e.from == from)
+        .collect();
     let so = Edge {
         from,
         to,

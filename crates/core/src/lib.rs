@@ -46,7 +46,8 @@ pub use check::{
 };
 pub use divergence::{find_divergence, Divergence};
 pub use incremental::{
-    check_streaming, CheckerSnapshot, GcPolicy, IncrementalChecker, StreamStatus, SNAPSHOT_VERSION,
+    check_streaming, CheckerSnapshot, GcPolicy, IncrementalChecker, OrderEdge, StreamStatus,
+    SNAPSHOT_VERSION,
 };
 pub use incremental::{tune, ShardedIncrementalChecker};
 pub use lwt::{check_linearizability, check_linearizability_single_key, LwtError};

@@ -71,7 +71,7 @@ fn composed_pairs(g: &DependencyGraph) -> Result<Vec<(usize, usize)>, Vec<Edge>>
     // Parallel composed edges do not affect cycle questions, so the pairs
     // are neither deduplicated nor remembered: only the hops of a cycle that
     // is actually found are expanded again, below.
-    let mut composed: Vec<(usize, usize)> = Vec::with_capacity(2 * g.live_edge_count());
+    let mut composed: Vec<(usize, usize)> = Vec::with_capacity(2 * g.edge_count());
     for e in g.edges().iter().filter(is_base) {
         let (a, b) = (e.from.index(), e.to.index());
         // base edge alone (the `?` of `RW?`)

@@ -227,6 +227,14 @@ pub enum CheckError {
         /// The budget.
         budget: usize,
     },
+    /// The streaming checker's maintained order holds as many nodes as a
+    /// row entry can name ([`mtc_history::MAX_NODES`]) and the next
+    /// transaction needs more: an un-collected stream that long wants a
+    /// [`crate::GcPolicy`].
+    OrderFull {
+        /// Nodes the order holds.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for CheckError {
@@ -248,6 +256,11 @@ impl fmt::Display for CheckError {
                 f,
                 "the reference dependency graph has more than {budget} edges (stopped at \
                  {edges}); the WW closure is too large for this history"
+            ),
+            CheckError::OrderFull { nodes } => write!(
+                f,
+                "the streaming order holds {nodes} nodes, the most it can name; \
+                 stream this long with garbage collection"
             ),
             CheckError::UnsupportedLwtOp { key } => {
                 write!(

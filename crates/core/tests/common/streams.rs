@@ -1,16 +1,16 @@
 //! The random streams the streaming engine's differential tests draw from:
 //! valid serial mini-transaction histories, timed ones, their corruptions,
 //! and the small GC geometries they are checked under; the check an SI
-//! cycle certificate is held to, and the one a streamed graph's edge list
-//! is held to. Included by `streaming_differential.rs`, by the engine's own
-//! unit tests (which hold the GC's closure to its reference on them) and by
-//! the streaming verdict fixture's test; the includer brings `GcPolicy`
-//! into scope.
+//! cycle certificate is held to, and the one the labelled rows of a
+//! streamed order are held to. Included by `streaming_differential.rs`, by
+//! the engine's own unit tests (which hold the GC's closure to its
+//! reference on them) and by the streaming verdict fixture's test; the
+//! includer brings `GcPolicy` and `OrderEdge` into scope.
 
 #![allow(dead_code)]
 
-use super::GcPolicy;
-use mtc_history::{Edge, History, HistoryBuilder, Op, Transaction, TxnId, Value};
+use super::{GcPolicy, OrderEdge};
+use mtc_history::{DependencyGraph, Edge, History, HistoryBuilder, Op, Transaction, TxnId, Value};
 use proptest::prelude::*;
 
 /// Mini-transaction shapes, as in the top-level differential suite.
@@ -307,11 +307,62 @@ pub fn assert_si_certificate(derived: &[Edge], certificate: &[Edge]) {
     }
 }
 
-/// Holds a streamed graph's edge list to what the engine's `insert` relies
-/// on when it pushes an edge without looking it up: no labelled edge twice.
-pub fn assert_no_edge_twice(edges: &[Edge]) {
-    let mut seen = std::collections::HashSet::with_capacity(edges.len());
-    for e in edges {
-        assert!(seen.insert(*e), "{e:?} is held twice");
+/// Holds the labelled rows of a streamed order to what the order promises:
+/// no pair of nodes twice in a row.
+pub fn assert_no_pair_twice(order: &[OrderEdge]) {
+    let mut seen = std::collections::HashSet::with_capacity(order.len());
+    for e in order {
+        let pair = (e.edge.from, e.out_of_tail, e.edge.to, e.into_tail);
+        assert!(seen.insert(pair), "{e:?} is held twice");
     }
+}
+
+/// Holds the labelled rows of a streamed order (`si` at snapshot isolation)
+/// to the dependency graph `derived` of the prefix it consumed, an oracle
+/// that shares none of its code: every entry carries the label
+/// `DependencyGraph::label_hop` picks for its pair — at SI a base kind into
+/// a node or a tail and an `RW` kind out of a tail. Among derived edges of
+/// the best rank, the row keeps the first to *arrive* and the list the
+/// first the batch build emits, so where those differ (an `RW` edge on each
+/// of two keys) the key may too: the entry's edge is one of the derived
+/// edges of that rank. With `complete`, every derived edge's pair
+/// is held too: the rows are the graph, pair for pair.
+pub fn assert_order_labels(
+    order: &[OrderEdge],
+    derived: &DependencyGraph,
+    si: bool,
+    complete: bool,
+) {
+    assert_no_pair_twice(order);
+    for e in order {
+        let (from, to) = (e.edge.from.index(), e.edge.to.index());
+        assert!(!(e.into_tail && e.out_of_tail), "{e:?} joins two tails");
+        let fits = |kind: mtc_history::EdgeKind| !si || kind.is_rw() == e.out_of_tail;
+        let expected = derived.label_hop(from, to, fits).expect("a derived pair");
+        assert!(derived.edges().contains(&e.edge), "{e:?} is not derived");
+        assert_eq!(
+            e.edge.kind.label_rank(),
+            expected.kind.label_rank(),
+            "{e:?}"
+        );
+    }
+    if !complete {
+        return;
+    }
+    let mut pairs = std::collections::HashSet::new();
+    for d in derived.edges() {
+        if !si {
+            pairs.insert((d.from, false, d.to, false));
+        } else if d.kind.is_rw() {
+            pairs.insert((d.from, true, d.to, false));
+        } else {
+            pairs.insert((d.from, false, d.to, false));
+            pairs.insert((d.from, false, d.to, true));
+        }
+    }
+    let held: std::collections::HashSet<_> = order
+        .iter()
+        .map(|e| (e.edge.from, e.out_of_tail, e.edge.to, e.into_tail))
+        .collect();
+    assert_eq!(held, pairs, "the rows are not the derived graph's pairs");
 }

@@ -11,8 +11,8 @@
 
 use mtc_core::{
     build_dependency, check_ser, check_si, check_sser, check_sser_naive, check_streaming,
-    CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus, Verdict,
-    Violation,
+    CheckerSnapshot, GcPolicy, IncrementalChecker, IsolationLevel, OrderEdge, StreamStatus,
+    Verdict, Violation,
 };
 use mtc_history::anomalies::AnomalyKind;
 use mtc_history::{History, HistoryBuilder, Op, Transaction, TxnId, Value};
@@ -356,17 +356,22 @@ fn si_certificates_of_the_catalogue_are_composed_cycles() {
     assert!(cycles >= 3, "{cycles} SI cycles");
 }
 
-// ───────────────── no labelled edge twice ───────────────────────────────────
+// ───────────────── the order's labels against the batch graph ──────────────
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The engine pushes every derived edge onto the graph without looking
-    /// it up first, so none may be derived twice: on valid and corrupted
-    /// histories, at every level, un-GC'd and GC'd, each straight through
-    /// and resumed from a checkpoint taken at `cut`.
+    /// The engine keeps each dependency edge once, as a labelled entry of
+    /// its order's rows. At every prefix a checker has consumed without a
+    /// verdict — on valid and corrupted histories, at every level, un-GC'd,
+    /// GC'd and resumed from a checkpoint taken at `cut` — every entry
+    /// carries the label `DependencyGraph::label_hop` gives its pair over
+    /// `build_dependency` of that prefix, no pair is held twice, and an
+    /// un-GC'd, un-resumed order holds every derived pair. A prefix with a
+    /// read that still waits for its writer has no graph of its own and is
+    /// not checked.
     #[test]
-    fn streamed_graphs_hold_no_labelled_edge_twice(
+    fn order_rows_carry_the_labels_of_the_derived_graph(
         shapes in prop::collection::vec((shape_strategy(), 0u64..6, 0u64..6), 2..40),
         keys in 2u64..6,
         sessions in 1u32..4,
@@ -378,28 +383,38 @@ proptest! {
         if let Some((pick, stale)) = corruption {
             history = corrupt(&history, pick, stale);
         }
+        let init = history.init_txn().map(|t| history.txn(t).write_set());
         for level in [
             IsolationLevel::Serializability,
             IsolationLevel::SnapshotIsolation,
             IsolationLevel::StrictSerializability,
         ] {
+            let si = level == IsolationLevel::SnapshotIsolation;
             for (gc, resume) in [(false, false), (true, false), (false, true), (true, true)] {
                 let (mut checker, txns) = seeded(level, &history);
                 if gc {
                     checker.set_gc(policy);
                 }
                 let cut = if resume { cut % (txns.len() + 1) } else { txns.len() };
-                for t in &txns[..cut] {
-                    let _ = checker.push(t.clone());
-                }
-                if resume {
-                    let bytes = serde_json::to_string(&checker.checkpoint()).unwrap();
-                    checker = IncrementalChecker::resume(serde_json::from_str(&bytes).unwrap());
-                    for t in &txns[cut..] {
-                        let _ = checker.push(t.clone());
+                let mut prefix = match &init {
+                    Some(keys) => HistoryBuilder::new().with_init_keys(keys.iter().copied()),
+                    None => HistoryBuilder::new(),
+                };
+                for (i, t) in txns.iter().enumerate() {
+                    if i == cut {
+                        let bytes = serde_json::to_string(&checker.checkpoint()).unwrap();
+                        checker = IncrementalChecker::resume(serde_json::from_str(&bytes).unwrap());
                     }
+                    prefix.push_cloned(t.clone());
+                    if checker.push(t.clone()) != Ok(StreamStatus::ConsistentSoFar) {
+                        break;
+                    }
+                    let Ok(derived) = build_dependency(&prefix.clone().build(), false) else {
+                        continue;
+                    };
+                    let order: Vec<OrderEdge> = checker.order_edges();
+                    assert_order_labels(&order, &derived, si, !gc && !resume);
                 }
-                assert_no_edge_twice(checker.graph().edges());
             }
         }
     }

@@ -9,10 +9,14 @@
 //! * `WW(x)` — a version order among the transactions writing `x`,
 //! * `RW(x)` — the anti-dependency derived from `WR` and `WW`.
 //!
-//! [`DependencyGraph`] is the labelled edges as one list, which grows edge
-//! by edge as the streaming engine derives them. It offers projections onto
-//! the unlabelled, frozen [`DiGraph`] used for cycle detection, and labels a
-//! node cycle back into a readable counterexample.
+//! [`DependencyGraph`] is the labelled edges as one list: what
+//! `BUILDDEPENDENCY` returns, and what the reference checkers of `mtc-core`
+//! search. It offers projections onto the unlabelled, frozen [`DiGraph`]
+//! used for cycle detection, and labels a node cycle back into a readable
+//! counterexample. The streaming engine keeps no such list: each edge it
+//! derives is one entry of its maintained order's rows, labelled in place
+//! ([`crate::IncrementalTopo`], [`crate::EdgeTag`]), and by the rule
+//! [`DependencyGraph::label_hop`] applies to the list.
 
 use crate::graph::DiGraph;
 use crate::txn::TxnId;
@@ -105,24 +109,18 @@ impl fmt::Debug for Edge {
 /// A dependency graph over the transactions of a history: its labelled
 /// edges, one list in the order they were added.
 ///
-/// Nodes are transaction indices; `node_count` only bounds the id space
-/// (ids are never recycled). The list is the whole structure, and what is
-/// serialized is what is held: a pruned graph
-/// ([`DependencyGraph::prune_nodes`]) holds only its live edges, and a
-/// deserialized one is ready as it is read.
+/// Nodes are transaction indices; `node_count` only bounds the id space.
+/// The list is the whole structure, and what is serialized is what is
+/// held: a deserialized graph is ready as it is read.
 ///
-/// The streaming engine pushes each edge onto it as it derives it, and the
-/// public `BUILDDEPENDENCY` entry points of `mtc-core` return one. No cycle
-/// search walks it: the engine keeps a maintained order of its own, and
-/// [`DependencyGraph::project`] freezes it for the others. The queries
-/// about one source scan the list; only certificates and tests ask them.
+/// The public `BUILDDEPENDENCY` entry points of `mtc-core` return one. No
+/// cycle search walks it: [`DependencyGraph::project`] freezes it for the
+/// searches. The queries about one source scan the list; only certificates
+/// and tests ask them.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DependencyGraph {
     node_count: usize,
     edges: Vec<Edge>,
-    /// Labelled edges pruned away by settled-prefix GC (kept so
-    /// `edge_count` keeps reporting the historical total).
-    pruned_edges: usize,
 }
 
 impl DependencyGraph {
@@ -137,11 +135,7 @@ impl DependencyGraph {
         debug_assert!(edges
             .iter()
             .all(|e| e.from.index() < node_count && e.to.index() < node_count));
-        DependencyGraph {
-            node_count,
-            edges,
-            pruned_edges: 0,
-        }
+        DependencyGraph { node_count, edges }
     }
 
     /// Number of transactions (nodes).
@@ -150,24 +144,9 @@ impl DependencyGraph {
         self.node_count
     }
 
-    /// Appends a fresh node (transaction slot) with no edges, returning its
-    /// index. Supports the streaming checkers, whose graphs grow one
-    /// committed transaction at a time.
-    pub fn add_node(&mut self) -> usize {
-        self.node_count += 1;
-        self.node_count - 1
-    }
-
-    /// Number of labelled edges ever added (including any pruned away by
-    /// [`DependencyGraph::prune_nodes`]).
+    /// Number of labelled edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len() + self.pruned_edges
-    }
-
-    /// Number of labelled edges currently resident.
-    #[inline]
-    pub fn live_edge_count(&self) -> usize {
         self.edges.len()
     }
 
@@ -254,7 +233,7 @@ impl DependencyGraph {
     /// [`DependencyGraph::label_hop`] for every hop `(u, v)` of `hops`,
     /// `fits(i, kind)` saying which kinds hop `i` may take, in one pass over
     /// the list: a cycle of any length costs one scan.
-    pub fn label_hops<F>(&self, hops: &[(usize, usize)], fits: F) -> Vec<Option<Edge>>
+    fn label_hops<F>(&self, hops: &[(usize, usize)], fits: F) -> Vec<Option<Edge>>
     where
         F: Fn(usize, EdgeKind) -> bool,
     {
@@ -277,18 +256,6 @@ impl DependencyGraph {
             }
         }
         labels
-    }
-
-    /// Drops every labelled edge with an endpoint for which `pruned`
-    /// returns true. Used by the settled-prefix GC of the streaming
-    /// checkers: pruned transactions can no longer appear in any
-    /// counterexample, so their edges are dead weight.
-    /// [`DependencyGraph::edge_count`] keeps counting them;
-    /// [`DependencyGraph::live_edge_count`] does not.
-    pub fn prune_nodes(&mut self, pruned: impl Fn(TxnId) -> bool) {
-        let before = self.edges.len();
-        self.edges.retain(|e| !pruned(e.from) && !pruned(e.to));
-        self.pruned_edges += before - self.edges.len();
     }
 }
 
@@ -350,24 +317,6 @@ mod tests {
         assert_eq!(hop.kind, EdgeKind::Ww(Key(1)));
         let hop = g.label_hop(0, 1, |k| k.key() != Some(Key(1))).unwrap();
         assert_eq!(hop.kind, EdgeKind::Ww(Key(0)));
-    }
-
-    #[test]
-    fn prune_nodes_drops_incident_edges_but_keeps_totals() {
-        let mut g = DependencyGraph::new(4);
-        g.add_edge(t(0), t(1), EdgeKind::So);
-        g.add_edge(t(1), t(2), EdgeKind::Wr(Key(0)));
-        g.add_edge(t(2), t(3), EdgeKind::Ww(Key(0)));
-        g.prune_nodes(|id| id.0 <= 1);
-        assert_eq!(g.edge_count(), 3, "historical total is preserved");
-        assert_eq!(g.live_edge_count(), 1);
-        assert!(g.contains_edge(t(2), t(3), EdgeKind::Ww(Key(0))));
-        assert!(!g.contains_edge(t(0), t(1), EdgeKind::So));
-        assert!(g.out_edges(t(1)).next().is_none());
-        // The graph keeps accepting edges among live nodes.
-        g.add_edge(t(3), t(2), EdgeKind::Rw(Key(0)));
-        assert_eq!(g.live_edge_count(), 2);
-        assert!(g.contains_edge(t(3), t(2), EdgeKind::Rw(Key(0))));
     }
 
     #[test]

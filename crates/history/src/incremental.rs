@@ -19,12 +19,17 @@
 //! transaction's time-chain splice edges and its begin/end hook edges
 //! through it one by one, and stops at the first rejection.
 //!
-//! ## Rows, scratch and counters
+//! ## Rows, labels, scratch and counters
 //!
 //! A node's successors and predecessors are two rows that hold their first
 //! five ids in place and spill behind one pointer (`InlineSeq`), so adding a
 //! node allocates nothing and most nodes never do; a row serializes as the
-//! plain array a `Vec<u32>` would, which is all a snapshot sees of it. The
+//! plain array a `Vec<u32>` would, which is all a snapshot sees of it. A
+//! pair is held once: an edge whose pair is already in the row changes
+//! nothing but, on a strictly better rank, the label its entry carries — a
+//! forward entry is its target's 28-bit id with a 4-bit [`EdgeTag`] beneath
+//! it, so `mtc-core`'s engine keeps each dependency edge in the order alone
+//! and labels a cycle from the rows it runs through. The
 //! reorder of a backward edge works in buffers the structure keeps between
 //! calls (its DFS stack, the two node sets and their rank slots), so neither
 //! an order-respecting edge nor one that reorders allocates; only a cycle
@@ -32,8 +37,10 @@
 //! counts what the order has cost: edges that agreed with it on arrival,
 //! affected-region passes, and the nodes those re-ranked.
 
+use crate::depgraph::EdgeKind;
 use crate::inline_seq::InlineSeq;
-use serde::{Deserialize, Serialize};
+use crate::value::Key;
+use serde::{Deserialize, Serialize, Source};
 use std::collections::VecDeque;
 
 /// One adjacency row: the first [`ROW_INLINE`] neighbours in place, the rest
@@ -42,12 +49,90 @@ use std::collections::VecDeque;
 type Row = InlineSeq<u32, ROW_INLINE>;
 
 /// Neighbours a row holds in place: the most that fit 32 bytes beside the
-/// length and the pointer. On `live_uniform`'s stream (seed 100, 20 000
-/// transactions) a SER node has 4.0 successors on average — `WR` and `WW` to
-/// the same reader are two edges — and 14 % of the rows in either direction
-/// hold more than five (31 % more than four); of SSER's 60 000 nodes, two
-/// in three of them time anchors, 9.7 %; of SI's composed rows 9.8 %.
+/// length and the pointer. ROW_INLINE_MEASURE
 const ROW_INLINE: usize = 5;
+
+/// Bits of a forward-row entry below its target's node id: the [`EdgeTag`].
+const TAG_BITS: u32 = 4;
+
+/// The most nodes an order can hold: a forward-row entry names its target
+/// in the 28 bits above its tag.
+pub const MAX_NODES: usize = 1 << (32 - TAG_BITS);
+
+/// The label a forward-row entry carries beneath its target's node id. The
+/// low three bits hold [`EdgeKind::label_rank`] + 1, 0 meaning unlabelled
+/// (the SSER time-chain's edges and hooks); the top bit says which of the
+/// *target* transaction's at most two keys a keyed label is about — the
+/// target, because `⊥T` is the source of `WR` / `WW` on every key and is
+/// never a target.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EdgeTag(u8);
+
+impl EdgeTag {
+    /// No label: an edge that stands for no dependency.
+    pub const NONE: EdgeTag = EdgeTag(0);
+    const SECOND_KEY: u8 = 8;
+
+    /// The label `kind`, whose key (if it has one) is the target's key in
+    /// `slot` (0 or 1).
+    pub fn new(kind: EdgeKind, slot: usize) -> EdgeTag {
+        let second = kind.key().is_some() && slot == 1;
+        EdgeTag((kind.label_rank() + 1) | if second { EdgeTag::SECOND_KEY } else { 0 })
+    }
+
+    /// The kind the tag stands for, its key read from the target's `keys`:
+    /// `Ok(None)` when unlabelled, `Err` when the tag names no kind, or a
+    /// key slot the target does not have.
+    pub fn kind(self, keys: &[Key]) -> Result<Option<EdgeKind>, String> {
+        let slot = usize::from(self.0 & EdgeTag::SECOND_KEY != 0);
+        let key = || {
+            keys.get(slot).copied().ok_or_else(|| {
+                format!(
+                    "label {:#x} names key slot {slot} of {} keys",
+                    self.0,
+                    keys.len()
+                )
+            })
+        };
+        let kind = match self.0 & 7 {
+            0 => None,
+            1 => Some(EdgeKind::Ww(key()?)),
+            2 => Some(EdgeKind::Wr(key()?)),
+            3 => Some(EdgeKind::Rw(key()?)),
+            4 => Some(EdgeKind::So),
+            5 => Some(EdgeKind::Rt),
+            _ => return Err(format!("label {:#x} names no kind", self.0)),
+        };
+        if slot == 1 && kind.is_none_or(|k| k.key().is_none()) {
+            return Err(format!("label {:#x} has a key slot but no key", self.0));
+        }
+        Ok(kind)
+    }
+
+    /// Where the tag stands when a pair is labelled again: lower is better,
+    /// unlabelled last.
+    fn rank(self) -> u8 {
+        (self.0 & 7).wrapping_sub(1)
+    }
+}
+
+/// A forward-row entry: `node` with `tag` beneath it.
+#[inline]
+fn entry(node: usize, tag: EdgeTag) -> u32 {
+    (node as u32) << TAG_BITS | u32::from(tag.0)
+}
+
+/// The node a forward-row entry points at.
+#[inline]
+fn target(entry: u32) -> usize {
+    (entry >> TAG_BITS) as usize
+}
+
+/// The tag of a forward-row entry.
+#[inline]
+fn tag_of(entry: u32) -> EdgeTag {
+    EdgeTag((entry & ((1 << TAG_BITS) - 1)) as u8)
+}
 
 /// What the maintained order has cost so far: see
 /// [`IncrementalTopo::order_stats`].
@@ -98,9 +183,10 @@ struct ReorderScratch {
 /// predecessor-closed retired set (entering it would need exactly the
 /// retained→pruned edge the precondition forbids). Cycle certificates stay
 /// canonical because they never involve retired nodes.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct IncrementalTopo {
-    /// Forward adjacency.
+    /// Forward adjacency: per node, its targets' ids, each with the [`EdgeTag`]
+    /// of that pair beneath it (see [`entry`]), each pair once.
     fwd: Vec<Row>,
     /// Reverse adjacency (needed for the backward half of the reorder pass).
     back: Vec<Row>,
@@ -153,12 +239,19 @@ impl IncrementalTopo {
     /// just committed; recycled ids (from [`IncrementalTopo::prune`]) keep
     /// the rank slot they retired with — an arbitrary but valid position,
     /// since a node without edges is unconstrained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the order already holds [`MAX_NODES`] nodes and none is
+    /// retired: a caller that must not panic asks
+    /// [`IncrementalTopo::has_room`] first.
     pub fn add_node(&mut self) -> usize {
         if let Some(id) = self.free.pop() {
             let id = id as usize;
             self.retired[id] = false;
             return id;
         }
+        assert!(self.has_room(1), "the order holds {MAX_NODES} nodes");
         let id = self.fwd.len();
         self.fwd.push(Row::default());
         self.back.push(Row::default());
@@ -182,6 +275,12 @@ impl IncrementalTopo {
         self.fwd.len() - self.free.len()
     }
 
+    /// True iff `nodes` more [`IncrementalTopo::add_node`] calls stay within
+    /// [`MAX_NODES`].
+    pub fn has_room(&self, nodes: usize) -> bool {
+        room(self.fwd.len(), self.free.len(), nodes)
+    }
+
     /// True iff `node` is allocated and not retired.
     #[inline]
     pub fn is_live(&self, node: usize) -> bool {
@@ -195,12 +294,44 @@ impl IncrementalTopo {
 
     /// The current successors of `node` (targets of edges out of it).
     pub fn successors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fwd[node].as_slice().iter().map(|&v| v as usize)
+        self.fwd[node].as_slice().iter().map(|&e| target(e))
     }
 
-    /// True iff at least one edge `from → to` is present.
+    /// The current edges out of `node`, as (target, label) pairs in
+    /// insertion order.
+    pub fn labelled_successors(&self, node: usize) -> impl Iterator<Item = (usize, EdgeTag)> + '_ {
+        self.fwd[node]
+            .as_slice()
+            .iter()
+            .map(|&e| (target(e), tag_of(e)))
+    }
+
+    /// True iff the edge `from → to` is present.
     pub fn has_edge(&self, from: usize, to: usize) -> bool {
-        self.fwd[from].as_slice().iter().any(|&v| v as usize == to)
+        self.label(from, to).is_some()
+    }
+
+    /// The label of the edge `from → to`, if it is present.
+    pub fn label(&self, from: usize, to: usize) -> Option<EdgeTag> {
+        let row = self.fwd[from].as_slice();
+        row.iter()
+            .rev()
+            .find(|&&e| target(e) == to)
+            .map(|&e| tag_of(e))
+    }
+
+    /// Where the entry of the pair `from → to` sits in `from`'s row, if the
+    /// pair is there. A repeat comes with the later of its endpoints, so the
+    /// row is searched from its end; a new pair is told apart by the shorter
+    /// of the two rows it would join — the new transaction's own, in a
+    /// stream.
+    fn find(&self, from: usize, to: usize) -> Option<usize> {
+        let row = self.fwd[from].as_slice();
+        let back = self.back[to].as_slice();
+        if back.len() < row.len() && !back.contains(&(from as u32)) {
+            return None;
+        }
+        row.iter().rposition(|&e| target(e) == to)
     }
 
     /// Forward edges, affected-region passes and the nodes they re-ranked,
@@ -261,7 +392,7 @@ impl IncrementalTopo {
             let fwd = self.fwd[u].as_slice();
             self.edge_count -= fwd.len();
             for &v in fwd {
-                let v = v as usize;
+                let v = target(v);
                 if self.mark[v] != g {
                     self.back[v].retain(|p| p as usize != u);
                 }
@@ -317,19 +448,19 @@ impl IncrementalTopo {
         let mark = &self.mark;
         let row = &mut self.fwd[from];
         let before = row.as_slice().len();
-        for &v in row.as_slice().iter().filter(|&&v| mark[v as usize] == g) {
-            let back = &mut self.back[v as usize];
+        for &v in row.as_slice().iter().filter(|&&v| mark[target(v)] == g) {
+            let back = &mut self.back[target(v)];
             if let Some(pos) = back.as_slice().iter().position(|&p| p as usize == from) {
                 back.swap_remove(pos);
             }
         }
-        row.retain(|v| mark[v as usize] != g);
+        row.retain(|v| mark[target(v)] != g);
         let removed = before - row.as_slice().len();
         self.edge_count -= removed;
         removed
     }
 
-    /// Number of accepted edges.
+    /// Number of accepted edges: distinct pairs.
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edge_count
@@ -346,7 +477,7 @@ impl IncrementalTopo {
         self.node_at.iter().map(|&n| n as usize).collect()
     }
 
-    /// Inserts the edge `from → to`.
+    /// Inserts the edge `from → to`, labelled `tag`.
     ///
     /// Returns `Ok(())` when the graph stays acyclic (the maintained order is
     /// adjusted if needed). Returns `Err(cycle)` when the edge would close a
@@ -357,7 +488,13 @@ impl IncrementalTopo {
     /// edges in insertion order — so it does not depend on the ranks the
     /// order settled on. The structure is left exactly as before the call,
     /// so the caller may keep feeding edges after recording the violation.
-    pub fn try_add_edge(&mut self, from: usize, to: usize) -> Result<(), Vec<usize>> {
+    ///
+    /// A pair already in the row stays where it is, and is not counted
+    /// again: its label becomes `tag` only if `tag` ranks strictly better,
+    /// so a pair carries the best label it arrived with, the first among
+    /// equals. Such a repeat agrees with the order, so it moves no rank and
+    /// changes no certificate.
+    pub fn try_add_edge(&mut self, from: usize, to: usize, tag: EdgeTag) -> Result<(), Vec<usize>> {
         assert!(
             from < self.node_count() && to < self.node_count(),
             "node out of bounds"
@@ -365,10 +502,17 @@ impl IncrementalTopo {
         if from == to {
             return Err(vec![from]);
         }
+        if let Some(at) = self.find(from, to) {
+            let held = &mut self.fwd[from].as_mut_slice()[at];
+            if tag.rank() < tag_of(*held).rank() {
+                *held = entry(to, tag);
+            }
+            return Ok(());
+        }
         if self.rank[to] > self.rank[from] {
             // The edge already agrees with the maintained order.
             self.stats.forward += 1;
-            self.insert_edge_unchecked(from, to);
+            self.insert_edge_unchecked(from, to, tag);
             return Ok(());
         }
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -377,7 +521,7 @@ impl IncrementalTopo {
         if closes_cycle {
             return Err(self.canonical_cycle(from, to));
         }
-        self.insert_edge_unchecked(from, to);
+        self.insert_edge_unchecked(from, to, tag);
         Ok(())
     }
 
@@ -398,7 +542,7 @@ impl IncrementalTopo {
         while let Some(u) = s.stack.pop() {
             s.fwd_set.push(u);
             for &v in self.fwd[u].as_slice() {
-                let v = v as usize;
+                let v = target(v);
                 if v == from {
                     return true;
                 }
@@ -445,8 +589,8 @@ impl IncrementalTopo {
     }
 
     #[inline]
-    fn insert_edge_unchecked(&mut self, from: usize, to: usize) {
-        self.fwd[from].push(to as u32);
+    fn insert_edge_unchecked(&mut self, from: usize, to: usize, tag: EdgeTag) {
+        self.fwd[from].push(entry(to, tag));
         self.back[to].push(from as u32);
         self.edge_count += 1;
     }
@@ -471,7 +615,7 @@ impl IncrementalTopo {
         queue.push_back(to);
         while let Some(u) = queue.pop_front() {
             for &v in self.fwd[u].as_slice() {
-                let v = v as usize;
+                let v = target(v);
                 if parent[v] != u32::MAX {
                     continue;
                 }
@@ -502,6 +646,73 @@ impl IncrementalTopo {
     }
 }
 
+/// True iff an order of `nodes` node slots, `free` of them retired, can add
+/// `more` nodes within [`MAX_NODES`].
+fn room(nodes: usize, free: usize, more: usize) -> bool {
+    nodes + more.saturating_sub(free) <= MAX_NODES
+}
+
+/// The fields of an [`IncrementalTopo`] as a snapshot holds them.
+#[derive(Deserialize)]
+struct Stored {
+    fwd: Vec<Row>,
+    back: Vec<Row>,
+    rank: Vec<u32>,
+    node_at: Vec<u32>,
+    retired: Vec<bool>,
+    free: Vec<u32>,
+    edge_count: usize,
+}
+
+/// Read back, an order is refused unless every table is one entry per node,
+/// the node count fits a row entry, and every id in it — a forward entry's
+/// target, a predecessor, a rank, a free slot — is below the node count and
+/// every forward entry's label names a kind.
+impl Deserialize for IncrementalTopo {
+    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
+        let Stored {
+            fwd,
+            back,
+            rank,
+            node_at,
+            retired,
+            free,
+            edge_count,
+        } = Stored::pull(src)?;
+        let n = fwd.len();
+        let refuse = |what: String| Err(serde::Error::msg(format!("order of {n} nodes: {what}")));
+        if n > MAX_NODES {
+            return refuse(format!("more than {MAX_NODES} nodes"));
+        }
+        if [back.len(), rank.len(), node_at.len(), retired.len()] != [n; 4] {
+            return refuse("a table of another length".into());
+        }
+        let below = |id: u32| (id as usize) < n;
+        for &e in fwd.iter().flat_map(|row| row.as_slice()) {
+            if !below(target(e) as u32) {
+                return refuse(format!("an edge into node {}", target(e)));
+            }
+            if tag_of(e).0 & 7 > 5 {
+                return refuse(format!("an edge labelled {:#x}", tag_of(e).0));
+            }
+        }
+        let ids = back.iter().flat_map(|row| row.as_slice()).chain(&rank);
+        if let Some(id) = ids.chain(&node_at).chain(&free).find(|&&id| !below(id)) {
+            return refuse(format!("node id {id}"));
+        }
+        Ok(IncrementalTopo {
+            fwd,
+            back,
+            rank,
+            node_at,
+            retired,
+            free,
+            edge_count,
+            ..IncrementalTopo::default()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,12 +720,20 @@ mod tests {
 
     fn check_order_invariant(t: &IncrementalTopo) {
         for u in 0..t.node_count() {
-            for &v in t.fwd[u].as_slice() {
+            for v in t.successors(u) {
                 assert!(
-                    t.rank[u] < t.rank[v as usize],
+                    t.rank[u] < t.rank[v],
                     "edge {u}->{v} violates maintained order"
                 );
             }
+            let mut row: Vec<usize> = t.successors(u).collect();
+            row.sort_unstable();
+            row.dedup();
+            assert_eq!(
+                row.len(),
+                t.fwd[u].as_slice().len(),
+                "a pair twice in {u}'s row"
+            );
         }
         // rank and node_at must stay inverse permutations.
         for u in 0..t.node_count() {
@@ -526,7 +745,7 @@ mod tests {
     fn forward_edges_are_cheap_and_valid() {
         let mut t = IncrementalTopo::with_nodes(5);
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)] {
-            t.try_add_edge(a, b).unwrap();
+            t.try_add_edge(a, b, EdgeTag::NONE).unwrap();
         }
         check_order_invariant(&t);
         assert_eq!(t.edge_count(), 5);
@@ -536,9 +755,9 @@ mod tests {
     fn backward_edge_triggers_reorder() {
         let mut t = IncrementalTopo::with_nodes(4);
         // Insert in an order that contradicts node-id order.
-        t.try_add_edge(3, 2).unwrap();
-        t.try_add_edge(2, 1).unwrap();
-        t.try_add_edge(1, 0).unwrap();
+        t.try_add_edge(3, 2, EdgeTag::NONE).unwrap();
+        t.try_add_edge(2, 1, EdgeTag::NONE).unwrap();
+        t.try_add_edge(1, 0, EdgeTag::NONE).unwrap();
         check_order_invariant(&t);
         assert!(t.precedes(3, 0));
     }
@@ -546,30 +765,30 @@ mod tests {
     #[test]
     fn cycle_is_reported_and_structure_unchanged() {
         let mut t = IncrementalTopo::with_nodes(3);
-        t.try_add_edge(0, 1).unwrap();
-        t.try_add_edge(1, 2).unwrap();
+        t.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
+        t.try_add_edge(1, 2, EdgeTag::NONE).unwrap();
         let before_rank: Vec<u32> = t.rank.clone();
-        let cycle = t.try_add_edge(2, 0).unwrap_err();
+        let cycle = t.try_add_edge(2, 0, EdgeTag::NONE).unwrap_err();
         // Cycle reported as [to, …, from] with from → to closing it.
         assert_eq!(cycle, vec![0, 1, 2]);
         assert_eq!(t.rank, before_rank);
         assert_eq!(t.edge_count(), 2);
         // The structure keeps working after the rejection.
-        t.try_add_edge(0, 2).unwrap();
+        t.try_add_edge(0, 2, EdgeTag::NONE).unwrap();
         check_order_invariant(&t);
     }
 
     #[test]
     fn self_loop_is_a_singleton_cycle() {
         let mut t = IncrementalTopo::with_nodes(1);
-        assert_eq!(t.try_add_edge(0, 0).unwrap_err(), vec![0]);
+        assert_eq!(t.try_add_edge(0, 0, EdgeTag::NONE).unwrap_err(), vec![0]);
     }
 
     #[test]
     fn two_node_cycle() {
         let mut t = IncrementalTopo::with_nodes(2);
-        t.try_add_edge(0, 1).unwrap();
-        assert_eq!(t.try_add_edge(1, 0).unwrap_err(), vec![0, 1]);
+        t.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
+        assert_eq!(t.try_add_edge(1, 0, EdgeTag::NONE).unwrap_err(), vec![0, 1]);
     }
 
     #[test]
@@ -577,20 +796,83 @@ mod tests {
         let mut t = IncrementalTopo::new();
         let a = t.add_node();
         let b = t.add_node();
-        t.try_add_edge(b, a).unwrap();
+        t.try_add_edge(b, a, EdgeTag::NONE).unwrap();
         let c = t.add_node();
-        t.try_add_edge(a, c).unwrap();
-        t.try_add_edge(c, b).unwrap_err();
+        t.try_add_edge(a, c, EdgeTag::NONE).unwrap();
+        t.try_add_edge(c, b, EdgeTag::NONE).unwrap_err();
+        check_order_invariant(&t);
+    }
+
+    /// A pair is kept once, with its best label.
+    #[test]
+    fn duplicate_edges_are_tolerated() {
+        let (wr, ww) = (EdgeKind::Wr(Key(3)), EdgeKind::Ww(Key(3)));
+        let mut t = IncrementalTopo::with_nodes(3);
+        t.try_add_edge(0, 1, EdgeTag::new(wr, 0)).unwrap();
+        t.try_add_edge(0, 2, EdgeTag::new(EdgeKind::So, 0)).unwrap();
+        t.try_add_edge(0, 1, EdgeTag::new(ww, 0)).unwrap();
+        assert_eq!(t.edge_count(), 2);
+        assert_eq!(
+            t.successors(0).collect::<Vec<_>>(),
+            [1, 2],
+            "kept where it was"
+        );
+        assert_eq!(t.order_stats().forward, 2, "a repeat is no insertion");
+        // `WR` then `WW` is `WW`; a worse rank changes nothing after it.
+        assert_eq!(t.label(0, 1), Some(EdgeTag::new(ww, 0)));
+        t.try_add_edge(0, 1, EdgeTag::new(wr, 1)).unwrap();
+        assert_eq!(t.label(0, 1), Some(EdgeTag::new(ww, 0)));
+        // Among equal ranks the first arrival stays: `WW(k1)` then `WW(k0)`
+        // keeps `k1`.
+        let keys = [Key(0), Key(1)];
+        t.try_add_edge(1, 2, EdgeTag::new(EdgeKind::Ww(Key(1)), 1))
+            .unwrap();
+        t.try_add_edge(1, 2, EdgeTag::new(EdgeKind::Ww(Key(0)), 0))
+            .unwrap();
+        let kept = t.label(1, 2).unwrap().kind(&keys).unwrap();
+        assert_eq!(kept, Some(EdgeKind::Ww(Key(1))));
+        // An unlabelled repeat of a labelled pair keeps the label.
+        t.try_add_edge(0, 2, EdgeTag::NONE).unwrap();
+        assert_eq!(t.label(0, 2), Some(EdgeTag::new(EdgeKind::So, 0)));
         check_order_invariant(&t);
     }
 
     #[test]
-    fn duplicate_edges_are_tolerated() {
-        let mut t = IncrementalTopo::with_nodes(2);
-        t.try_add_edge(0, 1).unwrap();
-        t.try_add_edge(0, 1).unwrap();
-        assert_eq!(t.edge_count(), 2);
-        check_order_invariant(&t);
+    fn a_tag_names_its_kind_and_the_targets_key() {
+        let keys = [Key(7), Key(9)];
+        for kind in [
+            EdgeKind::Ww(Key(9)),
+            EdgeKind::Wr(Key(7)),
+            EdgeKind::Rw(Key(9)),
+            EdgeKind::So,
+            EdgeKind::Rt,
+        ] {
+            let slot = keys
+                .iter()
+                .position(|&k| Some(k) == kind.key())
+                .unwrap_or(0);
+            assert_eq!(EdgeTag::new(kind, slot).kind(&keys), Ok(Some(kind)));
+        }
+        assert_eq!(EdgeTag::NONE.kind(&[]), Ok(None));
+        // No second key, a key slot on a kind without a key, no kind.
+        assert!(EdgeTag::new(EdgeKind::Wr(Key(9)), 1)
+            .kind(&keys[..1])
+            .is_err());
+        assert!(EdgeTag(4 | 8).kind(&keys).is_err());
+        assert!(EdgeTag(8).kind(&keys).is_err());
+        assert!(EdgeTag(6).kind(&keys).is_err());
+        assert!(EdgeTag(7).kind(&keys).is_err());
+    }
+
+    #[test]
+    fn room_is_counted_against_the_largest_order_a_row_entry_can_name() {
+        assert!(room(MAX_NODES - 3, 0, 3));
+        assert!(!room(MAX_NODES - 2, 0, 3));
+        assert!(room(MAX_NODES - 2, 1, 3), "a retired slot is reused");
+        assert!(room(MAX_NODES, 3, 3));
+        assert!(!room(MAX_NODES, 2, 3));
+        assert_eq!(target(entry(MAX_NODES - 1, EdgeTag(15))), MAX_NODES - 1);
+        assert_eq!(tag_of(entry(MAX_NODES - 1, EdgeTag(15))), EdgeTag(15));
     }
 
     /// Inserts `edges` in slice order up to the first rejection, the way
@@ -602,7 +884,8 @@ mod tests {
         edges: &[(usize, usize)],
     ) -> Result<(), (usize, Vec<usize>)> {
         for (i, &(from, to)) in edges.iter().enumerate() {
-            t.try_add_edge(from, to).map_err(|cycle| (i, cycle))?;
+            t.try_add_edge(from, to, EdgeTag::NONE)
+                .map_err(|cycle| (i, cycle))?;
         }
         Ok(())
     }
@@ -632,9 +915,9 @@ mod tests {
     fn batch_cycle_reports_first_offender_and_sequential_certificate() {
         // Sequential reference.
         let mut seq = IncrementalTopo::with_nodes(4);
-        seq.try_add_edge(0, 1).unwrap();
-        seq.try_add_edge(1, 2).unwrap();
-        let expected = seq.try_add_edge(2, 0).unwrap_err();
+        seq.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
+        seq.try_add_edge(1, 2, EdgeTag::NONE).unwrap();
+        let expected = seq.try_add_edge(2, 0, EdgeTag::NONE).unwrap_err();
 
         let mut bat = IncrementalTopo::with_nodes(4);
         let (index, cycle) = add_in_order(&mut bat, &[(0, 1), (1, 2), (2, 0), (2, 3)]).unwrap_err();
@@ -653,11 +936,13 @@ mod tests {
         assert_eq!(t.edge_count(), 1);
     }
 
+    /// Repeats in one batch are kept once, as one by one.
     #[test]
     fn batch_duplicates_are_tolerated_like_sequential_insertion() {
-        let mut t = IncrementalTopo::with_nodes(2);
-        add_in_order(&mut t, &[(0, 1), (0, 1), (0, 1)]).unwrap();
-        assert_eq!(t.edge_count(), 3);
+        let mut t = IncrementalTopo::with_nodes(3);
+        add_in_order(&mut t, &[(0, 1), (1, 2), (0, 1), (1, 2), (0, 1)]).unwrap();
+        assert_eq!(t.edge_count(), 2);
+        assert_eq!(t.order_stats().forward, 2);
         check_order_invariant(&t);
     }
 
@@ -677,9 +962,9 @@ mod tests {
     #[test]
     fn prune_frees_nodes_and_recycles_ids() {
         let mut t = IncrementalTopo::with_nodes(4);
-        t.try_add_edge(0, 1).unwrap();
-        t.try_add_edge(1, 2).unwrap();
-        t.try_add_edge(2, 3).unwrap();
+        t.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
+        t.try_add_edge(1, 2, EdgeTag::NONE).unwrap();
+        t.try_add_edge(2, 3, EdgeTag::NONE).unwrap();
         assert_eq!(t.live_node_count(), 4);
         t.prune(&[0, 1]);
         assert_eq!(t.live_node_count(), 2);
@@ -702,16 +987,16 @@ mod tests {
     #[should_panic(expected = "predecessor-closed")]
     fn prune_rejects_sets_with_live_incoming_edges() {
         let mut t = IncrementalTopo::with_nodes(2);
-        t.try_add_edge(0, 1).unwrap();
+        t.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
         t.prune(&[1]); // 0 -> 1 would dangle
     }
 
     #[test]
     fn remove_edges_into_enables_deliberate_cuts() {
         let mut t = IncrementalTopo::with_nodes(3);
-        t.try_add_edge(0, 1).unwrap();
-        t.try_add_edge(0, 2).unwrap();
-        t.try_add_edge(1, 2).unwrap();
+        t.try_add_edge(0, 1, EdgeTag::NONE).unwrap();
+        t.try_add_edge(0, 2, EdgeTag::NONE).unwrap();
+        t.try_add_edge(1, 2, EdgeTag::NONE).unwrap();
         assert_eq!(t.remove_edges_into(0, &[1]), 1);
         assert_eq!(t.edge_count(), 2);
         // 1 now has no incoming edge, so it is predecessor-closed by itself.
@@ -728,14 +1013,14 @@ mod tests {
         let mut a = IncrementalTopo::with_nodes(6);
         let mut b = IncrementalTopo::with_nodes(6);
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)] {
-            a.try_add_edge(u, v).unwrap();
-            b.try_add_edge(u, v).unwrap();
+            a.try_add_edge(u, v, EdgeTag::NONE).unwrap();
+            b.try_add_edge(u, v, EdgeTag::NONE).unwrap();
         }
         // {0, 1} is predecessor-closed and nothing will touch it again.
         b.prune(&[0, 1]);
         for (u, v) in [(4, 5), (5, 3), (3, 5), (5, 2), (4, 2)] {
-            let ra = a.try_add_edge(u, v);
-            let rb = b.try_add_edge(u, v);
+            let ra = a.try_add_edge(u, v, EdgeTag::NONE);
+            let rb = b.try_add_edge(u, v, EdgeTag::NONE);
             assert_eq!(ra, rb, "divergence on edge {u}->{v}");
         }
         check_order_invariant(&a);
@@ -746,7 +1031,7 @@ mod tests {
     fn serde_round_trip_preserves_behaviour() {
         let mut t = IncrementalTopo::with_nodes(5);
         for (u, v) in [(0, 1), (1, 2), (3, 2), (2, 4)] {
-            t.try_add_edge(u, v).unwrap();
+            t.try_add_edge(u, v, EdgeTag::NONE).unwrap();
         }
         t.prune(&[0]);
         let v = serde::Serialize::to_json_value(&t);
@@ -755,8 +1040,14 @@ mod tests {
         assert_eq!(back.live_node_count(), t.live_node_count());
         assert_eq!(back.edge_count(), t.edge_count());
         // The deserialized copy must behave identically.
-        assert_eq!(t.try_add_edge(4, 1), back.try_add_edge(4, 1));
-        assert_eq!(t.try_add_edge(2, 1), back.try_add_edge(2, 1));
+        assert_eq!(
+            t.try_add_edge(4, 1, EdgeTag::NONE),
+            back.try_add_edge(4, 1, EdgeTag::NONE)
+        );
+        assert_eq!(
+            t.try_add_edge(2, 1, EdgeTag::NONE),
+            back.try_add_edge(2, 1, EdgeTag::NONE)
+        );
         check_order_invariant(&back);
     }
 
@@ -770,10 +1061,13 @@ mod tests {
         if from == to {
             return Err(vec![from]);
         }
+        if t.successors(from).any(|v| v == to) {
+            return Ok(());
+        }
         let ub = t.rank[from];
         let lb = t.rank[to];
         if lb > ub {
-            t.insert_edge_unchecked(from, to);
+            t.insert_edge_unchecked(from, to, EdgeTag::NONE);
             return Ok(());
         }
         let gf = t.fresh_mark();
@@ -782,8 +1076,7 @@ mod tests {
         t.mark[to] = gf;
         while let Some(u) = stack.pop() {
             fwd_set.push(u);
-            for &v in t.fwd[u].as_slice() {
-                let v = v as usize;
+            for v in t.successors(u).collect::<Vec<_>>() {
                 if v == from {
                     return Err(t.canonical_cycle(from, to));
                 }
@@ -819,7 +1112,7 @@ mod tests {
             t.rank[node] = slot;
             t.node_at[slot as usize] = node as u32;
         }
-        t.insert_edge_unchecked(from, to);
+        t.insert_edge_unchecked(from, to, EdgeTag::NONE);
         Ok(())
     }
 
@@ -855,7 +1148,7 @@ mod tests {
                     .collect();
                 for _ in 0..next(24) {
                     let (a, b) = (live[next(live.len())], live[next(live.len())]);
-                    let got = topo.try_add_edge(a, b);
+                    let got = topo.try_add_edge(a, b, EdgeTag::NONE);
                     assert_eq!(
                         got,
                         reference_try_add_edge(&mut reference, a, b),
@@ -913,12 +1206,12 @@ mod tests {
         let mut t = IncrementalTopo::with_nodes(ROW_INLINE + 6);
         // Node 0's row outgrows the inline capacity, node 1's fills it.
         for v in 2..ROW_INLINE + 6 {
-            t.try_add_edge(0, v).unwrap();
+            t.try_add_edge(0, v, EdgeTag::NONE).unwrap();
         }
         for v in 2..ROW_INLINE + 2 {
-            t.try_add_edge(1, v).unwrap();
+            t.try_add_edge(1, v, EdgeTag::NONE).unwrap();
         }
-        t.try_add_edge(2, 3).unwrap();
+        t.try_add_edge(2, 3, EdgeTag::NONE).unwrap();
         let same_bytes = |t: &IncrementalTopo| {
             assert_eq!(
                 serde_json::to_string(t).unwrap(),
@@ -944,7 +1237,7 @@ mod tests {
     fn order_stats_count_forward_edges_reorders_and_moved_nodes() {
         let mut t = IncrementalTopo::with_nodes(4);
         for (a, b) in [(0, 1), (1, 2), (2, 3)] {
-            t.try_add_edge(a, b).unwrap();
+            t.try_add_edge(a, b, EdgeTag::NONE).unwrap();
         }
         let forward_only = OrderStats {
             forward: 3,
@@ -953,17 +1246,17 @@ mod tests {
         assert_eq!(t.order_stats(), forward_only);
         let mut t = IncrementalTopo::with_nodes(4);
         // One backward edge: nodes 1 and 0 swap.
-        t.try_add_edge(1, 0).unwrap();
+        t.try_add_edge(1, 0, EdgeTag::NONE).unwrap();
         // Another over ranks 0..=3: 3 moves ahead of 1 and 0, 2 stays.
-        t.try_add_edge(3, 1).unwrap();
+        t.try_add_edge(3, 1, EdgeTag::NONE).unwrap();
         assert_eq!(t.order(), [3, 1, 2, 0]);
         // A forward edge.
-        t.try_add_edge(2, 0).unwrap();
+        t.try_add_edge(2, 0, EdgeTag::NONE).unwrap();
         let stats = t.order_stats();
         assert_eq!((stats.forward, stats.reorders), (1, 2));
         assert_eq!(stats.moved, 2 + 3);
         // A rejected edge moves nothing.
-        t.try_add_edge(0, 3).unwrap_err();
+        t.try_add_edge(0, 3, EdgeTag::NONE).unwrap_err();
         assert_eq!(t.order_stats(), stats);
     }
 
@@ -983,7 +1276,7 @@ mod tests {
                 let b = (next() % n as u64) as usize;
                 batch.push((a, b));
                 let probe = DiGraph::from_edges(n, batch.iter().copied());
-                match topo.try_add_edge(a, b) {
+                match topo.try_add_edge(a, b, EdgeTag::NONE) {
                     Ok(()) => {
                         assert!(probe.is_acyclic(), "incremental accepted a cycle {a}->{b}");
                     }

@@ -51,6 +51,15 @@ impl<T: Copy + Default, const N: usize> InlineSeq<T, N> {
         }
     }
 
+    /// The elements, in order, to change in place.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.spill {
+            Some(heap) => heap,
+            None => &mut self.inline[..self.len as usize],
+        }
+    }
+
     /// Appends `item`; the `N + 1`-th element moves the sequence to the heap.
     #[inline]
     pub fn push(&mut self, item: T) {

@@ -45,7 +45,7 @@ pub use depgraph::{DependencyGraph, Edge, EdgeKind};
 pub use fasthash::{FastHashMap, FastHashSet};
 pub use graph::{find_cycle_in, DiGraph, Successors};
 pub use history::{History, HistoryBuilder};
-pub use incremental::{IncrementalTopo, OrderStats};
+pub use incremental::{EdgeTag, IncrementalTopo, OrderStats, MAX_NODES};
 pub use inline_seq::InlineSeq;
 pub use intra::{
     check_int, check_int_history, find_intra_anomalies, scan_reads, IntraAnomaly, IntraViolation,

@@ -79,7 +79,7 @@
 //! predecessor/successor range scans at all: the predecessor is the current
 //! maximum slot (one `last_key_value` lookup) and there is no successor.
 
-use crate::incremental::IncrementalTopo;
+use crate::incremental::{EdgeTag, IncrementalTopo};
 use serde::{Deserialize, Serialize};
 
 /// The chain anchors owned by one distinct instant, as a borrowed view.
@@ -167,7 +167,7 @@ impl SlotRepr {
 /// a growable [`IncrementalTopo`].
 ///
 /// ```
-/// use mtc_history::{IncrementalTopo, Role, TimeChain};
+/// use mtc_history::{EdgeTag, IncrementalTopo, Role, TimeChain};
 ///
 /// let mut topo = IncrementalTopo::new();
 /// let mut chain = TimeChain::new();
@@ -177,7 +177,7 @@ impl SlotRepr {
 /// // Inserted out of order, 20 is spliced between 10 and 30.
 /// let b20 = chain.anchor(20, Role::Begin, &mut topo, &mut edges);
 /// for (from, to) in edges {
-///     topo.try_add_edge(from, to).unwrap();
+///     topo.try_add_edge(from, to, EdgeTag::NONE).unwrap();
 /// }
 /// assert!(topo.precedes(e10, b20));
 /// assert!(topo.precedes(e10, b30));
@@ -345,7 +345,7 @@ impl TimeChain {
         let mut edges = Vec::new();
         let n = self.anchor(instant, role, topo, &mut edges);
         for (from, to) in edges {
-            topo.try_add_edge(from, to)
+            topo.try_add_edge(from, to, EdgeTag::NONE)
                 .expect("chain edges cannot close a cycle");
         }
         n
@@ -547,11 +547,11 @@ mod tests {
         let t2 = topo.add_node();
         let e42 = end_anchor(&mut chain, 42, &mut topo);
         let b42 = begin_anchor(&mut chain, 42, &mut topo);
-        topo.try_add_edge(t1, e42).unwrap();
-        topo.try_add_edge(b42, t2).unwrap();
+        topo.try_add_edge(t1, e42, EdgeTag::NONE).unwrap();
+        topo.try_add_edge(b42, t2, EdgeTag::NONE).unwrap();
         // T2 → T1 would be rejected if end(42) ⟶ begin(42) existed; it must
         // not, because `end(T1) < begin(T2)` is strict.
-        assert!(topo.try_add_edge(t2, t1).is_ok());
+        assert!(topo.try_add_edge(t2, t1, EdgeTag::NONE).is_ok());
     }
 
     #[test]
@@ -564,10 +564,10 @@ mod tests {
         let txns: Vec<usize> = (0..8).map(|_| topo.add_node()).collect();
         for (i, &t) in txns.iter().enumerate() {
             let b = begin_anchor(&mut chain, 99, &mut topo);
-            topo.try_add_edge(b, t).unwrap();
+            topo.try_add_edge(b, t, EdgeTag::NONE).unwrap();
             if i % 2 == 0 {
                 let e = end_anchor(&mut chain, 99, &mut topo);
-                topo.try_add_edge(t, e).unwrap();
+                topo.try_add_edge(t, e, EdgeTag::NONE).unwrap();
             }
         }
         assert_eq!(chain.len(), 1);
@@ -579,7 +579,7 @@ mod tests {
             for &b in &txns {
                 if a != b {
                     assert!(
-                        topo.clone().try_add_edge(a, b).is_ok(),
+                        topo.clone().try_add_edge(a, b, EdgeTag::NONE).is_ok(),
                         "equal-instant txns overlap"
                     );
                 }
@@ -625,7 +625,8 @@ mod tests {
         topo.prune(&doomed);
         // Shortcut re-establishes the retained order across the gap.
         let s30 = chain.slot(30).unwrap();
-        topo.try_add_edge(keep0.end_node, s30.begin_node).unwrap();
+        topo.try_add_edge(keep0.end_node, s30.begin_node, EdgeTag::NONE)
+            .unwrap();
         // Late out-of-order instants still splice between retained slots.
         let b25 = begin_anchor(&mut chain, 25, &mut topo);
         let e25 = end_anchor(&mut chain, 25, &mut topo);
@@ -649,7 +650,8 @@ mod tests {
         let doomed: Vec<usize> = chain.remove(20).unwrap().nodes().collect();
         topo.remove_edges_into(s10.end_node, &doomed);
         topo.prune(&doomed);
-        topo.try_add_edge(s10.end_node, s30.begin_node).unwrap();
+        topo.try_add_edge(s10.end_node, s30.begin_node, EdgeTag::NONE)
+            .unwrap();
         let b25 = begin_anchor(&mut chain, 25, &mut topo);
         let e25 = end_anchor(&mut chain, 25, &mut topo);
         assert!(topo.precedes(s10.end_node, b25));
@@ -685,14 +687,14 @@ mod tests {
         let e1 = end_anchor(&mut chain, 5, &mut topo);
         let b2 = begin_anchor(&mut chain, 9, &mut topo);
         let e2 = end_anchor(&mut chain, 12, &mut topo);
-        topo.try_add_edge(b1, t1).unwrap();
-        topo.try_add_edge(t1, e1).unwrap();
-        topo.try_add_edge(b2, t2).unwrap();
-        topo.try_add_edge(t2, e2).unwrap();
+        topo.try_add_edge(b1, t1, EdgeTag::NONE).unwrap();
+        topo.try_add_edge(t1, e1, EdgeTag::NONE).unwrap();
+        topo.try_add_edge(b2, t2, EdgeTag::NONE).unwrap();
+        topo.try_add_edge(t2, e2, EdgeTag::NONE).unwrap();
         assert!(topo.precedes(t1, t2));
         // A dependency edge T2 → T1 contradicts real time: rejected.
-        assert!(topo.try_add_edge(t2, t1).is_err());
+        assert!(topo.try_add_edge(t2, t1, EdgeTag::NONE).is_err());
         // The other direction agrees with real time: accepted.
-        assert!(topo.try_add_edge(t1, t2).is_ok());
+        assert!(topo.try_add_edge(t1, t2, EdgeTag::NONE).is_ok());
     }
 }

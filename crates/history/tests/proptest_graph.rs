@@ -1,7 +1,7 @@
 //! Property-based tests of the graph utilities and of the history builder —
 //! the data structures every checker in the workspace relies on.
 
-use mtc_history::{DiGraph, HistoryBuilder, IncrementalTopo, Op, TxnStatus};
+use mtc_history::{DiGraph, EdgeTag, HistoryBuilder, IncrementalTopo, Op, TxnStatus};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -22,7 +22,7 @@ fn sequential_outcomes(
 ) -> Vec<Result<(), Vec<usize>>> {
     edges
         .iter()
-        .map(|&(a, b)| topo.try_add_edge(a, b))
+        .map(|&(a, b)| topo.try_add_edge(a, b, EdgeTag::NONE))
         .collect()
 }
 
@@ -45,7 +45,11 @@ fn batched_outcomes(
         let (chunk, rest) = remaining.split_at(size.clamp(1, remaining.len()));
         remaining = rest;
         *topo = serde_json::from_str(&serde_json::to_string(&*topo).unwrap()).unwrap();
-        outcomes.extend(chunk.iter().map(|&(a, b)| topo.try_add_edge(a, b)));
+        outcomes.extend(
+            chunk
+                .iter()
+                .map(|&(a, b)| topo.try_add_edge(a, b, EdgeTag::NONE)),
+        );
     }
     outcomes
 }

@@ -1,9 +1,10 @@
 //! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
-//! is the uninterrupted run's either way. (The committed `snapshot-v7-*`
+//! is the uninterrupted run's either way. (The committed `snapshot-v8-*`
 //! fixtures, of this build's version, keep resuming, and the `snapshot-v6-*`
-//! ones a version-6 build wrote are passed over: `store_differential.rs`; a
+//! and `snapshot-v7-*` ones older builds wrote are passed over:
+//! `store_differential.rs`; a
 //! store a version-4 build wrote recovers by replaying its whole log:
 //! `tests/parent_written_deltas.rs`.)
 //!

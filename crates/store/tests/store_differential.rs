@@ -206,7 +206,7 @@ fn overlapping_stream() -> Vec<Transaction> {
 fn fixture_path(level: IsolationLevel) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(format!("snapshot-v7-{}.mtcck", level_name(level)))
+        .join(format!("snapshot-v8-{}.mtcck", level_name(level)))
 }
 
 fn level_name(level: IsolationLevel) -> &'static str {
@@ -223,7 +223,7 @@ const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::StrictSerializability,
 ];
 
-/// The `snapshot-v7-*` files under `tests/data/` pin the `CheckerSnapshot`
+/// The `snapshot-v8-*` files under `tests/data/` pin the `CheckerSnapshot`
 /// format from both sides: this build writes, for the fixture prefix, the
 /// very bytes committed there, and reads them back into a checker that
 /// finishes the stream with the uninterrupted run's verdict. A snapshot
@@ -236,7 +236,7 @@ const LEVELS: [IsolationLevel; 3] = [
 /// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture (named for
 /// the new version) and keep the old one as a refused input below.
 #[test]
-fn the_v7_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
+fn the_v8_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
     for level in LEVELS {
         let checker = || {
@@ -257,7 +257,7 @@ fn the_v7_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
             let _ = prefix.push(t.clone());
         }
         let written = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("snapshot-v7-{}", level_name(level)));
+            .join(format!("snapshot-v8-{}", level_name(level)));
         let written = write_checkpoint(&written, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert!(
             std::fs::read(fixture_path(level)).ok() == Some(std::fs::read(&written).unwrap()),
@@ -331,20 +331,20 @@ fn assert_recovery_passes_over(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `snapshot-v6-{ser,si,sser}` files are the fixture prefix as the last
-/// version-6 build wrote it: this build's layout would misread them, so
-/// each is refused by its version before its body is decoded, and recovery
-/// passes over each — to the checkpoint before it, or to a replay of the
-/// log from the start — to the uninterrupted verdict.
-#[test]
-fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+/// The `snapshot-v{version}-{ser,si,sser}` files are the fixture prefix as
+/// the last build of that version wrote it: this build's layout would
+/// misread them, so each is refused by its version before its body is
+/// decoded, and recovery passes over each — to the checkpoint before it, or
+/// to a replay of the log from the start — to the uninterrupted verdict.
+fn assert_refused_by_version(version: u32) {
     for level in LEVELS {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/data")
-            .join(format!("snapshot-v6-{}.mtcck", level_name(level)));
+            .join(format!("snapshot-v{version}-{}.mtcck", level_name(level)));
         match read_checkpoint(&path) {
             Err(StoreError::Format(why)) => {
-                assert!(why.contains("unsupported snapshot version 6"), "{why}")
+                let named = format!("unsupported snapshot version {version}");
+                assert!(why.contains(&named), "{why}")
             }
             other => panic!("{}: must be refused, got {other:?}", path.display()),
         }
@@ -352,6 +352,18 @@ fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
             assert_recovery_passes_over(&path, level, &fixture_stream(), older);
         }
     }
+}
+
+#[test]
+fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+    assert_refused_by_version(6);
+}
+
+/// Version 7 held the engine's labelled edge list beside the order's
+/// unlabelled rows.
+#[test]
+fn the_v7_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+    assert_refused_by_version(7);
 }
 
 /// A committed version-5 snapshot, refused by this build.
@@ -471,7 +483,7 @@ fn assert_checkpoints_reencode(
 
 /// A snapshot's bytes are a function of the checker's state: a checker
 /// resumed from a checkpoint writes that checkpoint back byte for byte — the
-/// committed `snapshot-v7-*` fixtures, and every point of a long, GC'd
+/// committed `snapshot-v8-*` fixtures, and every point of a long, GC'd
 /// stream — however differently the decoded maps were filled from the ones
 /// that wrote them. The second stream has
 /// Zipf-hot keys and a majority of read-only transactions, so the

@@ -26,7 +26,7 @@ fn decoding_builds_no_value_tree() {
     let stream = tenant_stream();
     let level = IsolationLevel::Serializability;
 
-    // A checkpoint: the snapshot of a 3 000-transaction checker.
+    // A checkpoint: the snapshot of a 4 000-transaction checker.
     let mut checker = IncrementalChecker::new(level).with_init_keys(0..NUM_KEYS);
     checker.set_gc(GcPolicy::default());
     for txn in &stream {

@@ -58,7 +58,8 @@ fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
 }
 
 const NUM_KEYS: u64 = 1_000;
-const TXNS: u64 = 3_000;
+/// As `tests/common/mod.rs` has it: long enough for a snapshot over 400 KB.
+const TXNS: u64 = 4_000;
 
 /// A tenant's stream as the service benchmark shapes it: four round-robin
 /// sessions of mini-transactions over uniform keys, a fifth of them
@@ -101,7 +102,7 @@ fn encoding_builds_no_value_tree() {
     let stream = tenant_stream();
     let level = IsolationLevel::Serializability;
 
-    // A checkpoint: the snapshot of a 3 000-transaction checker.
+    // A checkpoint: the snapshot of a 4 000-transaction checker.
     let mut checker = IncrementalChecker::new(level).with_init_keys(0..NUM_KEYS);
     checker.set_gc(GcPolicy::default());
     for txn in &stream {

@@ -234,7 +234,7 @@ fn fixture(path: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// The checkpoint of `encode_allocations.rs`: a 3 000-transaction SER
+/// The checkpoint of `encode_allocations.rs`: a 4 000-transaction SER
 /// checker's, half a megabyte of it.
 fn large_snapshot() -> Vec<u8> {
     let mut checker =
@@ -253,11 +253,64 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
+/// Crafted snapshots, each well-formed bytes with one lie in its order: a
+/// forward entry into a node past the order's node count, one whose label
+/// names no kind, one whose label names a second key its one-key target
+/// does not have; and an order that claims more nodes than a row entry can
+/// name. Each is refused with a typed error, within the request budget,
+/// while the snapshot they were made from reads back.
+fn crafted_orders_are_refused() {
+    // `⊥T` over two keys and one read of key 0: the pair `⊥T → T1` is one
+    // entry, node 1 with the label `WR(k0)` (rank 1, so 2) beneath it.
+    let mut checker =
+        IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
+    checker
+        .push_committed(0, vec![mtc::history::Op::read(0u64, 0u64)])
+        .unwrap();
+    let text = serde_json::to_string(&checker.checkpoint()).unwrap();
+    let rows = r#""fwd":[[18],[]]"#;
+    assert!(text.contains(rows), "{text}");
+    let encoded = |text: &str| to_bytes(&serde_json::parse(text).unwrap());
+    assert!(from_bytes::<CheckerSnapshot>(&encoded(&text)).is_ok());
+    for (lie, entry) in [
+        ("an entry into node 2 of 2", 2 << 4 | 2),
+        ("a label of kind 6", 1 << 4 | 6),
+        ("a label of kind 7", 1 << 4 | 7),
+        ("WR on the second key of a one-key target", 1 << 4 | 8 | 2),
+        ("SO with a key slot", 1 << 4 | 8 | 4),
+    ] {
+        let bytes = encoded(&text.replace(rows, &format!(r#""fwd":[[{entry}],[]]"#)));
+        let what = || format!("a crafted snapshot with {lie}");
+        held(&what, bytes.len(), || {
+            let refused = from_bytes::<CheckerSnapshot>(&bytes);
+            assert!(refused.is_err(), "{}", what());
+            refused
+        });
+    }
+    // An order of 2^28 + 1 nodes: its seven fields, the first a list of
+    // that many rows.
+    let mut claim = vec![TAG_ARRAY, 7, TAG_ARRAY];
+    let mut len = (1u64 << 28) + 1;
+    while len >= 0x80 {
+        claim.push(len as u8 | 0x80);
+        len >>= 7;
+    }
+    claim.push(len as u8);
+    claim.extend([TAG_ARRAY, 0]);
+    let what = || "an order of 2^28 + 1 nodes".to_string();
+    held(&what, claim.len(), || {
+        let refused = from_bytes::<mtc::IncrementalTopo>(&claim);
+        assert!(refused.is_err(), "{}", what());
+        refused
+    });
+}
+
 #[test]
 fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     // Unoptimized, a decode is ten times slower: spread the damage thinner.
     let thin = if cfg!(debug_assertions) { 8 } else { 1 };
     let dir = scratch_dir();
+    crafted_orders_are_refused();
 
     // Checker snapshots: the payload frame of each committed checkpoint,
     // through `from_bytes` and — in its file, behind its header — through
@@ -265,7 +318,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     for (n, name) in ["ser", "si", "sser"].iter().enumerate() {
         let file = format!("checkpoint-{:012}.mtcck", 200);
         let frames = frames_of(&fixture(&format!(
-            "crates/store/tests/data/snapshot-v7-{name}.mtcck"
+            "crates/store/tests/data/snapshot-v8-{name}.mtcck"
         )));
         let [header, payload] = frames.as_slice() else {
             panic!("{name}: a checkpoint file is two frames");

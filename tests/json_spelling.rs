@@ -17,7 +17,10 @@
 //! Its three snapshot lines, and only those, were written again by the build
 //! that introduced `SNAPSHOT_VERSION` 7, whose snapshots hold other fields:
 //! SI's tails in place of its composed order, and the key state as it is
-//! held. Every name they share with version 6 is spelt as before.
+//! held; and again by the build that introduced `SNAPSHOT_VERSION` 8, whose
+//! engine holds no `graph` but an `edges` count and a `txn_keys` table, and
+//! whose order's forward rows carry each entry's label beneath its id.
+//! Every name they share with the version before is spelt as before.
 //!
 //! To regenerate (only a change of what the values hold should ever need
 //! it): empty the fixture, run this test and copy

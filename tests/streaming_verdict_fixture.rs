@@ -10,7 +10,7 @@
 //!   890a952); 40 SI certificates moved when SI went into the one
 //!   maintained order (`SNAPSHOT_VERSION` 7: 36 hops relabelled by the
 //!   lower-ranked kind, 4 other cycles closed by the same edge).
-//! * `tests/data/streaming-snapshots-v7.txt` holds the CRC-32 of the
+//! * `tests/data/streaming-snapshots-v8.txt` holds the CRC-32 of the
 //!   encoded `checkpoint()` every 16th push and at the end: the bytes half,
 //!   which moves with every change of the snapshot format.
 //!
@@ -34,7 +34,7 @@
 //! both wrote the same bytes. A change that moves a verdict line lists every
 //! moved line, with why, in CHANGES.md before the new file replaces the old.
 
-use mtc::core::{build_dependency, CheckError, Violation};
+use mtc::core::{build_dependency, CheckError, OrderEdge, Violation};
 use mtc::history::anomalies::AnomalyKind;
 use mtc::history::{History, HistoryBuilder, Op, SessionId, Transaction, TxnId};
 use mtc::store::{crc32, to_bytes};
@@ -44,7 +44,7 @@ use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 mod streams;
 
 const VERDICTS: &str = include_str!("data/streaming-verdicts.txt");
-const SNAPSHOTS: &str = include_str!("data/streaming-snapshots-v7.txt");
+const SNAPSHOTS: &str = include_str!("data/streaming-snapshots-v8.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -421,7 +421,7 @@ fn streaming_verdicts_match_the_parent_written_fixture() {
 #[test]
 fn snapshot_crcs_match_the_fixture() {
     matches(
-        "tests/data/streaming-snapshots-v7.txt",
+        "tests/data/streaming-snapshots-v8.txt",
         SNAPSHOTS,
         "streaming-snapshots.actual.txt",
         &rendering().snapshots,
@@ -498,10 +498,9 @@ fn si_certificates_of_the_seeded_streams_are_composed_cycles() {
     assert!(checked >= 200, "only {checked} SI cycles checked");
 }
 
-/// The engine pushes every derived edge without looking it up first: on the
+/// The order keeps each pair of nodes once, with its best label: on the
 /// seeded streams, in each of the fixture's four variants at every level,
-/// the graph a stream leaves holds no labelled edge twice
-/// (`streams::assert_no_edge_twice`).
+/// no row a stream leaves holds a pair twice (`streams::assert_no_pair_twice`).
 #[test]
 fn the_seeded_streams_leave_no_labelled_edge_twice() {
     for seed in 0..STREAMS {
@@ -513,7 +512,7 @@ fn the_seeded_streams_leave_no_labelled_edge_twice() {
                     for t in &txns {
                         let _ = checker.push(t.clone());
                     }
-                    streams::assert_no_edge_twice(checker.graph().edges());
+                    streams::assert_no_pair_twice(&checker.order_edges());
                 }
             }
         }
