@@ -439,14 +439,13 @@ pub(crate) fn build_by_sort_merge(
 ) -> Result<DependencyGraph, BuildError> {
     use mtc_history::Op;
     let index = WriteIndex::new(history);
-    let mut g = DependencyGraph::new(history.len());
+    let mut g: Vec<Edge> = Vec::new();
+    let edge = |from, to, kind| Edge { from, to, kind };
     if with_rt {
-        for e in rt_edges(history) {
-            g.add_edge(e.from, e.to, e.kind);
-        }
+        g.extend(rt_edges(history));
     }
     for (a, b) in history.session_order_edges() {
-        g.add_edge(a, b, EdgeKind::So);
+        g.push(edge(a, b, EdgeKind::So));
     }
     for txn in history.committed() {
         if Some(txn.id) == history.init_txn() {
@@ -475,10 +474,10 @@ pub(crate) fn build_by_sort_merge(
             if writer == txn.id {
                 continue;
             }
-            g.add_edge(writer, txn.id, EdgeKind::Wr(key));
+            g.push(edge(writer, txn.id, EdgeKind::Wr(key)));
             let later = &txn.ops[i + 1..];
             if later.iter().any(|op| op.is_write() && op.key() == key) {
-                g.add_edge(writer, txn.id, EdgeKind::Ww(key));
+                g.push(edge(writer, txn.id, EdgeKind::Ww(key)));
             }
         }
     }
@@ -486,7 +485,7 @@ pub(crate) fn build_by_sort_merge(
         // The closure as a reachability matrix: every writer of a key
         // against every other, in local order.
         let mut per_key: BTreeMap<Key, Vec<(TxnId, TxnId)>> = BTreeMap::new();
-        for e in g.edges() {
+        for e in &g {
             if let EdgeKind::Ww(key) = e.kind {
                 per_key.entry(key).or_default().push((e.from, e.to));
             }
@@ -508,8 +507,8 @@ pub(crate) fn build_by_sort_merge(
             for u in 0..nodes.len() {
                 let seen = lg.reachable_from(u);
                 for v in (0..nodes.len()).filter(|&v| v != u && seen[v]) {
-                    if !g.contains_edge(nodes[u], nodes[v], EdgeKind::Ww(key)) {
-                        g.add_edge(nodes[u], nodes[v], EdgeKind::Ww(key));
+                    if !g.contains(&edge(nodes[u], nodes[v], EdgeKind::Ww(key))) {
+                        g.push(edge(nodes[u], nodes[v], EdgeKind::Ww(key)));
                     }
                 }
             }
@@ -518,7 +517,7 @@ pub(crate) fn build_by_sort_merge(
 
     let mut readers: Vec<(TxnId, Key, TxnId)> = Vec::new();
     let mut overwriters: Vec<(TxnId, Key, TxnId)> = Vec::new();
-    for e in g.edges() {
+    for e in &g {
         match e.kind {
             EdgeKind::Wr(key) => readers.push((e.from, key, e.to)),
             EdgeKind::Ww(key) => overwriters.push((e.from, key, e.to)),
@@ -542,12 +541,12 @@ pub(crate) fn build_by_sort_merge(
         for &(_, key, reader) in run {
             for &(_, _, overwriter) in &overwriters[start..o] {
                 if reader != overwriter {
-                    g.add_edge(reader, overwriter, EdgeKind::Rw(key));
+                    g.push(edge(reader, overwriter, EdgeKind::Rw(key)));
                 }
             }
         }
     }
-    Ok(g)
+    Ok(DependencyGraph::from_edges(history.len(), g))
 }
 
 #[cfg(test)]

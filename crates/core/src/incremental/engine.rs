@@ -457,8 +457,8 @@ impl Engine {
                     let tag = self.topo.label(u, v);
                     tag.expect("a hop of the cycle is an edge of the order")
                 };
-                self.kind_of(tag, to)
-                    .expect("an edge between transactions carries its label")
+                let kind = self.kind_of(tag, Some(to)).ok().flatten();
+                kind.expect("an edge between transactions carries its label")
             } else {
                 EdgeKind::Rt
             };
@@ -467,11 +467,13 @@ impl Engine {
         hops.map(hop).collect()
     }
 
-    /// The kind a row entry into transaction `to`'s node or tail stands for,
-    /// if it is labelled.
-    pub(super) fn kind_of(&self, tag: EdgeTag, to: TxnId) -> Option<EdgeKind> {
-        let (keys, n) = self.txn_keys.get(to).map_or(([Key(0); 2], 0), |k| k.keys());
-        tag.kind(&keys[..n]).ok().flatten()
+    /// The kind a row entry into transaction `to`'s node or tail (`None`:
+    /// a time node) stands for: `Ok(None)` when unlabelled, `Err` when the
+    /// label names no kind, or a key `to` does not have.
+    fn kind_of(&self, tag: EdgeTag, to: Option<TxnId>) -> Result<Option<EdgeKind>, String> {
+        let keys = to.and_then(|t| self.txn_keys.get(t));
+        let (keys, n) = keys.map_or(([Key(0); 2], 0), |k| k.keys());
+        tag.kind(&keys[..n])
     }
 
     /// The labelled entries of the order's rows between two transactions'
@@ -483,7 +485,7 @@ impl Engine {
             entries.filter_map(move |(v, tag)| {
                 let (a, b) = (self.node_owner[u], self.node_owner[v]);
                 let (from, to) = (a.txn()?, b.txn()?);
-                let kind = self.kind_of(tag, to)?;
+                let kind = self.kind_of(tag, Some(to)).ok().flatten()?;
                 Some(OrderEdge {
                     edge: Edge { from, to, kind },
                     out_of_tail: matches!(a, NodeOwner::Tail(_)),
@@ -493,18 +495,14 @@ impl Engine {
         })
     }
 
-    /// Refuses an order whose rows hold a label that names a key its
-    /// target does not have: a snapshot's bytes, checked as they are read.
+    /// Refuses an order that [`IncrementalTopo::check`] refuses, or whose
+    /// rows hold a label that names a key its target does not have: a
+    /// snapshot's bytes, checked as they are read.
     pub(super) fn check_labels(&self) -> Result<(), String> {
-        for u in 0..self.topo.node_count() {
-            for (v, tag) in self.topo.labelled_successors(u) {
-                let to = self.node_owner.get(v).and_then(|owner| owner.txn());
-                let (keys, n) = to
-                    .and_then(|t| self.txn_keys.get(t))
-                    .map_or(([Key(0); 2], 0), |k| k.keys());
-                tag.kind(&keys[..n])
-                    .map_err(|e| format!("the edge {u} -> {v}: {e}"))?;
-            }
+        self.topo.check()?;
+        let nodes = 0..self.topo.node_count();
+        for (v, tag) in nodes.flat_map(|u| self.topo.labelled_successors(u)) {
+            self.kind_of(tag, self.node_owner.get(v).and_then(|o| o.txn()))?;
         }
         Ok(())
     }

@@ -22,7 +22,7 @@
 //! |------|-------|-----------|
 //! | `mod.rs` | this essay, `Findings` (what one transaction turned up, before it is applied) | every file below |
 //! | `keystate.rs` | `KeyState`: per-version records and per-key slots, the one-pass per-key decomposition, edge derivation, the per-key sweep | `checker` only |
-//! | `engine.rs` | `Engine`: labelled edge list (pushed, never looked up), the one maintained order, SI's split edges, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
+//! | `engine.rs` | `Engine`: the one maintained order, whose rows hold each dependency edge once with its label, the key table the labels' keys index, SI's split edges, time-chain hooks, verdict latch, `admit`/`settle` | `checker` only |
 //! | `arena.rs` | `TxnMap`, `IdOrdered`: the engine's dense maps and their snapshot layout | `engine`, `gc` |
 //! | `gc.rs` | `GcPolicy`, the epoch clock and `Engine::collect` (candidates, worklist closure, commit) | `checker` only |
 //! | `snapshot.rs` | `CheckerSnapshot` and its version | `checker`; `mtc-store` through serde |
@@ -70,25 +70,29 @@
 //! the time-chain splice pairs and the stack and node sets of a reorder of
 //! the maintained order are buffers that outlive the transaction; the local
 //! `INT` scan looks back over the operations instead of indexing them; a
-//! node's adjacency rows hold their first five neighbours in place, the
-//! dependency graph is one edge list with no row index beside it, and a
-//! version's reader and overwriter lists hold their first two transactions
-//! in place (`mtc_history::InlineSeq`, the rows' type). What is left is the
-//! growth of the long-lived containers (amortized), a spilled adjacency row
-//! for one node in seven and a spilled reader list for the one version in
-//! twelve that three or more transactions read. SI adds a tail node per transaction and a second
-//! order edge per base edge, which spill more adjacency rows. On
-//! `live_uniform`'s stream `tests/ingest_allocations.rs` reads 0.76 (SER),
-//! 1.48 (SSER) and 2.15 (SI) allocations per pushed transaction — SI read
-//! 3.33 while it kept a composed order of its own beside the one here — and
-//! holds budgets of 1.33, 2.33 and 3.15.
+//! node's adjacency rows hold their first five neighbours in place, a
+//! dependency edge is one labelled entry of them and nothing else (a pair
+//! that comes again, `WR` and `WW` from one writer, is relabelled in place),
+//! and a version's reader and overwriter lists hold their first two
+//! transactions in place (`mtc_history::InlineSeq`, the rows' type). What
+//! is left is the growth of the long-lived containers (amortized), a spilled
+//! adjacency row for one node in ROWS_SPILL and a spilled reader list for
+//! the one version in twelve that three or more transactions read. SI adds
+//! a tail node per transaction and a second order edge per base edge, which
+//! spill more adjacency rows. On `live_uniform`'s stream
+//! `tests/ingest_allocations.rs` reads 0.28 (SER), 0.46 (SSER) and 1.04 (SI) allocations per pushed
+//! transaction — 0.76, 1.48 and 2.15 while the engine kept a labelled edge
+//! list beside the order and a repeated pair twice in its rows — and holds
+//! budgets of 0.30, 0.50 and 1.05.
 //!
 //! ## Where the state lives
 //!
 //! Per transaction, dense tables (`TxnMap`, indexed by id from the GC's
 //! watermark up): the order node of each resident transaction, at SI its
-//! tail node, and apart from them — so that the node lookups of every edge
-//! stay in the smaller tables — the instants the GC reads. Per version, one record holds its
+//! tail node, the (at most two) keys it touches, which the key slot of a
+//! labelled row entry into it indexes, and apart from them — so that the
+//! node lookups of every edge stay in the smaller tables — the instants the
+//! GC reads. Per version, one record holds its
 //! provenance and reader lists, and the newest version of each key `⊥T`
 //! seeded sits in a vector indexed by key. A read of the current version —
 //! most reads — finds it in the key's slot without probing a map keyed by
@@ -131,10 +135,11 @@
 //! are the composition's. `tests.rs` holds the encoding to the composed
 //! pairs at every prefix of arbitrary and catalogue histories.
 //!
-//! A rejected cycle reads back through `DependencyGraph::label_hops`, all
-//! hops in one pass over the edge list, from its first transaction node: a
-//! hop into a tail or between transactions is labelled by a base edge, a
-//! hop out of a tail by an `RW` edge. The GC treats a tail as part of its
+//! A rejected cycle reads back from its first transaction node, each hop's
+//! label read from the row entry it runs through (the rejected edge's
+//! passed in): a hop into a tail or between transactions carries a base
+//! kind, a hop out of a tail an `RW` kind, because those are the only
+//! labels `split_edge` puts there. The GC treats a tail as part of its
 //! transaction: both are candidates together, both are pinned by a
 //! retained predecessor, both are pruned together. Nothing else is kept for
 //! SI: no composed pairs are materialized, so no provenance rows, no

@@ -33,9 +33,9 @@ struct Stored {
     keys: KeyState,
 }
 
-/// Read back, a snapshot is refused unless each label in its order's rows
-/// names a key its target transaction has (the order itself refuses an id
-/// past its node count and a label that names no kind).
+/// Read back, a snapshot is refused unless its order holds no id past its
+/// node count and each label in its rows names a kind, and a key its target
+/// transaction has.
 impl Deserialize for CheckerSnapshot {
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
         let Stored {

@@ -124,11 +124,6 @@ pub struct DependencyGraph {
 }
 
 impl DependencyGraph {
-    /// Creates an empty dependency graph over `node_count` transactions.
-    pub fn new(node_count: usize) -> Self {
-        DependencyGraph::from_edges(node_count, Vec::new())
-    }
-
     /// The graph over `node_count` transactions with the given edges, in
     /// list order: what adding them one by one gives.
     pub fn from_edges(node_count: usize, edges: Vec<Edge>) -> Self {
@@ -148,14 +143,6 @@ impl DependencyGraph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Adds a labelled edge. Nothing checks that it is new: the derivations
-    /// that grow a graph emit each labelled edge once.
-    #[inline]
-    pub fn add_edge(&mut self, from: TxnId, to: TxnId, kind: EdgeKind) {
-        debug_assert!(from.index() < self.node_count && to.index() < self.node_count);
-        self.edges.push(Edge { from, to, kind });
     }
 
     /// True iff the exact labelled edge is present.
@@ -212,50 +199,27 @@ impl DependencyGraph {
         F: Fn(EdgeKind) -> bool,
     {
         let cycle = self.project(&pred).find_cycle()?;
-        let hops: Vec<(usize, usize)> = (0..cycle.len())
-            .map(|i| (cycle[i], cycle[(i + 1) % cycle.len()]))
-            .collect();
-        let labels = self.label_hops(&hops, |_, kind| pred(kind));
+        let hop = |i: usize| self.label_hop(cycle[i], cycle[(i + 1) % cycle.len()], &pred);
+        let labels: Vec<Option<Edge>> = (0..cycle.len()).map(hop).collect();
         debug_assert!(labels.iter().all(Option::is_some), "an unlabelled hop");
         Some(labels.into_iter().flatten().collect())
     }
 
     /// The labelled edge `u → v` of an allowed kind to report for that hop
     /// of a counterexample, if there is one: the best by
-    /// [`EdgeKind::label_rank`], the first added among equals.
+    /// [`EdgeKind::label_rank`], the first added among equals. One scan of
+    /// the list.
     pub fn label_hop<F>(&self, u: usize, v: usize, pred: F) -> Option<Edge>
     where
         F: Fn(EdgeKind) -> bool,
     {
-        self.label_hops(&[(u, v)], |_, kind| pred(kind))[0]
-    }
-
-    /// [`DependencyGraph::label_hop`] for every hop `(u, v)` of `hops`,
-    /// `fits(i, kind)` saying which kinds hop `i` may take, in one pass over
-    /// the list: a cycle of any length costs one scan.
-    fn label_hops<F>(&self, hops: &[(usize, usize)], fits: F) -> Vec<Option<Edge>>
-    where
-        F: Fn(usize, EdgeKind) -> bool,
-    {
-        let mut by_pair: Vec<_> = hops.iter().zip(0..).map(|(&(u, v), i)| (u, v, i)).collect();
-        by_pair.sort_unstable();
-        let mut is_source = vec![false; self.node_count];
-        for &(u, ..) in by_pair.iter().filter(|&&(u, ..)| u < self.node_count) {
-            is_source[u] = true;
-        }
-        let mut labels: Vec<Option<Edge>> = vec![None; hops.len()];
-        let sourced = |e: &&Edge| is_source.get(e.from.index()) == Some(&true);
-        for e in self.edges.iter().filter(sourced) {
-            let pair = (e.from.index(), e.to.index());
-            let at = by_pair.partition_point(|&(u, v, _)| (u, v) < pair);
-            for &(.., i) in by_pair[at..].iter().take_while(|h| (h.0, h.1) == pair) {
-                let worse = |best: &Edge| best.kind.label_rank() > e.kind.label_rank();
-                if fits(i, e.kind) && labels[i].as_ref().is_none_or(worse) {
-                    labels[i] = Some(*e);
-                }
-            }
-        }
-        labels
+        let fits = |e: &&Edge| (e.from.index(), e.to.index()) == (u, v) && pred(e.kind);
+        let best = self
+            .edges
+            .iter()
+            .filter(fits)
+            .min_by_key(|e| e.kind.label_rank());
+        best.copied()
     }
 }
 
@@ -267,12 +231,26 @@ mod tests {
         TxnId(i)
     }
 
+    /// The graph over `n` transactions with `edges`, in order.
+    fn graph(n: usize, edges: &[(u32, u32, EdgeKind)]) -> DependencyGraph {
+        let edges = edges.iter().map(|&(a, b, kind)| Edge {
+            from: t(a),
+            to: t(b),
+            kind,
+        });
+        DependencyGraph::from_edges(n, edges.collect())
+    }
+
     #[test]
     fn add_and_query_edges() {
-        let mut g = DependencyGraph::new(3);
-        g.add_edge(t(0), t(1), EdgeKind::Wr(Key(5)));
-        g.add_edge(t(1), t(2), EdgeKind::Ww(Key(5)));
-        g.add_edge(t(0), t(2), EdgeKind::So);
+        let g = graph(
+            3,
+            &[
+                (0, 1, EdgeKind::Wr(Key(5))),
+                (1, 2, EdgeKind::Ww(Key(5))),
+                (0, 2, EdgeKind::So),
+            ],
+        );
         assert_eq!(g.edge_count(), 3);
         assert!(g.contains_edge(t(0), t(1), EdgeKind::Wr(Key(5))));
         assert!(!g.contains_edge(t(0), t(1), EdgeKind::Ww(Key(5))));
@@ -290,10 +268,14 @@ mod tests {
 
     #[test]
     fn projection_and_acyclicity() {
-        let mut g = DependencyGraph::new(3);
-        g.add_edge(t(0), t(1), EdgeKind::So);
-        g.add_edge(t(1), t(2), EdgeKind::Wr(Key(0)));
-        g.add_edge(t(2), t(0), EdgeKind::Rw(Key(0)));
+        let g = graph(
+            3,
+            &[
+                (0, 1, EdgeKind::So),
+                (1, 2, EdgeKind::Wr(Key(0))),
+                (2, 0, EdgeKind::Rw(Key(0))),
+            ],
+        );
         // Full graph is cyclic ...
         assert!(!g.is_acyclic(|_| true));
         // ... but the SO∪WR projection is acyclic.
@@ -302,17 +284,20 @@ mod tests {
 
     #[test]
     fn labelled_cycle_extraction_prefers_dependency_kinds() {
-        let mut g = DependencyGraph::new(2);
-        g.add_edge(t(0), t(1), EdgeKind::Rt);
-        g.add_edge(t(0), t(1), EdgeKind::Ww(Key(1)));
-        g.add_edge(t(1), t(0), EdgeKind::Rw(Key(1)));
+        let mut edges = vec![
+            (0, 1, EdgeKind::Rt),
+            (0, 1, EdgeKind::Ww(Key(1))),
+            (1, 0, EdgeKind::Rw(Key(1))),
+        ];
+        let g = graph(2, &edges);
         let cycle = g.find_labelled_cycle(|_| true).unwrap();
         assert_eq!(cycle.len(), 2);
         // The WW edge is preferred over the RT edge for the 0→1 leg.
         let leg01 = cycle.iter().find(|e| e.from == t(0)).unwrap();
         assert_eq!(leg01.kind, EdgeKind::Ww(Key(1)));
         // Among edges of one rank the first added is reported.
-        g.add_edge(t(0), t(1), EdgeKind::Ww(Key(0)));
+        edges.push((0, 1, EdgeKind::Ww(Key(0))));
+        let g = graph(2, &edges);
         let hop = g.label_hop(0, 1, |_| true).unwrap();
         assert_eq!(hop.kind, EdgeKind::Ww(Key(1)));
         let hop = g.label_hop(0, 1, |k| k.key() != Some(Key(1))).unwrap();

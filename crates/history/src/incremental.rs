@@ -40,7 +40,7 @@
 use crate::depgraph::EdgeKind;
 use crate::inline_seq::InlineSeq;
 use crate::value::Key;
-use serde::{Deserialize, Serialize, Source};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One adjacency row: the first [`ROW_INLINE`] neighbours in place, the rest
@@ -52,14 +52,14 @@ type Row = InlineSeq<u32, ROW_INLINE>;
 /// length and the pointer. ROW_INLINE_MEASURE
 const ROW_INLINE: usize = 5;
 
-/// Bits of a forward-row entry below its target's node id: the [`EdgeTag`].
+/// Bits of a forward-row entry beneath its target's node id: its
+/// [`EdgeTag`]. The 28 above name the target, so an order holds at most
+/// [`MAX_NODES`] nodes.
 const TAG_BITS: u32 = 4;
-
-/// The most nodes an order can hold: a forward-row entry names its target
-/// in the 28 bits above its tag.
+/// The most nodes an order can hold.
 pub const MAX_NODES: usize = 1 << (32 - TAG_BITS);
 
-/// The label a forward-row entry carries beneath its target's node id. The
+/// The label a forward-row entry carries beneath its target's node id: the
 /// low three bits hold [`EdgeKind::label_rank`] + 1, 0 meaning unlabelled
 /// (the SSER time-chain's edges and hooks); the top bit says which of the
 /// *target* transaction's at most two keys a keyed label is about — the
@@ -71,42 +71,34 @@ pub struct EdgeTag(u8);
 impl EdgeTag {
     /// No label: an edge that stands for no dependency.
     pub const NONE: EdgeTag = EdgeTag(0);
-    const SECOND_KEY: u8 = 8;
 
-    /// The label `kind`, whose key (if it has one) is the target's key in
+    /// The label `kind`, whose key (if it has one) is the target's in
     /// `slot` (0 or 1).
     pub fn new(kind: EdgeKind, slot: usize) -> EdgeTag {
-        let second = kind.key().is_some() && slot == 1;
-        EdgeTag((kind.label_rank() + 1) | if second { EdgeTag::SECOND_KEY } else { 0 })
+        let second = u8::from(kind.key().is_some() && slot == 1);
+        EdgeTag((kind.label_rank() + 1) | second << 3)
     }
 
-    /// The kind the tag stands for, its key read from the target's `keys`:
+    /// The kind the tag stands for, its key read from the target's `keys`;
     /// `Ok(None)` when unlabelled, `Err` when the tag names no kind, or a
     /// key slot the target does not have.
     pub fn kind(self, keys: &[Key]) -> Result<Option<EdgeKind>, String> {
-        let slot = usize::from(self.0 & EdgeTag::SECOND_KEY != 0);
-        let key = || {
-            keys.get(slot).copied().ok_or_else(|| {
-                format!(
-                    "label {:#x} names key slot {slot} of {} keys",
+        let key = keys.get(usize::from(self.0 >> 3)).copied();
+        Ok(match (self.0, key) {
+            (0, _) => None,
+            (1 | 9, Some(k)) => Some(EdgeKind::Ww(k)),
+            (2 | 10, Some(k)) => Some(EdgeKind::Wr(k)),
+            (3 | 11, Some(k)) => Some(EdgeKind::Rw(k)),
+            (4, _) => Some(EdgeKind::So),
+            (5, _) => Some(EdgeKind::Rt),
+            _ => {
+                return Err(format!(
+                    "label {:#x} of a target with {} keys",
                     self.0,
                     keys.len()
-                )
-            })
-        };
-        let kind = match self.0 & 7 {
-            0 => None,
-            1 => Some(EdgeKind::Ww(key()?)),
-            2 => Some(EdgeKind::Wr(key()?)),
-            3 => Some(EdgeKind::Rw(key()?)),
-            4 => Some(EdgeKind::So),
-            5 => Some(EdgeKind::Rt),
-            _ => return Err(format!("label {:#x} names no kind", self.0)),
-        };
-        if slot == 1 && kind.is_none_or(|k| k.key().is_none()) {
-            return Err(format!("label {:#x} has a key slot but no key", self.0));
-        }
-        Ok(kind)
+                ))
+            }
+        })
     }
 
     /// Where the tag stands when a pair is labelled again: lower is better,
@@ -117,19 +109,16 @@ impl EdgeTag {
 }
 
 /// A forward-row entry: `node` with `tag` beneath it.
-#[inline]
 fn entry(node: usize, tag: EdgeTag) -> u32 {
     (node as u32) << TAG_BITS | u32::from(tag.0)
 }
 
 /// The node a forward-row entry points at.
-#[inline]
 fn target(entry: u32) -> usize {
     (entry >> TAG_BITS) as usize
 }
 
 /// The tag of a forward-row entry.
-#[inline]
 fn tag_of(entry: u32) -> EdgeTag {
     EdgeTag((entry & ((1 << TAG_BITS) - 1)) as u8)
 }
@@ -183,7 +172,7 @@ struct ReorderScratch {
 /// predecessor-closed retired set (entering it would need exactly the
 /// retained→pruned edge the precondition forbids). Cycle certificates stay
 /// canonical because they never involve retired nodes.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct IncrementalTopo {
     /// Forward adjacency: per node, its targets' ids, each with the [`EdgeTag`]
     /// of that pair beneath it (see [`entry`]), each pair once.
@@ -238,13 +227,8 @@ impl IncrementalTopo {
     /// maintained order, which is the natural spot for a transaction that
     /// just committed; recycled ids (from [`IncrementalTopo::prune`]) keep
     /// the rank slot they retired with — an arbitrary but valid position,
-    /// since a node without edges is unconstrained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order already holds [`MAX_NODES`] nodes and none is
-    /// retired: a caller that must not panic asks
-    /// [`IncrementalTopo::has_room`] first.
+    /// since a node without edges is unconstrained. Panics past
+    /// [`MAX_NODES`] (see [`IncrementalTopo::has_room`]).
     pub fn add_node(&mut self) -> usize {
         if let Some(id) = self.free.pop() {
             let id = id as usize;
@@ -275,10 +259,40 @@ impl IncrementalTopo {
         self.fwd.len() - self.free.len()
     }
 
-    /// True iff `nodes` more [`IncrementalTopo::add_node`] calls stay within
-    /// [`MAX_NODES`].
+    /// True iff `nodes` more nodes fit in [`MAX_NODES`].
     pub fn has_room(&self, nodes: usize) -> bool {
         room(self.fwd.len(), self.free.len(), nodes)
+    }
+
+    /// Refuses an order read from bytes unless it fits a row entry, every
+    /// table is one entry per node, every id in it is below the node count
+    /// and every label names a kind.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.fwd.len();
+        let tables = [self.back.len(), self.rank.len(), self.node_at.len()];
+        if n > MAX_NODES || tables != [n; 3] || self.retired.len() != n {
+            return Err(format!("an order of {n} nodes with tables of {tables:?}"));
+        }
+        let entries = self.fwd.iter().flat_map(|row| row.as_slice());
+        if let Some(&e) = entries.clone().find(|&&e| target(e) >= n) {
+            return Err(format!("an edge into node {} of {n}", target(e)));
+        }
+        if let Some(&e) = entries.clone().find(|&&e| tag_of(e).0 & 7 > 5) {
+            return Err(format!("an edge labelled {:#x}", tag_of(e).0));
+        }
+        let ids = self
+            .back
+            .iter()
+            .flat_map(|row| row.as_slice())
+            .chain(&self.rank);
+        match ids
+            .chain(&self.node_at)
+            .chain(&self.free)
+            .find(|&&id| id as usize >= n)
+        {
+            Some(id) => Err(format!("node id {id} of {n}")),
+            None => Ok(()),
+        }
     }
 
     /// True iff `node` is allocated and not retired.
@@ -308,16 +322,12 @@ impl IncrementalTopo {
 
     /// True iff the edge `from → to` is present.
     pub fn has_edge(&self, from: usize, to: usize) -> bool {
-        self.label(from, to).is_some()
+        self.find(from, to).is_some()
     }
 
     /// The label of the edge `from → to`, if it is present.
     pub fn label(&self, from: usize, to: usize) -> Option<EdgeTag> {
-        let row = self.fwd[from].as_slice();
-        row.iter()
-            .rev()
-            .find(|&&e| target(e) == to)
-            .map(|&e| tag_of(e))
+        Some(tag_of(self.fwd[from].as_slice()[self.find(from, to)?]))
     }
 
     /// Where the entry of the pair `from → to` sits in `from`'s row, if the
@@ -650,67 +660,6 @@ impl IncrementalTopo {
 /// `more` nodes within [`MAX_NODES`].
 fn room(nodes: usize, free: usize, more: usize) -> bool {
     nodes + more.saturating_sub(free) <= MAX_NODES
-}
-
-/// The fields of an [`IncrementalTopo`] as a snapshot holds them.
-#[derive(Deserialize)]
-struct Stored {
-    fwd: Vec<Row>,
-    back: Vec<Row>,
-    rank: Vec<u32>,
-    node_at: Vec<u32>,
-    retired: Vec<bool>,
-    free: Vec<u32>,
-    edge_count: usize,
-}
-
-/// Read back, an order is refused unless every table is one entry per node,
-/// the node count fits a row entry, and every id in it — a forward entry's
-/// target, a predecessor, a rank, a free slot — is below the node count and
-/// every forward entry's label names a kind.
-impl Deserialize for IncrementalTopo {
-    fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
-        let Stored {
-            fwd,
-            back,
-            rank,
-            node_at,
-            retired,
-            free,
-            edge_count,
-        } = Stored::pull(src)?;
-        let n = fwd.len();
-        let refuse = |what: String| Err(serde::Error::msg(format!("order of {n} nodes: {what}")));
-        if n > MAX_NODES {
-            return refuse(format!("more than {MAX_NODES} nodes"));
-        }
-        if [back.len(), rank.len(), node_at.len(), retired.len()] != [n; 4] {
-            return refuse("a table of another length".into());
-        }
-        let below = |id: u32| (id as usize) < n;
-        for &e in fwd.iter().flat_map(|row| row.as_slice()) {
-            if !below(target(e) as u32) {
-                return refuse(format!("an edge into node {}", target(e)));
-            }
-            if tag_of(e).0 & 7 > 5 {
-                return refuse(format!("an edge labelled {:#x}", tag_of(e).0));
-            }
-        }
-        let ids = back.iter().flat_map(|row| row.as_slice()).chain(&rank);
-        if let Some(id) = ids.chain(&node_at).chain(&free).find(|&&id| !below(id)) {
-            return refuse(format!("node id {id}"));
-        }
-        Ok(IncrementalTopo {
-            fwd,
-            back,
-            rank,
-            node_at,
-            retired,
-            free,
-            edge_count,
-            ..IncrementalTopo::default()
-        })
-    }
 }
 
 #[cfg(test)]

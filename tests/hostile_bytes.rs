@@ -13,6 +13,11 @@
 //! offset, bit-flipped, and with each frame's length field claiming the
 //! most its four bytes can (2^32 − 1) and the most a frame may hold.
 //!
+//! Crafted snapshots come first: well-formed bytes with one lie in the
+//! maintained order (an entry past its node count, a label of no kind or of
+//! a key slot its target lacks, more nodes than a row entry can name), each
+//! refused.
+//!
 //! What is held: a call returns `Ok` or a typed `Err` — it does not panic —
 //! and it does not ask the allocator for more than eight times its input
 //! plus 64 KiB, however large the numbers in that input claim to be.
