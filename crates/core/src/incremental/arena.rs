@@ -176,18 +176,23 @@ impl<V: Deserialize> TxnMap<V> {
         let each = std::mem::size_of::<Option<V>>().max(1);
         map.dense
             .reserve_exact(pairs.min(src.bytes_left().saturating_mul(4) / each));
+        let mut in_window = 0;
         for _ in 0..pairs {
             let Head::Array(2) = src.next()? else {
                 return Err(serde::Error::expected("[txn, value] pair", "TxnMap"));
             };
             let t = TxnId(u32::pull(src)?);
-            // An id sets aside a slot for every id of the window before it:
-            // no more of them than a `Vec` would reserve on the bytes left.
-            let slots = (t.0.saturating_sub(base) as usize).saturating_add(1);
-            if slots > src.bytes_left().saturating_mul(4) / each {
-                return Err(serde::Error::msg(format!(
-                    "TxnMap from {base}: an entry for {t} past what its bytes hold"
-                )));
+            // A map holds every resident transaction from `base` up and is
+            // written in id order, so its window has next to no gaps; an id
+            // far past the entries read so far would set aside a slot for
+            // every id before it.
+            if t.0 >= base {
+                in_window += 1;
+                if (t.0 - base) as usize >= in_window + 64 {
+                    return Err(serde::Error::msg(format!(
+                        "TxnMap from {base}: an entry for {t} after {in_window} in its window"
+                    )));
+                }
             }
             map.insert(t, V::pull(src)?);
         }
@@ -290,10 +295,13 @@ mod tests {
             assert_eq!(back.to_json_value(), written);
         }
         let long_pair = Array(vec![Array(vec![U64(18), U64(180), Null])]);
+        // An entry 65 ids into a window that holds nothing before it.
+        let far = Array(vec![Array(vec![U64(17 + 65), U64(1)])]);
         for broken in [
             fields(vec![("base", base.clone())]),
             fields(vec![("entries", entries)]),
-            fields(vec![("base", base), ("entries", long_pair)]),
+            fields(vec![("base", base.clone()), ("entries", long_pair)]),
+            fields(vec![("base", base), ("entries", far)]),
         ] {
             assert!(TxnMap::<usize>::from_json_value(&broken).is_err());
         }

@@ -76,7 +76,7 @@
 //! and a version's reader and overwriter lists hold their first two
 //! transactions in place (`mtc_history::InlineSeq`, the rows' type). What
 //! is left is the growth of the long-lived containers (amortized), a spilled
-//! adjacency row for one node in ROWS_SPILL and a spilled reader list for
+//! adjacency row for one row in forty and a spilled reader list for
 //! the one version in twelve that three or more transactions read. SI adds
 //! a tail node per transaction and a second order edge per base edge, which
 //! spill more adjacency rows. On `live_uniform`'s stream
