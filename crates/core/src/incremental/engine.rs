@@ -351,8 +351,8 @@ impl Engine {
     ///
     /// A pair the order holds already keeps its entry, relabelled only by a
     /// strictly better kind (`WR(x)` then `WW(x)` from one writer to a
-    /// read-modify-write is one entry, labelled `WW(x)`): the label
-    /// `DependencyGraph::label_hop` gives the pair over the derived edges.
+    /// read-modify-write is one entry, labelled `WW(x)`): the best kind by
+    /// `EdgeKind::label_rank`, the first to arrive among equals.
     fn insert(&mut self, at: TxnId, edge: Edge) {
         let Edge { from, to, kind } = edge;
         if self.done() {

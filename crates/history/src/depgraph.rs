@@ -15,8 +15,8 @@
 //! used for cycle detection, and labels a node cycle back into a readable
 //! counterexample. The streaming engine keeps no such list: each edge it
 //! derives is one entry of its maintained order's rows, labelled in place
-//! ([`crate::IncrementalTopo`], [`crate::EdgeTag`]), and by the rule
-//! [`DependencyGraph::label_hop`] applies to the list.
+//! ([`crate::IncrementalTopo`], [`crate::EdgeTag`]) by the rank
+//! [`DependencyGraph::label_hop`] goes by, the first to arrive among equals.
 
 use crate::graph::DiGraph;
 use crate::txn::TxnId;
