@@ -495,13 +495,18 @@ impl Engine {
         })
     }
 
-    /// Refuses an order that [`IncrementalTopo::check`] refuses, or whose
-    /// rows hold a label that names a key its target does not have: a
-    /// snapshot's bytes, checked as they are read.
+    /// Refuses an order that [`IncrementalTopo::check`] refuses, a
+    /// transaction whose node or tail is past the order's node count, or rows
+    /// that hold a label naming a key its target does not have: a snapshot's
+    /// bytes, checked as they are read.
     pub(super) fn check_labels(&self) -> Result<(), String> {
         self.topo.check()?;
-        let nodes = 0..self.topo.node_count();
-        for (v, tag) in nodes.flat_map(|u| self.topo.labelled_successors(u)) {
+        let count = self.topo.node_count();
+        let mut placed = self.txn_node.iter().chain(self.txn_tail.iter());
+        if let Some((t, node)) = placed.find(|&(_, &node)| node >= count) {
+            return Err(format!("{t:?} at node {node} of an order of {count}"));
+        }
+        for (v, tag) in (0..count).flat_map(|u| self.topo.labelled_successors(u)) {
             self.kind_of(tag, self.node_owner.get(v).and_then(|o| o.txn()))?;
         }
         Ok(())

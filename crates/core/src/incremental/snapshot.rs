@@ -34,8 +34,8 @@ struct Stored {
 }
 
 /// Read back, a snapshot is refused unless its order holds no id past its
-/// node count and each label in its rows names a kind, and a key its target
-/// transaction has.
+/// node count, no transaction is placed at a node past it, and each label
+/// in its rows names a kind, and a key its target transaction has.
 impl Deserialize for CheckerSnapshot {
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
         let Stored {

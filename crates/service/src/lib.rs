@@ -3,7 +3,7 @@
 //! Verification as a service: a long-lived daemon that keeps one GC'd
 //! streaming checker per *named tenant*, fed over the `mtc-net` framed-TCP
 //! protocol's service role (`OpenTenant` / `Ingest` / `TenantStatus` /
-//! `CloseTenant`, protocol v2).
+//! `CloseTenant`, protocol 4).
 //!
 //! The paper's end-to-end loop — execute, collect, verify — assumes the
 //! checker lives inside the test harness. This crate moves it behind a

@@ -1,5 +1,6 @@
 //! Daemon lifecycle tests: open/ingest/status/close round trips, reattach
-//! and mismatch handling, deterministic backpressure with zero loss, role
+//! and mismatch handling, a tenant log of another format version refused
+//! and left as it was, deterministic backpressure with zero loss, role
 //! separation, hostile scalars and names refused at admission, what the drain
 //! threads must hold (order per tenant, a prompt stop), and SIGKILL + checkpoint
 //! resume bit-identical to a clean replay (against the real
@@ -103,6 +104,46 @@ fn reattach_shares_the_stream_and_mismatched_meta_is_refused() {
     let summary = a.close_tenant(open_a.tenant).expect("close");
     assert_eq!(summary.checked, spec.events_per_tenant());
     server.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A tenant whose directory holds a log of another format version — the v2
+/// segment an older build wrote, which this build does not read — is
+/// refused at `OpenTenant` with the version named, and the daemon neither
+/// rewrites a byte of the directory nor adds a segment or a checkpoint.
+#[test]
+fn a_tenant_log_of_another_version_is_refused_and_left_as_it_was() {
+    let root = temp_root("old_log");
+    let dir = root.join("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let v2 =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../store/tests/data/segment-v2-pr21.mtclog");
+    std::fs::copy(v2, dir.join("segment-00000000.mtclog")).unwrap();
+    let files = || {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = files();
+
+    let server = ServiceServer::spawn(ServiceConfig::new(&root)).expect("daemon spawns");
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    let refused = client
+        .open_tenant("legacy", IsolationLevel::Serializability, 4)
+        .expect_err("a v2 log must be refused");
+    assert!(
+        refused.to_string().contains("unsupported log version 2"),
+        "{refused}"
+    );
+    server.shutdown().expect("clean shutdown");
+    assert_eq!(files(), before, "the tenant directory changed");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -36,23 +36,21 @@
 //! payload's owner (`SNAPSHOT_VERSION`, `LOG_VERSION`, `PROTOCOL_VERSION`;
 //! `crates/store/tests/snapshot_version.rs` holds the snapshot's to it).
 //!
-//! The reader still takes the names older writers wrote, through the
-//! derive's reading of an object: `TAG_OBJECT`, every key a length-prefixed
-//! string (snapshots up to version 5, their checkpoint and segment headers,
-//! wire envelopes up to protocol 3, v1 log records), and `TAG_OBJECT_IDX`,
-//! every key a varint index into a key table that v2 log records ship in
-//! front of themselves ([`crate::segment`] reads them through
-//! `from_bytes_indexed`). Nothing writes either any more.
+//! The reader takes one spelling by name: an object, `TAG_OBJECT`, every key
+//! a length-prefixed string. A [`serde::JsonValue`] map writes it, and the
+//! derive reads a struct from it as from an array, so that a protocol-3
+//! `Hello` can be answered with the version mismatch and a snapshot spelt by
+//! name (version 5 and older) refused by its version. Logs that spelt their
+//! records by name or through a key table are refused by their version
+//! before a record is read (README, "Formats").
 //!
 //! What the reader checks, it checks where it stands: tags, canonical
-//! varints, UTF-8, a key index against its tables, a length prefix against
-//! the input that is left (so a length that lies is refused before anything
-//! is reserved for it), and, once the value is read, that the input ended
-//! with it. It keeps no stack of the containers it is inside of: the caller
-//! reads out what it opens (the source contract), and the one key spelling
-//! a payload may use is the payload's — inline in a plain read, an index in
-//! a v2 record's, whose objects are all indexed. [`MAX_DEPTH`] is held where
-//! recursion follows the input, not a type: [`serde::Source::skip`] and a
+//! varints, UTF-8, a length prefix against the input that is left (so a
+//! length that lies is refused before anything is reserved for it), and,
+//! once the value is read, that the input ended with it. It keeps no stack
+//! of the containers it is inside of: the caller reads out what it opens
+//! (the source contract). [`MAX_DEPTH`] is held where recursion follows the
+//! input, not a type: [`serde::Source::skip`] and a
 //! [`serde::JsonValue`] read step into every value of a container through
 //! [`serde::Source::enter`], which the reader counts. Those failures are
 //! [`DecodeError`]s; a value that is well-formed but not of the shape the
@@ -77,8 +75,6 @@ pub enum DecodeError {
     /// Nesting exceeded [`MAX_DEPTH`] (a crafted or corrupt payload must
     /// not overflow the decoder's stack).
     TooDeep,
-    /// An indexed object key referred past the end of the key table.
-    BadKeyIndex(u64),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -90,7 +86,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "string payload is not UTF-8"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after the value"),
             DecodeError::TooDeep => write!(f, "value nesting exceeds {MAX_DEPTH} levels"),
-            DecodeError::BadKeyIndex(i) => write!(f, "object key index {i} out of range"),
         }
     }
 }
@@ -111,10 +106,6 @@ const TAG_F64: u8 = 0x05;
 const TAG_STR: u8 = 0x06;
 const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
-/// An object whose keys are varint indices into an out-of-band key table
-/// (the schema-table form of v2 log segments, see [`crate::segment`]): read,
-/// never written.
-const TAG_OBJECT_IDX: u8 = 0x09;
 
 #[inline]
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -129,7 +120,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-pub(crate) fn get_varint(input: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+fn get_varint(input: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -251,34 +242,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Key tables an indexed decode resolves [`TAG_OBJECT_IDX`] keys against:
-/// the table carried over from earlier records plus the keys the current
-/// record introduces (kept separate so a record that fails to decode does
-/// not pollute the carried-over table).
-#[derive(Clone, Copy)]
-struct KeyTables<'a> {
-    base: &'a [String],
-    pending: &'a [String],
-}
-
-impl<'a> KeyTables<'a> {
-    fn resolve(&self, idx: u64) -> Result<&'a str, DecodeError> {
-        let i = idx as usize;
-        self.base
-            .get(i)
-            .or_else(|| self.pending.get(i.wrapping_sub(self.base.len())))
-            .map(String::as_str)
-            .ok_or(DecodeError::BadKeyIndex(idx))
-    }
-}
-
 /// The byte reader: every head is parsed off `input` when it is asked for,
-/// strings and inline keys are borrowed from it, and no stack of open
-/// containers is kept, so a head costs its tag and its bytes. With `keys`,
-/// the payload is a v2 record's: every object a [`TAG_OBJECT_IDX`] one,
-/// every key an index into the tables. Without, every object is a
-/// [`TAG_OBJECT`] one with its keys inline. An object of the other kind is
-/// a bad tag.
+/// strings and keys are borrowed from it, and no stack of open containers
+/// is kept, so a head costs its tag and its bytes.
 ///
 /// A byte-level failure is kept in `failed` — [`serde::Error`] is a message,
 /// and callers tell a [`DecodeError`] from a value of the wrong shape — and
@@ -286,18 +252,16 @@ impl<'a> KeyTables<'a> {
 struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
-    keys: Option<KeyTables<'a>>,
     /// Values entered through [`Source::enter`] and not yet left.
     depth: usize,
     failed: Option<DecodeError>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(input: &'a [u8], keys: Option<KeyTables<'a>>) -> Self {
+    fn new(input: &'a [u8]) -> Self {
         Reader {
             input,
             pos: 0,
-            keys,
             depth: 0,
             failed: None,
         }
@@ -345,8 +309,7 @@ impl<'a> Reader<'a> {
             }
             TAG_STR => Head::Str(get_str(self.input, &mut self.pos)?),
             TAG_ARRAY => Head::Array(self.container_len()?),
-            TAG_OBJECT if self.keys.is_none() => Head::Object(self.container_len()?),
-            TAG_OBJECT_IDX if self.keys.is_some() => Head::Object(self.container_len()?),
+            TAG_OBJECT => Head::Object(self.container_len()?),
             other => return Err(DecodeError::BadTag(other)),
         })
     }
@@ -378,13 +341,7 @@ impl Source for Reader<'_> {
 
     #[inline]
     fn key(&mut self) -> Result<&str, serde::Error> {
-        let key = match self.keys {
-            None => get_str(self.input, &mut self.pos),
-            Some(tables) => {
-                get_varint(self.input, &mut self.pos).and_then(|idx| tables.resolve(idx))
-            }
-        };
-        key.map_err(|e| self.fail(e))
+        get_str(self.input, &mut self.pos).map_err(|e| self.fail(e))
     }
 
     #[inline]
@@ -440,11 +397,6 @@ fn get_str<'a>(input: &'a [u8], pos: &mut usize) -> Result<&'a str, DecodeError>
     std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
-/// A length-prefixed string, owned: a key a v2 log record introduces.
-pub(crate) fn decode_str(input: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
-    get_str(input, pos).map(str::to_string)
-}
-
 /// Appends the binary form of `value` to `out`.
 pub fn write_value<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
     value.emit(&mut Writer { out });
@@ -460,32 +412,18 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// Deserializes a workspace-serde type from the binary value form,
 /// requiring the input to be exactly one value.
 pub fn from_bytes<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> {
-    read(Reader::new(input, None))
-}
-
-/// [`from_bytes`] of a v2 log record, whose indexed object keys resolve
-/// against `base` (the table carried over from earlier records) extended by
-/// `pending` (the keys the current record introduces).
-pub(crate) fn from_bytes_indexed<T: Deserialize>(
-    input: &[u8],
-    base: &[String],
-    pending: &[String],
-) -> Result<T, crate::StoreError> {
-    read(Reader::new(input, Some(KeyTables { base, pending })))
+    let mut reader = Reader::new(input);
+    let pulled = T::pull(&mut reader);
+    reader.finish(pulled, true)
 }
 
 /// Deserializes a workspace-serde type from the front of the binary value
 /// form: what `T` reads of the value `input` starts with, the rest of the
 /// input unread and unchecked.
 pub(crate) fn from_front<T: Deserialize>(input: &[u8]) -> Result<T, crate::StoreError> {
-    let mut reader = Reader::new(input, None);
+    let mut reader = Reader::new(input);
     let pulled = T::pull(&mut reader);
     reader.finish(pulled, false)
-}
-
-fn read<T: Deserialize>(mut reader: Reader<'_>) -> Result<T, crate::StoreError> {
-    let pulled = T::pull(&mut reader);
-    reader.finish(pulled, true)
 }
 
 #[cfg(test)]
@@ -496,12 +434,7 @@ mod tests {
     // The recursive tree decoder this module shipped up to PR 22, and its
     // two entry points, kept as the reference the reader is held to.
 
-    fn decode_at(
-        input: &[u8],
-        pos: &mut usize,
-        depth: usize,
-        keys: Option<KeyTables<'_>>,
-    ) -> Result<JsonValue, DecodeError> {
+    fn decode_at(input: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, DecodeError> {
         if depth > MAX_DEPTH {
             return Err(DecodeError::TooDeep);
         }
@@ -521,39 +454,22 @@ mod tests {
                     bytes.try_into().expect("8-byte slice"),
                 ))))
             }
-            TAG_STR => {
-                let s = decode_str(input, pos)?;
-                Ok(JsonValue::Str(s))
-            }
+            TAG_STR => Ok(JsonValue::Str(get_str(input, pos)?.to_string())),
             TAG_ARRAY => {
                 let len = get_varint(input, pos)? as usize;
                 // Cap the pre-allocation: a corrupt length must not OOM.
                 let mut items = Vec::with_capacity(len.min(4096));
                 for _ in 0..len {
-                    items.push(decode_at(input, pos, depth + 1, keys)?);
+                    items.push(decode_at(input, pos, depth + 1)?);
                 }
                 Ok(JsonValue::Array(items))
             }
-            // A v2 record's payload is indexed throughout: no writer ever put
-            // an inline-keyed object inside one.
-            TAG_OBJECT if keys.is_none() => {
+            TAG_OBJECT => {
                 let len = get_varint(input, pos)? as usize;
                 let mut entries = Vec::with_capacity(len.min(4096));
                 for _ in 0..len {
-                    let key = decode_str(input, pos)?;
-                    let val = decode_at(input, pos, depth + 1, keys)?;
-                    entries.push((key, val));
-                }
-                Ok(JsonValue::Object(entries))
-            }
-            TAG_OBJECT_IDX => {
-                // Only valid in indexed payloads: a plain decode has no table.
-                let tables = keys.ok_or(DecodeError::BadTag(TAG_OBJECT_IDX))?;
-                let len = get_varint(input, pos)? as usize;
-                let mut entries = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    let key = tables.resolve(get_varint(input, pos)?)?.to_string();
-                    let val = decode_at(input, pos, depth + 1, keys)?;
+                    let key = get_str(input, pos)?.to_string();
+                    let val = decode_at(input, pos, depth + 1)?;
                     entries.push((key, val));
                 }
                 Ok(JsonValue::Object(entries))
@@ -565,57 +481,15 @@ mod tests {
     /// Decodes a binary value, requiring the input to be exactly one value.
     fn decode_value(input: &[u8]) -> Result<JsonValue, DecodeError> {
         let mut pos = 0usize;
-        let v = decode_at(input, &mut pos, 0, None)?;
+        let v = decode_at(input, &mut pos, 0)?;
         if pos != input.len() {
             return Err(DecodeError::TrailingBytes);
         }
         Ok(v)
     }
 
-    /// Decodes exactly one value whose indexed object keys resolve against
-    /// `base` extended by `pending`.
-    fn decode_value_indexed(
-        input: &[u8],
-        base: &[String],
-        pending: &[String],
-    ) -> Result<JsonValue, DecodeError> {
-        let mut pos = 0usize;
-        let v = decode_at(input, &mut pos, 0, Some(KeyTables { base, pending }))?;
-        if pos != input.len() {
-            return Err(DecodeError::TrailingBytes);
-        }
-        Ok(v)
-    }
-
-    // The two recursive tree encoders this module shipped up to PR 21, kept
-    // as the reference the streaming writer is held to — and, with the
-    // writer's indexed key mode gone, as the maker of the v2 key-table bytes
-    // the reader still takes.
-
-    /// The v2 writer's key interner: every distinct object key gets a dense
-    /// index in first-seen order.
-    #[derive(Default)]
-    struct KeyDict {
-        keys: Vec<String>,
-    }
-
-    impl KeyDict {
-        fn len(&self) -> usize {
-            self.keys.len()
-        }
-
-        fn keys(&self) -> &[String] {
-            &self.keys
-        }
-
-        fn intern(&mut self, key: &str) -> u64 {
-            let at = self.keys.iter().position(|k| k == key);
-            at.unwrap_or_else(|| {
-                self.keys.push(key.to_string());
-                self.keys.len() - 1
-            }) as u64
-        }
-    }
+    // The recursive tree encoder the streaming writer replaced, kept as the
+    // reference it is held to.
 
     fn encode_into(v: &JsonValue, out: &mut Vec<u8>) {
         match v {
@@ -658,29 +532,8 @@ mod tests {
         }
     }
 
-    fn encode_value_indexed(v: &JsonValue, dict: &mut KeyDict, out: &mut Vec<u8>) {
-        match v {
-            JsonValue::Array(items) => {
-                out.push(TAG_ARRAY);
-                put_varint(out, items.len() as u64);
-                for item in items {
-                    encode_value_indexed(item, dict, out);
-                }
-            }
-            JsonValue::Object(entries) => {
-                out.push(TAG_OBJECT_IDX);
-                put_varint(out, entries.len() as u64);
-                for (k, val) in entries {
-                    put_varint(out, dict.intern(k));
-                    encode_value_indexed(val, dict, out);
-                }
-            }
-            scalar => encode_into(scalar, out),
-        }
-    }
-
     /// Arbitrary value trees, depth ≤ 6: empty arrays and objects, repeated
-    /// and non-ASCII keys (a small pool, so the dictionary sees repeats),
+    /// and non-ASCII keys (a small pool, so keys repeat),
     /// `u64::MAX`, negative and non-finite numbers.
     struct Trees;
 
@@ -769,15 +622,8 @@ mod tests {
     /// refuses a length that is a lie where it stands, as `Truncated`, and
     /// the reference wherever the input runs out under it or stops making
     /// sense.
-    fn agree(input: &[u8], tables: Option<(&[String], &[String])>) {
-        let (pulled, reference) = match tables {
-            None => (from_bytes::<JsonValue>(input), decode_value(input)),
-            Some((base, pending)) => (
-                from_bytes_indexed::<JsonValue>(input, base, pending),
-                decode_value_indexed(input, base, pending),
-            ),
-        };
-        match (pulled, reference) {
+    fn agree(input: &[u8]) {
+        match (from_bytes::<JsonValue>(input), decode_value(input)) {
             (Ok(pulled), Ok(reference)) => assert_eq!(to_bytes(&pulled), to_bytes(&reference)),
             (Err(crate::StoreError::Decode(pulled)), Err(reference)) => {
                 assert!(
@@ -791,8 +637,8 @@ mod tests {
         }
     }
 
-    /// Where the length prefixes of `input` start — of its strings, inline
-    /// keys, arrays and objects — for a value the reference decodes.
+    /// Where the length prefixes of `input` start — of its strings, keys,
+    /// arrays and objects — for a value the reference decodes.
     fn length_offsets(input: &[u8]) -> Vec<usize> {
         fn walk(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
             let tag = input[*pos];
@@ -812,14 +658,10 @@ mod tests {
                         walk(input, pos, found);
                     }
                 }
-                TAG_OBJECT | TAG_OBJECT_IDX => {
+                TAG_OBJECT => {
                     for _ in 0..length(pos) {
-                        if tag == TAG_OBJECT {
-                            found.push(*pos);
-                            *pos += get_varint(input, pos).unwrap() as usize;
-                        } else {
-                            get_varint(input, pos).unwrap();
-                        }
+                        found.push(*pos);
+                        *pos += get_varint(input, pos).unwrap() as usize;
                         walk(input, pos, found);
                     }
                 }
@@ -845,55 +687,34 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
         /// The reader is held to the reference decoder: on what the writer
-        /// wrote, inline and indexed (keys split over a carried-over and a
-        /// pending table), and on those bytes damaged the ways a disk or a
-        /// peer damages them.
+        /// wrote, and on those bytes damaged the ways a disk or a peer
+        /// damages them.
         #[test]
         fn the_reader_pulls_what_the_reference_decodes(
-            first in Trees,
-            second in Trees,
+            tree in Trees,
             damage in proptest::arbitrary::any::<u64>(),
         ) {
-            let inline = to_bytes(&second);
-            let mut dict = KeyDict::default();
-            let mut indexed = Vec::new();
-            encode_value_indexed(&first, &mut dict, &mut Vec::new());
-            let carried = dict.len();
-            encode_value_indexed(&second, &mut dict, &mut indexed);
-            let (base, pending) = dict.keys().split_at(carried);
-            agree(&inline, None);
-            agree(&indexed, Some((base, pending)));
-
-            for (bytes, tables) in [(&inline, None), (&indexed, Some((base, pending)))] {
-                let at = (damage >> 8) as usize % bytes.len();
-                let mut flipped = bytes.clone();
-                flipped[at] ^= 1 << (damage % 8);
-                agree(&flipped, tables);
-                agree(&bytes[..at], tables);
-                let lengths = length_offsets(bytes);
-                if !lengths.is_empty() {
-                    let at = lengths[(damage >> 8) as usize % lengths.len()];
-                    for claim in [1 << 32, 1 << 60, (damage >> 40) % 64] {
-                        agree(&with_varint(bytes, at, claim), tables);
-                    }
-                }
-                // One container too many around it, and the most there may be
-                // (the tree itself is at most six deep).
-                for (wraps, fits) in [(MAX_DEPTH + 1, false), (MAX_DEPTH - 6, true)] {
-                    let mut deep = [TAG_ARRAY, 1].repeat(wraps);
-                    deep.extend_from_slice(bytes);
-                    agree(&deep, tables);
-                    let read = match tables {
-                        None => from_bytes::<JsonValue>(&deep),
-                        Some((base, pending)) => from_bytes_indexed::<JsonValue>(&deep, base, pending),
-                    };
-                    proptest::prop_assert_eq!(read.is_ok(), fits);
+            let bytes = to_bytes(&tree);
+            agree(&bytes);
+            let at = (damage >> 8) as usize % bytes.len();
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (damage % 8);
+            agree(&flipped);
+            agree(&bytes[..at]);
+            let lengths = length_offsets(&bytes);
+            if !lengths.is_empty() {
+                let at = lengths[(damage >> 8) as usize % lengths.len()];
+                for claim in [1 << 32, 1 << 60, (damage >> 40) % 64] {
+                    agree(&with_varint(&bytes, at, claim));
                 }
             }
-            // A key index past the tables: the last key the record brought
-            // is withheld.
-            if let Some((_, fewer)) = pending.split_last() {
-                agree(&indexed, Some((base, fewer)));
+            // One container too many around it, and the most there may be
+            // (the tree itself is at most six deep).
+            for (wraps, fits) in [(MAX_DEPTH + 1, false), (MAX_DEPTH - 6, true)] {
+                let mut deep = [TAG_ARRAY, 1].repeat(wraps);
+                deep.extend_from_slice(&bytes);
+                agree(&deep);
+                proptest::prop_assert_eq!(from_bytes::<JsonValue>(&deep).is_ok(), fits);
             }
         }
     }
@@ -904,7 +725,7 @@ mod tests {
     fn the_reader_refuses_what_the_reference_refuses_and_says_why() {
         let hello = to_bytes(&JsonValue::Str("hello".to_string()));
         for cut in 0..=hello.len() {
-            agree(&hello[..cut], None);
+            agree(&hello[..cut]);
         }
         let nested = |levels: usize| {
             let mut bytes = [TAG_ARRAY, 1].repeat(levels);
@@ -929,19 +750,20 @@ mod tests {
             vec![TAG_STR, 2, 0xc3, 0x28],
             vec![TAG_OBJECT, 1, 2, 0xc3, 0x28, TAG_NULL],
             vec![TAG_F64, 1, 2, 3],
+            vec![0x09, 1, 0, TAG_NULL],
         ] {
-            agree(&input, None);
+            agree(&input);
         }
         assert!(matches!(
             from_bytes::<JsonValue>(&nested(100_000)),
             Err(crate::StoreError::Decode(DecodeError::TooDeep))
         ));
         assert!(from_bytes::<JsonValue>(&nested(MAX_DEPTH)).is_ok());
-        // An indexed object without tables, and an index past them.
-        let keyed = [TAG_OBJECT_IDX, 1, 0, TAG_NULL];
-        agree(&keyed, None);
-        agree(&keyed, Some((&[], &[])));
-        agree(&keyed, Some((&[], &["k".to_string()])));
+        // 0x09, the tag v2 log records gave their indexed objects, is unknown.
+        assert!(matches!(
+            from_bytes::<JsonValue>(&[0x09, 1, 0, TAG_NULL]),
+            Err(crate::StoreError::Decode(DecodeError::BadTag(0x09)))
+        ));
     }
 
     /// Depth is held where recursion follows the input: a derived struct read
@@ -1153,25 +975,6 @@ mod tests {
             JsonValue::Str("network-facing".to_string()),
             JsonValue::Object(vec![("k".to_string(), JsonValue::U64(300))]),
         ])));
-        // Indexed (schema-table) form of an object record, decoded against
-        // its key table: same every-offset guarantee.
-        let obj = JsonValue::Object(vec![
-            ("session".to_string(), JsonValue::U64(3)),
-            ("ops".to_string(), JsonValue::Array(vec![JsonValue::U64(9)])),
-        ]);
-        let mut dict = KeyDict::default();
-        let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
-        for cut in 0..indexed.len() {
-            assert!(
-                decode_value_indexed(&indexed[..cut], dict.keys(), &[]).is_err(),
-                "indexed prefix of length {cut} must not decode"
-            );
-        }
-        assert_eq!(
-            decode_value_indexed(&indexed, dict.keys(), &[]).unwrap(),
-            obj
-        );
         for (i, record) in corpus.iter().enumerate() {
             // The whole record decodes…
             assert!(decode_value(record).is_ok(), "corpus record {i}");
@@ -1183,52 +986,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn indexed_values_round_trip_and_drop_repeated_keys() {
-        let obj = JsonValue::Object(vec![
-            ("first_field".to_string(), JsonValue::U64(1)),
-            (
-                "nested".to_string(),
-                JsonValue::Array(vec![
-                    JsonValue::Object(vec![("first_field".to_string(), JsonValue::U64(2))]),
-                    JsonValue::Object(vec![("first_field".to_string(), JsonValue::U64(3))]),
-                ]),
-            ),
-        ]);
-        let mut dict = KeyDict::default();
-        let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
-        assert_eq!(
-            dict.keys(),
-            ["first_field".to_string(), "nested".to_string()]
-        );
-        // The three "first_field" occurrences collapse to one dict entry,
-        // so the indexed body is smaller than the inline-keyed form.
-        assert!(indexed.len() < to_bytes(&obj).len() - 2 * "first_field".len());
-        let decoded = decode_value_indexed(&indexed, dict.keys(), &[]).unwrap();
-        assert_eq!(decoded, obj);
-        // Split tables (base + pending) resolve identically.
-        let decoded = decode_value_indexed(&indexed, &dict.keys()[..1], &dict.keys()[1..]).unwrap();
-        assert_eq!(decoded, obj);
-    }
-
-    #[test]
-    fn indexed_objects_are_rejected_without_a_key_table() {
-        let obj = JsonValue::Object(vec![("k".to_string(), JsonValue::Null)]);
-        let mut dict = KeyDict::default();
-        let mut indexed = Vec::new();
-        encode_value_indexed(&obj, &mut dict, &mut indexed);
-        assert_eq!(
-            decode_value(&indexed),
-            Err(DecodeError::BadTag(TAG_OBJECT_IDX))
-        );
-        // An index past both tables is a decode error, not a panic.
-        assert_eq!(
-            decode_value_indexed(&indexed, &[], &[]),
-            Err(DecodeError::BadKeyIndex(0))
-        );
     }
 
     #[test]

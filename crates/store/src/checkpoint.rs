@@ -19,13 +19,9 @@
 //! snapshot is positional, so a body of another version is never decoded
 //! by this build's layout.
 //!
-//! Only `.mtcck` files are checkpoints. Any other file named
-//! `checkpoint-<consumed>.<ext>` — older builds wrote delta checkpoints under
-//! another extension — is never opened: recovery passes over it to the
-//! newest full snapshot (and replays a longer log tail, to the same
-//! verdict), and [`prune_checkpoints`] deletes it.
-//!
-//! Pruning goes by file names and reads nothing. Every byte read from a
+//! Only `checkpoint-<consumed>.mtcck` files are checkpoints: a file of any
+//! other extension is never listed, so never opened, nor pruned. Pruning
+//! goes by file names and reads nothing. Every byte read from a
 //! checkpoint file is counted in `store.checkpoint_read_bytes`.
 
 use crate::binval;
@@ -51,7 +47,8 @@ struct CheckpointHeader {
 }
 
 /// The version a snapshot payload leads with: the first of its fields — by
-/// position, or by name as snapshots up to version 5 spelt it.
+/// position, or by name as snapshots up to version 5 spelt it, so that
+/// those too are refused by their version.
 struct LeadingVersion(u32);
 
 impl Deserialize for LeadingVersion {
@@ -72,34 +69,23 @@ fn checkpoint_path(dir: &Path, consumed: u64) -> PathBuf {
     dir.join(format!("checkpoint-{consumed:012}.mtcck"))
 }
 
-/// The checkpoints of a directory by `consumed`, oldest first, and the
-/// files of other kinds named like checkpoints.
-type Listing = (Vec<(u64, PathBuf)>, Vec<PathBuf>);
-
-/// The files of `dir` named like checkpoints, temporary files aside.
-fn checkpoint_files(dir: &Path) -> Result<Listing, StoreError> {
-    let (mut full, mut other) = (Vec::new(), Vec::new());
+/// The checkpoints of `dir` by `consumed`, oldest first.
+fn checkpoint_files(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+    let mut out = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        let Some((consumed, ext)) = name
+        if let Some(consumed) = name
             .strip_prefix("checkpoint-")
-            .and_then(|rest| rest.split_once('.'))
-        else {
-            continue;
-        };
-        let Ok(consumed) = consumed.parse::<u64>() else {
-            continue;
-        };
-        if ext == "mtcck" {
-            full.push((consumed, entry.path()));
-        } else if !name.ends_with(".tmp") {
-            other.push(entry.path());
+            .and_then(|s| s.strip_suffix(".mtcck"))
+            .and_then(|s| s.parse::<u64>().ok())
+        {
+            out.push((consumed, entry.path()));
         }
     }
-    full.sort_unstable();
-    Ok((full, other))
+    out.sort_unstable();
+    Ok(out)
 }
 
 /// The bytes of the checkpoint file of `snapshot`, taken after consuming
@@ -220,8 +206,7 @@ pub(crate) fn latest_checkpoint_within(
     dir: &Path,
     limit: u64,
 ) -> Result<Option<(u64, CheckerSnapshot)>, StoreError> {
-    let (full, _) = checkpoint_files(dir)?;
-    Ok(full
+    Ok(checkpoint_files(dir)?
         .iter()
         .rev()
         .filter(|&&(named, _)| named <= limit)
@@ -232,15 +217,13 @@ pub(crate) fn latest_checkpoint_within(
         }))
 }
 
-/// Deletes all but the newest `keep` checkpoints, and every file of another
-/// kind named like one. Goes by file names and reads no file. Returns how
-/// many files went.
+/// Deletes all but the newest `keep` checkpoints. Goes by file names and
+/// reads no file. Returns how many files went.
 pub fn prune_checkpoints(dir: impl AsRef<Path>, keep: usize) -> Result<usize, StoreError> {
-    let (full, other) = checkpoint_files(dir.as_ref())?;
-    let old = full.len().saturating_sub(keep);
-    let doomed = full[..old].iter().map(|(_, path)| path).chain(&other);
+    let files = checkpoint_files(dir.as_ref())?;
+    let old = files.len().saturating_sub(keep);
     let mut removed = 0usize;
-    for path in doomed {
+    for (_, path) in &files[..old] {
         match fs::remove_file(path) {
             // Somebody else already deleted it: the same outcome.
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
@@ -252,9 +235,12 @@ pub fn prune_checkpoints(dir: impl AsRef<Path>, keep: usize) -> Result<usize, St
 
 #[cfg(test)]
 mod tests {
+    //! `store.checkpoint_read_bytes` is process-wide, so every unit test of
+    //! this crate that reads a checkpoint file holds the `with_enabled` lock.
     use super::*;
     use mtc_core::{IncrementalChecker, IsolationLevel};
     use mtc_history::Op;
+    use mtc_obs::test_support::with_enabled;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mtc_store_ck_{tag}_{}", std::process::id()));
@@ -276,6 +262,7 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips_and_resumes() {
+        let _off = with_enabled(false);
         let dir = tmpdir("rt");
         let snapshot = sample_snapshot(20);
         write_checkpoint(&dir, 20, &snapshot).unwrap();
@@ -292,6 +279,7 @@ mod tests {
 
     #[test]
     fn damaged_newest_checkpoint_falls_back_to_the_previous_one() {
+        let _off = with_enabled(false);
         let dir = tmpdir("fallback");
         write_checkpoint(&dir, 10, &sample_snapshot(10)).unwrap();
         let newest = write_checkpoint(&dir, 20, &sample_snapshot(20)).unwrap();
@@ -311,11 +299,39 @@ mod tests {
             write_checkpoint(&dir, consumed, &sample_snapshot(consumed)).unwrap();
         }
         assert_eq!(prune_checkpoints(&dir, 2).unwrap(), 2);
-        let (files, _) = checkpoint_files(&dir).unwrap();
+        let files = checkpoint_files(&dir).unwrap();
         assert_eq!(
             files.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
             vec![15, 20]
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A file named like a newer checkpoint, but not `.mtcck`, is passed
+    /// over unread, and pruning leaves it alone.
+    #[test]
+    fn a_file_named_like_a_checkpoint_but_not_mtcck_is_never_opened() {
+        let dir = tmpdir("other_ext");
+        let good = write_checkpoint(&dir, 20, &sample_snapshot(20)).unwrap();
+        let others = [
+            "checkpoint-000000000030.mtccks",
+            "checkpoint-000000000040.mtcck.old",
+        ];
+        for name in others {
+            fs::write(dir.join(name), b"\xff\xff\xff\xff not a checkpoint").unwrap();
+        }
+        let _on = with_enabled(true);
+        let read = || {
+            mtc_obs::registry()
+                .counter("store.checkpoint_read_bytes")
+                .get()
+        };
+        let before = read();
+        let (consumed, _) = latest_checkpoint(&dir).unwrap().unwrap();
+        assert_eq!(consumed, 20);
+        assert_eq!(read() - before, fs::metadata(&good).unwrap().len());
+        assert_eq!(prune_checkpoints(&dir, 1).unwrap(), 0);
+        assert!(others.iter().all(|name| dir.join(name).exists()));
         let _ = fs::remove_dir_all(&dir);
     }
 

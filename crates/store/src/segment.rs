@@ -40,18 +40,13 @@ use std::path::{Path, PathBuf};
 
 /// Magic tag binding a file to this log format.
 pub const LOG_MAGIC: &str = "mtc-store-log";
-/// Current log format version: a version 3 record is the record's
-/// positional [`binval`] payload alone — no field name, no key table.
-/// Older segments remain readable: version 1 records spell every field name
-/// inline, and version 2 records carry the object keys they introduce to
-/// their segment's key table (`[varint n_new][n_new length-prefixed
-/// strings][value]`, the value's keys varint indices into the table, which
-/// resets at every segment boundary). A segment holds records of its
-/// header's version only, so [`LogWriter::open_append`] rotates away from
-/// an older tail segment at once.
+/// The log format version, the one this build writes and the one it reads:
+/// a version 3 record is the record's positional [`binval`] payload alone —
+/// no field name, no key table. A segment whose header names any other
+/// version is refused with [`StoreError::Format`] before a record of it is
+/// decoded, by [`read_log`] and [`LogWriter::open_append`] alike, and is
+/// left as it is.
 pub const LOG_VERSION: u32 = 3;
-/// Oldest segment format version the reader still accepts.
-pub const MIN_LOG_VERSION: u32 = 1;
 /// Default segment rotation threshold, in payload bytes.
 pub const DEFAULT_SEGMENT_BYTES: usize = 4 << 20;
 
@@ -196,8 +191,7 @@ impl LogWriter {
 
     /// Re-opens an existing log for appending: scans it (tolerating a torn
     /// tail, whose bytes are truncated away) and positions after the last
-    /// intact record — or, when the last segment is of an older version, in a
-    /// fresh segment of [`LOG_VERSION`] after it. Returns the writer together with the recovered
+    /// intact record. Returns the writer together with the recovered
     /// contents, so a resuming process replays and appends from one scan.
     pub fn open_append(dir: impl AsRef<Path>) -> Result<(Self, RecoveredLog), StoreError> {
         let dir = dir.as_ref().to_path_buf();
@@ -222,7 +216,7 @@ impl LogWriter {
         }
         let file = fs::OpenOptions::new().append(true).open(last_path)?;
         let written_in_segment = fs::metadata(last_path)?.len() as usize;
-        let mut writer = LogWriter {
+        let writer = LogWriter {
             dir,
             file,
             segment,
@@ -233,11 +227,6 @@ impl LogWriter {
             frames: Vec::new(),
             appended: 0,
         };
-        if recovered.last_segment_version < LOG_VERSION {
-            // A segment holds records of its header's format only, and
-            // `LOG_VERSION` is the one this writer writes.
-            writer.rotate()?;
-        }
         Ok((writer, recovered))
     }
 
@@ -328,35 +317,6 @@ impl LogWriter {
     }
 }
 
-/// Decodes one v2 record payload against the segment's accumulated key
-/// table, committing the record's newly introduced keys to `dict` only
-/// when the whole record decodes — a torn record must not leave keys in
-/// the table that its (discarded) payload introduced.
-fn decode_record_v2(payload: &[u8], dict: &mut Vec<String>) -> Result<LogRecord, StoreError> {
-    let mut pos = 0usize;
-    let n_new = binval::get_varint(payload, &mut pos).map_err(StoreError::Decode)? as usize;
-    let mut pending = Vec::with_capacity(n_new.min(4096));
-    for _ in 0..n_new {
-        pending.push(binval::decode_str(payload, &mut pos).map_err(StoreError::Decode)?);
-    }
-    let record = binval::from_bytes_indexed(&payload[pos..], dict, &pending)?;
-    dict.extend(pending);
-    Ok(record)
-}
-
-/// Decodes one record payload in the given segment format version.
-fn decode_record(
-    payload: &[u8],
-    version: u32,
-    dict: &mut Vec<String>,
-) -> Result<LogRecord, StoreError> {
-    if version == 2 {
-        decode_record_v2(payload, dict)
-    } else {
-        binval::from_bytes(payload)
-    }
-}
-
 /// Creates segment file `index` with its header frame, returning the handle
 /// positioned for appending.
 fn open_segment(
@@ -397,14 +357,12 @@ pub struct RecoveredLog {
     pub last_valid_offset: usize,
     /// Rotation threshold recorded in the segment headers.
     pub segment_bytes: usize,
-    /// Format version of the last segment (`open_append` continues one of
-    /// [`LOG_VERSION`] and rotates away from an older one).
-    pub last_segment_version: u32,
 }
 
 /// Scans the log in `dir`, returning every intact transaction. Damage at
 /// the tail of the last segment is tolerated (see [`RecoveredLog`]); damage
-/// anywhere else is a [`StoreError::Corrupt`].
+/// anywhere else is a [`StoreError::Corrupt`], and a segment of another
+/// format version than [`LOG_VERSION`] a [`StoreError::Format`].
 pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
     let _span = mtc_obs::span(mtc_obs::histogram!("store.recover.log"));
     let dir = dir.as_ref();
@@ -420,15 +378,11 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
     let mut torn_tail = false;
     let mut last_valid_offset = 0usize;
     let mut segment_bytes = DEFAULT_SEGMENT_BYTES;
-    let mut last_segment_version = LOG_VERSION;
-    let mut dict: Vec<String> = Vec::new();
     let last_index = segments.len() - 1;
     for (i, (expect_segment, path)) in segments.iter().enumerate() {
         let is_last = i == last_index;
         let bytes = fs::read(path)?;
         let mut pos = 0usize;
-        // A v2 key table never crosses a segment boundary.
-        dict.clear();
         // Header frame. A damaged header is only tolerable when the crash
         // happened right after a rotation created the (then-last) segment.
         let header: SegmentHeader = match read_frame(&bytes, &mut pos) {
@@ -454,7 +408,7 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
                 path.display()
             )));
         }
-        if header.version < MIN_LOG_VERSION || header.version > LOG_VERSION {
+        if header.version != LOG_VERSION {
             return Err(StoreError::Format(format!(
                 "{}: unsupported log version {}",
                 path.display(),
@@ -468,7 +422,6 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
             )));
         }
         segment_bytes = (header.segment_bytes as usize).max(1);
-        last_segment_version = header.version;
         if is_last {
             last_valid_offset = pos;
         }
@@ -492,7 +445,7 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
             };
             let decoded = {
                 let _span = mtc_obs::sampled_span!("store.recover.decode");
-                decode_record(payload, header.version, &mut dict)
+                binval::from_bytes(payload)
             };
             let record: LogRecord = match decoded {
                 Ok(r) => r,
@@ -536,14 +489,12 @@ pub fn read_log(dir: impl AsRef<Path>) -> Result<RecoveredLog, StoreError> {
         torn_tail,
         last_valid_offset,
         segment_bytes,
-        last_segment_version,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
     use mtc_history::{Op, SessionId, TxnId};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -705,143 +656,6 @@ mod tests {
         );
         assert_eq!(read_log(&dir).unwrap().txns.len(), 20);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Writes a version-1 log (inline keys in every record) by hand, the
-    /// way the v1 writer laid it out: header frame, then plain binval
-    /// record frames, rotating at `segment_bytes` — every value spelt by
-    /// name, as its JSON tree is.
-    fn write_v1_log(dir: &Path, meta: &StreamMeta, txns: u32, segment_bytes: usize) {
-        fs::create_dir_all(dir).unwrap();
-        let mut records = vec![LogRecord::Meta(meta.clone())];
-        records.extend((0..txns).map(|i| LogRecord::Txn(txn(i))));
-        let mut segment = 0u64;
-        let mut first_txn = 0u64;
-        let mut written = usize::MAX; // force the first segment open
-        let mut out: Option<fs::File> = None;
-        for record in &records {
-            if written >= segment_bytes {
-                let header = SegmentHeader {
-                    magic: LOG_MAGIC.to_string(),
-                    version: 1,
-                    segment,
-                    first_txn,
-                    segment_bytes: segment_bytes as u64,
-                };
-                let mut bytes = Vec::new();
-                write_frame(&mut bytes, &binval::to_bytes(&header.to_json_value()));
-                let mut file = fs::OpenOptions::new()
-                    .create_new(true)
-                    .append(true)
-                    .open(segment_path(dir, segment))
-                    .unwrap();
-                file.write_all(&bytes).unwrap();
-                out = Some(file);
-                segment += 1;
-                written = 0;
-            }
-            let mut framed = Vec::new();
-            write_frame(&mut framed, &binval::to_bytes(&record.to_json_value()));
-            out.as_mut().unwrap().write_all(&framed).unwrap();
-            written += framed.len();
-            if matches!(record, LogRecord::Txn(_)) {
-                first_txn += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn v1_segments_remain_readable() {
-        let dir = tmpdir("v1_read");
-        write_v1_log(&dir, &meta(), 30, 512);
-        assert!(segment_files(&dir).unwrap().len() > 1, "must span segments");
-        let log = read_log(&dir).unwrap();
-        assert_eq!(log.meta, meta());
-        assert_eq!(log.txns.len(), 30);
-        assert_eq!(log.txns[13], txn(13));
-        assert!(!log.torn_tail);
-        assert_eq!(log.last_segment_version, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_append_rotates_a_v1_tail_to_the_current_version_at_once() {
-        let dir = tmpdir("v1_append");
-        write_v1_log(&dir, &meta(), 10, 512);
-        let v1_segments = segment_files(&dir).unwrap();
-        let v1_bytes: Vec<Vec<u8>> = v1_segments
-            .iter()
-            .map(|(_, path)| fs::read(path).unwrap())
-            .collect();
-        let (mut w, recovered) = LogWriter::open_append(&dir).unwrap();
-        assert_eq!(recovered.txns.len(), 10);
-        assert_eq!(recovered.last_segment_version, 1);
-        let header_version = |path: &Path| -> u32 {
-            let bytes = fs::read(path).unwrap();
-            let mut pos = 0usize;
-            let header: SegmentHeader =
-                binval::from_bytes(read_frame(&bytes, &mut pos).unwrap()).unwrap();
-            header.version
-        };
-        // A fresh segment before anything is appended.
-        let segments = segment_files(&dir).unwrap();
-        assert_eq!(segments.len(), v1_segments.len() + 1);
-        assert_eq!(header_version(&segments.last().unwrap().1), LOG_VERSION);
-        for i in 10..40 {
-            w.append(&txn(i)).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
-        // The v1 segments kept their bytes; every segment after them is of
-        // the current version.
-        for ((_, path), bytes) in v1_segments.iter().zip(&v1_bytes) {
-            assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
-        }
-        let segments = segment_files(&dir).unwrap();
-        for (_, path) in &segments[v1_segments.len()..] {
-            assert_eq!(header_version(path), LOG_VERSION, "{}", path.display());
-        }
-        // Everything reads back, across the format switch.
-        let log = read_log(&dir).unwrap();
-        assert_eq!(log.txns.len(), 40);
-        assert_eq!(log.txns[25], txn(25));
-        assert_eq!(log.last_segment_version, LOG_VERSION);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn positional_segments_shrink_the_log() {
-        let dir_now = tmpdir("size_now");
-        let dir_v1 = tmpdir("size_v1");
-        const TXNS: u32 = 200;
-        let mut w = LogWriter::create(&dir_now, &meta()).unwrap();
-        for i in 0..TXNS {
-            w.append(&txn(i)).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
-        write_v1_log(&dir_v1, &meta(), TXNS, DEFAULT_SEGMENT_BYTES);
-        let total = |dir: &Path| -> u64 {
-            segment_files(dir)
-                .unwrap()
-                .iter()
-                .map(|(_, p)| fs::metadata(p).unwrap().len())
-                .sum()
-        };
-        let (v1, now) = (total(&dir_v1), total(&dir_now));
-        // Both logs round-trip identically...
-        let log = read_log(&dir_now).unwrap();
-        assert_eq!(log.txns, read_log(&dir_v1).unwrap().txns);
-        assert_eq!(log.txns.len(), TXNS as usize);
-        // ...but with no field names the records are under half the bytes
-        // of v1's, which spell every name in every record. (v2's key tables
-        // got these two-op transactions to ~1.8× under v1.)
-        assert!(
-            now * 2 <= v1,
-            "positional log must shrink at least 2x: {now} vs v1 {v1}"
-        );
-        let _ = fs::remove_dir_all(&dir_v1);
-        let _ = fs::remove_dir_all(&dir_now);
     }
 
     #[test]

@@ -398,6 +398,7 @@ mod tests {
     use super::*;
     use mtc_core::{check_streaming, IncrementalChecker, IsolationLevel};
     use mtc_history::{Op, SessionId, TxnId};
+    use mtc_obs::test_support::with_enabled;
     use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -425,6 +426,8 @@ mod tests {
 
     #[test]
     fn record_checkpoint_crash_resume_matches_clean_run() {
+        // Reads a checkpoint: see `checkpoint::tests`.
+        let _off = with_enabled(false);
         let dir = tmpdir("resume");
         let mut store = MtcStore::create(&dir, &meta()).unwrap();
         let mut checker =
@@ -494,6 +497,7 @@ mod tests {
 
     #[test]
     fn open_append_removes_the_temporary_file_of_a_checkpoint_that_never_landed() {
+        let _off = with_enabled(false);
         let dir = tmpdir("stale_tmp");
         let mut store = MtcStore::create(&dir, &meta()).unwrap();
         let mut checker =
@@ -525,9 +529,7 @@ mod tests {
             "{chain:?}"
         );
         // The crash: checkpoints written under their temporary names and
-        // never renamed, newer than anything that landed. (A temporary file
-        // an older build left of a checkpoint of another kind goes too:
-        // `tests/parent_written_deltas.rs`.)
+        // never renamed, newer than anything that landed.
         let stale = [
             "checkpoint-000000000025.mtcck.tmp",
             "checkpoint-000000000030.mtcck.tmp",

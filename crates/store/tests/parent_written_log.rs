@@ -5,20 +5,22 @@
 //! the same bytes — frame lengths and CRCs included.
 //!
 //! `tests/data/segment-v2-pr21.mtclog` is the one v2 segment an older build
-//! (one that encoded every record through an owned value tree and interned
-//! its keys into a per-segment table) wrote for the same stream. It must read
-//! back, and a log whose tail it is must be continued in a fresh segment of
-//! this build's version, its own bytes untouched.
+//! (one that interned its record keys into a per-segment table) wrote for
+//! the same stream. This build reads the log version it writes and no other:
+//! every way into a log refuses a v2 segment by its version — as the head
+//! of a log, and as the head of one that an older build continued in v3
+//! segments — and leaves the directory as it was.
 //!
 //! To regenerate the v3 fixture (only a `LOG_VERSION` bump should ever need
 //! it — and then under the new version's name, the old one kept as an input
-//! that must still read): delete it, run this test on the build that is to
-//! be the reference and copy `<target>/tmp/segment.actual.mtclog` over it.
+//! that must be refused by its version): delete it, run this test on the
+//! build that is to be the reference and copy
+//! `<target>/tmp/segment.actual.mtclog` over it.
 
 use mtc_core::IsolationLevel;
 use mtc_history::{Op, SessionId, Transaction, TxnId, TxnStatus};
 use mtc_store::frame::read_frame;
-use mtc_store::{read_log, LogWriter, StreamMeta, LOG_VERSION};
+use mtc_store::{read_log, recover, LogWriter, MtcStore, StoreError, StreamMeta};
 use std::path::{Path, PathBuf};
 
 const KEYS: u64 = 4;
@@ -100,7 +102,7 @@ fn this_build_appends_the_bytes_the_parent_wrote() {
     let _ = std::fs::remove_dir_all(&dir);
     if actual == fixture(CURRENT) {
         let log = read_log_of("reread", &actual);
-        assert_eq!((log.txns, log.last_segment_version), (fixture_stream(), 3));
+        assert_eq!(log.txns, fixture_stream());
         return;
     }
     let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("segment.actual.mtclog");
@@ -127,49 +129,72 @@ fn read_log_of(tag: &str, bytes: &[u8]) -> mtc_store::RecoveredLog {
     log
 }
 
+/// Every file of `dir` by name, with its bytes.
+fn files_of(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `outcome` is the refusal of a log whose head segment is of version 2.
+fn assert_refused<T>(outcome: Result<T, StoreError>, what: &str) {
+    match outcome {
+        Err(StoreError::Format(why)) => {
+            assert!(why.contains("unsupported log version 2"), "{what}: {why}")
+        }
+        Err(other) => panic!("{what}: refused for another reason: {other}"),
+        Ok(_) => panic!("{what}: a v2 log was read"),
+    }
+}
+
+/// The offset in `bytes` after its first `frames` frames.
+fn offset_after(bytes: &[u8], frames: usize) -> usize {
+    let mut pos = 0;
+    for _ in 0..frames {
+        read_frame(bytes, &mut pos).unwrap();
+    }
+    pos
+}
+
 #[test]
-fn a_parent_written_segment_reads_back_and_is_continued_byte_for_byte() {
-    let whole = fixture(V2);
-    let stream = fixture_stream();
+fn a_v2_segment_is_refused_by_version_and_left_as_it_was() {
+    let v2 = fixture(V2);
+    let alone = tmpdir("v2_alone");
+    std::fs::create_dir_all(&alone).unwrap();
+    std::fs::write(only_segment(&alone), &v2).unwrap();
 
-    let log = read_log_of("read", &whole);
-    assert_eq!(log.meta, meta());
-    assert_eq!(log.txns, stream);
-    assert!(!log.torn_tail);
-    assert_eq!(log.last_segment_version, 2);
+    // As an older build's `open_append` left a v2 log: the v2 segment with
+    // its header, stream metadata and first `KEPT` transactions, the rest of
+    // the stream behind it in v3 segments. This build writes those, rotating
+    // where the v2 segment ends, and the v2 segment takes the head's place.
+    const KEPT: usize = 77;
+    let v3 = fixture(CURRENT);
+    let records = offset_after(&v3, KEPT + 2) - offset_after(&v3, 1);
+    let continued = tmpdir("v2_continued");
+    let mut w = LogWriter::create_with_segment_bytes(&continued, &meta(), records).unwrap();
+    for t in &fixture_stream() {
+        w.append(t).unwrap();
+    }
+    drop(w);
+    let head = std::fs::read(only_segment(&continued)).unwrap();
+    assert_eq!(offset_after(&head, KEPT + 2), head.len());
+    assert!(files_of(&continued).len() > 2);
+    std::fs::write(only_segment(&continued), &v2[..offset_after(&v2, KEPT + 2)]).unwrap();
 
-    // Cut the parent's segment after its header, stream metadata and first
-    // `kept` transactions — early enough that keys are still to be added to
-    // the segment's table, and again once the table is complete — and let
-    // this build write the rest: in a fresh segment of its own version,
-    // begun before the first append, the parent's bytes as they were.
-    for kept in [0usize, 1, 77] {
-        let mut cut = 0;
-        for _ in 0..kept + 2 {
-            read_frame(&whole, &mut cut).unwrap();
-        }
-        let dir = tmpdir(&format!("continue{kept}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(only_segment(&dir), &whole[..cut]).unwrap();
-        let (mut w, recovered) = LogWriter::open_append(&dir).unwrap();
-        assert_eq!(recovered.txns, stream[..kept]);
-        assert_eq!(recovered.last_segment_version, 2);
-        assert_eq!(read_log(&dir).unwrap().last_segment_version, LOG_VERSION);
-        for t in &stream[kept..] {
-            w.append(t).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
-        assert!(
-            std::fs::read(only_segment(&dir)).unwrap() == whole[..cut],
-            "the parent's segment was rewritten after {kept} transactions"
-        );
-        let segments = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(segments, 2, "continued after {kept} transactions");
-        let log = read_log(&dir).unwrap();
-        assert_eq!(log.txns, stream, "continued after {kept} transactions");
-        assert_eq!(log.last_segment_version, LOG_VERSION);
-        assert!(!log.torn_tail);
-        let _ = std::fs::remove_dir_all(&dir);
+    for dir in [&alone, &continued] {
+        let before = files_of(dir);
+        assert_refused(read_log(dir), "read_log");
+        assert_refused(LogWriter::open_append(dir), "LogWriter::open_append");
+        assert_refused(recover(dir), "recover");
+        assert_refused(MtcStore::open_append(dir), "MtcStore::open_append");
+        assert_eq!(files_of(dir), before, "{}", dir.display());
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -1,12 +1,12 @@
 //! A checkpoint whose snapshot another `SNAPSHOT_VERSION` wrote is not
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
-//! is the uninterrupted run's either way. (The committed `snapshot-v8-*`
-//! fixtures, of this build's version, keep resuming, and the `snapshot-v6-*`
-//! and `snapshot-v7-*` ones older builds wrote are passed over:
-//! `store_differential.rs`; a
-//! store a version-4 build wrote recovers by replaying its whole log:
-//! `tests/parent_written_deltas.rs`.)
+//! is the uninterrupted run's either way. A build reads the snapshot
+//! version it writes and no other. (The committed `snapshot-v8-*` fixtures,
+//! of this build's version, keep resuming, and the `snapshot-v7-*` ones the
+//! previous version's build wrote are passed over: `store_differential.rs`.
+//! A snapshot spelt with field names, as every one up to version 5 was, is
+//! built here and refused by its version.)
 //!
 //! Since version 6 a snapshot is positional — its fields in declaration
 //! order, no names — so nothing in the bytes tells a reader which field it

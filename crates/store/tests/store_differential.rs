@@ -335,7 +335,9 @@ fn assert_recovery_passes_over(
 /// the last build of that version wrote it: this build's layout would
 /// misread them, so each is refused by its version before its body is
 /// decoded, and recovery passes over each — to the checkpoint before it, or
-/// to a replay of the log from the start — to the uninterrupted verdict.
+/// to a replay of the log from the start — to the uninterrupted verdict;
+/// the SSER one over [`overlapping_stream`] too, whose order reorders on
+/// nearly every transaction.
 fn assert_refused_by_version(version: u32) {
     for level in LEVELS {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -348,15 +350,16 @@ fn assert_refused_by_version(version: u32) {
             }
             other => panic!("{}: must be refused, got {other:?}", path.display()),
         }
-        for older in [None, Some(64u64)] {
-            assert_recovery_passes_over(&path, level, &fixture_stream(), older);
+        let mut streams = vec![fixture_stream()];
+        if level == IsolationLevel::StrictSerializability {
+            streams.push(overlapping_stream());
+        }
+        for txns in &streams {
+            for older in [None, Some(64u64)] {
+                assert_recovery_passes_over(&path, level, txns, older);
+            }
         }
     }
-}
-
-#[test]
-fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
-    assert_refused_by_version(6);
 }
 
 /// Version 7 held the engine's labelled edge list beside the order's
@@ -364,65 +367,6 @@ fn the_v6_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
 #[test]
 fn the_v7_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
     assert_refused_by_version(7);
-}
-
-/// A committed version-5 snapshot, refused by this build.
-fn v5_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data")
-        .join(format!("snapshot-v5-{name}.mtcck"))
-}
-
-fn assert_refused_as_version_5(path: &std::path::Path) {
-    match read_checkpoint(path) {
-        Err(StoreError::Format(why)) => {
-            assert!(why.contains("unsupported snapshot version 5"), "{why}")
-        }
-        other => panic!("{}: must be refused, got {other:?}", path.display()),
-    }
-}
-
-/// The `snapshot-v5-{ser,si,sser}` files are the fixture prefix as the last
-/// version-5 build wrote it, and `snapshot-v5-sser-ed75a20` the SSER prefix
-/// of [`overlapping_stream`] as an older version-5 build — one that settled
-/// the order on other ranks — wrote it. Each header still decodes, each
-/// snapshot — names and all — is refused by its version before its body is
-/// decoded, and recovery passes over each to the uninterrupted verdict.
-#[test]
-fn the_v5_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
-    for level in LEVELS {
-        let path = v5_path(level_name(level));
-        assert_refused_as_version_5(&path);
-        assert_recovery_passes_over(&path, level, &fixture_stream(), None);
-    }
-    let path = v5_path("sser-ed75a20");
-    assert_refused_as_version_5(&path);
-    let level = IsolationLevel::StrictSerializability;
-    for older in [None, Some(64u64)] {
-        assert_recovery_passes_over(&path, level, &overlapping_stream(), older);
-    }
-}
-
-/// `snapshot-v5-ser-capped.mtcck` is the SER fixture prefix as a build with
-/// a GC reader cap wrote it: `FIXTURE_GC` with `reader_cap: 2`, so its clean
-/// verdict was only qualified on the readers the cap dropped. No later
-/// version has a slot for a cap, and this build refuses the file by its
-/// version like every version-5 snapshot; a store whose newest checkpoint it
-/// is recovers past it — from the checkpoint before it, or by replaying the
-/// log from the start — to the verdict a fresh uncapped checker gives on
-/// that log.
-#[test]
-fn a_reader_capped_checkpoint_is_refused_and_recovery_replays_past_it() {
-    let capped = v5_path("ser-capped");
-    assert_refused_as_version_5(&capped);
-    for older in [None, Some(64u64)] {
-        assert_recovery_passes_over(
-            &capped,
-            IsolationLevel::Serializability,
-            &fixture_stream(),
-            older,
-        );
-    }
 }
 
 /// `n` keys drawn Zipf(1.0) over `keys` keys, key 0 the hottest, from a

@@ -15,8 +15,8 @@
 //!
 //! Crafted snapshots come first: well-formed bytes with one lie in the
 //! maintained order (an entry past its node count, a label of no kind or of
-//! a key slot its target lacks, more nodes than a row entry can name), each
-//! refused.
+//! a key slot its target lacks, a transaction placed past the node count,
+//! more nodes than a row entry can name), each refused.
 //!
 //! What is held: a call returns `Ok` or a typed `Err` — it does not panic —
 //! and it does not ask the allocator for more than eight times its input
@@ -29,6 +29,7 @@
 mod common;
 
 use common::{allocations_of, tenant_stream, Counting, NUM_KEYS};
+use mtc::history::Op;
 use mtc::net::proto::{FrameBuf, ReplyEnvelope, RequestEnvelope};
 use mtc::store::frame::{read_frame, write_frame, FrameError, FRAME_HEADER, MAX_FRAME_LEN};
 use mtc::store::{from_bytes, latest_checkpoint, read_log, to_bytes, LogRecord};
@@ -72,7 +73,6 @@ const TAG_F64: u8 = 0x05;
 const TAG_STR: u8 = 0x06;
 const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
-const TAG_OBJECT_IDX: u8 = 0x09;
 
 fn varint(input: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
@@ -88,7 +88,7 @@ fn varint(input: &[u8], pos: &mut usize) -> u64 {
 }
 
 /// Where the length prefixes of the valid value at `*pos` of `input` start:
-/// of its strings, inline keys, arrays and objects.
+/// of its strings, keys, arrays and objects.
 fn length_offsets(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
     let tag = input[*pos];
     *pos += 1;
@@ -107,14 +107,10 @@ fn length_offsets(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
                 length_offsets(input, pos, found);
             }
         }
-        TAG_OBJECT | TAG_OBJECT_IDX => {
+        TAG_OBJECT => {
             for _ in 0..length(pos) {
-                if tag == TAG_OBJECT {
-                    found.push(*pos);
-                    *pos += varint(input, pos) as usize;
-                } else {
-                    varint(input, pos);
-                }
+                found.push(*pos);
+                *pos += varint(input, pos) as usize;
                 length_offsets(input, pos, found);
             }
         }
@@ -122,18 +118,10 @@ fn length_offsets(input: &[u8], pos: &mut usize, found: &mut Vec<usize>) {
     }
 }
 
-/// The length prefixes of a payload: of the one value it is, or — a v2 log
-/// record — of the key-table prelude and the value behind it.
-fn lengths_of(payload: &[u8], v2_record: bool) -> Vec<usize> {
-    let (mut pos, mut found) = (0, Vec::new());
-    if v2_record {
-        found.push(0);
-        for _ in 0..varint(payload, &mut pos) {
-            found.push(pos);
-            pos += varint(payload, &mut pos) as usize;
-        }
-    }
-    length_offsets(payload, &mut pos, &mut found);
+/// The length prefixes of a payload, the one value it is.
+fn lengths_of(payload: &[u8]) -> Vec<usize> {
+    let mut found = Vec::new();
+    length_offsets(payload, &mut 0, &mut found);
     found
 }
 
@@ -258,11 +246,23 @@ fn scratch_dir() -> PathBuf {
     dir
 }
 
+/// `text`, a snapshot's JSON, with the node of the last entry of the
+/// engine's transaction table `table` replaced by `node`.
+fn with_last_node(text: &str, table: &str, node: usize) -> String {
+    let start = text
+        .find(&format!(r#""{table}":{{"base":"#))
+        .unwrap_or_else(|| panic!("no {table} in {text}"));
+    let end = start + text[start..].find("]]}").expect("a table with entries");
+    let at = text[..end].rfind(',').expect("an entry is a pair") + 1;
+    format!("{}{node}{}", &text[..at], &text[end..])
+}
+
 /// Crafted snapshots, each well-formed bytes with one lie in its order: a
 /// forward entry into a node past the order's node count, one whose label
 /// names no kind, one whose label names a second key its one-key target
-/// does not have; and an order that claims more nodes than a row entry can
-/// name. Each is refused with a typed error, within the request budget,
+/// does not have; at each level, a transaction placed at a node past the
+/// order's node count (and at SI, a tail); and an order that claims more
+/// nodes than a row entry can name. Each is refused with a typed error, within the request budget,
 /// while the snapshot they were made from reads back.
 fn crafted_orders_are_refused() {
     // `⊥T` over two keys and one read of key 0: the pair `⊥T → T1` is one
@@ -270,7 +270,7 @@ fn crafted_orders_are_refused() {
     let mut checker =
         IncrementalChecker::new(IsolationLevel::Serializability).with_init_keys(0..2u64);
     checker
-        .push_committed(0, vec![mtc::history::Op::read(0u64, 0u64)])
+        .push_committed(0, vec![Op::read(0u64, 0u64)])
         .unwrap();
     let text = serde_json::to_string(&checker.checkpoint()).unwrap();
     let rows = r#""fwd":[[18],[]]"#;
@@ -291,6 +291,34 @@ fn crafted_orders_are_refused() {
             assert!(refused.is_err(), "{}", what());
             refused
         });
+    }
+    // A transaction whose node — at SI, or whose tail — is past the order's
+    // node count: the first push after a resume would index the order with
+    // it.
+    for level in [
+        IsolationLevel::Serializability,
+        IsolationLevel::SnapshotIsolation,
+        IsolationLevel::StrictSerializability,
+    ] {
+        let mut checker = IncrementalChecker::new(level).with_init_keys(0..2u64);
+        checker
+            .push_committed(0, vec![Op::read(0u64, 0u64), Op::write(0u64, 1u64)])
+            .unwrap();
+        let text = serde_json::to_string(&checker.checkpoint()).unwrap();
+        assert!(from_bytes::<CheckerSnapshot>(&encoded(&text)).is_ok());
+        let tables: &[&str] = match level {
+            IsolationLevel::SnapshotIsolation => &["txn_node", "txn_tail"],
+            _ => &["txn_node"],
+        };
+        for table in tables {
+            let bytes = encoded(&with_last_node(&text, table, 999));
+            let what = || format!("a crafted {level} snapshot with {table} naming node 999");
+            held(&what, bytes.len(), || {
+                let refused = from_bytes::<CheckerSnapshot>(&bytes);
+                assert!(refused.is_err(), "{}", what());
+                refused
+            });
+        }
     }
     // An order of 2^28 + 1 nodes: its seven fields, the first a list of
     // that many rows.
@@ -329,7 +357,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
             panic!("{name}: a checkpoint file is two frames");
         };
         assert!(from_bytes::<CheckerSnapshot>(payload).is_ok(), "{name}");
-        let lengths = lengths_of(payload, false);
+        let lengths = lengths_of(payload);
         let amount = (2_048 / thin, 2_000 / thin / 5, 2_048 / thin);
         damaged(payload, &lengths, amount, n as u64, |what, bytes| {
             let what = || format!("snapshot {name}, {}", what());
@@ -342,7 +370,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
             std::fs::write(dir.join(&file), &damaged).expect("write the checkpoint");
             held(&what, damaged.len(), || latest_checkpoint(&dir));
         });
-        let lengths = lengths_of(header, false);
+        let lengths = lengths_of(header);
         damaged(
             header,
             &lengths,
@@ -360,46 +388,32 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     let large = large_snapshot();
     assert!(large.len() > 400_000 && from_bytes::<CheckerSnapshot>(&large).is_ok());
     let amount = (128 / thin, 200 / thin, 256 / thin);
-    damaged(
-        &large,
-        &lengths_of(&large, false),
-        amount,
-        99,
-        |what, bytes| {
-            let what = || format!("the large snapshot, {}", what());
-            held(&what, bytes.len(), || from_bytes::<CheckerSnapshot>(bytes));
-        },
-    );
+    damaged(&large, &lengths_of(&large), amount, 99, |what, bytes| {
+        let what = || format!("the large snapshot, {}", what());
+        held(&what, bytes.len(), || from_bytes::<CheckerSnapshot>(bytes));
+    });
 
-    // Log records: each record of the committed segments — this build's
-    // positional one, and a v2 one with its key tables — damaged in its
-    // file, through `read_log`; and every transaction they hold as a lone
+    // Log records: each record of the committed segment damaged in its
+    // file, through `read_log`; and every transaction it holds as a lone
     // record, through `from_bytes`.
     let file = dir.join("segment-00000000.mtclog");
-    let mut txns = Vec::new();
-    for (name, v2) in [
-        ("segment-v3.mtclog", false),
-        ("segment-v2-pr21.mtclog", true),
-    ] {
-        let segment = frames_of(&fixture(&format!("crates/store/tests/data/{name}")));
-        for (at, payload) in segment.iter().enumerate().skip(1) {
-            let lengths = lengths_of(payload, v2);
-            let amount = (usize::MAX, 10, usize::MAX);
-            damaged(payload, &lengths, amount, at as u64, |what, bytes| {
-                let what = || format!("{name}, log record {at}, {}", what());
-                let damaged = reframed(&segment, at, bytes);
-                std::fs::write(&file, &damaged).expect("write the segment");
-                held(&what, damaged.len(), || read_log(&dir));
-            });
-        }
-        std::fs::write(&file, reframed(&segment, 0, &segment[0])).expect("write the segment");
-        let log = read_log(&dir).expect("the committed segment reads");
-        assert_eq!(log.txns.len(), 200, "{name}");
-        txns = log.txns;
+    let segment = frames_of(&fixture("crates/store/tests/data/segment-v3.mtclog"));
+    for (at, payload) in segment.iter().enumerate().skip(1) {
+        let lengths = lengths_of(payload);
+        let amount = (usize::MAX, 10, usize::MAX);
+        damaged(payload, &lengths, amount, at as u64, |what, bytes| {
+            let what = || format!("log record {at}, {}", what());
+            let damaged = reframed(&segment, at, bytes);
+            std::fs::write(&file, &damaged).expect("write the segment");
+            held(&what, damaged.len(), || read_log(&dir));
+        });
     }
-    for (at, txn) in txns.into_iter().enumerate() {
+    std::fs::write(&file, reframed(&segment, 0, &segment[0])).expect("write the segment");
+    let log = read_log(&dir).expect("the committed segment reads");
+    assert_eq!(log.txns.len(), 200);
+    for (at, txn) in log.txns.into_iter().enumerate() {
         let payload = to_bytes(&LogRecord::Txn(txn));
-        let lengths = lengths_of(&payload, false);
+        let lengths = lengths_of(&payload);
         damaged(
             &payload,
             &lengths,
@@ -424,7 +438,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
             .expect("the stream holds requests");
         assert!(requests > 10 && wire.len() - requests > 10, "{name}");
         for (at, payload) in wire.iter().enumerate() {
-            let lengths = lengths_of(payload, false);
+            let lengths = lengths_of(payload);
             let amount = (usize::MAX, 2_000 / wire.len() + 1, usize::MAX);
             damaged(payload, &lengths, amount, at as u64, |what, bytes| {
                 let what = || format!("{name}, envelope {at}, {}", what());
