@@ -112,9 +112,10 @@ impl IncrementalChecker {
     ///
     /// Push each committed transaction together with its wall-clock begin
     /// and commit-acknowledgement instants
-    /// ([`IncrementalChecker::push_committed_timed`]); the checker splices
-    /// the instants into an online time-chain ([`mtc_history::TimeChain`])
-    /// and latches a violation the moment a dependency edge contradicts the
+    /// ([`IncrementalChecker::push_committed_timed`]); the checker anchors
+    /// each commit instant in an online time-chain
+    /// ([`mtc_history::TimeChain`]), hangs the transaction between two
+    /// anchors and latches a violation the moment a dependency edge contradicts the
     /// real-time order — including commits whose instants arrive out of
     /// order (clock skew, long-running transactions). Reads whose writer has
     /// not appeared yet are the only thing deferred to
@@ -165,7 +166,7 @@ impl IncrementalChecker {
     }
 
     /// Number of live nodes in the maintained order — transactions plus, in
-    /// SSER mode, time-chain nodes and, in SI mode, a tail node per
+    /// SSER mode, one anchor per commit instant and, in SI mode, a tail node per
     /// transaction. The quantity the GC bounds.
     pub fn live_node_count(&self) -> usize {
         self.engine.topo.live_node_count()
@@ -388,8 +389,8 @@ impl IncrementalChecker {
         self.engine.edges
     }
 
-    /// Number of distinct begin/commit instants spliced into the SSER
-    /// time-chain so far (always 0 for SER/SI).
+    /// Number of distinct commit instants anchored in the SSER time-chain
+    /// (always 0 for SER/SI).
     pub fn time_instant_count(&self) -> usize {
         self.engine.chain.len()
     }

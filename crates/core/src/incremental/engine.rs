@@ -11,7 +11,7 @@ use crate::check::IsolationLevel;
 use crate::mini::validate_shape;
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
-    Edge, EdgeKind, EdgeTag, IncrementalTopo, IntraAnomaly, IntraViolation, Key, Op, Role,
+    Anchor, Edge, EdgeKind, EdgeTag, IncrementalTopo, IntraAnomaly, IntraViolation, Key, Op,
     SessionId, TimeChain, Transaction, TxnId, TxnStatus,
 };
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// Owner of one node of the topological order: a transaction, an
 /// auxiliary time node of the SSER time-chain, or the tail node of a
 /// transaction at SI (see [`split_edge`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub(super) enum NodeOwner {
     Txn(TxnId),
     Time,
@@ -90,8 +90,9 @@ impl TxnKeys {
     }
 }
 
-/// The instants a resident transaction reported, which the GC's candidate
-/// enumeration and the SSER chain cut read.
+/// The instants a resident SSER commit hooks into the time-chain with (none
+/// for other transactions and levels), which the GC's chain cut and the
+/// late-commit fix-up read.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub(super) struct TxnMeta {
     pub(super) begin: Option<u64>,
@@ -107,13 +108,13 @@ pub(super) struct Engine {
     /// included: [`super::IncrementalChecker::edge_count`].
     pub(super) edges: usize,
     /// SER: maintained over *all* edges. SSER: additionally contains the
-    /// time-chain nodes and the begin/end hook edges. SI: a tail node per
+    /// time-chain's commit anchors and the hook edges. SI: a tail node per
     /// transaction besides, each edge split by [`split_edge`]. A dependency
     /// edge is held here alone: its pair once, its label in the entry
     /// ([`EdgeTag`]), the label's key named by its slot in the target's
     /// `txn_keys`.
     pub(super) topo: IncrementalTopo,
-    /// SSER: the online time-chain over begin/commit instants.
+    /// SSER: the online time-chain, one anchor per commit instant.
     pub(super) chain: TimeChain,
     /// Topological-order node of each resident transaction. An explicit map
     /// (rather than the identity) because pruned node ids are recycled.
@@ -146,10 +147,10 @@ pub(super) struct Engine {
     pub(super) gc_epochs: u32,
     /// Transactions retired by the GC so far.
     pub(super) pruned_txns: usize,
-    /// The admitted transaction's chain splice edges, from [`Engine::admit`]
-    /// to the time-hook stage of [`Engine::settle`], which inserts them ahead
-    /// of the hook edges — pure scratch, never holds data across
-    /// transactions.
+    /// The admitted transaction's chain splice and fix-up edges, from
+    /// [`Engine::admit`] to the time-hook stage of [`Engine::settle`], which
+    /// inserts them ahead of the hook edges — pure scratch, never holds data
+    /// across transactions.
     #[serde(skip)]
     pub(super) time_scratch: Vec<(usize, usize)>,
     pub(super) has_init: bool,
@@ -232,9 +233,9 @@ impl Engine {
     ) -> Admitted {
         debug_assert_eq!(id.index(), self.txn_count);
         self.txn_count += 1;
-        // A transaction takes at most three nodes: its own, and two time
-        // anchors (SSER) or its tail (SI).
-        if !self.topo.has_room(3) {
+        // A transaction takes at most two nodes: its own, and a commit
+        // anchor (SSER) or its tail (SI).
+        if !self.topo.has_room(2) {
             let nodes = self.topo.node_count();
             keep_lowest(&mut found.error, 0, CheckError::OrderFull { nodes });
             return Admitted {
@@ -245,28 +246,27 @@ impl Engine {
 
         // SSER: committed transactions with at least one recorded instant
         // (⊥T included, matching `check_sser`'s instant collection) hook
-        // into the time-chain.
+        // into the time-chain; only theirs are recorded.
         let timed = self.level == IsolationLevel::StrictSerializability
             && txn.status == TxnStatus::Committed
             && (txn.begin.is_some() || txn.end.is_some());
-
-        // SSER ingest fast path: materialize the chain anchors *around* the
-        // transaction's own topo node — begin anchor first, end anchor after
-        // — so that for in-timestamp-order streams every chain splice and
-        // hook edge already agrees with the maintained order and inserts in
-        // O(1), with no reorder pass. The splice edges wait in
-        // `time_scratch` for the hook stage of `settle`.
-        self.time_scratch.clear();
         let (begin, end) = if timed {
             (txn.begin, txn.end)
         } else {
             (None, None)
         };
-        let begin_anchor = begin.map(|instant| self.time_anchor(instant, Role::Begin));
         let node = self.topo.add_node();
         self.txn_node.insert(id, node);
         self.set_owner(node, NodeOwner::Txn(id));
-        let end_anchor = end.map(|instant| self.time_anchor(instant, Role::End));
+        // SSER ingest fast path: the commit anchor comes after the
+        // transaction's node and the anchor it hangs off before it, so for
+        // a stream in commit order every chain and hook edge agrees with the
+        // maintained order and inserts in O(1), with no reorder pass. The
+        // splice and fix-up edges wait in `time_scratch` for the hook stage
+        // of `settle`.
+        self.time_scratch.clear();
+        let end_anchor = end.map(|instant| self.commit_anchor(instant));
+        let begin_anchor = begin.and_then(|b| self.chain.pred(b)).map(|(_, p)| p);
         // Tails only exist at SI; the other levels skip the node
         // bookkeeping entirely on the ingest hot path.
         if self.level == IsolationLevel::SnapshotIsolation {
@@ -274,7 +274,6 @@ impl Engine {
             self.txn_tail.insert(id, tail);
             self.set_owner(tail, NodeOwner::Tail(id));
         }
-        let (begin, end) = (txn.begin, txn.end);
         self.live_txns.insert(id, TxnMeta { begin, end });
 
         let mut admitted = Admitted {
@@ -387,16 +386,17 @@ impl Engine {
         }
     }
 
-    /// SSER: hooks transaction `at` into the time-chain at the anchors of
-    /// its begin/commit instants (each side independently — a partially
-    /// timed transaction still constrains one direction of the real-time
-    /// order). The chain splice edges [`Engine::admit`] left in the scratch,
-    /// then the hook edges, go into the order one by one in that sequence,
-    /// up to the first rejection, whose canonical certificate is the
-    /// verdict. A rejected hook edge (e.g. a commit whose reported instants
-    /// contradict edges already derived) latches exactly like a
-    /// dependency-edge rejection; chain edges can never be the offender
-    /// (see the [`mtc_history::TimeChain`] module docs).
+    /// SSER: hooks transaction `at` into the time-chain: off the anchor of
+    /// the greatest commit instant below its begin, into the anchor of its
+    /// commit (each side independently — a partially timed transaction
+    /// still constrains one direction of the real-time order). The chain
+    /// splice and fix-up edges [`Engine::admit`] left in the scratch, then
+    /// the hook edges, go into the order one by one in that sequence, up to
+    /// the first rejection, whose canonical certificate is the verdict. A
+    /// rejected hook edge (e.g. a commit whose reported instants contradict
+    /// edges already derived) latches exactly like a dependency-edge
+    /// rejection; chain and fix-up edges are never the offender (see the
+    /// [`mtc_history::TimeChain`] module docs).
     fn hook(&mut self, at: TxnId, (begin, end): (Option<usize>, Option<usize>)) {
         if self.done() {
             return;
@@ -415,16 +415,43 @@ impl Engine {
         self.time_scratch = pairs;
     }
 
-    /// Materializes the `role` anchor of `instant` (required chain edges
-    /// are pushed onto the scratch, not yet inserted) and keeps the
-    /// node-owner map aligned: at most one node is allocated per call —
-    /// possibly recycling a pruned id — and when one is, it is the returned
-    /// anchor.
-    fn time_anchor(&mut self, instant: u64, role: Role) -> usize {
+    /// The anchor of commit instant `instant`. A fresh one is spliced into
+    /// the chain, its chain edges pushed onto the scratch, followed by the
+    /// late-commit fix-ups ([`mtc_history::TimeChain`]'s module docs): an
+    /// edge to every hooked transaction that now hangs off it — those in its
+    /// predecessor's row, or with no predecessor every resident one, whose
+    /// begin lies above `instant` and at most at the successor instant.
+    fn commit_anchor(&mut self, instant: u64) -> usize {
         let pairs = &mut self.time_scratch;
-        let anchor = self.chain.anchor(instant, role, &mut self.topo, pairs);
-        self.set_owner(anchor, NodeOwner::Time);
-        anchor
+        let (node, pred, succ) = match self.chain.anchor(instant, &mut self.topo, pairs) {
+            Anchor::Held(node) => return node,
+            Anchor::Spliced { node, pred, succ } => (node, pred, succ),
+        };
+        self.set_owner(node, NodeOwner::Time);
+        let hangs_here = |meta: Option<&TxnMeta>| {
+            let begin = meta.and_then(|m| m.begin);
+            begin.is_some_and(|b| instant < b && succ.is_none_or(|s| b <= s))
+        };
+        match pred {
+            Some(p) => {
+                for v in self.topo.successors(p) {
+                    let NodeOwner::Txn(t) = self.node_owner[v] else {
+                        continue;
+                    };
+                    if hangs_here(self.live_txns.get(t)) {
+                        self.time_scratch.push((node, v));
+                    }
+                }
+            }
+            None => {
+                for (t, meta) in self.live_txns.sorted() {
+                    if hangs_here(Some(meta)) {
+                        self.time_scratch.push((node, self.node_of(t)));
+                    }
+                }
+            }
+        }
+        node
     }
 
     /// Maps a cycle over the maintained order back to labelled edges, from
@@ -495,19 +522,43 @@ impl Engine {
         })
     }
 
-    /// Refuses an order that [`IncrementalTopo::check`] refuses, a
-    /// transaction whose node or tail is past the order's node count, or rows
-    /// that hold a label naming a key its target does not have: a snapshot's
-    /// bytes, checked as they are read.
+    /// Refuses an order that [`IncrementalTopo::check`] refuses, tables
+    /// that disagree with it, or rows that hold a label naming a key its
+    /// target does not have: a snapshot's bytes, checked as they are read.
+    /// The tables agree with the order when its live nodes are exactly the
+    /// nodes the transaction, tail and time-chain tables place, each once,
+    /// each owned in `node_owner` by what places it, and the chain's
+    /// instants strictly increase.
     pub(super) fn check_labels(&self) -> Result<(), String> {
         self.topo.check()?;
         let count = self.topo.node_count();
-        let mut placed = self.txn_node.iter().chain(self.txn_tail.iter());
-        if let Some((t, node)) = placed.find(|&(_, &node)| node >= count) {
-            return Err(format!("{t:?} at node {node} of an order of {count}"));
+        if self.node_owner.len() != count {
+            let owners = self.node_owner.len();
+            return Err(format!("{owners} node owners for an order of {count}"));
+        }
+        let mut slots = self.chain.slots().zip(self.chain.slots().skip(1));
+        if let Some(((a, _), (b, _))) = slots.find(|((a, _), (b, _))| a >= b) {
+            return Err(format!("a time-chain with instant {a} before {b}"));
+        }
+        let nodes = self.txn_node.iter().map(|(t, &n)| (n, NodeOwner::Txn(t)));
+        let tails = self.txn_tail.iter().map(|(t, &n)| (n, NodeOwner::Tail(t)));
+        let anchors = self.chain.slots().map(|(_, n)| (n, NodeOwner::Time));
+        let mut placed = vec![false; count];
+        for (node, owner) in nodes.chain(tails).chain(anchors) {
+            let held = self.node_owner.get(node);
+            if held != Some(&owner) || !self.topo.is_live(node) || placed[node] {
+                let what = format!("{owner:?} at node {node} of an order of {count}");
+                return Err(format!(
+                    "{what}: owned by {held:?}, retired or placed twice"
+                ));
+            }
+            placed[node] = true;
+        }
+        if let Some(node) = (0..count).find(|&n| self.topo.is_live(n) && !placed[n]) {
+            return Err(format!("live node {node} is placed by no table"));
         }
         for (v, tag) in (0..count).flat_map(|u| self.topo.labelled_successors(u)) {
-            self.kind_of(tag, self.node_owner.get(v).and_then(|o| o.txn()))?;
+            self.kind_of(tag, self.node_owner[v].txn())?;
         }
         Ok(())
     }
@@ -533,7 +584,8 @@ pub struct OrderEdge {
 pub(super) struct Admitted {
     /// Source of the transaction's `SO` edge.
     so: Option<TxnId>,
-    /// SSER: the (begin, end) time-chain anchors of a timed commit.
+    /// SSER: the anchors a timed commit hangs off (the greatest commit
+    /// instant below its begin) and on (its commit instant).
     hooks: Option<(Option<usize>, Option<usize>)>,
 }
 

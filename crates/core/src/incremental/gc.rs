@@ -2,10 +2,10 @@
 //! graph-side collection ([`Engine::collect`]). The per-key half of a sweep
 //! is [`super::keystate`]'s.
 
-use super::engine::Engine;
+use super::engine::{Engine, TxnMeta};
 use super::keystate::TxnSet;
 use crate::check::IsolationLevel;
-use mtc_history::{EdgeTag, FastHashSet, TimeSlot, TxnId};
+use mtc_history::{EdgeTag, FastHashSet, TxnId};
 use serde::{Deserialize, Serialize};
 
 /// Settled-prefix garbage collection policy for the streaming checkers.
@@ -143,13 +143,14 @@ impl Engine {
             cand[t.index()] = true;
         }
 
-        // ── candidate time-chain prefix (SSER) ──
-        // `cut`: the smallest instant any retained transaction (other than
-        // ⊥T) is hooked at; slots strictly below it hook candidates only.
-        // ⊥T's own slot is never pruned — it anchors the chain, and the
-        // deliberate cut edge out of it is deleted and replaced by a
-        // shortcut to the first retained slot.
-        let mut pruned_slots: Vec<(u64, TimeSlot)> = Vec::new();
+        // ── candidate time-chain slots (SSER) ──
+        // `cut`: the smallest commit instant whose anchor a retained
+        // transaction (other than ⊥T) hangs on — its own commit — or off —
+        // the greatest commit instant below its begin; slots strictly below
+        // it hook candidates only. ⊥T's own slots are never pruned — they
+        // anchor the chain, and the deliberate cut edges out of them are
+        // deleted and replaced by a shortcut to the first retained slot.
+        let mut pruned_slots: Vec<(u64, usize)> = Vec::new();
         let mut chain_low = 0u64;
         if self.level == IsolationLevel::StrictSerializability && !self.chain.is_empty() {
             let bot = self
@@ -165,30 +166,33 @@ impl Engine {
                         .map_or(0, |t| t.saturating_add(1))
                 })
                 .unwrap_or(0);
+            let hooked_at = |r: &TxnMeta| {
+                let off = r.begin.and_then(|b| self.chain.pred(b)).map(|(p, _)| p);
+                r.end.into_iter().chain(off).min()
+            };
             let cut = resident
                 .iter()
                 .filter(|(t, _)| {
                     !(cand.get(t.index()).copied().unwrap_or(false) || self.has_init && t.0 == 0)
                 })
-                .filter_map(|(_, r)| r.begin.into_iter().chain(r.end).min())
+                .filter_map(|&(_, r)| hooked_at(r))
                 .min()
                 .unwrap_or(u64::MAX);
             if cut > chain_low {
-                pruned_slots = self.chain.slots_in(chain_low, cut);
+                pruned_slots = self.chain.slots_in(chain_low, cut).to_vec();
             }
         }
         // Deliberate cut sources: nodes that are provably unreachable from
         // every transaction node, so their edges *into* the pruned set can
         // be deleted without losing any constraint a future counterexample
-        // path could use. That is ⊥T itself — nothing ever points into it
-        // (its begin-time hook comes from the equally unreachable first
-        // chain slot) — and the end nodes of the permanently retained chain
-        // slots below the pruned range (⊥T's instants).
+        // path could use. That is ⊥T itself — nothing points into it — and
+        // the anchors of the permanently retained chain slots below the
+        // pruned range (⊥T's instants).
         let mut cut_sources: Vec<usize> = self
             .chain
             .slots_in(0, chain_low)
             .iter()
-            .map(|&(_, s)| s.end_node)
+            .map(|&(_, anchor)| anchor)
             .collect();
         if self.has_init {
             cut_sources.push(self.node_of(TxnId(0)));
@@ -209,10 +213,8 @@ impl Engine {
                 in_nodes[n] = true;
             }
         }
-        for &(_, s) in &pruned_slots {
-            for n in s.nodes() {
-                in_nodes[n] = true;
-            }
+        for &(_, anchor) in &pruned_slots {
+            in_nodes[anchor] = true;
         }
         Collection {
             slot_dead: vec![false; pruned_slots.len()],
@@ -230,59 +232,37 @@ impl Engine {
     /// points at, until nothing changes — the largest candidate set closed
     /// under predecessors. The seeds are what the first of the reference's
     /// rounds drops: the candidates and slots with a retained predecessor.
-    /// From there a dropped member re-examines only its own successors, so
-    /// the closure costs one pass over the candidates plus the out-edges of
-    /// what it drops.
+    /// From there a dropped transaction re-examines only its own successors
+    /// — a dropped slot's anchor pins nothing (`slot_out_mask`) — so the
+    /// closure costs one pass over the candidates plus the out-edges of what
+    /// it drops.
     fn close(&self, plan: &mut Collection) {
-        let mut seeds: Vec<Dropped> = Vec::new();
         let pinned = |&t: &TxnId| self.pinned_by_predecessor(plan, t);
-        seeds.extend(
-            plan.cand_list
-                .iter()
-                .copied()
-                .filter(pinned)
-                .map(Dropped::Txn),
-        );
+        let txns: Vec<TxnId> = plan.cand_list.iter().copied().filter(pinned).collect();
         let slots = 0..plan.pruned_slots.len();
-        seeds.extend(
-            slots
-                .filter(|&i| self.slot_pinned(plan, i))
-                .map(Dropped::Slot),
-        );
-        let mut work = Vec::with_capacity(seeds.len());
-        for seed in seeds {
-            match seed {
-                Dropped::Txn(t) => plan.drop_txn(self, t, &mut work),
-                Dropped::Slot(i) => plan.drop_slot(i, &mut work),
-            }
+        let slots: Vec<usize> = slots.filter(|&i| self.slot_pinned(plan, i)).collect();
+        let mut work = Vec::with_capacity(txns.len());
+        for t in txns {
+            plan.drop_txn(self, t, &mut work);
         }
-        // Which candidate owns a node: a transaction (`node_owner`) or a
-        // chain slot (`slot_at`).
+        for i in slots {
+            plan.drop_slot(i);
+        }
+        // Which candidate slot owns an anchor.
         let mut slot_at = vec![u32::MAX; plan.in_nodes.len()];
-        for (i, &(_, s)) in plan.pruned_slots.iter().enumerate() {
-            for n in s.nodes() {
-                slot_at[n] = i as u32;
-            }
+        for (i, &(_, anchor)) in plan.pruned_slots.iter().enumerate() {
+            slot_at[anchor] = i as u32;
         }
-        while let Some(dropped) = work.pop() {
-            // The nodes the drop made retained predecessors: a transaction's
-            // node and tail, a slot's entry anchor — its exit anchor stays
-            // an acceptable predecessor.
-            let (node, tail) = match dropped {
-                Dropped::Txn(t) => (Some(self.node_of(t)), self.txn_tail.get(t).copied()),
-                Dropped::Slot(i) => {
-                    let s = plan.pruned_slots[i].1;
-                    ((s.begin_node != s.end_node).then_some(s.begin_node), None)
-                }
-            };
-            let nodes = node.into_iter().chain(tail);
-            for n in nodes.flat_map(|n| self.topo.successors(n)) {
+        while let Some(t) = work.pop() {
+            // The drop made the transaction's node and tail retained
+            // predecessors.
+            for n in self.nodes_of(t).flat_map(|n| self.topo.successors(n)) {
                 if !plan.in_nodes[n] {
                     continue;
                 }
                 match self.node_owner[n].txn() {
                     Some(t) => plan.drop_txn(self, t, &mut work),
-                    None => plan.drop_slot(slot_at[n] as usize, &mut work),
+                    None => plan.drop_slot(slot_at[n] as usize),
                 }
             }
         }
@@ -296,11 +276,10 @@ impl Engine {
             .any(|n| self.topo.predecessors(n).any(|p| plan.retains(p)))
     }
 
-    /// True iff a node of candidate slot `i` has a retained predecessor.
+    /// True iff the anchor of candidate slot `i` has a retained predecessor.
     fn slot_pinned(&self, plan: &Collection, i: usize) -> bool {
-        let s = plan.pruned_slots[i].1;
-        s.nodes()
-            .any(|n| self.topo.predecessors(n).any(|p| plan.retains(p)))
+        let anchor = plan.pruned_slots[i].1;
+        self.topo.predecessors(anchor).any(|p| plan.retains(p))
     }
 
     /// Retires what survived the closure.
@@ -322,10 +301,8 @@ impl Engine {
         }
 
         let mut nodes: Vec<usize> = cand_list.iter().flat_map(|&t| self.nodes_of(t)).collect();
-        for &(_, s) in &pruned_slots {
-            nodes.extend(s.nodes());
-        }
-        // Closure-retained slots keep their chain exits as deliberate cut
+        nodes.extend(pruned_slots.iter().map(|&(_, anchor)| anchor));
+        // Closure-retained slots keep their anchors as deliberate cut
         // sources: their forward edges into the pruned runs are deleted and
         // replaced by one shortcut per run below.
         for (s, _) in slot_out_mask.iter().enumerate().filter(|&(_, &m)| m) {
@@ -345,9 +322,9 @@ impl Engine {
         }
         for &(first, last) in &runs {
             if let (Some((_, a)), Some((_, s))) = (self.chain.pred(first), self.chain.succ(last)) {
-                if !self.topo.has_edge(a.end_node, s.begin_node) {
+                if !self.topo.has_edge(a, s) {
                     self.topo
-                        .try_add_edge(a.end_node, s.begin_node, EdgeTag::NONE)
+                        .try_add_edge(a, s, EdgeTag::NONE)
                         .expect("chain shortcut follows the existing order");
                 }
             }
@@ -385,32 +362,27 @@ pub(super) struct Collection {
     cand: Vec<bool>,
     /// The candidate chain slots, in instant order; `slot_dead` flags the
     /// ones the closure dropped.
-    pruned_slots: Vec<(u64, TimeSlot)>,
+    pruned_slots: Vec<(u64, usize)>,
     slot_dead: Vec<bool>,
     /// Nodes whose edges into the pruned set the commit deletes.
     cut_sources: Vec<usize>,
     /// By order node, the three kinds of node that pin nothing: a node or
-    /// tail of a candidate the closure has not dropped (`in_nodes`), a cut
-    /// source (`cut_mask`), the chain exit of a dropped slot
-    /// (`slot_out_mask`). Every other node is retained and pins its
+    /// tail of a candidate or the anchor of a candidate slot, that the
+    /// closure has not dropped (`in_nodes`), a cut source (`cut_mask`), the
+    /// anchor of a dropped slot (`slot_out_mask`). Every other node is retained and pins its
     /// candidate successors.
     in_nodes: Vec<bool>,
     cut_mask: Vec<bool>,
-    /// Chain-exit anchors of candidate slots that the closure retains.
-    /// A retained slot's exit only ever points *forward* along the chain
-    /// (splice, split and shortcut edges all follow instant order), so it
-    /// is an acceptable predecessor of a later candidate: the collection
-    /// commit deletes its edges into the pruned set and re-establishes
-    /// the chain order with one shortcut per pruned run. Without this, a
-    /// single straggler-pinned slot would cascade-retain every slot (and
-    /// transaction) behind it.
+    /// Anchors of candidate slots that the closure retains. A retained
+    /// slot's anchor points forward along the chain (splice and shortcut
+    /// edges follow instant order) and to transactions that hang off it,
+    /// which, as candidates, lie below the watermark, out of a later
+    /// commit's reach under the staleness window; so it is an acceptable
+    /// predecessor: the collection commit deletes its edges into the pruned
+    /// set and re-establishes the chain order with one shortcut per pruned
+    /// run. Without this, a single straggler-pinned slot would
+    /// cascade-retain every slot (and transaction) behind it.
     slot_out_mask: Vec<bool>,
-}
-
-/// A closure drop whose successors are still to be examined.
-enum Dropped {
-    Txn(TxnId),
-    Slot(usize),
 }
 
 impl Collection {
@@ -425,7 +397,7 @@ impl Collection {
     }
 
     /// Drops candidate `t` (no-op if it is none any more) and queues it.
-    fn drop_txn(&mut self, engine: &Engine, t: TxnId, work: &mut Vec<Dropped>) {
+    fn drop_txn(&mut self, engine: &Engine, t: TxnId, work: &mut Vec<TxnId>) {
         if !self.is_cand(t) {
             return;
         }
@@ -433,21 +405,15 @@ impl Collection {
         for n in engine.nodes_of(t) {
             self.in_nodes[n] = false;
         }
-        work.push(Dropped::Txn(t));
+        work.push(t);
     }
 
-    /// Drops candidate slot `i` (no-op if dropped already) and queues it.
-    fn drop_slot(&mut self, i: usize, work: &mut Vec<Dropped>) {
-        if self.slot_dead[i] {
-            return;
-        }
+    /// Drops candidate slot `i`: its anchor stays, pinning nothing.
+    fn drop_slot(&mut self, i: usize) {
+        let anchor = self.pruned_slots[i].1;
         self.slot_dead[i] = true;
-        let s = self.pruned_slots[i].1;
-        for n in s.nodes() {
-            self.in_nodes[n] = false;
-        }
-        self.slot_out_mask[s.end_node] = true;
-        work.push(Dropped::Slot(i));
+        self.in_nodes[anchor] = false;
+        self.slot_out_mask[anchor] = true;
     }
 }
 
@@ -478,7 +444,7 @@ impl Engine {
                 plan.drop_txn(self, t, &mut work);
             }
             for i in drop_slots {
-                plan.drop_slot(i, &mut work);
+                plan.drop_slot(i);
             }
         }
     }

@@ -45,8 +45,9 @@
 //!    transaction's own read);
 //! 3. at SI, the DIVERGENCE of lowest `write_set` rank — `CHECKSI`'s early
 //!    exit;
-//! 4. the edges, until one closes a cycle: `SO`, SSER's time hooks (anchor
-//!    splices, then the begin/end hook edges), then the key edges
+//! 4. the edges, until one closes a cycle: `SO`, SSER's time hooks (the
+//!    commit anchor's splice and late-commit fix-up edges, then the two
+//!    hook edges), then the key edges
 //!    key by key in `key_set` order, within a key in discovery order —
 //!    waiters this transaction's writes resolve, then its own read: `WR`,
 //!    `RW` to known overwriters, `WW`, `RW` from known readers.
@@ -91,8 +92,8 @@
 //! watermark up): the order node of each resident transaction, at SI its
 //! tail node, the (at most two) keys it touches, which the key slot of a
 //! labelled row entry into it indexes, and apart from them — so that the
-//! node lookups of every edge stay in the smaller tables — the instants the
-//! GC reads. Per version, one record holds its
+//! node lookups of every edge stay in the smaller tables — the instants of
+//! each timed SSER commit, which the GC and the late-commit fix-up read. Per version, one record holds its
 //! provenance and reader lists, and the newest version of each key `⊥T`
 //! seeded sits in a vector indexed by key. A read of the current version —
 //! most reads — finds it in the key's slot without probing a map keyed by
@@ -108,14 +109,21 @@
 //! path must never run from a transaction back to one that *finished before
 //! it began*. The batch [`crate::check_sser`] encodes this by sorting every
 //! begin/commit instant once and threading them into a chain of time nodes.
-//! The streaming engine keeps the same encoding **online** via
-//! [`mtc_history::TimeChain`]: instants are spliced into the maintained
-//! topological order as they arrive (out-of-order instants included — a
-//! commit acknowledged now may report a begin far in the past), each
-//! committed transaction is hooked in with `begin-node(begin) → txn` and
-//! `txn → end-node(end)` edges, and a real-time-order violation latches the
-//! moment a dependency edge contradicts the chain. Use
-//! [`IncrementalChecker::new_sser`] plus the `*_timed` push methods.
+//! The streaming engine keeps a chain **online** ([`mtc_history::TimeChain`])
+//! with one anchor per distinct commit instant, in instant order: a
+//! committed transaction that ends at `e` and begins at `b` points into the
+//! anchor of `e` and hangs off the anchor of the greatest commit instant
+//! below `b`, so anchors lead from `T1` to `T2` iff `end(T1) < begin(T2)`.
+//! `admit` allocates the transaction's node, then its commit anchor, then
+//! looks up the anchor it hangs off: in a stream in commit order every chain
+//! and hook edge agrees with the maintained order, and nothing reorders. A
+//! commit instant that arrives late, below a begin already hooked, is
+//! spliced in, and each hooked transaction that now hangs off it gains an
+//! edge from it — found in its predecessor anchor's row or, below every
+//! anchor, among the resident transactions (`Engine::commit_anchor`). A
+//! real-time-order violation latches the moment a dependency edge
+//! contradicts the chain. Use [`IncrementalChecker::new_sser`] plus the
+//! `*_timed` push methods.
 //!
 //! ## Snapshot isolation as split nodes
 //!

@@ -34,8 +34,11 @@ struct Stored {
 }
 
 /// Read back, a snapshot is refused unless its order holds no id past its
-/// node count, no transaction is placed at a node past it, and each label
-/// in its rows names a kind, and a key its target transaction has.
+/// node count, each label in its rows names a kind and a key its target
+/// transaction has, and its tables agree with the order: its live nodes are
+/// exactly the nodes the transaction, tail and time-chain tables place, each
+/// once and owned by what places it, and its chain's instants strictly
+/// increase.
 impl Deserialize for CheckerSnapshot {
     fn pull<S: Source + ?Sized>(src: &mut S) -> Result<Self, serde::Error> {
         let Stored {
@@ -73,8 +76,11 @@ impl Deserialize for CheckerSnapshot {
 /// engine's labelled edge list left it — each dependency edge is one entry
 /// of the order's forward rows, its label packed beneath the target's id,
 /// its key named by a slot in the per-transaction key table the engine
-/// gained — and the derived-edge count is a field of its own.
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// gained — and the derived-edge count is a field of its own. Version 9:
+/// the time-chain holds one anchor per commit instant, a slot is
+/// `(instant, node)` with no begin role, and only a timed SSER commit's
+/// instants are recorded.
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 impl CheckerSnapshot {
     /// The isolation level the snapshotted checker enforces.

@@ -1,16 +1,19 @@
 //! The random streams the streaming engine's differential tests draw from:
 //! valid serial mini-transaction histories, timed ones, their corruptions,
-//! and the small GC geometries they are checked under; the check an SI
-//! cycle certificate is held to, and the one the labelled rows of a
-//! streamed order are held to. Included by `streaming_differential.rs`, by
-//! the engine's own unit tests (which hold the GC's closure to its
+//! and the small GC geometries they are checked under; the checks an SI
+//! and an SSER cycle certificate are held to, and the one the labelled rows
+//! of a streamed order are held to. Included by `streaming_differential.rs`,
+//! by the engine's own unit tests (which hold the GC's closure to its
 //! reference on them) and by the streaming verdict fixture's test; the
-//! includer brings `GcPolicy` and `OrderEdge` into scope.
+//! includer brings `build_dependency`, `GcPolicy` and `OrderEdge` into
+//! scope.
 
 #![allow(dead_code)]
 
-use super::{GcPolicy, OrderEdge};
-use mtc_history::{DependencyGraph, Edge, History, HistoryBuilder, Op, Transaction, TxnId, Value};
+use super::{build_dependency, GcPolicy, OrderEdge};
+use mtc_history::{
+    DependencyGraph, Edge, EdgeKind, History, HistoryBuilder, Op, Transaction, TxnId, Value,
+};
 use proptest::prelude::*;
 
 /// Mini-transaction shapes, as in the top-level differential suite.
@@ -305,6 +308,58 @@ pub fn assert_si_certificate(derived: &[Edge], certificate: &[Edge]) {
         let two_rw = e.kind.is_rw() && next.kind.is_rw();
         assert!(!two_rw, "two RW edges in a row: {certificate:?}");
     }
+}
+
+/// The transactions of `history` up to and including `last`, `⊥T` seeded as
+/// it was: the prefix a checker that latched at `last` consumed.
+pub fn prefix_through(history: &History, last: TxnId) -> History {
+    let init = history.init_txn();
+    let mut builder = match init {
+        Some(init) => HistoryBuilder::new().with_init_keys(history.txn(init).write_set()),
+        None => HistoryBuilder::new(),
+    };
+    for t in history
+        .txns()
+        .iter()
+        .filter(|t| Some(t.id) != init && t.id <= last)
+    {
+        builder.push_cloned(t.clone());
+    }
+    builder.build()
+}
+
+/// Holds an SSER cycle certificate to what it certifies, sharing no code
+/// with the engine: over `history`, the prefix the checker consumed, every
+/// `RT` hop `u → v` has `end(u) < begin(v)`, every other hop is among the
+/// edges `build_dependency` derives from it, and the hops close one cycle
+/// that passes no transaction twice. Returns whether it checked: a prefix
+/// with a read that still waits for its writer has no dependency graph of
+/// its own.
+pub fn assert_sser_certificate(history: &History, certificate: &[Edge]) -> bool {
+    let Ok(graph) = build_dependency(history, false) else {
+        return false;
+    };
+    assert!(!certificate.is_empty(), "an empty certificate");
+    let mut passed = std::collections::HashSet::new();
+    for (i, e) in certificate.iter().enumerate() {
+        let next = &certificate[(i + 1) % certificate.len()];
+        assert_eq!(e.to, next.from, "not a closed walk: {certificate:?}");
+        assert!(passed.insert(e.from), "{:?} twice: {certificate:?}", e.from);
+        if e.kind == EdgeKind::Rt {
+            let (end, begin) = (history.txn(e.from).end, history.txn(e.to).begin);
+            let ordered = end.zip(begin).is_some_and(|(end, begin)| end < begin);
+            assert!(
+                ordered,
+                "{e:?} runs from {end:?} to {begin:?}: {certificate:?}"
+            );
+        } else {
+            assert!(
+                graph.edges().contains(e),
+                "{e:?} is not derived: {certificate:?}"
+            );
+        }
+    }
+    true
 }
 
 /// Holds the labelled rows of a streamed order to what the order promises:

@@ -217,8 +217,7 @@ proptest! {
             batch_verdict,
             naive_verdict
         );
-        let streaming =
-            check_streaming(IsolationLevel::StrictSerializability, &history).unwrap();
+        let streaming = certified_sser(&history, None);
         prop_assert_eq!(
             batch_verdict.is_violated(),
             streaming.is_violated(),
@@ -291,7 +290,41 @@ proptest! {
     }
 }
 
-// ───────────────── SI certificates, checked from outside ────────────────────
+// ───────────────── SI and SSER certificates, checked from outside ───────────
+
+/// Streams `history` through an SSER checker, with `gc` or without, holds
+/// the cycle it reports, if it reports one, to [`assert_sser_certificate`]
+/// over the prefix it consumed, and returns the verdict.
+fn certified_sser(history: &History, gc: Option<GcPolicy>) -> Verdict {
+    let mut checker = IncrementalChecker::new_sser();
+    if let Some(policy) = gc {
+        checker.set_gc(policy);
+    }
+    let _ = checker.push_history(history);
+    let at = checker.first_violation_at();
+    let verdict = checker.finish().unwrap();
+    if let (Some(at), Verdict::Violated(Violation::Cycle { edges })) = (at, &verdict) {
+        assert_sser_certificate(&prefix_through(history, at), edges);
+    }
+    verdict
+}
+
+/// The catalogue's SSER cycles are certified from outside the engine too,
+/// and so are those a tightly collected checker reports on it.
+#[test]
+fn sser_certificates_of_the_catalogue_are_real_time_cycles() {
+    let mut cycles = 0;
+    for kind in AnomalyKind::ALL {
+        let history = kind.history();
+        let verdict = certified_sser(&history, None);
+        cycles += usize::from(matches!(
+            verdict,
+            Verdict::Violated(Violation::Cycle { .. })
+        ));
+        certified_sser(&history, Some(GcPolicy::clamped(2, 1)));
+    }
+    assert!(cycles >= 5, "{cycles} SSER cycles");
+}
 
 /// Streams `history` through an SI checker, with `gc` or without, and holds
 /// the cycle it reports, if it reports one, to [`assert_si_certificate`]
@@ -466,6 +499,12 @@ fn assert_checkpoint_equivalence(level: IsolationLevel, history: &History, cut: 
     }
     assert_eq!(resumed.first_violation_at(), expected_first, "{level}");
     let resumed_verdict = resumed.finish();
+    let sser = level == IsolationLevel::StrictSerializability;
+    if let (true, Some(at), Ok(Verdict::Violated(Violation::Cycle { edges }))) =
+        (sser, expected_first, &resumed_verdict)
+    {
+        assert_sser_certificate(&prefix_through(history, at), edges);
+    }
     assert_eq!(
         format!("{resumed_verdict:?}"),
         format!("{expected:?}"),

@@ -53,7 +53,7 @@ pub use intra::{
 };
 pub use op::{LwtKind, Op, TimedOp};
 pub use session::SessionId;
-pub use timechain::{Role, TimeChain, TimeSlot};
+pub use timechain::{Anchor, TimeChain};
 pub use txn::{Transaction, TxnId, TxnStatus};
 pub use value::{Key, Value, ValueAllocator, INIT_VALUE};
 pub use write_index::{DuplicateWrite, WriteIndex, Writer};

@@ -200,9 +200,9 @@ mod tests {
     fn crc32_equals_the_bytewise_reference_on_the_snapshot_fixtures() {
         let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
         for name in [
-            "snapshot-v8-ser.mtcck",
-            "snapshot-v8-si.mtcck",
-            "snapshot-v8-sser.mtcck",
+            "snapshot-v9-ser.mtcck",
+            "snapshot-v9-si.mtcck",
+            "snapshot-v9-sser.mtcck",
         ] {
             let bytes = std::fs::read(data.join(name)).unwrap();
             assert!(bytes.len() > 1024, "{name}: fixture went missing");

@@ -2,8 +2,8 @@
 //! resumed from: `latest_checkpoint` passes over it to the one before — or to
 //! a scratch replay of the log — and `read_checkpoint` says why. The verdict
 //! is the uninterrupted run's either way. A build reads the snapshot
-//! version it writes and no other. (The committed `snapshot-v8-*` fixtures,
-//! of this build's version, keep resuming, and the `snapshot-v7-*` ones the
+//! version it writes and no other. (The committed `snapshot-v9-*` fixtures,
+//! of this build's version, keep resuming, and the `snapshot-v8-*` ones the
 //! previous version's build wrote are passed over: `store_differential.rs`.
 //! A snapshot spelt with field names, as every one up to version 5 was, is
 //! built here and refused by its version.)

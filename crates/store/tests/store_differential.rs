@@ -190,9 +190,9 @@ fn fixture_stream() -> Vec<Transaction> {
 }
 
 /// The fixture stream with every commit instant 30 ticks later, so that a
-/// transaction overlaps the next few: most begin instants splice in below
-/// the time-chain's maximum, and the SSER order reorders on nearly every
-/// transaction.
+/// transaction overlaps the next few: most begin instants lie well below
+/// the time-chain's maximum (while begin instants had anchors of their own,
+/// the SSER order reordered on nearly every transaction of it).
 fn overlapping_stream() -> Vec<Transaction> {
     let mut txns = fixture_stream();
     for t in &mut txns {
@@ -206,7 +206,7 @@ fn overlapping_stream() -> Vec<Transaction> {
 fn fixture_path(level: IsolationLevel) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
-        .join(format!("snapshot-v8-{}.mtcck", level_name(level)))
+        .join(format!("snapshot-v9-{}.mtcck", level_name(level)))
 }
 
 fn level_name(level: IsolationLevel) -> &'static str {
@@ -223,7 +223,7 @@ const LEVELS: [IsolationLevel; 3] = [
     IsolationLevel::StrictSerializability,
 ];
 
-/// The `snapshot-v8-*` files under `tests/data/` pin the `CheckerSnapshot`
+/// The `snapshot-v9-*` files under `tests/data/` pin the `CheckerSnapshot`
 /// format from both sides: this build writes, for the fixture prefix, the
 /// very bytes committed there, and reads them back into a checker that
 /// finishes the stream with the uninterrupted run's verdict. A snapshot
@@ -236,7 +236,7 @@ const LEVELS: [IsolationLevel; 3] = [
 /// `CARGO_TARGET_TMPDIR` and names it; copy it over the fixture (named for
 /// the new version) and keep the old one as a refused input below.
 #[test]
-fn the_v8_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
+fn the_v9_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict() {
     let txns = fixture_stream();
     for level in LEVELS {
         let checker = || {
@@ -257,7 +257,7 @@ fn the_v8_fixtures_are_this_builds_bytes_and_resume_to_the_uninterrupted_verdict
             let _ = prefix.push(t.clone());
         }
         let written = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("snapshot-v8-{}", level_name(level)));
+            .join(format!("snapshot-v9-{}", level_name(level)));
         let written = write_checkpoint(&written, FIXTURE_CUT as u64, &prefix.checkpoint()).unwrap();
         assert!(
             std::fs::read(fixture_path(level)).ok() == Some(std::fs::read(&written).unwrap()),
@@ -362,11 +362,11 @@ fn assert_refused_by_version(version: u32) {
     }
 }
 
-/// Version 7 held the engine's labelled edge list beside the order's
-/// unlabelled rows.
+/// Version 8 threaded begin instants into the time-chain too: a slot held
+/// one or two anchors, split lazily by role.
 #[test]
-fn the_v7_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
-    assert_refused_by_version(7);
+fn the_v8_fixtures_are_refused_by_version_and_recovery_passes_over_them() {
+    assert_refused_by_version(8);
 }
 
 /// `n` keys drawn Zipf(1.0) over `keys` keys, key 0 the hottest, from a
@@ -427,7 +427,7 @@ fn assert_checkpoints_reencode(
 
 /// A snapshot's bytes are a function of the checker's state: a checker
 /// resumed from a checkpoint writes that checkpoint back byte for byte — the
-/// committed `snapshot-v8-*` fixtures, and every point of a long, GC'd
+/// committed `snapshot-v9-*` fixtures, and every point of a long, GC'd
 /// stream — however differently the decoded maps were filled from the ones
 /// that wrote them. The second stream has
 /// Zipf-hot keys and a majority of read-only transactions, so the

@@ -320,6 +320,74 @@ fn crafted_orders_are_refused() {
             });
         }
     }
+    // Tables that disagree with the order: at SSER a time-chain out of
+    // instant order, an anchor past the node count or at a transaction's
+    // node, two transactions' owners swapped, an anchor owned by a
+    // transaction; at SI a tail owned as a transaction's node. Resumed, a
+    // checker would search a chain out of order and splice a cycle through
+    // nodes under the wrong owner.
+    let mut checker =
+        IncrementalChecker::new(IsolationLevel::StrictSerializability).with_init_keys(0..2u64);
+    let rmw = |k: u64, v: u64| vec![Op::read(k, 0u64), Op::write(k, v)];
+    checker.push_committed_timed(0, rmw(0, 1), 10, 20).unwrap();
+    checker.push_committed_timed(1, rmw(1, 2), 15, 30).unwrap();
+    let text = serde_json::to_string(&checker.checkpoint()).unwrap();
+    let chain = r#""chain":{"slots":[[0,1],[20,3],[30,5]]}"#;
+    let owners = r#""node_owner":[{"Txn":0},"Time",{"Txn":1},"Time",{"Txn":2},"Time"]"#;
+    assert!(text.contains(chain) && text.contains(owners), "{text}");
+    assert!(from_bytes::<CheckerSnapshot>(&encoded(&text)).is_ok());
+    let mut si = IncrementalChecker::new(IsolationLevel::SnapshotIsolation).with_init_keys(0..2u64);
+    si.push_committed(0, rmw(0, 1)).unwrap();
+    let si_text = serde_json::to_string(&si.checkpoint()).unwrap();
+    assert!(from_bytes::<CheckerSnapshot>(&encoded(&si_text)).is_ok());
+    let owned = |list: &str| format!(r#""node_owner":[{list}]"#);
+    let lies = [
+        (
+            "instants out of order",
+            chain,
+            r#""chain":{"slots":[[0,1],[30,3],[20,5]]}"#.into(),
+        ),
+        (
+            "an instant twice",
+            chain,
+            r#""chain":{"slots":[[0,1],[20,3],[20,5]]}"#.into(),
+        ),
+        (
+            "an anchor past the node count",
+            chain,
+            r#""chain":{"slots":[[0,1],[20,999],[30,5]]}"#.into(),
+        ),
+        (
+            "an anchor at a node",
+            chain,
+            r#""chain":{"slots":[[0,1],[20,2],[30,5]]}"#.into(),
+        ),
+        (
+            "owners swapped",
+            owners,
+            owned(r#"{"Txn":0},"Time",{"Txn":2},"Time",{"Txn":1},"Time""#),
+        ),
+        (
+            "an anchor owned by a node",
+            owners,
+            owned(r#"{"Txn":0},"Time",{"Txn":1},{"Txn":1},{"Txn":2},"Time""#),
+        ),
+    ];
+    let lies = lies.map(|(lie, from, to): (&str, &str, String)| (lie, text.replace(from, &to)));
+    assert!(si_text.contains(r#"{"Tail":"#), "{si_text}");
+    let tail = (
+        "a tail owned as a node",
+        si_text.replacen(r#"{"Tail":"#, r#"{"Txn":"#, 1),
+    );
+    for (lie, lied) in lies.into_iter().chain([tail]) {
+        let bytes = encoded(&lied);
+        let what = || format!("a crafted snapshot with {lie}");
+        held(&what, bytes.len(), || {
+            let refused = from_bytes::<CheckerSnapshot>(&bytes);
+            assert!(refused.is_err(), "{}", what());
+            refused
+        });
+    }
     // An order of 2^28 + 1 nodes: its seven fields, the first a list of
     // that many rows.
     let mut claim = vec![TAG_ARRAY, 7, TAG_ARRAY];
@@ -351,7 +419,7 @@ fn damaged_input_is_refused_without_a_panic_and_without_being_believed() {
     for (n, name) in ["ser", "si", "sser"].iter().enumerate() {
         let file = format!("checkpoint-{:012}.mtcck", 200);
         let frames = frames_of(&fixture(&format!(
-            "crates/store/tests/data/snapshot-v8-{name}.mtcck"
+            "crates/store/tests/data/snapshot-v9-{name}.mtcck"
         )));
         let [header, payload] = frames.as_slice() else {
             panic!("{name}: a checkpoint file is two frames");

@@ -17,9 +17,12 @@
 //! Its three snapshot lines, and only those, were written again by the build
 //! that introduced `SNAPSHOT_VERSION` 7, whose snapshots hold other fields:
 //! SI's tails in place of its composed order, and the key state as it is
-//! held; and again by the build that introduced `SNAPSHOT_VERSION` 8, whose
+//! held; again by the build that introduced `SNAPSHOT_VERSION` 8, whose
 //! engine holds no `graph` but an `edges` count and a `txn_keys` table, and
-//! whose order's forward rows carry each entry's label beneath its id.
+//! whose order's forward rows carry each entry's label beneath its id; and
+//! again by the build that introduced `SNAPSHOT_VERSION` 9, whose time-chain
+//! slots are `(instant, anchor)` pairs, one per commit instant, and whose
+//! instants table holds only a timed SSER commit's instants.
 //! Every name they share with the version before is spelt as before.
 //!
 //! To regenerate (only a change of what the values hold should ever need

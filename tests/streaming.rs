@@ -287,3 +287,43 @@ fn sser_runner_checkers_are_wired() {
     assert!(verdict.is_violated(), "{verdict:?}");
     assert!(outcome.first_violation.unwrap().elapsed <= report.wall_time);
 }
+
+/// A stream in commit order — an interleaved run of a correct `sim-ser`,
+/// its transactions fed as they committed, as a live verifier sees them —
+/// hangs each commit between anchors the maintained order already ranks:
+/// streaming SSER reorders nothing, and holds one node per transaction and
+/// at most one anchor per commit instant, `⊥T`'s among them.
+#[test]
+fn an_in_order_sser_stream_never_reorders() {
+    let spec = MtWorkloadSpec {
+        sessions: 2,
+        txns_per_session: 400,
+        num_keys: 40,
+        distribution: Distribution::Uniform,
+        read_only_fraction: 0.2,
+        two_key_fraction: 0.5,
+        seed: 11,
+    };
+    let workload = generate_mt_workload(&spec);
+    let db = Database::new(DbConfig::correct(
+        IsolationMode::Serializable,
+        spec.num_keys,
+    ));
+    let (history, _) = ExecutionOptions::interleaved(5).run(&db, &workload);
+    let init = history.init_txn().expect("the simulator seeds ⊥T");
+    let mut commits: Vec<_> = history.txns().iter().filter(|t| t.id != init).collect();
+    commits.sort_by_key(|t| t.end);
+    let mut checker = IncrementalChecker::new_sser().with_init_keys(history.txn(init).write_set());
+    for txn in commits {
+        assert_eq!(checker.push(txn.clone()), Ok(StreamStatus::ConsistentSoFar));
+    }
+    assert!(checker.order_stats().forward > 0);
+    assert_eq!(checker.order_stats().reorders, 0);
+    let txns = checker.txn_count();
+    assert!(txns > 800, "{txns} transactions");
+    assert!(
+        checker.live_node_count() <= 2 * txns,
+        "{} nodes for {txns} transactions",
+        checker.live_node_count()
+    );
+}

@@ -9,8 +9,11 @@
 //!   to the build before the engine's event vocabulary went (commit
 //!   890a952); 40 SI certificates moved when SI went into the one
 //!   maintained order (`SNAPSHOT_VERSION` 7: 36 hops relabelled by the
-//!   lower-ranked kind, 4 other cycles closed by the same edge).
-//! * `tests/data/streaming-snapshots-v8.txt` holds the CRC-32 of the
+//!   lower-ranked kind, 4 other cycles closed by the same edge); 13 SSER
+//!   lines moved when the time-chain kept one anchor per commit instant
+//!   (`SNAPSHOT_VERSION` 9: 42 certificates across the variants, each a
+//!   cycle through a shorter real-time hop, or as short through another).
+//! * `tests/data/streaming-snapshots-v9.txt` holds the CRC-32 of the
 //!   encoded `checkpoint()` every 16th push and at the end: the bytes half,
 //!   which moves with every change of the snapshot format.
 //!
@@ -44,7 +47,7 @@ use mtc::{GcPolicy, IncrementalChecker, IsolationLevel, StreamStatus};
 mod streams;
 
 const VERDICTS: &str = include_str!("data/streaming-verdicts.txt");
-const SNAPSHOTS: &str = include_str!("data/streaming-snapshots-v8.txt");
+const SNAPSHOTS: &str = include_str!("data/streaming-snapshots-v9.txt");
 const STREAMS: u64 = 220;
 const LEVELS: [(&str, IsolationLevel); 3] = [
     ("SER", IsolationLevel::Serializability),
@@ -421,7 +424,7 @@ fn streaming_verdicts_match_the_parent_written_fixture() {
 #[test]
 fn snapshot_crcs_match_the_fixture() {
     matches(
-        "tests/data/streaming-snapshots-v8.txt",
+        "tests/data/streaming-snapshots-v9.txt",
         SNAPSHOTS,
         "streaming-snapshots.actual.txt",
         &rendering().snapshots,
@@ -496,6 +499,40 @@ fn si_certificates_of_the_seeded_streams_are_composed_cycles() {
         }
     }
     assert!(checked >= 200, "only {checked} SI cycles checked");
+}
+
+/// Every SSER cycle the checker reports on the seeded streams — in each of
+/// the fixture's four variants — is a real-time and dependency cycle of the
+/// prefix it consumed (`streams::assert_sser_certificate`), the fixture's
+/// certificates among them. A prefix with a read that still waits for its
+/// writer has no dependency graph of its own and is not checked.
+#[test]
+fn sser_certificates_of_the_seeded_streams_are_real_time_cycles() {
+    let mut checked = 0;
+    for seed in 0..STREAMS {
+        let (keys, txns) = stream(seed);
+        for gc in [false, true] {
+            for init in [Some(keys), None] {
+                let level = IsolationLevel::StrictSerializability;
+                let mut checker = Run::new(level, gc, init).checker;
+                let mut prefix = match init {
+                    Some(keys) => HistoryBuilder::new().with_init_keys(0..keys),
+                    None => HistoryBuilder::new(),
+                };
+                for t in &txns {
+                    prefix.push_cloned(t.clone());
+                    if checker.push(t.clone()) != Ok(StreamStatus::ConsistentSoFar) {
+                        break;
+                    }
+                }
+                if let Some(Violation::Cycle { edges }) = checker.violation() {
+                    let history = prefix.build();
+                    checked += usize::from(streams::assert_sser_certificate(&history, edges));
+                }
+            }
+        }
+    }
+    assert!(checked >= 200, "only {checked} SSER cycles checked");
 }
 
 /// The order keeps each pair of nodes once, with its best label: on the
