@@ -201,7 +201,6 @@ fn batch_checkers_identical_with_metrics_on_and_off_and_spanned_when_on() {
         let count = |stage: &str| mtc_obs::registry().histogram(stage).count();
         let before = STAGES.map(count);
         let on = run_batch(history);
-        mtc_obs::flush_spans();
         let recorded: Vec<u64> = STAGES
             .iter()
             .zip(before)

@@ -20,7 +20,6 @@ fn one_envelope_in_sixteen_has_its_decode_timed() {
         let popped: Vec<RequestEnvelope> =
             std::iter::from_fn(|| buf.pop().expect("a whole frame decodes")).collect();
         assert_eq!(popped.len(), 160);
-        mtc_obs::flush_spans();
         popped
     };
     let timed = || mtc_obs::registry().histogram("net.call.decode").count();

@@ -135,7 +135,6 @@ fn one_envelope_in_sixteen_has_its_encode_timed() {
             let request = Request::Commit { txn: seq };
             proto::encode(&mut wire, &RequestEnvelope { seq, request });
         }
-        mtc_obs::flush_spans();
         wire
     };
     let timed = || mtc_obs::registry().histogram("net.call.encode").count();

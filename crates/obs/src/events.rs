@@ -1,10 +1,12 @@
-//! A structured JSONL event log.
+//! A structured JSONL event log on stderr.
 //!
-//! One JSON object per line, written to a sink the *binary* chooses —
-//! libraries call [`emit`] and pay nothing while no sink is installed
-//! (the default). The daemons route lifecycle events (startup, connection
-//! accepted, tenant open/close) and violation reports here so operators
-//! get machine-parseable logs instead of ad-hoc `eprintln!`s.
+//! One JSON object per line — libraries call [`emit`] and pay one relaxed
+//! load while the log is off (the default); a binary that wants the lines
+//! calls [`log_to_stderr`]. The daemons route lifecycle events (startup,
+//! connection accepted, tenant open/close) and violation reports here so
+//! operators get machine-parseable logs instead of ad-hoc `eprintln!`s.
+//! Where the lines go from stderr, and when a file of them rotates, is the
+//! process supervisor's business.
 //!
 //! Every line carries `ts_micros` (wall clock, microseconds since the
 //! Unix epoch) and `event` (the kind), then the caller's fields in order:
@@ -14,115 +16,38 @@
 //! ```
 
 pub use serde::JsonValue;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// A file sink, optionally size-rotated.
-struct FileSink {
-    file: File,
-    path: PathBuf,
-    /// Bytes in the live file (seeded from its length on open).
-    written: u64,
-    /// Rotation config: rollover threshold and how many rotated files to
-    /// retain. `None` grows one file without bound.
-    rotate: Option<(u64, usize)>,
-}
-
-enum Sink {
-    Off,
-    Stderr,
-    File(FileSink),
-}
-
-static SINK: Mutex<Sink> = Mutex::new(Sink::Off);
+static TO_STDERR: AtomicBool = AtomicBool::new(false);
 
 /// Routes events to stderr (one JSON object per line).
 pub fn log_to_stderr() {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Sink::Stderr;
-}
-
-fn open_sink(path: &Path, rotate: Option<(u64, usize)>) -> io::Result<FileSink> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let written = file.metadata().map(|m| m.len()).unwrap_or(0);
-    Ok(FileSink {
-        file,
-        path: path.to_path_buf(),
-        written,
-        rotate,
-    })
-}
-
-/// Routes events to `path`, appending (one JSON object per line). The file
-/// grows without bound; long-running daemons should prefer
-/// [`log_to_file_rotating`].
-pub fn log_to_file(path: &Path) -> io::Result<()> {
-    let sink = open_sink(path, None)?;
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Sink::File(sink);
-    Ok(())
-}
-
-/// Routes events to `path` with size-based rotation: once the live file
-/// exceeds `max_bytes`, it rolls to `<path>.1` (older generations shift to
-/// `.2`, `.3`, …) and a fresh file is started. At most `keep` rotated
-/// generations are retained, so the log's disk footprint is bounded by
-/// roughly `(keep + 1) * max_bytes`. Lines are never split across files.
-pub fn log_to_file_rotating(path: &Path, max_bytes: u64, keep: usize) -> io::Result<()> {
-    let sink = open_sink(path, Some((max_bytes.max(1), keep.max(1))))?;
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Sink::File(sink);
-    Ok(())
-}
-
-/// The path of rotated generation `n` (1-based): `events.jsonl.3`.
-fn generation(path: &Path, n: usize) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(format!(".{n}"));
-    PathBuf::from(name)
-}
-
-impl FileSink {
-    /// Rolls the live file into generation 1, shifting older generations
-    /// up and dropping the one past `keep`, then reopens a fresh live
-    /// file. Rotation failures leave the current file in place (events
-    /// keep flowing into it; the next threshold crossing retries).
-    fn rotate_now(&mut self, keep: usize) -> io::Result<()> {
-        let _ = std::fs::remove_file(generation(&self.path, keep));
-        for n in (1..keep).rev() {
-            let from = generation(&self.path, n);
-            if from.exists() {
-                let _ = std::fs::rename(&from, generation(&self.path, n + 1));
-            }
-        }
-        std::fs::rename(&self.path, generation(&self.path, 1))?;
-        let fresh = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        self.file = fresh;
-        self.written = 0;
-        Ok(())
-    }
+    TO_STDERR.store(true, Relaxed);
 }
 
 /// Stops routing events (the default state).
 pub fn disable() {
-    *SINK.lock().unwrap_or_else(|e| e.into_inner()) = Sink::Off;
+    TO_STDERR.store(false, Relaxed);
 }
 
-/// Emits one event line. A no-op (one mutex lock) while no sink is
-/// installed; events are rare (lifecycle + violations), so the lock is
-/// never contended on a hot path.
+/// Emits one event line. A no-op while the log is off. The line goes out
+/// in one `write_all` on the locked stderr, so concurrent events never
+/// interleave within a line.
 pub fn emit(kind: &str, fields: &[(&str, JsonValue)]) {
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    if matches!(*sink, Sink::Off) {
+    if !TO_STDERR.load(Relaxed) {
         return;
     }
     let ts = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0);
+    let _ = std::io::stderr().write_all(render(ts, kind, fields).as_bytes());
+}
+
+/// One event as its log line, newline included.
+fn render(ts: u64, kind: &str, fields: &[(&str, JsonValue)]) -> String {
     let mut entries = Vec::with_capacity(fields.len() + 2);
     entries.push(("ts_micros".to_string(), JsonValue::U64(ts)));
     entries.push(("event".to_string(), JsonValue::Str(kind.to_string())));
@@ -132,86 +57,27 @@ pub fn emit(kind: &str, fields: &[(&str, JsonValue)]) {
     let mut line = String::new();
     JsonValue::Object(entries).render(&mut line);
     line.push('\n');
-    // Lifecycle events should be visible promptly; write + flush per line.
-    let _ = match &mut *sink {
-        Sink::Off => Ok(()),
-        Sink::Stderr => io::stderr().write_all(line.as_bytes()),
-        Sink::File(f) => f
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| f.file.flush())
-            .and_then(|()| {
-                f.written += line.len() as u64;
-                match f.rotate {
-                    Some((max_bytes, keep)) if f.written >= max_bytes => f.rotate_now(keep),
-                    _ => Ok(()),
-                }
-            }),
-    };
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test body: these share the global sink, so they must not run in
-    // parallel test threads.
     #[test]
-    fn file_sink_writes_one_json_line_per_event() {
-        emit("dropped-while-off", &[]); // default sink: no-op
-
-        let dir = std::env::temp_dir().join(format!("mtc-obs-events-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let _ = std::fs::remove_file(&path);
-        log_to_file(&path).unwrap();
-        emit(
+    fn an_event_renders_as_one_json_line() {
+        let line = render(
+            1_754_650_000_000_000,
             "unit-test",
             &[
                 ("tenant", JsonValue::Str("t0".into())),
                 ("checked", JsonValue::U64(42)),
             ],
         );
-        disable();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1);
-        let line = lines[0];
-        assert!(line.starts_with("{\"ts_micros\":"), "line: {line}");
-        assert!(line.contains("\"event\":\"unit-test\""), "line: {line}");
-        assert!(line.contains("\"tenant\":\"t0\""), "line: {line}");
-        assert!(line.contains("\"checked\":42"), "line: {line}");
-        let _ = std::fs::remove_file(&path);
-
-        // Rotation: a tiny threshold forces a roll on every line; with
-        // keep=2 only two rotated generations may survive, and every
-        // retained file holds whole lines.
-        let rot = dir.join("rotating.jsonl");
-        for n in 0..5 {
-            let _ = std::fs::remove_file(generation(&rot, n + 1));
-        }
-        let _ = std::fs::remove_file(&rot);
-        log_to_file_rotating(&rot, 16, 2).unwrap();
-        for i in 0..5u64 {
-            emit("rot", &[("i", JsonValue::U64(i))]);
-        }
-        disable();
-        assert!(generation(&rot, 1).exists());
-        assert!(generation(&rot, 2).exists());
-        assert!(
-            !generation(&rot, 3).exists(),
-            "keep=2 must bound retained generations"
+        assert_eq!(
+            line,
+            "{\"ts_micros\":1754650000000000,\"event\":\"unit-test\",\
+             \"tenant\":\"t0\",\"checked\":42}\n"
         );
-        // Newest rotated generation holds the second-newest line, intact.
-        let g1 = std::fs::read_to_string(generation(&rot, 1)).unwrap();
-        assert_eq!(g1.lines().count(), 1);
-        assert!(g1.contains("\"i\":4"), "g1: {g1}");
-        assert!(g1.ends_with('\n'), "lines must never split across files");
-        let g2 = std::fs::read_to_string(generation(&rot, 2)).unwrap();
-        assert!(g2.contains("\"i\":3"), "g2: {g2}");
-        // The live file is empty (the last line crossed the threshold and
-        // rolled); re-opening with rotation seeds `written` from its size.
-        assert_eq!(std::fs::read_to_string(&rot).unwrap(), "");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

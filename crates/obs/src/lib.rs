@@ -9,16 +9,15 @@
 //!
 //! The building blocks:
 //!
-//! * [`Counter`] — monotone event count, striped across cache lines so N
-//!   ingest threads don't serialize on one `fetch_add` destination.
-//! * [`Gauge`] — instantaneous level (queue depth, live connections),
-//!   striped signed deltas summed on read.
+//! * [`Counter`] — monotone event count, one relaxed `fetch_add` per add.
+//! * [`Gauge`] — instantaneous level (queue depth, live connections), one
+//!   signed atomic.
 //! * [`Histogram`] — fixed-footprint log-linear buckets (32 sub-buckets
 //!   per power-of-two octave, ≤ ~1.6% quantile quantization) with lock-free
 //!   recording and p50/p90/p99 snapshots.
-//! * [`span`] / [`SpanTimer`] — scoped wall-clock timers that observe
-//!   their elapsed time into a histogram on drop, buffered thread-locally
-//!   so a burst of short spans costs one atomic flush per 64 samples;
+//! * [`span`] / [`SpanTimer`] — scoped wall-clock timers that record their
+//!   elapsed time into a histogram when they end, so a scrape sees what a
+//!   long-lived thread timed as soon as the span closes;
 //!   [`sampled_span!`] is the 1-in-16, nanosecond form for work too short
 //!   to pay two clock reads every time.
 //! * [`registry`] — the global name → metric table. Handles are
@@ -30,8 +29,8 @@
 //! * [`MetricsSnapshot`] — a serializable point-in-time view of every
 //!   registered metric, served over the wire by the daemons.
 //! * [`events`] — a structured JSONL event log (startup, connections,
-//!   tenant lifecycle, violations) that is off by default and routes to
-//!   stderr or a file when a binary opts in.
+//!   tenant lifecycle, violations) that is off by default and goes to
+//!   stderr when a binary opts in.
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 
@@ -43,7 +42,7 @@ pub mod events;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{registry, MetricsSnapshot, Registry};
-pub use span::{flush_spans, span, span_nanos, SpanTimer};
+pub use span::{span, span_nanos, SpanTimer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -79,9 +78,6 @@ pub mod test_support {
 
     impl Drop for EnabledGuard {
         fn drop(&mut self) {
-            // Spans this thread timed under the guard land now, not when the
-            // thread exits inside the next holder's window.
-            crate::flush_spans();
             crate::set_enabled(self.was);
         }
     }

@@ -1,5 +1,5 @@
-//! The metric primitives: striped counters and gauges, log-linear
-//! histograms.
+//! The metric primitives: counters and gauges of one atomic each,
+//! log-linear histograms.
 //!
 //! All three share the recording contract: mutation methods are gated on
 //! [`crate::enabled`] and become a relaxed load + untaken branch when
@@ -7,59 +7,25 @@
 //! simply report whatever was recorded while it was on.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
-/// Stripes per counter/gauge. Threads hash onto stripes by a thread-local
-/// ticket, so with ≤ 16 hot threads every thread owns its own cache line.
-const STRIPES: usize = 16;
-
-/// One cache line worth of atomic counter, so adjacent stripes never
-/// false-share.
-#[repr(align(64))]
-struct Stripe(AtomicU64);
-
-impl Stripe {
-    // Interior mutability is the point: this const exists only as the
-    // `[Stripe::ZERO; STRIPES]` array initializer inside `const fn new`,
-    // where each use instantiates a fresh atomic.
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: Stripe = Stripe(AtomicU64::new(0));
-}
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-#[inline]
-fn stripe_of_thread() -> usize {
-    thread_local! {
-        static TICKET: usize = NEXT_THREAD.fetch_add(1, Relaxed);
-    }
-    TICKET.with(|t| *t) & (STRIPES - 1)
-}
-
-/// A monotone event counter, striped across cache lines.
-///
-/// `add` is one relaxed `fetch_add` on the calling thread's stripe;
-/// `get` sums the stripes. Successive `get`s are non-decreasing (the
-/// stripes only grow).
-pub struct Counter {
-    stripes: [Stripe; STRIPES],
-}
+/// A monotone event counter: one relaxed `fetch_add` per `add`.
+/// Successive `get`s are non-decreasing.
+#[derive(Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter.
     pub const fn new() -> Self {
-        Counter {
-            stripes: [Stripe::ZERO; STRIPES],
-        }
+        Counter(AtomicU64::new(0))
     }
 
     /// Adds `n` events. No-op while observability is disabled.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
+        if crate::enabled() {
+            self.0.fetch_add(n, Relaxed);
         }
-        self.stripes[stripe_of_thread()].0.fetch_add(n, Relaxed);
     }
 
     /// Adds one event. No-op while observability is disabled.
@@ -70,20 +36,12 @@ impl Counter {
 
     /// The total recorded so far.
     pub fn get(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.load(Relaxed)).sum()
+        self.0.load(Relaxed)
     }
 
-    /// Zeroes the counter (bench/test support; racing `add`s may survive).
+    /// Zeroes the counter (test support; racing `add`s may survive).
     pub fn reset(&self) {
-        for s in &self.stripes {
-            s.0.store(0, Relaxed);
-        }
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
+        self.0.store(0, Relaxed);
     }
 }
 
@@ -93,62 +51,38 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// An instantaneous level (queue depth, open connections): striped signed
-/// deltas, summed on read. `add`/`sub` pair up across threads, so the sum
-/// tracks the true level even when the incrementing and decrementing
-/// threads differ.
-pub struct Gauge {
-    stripes: [Stripe; STRIPES],
-}
+/// An instantaneous level (queue depth, open connections): one signed
+/// atomic that `add` raises and `sub` lowers, from any threads.
+#[derive(Default)]
+pub struct Gauge(AtomicI64);
 
 impl Gauge {
     /// A zeroed gauge.
     pub const fn new() -> Self {
-        Gauge {
-            stripes: [Stripe::ZERO; STRIPES],
-        }
+        Gauge(AtomicI64::new(0))
     }
 
     /// Raises the level by `n`. No-op while observability is disabled.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
+        if crate::enabled() {
+            self.0.fetch_add(n as i64, Relaxed);
         }
-        self.stripes[stripe_of_thread()].0.fetch_add(n, Relaxed);
     }
 
     /// Lowers the level by `n`. No-op while observability is disabled.
     #[inline]
     pub fn sub(&self, n: u64) {
-        if !crate::enabled() {
-            return;
+        if crate::enabled() {
+            self.0.fetch_sub(n as i64, Relaxed);
         }
-        self.stripes[stripe_of_thread()].0.fetch_sub(n, Relaxed);
     }
 
     /// The current level. Clamped at zero: a `sub` that raced ahead of its
     /// paired `add` (or deltas recorded while the switch flipped) can make
-    /// the transient sum negative.
+    /// the level transiently negative.
     pub fn get(&self) -> i64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Relaxed) as i64)
-            .sum::<i64>()
-            .max(0)
-    }
-
-    /// Zeroes the gauge (bench/test support).
-    pub fn reset(&self) {
-        for s in &self.stripes {
-            s.0.store(0, Relaxed);
-        }
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
+        self.0.load(Relaxed).max(0)
     }
 }
 
@@ -230,10 +164,9 @@ impl Histogram {
         self.record_always(v);
     }
 
-    /// Records one sample regardless of the global switch. Used by the
-    /// span buffer flush (samples were admitted while the switch was on)
-    /// and by tests.
-    pub fn record_always(&self, v: u64) {
+    /// Records one sample regardless of the global switch: a span that
+    /// started while the switch was on records when it ends.
+    pub(crate) fn record_always(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
@@ -244,25 +177,6 @@ impl Histogram {
     /// Samples recorded so far. Non-decreasing across successive calls.
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
-    }
-
-    /// Adds every sample recorded in `other` into this histogram. Both
-    /// histograms share the fixed bucket layout, so the merge is exact:
-    /// bucket-wise addition plus min/max widening. Used to aggregate
-    /// per-worker or per-tenant histograms into a fleet-wide one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        // An empty `other` holds min = u64::MAX / max = 0; both merges are
-        // then no-ops, so emptiness needs no special case.
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
     }
 
     /// A point-in-time summary. Concurrent recording is fine: the summary
@@ -345,10 +259,7 @@ fn quantiles_from(buckets: &[(u32, u64)], count: u64, min: u64, max: u64) -> (u6
 
 /// A point-in-time summary of one [`Histogram`]: sample count, sum, exact
 /// min/max, log-linear-estimated quantiles (≤ ~1.6% off), and the sparse
-/// bucket counts the quantiles were computed from. Carrying the buckets
-/// makes snapshots *mergeable*: aggregating scrapes from several workers
-/// (or daemons) yields the same quantiles the union of their samples
-/// would.
+/// bucket counts the quantiles were computed from.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -368,62 +279,6 @@ pub struct HistogramSnapshot {
     /// Sparse `(bucket index, samples)` pairs, ascending by index; only
     /// non-empty buckets appear.
     pub buckets: Vec<(u32, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Folds `other` into this snapshot: counts and sums add, extremes
-    /// widen, bucket lists union (both share the fixed layout, so the
-    /// merge is exact), and the quantiles are recomputed from the merged
-    /// buckets.
-    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ai, ac)), Some(&&(bi, bc))) => {
-                    if ai < bi {
-                        merged.push((ai, ac));
-                        a.next();
-                    } else if bi < ai {
-                        merged.push((bi, bc));
-                        b.next();
-                    } else {
-                        merged.push((ai, ac + bc));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        let (p50, p90, p99) = quantiles_from(&merged, self.count, self.min, self.max);
-        self.p50 = p50;
-        self.p90 = p90;
-        self.p99 = p99;
-        self.buckets = merged;
-    }
 }
 
 #[cfg(test)]
@@ -485,56 +340,6 @@ mod tests {
             let err = (q as f64 - expect).abs() / expect;
             assert!(err < 0.02, "quantile {q} vs {expect}: err {err}");
         }
-    }
-
-    #[test]
-    fn histogram_merge_matches_recording_everything_in_one() {
-        let _on = with_enabled(true);
-        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in 1..=5_000u64 {
-            a.record(v);
-            both.record(v);
-        }
-        for v in 5_001..=10_000u64 {
-            b.record(v * 7);
-            both.record(v * 7);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), both.snapshot(), "live merge must be exact");
-        // Merging an empty histogram changes nothing.
-        let before = a.snapshot();
-        a.merge_from(&Histogram::new());
-        assert_eq!(a.snapshot(), before);
-    }
-
-    #[test]
-    fn snapshot_merge_aligns_buckets_exactly() {
-        let _on = with_enabled(true);
-        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
-        // Interleaved magnitudes, so the sparse lists overlap on some
-        // buckets and are disjoint on others.
-        for v in [1u64, 3, 31, 32, 33, 1000, 1_000_000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [3u64, 17, 33, 999, 1000, 50_000_000] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge_from(&b.snapshot());
-        assert_eq!(merged, both.snapshot(), "snapshot merge must be exact");
-        assert!(
-            merged.buckets.windows(2).all(|w| w[0].0 < w[1].0),
-            "merged bucket list must stay strictly ascending"
-        );
-        // Empty edges: empty ← x clones, x ← empty is a no-op.
-        let mut empty = HistogramSnapshot::default();
-        empty.merge_from(&merged);
-        assert_eq!(empty, merged);
-        let before = merged.clone();
-        merged.merge_from(&HistogramSnapshot::default());
-        assert_eq!(merged, before);
     }
 
     #[test]

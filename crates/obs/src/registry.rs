@@ -57,63 +57,22 @@ impl Registry {
 
     /// A point-in-time view of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, g)| (n.clone(), g.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(n, h)| (n.clone(), h.snapshot()))
-            .collect();
         MetricsSnapshot {
             enabled: crate::enabled(),
-            counters,
-            gauges,
-            histograms,
+            counters: read_all(&self.counters, Counter::get),
+            gauges: read_all(&self.gauges, Gauge::get),
+            histograms: read_all(&self.histograms, Histogram::snapshot),
         }
     }
+}
 
-    /// Zeroes every registered metric (bench/test support). Registration
-    /// survives — only the recorded values are cleared.
-    pub fn reset(&self) {
-        for c in self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            h.reset();
-        }
-    }
+/// `(name, value)` for every metric in `table`, in name order.
+fn read_all<T, V>(
+    table: &RwLock<BTreeMap<String, &'static T>>,
+    value: impl Fn(&T) -> V,
+) -> Vec<(String, V)> {
+    let table = table.read().unwrap_or_else(|e| e.into_inner());
+    table.iter().map(|(n, m)| (n.clone(), value(m))).collect()
 }
 
 /// A serializable point-in-time view of the registry, served over the
@@ -154,38 +113,6 @@ impl MetricsSnapshot {
             .find(|(n, _)| n == name)
             .map(|(_, s)| s)
     }
-
-    /// Folds another snapshot into this one, by metric name: counters and
-    /// gauges add, histograms bucket-merge (see
-    /// [`HistogramSnapshot::merge_from`]), and metrics present in only one
-    /// snapshot carry over. Used to aggregate scrapes from several daemons
-    /// or workers into one fleet view; name ordering is preserved.
-    pub fn merge_from(&mut self, other: &MetricsSnapshot) {
-        fn union<V, M: Fn(&mut V, &V)>(
-            mine: &mut Vec<(String, V)>,
-            theirs: &[(String, V)],
-            merge: M,
-        ) where
-            V: Clone,
-        {
-            let mut merged: BTreeMap<String, V> = mine.drain(..).collect();
-            for (name, v) in theirs {
-                match merged.get_mut(name) {
-                    Some(existing) => merge(existing, v),
-                    None => {
-                        merged.insert(name.clone(), v.clone());
-                    }
-                }
-            }
-            mine.extend(merged);
-        }
-        self.enabled |= other.enabled;
-        union(&mut self.counters, &other.counters, |a, b| *a += *b);
-        union(&mut self.gauges, &other.gauges, |a, b| *a += *b);
-        union(&mut self.histograms, &other.histograms, |a, b| {
-            a.merge_from(b)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -206,45 +133,5 @@ mod tests {
         assert_eq!(snap.counter("test.registry.hits"), Some(7));
         assert!(snap.histogram("test.registry.lat").unwrap().count >= 1);
         assert_eq!(snap.counter("test.registry.absent"), None);
-    }
-
-    #[test]
-    fn metrics_snapshots_merge_by_name() {
-        let _on = with_enabled(true);
-        let hist = |values: &[u64]| {
-            let h = crate::metrics::Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let mut a = MetricsSnapshot {
-            enabled: false,
-            counters: vec![("both".into(), 10), ("only_a".into(), 1)],
-            gauges: vec![("depth".into(), 5)],
-            histograms: vec![("lat".into(), hist(&[10, 20, 30]))],
-        };
-        let b = MetricsSnapshot {
-            enabled: true,
-            counters: vec![("both".into(), 32), ("only_b".into(), 2)],
-            gauges: vec![("depth".into(), -3)],
-            histograms: vec![
-                ("lat".into(), hist(&[40, 50])),
-                ("extra".into(), hist(&[7])),
-            ],
-        };
-        a.merge_from(&b);
-        assert!(a.enabled);
-        assert_eq!(a.counter("both"), Some(42));
-        assert_eq!(a.counter("only_a"), Some(1));
-        assert_eq!(a.counter("only_b"), Some(2));
-        assert_eq!(a.gauge("depth"), Some(2));
-        let lat = a.histogram("lat").unwrap();
-        assert_eq!((lat.count, lat.min, lat.max), (5, 10, 50));
-        assert_eq!(lat, &hist(&[10, 20, 30, 40, 50]), "exact bucket union");
-        assert_eq!(a.histogram("extra").unwrap().count, 1);
-        // Sorted-by-name invariant survives the union.
-        assert!(a.counters.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(a.histograms.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

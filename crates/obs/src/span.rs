@@ -1,53 +1,13 @@
-//! Scoped span timers with thread-local sample buffers.
+//! Scoped span timers.
 //!
 //! A [`span`] captures `Instant::now()` when created (only if
 //! observability is on — otherwise it is `None` and costs one branch) and
-//! on drop pushes its elapsed microseconds into a thread-local buffer.
-//! The buffer flushes into the target histograms every
-//! [`FLUSH_EVERY`] samples and when the thread exits, so a burst of short
-//! spans amortizes the shared-atomic traffic instead of paying it per
-//! span. Call [`flush_spans`] before snapshotting if the last few samples
-//! on the current thread matter.
+//! records its elapsed microseconds into the target histogram when it is
+//! dropped, so a scrape sees every span that has ended, whichever thread
+//! timed it.
 
 use crate::metrics::Histogram;
-use std::cell::RefCell;
 use std::time::Instant;
-
-/// Buffered samples per thread before an automatic flush.
-const FLUSH_EVERY: usize = 64;
-
-struct SpanBuf {
-    samples: Vec<(&'static Histogram, u64)>,
-}
-
-impl SpanBuf {
-    fn push(&mut self, hist: &'static Histogram, sample: u64) {
-        self.samples.push((hist, sample));
-        if self.samples.len() >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        for (hist, sample) in self.samples.drain(..) {
-            // `record_always`: the sample was admitted while the switch
-            // was on; a concurrent disable must not drop it.
-            hist.record_always(sample);
-        }
-    }
-}
-
-impl Drop for SpanBuf {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static BUF: RefCell<SpanBuf> = RefCell::new(SpanBuf {
-        samples: Vec::with_capacity(FLUSH_EVERY),
-    });
-}
 
 /// A live span: observes its elapsed wall-clock microseconds (nanoseconds
 /// for a [`sampled_span!`](crate::sampled_span)) into the target histogram
@@ -66,7 +26,9 @@ impl Drop for SpanTimer {
         } else {
             elapsed.as_micros()
         } as u64;
-        let _ = BUF.try_with(|b| b.borrow_mut().push(self.hist, sample));
+        // The span was started while the switch was on; a disable since
+        // must not drop it.
+        self.hist.record_always(sample);
     }
 }
 
@@ -101,13 +63,6 @@ pub fn span_nanos(hist: &'static Histogram) -> SpanTimer {
     }
 }
 
-/// Drains the calling thread's span buffer into its histograms. Snapshots
-/// only see flushed samples; call this before scraping if the tail of a
-/// burst matters (the daemons do it at the end of each drain pass).
-pub fn flush_spans() {
-    let _ = BUF.try_with(|b| b.borrow_mut().flush());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,38 +81,30 @@ mod tests {
         for _ in 0..15 {
             let _span = crate::sampled_span!("test.span.sampled");
         }
-        flush_spans();
         assert_eq!(hist.count() - before, 4);
         {
             let _span = span_nanos(hist);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        flush_spans();
         assert!(hist.snapshot().max >= 2_000_000, "nanoseconds, not micros");
     }
 
     #[test]
-    fn spans_record_after_flush() {
+    fn spans_record_when_they_end() {
         let _on = with_enabled(true);
         let hist = crate::registry().histogram("test.span.lat");
         hist.reset();
-        for _ in 0..10 {
+        for i in 0..10 {
             let _span = span(hist);
+            assert_eq!(hist.count(), i, "nothing recorded before the end");
         }
-        flush_spans();
         assert_eq!(hist.count(), 10);
-    }
-
-    #[test]
-    fn buffer_auto_flushes_when_full() {
-        let _on = with_enabled(true);
-        let hist = crate::registry().histogram("test.span.auto");
-        hist.reset();
-        for _ in 0..FLUSH_EVERY {
-            let _span = span(hist);
-        }
-        // The 64th drop crossed the threshold — no explicit flush needed.
-        assert_eq!(hist.count(), FLUSH_EVERY as u64);
+        // A span started while recording was on records even if the
+        // switch goes off before it ends.
+        let started = span(hist);
+        crate::set_enabled(false);
+        drop(started);
+        assert_eq!(hist.count(), 11);
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn live_daemon_snapshot_has_the_documented_shape() {
     // Wait until the drain loop has pushed everything through the checker
     // and the WAL, so the store/checker metrics below are populated.
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
+    let status = loop {
         let status = client.status(open.tenant).expect("status");
         if status.checked >= spec.events_per_tenant() {
             // The WAL sink ran under the drain: the new TenantStatus
@@ -58,11 +58,11 @@ fn live_daemon_snapshot_has_the_documented_shape() {
                 "expected a checkpoint after {} events",
                 status.checked
             );
-            break;
+            break status;
         }
         assert!(Instant::now() < deadline, "drain never caught up");
         std::thread::sleep(Duration::from_millis(5));
-    }
+    };
 
     let snapshot = client.metrics().expect("metrics scrape");
     assert!(snapshot.enabled, "daemon must record metrics");
@@ -81,6 +81,17 @@ fn live_daemon_snapshot_has_the_documented_shape() {
         "{} WAL appends for {events} events",
         wal.count
     );
+    // The drain threads are long-lived: a span they time must reach the
+    // scrape when it ends, not when its thread exits.
+    for stage in ["sync", "encode", "write", "prune"] {
+        let name = format!("store.checkpoint.{stage}");
+        let count = snapshot.histogram(&name).map_or(0, |h| h.count);
+        assert_eq!(
+            count, status.checkpoints,
+            "{name}: {count} samples for {} checkpoints",
+            status.checkpoints
+        );
+    }
     assert!(
         snapshot.gauge("service.queue_depth").is_some(),
         "queue depth gauge missing"

@@ -189,5 +189,4 @@ fn the_log_is_fsynced_at_every_floor() {
     assert_eq!(c.at.len(), 2, "checkpoints at {:?}", c.at);
     assert_eq!(c.last.checkpoints, 2);
     assert_eq!(syncs() - before, 3_000 / FLOOR as u64 + 1);
-    mtc_obs::flush_spans();
 }

@@ -4,8 +4,8 @@
 //! of the log's records have their decode timed, and recording changes
 //! nothing that is recovered; a checkpoint ahead of the log is passed over
 //! unread. The counters and the switch are process-wide,
-//! so every test here holds the `with_enabled` lock (and flushes its thread's
-//! spans before letting go) and this file is its own test binary.
+//! so every test here holds the `with_enabled` lock and this file is its own
+//! test binary.
 
 use mtc_core::{IncrementalChecker, IsolationLevel};
 use mtc_history::{Op, SessionId, Transaction, TxnId};
@@ -55,7 +55,6 @@ fn a_recovery_is_spanned_stage_by_stage_and_reads_the_same_with_recording_off() 
     let count = |name: &str| mtc_obs::registry().histogram(name).count();
     let recovered = || {
         let recovery = recover(&dir).unwrap();
-        mtc_obs::flush_spans();
         let snapshot = recovery.snapshot.as_ref().map(to_bytes);
         (recovery.resume_from, snapshot, recovery.txns)
     };
@@ -129,6 +128,5 @@ fn a_checkpoint_ahead_of_the_log_falls_back_to_the_newest_one_within_it() {
     let clean = mtc_core::check_streaming(level, &recovery.to_history()).unwrap();
     assert!(clean.is_satisfied());
     assert_eq!(recovery.resume().finish().unwrap(), clean);
-    mtc_obs::flush_spans();
     let _ = fs::remove_dir_all(&dir);
 }

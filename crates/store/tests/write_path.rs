@@ -2,9 +2,8 @@
 //! checkpoint byte back, every stage is spanned once per checkpoint, a
 //! sixteenth of the log appends have their encode timed, and recording
 //! changes nothing on disk. The counters and the switch are
-//! process-wide, so every test here holds the `with_enabled` lock (and
-//! flushes its thread's spans before letting go) and this file is its own
-//! test binary.
+//! process-wide, so every test here holds the `with_enabled` lock and this
+//! file is its own test binary.
 
 use mtc_core::{IncrementalChecker, IsolationLevel};
 use mtc_history::{Op, SessionId, Transaction, TxnId};
@@ -107,7 +106,6 @@ fn twelve_checkpoints_read_nothing_back() {
     let (consumed, _) = latest_checkpoint(&dir).unwrap().unwrap();
     assert_eq!(consumed, CHECKPOINTS * 40);
     assert_eq!(read_bytes() - before, newest as u64);
-    mtc_obs::flush_spans();
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -125,7 +123,6 @@ fn stages_are_spanned_once_per_checkpoint_and_files_do_not_depend_on_recording()
     let total_before = count("store.checkpoint_micros");
     let encodes_before = count("store.append.encode");
     drop(run_store(&on_dir));
-    mtc_obs::flush_spans();
     // One append in 16 has its encode timed: of the stream metadata and the
     // 480 transactions, 30 — none of them while recording was off.
     assert_eq!(count("store.append.encode") - encodes_before, 30);
