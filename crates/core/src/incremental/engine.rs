@@ -8,11 +8,11 @@ use super::arena::{IdOrdered, TxnMap};
 use super::gc::GcPolicy;
 use super::{keep_lowest, Findings};
 use crate::check::IsolationLevel;
-use crate::mini::validate_shape;
+use crate::mini::{validate_shape, MAX_OPS};
 use crate::verdict::{CheckError, Violation};
 use mtc_history::{
-    Anchor, Edge, EdgeKind, EdgeTag, IncrementalTopo, IntraAnomaly, IntraViolation, Key, Op,
-    SessionId, TimeChain, Transaction, TxnId, TxnStatus,
+    Anchor, Edge, EdgeKind, EdgeTag, FastHashMap, IncrementalTopo, IntraAnomaly, IntraViolation,
+    Key, Op, SessionId, TimeChain, Transaction, TxnId, TxnStatus,
 };
 use serde::{Deserialize, Serialize};
 
@@ -591,16 +591,20 @@ pub(super) struct Admitted {
 
 /// The purely intra-transactional half of the pre-scan: the first `INT`
 /// axiom violation in program order, mirroring `mtc_history::intra`'s
-/// classification — and its look-back: a transaction is a handful of
-/// operations long, so the latest earlier access of a read's key is found by
-/// scanning back over them, with no per-transaction state.
+/// classification. The latest earlier access of a read's key is found by
+/// scanning back over a mini-transaction's few operations, with no
+/// per-transaction state; a wider transaction keeps each key's latest
+/// operation in one map, so the scan stays linear in its width.
 fn local_intra_scan(id: TxnId, txn: &Transaction) -> Option<IntraViolation> {
+    let mut latest = (txn.ops.len() > MAX_OPS).then(FastHashMap::default);
     for (i, op) in txn.ops.iter().enumerate() {
-        let Op::Read { key, value } = *op else {
-            continue;
-        };
         let earlier = &txn.ops[..i];
-        let Some(prev) = earlier.iter().rev().find(|prev| prev.key() == key) else {
+        let prev = match &mut latest {
+            Some(latest) => latest.insert(op.key(), i).map(|j| &txn.ops[j]),
+            None if op.is_read() => earlier.iter().rev().find(|prev| prev.key() == op.key()),
+            None => None,
+        };
+        let (Op::Read { key, value }, Some(prev)) = (*op, prev) else {
             continue;
         };
         if prev.value() == value {
@@ -623,4 +627,67 @@ fn local_intra_scan(id: TxnId, txn: &Transaction) -> Option<IntraViolation> {
         });
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The look-back scan: every read looks back over every operation
+    /// before it.
+    fn by_look_back(id: TxnId, txn: &Transaction) -> Option<IntraViolation> {
+        for (i, op) in txn.ops.iter().enumerate() {
+            let Op::Read { key, value } = *op else {
+                continue;
+            };
+            let earlier = &txn.ops[..i];
+            let Some(prev) = earlier.iter().rev().find(|prev| prev.key() == key) else {
+                continue;
+            };
+            if prev.value() == value {
+                continue;
+            }
+            let own_write = |w: &Op| w.is_write() && w.key() == key && w.value() == value;
+            let anomaly = if prev.is_read() {
+                IntraAnomaly::NonRepeatableReads
+            } else if earlier.iter().any(own_write) {
+                IntraAnomaly::NotMyLastWrite
+            } else {
+                IntraAnomaly::NotMyOwnWrite
+            };
+            return Some(IntraViolation {
+                anomaly,
+                txn: id,
+                op_index: i,
+                key,
+                value,
+            });
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Up to 80 operations over up to 64 keys, spread over the `u64`
+        /// range half the time: the scan finds what the look-back found, on
+        /// both sides of the mini-transaction width.
+        #[test]
+        fn the_wide_intra_scan_is_the_look_back(
+            ops in prop::collection::vec((any::<bool>(), 0u64..64, 0u64..3), 0..81),
+            keys in 1u64..65,
+            sparse in any::<bool>(),
+        ) {
+            let spread = |k: u64| if sparse { k.wrapping_mul(0x9E37_79B9_7F4A_7C15) } else { k };
+            let ops: Vec<Op> = (ops.iter())
+                .map(|&(write, k, v)| {
+                    let k = spread(k % keys);
+                    if write { Op::write(k, v) } else { Op::read(k, v) }
+                })
+                .collect();
+            let txn = Transaction::committed(TxnId(1), SessionId(0), ops);
+            prop_assert_eq!(local_intra_scan(TxnId(1), &txn), by_look_back(TxnId(1), &txn));
+        }
+    }
 }

@@ -14,7 +14,7 @@
 
 use super::{keep_lowest, Findings};
 use crate::divergence::Divergence;
-use crate::mini::MtViolation;
+use crate::mini::{MtViolation, MAX_OPS};
 use crate::verdict::CheckError;
 use mtc_history::{
     Edge, EdgeKind, FastHashMap, InlineSeq, IntraAnomaly, IntraViolation, Key, Op, Transaction,
@@ -302,9 +302,11 @@ struct KeyWrite {
 }
 
 /// A transaction decomposed into its per-key slices by one pass over its
-/// operations, into buffers that outlive it: a mini-transaction (≤ 2 keys,
-/// ≤ 4 operations) costs no allocation, and a wide one — the 1 000-write
-/// `⊥T` — one slot lookup per operation, as `Transaction::key_set` does.
+/// operations, into buffers that outlive it. A mini-transaction (≤ 2 keys,
+/// ≤ [`MAX_OPS`] operations) finds each operation's key slot by looking
+/// back over the slots before it and costs no allocation; a wider one — the
+/// 1 000-write `⊥T`, a wide non-MT event — asks one map of key to slot,
+/// built for that transaction, so the pass is linear in the width.
 #[derive(Clone, Debug, Default)]
 struct Decomposed {
     /// The keys in `key_set` order.
@@ -322,23 +324,28 @@ impl Decomposed {
         self.writes.clear();
         self.written.clear();
         let mut grouped = true;
+        let mut slots = (ops.len() > MAX_OPS)
+            .then(|| FastHashMap::with_capacity_and_hasher(ops.len(), Default::default()));
         for (i, op) in ops.iter().enumerate() {
             let key = op.key();
-            let slot = match self.keys.iter().position(|w| w.key == key) {
-                Some(slot) => slot,
-                None => {
-                    self.keys.push(KeyWork {
-                        key,
-                        write_rank: u32::MAX,
-                        // Only the first operation on a key can be its
-                        // external read.
-                        external_read: op.is_read().then_some((op.value(), i)),
-                        last_write: op.value(),
-                        future_candidate: false,
-                    });
-                    self.keys.len() - 1
-                }
+            let next = self.keys.len();
+            let slot = match &mut slots {
+                Some(slots) => *slots.entry(key).or_insert(next),
+                None => (self.keys.iter())
+                    .position(|w| w.key == key)
+                    .unwrap_or(next),
             };
+            if slot == next {
+                self.keys.push(KeyWork {
+                    key,
+                    write_rank: u32::MAX,
+                    // Only the first operation on a key can be its external
+                    // read.
+                    external_read: op.is_read().then_some((op.value(), i)),
+                    last_write: op.value(),
+                    future_candidate: false,
+                });
+            }
             if op.is_read() {
                 continue;
             }
@@ -832,13 +839,26 @@ mod tests {
 
         /// Write-first keys, repeated values, more than two writes per key,
         /// interleaved keys (the writes need regrouping), the empty list.
+        ///
+        /// Half the cases are up to 12 operations over 4 keys, on both sides
+        /// of the mini-transaction width; the other half up to 80 operations
+        /// over up to 64 keys, past it. Either half spreads its keys over
+        /// the `u64` range half the time.
         #[test]
         fn one_pass_decomposition_equals_the_accessor_built_slices(
-            ops in prop::collection::vec((any::<bool>(), 0u64..4, 0u64..3), 0..13),
+            ops in prop::collection::vec((any::<bool>(), 0u64..64, 0u64..3), 0..81),
+            narrow in any::<bool>(),
+            keys in 1u64..65,
+            sparse in any::<bool>(),
         ) {
-            let ops: Vec<Op> = ops
-                .into_iter()
-                .map(|(write, k, v)| if write { Op::write(k, v) } else { Op::read(k, v) })
+            let (width, keys) = if narrow { (ops.len() % 13, 4) } else { (ops.len(), keys) };
+            let spread = |k: u64| if sparse { k.wrapping_mul(0x9E37_79B9_7F4A_7C15) } else { k };
+            let ops: Vec<Op> = ops[..width]
+                .iter()
+                .map(|&(write, k, v)| {
+                    let k = spread(k % keys);
+                    if write { Op::write(k, v) } else { Op::read(k, v) }
+                })
                 .collect();
             let txn = Transaction::committed(TxnId(1), SessionId(0), ops);
             let mut per_key = Decomposed::default();

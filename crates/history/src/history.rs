@@ -195,8 +195,8 @@ impl History {
     pub fn write_index(&self) -> HashMap<(Key, Value), Vec<TxnId>> {
         let mut index: HashMap<(Key, Value), Vec<TxnId>> = HashMap::new();
         for t in self.committed() {
-            for key in t.write_set() {
-                if let Some(v) = t.last_write(key) {
+            for (key, v, is_final) in t.writes_with_finality() {
+                if is_final {
                     index.entry((key, v)).or_default().push(t.id);
                 }
             }
@@ -400,8 +400,22 @@ impl HistoryBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The quadratic definition of [`History::write_index`]: one
+    /// `last_write` scan per written key.
+    pub(crate) fn write_index_reference(h: &History) -> HashMap<(Key, Value), Vec<TxnId>> {
+        let mut index: HashMap<(Key, Value), Vec<TxnId>> = HashMap::new();
+        for t in h.committed() {
+            for key in t.write_set() {
+                if let Some(v) = t.last_write(key) {
+                    index.entry((key, v)).or_default().push(t.id);
+                }
+            }
+        }
+        index
+    }
 
     fn sample() -> History {
         let mut b = HistoryBuilder::new().with_init(2);

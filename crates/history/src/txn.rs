@@ -4,11 +4,17 @@
 //! session, with a commit status and optional wall-clock begin/finish
 //! instants (needed for the real-time order of strict serializability).
 
+use crate::fasthash::FastHashSet;
 use crate::op::{Instant, Op};
 use crate::session::SessionId;
 use crate::value::{Key, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Operations in a mini-transaction at most (Definition 8): up to this
+/// width, a per-key question is answered by scanning the few operations
+/// around, allocation-free; past it, by one set of the transaction.
+pub(crate) const MT_WIDTH: usize = 4;
 
 /// Index of a transaction within a [`crate::History`].
 ///
@@ -149,37 +155,77 @@ impl Transaction {
     /// All keys written by the transaction, in first-write order, without
     /// duplicates.
     pub fn write_set(&self) -> Vec<Key> {
-        let mut keys = Vec::new();
-        for op in &self.ops {
-            if op.is_write() && !keys.contains(&op.key()) {
-                keys.push(op.key());
-            }
-        }
-        keys
+        self.first_picks(Op::is_write, |_| true)
     }
 
     /// All keys read externally by the transaction (first-read order, no
     /// duplicates).
     pub fn external_read_set(&self) -> Vec<Key> {
+        self.first_picks(|_| true, Op::is_read)
+    }
+
+    /// All keys touched by the transaction (no duplicates, program order of
+    /// first touch).
+    pub fn key_set(&self) -> Vec<Key> {
+        self.first_picks(|_| true, |_| true)
+    }
+
+    /// The key of each operation `pick` selects, once, in program order of
+    /// the first selected operation on it — and kept only where `keep` holds
+    /// for that first operation.
+    ///
+    /// A mini-transaction looks back over the few operations before; a wider
+    /// one (the `⊥T` over the whole key space) asks one set, so the cost is
+    /// linear in the width either way.
+    fn first_picks(&self, pick: fn(&Op) -> bool, keep: fn(&Op) -> bool) -> Vec<Key> {
+        let mut seen = (self.ops.len() > MT_WIDTH)
+            .then(|| FastHashSet::with_capacity_and_hasher(self.ops.len(), Default::default()));
         let mut keys = Vec::new();
-        for op in &self.ops {
-            if op.is_read() && !keys.contains(&op.key()) && self.external_read(op.key()).is_some() {
+        for (i, op) in self.ops.iter().enumerate().filter(|(_, op)| pick(op)) {
+            let first = match &mut seen {
+                Some(seen) => seen.insert(op.key()),
+                None => !self.ops[..i].iter().any(|o| pick(o) && o.key() == op.key()),
+            };
+            if first && keep(op) {
                 keys.push(op.key());
             }
         }
         keys
     }
 
-    /// All keys touched by the transaction (no duplicates, program order of
-    /// first touch).
-    pub fn key_set(&self) -> Vec<Key> {
-        let mut keys = Vec::new();
-        for op in &self.ops {
-            if !keys.contains(&op.key()) {
-                keys.push(op.key());
+    /// Every write as `(key, value, is_final)` in program order, where
+    /// `is_final` says the write is the transaction's last of its key — the
+    /// one it installs. A mini-transaction looks ahead over the few
+    /// operations after each write; a wider one first walks its operations
+    /// backwards once through a set of the keys written after.
+    pub(crate) fn writes_with_finality(&self) -> impl Iterator<Item = (Key, Value, bool)> + '_ {
+        let overwritten: Option<Vec<bool>> = (self.ops.len() > MT_WIDTH).then(|| {
+            let mut later =
+                FastHashSet::with_capacity_and_hasher(self.ops.len(), Default::default());
+            let mut overwritten = vec![false; self.ops.len()];
+            for (i, op) in self
+                .ops
+                .iter()
+                .enumerate()
+                .rev()
+                .filter(|(_, op)| op.is_write())
+            {
+                overwritten[i] = !later.insert(op.key());
             }
-        }
-        keys
+            overwritten
+        });
+        self.ops.iter().enumerate().filter_map(move |(i, op)| {
+            let Op::Write { key, value } = *op else {
+                return None;
+            };
+            let overwritten = match &overwritten {
+                Some(overwritten) => overwritten[i],
+                None => {
+                    (self.ops[i + 1..].iter()).any(|later| later.is_write() && later.key() == key)
+                }
+            };
+            Some((key, value, !overwritten))
+        })
     }
 
     /// Number of read operations.
@@ -220,11 +266,102 @@ impl fmt::Debug for Transaction {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn txn(ops: Vec<Op>) -> Transaction {
         Transaction::committed(TxnId(1), SessionId(0), ops)
+    }
+
+    /// The quadratic definitions the linear accessors are held to: one
+    /// `Vec::contains` (and, for the external reads, one `external_read`)
+    /// per operation.
+    pub(crate) mod reference {
+        use super::*;
+
+        pub(crate) fn write_set(t: &Transaction) -> Vec<Key> {
+            let mut keys = Vec::new();
+            for op in &t.ops {
+                if op.is_write() && !keys.contains(&op.key()) {
+                    keys.push(op.key());
+                }
+            }
+            keys
+        }
+
+        pub(crate) fn external_read_set(t: &Transaction) -> Vec<Key> {
+            let mut keys = Vec::new();
+            for op in &t.ops {
+                if op.is_read() && !keys.contains(&op.key()) && t.external_read(op.key()).is_some()
+                {
+                    keys.push(op.key());
+                }
+            }
+            keys
+        }
+
+        pub(crate) fn key_set(t: &Transaction) -> Vec<Key> {
+            let mut keys = Vec::new();
+            for op in &t.ops {
+                if !keys.contains(&op.key()) {
+                    keys.push(op.key());
+                }
+            }
+            keys
+        }
+    }
+
+    /// Key `k` spread over the `u64` range: distinct for distinct `k`, and
+    /// far from a dense `0..n` key space.
+    pub(crate) fn sparse(k: u64) -> u64 {
+        k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// Operations from `(write, key, value)` triples, the keys spread by
+    /// [`sparse`] when `sparse` is set.
+    pub(crate) fn ops_of(triples: Vec<(bool, u64, u64)>, sparse: bool) -> Vec<Op> {
+        let spread = |k: u64| if sparse { self::sparse(k) } else { k };
+        (triples.into_iter())
+            .map(|(write, k, v)| {
+                if write {
+                    Op::write(spread(k), v)
+                } else {
+                    Op::read(spread(k), v)
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linear accessors return what the quadratic ones did, order
+        /// included, on both sides of the mini-transaction width; and a
+        /// write is final exactly where `last_write` says its value is the
+        /// key's.
+        #[test]
+        fn the_linear_accessors_are_the_quadratic_ones(
+            triples in prop::collection::vec((any::<bool>(), 0u64..24, 0u64..4), 0..81),
+            sparse in any::<bool>(),
+        ) {
+            let t = txn(ops_of(triples, sparse));
+            prop_assert_eq!(t.write_set(), reference::write_set(&t));
+            prop_assert_eq!(t.external_read_set(), reference::external_read_set(&t));
+            prop_assert_eq!(t.key_set(), reference::key_set(&t));
+            let writes: Vec<(Key, Value, bool)> = t.writes_with_finality().collect();
+            prop_assert_eq!(writes.len(), t.write_count());
+            let mut finals = 0;
+            for (i, &(key, value, is_final)) in writes.iter().enumerate() {
+                let later = writes[i + 1..].iter().any(|&(k, ..)| k == key);
+                prop_assert_eq!(is_final, !later);
+                if is_final {
+                    finals += 1;
+                    prop_assert_eq!(t.last_write(key), Some(value));
+                }
+            }
+            prop_assert_eq!(finals, t.write_set().len());
+        }
     }
 
     #[test]

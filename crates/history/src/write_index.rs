@@ -13,7 +13,6 @@
 
 use crate::fasthash::FastHashMap;
 use crate::history::History;
-use crate::op::Op;
 use crate::txn::TxnId;
 use crate::value::{Key, Value};
 
@@ -64,7 +63,10 @@ pub struct WriteIndex {
 impl WriteIndex {
     /// Indexes every write of every transaction of `history`, whatever its
     /// status, in one walk (transactions in id order, operations in program
-    /// order).
+    /// order). Whether a write is its transaction's last of the key costs a
+    /// look-ahead over a mini-transaction's few operations, and one set of a
+    /// wider transaction: linear in the width, the `⊥T` over the whole key
+    /// space included.
     pub fn new(history: &History) -> Self {
         let mut index = WriteIndex {
             slots: FastHashMap::with_capacity_and_hasher(
@@ -76,20 +78,14 @@ impl WriteIndex {
         };
         for txn in history.txns() {
             let committed = txn.is_committed();
-            for (i, op) in txn.ops.iter().enumerate() {
-                let Op::Write { key, value } = *op else {
-                    continue;
-                };
-                let overwritten = txn.ops[i + 1..]
-                    .iter()
-                    .any(|later| later.is_write() && later.key() == key);
+            for (key, value, is_final) in txn.writes_with_finality() {
                 index.insert(
                     key,
                     value,
                     Writer {
                         txn: txn.id,
                         committed,
-                        is_final: !overwritten,
+                        is_final,
                     },
                 );
             }
@@ -177,9 +173,81 @@ mod tests {
     use super::*;
     use crate::history::HistoryBuilder;
     use crate::intra::{find_intra_anomalies, IntraAnomaly};
+    use crate::op::Op;
+    use crate::txn::tests::{ops_of, sparse};
+    use crate::txn::TxnStatus;
     use crate::value::INIT_VALUE;
+    use proptest::prelude::*;
 
     const X: Key = Key(0);
+
+    /// The look-ahead build of a [`WriteIndex`]: each write scans the rest of
+    /// its transaction for a later write of its key.
+    fn by_look_ahead(history: &History) -> WriteIndex {
+        let mut index = WriteIndex {
+            slots: FastHashMap::default(),
+            shared: Vec::new(),
+            duplicate: None,
+        };
+        for txn in history.txns() {
+            for (i, op) in txn.ops.iter().enumerate() {
+                let Op::Write { key, value } = *op else {
+                    continue;
+                };
+                let overwritten =
+                    (txn.ops[i + 1..].iter()).any(|later| later.is_write() && later.key() == key);
+                let writer = Writer {
+                    txn: txn.id,
+                    committed: txn.is_committed(),
+                    is_final: !overwritten,
+                };
+                index.insert(key, value, writer);
+            }
+        }
+        index
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over a sparse-key `⊥T` and committed, aborted and unknown
+        /// transactions up to 40 operations wide that write a key several
+        /// times, the index agrees with the look-ahead build slot for slot,
+        /// and with `History::write_index()` — itself equal to the
+        /// quadratic definition — on who installs what.
+        #[test]
+        fn the_wide_index_is_the_look_ahead_one(
+            init_keys in 0u64..40,
+            txns in prop::collection::vec(
+                (0u8..3, prop::collection::vec((any::<bool>(), 0u64..48, 0u64..6), 0..41)),
+                0..10,
+            ),
+        ) {
+            let mut b = HistoryBuilder::new().with_init_keys((0..init_keys).map(sparse));
+            for (session, (status_of, triples)) in txns.into_iter().enumerate() {
+                let status = [TxnStatus::Committed, TxnStatus::Aborted, TxnStatus::Unknown];
+                b.push(session as u32 % 3, ops_of(triples, true), status[status_of as usize]);
+            }
+            let h = b.build();
+            let (index, reference) = (WriteIndex::new(&h), by_look_ahead(&h));
+            prop_assert_eq!(index.duplicate(), reference.duplicate());
+            let finals = h.write_index();
+            prop_assert_eq!(&finals, &crate::history::tests::write_index_reference(&h));
+            let written = h.txns().iter().flat_map(|t| t.ops.iter().filter(|op| op.is_write()));
+            for op in written {
+                let (key, value) = (op.key(), op.value());
+                prop_assert_eq!(index.writers(key, value), reference.writers(key, value));
+                let installers: Vec<TxnId> = (index.writers(key, value).iter())
+                    .filter(|w| w.committed && w.is_final)
+                    .map(|w| w.txn)
+                    .collect();
+                let listed = finals.get(&(key, value)).cloned().unwrap_or_default();
+                prop_assert_eq!(&installers, &listed);
+                prop_assert_eq!(index.final_writer(key, value), listed.first().copied());
+            }
+            prop_assert_eq!(index.slots.len(), reference.slots.len());
+        }
+    }
 
     fn anomalies_of(h: &History) -> Vec<IntraAnomaly> {
         find_intra_anomalies(h)

@@ -36,7 +36,7 @@ use mtc_history::Transaction;
 use mtc_net::proto::TenantStatus;
 use mtc_store::{MtcStore, StoreStats, StreamMeta};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -408,6 +408,22 @@ struct Registry {
     next_id: u64,
     by_id: HashMap<u64, Arc<Tenant>>,
     by_name: HashMap<String, u64>,
+    /// Names whose open is making or recovering their store, outside the
+    /// lock.
+    opening: HashSet<String>,
+}
+
+/// A name reserved in [`Registry::opening`], released when the open that
+/// reserved it ends, however it ends.
+struct Reservation<'a> {
+    core: &'a ServiceCore,
+    name: &'a str,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.core.tenants.lock().opening.remove(self.name);
+    }
 }
 
 /// The daemon state shared by every connection handler and drain worker.
@@ -427,6 +443,7 @@ impl ServiceCore {
                 next_id: 1,
                 by_id: HashMap::new(),
                 by_name: HashMap::new(),
+                opening: HashSet::new(),
             }),
             shutdown: AtomicBool::new(false),
         })
@@ -444,7 +461,12 @@ impl ServiceCore {
     /// closed) → the stream *resumes*: newest intact checkpoint snapshot,
     /// tail replay, verdict-equivalent to never having stopped. Name
     /// already open in this process → re-attach to the running tenant
-    /// (same handle semantics as opening a second connection).
+    /// (same handle semantics as opening a second connection). Name another
+    /// request is still opening → an error; the client retries.
+    ///
+    /// The registry lock, which every request of every tenant takes, is
+    /// held only to reserve the name and to publish the tenant: creating or
+    /// recovering the store and building the verifier happen outside it.
     pub fn open_tenant(
         &self,
         name: &str,
@@ -464,25 +486,71 @@ impl ServiceCore {
                 "tenant \"{name}\": {num_keys} keys requested, at most {MAX_TENANT_KEYS} allowed"
             ));
         }
-        let mut reg = self.tenants.lock();
-        if let Some(&id) = reg.by_name.get(name) {
-            // Re-attach: the stream's level/keyspace were fixed at first
-            // open; a mismatched re-open is a client bug.
-            let tenant = &reg.by_id[&id];
-            if tenant.level != level || tenant.num_keys != num_keys {
-                return Err(format!(
-                    "tenant \"{name}\" is open at {} over {} keys; \
-                     requested {level} over {num_keys}",
-                    tenant.level, tenant.num_keys
-                ));
+        {
+            let mut reg = self.tenants.lock();
+            if let Some(&id) = reg.by_name.get(name) {
+                // Re-attach: the stream's level/keyspace were fixed at first
+                // open; a mismatched re-open is a client bug.
+                let tenant = &reg.by_id[&id];
+                if tenant.level != level || tenant.num_keys != num_keys {
+                    return Err(format!(
+                        "tenant \"{name}\" is open at {} over {} keys; \
+                         requested {level} over {num_keys}",
+                        tenant.level, tenant.num_keys
+                    ));
+                }
+                return Ok(TenantOpen {
+                    tenant: id,
+                    resumed_txns: 0,
+                    from_checkpoint: false,
+                });
             }
-            return Ok(TenantOpen {
-                tenant: id,
-                resumed_txns: 0,
-                from_checkpoint: false,
-            });
+            if !reg.opening.insert(name.to_string()) {
+                return Err(format!("tenant \"{name}\" is still opening"));
+            }
         }
+        // The name is reserved: the store and the verifier are made without
+        // the registry lock, which every other tenant's requests take.
+        let _reserved = Reservation { core: self, name };
+        let (tenant, resumed_txns, from_checkpoint) = self.make_tenant(name, level, num_keys)?;
+        let id = {
+            let mut reg = self.tenants.lock();
+            let id = reg.next_id;
+            reg.next_id += 1;
+            reg.by_id.insert(id, Arc::new(tenant));
+            reg.by_name.insert(name.to_string(), id);
+            id
+        };
+        {
+            use mtc_obs::events::JsonValue;
+            mtc_obs::events::emit(
+                "tenant-open",
+                &[
+                    ("tenant", JsonValue::Str(name.to_string())),
+                    ("id", JsonValue::U64(id)),
+                    ("level", JsonValue::Str(level.to_string())),
+                    ("resumed_txns", JsonValue::U64(resumed_txns)),
+                    ("from_checkpoint", JsonValue::Bool(from_checkpoint)),
+                ],
+            );
+        }
+        Ok(TenantOpen {
+            tenant: id,
+            resumed_txns,
+            from_checkpoint,
+        })
+    }
 
+    /// Creates tenant `name`'s store, or recovers it and resumes its
+    /// verifier, and returns the tenant with the count of resumed
+    /// transactions and whether they came from a checkpoint. The slow part
+    /// of an open: a recovery decodes the whole log.
+    fn make_tenant(
+        &self,
+        name: &str,
+        level: IsolationLevel,
+        num_keys: u64,
+    ) -> Result<(Tenant, u64, bool), String> {
         let dir = self.config.root.join(name);
         let mut builder = LiveVerifier::builder(level, num_keys).gc(GcPolicy::default());
         let (store, resumed_txns, from_checkpoint) = if dir.exists() {
@@ -505,10 +573,7 @@ impl ServiceCore {
             (store, 0, false)
         };
         let store = store.with_checkpoint_every(self.config.checkpoint_every);
-
-        let id = reg.next_id;
-        reg.next_id += 1;
-        let tenant = Arc::new(Tenant {
+        let tenant = Tenant {
             name: name.to_string(),
             level,
             num_keys,
@@ -527,27 +592,8 @@ impl ServiceCore {
             admit_hist: mtc_obs::registry()
                 .histogram(&format!("service.tenant.{name}.admit_micros")),
             violation_logged: AtomicBool::new(false),
-        });
-        reg.by_id.insert(id, tenant);
-        reg.by_name.insert(name.to_string(), id);
-        {
-            use mtc_obs::events::JsonValue;
-            mtc_obs::events::emit(
-                "tenant-open",
-                &[
-                    ("tenant", JsonValue::Str(name.to_string())),
-                    ("id", JsonValue::U64(id)),
-                    ("level", JsonValue::Str(level.to_string())),
-                    ("resumed_txns", JsonValue::U64(resumed_txns)),
-                    ("from_checkpoint", JsonValue::Bool(from_checkpoint)),
-                ],
-            );
-        }
-        Ok(TenantOpen {
-            tenant: id,
-            resumed_txns,
-            from_checkpoint,
-        })
+        };
+        Ok((tenant, resumed_txns, from_checkpoint))
     }
 
     fn tenant(&self, id: u64) -> Result<Arc<Tenant>, String> {

@@ -573,6 +573,117 @@ fn an_idle_drain_returns_promptly_on_stop() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Reopening a tenant recovers its store, which decodes the whole log, and
+/// replays the log into a new verifier. None of that holds the registry
+/// lock, which every other tenant's `ingest`, `status`, `pause_tenant` and
+/// `close_tenant` take: a neighbour's `status` keeps answering while a
+/// tenant with 100 000 logged events is reopened.
+#[test]
+fn one_tenants_open_does_not_stall_its_neighbours() {
+    use mtc_service::{Admission, ServiceCore};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    let root = temp_root("open_stall");
+    let spec = LoadSpec {
+        tenants: 1,
+        sessions: 4,
+        txns_per_session: 25_000,
+        num_keys: 64,
+        ..Default::default()
+    };
+    let logged = spec.events_per_tenant();
+    // No checkpoint in the first life: the reopen replays all of the log.
+    let config = ServiceConfig::new(&root)
+        .queue_cap(logged as usize)
+        .checkpoint_every(1 << 30);
+    let core = ServiceCore::new(config).expect("core");
+    let big = core.open_tenant("big", spec.level, spec.num_keys).unwrap();
+    let admitted = core.ingest(big.tenant, synthetic_events(&spec, 0));
+    assert_eq!(admitted, Ok(Admission::Accepted(logged)));
+    assert_eq!(core.close_tenant(big.tenant).unwrap().checked, logged);
+    let small = core
+        .open_tenant("small", spec.level, spec.num_keys)
+        .unwrap();
+
+    let (reopening, polls) = (AtomicBool::new(true), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut slowest = Duration::ZERO;
+            while reopening.load(Ordering::Acquire) {
+                let asked = Instant::now();
+                core.status(small.tenant).expect("status");
+                slowest = slowest.max(asked.elapsed());
+                polls.fetch_add(1, Ordering::Release);
+            }
+            slowest
+        });
+        while polls.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        let asked = Instant::now();
+        let reopen = core.open_tenant("big", spec.level, spec.num_keys);
+        let took = asked.elapsed();
+        reopening.store(false, Ordering::Release);
+        let slowest = poller.join().expect("the poller returns");
+        assert_eq!(reopen.expect("reopen").resumed_txns, logged);
+        println!(
+            "reopen took {took:?}; slowest of {} polls {slowest:?}",
+            polls.load(Ordering::Acquire)
+        );
+        assert!(
+            slowest < took / 4,
+            "a neighbour's status took {slowest:?} while the reopen took {took:?}"
+        );
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Two opens of one name at once: the one that reserves the name first
+/// recovers the store, and the other is refused while it does, or
+/// re-attaches once it is done. The name is never opened twice.
+#[test]
+fn a_name_still_opening_is_refused() {
+    use mtc_service::ServiceCore;
+    use std::sync::Barrier;
+
+    let root = temp_root("still_opening");
+    let spec = LoadSpec {
+        tenants: 1,
+        sessions: 4,
+        txns_per_session: 5_000,
+        num_keys: 64,
+        ..Default::default()
+    };
+    let config = ServiceConfig::new(&root)
+        .queue_cap(spec.events_per_tenant() as usize)
+        .checkpoint_every(1 << 30);
+    let core = ServiceCore::new(config).expect("core");
+    let first = core.open_tenant("t", spec.level, spec.num_keys).unwrap();
+    core.ingest(first.tenant, synthetic_events(&spec, 0))
+        .unwrap();
+    core.close_tenant(first.tenant).unwrap();
+
+    let start = Barrier::new(2);
+    let opens: Vec<Result<u64, String>> = std::thread::scope(|scope| {
+        let open = || {
+            start.wait();
+            let open = core.open_tenant("t", spec.level, spec.num_keys);
+            open.map(|open| open.tenant)
+        };
+        let (a, b) = (scope.spawn(open), scope.spawn(open));
+        [a, b].map(|h| h.join().expect("an opener returns")).into()
+    });
+    let ids: Vec<u64> = opens.iter().filter_map(|o| o.clone().ok()).collect();
+    assert!(!ids.is_empty(), "{opens:?}");
+    assert!(ids.iter().all(|&id| id == ids[0]), "{opens:?}");
+    for refused in opens.iter().filter_map(|o| o.as_ref().err()) {
+        assert!(refused.contains("still opening"), "{refused}");
+    }
+    let again = core.open_tenant("t", spec.level, spec.num_keys).unwrap();
+    assert_eq!(again.tenant, ids[0], "a finished open is re-attached to");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // ───────────────────────── kill/resume harness ─────────────────────────────
 
 fn spawn_daemon(root: &Path, extra: &[&str]) -> (Child, SocketAddr) {
