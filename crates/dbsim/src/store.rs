@@ -2,14 +2,14 @@
 //!
 //! Every key maps to a chain of committed versions ordered by commit
 //! timestamp. Reads select the newest version visible at a snapshot
-//! timestamp; commits append new versions. The store itself is isolation-
-//! agnostic — all policy (snapshots, validation, faults) lives in
-//! [`crate::txn`].
+//! timestamp, by binary search over the chain, so a read costs
+//! O(log versions) and allocates nothing; commits append new versions.
+//! The store itself is isolation-agnostic — all policy (snapshots,
+//! validation, faults) lives in [`crate::txn`].
 
-use mtc_history::{Key, Value, INIT_VALUE};
+use mtc_history::{FastHashMap, Key, Value, INIT_VALUE};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A stored value: either a register or an append-only list.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,18 +81,17 @@ impl VersionChain {
 
     /// The newest version with `commit_ts <= snapshot_ts`, optionally
     /// skipping the `skip_recent` newest such versions (used by the
-    /// stale-snapshot fault). Returns `None` if nothing is visible.
+    /// stale-snapshot fault; skipping past the oldest returns the oldest).
+    /// Returns `None` if nothing is visible.
+    ///
+    /// [`VersionChain::push`] keeps the chain sorted by commit timestamp,
+    /// so the visible versions are a prefix of it, found by binary search.
     pub fn visible_at(&self, snapshot_ts: u64, skip_recent: usize) -> Option<&Version> {
-        let visible: Vec<&Version> = self
+        let visible = self
             .versions
-            .iter()
-            .filter(|v| v.commit_ts <= snapshot_ts)
-            .collect();
-        if visible.is_empty() {
-            return None;
-        }
-        let idx = visible.len().saturating_sub(skip_recent.saturating_add(1));
-        Some(visible[idx.min(visible.len() - 1)])
+            .partition_point(|v| v.commit_ts <= snapshot_ts);
+        let newest = visible.checked_sub(1)?;
+        Some(&self.versions[newest.saturating_sub(skip_recent)])
     }
 
     /// True iff some version is newer than `snapshot_ts`.
@@ -118,14 +117,14 @@ impl VersionChain {
 /// The shared, thread-safe store.
 #[derive(Debug, Default)]
 pub struct Store {
-    map: RwLock<HashMap<Key, VersionChain>>,
+    map: RwLock<FastHashMap<Key, VersionChain>>,
 }
 
 impl Store {
     /// Creates a store with `num_keys` registers pre-initialized to the
     /// initial value at commit timestamp 0 (the `⊥T` transaction).
     pub fn with_register_keys(num_keys: u64) -> Self {
-        let mut map = HashMap::with_capacity(num_keys as usize);
+        let mut map = FastHashMap::with_capacity_and_hasher(num_keys as usize, Default::default());
         for k in 0..num_keys {
             map.insert(
                 Key(k),
@@ -218,6 +217,64 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `visible_at` as it was before the binary search: every visible
+    /// version collected into a `Vec`, then indexed. The reference the
+    /// proptest below holds the binary search to.
+    fn visible_at_by_filter(
+        chain: &VersionChain,
+        snapshot_ts: u64,
+        skip_recent: usize,
+    ) -> Option<&Version> {
+        let visible: Vec<&Version> = chain
+            .versions
+            .iter()
+            .filter(|v| v.commit_ts <= snapshot_ts)
+            .collect();
+        if visible.is_empty() {
+            return None;
+        }
+        let idx = visible.len().saturating_sub(skip_recent.saturating_add(1));
+        Some(visible[idx.min(visible.len() - 1)])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over random monotone chains — empty, or versions `gaps` apart from
+        /// `first`, where a gap of 0 makes an equal-timestamp group —, at a snapshot
+        /// before, at and after every version and at the extremes, with
+        /// `skip_recent` 0, 1, 2, the chain's length and `usize::MAX`, the
+        /// binary search picks the very version the filter picks.
+        #[test]
+        fn the_binary_search_is_the_filter(
+            first in 0u64..3,
+            gaps in prop::collection::vec(0u64..3, 0..12),
+        ) {
+            let mut chain = VersionChain::default();
+            let mut ts = first;
+            for (i, gap) in gaps.iter().enumerate() {
+                ts += gap;
+                chain.push(Version {
+                    commit_ts: ts,
+                    value: StoredValue::Register(Value(i as u64)),
+                });
+            }
+            let mut snapshots = vec![0, u64::MAX];
+            for v in &chain.versions {
+                snapshots.extend([v.commit_ts.saturating_sub(1), v.commit_ts, v.commit_ts + 1]);
+            }
+            for snapshot_ts in snapshots {
+                for skip in [0, 1, 2, chain.len(), usize::MAX] {
+                    let found = chain.visible_at(snapshot_ts, skip).map(|v| v as *const Version);
+                    let reference =
+                        visible_at_by_filter(&chain, snapshot_ts, skip).map(|v| v as *const Version);
+                    prop_assert_eq!(found, reference, "snapshot {}, skip {}", snapshot_ts, skip);
+                }
+            }
+        }
+    }
 
     #[test]
     fn initial_registers_are_visible_at_any_snapshot() {

@@ -4,9 +4,8 @@
 use crate::db::Database;
 use crate::faults::ActiveFaults;
 use crate::store::StoredValue;
-use mtc_history::{Key, Value, INIT_VALUE};
+use mtc_history::{FastHashMap, Key, Value, INIT_VALUE};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a transaction aborted.
@@ -92,9 +91,9 @@ pub struct TxnHandle<'db> {
     faults: ActiveFaults,
     /// Keys read from the store, with the commit timestamp of the version
     /// observed (used for read validation).
-    read_set: HashMap<Key, u64>,
+    read_set: FastHashMap<Key, u64>,
     /// Buffered writes (applied at commit), in first-write order.
-    write_buffer: HashMap<Key, StoredValue>,
+    write_buffer: FastHashMap<Key, StoredValue>,
     write_order: Vec<Key>,
 }
 
@@ -104,8 +103,8 @@ impl<'db> TxnHandle<'db> {
             db,
             begin_ts,
             faults,
-            read_set: HashMap::new(),
-            write_buffer: HashMap::new(),
+            read_set: FastHashMap::default(),
+            write_buffer: FastHashMap::default(),
             write_order: Vec::new(),
         }
     }

@@ -1,13 +1,23 @@
 //! A tiny, fast, non-cryptographic hasher for the hot-path maps of the
-//! streaming checkers (integer-ish keys: transaction ids, node pairs,
-//! key/value tuples).
+//! checkers and the simulator (integer-ish keys: transaction ids, node
+//! pairs, client keys, key/value tuples).
 //!
-//! The default `SipHash13` is DoS-resistant but costs real time per edge on
-//! the verification hot path. Checker inputs are not attacker-controlled
-//! hash-table keys in the DoS sense (and the maps are bounded by the GC),
-//! so an FxHash-style multiply-xor hash is the right trade. The
-//! implementation mirrors the well-known `FxHasher` recipe: per 8-byte
-//! word, `state = (state.rotate_left(5) ^ word) * K`.
+//! The default `SipHash13` costs real time per probe on the hot paths, so
+//! these maps use an `FxHasher`-style multiply-xor hash instead: per
+//! 8-byte word, `state = (state.rotate_left(5) ^ word) * K`. Their keys
+//! are not all the program's own: a daemon's tenants choose their keys on
+//! the wire, and a client's keys are often aligned ids (`row << 16`,
+//! `table << 48`). A product's low bits depend only on its factors' low
+//! bits, and std's map picks a bucket from the low bits of the hash, so the
+//! state alone would put keys that share their low bits in one bucket, and
+//! a map of them would be quadratic. `finish` therefore folds: it
+//! multiplies the state by `K` once more into 128 bits and xors the two
+//! halves, so every bit of the state reaches the low bits
+//! (`tests/hash_spread.rs` times aligned keys against dense ones). A rotate
+//! of the state, as rustc-hash 2 does, only moves the problem: it still
+//! puts keys `k << 44` into 512 buckets. The hash is not keyed, so keys
+//! searched out on purpose to collide still collide; this hasher does not
+//! defend against that.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -29,7 +39,8 @@ impl FastHasher {
 impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        let folded = u128::from(self.state) * u128::from(K);
+        (folded as u64) ^ ((folded >> 64) as u64)
     }
 
     #[inline]
@@ -102,5 +113,26 @@ mod tests {
             seen.insert(b.hash_one((i, i.wrapping_mul(7))));
         }
         assert!(seen.len() > 9_990, "{} distinct hashes", seen.len());
+    }
+
+    #[test]
+    fn keys_that_share_their_low_bits_spread_over_the_low_bits() {
+        // A map of 2^14 entries picks its bucket from the hash's low 15
+        // bits. Aligned keys must spread over them as dense keys do (a
+        // rotate of the state instead of the fold puts keys `k << 44` into
+        // 512 of them).
+        use std::hash::BuildHasher;
+        let b = FastBuild::default();
+        for shift in (0..=48).step_by(4) {
+            let buckets: std::collections::HashSet<u64> = (0..1u64 << 14)
+                .map(|k| b.hash_one(k << shift) & ((1 << 15) - 1))
+                .collect();
+            assert!(
+                buckets.len() > 1 << 13,
+                "keys k << {shift}: {} buckets of {}",
+                buckets.len(),
+                1 << 15
+            );
+        }
     }
 }

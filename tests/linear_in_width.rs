@@ -17,6 +17,8 @@ use mtc::history::{HistoryBuilder, Op, Value};
 use mtc::{IncrementalChecker, IsolationLevel};
 use std::time::{Duration, Instant};
 
+mod scaling;
+
 const NARROW: u64 = 4_000;
 const WIDE: u64 = 16_000;
 const MAX_GROWTH: f64 = 8.0;
@@ -25,22 +27,14 @@ const MAX_GROWTH: f64 = 8.0;
 /// one untimed round. Its input is built by `prepare`, and what
 /// it returns dropped, outside the timed part.
 fn best_of_three<T, R>(prepare: impl Fn(u64) -> T, run: impl Fn(T) -> R) -> (Duration, Duration) {
-    let time = |width: u64| {
+    let [narrow, wide] = scaling::best_of(3, [NARROW, WIDE], |width| {
         let input = prepare(width);
         let start = Instant::now();
         let output = run(input);
         let elapsed = start.elapsed();
         drop(output);
         elapsed
-    };
-    // The widths take turns, so that a slow phase of the host falls on both.
-    let (mut narrow, mut wide) = (Duration::MAX, Duration::MAX);
-    for round in 0..4 {
-        let (n, w) = (time(NARROW), time(WIDE));
-        if round > 0 {
-            (narrow, wide) = (narrow.min(n), wide.min(w));
-        }
-    }
+    });
     (narrow, wide)
 }
 
@@ -53,32 +47,9 @@ fn assert_linear(what: &str, (narrow, wide): (Duration, Duration)) {
     );
 }
 
-/// Keeps freed memory in the process. glibc hands a large free block back
-/// to the kernel, and maps it afresh at a page fault per 4 KiB when it is
-/// next asked for; what counts as large moves with the blocks freed before.
-/// One width would then be timed with its page faults and the other without
-/// them. With both thresholds pinned, neither is.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn keep_freed_memory() {
-    extern "C" {
-        fn mallopt(param: i32, value: i32) -> i32;
-    }
-    const M_TRIM_THRESHOLD: i32 = -1;
-    const M_MMAP_THRESHOLD: i32 = -3;
-    // SAFETY: `mallopt` only sets two of glibc's tuning parameters, before
-    // this test has allocated anything it will time.
-    unsafe {
-        mallopt(M_TRIM_THRESHOLD, i32::MAX);
-        mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn keep_freed_memory() {}
-
 #[test]
 fn a_check_and_a_stream_cost_linear_in_a_transactions_width() {
-    keep_freed_memory();
+    scaling::keep_freed_memory();
     let init_only = |keys: u64| HistoryBuilder::new().with_init(keys).build();
     for check in [BatchCheck::Ser, BatchCheck::Si, BatchCheck::Sser] {
         let times = best_of_three(init_only, |h| {
